@@ -77,6 +77,8 @@ class DipServer:
             capacity_rps=self.vm_type.base_capacity_rps,
             idle_latency_ms=self.vm_type.idle_latency_ms,
         )
+        #: the scaled model of the capacity factor last seen below 1.0.
+        self._scaled: tuple[float, LatencyModel] | None = None
         self._served_requests = 0
         self._dropped_requests = 0
 
@@ -88,7 +90,9 @@ class DipServer:
         factor = self.antagonist.capacity_factor
         if factor >= 1.0:
             return self._base_model
-        return scaled_model(self._base_model, factor)
+        if self._scaled is None or self._scaled[0] != factor:
+            self._scaled = (factor, scaled_model(self._base_model, factor))
+        return self._scaled[1]
 
     @property
     def capacity_rps(self) -> float:
@@ -146,19 +150,27 @@ class DipServer:
 
     # -- request serving ----------------------------------------------------
 
-    def sample_request_latency_ms(self, *, rate_rps: float | None = None) -> float:
-        """Latency of one application request at the (or a given) load."""
+    def _sample_latencies_ms(self, rate_rps: float, served: int) -> np.ndarray:
+        """Latencies of ``served`` requests at ``rate_rps``: one mean, one draw.
+
+        A vector draw fills from the same stream the scalar calls consume,
+        so a batch of n and n single requests see the same latencies.
+        """
         if self.failed:
             raise DipFailureError(f"DIP {self.dip_id} is down")
-        rate = self.offered_rate_rps if rate_rps is None else rate_rps
         mean = self.latency_model.mean_latency_ms(
-            rate, scv_correction=self.scv_correction
+            rate_rps, scv_correction=self.scv_correction
         )
+        self._served_requests += served
         if self.jitter_fraction == 0:
-            return mean
-        sample = self._rng.normal(mean, mean * self.jitter_fraction)
-        self._served_requests += 1
-        return float(max(mean * 0.25, sample))
+            return np.full(served, mean)
+        draws = self._rng.normal(mean, mean * self.jitter_fraction, size=served)
+        return np.maximum(mean * 0.25, draws)
+
+    def sample_request_latency_ms(self, *, rate_rps: float | None = None) -> float:
+        """Latency of one application request at the (or a given) load."""
+        rate = self.offered_rate_rps if rate_rps is None else rate_rps
+        return float(self._sample_latencies_ms(rate, 1)[0])
 
     def sample_ping_latency_ms(self) -> float:
         """ICMP / TCP-SYN latency; load independent (handled by the OS)."""
@@ -190,10 +202,10 @@ class DipServer:
                 samples=0,
                 drop_fraction=1.0,
             )
-        latencies = [self.sample_request_latency_ms() for _ in range(served)]
+        latencies = self._sample_latencies_ms(self.offered_rate_rps, served)
         return ProbeResult(
             dip=self.dip_id,
-            mean_latency_ms=float(np.mean(latencies)),
+            mean_latency_ms=float(latencies.mean()),
             dropped=drops > 0,
             samples=served,
             drop_fraction=drops / num_requests,

@@ -16,7 +16,7 @@ which is what the rescaling computation needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import nnls
@@ -59,41 +59,46 @@ class WeightLatencyCurve:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def _raw(self, weight: float) -> float:
-        """The polynomial value at the (scaled) weight, before corrections."""
-        scaled = weight / self.weight_scale
-        return float(np.polyval(self.coefficients, scaled))
+    def _raw(self, weights: np.ndarray | float) -> np.ndarray:
+        """The polynomial at the (scaled) weights, before corrections."""
+        return np.polyval(self.coefficients, weights / self.weight_scale)
 
-    def _monotone_envelope(self, weight: float) -> float:
-        """max of the polynomial over [0, weight] (monotone correction)."""
-        value = self._raw(weight)
-        if not self.enforce_monotone:
-            return value
-        candidates = [self._raw(0.0), value]
-        if self.degree == 2:
-            a, b, _ = self.coefficients
-            if a < 0 and abs(a) > 1e-15:
-                vertex = -b / (2 * a) * self.weight_scale
-                if 0.0 < vertex < weight:
-                    candidates.append(self._raw(vertex))
-        elif self.degree > 2:
-            grid = np.linspace(0.0, weight, 64)
-            candidates.extend(float(v) for v in np.polyval(
-                self.coefficients, grid / self.weight_scale
-            ))
-        return max(candidates)
+    def predict_many(self, weights: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Estimated mean latency (ms) at each of ``weights``.
+
+        The one evaluation kernel: the polynomial over the whole grid, then
+        the monotone correction (max of the polynomial over ``[0, w]``) and
+        the idle-latency floor, each the same IEEE operation per element as
+        evaluating one weight at a time.
+        """
+        ws = np.asarray(weights, dtype=np.float64)
+        if (ws < 0).any():
+            raise ConfigurationError("weight must be >= 0")
+        values = self._raw(ws)
+        if self.enforce_monotone:
+            # The polynomial at weight 0 is its constant term.
+            values = np.maximum(self.coefficients[-1], values)
+            if self.degree == 2:
+                a, b, _ = self.coefficients
+                if a < 0 and abs(a) > 1e-15:
+                    # A concave fit peaks at its vertex; past it the
+                    # envelope holds the peak.
+                    vertex = -b / (2 * a) * self.weight_scale
+                    if vertex > 0.0:
+                        peak = np.maximum(values, self._raw(vertex))
+                        values = np.where(vertex < ws, peak, values)
+            elif self.degree > 2:
+                # No closed form: scan 64 points of [0, w] per weight.
+                scan = np.stack([np.linspace(0.0, w, 64) for w in ws], axis=-1)
+                values = np.maximum(values, self._raw(scan).max(axis=0))
+        return np.maximum(self.l0_ms, values)
 
     def predict(self, weight: float) -> float:
         """Estimated mean latency (ms) at ``weight``.
 
         The prediction is never below the idle latency ``l0``.
         """
-        if weight < 0:
-            raise ConfigurationError("weight must be >= 0")
-        return max(self.l0_ms, self._monotone_envelope(weight))
-
-    def predict_many(self, weights: Iterable[float]) -> list[float]:
-        return [self.predict(w) for w in weights]
+        return float(self.predict_many((weight,))[0])
 
     # -- inversion and rescaling (§4.5) -------------------------------------------
 
@@ -215,5 +220,7 @@ def fit_error(curve: WeightLatencyCurve, points: Sequence[MeasurementPoint]) -> 
     usable = [p for p in points if not p.dropped]
     if not usable:
         return 0.0
-    errors = [curve.predict(p.weight) - p.latency_ms for p in usable]
+    errors = curve.predict_many([p.weight for p in usable]) - np.array(
+        [p.latency_ms for p in usable]
+    )
     return float(np.sqrt(np.mean(np.square(errors))))

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from repro.core.config import IlpConfig
 from repro.core.curve import WeightLatencyCurve
 from repro.core.types import DipId, VipId, WeightAssignment
@@ -30,6 +32,7 @@ from repro.solver import (
     SolveResult,
     SolveStatus,
     solve,
+    uniform_weight_grid,
 )
 
 
@@ -50,18 +53,18 @@ def candidate_grid(
     upper: float | None = None,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Uniform candidate weights in ``[lower, upper]`` and their latencies."""
-    if count < 2:
+    weights, latencies = _candidate_arrays(curve, count, lower, upper)
+    return tuple(weights.tolist()), tuple(latencies.tolist())
+
+
+def _candidate_arrays(
+    curve: WeightLatencyCurve, count: int, lower: float, upper: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    if count < 2:  # rejected before the curve is read
         raise ConfigurationError("count must be >= 2")
     upper = curve.w_max if upper is None else upper
-    upper = max(upper, lower)
-    if upper == lower:
-        weights = [lower] * count
-    else:
-        step = (upper - lower) / (count - 1)
-        weights = [lower + i * step for i in range(count)]
-    clipped = [min(max(w, 0.0), 1.0) for w in weights]
-    latencies = [curve.predict(w) for w in clipped]
-    return tuple(clipped), tuple(latencies)
+    weights = uniform_weight_grid(lower, max(upper, lower), count)
+    return weights, curve.predict_many(weights)
 
 
 def build_assignment_problem(
@@ -96,21 +99,21 @@ def build_assignment_problem(
             lower, upper = windows[dip]
         else:
             lower, upper = 0.0, min(1.0, curve.w_max * stretch)
-        weights, latencies = candidate_grid(
-            curve, count=config.weights_per_dip, lower=lower, upper=upper
+        weights, latencies = _candidate_arrays(
+            curve, config.weights_per_dip, lower, upper
         )
         if config.objective == "request_weighted":
             # Cost of a candidate is the latency contribution of the requests
             # it attracts (weight × latency), so the ILP minimises the mean
             # latency a request experiences.
-            costs = tuple(w * lat for w, lat in zip(weights, latencies))
+            costs = weights * latencies
         else:
             costs = latencies
         dips.append(
             DipCandidates(
                 dip=dip,
-                weights=weights,
-                latencies_ms=costs,
+                weights=tuple(weights.tolist()),
+                latencies_ms=tuple(costs.tolist()),
                 w_max=curve.w_max if curve.w_max > 0 else None,
             )
         )

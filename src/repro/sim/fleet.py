@@ -23,7 +23,7 @@ which is itself now a one-VIP fleet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -34,8 +34,10 @@ from repro.exceptions import ConfigurationError
 from repro.sim.fluid import (
     LOAD_DEPENDENT_POLICIES,
     PoolArrays,
+    equal_split_array,
     pool_arrays,
     split_rates_array,
+    static_split_array,
     vector_mean_latency_ms,
     vector_utilization,
 )
@@ -54,17 +56,52 @@ def _subset(pool: PoolArrays, index: np.ndarray) -> PoolArrays:
     )
 
 
-@dataclass
 class FleetState:
-    """A snapshot of the whole fleet after a joint evaluation."""
+    """The whole fleet after one joint evaluation.
 
-    time: float
-    #: total arrival rate per DIP, summed over every VIP it serves.
-    total_rates_rps: dict[DipId, float]
-    utilization: dict[DipId, float]
-    mean_latency_ms: dict[DipId, float]
-    #: each VIP's own contribution per DIP.
-    per_vip_rates: dict[VipId, dict[DipId, float]]
+    A lazy view: it keeps the evaluation's arrays (which :meth:`Fleet.apply`
+    builds afresh each time and never touches again, so the view stays that
+    of its own evaluation) and builds each dict — and the latency pass
+    behind ``mean_latency_ms`` — on first read.
+    """
+
+    def __init__(
+        self,
+        time: float,
+        pool: PoolArrays,
+        total: np.ndarray,
+        contributions: Mapping[VipId, tuple[np.ndarray, np.ndarray]],
+    ) -> None:
+        self.time = time
+        self._pool = pool
+        self._total = total
+        self._contributions = contributions
+
+    @cached_property
+    def total_rates_rps(self) -> dict[DipId, float]:
+        """Total arrival rate per DIP, summed over every VIP it serves."""
+        return dict(zip(self._pool.ids, self._total.tolist()))
+
+    @cached_property
+    def utilization(self) -> dict[DipId, float]:
+        pool = self._pool
+        utilization = np.minimum(1.0, vector_utilization(pool, self._total))
+        return dict(zip(pool.ids, np.where(pool.failed, 0.0, utilization).tolist()))
+
+    @cached_property
+    def mean_latency_ms(self) -> dict[DipId, float]:
+        pool = self._pool
+        latency = vector_mean_latency_ms(pool, self._total)
+        return dict(zip(pool.ids, np.where(pool.failed, np.inf, latency).tolist()))
+
+    @cached_property
+    def per_vip_rates(self) -> dict[VipId, dict[DipId, float]]:
+        """Each VIP's own contribution per DIP."""
+        ids = self._pool.ids
+        return {
+            vip_id: dict(zip((ids[i] for i in index.tolist()), rates.tolist()))
+            for vip_id, (index, rates) in self._contributions.items()
+        }
 
     def vip_mean_latency_ms(self, vip: VipId) -> float:
         """Request-weighted mean latency experienced by one VIP's traffic."""
@@ -268,7 +305,8 @@ class Fleet:
         Load-independent policies (equal/weighted splits) are evaluated in a
         single vectorized pass; load-dependent ones (lc/wlc/p2) then iterate
         against the background load of the other VIPs until the joint rates
-        converge.
+        converge.  The rates reach the servers before this returns; the
+        returned :class:`FleetState` builds the rest on first read.
         """
         pool = pool_arrays(self.dips)
         n = pool.size
@@ -282,17 +320,16 @@ class Fleet:
             if not healthy:
                 raise ConfigurationError(f"VIP {vip_id!r}: no healthy DIPs")
             index = np.array([index_of[d] for d in healthy], dtype=np.intp)
-            sub_pool = _subset(pool, index)
-            weight_vec = np.array(
-                [vip.weights.get(d, 0.0) for d in healthy], dtype=np.float64
-            )
             if vip.policy_name in LOAD_DEPENDENT_POLICIES:
                 # Seed with an equal split; refined by the fixed point below.
-                rates = np.full(len(healthy), vip.total_rate_rps / len(healthy))
+                rates = equal_split_array(len(healthy), vip.total_rate_rps)
                 reactive.append(vip_id)
             else:
-                rates = split_rates_array(
-                    vip.policy_name, sub_pool, vip.total_rate_rps, weights=weight_vec
+                weight_vec = np.array(
+                    [vip.weights.get(d, 0.0) for d in healthy], dtype=np.float64
+                )
+                rates = static_split_array(
+                    vip.policy_name, len(healthy), vip.total_rate_rps, weight_vec
                 )
             contributions[vip_id] = (index, rates)
             total[index] += rates
@@ -323,9 +360,11 @@ class Fleet:
             if max_delta < self.contention_tolerance * scale:
                 break
 
-        for i, dip_id in enumerate(pool.ids):
-            self.dips[dip_id].set_offered_rate(float(total[i]))
-        self._last_state = self._state_from(pool, total, contributions)
+        # KLM reads the servers directly, so the rates are pushed eagerly;
+        # everything else about the evaluation waits in the lazy state.
+        for server, rate in zip(self.dips.values(), total.tolist()):
+            server.set_offered_rate(rate)
+        self._last_state = FleetState(self.time, pool, total, contributions)
         return self._last_state
 
     def advance(self, duration_s: float) -> FleetState:
@@ -337,40 +376,12 @@ class Fleet:
 
     # -- observation ---------------------------------------------------------------
 
-    def _state_from(
-        self,
-        pool: PoolArrays,
-        total: np.ndarray,
-        contributions: Mapping[VipId, tuple[np.ndarray, np.ndarray]],
-    ) -> FleetState:
-        latency = vector_mean_latency_ms(pool, total)
-        utilization = np.minimum(1.0, vector_utilization(pool, total))
-        per_vip = {
-            vip_id: {
-                pool.ids[i]: float(rate) for i, rate in zip(index, rates)
-            }
-            for vip_id, (index, rates) in contributions.items()
-        }
-        return FleetState(
-            time=self.time,
-            total_rates_rps={d: float(r) for d, r in zip(pool.ids, total)},
-            utilization={
-                d: (0.0 if failed else float(u))
-                for d, u, failed in zip(pool.ids, utilization, pool.failed)
-            },
-            mean_latency_ms={
-                d: (float("inf") if failed else float(l))
-                for d, l, failed in zip(pool.ids, latency, pool.failed)
-            },
-            per_vip_rates=per_vip,
-        )
-
     def state(self) -> FleetState:
-        """The snapshot of the last joint evaluation (reads are free).
+        """The state of the last joint evaluation (no re-evaluation).
 
         Every mutating entry point (``set_weights``, ``set_total_rate``,
         ``fail_dip``, ``advance``, …) re-runs :meth:`apply`, so the cached
-        snapshot is current unless DIPs were mutated directly — call
+        state is current unless DIPs were mutated directly — call
         :meth:`apply` after doing that.
         """
         if self._last_state is None or self._last_state.time != self.time:

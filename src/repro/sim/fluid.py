@@ -271,6 +271,25 @@ def power_of_two_split_array(
     return rates
 
 
+def static_split_array(
+    policy_name: str,
+    n: int,
+    total_rate_rps: float,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """The split of a load-independent policy over ``n`` DIPs.
+
+    Equal and weight-proportional splits need nothing of the pool but its
+    size, so callers holding only an index set can skip building one.
+    """
+    if policy_name in WEIGHTED_SPLIT_POLICIES:
+        if weights is not None:
+            return weighted_split_array(weights, total_rate_rps)
+    elif policy_name not in EQUAL_SPLIT_POLICIES:
+        raise ConfigurationError(f"no fluid model for policy {policy_name!r}")
+    return equal_split_array(n, total_rate_rps)
+
+
 def split_rates_array(
     policy_name: str,
     pool: PoolArrays,
@@ -282,12 +301,8 @@ def split_rates_array(
     """Dispatch to the vectorized fluid split of the named policy."""
     if pool.size == 0:
         raise ConfigurationError("no healthy DIPs")
-    if policy_name in EQUAL_SPLIT_POLICIES:
-        return equal_split_array(pool.size, total_rate_rps)
-    if policy_name in WEIGHTED_SPLIT_POLICIES:
-        if weights is None:
-            return equal_split_array(pool.size, total_rate_rps)
-        return weighted_split_array(weights, total_rate_rps)
+    if policy_name not in LOAD_DEPENDENT_POLICIES:
+        return static_split_array(policy_name, pool.size, total_rate_rps, weights)
     if policy_name == "lc":
         return least_connection_split_array(
             pool, total_rate_rps, background_rps=background_rps

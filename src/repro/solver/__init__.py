@@ -23,6 +23,7 @@ from repro.solver.assignment import (
     DipCandidates,
     build_problem,
     uniform_candidates,
+    uniform_weight_grid,
 )
 from repro.solver.branch_and_bound import solve_branch_and_bound
 from repro.solver.dp import SolveCache, solve_dp
@@ -43,6 +44,7 @@ __all__ = [
     "solve_greedy",
     "solve_scipy",
     "uniform_candidates",
+    "uniform_weight_grid",
 ]
 
 

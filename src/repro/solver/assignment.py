@@ -13,7 +13,9 @@ All solver backends consume this representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
+
+import numpy as np
 
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
@@ -59,7 +61,9 @@ class DipCandidates:
         return max(self.weights)
 
     def sorted_by_weight(self) -> "DipCandidates":
-        """Return a copy whose candidates are sorted by ascending weight."""
+        """The candidates sorted by ascending weight (``self`` when they already are)."""
+        if all(a <= b for a, b in zip(self.weights, self.weights[1:])):
+            return self
         order = sorted(range(self.count), key=lambda i: self.weights[i])
         return DipCandidates(
             dip=self.dip,
@@ -197,6 +201,20 @@ def build_problem(
     )
 
 
+def uniform_weight_grid(lower: float, upper: float, count: int) -> np.ndarray:
+    """``count`` weights spaced uniformly over ``[lower, upper]``, clipped to [0, 1].
+
+    The one grid law: ``lower + i * step`` per element (all ``lower`` when
+    the range is empty), shared by every builder of candidate weights.
+    """
+    if count < 2:
+        raise ConfigurationError("count must be >= 2")
+    if upper < lower:
+        raise ConfigurationError("upper must be >= lower")
+    step = (upper - lower) / (count - 1)
+    return np.clip(lower + np.arange(count) * step, 0.0, 1.0)
+
+
 def uniform_candidates(
     dip: DipId,
     latency_fn,
@@ -211,20 +229,10 @@ def uniform_candidates(
     ``latency_fn`` maps a weight to the estimated latency (typically the
     fitted weight-latency curve's ``predict``).
     """
-    if count < 2:
-        raise ConfigurationError("count must be >= 2")
-    if upper < lower:
-        raise ConfigurationError("upper must be >= lower")
-    if upper == lower:
-        weights: Sequence[float] = [lower] * count
-    else:
-        step = (upper - lower) / (count - 1)
-        weights = [lower + i * step for i in range(count)]
-    clipped = [min(max(w, 0.0), 1.0) for w in weights]
-    latencies = [max(0.0, float(latency_fn(w))) for w in clipped]
+    weights = uniform_weight_grid(lower, upper, count).tolist()
     return DipCandidates(
         dip=dip,
-        weights=tuple(clipped),
-        latencies_ms=tuple(latencies),
+        weights=tuple(weights),
+        latencies_ms=tuple(max(0.0, float(latency_fn(w))) for w in weights),
         w_max=w_max,
     )

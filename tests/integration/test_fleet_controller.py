@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ExperimentSpec, run
 from repro.experiments import get_scenario, list_scenarios, run_scenario
 from repro.exceptions import ConfigurationError
 
@@ -116,3 +117,155 @@ class TestPerVipTrafficMix:
         assert result.metrics["measurement_rounds"] > 0
         assert result.metrics["max_utilization"] <= 1.0
         assert result.metrics["controlled_mean_latency_ms"] < 50.0
+
+
+# -- golden per-seed gate ---------------------------------------------------------
+#
+# A cut-down ``fleet_dynamics`` (benchmarks/observatory/workloads) whose outputs
+# were recorded at commit 3ed685c, before the control loop's per-element loops
+# (probe draws, candidate grids, the fleet snapshot) went into array form.
+# Array kernels must do the same operations per element as the scalar code they
+# replace, so these values may move only with a change that means to move them.
+
+GOLDEN_SPEC = {
+    "name": "fleet_dynamics_golden",
+    "runner": "fleet",
+    "seed": 17,
+    "pool": {"kind": "testbed"},
+    "workload": {"load_fraction": 0.55},
+    "policy": {"name": "wrr"},
+    "fleet": {"num_vips": 3},
+    "controller": {
+        "enabled": True,
+        "settle_steps": 3,
+        "config": {"ilp": {"backend": "dp"}},
+    },
+    "timeline": {
+        "window_s": 5.0,
+        "horizon_s": 20.0,
+        "events": [
+            {"time_s": 5.0, "kind": "capacity_ratio", "dip": "DIP-4", "value": 0.6},
+            {"time_s": 10.0, "kind": "dip_fail", "dip": "DIP-6"},
+            {"time_s": 15.0, "kind": "dip_recover", "dip": "DIP-6"},
+        ],
+    },
+}
+
+# fmt: off
+GOLDEN_METRICS = {
+    "final_latency_ms": 3.8185867554981856, "max_utilization": 0.9805148517170021,
+    "mean_latency_ms": 5.498370051272294, "measurement_rounds": 33.0, "num_vips": 3.0,
+    "shared_dips": 30.0, "timeline_events": 3.0, "vips_with_assignment": 3.0,
+}
+GOLDEN_WINDOW_MEAN_LATENCY_MS = [
+    3.9098101114862094, 3.740684569576608, 10.524398768528174, 3.8185867554981856,
+]
+GOLDEN_WINDOW_DIP_SHARE = [
+    {
+        "DIP-1": 0.011187768424147222, "DIP-2": 0.01126298574120802,
+        "DIP-3": 0.01115053800857466, "DIP-4": 0.010195505613169939,
+        "DIP-5": 0.022432244670595985, "DIP-6": 0.011390141604556526,
+        "DIP-7": 0.023261088926612092, "DIP-8": 0.011741826898013789,
+        "DIP-9": 0.011727662391194663, "DIP-10": 0.011671067848874114,
+        "DIP-13": 0.01087537917263134, "DIP-16": 0.01144350701232273,
+        "DIP-17": 0.0259887970829763, "DIP-18": 0.04193021593244947,
+        "DIP-19": 0.03008991291646272, "DIP-20": 0.02563356636910085,
+        "DIP-21": 0.02907939945845137, "DIP-22": 0.011476189948219766,
+        "DIP-23": 0.0387923553506536, "DIP-24": 0.011884083685129498,
+        "DIP-25": 0.07358854426680714, "DIP-26": 0.07770187398492202,
+        "DIP-27": 0.0694728402371537, "DIP-28": 0.07010261466962811,
+        "DIP-29": 0.16818446587199085, "DIP-30": 0.16773542391415358,
+    },
+    {
+        "DIP-1": 0.011339067813590472, "DIP-2": 0.01141530234281686,
+        "DIP-3": 0.011301333907157955, "DIP-4": 0.010216783001551306,
+        "DIP-5": 0.009151357610435293, "DIP-6": 0.01151360322022506,
+        "DIP-7": 0.008294746175333746, "DIP-8": 0.011766331363088389,
+        "DIP-9": 0.011752137295821334, "DIP-10": 0.011695424644198222,
+        "DIP-13": 0.010893746839718037, "DIP-16": 0.011462834203013753,
+        "DIP-17": 0.026038495671157593, "DIP-18": 0.04146000814724412,
+        "DIP-19": 0.037116602666397006, "DIP-20": 0.043169321789407716,
+        "DIP-21": 0.03470891531371745, "DIP-22": 0.011495572337840081,
+        "DIP-23": 0.039061774499808355, "DIP-24": 0.021226103630847447,
+        "DIP-25": 0.06954563092529553, "DIP-26": 0.07449747450448356,
+        "DIP-27": 0.07029768201535729, "DIP-28": 0.062160041282744063,
+        "DIP-29": 0.16942985357874088, "DIP-30": 0.1689898552200085,
+    },
+    {
+        "DIP-1": 0.011603715048793782, "DIP-2": 0.011681728847508496,
+        "DIP-3": 0.011565100454973644, "DIP-4": 0.0035390126691109925,
+        "DIP-5": 0.04367417982065545, "DIP-7": 0.008351423903780754,
+        "DIP-8": 0.011846730319212899, "DIP-9": 0.010603555603581774,
+        "DIP-10": 0.011775339097039164, "DIP-13": 0.01088628119410411,
+        "DIP-16": 0.011454978553424127, "DIP-17": 0.02613054304864719,
+        "DIP-18": 0.04090647957555458, "DIP-19": 0.03625575796209529,
+        "DIP-20": 0.018340577784470957, "DIP-21": 0.03505251412523546,
+        "DIP-22": 0.011487694252323107, "DIP-23": 0.03945452776418757,
+        "DIP-24": 0.021275077310821972, "DIP-25": 0.06970547076963728,
+        "DIP-26": 0.07478684638534171, "DIP-27": 0.0717051845602902,
+        "DIP-28": 0.06575347555450528, "DIP-29": 0.1712916674310623,
+        "DIP-30": 0.1708721379636418,
+    },
+    {
+        "DIP-1": 0.011350282882905066, "DIP-2": 0.0066302119737240445,
+        "DIP-3": 0.011312511655205658, "DIP-4": 0.0035246145227968277,
+        "DIP-5": 0.005095283832008827, "DIP-6": 0.014215958255180815,
+        "DIP-7": 0.008317446906651649, "DIP-8": 0.011798532990627655,
+        "DIP-9": 0.01056041601655421, "DIP-10": 0.02345486443410065,
+        "DIP-13": 0.010999562204077265, "DIP-16": 0.01157417734285605,
+        "DIP-17": 0.026189443080815014, "DIP-18": 0.03945845360856952,
+        "DIP-19": 0.036134994867968714, "DIP-20": 0.04001714381508041,
+        "DIP-21": 0.03071798197236081, "DIP-22": 0.011607233476412846,
+        "DIP-23": 0.0392888517893715, "DIP-24": 0.03934388527589707,
+        "DIP-25": 0.05989575267803085, "DIP-26": 0.07155151783890104,
+        "DIP-27": 0.06800161349628843, "DIP-28": 0.06869620077769577,
+        "DIP-29": 0.170357330058996, "DIP-30": 0.16990573424692332,
+    },
+]
+GOLDEN_FINAL_WEIGHTS = {
+    "VIP-1": {
+        "DIP-2": 0.06017261806669675, "DIP-4": 0.009058834850994955,
+        "DIP-5": 0.05238284578874884, "DIP-6": 0.013808383939360883,
+        "DIP-7": 0.042754393379442694, "DIP-8": 0.06064831269054642,
+        "DIP-9": 0.05428398710441398, "DIP-10": 0.03207042461986132,
+        "DIP-17": 0.07533987439501798, "DIP-18": 0.19694052278760937,
+        "DIP-19": 0.1754145827568965, "DIP-20": 0.22712521962041038,
+    },
+    "VIP-2": {
+        "DIP-13": 0.02606271147864169, "DIP-16": 0.027424222809310818,
+        "DIP-17": 0.02732620854850673, "DIP-18": 0.002866413253440736,
+        "DIP-19": 0.004762113045239411, "DIP-20": 0.0006549579371486484,
+        "DIP-21": 0.01986329379183963, "DIP-22": 0.027502547060358824,
+        "DIP-24": 0.046566231929773196, "DIP-25": 0.24286796679791722,
+        "DIP-26": 0.12027559687709705, "DIP-27": 0.017417336744439835,
+        "DIP-28": 0.022701945607595586, "DIP-29": 0.20838472290009735,
+        "DIP-30": 0.20532373121859326,
+    },
+    "VIP-3": {
+        "DIP-1": 0.02932095196775252, "DIP-2": 0.013284427811074057,
+        "DIP-3": 0.02922337833328343, "DIP-6": 0.022844940943376305,
+        "DIP-21": 0.05896151127049275, "DIP-23": 0.09030832841609773,
+        "DIP-24": 0.004697927262031674, "DIP-25": 0.0030536957582401637,
+        "DIP-26": 0.027480604056940278, "DIP-27": 0.1566778683682819,
+        "DIP-28": 0.136198574305822, "DIP-29": 0.21288856755698557,
+        "DIP-30": 0.21505922394962165,
+    },
+}
+# fmt: on
+
+
+class TestGoldenFleetDynamics:
+    def test_per_seed_outputs_equal_recorded_values(self):
+        result = run(ExperimentSpec.from_dict(GOLDEN_SPEC))
+        exact = {"rel": 1e-12, "abs": 0.0}
+        assert result.metrics == pytest.approx(GOLDEN_METRICS, **exact)
+        assert [
+            w.metrics["mean_latency_ms"] for w in result.windows
+        ] == pytest.approx(GOLDEN_WINDOW_MEAN_LATENCY_MS, **exact)
+        assert len(result.windows) == len(GOLDEN_WINDOW_DIP_SHARE)
+        for window, share in zip(result.windows, GOLDEN_WINDOW_DIP_SHARE):
+            assert window.dip_share == pytest.approx(share, **exact)
+        controllers = result.detail["plane"].controllers
+        assert set(controllers) == set(GOLDEN_FINAL_WEIGHTS)
+        for vip, weights in GOLDEN_FINAL_WEIGHTS.items():
+            assert controllers[vip].current_weights == pytest.approx(weights, **exact)

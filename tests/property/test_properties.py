@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends.latency_model import LatencyModel, erlang_c, scaled_model
-from repro.core.curve import fit_curve
+from repro.core.curve import WeightLatencyCurve, fit_curve
 from repro.core.exploration import ExplorationState
 from repro.core.config import ExplorationConfig
 from repro.core.types import MeasurementPoint, normalize_weights
+from repro.exceptions import ConfigurationError
 from repro.lb.base import FlowKey
 from repro.lb.round_robin import WeightedRoundRobin
 from repro.solver import AssignmentProblem, DipCandidates, SolveStatus, solve_branch_and_bound, solve_greedy
@@ -106,6 +108,73 @@ class TestCurveProperties:
         if 0.0 < weight < 1.0:
             # At the returned weight the curve has just reached the latency.
             assert curve.predict(weight) >= latency - 1e-6
+
+
+def scalar_predict(curve: WeightLatencyCurve, weight: float) -> float:
+    """``predict`` one weight at a time, as it was before the array kernel.
+
+    The reference ``predict_many`` is held to: one scalar ``np.polyval`` per
+    point of interest and Python ``max`` over the candidates.
+    """
+    if weight < 0:
+        raise ConfigurationError("weight must be >= 0")
+
+    def raw(w: float) -> float:
+        return float(np.polyval(curve.coefficients, w / curve.weight_scale))
+
+    value = raw(weight)
+    if curve.enforce_monotone:
+        candidates = [raw(0.0), value]
+        if curve.degree == 2:
+            a, b, _ = curve.coefficients
+            if a < 0 and abs(a) > 1e-15:
+                vertex = -b / (2 * a) * curve.weight_scale
+                if 0.0 < vertex < weight:
+                    candidates.append(raw(vertex))
+        elif curve.degree > 2:
+            grid = np.linspace(0.0, weight, 64)
+            candidates.extend(
+                float(v) for v in np.polyval(curve.coefficients, grid / curve.weight_scale)
+            )
+        value = max(candidates)
+    return max(curve.l0_ms, value)
+
+
+class TestPredictManyMatchesScalarReference:
+    @given(
+        coefficients=st.lists(
+            st.floats(min_value=-300.0, max_value=300.0), min_size=2, max_size=4
+        ),
+        l0_ms=st.floats(min_value=0.0, max_value=20.0),
+        weight_scale=st.floats(min_value=0.1, max_value=5.0),
+        enforce_monotone=st.booleans(),
+        weights=st.lists(st.floats(min_value=0.0, max_value=2.0), max_size=12),
+    )
+    # A concave parabola whose vertex (0.3; 0.6 once rescaled) lies inside
+    # (0, w) for some weights, on the boundary for one and outside for others,
+    # then one whose vertex is negative.
+    @example((-100.0, 60.0, 2.0), 1.0, 1.0, True, [0.1, 0.3, 0.5, 1.0])
+    @example((-100.0, 60.0, 2.0), 1.0, 2.0, True, [0.3, 0.6, 0.7, 1.2])
+    @example((-100.0, 60.0, 2.0), 1.0, 1.0, False, [0.1, 0.5])
+    @example((-100.0, -60.0, 2.0), 0.5, 1.0, True, [0.2, 0.9])
+    @example((5.0, -3.0, 0.5, 1.0), 0.5, 0.7, True, [0.25, 0.5, 1.0])
+    @settings(max_examples=150, deadline=None)
+    def test_equal_to_the_last_bit(
+        self, coefficients, l0_ms, weight_scale, enforce_monotone, weights
+    ):
+        curve = WeightLatencyCurve(
+            coefficients=tuple(coefficients),
+            l0_ms=l0_ms,
+            w_max=1.0,
+            weight_scale=weight_scale,
+            enforce_monotone=enforce_monotone,
+        )
+        weights = [0.0, *weights]
+        expected = [scalar_predict(curve, w) for w in weights]
+        assert curve.predict_many(weights).tolist() == expected
+        assert [curve.predict(w) for w in weights] == expected
+        with pytest.raises(ConfigurationError):
+            curve.predict_many([*weights, -0.1])
 
 
 # ---------------------------------------------------------------------------

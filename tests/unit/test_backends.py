@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.backends import (
@@ -284,3 +285,106 @@ class TestDipServer:
     def test_probe_batch_validates_count(self, dip):
         with pytest.raises(ConfigurationError):
             dip.serve_probe_batch(0)
+
+    def test_zero_jitter_dip_counts_served_requests(self, dip):
+        """Regression: the zero-jitter path returned before counting."""
+        dip.set_offered_rate(200.0)
+        dip.serve_probe_batch(40)
+        dip.sample_request_latency_ms()
+        assert dip.served_requests == 41
+        assert dip.dropped_requests == 0
+
+    def test_scaled_model_kept_per_capacity_factor(self, dip):
+        dip.set_capacity_ratio(0.6)
+        model = dip.latency_model
+        assert dip.latency_model is model
+        assert model == scaled_model(LatencyModel(1, 400.0, 2.5), 0.6)
+        dip.set_capacity_ratio(0.75)
+        assert dip.latency_model.capacity_rps == pytest.approx(300.0)
+        dip.reset_capacity()
+        assert dip.latency_model.capacity_rps == pytest.approx(400.0)
+
+
+def scalar_probe_batch(dip, num_requests):
+    """The per-request loop ``serve_probe_batch`` replaced, kept as reference.
+
+    One Erlang-C mean and one scalar ``rng.normal`` per served request, on
+    the DIP's own RNG; counts every served request.  Returns the
+    ``ProbeResult`` fields plus the served and dropped counts.
+    """
+    rng = dip._rng
+    drops = int(rng.binomial(num_requests, min(1.0, dip.drop_probability)))
+    served = num_requests - drops
+    if served == 0:
+        return (float("inf"), True, 0, 1.0), served, drops
+    latencies = []
+    for _ in range(served):
+        mean = dip.latency_model.mean_latency_ms(
+            dip.offered_rate_rps, scv_correction=dip.scv_correction
+        )
+        if dip.jitter_fraction == 0:
+            latencies.append(mean)
+        else:
+            sample = rng.normal(mean, mean * dip.jitter_fraction)
+            latencies.append(float(max(mean * 0.25, sample)))
+    fields = (float(np.mean(latencies)), drops > 0, served, drops / num_requests)
+    return fields, served, drops
+
+
+class TestProbeBatchMatchesScalarLoop:
+    """One vector draw per batch consumes the stream the scalar draws did."""
+
+    @pytest.mark.parametrize(
+        "jitter, rate_rps, capacity_ratio, scv, batch, dropped",
+        [
+            (0.0, 200.0, None, 1.0, 100, "none"),
+            (0.08, 200.0, None, 1.0, 100, "none"),
+            (0.08, 200.0, 0.6, 1.0, 100, "none"),
+            (0.08, 300.0, None, 1.7, 100, "none"),
+            (0.0, 396.0, None, 1.0, 100, "some"),
+            (0.08, 396.0, None, 1.0, 100, "some"),
+            (0.08, 4e11, None, 1.0, 5, "all"),
+        ],
+    )
+    def test_same_seed_twin(
+        self, small_vm, jitter, rate_rps, capacity_ratio, scv, batch, dropped
+    ):
+        def build():
+            dip = DipServer(
+                "d", small_vm, seed=23, jitter_fraction=jitter, scv_correction=scv
+            )
+            if capacity_ratio is not None:
+                dip.set_capacity_ratio(capacity_ratio)
+            dip.set_offered_rate(rate_rps)
+            return dip
+
+        dip, twin = build(), build()
+        served_total = dropped_total = 0
+        for _ in range(3):
+            result = dip.serve_probe_batch(batch)
+            expected, served, drops = scalar_probe_batch(twin, batch)
+            assert (
+                result.mean_latency_ms,
+                result.dropped,
+                result.samples,
+                result.drop_fraction,
+            ) == expected
+            served_total += served
+            dropped_total += drops
+        assert dip.served_requests == served_total
+        assert dip.dropped_requests == dropped_total
+        assert {
+            "none": dropped_total == 0,
+            "some": 0 < dropped_total < 3 * batch,
+            "all": served_total == 0 and result.mean_latency_ms == float("inf"),
+        }[dropped]
+        assert dip._rng.random() == twin._rng.random()
+
+    def test_single_request_is_the_batch_of_one(self, small_vm):
+        dip = DipServer("d", small_vm, seed=7)
+        twin = DipServer("d", small_vm, seed=7)
+        for server in (dip, twin):
+            server.set_offered_rate(250.0)
+        singles = [dip.sample_request_latency_ms() for _ in range(20)]
+        assert twin._sample_latencies_ms(250.0, 20).tolist() == singles
+        assert dip.sample_request_latency_ms(rate_rps=100.0) < min(singles)

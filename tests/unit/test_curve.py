@@ -106,7 +106,9 @@ class TestPrediction:
 
     def test_predict_many_matches_predict(self, simple_curve):
         grid = [0.0, 0.05, 0.1]
-        assert simple_curve.predict_many(grid) == [simple_curve.predict(w) for w in grid]
+        assert simple_curve.predict_many(grid).tolist() == [
+            simple_curve.predict(w) for w in grid
+        ]
 
     def test_high_degree_envelope_uses_grid(self):
         curve = WeightLatencyCurve(

@@ -7,6 +7,7 @@ the FleetController lifecycle.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.backends import DipServer, custom_vm_type
@@ -14,6 +15,12 @@ from repro.core import FleetController, VipPhase
 from repro.core.scheduler import MeasurementPriority, MeasurementScheduler
 from repro.exceptions import ConfigurationError
 from repro.sim import Fleet, FluidCluster
+from repro.sim.fluid import (
+    pool_arrays,
+    vector_mean_latency_ms,
+    vector_utilization,
+    weighted_split_array,
+)
 from repro.workloads import build_shared_dip_fleet
 
 
@@ -113,6 +120,128 @@ class TestFleet:
         assert state.vip_mean_latency_ms("a") == pytest.approx(
             state.overall_mean_latency_ms()
         )
+
+
+def make_mixed_fleet():
+    """Three overlapping VIPs: a weighted, an equal and a load-dependent split."""
+    fleet = make_fleet(6)
+    fleet.create_vip(
+        "w",
+        dip_ids=["d0", "d1", "d2", "d3"],
+        total_rate_rps=400.0,
+        weights={"d0": 0.4, "d1": 0.3, "d2": 0.2, "d3": 0.1},
+    )
+    fleet.create_vip("e", dip_ids=["d2", "d3", "d4", "d5"], total_rate_rps=300.0, policy_name="rr")
+    fleet.create_vip("l", dip_ids=["d1", "d3", "d4"], total_rate_rps=200.0, policy_name="lc")
+    fleet.apply()
+    return fleet
+
+
+#: one call per mutating entry point of :class:`Fleet`.
+MUTATORS = (
+    lambda fleet: fleet.set_weights("w", {"d0": 0.1, "d1": 0.2, "d2": 0.3, "d3": 0.4}),
+    lambda fleet: fleet.set_total_rate("e", 350.0),
+    lambda fleet: fleet.fail_dip("d3"),
+    lambda fleet: fleet.recover_dip("d3"),
+    lambda fleet: fleet.set_capacity_ratio("d2", 0.6),
+    lambda fleet: fleet.advance(5.0),
+)
+
+
+def eager_snapshot(fleet):
+    """The snapshot every ``apply`` used to build, recomputed on the spot.
+
+    Reference for the lazy :class:`FleetState`: the per-DIP dicts of the
+    former ``Fleet._state_from``, from the rates the servers hold now.
+    """
+    pool = pool_arrays(fleet.dips)
+    total = np.array([s.offered_rate_rps for s in fleet.dips.values()])
+    latency = vector_mean_latency_ms(pool, total)
+    utilization = np.minimum(1.0, vector_utilization(pool, total))
+    per_vip = {}
+    for vip_id, vip in fleet.vips.items():
+        healthy = vip.healthy_dip_ids()
+        if vip.policy_name == "wrr":
+            rates = weighted_split_array(
+                np.array([vip.weights.get(d, 0.0) for d in healthy]), vip.total_rate_rps
+            )
+        elif vip.policy_name == "rr":
+            rates = np.full(len(healthy), vip.total_rate_rps / len(healthy))
+        else:
+            continue  # load-dependent: checked against the fleet total below
+        per_vip[vip_id] = {d: float(r) for d, r in zip(healthy, rates)}
+    return {
+        "time": fleet.time,
+        "total_rates_rps": {d: float(r) for d, r in zip(pool.ids, total)},
+        "utilization": {
+            d: (0.0 if failed else float(u))
+            for d, u, failed in zip(pool.ids, utilization, pool.failed)
+        },
+        "mean_latency_ms": {
+            d: (float("inf") if failed else float(ms))
+            for d, ms, failed in zip(pool.ids, latency, pool.failed)
+        },
+        "per_vip_rates": per_vip,
+    }
+
+
+class TestLazyFleetState:
+    def test_held_states_equal_eager_snapshots_field_by_field(self):
+        """Each state is read only after every later mutation has run."""
+        fleet = make_mixed_fleet()
+        held = []
+        for mutate in MUTATORS:
+            mutate(fleet)
+            held.append((fleet.state(), eager_snapshot(fleet)))
+        assert len({id(state) for state, _ in held}) == len(MUTATORS)
+        for state, expected in held:
+            assert state.time == expected["time"]
+            assert state.total_rates_rps == expected["total_rates_rps"]
+            assert state.utilization == expected["utilization"]
+            assert state.mean_latency_ms == expected["mean_latency_ms"]
+            per_vip = state.per_vip_rates
+            assert list(per_vip) == ["w", "e", "l"]
+            assert per_vip["w"] == expected["per_vip_rates"]["w"]
+            assert per_vip["e"] == expected["per_vip_rates"]["e"]
+            # The lc VIP carries what the two static splits leave of the total.
+            assert sum(per_vip["l"].values()) == pytest.approx(200.0)
+            for dip, rate in per_vip["l"].items():
+                others = per_vip["w"].get(dip, 0.0) + per_vip["e"].get(dip, 0.0)
+                assert rate == pytest.approx(state.total_rates_rps[dip] - others)
+
+    def test_failed_dip_is_idle_and_unreachable_in_its_own_state_only(self):
+        fleet = make_mixed_fleet()
+        fleet.fail_dip("d3")
+        during = fleet.state()
+        fleet.recover_dip("d3")
+        after = fleet.state()
+        assert during.utilization["d3"] == 0.0
+        assert during.mean_latency_ms["d3"] == float("inf")
+        assert "d3" not in during.per_vip_rates["l"]
+        assert after.utilization["d3"] > 0.0
+        assert after.mean_latency_ms["d3"] < float("inf")
+
+    def test_rates_reach_the_servers_without_state_being_read(self):
+        quiet, read = make_mixed_fleet(), make_mixed_fleet()
+        for mutate in MUTATORS:
+            mutate(quiet)
+            mutate(read)
+            pushed = {d: s.offered_rate_rps for d, s in quiet.dips.items()}
+            assert pushed == read.state().total_rates_rps
+            assert quiet.time == read.time
+
+    def test_derived_means_read_the_lazy_fields(self):
+        fleet = make_mixed_fleet()
+        state = fleet.state()
+        total = sum(state.total_rates_rps.values())
+        assert total == pytest.approx(900.0)
+        assert state.overall_mean_latency_ms() == pytest.approx(
+            sum(r * state.mean_latency_ms[d] for d, r in state.total_rates_rps.items())
+            / total
+        )
+        rows = state.dip_summaries()
+        assert rows["d3"]["vips"] == 3.0
+        assert rows["d0"]["rate_rps"] == state.total_rates_rps["d0"]
 
 
 class TestFluidClusterIsOneVipFleet:

@@ -17,6 +17,7 @@ from repro.solver import (
     solve_greedy,
     solve_scipy,
     uniform_candidates,
+    uniform_weight_grid,
 )
 
 EXACT_BACKENDS = [b for b in ("scipy", "branch_and_bound") if b in available_backends()]
@@ -132,6 +133,26 @@ class TestAssignmentProblem:
     def test_uniform_candidates_degenerate_range(self):
         cand = uniform_candidates("a", lambda w: 1.0, count=3, upper=0.0)
         assert cand.weights == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "lower, upper, count",
+        [(0.0, 0.37, 10), (0.113, 0.2871, 7), (0.3, 0.3, 4), (-0.05, 0.1, 5), (0.9, 1.2, 6)],
+    )
+    def test_weight_grid_equals_the_spelled_out_law(self, lower, upper, count):
+        """The loop both grid builders used to spell out, kept as reference."""
+        if upper == lower:
+            weights = [lower] * count
+        else:
+            step = (upper - lower) / (count - 1)
+            weights = [lower + i * step for i in range(count)]
+        clipped = [min(max(w, 0.0), 1.0) for w in weights]
+        assert uniform_weight_grid(lower, upper, count).tolist() == clipped
+
+    def test_weight_grid_validation(self):
+        with pytest.raises(ConfigurationError):
+            uniform_weight_grid(0.0, 0.5, 1)
+        with pytest.raises(ConfigurationError):
+            uniform_weight_grid(0.5, 0.4, 3)
 
 
 @pytest.mark.parametrize("backend", EXACT_BACKENDS)
