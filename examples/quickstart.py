@@ -25,7 +25,9 @@ def main() -> None:
     print(f"Running spec {spec.name!r} on the {spec.runner!r} substrate...")
     result = api.run(spec)
 
-    assignment = result.detail  # the WeightAssignment the controller programmed
+    # The WeightAssignment the controller programmed (a fluid run is a fleet
+    # with one VIP, named "vip").
+    assignment = result.detail["assignments"]["vip"]
     print(f"\nObjective (estimated): {assignment.objective_ms:.3f}")
     print(f"Wall clock: {result.provenance.wall_clock_s:.2f} s\n")
 

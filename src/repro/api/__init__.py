@@ -26,8 +26,7 @@ the shell.
 from repro.api.registry import get_spec, list_specs, register_spec
 from repro.api.result import Provenance, RunResult, RunWindow
 from repro.api.runners import (
-    FleetRunner,
-    FluidRunner,
+    AnalyticRunner,
     RequestRunner,
     Runner,
     ScenarioRunner,
@@ -81,9 +80,8 @@ __all__ = [
     "PrintingObserver",
     "WindowedMetricsObserver",
     "Runner",
-    "FluidRunner",
+    "AnalyticRunner",
     "RequestRunner",
-    "FleetRunner",
     "ScenarioRunner",
     "build_cluster",
     "execute",

@@ -15,7 +15,9 @@ the metrics dict bit-for-bit.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -62,6 +64,22 @@ class Provenance:
     #: :func:`repro.workloads.divergence.assess_divergence`); ``None``
     #: when the analytic model is trustworthy or was not consulted.
     model_divergence: str | None = None
+
+
+class RunClock:
+    """The wall clock of one run: started on construction, read once at the end."""
+
+    def __init__(self) -> None:
+        self._started_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        self._started = time.perf_counter()
+
+    def provenance(self, **fields: Any) -> Provenance:
+        """The run's :class:`Provenance`, with the elapsed wall clock filled in."""
+        return Provenance(
+            started_at=self._started_at,
+            wall_clock_s=time.perf_counter() - self._started,
+            **fields,
+        )
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Execute an :class:`ExperimentSpec` on one of the simulation substrates.
 
-One :class:`Runner` per substrate, all returning the same
-:class:`~repro.api.result.RunResult` shape:
+Three runners, all returning the same :class:`~repro.api.result.RunResult`
+shape:
 
-* :class:`FluidRunner` — the analytic fluid model (exact means, instant);
+* :class:`AnalyticRunner` — the analytic fluid model (exact means, instant)
+  on a shared fleet driven by the
+  :class:`~repro.core.fleet_controller.FleetController`.  It serves both
+  ``runner="fleet"`` (the pool windowed across ``fleet.num_vips`` VIPs) and
+  ``runner="fluid"`` (the same fleet with one VIP over every DIP); the
+  difference is interpreted once, in :func:`prepare_fleet`;
 * :class:`RequestRunner` — the request-level discrete-event engine
   (latency distributions, per-request LB decisions);
-* :class:`FleetRunner` — the multi-VIP shared fleet driven by the
-  :class:`~repro.core.fleet_controller.FleetController`;
 * :class:`ScenarioRunner` — delegates to a registered scenario from
   :mod:`repro.experiments.scenarios`.
 
@@ -28,12 +31,10 @@ run's time-series.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
-from datetime import datetime, timezone
 from typing import Any, Iterable, Mapping, Protocol
 
-from repro.api.result import Provenance, RunResult, RunWindow, timeline_metrics
+from repro.api.result import RunClock, RunResult, RunWindow, timeline_metrics
 from repro.api.spec import (
     ChaosSpec,
     ExperimentSpec,
@@ -44,17 +45,17 @@ from repro.api.timeline import (
     Observer,
     ObserverSet,
     check_timeline_supported,
-    request_windows,
-    run_fleet_timeline,
-    run_fluid_timeline,
+    fleet_timeline_stepper,
     schedule_request_progress,
     schedule_request_timeline,
+    windows_from_collector,
 )
-from repro.core import FleetController, KnapsackLBController
-from repro.core.types import DipId
+from repro.core import FleetController
+from repro.core.types import DipId, WeightAssignment
 from repro.exceptions import ConfigurationError
 from repro.lb import MuxPool, make_policy, policy_seed_kwargs
 from repro.sim import FluidCluster, RequestCluster
+from repro.sim.fleet import Fleet
 from repro.workloads import (
     assess_divergence,
     build_pool,
@@ -66,15 +67,11 @@ from repro.workloads import (
 class Runner(Protocol):
     """Anything that can execute a spec into a result artifact."""
 
-    kind: str
-
     def run(
         self, spec: ExperimentSpec, *, observers: Iterable[Observer] = ()
     ) -> RunResult:
         """Execute ``spec`` and return its result artifact."""
         ...
-
-
 
 
 def pool_from_spec(pool: PoolSpec, seed: int) -> dict[DipId, Any]:
@@ -118,6 +115,30 @@ def expand_spec_chaos(spec: ExperimentSpec) -> ExperimentSpec:
     return replace(spec, timeline=timeline)
 
 
+def offered_rate_rps(spec: ExperimentSpec, dips: Mapping[DipId, Any]) -> float:
+    """The declared offered rate: ``load_fraction`` × the pool's capacity."""
+    return spec.workload.load_fraction * sum(
+        d.capacity_rps for d in dips.values()
+    )
+
+
+def _analytic_pool(spec: ExperimentSpec) -> dict[DipId, Any]:
+    """The spec's pool with the workload's Allen-Cunneen factor stamped on.
+
+    1.0 (Poisson arrivals, exponential service) leaves the pool untouched —
+    the analytic substrate stays bit-identical to the M/M/c baseline.  The
+    factor uses the pool-wide rate; per-DIP splits inherit the aggregate
+    burstiness, which is the standard single-class approximation.  Stamped
+    before anything evaluates the pool, so the first state already has it.
+    """
+    dips = pool_from_spec(spec.pool, spec.seed)
+    corr = scv_correction(spec.workload, offered_rate_rps(spec, dips))
+    if corr != 1.0:
+        for dip in dips.values():
+            dip.scv_correction = corr
+    return dips
+
+
 def build_cluster(spec: ExperimentSpec) -> FluidCluster:
     """The fluid cluster a spec describes (without running anything).
 
@@ -125,40 +146,20 @@ def build_cluster(spec: ExperimentSpec) -> FluidCluster:
     spec-built system but drive perturbations (capacity squeezes, failures)
     by hand.
     """
-    dips = pool_from_spec(spec.pool, spec.seed)
-    total_capacity = sum(d.capacity_rps for d in dips.values())
-    rate = spec.workload.load_fraction * total_capacity
-    _stamp_scv_correction(dips, spec, rate)
+    dips = _analytic_pool(spec)
     return FluidCluster(
         dips=dips,
-        total_rate_rps=rate,
+        total_rate_rps=offered_rate_rps(spec, dips),
         policy_name=spec.policy.name,
     )
 
 
-def _stamp_scv_correction(
-    dips: Mapping[DipId, Any], spec: ExperimentSpec, rate_rps: float
-) -> None:
-    """Stamp the workload's Allen-Cunneen factor onto every analytic DIP.
-
-    1.0 (Poisson arrivals, exponential service) leaves the pool untouched —
-    the fluid substrate stays bit-identical to the M/M/c baseline.  The
-    factor uses the pool-wide rate; per-DIP splits inherit the aggregate
-    burstiness, which is the standard single-class approximation.
-    """
-    corr = scv_correction(spec.workload, rate_rps)
-    if corr != 1.0:
-        for dip in dips.values():
-            dip.scv_correction = corr
-
-
 def _finish(
     spec: ExperimentSpec,
+    clock: RunClock,
     *,
     metrics: Mapping[str, float],
     dip_summaries: Mapping[str, Mapping[str, float]],
-    started_at: str,
-    started_clock: float,
     windows: tuple[RunWindow, ...] = (),
     detail: Any = None,
     model_divergence: str | None = None,
@@ -173,81 +174,141 @@ def _finish(
             for dip, row in dip_summaries.items()
         },
         windows=windows,
-        provenance=Provenance(
-            started_at=started_at,
-            wall_clock_s=time.perf_counter() - started_clock,
-            model_divergence=model_divergence,
-        ),
+        provenance=clock.provenance(model_divergence=model_divergence),
         detail=detail,
     )
 
 
-def now_iso() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def prepare_fluid(
+def prepare_fleet(
     spec: ExperimentSpec,
-) -> tuple[FluidCluster, "KnapsackLBController | None", dict[str, float], Any]:
-    """Build and converge the fluid substrate a spec describes.
+) -> tuple[Fleet, "FleetController | None", dict[str, float], Any]:
+    """Build and converge the fleet a spec describes.
 
-    Returns ``(cluster, controller, setup_metrics, detail)`` — everything
-    that happens *before* the timed phase, shared by :class:`FluidRunner`
-    and the live ``repro serve`` daemon so a replayed session starts from
-    the identical converged state.
+    Returns ``(fleet, plane, setup_metrics, detail)`` — everything that
+    happens *before* the timed phase, shared by :class:`AnalyticRunner`, the
+    live ``repro serve`` daemon and the learn env, so a replayed session
+    starts from the identical converged state.
+
+    This is the one place ``runner="fluid"`` is interpreted: it is the fleet
+    with a single VIP named ``vip`` over every DIP, equal initial weights
+    and the declared rate (what :class:`FluidCluster` builds), reporting the
+    single-VIP headline metrics on top of the fleet ones; the ``fleet``
+    section of the spec does not apply to it.  ``runner="fleet"`` windows
+    the *same* pool across ``fleet.num_vips`` VIPs — so a testbed or
+    three_dip spec stays that pool there.  VIPs named by a timeline
+    ``vip_onboard`` event — or listed in ``fleet.deferred_vips`` — stay out
+    of the initial convergence (their traffic still flows at the builder's
+    capacity-proportional weights — the staggered-onboarding shape).
     """
-    cluster = build_cluster(spec)
+    single_vip = spec.runner == "fluid"
+    if single_vip:
+        fleet = build_cluster(spec).fleet
+        deferred_vips: tuple[str, ...] = ()
+    else:
+        fleet = fleet_from_pool(
+            _analytic_pool(spec),
+            num_vips=spec.fleet.num_vips,
+            pool_size=spec.fleet.pool_size,
+            load_fraction=spec.workload.load_fraction,
+            policy_name=spec.policy.name,
+        )
+        deferred_vips = spec.fleet.deferred_vips
     if not spec.timeline.empty:
-        check_timeline_supported(spec.timeline, "fluid", dips=cluster.dips)
+        check_timeline_supported(
+            spec.timeline,
+            spec.runner,
+            dips=fleet.dips,
+            vips=fleet.vips,
+            controller_enabled=spec.controller.enabled,
+        )
+    unknown = [v for v in deferred_vips if v not in fleet.vips]
+    if unknown:
+        known = ", ".join(sorted(fleet.vips))
+        raise ConfigurationError(
+            f"fleet.deferred_vips names unknown VIP {unknown[0]!r}; "
+            f"fleet VIPs: {known}"
+        )
+    deferred = set(deferred_vips) | {
+        event.vip for event in spec.timeline.events if event.kind == "vip_onboard"
+    }
     metrics: dict[str, float] = {}
-    detail = None
-    controller: KnapsackLBController | None = None
+    detail: Any = None
+    plane: FleetController | None = None
     if spec.controller.enabled:
-        controller = KnapsackLBController(
-            f"vip-{spec.name}", cluster, config=spec.controller.config
-        )
-        assignment = controller.converge(
-            settle_steps=spec.controller.settle_steps
-        )
-        for _ in range(spec.controller.control_steps):
-            controller.control_step()
-        metrics["objective_ms"] = assignment.objective_ms
-        detail = assignment
-        # How much the computed weights beat a blind equal split.
-        klb_latency = cluster.state().overall_mean_latency_ms()
-        cluster.set_weights({d: 1.0 / len(cluster.dips) for d in cluster.dips})
-        equal_latency = cluster.state().overall_mean_latency_ms()
-        cluster.set_weights(dict(assignment.weights))
-        metrics["equal_split_latency_ms"] = equal_latency
-        metrics["latency_gain"] = equal_latency / klb_latency
-    return cluster, controller, metrics, detail
+        plane, assignments = _converge(fleet, spec, deferred)
+        metrics["vips_with_assignment"] = float(len(assignments))
+        metrics["measurement_rounds"] = float(len(plane.round_log))
+        detail = {"assignments": assignments, "plane": plane}
+        if single_vip:
+            metrics.update(_single_vip_gain(fleet, assignments["vip"]))
+    if single_vip:
+        metrics["total_rate_rps"] = fleet.vips["vip"].total_rate_rps
+    return fleet, plane, metrics, detail
 
 
-class FluidRunner:
-    """Analytic fluid-model execution (optionally KnapsackLB-converged)."""
+def _converge(
+    fleet: Fleet, spec: ExperimentSpec, deferred: Iterable[str] = ()
+) -> tuple[FleetController, dict[str, WeightAssignment]]:
+    """Onboard every non-deferred VIP and run the spec's convergence."""
+    plane = FleetController(fleet, config=spec.controller.config)
+    for vip_id in fleet.vips:
+        if vip_id not in deferred:
+            plane.onboard_vip(vip_id)
+    assignments = plane.converge_all(settle_steps=spec.controller.settle_steps)
+    for _ in range(spec.controller.control_steps):
+        plane.control_step()
+    return plane, assignments
 
-    kind = "fluid"
+
+def _single_vip_gain(fleet: Fleet, assignment: WeightAssignment) -> dict[str, float]:
+    """How much the computed weights beat a blind equal split (one VIP).
+
+    The excursion to the equal split ends by programming the *raw*
+    ``assignment.weights`` behind the controller — not the normalised
+    weights the LB held before it.  The two differ by an ulp, and the
+    least-connection fixed point at saturation amplifies an ulp into
+    milliseconds, so per-seed artifacts depend on exactly this restore.
+    """
+    klb_latency = fleet.state().overall_mean_latency_ms()
+    dips = fleet.vips["vip"].dips
+    fleet.set_weights("vip", {d: 1.0 / len(dips) for d in dips})
+    equal_latency = fleet.state().overall_mean_latency_ms()
+    fleet.set_weights("vip", dict(assignment.weights))
+    return {
+        "objective_ms": assignment.objective_ms,
+        "equal_split_latency_ms": equal_latency,
+        "latency_gain": equal_latency / klb_latency,
+    }
+
+
+class AnalyticRunner:
+    """Fleet execution under the FleetController; fluid is its one-VIP case."""
 
     def run(
         self, spec: ExperimentSpec, *, observers: Iterable[Observer] = ()
     ) -> RunResult:
-        started_at, started = now_iso(), time.perf_counter()
+        clock = RunClock()
         spec = expand_spec_chaos(spec)
-        cluster, controller, metrics, detail = prepare_fluid(spec)
+        fleet, plane, metrics, detail = prepare_fleet(spec)
+        # Judged at the declared rate, the one the stamped correction used
+        # (read now: capacity events move the pool's capacity later).
+        divergence = assess_divergence(
+            spec.workload, offered_rate_rps(spec, fleet.dips)
+        )
         windows: tuple[RunWindow, ...] = ()
         if not spec.timeline.empty:
             # The timed phase starts from the converged steady state; events
             # fire between fixed-point rounds at their declared times.
-            windows = run_fluid_timeline(
-                cluster,
+            windows = fleet_timeline_stepper(
+                fleet,
                 spec.timeline,
                 ObserverSet(observers),
-                controller=controller,
+                plane=plane,
                 health=spec.health,
                 seed=spec.seed,
-            )
+            ).run()
             metrics["timeline_events"] = float(len(spec.timeline.events))
-        state = cluster.state()
+        state = fleet.state()
         if windows:
             # Trajectory-derived aggregates (a still-failed DIP's rate-0 /
             # latency-inf pair cannot poison them, and they mean the same
@@ -256,82 +317,80 @@ class FluidRunner:
         else:
             metrics["mean_latency_ms"] = state.overall_mean_latency_ms()
         metrics["max_utilization"] = max(state.utilization.values())
-        metrics["total_rate_rps"] = cluster.total_rate_rps
+        metrics["num_vips"] = float(len(fleet.vips))
+        metrics["shared_dips"] = float(len(fleet.shared_dip_ids()))
         return _finish(
             spec,
+            clock,
             metrics=metrics,
             dip_summaries=state.dip_summaries(),
-            started_at=started_at,
-            started_clock=started,
             windows=windows,
             detail=detail,
-            model_divergence=assess_divergence(
-                spec.workload, cluster.total_rate_rps
-            ),
+            model_divergence=divergence,
         )
 
 
 def replay_controller_weights(spec: ExperimentSpec) -> dict[DipId, float] | None:
     """KnapsackLB weights for a request-level run, or ``None`` when disabled.
 
-    Computes the weights on an analytic fluid twin of the pool so they can
-    be replayed through the request engine — the Fig. 12 "weights computed
-    once, traffic replayed" methodology.  The spec guarantees the policy is
-    weighted (ExperimentSpec validation), so the weights actually take
-    effect; the sharded executor uses the same weights as its per-DIP
+    Computes the weights on the analytic one-VIP twin of the pool so they
+    can be replayed through the request engine — the Fig. 12 "weights
+    computed once, traffic replayed" methodology.  The spec guarantees the
+    policy is weighted (ExperimentSpec validation), so the weights actually
+    take effect; the sharded executor uses the same weights as its per-DIP
     thinning probabilities.
     """
     if not spec.controller.enabled:
         return None
-    twin = build_cluster(spec)
-    controller = KnapsackLBController(
-        f"vip-{spec.name}", twin, config=spec.controller.config
+    plane, _ = _converge(build_cluster(spec).fleet, spec)
+    return dict(plane.controllers["vip"].current_weights)
+
+
+def build_request_cluster(spec: ExperimentSpec) -> RequestCluster:
+    """The request-level cluster a spec describes, weights programmed.
+
+    Shared by :class:`RequestRunner` and the learn env's request backend:
+    pool, timeline check, policy (behind a MUX pool when ``num_muxes > 1``),
+    workload kinds, health and retry layers, and — with the controller
+    enabled — the weights converged on the analytic twin.
+    """
+    dips = pool_from_spec(spec.pool, spec.seed)
+    if not spec.timeline.empty:
+        check_timeline_supported(spec.timeline, "request", dips=dips)
+    policy_kwargs = policy_seed_kwargs(spec.policy.name, seed=spec.seed)
+    if spec.policy.num_muxes > 1:
+        dip_list = list(dips)
+        policy: Any = MuxPool(
+            lambda: make_policy(spec.policy.name, dip_list, **policy_kwargs),
+            num_muxes=spec.policy.num_muxes,
+        )
+    else:
+        policy = make_policy(spec.policy.name, list(dips), **policy_kwargs)
+    cluster = RequestCluster(
+        dips,
+        policy,
+        rate_rps=offered_rate_rps(spec, dips),
+        seed=spec.seed,
+        health=spec.health,
+        retry=spec.retry,
+        arrival=spec.workload.arrival,
+        service=spec.workload.service,
     )
-    controller.converge(settle_steps=spec.controller.settle_steps)
-    for _ in range(spec.controller.control_steps):
-        controller.control_step()
-    return dict(controller.current_weights)
+    weights = replay_controller_weights(spec)
+    if weights is not None:
+        cluster.set_weights(weights)
+    return cluster
 
 
 class RequestRunner:
     """Request-level discrete-event execution of the same spec."""
 
-    kind = "request"
-
     def run(
         self, spec: ExperimentSpec, *, observers: Iterable[Observer] = ()
     ) -> RunResult:
-        started_at, started = now_iso(), time.perf_counter()
+        clock = RunClock()
         spec = expand_spec_chaos(spec)
-        dips = pool_from_spec(spec.pool, spec.seed)
-        if not spec.timeline.empty:
-            check_timeline_supported(spec.timeline, self.kind, dips=dips)
-        total_capacity = sum(d.capacity_rps for d in dips.values())
-        rate = spec.workload.load_fraction * total_capacity
-
-        weights = replay_controller_weights(spec)
-
-        policy_kwargs = policy_seed_kwargs(spec.policy.name, seed=spec.seed)
-        if spec.policy.num_muxes > 1:
-            dip_list = list(dips)
-            policy: Any = MuxPool(
-                lambda: make_policy(spec.policy.name, dip_list, **policy_kwargs),
-                num_muxes=spec.policy.num_muxes,
-            )
-        else:
-            policy = make_policy(spec.policy.name, list(dips), **policy_kwargs)
-        cluster = RequestCluster(
-            dips,
-            policy,
-            rate_rps=rate,
-            seed=spec.seed,
-            health=spec.health,
-            retry=spec.retry,
-            arrival=spec.workload.arrival,
-            service=spec.workload.service,
-        )
-        if weights is not None:
-            cluster.set_weights(weights)
+        cluster = build_request_cluster(spec)
         windows: tuple[RunWindow, ...] = ()
         if spec.timeline.empty:
             run = cluster.run(
@@ -363,8 +422,8 @@ class RequestRunner:
             run = cluster.run(duration_s=duration, warmup_s=warmup)
             for handle in handles:
                 handle.cancel()  # no-op for handles that already fired
-            windows = request_windows(
-                cluster,
+            windows = windows_from_collector(
+                cluster.metrics,
                 timeline,
                 observer,
                 duration_s=duration,
@@ -404,144 +463,32 @@ class RequestRunner:
         # leaned on the fluid twin, so only then is the divergence warning
         # meaningful here.
         divergence = (
-            assess_divergence(spec.workload, rate)
+            assess_divergence(
+                spec.workload, offered_rate_rps(spec, cluster.dips)
+            )
             if spec.controller.enabled
             else None
         )
         return _finish(
             spec,
+            clock,
             metrics=metrics,
             dip_summaries=summaries,
-            started_at=started_at,
-            started_clock=started,
             windows=windows,
             detail=run,
             model_divergence=divergence,
         )
 
 
-def prepare_fleet(
-    spec: ExperimentSpec,
-) -> tuple[Any, "FleetController | None", dict[str, float], Any]:
-    """Build and converge the multi-VIP fleet a spec describes.
-
-    Returns ``(fleet, plane, setup_metrics, detail)``; shared by
-    :class:`FleetRunner` and the live daemon.  VIPs named by a timeline
-    ``vip_onboard`` event — or listed in ``fleet.deferred_vips`` — stay out
-    of the initial convergence (their traffic still flows at the builder's
-    capacity-proportional weights — the staggered-onboarding shape).
-    """
-    # The *same* pool spec the other runners execute, windowed across
-    # the VIPs — so a testbed or three_dip spec stays that pool here.
-    fleet = fleet_from_pool(
-        pool_from_spec(spec.pool, spec.seed),
-        num_vips=spec.fleet.num_vips,
-        pool_size=spec.fleet.pool_size,
-        load_fraction=spec.workload.load_fraction,
-        policy_name=spec.policy.name,
-    )
-    _stamp_scv_correction(
-        fleet.dips,
-        spec,
-        spec.workload.load_fraction
-        * sum(d.capacity_rps for d in fleet.dips.values()),
-    )
-    if not spec.timeline.empty:
-        check_timeline_supported(
-            spec.timeline,
-            "fleet",
-            dips=fleet.dips,
-            vips=fleet.vips,
-            controller_enabled=spec.controller.enabled,
-        )
-    deferred = {
-        event.vip
-        for event in spec.timeline.events
-        if event.kind == "vip_onboard"
-    }
-    unknown = [v for v in spec.fleet.deferred_vips if v not in fleet.vips]
-    if unknown:
-        known = ", ".join(sorted(fleet.vips))
-        raise ConfigurationError(
-            f"fleet.deferred_vips names unknown VIP {unknown[0]!r}; "
-            f"fleet VIPs: {known}"
-        )
-    deferred.update(spec.fleet.deferred_vips)
-    metrics: dict[str, float] = {}
-    detail: Any = None
-    plane: FleetController | None = None
-    if spec.controller.enabled:
-        plane = FleetController(fleet, config=spec.controller.config)
-        for vip_id in fleet.vips:
-            if vip_id not in deferred:
-                plane.onboard_vip(vip_id)
-        assignments = plane.converge_all(
-            settle_steps=spec.controller.settle_steps
-        )
-        for _ in range(spec.controller.control_steps):
-            plane.control_step()
-        metrics["vips_with_assignment"] = float(len(assignments))
-        metrics["measurement_rounds"] = float(len(plane.round_log))
-        detail = {"assignments": assignments, "plane": plane}
-    return fleet, plane, metrics, detail
-
-
-class FleetRunner:
-    """Multi-VIP shared-fleet execution under the FleetController."""
-
-    kind = "fleet"
-
-    def run(
-        self, spec: ExperimentSpec, *, observers: Iterable[Observer] = ()
-    ) -> RunResult:
-        started_at, started = now_iso(), time.perf_counter()
-        spec = expand_spec_chaos(spec)
-        fleet, plane, metrics, detail = prepare_fleet(spec)
-        windows: tuple[RunWindow, ...] = ()
-        if not spec.timeline.empty:
-            windows = run_fleet_timeline(
-                fleet,
-                spec.timeline,
-                ObserverSet(observers),
-                plane=plane,
-                health=spec.health,
-                seed=spec.seed,
-            )
-            metrics["timeline_events"] = float(len(spec.timeline.events))
-        state = fleet.state()
-        if windows:
-            metrics.update(timeline_metrics(windows))
-        else:
-            metrics["mean_latency_ms"] = state.overall_mean_latency_ms()
-        metrics["max_utilization"] = max(state.utilization.values())
-        metrics["num_vips"] = float(len(fleet.vips))
-        metrics["shared_dips"] = float(len(fleet.shared_dip_ids()))
-        total_rate = spec.workload.load_fraction * sum(
-            d.capacity_rps for d in fleet.dips.values()
-        )
-        return _finish(
-            spec,
-            metrics=metrics,
-            dip_summaries=state.dip_summaries(),
-            started_at=started_at,
-            started_clock=started,
-            windows=windows,
-            detail=detail,
-            model_divergence=assess_divergence(spec.workload, total_rate),
-        )
-
-
 class ScenarioRunner:
     """Delegate to a registered scenario (the pre-spec experiment registry)."""
-
-    kind = "scenario"
 
     def run(
         self, spec: ExperimentSpec, *, observers: Iterable[Observer] = ()
     ) -> RunResult:
         from repro.experiments.scenarios import get_scenario, observing
 
-        started_at, started = now_iso(), time.perf_counter()
+        clock = RunClock()
         assert spec.scenario is not None  # enforced by ExperimentSpec
         scenario = get_scenario(spec.scenario)
         params = dict(spec.params)
@@ -560,18 +507,20 @@ class ScenarioRunner:
             outcome = scenario.run(**params)
         return _finish(
             spec,
+            clock,
             metrics=outcome.metrics,
             dip_summaries={},
-            started_at=started_at,
-            started_clock=started,
             windows=getattr(outcome, "windows", ()) or (),
             detail=outcome,
         )
 
 
+_ANALYTIC = AnalyticRunner()
 _RUNNERS: dict[str, Runner] = {
-    runner.kind: runner()
-    for runner in (FluidRunner, RequestRunner, FleetRunner, ScenarioRunner)
+    "fluid": _ANALYTIC,
+    "fleet": _ANALYTIC,
+    "request": RequestRunner(),
+    "scenario": ScenarioRunner(),
 }
 
 

@@ -6,11 +6,11 @@ failures and recoveries, capacity squeezes, traffic surges, VIPs joining or
 leaving a fleet) and this layer executes those events identically on all
 three substrates:
 
-* **fluid / fleet** — :func:`run_fluid_timeline` / :func:`run_fleet_timeline`
-  drive the analytic substrates window by window, applying due events
-  *between* fixed-point rounds at their exact declared times (windows are
-  split into sub-segments at event boundaries) and running one controller
-  tick per window;
+* **fluid / fleet** — :func:`fleet_timeline_stepper` drives the analytic
+  substrate (a :class:`~repro.sim.fleet.Fleet`; a fluid run is its one-VIP
+  case) window by window, applying due events *between* fixed-point rounds
+  at their exact declared times (windows are split into sub-segments at
+  event boundaries) and running one controller tick per window;
 * **request** — :func:`schedule_request_timeline` injects every event into
   the discrete-event engine via ``schedule_cancellable``, so events fire at
   their exact simulated times interleaved with arrivals and completions;
@@ -43,12 +43,10 @@ from repro.api.spec import (
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.controller import KnapsackLBController
     from repro.core.fleet_controller import FleetController
     from repro.sim.cluster import RequestCluster
     from repro.sim.engine import EventHandle
-    from repro.sim.fleet import Fleet
-    from repro.sim.fluid import FluidCluster
+    from repro.sim.fleet import Fleet, FleetState
     from repro.sim.trace import MetricsCollector
 
 _EPS = 1e-9
@@ -232,7 +230,7 @@ def check_timeline_supported(
 
 
 # ---------------------------------------------------------------------------
-# the shared window/segment loop (fluid + fleet)
+# the window/segment loop of the analytic substrate
 # ---------------------------------------------------------------------------
 
 
@@ -276,12 +274,11 @@ class TimelineStepper:
         tick: Callable[[], dict[str, float]],
         snapshot: Callable[
             [],
-            "tuple[dict[str, float], dict[str, float]]"
-            " | tuple[dict[str, float], dict[str, float], dict[str, dict[str, float]]]",
+            "tuple[dict[str, float], dict[str, float], dict[str, dict[str, float]]]",
         ],
         apply_event: Callable[[EventSpec], None],
         actions: "list[_Action] | None" = None,
-        set_weights: "Callable[[str | None, Mapping[str, float]], None] | None" = None,
+        set_weights: "Callable[[str, Mapping[str, float]], None] | None" = None,
         weight_scope: "Mapping[str, tuple[str, ...]] | None" = None,
     ) -> None:
         if actions is None:
@@ -298,11 +295,11 @@ class TimelineStepper:
         self._apply_event = apply_event
         self._set_weights = set_weights
         self._weight_scope = dict(weight_scope or {})
-        #: queued weight overrides: ``(vip-or-None, weights, label)``.
-        self._pending_weights: "list[tuple[str | None, dict[str, float], str]]" = []
-        #: applied overrides ``(time_s, vip-or-None, weights)`` — the
-        #: provenance record a journal or checkpoint can persist.
-        self.weight_overrides: "list[tuple[float, str | None, dict[str, float]]]" = []
+        #: queued weight overrides: ``(vip, weights, label)``.
+        self._pending_weights: "list[tuple[str, dict[str, float], str]]" = []
+        #: applied overrides ``(time_s, vip, weights)`` — the provenance
+        #: record a journal or checkpoint can persist.
+        self.weight_overrides: "list[tuple[float, str, dict[str, float]]]" = []
         self.window_s = timeline.window_s
         self.horizon_s = timeline.duration_s()
         #: start of the next window (== simulated time already executed).
@@ -366,7 +363,7 @@ class TimelineStepper:
         if self._set_weights is None:
             raise ConfigurationError(
                 "this substrate does not accept weight overrides (no "
-                "set_weights hook; enable it via the fluid/fleet steppers)"
+                "set_weights hook; the fleet stepper provides one)"
             )
         if not isinstance(weights, Mapping) or not weights:
             raise ConfigurationError(
@@ -379,7 +376,7 @@ class TimelineStepper:
                     f"set_weights needs an explicit vip on a multi-VIP "
                     f"substrate; VIPs: {known}"
                 )
-            scope_vip = next(iter(self._weight_scope))
+            vip = next(iter(self._weight_scope))
         else:
             vip = str(vip)
             if vip not in self._weight_scope:
@@ -387,8 +384,7 @@ class TimelineStepper:
                 raise ConfigurationError(
                     f"set_weights names unknown VIP {vip!r}; VIPs: {known}"
                 )
-            scope_vip = vip
-        dip_set = set(self._weight_scope[scope_vip])
+        dip_set = set(self._weight_scope[vip])
         cleaned: dict[str, float] = {}
         for dip, value in weights.items():
             name = str(dip)
@@ -396,7 +392,7 @@ class TimelineStepper:
                 known = ", ".join(sorted(dip_set))
                 raise ConfigurationError(
                     f"set_weights names unknown DIP {name!r} for VIP "
-                    f"{scope_vip!r}; DIPs: {known}"
+                    f"{vip!r}; DIPs: {known}"
                 )
             try:
                 weight = float(value)
@@ -411,10 +407,7 @@ class TimelineStepper:
             cleaned[name] = weight
         if sum(cleaned.values()) <= 0:
             raise ConfigurationError("weights must sum to a positive value")
-        label = (
-            f"t={self.clock:g}s set_weights {scope_vip} "
-            f"({len(cleaned)} dips)"
-        )
+        label = f"t={self.clock:g}s set_weights {vip} ({len(cleaned)} dips)"
         self._pending_weights.append((vip, cleaned, label))
         return label
 
@@ -456,9 +449,7 @@ class TimelineStepper:
             )
             self._advance(boundary - cursor)
             cursor = boundary
-        snapped = self._snapshot()
-        metrics, share = snapped[0], snapped[1]
-        dip_metrics = snapped[2] if len(snapped) > 2 else {}
+        metrics, share, dip_metrics = self._snapshot()
         metrics.update(self._tick())
         window = RunWindow(
             start_s=start,
@@ -667,24 +658,19 @@ def _share(rates: Mapping[str, float]) -> dict[str, float]:
     return {dip: rate / total for dip, rate in rates.items() if rate > 0}
 
 
-def _dip_rows(state: object) -> dict[str, dict[str, float]]:
-    """Per-DIP window columns from an analytic substrate snapshot.
+def _dip_rows(state: "FleetState") -> dict[str, dict[str, float]]:
+    """Per-DIP window columns from a fleet snapshot.
 
-    Works over :class:`~repro.sim.fluid.FluidClusterState` and
-    :class:`~repro.sim.fleet.FleetState` (only the rate dict's name
-    differs); ``in_system`` is the Little's-law population ``rate ×
-    latency``, which matches the request engine's per-window Σlatency /
-    duration estimate in meaning.  Failed DIPs report infinite latency —
-    their rows omit the latency column and carry zero population so a fold
-    over the columns stays finite.
+    ``in_system`` is the Little's-law population ``rate × latency``, which
+    matches the request engine's per-window Σlatency / duration estimate in
+    meaning.  Failed DIPs report infinite latency — their rows omit the
+    latency column and carry zero population so a fold over the columns
+    stays finite.
     """
-    rates: Mapping[str, float] = getattr(
-        state, "rates_rps", None
-    ) or getattr(state, "total_rates_rps")
-    utilization: Mapping[str, float] = state.utilization
-    latency: Mapping[str, float] = state.mean_latency_ms
+    utilization = state.utilization
+    latency = state.mean_latency_ms
     rows: dict[str, dict[str, float]] = {}
-    for dip, rate in rates.items():
+    for dip, rate in state.total_rates_rps.items():
         lat = latency[dip]
         row = {
             "rate_rps": rate,
@@ -758,149 +744,7 @@ class _BlackholeMeter:
 
 
 # ---------------------------------------------------------------------------
-# fluid substrate
-# ---------------------------------------------------------------------------
-
-
-def fluid_timeline_stepper(
-    cluster: "FluidCluster",
-    timeline: TimelineSpec,
-    observer: Observer,
-    *,
-    controller: "KnapsackLBController | None" = None,
-    health: "HealthCheckSpec | None" = None,
-    seed: int = 0,
-) -> TimelineStepper:
-    """A resumable stepper over the timed phase of a (converged) fluid cluster.
-
-    With ``health`` enabled, DIP failures are not applied to the LB at
-    their declared times: the DIP keeps its traffic share (blackholed —
-    reported as the window's ``drop_fraction``) until the probe state
-    machine detects it, at the same seeded probe-grid instant the request
-    engine would flip it.
-    """
-    base_rate = cluster.total_rate_rps
-    if health is not None and not health.enabled:
-        health = None
-    blackholed: set[str] = set()
-
-    def fail(dip: str) -> None:
-        cluster.fail_dip(dip)
-
-    def recover(dip: str) -> None:
-        cluster.recover_dip(dip)
-        if controller is not None and controller.restore_dip(dip):
-            controller.program_assignment(
-                controller.compute_weights().assignment
-            )
-
-    def apply_event(event: EventSpec) -> None:
-        kind = event.kind
-        if kind == "dip_fail":
-            cluster.fail_dip(event.dip)
-        elif kind == "dip_recover":
-            cluster.recover_dip(event.dip)
-            if controller is not None and controller.restore_dip(event.dip):
-                # Re-include the recovered DIP right away (restored curve);
-                # later ticks rescale it if the capacity changed meanwhile.
-                controller.program_assignment(
-                    controller.compute_weights().assignment
-                )
-        elif kind == "capacity_ratio":
-            cluster.set_capacity_ratio(event.dip, event.value)
-        elif kind == "antagonist_phase":
-            cluster.set_antagonist_copies(event.dip, int(event.value))
-        elif kind == "arrival_scale":
-            cluster.set_total_rate(base_rate * event.value)
-        else:  # pragma: no cover - caught by check_timeline_supported
-            raise ConfigurationError(
-                f"event {kind!r} is not executable on the fluid substrate"
-            )
-
-    def tick() -> dict[str, float]:
-        if controller is None:
-            return {}
-        controller.time = cluster.time
-        report = controller.control_step(advance=False)
-        return {
-            "controller_events": float(len(report.events)),
-            "reprogrammed": 1.0 if report.reprogrammed else 0.0,
-        }
-
-    meter = _BlackholeMeter(
-        blackholed,
-        lambda dip: cluster.dips[dip].offered_rate_rps,
-        lambda: cluster.total_rate_rps,
-    )
-
-    def snapshot() -> tuple[
-        dict[str, float], dict[str, float], dict[str, dict[str, float]]
-    ]:
-        state = cluster.state()
-        metrics = {
-            "mean_latency_ms": _live_mean_latency_ms(
-                state.rates_rps, state.mean_latency_ms, exclude=blackholed
-            ),
-            "max_utilization": max(state.utilization.values()),
-            "total_rate_rps": cluster.total_rate_rps,
-        }
-        if health is not None:
-            metrics["drop_fraction"] = meter.window_fraction()
-        return metrics, _share(state.rates_rps), _dip_rows(state)
-
-    def advance(dt: float) -> None:
-        if dt <= 0:
-            return
-        if health is not None:
-            meter.account(dt)
-        cluster.advance(dt)
-
-    actions = None
-    if health is not None:
-        actions = _health_timeline_actions(
-            timeline,
-            health,
-            seed=seed,
-            dip_index={dip: i for i, dip in enumerate(cluster.dips)},
-            blackholed=blackholed,
-            fail=fail,
-            recover=recover,
-        )
-    return TimelineStepper(
-        timeline,
-        observer,
-        advance=advance,
-        tick=tick,
-        snapshot=snapshot,
-        apply_event=apply_event,
-        actions=actions,
-        set_weights=lambda _vip, weights: cluster.set_weights(weights),
-        weight_scope={"vip": tuple(cluster.dips)},
-    )
-
-
-def run_fluid_timeline(
-    cluster: "FluidCluster",
-    timeline: TimelineSpec,
-    observer: Observer,
-    *,
-    controller: "KnapsackLBController | None" = None,
-    health: "HealthCheckSpec | None" = None,
-    seed: int = 0,
-) -> tuple[RunWindow, ...]:
-    """Execute the timed phase on a (converged) fluid cluster, to completion."""
-    return fluid_timeline_stepper(
-        cluster,
-        timeline,
-        observer,
-        controller=controller,
-        health=health,
-        seed=seed,
-    ).run()
-
-
-# ---------------------------------------------------------------------------
-# fleet substrate
+# analytic substrate (a fleet; a fluid run is its one-VIP case)
 # ---------------------------------------------------------------------------
 
 
@@ -922,9 +766,13 @@ def fleet_timeline_stepper(
     addition to the timeline's windows), and its weights are computed and
     programmed.  ``vip_offboard`` retires the tenant and its traffic;
     with ``drain_s`` its arrivals stop at the event time and the tenant is
-    removed once the drain elapses.  ``health`` delays DIP-failure
-    reactions to their probe-detected instants (see
-    :func:`run_fluid_timeline`).
+    removed once the drain elapses.
+
+    With ``health`` enabled, DIP failures are not applied to the LB at
+    their declared times: the DIP keeps its traffic share (blackholed —
+    reported as the window's ``drop_fraction``) until the probe state
+    machine detects it, at the same seeded probe-grid instant the request
+    engine would flip it.
     """
     if health is not None and not health.enabled:
         health = None
@@ -933,14 +781,14 @@ def fleet_timeline_stepper(
         vip_id: vip.total_rate_rps for vip_id, vip in fleet.vips.items()
     }
 
-    def fail(dip: str) -> None:
-        fleet.fail_dip(dip)
-
     def recover(dip: str) -> None:
         fleet.recover_dip(dip)
         if plane is not None:
             for controller in plane.controllers.values():
                 if dip in controller.deployment.dips:
+                    # Re-include the recovered DIP right away (restored
+                    # curve); later ticks rescale it if the capacity
+                    # changed meanwhile.
                     if controller.restore_dip(dip):
                         controller.program_assignment(
                             controller.compute_weights().assignment
@@ -956,14 +804,7 @@ def fleet_timeline_stepper(
         if kind == "dip_fail":
             fleet.fail_dip(event.dip)
         elif kind == "dip_recover":
-            fleet.recover_dip(event.dip)
-            if plane is not None:
-                for controller in plane.controllers.values():
-                    if event.dip in controller.deployment.dips:
-                        if controller.restore_dip(event.dip):
-                            controller.program_assignment(
-                                controller.compute_weights().assignment
-                            )
+            recover(event.dip)
         elif kind == "capacity_ratio":
             fleet.set_capacity_ratio(event.dip, event.value)
         elif kind == "antagonist_phase":
@@ -1027,7 +868,7 @@ def fleet_timeline_stepper(
             seed=seed,
             dip_index={dip: i for i, dip in enumerate(fleet.dips)},
             blackholed=blackholed,
-            fail=fail,
+            fail=fleet.fail_dip,
             recover=recover,
         )
     else:
@@ -1053,31 +894,11 @@ def fleet_timeline_stepper(
         snapshot=snapshot,
         apply_event=apply_event,
         actions=actions,
-        set_weights=lambda vip, weights: fleet.set_weights(vip, weights),
+        set_weights=fleet.set_weights,
         weight_scope={
             vip_id: tuple(vip.dips) for vip_id, vip in fleet.vips.items()
         },
     )
-
-
-def run_fleet_timeline(
-    fleet: "Fleet",
-    timeline: TimelineSpec,
-    observer: Observer,
-    *,
-    plane: "FleetController | None" = None,
-    health: "HealthCheckSpec | None" = None,
-    seed: int = 0,
-) -> tuple[RunWindow, ...]:
-    """Execute the timed phase on a (converged) multi-VIP fleet, to completion."""
-    return fleet_timeline_stepper(
-        fleet,
-        timeline,
-        observer,
-        plane=plane,
-        health=health,
-        seed=seed,
-    ).run()
 
 
 # ---------------------------------------------------------------------------
@@ -1159,21 +980,31 @@ def schedule_request_progress(
     cluster.scheduler.schedule_at(offset_s + window_s, emit)
 
 
-def request_windows(
-    cluster: "RequestCluster",
-    timeline: TimelineSpec,
-    observer: Observer,
-    *,
-    duration_s: float,
-    offset_s: float = 0.0,
-) -> tuple[RunWindow, ...]:
-    """Fold the request run's columnar metrics into the window time-series."""
-    return windows_from_collector(
-        cluster.metrics,
-        timeline,
-        observer,
-        duration_s=duration_s,
-        offset_s=offset_s,
+def window_from_row(
+    row: Mapping, events: "Iterable[EventSpec]", *, offset_s: float = 0.0
+) -> RunWindow:
+    """One :meth:`MetricsCollector.window_rows` row as a :class:`RunWindow`.
+
+    Window times are measured from the start of the timed phase (the row's
+    engine-clock bounds minus ``offset_s``), and the window is tagged with
+    the timeline events whose declared times fall inside it.
+    """
+    start = row["start_s"] - offset_s
+    end = row["end_s"] - offset_s
+    return RunWindow(
+        start_s=start,
+        end_s=end,
+        metrics=dict(row["metrics"]),
+        dip_share=dict(row["dip_share"]),
+        events=tuple(
+            event.label()
+            for event in events
+            if start - _EPS <= event.time_s < end - _EPS
+        ),
+        dip_metrics={
+            dip: dict(columns)
+            for dip, columns in row.get("dip_metrics", {}).items()
+        },
     )
 
 
@@ -1188,10 +1019,9 @@ def windows_from_collector(
     """Fold any columnar metrics collector into the window time-series.
 
     Computed after the run from the collector's timestamp column (windows
-    reflect the requests that *completed* in them), with each window tagged
-    by the timeline events whose declared times fall inside it.  The serial
-    request runner and the epoch-sharded engine share this fold, so their
-    window rows are directly comparable.
+    reflect the requests that *completed* in them).  The serial request
+    runner and the epoch-sharded engine share this fold, so their window
+    rows are directly comparable.
     """
     events = timeline.ordered_events()
     rows = collector.window_rows(
@@ -1201,24 +1031,7 @@ def windows_from_collector(
     )
     windows: list[RunWindow] = []
     for row in rows:
-        start = row["start_s"] - offset_s
-        end = row["end_s"] - offset_s
-        labels = tuple(
-            event.label()
-            for event in events
-            if start - _EPS <= event.time_s < end - _EPS
-        )
-        window = RunWindow(
-            start_s=start,
-            end_s=end,
-            metrics=dict(row["metrics"]),
-            dip_share=dict(row["dip_share"]),
-            events=labels,
-            dip_metrics={
-                dip: dict(columns)
-                for dip, columns in row.get("dip_metrics", {}).items()
-            },
-        )
+        window = window_from_row(row, events, offset_s=offset_s)
         observer.on_window(window)
         windows.append(window)
     return tuple(windows)

@@ -278,11 +278,11 @@ def run_multi_vip_shared_dips(
     shared_now = plane.fleet.shared_dip_ids()
     if shared_now and squeezed not in shared_now:
         # The probe build in _shared_dip_for must stay bit-identical to the
-        # FleetRunner's; fail loudly if the two ever diverge instead of
+        # runner's prepare_fleet; fail loudly if the two ever diverge instead of
         # silently squeezing a non-shared DIP.
         raise ConfigurationError(
             f"squeezed DIP {squeezed!r} is not shared in the runner-built "
-            "fleet; _shared_dip_for diverged from FleetRunner"
+            "fleet; _shared_dip_for diverged from prepare_fleet"
         )
     pre = [w for w in result.windows if w.end_s <= squeeze_at]
     post = [w for w in result.windows if w.start_s >= squeeze_at]

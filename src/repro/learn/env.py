@@ -19,11 +19,13 @@ an episodic ``reset()/step(action)`` loop a learning agent can drive:
 Episodes are seed-deterministic: the same :class:`EnvSpec` and reset seed
 produce bit-identical observation/reward trajectories on both substrates,
 because each episode is exactly one timed run of the underlying engine.
-The request-substrate backend replicates :meth:`RequestCluster.run`'s
-setup and drives the engine in window-sized ``run_stream`` segments —
-the segmented run is event-for-event identical to the continuous one
-(the pending arrival persists in the cluster's sorted stream between
-segments), so stepping does not perturb determinism.
+Both backends sit on the batch runners' own builders
+(:func:`~repro.api.runners.prepare_fleet`,
+:func:`~repro.api.runners.build_request_cluster`); the request backend
+arms the cluster with ``begin`` and advances it one window per ``run_to``
+— the segmented run is event-for-event identical to the
+continuous one (the pending arrival persists in the cluster's sorted
+stream between segments), so stepping does not perturb determinism.
 """
 
 from __future__ import annotations
@@ -35,7 +37,12 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.api.result import RunWindow
-from repro.api.runners import build_cluster, expand_spec_chaos, pool_from_spec
+from repro.api.runners import (
+    build_request_cluster,
+    expand_spec_chaos,
+    pool_from_spec,
+    prepare_fleet,
+)
 from repro.api.spec import (
     ControllerSpec,
     EventSpec,
@@ -45,19 +52,15 @@ from repro.api.spec import (
     WorkloadSpec,
 )
 from repro.api.timeline import (
-    _EPS,
     BaseObserver,
     _dip_rows,
     _share,
-    check_timeline_supported,
-    fluid_timeline_stepper,
+    fleet_timeline_stepper,
     schedule_request_timeline,
+    window_from_row,
 )
 from repro.exceptions import ConfigurationError
-from repro.lb import MuxPool, make_policy, policy_registry, policy_seed_kwargs
-from repro.sim import RequestCluster
-
-_INF = float("inf")
+from repro.lb import policy_registry
 
 SUBSTRATES = ("fluid", "request")
 ACTION_MODES = ("weights", "ops")
@@ -355,35 +358,24 @@ class _FluidBackend:
     """One fluid-substrate episode, driven through a TimelineStepper."""
 
     def __init__(self, spec: ExperimentSpec) -> None:
-        cluster = build_cluster(spec)
-        check_timeline_supported(
-            spec.timeline,
-            "fluid",
-            dips=cluster.dips,
-            controller_enabled=False,
-        )
-        self.cluster = cluster
-        self.dips = tuple(cluster.dips)
-        self.stepper = fluid_timeline_stepper(
-            cluster,
+        # The controller is off in episode specs, so this only builds and
+        # validates the one-VIP fleet the batch runner would execute.
+        self.fleet, _, _, _ = prepare_fleet(spec)
+        self.stepper = fleet_timeline_stepper(
+            self.fleet,
             spec.timeline,
             BaseObserver(),
-            controller=None,
             health=spec.health,
             seed=spec.seed,
         )
 
     def initial_window(self) -> RunWindow:
-        state = self.cluster.state()
+        state = self.fleet.state()
         return RunWindow(
             start_s=0.0,
             end_s=0.0,
-            metrics={
-                "mean_latency_ms": state.overall_mean_latency_ms(),
-                "max_utilization": max(state.utilization.values()),
-                "total_rate_rps": self.cluster.total_rate_rps,
-            },
-            dip_share=_share(state.rates_rps),
+            metrics={},
+            dip_share=_share(state.total_rates_rps),
             dip_metrics=_dip_rows(state),
         )
 
@@ -399,89 +391,27 @@ class _FluidBackend:
 class _RequestBackend:
     """One request-substrate episode, stepped in window-sized segments.
 
-    Replicates :meth:`RequestCluster.run`'s setup (measurement clock,
-    arrival stream, utilization observations, probe cycles) and then
-    drives the engine one window at a time via ``run_stream`` segments.
-    The pending arrival persists in the cluster's sorted stream between
-    segments, so the segmented run executes the exact event sequence of
-    the continuous one — per-window folds of the metrics collector are
-    bit-identical to the batch runner's post-hoc fold.
+    The batch runner's cluster, armed with :meth:`RequestCluster.begin` and
+    advanced one window per :meth:`RequestCluster.run_to`.  Segmenting
+    replays the continuous run's exact event sequence, so per-window folds
+    of the metrics collector are bit-identical to the batch runner's
+    post-hoc fold.
     """
 
     def __init__(self, spec: ExperimentSpec) -> None:
-        dips = pool_from_spec(spec.pool, spec.seed)
-        check_timeline_supported(
-            spec.timeline,
-            "request",
-            dips=dips,
-            controller_enabled=False,
-        )
-        self.dips = tuple(dips)
-        total_capacity = sum(d.capacity_rps for d in dips.values())
-        rate = spec.workload.load_fraction * total_capacity
-        policy_kwargs = policy_seed_kwargs(spec.policy.name, seed=spec.seed)
-        if spec.policy.num_muxes > 1:
-            dip_list = list(dips)
-            policy: Any = MuxPool(
-                lambda: make_policy(spec.policy.name, dip_list, **policy_kwargs),
-                num_muxes=spec.policy.num_muxes,
-            )
-        else:
-            policy = make_policy(spec.policy.name, list(dips), **policy_kwargs)
-        cluster = RequestCluster(
-            dips,
-            policy,
-            rate_rps=rate,
-            seed=spec.seed,
-            health=spec.health,
-            retry=spec.retry,
-        )
-        self.cluster = cluster
+        self.cluster = build_request_cluster(spec)
+        duration = spec.timeline.duration_s()
         self._window_s = spec.timeline.window_s
-        self._duration = spec.timeline.duration_s()
         self._offset = spec.workload.warmup_s
+        self._end = self._offset + duration
         self._events = spec.timeline.ordered_events()
         self._index = 0
         schedule_request_timeline(
-            cluster, spec.timeline, BaseObserver(), offset_s=self._offset
+            self.cluster, spec.timeline, BaseObserver(), offset_s=self._offset
         )
-        # -- RequestCluster.run() setup, verbatim ----------------------------
-        total = self._offset + self._duration
-        cluster._measure_from = self._offset
-        cluster._total_duration = total
-        cluster._arrival_clock = 0.0
-        cluster._refill_arrivals()
-        if cluster._observation_interval < total:
-            cluster.scheduler.schedule_at(
-                cluster._observation_interval, cluster._observe_utilization
-            )
-        if cluster._health is not None:
-            base_seed = cluster._seed if cluster._seed is not None else 0
-            for index, dip_id in enumerate(cluster.dips):
-                phase = cluster._health.probe_phase_s(base_seed, index)
-                if phase < total:
-                    cluster.scheduler.schedule_at(
-                        phase, (cluster._probe, dip_id)
-                    )
-        self._fire = (
-            cluster._fire_arrival_retry
-            if cluster._retry is not None
-            else cluster._fire_arrival
-        )
+        self.cluster.begin(duration_s=duration, warmup_s=self._offset)
         # Warm-up runs before the first observation, exactly as run() would.
-        self._run_to(self._offset)
-
-    def _next_arrival(self) -> float:
-        times = self.cluster._arrival_times
-        if not times:
-            return _INF
-        pending = times[-1]
-        return pending if pending < self.cluster._total_duration else _INF
-
-    def _run_to(self, engine_time: float) -> None:
-        self.cluster.scheduler.run_stream(
-            engine_time, self._next_arrival(), self._fire
-        )
+        self.cluster.run_to(self._offset)
 
     def initial_window(self) -> RunWindow:
         # No completions yet on the timed clock: the observation starts
@@ -493,31 +423,15 @@ class _RequestBackend:
         self.cluster.set_weights(dict(weights))
 
     def step(self) -> RunWindow:
-        start = self._index * self._window_s
-        end = min(start + self._window_s, self._duration)
-        self._run_to(self._offset + end)
+        # The bounds the batch fold gives window ``index`` (engine clock).
+        start = self._offset + self._index * self._window_s
+        end = min(self._offset + (self._index + 1) * self._window_s, self._end)
+        self.cluster.run_to(end)
         row = self.cluster.metrics.window_rows(
-            window_s=self._window_s,
-            start_s=self._offset + start,
-            end_s=self._offset + end,
+            window_s=self._window_s, start_s=start, end_s=end
         )[0]
-        labels = tuple(
-            event.label()
-            for event in self._events
-            if start - _EPS <= event.time_s < end - _EPS
-        )
         self._index += 1
-        return RunWindow(
-            start_s=start,
-            end_s=end,
-            metrics=dict(row["metrics"]),
-            dip_share=dict(row["dip_share"]),
-            events=labels,
-            dip_metrics={
-                dip: dict(columns)
-                for dip, columns in row.get("dip_metrics", {}).items()
-            },
-        )
+        return window_from_row(row, self._events, offset_s=self._offset)
 
 
 # ---------------------------------------------------------------------------

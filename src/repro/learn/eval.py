@@ -19,18 +19,17 @@ on disk in the same schema every other run produces.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro.api.result import (
-    Provenance,
+    RunClock,
     RunResult,
     RunWindow,
     timeline_metrics,
 )
-from repro.api.runners import execute, now_iso
+from repro.api.runners import execute
 from repro.api.sweep import ComparisonReport, compare
 from repro.exceptions import ConfigurationError
 from repro.learn.agents import AgentSpec, agent_registry, make_agent
@@ -64,8 +63,7 @@ def _result(
     seed: int,
     windows: tuple[RunWindow, ...],
     metrics: dict[str, float],
-    started_at: str,
-    started_clock: float,
+    clock: RunClock,
 ) -> RunResult:
     template = replace(env.template_spec, name=spec_name, seed=seed)
     return RunResult(
@@ -75,10 +73,7 @@ def _result(
         metrics={k: float(v) for k, v in metrics.items()},
         dip_summaries={},
         windows=windows,
-        provenance=Provenance(
-            started_at=started_at,
-            wall_clock_s=time.perf_counter() - started_clock,
-        ),
+        provenance=clock.provenance(),
     )
 
 
@@ -108,7 +103,7 @@ def _run_agent(
     checkpoint: str | Path | None,
 ) -> RunResult:
     """Train (or restore) one agent, then run it greedily on eval seeds."""
-    started_at, started_clock = now_iso(), time.perf_counter()
+    clock = RunClock()
     trainable = agent_registry()[name].trainable
     if checkpoint is not None:
         data = load_checkpoint(checkpoint)
@@ -164,8 +159,7 @@ def _run_agent(
         seed=first.seed,
         windows=first.windows,
         metrics=metrics,
-        started_at=started_at,
-        started_clock=started_clock,
+        clock=clock,
     )
 
 

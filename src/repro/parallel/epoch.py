@@ -52,7 +52,6 @@ from __future__ import annotations
 import heapq
 import math
 import os
-import time
 from multiprocessing import get_context, shared_memory
 from queue import Empty
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
@@ -1151,12 +1150,8 @@ def run_request_epoch(
     Observers receive the timeline's events and windows after the fold
     (the engine has no mid-run event loop to stream them from).
     """
-    from repro.api.result import Provenance, RunResult
-    from repro.api.runners import (
-        now_iso,
-        pool_from_spec,
-        replay_controller_weights,
-    )
+    from repro.api.result import RunClock, RunResult
+    from repro.api.runners import pool_from_spec, replay_controller_weights
     from repro.api.timeline import (
         ObserverSet,
         check_timeline_supported,
@@ -1169,7 +1164,7 @@ def run_request_epoch(
             + (f": {plan.fallback_reason}" if plan.fallback_reason else "")
         )
     sync_interval = plan.sync_interval_s or spec.sync_interval_s
-    started_at, started = now_iso(), time.perf_counter()
+    clock = RunClock()
     if dips is None:
         dips = pool_from_spec(spec.pool, spec.seed)
     dip_ids = list(dips)
@@ -1321,9 +1316,7 @@ def run_request_epoch(
         metrics={k: float(v) for k, v in metrics.items()},
         dip_summaries=summaries,
         windows=tuple(windows),
-        provenance=Provenance(
-            started_at=started_at,
-            wall_clock_s=time.perf_counter() - started,
+        provenance=clock.provenance(
             shards=plan.shards,
             workers=max(1, workers),
             shard_mode="epoch",

@@ -18,7 +18,6 @@ because every per-DIP stream is keyed by the DIP's global pool index.
 from __future__ import annotations
 
 import os
-import time
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -267,19 +266,15 @@ def run_request_sharded(
     :class:`~repro.parallel.pool.WorkerPool` is reused warm and left open;
     a caller-built ``dips`` pool skips rebuilding it from the spec.
     """
-    from repro.api.result import Provenance, RunResult
-    from repro.api.runners import (
-        now_iso,
-        pool_from_spec,
-        replay_controller_weights,
-    )
+    from repro.api.result import RunClock, RunResult
+    from repro.api.runners import pool_from_spec, replay_controller_weights
 
     if plan.mode != "exact":
         raise ConfigurationError(
             f"plan mode is {plan.mode!r}, not 'exact'"
             + (f": {plan.fallback_reason}" if plan.fallback_reason else "")
         )
-    started_at, started = now_iso(), time.perf_counter()
+    clock = RunClock()
     if dips is None:
         dips = pool_from_spec(spec.pool, spec.seed)
     dip_ids = list(dips)
@@ -390,9 +385,7 @@ def run_request_sharded(
         seed=spec.seed,
         metrics={k: float(v) for k, v in metrics.items()},
         dip_summaries=summaries,
-        provenance=Provenance(
-            started_at=started_at,
-            wall_clock_s=time.perf_counter() - started,
+        provenance=clock.provenance(
             shards=plan.shards,
             workers=max(1, workers),
             shard_mode="exact",

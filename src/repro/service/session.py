@@ -18,8 +18,8 @@ spec whose timeline carries exactly the applied events (declared and
 live-injected alike, in application order, at their exact applied times)
 over ``horizon_s`` equal to the session clock.  The batch runners execute
 that spec through the *same* :class:`TimelineStepper` windowing loop from
-the *same* converged starting state (``prepare_fluid``/``prepare_fleet``,
-with live-deferred VIPs recorded in ``fleet.deferred_vips``), so the
+the *same* converged starting state (``prepare_fleet``, with live-deferred
+VIPs recorded in ``fleet.deferred_vips``), so the
 replayed run's window rows — and the :func:`~repro.api.result.timeline_metrics`
 folded from them — are bit-identical to the live session's, per seed.
 """

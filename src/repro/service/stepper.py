@@ -1,14 +1,13 @@
 """Build a live, resumable substrate for the ``repro serve`` daemon.
 
-The daemon drives the same analytic substrates the batch runners execute —
-a :class:`~repro.sim.fluid.FluidCluster` or a multi-VIP
-:class:`~repro.sim.fleet.Fleet` — through the shared
+The daemon drives the same analytic substrate the batch runner executes — a
+:class:`~repro.sim.fleet.Fleet`, whose one-VIP case (the VIP is named
+``vip``) is what ``runner="fluid"`` means — through the shared
 :class:`~repro.api.timeline.TimelineStepper`.  This module is the glue: it
-converges the substrate exactly the way the batch runner would
-(:func:`~repro.api.runners.prepare_fluid` / ``prepare_fleet``), wraps it in
-a stepper with an unbounded horizon, and exposes the per-VIP telemetry
-closures the REST endpoints read (rates, shares, analytic latency
-percentiles).
+converges the fleet exactly the way the batch runner would
+(:func:`~repro.api.runners.prepare_fleet`), wraps it in a stepper with an
+unbounded horizon, and exposes the per-VIP telemetry closures the REST
+endpoints read (rates, shares, analytic latency percentiles).
 
 Percentiles on an analytic substrate are necessarily a model: per-DIP
 sojourn times are approximated as exponential with the DIP's M/M/c mean
@@ -23,14 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from repro.api.runners import prepare_fleet, prepare_fluid
+from repro.api.runners import prepare_fleet
 from repro.api.spec import ExperimentSpec
-from repro.api.timeline import (
-    Observer,
-    TimelineStepper,
-    fleet_timeline_stepper,
-    fluid_timeline_stepper,
-)
+from repro.api.timeline import Observer, TimelineStepper, fleet_timeline_stepper
 from repro.exceptions import ConfigurationError
 
 #: Substrates the daemon can drive live.
@@ -93,7 +87,7 @@ class LiveSubstrate:
     vip_ids: Callable[[], tuple[str, ...]]
     #: VIPs currently under KnapsackLB control (== vip_ids when no plane).
     controlled_vip_ids: Callable[[], tuple[str, ...]]
-    #: per-VIP stats row at the current instant (see :func:`_fleet_vip_rows`).
+    #: per-VIP stats row at the current instant (see :func:`_vip_row`).
     vip_rows: Callable[[], dict[str, dict[str, float]]]
 
 
@@ -152,44 +146,12 @@ def build_live_substrate(
             "which live mutations would invalidate (set health.enabled = "
             "false to serve)"
         )
-    if spec.runner == "fluid":
-        cluster, controller, setup_metrics, _ = prepare_fluid(spec)
-        stepper = fluid_timeline_stepper(
-            cluster,
-            spec.timeline,
-            observer,
-            controller=controller,
-            seed=spec.seed,
-        )
-
-        def vip_rows() -> dict[str, dict[str, float]]:
-            state = cluster.state()
-            return {
-                "vip": _vip_row(
-                    state.rates_rps,
-                    state.mean_latency_ms,
-                    fleet_rate=cluster.total_rate_rps,
-                )
-            }
-
-        return LiveSubstrate(
-            spec=spec,
-            stepper=stepper,
-            setup_metrics=setup_metrics,
-            dip_ids=tuple(cluster.dips),
-            vip_ids=lambda: ("vip",),
-            controlled_vip_ids=(
-                (lambda: ("vip",)) if controller is not None else tuple
-            ),
-            vip_rows=vip_rows,
-        )
-
     fleet, plane, setup_metrics, _ = prepare_fleet(spec)
     stepper = fleet_timeline_stepper(
         fleet, spec.timeline, observer, plane=plane, seed=spec.seed
     )
 
-    def fleet_vip_rows() -> dict[str, dict[str, float]]:
+    def vip_rows() -> dict[str, dict[str, float]]:
         state = fleet.state()
         fleet_rate = sum(
             sum(rates.values()) for rates in state.per_vip_rates.values()
@@ -212,5 +174,5 @@ def build_live_substrate(
         controlled_vip_ids=(
             (lambda: tuple(plane.controllers)) if plane is not None else tuple
         ),
-        vip_rows=fleet_vip_rows,
+        vip_rows=vip_rows,
     )

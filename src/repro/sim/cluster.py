@@ -164,6 +164,7 @@ class RequestCluster:
         self._arrival_clock = 0.0
         self._next_request_id = 0
         self._measure_from = 0.0
+        self._measured_duration = 0.0
         self._total_duration = 0.0
         #: recycled Request objects (bounded by the in-flight count).
         self._free_requests: list[Request] = []
@@ -698,37 +699,31 @@ class RequestCluster:
             wheel.append(request.token)
 
     # -- driving the simulation -------------------------------------------------------
+    #
+    # A run is three steps: :meth:`begin` arms it, :meth:`run_to` advances
+    # the engine, :meth:`finish` folds the outcome.  :meth:`run` is the batch
+    # form (one ``run_to`` past the end); a windowed driver calls ``run_to``
+    # once per window instead.  Segmenting does not perturb the run: the
+    # pending arrival stays at the tail of the sorted stream between calls
+    # and heap events keep their times and sequence numbers, so the segments
+    # replay the continuous run's exact event sequence.
 
-    def run(
-        self,
-        *,
-        num_requests: int | None = None,
-        duration_s: float | None = None,
-        warmup_s: float = 0.0,
-    ) -> RunResult:
-        """Run the simulation for a request budget or a duration.
+    def begin(self, *, duration_s: float, warmup_s: float = 0.0) -> None:
+        """Arm a run measuring ``duration_s`` after ``warmup_s`` of warm-up.
 
-        ``warmup_s`` of simulated time is executed before measurement starts
-        so queues reach steady state; warmup requests are not recorded.
+        Warm-up requests are routed and served so queues reach steady state,
+        but are not recorded.
         """
-        if (num_requests is None) == (duration_s is None):
-            raise ConfigurationError("specify exactly one of num_requests / duration_s")
-
-        if duration_s is None:
-            assert num_requests is not None
-            duration_s = num_requests / self.workload.rate_rps
         total_duration = warmup_s + duration_s
 
         # Stream Poisson arrivals: the sorted stream is merged against the
         # event heap by run_stream, so arrivals never occupy the heap and
         # peak heap size stays O(in-flight requests).
         self._measure_from = warmup_s
+        self._measured_duration = duration_s
         self._total_duration = total_duration
         self._arrival_clock = 0.0
         self._refill_arrivals()
-        first_arrival = self._arrival_times[-1]
-        if first_arrival >= total_duration:
-            first_arrival = _INF
 
         # Periodic utilization observations for CPU-aware policies
         # (self-rescheduling — also streamed rather than pre-scheduled).
@@ -745,27 +740,50 @@ class RequestCluster:
                 if phase < total_duration:
                     self.scheduler.schedule_at(phase, (self._probe, dip_id))
 
-        # Run past the end so in-flight requests complete.
+    def run_to(self, time_s: float) -> None:
+        """Advance the engine to ``time_s`` on its own clock (warm-up included)."""
+        pending = self._arrival_times[-1]
+        if pending >= self._total_duration:
+            pending = _INF
         fire = (
             self._fire_arrival_retry
             if self._retry is not None
             else self._fire_arrival
         )
-        self.scheduler.run_stream(total_duration + 30.0, first_arrival, fire)
+        self.scheduler.run_stream(time_s, pending, fire)
 
-        measured_duration = duration_s
+    def finish(self) -> RunResult:
+        """Fold per-DIP utilization and the request counters into the outcome."""
         for dip_id, station in self._stations.items():
             self.metrics.record_utilization(
-                {dip_id: station.mean_utilization(total_duration)}
+                {dip_id: station.mean_utilization(self._total_duration)}
             )
-
         return RunResult(
             metrics=self.metrics,
-            duration_s=measured_duration,
+            duration_s=self._measured_duration,
             requests_submitted=self._submitted,
             requests_completed=self._completed,
             requests_dropped=self._dropped,
         )
+
+    def run(
+        self,
+        *,
+        num_requests: int | None = None,
+        duration_s: float | None = None,
+        warmup_s: float = 0.0,
+    ) -> RunResult:
+        """Run the simulation for a request budget or a duration."""
+        if (num_requests is None) == (duration_s is None):
+            raise ConfigurationError("specify exactly one of num_requests / duration_s")
+
+        if duration_s is None:
+            assert num_requests is not None
+            duration_s = num_requests / self.workload.rate_rps
+        self.begin(duration_s=duration_s, warmup_s=warmup_s)
+        # Run past the end so in-flight requests complete.
+        self.run_to(self._total_duration + 30.0)
+        return self.finish()
 
     # -- observation -------------------------------------------------------------------
 

@@ -172,12 +172,23 @@ def equal_split_array(n: int, total_rate_rps: float) -> np.ndarray:
     return np.full(n, total_rate_rps / n)
 
 
+#: below this, ``total_rate * weight`` products land in the subnormal range
+#: and lose the bits the division needs (2**-960 leaves the summed rounding
+#: error of the sub-``tiny`` products under 2**-100 of the total).
+_MIN_EXACT_PRODUCT = 2.0**-960
+
+
 def weighted_split_array(weights: np.ndarray, total_rate_rps: float) -> np.ndarray:
     """Division proportional to (non-negative) weights; equal when all zero."""
     positive = np.maximum(0.0, np.asarray(weights, dtype=np.float64))
     total = positive.sum()
     if total <= 0:
         return equal_split_array(len(positive), total_rate_rps)
+    if total_rate_rps * total < _MIN_EXACT_PRODUCT:
+        # Subnormal weights: normalise first (the quotients are ordinary
+        # fractions).  Every other split keeps multiply-then-divide, whose
+        # roundings per-seed artifacts depend on.
+        return total_rate_rps * (positive / total)
     return total_rate_rps * positive / total
 
 
@@ -472,8 +483,10 @@ class FluidCluster:
         if not self.weights:
             share = 1.0 / len(self.dips)
             self.weights = {d: share for d in self.dips}
-        self._fleet = Fleet(dips=self.dips, start_time=self.time)
-        self._vip = self._fleet.create_vip(
+        #: the one-VIP fleet behind this façade (the VIP is named ``"vip"``);
+        #: the spec runners and the timeline stepper drive it directly.
+        self.fleet = Fleet(dips=self.dips, start_time=self.time)
+        self._vip = self.fleet.create_vip(
             "vip",
             dip_ids=list(self.dips),
             total_rate_rps=self.total_rate_rps,
@@ -487,10 +500,10 @@ class FluidCluster:
     # -- control interface (what KnapsackLB programs) ---------------------------
 
     def set_weights(self, weights: Mapping[DipId, float]) -> None:
-        self._fleet.set_weights("vip", weights)
+        self.fleet.set_weights("vip", weights)
 
     def set_total_rate(self, total_rate_rps: float) -> None:
-        self._fleet.set_total_rate("vip", total_rate_rps)
+        self.fleet.set_total_rate("vip", total_rate_rps)
         self.total_rate_rps = self._vip.total_rate_rps
 
     def scale_traffic(self, factor: float) -> None:
@@ -499,28 +512,28 @@ class FluidCluster:
         self.set_total_rate(self.total_rate_rps * factor)
 
     def fail_dip(self, dip: DipId) -> None:
-        self._fleet.fail_dip(dip)
+        self.fleet.fail_dip(dip)
 
     def recover_dip(self, dip: DipId) -> None:
-        self._fleet.recover_dip(dip)
+        self.fleet.recover_dip(dip)
 
     def set_capacity_ratio(self, dip: DipId, ratio: float) -> None:
-        self._fleet.set_capacity_ratio(dip, ratio)
+        self.fleet.set_capacity_ratio(dip, ratio)
 
     def set_antagonist_copies(self, dip: DipId, copies: int) -> None:
-        self._fleet.set_antagonist_copies(dip, copies)
+        self.fleet.set_antagonist_copies(dip, copies)
 
     # -- dynamics ----------------------------------------------------------------
 
     def apply(self) -> FluidClusterState:
         """Recompute the per-DIP rates from the current weights and traffic."""
-        self._fleet.apply()
+        self.fleet.apply()
         return self.state()
 
     def advance(self, duration_s: float) -> FluidClusterState:
         """Advance simulated time (loads are steady in the fluid model)."""
-        self._fleet.advance(duration_s)
-        self.time = self._fleet.time
+        self.fleet.advance(duration_s)
+        self.time = self.fleet.time
         return self.state()
 
     # -- observation ---------------------------------------------------------------

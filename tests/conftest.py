@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.backends import DS1_V2, DS2_V2, DS3_V2, F8S_V2, DipServer, custom_vm_type
 from repro.core.config import KnapsackLBConfig
@@ -10,6 +11,15 @@ from repro.core.curve import WeightLatencyCurve, fit_curve
 from repro.core.types import MeasurementPoint
 from repro.sim.fluid import FluidCluster
 from repro.workloads import build_testbed_cluster, build_testbed_dips
+
+
+# Hypothesis profiles.  ``ci`` (the default) derandomizes the search, so
+# tier-1 sees the same examples on every checkout; ``dev`` keeps the random
+# search for the scheduled job and local hunting
+# (``--hypothesis-profile=dev``).  Known failures are pinned with ``@example``.
+settings.register_profile("ci", derandomize=True)
+settings.register_profile("dev")
+settings.load_profile("ci")
 
 
 @pytest.fixture

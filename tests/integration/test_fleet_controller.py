@@ -269,3 +269,146 @@ class TestGoldenFleetDynamics:
         assert set(controllers) == set(GOLDEN_FINAL_WEIGHTS)
         for vip, weights in GOLDEN_FINAL_WEIGHTS.items():
             assert controllers[vip].current_weights == pytest.approx(weights, **exact)
+
+
+# -- golden per-seed gate, one-VIP case --------------------------------------------
+#
+# A cut-down ``ctl_cold_100`` on ``runner="fluid"`` and one saturated ``wlc``
+# case, recorded at commit e39c180 — while a fluid run still had its own
+# runner, stepper and per-VIP converge — and now executed by the fleet path as
+# its one-VIP case.  The two paths differ by summation order only (declared
+# rate vs the sum of per-DIP rates, dict fold vs array fold), hence ``rel``.
+#
+# The ``wlc`` case holds one oddity in place: after measuring the equal-split
+# latency, the prepare step re-programs the *raw* ``assignment.weights``, not
+# the normalised weights the LB held.  They differ by an ulp, and at max
+# utilization 1.0 the least-connection fixed point turns that ulp into
+# 17.09 ms vs 19.58 ms (DIP-10 at 405 vs 985 rps).
+
+ONE_VIP_SPEC = {
+    "name": "golden_one_vip",
+    "runner": "fluid",
+    "seed": 17,
+    "pool": {"kind": "mixed_core", "num_dips": 16},
+    "workload": {"load_fraction": 0.7},
+    "policy": {"name": "wrr"},
+    "controller": {
+        "enabled": True,
+        "settle_steps": 0,
+        "config": {"ilp": {"backend": "dp"}},
+    },
+    "timeline": {
+        "window_s": 5.0,
+        "horizon_s": 20.0,
+        "events": [
+            {"time_s": 5.0, "kind": "capacity_ratio", "dip": "DIP-3", "value": 0.6},
+            {"time_s": 10.0, "kind": "dip_fail", "dip": "DIP-7"},
+            {"time_s": 15.0, "kind": "dip_recover", "dip": "DIP-7"},
+        ],
+    },
+}
+WLC_SPEC = {
+    "name": "golden_wlc",
+    "runner": "fluid",
+    "seed": 17,
+    "pool": {"kind": "testbed"},
+    "workload": {"load_fraction": 0.7},
+    "policy": {"name": "wlc"},
+    "controller": {"enabled": True, "config": {"ilp": {"backend": "dp"}}},
+}
+
+# fmt: off
+ONE_VIP_METRICS = {
+    "objective_ms": 4.018184582686658, "equal_split_latency_ms": 67.60530422046074,
+    "latency_gain": 16.354535756365497, "timeline_events": 3.0,
+    "mean_latency_ms": 12.762575817748676, "final_latency_ms": 28.076642866751087,
+    "max_utilization": 1.0, "total_rate_rps": 15119.999999999998,
+}
+ONE_VIP_WINDOW_MEAN_LATENCY_MS = [
+    4.133734226857979, 4.008407794807858, 14.831518382577775, 28.076642866751087,
+]
+ONE_VIP_WINDOW_DIP_SHARE = [
+    {
+        "DIP-1": 0.07988529095062562, "DIP-2": 0.18814570171590894,
+        "DIP-5": 0.02339385166532859, "DIP-6": 0.08054273610893238,
+        "DIP-7": 0.1848533207549183, "DIP-8": 0.013948876491673578,
+        "DIP-10": 0.0015502732310143448, "DIP-11": 0.023217379291944725,
+        "DIP-12": 0.023298752374890794, "DIP-13": 0.18790933450481895,
+        "DIP-14": 0.023315973590960333, "DIP-15": 0.08005586496818264,
+        "DIP-16": 0.08988264435080075,
+    },
+    {
+        "DIP-1": 0.07989219197216978, "DIP-2": 0.18816195499014168,
+        "DIP-5": 0.025444647629294704, "DIP-6": 0.08054969392495206,
+        "DIP-7": 0.18486928961143567, "DIP-8": 0.01395008148818846,
+        "DIP-10": 0.0015504071539035181, "DIP-11": 0.024833964574107508,
+        "DIP-12": 0.026326147305674633, "DIP-13": 0.18792556736008345,
+        "DIP-14": 0.026530687478274514, "DIP-15": 0.08006278072504235,
+        "DIP-16": 0.0799025857867317,
+    },
+    {
+        "DIP-1": 0.09801151024488577, "DIP-2": 0.23083654264534684,
+        "DIP-5": 0.031215420183550082, "DIP-6": 0.09881813174055837,
+        "DIP-8": 0.017113919657791573, "DIP-10": 0.0019020350161564339,
+        "DIP-11": 0.030466235976153343, "DIP-12": 0.03229684143924014,
+        "DIP-13": 0.23054654298388697, "DIP-14": 0.03254777073192055,
+        "DIP-15": 0.09822078803395502, "DIP-16": 0.09802426134655506,
+    },
+    {
+        "DIP-1": 0.0603410883785194, "DIP-2": 0.11997640601743714,
+        "DIP-4": 0.0020877138961293644, "DIP-5": 0.06412181430101706,
+        "DIP-6": 0.05734721068458997, "DIP-7": 0.2329400357813877,
+        "DIP-8": 0.029295766104453835, "DIP-9": 0.001709358603216089,
+        "DIP-10": 0.001709358603216089, "DIP-11": 0.06258286174675147,
+        "DIP-12": 0.06634323860127597, "DIP-13": 0.1198256798077586,
+        "DIP-14": 0.06685869030473944, "DIP-15": 0.05764184522407995,
+        "DIP-16": 0.05721893194542804,
+    },
+]
+ONE_VIP_FINAL_WEIGHTS = {
+    "DIP-1": 0.0697275675144266, "DIP-2": 0.22202622673005598,
+    "DIP-5": 0.01092248224325626, "DIP-6": 0.08162336319910492,
+    "DIP-7": 0.10581041443490284, "DIP-8": 0.02787704849457813,
+    "DIP-10": 0.001565661591403946, "DIP-11": 0.014213783636919794,
+    "DIP-12": 0.011300878702227495, "DIP-13": 0.2956665615698745,
+    "DIP-14": 0.011388680523490787, "DIP-15": 0.07684047166399711,
+    "DIP-16": 0.07103685969576166,
+}
+WLC_METRICS = {
+    "objective_ms": 6.631996769839967, "equal_split_latency_ms": 68.05144600509797,
+    "latency_gain": 3.4764436538607963, "mean_latency_ms": 17.09331785188194,
+    "max_utilization": 1.0, "total_rate_rps": 17102.847999999998,
+}
+WLC_DIP_10 = {
+    "rate_rps": 405.23586829719096, "utilization": 1.0,
+    "mean_latency_ms": 162.5,
+}
+# fmt: on
+
+
+class TestGoldenOneVip:
+    exact = {"rel": 1e-12, "abs": 0.0}
+
+    def test_per_seed_outputs_equal_recorded_values(self):
+        result = run(ExperimentSpec.from_dict(ONE_VIP_SPEC))
+        recorded = {key: result.metrics[key] for key in ONE_VIP_METRICS}
+        assert recorded == pytest.approx(ONE_VIP_METRICS, **self.exact)
+        assert [
+            w.metrics["mean_latency_ms"] for w in result.windows
+        ] == pytest.approx(ONE_VIP_WINDOW_MEAN_LATENCY_MS, **self.exact)
+        assert len(result.windows) == len(ONE_VIP_WINDOW_DIP_SHARE)
+        for window, share in zip(result.windows, ONE_VIP_WINDOW_DIP_SHARE):
+            assert window.dip_share == pytest.approx(share, **self.exact)
+        controllers = result.detail["plane"].controllers
+        assert set(controllers) == {"vip"}
+        assert controllers["vip"].current_weights == pytest.approx(
+            ONE_VIP_FINAL_WEIGHTS, **self.exact
+        )
+
+    def test_saturated_wlc_keeps_the_raw_weight_restore(self):
+        result = run(ExperimentSpec.from_dict(WLC_SPEC))
+        recorded = {key: result.metrics[key] for key in WLC_METRICS}
+        assert recorded == pytest.approx(WLC_METRICS, **self.exact)
+        assert result.dip_summaries["DIP-10"] == pytest.approx(
+            WLC_DIP_10 | {"vips": 1.0}, **self.exact
+        )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import DipServer, custom_vm_type
@@ -40,12 +40,20 @@ def pools(draw, min_dips=1, max_dips=8):
     return dips, weights
 
 
+def _one_dip_pool(weight: float):
+    vm = custom_vm_type("vm-0", vcpus=1, capacity_rps=50.0)
+    return {"d0": DipServer("d0", vm, seed=0, jitter_fraction=0.0)}, {"d0": weight}
+
+
 class TestSplitInvariants:
     @given(
         pool=pools(),
         policy=st.sampled_from(ALL_POLICIES),
         load=st.floats(min_value=0.0, max_value=1.5),
     )
+    # A subnormal weight: rate × weight underflowed before the division and
+    # 62.0 of 62.5 rps came back.
+    @example(pool=_one_dip_pool(5e-324), policy="wrr", load=1.25)
     @settings(max_examples=120, deadline=None)
     def test_splits_conserve_rate_and_stay_nonnegative(self, pool, policy, load):
         dips, weights = pool

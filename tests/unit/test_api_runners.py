@@ -54,7 +54,28 @@ class TestRunnersShareOneSpec:
             get_spec("testbed_klb").with_overrides({"controller.settle_steps": 1})
         )
         assert result.metrics["latency_gain"] > 1.5
-        assert result.detail is not None  # the programmed WeightAssignment
+        # One detail shape on the analytic substrate: a fluid run is the
+        # fleet with one VIP, named "vip".
+        assert set(result.detail) == {"assignments", "plane"}
+        assert set(result.detail["assignments"]) == {"vip"}
+        assert result.metrics["num_vips"] == 1.0
+        assert result.metrics["vips_with_assignment"] == 1.0
+
+    def test_fluid_and_fleet_share_one_runner(self):
+        assert runner_for("fluid") is runner_for("fleet")
+
+    @pytest.mark.parametrize("kind", ["fluid", "fleet"])
+    def test_analytic_runs_apply_the_workload_correction_from_the_start(self, kind):
+        # A static, uncontrolled run reads the state of the very first
+        # evaluation; the Allen-Cunneen factor must already be on the pool
+        # (the fleet twin once stamped it after building, and reported the
+        # uncorrected M/M/c latency beside its own divergence warning).
+        bursty = {"workload.arrival.kind": "mmpp", "workload.service.kind": "pareto"}
+        spec = small_spec(runner=kind, fleet=FleetSpec(num_vips=1))
+        plain = run(spec).metrics["mean_latency_ms"]
+        result = run(spec.with_overrides(bursty))
+        assert result.provenance.model_divergence is not None
+        assert result.metrics["mean_latency_ms"] > 2 * plain
 
     @pytest.mark.parametrize("kind", ["fluid", "request", "fleet"])
     def test_controller_needs_weighted_policy_on_every_substrate(self, kind):

@@ -12,6 +12,7 @@ The two load-bearing guarantees:
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ def request_env(**overrides) -> EnvSpec:
     )
     base.update(overrides)
     return EnvSpec(**base)
+
+
+#: a timed request spec under MMPP arrivals and Pareto service (also the
+#: spec CI's learn smoke step evaluates on the request substrate).
+BURSTY_SPEC = str(
+    Path(__file__).resolve().parents[2] / "examples" / "specs" / "bursty_outage.json"
+)
 
 
 def rollout(env: LoadBalanceEnv, seed: int, actions=None):
@@ -134,6 +142,21 @@ class TestSubstrateFidelity:
         env = LoadBalanceEnv(request_env())
         _, _, windows = rollout(env, 42)
         batch = execute(episode_spec(env.spec, 42))
+        assert [w.to_dict() for w in windows] == [
+            w.to_dict() for w in batch.windows
+        ]
+
+    def test_request_episode_runs_the_spec_workload_kinds(self):
+        # The env steps the batch runner's own cluster, so a non-Poisson
+        # workload reaches it (its private copy of the set-up once ran
+        # every episode Poisson / exponential).
+        env = LoadBalanceEnv(EnvSpec(scenario=BURSTY_SPEC, substrate="request"))
+        spec = episode_spec(env.spec, 5)
+        assert spec.workload.arrival.kind == "mmpp"
+        assert spec.workload.service.kind == "pareto"
+        assert len(spec.timeline.events) == 1
+        _, _, windows = rollout(env, 5)
+        batch = execute(spec)
         assert [w.to_dict() for w in windows] == [
             w.to_dict() for w in batch.windows
         ]

@@ -141,12 +141,14 @@ class TestWorkloadBatches:
 
 
 class TestDeterminism:
-    def _run(self, policy_cls, seed=11, requests=4000, warmup=0.5):
+    def _run(self, policy_cls, seed=11, requests=4000, warmup=0.5, duration=None):
         dips = make_dips([400.0, 400.0, 300.0], cores=2)
         cluster = RequestCluster(
             dips, policy_cls(list(dips)), rate_rps=600.0, seed=seed
         )
-        return cluster.run(num_requests=requests, warmup_s=warmup)
+        return cluster.run(
+            num_requests=requests, duration_s=duration, warmup_s=warmup
+        )
 
     @pytest.mark.parametrize("policy_cls", [RoundRobin, LeastConnection, FiveTupleHash])
     def test_same_seed_bit_identical_runs(self, policy_cls):
@@ -166,6 +168,23 @@ class TestDeterminism:
             assert summary.mean_latency_ms == other.mean_latency_ms
             assert summary.p99_latency_ms == other.p99_latency_ms
             assert summary.drop_fraction == other.drop_fraction
+
+    def test_a_segmented_run_replays_the_continuous_one(self):
+        """begin + one run_to per window + finish == run(), to the bit."""
+        whole = self._run(LeastConnection, requests=None, duration=6.0)
+        dips = make_dips([400.0, 400.0, 300.0], cores=2)
+        cluster = RequestCluster(
+            dips, LeastConnection(list(dips)), rate_rps=600.0, seed=11
+        )
+        cluster.begin(duration_s=6.0, warmup_s=0.5)
+        for stop in (0.5, 2.0, 2.0, 4.75, 6.5, 36.5):
+            cluster.run_to(stop)
+        parts = cluster.finish()
+        assert parts.duration_s == whole.duration_s
+        assert parts.requests_submitted == whole.requests_submitted
+        assert parts.requests_dropped == whole.requests_dropped
+        assert np.array_equal(parts.metrics.latencies_ms(), whole.metrics.latencies_ms())
+        assert parts.metrics.summaries() == whole.metrics.summaries()
 
     def test_different_seeds_differ(self):
         first = self._run(RoundRobin, seed=11)

@@ -417,8 +417,7 @@ class TestExportReplay:
 class TestLiveWeightOverrides:
     """``POST /weights``: boundary application, journaling, export guard."""
 
-    def test_override_lands_at_the_next_window_boundary(self):
-        session = LiveSession(fluid_spec())
+    def _assert_override_lands(self, session):
         session.tick()
         out = session.submit_weights({"weights": {"DIP-LC": 10.0, "DIP-HC-1": 1.0, "DIP-HC-2": 1.0}})
         assert out["scheduled_time_s"] == session.stepper.clock == 1.0
@@ -426,6 +425,15 @@ class TestLiveWeightOverrides:
         window = session.tick()
         assert out["label"] in window.events
         assert window.dip_share["DIP-LC"] > 0.5
+
+    def test_override_lands_at_the_next_window_boundary(self):
+        self._assert_override_lands(LiveSession(fluid_spec()))
+
+    def test_vip_may_be_omitted_on_a_one_vip_fleet(self):
+        # ``vip`` is optional wherever there is one VIP (the override once
+        # reached the fleet as VIP None and raised from inside the window).
+        spec = fluid_spec(runner="fleet", fleet={"num_vips": 1})
+        self._assert_override_lands(LiveSession(spec))
 
     def test_override_is_journaled_with_the_session_clock(self):
         session = LiveSession(fluid_spec())

@@ -538,13 +538,35 @@ class TestStepperWeightOverrides:
 
     def stepper(self):
         from repro.api.runners import build_cluster
-        from repro.api.timeline import fluid_timeline_stepper
+        from repro.api.timeline import fleet_timeline_stepper
 
         spec = timeline_spec()
         cluster = build_cluster(spec)
-        return cluster, fluid_timeline_stepper(
-            cluster, spec.timeline, BaseObserver(), seed=spec.seed
+        return cluster, fleet_timeline_stepper(
+            cluster.fleet, spec.timeline, BaseObserver(), seed=spec.seed
         )
+
+    def test_vip_may_be_omitted_on_a_one_vip_fleet(self):
+        from repro.api.runners import prepare_fleet
+        from repro.api.timeline import fleet_timeline_stepper
+
+        spec = timeline_spec(
+            runner="fleet",
+            fleet=api.FleetSpec(num_vips=1),
+            controller=api.ControllerSpec(enabled=False),
+        )
+        fleet, _, _, _ = prepare_fleet(spec)
+        stepper = fleet_timeline_stepper(fleet, spec.timeline, BaseObserver())
+        (vip,) = fleet.vips
+        target = next(iter(fleet.dips))
+        label = stepper.set_weights(
+            None, {d: 1.0 for d in fleet.dips} | {target: 50.0}
+        )
+        # The VIP the validation resolved is the VIP the override reaches.
+        window = stepper.step()
+        assert label in window.events
+        assert window.dip_share[target] > 0.5
+        assert stepper.weight_overrides[0][1] == vip
 
     def test_override_applies_at_the_next_window_boundary(self):
         cluster, stepper = self.stepper()
