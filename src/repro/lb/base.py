@@ -14,7 +14,9 @@ from __future__ import annotations
 import abc
 import inspect
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Container, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
@@ -51,6 +53,49 @@ class DipView:
     healthy: bool = True
 
 
+def effective_weights(weights: np.ndarray) -> np.ndarray:
+    """The weights a weighted pick acts on: negatives clip to zero, and a
+    vector that leaves nothing positive means a uniform split.
+
+    The one statement of the rule; every weight-programmed pick — ``wrr``,
+    ``wrandom`` and the ``dns`` resolver here, their three epoch routers in
+    :mod:`repro.parallel.epoch` — takes its weights through it.
+    """
+    clipped = np.maximum(weights, 0.0)
+    if clipped.any():
+        return clipped
+    return np.ones(clipped.size)
+
+
+def pick_cdf(weights: np.ndarray) -> np.ndarray:
+    """CDF over ``effective_weights(weights)`` for one-uniform-draw picks.
+
+    ``cdf.searchsorted(rng.random(), side="right")`` is then the index
+    ``rng.choice(n, p=w / w.sum())`` returns, draw for draw: this is the
+    normalisation ``Generator.choice`` applies underneath (the differential
+    test in ``tests/property`` holds the two together across numpy releases).
+    """
+    w = effective_weights(weights)
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def validated_weights(
+    weights: Mapping[DipId, float], known: Container[DipId]
+) -> dict[DipId, float]:
+    """``weights`` as floats, or :class:`ConfigurationError` before anything
+    is applied: every id must be in ``known`` and no weight negative."""
+    checked: dict[DipId, float] = {}
+    for dip, weight in weights.items():
+        if dip not in known:
+            raise ConfigurationError(f"unknown DIP {dip!r}")
+        if weight < 0:
+            raise ConfigurationError(f"negative weight for {dip!r}")
+        checked[dip] = float(weight)
+    return checked
+
+
 class Policy(abc.ABC):
     """A DIP-selection policy running on a MUX."""
 
@@ -76,18 +121,23 @@ class Policy(abc.ABC):
         self._views: dict[DipId, DipView] = {
             dip: DipView(dip=dip) for dip in dip_list
         }
-        # Healthy-set caches: select() runs once per simulated request, so
-        # recomputing the healthy tuple per call is O(DIPs) on the hot path.
-        # Health only changes through set_healthy/add_dip/remove_dip, which
-        # invalidate both caches.
+        # select() runs once per simulated request, so nothing on it
+        # recomputes what only a pool, health or weight change can move:
+        # the healthy tuple, the candidate views, and ``_plan`` — whatever
+        # a weight-programmed policy derives from the candidates and their
+        # weights (ids, effective weights, a total or a CDF).  All three
+        # are built lazily and dropped together by the four calls that can
+        # change them: add_dip, remove_dip, set_healthy, set_weights.
         self._healthy_cache: tuple[DipId, ...] | None = None
         self._candidates_cache: list[DipView] | None = None
+        self._plan: Any = None
 
     # -- DIP pool management -------------------------------------------------
 
-    def _invalidate_pool_caches(self) -> None:
+    def _drop_plan(self) -> None:
         self._healthy_cache = None
         self._candidates_cache = None
+        self._plan = None
 
     @property
     def dips(self) -> tuple[DipId, ...]:
@@ -110,26 +160,27 @@ class Policy(abc.ABC):
         if weight < 0:
             raise ConfigurationError(f"negative weight for {dip!r}")
         self._views[dip] = DipView(dip=dip, weight=float(weight))
-        self._invalidate_pool_caches()
+        self._drop_plan()
 
     def remove_dip(self, dip: DipId) -> None:
         self._views.pop(dip, None)
-        self._invalidate_pool_caches()
+        self._drop_plan()
 
     def set_healthy(self, dip: DipId, healthy: bool) -> None:
         self._views[dip].healthy = healthy
-        self._invalidate_pool_caches()
+        self._drop_plan()
 
     # -- weights --------------------------------------------------------------
 
     def set_weights(self, weights: Mapping[DipId, float]) -> None:
-        """Program per-DIP weights; ignored by unweighted policies."""
-        for dip, weight in weights.items():
-            if dip not in self._views:
-                raise ConfigurationError(f"unknown DIP {dip!r}")
-            if weight < 0:
-                raise ConfigurationError(f"negative weight for {dip!r}")
-            self._views[dip].weight = float(weight)
+        """Program per-DIP weights; ignored by unweighted policies.
+
+        All or nothing: an unknown id or a negative weight anywhere in the
+        mapping raises before any DIP is re-weighted.
+        """
+        for dip, weight in validated_weights(weights, self._views).items():
+            self._views[dip].weight = weight
+        self._drop_plan()
         self._on_weights_changed()
 
     def weights(self) -> dict[DipId, float]:
@@ -167,6 +218,12 @@ class Policy(abc.ABC):
         if not views:
             raise ConfigurationError("no healthy DIPs available")
         return views
+
+    def _candidate_weights(self) -> tuple[tuple[DipId, ...], np.ndarray]:
+        """Healthy DIP ids in pool order and their programmed weights — what
+        a weight plan is built from."""
+        weights = np.array([v.weight for v in self._candidates()], dtype=float)
+        return self.healthy_dips, weights
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(dips={len(self._views)})"

@@ -17,7 +17,13 @@ import numpy as np
 
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
-from repro.lb.base import FlowKey, Policy, register_policy
+from repro.lb.base import (
+    FlowKey,
+    Policy,
+    pick_cdf,
+    register_policy,
+    validated_weights,
+)
 
 
 @dataclass
@@ -42,35 +48,34 @@ class WeightedDnsResolver:
         self._weights: dict[DipId, float] = {dip: 1.0 for dip in dip_list}
         self._healthy: dict[DipId, bool] = {dip: True for dip in dip_list}
         self._rng = np.random.default_rng(seed)
+        #: healthy DIPs and the CDF over their effective weights; built by
+        #: ``resolve``, dropped by ``set_weights`` / ``set_healthy``.
+        self._plan: tuple[list[DipId], np.ndarray] | None = None
         if weights:
             self.set_weights(weights)
 
     def set_weights(self, weights: Mapping[DipId, float]) -> None:
-        for dip, weight in weights.items():
-            if dip not in self._weights:
-                raise ConfigurationError(f"unknown DIP {dip!r}")
-            if weight < 0:
-                raise ConfigurationError(f"negative weight for {dip!r}")
-            self._weights[dip] = float(weight)
+        self._weights.update(validated_weights(weights, self._weights))
+        self._plan = None
 
     def weights(self) -> dict[DipId, float]:
         return dict(self._weights)
 
     def set_healthy(self, dip: DipId, healthy: bool) -> None:
         self._healthy[dip] = healthy
+        self._plan = None
 
     def resolve(self) -> DipId:
         """Answer one DNS query with a weighted-random healthy DIP."""
-        dips = [d for d, ok in self._healthy.items() if ok]
-        if not dips:
-            raise ConfigurationError("no healthy DIPs to resolve to")
-        weights = np.array([max(0.0, self._weights[d]) for d in dips])
-        total = weights.sum()
-        if total <= 0:
-            weights = np.ones(len(dips))
-            total = float(len(dips))
-        index = int(self._rng.choice(len(dips), p=weights / total))
-        return dips[index]
+        plan = self._plan
+        if plan is None:
+            dips = [d for d, ok in self._healthy.items() if ok]
+            if not dips:
+                raise ConfigurationError("no healthy DIPs to resolve to")
+            cdf = pick_cdf(np.array([self._weights[d] for d in dips], dtype=float))
+            plan = self._plan = (dips, cdf)
+        dips, cdf = plan
+        return dips[cdf.searchsorted(self._rng.random(), side="right")]
 
 
 class DnsWeightedPolicy(Policy):

@@ -7,7 +7,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.core.types import DipId
-from repro.lb.base import FlowKey, Policy, register_policy
+from repro.lb.base import FlowKey, Policy, pick_cdf, register_policy
 
 
 class RandomSelect(Policy):
@@ -48,15 +48,12 @@ class WeightedRandom(Policy):
             self.set_weights(weights)
 
     def select(self, flow: FlowKey) -> DipId:
-        candidates = self._candidates()
-        weights = np.array([max(0.0, v.weight) for v in candidates], dtype=float)
-        total = weights.sum()
-        if total <= 0:
-            weights = np.ones(len(candidates))
-            total = float(len(candidates))
-        probabilities = weights / total
-        index = int(self._rng.choice(len(candidates), p=probabilities))
-        return candidates[index].dip
+        plan = self._plan
+        if plan is None:
+            ids, weights = self._candidate_weights()
+            plan = self._plan = (ids, pick_cdf(weights))
+        ids, cdf = plan
+        return ids[cdf.searchsorted(self._rng.random(), side="right")]
 
 
 register_policy("random", RandomSelect, weighted=False, summary="uniform random")

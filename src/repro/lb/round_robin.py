@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
-from repro.lb.base import FlowKey, Policy, register_policy
+from repro.lb.base import FlowKey, Policy, effective_weights, register_policy
 
 
 class RoundRobin(Policy):
@@ -37,8 +39,41 @@ class RoundRobin(Policy):
         return dip
 
 
+def smooth_wrr_weights(weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """Effective weights and the total a smooth-WRR pick subtracts.
+
+    The total is the left-to-right sum (``cumsum`` — not the pairwise
+    ``np.sum``, nor the builtin ``sum``, which is compensated from Python
+    3.12 on): a pick sequence is a function of its last bit, and the serial
+    policy and the epoch router must read the same one.
+    """
+    w = effective_weights(weights)
+    return w, float(w.cumsum()[-1])
+
+
+def smooth_wrr_step(current: np.ndarray, w: np.ndarray, total: float) -> int:
+    """One smooth-WRR pick over aligned arrays, advancing ``current`` in place.
+
+    Every candidate's score grows by its weight, the highest score wins —
+    the first of equal scores, so ties go in pool order — and the winner
+    pays the total back.  This is the only statement of the recurrence:
+    :class:`WeightedRoundRobin` and the epoch engine's ``_SmoothWrrRouter``
+    both pick through it.
+    """
+    current += w
+    best = current.argmax()
+    current[best] -= total
+    return best
+
+
 class WeightedRoundRobin(Policy):
-    """Smooth weighted round robin (the WRR the paper's MUXes implement)."""
+    """Smooth weighted round robin (the WRR the paper's MUXes implement).
+
+    Scores are frozen, not reset, while a DIP is unhealthy, and zeroed by
+    ``set_weights`` so new weights take effect immediately for new
+    connections (existing connections are not moved, preserving connection
+    affinity as in the paper).
+    """
 
     name = "wrr"
     supports_weights = True
@@ -52,35 +87,38 @@ class WeightedRoundRobin(Policy):
         weights: Mapping[DipId, float] | None = None,
     ) -> None:
         super().__init__(dips)
-        self._current: dict[DipId, float] = {dip: 0.0 for dip in self.dips}
+        #: scores as of the last dropped plan (absent means 0); the live
+        #: plan's ``current`` array is ahead of these for its candidates.
+        self._current: dict[DipId, float] = {}
         if weights:
             self.set_weights(weights)
 
+    def accumulators(self) -> dict[DipId, float]:
+        """Every pool DIP's current smooth-WRR score."""
+        scores = dict(self._current)
+        if self._plan is not None:
+            ids, _, _, current = self._plan
+            scores.update(zip(ids, current.tolist()))
+        return {dip: scores.get(dip, 0.0) for dip in self.dips}
+
+    def _drop_plan(self) -> None:
+        # Scores outlive the plan that advanced them — except a removed
+        # DIP's, which is no longer in the pool ``accumulators`` reports.
+        self._current = self.accumulators()
+        super()._drop_plan()
+
     def _on_weights_changed(self) -> None:
-        # Reset the smooth-WRR accumulators so new weights take effect
-        # immediately for new connections (existing connections are not
-        # moved, preserving connection affinity as in the paper).
-        self._current = {dip: 0.0 for dip in self.dips}
+        self._current.clear()
 
     def select(self, flow: FlowKey) -> DipId:
-        candidates = self._candidates()
-        weighted = [(v, max(0.0, v.weight)) for v in candidates]
-        total = sum(w for _, w in weighted)
-        if total <= 0:
-            # All-zero weights degrade to plain round robin over the pool.
-            weighted = [(v, 1.0) for v in candidates]
-            total = float(len(candidates))
-        best: DipId | None = None
-        best_score = float("-inf")
-        for view, weight in weighted:
-            score = self._current.setdefault(view.dip, 0.0) + weight
-            self._current[view.dip] = score
-            if score > best_score:
-                best_score = score
-                best = view.dip
-        assert best is not None
-        self._current[best] -= total
-        return best
+        plan = self._plan
+        if plan is None:
+            ids, weights = self._candidate_weights()
+            w, total = smooth_wrr_weights(weights)
+            current = np.array([self._current.get(dip, 0.0) for dip in ids])
+            plan = self._plan = (ids, w, total, current)
+        ids, w, total, current = plan
+        return ids[smooth_wrr_step(current, w, total)]
 
 
 register_policy("rr", RoundRobin, weighted=False, summary="round robin")

@@ -43,8 +43,9 @@ hash-driven policies (p2/random/wrandom/dns/hash, ECMP) reproduce the
 serial engine's *law*, not its byte stream — p2 draws its pairs from a
 dedicated lane and the flow hash is a same-law 64-bit mixer rather than
 the serial sha1 — so their cross-check deltas are sampling noise plus
-staleness, while lc/wlc/wrr/rr replicas mirror the serial tie-break rules
-exactly.
+staleness, while lc/wlc/rr replicas mirror the serial tie-break rules
+exactly and the wrr replica picks through the serial policy's own kernel
+(:func:`repro.lb.round_robin.smooth_wrr_step`), arrival for arrival.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ import numpy as np
 
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
+from repro.lb.base import pick_cdf
+from repro.lb.round_robin import smooth_wrr_step, smooth_wrr_weights
 from repro.parallel.kernel import (
     arrival_seed,
     flow_seed,
@@ -293,23 +296,20 @@ class _WeightedRandomRouter(_EpochRouter):
 
     def route(self, times, clients, ports):
         h = self._candidates()
-        w = np.clip(self._weights[h], 0.0, None)
-        total = w.sum()
-        if total <= 0:
-            w = np.ones(h.size)
-            total = float(h.size)
-        cdf = np.cumsum(w / total)
-        cdf[-1] = 1.0
+        cdf = pick_cdf(self._weights[h])
         picks = np.searchsorted(cdf, self._rng.random(times.size), side="right")
         return h[picks].astype(np.int32)
 
 
 class _SmoothWrrRouter(_EpochRouter):
-    """Smooth weighted round robin with the serial engine's exact rules:
+    """``WeightedRoundRobin`` over array state, pick for pick.
 
-    first-max-wins on ties (pool order), all-zero weights degrade to
-    uniform, accumulators persist across health changes and reset only
-    when weights change.
+    The weights, their total and every step come from the functions the
+    serial policy calls (:func:`repro.lb.round_robin.smooth_wrr_weights`,
+    :func:`~repro.lb.round_robin.smooth_wrr_step`), so for equal weights
+    and health history the two return the same DIP for every arrival;
+    accumulators persist across health changes and reset only when weights
+    change, as there.
     """
 
     def __init__(self, num_dips: int, dip_rank: Sequence[int]):
@@ -322,21 +322,13 @@ class _SmoothWrrRouter(_EpochRouter):
 
     def route(self, times, clients, ports):
         h = self._candidates()
-        w = np.clip(self._weights[h], 0.0, None)
-        total = w.sum()
-        if total <= 0:
-            w = np.ones(h.size)
-            total = float(h.size)
+        w, total = smooth_wrr_weights(self._weights[h])
         current = self._current[h]  # fancy-index copy; written back below
-        out = np.empty(times.size, dtype=np.int32)
-        argmax = np.argmax
+        picks = np.empty(times.size, dtype=np.int64)
         for i in range(times.size):
-            current += w
-            best = int(argmax(current))
-            current[best] -= total
-            out[i] = h[best]
+            picks[i] = smooth_wrr_step(current, w, total)
         self._current[h] = current
-        return out
+        return h[picks].astype(np.int32)
 
 
 class _LeastConnectionRouter(_EpochRouter):
@@ -514,14 +506,7 @@ class _DnsRouter(_EpochRouter):
         if h.size == 0:
             self._cdf = None
             return
-        w = np.clip(self._weights[h], 0.0, None)
-        total = w.sum()
-        if total <= 0:
-            w = np.ones(h.size)
-            total = float(h.size)
-        cdf = np.cumsum(w / total)
-        cdf[-1] = 1.0
-        self._cdf = cdf
+        self._cdf = pick_cdf(self._weights[h])
 
     def _draw(self) -> float:
         if not self._uniforms:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.lb.base import effective_weights
 
 # SeedSequence lanes for the independent substreams of one run.  The lane
 # markers are non-zero and every key ends in a non-zero word: SeedSequence
@@ -147,12 +148,8 @@ def build_dip_arrival_streams(
     if probabilities is None:
         probabilities = np.full(num_dips, 1.0 / num_dips)
     else:
-        probabilities = np.asarray(probabilities, dtype=np.float64)
-        total = probabilities.sum()
-        if total <= 0:
-            probabilities = np.full(num_dips, 1.0 / num_dips)
-        else:
-            probabilities = probabilities / total
+        weights = effective_weights(np.asarray(probabilities, dtype=np.float64))
+        probabilities = weights / weights.sum()
     rng = np.random.default_rng(arrival_seed(seed))
     times = poisson_arrival_times(rng, rate_rps, horizon_s)
     assignment = assign_dips(

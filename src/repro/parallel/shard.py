@@ -288,9 +288,7 @@ def run_request_sharded(
 
     weights = replay_controller_weights(spec)
     if plan.routing == "iid-weighted" and weights is not None:
-        probabilities = [max(0.0, weights.get(d, 0.0)) for d in dip_ids]
-        if sum(probabilities) <= 0:
-            probabilities = None
+        probabilities = [weights.get(d, 0.0) for d in dip_ids]
     else:
         probabilities = None
 

@@ -3,8 +3,12 @@ simulator, working through different LB facades (§6.2, §6.5)."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from repro.api.runners import execute
+from repro.api.spec import ExperimentSpec
 from repro.core import KnapsackLBController
 from repro.lb import (
     AzureTrafficManagerSim,
@@ -150,3 +154,47 @@ class TestWorkingThroughFacades:
         cluster.run(num_requests=6000)
         share = cluster.request_share()
         assert share["DIP-LC"] == pytest.approx(0.5, abs=0.05)
+
+
+# -- golden per-seed gate: weighted picks through the request engine ---------------
+#
+# ``req_serial_klb_wrr`` (the benchmark's workload file, read here, never edited)
+# and its ``wrandom`` / ``dns`` variants, recorded at commit 3a7c161 — before the
+# three weight-programmed policies began picking from a cached weight plan.  A
+# plan changes when a pick is computed, never which DIP it returns, so these
+# move only with a change that means to move the serial pick sequence.
+
+KLB_WRR_SPEC = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks/observatory/workloads/req_serial_klb_wrr.json"
+)
+
+
+class TestGoldenWeightedRequestRuns:
+    @pytest.mark.parametrize(
+        "seed, mean_latency_ms",
+        [
+            (17, 3.568222258127605),
+            (1026, 3.4985327679451816),
+            (2035, 3.3952463131588257),
+        ],
+    )
+    def test_klb_wrr_workload(self, seed, mean_latency_ms):
+        spec = ExperimentSpec.from_file(KLB_WRR_SPEC).with_overrides({"seed": seed})
+        assert execute(spec).metrics["mean_latency_ms"] == mean_latency_ms
+
+    @pytest.mark.parametrize(
+        "policy, mean_latency_ms, p99_latency_ms",
+        [
+            ("wrandom", 5.3370588732707, 28.708704254017498),
+            # 8 clients behind a 30 s resolver cache pin 8 of the 30 DIPs.
+            ("dns", 208.4890567708998, 686.6348950183504),
+        ],
+    )
+    def test_random_laws_on_the_same_pool(self, policy, mean_latency_ms, p99_latency_ms):
+        spec = ExperimentSpec.from_file(KLB_WRR_SPEC).with_overrides(
+            {"policy.name": policy, "workload.num_requests": 20_000}
+        )
+        metrics = execute(spec).metrics
+        assert metrics["mean_latency_ms"] == mean_latency_ms
+        assert metrics["p99_latency_ms"] == p99_latency_ms

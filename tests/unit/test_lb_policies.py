@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -20,6 +21,7 @@ from repro.lb import (
     PowerOfTwo,
     RandomSelect,
     RoundRobin,
+    WeightedDnsResolver,
     WeightedLeastConnection,
     WeightedRandom,
     WeightedRoundRobin,
@@ -27,6 +29,7 @@ from repro.lb import (
     policy_registry,
     stable_hash,
 )
+from repro.lb.base import effective_weights
 
 DIPS = ["a", "b", "c"]
 
@@ -95,6 +98,46 @@ class TestBasePolicy:
         with pytest.raises(ConfigurationError):
             policy.set_weights({"a": -0.1})
 
+    @pytest.mark.parametrize("bad", [{"c": -1.0}, {"ghost": 1.0}])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: WeightedRoundRobin(DIPS),
+            lambda: WeightedRandom(DIPS, seed=9),
+            lambda: DnsWeightedPolicy(DIPS, cache_ttl_s=0.0, seed=9),
+        ],
+        ids=["wrr", "wrandom", "dns"],
+    )
+    def test_rejected_set_weights_changes_nothing(self, make, bad):
+        """A mapping whose last entry is bad is refused whole: same weights,
+        same accumulators, same plan — so the same next picks as a policy
+        that never saw the call."""
+
+        def next_picks(reprogram):
+            policy = make()
+            policy.set_weights({"a": 0.5, "b": 0.3, "c": 0.2})
+            selection_counts(policy, 7)  # stop mid-cycle, plan built
+            if reprogram:
+                before = policy.weights()
+                with pytest.raises(ConfigurationError):
+                    policy.set_weights({"a": 0.1, "b": 0.9, **bad})
+                assert policy.weights() == before
+            return [policy.select(flow) for flow in flows(100)]
+
+        assert next_picks(reprogram=True) == next_picks(reprogram=False)
+
+    def test_resolver_rejects_a_bad_mapping_whole(self):
+        resolver = WeightedDnsResolver(DIPS, weights={"a": 1.0, "b": 0.0, "c": 0.0})
+        with pytest.raises(ConfigurationError):
+            resolver.set_weights({"a": 0.0, "b": 1.0, "c": -1.0})
+        assert resolver.weights() == {"a": 1.0, "b": 0.0, "c": 0.0}
+        assert resolver.resolve() == "a"
+
+    def test_weight_rule(self):
+        """Negatives clip to zero; nothing positive left means uniform."""
+        assert effective_weights(np.array([2.0, -1.0, 0.5])).tolist() == [2.0, 0.0, 0.5]
+        assert effective_weights(np.array([0.0, -3.0, 0.0])).tolist() == [1.0, 1.0, 1.0]
+
     def test_connection_counters(self):
         policy = LeastConnection(DIPS)
         policy.on_connection_open("a")
@@ -156,6 +199,25 @@ class TestWeightedRoundRobin:
         assert selection_counts(policy, 100)["a"] == 100
         policy.set_weights({"a": 0.0, "b": 1.0, "c": 0.0})
         assert selection_counts(policy, 100)["b"] == 100
+
+    def test_health_flip_freezes_the_score_and_set_weights_zeroes_it(self):
+        policy = WeightedRoundRobin(DIPS, weights={"a": 0.5, "b": 0.3, "c": 0.2})
+        selection_counts(policy, 3)
+        frozen = policy.accumulators()["a"]
+        assert frozen != 0.0
+        policy.set_healthy("a", False)
+        selection_counts(policy, 10)
+        assert policy.accumulators()["a"] == frozen
+        policy.set_weights({"b": 0.4})
+        assert policy.accumulators() == {"a": 0.0, "b": 0.0, "c": 0.0}
+
+    def test_removed_dip_comes_back_with_a_zero_score(self):
+        policy = WeightedRoundRobin(DIPS, weights={"a": 0.5, "b": 0.3, "c": 0.2})
+        selection_counts(policy, 3)
+        assert policy.accumulators()["a"] != 0.0
+        policy.remove_dip("a")
+        policy.add_dip("a", weight=0.5)
+        assert policy.accumulators()["a"] == 0.0
 
 
 class TestLeastConnection:

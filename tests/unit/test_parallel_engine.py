@@ -38,7 +38,13 @@ from repro.api.spec import (
 )
 from repro.api.sweep import Sweep
 from repro.exceptions import ConfigurationError
-from repro.lb import LeastConnection, MuxPool, policy_seed_kwargs
+from repro.lb import (
+    FlowKey,
+    LeastConnection,
+    MuxPool,
+    WeightedRoundRobin,
+    policy_seed_kwargs,
+)
 from repro.parallel import (
     ShardPlan,
     WorkerPool,
@@ -48,6 +54,7 @@ from repro.parallel import (
     run_request_sharded,
     staleness_crosscheck,
 )
+from repro.parallel.epoch import _SmoothWrrRouter
 from repro.parallel.kernel import (
     arrival_seed,
     build_dip_arrival_streams,
@@ -485,6 +492,54 @@ class TestEpochExecution:
         assert result.provenance.shards == 4
         assert result.provenance.sync_interval_s == pytest.approx(0.1)
         assert result.provenance.fallback_reason is None
+
+
+class TestSerialEpochWrr:
+    """``wrr`` has one definition: the epoch router and the serial policy
+    pick through the same kernel with the same total, so they agree on
+    every arrival, not just in law."""
+
+    @staticmethod
+    def weight_vector(seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 65))
+        kind = seed % 4
+        if kind == 0:  # normalised, as the controller programs them
+            w = rng.uniform(0.05, 1.0, n)
+            return w / w.sum()
+        if kind == 1:  # un-normalised
+            return rng.uniform(0.5, 2.0, n)
+        if kind == 2:  # runs of equal weights (same-capacity DIP groups)
+            return np.repeat(rng.uniform(0.1, 3.0, 4), -(-n // 4))[:n]
+        w = rng.uniform(0.0, 1.0, n)  # some DIPs parked at zero
+        w[rng.random(n) < 0.25] = 0.0
+        return w
+
+    def test_router_returns_the_picks_select_makes(self):
+        arrivals, flip_at = 50_000, 25_000
+        flow = FlowKey(src_ip="10.1.0.1", src_port=1024, dst_ip="10.0.0.1", dst_port=80)
+        ignored = np.empty(0, dtype=np.int64)
+        for seed in range(40):
+            w = self.weight_vector(seed)
+            dips = [f"DIP-{i + 1}" for i in range(w.size)]
+            index = {dip: i for i, dip in enumerate(dips)}
+            policy = WeightedRoundRobin(dips, weights=dict(zip(dips, w.tolist())))
+            router = _SmoothWrrRouter(w.size, list(range(w.size)))
+            router.set_weights(w)
+            flipped = int(np.argmax(w))  # the busiest DIP goes away mid-run
+
+            serial, epoch = [], []
+            for count in (flip_at, arrivals - flip_at):
+                serial += [index[policy.select(flow)] for _ in range(count)]
+                epoch.append(router.route(np.empty(count), ignored, ignored))
+                policy.set_healthy(dips[flipped], False)
+                router.set_healthy(flipped, False)
+            epoch = np.concatenate(epoch)
+
+            differing = np.flatnonzero(epoch != np.array(serial))
+            assert differing.size == 0, (
+                f"seed {seed} ({w.size} DIPs): first differing pick {differing[0]}"
+            )
 
 
 class TestPolicySeedKwargs:
