@@ -61,8 +61,10 @@ from repro.exceptions import (
 
 __version__ = "1.1.0"
 
-# The declarative API imports experiments (scenario bridging), which imports
-# almost everything else — load it lazily so ``import repro`` stays light.
+# ``repro.api`` (spec, registry, runners, sweep, timeline) loads on first
+# attribute access, so ``import repro`` pays for the controller re-exports
+# above and no more.  Neither imports experiments, learn, service, parallel or
+# SciPy: those load in the runner, CLI verb, curve fit or solve that needs them.
 _LAZY_SUBMODULES = ("api",)
 
 

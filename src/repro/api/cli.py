@@ -49,16 +49,16 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.analysis import format_table
-from repro.api.registry import get_spec, list_specs
-from repro.api.result import RunResult
-from repro.api.runners import execute
-from repro.api.spec import ExperimentSpec
-from repro.api.sweep import Sweep, SweepAxis, compare, window_table
-from repro.api.timeline import PrintingObserver
 from repro.exceptions import ReproError
+
+# Each verb imports what it runs inside its handler, so ``validate FILE`` never
+# loads the learn harness and only ``serve`` loads the daemon; parsing the
+# command line needs none of it.
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.api.result import RunResult
+    from repro.api.spec import ExperimentSpec
 
 
 def _parse_value(text: str) -> Any:
@@ -82,6 +82,8 @@ def _parse_overrides(pairs: Sequence[str]) -> dict[str, Any]:
 
 
 def _resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
+    from repro.api.registry import get_spec
+
     spec = get_spec(args.spec)
     overrides = _parse_overrides(args.set or [])
     if getattr(args, "runner", None):
@@ -94,6 +96,8 @@ def _resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def _metrics_table(result: RunResult) -> str:
+    from repro.analysis import format_table
+
     rows = [[key, value] for key, value in sorted(result.metrics.items())]
     return format_table(
         ["metric", "value"],
@@ -106,12 +110,15 @@ def _metrics_table(result: RunResult) -> str:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table
+    from repro.api.registry import list_specs
     from repro.lb import policy_registry
     from repro.learn import (
         agent_registry,
         env_scenario_registry,
         learn_spec_registry,
     )
+    from repro.workloads import ARRIVAL_KINDS, SERVICE_KINDS
 
     rows = [[name, summary] for name, summary in list_specs()]
     print(format_table(["spec", "summary"], rows, title="Registered specs"))
@@ -163,8 +170,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
             title="Named learn specs (learn train NAME)",
         )
     )
-    from repro.workloads import ARRIVAL_KINDS, SERVICE_KINDS
-
     arrival_rows = [
         [name, summary] for name, summary in sorted(ARRIVAL_KINDS.items())
     ]
@@ -226,13 +231,15 @@ def _learn_document(ref: str) -> dict[str, Any] | None:
     section — ambiguous or unparsable files fall through to the ordinary
     spec path so its errors surface unchanged.
     """
-    from repro.learn import get_learn_spec, learn_spec_registry
-
-    if ref in learn_spec_registry():
-        return get_learn_spec(ref).to_dict()
     path = Path(ref)
     suffix = path.suffix.lower()
     if suffix not in (".json", ".toml") or not path.exists():
+        # Not a file: only now is the learn harness worth importing, to ask
+        # whether ``ref`` is one of its registered names.
+        from repro.learn import get_learn_spec, learn_spec_registry
+
+        if ref in learn_spec_registry():
+            return get_learn_spec(ref).to_dict()
         return None
     try:
         if suffix == ".toml":
@@ -312,6 +319,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.api.runners import execute
+    from repro.api.timeline import PrintingObserver
+
     spec = _resolve_spec(args)
     observers = (PrintingObserver(),) if args.watch else ()
     sharding = args.shards is not None and args.shards > 1
@@ -386,6 +396,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.api.sweep import Sweep, SweepAxis, compare
+
     spec = _resolve_spec(args)
     axes = []
     for raw in args.axis:
@@ -427,6 +439,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.api.result import RunResult
+    from repro.api.sweep import compare, window_table
+
     results = [RunResult.load(path) for path in args.results]
     report = compare(results)
     print(report.render())
@@ -443,6 +458,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_learn_train(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table
     from repro.learn import train
 
     spec = _resolve_learn_spec(args)
@@ -504,6 +520,7 @@ def _cmd_learn_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_learn_eval(args: argparse.Namespace) -> int:
+    from repro.analysis import format_table
     from repro.learn import evaluate_checkpoint
 
     report = evaluate_checkpoint(

@@ -53,11 +53,16 @@ def list_specs() -> tuple[tuple[str, str], ...]:
 
 def get_spec(name: str) -> ExperimentSpec:
     """Resolve ``name`` to a spec: registry first, then a .json/.toml path."""
-    _bridge_scenarios()
+    is_file = name.endswith((".json", ".toml"))
     factory = _SPECS.get(name)
+    if factory is None and not is_file:
+        # Only a scenario name is worth importing ``repro.experiments`` for;
+        # a built-in spec or a spec file resolves without it.
+        _bridge_scenarios()
+        factory = _SPECS.get(name)
     if factory is not None:
         return factory()
-    if name.endswith((".json", ".toml")):
+    if is_file:
         return ExperimentSpec.from_file(name)
     known = ", ".join(sorted(_SPECS))
     raise ConfigurationError(

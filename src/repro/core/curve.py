@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.core.config import CurveConfig
 from repro.core.types import MeasurementPoint
@@ -196,7 +195,10 @@ def fit_curve(
         # Constrained least squares with non-negative coefficients: latency
         # can only grow with weight, which keeps the fit sane in weight
         # regions the exploration did not sample densely (Algorithm 1 tends
-        # to cluster points near capacity).
+        # to cluster points near capacity).  SciPy loads here, at the first
+        # constrained fit, so runs that never fit a curve never import it.
+        from scipy.optimize import nnls
+
         design = np.vander(weights, degree + 1, increasing=True)
         solution, _ = nnls(design, latencies)
         coefficients = solution[::-1]

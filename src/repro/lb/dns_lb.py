@@ -49,7 +49,8 @@ class WeightedDnsResolver:
         self._healthy: dict[DipId, bool] = {dip: True for dip in dip_list}
         self._rng = np.random.default_rng(seed)
         #: healthy DIPs and the CDF over their effective weights; built by
-        #: ``resolve``, dropped by ``set_weights`` / ``set_healthy``.
+        #: ``resolve``, dropped by ``set_weights`` / ``set_healthy`` /
+        #: ``add_dip`` / ``remove_dip``.
         self._plan: tuple[list[DipId], np.ndarray] | None = None
         if weights:
             self.set_weights(weights)
@@ -63,6 +64,16 @@ class WeightedDnsResolver:
 
     def set_healthy(self, dip: DipId, healthy: bool) -> None:
         self._healthy[dip] = healthy
+        self._plan = None
+
+    def add_dip(self, dip: DipId, *, weight: float = 1.0) -> None:
+        self._weights[dip] = float(weight)
+        self._healthy[dip] = True
+        self._plan = None
+
+    def remove_dip(self, dip: DipId) -> None:
+        self._weights.pop(dip, None)
+        self._healthy.pop(dip, None)
         self._plan = None
 
     def resolve(self) -> DipId:
@@ -119,6 +130,16 @@ class DnsWeightedPolicy(Policy):
     def set_healthy(self, dip: DipId, healthy: bool) -> None:
         super().set_healthy(dip, healthy)
         self._resolver.set_healthy(dip, healthy)
+
+    def add_dip(self, dip: DipId, *, weight: float = 1.0) -> None:
+        super().add_dip(dip, weight=weight)
+        self._resolver.add_dip(dip, weight=weight)
+
+    def remove_dip(self, dip: DipId) -> None:
+        super().remove_dip(dip)
+        self._resolver.remove_dip(dip)
+        # A client must not ride a live TTL entry to a DIP that is gone.
+        self._cache = {c: e for c, e in self._cache.items() if e.dip != dip}
 
     def select(self, flow: FlowKey) -> DipId:
         client = flow.src_ip

@@ -53,7 +53,6 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from multiprocessing import get_context, shared_memory
 from queue import Empty
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
@@ -73,6 +72,7 @@ from repro.parallel.shard import (
     QUEUE_CAPACITY,
     _discard_shm,
     merge_shard_outcomes,
+    open_segment,
     publish_blocks,
 )
 
@@ -954,7 +954,7 @@ def _epoch_worker(payload, barrier, counts_name, result_queue):  # pragma: no co
     counts_shm = None
     try:
         sim = EpochShardSim(payload)
-        counts_shm = shared_memory.SharedMemory(name=counts_name)
+        counts_shm = open_segment(counts_name)
         board = np.ndarray((sim.num_slots,), dtype=np.float64, buffer=counts_shm.buf)
         schedule = payload["schedule"]
         last = len(schedule) - 1
@@ -988,12 +988,13 @@ def _run_epoch_processes(
     payloads: list[dict[str, Any]], num_slots: int, run_tag: str
 ) -> list[dict[str, Any]]:
     """Fan the shards out as barrier-connected processes and collect results."""
+    # Loaded here, not at import: an inline run (``workers=1``) forks nothing.
+    from multiprocessing import get_context
+
     ctx = get_context()
     barrier = ctx.Barrier(len(payloads))
     result_queue = ctx.Queue()
-    counts_shm = shared_memory.SharedMemory(
-        name=f"{run_tag}-sync", create=True, size=max(1, num_slots * 8)
-    )
+    counts_shm = open_segment(f"{run_tag}-sync", create_bytes=max(1, num_slots * 8))
     np.ndarray((num_slots,), dtype=np.float64, buffer=counts_shm.buf).fill(0.0)
     procs = [
         ctx.Process(

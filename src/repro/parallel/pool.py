@@ -24,8 +24,7 @@ import os
 import time
 import traceback
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.exceptions import ConfigurationError
@@ -33,6 +32,8 @@ from repro.exceptions import ConfigurationError
 logger = logging.getLogger("repro.parallel")
 
 if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.api.result import RunResult
     from repro.api.spec import ExperimentSpec
 
@@ -138,6 +139,10 @@ class WorkerPool:
 
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            # ``multiprocessing`` loads with the first real worker, so a
+            # single-worker pool (every dispatch inline) never imports it.
+            from concurrent.futures import ProcessPoolExecutor
+
             self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
         return self._executor
 
@@ -187,6 +192,8 @@ class WorkerPool:
         payloads: list[Any],
         stats: dict[str, Any],
     ) -> list[Any]:
+        from concurrent.futures.process import BrokenProcessPool
+
         total = len(payloads)
         results: list[Any] = [None] * total
         done = [False] * total

@@ -18,7 +18,6 @@ because every per-DIP stream is keyed by the DIP's global pool index.
 from __future__ import annotations
 
 import os
-from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
@@ -33,6 +32,8 @@ from repro.parallel.kernel import (
 from repro.sim.trace import MetricsCollector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runners import us lazily)
+    from multiprocessing import shared_memory
+
     from repro.api.result import RunResult
     from repro.api.spec import ExperimentSpec
     from repro.parallel.planner import ShardPlan
@@ -40,6 +41,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runners import us la
 
 #: queue length per DIP station, matching RequestCluster's default.
 QUEUE_CAPACITY = 256
+
+
+def open_segment(
+    name: str | None, *, create_bytes: int | None = None
+) -> shared_memory.SharedMemory:
+    """Attach to segment ``name``, or create it with ``create_bytes`` bytes.
+
+    Every segment is opened here, and here ``multiprocessing`` is imported:
+    only a process fan-out moves columns through shared memory, so an
+    inline run (``workers=1``) never loads it.
+    """
+    from multiprocessing import shared_memory
+
+    if create_bytes is None:
+        return shared_memory.SharedMemory(name=name)
+    return shared_memory.SharedMemory(name=name, create=True, size=create_bytes)
 
 
 def _unregister_shm(shm: shared_memory.SharedMemory) -> None:
@@ -127,15 +144,11 @@ def publish_blocks(
     """
     total = sum(block["count"] for block in blocks)
     try:
-        shm = shared_memory.SharedMemory(
-            name=shm_name, create=True, size=max(1, total * 17)
-        )
+        shm = open_segment(shm_name, create_bytes=max(1, total * 17))
     except FileExistsError:
         # Stale segment from a crashed earlier run under the same name.
         _discard_shm(shm_name)
-        shm = shared_memory.SharedMemory(
-            name=shm_name, create=True, size=max(1, total * 17)
-        )
+        shm = open_segment(shm_name, create_bytes=max(1, total * 17))
     try:
         lat = np.ndarray((total,), dtype=np.float64, buffer=shm.buf)
         ts = np.ndarray((total,), dtype=np.float64, buffer=shm.buf, offset=total * 8)
@@ -162,7 +175,7 @@ def publish_blocks(
 def _discard_shm(name: str) -> None:
     """Best-effort unlink of a segment this process has not merged."""
     try:
-        segment = shared_memory.SharedMemory(name=name)
+        segment = open_segment(name)
     except FileNotFoundError:
         return
     segment.close()
@@ -194,7 +207,7 @@ def merge_shard_outcomes(
             shm = None
             lat = ts = done = None
             if "shm" in result:
-                shm = shared_memory.SharedMemory(name=result["shm"])
+                shm = open_segment(result["shm"])
             try:
                 if shm is not None:
                     total = result["total"]

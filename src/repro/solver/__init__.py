@@ -15,7 +15,8 @@ falls back to branch-and-bound if SciPy's MILP is unavailable).
 
 from __future__ import annotations
 
-from typing import Callable
+import functools
+import importlib.util
 
 from repro.exceptions import ConfigurationError
 from repro.solver.assignment import (
@@ -48,28 +49,30 @@ __all__ = [
 ]
 
 
-def _load_scipy_backend() -> Callable[..., SolveResult] | None:
-    try:
-        from repro.solver.scipy_backend import solve_scipy as _solve
-    except ImportError:  # pragma: no cover - SciPy is an install dependency
-        return None
-    return _solve
+@functools.cache
+def _scipy_installed() -> bool:
+    """Whether SciPy can be imported, asked without importing it.
 
-
-_scipy_solver = _load_scipy_backend()
+    HiGHS costs about half a second to load, so the package answers
+    ``available_backends()`` and ``backend="auto"`` from the import system's
+    finder and leaves the import to the first :func:`solve_scipy` call.
+    """
+    return importlib.util.find_spec("scipy") is not None
 
 
 def solve_scipy(problem: AssignmentProblem, **kwargs) -> SolveResult:
     """Solve with the SciPy/HiGHS backend (raises if SciPy is unavailable)."""
-    if _scipy_solver is None:  # pragma: no cover
-        raise ConfigurationError("SciPy MILP backend is not available")
-    return _scipy_solver(problem, **kwargs)
+    try:
+        from repro.solver.scipy_backend import solve_scipy as _solve
+    except ImportError as error:
+        raise ConfigurationError("SciPy MILP backend is not available") from error
+    return _solve(problem, **kwargs)
 
 
 def available_backends() -> tuple[str, ...]:
     """Names accepted by :func:`solve`, in preference order for ``auto``."""
     names = ["branch_and_bound", "greedy", "dp"]
-    if _scipy_solver is not None:
+    if _scipy_installed():
         names.insert(0, "scipy")
     return tuple(names)
 
@@ -95,7 +98,7 @@ def solve(
     additionally scopes entries by its grid resolution.
     """
     if backend == "auto":
-        backend = "scipy" if _scipy_solver is not None else "branch_and_bound"
+        backend = "scipy" if _scipy_installed() else "branch_and_bound"
 
     if backend == "dp":
         return solve_dp(problem, time_limit_s=time_limit_s, cache=cache, **kwargs)

@@ -102,9 +102,6 @@ ADD_DIP = st.tuples(st.just("add_dip"), WEIGHT)
 REMOVE_DIP = st.tuples(st.just("remove_dip"), POSITION)
 
 POOL_SIZE = st.integers(1, MAX_DIPS)
-WEIGHT_COMMANDS = st.lists(
-    st.one_of(PICKS, PICKS, SET_WEIGHTS, ALL_ZERO, REWEIGH, SET_HEALTHY), max_size=25
-)
 POOL_COMMANDS = st.lists(
     st.one_of(
         PICKS, PICKS, SET_WEIGHTS, ALL_ZERO, REWEIGH, SET_HEALTHY, ADD_DIP, REMOVE_DIP
@@ -187,7 +184,7 @@ class TestWeightPlansAgainstOracles:
             reference, reference.choice_pick,
         )
 
-    @given(num_dips=POOL_SIZE, commands=WEIGHT_COMMANDS, seed=st.integers(0, 2**32 - 1))
+    @given(num_dips=POOL_SIZE, commands=POOL_COMMANDS, seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_dns_resolutions(self, num_dips, commands, seed):
         resolver = WeightedDnsResolver(pool(num_dips), seed=seed)

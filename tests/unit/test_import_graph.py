@@ -1,0 +1,226 @@
+"""The import graph follows need: what a start loads, and what it must not.
+
+SciPy (HiGHS, ``nnls``) costs about half a second and 40 MiB to import, and
+``multiprocessing`` a further 35 ms; a run that fits no curve, solves no ILP
+and forks no worker should pay for neither.  Each case runs in a fresh
+interpreter and reports ``sorted(sys.modules)`` — what was loaded, not what
+``-X importtime`` happened to print.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+RR_SPEC = "benchmarks/observatory/workloads/req_serial_rr.json"
+
+#: appended to every script: the last stdout line is the report.
+_REPORT = """
+import json as _json, sys as _sys
+print(_json.dumps({"modules": sorted(_sys.modules), "out": globals().get("out")}))
+"""
+
+
+def run_python(script: str) -> dict:
+    """Run ``script`` in a fresh interpreter at the repo root; its report."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script) + _REPORT],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, f"stdout:\n{done.stdout}\nstderr:\n{done.stderr}"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def loaded(report: dict, *packages: str) -> list[str]:
+    """Loaded modules that are one of ``packages`` or inside one."""
+    return [
+        name
+        for name in report["modules"]
+        if any(name == p or name.startswith(p + ".") for p in packages)
+    ]
+
+
+class TestWhatAStartDoesNotLoad:
+    def test_import_api_loads_no_scipy(self):
+        assert loaded(run_python("import repro.api"), "scipy") == []
+
+    @pytest.mark.parametrize(
+        "policy, run_kwargs",
+        [("rr", ""), ("lc", "shards=2, workers=1")],
+        ids=["rr-serial", "lc-2-shards-inline"],
+    )
+    def test_controller_off_request_run(self, policy, run_kwargs):
+        report = run_python(
+            f"""
+            from repro import api
+            spec = api.ExperimentSpec.from_file({RR_SPEC!r}).with_overrides(
+                {{"policy.name": {policy!r}, "workload.num_requests": 2000}}
+            )
+            result = api.run(spec, {run_kwargs})
+            out = [result.provenance.shard_mode, result.metrics["requests_submitted"]]
+            """
+        )
+        mode, submitted = report["out"]
+        assert mode == ("epoch" if run_kwargs else "serial")
+        assert submitted > 1500
+        assert loaded(report, "scipy", "multiprocessing") == []
+
+    def test_cli_validate_spec_file(self):
+        report = run_python(
+            f"""
+            from repro.api.cli import main
+            out = main(["validate", {RR_SPEC!r}])
+            """
+        )
+        assert report["out"] == 0
+        # Checking a spec file needs no solver, no worker machinery, and none
+        # of the registries a *name* would have to be looked up in.
+        assert loaded(
+            report, "scipy", "multiprocessing", "repro.learn", "repro.service",
+            "repro.parallel", "repro.experiments",
+        ) == []
+
+    def test_cli_list(self):
+        report = run_python(
+            """
+            from repro.api.cli import main
+            out = main(["list"])
+            """
+        )
+        assert report["out"] == 0
+        # ``repro.learn`` is loaded: the verb prints its three registries.
+        assert loaded(
+            report, "scipy", "multiprocessing", "repro.service", "repro.parallel"
+        ) == []
+
+    def test_worker_modules_load_no_scipy(self):
+        # What a ``spawn`` / ``forkserver`` child imports before its first task.
+        report = run_python(
+            "import repro.parallel.epoch, repro.parallel.pool, "
+            "repro.parallel.kernel, repro.parallel.shard"
+        )
+        assert loaded(report, "scipy", "multiprocessing") == []
+
+
+#: five measured points and a three-DIP ILP, shared by the two cases below;
+#: the expected values were recorded at the commit before the deferral.
+_CURVE_AND_PROBLEM = """
+from repro.core.config import CurveConfig
+from repro.core.curve import fit_curve
+from repro.core.types import MeasurementPoint
+from repro.solver import AssignmentProblem, DipCandidates, available_backends, solve, solve_scipy
+
+points = [
+    MeasurementPoint(w, l)
+    for w, l in ((0.02, 2.61), (0.05, 2.9), (0.08, 3.7), (0.11, 5.2), (0.13, 9.4))
+]
+grid = (0.1, 0.2, 0.4, 0.6)
+problem = AssignmentProblem(
+    dips=(
+        DipCandidates(dip="a", weights=grid, latencies_ms=(1.13, 2.41, 4.77, 8.9), w_max=0.6),
+        DipCandidates(dip="b", weights=grid, latencies_ms=(2.3, 6.1, 14.2, 30.5), w_max=0.4),
+        DipCandidates(dip="c", weights=grid, latencies_ms=(1.7, 3.3, 7.9, 19.0), w_max=0.6),
+    ),
+    total_weight=1.0,
+    total_weight_tolerance=0.01,
+)
+"""
+NONNEGATIVE_FIT = [383.6816979549708, 0.0, 1.8229981936649235]
+FREE_FIT = [874.1328383826302, -76.9482097952344, 4.068102822017335]
+OPTIMUM_MS, OPTIMUM_WEIGHTS = 18.3, {"a": 0.6, "b": 0.2, "c": 0.2}
+
+
+class TestScipyLoadsWhereItIsUsed:
+    def test_first_constrained_fit_and_first_highs_solve(self):
+        report = run_python(
+            _CURVE_AND_PROBLEM
+            + """
+import sys
+curve = fit_curve(points, config=CurveConfig(nonnegative_coefficients=True))
+after_fit = "scipy.optimize" in sys.modules
+solved = solve(problem, backend="scipy")
+out = [list(curve.coefficients), after_fit, solved.backend, solved.objective_ms, solved.weights]
+"""
+        )
+        assert report["out"] == [NONNEGATIVE_FIT, True, "scipy", OPTIMUM_MS, OPTIMUM_WEIGHTS]
+        assert "repro.solver.scipy_backend" in report["modules"]
+        assert "scipy.optimize" in report["modules"]
+
+
+class TestWithoutScipy:
+    def test_solver_and_unconstrained_fit_work(self):
+        report = run_python(
+            """
+import sys
+sys.modules["scipy"] = None  # ``import scipy`` now raises ImportError
+"""
+            + _CURVE_AND_PROBLEM
+            + """
+from repro.exceptions import ConfigurationError
+
+try:
+    solve_scipy(problem)
+    refused = None
+except ConfigurationError as error:
+    refused = str(error)
+free = fit_curve(points, config=CurveConfig(nonnegative_coefficients=False))
+auto, dp = solve(problem, backend="auto"), solve(problem, backend="dp")
+out = {
+    "backends": list(available_backends()),
+    "auto": [auto.backend, auto.objective_ms, auto.weights],
+    "dp": [dp.backend, dp.objective_ms, dp.weights],
+    "refused": refused,
+    "free": list(free.coefficients),
+}
+"""
+        )
+        out = report["out"]
+        assert out["backends"] == ["branch_and_bound", "greedy", "dp"]
+        assert out["auto"] == ["branch_and_bound", OPTIMUM_MS, OPTIMUM_WEIGHTS]
+        assert out["dp"] == ["dp", OPTIMUM_MS, OPTIMUM_WEIGHTS]
+        assert out["refused"] == "SciPy MILP backend is not available"
+        assert out["free"] == FREE_FIT
+        assert loaded(report, "scipy") == ["scipy"]  # the blocking entry itself
+
+
+class TestSpawnedWorkers:
+    def test_spawn_fanout_equals_inline(self):
+        # ``spawn`` children import the task's modules afresh (the default
+        # everywhere but Linux, and ``forkserver`` from Python 3.14 on).
+        report = run_python(
+            f"""
+            import multiprocessing
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method("spawn", force=True)
+                from repro import api
+
+                spec = api.ExperimentSpec.from_file({RR_SPEC!r}).with_overrides(
+                    {{"policy.name": "wrandom", "workload.num_requests": 20000}}
+                )
+                fanned = api.run(spec, shards=2, workers=2)
+                inline = api.run(spec, shards=2, workers=1)
+                out = [
+                    fanned.metrics_equal(inline),
+                    fanned.provenance.shard_mode,
+                    fanned.provenance.workers,
+                    inline.provenance.workers,
+                ]
+            """
+        )
+        assert report["out"] == [True, "exact", 2, 1]

@@ -324,6 +324,27 @@ class TestDns:
         policy.advance_time(11.0)
         assert policy.select(flow) == "b"
 
+    def test_added_dip_reaches_the_resolver(self):
+        # add_dip used to stop at the policy: the next set_weights raised
+        # "unknown DIP 'c'" from the resolver, which never heard of it.
+        policy = make_policy("dns", ["a", "b"], cache_ttl_s=0.0, seed=1)
+        policy.add_dip("c")
+        policy.set_weights({"a": 0.2, "b": 0.3, "c": 0.5})
+        counts = collections.Counter(policy.resolver.resolve() for _ in range(1000))
+        assert counts["c"] / 1000 == pytest.approx(0.5, abs=0.05)
+        assert counts["b"] / 1000 == pytest.approx(0.3, abs=0.05)
+
+    def test_removed_dip_is_never_resolved_again(self):
+        policy = DnsWeightedPolicy(DIPS, cache_ttl_s=100.0, seed=4)
+        policy.set_weights({"a": 0.0, "b": 0.0, "c": 1.0})
+        flow = FlowKey(src_ip="10.9.9.9", src_port=1, dst_ip="vip", dst_port=80)
+        assert policy.select(flow) == "c"  # now a live TTL entry
+        policy.remove_dip("c")
+        assert policy.select(flow) in ("a", "b")
+        assert "c" not in policy.resolver.weights()
+        assert "c" not in {policy.resolver.resolve() for _ in range(1000)}
+        assert "c" not in selection_counts(policy, 1000)
+
 
 class TestFacades:
     def test_haproxy_algorithms(self):
