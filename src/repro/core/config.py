@@ -113,10 +113,13 @@ def dataclass_from_dict(cls: type[_D], data: Any, *, path: str = "") -> _D:
     try:
         return cls(**kwargs)
     except ConfigurationError as error:
-        # __post_init__ errors already name the field; prefix the section so
-        # nested specs read e.g. "controller.config.ilp: ...".
+        # __post_init__ errors start with the field they reject; prefix the
+        # section so nested specs read "controller.config.ilp.backend must ...".
         if path:
-            raise ConfigurationError(f"{path}: {error}") from None
+            starts_with_field = str(error).split(" ", 1)[0] in field_map
+            raise ConfigurationError(
+                f"{path}{'.' if starts_with_field else ': '}{error}"
+            ) from None
         raise
     except TypeError as error:
         raise ConfigurationError(f"{label}: {error}") from None
@@ -171,6 +174,13 @@ class CurveConfig:
             raise ConfigurationError("min_points must be >= 2")
 
 
+#: solver backend names, ``auto`` then the order ``auto`` prefers them in
+#: (:func:`repro.solver.solve` dispatches on the same tuple).
+SOLVER_BACKENDS = ("auto", "mckp", "scipy", "branch_and_bound", "greedy", "dp")
+#: backends that cannot express a finite θ.
+_THETA_FREE_BACKENDS = ("mckp", "dp")
+
+
 @dataclass(frozen=True)
 class IlpConfig:
     """Parameters of the ILP weight computation (§3.3, §4.4)."""
@@ -186,7 +196,8 @@ class IlpConfig:
     multistep_min_dips: int = 100
     #: solver wall-clock limit in seconds (the paper's Fig. 8 uses 20 min).
     time_limit_s: float = 1200.0
-    #: solver backend name: "auto", "scipy", "branch_and_bound", "greedy", "dp".
+    #: solver backend, one of :data:`SOLVER_BACKENDS`.  "auto" is "mckp" while
+    #: ``theta`` is unset and HiGHS (else branch-and-bound) with a finite θ.
     backend: str = "auto"
     #: ILP objective: "request_weighted" minimises Σ w·l (the mean latency a
     #: request experiences, which is what the evaluation reports) while
@@ -207,6 +218,15 @@ class IlpConfig:
             raise ConfigurationError("refine_window_fraction must be in (0, 1]")
         if self.time_limit_s <= 0:
             raise ConfigurationError("time_limit_s must be positive")
+        if self.backend not in SOLVER_BACKENDS:
+            raise ConfigurationError(
+                f"backend must be one of {SOLVER_BACKENDS}, got {self.backend!r}"
+            )
+        if self.theta is not None and self.backend in _THETA_FREE_BACKENDS:
+            raise ConfigurationError(
+                f"backend {self.backend!r} cannot express a finite theta; "
+                "use 'auto', 'scipy' or 'branch_and_bound'"
+            )
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ class OverheadReport:
     controller_vms: float
     controller_core_overhead_percent: float
     measured_ilp_time_per_vip_s: dict[int, float]
+    #: the backend that solved the measured ILPs (what ``backend`` resolved to).
+    ilp_backend: str
 
 
 def run_overhead_model(
@@ -50,6 +52,10 @@ def run_overhead_model(
     backend: str = "auto",
 ) -> OverheadReport:
     """Compute the overhead numbers, measuring real ILP times per VIP size.
+
+    ``backend`` stays ``"auto"``: unlike the solver-scaling drivers in
+    :mod:`repro.experiments.ilp_scale`, this reports what *this* controller
+    costs, so it times the backend the controller would use.
 
     For VIP sizes up to ``max_measured_vip_size`` the ILP time is measured
     with the actual solver; the largest class (1000 DIPs/VIP) is
@@ -93,6 +99,7 @@ def run_overhead_model(
         problem = build_assignment_problem(curves, config=config)
         outcome = solve_assignment("overhead", problem, config=config)
         measured[size] = outcome.solver_result.solve_time_s
+        ilp_backend = outcome.solver_result.backend
 
     total_ilp_time = 0.0
     largest_measured = max(measured)
@@ -120,4 +127,5 @@ def run_overhead_model(
         controller_vms=controller_vms,
         controller_core_overhead_percent=controller_core_overhead,
         measured_ilp_time_per_vip_s=measured,
+        ilp_backend=ilp_backend,
     )

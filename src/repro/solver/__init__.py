@@ -3,14 +3,21 @@
 The paper's prototype uses COIN-OR CBC through PuLP; this package provides
 the same capability through interchangeable backends:
 
-* ``scipy`` — :func:`scipy.optimize.milp` (HiGHS), the default exact solver;
-* ``branch_and_bound`` — a pure-Python exact solver (no SciPy needed for the
-  core result, and its node counter is useful for scaling studies);
+* ``mckp`` — the problem without θ is a multiple-choice knapsack; LP
+  relaxation by one sort plus an expanding-core dynamic program, numpy only,
+  certified to a 1e-4 gap and bounded by a state budget instead of the clock
+  (:mod:`repro.solver.mckp`);
+* ``scipy`` — :func:`scipy.optimize.milp` (HiGHS), the generic exact solver
+  and the only fast one that takes a finite θ;
+* ``branch_and_bound`` — a pure-Python exact solver (no SciPy needed, and its
+  node counter is useful for scaling studies);
 * ``greedy`` — a fast marginal-cost heuristic with local search;
-* ``dp`` — a pseudo-polynomial dynamic program over a weight grid.
+* ``dp`` — a pseudo-polynomial dynamic program over a fixed weight grid.
 
-Use :func:`solve` to dispatch by backend name (``"auto"`` picks scipy and
-falls back to branch-and-bound if SciPy's MILP is unavailable).
+Use :func:`solve` to dispatch by backend name.  ``"auto"`` picks ``mckp``
+whenever θ is unset (every problem the controller builds by default); a
+finite θ couples the DIPs and is not a knapsack, so there ``auto`` picks
+scipy and falls back to branch-and-bound if SciPy is not installed.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 
+from repro.core.config import SOLVER_BACKENDS
 from repro.exceptions import ConfigurationError
 from repro.solver.assignment import (
     AssignmentProblem,
@@ -29,6 +37,7 @@ from repro.solver.assignment import (
 from repro.solver.branch_and_bound import solve_branch_and_bound
 from repro.solver.dp import SolveCache, solve_dp
 from repro.solver.greedy import solve_greedy
+from repro.solver.mckp import solve_mckp
 from repro.solver.result import SolveResult, SolveStatus
 
 __all__ = [
@@ -43,6 +52,7 @@ __all__ = [
     "solve_branch_and_bound",
     "solve_dp",
     "solve_greedy",
+    "solve_mckp",
     "solve_scipy",
     "uniform_candidates",
     "uniform_weight_grid",
@@ -70,11 +80,12 @@ def solve_scipy(problem: AssignmentProblem, **kwargs) -> SolveResult:
 
 
 def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`solve`, in preference order for ``auto``."""
-    names = ["branch_and_bound", "greedy", "dp"]
-    if _scipy_installed():
-        names.insert(0, "scipy")
-    return tuple(names)
+    """Names :func:`solve` can run here, in preference order for ``auto``."""
+    return tuple(
+        name
+        for name in SOLVER_BACKENDS
+        if name != "auto" and (name != "scipy" or _scipy_installed())
+    )
 
 
 def solve(
@@ -87,19 +98,28 @@ def solve(
 ) -> SolveResult:
     """Solve ``problem`` with the requested backend.
 
-    ``backend="auto"`` uses SciPy/HiGHS when present and otherwise falls
-    back to the pure-Python branch-and-bound.
+    ``backend="auto"`` uses ``mckp`` when ``problem.theta`` is ``None``.
+    With a finite θ it uses SciPy/HiGHS when present and otherwise the
+    pure-Python branch-and-bound.
 
     ``cache`` memoizes solved problems across calls (see
-    :class:`~repro.solver.dp.SolveCache`): every backend is deterministic
-    given the problem's candidate grid, so an unchanged problem — e.g. a
+    :class:`~repro.solver.dp.SolveCache`): an unchanged problem — e.g. a
     fleet VIP whose measured curves did not move between control rounds —
-    returns its previous assignment without re-solving.  The DP backend
-    additionally scopes entries by its grid resolution.
+    returns its previous assignment without re-solving.  What may be stored
+    differs by backend.  ``mckp`` and ``dp`` are functions of the problem
+    (``dp`` also of its grid resolution) and store every outcome under their
+    own token, except an ``mckp`` result cut by ``time_limit_s``; the others
+    store only ``OPTIMAL`` / ``INFEASIBLE``, under a token that carries the
+    time limit.
     """
     if backend == "auto":
-        backend = "scipy" if _scipy_installed() else "branch_and_bound"
+        if problem.theta is None:
+            backend = "mckp"
+        else:
+            backend = "scipy" if _scipy_installed() else "branch_and_bound"
 
+    if backend == "mckp":
+        return solve_mckp(problem, time_limit_s=time_limit_s, cache=cache, **kwargs)
     if backend == "dp":
         return solve_dp(problem, time_limit_s=time_limit_s, cache=cache, **kwargs)
     # The token carries the time limit and every backend-specific parameter
@@ -117,8 +137,7 @@ def solve(
         result = solve_greedy(problem, time_limit_s=time_limit_s, **kwargs)
     else:
         raise ConfigurationError(
-            f"unknown solver backend {backend!r}; expected one of "
-            f"{('auto',) + available_backends()}"
+            f"unknown solver backend {backend!r}; expected one of {SOLVER_BACKENDS}"
         )
     if cache is not None and result.status in (
         SolveStatus.OPTIMAL,

@@ -42,11 +42,13 @@ class SolveCache:
 
     Only deterministic terminal outcomes may be cached; what counts as
     terminal is backend-specific (the *caller* decides): the DP's FEASIBLE
-    is exact up to its grid, while branch-and-bound and HiGHS return
-    FEASIBLE for a wall-clock-truncated incumbent — caching those would
-    freeze a suboptimal assignment, so the generic :func:`repro.solver.solve`
-    layer stores only OPTIMAL/INFEASIBLE.  TIMEOUT is refused here as a
-    backstop.  Bounded LRU.
+    is exact up to its grid and ``mckp``'s is what its state budget reached
+    (both functions of the problem; ``mckp`` withholds a result its time
+    limit cut), while branch-and-bound and HiGHS return FEASIBLE for a
+    wall-clock-truncated incumbent — caching those would freeze a
+    suboptimal assignment, so the generic :func:`repro.solver.solve` layer
+    stores only OPTIMAL/INFEASIBLE.  TIMEOUT is refused here as a backstop.
+    Bounded LRU.
     """
 
     __slots__ = ("_store", "maxsize", "hits", "misses")

@@ -42,6 +42,8 @@ class SolveResult:
     overloaded_dips: tuple[DipId, ...] = ()
     #: number of branch-and-bound nodes / simplex iterations, when available.
     nodes_explored: int = 0
+    #: proven lower bound on the optimum, when the backend certifies one.
+    lower_bound_ms: float | None = None
 
     @property
     def is_overloaded(self) -> bool:

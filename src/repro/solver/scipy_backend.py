@@ -2,6 +2,12 @@
 
 This plays the role of COIN-OR CBC + PuLP in the paper's prototype: an
 off-the-shelf exact solver for the Fig. 7 ILP.
+
+HiGHS satisfies constraints to its feasibility tolerance, not exactly: an
+``OPTIMAL`` selection may sum to just outside the band (seen at 58 DIPs:
+Σw = L − 6.3e-7, with an objective 1.1e-5 below that of any selection inside
+it).  Compare its objectives with another backend's on a band widened by
+1e-6.
 """
 
 from __future__ import annotations

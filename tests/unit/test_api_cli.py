@@ -148,6 +148,24 @@ class TestValidate:
         assert code == 2
         assert "timeline.events[0].dipz" in captured.err
 
+    @pytest.mark.parametrize(
+        "ilp, complaint",
+        [
+            ({"backend": "higs"}, "controller.config.ilp.backend must be one of"),
+            ({"backend": "dp", "theta": 0.3}, "cannot express a finite theta"),
+        ],
+    )
+    def test_unusable_solver_backend_exits_nonzero(self, capsys, tmp_path, ilp, complaint):
+        # Caught here, not at the first ILP after a whole exploration.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "name": "x",
+            "controller": {"enabled": True, "config": {"ilp": ilp}},
+        }))
+        code = main(["validate", str(path)])
+        assert code == 2
+        assert complaint in capsys.readouterr().err
+
     def test_validate_never_runs_anything(self, capsys):
         # The biggest registered scenario validates in well under a run.
         out = run_cli(capsys, "validate", "multi_vip_shared_dips")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import (
     DEFAULT_CONFIG,
+    SOLVER_BACKENDS,
     CurveConfig,
     DynamicsConfig,
     ExplorationConfig,
@@ -83,6 +84,22 @@ class TestIlpConfig:
     def test_invalid_time_limit(self):
         with pytest.raises(ConfigurationError):
             IlpConfig(time_limit_s=0.0)
+
+    def test_every_solver_backend_name_is_accepted(self):
+        for backend in SOLVER_BACKENDS:
+            assert IlpConfig(backend=backend).backend == backend
+        assert SOLVER_BACKENDS[:2] == ("auto", "mckp")
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ConfigurationError, match="backend must be one of .*'mckp'.*got 'higs'"):
+            IlpConfig(backend="higs")
+
+    @pytest.mark.parametrize("backend", ["dp", "mckp"])
+    def test_theta_needs_a_backend_that_can_express_it(self, backend):
+        with pytest.raises(ConfigurationError, match="cannot express a finite theta"):
+            IlpConfig(backend=backend, theta=0.2)
+        assert IlpConfig(backend=backend, theta=None).theta is None
+        assert IlpConfig(backend="auto", theta=0.2).theta == 0.2
 
 
 class TestDynamicsConfig:
@@ -199,6 +216,10 @@ class TestConfigSerde:
     def test_invalid_value_error_carries_section(self):
         with pytest.raises(ConfigurationError, match=r"config\.ilp"):
             KnapsackLBConfig.from_dict({"ilp": {"weights_per_dip": 1}})
+
+    def test_invalid_value_error_names_the_field_by_dotted_path(self):
+        with pytest.raises(ConfigurationError, match=r"config\.ilp\.backend must be one of"):
+            KnapsackLBConfig.from_dict({"ilp": {"backend": "higs"}})
 
     def test_section_must_be_mapping(self):
         with pytest.raises(ConfigurationError, match="config.curve"):

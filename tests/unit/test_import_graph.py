@@ -116,8 +116,20 @@ class TestWhatAStartDoesNotLoad:
         )
         assert loaded(report, "scipy", "multiprocessing") == []
 
+    def test_auto_solve_without_theta(self):
+        # The default ILP path: a knapsack, solved with numpy alone.
+        report = run_python(
+            _CURVE_AND_PROBLEM
+            + """
+solved = solve(problem, backend="auto")
+out = [solved.backend, solved.status.name, solved.objective_ms, solved.weights]
+"""
+        )
+        assert report["out"] == ["mckp", "OPTIMAL", OPTIMUM_MS, OPTIMUM_WEIGHTS]
+        assert loaded(report, "scipy") == []
 
-#: five measured points and a three-DIP ILP, shared by the two cases below;
+
+#: five measured points and a three-DIP ILP, shared by the cases that solve;
 #: the expected values were recorded at the commit before the deferral.
 _CURVE_AND_PROBLEM = """
 from repro.core.config import CurveConfig
@@ -166,7 +178,7 @@ class TestWithoutScipy:
     def test_solver_and_unconstrained_fit_work(self):
         report = run_python(
             """
-import sys
+import dataclasses, sys
 sys.modules["scipy"] = None  # ``import scipy`` now raises ImportError
 """
             + _CURVE_AND_PROBLEM
@@ -180,9 +192,11 @@ except ConfigurationError as error:
     refused = str(error)
 free = fit_curve(points, config=CurveConfig(nonnegative_coefficients=False))
 auto, dp = solve(problem, backend="auto"), solve(problem, backend="dp")
+bounded = solve(dataclasses.replace(problem, theta=0.4), backend="auto")
 out = {
     "backends": list(available_backends()),
     "auto": [auto.backend, auto.objective_ms, auto.weights],
+    "auto_with_theta": [bounded.backend, bounded.objective_ms, bounded.weights],
     "dp": [dp.backend, dp.objective_ms, dp.weights],
     "refused": refused,
     "free": list(free.coefficients),
@@ -190,8 +204,10 @@ out = {
 """
         )
         out = report["out"]
-        assert out["backends"] == ["branch_and_bound", "greedy", "dp"]
-        assert out["auto"] == ["branch_and_bound", OPTIMUM_MS, OPTIMUM_WEIGHTS]
+        assert out["backends"] == ["mckp", "branch_and_bound", "greedy", "dp"]
+        assert out["auto"] == ["mckp", OPTIMUM_MS, OPTIMUM_WEIGHTS]
+        # θ couples the DIPs: not a knapsack, so the generic exact solver.
+        assert out["auto_with_theta"] == ["branch_and_bound", OPTIMUM_MS, OPTIMUM_WEIGHTS]
         assert out["dp"] == ["dp", OPTIMUM_MS, OPTIMUM_WEIGHTS]
         assert out["refused"] == "SciPy MILP backend is not available"
         assert out["free"] == FREE_FIT

@@ -8,6 +8,7 @@ from repro.exceptions import ConfigurationError
 from repro.solver import (
     AssignmentProblem,
     DipCandidates,
+    SolveCache,
     SolveStatus,
     available_backends,
     build_problem,
@@ -15,6 +16,7 @@ from repro.solver import (
     solve_branch_and_bound,
     solve_dp,
     solve_greedy,
+    solve_mckp,
     solve_scipy,
     uniform_candidates,
     uniform_weight_grid,
@@ -284,15 +286,88 @@ class TestDp:
             solve_dp(two_dip_problem(), resolution=0.0)
 
 
+class TestMckp:
+    def test_matches_exact_objective_with_a_certificate(self):
+        problem = two_dip_problem()
+        result = solve_mckp(problem)
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective_ms == solve_branch_and_bound(problem).objective_ms
+        assert result.lower_bound_ms <= result.objective_ms
+        assert result.objective_ms - result.lower_bound_ms <= 1e-4 * result.objective_ms
+
+    def test_rejects_theta(self):
+        with pytest.raises(ConfigurationError):
+            solve_mckp(two_dip_problem(theta=0.1))
+
+    def test_selection_indexes_the_unsorted_candidates(self):
+        problem = AssignmentProblem(
+            dips=(
+                DipCandidates(dip="a", weights=(0.8, 0.2, 0.6), latencies_ms=(8.0, 1.0, 4.0)),
+                DipCandidates(dip="b", weights=(0.4, 0.2), latencies_ms=(6.0, 2.0)),
+            ),
+            total_weight=1.0,
+            total_weight_tolerance=0.0,
+        )
+        result = solve_mckp(problem)
+        assert result.selection in ({"a": 0, "b": 1}, {"a": 2, "b": 0})
+        assert result.weights == problem.weights_of(result.selection)
+        assert result.objective_ms == 10.0
+
+    def test_upper_edge_binding_is_the_mirrored_problem(self):
+        # Heavier is cheaper here, so the band's upper edge is the constraint.
+        problem = AssignmentProblem(
+            dips=tuple(
+                DipCandidates(
+                    dip=name, weights=(0.1, 0.3, 0.5, 0.7), latencies_ms=(9.0, 5.0, 2.0, 1.0)
+                )
+                for name in "abc"
+            ),
+            total_weight=1.1,
+            total_weight_tolerance=0.05,
+        )
+        result = solve_mckp(problem)
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective_ms == solve_branch_and_bound(problem).objective_ms == 12.0
+
+    def test_band_between_candidate_sums_is_infeasible(self):
+        problem = AssignmentProblem(
+            dips=(DipCandidates(dip="a", weights=(0.0, 0.5, 1.0), latencies_ms=(0.0, 1.0, 3.0)),),
+            total_weight=0.65,
+            total_weight_tolerance=0.05,
+        )
+        assert solve_mckp(problem).status is SolveStatus.INFEASIBLE
+
+    def test_every_outcome_but_a_clock_cut_one_is_cached(self):
+        cache = SolveCache()
+        cut = solve(two_dip_problem(), backend="mckp", time_limit_s=1e-9, cache=cache)
+        assert cut.status is SolveStatus.FEASIBLE and len(cache) == 0
+        first = solve(two_dip_problem(), backend="mckp", cache=cache)
+        # The limit is a backstop, not part of the answer: same entry.
+        second = solve(two_dip_problem(), backend="mckp", time_limit_s=5.0, cache=cache)
+        assert (cache.hits, len(cache)) == (1, 1)
+        assert first.status is SolveStatus.OPTIMAL
+        assert (second.status, second.selection) == (first.status, first.selection)
+        infeasible = AssignmentProblem(
+            dips=two_dip_problem().dips, total_weight=1.1, total_weight_tolerance=0.0
+        )
+        assert solve(infeasible, backend="mckp", cache=cache).status is SolveStatus.INFEASIBLE
+        assert len(cache) == 2
+
+
 class TestDispatcher:
     def test_unknown_backend(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="'mckp'"):
             solve(two_dip_problem(), backend="nonexistent")
 
     def test_auto_picks_available_backend(self):
         result = solve(two_dip_problem(), backend="auto")
         assert result.status.has_solution
         assert result.backend in available_backends()
+
+    def test_auto_is_the_knapsack_solver_unless_theta_is_finite(self):
+        assert available_backends()[0] == "mckp"
+        assert solve(two_dip_problem(), backend="auto").backend == "mckp"
+        assert solve(two_dip_problem(theta=0.2), backend="auto").backend == EXACT_BACKENDS[0]
 
     def test_available_backends_contains_pure_python(self):
         assert "branch_and_bound" in available_backends()
