@@ -29,9 +29,15 @@ parallel layer adds on top, on the same 64-DIP / 2M-request workload:
   machine — staleness error is a property of the model, not the host.
 
 Emits ``BENCH_parallel_engine.json``.  The acceptance floor is ≥3x
-requests/s at 4 shards against the serial engine (kernel + whatever
-fan-out the hardware offers), plus bit-identical merged metrics across
-repeats for the fixed seed and shard count.
+requests/s at 4 shards against the serial *event engine* (kernel +
+whatever fan-out the hardware offers), plus bit-identical merged metrics
+across repeats for the fixed seed and shard count.  The event engine is
+driven explicitly (``begin`` / ``run_to`` / ``finish``): a plain serial
+``execute`` of this ``rr`` spec replays each DIP's sub-stream through the
+very recursion the shards run, so against it 4 in-process shards are only
+≈1.6x ahead (bulk arrival generation, no event-order merge) — recorded as
+``speedup_4shards_vs_replay``, without a floor: it is the evidence for
+ROADMAP item 3(b) that exact-mode sharding no longer buys one run much.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_parallel_engine.py``)
 or under pytest-benchmark.  ``BENCH_PARALLEL_ENGINE_REQUESTS`` overrides
@@ -47,7 +53,7 @@ from dataclasses import replace
 
 from _harness import save_json, save_report
 
-from repro.api.runners import execute
+from repro.api.runners import build_request_cluster, execute
 from repro.api.spec import (
     ControllerSpec,
     EventSpec,
@@ -195,13 +201,31 @@ def _one_shard_plan(spec: ExperimentSpec) -> ShardPlan:
     )
 
 
+def _event_engine_metrics(spec: ExperimentSpec) -> dict[str, float]:
+    """``spec`` on the serial event engine, folded to the headline metrics."""
+    cluster = build_request_cluster(spec)
+    warmup = spec.workload.warmup_s
+    duration = spec.workload.num_requests / cluster.workload.rate_rps
+    cluster.begin(duration_s=duration, warmup_s=warmup)
+    cluster.run_to(warmup + duration + 30.0)
+    run = cluster.finish()
+    return {
+        "requests_submitted": float(run.requests_submitted),
+        "mean_latency_ms": run.metrics.mean_latency_ms(),
+        "p99_latency_ms": run.metrics.percentile_latency_ms(99),
+    }
+
+
 def run_parallel_engine_bench(*, num_requests: int = NUM_REQUESTS) -> dict:
     spec = bench_spec(num_requests)
     usable_cpus = _usable_cpus()
 
-    # -- serial baseline: the PR 2 streaming DES ----------------------------------
-    serial_result, serial_wall = _timed(lambda: execute(spec))
-    serial_rps = serial_result.metrics["requests_submitted"] / serial_wall
+    # -- serial baselines: the PR 2 streaming DES, and the replay execute() runs --
+    serial_metrics, serial_wall = _timed(lambda: _event_engine_metrics(spec))
+    serial_rps = serial_metrics["requests_submitted"] / serial_wall
+    replay_result, replay_wall = _timed(lambda: execute(spec))
+    assert replay_result.provenance.station_path == "replay"
+    replay_rps = replay_result.metrics["requests_submitted"] / replay_wall
 
     # -- kernel scaling: shards in-process (workers=1) ----------------------------
     sharded: dict[str, dict] = {}
@@ -339,9 +363,8 @@ def run_parallel_engine_bench(*, num_requests: int = NUM_REQUESTS) -> dict:
     best_shards4_rps = max(sharded["4"]["requests_per_s"], fanout_rps)
     speedup = best_shards4_rps / serial_rps
     latency_rel_diff = abs(
-        results[4].metrics["mean_latency_ms"]
-        - serial_result.metrics["mean_latency_ms"]
-    ) / max(serial_result.metrics["mean_latency_ms"], 1e-9)
+        results[4].metrics["mean_latency_ms"] - serial_metrics["mean_latency_ms"]
+    ) / max(serial_metrics["mean_latency_ms"], 1e-9)
 
     return {
         "scale": {
@@ -353,8 +376,16 @@ def run_parallel_engine_bench(*, num_requests: int = NUM_REQUESTS) -> dict:
         "serial_engine": {
             "wall_s": serial_wall,
             "requests_per_s": serial_rps,
-            "mean_latency_ms": serial_result.metrics["mean_latency_ms"],
-            "p99_latency_ms": serial_result.metrics["p99_latency_ms"],
+            "mean_latency_ms": serial_metrics["mean_latency_ms"],
+            "p99_latency_ms": serial_metrics["p99_latency_ms"],
+        },
+        "serial_replay": {
+            "wall_s": replay_wall,
+            "requests_per_s": replay_rps,
+            "metrics_identical_to_event_engine": all(
+                replay_result.metrics[key] == value
+                for key, value in serial_metrics.items()
+            ),
         },
         "sharded_workers_1": sharded,
         "process_fanout": {
@@ -381,6 +412,7 @@ def run_parallel_engine_bench(*, num_requests: int = NUM_REQUESTS) -> dict:
         "staleness": staleness,
         "speedup_4shards_vs_serial": speedup,
         "speedup_floor": SPEEDUP_FLOOR,
+        "speedup_4shards_vs_replay": best_shards4_rps / replay_rps,
         "latency_rel_diff": latency_rel_diff,
         "bit_identical_repeat": bit_identical,
     }
@@ -396,6 +428,9 @@ def _render(results: dict) -> str:
         f"({scale['usable_cpus']} usable cpus)",
         f"serial engine (PR 2 DES)   : {serial['wall_s']:.2f} s "
         f"({serial['requests_per_s']:,.0f} req/s)",
+        f"serial replay (execute)    : {results['serial_replay']['wall_s']:.2f} s "
+        f"({results['serial_replay']['requests_per_s']:,.0f} req/s; 4 shards are "
+        f"{results['speedup_4shards_vs_replay']:.2f}x that, no floor)",
     ]
     for shards, row in results["sharded_workers_1"].items():
         lines.append(
@@ -455,6 +490,8 @@ def _check(results: dict) -> None:
     )
     # Both paths estimate the same M/M/c/K system; means must agree closely.
     assert results["latency_rel_diff"] < 0.05
+    # The serial replay is the event engine's run, to the last bit.
+    assert results["serial_replay"]["metrics_identical_to_event_engine"]
     # Fixed seed + shard count must reproduce the merged metrics exactly,
     # and the shared-memory process path must match the in-process path.
     assert results["bit_identical_repeat"]

@@ -12,6 +12,13 @@ per request, list-of-objects metrics).  Emits
 events and the speedup; the acceptance bar is >= 10x with the new path's
 peak heap O(DIPs + in-flight), not O(total requests).
 
+Both floors are about the *event engine*, so every ``RequestCluster`` here
+is driven through ``begin`` / ``run_to`` / ``finish`` (``_run_events``): a
+plain ``cluster.run`` of round robin is a replay (no event heap at all, see
+``repro.sim.cluster``), which would turn the seed ratio into a different
+question and compare the retry-armed engine with something that is not its
+own un-armed self.
+
 Run directly (``PYTHONPATH=src python benchmarks/bench_request_engine.py``)
 or under pytest-benchmark.  ``BENCH_REQUEST_ENGINE_REQUESTS`` overrides the
 request count (useful for quick local runs; the recorded JSON should come
@@ -336,6 +343,14 @@ class SeedCluster:
 # --- measurement ----------------------------------------------------------------
 
 
+def _run_events(cluster: RequestCluster, num_requests: int):
+    """``cluster.run`` on the event engine, whatever the policy."""
+    duration_s = num_requests / cluster.workload.rate_rps
+    cluster.begin(duration_s=duration_s)
+    cluster.run_to(duration_s + 30.0)
+    return cluster.finish()
+
+
 def run_request_engine_bench(
     *, num_dips: int = NUM_DIPS, num_requests: int = NUM_REQUESTS
 ) -> dict:
@@ -343,8 +358,6 @@ def run_request_engine_bench(
     total_capacity = sum(d.capacity_rps for d in dips.values())
     rate = LOAD_FRACTION * total_capacity
 
-    # New streaming engine, best of three runs (measured first, on a clean
-    # heap — the seed path leaves ~1M live objects behind).
     # Streaming engine and retry-armed engine, best of three runs each,
     # measured first (on a clean heap — the seed path leaves ~1M live
     # objects behind) and *interleaved* engine/retry/engine/retry so both
@@ -366,7 +379,7 @@ def run_request_engine_bench(
         gc.collect()  # each timed run starts from the same collector state
         started = time.perf_counter()
         started_cpu = time.process_time()
-        result = cluster.run(num_requests=num_requests)
+        result = _run_events(cluster, num_requests)
         engine_cpu_s = min(engine_cpu_s, time.process_time() - started_cpu)
         engine_wall_s = min(engine_wall_s, time.perf_counter() - started)
 
@@ -380,7 +393,7 @@ def run_request_engine_bench(
         gc.collect()
         started = time.perf_counter()
         started_cpu = time.process_time()
-        retry_result = retry_cluster.run(num_requests=num_requests)
+        retry_result = _run_events(retry_cluster, num_requests)
         retry_cpu_s = min(retry_cpu_s, time.process_time() - started_cpu)
         retry_wall_s = min(retry_wall_s, time.perf_counter() - started)
     engine_latency_ms = result.metrics.mean_latency_ms()

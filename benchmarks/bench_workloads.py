@@ -11,6 +11,13 @@ shapes and gates each non-Poisson variant's throughput at
 ``MIN_RELATIVE_THROUGHPUT`` of the Poisson run.  Emits
 ``BENCH_workloads.json``.
 
+What it measures now: ``cluster.run`` of a round-robin spec replays (see
+``repro.sim.cluster``), on every variant alike, so both sides of each ratio
+are the replay — arrivals drawn batch by batch, one FCFS recursion per DIP —
+and the ratio isolates the generators (arrival batches, service draws) even
+more than it did on the event engine, where per-event overhead diluted them.
+The floor keeps its meaning and its value.
+
 Run directly (``PYTHONPATH=src python benchmarks/bench_workloads.py``) or
 under pytest-benchmark.  ``BENCH_WORKLOADS_REQUESTS`` overrides the request
 count (useful for quick local runs; the recorded JSON should come from the

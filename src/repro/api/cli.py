@@ -365,6 +365,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         else:
             note = "serial run"
+        if prov.station_path is not None:
+            note += f" (stations: {prov.station_path})"
         print(f"note: {note}", file=sys.stderr)
     if args.format == "json":
         # Machine-readable mode: the artifact alone on stdout (watch and

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping
@@ -38,7 +38,13 @@ class Provenance:
     count after the planner clamps to the DIP count.  ``shard_mode`` names
     the execution path ("serial", "exact", or "epoch"), ``sync_interval_s``
     the epoch length for epoch runs, and ``fallback_reason`` why a
-    requested sharding fell back to serial.  Execution shape lives here —
+    requested sharding fell back to serial; ``station_path`` says how a
+    serial request run drove its DIP stations — ``"replay"`` (each DIP's
+    arrival sub-stream through the FCFS recursion, when no pick could read
+    queue state and nothing was scheduled to perturb the run) or
+    ``"events"`` (the event engine) — and is ``None`` for analytic and
+    sharded runs and for artifacts written before the field existed.
+    Execution shape lives here —
     not in ``metrics`` — because a sharded run's merged metrics are
     bit-identical for a fixed seed regardless of how many processes
     produced them.
@@ -64,6 +70,7 @@ class Provenance:
     #: :func:`repro.workloads.divergence.assess_divergence`); ``None``
     #: when the analytic model is trustworthy or was not consulted.
     model_divergence: str | None = None
+    station_path: str | None = None
 
 
 class RunClock:
@@ -198,20 +205,7 @@ class RunResult:
                 dip: dict(row) for dip, row in self.dip_summaries.items()
             },
             "windows": [window.to_dict() for window in self.windows],
-            "provenance": {
-                "started_at": self.provenance.started_at,
-                "wall_clock_s": self.provenance.wall_clock_s,
-                "version": self.provenance.version,
-                "shards": self.provenance.shards,
-                "workers": self.provenance.workers,
-                "shard_mode": self.provenance.shard_mode,
-                "sync_interval_s": self.provenance.sync_interval_s,
-                "fallback_reason": self.provenance.fallback_reason,
-                "retries": self.provenance.retries,
-                "degraded_to": self.provenance.degraded_to,
-                "failed_runs": self.provenance.failed_runs,
-                "model_divergence": self.provenance.model_divergence,
-            },
+            "provenance": asdict(self.provenance),
         }
         if self.error is not None:
             data["error"] = self.error
@@ -242,6 +236,11 @@ class RunResult:
                 f"result artifact is missing field {missing[0]!r}"
             )
         prov = data["provenance"]
+
+        def optional(key: str, kind: type = str) -> Any:
+            value = prov.get(key)
+            return kind(value) if value is not None else None
+
         return cls(
             spec=ExperimentSpec.from_dict(data["spec"]),
             runner=str(data["runner"]),
@@ -264,28 +263,13 @@ class RunResult:
                 shards=int(prov.get("shards", 1)),
                 workers=int(prov.get("workers", 1)),
                 shard_mode=str(prov.get("shard_mode", "serial")),
-                sync_interval_s=(
-                    float(prov["sync_interval_s"])
-                    if prov.get("sync_interval_s") is not None
-                    else None
-                ),
-                fallback_reason=(
-                    str(prov["fallback_reason"])
-                    if prov.get("fallback_reason") is not None
-                    else None
-                ),
+                sync_interval_s=optional("sync_interval_s", float),
+                fallback_reason=optional("fallback_reason"),
                 retries=int(prov.get("retries", 0)),
-                degraded_to=(
-                    str(prov["degraded_to"])
-                    if prov.get("degraded_to") is not None
-                    else None
-                ),
+                degraded_to=optional("degraded_to"),
                 failed_runs=int(prov.get("failed_runs", 0)),
-                model_divergence=(
-                    str(prov["model_divergence"])
-                    if prov.get("model_divergence") is not None
-                    else None
-                ),
+                model_divergence=optional("model_divergence"),
+                station_path=optional("station_path"),
             ),
         )
 

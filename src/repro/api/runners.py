@@ -163,6 +163,7 @@ def _finish(
     windows: tuple[RunWindow, ...] = (),
     detail: Any = None,
     model_divergence: str | None = None,
+    station_path: str | None = None,
 ) -> RunResult:
     return RunResult(
         spec=spec,
@@ -174,7 +175,9 @@ def _finish(
             for dip, row in dip_summaries.items()
         },
         windows=windows,
-        provenance=clock.provenance(model_divergence=model_divergence),
+        provenance=clock.provenance(
+            model_divergence=model_divergence, station_path=station_path
+        ),
         detail=detail,
     )
 
@@ -477,6 +480,7 @@ class RequestRunner:
             windows=windows,
             detail=run,
             model_divergence=divergence,
+            station_path=run.station_path,
         )
 
 

@@ -558,6 +558,10 @@ def run_request_vs_fluid_crosscheck(
     model assumes (round robin smooths arrivals and genuinely queues
     *less* than M/M/c predicts — an effect, not a bug, measurable by
     overriding ``policy_name="rr"``).
+
+    ``peak_scheduled_events`` is an event-path quantity (the scheduler
+    heap's high-water mark): it reads 0 when the cluster replayed the run,
+    which it does for ``random`` / ``wrandom`` / ``rr`` / ``wrr`` / ``hash``.
     """
 
     def pool():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import abc
 import inspect
+import itertools
 from dataclasses import dataclass
 from typing import Any, Container, Iterable, Mapping, Sequence
 
@@ -111,6 +112,13 @@ class Policy(abc.ABC):
     #: never looks at connection counts (round robin, hash, random, DNS),
     #: the simulator skips the per-request open/close bookkeeping.
     uses_connection_counts: bool = True
+    #: whether a run's picks are a function of the arrival index and the
+    #: flow alone: nothing :meth:`select` reads — connection counts,
+    #: utilization, the clock — is moved by the requests in flight.  Only
+    #: then may the request simulator take every pick up front
+    #: (:meth:`select_many`) and replay each DIP's sub-stream instead of
+    #: simulating events; a policy that does not say so stays event-driven.
+    replayable: bool = False
 
     def __init__(self, dips: Iterable[DipId]) -> None:
         dip_list = list(dips)
@@ -195,6 +203,23 @@ class Policy(abc.ABC):
     def select(self, flow: FlowKey) -> DipId:
         """Choose the DIP for a new connection."""
 
+    def select_many(
+        self, count: int, flows: Iterable[FlowKey] | None = None
+    ) -> np.ndarray:
+        """``count`` consecutive picks, as int32 positions in :attr:`dips`.
+
+        The picks ``count`` calls of :meth:`select` return (on ``flows`` in
+        order, or on ``None``), leaving cursor, scores and generator where
+        those calls leave them — this default *is* that loop.  A subclass
+        overrides it only where the law is arithmetic on the pick index.
+        """
+        select = self.select
+        if flows is None:
+            flows = itertools.repeat(None)
+        return self._positions(
+            select(flow) for flow in itertools.islice(flows, count)
+        )
+
     def on_connection_open(self, dip: DipId) -> None:
         self._views[dip].active_connections += 1
 
@@ -224,6 +249,11 @@ class Policy(abc.ABC):
         a weight plan is built from."""
         weights = np.array([v.weight for v in self._candidates()], dtype=float)
         return self.healthy_dips, weights
+
+    def _positions(self, dips: Iterable[DipId]) -> np.ndarray:
+        """Positions in :attr:`dips` of the given ids, as int32."""
+        position = {dip: index for index, dip in enumerate(self._views)}
+        return np.fromiter((position[dip] for dip in dips), dtype=np.int32)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(dips={len(self._views)})"

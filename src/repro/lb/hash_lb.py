@@ -12,6 +12,7 @@ import hashlib
 from typing import Iterable
 
 from repro.core.types import DipId
+from repro.exceptions import ConfigurationError
 from repro.lb.base import FlowKey, Policy, register_policy
 
 
@@ -28,6 +29,7 @@ class FiveTupleHash(Policy):
     name = "hash"
     supports_weights = False
     uses_connection_counts = False
+    replayable = True
 
     def __init__(self, dips: Iterable[DipId], *, salt: str = "") -> None:
         super().__init__(dips)
@@ -35,6 +37,8 @@ class FiveTupleHash(Policy):
 
     def select(self, flow: FlowKey) -> DipId:
         candidates = self.healthy_dips
+        if not candidates:
+            raise ConfigurationError("no healthy DIPs available")
         index = stable_hash(flow, salt=self._salt) % len(candidates)
         return candidates[index]
 

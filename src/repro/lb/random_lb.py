@@ -7,6 +7,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.core.types import DipId
+from repro.exceptions import ConfigurationError
 from repro.lb.base import FlowKey, Policy, pick_cdf, register_policy
 
 
@@ -17,6 +18,7 @@ class RandomSelect(Policy):
     supports_weights = False
     uses_flow = False
     uses_connection_counts = False
+    replayable = True
 
     def __init__(self, dips: Iterable[DipId], *, seed: int | None = None) -> None:
         super().__init__(dips)
@@ -24,6 +26,8 @@ class RandomSelect(Policy):
 
     def select(self, flow: FlowKey) -> DipId:
         candidates = self.healthy_dips
+        if not candidates:
+            raise ConfigurationError("no healthy DIPs available")
         return candidates[int(self._rng.integers(len(candidates)))]
 
 
@@ -34,6 +38,7 @@ class WeightedRandom(Policy):
     supports_weights = True
     uses_flow = False
     uses_connection_counts = False
+    replayable = True
 
     def __init__(
         self,

@@ -18,6 +18,16 @@ from repro.exceptions import ConfigurationError
 from repro.lb.base import FlowKey, Policy, effective_weights, register_policy
 
 
+def round_robin_picks(cursor: int, count: int, candidates: int) -> np.ndarray:
+    """Candidate positions of ``count`` round-robin picks starting at ``cursor``.
+
+    The cursor counts picks, not positions, so it carries across a change
+    of the candidate set; :class:`RoundRobin` and the epoch engine's
+    ``_RoundRobinRouter`` both pick through here.
+    """
+    return (cursor + np.arange(count, dtype=np.int64)) % candidates
+
+
 class RoundRobin(Policy):
     """Plain round robin: rotate new connections across healthy DIPs."""
 
@@ -25,6 +35,7 @@ class RoundRobin(Policy):
     supports_weights = False
     uses_flow = False
     uses_connection_counts = False
+    replayable = True
 
     def __init__(self, dips: Iterable[DipId]) -> None:
         super().__init__(dips)
@@ -37,6 +48,14 @@ class RoundRobin(Policy):
         dip = candidates[self._cursor % len(candidates)]
         self._cursor += 1
         return dip
+
+    def select_many(self, count, flows=None) -> np.ndarray:
+        candidates = self.healthy_dips
+        if not candidates:
+            raise ConfigurationError("no healthy DIPs available")
+        picks = round_robin_picks(self._cursor, count, len(candidates))
+        self._cursor += count
+        return self._positions(candidates)[picks]
 
 
 def smooth_wrr_weights(weights: np.ndarray) -> tuple[np.ndarray, float]:
@@ -66,6 +85,16 @@ def smooth_wrr_step(current: np.ndarray, w: np.ndarray, total: float) -> int:
     return best
 
 
+def smooth_wrr_picks(
+    current: np.ndarray, w: np.ndarray, total: float, count: int
+) -> np.ndarray:
+    """``count`` consecutive :func:`smooth_wrr_step` picks (candidate positions)."""
+    picks = np.empty(count, dtype=np.int32)
+    for i in range(count):
+        picks[i] = smooth_wrr_step(current, w, total)
+    return picks
+
+
 class WeightedRoundRobin(Policy):
     """Smooth weighted round robin (the WRR the paper's MUXes implement).
 
@@ -79,6 +108,7 @@ class WeightedRoundRobin(Policy):
     supports_weights = True
     uses_flow = False
     uses_connection_counts = False
+    replayable = True
 
     def __init__(
         self,
@@ -110,15 +140,23 @@ class WeightedRoundRobin(Policy):
     def _on_weights_changed(self) -> None:
         self._current.clear()
 
+    def _build_plan(self) -> tuple:
+        ids, weights = self._candidate_weights()
+        w, total = smooth_wrr_weights(weights)
+        current = np.array([self._current.get(dip, 0.0) for dip in ids])
+        plan = self._plan = (ids, w, total, current)
+        return plan
+
     def select(self, flow: FlowKey) -> DipId:
         plan = self._plan
         if plan is None:
-            ids, weights = self._candidate_weights()
-            w, total = smooth_wrr_weights(weights)
-            current = np.array([self._current.get(dip, 0.0) for dip in ids])
-            plan = self._plan = (ids, w, total, current)
+            plan = self._build_plan()
         ids, w, total, current = plan
         return ids[smooth_wrr_step(current, w, total)]
+
+    def select_many(self, count, flows=None) -> np.ndarray:
+        ids, w, total, current = self._plan or self._build_plan()
+        return self._positions(ids)[smooth_wrr_picks(current, w, total, count)]
 
 
 register_policy("rr", RoundRobin, weighted=False, summary="round robin")

@@ -44,8 +44,9 @@ serial engine's *law*, not its byte stream — p2 draws its pairs from a
 dedicated lane and the flow hash is a same-law 64-bit mixer rather than
 the serial sha1 — so their cross-check deltas are sampling noise plus
 staleness, while lc/wlc/rr replicas mirror the serial tie-break rules
-exactly and the wrr replica picks through the serial policy's own kernel
-(:func:`repro.lb.round_robin.smooth_wrr_step`), arrival for arrival.
+exactly and the rr and wrr replicas pick through the serial policies' own
+kernels (:func:`repro.lb.round_robin.round_robin_picks`,
+:func:`~repro.lb.round_robin.smooth_wrr_picks`), arrival for arrival.
 """
 
 from __future__ import annotations
@@ -61,7 +62,11 @@ import numpy as np
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
 from repro.lb.base import pick_cdf
-from repro.lb.round_robin import smooth_wrr_step, smooth_wrr_weights
+from repro.lb.round_robin import (
+    round_robin_picks,
+    smooth_wrr_picks,
+    smooth_wrr_weights,
+)
 from repro.parallel.kernel import (
     arrival_seed,
     flow_seed,
@@ -273,9 +278,8 @@ class _RoundRobinRouter(_EpochRouter):
 
     def route(self, times, clients, ports):
         h = self._candidates()
-        n = times.size
-        out = h[(self._cursor + np.arange(n, dtype=np.int64)) % h.size]
-        self._cursor += n
+        out = h[round_robin_picks(self._cursor, times.size, h.size)]
+        self._cursor += times.size
         return out.astype(np.int32)
 
 
@@ -306,7 +310,7 @@ class _SmoothWrrRouter(_EpochRouter):
 
     The weights, their total and every step come from the functions the
     serial policy calls (:func:`repro.lb.round_robin.smooth_wrr_weights`,
-    :func:`~repro.lb.round_robin.smooth_wrr_step`), so for equal weights
+    :func:`~repro.lb.round_robin.smooth_wrr_picks`), so for equal weights
     and health history the two return the same DIP for every arrival;
     accumulators persist across health changes and reset only when weights
     change, as there.
@@ -324,9 +328,7 @@ class _SmoothWrrRouter(_EpochRouter):
         h = self._candidates()
         w, total = smooth_wrr_weights(self._weights[h])
         current = self._current[h]  # fancy-index copy; written back below
-        picks = np.empty(times.size, dtype=np.int64)
-        for i in range(times.size):
-            picks[i] = smooth_wrr_step(current, w, total)
+        picks = smooth_wrr_picks(current, w, total, times.size)
         self._current[h] = current
         return h[picks].astype(np.int32)
 

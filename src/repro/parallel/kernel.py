@@ -11,11 +11,10 @@ do:
   sliced per DIP (``times[d::n]`` for round robin's cyclic law, boolean
   masks for the i.i.d. laws);
 * **a tight per-station recursion** — FCFS service order equals arrival
-  order, so :func:`simulate_station` walks one DIP's arrivals with the
-  Kiefer-Wolfowitz recursion over a ``c``-entry server-free heap plus an
-  in-system heap for the finite-queue drop rule.  No event heap, no
-  callbacks, no per-request objects: the loop runs ~10x faster per request
-  than the streaming DES, *before* shards fan out across cores.
+  order, so each DIP's arrivals walk the Kiefer-Wolfowitz recursion,
+  :func:`repro.sim.queueing.simulate_station` (re-exported here; the
+  serial engine replays eligible runs through the same function).  No
+  event heap, no callbacks, no per-request objects.
 
 Determinism: every stream hangs off :class:`numpy.random.SeedSequence`
 children keyed by the run seed and the DIP's **global** pool index — never
@@ -25,13 +24,15 @@ shard counts for a fixed seed.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.lb.base import effective_weights
+
+# The station recursion lives beside DipStation (sim is below parallel in
+# the layer map); this module stays its import path for the parallel layer.
+from repro.sim.queueing import StationOutcome as StationOutcome
+from repro.sim.queueing import simulate_station as simulate_station
 
 # SeedSequence lanes for the independent substreams of one run.  The lane
 # markers are non-zero and every key ends in a non-zero word: SeedSequence
@@ -41,8 +42,6 @@ _ARRIVAL_LANE = 0x5EED01
 _SERVICE_LANE = 0x5EED02
 _FLOW_LANE = 0x5EED03
 _ROUTER_LANE = 0x5EED04
-
-_NAN = float("nan")
 
 
 def arrival_seed(seed: int) -> np.random.SeedSequence:
@@ -159,93 +158,3 @@ def build_dip_arrival_streams(
     if assignment is None:
         return {d: times[d::num_dips] for d in indices}
     return {d: times[assignment == d] for d in indices}
-
-
-@dataclass
-class StationOutcome:
-    """One DIP's simulated run: measured record columns plus counters.
-
-    The columns are arrival-ordered (the order is part of the determinism
-    contract — merged metrics must not depend on completion interleaving
-    across shards).  ``latency_ms`` is NaN for drops, whose timestamp is
-    their arrival time, exactly as the serial engine records them.
-    """
-
-    latency_ms: np.ndarray
-    completed: np.ndarray
-    timestamp: np.ndarray
-    submitted: int
-    dropped: int
-    busy_seconds: float
-
-    @property
-    def completions(self) -> int:
-        return self.submitted - self.dropped
-
-
-def simulate_station(
-    arrivals: np.ndarray,
-    services: np.ndarray,
-    *,
-    servers: int,
-    queue_capacity: int,
-    measure_from: float = 0.0,
-) -> StationOutcome:
-    """Simulate one M/M/c/K station over its arrival sub-stream.
-
-    ``services`` holds the (already scaled) service time of each arrival in
-    order; drops consume no draw's worth of work but keep the draw aligned
-    to the arrival index, matching how the stream was generated.  Requests
-    arriving before ``measure_from`` shape the queue but produce no record
-    (the serial engine's warm-up rule).
-    """
-    if servers < 1:
-        raise ConfigurationError("servers must be >= 1")
-    if queue_capacity < 0:
-        raise ConfigurationError("queue_capacity must be >= 0")
-    lat: list[float] = []
-    done: list[bool] = []
-    ts: list[float] = []
-    lat_append = lat.append
-    done_append = done.append
-    ts_append = ts.append
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    heapreplace = heapq.heapreplace
-    free = [0.0] * servers
-    in_system: list[float] = []
-    capacity = servers + queue_capacity
-    busy = 0.0
-    dropped = 0
-    submitted = 0
-    for a, s in zip(arrivals.tolist(), services.tolist()):
-        while in_system and in_system[0] <= a:
-            heappop(in_system)
-        measured = a >= measure_from
-        if measured:
-            submitted += 1
-        if len(in_system) >= capacity:
-            if measured:
-                dropped += 1
-                lat_append(_NAN)
-                done_append(False)
-                ts_append(a)
-            continue
-        f = free[0]
-        start = a if a > f else f
-        dep = start + s
-        heapreplace(free, dep)
-        heappush(in_system, dep)
-        busy += s
-        if measured:
-            lat_append((dep - a) * 1000.0)
-            done_append(True)
-            ts_append(dep)
-    return StationOutcome(
-        latency_ms=np.asarray(lat, dtype=np.float64),
-        completed=np.asarray(done, dtype=bool),
-        timestamp=np.asarray(ts, dtype=np.float64),
-        submitted=submitted,
-        dropped=dropped,
-        busy_seconds=busy,
-    )

@@ -23,6 +23,18 @@ Hot-path design (``BENCH_request_engine.json`` tracks the speedup):
   ``_arrival`` handler; whether a request is recorded is decided by its
   arrival time against the warm-up boundary (the seed had a copy-pasted
   ``_warmup_request`` twin).
+
+That is the *event path*.  A batch :meth:`RequestCluster.run` whose picks
+cannot read queue state — a policy declaring ``replayable`` (``rr``,
+``wrr``, ``random``, ``wrandom``, ``hash``), no retry layer, no probing, no
+MUX pool, no failed DIP, nothing scheduled, clock at 0 — takes the *replay
+path* instead: the same arrival batches, the policy's own picks
+(``select_many``), then each DIP's sub-stream through
+:func:`repro.sim.queueing.simulate_station`, every generator consumed as the
+event loop consumes it.  The result is the event run's to the last bit
+(``tests/property/test_request_replay.py``) at about a third of the cost;
+``RunResult.station_path`` says which path ran.  There is no switch: to
+force the event engine, drive ``begin`` / ``run_to`` / ``finish``.
 """
 
 from __future__ import annotations
@@ -61,6 +73,9 @@ _INF = float("inf")
 #: retries the budget always allows, so low-volume runs can still retry.
 _RETRY_BURST = 10
 
+#: how far past the horizon a batch run goes so in-flight requests complete.
+_DRAIN_S = 30.0
+
 
 @dataclass
 class RunResult:
@@ -71,6 +86,9 @@ class RunResult:
     requests_submitted: int
     requests_completed: int
     requests_dropped: int
+    #: how the stations were driven: ``"replay"`` (each DIP's sub-stream
+    #: through the FCFS recursion) or ``"events"`` (the event engine).
+    station_path: str = "events"
 
     @property
     def drop_fraction(self) -> float:
@@ -139,6 +157,10 @@ class RequestCluster:
             for index, (dip_id, server) in enumerate(self.dips.items())
         }
         self._observation_interval = utilization_observation_interval_s
+        #: a cluster runs once: arrivals restart at clock 0, the scheduler
+        #: and the collector do not.
+        self._begun = False
+        self._station_path = "events"
         self._submitted = 0
         self._completed = 0
         self._dropped = 0
@@ -367,17 +389,27 @@ class RequestCluster:
     def _mark_unhealthy(self, dip_id: DipId) -> None:
         self.policy.set_healthy(dip_id, False)
 
-    def _refill_arrivals(self) -> None:
+    def _draw_arrivals(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """The next ``ARRIVAL_BATCH`` arrivals: absolute times and, when the
+        policy reads flows, client indices and source ports."""
+        clients = ports = None
         if self._needs_flow:
-            gaps, client_indices, ports = self.workload.next_batch(ARRIVAL_BATCH)
-            self._arrival_clients = client_indices[::-1].tolist()
-            self._arrival_ports = ports[::-1].tolist()
+            gaps, clients, ports = self.workload.next_batch(ARRIVAL_BATCH)
         else:
             # Flow-less policies skip the client/port draws entirely.
             gaps = self.workload.next_interarrival_batch(ARRIVAL_BATCH)
         times = gaps.cumsum()
         times += self._arrival_clock
         self._arrival_clock = float(times[-1])
+        return times, clients, ports
+
+    def _refill_arrivals(self) -> None:
+        times, clients, ports = self._draw_arrivals()
+        if clients is not None:
+            self._arrival_clients = clients[::-1].tolist()
+            self._arrival_ports = ports[::-1].tolist()
         self._arrival_times = times[::-1].tolist()
 
     def _fire_arrival(self) -> float:
@@ -714,6 +746,11 @@ class RequestCluster:
         Warm-up requests are routed and served so queues reach steady state,
         but are not recorded.
         """
+        if self._begun:
+            raise ConfigurationError(
+                "this cluster has already run; build a fresh one per run"
+            )
+        self._begun = True
         total_duration = warmup_s + duration_s
 
         # Stream Poisson arrivals: the sorted stream is merged against the
@@ -764,7 +801,102 @@ class RequestCluster:
             requests_submitted=self._submitted,
             requests_completed=self._completed,
             requests_dropped=self._dropped,
+            station_path=self._station_path,
         )
+
+    # -- the replay path -----------------------------------------------------------
+    #
+    # When no pick can read queue state and nothing is scheduled to perturb
+    # the run, each DIP is an FCFS station fed by a sub-stream that is known
+    # before the first request is served.  run() then draws the arrivals,
+    # takes the picks and walks each sub-stream through
+    # :func:`repro.sim.queueing.simulate_station`, consuming every generator
+    # exactly as the event loop would — the outcome is the event run's, bit
+    # for bit, without an event heap, Request objects or callbacks.
+
+    def _replayable(self) -> bool:
+        """Whether a batch run from here is fixed by its arrivals and picks."""
+        return (
+            not self._begun
+            and self._retry is None
+            and self._health is None
+            and getattr(self.policy, "replayable", False)
+            and not self._track_conns
+            # picks come back as pool positions: one pool order for both.
+            and self.policy.dips == tuple(self.dips)
+            # Anything already scheduled (a timeline event, a progress
+            # observer) or already run means the engine has work of its own.
+            and self.scheduler.now == 0.0
+            and self.scheduler.pending_events == 0
+            and not any(server.failed for server in self.dips.values())
+        )
+
+    def _replay(self, *, duration_s: float, warmup_s: float) -> RunResult:
+        self._begun = True
+        total_duration = warmup_s + duration_s
+        until = total_duration + _DRAIN_S
+
+        # The arrival stream as begin() and _fire_arrival draw it: whole
+        # batches until one reaches the horizon, cut at the first arrival
+        # not before it.
+        self._arrival_clock = 0.0
+        batches = [self._draw_arrivals()]
+        while self._arrival_clock < total_duration:
+            batches.append(self._draw_arrivals())
+        times = np.concatenate([batch[0] for batch in batches])
+        arrivals = int(times.searchsorted(total_duration, side="left"))
+        times = times[:arrivals]
+
+        # The picks, from the policy itself.
+        flows = None
+        if self._needs_flow:
+            ips, address, port = self._client_ips, self._vip_address, self._vip_port
+            clients, ports = (
+                np.concatenate([batch[column] for batch in batches])[:arrivals]
+                for column in (1, 2)
+            )
+            flows = (
+                FlowKey(src_ip=ips[c], src_port=p, dst_ip=address, dst_port=port)
+                for c, p in zip(clients.tolist(), ports.tolist())
+            )
+        del batches
+        picks = self.policy.select_many(arrivals, flows)
+
+        # Each station's sub-stream through the recursion, rows written back
+        # at their arrival positions so equal timestamps keep arrival order.
+        first = int(times.searchsorted(warmup_s, side="left"))
+        measured = arrivals - first
+        sizes = np.bincount(picks, minlength=len(self.policy.dips))
+        by_pick = np.split(
+            picks.argsort(kind="stable").astype(np.int32), sizes.cumsum()[:-1]
+        )
+        del picks
+        latency_ms = np.empty(measured, dtype=np.float64)
+        station_index = np.empty(measured, dtype=np.int32)
+        completed = np.empty(measured, dtype=bool)
+        timestamp = np.empty(measured, dtype=np.float64)
+        for index, station in enumerate(self._stations.values()):
+            mine = by_pick[index]
+            outcome = station.replay(times[mine], measure_from=warmup_s, until=until)
+            rows = mine[mine.size - outcome.submitted :] - first
+            latency_ms[rows] = outcome.latency_ms
+            station_index[rows] = index
+            completed[rows] = outcome.completed
+            timestamp[rows] = outcome.timestamp
+            self._dropped += outcome.dropped
+        del by_pick, times
+        # The completion sink stamps a drop with its zero sojourn, not NaN.
+        latency_ms[~completed] = 0.0
+        self.metrics.adopt_run(
+            tuple(self._stations), latency_ms, station_index, completed, timestamp
+        )
+        self._measured_duration = duration_s
+        self._total_duration = total_duration
+        self._submitted = measured
+        self._completed = self.metrics.total_requests - self._dropped
+        self.scheduler.run_until(until)
+        self._station_path = "replay"
+        return self.finish()
 
     def run(
         self,
@@ -780,9 +912,11 @@ class RequestCluster:
         if duration_s is None:
             assert num_requests is not None
             duration_s = num_requests / self.workload.rate_rps
+        if self._replayable():
+            return self._replay(duration_s=duration_s, warmup_s=warmup_s)
         self.begin(duration_s=duration_s, warmup_s=warmup_s)
         # Run past the end so in-flight requests complete.
-        self.run_to(self._total_duration + 30.0)
+        self.run_to(self._total_duration + _DRAIN_S)
         return self.finish()
 
     # -- observation -------------------------------------------------------------------

@@ -15,13 +15,23 @@ changes still affect every in-flight draw, and per-station draw order is
 preserved regardless of how arrivals interleave across stations.  Service
 completions are scheduled as ``(bound_method, request)`` heap payloads
 instead of per-request closures.
+
+A station whose arrival sub-stream is fixed before the run starts (the
+picks never read queue state) needs none of that: FCFS service order is
+arrival order, so :func:`simulate_station` walks the sub-stream through the
+Kiefer-Wolfowitz recursion — no event heap, no ``Request`` objects, no
+callbacks.  It is the one statement of the drop rule, the warm-up rule and
+the tie rule outside the event path; :meth:`DipStation.replay` (the serial
+replay in :mod:`repro.sim.cluster`) and the exact-mode shards of
+:mod:`repro.parallel` both run it.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque
+from typing import TYPE_CHECKING, Callable, Deque, Iterator
 
 import collections
 
@@ -42,7 +52,13 @@ CompletionCallback = Callable[[Request], None]
 #: unit-exponential draws per vectorized RNG call.
 SERVICE_BATCH = 512
 
+#: arrivals ``simulate_station`` turns into Python floats at a time.
+_WALK_SLICE = 65536
+
 _COMPLETED = RequestOutcome.COMPLETED
+
+_NAN = float("nan")
+_INF = float("inf")
 
 
 @dataclass(slots=True)
@@ -55,6 +71,168 @@ class DipQueueStats:
     busy_time_s: float = 0.0
     #: integral of (busy workers) over time, for mean-utilization reporting.
     busy_worker_seconds: float = 0.0
+
+
+@dataclass
+class StationOutcome:
+    """One DIP's simulated run: measured record columns plus counters.
+
+    The columns hold one row per measured arrival, in arrival order (the
+    order is part of the determinism contract — merged metrics must not
+    depend on completion interleaving across shards).  ``latency_ms`` is
+    NaN for drops, whose timestamp is their arrival time, as the event
+    engine stamps them; a request still in the station at ``until`` has no
+    record there, and its row reads NaN / ``inf``.
+    """
+
+    latency_ms: np.ndarray
+    completed: np.ndarray
+    timestamp: np.ndarray
+    submitted: int
+    dropped: int
+    #: summed service time of everything admitted.
+    busy_seconds: float
+    #: with ``account``: what a :class:`DipStation` fed the same arrivals
+    #: counts, and how many requests it still holds at ``until``.
+    stats: DipQueueStats | None = None
+    in_system: int = 0
+
+
+def simulate_station(
+    arrivals: np.ndarray,
+    services: "np.ndarray | Iterator[float]",
+    *,
+    servers: int,
+    queue_capacity: int,
+    measure_from: float = 0.0,
+    until: float = _INF,
+    account: bool = False,
+) -> StationOutcome:
+    """Simulate one FCFS M/M/c/K station over its sorted arrival sub-stream.
+
+    The Kiefer-Wolfowitz recursion: a ``servers``-entry heap of worker-free
+    times gives each admitted request its start, and a heap of the
+    departures still ahead gives the in-system count the drop rule reads
+    (an arrival finding ``servers + queue_capacity`` in the system is
+    dropped).  A departure stamped exactly at an arrival's time leaves
+    first — the tie rule ``EventScheduler.run_stream`` fixes.  Requests
+    arriving before ``measure_from`` shape the queue but produce no record,
+    and nothing happens after ``until`` (every arrival is expected before
+    it): a request that would start service later takes no draw, one that
+    would depart later has no record.
+
+    ``services`` holds (already scaled) service times.  An array is aligned
+    to ``arrivals`` — a drop skips its entry, which is how exact-mode
+    shards draw them; any other iterator is read once per request that
+    starts service, which is how a :class:`DipStation` consumes its
+    generator.  ``account`` adds the station's own bookkeeping to the
+    outcome (:func:`_station_stats`, one sort of its events).
+    """
+    if servers < 1:
+        raise ConfigurationError("servers must be >= 1")
+    if queue_capacity < 0:
+        raise ConfigurationError("queue_capacity must be >= 0")
+    aligned = services if isinstance(services, np.ndarray) else None
+    draw = None if aligned is not None else services.__next__
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
+    free = [0.0] * servers
+    in_system: list[float] = []
+    capacity = servers + queue_capacity
+    service_sum = 0.0
+    # Each arrival's departure: NaN for a drop, inf past ``until``.  Walked a
+    # slice at a time, so the Python floats in flight stay a bounded few MB.
+    departure = np.empty(arrivals.size, dtype=np.float64)
+    out: list[float] = []
+    append = out.append
+    for lo in range(0, arrivals.size, _WALK_SLICE):
+        part = slice(lo, lo + _WALK_SLICE)
+        for a, service in zip(
+            arrivals[part].tolist(),
+            itertools.repeat(None) if aligned is None else aligned[part].tolist(),
+        ):
+            while in_system and in_system[0] <= a:
+                heappop(in_system)
+            if len(in_system) >= capacity:
+                append(_NAN)
+                continue
+            start = free[0]
+            if a > start:
+                start = a
+            if start > until:
+                leaves = _INF
+            else:
+                if service is None:
+                    service = draw()
+                leaves = start + service
+                heapreplace(free, leaves)
+                service_sum += service
+            heappush(in_system, leaves)
+            append(leaves)
+        departure[part] = out
+        out.clear()
+    dropped = np.isnan(departure)
+    completed = departure <= until
+    timestamp = np.where(dropped, arrivals, np.where(completed, departure, _INF))
+    latency_ms = np.where(completed, (departure - arrivals) * 1000.0, _NAN)
+    # One row per arrival so far; the warm-up rule cuts the leading ones.
+    first = int(arrivals.searchsorted(measure_from, side="left"))
+    outcome = StationOutcome(
+        latency_ms=latency_ms[first:],
+        completed=completed[first:],
+        timestamp=timestamp[first:],
+        submitted=arrivals.size - first,
+        dropped=int(np.count_nonzero(dropped[first:])),
+        busy_seconds=service_sum,
+    )
+    if account:
+        outcome.stats = _station_stats(
+            arrivals, timestamp[completed], ~dropped, servers=servers, until=until
+        )
+        outcome.in_system = (
+            arrivals.size - outcome.stats.drops - outcome.stats.completions
+        )
+    return outcome
+
+
+def _station_stats(
+    arrivals: np.ndarray,
+    departures: np.ndarray,
+    admitted: np.ndarray,
+    *,
+    servers: int,
+    until: float,
+) -> DipQueueStats:
+    """What :class:`DipStation` counts over a run, from the run's events.
+
+    The station integrates busy workers at every arrival and departure in
+    time order (a departure before an arrival of the same instant), one
+    ``+=`` per event; ``cumsum`` is that same left-to-right sum, so the
+    integrals come out to the last bit.
+    """
+    # The integral closes at ``until``; with none, at the last departure.
+    closing = [until] if until < _INF else []
+    times = np.concatenate([departures, arrivals, closing])
+    step = np.zeros(times.size, dtype=np.int8)
+    step[: departures.size] = -1
+    step[departures.size : departures.size + arrivals.size] = admitted
+    order = times.argsort(kind="stable")
+    times, step = times[order], step[order]
+    del order
+    holding = step.cumsum(dtype=np.int32)
+    holding -= step  # in the station just before each event
+    elapsed = np.diff(times, prepend=0.0)
+    del times
+    worker_seconds = np.minimum(holding, servers) * elapsed
+    elapsed *= holding > 0
+    return DipQueueStats(
+        arrivals=arrivals.size,
+        completions=departures.size,
+        drops=arrivals.size - int(np.count_nonzero(admitted)),
+        busy_time_s=float(elapsed.cumsum(out=elapsed)[-1]),
+        busy_worker_seconds=float(worker_seconds.cumsum(out=worker_seconds)[-1]),
+    )
 
 
 class DipStation:
@@ -161,6 +339,50 @@ class DipStation:
     @property
     def active_requests(self) -> int:
         return self._busy_workers + len(self._waiting)
+
+    # -- replay ----------------------------------------------------------------
+
+    def _service_times(self) -> Iterator[float]:
+        """Service times in draw order, consumed the way ``submit`` does:
+        unit draws in ``SERVICE_BATCH`` refills of ``_svc_buf``, scaled by
+        the mean read at the first start of service."""
+        token = len(self.dip.antagonist.history)
+        if token != self._svc_token:
+            self._svc_mean = self._mean_service_time_s()
+            self._svc_token = token
+        mean = self._svc_mean
+        while True:
+            buf = self._svc_buf
+            if not buf:
+                buf = self._svc_buf = self._svc_draw(SERVICE_BATCH)[::-1].tolist()
+            while buf:
+                yield buf.pop() * mean
+
+    def replay(
+        self, arrivals: np.ndarray, *, measure_from: float, until: float
+    ) -> StationOutcome:
+        """Serve a whole run's arrivals at once, for a run in which nothing
+        changes the station between its first arrival and ``until``.
+
+        Leaves the generator, the draw buffer and the counters where
+        submitting the same arrivals through an event loop run to ``until``
+        leaves them; the records come back as columns instead of through
+        the completion sink, and a line still waiting at ``until`` (nothing
+        will serve it) is counted in the outcome, not rebuilt.
+        """
+        outcome = simulate_station(
+            arrivals,
+            self._service_times(),
+            servers=self._workers,
+            queue_capacity=self._queue_capacity,
+            measure_from=measure_from,
+            until=until,
+            account=True,
+        )
+        self.stats = outcome.stats
+        self._busy_workers = min(self._workers, outcome.in_system)
+        self._last_change = until
+        return outcome
 
     # -- request lifecycle -----------------------------------------------------
 

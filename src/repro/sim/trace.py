@@ -20,7 +20,7 @@ objects on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -283,6 +283,47 @@ class MetricsCollector:
             self._tmo[n:need] = False
             self._gup[n:need] = False
         self._n = need
+
+    def adopt_run(
+        self,
+        dips: Sequence[DipId],
+        latency_ms: np.ndarray,
+        dip_index: np.ndarray,
+        completed: np.ndarray,
+        timestamp: np.ndarray,
+    ) -> None:
+        """Take a whole run's records as columns, in the order one-by-one
+        recording would have produced.
+
+        This is the replay ingestion path: rows come in arrival order with
+        ``dip_index`` (int32) into ``dips``.  An event loop records a row
+        when its ``timestamp`` comes up — equal stamps in arrival order, a
+        row stamped ``inf`` never — and interns a DIP at its first record;
+        one stable sort reproduces both.  The collector must be empty and
+        keeps the arrays it is given, so nothing is copied but one column
+        at a time under the permutation.
+        """
+        if self.total_requests or self._extended:
+            raise ConfigurationError(
+                "adopt_run needs an empty collector without resilience columns"
+            )
+        count = timestamp.size - int(np.count_nonzero(timestamp == np.inf))
+        if not count:
+            return
+        order = timestamp.argsort(kind="stable")[:count].astype(np.int32)
+        for column in (latency_ms, dip_index, completed, timestamp):
+            column[:count] = column[order]
+        del order
+        seen, first = np.unique(dip_index[:count], return_index=True)
+        seen = seen[first.argsort()]
+        self._dip_ids = [dips[index] for index in seen.tolist()]
+        self._dip_code = {dip: code for code, dip in enumerate(self._dip_ids)}
+        code = np.empty(len(dips), dtype=np.int32)
+        code[seen] = np.arange(seen.size, dtype=np.int32)
+        dip_index[:count] = code[dip_index[:count]]
+        self._lat, self._code = latency_ms, dip_index
+        self._done, self._ts = completed, timestamp
+        self._n = count
 
     # -- access ---------------------------------------------------------------
 

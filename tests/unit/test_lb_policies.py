@@ -67,6 +67,41 @@ class TestRegistry:
         assert not registry["rr"].weighted
 
 
+class TestEveryRegisteredPolicy:
+    @pytest.mark.parametrize("name", sorted(policy_registry()))
+    def test_no_healthy_dip_is_a_configuration_error(self, name):
+        policy = make_policy(name, DIPS)
+        for dip in DIPS:
+            policy.set_healthy(dip, False)
+        flow = flows(1)[0]
+        with pytest.raises(ConfigurationError, match="no healthy DIPs"):
+            policy.select(flow)
+        with pytest.raises(ConfigurationError, match="no healthy DIPs"):
+            policy.select_many(2, flows(2))
+
+    @pytest.mark.parametrize("name", sorted(policy_registry()))
+    def test_select_many_is_select_repeated(self, name):
+        seeded = {"seed": 3} if name in {"random", "wrandom", "p2", "dns"} else {}
+        one, many = (make_policy(name, DIPS, **seeded) for _ in range(2))
+        for policy in (one, many):
+            if policy.supports_weights:
+                policy.set_weights({"a": 0.5, "b": 0.0, "c": 2.0})
+            policy.set_healthy("a", False)
+            policy.select(flows(1)[0])
+        picked = many.select_many(50, flows(50))
+        assert picked.dtype == np.int32
+        assert [DIPS[i] for i in picked.tolist()] == [one.select(f) for f in flows(50)]
+        assert many.select(flows(1)[0]) == one.select(flows(1)[0])
+
+    def test_only_queue_blind_policies_declare_themselves_replayable(self):
+        replayable = {
+            name for name, entry in policy_registry().items() if entry.factory.replayable
+        }
+        assert replayable == {"rr", "wrr", "random", "wrandom", "hash"}
+        for name in replayable:
+            assert not policy_registry()[name].factory.uses_connection_counts
+
+
 class TestBasePolicy:
     def test_requires_dips(self):
         with pytest.raises(ConfigurationError):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.backends import DipServer, custom_vm_type
+from repro.exceptions import ConfigurationError
 from repro.lb import FiveTupleHash, LeastConnection, RoundRobin
 from repro.sim import EventScheduler, MetricsCollector, RequestCluster, WorkloadGenerator
 
@@ -225,12 +226,31 @@ class TestStreamingArrivals:
         """Peak scheduled events must be O(in-flight), not O(total requests)."""
         dips = make_dips([400.0] * 8, cores=2)
         cluster = RequestCluster(dips, RoundRobin(list(dips)), rate_rps=1800.0, seed=3)
-        result = cluster.run(num_requests=30_000)
+        # begin / run_to / finish is the event engine whatever the policy
+        # (run() would replay round robin and never touch the heap).
+        cluster.begin(duration_s=30_000 / 1800.0)
+        cluster.run_to(30_000 / 1800.0 + 30.0)
+        result = cluster.finish()
+        assert result.station_path == "events"
         assert result.requests_submitted >= 29_000
         # 8 DIPs x 2 workers + 8 x 256 queue slots + observation event is the
         # absolute ceiling; typical peaks are far below the request count.
         assert cluster.scheduler.peak_pending_events < 3000
         assert cluster.scheduler.pending_events == 0
+
+    def test_a_cluster_runs_once(self):
+        """A second run used to restart arrivals at clock 0 under a scheduler
+        30 s ahead and append to the first run's records, silently."""
+        dips = make_dips([400.0] * 4)
+        for policy in (RoundRobin(list(dips)), LeastConnection(list(dips))):
+            cluster = RequestCluster(dips, policy, rate_rps=800.0, seed=3)
+            first = cluster.run(num_requests=5000)
+            recorded = first.metrics.total_requests
+            with pytest.raises(ConfigurationError, match="already run"):
+                cluster.run(num_requests=5000)
+            with pytest.raises(ConfigurationError, match="already run"):
+                cluster.begin(duration_s=1.0)
+            assert cluster.metrics.total_requests == recorded
 
     def test_warmup_requests_not_recorded(self):
         dips = make_dips([400.0])
