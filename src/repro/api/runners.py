@@ -432,14 +432,11 @@ class RequestRunner:
                 duration_s=duration,
                 offset_s=warmup,
             )
-        metrics = {
-            "mean_latency_ms": run.metrics.mean_latency_ms(),
-            "p50_latency_ms": run.metrics.percentile_latency_ms(50),
-            "p99_latency_ms": run.metrics.percentile_latency_ms(99),
-            "drop_fraction": run.drop_fraction,
-            "requests_submitted": float(run.requests_submitted),
-            "duration_s": run.duration_s,
-        }
+        metrics = run.metrics.headline(
+            submitted=run.requests_submitted,
+            dropped=run.requests_dropped,
+            duration_s=run.duration_s,
+        )
         if windows:
             metrics["timeline_events"] = float(len(spec.timeline.events))
             # ``mean_latency_ms`` is already the whole-run completed-request
@@ -451,16 +448,6 @@ class RequestRunner:
         retry_summary = run.metrics.retry_summary()
         if retry_summary is not None:
             metrics.update(retry_summary)
-        summaries = {
-            dip: {
-                "requests": float(row.requests),
-                "mean_latency_ms": row.mean_latency_ms,
-                "p99_latency_ms": row.p99_latency_ms,
-                "cpu_utilization": row.cpu_utilization,
-                "drop_fraction": row.drop_fraction,
-            }
-            for dip, row in run.metrics.summaries().items()
-        }
         # The request engine generates the workload faithfully; only a run
         # that *replayed analytically-derived weights* (controller enabled)
         # leaned on the fluid twin, so only then is the divergence warning
@@ -476,7 +463,7 @@ class RequestRunner:
             spec,
             clock,
             metrics=metrics,
-            dip_summaries=summaries,
+            dip_summaries=run.metrics.summary_rows(),
             windows=windows,
             detail=run,
             model_divergence=divergence,

@@ -171,12 +171,21 @@ class Policy(abc.ABC):
         self._drop_plan()
 
     def remove_dip(self, dip: DipId) -> None:
-        self._views.pop(dip, None)
+        self._require(dip)
+        if len(self._views) == 1:
+            raise ConfigurationError("a policy needs at least one DIP")
+        del self._views[dip]
         self._drop_plan()
 
     def set_healthy(self, dip: DipId, healthy: bool) -> None:
+        self._require(dip)
         self._views[dip].healthy = healthy
         self._drop_plan()
+
+    def _require(self, dip: DipId) -> None:
+        """Pool edits name a DIP of the pool, as ``set_weights`` insists."""
+        if dip not in self._views:
+            raise ConfigurationError(f"unknown DIP {dip!r}")
 
     # -- weights --------------------------------------------------------------
 

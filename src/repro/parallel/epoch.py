@@ -43,10 +43,19 @@ hash-driven policies (p2/random/wrandom/dns/hash, ECMP) reproduce the
 serial engine's *law*, not its byte stream — p2 draws its pairs from a
 dedicated lane and the flow hash is a same-law 64-bit mixer rather than
 the serial sha1 — so their cross-check deltas are sampling noise plus
-staleness, while lc/wlc/rr replicas mirror the serial tie-break rules
-exactly and the rr and wrr replicas pick through the serial policies' own
-kernels (:func:`repro.lb.round_robin.round_robin_picks`,
-:func:`~repro.lb.round_robin.smooth_wrr_picks`), arrival for arrival.
+staleness, while the rr, wrr and lc/wlc replicas pick through the kernels
+that state the serial policies' laws
+(:func:`repro.lb.round_robin.round_robin_picks`,
+:func:`~repro.lb.round_robin.smooth_wrr_picks`,
+:func:`repro.lb.least_connection.least_connection_picks` — an epoch's
+lc/wlc picks are one merge of per-DIP key streams with the serial
+``(score, dip id)`` tie-break, not a heap operation per arrival).
+
+An epoch costs array expressions, not a step per pick or per DIP: one
+burst from the router, one stable sort to hand each station its arrivals,
+one departure recorded per arrival (the record columns are derived when
+the station finishes) — the Kiefer-Wolfowitz walk itself is the only
+per-request Python left.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
+from array import array
 from queue import Empty
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
@@ -62,6 +72,7 @@ import numpy as np
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
 from repro.lb.base import pick_cdf
+from repro.lb.least_connection import least_connection_picks
 from repro.lb.round_robin import (
     round_robin_picks,
     smooth_wrr_picks,
@@ -80,6 +91,7 @@ from repro.parallel.shard import (
     open_segment,
     publish_blocks,
 )
+from repro.sim.queueing import departure_columns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.result import RunResult
@@ -248,17 +260,12 @@ class _EpochRouter:
             raise ConfigurationError("no healthy DIPs available")
         return self._healthy_idx
 
-    def _rebuild(self) -> None:  # pragma: no cover - trivial default
-        pass
-
     def set_healthy(self, index: int, healthy: bool) -> None:
         self._healthy[index] = healthy
         self._healthy_idx = np.flatnonzero(self._healthy)
-        self._rebuild()
 
     def set_weights(self, weights: np.ndarray) -> None:
         self._weights = np.asarray(weights, dtype=np.float64).copy()
-        self._rebuild()
 
     def sync(self, counts: np.ndarray, cpu: np.ndarray, now: float) -> None:
         """Reset count-derived state to the synced global view."""
@@ -334,11 +341,12 @@ class _SmoothWrrRouter(_EpochRouter):
 
 
 class _LeastConnectionRouter(_EpochRouter):
-    """lc/wlc over a (score, rank, index) heap rebuilt at every sync.
+    """lc/wlc: each epoch's picks are one burst of the serial law.
 
-    Between barriers only the popped entry's score changes (its own open),
-    so ``heapreplace`` keeps the heap exact; closes are invisible until
-    the next barrier — that *is* the staleness model.
+    Between barriers only a pick's own open moves a count, which is what
+    :func:`repro.lb.least_connection.least_connection_picks` assumes;
+    closes are invisible until the next barrier — that *is* the staleness
+    model.
     """
 
     needs_counts = True
@@ -347,41 +355,19 @@ class _LeastConnectionRouter(_EpochRouter):
         super().__init__(num_dips, dip_rank)
         self._weighted = weighted
         self._counts = np.zeros(num_dips, dtype=np.float64)
-        self._heap: list[tuple[float, int, int]] = []
-        self._rebuild()
-
-    def _score(self, index: int) -> float:
-        if not self._weighted:
-            return float(self._counts[index])
-        weight = self._weights[index]
-        if weight <= 0:
-            weight = 1e-9
-        return float(self._counts[index]) / weight
-
-    def _rebuild(self) -> None:
-        self._heap = [
-            (self._score(i), int(self._rank[i]), int(i))
-            for i in self._healthy_idx
-        ]
-        heapq.heapify(self._heap)
 
     def sync(self, counts, cpu, now):
-        self._counts = counts.astype(np.float64).copy()
-        self._rebuild()
+        self._counts = counts.astype(np.float64)
 
     def route(self, times, clients, ports):
-        heap = self._heap
-        if not heap:
-            raise ConfigurationError("no healthy DIPs available")
-        counts = self._counts
-        out = np.empty(times.size, dtype=np.int32)
-        heapreplace = heapq.heapreplace
-        for i in range(times.size):
-            _, rank, index = heap[0]
-            out[i] = index
-            counts[index] += 1.0
-            heapreplace(heap, (self._score(index), rank, index))
-        return out
+        h = self._candidates()
+        picks, self._counts[h] = least_connection_picks(
+            self._counts[h],
+            self._weights[h] if self._weighted else None,
+            self._rank[h],
+            times.size,
+        )
+        return h[picks].astype(np.int32)
 
 
 class _PowerOfTwoRouter(_EpochRouter):
@@ -500,15 +486,16 @@ class _DnsRouter(_EpochRouter):
         self._cache_dip = np.full(num_clients, -1, dtype=np.int64)
         self._cache_exp = np.zeros(num_clients, dtype=np.float64)
         self._uniforms: list[float] = []
+        #: CDF over the healthy DIPs' weights; dropped when either changes.
         self._cdf: np.ndarray | None = None
-        self._rebuild()
 
-    def _rebuild(self) -> None:
-        h = self._healthy_idx
-        if h.size == 0:
-            self._cdf = None
-            return
-        self._cdf = pick_cdf(self._weights[h])
+    def set_healthy(self, index: int, healthy: bool) -> None:
+        super().set_healthy(index, healthy)
+        self._cdf = None
+
+    def set_weights(self, weights: np.ndarray) -> None:
+        super().set_weights(weights)
+        self._cdf = None
 
     def _draw(self) -> float:
         if not self._uniforms:
@@ -518,7 +505,8 @@ class _DnsRouter(_EpochRouter):
     def route(self, times, clients, ports):
         h = self._candidates()
         cdf = self._cdf
-        assert cdf is not None
+        if cdf is None:
+            cdf = self._cdf = pick_cdf(self._weights[h])
         healthy = self._healthy
         cache_dip = self._cache_dip
         cache_exp = self._cache_exp
@@ -644,14 +632,18 @@ class StationSim:
 
     The same Kiefer-Wolfowitz recursion as
     :func:`repro.parallel.kernel.simulate_station`, but with state (server
-    heap, in-system heap, RNG buffer, counters) carried across calls so
-    the queue survives epoch boundaries, plus:
+    heap, in-system heap, RNG buffer) carried across calls so the queue
+    survives epoch boundaries, plus:
 
     * ``counts_at(t)`` — the in-system population at a barrier (per MUX
       when the routed policy needs per-MUX counts);
     * ``set_capacity_factor`` — timeline capacity events rescale the mean
       service time of draws consumed after the boundary (the serial
       engine rescales at service start; equivalent up to in-queue draws).
+
+    What it records is one departure per arrival (NaN for a drop), as
+    ``simulate_station`` does; ``finish`` derives the record columns from
+    the two with that function's array expressions.
     """
 
     __slots__ = (
@@ -667,11 +659,8 @@ class StationSim:
         "_measure_from",
         "_track_mux",
         "_num_muxes",
-        "_lat",
-        "_done",
-        "_ts",
-        "submitted",
-        "dropped",
+        "_arrivals",
+        "_departures",
         "busy_seconds",
     )
 
@@ -703,11 +692,10 @@ class StationSim:
         self._measure_from = measure_from
         self._track_mux = track_mux
         self._num_muxes = num_muxes
-        self._lat: list[float] = []
-        self._done: list[bool] = []
-        self._ts: list[float] = []
-        self.submitted = 0
-        self.dropped = 0
+        # Unboxed doubles, grown in place: an epoch adds a handful of rows
+        # at a small sync interval and thousands at a large one.
+        self._arrivals = array("d")
+        self._departures = array("d")
         self.busy_seconds = 0.0
 
     def set_capacity_factor(self, factor: float) -> None:
@@ -723,52 +711,45 @@ class StationSim:
         in_system = self._in_system
         svc = self._svc
         capacity = self._capacity
-        measure_from = self._measure_from
-        track_mux = self._track_mux
-        lat_append = self._lat.append
-        done_append = self._done.append
-        ts_append = self._ts.append
+        mean = self._mean
+        busy = self.busy_seconds
         heappush = heapq.heappush
         heappop = heapq.heappop
         heapreplace = heapq.heapreplace
-        mux_list = muxes.tolist() if (track_mux and muxes is not None) else None
-        for j, a in enumerate(arrivals.tolist()):
-            if track_mux:
+        arrived = arrivals.tolist()
+        departures: list[float] = []
+        append = departures.append
+        # A station that tracks MUXes is always told each arrival's MUX.
+        mux_list = muxes.tolist() if self._track_mux else None
+        for j, a in enumerate(arrived):
+            if mux_list is not None:
                 while in_system and in_system[0][0] <= a:
                     heappop(in_system)
             else:
                 while in_system and in_system[0] <= a:
                     heappop(in_system)
-            measured = a >= measure_from
-            if measured:
-                self.submitted += 1
             if len(in_system) >= capacity:
-                if measured:
-                    self.dropped += 1
-                    lat_append(_NAN)
-                    done_append(False)
-                    ts_append(a)
+                append(_NAN)
                 continue
             if not svc:
                 svc = self._rng.standard_exponential(_SERVICE_BATCH)[::-1].tolist()
                 self._svc = svc
-            s = svc.pop() * self._mean
+            s = svc.pop() * mean
             f = free[0]
-            start = a if a > f else f
-            dep = start + s
+            dep = (a if a > f else f) + s
             heapreplace(free, dep)
-            if track_mux:
-                heappush(in_system, (dep, mux_list[j] if mux_list is not None else 0))
+            if mux_list is not None:
+                heappush(in_system, (dep, mux_list[j]))
             else:
                 heappush(in_system, dep)
-            self.busy_seconds += s
-            if measured:
-                lat_append((dep - a) * 1000.0)
-                done_append(True)
-                ts_append(dep)
+            busy += s
+            append(dep)
+        self.busy_seconds = busy
+        self._arrivals.extend(arrived)
+        self._departures.extend(departures)
 
-    def counts_at(self, t: float) -> np.ndarray:
-        """In-system population at ``t`` (length ``num_muxes`` when tracked)."""
+    def counts_at(self, t: float) -> "np.ndarray | float":
+        """In-system population at ``t`` (one count per MUX when tracked)."""
         in_system = self._in_system
         heappop = heapq.heappop
         if self._track_mux:
@@ -780,20 +761,28 @@ class StationSim:
             return counts
         while in_system and in_system[0] <= t:
             heappop(in_system)
-        return np.asarray([float(len(in_system))])
+        return float(len(in_system))
 
     def finish(self) -> dict[str, Any]:
         """This station's record block (the exact engine's block schema)."""
+        arrivals = np.frombuffer(self._arrivals, dtype=np.float64)
+        departures = np.frombuffer(self._departures, dtype=np.float64)
+        latency_ms, completed, timestamp, dropped = departure_columns(
+            arrivals, departures
+        )
+        # One row per arrival; the warm-up rule cuts the leading ones.
+        first = int(arrivals.searchsorted(self._measure_from, side="left"))
+        measured = arrivals.size - first
         return {
             "dip": self.dip_id,
-            "count": len(self._lat),
-            "submitted": self.submitted,
-            "dropped": self.dropped,
+            "count": measured,
+            "submitted": measured,
+            "dropped": int(np.count_nonzero(dropped[first:])),
             "busy_seconds": self.busy_seconds,
             "servers": self.servers,
-            "latency_ms": np.asarray(self._lat, dtype=np.float64),
-            "completed": np.asarray(self._done, dtype=bool),
-            "timestamp": np.asarray(self._ts, dtype=np.float64),
+            "latency_ms": latency_ms[first:],
+            "completed": completed[first:],
+            "timestamp": timestamp[first:],
         }
 
 
@@ -847,6 +836,8 @@ class EpochShardSim:
             seed, payload["rate_rps"], num_clients=payload["num_clients"]
         )
         self._base_rate = float(payload["rate_rps"])
+        self._num_dips = num_dips
+        #: owned stations by global index, ascending (the pool's order).
         self._stations: dict[int, StationSim] = {}
         for dip_id, index, servers, mean_service_s, base_capacity_rps in stations_meta:
             if index not in owned:
@@ -879,17 +870,22 @@ class EpochShardSim:
         else:
             dips = self._router.route(times, clients, ports)
             muxes = None
+        # One stable sort groups the epoch's arrivals by station, each
+        # group still in arrival order.
+        order = dips.argsort(kind="stable")
+        bounds = [0, *np.bincount(dips, minlength=self._num_dips).cumsum().tolist()]
+        times = times[order]
+        if muxes is not None:
+            muxes = muxes[order]
+        mux_dim = self._mux_dim
         counts = np.empty(self.owned_slots.size, dtype=np.float64)
-        offset = 0
-        for index in sorted(self._stations):
-            station = self._stations[index]
-            mask = dips == index
-            station.advance(
-                times[mask], muxes[mask] if muxes is not None else None
-            )
-            station_counts = station.counts_at(t)
-            counts[offset : offset + station_counts.size] = station_counts
-            offset += station_counts.size
+        for slot, (index, station) in enumerate(self._stations.items()):
+            lo, hi = bounds[index], bounds[index + 1]
+            if hi > lo:
+                station.advance(
+                    times[lo:hi], muxes[lo:hi] if muxes is not None else None
+                )
+            counts[slot * mux_dim : (slot + 1) * mux_dim] = station.counts_at(t)
         return counts
 
     def apply_sync(self, board: np.ndarray, now: float) -> None:
@@ -1257,18 +1253,11 @@ def run_request_epoch(
             {dip_id: min(1.0, busy_seconds / (servers * horizon))}
         )
 
-    metrics = {
-        "mean_latency_ms": collector.mean_latency_ms(),
-        "p50_latency_ms": collector.percentile_latency_ms(50),
-        "p99_latency_ms": collector.percentile_latency_ms(99),
-        "drop_fraction": (
-            counters["dropped"] / counters["submitted"]
-            if counters["submitted"]
-            else 0.0
-        ),
-        "requests_submitted": float(counters["submitted"]),
-        "duration_s": duration,
-    }
+    metrics = collector.headline(
+        submitted=counters["submitted"],
+        dropped=counters["dropped"],
+        duration_s=duration,
+    )
     windows = ()
     if not timeline.empty:
         observer = ObserverSet(observers)
@@ -1287,22 +1276,12 @@ def run_request_epoch(
             if mean is not None and not math.isnan(mean):
                 metrics["final_latency_ms"] = mean
                 break
-    summaries = {
-        dip: {
-            "requests": float(row.requests),
-            "mean_latency_ms": row.mean_latency_ms,
-            "p99_latency_ms": row.p99_latency_ms,
-            "cpu_utilization": row.cpu_utilization,
-            "drop_fraction": row.drop_fraction,
-        }
-        for dip, row in collector.summaries().items()
-    }
     return RunResult(
         spec=spec,
         runner=spec.runner,
         seed=spec.seed,
         metrics={k: float(v) for k, v in metrics.items()},
-        dip_summaries=summaries,
+        dip_summaries=collector.summary_rows(),
         windows=tuple(windows),
         provenance=clock.provenance(
             shards=plan.shards,

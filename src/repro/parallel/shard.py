@@ -368,34 +368,17 @@ def run_request_sharded(
             {dip_id: min(1.0, busy_seconds / (servers * horizon))}
         )
 
-    metrics = {
-        "mean_latency_ms": collector.mean_latency_ms(),
-        "p50_latency_ms": collector.percentile_latency_ms(50),
-        "p99_latency_ms": collector.percentile_latency_ms(99),
-        "drop_fraction": (
-            counters["dropped"] / counters["submitted"]
-            if counters["submitted"]
-            else 0.0
-        ),
-        "requests_submitted": float(counters["submitted"]),
-        "duration_s": duration,
-    }
-    summaries = {
-        dip: {
-            "requests": float(row.requests),
-            "mean_latency_ms": row.mean_latency_ms,
-            "p99_latency_ms": row.p99_latency_ms,
-            "cpu_utilization": row.cpu_utilization,
-            "drop_fraction": row.drop_fraction,
-        }
-        for dip, row in collector.summaries().items()
-    }
+    metrics = collector.headline(
+        submitted=counters["submitted"],
+        dropped=counters["dropped"],
+        duration_s=duration,
+    )
     return RunResult(
         spec=spec,
         runner=spec.runner,
         seed=spec.seed,
         metrics={k: float(v) for k, v in metrics.items()},
-        dip_summaries=summaries,
+        dip_summaries=collector.summary_rows(),
         provenance=clock.provenance(
             shards=plan.shards,
             workers=max(1, workers),

@@ -98,6 +98,23 @@ class StationOutcome:
     in_system: int = 0
 
 
+def departure_columns(
+    arrivals: np.ndarray, departure: np.ndarray, until: float = _INF
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(latency_ms, completed, timestamp, dropped)``, one row per arrival.
+
+    ``departure`` holds each arrival's departure time, NaN for a drop; the
+    rows read as :class:`StationOutcome` describes.  Shared with the epoch
+    engine's persistent stations, which walk the same recursion one epoch
+    at a time (:class:`repro.parallel.epoch.StationSim`).
+    """
+    dropped = np.isnan(departure)
+    completed = departure <= until
+    timestamp = np.where(dropped, arrivals, np.where(completed, departure, _INF))
+    latency_ms = np.where(completed, (departure - arrivals) * 1000.0, _NAN)
+    return latency_ms, completed, timestamp, dropped
+
+
 def simulate_station(
     arrivals: np.ndarray,
     services: "np.ndarray | Iterator[float]",
@@ -172,10 +189,9 @@ def simulate_station(
             append(leaves)
         departure[part] = out
         out.clear()
-    dropped = np.isnan(departure)
-    completed = departure <= until
-    timestamp = np.where(dropped, arrivals, np.where(completed, departure, _INF))
-    latency_ms = np.where(completed, (departure - arrivals) * 1000.0, _NAN)
+    latency_ms, completed, timestamp, dropped = departure_columns(
+        arrivals, departure, until
+    )
     # One row per arrival so far; the warm-up rule cuts the leading ones.
     first = int(arrivals.searchsorted(measure_from, side="left"))
     outcome = StationOutcome(

@@ -56,6 +56,16 @@ class DipSummary:
     cpu_utilization: float
     drop_fraction: float
 
+    def to_row(self) -> dict[str, float]:
+        """The per-DIP row a ``RunResult`` carries."""
+        return {
+            "requests": float(self.requests),
+            "mean_latency_ms": self.mean_latency_ms,
+            "p99_latency_ms": self.p99_latency_ms,
+            "cpu_utilization": self.cpu_utilization,
+            "drop_fraction": self.drop_fraction,
+        }
+
 
 class MetricsCollector:
     """Accumulates request records and utilization observations."""
@@ -360,7 +370,7 @@ class MetricsCollector:
         mask = self._done[: self._n]
         if dips is not None:
             mask = mask & self._dip_mask(dips)
-        return self._lat[: self._n][mask].astype(float, copy=True)
+        return self._lat[: self._n][mask]  # a mask index is already a copy
 
     def request_share(self) -> dict[DipId, float]:
         """Fraction of all requests routed to each DIP."""
@@ -428,18 +438,40 @@ class MetricsCollector:
             "gave_up_fraction": float(self._gup[:n].sum() / n),
         }
 
-    def dip_summary(self, dip: DipId) -> DipSummary:
-        latencies = self.latencies_ms(dips=[dip])  # flushes staging
-        code = self._dip_code.get(dip)
-        if code is None:
-            requests = 0
+    def headline(
+        self, *, submitted: int, dropped: int, duration_s: float
+    ) -> dict[str, float]:
+        """The whole-run metrics every request runner reports.
+
+        Latency over completed requests from one masked copy and one
+        partition; the counters are the runner's own (warm-up excluded).
+        """
+        values = self.latencies_ms()
+        if values.size:
+            mean = float(values.mean())
+            p50, p99 = (float(v) for v in np.percentile(values, [50, 99]))
         else:
-            requests = int((self._code[: self._n] == code).sum())
+            mean = p50 = p99 = _NAN
+        return {
+            "mean_latency_ms": mean,
+            "p50_latency_ms": p50,
+            "p99_latency_ms": p99,
+            "drop_fraction": dropped / submitted if submitted else 0.0,
+            "requests_submitted": float(submitted),
+            "duration_s": duration_s,
+        }
+
+    def _summarise(
+        self, dip: DipId, latency_ms: np.ndarray, completed: np.ndarray
+    ) -> DipSummary:
+        """Fold one DIP's records (its rows of two columns, record order)."""
+        requests = completed.size
+        latencies = latency_ms[completed]
         if latencies.size:
             p50, p90, p99 = np.percentile(latencies, [50, 90, 99])
             mean = float(latencies.mean())
         else:
-            mean = p50 = p90 = p99 = float("nan")
+            mean = p50 = p90 = p99 = _NAN
         return DipSummary(
             dip=dip,
             requests=requests,
@@ -447,13 +479,44 @@ class MetricsCollector:
             p50_latency_ms=float(p50),
             p90_latency_ms=float(p90),
             p99_latency_ms=float(p99),
-            cpu_utilization=self._utilization.get(dip, float("nan")),
-            drop_fraction=self.drop_fraction(dips=[dip]),
+            cpu_utilization=self._utilization.get(dip, _NAN),
+            drop_fraction=(
+                (requests - latencies.size) / requests if requests else 0.0
+            ),
         )
 
+    def dip_summary(self, dip: DipId) -> DipSummary:
+        self._flush()
+        n = self._n
+        rows = self._code[:n] == self._dip_code.get(dip, -1)
+        return self._summarise(dip, self._lat[:n][rows], self._done[:n][rows])
+
     def summaries(self) -> dict[DipId, DipSummary]:
-        dips = set(self._dip_ids) | set(self._utilization)
-        return {dip: self.dip_summary(dip) for dip in sorted(dips)}
+        """Every DIP's summary, from one grouping of the records by DIP.
+
+        A stable sort keeps each DIP's rows in record order, so each value
+        is the one :meth:`dip_summary` computes from its mask; a per-DIP
+        pass over all records would cost O(DIPs x records), as a per-window
+        one would in :meth:`window_rows`.
+        """
+        self._flush()
+        n = self._n
+        code, lat, done = self._code[:n], self._lat[:n], self._done[:n]
+        # A shard merge appends DIP by DIP: already grouped, nothing to move.
+        if (code[1:] < code[:-1]).any():
+            order = code.argsort(kind="stable")
+            code, lat, done = code[order], lat[order], done[order]
+        bounds = code.searchsorted(np.arange(len(self._dip_ids) + 1)).tolist()
+        rows: dict[DipId, DipSummary] = {}
+        for dip in sorted(set(self._dip_ids) | set(self._utilization)):
+            at = self._dip_code.get(dip)
+            span = slice(0, 0) if at is None else slice(bounds[at], bounds[at + 1])
+            rows[dip] = self._summarise(dip, lat[span], done[span])
+        return rows
+
+    def summary_rows(self) -> dict[DipId, dict[str, float]]:
+        """:meth:`summaries` as the rows a ``RunResult`` carries."""
+        return {dip: row.to_row() for dip, row in self.summaries().items()}
 
     def window_rows(
         self, *, window_s: float, start_s: float, end_s: float

@@ -93,6 +93,25 @@ class TestEveryRegisteredPolicy:
         assert [DIPS[i] for i in picked.tolist()] == [one.select(f) for f in flows(50)]
         assert many.select(flows(1)[0]) == one.select(flows(1)[0])
 
+    @pytest.mark.parametrize("name", sorted(policy_registry()))
+    def test_pool_edits_agree_about_an_unknown_dip(self, name):
+        policy = make_policy(name, ["a", "b"])
+        edits = [
+            lambda: policy.set_weights({"zz": 1.0}),
+            lambda: policy.set_healthy("zz", False),
+            lambda: policy.remove_dip("zz"),
+        ]
+        for edit in edits:
+            with pytest.raises(ConfigurationError, match="unknown DIP 'zz'"):
+                edit()
+        with pytest.raises(ConfigurationError, match="already present"):
+            policy.add_dip("a")
+        assert policy.dips == ("a", "b") and policy.healthy_dips == ("a", "b")
+        policy.remove_dip("a")
+        with pytest.raises(ConfigurationError, match="at least one DIP"):
+            policy.remove_dip("b")
+        assert policy.select(flows(1)[0]) == "b"
+
     def test_only_queue_blind_policies_declare_themselves_replayable(self):
         replayable = {
             name for name, entry in policy_registry().items() if entry.factory.replayable
