@@ -63,6 +63,7 @@ class WeightedDnsResolver:
         return dict(self._weights)
 
     def set_healthy(self, dip: DipId, healthy: bool) -> None:
+        self._require(dip)
         self._healthy[dip] = healthy
         self._plan = None
 
@@ -72,9 +73,16 @@ class WeightedDnsResolver:
         self._plan = None
 
     def remove_dip(self, dip: DipId) -> None:
-        self._weights.pop(dip, None)
-        self._healthy.pop(dip, None)
+        self._require(dip)
+        if len(self._weights) == 1:
+            raise ConfigurationError("resolver needs at least one DIP")
+        del self._weights[dip], self._healthy[dip]
         self._plan = None
+
+    def _require(self, dip: DipId) -> None:
+        """Pool edits name a DIP of the pool, as ``Policy._require`` insists."""
+        if dip not in self._weights:
+            raise ConfigurationError(f"unknown DIP {dip!r}")
 
     def resolve(self) -> DipId:
         """Answer one DNS query with a weighted-random healthy DIP."""

@@ -15,8 +15,9 @@ load balancers exhibit:
   the exact same routing decision for every request without exchanging a
   single routed record.
 * **Owned-slice queueing.**  Each shard simulates the M/M/c/K stations
-  only for its own DIP slice (persistent :class:`StationSim` instances),
-  exactly as the exact engine does.
+  only for its own DIP slice, each a :class:`~repro.sim.queueing.StationWalk`
+  resumed once per epoch — the walk the exact engine and the serial replay
+  run in one pass.
 * **Epoch barriers.**  Time is cut into epochs of ``sync_interval_s``.
   At each boundary the shards exchange one compact snapshot — per-DIP
   in-system counts (per ``(dip, mux)`` when the MUX layer routes a
@@ -54,16 +55,16 @@ lc/wlc picks are one merge of per-DIP key streams with the serial
 An epoch costs array expressions, not a step per pick or per DIP: one
 burst from the router, one stable sort to hand each station its arrivals,
 one departure recorded per arrival (the record columns are derived when
-the station finishes) — the Kiefer-Wolfowitz walk itself is the only
-per-request Python left.
+the station finishes), and at the barrier a bisect per station over the
+start times still ahead — or, per MUX, one vectorized scan of the
+departures still ahead (:func:`_mux_census`) — the Kiefer-Wolfowitz walk
+itself is the only per-request Python left.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
-from array import array
 from queue import Empty
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
@@ -90,8 +91,9 @@ from repro.parallel.shard import (
     merge_shard_outcomes,
     open_segment,
     publish_blocks,
+    station_block,
 )
-from repro.sim.queueing import departure_columns
+from repro.sim.queueing import StationWalk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.result import RunResult
@@ -127,7 +129,6 @@ _PORT_MIN = 1024
 _PORT_SPAN = 65000 - _PORT_MIN + 1
 
 _ARRIVAL_CHUNK = 8192
-_SERVICE_BATCH = 512
 _DNS_TTL_S = 30.0
 
 #: boundary coalescing tolerance — event times landing on a sync tick.
@@ -136,7 +137,6 @@ _EPS = 1e-9
 #: a stuck barrier means a dead sibling; fail loudly instead of hanging.
 _SYNC_TIMEOUT_S = 600.0
 
-_NAN = float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -623,167 +623,30 @@ def make_epoch_router(
 
 
 # ---------------------------------------------------------------------------
-# persistent per-DIP stations
+# per-MUX barrier counts
 # ---------------------------------------------------------------------------
 
 
-class StationSim:
-    """A persistent M/M/c/K station advanced epoch by epoch.
+def _mux_census(
+    held: tuple[np.ndarray, np.ndarray],
+    departures: Sequence[float],
+    muxes: np.ndarray,
+    t: float,
+    num_muxes: int,
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """One station's population at barrier ``t``, per MUX.
 
-    The same Kiefer-Wolfowitz recursion as
-    :func:`repro.parallel.kernel.simulate_station`, but with state (server
-    heap, in-system heap, RNG buffer) carried across calls so the queue
-    survives epoch boundaries, plus:
-
-    * ``counts_at(t)`` — the in-system population at a barrier (per MUX
-      when the routed policy needs per-MUX counts);
-    * ``set_capacity_factor`` — timeline capacity events rescale the mean
-      service time of draws consumed after the boundary (the serial
-      engine rescales at service start; equivalent up to in-queue draws).
-
-    What it records is one departure per arrival (NaN for a drop), as
-    ``simulate_station`` does; ``finish`` derives the record columns from
-    the two with that function's array expressions.
+    ``held`` is the departures and MUXes of the requests in the station at
+    the previous barrier, ``departures`` / ``muxes`` those of the arrivals
+    since (NaN for a drop, which is never held).  A departure never moves,
+    so one vectorized comparison finds who is still in at ``t``; only they
+    are carried to the next barrier.
     """
-
-    __slots__ = (
-        "dip_id",
-        "servers",
-        "_rng",
-        "_mean",
-        "_base_mean",
-        "_free",
-        "_in_system",
-        "_svc",
-        "_capacity",
-        "_measure_from",
-        "_track_mux",
-        "_num_muxes",
-        "_arrivals",
-        "_departures",
-        "busy_seconds",
-    )
-
-    def __init__(
-        self,
-        dip_id: str,
-        global_index: int,
-        *,
-        servers: int,
-        mean_service_s: float,
-        base_capacity_rps: float,
-        seed: int,
-        queue_capacity: int = QUEUE_CAPACITY,
-        measure_from: float = 0.0,
-        num_muxes: int = 1,
-        track_mux: bool = False,
-    ):
-        if servers < 1:
-            raise ConfigurationError("servers must be >= 1")
-        self.dip_id = dip_id
-        self.servers = servers
-        self._rng = np.random.default_rng(service_seed(seed, global_index))
-        self._mean = float(mean_service_s)
-        self._base_mean = servers / float(base_capacity_rps)
-        self._free = [0.0] * servers
-        self._in_system: list = []
-        self._svc: list[float] = []
-        self._capacity = servers + queue_capacity
-        self._measure_from = measure_from
-        self._track_mux = track_mux
-        self._num_muxes = num_muxes
-        # Unboxed doubles, grown in place: an epoch adds a handful of rows
-        # at a small sync interval and thousands at a large one.
-        self._arrivals = array("d")
-        self._departures = array("d")
-        self.busy_seconds = 0.0
-
-    def set_capacity_factor(self, factor: float) -> None:
-        if factor <= 0:
-            raise ConfigurationError("capacity factor must be positive")
-        self._mean = self._base_mean / factor
-
-    def advance(self, arrivals: np.ndarray, muxes: np.ndarray | None = None) -> None:
-        """Admit this station's arrivals for one epoch (arrival-ordered)."""
-        if arrivals.size == 0:
-            return
-        free = self._free
-        in_system = self._in_system
-        svc = self._svc
-        capacity = self._capacity
-        mean = self._mean
-        busy = self.busy_seconds
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        heapreplace = heapq.heapreplace
-        arrived = arrivals.tolist()
-        departures: list[float] = []
-        append = departures.append
-        # A station that tracks MUXes is always told each arrival's MUX.
-        mux_list = muxes.tolist() if self._track_mux else None
-        for j, a in enumerate(arrived):
-            if mux_list is not None:
-                while in_system and in_system[0][0] <= a:
-                    heappop(in_system)
-            else:
-                while in_system and in_system[0] <= a:
-                    heappop(in_system)
-            if len(in_system) >= capacity:
-                append(_NAN)
-                continue
-            if not svc:
-                svc = self._rng.standard_exponential(_SERVICE_BATCH)[::-1].tolist()
-                self._svc = svc
-            s = svc.pop() * mean
-            f = free[0]
-            dep = (a if a > f else f) + s
-            heapreplace(free, dep)
-            if mux_list is not None:
-                heappush(in_system, (dep, mux_list[j]))
-            else:
-                heappush(in_system, dep)
-            busy += s
-            append(dep)
-        self.busy_seconds = busy
-        self._arrivals.extend(arrived)
-        self._departures.extend(departures)
-
-    def counts_at(self, t: float) -> "np.ndarray | float":
-        """In-system population at ``t`` (one count per MUX when tracked)."""
-        in_system = self._in_system
-        heappop = heapq.heappop
-        if self._track_mux:
-            while in_system and in_system[0][0] <= t:
-                heappop(in_system)
-            counts = np.zeros(self._num_muxes, dtype=np.float64)
-            for _, mux in in_system:
-                counts[mux] += 1.0
-            return counts
-        while in_system and in_system[0] <= t:
-            heappop(in_system)
-        return float(len(in_system))
-
-    def finish(self) -> dict[str, Any]:
-        """This station's record block (the exact engine's block schema)."""
-        arrivals = np.frombuffer(self._arrivals, dtype=np.float64)
-        departures = np.frombuffer(self._departures, dtype=np.float64)
-        latency_ms, completed, timestamp, dropped = departure_columns(
-            arrivals, departures
-        )
-        # One row per arrival; the warm-up rule cuts the leading ones.
-        first = int(arrivals.searchsorted(self._measure_from, side="left"))
-        measured = arrivals.size - first
-        return {
-            "dip": self.dip_id,
-            "count": measured,
-            "submitted": measured,
-            "dropped": int(np.count_nonzero(dropped[first:])),
-            "busy_seconds": self.busy_seconds,
-            "servers": self.servers,
-            "latency_ms": latency_ms[first:],
-            "completed": completed[first:],
-            "timestamp": timestamp[first:],
-        }
+    leaves = np.concatenate([held[0], departures])
+    tags = np.concatenate([held[1], muxes])
+    alive = leaves > t
+    held = (leaves[alive], tags[alive])
+    return held, np.bincount(held[1], minlength=num_muxes)
 
 
 # ---------------------------------------------------------------------------
@@ -837,27 +700,30 @@ class EpochShardSim:
         )
         self._base_rate = float(payload["rate_rps"])
         self._num_dips = num_dips
+        self._dip_ids = [dip_id for dip_id, *_ in stations_meta]
+        self._base_mean = [
+            servers / base_capacity_rps
+            for _, _, servers, _, base_capacity_rps in stations_meta
+        ]
+        self._measure_from = payload["measure_from"]
         #: owned stations by global index, ascending (the pool's order).
-        self._stations: dict[int, StationSim] = {}
-        for dip_id, index, servers, mean_service_s, base_capacity_rps in stations_meta:
-            if index not in owned:
-                continue
-            self._stations[index] = StationSim(
-                dip_id,
-                index,
-                servers=servers,
-                mean_service_s=mean_service_s,
-                base_capacity_rps=base_capacity_rps,
-                seed=seed,
-                queue_capacity=payload["queue_capacity"],
-                measure_from=payload["measure_from"],
-                num_muxes=mux_dim,
-                track_mux=self._track_mux,
-            )
+        self._walks: dict[int, StationWalk] = {}
+        for _, index, servers, mean_service_s, _ in stations_meta:
+            if index in owned:
+                draws = np.random.default_rng(service_seed(seed, index))
+                self._walks[index] = StationWalk(
+                    servers,
+                    payload["queue_capacity"],
+                    draw=draws.standard_exponential,
+                    mean=float(mean_service_s),
+                )
+        #: who may still be in each station, for per-MUX counts (``_mux_census``).
+        nobody = (np.empty(0), np.empty(0, dtype=np.int64))
+        self._held = dict.fromkeys(self._walks, nobody)
         self.owned_slots = np.concatenate(
             [
                 np.arange(index * mux_dim, (index + 1) * mux_dim, dtype=np.int64)
-                for index in sorted(self._stations)
+                for index in self._walks
             ]
         )
         self.num_slots = num_dips * mux_dim
@@ -875,17 +741,18 @@ class EpochShardSim:
         order = dips.argsort(kind="stable")
         bounds = [0, *np.bincount(dips, minlength=self._num_dips).cumsum().tolist()]
         times = times[order]
-        if muxes is not None:
-            muxes = muxes[order]
+        muxes = muxes[order] if self._track_mux else None
         mux_dim = self._mux_dim
         counts = np.empty(self.owned_slots.size, dtype=np.float64)
-        for slot, (index, station) in enumerate(self._stations.items()):
+        for slot, (index, walk) in enumerate(self._walks.items()):
             lo, hi = bounds[index], bounds[index + 1]
-            if hi > lo:
-                station.advance(
-                    times[lo:hi], muxes[lo:hi] if muxes is not None else None
+            departures = walk.advance(times[lo:hi]) if hi > lo else []
+            if muxes is None:
+                counts[slot] = walk.in_system(t)
+            else:
+                self._held[index], counts[slot * mux_dim : (slot + 1) * mux_dim] = (
+                    _mux_census(self._held[index], departures, muxes[lo:hi], t, mux_dim)
                 )
-            counts[slot * mux_dim : (slot + 1) * mux_dim] = station.counts_at(t)
         return counts
 
     def apply_sync(self, board: np.ndarray, now: float) -> None:
@@ -907,16 +774,26 @@ class EpochShardSim:
             elif kind == "recover":
                 self._router.set_healthy(event[1], True)
             elif kind == "capacity":
-                station = self._stations.get(event[1])
-                if station is not None:
-                    station.set_capacity_factor(event[2])
+                # Draws consumed after the boundary take the new mean (the
+                # serial engine rescales at service start; equivalent up to
+                # draws already queued).
+                walk = self._walks.get(event[1])
+                if walk is not None:
+                    walk.mean = self._base_mean[event[1]] / event[2]
             elif kind == "rate":
                 self._stream.set_rate(self._base_rate * event[1], at_time=at_time)
             else:  # pragma: no cover - planner screens kinds
                 raise ConfigurationError(f"unknown epoch event kind {kind!r}")
 
     def finish(self) -> list[dict[str, Any]]:
-        return [self._stations[index].finish() for index in sorted(self._stations)]
+        return [
+            station_block(
+                self._dip_ids[index],
+                walk.servers,
+                walk.outcome(measure_from=self._measure_from),
+            )
+            for index, walk in self._walks.items()
+        ]
 
 
 def _run_epoch_inline(payload: Mapping[str, Any]) -> dict[str, Any]:

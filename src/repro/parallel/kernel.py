@@ -13,8 +13,9 @@ do:
 * **a tight per-station recursion** — FCFS service order equals arrival
   order, so each DIP's arrivals walk the Kiefer-Wolfowitz recursion,
   :func:`repro.sim.queueing.simulate_station` (re-exported here; the
-  serial engine replays eligible runs through the same function).  No
-  event heap, no callbacks, no per-request objects.
+  serial replay and the epoch shards drive the same
+  :class:`~repro.sim.queueing.StationWalk`).  No event heap, no
+  callbacks, no per-request objects.
 
 Determinism: every stream hangs off :class:`numpy.random.SeedSequence`
 children keyed by the run seed and the DIP's **global** pool index — never

@@ -25,6 +25,7 @@ import numpy as np
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
 from repro.parallel.kernel import (
+    StationOutcome,
     build_dip_arrival_streams,
     service_seed,
     simulate_station,
@@ -93,7 +94,7 @@ def run_shard_task(payload: Mapping[str, Any]) -> dict[str, Any]:
         probabilities=payload["probabilities"],
         wanted={index for _, index, _, _ in stations},
     )
-    outcomes = []
+    blocks = []
     for dip_id, index, servers, mean_service_s in stations:
         arrivals = streams[index]
         services = np.random.default_rng(
@@ -107,25 +108,25 @@ def run_shard_task(payload: Mapping[str, Any]) -> dict[str, Any]:
             queue_capacity=payload["queue_capacity"],
             measure_from=payload["measure_from"],
         )
-        outcomes.append((dip_id, servers, outcome))
-
-    blocks = [
-        {
-            "dip": dip_id,
-            "count": int(outcome.latency_ms.size),
-            "submitted": outcome.submitted,
-            "dropped": outcome.dropped,
-            "busy_seconds": outcome.busy_seconds,
-            "servers": servers,
-            "latency_ms": outcome.latency_ms,
-            "completed": outcome.completed,
-            "timestamp": outcome.timestamp,
-        }
-        for dip_id, servers, outcome in outcomes
-    ]
+        blocks.append(station_block(dip_id, servers, outcome))
     if not payload.get("use_shm"):
         return {"blocks": blocks}
     return publish_blocks(blocks, shm_name=payload.get("shm_name"))
+
+
+def station_block(dip_id: str, servers: int, outcome: StationOutcome) -> dict[str, Any]:
+    """One DIP's record block, the unit a shard hands the merge."""
+    return {
+        "dip": dip_id,
+        "count": int(outcome.latency_ms.size),
+        "submitted": outcome.submitted,
+        "dropped": outcome.dropped,
+        "busy_seconds": outcome.busy_seconds,
+        "servers": servers,
+        "latency_ms": outcome.latency_ms,
+        "completed": outcome.completed,
+        "timestamp": outcome.timestamp,
+    }
 
 
 def publish_blocks(

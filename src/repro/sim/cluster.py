@@ -29,8 +29,9 @@ cannot read queue state — a policy declaring ``replayable`` (``rr``,
 ``wrr``, ``random``, ``wrandom``, ``hash``), no retry layer, no probing, no
 MUX pool, no failed DIP, nothing scheduled, clock at 0 — takes the *replay
 path* instead: the same arrival batches, the policy's own picks
-(``select_many``), then each DIP's sub-stream through
-:func:`repro.sim.queueing.simulate_station`, every generator consumed as the
+(``select_many``), then each DIP's sub-stream through its station's
+:meth:`~repro.sim.queueing.DipStation.replay` (one
+:class:`~repro.sim.queueing.StationWalk`), every generator consumed as the
 event loop consumes it.  The result is the event run's to the last bit
 (``tests/property/test_request_replay.py``) at about a third of the cost;
 ``RunResult.station_path`` says which path ran.  There is no switch: to
@@ -809,8 +810,8 @@ class RequestCluster:
     # When no pick can read queue state and nothing is scheduled to perturb
     # the run, each DIP is an FCFS station fed by a sub-stream that is known
     # before the first request is served.  run() then draws the arrivals,
-    # takes the picks and walks each sub-stream through
-    # :func:`repro.sim.queueing.simulate_station`, consuming every generator
+    # takes the picks and walks each sub-stream through a
+    # :class:`repro.sim.queueing.StationWalk`, consuming every generator
     # exactly as the event loop would — the outcome is the event run's, bit
     # for bit, without an event heap, Request objects or callbacks.
 

@@ -16,22 +16,25 @@ preserved regardless of how arrivals interleave across stations.  Service
 completions are scheduled as ``(bound_method, request)`` heap payloads
 instead of per-request closures.
 
-A station whose arrival sub-stream is fixed before the run starts (the
-picks never read queue state) needs none of that: FCFS service order is
-arrival order, so :func:`simulate_station` walks the sub-stream through the
-Kiefer-Wolfowitz recursion — no event heap, no ``Request`` objects, no
-callbacks.  It is the one statement of the drop rule, the warm-up rule and
-the tie rule outside the event path; :meth:`DipStation.replay` (the serial
-replay in :mod:`repro.sim.cluster`) and the exact-mode shards of
-:mod:`repro.parallel` both run it.
+A station whose arrival sub-stream is known before it is served (the
+picks never read queue state, or read it only at epoch barriers) needs
+none of that: FCFS service order is arrival order, so a
+:class:`StationWalk` takes the sub-stream through the Kiefer-Wolfowitz
+recursion — no event heap, no ``Request`` objects, no callbacks — and can
+be resumed where it stopped.  It is the one statement of the drop rule,
+the warm-up rule and the tie rule outside the event path:
+:meth:`DipStation.replay` (the serial replay in :mod:`repro.sim.cluster`),
+the exact-mode shards (:func:`simulate_station`) and the epoch shards of
+:mod:`repro.parallel` all drive it.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
-import itertools
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Iterator
+from typing import TYPE_CHECKING, Callable, Deque
 
 import collections
 
@@ -52,7 +55,7 @@ CompletionCallback = Callable[[Request], None]
 #: unit-exponential draws per vectorized RNG call.
 SERVICE_BATCH = 512
 
-#: arrivals ``simulate_station`` turns into Python floats at a time.
+#: arrivals :meth:`StationWalk.run` turns into Python floats at a time.
 _WALK_SLICE = 65536
 
 _COMPLETED = RequestOutcome.COMPLETED
@@ -93,31 +96,221 @@ class StationOutcome:
     #: summed service time of everything admitted.
     busy_seconds: float
     #: with ``account``: what a :class:`DipStation` fed the same arrivals
-    #: counts, and how many requests it still holds at ``until``.
+    #: counts.
     stats: DipQueueStats | None = None
-    in_system: int = 0
 
 
-def departure_columns(
-    arrivals: np.ndarray, departure: np.ndarray, until: float = _INF
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(latency_ms, completed, timestamp, dropped)``, one row per arrival.
+class StationWalk:
+    """One FCFS M/M/c/K station walked through the Kiefer-Wolfowitz recursion.
 
-    ``departure`` holds each arrival's departure time, NaN for a drop; the
-    rows read as :class:`StationOutcome` describes.  Shared with the epoch
-    engine's persistent stations, which walk the same recursion one epoch
-    at a time (:class:`repro.parallel.epoch.StationSim`).
+    The walk keeps its state between calls, so a sorted arrival sub-stream
+    fed in any number of slices (the epoch engine feeds one per epoch)
+    gives the result of feeding it in one.  A ``servers``-entry heap of
+    worker-free times gives each admitted request its start; starts never
+    decrease under FCFS, so an arrival at ``a`` finds the station full iff
+    the ``queue_capacity``-th latest admission that had to wait starts
+    after ``a`` — with no queue, iff every worker frees after ``a`` — and
+    those starts are all the walk keeps of the requests it holds.  A
+    worker freeing exactly at ``a`` serves it (a departure leaves first,
+    ``EventScheduler.run_stream``'s tie rule).  ARCHITECTURE.md ("The
+    replay path") has the proof.
+
+    Service times come from an array aligned to the arrivals, passed to
+    :meth:`advance` (a drop skips its entry — how exact-mode shards draw
+    them), or else from ``buf``: unit draws that ``draw(SERVICE_BATCH)``
+    refills when a start finds it empty, popped one per start of service
+    and scaled by ``mean`` — :class:`DipStation`'s own buffer, so a replay
+    leaves it where the event loop would.  Nothing happens after ``until``
+    (every arrival is expected before it): a request that would start
+    later takes no draw, and its departure reads ``inf``.
     """
-    dropped = np.isnan(departure)
-    completed = departure <= until
-    timestamp = np.where(dropped, arrivals, np.where(completed, departure, _INF))
-    latency_ms = np.where(completed, (departure - arrivals) * 1000.0, _NAN)
-    return latency_ms, completed, timestamp, dropped
+
+    __slots__ = (
+        "servers",
+        "queue_capacity",
+        "mean",
+        "buf",
+        "busy_seconds",
+        "_draw",
+        "_free",
+        "_starts",
+        "_arrivals",
+        "_departures",
+    )
+
+    def __init__(
+        self,
+        servers: int,
+        queue_capacity: int,
+        *,
+        draw: Callable[[int], np.ndarray] | None = None,
+        mean: float = 1.0,
+        buf: list[float] | None = None,
+    ) -> None:
+        if servers < 1:
+            raise ConfigurationError("servers must be >= 1")
+        if queue_capacity < 0:
+            raise ConfigurationError("queue_capacity must be >= 0")
+        self.servers = servers
+        self.queue_capacity = queue_capacity
+        #: mean service time the buffered unit draws are scaled by.
+        self.mean = mean
+        #: pre-drawn unit draws, reversed so pop() preserves draw order.
+        self.buf: list[float] = [] if buf is None else buf
+        #: summed service time of everything admitted.
+        self.busy_seconds = 0.0
+        self._draw = draw
+        self._free = [0.0] * servers
+        # Padded with -inf so the drop test needs no length check.
+        self._starts = [-_INF] * queue_capacity
+        # One row per arrival so far: its time and its departure.
+        self._arrivals = array("d")
+        self._departures = array("d")
+
+    def advance(
+        self,
+        arrivals: np.ndarray,
+        services: np.ndarray | None = None,
+        *,
+        until: float = _INF,
+    ) -> list[float]:
+        """Admit ``arrivals`` (float64, sorted, none before an earlier call's)
+        and return each one's departure: NaN for a drop, ``inf`` past
+        ``until``."""
+        aligned = services is not None
+        if aligned:
+            buf, mean = services[::-1].tolist(), 1.0
+        elif self._draw is None:
+            raise ConfigurationError("a walk without a draw needs aligned services")
+        else:
+            buf, mean = self.buf, self.mean
+        draw = self._draw
+        free = self._free
+        heapreplace = heapq.heapreplace
+        starts = self._starts
+        waiting = starts.append
+        lag = self.queue_capacity
+        gate, at = (starts, -lag) if lag else (free, 0)
+        busy = self.busy_seconds
+        arrived = arrivals.tolist()
+        departures: list[float] = []
+        depart = departures.append
+        for a in arrived:
+            if gate[at] > a:  # the station is full at ``a``
+                if aligned:
+                    buf.pop()
+                depart(_NAN)
+                continue
+            start = free[0]
+            if start > a:  # every worker is busy: it waits
+                waiting(start)
+                if start > until:
+                    if aligned:
+                        buf.pop()
+                    depart(_INF)
+                    continue
+            else:
+                start = a
+            if not buf:
+                buf = draw(SERVICE_BATCH)[::-1].tolist()
+            service = buf.pop() * mean
+            leaves = start + service
+            heapreplace(free, leaves)
+            busy += service
+            depart(leaves)
+        self.busy_seconds = busy
+        if not aligned:
+            self.buf = buf
+        # Of the waiting starts only the latest ``lag`` can matter again.
+        del starts[: len(starts) - lag]
+        self._arrivals.frombytes(arrivals.tobytes())
+        self._departures.fromlist(departures)
+        return departures
+
+    def in_system(self, t: float) -> int:
+        """Requests in the station at ``t``, no earlier than the last arrival.
+
+        The waiting ones are the admissions that start after ``t`` (a
+        bisect over the kept starts, so a barrier costs O(log K) at any
+        queue depth); while one waits every worker is busy, otherwise the
+        population is the number of workers that free after ``t``.
+        """
+        starts = self._starts
+        if starts and starts[-1] > t:
+            return len(starts) - bisect.bisect_right(starts, t) + self.servers
+        busy = 0
+        for leaves in self._free:
+            if leaves > t:
+                busy += 1
+        return busy
+
+    def run(
+        self,
+        arrivals: np.ndarray,
+        services: np.ndarray | None = None,
+        *,
+        measure_from: float = 0.0,
+        until: float = _INF,
+        account: bool = False,
+    ) -> StationOutcome:
+        """Walk a whole sub-stream and report it (:meth:`outcome`).
+
+        The arrivals go in ``_WALK_SLICE`` at a time, so the Python floats
+        in flight stay a bounded few MB on a one-DIP, million-request run.
+        """
+        arrivals = np.asarray(arrivals, dtype=np.float64)
+        for lo in range(0, arrivals.size, _WALK_SLICE):
+            part = slice(lo, lo + _WALK_SLICE)
+            self.advance(
+                arrivals[part],
+                None if services is None else services[part],
+                until=until,
+            )
+        return self.outcome(measure_from=measure_from, until=until, account=account)
+
+    def outcome(
+        self,
+        *,
+        measure_from: float = 0.0,
+        until: float = _INF,
+        account: bool = False,
+    ) -> StationOutcome:
+        """The walk so far as :class:`StationOutcome` columns.
+
+        Requests arriving before ``measure_from`` shaped the queue but get
+        no row; one that departs after ``until`` has no record.
+        ``account`` adds the station's own bookkeeping
+        (:func:`_station_stats`, one merge of its events).
+        """
+        arrivals = np.frombuffer(self._arrivals, dtype=np.float64)
+        departure = np.frombuffer(self._departures, dtype=np.float64)
+        dropped = np.isnan(departure)
+        completed = departure <= until
+        timestamp = np.where(dropped, arrivals, np.where(completed, departure, _INF))
+        latency_ms = np.where(completed, (departure - arrivals) * 1000.0, _NAN)
+        first = int(arrivals.searchsorted(measure_from, side="left"))
+        outcome = StationOutcome(
+            latency_ms=latency_ms[first:],
+            completed=completed[first:],
+            timestamp=timestamp[first:],
+            submitted=arrivals.size - first,
+            dropped=int(np.count_nonzero(dropped[first:])),
+            busy_seconds=self.busy_seconds,
+        )
+        if account:
+            outcome.stats = _station_stats(
+                arrivals,
+                timestamp[completed],
+                ~dropped,
+                servers=self.servers,
+                until=until,
+            )
+        return outcome
 
 
 def simulate_station(
     arrivals: np.ndarray,
-    services: "np.ndarray | Iterator[float]",
+    services: np.ndarray,
     *,
     servers: int,
     queue_capacity: int,
@@ -127,89 +320,12 @@ def simulate_station(
 ) -> StationOutcome:
     """Simulate one FCFS M/M/c/K station over its sorted arrival sub-stream.
 
-    The Kiefer-Wolfowitz recursion: a ``servers``-entry heap of worker-free
-    times gives each admitted request its start, and a heap of the
-    departures still ahead gives the in-system count the drop rule reads
-    (an arrival finding ``servers + queue_capacity`` in the system is
-    dropped).  A departure stamped exactly at an arrival's time leaves
-    first — the tie rule ``EventScheduler.run_stream`` fixes.  Requests
-    arriving before ``measure_from`` shape the queue but produce no record,
-    and nothing happens after ``until`` (every arrival is expected before
-    it): a request that would start service later takes no draw, one that
-    would depart later has no record.
-
-    ``services`` holds (already scaled) service times.  An array is aligned
-    to ``arrivals`` — a drop skips its entry, which is how exact-mode
-    shards draw them; any other iterator is read once per request that
-    starts service, which is how a :class:`DipStation` consumes its
-    generator.  ``account`` adds the station's own bookkeeping to the
-    outcome (:func:`_station_stats`, one sort of its events).
+    ``services`` holds (already scaled) service times aligned to
+    ``arrivals``; :class:`StationWalk` states the rules.
     """
-    if servers < 1:
-        raise ConfigurationError("servers must be >= 1")
-    if queue_capacity < 0:
-        raise ConfigurationError("queue_capacity must be >= 0")
-    aligned = services if isinstance(services, np.ndarray) else None
-    draw = None if aligned is not None else services.__next__
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    heapreplace = heapq.heapreplace
-    free = [0.0] * servers
-    in_system: list[float] = []
-    capacity = servers + queue_capacity
-    service_sum = 0.0
-    # Each arrival's departure: NaN for a drop, inf past ``until``.  Walked a
-    # slice at a time, so the Python floats in flight stay a bounded few MB.
-    departure = np.empty(arrivals.size, dtype=np.float64)
-    out: list[float] = []
-    append = out.append
-    for lo in range(0, arrivals.size, _WALK_SLICE):
-        part = slice(lo, lo + _WALK_SLICE)
-        for a, service in zip(
-            arrivals[part].tolist(),
-            itertools.repeat(None) if aligned is None else aligned[part].tolist(),
-        ):
-            while in_system and in_system[0] <= a:
-                heappop(in_system)
-            if len(in_system) >= capacity:
-                append(_NAN)
-                continue
-            start = free[0]
-            if a > start:
-                start = a
-            if start > until:
-                leaves = _INF
-            else:
-                if service is None:
-                    service = draw()
-                leaves = start + service
-                heapreplace(free, leaves)
-                service_sum += service
-            heappush(in_system, leaves)
-            append(leaves)
-        departure[part] = out
-        out.clear()
-    latency_ms, completed, timestamp, dropped = departure_columns(
-        arrivals, departure, until
+    return StationWalk(servers, queue_capacity).run(
+        arrivals, services, measure_from=measure_from, until=until, account=account
     )
-    # One row per arrival so far; the warm-up rule cuts the leading ones.
-    first = int(arrivals.searchsorted(measure_from, side="left"))
-    outcome = StationOutcome(
-        latency_ms=latency_ms[first:],
-        completed=completed[first:],
-        timestamp=timestamp[first:],
-        submitted=arrivals.size - first,
-        dropped=int(np.count_nonzero(dropped[first:])),
-        busy_seconds=service_sum,
-    )
-    if account:
-        outcome.stats = _station_stats(
-            arrivals, timestamp[completed], ~dropped, servers=servers, until=until
-        )
-        outcome.in_system = (
-            arrivals.size - outcome.stats.drops - outcome.stats.completions
-        )
-    return outcome
 
 
 def _station_stats(
@@ -225,14 +341,18 @@ def _station_stats(
     The station integrates busy workers at every arrival and departure in
     time order (a departure before an arrival of the same instant), one
     ``+=`` per event; ``cumsum`` is that same left-to-right sum, so the
-    integrals come out to the last bit.
+    integrals come out to the last bit.  The arrivals are sorted already,
+    so the events are the departures, sorted in place, merged into them.
     """
+    departures.sort()
     # The integral closes at ``until``; with none, at the last departure.
     closing = [until] if until < _INF else []
     times = np.concatenate([departures, arrivals, closing])
     step = np.zeros(times.size, dtype=np.int8)
     step[: departures.size] = -1
     step[departures.size : departures.size + arrivals.size] = admitted
+    # Two sorted runs: timsort merges them in one linear pass, and being
+    # stable it puts a departure before an arrival of the same instant.
     order = times.argsort(kind="stable")
     times, step = times[order], step[order]
     del order
@@ -358,22 +478,6 @@ class DipStation:
 
     # -- replay ----------------------------------------------------------------
 
-    def _service_times(self) -> Iterator[float]:
-        """Service times in draw order, consumed the way ``submit`` does:
-        unit draws in ``SERVICE_BATCH`` refills of ``_svc_buf``, scaled by
-        the mean read at the first start of service."""
-        token = len(self.dip.antagonist.history)
-        if token != self._svc_token:
-            self._svc_mean = self._mean_service_time_s()
-            self._svc_token = token
-        mean = self._svc_mean
-        while True:
-            buf = self._svc_buf
-            if not buf:
-                buf = self._svc_buf = self._svc_draw(SERVICE_BATCH)[::-1].tolist()
-            while buf:
-                yield buf.pop() * mean
-
     def replay(
         self, arrivals: np.ndarray, *, measure_from: float, until: float
     ) -> StationOutcome:
@@ -382,21 +486,26 @@ class DipStation:
 
         Leaves the generator, the draw buffer and the counters where
         submitting the same arrivals through an event loop run to ``until``
-        leaves them; the records come back as columns instead of through
-        the completion sink, and a line still waiting at ``until`` (nothing
-        will serve it) is counted in the outcome, not rebuilt.
+        leaves them — the walk pops this station's ``_svc_buf`` one draw per
+        start of service, scaled by the antagonist-aware mean, as
+        ``submit`` does; the records come back as columns instead of
+        through the completion sink, and a line still waiting at ``until``
+        (nothing will serve it) is counted in ``stats``, not rebuilt.
         """
-        outcome = simulate_station(
-            arrivals,
-            self._service_times(),
-            servers=self._workers,
-            queue_capacity=self._queue_capacity,
-            measure_from=measure_from,
-            until=until,
-            account=True,
+        walk = StationWalk(
+            self._workers,
+            self._queue_capacity,
+            draw=self._svc_draw,
+            mean=self._mean_service_time_s(),
+            buf=self._svc_buf,
         )
-        self.stats = outcome.stats
-        self._busy_workers = min(self._workers, outcome.in_system)
+        outcome = walk.run(
+            arrivals, measure_from=measure_from, until=until, account=True
+        )
+        self._svc_buf = walk.buf
+        stats = self.stats = outcome.stats
+        held = stats.arrivals - stats.drops - stats.completions  # at ``until``
+        self._busy_workers = min(self._workers, held)
         self._last_change = until
         return outcome
 

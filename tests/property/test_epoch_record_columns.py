@@ -3,9 +3,10 @@
 ``MetricsCollector.summaries`` groups the records by DIP once;
 :func:`masked_summary` is the per-DIP pass over all records it replaced,
 kept here as the oracle, and every value must be the same bit.
-``StationSim`` records a departure per arrival and derives its columns at
-the end; fed one stream in any number of slices it must return one block,
-and without a capacity change that block is ``simulate_station``'s.
+An epoch shard's station is a ``StationWalk`` that records a departure per
+arrival and derives its columns at the end; fed one stream in any number of
+slices it must return one block, and without a capacity change that block
+is the one a single pass over the stream returns.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.epoch import StationSim
-from repro.parallel.kernel import service_seed, simulate_station
+from repro.parallel.epoch import _mux_census
+from repro.parallel.kernel import service_seed
+from repro.parallel.shard import station_block
+from repro.sim.queueing import StationWalk
 from repro.sim.trace import DipSummary, MetricsCollector
 
 DIPS = [f"DIP-{i + 1}" for i in range(12)]  # "DIP-10" sorts before "DIP-2"
@@ -152,29 +155,33 @@ def test_headline_is_the_three_single_folds():
 # -- stations ---------------------------------------------------------------------------------
 
 
-def station(*, queue_capacity: int, track_mux: bool, measure_from: float) -> StationSim:
-    return StationSim(
-        "DIP-1",
-        3,
-        servers=2,
-        mean_service_s=2.0 / 800.0,
-        base_capacity_rps=800.0,
-        seed=11,
-        queue_capacity=queue_capacity,
-        measure_from=measure_from,
-        num_muxes=3 if track_mux else 1,
-        track_mux=track_mux,
-    )
+MEAN = 2.0 / 800.0
 
 
-def feed(sim: StationSim, arrivals, muxes, slices: int) -> list:
-    """``arrivals`` in ``slices`` calls, reading the barrier count after each."""
+def station(*, queue_capacity: int) -> StationWalk:
+    """The walk an epoch shard drives for DIP 3 (two workers, 800 rps) at seed 11."""
+    draws = np.random.default_rng(service_seed(11, 3))
+    return StationWalk(2, queue_capacity, draw=draws.standard_exponential, mean=MEAN)
+
+
+def feed(sim: StationWalk, arrivals, muxes, slices: int, held: list) -> list:
+    """``arrivals`` in ``slices`` calls, reading the barrier count after each
+    (per MUX through ``held``, the census the shard carries, when given MUXes)."""
     counts = []
     for part in np.array_split(np.arange(arrivals.size), slices):
         if part.size:
-            sim.advance(arrivals[part], None if muxes is None else muxes[part])
-            counts.append(np.sum(sim.counts_at(float(arrivals[part[-1]]))))
+            departures = sim.advance(arrivals[part])
+            t = float(arrivals[part[-1]])
+            if muxes is None:
+                counts.append(sim.in_system(t))
+            else:
+                held[0], per_mux = _mux_census(held[0], departures, muxes[part], t, 3)
+                counts.append(np.sum(per_mux))
     return counts
+
+
+def finish(sim: StationWalk, measure_from: float) -> dict:
+    return station_block("DIP-1", 2, sim.outcome(measure_from=measure_from))
 
 
 def blocks_equal(a: dict, b: dict) -> bool:
@@ -197,13 +204,13 @@ def test_station_blocks_do_not_depend_on_the_slicing(track_mux, queue_capacity):
     change = 1700  # a capacity event lands between two epochs
     blocks, at_change = [], []
     for slices in (1, 7, 500):
-        sim = station(
-            queue_capacity=queue_capacity, track_mux=track_mux, measure_from=0.4
-        )
-        head = feed(sim, arrivals[:change], None if muxes is None else muxes[:change], slices)
-        sim.set_capacity_factor(0.5)
-        feed(sim, arrivals[change:], None if muxes is None else muxes[change:], slices)
-        blocks.append(sim.finish())
+        sim = station(queue_capacity=queue_capacity)
+        held = [(np.empty(0), np.empty(0, dtype=np.int64))]
+        head_muxes, tail_muxes = np.split(muxes, [change]) if track_mux else (None, None)
+        head = feed(sim, arrivals[:change], head_muxes, slices, held)
+        sim.mean = MEAN / 0.5  # what a capacity event of factor 0.5 sets
+        feed(sim, arrivals[change:], tail_muxes, slices, held)
+        blocks.append(finish(sim, 0.4))
         at_change.append(head[-1])
     assert blocks_equal(blocks[0], blocks[1]) and blocks_equal(blocks[0], blocks[2])
     assert at_change[0] == at_change[1] == at_change[2]
@@ -228,22 +235,13 @@ def test_station_is_simulate_station_carried_across_epochs(
 ):
     rng = np.random.default_rng(seed)
     arrivals = np.cumsum(rng.exponential(1.0 / (800.0 * load), 1200))
-    sim = station(queue_capacity=queue_capacity, track_mux=False, measure_from=measure_from)
-    feed(sim, arrivals, None, slices)
-    block = sim.finish()
+    sim = station(queue_capacity=queue_capacity)
+    feed(sim, arrivals, None, slices, [])
+    block = finish(sim, measure_from)
 
-    draws = np.random.default_rng(service_seed(11, 3))
-    services = (
-        float(unit) * (2.0 / 800.0)
-        for _ in range(arrivals.size)  # more batches than the run can use
-        for unit in draws.standard_exponential(512)
-    )
-    outcome = simulate_station(
-        arrivals,
-        services,
-        servers=2,
-        queue_capacity=queue_capacity,
-        measure_from=measure_from,
+    # One pass over the stream, as a serial replay walks it.
+    outcome = station(queue_capacity=queue_capacity).run(
+        arrivals, measure_from=measure_from
     )
     assert np.array_equal(block["latency_ms"], outcome.latency_ms, equal_nan=True)
     assert np.array_equal(block["completed"], outcome.completed)

@@ -187,6 +187,23 @@ class TestBasePolicy:
         assert resolver.weights() == {"a": 1.0, "b": 0.0, "c": 0.0}
         assert resolver.resolve() == "a"
 
+    def test_resolver_health_edits_name_a_dip_of_the_pool(self):
+        resolver = WeightedDnsResolver(DIPS, seed=1)
+        with pytest.raises(ConfigurationError, match="unknown DIP 'zz'"):
+            resolver.set_healthy("zz", True)
+        # no phantom DIP was planted: resolutions stay inside the pool
+        assert {resolver.resolve() for _ in range(50)} <= set(DIPS)
+
+    def test_resolver_keeps_its_pool_on_a_bad_removal(self):
+        resolver = WeightedDnsResolver(["a", "b"], seed=1)
+        with pytest.raises(ConfigurationError, match="unknown DIP 'zz'"):
+            resolver.remove_dip("zz")
+        resolver.remove_dip("a")
+        with pytest.raises(ConfigurationError, match="at least one DIP"):
+            resolver.remove_dip("b")
+        assert resolver.weights() == {"b": 1.0}
+        assert resolver.resolve() == "b"
+
     def test_weight_rule(self):
         """Negatives clip to zero; nothing positive left means uniform."""
         assert effective_weights(np.array([2.0, -1.0, 0.5])).tolist() == [2.0, 0.0, 0.5]
