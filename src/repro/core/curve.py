@@ -15,8 +15,13 @@ which is what the rescaling computation needs.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -166,6 +171,76 @@ class WeightLatencyCurve:
         return self.rescaled(delta)
 
 
+#: the compiled module behind ``scipy.optimize.nnls`` (SciPy ≥ 1.15).
+_NNLS_MODULE = "scipy.optimize._slsqplib"
+
+
+def _nnls_extension_path() -> str | None:
+    """The file of :data:`_NNLS_MODULE` in the installed SciPy, if any.
+
+    ``find_spec`` of a top-level package only locates it; nothing of SciPy
+    executes.
+    """
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_slsqplib" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+@functools.cache
+def _compiled_nnls() -> Callable | None:
+    """SciPy's compiled ``nnls(A, b, maxiter) -> (x, rnorm, info)``, or ``None``.
+
+    Importing ``scipy.optimize`` for it costs ≈0.3 s and ≈40 MiB (HiGHS,
+    sparse, linalg …); the extension alone costs neither.  It registers
+    under its package name, so a later ``import scipy.optimize`` reuses it.
+    ``None`` (the caller then imports the package) when the file or the
+    symbol is missing, or the loader needs SciPy's own initialisation.
+    """
+    module = sys.modules.get(_NNLS_MODULE)
+    if module is None:
+        path = _nnls_extension_path()
+        if path is None:
+            return None
+        loader = importlib.machinery.ExtensionFileLoader(_NNLS_MODULE, path)
+        try:
+            spec = importlib.util.spec_from_file_location(
+                _NNLS_MODULE, path, loader=loader
+            )
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+        except ImportError:
+            return None
+        module = sys.modules.setdefault(_NNLS_MODULE, module)
+    return getattr(module, "nnls", None)
+
+
+def _nnls(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+    """``scipy.optimize.nnls(design, target)``, bit for bit.
+
+    The same checks, default ``maxiter`` and error as SciPy's Python
+    wrapper around the same compiled routine; the wrapper itself only when
+    :func:`_compiled_nnls` cannot load that routine.
+    """
+    routine = _compiled_nnls()
+    if routine is None:
+        from scipy.optimize import nnls
+
+        return nnls(design, target)
+    design = np.asarray_chkfinite(design, dtype=np.float64, order="C")
+    target = np.asarray_chkfinite(target, dtype=np.float64)
+    if design.ndim != 2 or target.shape != design.shape[:1]:
+        raise ValueError(f"shapes {design.shape} and {target.shape} do not match")
+    solution, rnorm, info = routine(design, target, 3 * design.shape[1])
+    if info == 3:
+        raise RuntimeError("Maximum number of iterations reached.")
+    return solution, rnorm
+
+
 def fit_curve(
     points: Sequence[MeasurementPoint],
     *,
@@ -195,12 +270,11 @@ def fit_curve(
         # Constrained least squares with non-negative coefficients: latency
         # can only grow with weight, which keeps the fit sane in weight
         # regions the exploration did not sample densely (Algorithm 1 tends
-        # to cluster points near capacity).  SciPy loads here, at the first
-        # constrained fit, so runs that never fit a curve never import it.
-        from scipy.optimize import nnls
-
+        # to cluster points near capacity).  The solve is SciPy's compiled
+        # Lawson-Hanson routine, loaded alone (see ``_nnls``): a fit loads
+        # one extension module, not the ``scipy.optimize`` package.
         design = np.vander(weights, degree + 1, increasing=True)
-        solution, _ = nnls(design, latencies)
+        solution, _ = _nnls(design, latencies)
         coefficients = solution[::-1]
     else:
         coefficients = np.polyfit(weights, latencies, degree)

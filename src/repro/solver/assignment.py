@@ -12,6 +12,7 @@ All solver backends consume this representation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -40,14 +41,14 @@ class DipCandidates:
         if not self.weights:
             raise ConfigurationError(f"DIP {self.dip}: empty candidate set")
         for w in self.weights:
-            if w < 0 or w > 1:
+            if not 0 <= w <= 1:
                 raise ConfigurationError(
                     f"DIP {self.dip}: candidate weight {w} outside [0, 1]"
                 )
         for lat in self.latencies_ms:
-            if lat < 0:
+            if not 0 <= lat < math.inf:
                 raise ConfigurationError(
-                    f"DIP {self.dip}: negative latency {lat}"
+                    f"DIP {self.dip}: latency {lat} is not finite and >= 0"
                 )
 
     @property
@@ -108,12 +109,12 @@ class AssignmentProblem:
             if cand.dip in seen:
                 raise ConfigurationError(f"duplicate DIP id {cand.dip!r}")
             seen.add(cand.dip)
-        if self.total_weight <= 0:
-            raise ConfigurationError("total_weight must be positive")
-        if self.total_weight_tolerance < 0:
-            raise ConfigurationError("total_weight_tolerance must be >= 0")
-        if self.theta is not None and self.theta < 0:
-            raise ConfigurationError("theta must be >= 0 or None")
+        if not 0 < self.total_weight < math.inf:
+            raise ConfigurationError("total_weight must be positive and finite")
+        if not 0 <= self.total_weight_tolerance < math.inf:
+            raise ConfigurationError("total_weight_tolerance must be finite and >= 0")
+        if self.theta is not None and not 0 <= self.theta < math.inf:
+            raise ConfigurationError("theta must be finite and >= 0, or None")
 
     @property
     def num_dips(self) -> int:

@@ -6,6 +6,11 @@ in grid units), value = minimum latency.  This backend is exact *up to the
 grid resolution* and is useful for moderate pool sizes where the exact
 branch-and-bound would be slow and HiGHS is unavailable.
 
+After DIP ``i`` only the band of sums that is reachable and can still end in
+the target window is kept (:func:`_bands`); every kept cell is computed from
+the same sources in the same order as over the full ``[0, hi]`` table, so the
+band changes the cost of a solve and nothing it returns.
+
 The imbalance constraint θ is not representable in this DP (it would require
 tracking the running min/max weight); when θ is finite the caller should use
 another backend.  ``solve_dp`` raises ``ConfigurationError`` in that case.
@@ -92,6 +97,30 @@ class SolveCache:
             self._store.popitem(last=False)
 
 
+def _bands(units: list[list[int]], lo: int, hi: int) -> tuple[list[int], list[int]]:
+    """Per DIP ``i``, the unit sums ``[band_lo[i], band_hi[i]]`` the DP keeps.
+
+    Only candidates of at most ``hi`` units can ever be picked; with min and
+    max over those, a sum over ``dips[: i + 1]`` is reachable only inside
+    ``[Σmin≤i, Σmax≤i]`` and can still end in ``[lo, hi]`` only inside
+    ``[lo − Σmax>i, hi − Σmin>i]``.  A DIP with no such candidate empties
+    every band, as does a window out of reach.
+    """
+    fits = [[k for k in ks if k <= hi] for ks in units]
+    if not all(fits):
+        return [0] * len(units), [-1] * len(units)
+    mins, maxs = [min(ks) for ks in fits], [max(ks) for ks in fits]
+    before_min = before_max = 0
+    after_min, after_max = sum(mins), sum(maxs)
+    band_lo, band_hi = [], []
+    for least, most in zip(mins, maxs):
+        before_min, after_min = before_min + least, after_min - least
+        before_max, after_max = before_max + most, after_max - most
+        band_lo.append(max(before_min, lo - after_max, 0))
+        band_hi.append(min(before_max, hi - after_min))
+    return band_lo, band_hi
+
+
 def solve_dp(
     problem: AssignmentProblem,
     *,
@@ -124,20 +153,22 @@ def solve_dp(
     deadline = start + time_limit_s if time_limit_s is not None else None
 
     dips = [cand.sorted_by_weight() for cand in problem.dips]
-    n = len(dips)
 
     def to_units(w: float) -> int:
         return int(round(w / resolution))
 
     target_units = to_units(problem.total_weight)
     tol_units = max(1, to_units(problem.total_weight_tolerance))
-    max_units = target_units + tol_units
+    lo = max(0, target_units - tol_units)
+    hi = target_units + tol_units
+    units = [[to_units(w) for w in cand.weights] for cand in dips]
+    band_lo, band_hi = _bands(units, lo, hi)
 
-    inf = float("inf")
-    # cost[u] = min latency to reach exactly u units with the DIPs seen so far.
-    cost = np.full(max_units + 1, inf)
-    cost[0] = 0.0
-    # choice[i][u] = candidate index picked for dips[i] to reach u optimally.
+    # cost[u - band_lo[i]] = min latency to reach exactly u units with
+    # dips[: i + 1]; before the first DIP only u = 0 is reached, at no cost.
+    cost = np.zeros(1)
+    prev_lo, prev_hi = 0, 0
+    # choice[i][u - band_lo[i]] = candidate index picked for dips[i] to reach u.
     choice: list[np.ndarray] = []
 
     for i, cand in enumerate(dips):
@@ -147,29 +178,25 @@ def solve_dp(
                 solve_time_s=time.perf_counter() - start,
                 backend=_BACKEND_NAME,
             )
-        new_cost = np.full(max_units + 1, inf)
-        new_choice = np.full(max_units + 1, -1, dtype=np.int32)
-        for j in range(cand.count):
-            units = to_units(cand.weights[j])
-            lat = cand.latencies_ms[j]
-            if units > max_units:
+        low, high = band_lo[i], band_hi[i]
+        new_cost = np.full(max(0, high - low + 1), np.inf)
+        new_choice = np.full(new_cost.size, -1, dtype=np.int32)
+        for j, step in enumerate(units[i]):
+            # The cells u in the band whose source u - step the last band holds.
+            first, last = max(low, prev_lo + step), min(high, prev_hi + step)
+            if first > last:
                 continue
-            # Shift the reachable prefix by `units` and add this latency.
-            if units == 0:
-                shifted = cost + lat
-            else:
-                shifted = np.full(max_units + 1, inf)
-                shifted[units:] = cost[: max_units + 1 - units] + lat
-            better = shifted < new_cost
-            new_cost = np.where(better, shifted, new_cost)
-            new_choice = np.where(better, j, new_choice)
-        cost = new_cost
+            shifted = cost[first - step - prev_lo : last - step - prev_lo + 1]
+            shifted = shifted + cand.latencies_ms[j]
+            cells = new_cost[first - low : last - low + 1]
+            better = shifted < cells
+            np.copyto(cells, shifted, where=better)
+            np.copyto(new_choice[first - low : last - low + 1], j, where=better)
+        cost, prev_lo, prev_hi = new_cost, low, high
         choice.append(new_choice)
 
-    lo = max(0, target_units - tol_units)
-    hi = max_units
-    window = cost[lo : hi + 1]
-    if not np.isfinite(window).any():
+    # The last band is the window [lo, hi] cut to the reachable sums.
+    if not np.isfinite(cost).any():
         result = SolveResult(
             status=SolveStatus.INFEASIBLE,
             solve_time_s=time.perf_counter() - start,
@@ -178,23 +205,19 @@ def solve_dp(
         if cache is not None:
             cache.put(problem, token, result)
         return result
-    best_offset = int(np.argmin(window))
-    best_units = lo + best_offset
-
-    # Backtrack the choices.
+    # Backtrack the choices from the first cheapest sum in the window.
     selection: dict[DipId, int] = {}
-    units = best_units
-    for i in range(n - 1, -1, -1):
-        j = int(choice[i][units])
+    reached = band_lo[-1] + int(np.argmin(cost))
+    for i in range(len(dips) - 1, -1, -1):
+        j = int(choice[i][reached - band_lo[i]])
         if j < 0:
             return SolveResult(
                 status=SolveStatus.ERROR,
                 solve_time_s=time.perf_counter() - start,
                 backend=_BACKEND_NAME,
             )
-        cand = dips[i]
-        selection[cand.dip] = j
-        units -= to_units(cand.weights[j])
+        selection[dips[i].dip] = j
+        reached -= units[i][j]
 
     weights = problem.weights_of(selection)
     elapsed = time.perf_counter() - start

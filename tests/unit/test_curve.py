@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import nnls as scipy_nnls
 
 from repro.core.config import CurveConfig
-from repro.core.curve import WeightLatencyCurve, fit_curve, fit_error
+from repro.core.curve import WeightLatencyCurve, _nnls, fit_curve, fit_error
 from repro.core.types import MeasurementPoint
 from repro.exceptions import ConfigurationError, CurveFitError
 
@@ -64,6 +68,51 @@ class TestFitCurve:
     def test_fit_points_recorded(self):
         points = quad_points(10.0, 1.0, 2.0, [0.0, 0.1, 0.25])
         assert len(fit_curve(points).fit_points) == 3
+
+
+@st.composite
+def vandermonde_systems(draw):
+    """What ``fit_curve`` hands NNLS: 1–20 points, degree 0–3, weights that
+    repeat, targets of either sign and any size."""
+    rows = draw(st.integers(1, 20))
+    distinct = draw(st.lists(st.floats(1e-4, 10.0), min_size=1, max_size=rows))
+    weights = draw(st.lists(st.sampled_from(distinct), min_size=rows, max_size=rows))
+    targets = draw(
+        st.lists(
+            st.floats(-1e3, 1e3) | st.floats(-1e12, 1e12), min_size=rows, max_size=rows
+        )
+    )
+    degree = draw(st.integers(0, 3))
+    return np.vander(np.array(weights), degree + 1, increasing=True), np.array(targets)
+
+
+def nnls_outcome(solver, design, target):
+    """The solution and residual as raw bytes, or the exception type raised."""
+    try:
+        x, rnorm = solver(design, target)
+    except (ValueError, RuntimeError) as error:
+        return type(error)
+    return x.tobytes(), np.float64(rnorm).tobytes()
+
+
+class TestCompiledNnls:
+    """``_nnls`` is ``scipy.optimize.nnls`` without importing the package."""
+
+    @given(vandermonde_systems())
+    def test_bit_equal_to_scipy(self, system):
+        design, target = system
+        assert nnls_outcome(_nnls, design, target) == nnls_outcome(
+            scipy_nnls, design, target
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["design", "target"])
+    def test_non_finite_input_raises_value_error_on_both(self, bad, where):
+        design = np.vander(np.array([0.1, 0.2, 0.3]), 3, increasing=True)
+        target = np.array([1.0, 2.0, 4.0])
+        (design if where == "design" else target)[1] = bad
+        assert nnls_outcome(_nnls, design, target) is ValueError
+        assert nnls_outcome(scipy_nnls, design, target) is ValueError
 
 
 class TestPrediction:

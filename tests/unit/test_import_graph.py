@@ -1,10 +1,14 @@
 """The import graph follows need: what a start loads, and what it must not.
 
-SciPy (HiGHS, ``nnls``) costs about half a second and 40 MiB to import, and
-``multiprocessing`` a further 35 ms; a run that fits no curve, solves no ILP
-and forks no worker should pay for neither.  Each case runs in a fresh
-interpreter and reports ``sorted(sys.modules)`` — what was loaded, not what
-``-X importtime`` happened to print.
+``scipy.optimize`` (HiGHS and everything around it) costs about 0.3 s and
+40 MiB to import, and ``multiprocessing`` a further 35 ms; a run that solves
+no ILP with HiGHS and forks no worker should pay for neither.  A curve fit
+loads one compiled SciPy module, ``scipy.optimize._slsqplib`` (the NNLS
+routine), and nothing else of SciPy; where that module cannot be loaded
+alone, the fit falls back to importing ``scipy.optimize`` with the same
+coefficients.  Each case runs in a fresh interpreter and reports
+``sorted(sys.modules)`` — what was loaded, not what ``-X importtime``
+happened to print.
 """
 
 from __future__ import annotations
@@ -169,9 +173,67 @@ solved = solve(problem, backend="scipy")
 out = [list(curve.coefficients), after_fit, solved.backend, solved.objective_ms, solved.weights]
 """
         )
-        assert report["out"] == [NONNEGATIVE_FIT, True, "scipy", OPTIMUM_MS, OPTIMUM_WEIGHTS]
+        assert report["out"] == [NONNEGATIVE_FIT, False, "scipy", OPTIMUM_MS, OPTIMUM_WEIGHTS]
         assert "repro.solver.scipy_backend" in report["modules"]
         assert "scipy.optimize" in report["modules"]
+
+    def test_a_fit_loads_the_nnls_extension_alone(self):
+        report = run_python(
+            _CURVE_AND_PROBLEM
+            + """
+import sys
+curve = fit_curve(points, config=CurveConfig(nonnegative_coefficients=True))
+out = list(curve.coefficients)
+"""
+        )
+        assert report["out"] == NONNEGATIVE_FIT
+        assert loaded(report, "scipy") == ["scipy.optimize._slsqplib"]
+
+    @pytest.mark.parametrize(
+        "locator",
+        ["lambda: None", "lambda: curve_module.__file__"],
+        ids=["nothing-found", "load-raises-import-error"],
+    )
+    def test_fallback_imports_the_package_with_the_same_fit(self, locator):
+        report = run_python(
+            _CURVE_AND_PROBLEM
+            + f"""
+import repro.core.curve as curve_module
+curve_module._nnls_extension_path = {locator}
+curve = fit_curve(points, config=CurveConfig(nonnegative_coefficients=True))
+out = list(curve.coefficients)
+"""
+        )
+        assert report["out"] == NONNEGATIVE_FIT
+        assert "scipy.optimize" in report["modules"]
+
+    @pytest.mark.parametrize(
+        "workload", ["fleet_dynamics", "req_serial_klb_wrr", "ctl_cold_100"]
+    )
+    def test_controller_run_loads_only_the_nnls_extension(self, workload):
+        # The observatory's scaled-down warm-up of each controller workload:
+        # explore, fit and solve with the default backends, then SciPy's own
+        # ``nnls`` still works on the extension the fits loaded.
+        report = run_python(
+            f"""
+            import sys
+            sys.path.insert(0, "benchmarks/observatory")
+            from catalog import WORKLOAD_BY_NAME
+            from repro import api
+
+            workload = WORKLOAD_BY_NAME[{workload!r}]
+            spec = api.ExperimentSpec.from_file(workload.spec_path)
+            result = api.run(spec.with_overrides(workload.warmup))
+            after_run = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+            import numpy as np
+            import scipy.optimize
+
+            x, rnorm = scipy.optimize.nnls(np.eye(2), np.array([1.0, -1.0]))
+            out = [after_run, x.tolist(), rnorm]
+            """
+        )
+        assert report["out"] == [["scipy.optimize._slsqplib"], [1.0, 0.0], 1.0]
 
 
 class TestWithoutScipy:

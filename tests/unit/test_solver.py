@@ -22,6 +22,7 @@ from repro.solver import (
     uniform_weight_grid,
 )
 
+NAN, INF = float("nan"), float("inf")
 EXACT_BACKENDS = [b for b in ("scipy", "branch_and_bound") if b in available_backends()]
 ALL_BACKENDS = [b for b in available_backends() if b != "dp"]
 
@@ -66,6 +67,17 @@ class TestDipCandidates:
         with pytest.raises(ConfigurationError):
             DipCandidates(dip="a", weights=(0.5,), latencies_ms=(-1.0,))
 
+    def test_nan_weight(self):
+        # Before the check, dp died on int(nan) while the other backends solved.
+        with pytest.raises(ConfigurationError, match="weight nan"):
+            DipCandidates(dip="a", weights=(0.2, NAN), latencies_ms=(1.0, 2.0))
+
+    @pytest.mark.parametrize("latency", [NAN, INF])
+    def test_non_finite_latency(self, latency):
+        # Before the check, only HiGHS raised on these.
+        with pytest.raises(ConfigurationError, match="not finite"):
+            DipCandidates(dip="a", weights=(0.2, 0.4), latencies_ms=(1.0, latency))
+
     def test_sorted_by_weight(self):
         cand = DipCandidates(dip="a", weights=(0.4, 0.1), latencies_ms=(5.0, 1.0))
         ordered = cand.sorted_by_weight()
@@ -87,6 +99,21 @@ class TestAssignmentProblem:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             AssignmentProblem(dips=())
+
+    @pytest.mark.parametrize("total", [NAN, INF])
+    def test_non_finite_total_weight(self, total):
+        with pytest.raises(ConfigurationError, match="total_weight must"):
+            AssignmentProblem(dips=two_dip_problem().dips, total_weight=total)
+
+    @pytest.mark.parametrize("tolerance", [NAN, INF])
+    def test_non_finite_tolerance(self, tolerance):
+        with pytest.raises(ConfigurationError, match="total_weight_tolerance must"):
+            two_dip_problem(tolerance=tolerance)
+
+    @pytest.mark.parametrize("theta", [NAN, INF])
+    def test_non_finite_theta(self, theta):
+        with pytest.raises(ConfigurationError, match="theta must"):
+            two_dip_problem(theta=theta)
 
     def test_weight_bounds(self):
         problem = two_dip_problem()
