@@ -68,7 +68,6 @@ from repro.api.sweep import Sweep
 from repro.parallel import (
     ShardPlan,
     plan_shards,
-    run_request_epoch,
     run_request_sharded,
     staleness_crosscheck,
 )
@@ -191,12 +190,11 @@ def _one_shard_plan(spec: ExperimentSpec) -> ShardPlan:
     plan directly.
     """
     reference = plan_shards(spec, shards=2)
-    assert reference.shardable, reference.fallback_reason
+    assert reference.mode == "exact", reference.fallback_reason
     dip_ids = tuple(d for s in reference.dip_slices for d in s)
     return ShardPlan(
         shards=1,
-        shardable=True,
-        routing=reference.routing,
+        mode="exact",
         dip_slices=split_dip_ids(dip_ids, 1),
     )
 
@@ -283,12 +281,12 @@ def run_parallel_engine_bench(*, num_requests: int = NUM_REQUESTS) -> dict:
     lc_plan = plan_shards(lc_spec, shards=4)
     assert lc_plan.mode == "epoch", lc_plan.fallback_reason
     lc_epoch, lc_epoch_wall = _timed(
-        lambda: run_request_epoch(lc_spec, lc_plan, workers=1)
+        lambda: run_request_sharded(lc_spec, lc_plan, workers=1)
     )
     lc_fanout, lc_fanout_wall = _timed(
-        lambda: run_request_epoch(lc_spec, lc_plan, workers=4)
+        lambda: run_request_sharded(lc_spec, lc_plan, workers=4)
     )
-    lc_repeat = run_request_epoch(lc_spec, lc_plan, workers=1)
+    lc_repeat = run_request_sharded(lc_spec, lc_plan, workers=1)
     lc_serial_rps = lc_serial.metrics["requests_submitted"] / lc_serial_wall
     lc_epoch_rps = lc_epoch.metrics["requests_submitted"] / lc_epoch_wall
     lc_fanout_rps = lc_fanout.metrics["requests_submitted"] / lc_fanout_wall
@@ -322,9 +320,9 @@ def run_parallel_engine_bench(*, num_requests: int = NUM_REQUESTS) -> dict:
     tl_plan = plan_shards(tl_spec, shards=4)
     assert tl_plan.mode == "epoch", tl_plan.fallback_reason
     tl_epoch, tl_epoch_wall = _timed(
-        lambda: run_request_epoch(tl_spec, tl_plan, workers=1), repeats=1
+        lambda: run_request_sharded(tl_spec, tl_plan, workers=1), repeats=1
     )
-    tl_repeat = run_request_epoch(tl_spec, tl_plan, workers=1)
+    tl_repeat = run_request_sharded(tl_spec, tl_plan, workers=1)
     timeline = {
         # With a timeline the run lasts exactly the horizon; the spec's
         # num_requests does not apply.

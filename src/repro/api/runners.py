@@ -539,26 +539,24 @@ def execute(
     apply, per-window progress, completed window rows); the recorded
     time-series always lands in the result's ``windows`` regardless.
 
-    ``shards > 1`` asks for a sharded request-level run.  The planner in
-    :mod:`repro.parallel` issues a three-way verdict: stateless workloads
-    split into statistically-exact per-DIP sub-streams ("exact" mode);
-    stateful policies (``lc``/``wlc``/``p2``/…), Mux pools and
-    request-legal timelines run epoch-synchronized ("epoch" mode), where
-    shards exchange connection counts every ``spec.sync_interval_s``
-    seconds and route against a boundedly-stale global view; everything
-    else falls back to the serial path with the reason logged under
-    ``repro.parallel`` and recorded in ``provenance.fallback_reason``.
-    Shards fan across ``workers`` processes (a
-    :class:`~repro.parallel.pool.WorkerPool` via ``pool`` is reused warm
-    for exact plans, and borrowed as a width hint for epoch plans).
+    ``shards > 1`` asks for a sharded request-level run.  Every shard runs
+    the same simulation; the planner in :mod:`repro.parallel` issues a
+    three-way verdict on how they run: queue-blind ``rr`` / ``random`` /
+    ``wrandom`` shards never exchange state and run as independent tasks
+    ("exact" mode, distributed exactly like the serial run); stateful
+    policies (``lc``/``wlc``/``p2``/…), Mux pools and request-legal
+    timelines run epoch-synchronized ("epoch" mode), where shards exchange
+    connection counts every ``spec.sync_interval_s`` seconds and route
+    against a boundedly-stale global view; everything else falls back to
+    the serial path with the reason logged under ``repro.parallel`` and
+    recorded in ``provenance.fallback_reason``.  Shards fan across
+    ``workers`` processes (a :class:`~repro.parallel.pool.WorkerPool` via
+    ``pool`` is reused warm for exact plans, and borrowed as a width hint
+    for epoch plans).
     """
     spec = expand_spec_chaos(spec)
     if shards is not None and shards > 1:
-        from repro.parallel import (
-            plan_shards,
-            run_request_epoch,
-            run_request_sharded,
-        )
+        from repro.parallel import plan_shards, run_request_sharded
         from repro.parallel.planner import spec_fallback_reason
 
         # Screen the pool-independent conditions first (runner, timeline,
@@ -570,12 +568,8 @@ def execute(
         plan = plan_shards(
             spec, shards=shards, dip_ids=tuple(dips) if dips else None
         )
-        if plan.mode == "exact":
+        if plan.mode != "serial":
             return run_request_sharded(
-                spec, plan, workers=workers, pool=pool, dips=dips
-            )
-        if plan.mode == "epoch":
-            return run_request_epoch(
                 spec,
                 plan,
                 workers=workers,

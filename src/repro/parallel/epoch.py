@@ -1,11 +1,14 @@
-"""Epoch-synchronized sharding for stateful policies and timeline runs.
+"""The shard simulation, and epoch synchronization for stateful policies.
 
-The exact sharded engine (:mod:`repro.parallel.shard`) only applies when
-routing is queue- and flow-independent, which rules out the policies the
-paper actually stresses — lc/wlc/p2/hash/dns/wrr, the MuxPool dataplane —
-and every timeline run.  This module shards those too, by trading exact
-serial equivalence for *bounded staleness*, the behaviour real distributed
-load balancers exhibit:
+:class:`EpochShardSim` is the one simulation every shard of a sharded
+request run executes (:mod:`repro.parallel.shard` dispatches it).  When
+routing is queue- and flow-independent (``rr`` / ``random`` / ``wrandom``
+with no timeline and one MUX) the shards never exchange state: each is
+advanced straight to the horizon as an independent task.  That rules out
+the policies the paper actually stresses — lc/wlc/p2/hash/dns/wrr, the
+MuxPool dataplane — and every timeline run.  This module shards those
+too, by trading exact serial equivalence for *bounded staleness*, the
+behaviour real distributed load balancers exhibit:
 
 * **Full-stream routing replay.**  Every shard deterministically
   regenerates the whole VIP-wide arrival stream (times, client indices,
@@ -16,8 +19,7 @@ load balancers exhibit:
   single routed record.
 * **Owned-slice queueing.**  Each shard simulates the M/M/c/K stations
   only for its own DIP slice, each a :class:`~repro.sim.queueing.StationWalk`
-  resumed once per epoch — the walk the exact engine and the serial replay
-  run in one pass.
+  resumed once per epoch — the walk the serial replay runs in one pass.
 * **Epoch barriers.**  Time is cut into epochs of ``sync_interval_s``.
   At each boundary the shards exchange one compact snapshot — per-DIP
   in-system counts (per ``(dip, mux)`` when the MUX layer routes a
@@ -63,8 +65,6 @@ itself is the only per-request Python left.
 
 from __future__ import annotations
 
-import math
-import os
 from queue import Empty
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
@@ -86,9 +86,7 @@ from repro.parallel.kernel import (
     service_seed,
 )
 from repro.parallel.shard import (
-    QUEUE_CAPACITY,
     _discard_shm,
-    merge_shard_outcomes,
     open_segment,
     publish_blocks,
     station_block,
@@ -96,9 +94,7 @@ from repro.parallel.shard import (
 from repro.sim.queueing import StationWalk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.api.result import RunResult
     from repro.api.spec import ExperimentSpec
-    from repro.parallel.planner import ShardPlan
 
 #: epoch routers by policy name; the value describes what crosses the barrier.
 EPOCH_ROUTERS: dict[str, str] = {
@@ -145,28 +141,22 @@ _SYNC_TIMEOUT_S = 600.0
 
 
 class EpochArrivalStream:
-    """The VIP-wide arrival stream, consumed epoch by epoch.
+    """The VIP-wide arrival times, consumed epoch by epoch.
 
     Every shard owns an identical instance: arrival gaps come from the
-    run's arrival lane, client indices from the flow lane, and ports are a
-    pure function of the arrival ordinal (mirroring
-    ``ClientPool.next_batch``'s rolling counter) — so the stream needs no
-    cross-shard coordination at all.  ``arrival_scale`` events rescale the
-    *buffered* future gaps around the boundary, the memoryless transform
+    run's arrival lane, so the stream needs no cross-shard coordination at
+    all.  ``arrival_scale`` events rescale the *buffered* future gaps
+    around the boundary, the memoryless transform
     ``RequestCluster.scale_arrivals`` applies to its latched arrivals.
     """
 
-    def __init__(self, seed: int, rate_rps: float, *, num_clients: int = _NUM_CLIENTS):
+    def __init__(self, seed: int, rate_rps: float):
         if rate_rps <= 0:
             raise ConfigurationError("rate_rps must be positive")
         self._rng = np.random.default_rng(arrival_seed(seed))
-        self._flow_rng = np.random.default_rng(flow_seed(seed))
         self._rate = float(rate_rps)
-        self._num_clients = int(num_clients)
         self._clock = 0.0
         self._times = np.empty(0, dtype=np.float64)
-        self._clients = np.empty(0, dtype=np.int64)
-        self._consumed = 0
 
     @property
     def rate_rps(self) -> float:
@@ -182,30 +172,55 @@ class EpochArrivalStream:
             self._clock = at_time + (self._clock - at_time) * scale
         self._rate = float(rate_rps)
 
-    def _refill(self) -> None:
-        gaps = self._rng.exponential(1.0 / self._rate, size=_ARRIVAL_CHUNK)
-        times = np.cumsum(gaps)
-        times += self._clock
-        self._clock = float(times[-1])
-        self._times = np.concatenate([self._times, times])
-        self._clients = np.concatenate(
-            [self._clients, self._flow_rng.integers(self._num_clients, size=_ARRIVAL_CHUNK)]
-        )
+    def take_until(self, t_end: float) -> np.ndarray:
+        """All arrival times strictly before ``t_end``.
 
-    def take_until(self, t_end: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All arrivals strictly before ``t_end``: (times, clients, ports)."""
+        Draws whole chunks until one reaches ``t_end`` and joins them to
+        the buffer in one concatenation, so one call over a whole run costs
+        what the same draws fed in small slices do.
+        """
+        times = [self._times]
         while self._clock < t_end:
-            self._refill()
+            chunk = np.cumsum(self._rng.exponential(1.0 / self._rate, size=_ARRIVAL_CHUNK))
+            chunk += self._clock
+            self._clock = float(chunk[-1])
+            times.append(chunk)
+        if len(times) > 1:
+            self._times = np.concatenate(times)
         cut = int(np.searchsorted(self._times, t_end, side="left"))
-        times = self._times[:cut]
-        clients = self._clients[:cut]
-        self._times = self._times[cut:]
-        self._clients = self._clients[cut:]
+        times, self._times = self._times[:cut], self._times[cut:]
+        return times
+
+
+class EpochFlowStream:
+    """The arrivals' flows, in arrival order: (client index, source port).
+
+    Client indices come from the run's flow lane in whole chunks, and ports
+    are a pure function of the arrival ordinal (mirroring
+    ``ClientPool.next_batch``'s rolling counter).  Only a router that reads
+    the flow (``uses_flow``) needs one.
+    """
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(flow_seed(seed))
+        self._clients = np.empty(0, dtype=np.int64)
+        self._consumed = 0
+
+    def take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``count`` arrivals' clients and ports."""
+        clients = [self._clients]
+        drawn = self._clients.size
+        while drawn < count:
+            clients.append(self._rng.integers(_NUM_CLIENTS, size=_ARRIVAL_CHUNK))
+            drawn += _ARRIVAL_CHUNK
+        if len(clients) > 1:
+            self._clients = np.concatenate(clients)
+        clients, self._clients = self._clients[:count], self._clients[count:]
         ports = (
-            self._consumed + 1 + np.arange(cut, dtype=np.int64)
+            self._consumed + 1 + np.arange(count, dtype=np.int64)
         ) % _PORT_SPAN + _PORT_MIN
-        self._consumed += cut
-        return times, clients, ports
+        self._consumed += count
+        return clients, ports
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +256,12 @@ class _EpochRouter:
     and (for count-based policies) the last-synced per-DIP counts — and
     route every arrival, not just the shard's own.  ``needs_counts``
     marks the policies whose decisions read connection counts; only those
-    force per-``(dip, mux)`` tracking in the stations.
+    force per-``(dip, mux)`` tracking in the stations.  ``uses_flow`` marks
+    those that read the arrivals' clients and ports.
     """
 
     needs_counts = False
+    uses_flow = False
 
     def __init__(self, num_dips: int, dip_rank: Sequence[int]):
         self._n = num_dips
@@ -455,6 +472,8 @@ class _PowerOfTwoRouter(_EpochRouter):
 class _FlowHashRouter(_EpochRouter):
     """Flow-sticky hash over the healthy set (same law as the serial sha1)."""
 
+    uses_flow = True
+
     def route(self, times, clients, ports):
         h = self._candidates()
         key = _flow_key(clients, ports, _HASH_SALT)
@@ -470,6 +489,8 @@ class _DnsRouter(_EpochRouter):
     per-arrival times standing in for ``advance_time``.
     """
 
+    uses_flow = True
+
     def __init__(
         self,
         num_dips: int,
@@ -477,14 +498,13 @@ class _DnsRouter(_EpochRouter):
         *,
         seed: int,
         replica: int = 0,
-        num_clients: int = _NUM_CLIENTS,
         cache_ttl_s: float = _DNS_TTL_S,
     ):
         super().__init__(num_dips, dip_rank)
         self._rng = np.random.default_rng(router_seed(seed, _DNS_SLOT, replica))
         self._ttl = float(cache_ttl_s)
-        self._cache_dip = np.full(num_clients, -1, dtype=np.int64)
-        self._cache_exp = np.zeros(num_clients, dtype=np.float64)
+        self._cache_dip = np.full(_NUM_CLIENTS, -1, dtype=np.int64)
+        self._cache_exp = np.zeros(_NUM_CLIENTS, dtype=np.float64)
         self._uniforms: list[float] = []
         #: CDF over the healthy DIPs' weights; dropped when either changes.
         self._cdf: np.ndarray | None = None
@@ -537,6 +557,8 @@ class _MuxEcmpRouter:
     the same utilization snapshots.
     """
 
+    uses_flow = True
+
     def __init__(self, inners: Sequence[_EpochRouter]):
         self._inners = list(inners)
         self.needs_counts = self._inners[0].needs_counts
@@ -577,7 +599,6 @@ def make_epoch_router(
     dip_rank: Sequence[int],
     seed: int,
     num_muxes: int = 1,
-    num_clients: int = _NUM_CLIENTS,
     servers: Sequence[float] | None = None,
     drain_rps: Sequence[float] | None = None,
 ) -> _EpochRouter | _MuxEcmpRouter:
@@ -608,13 +629,7 @@ def make_epoch_router(
         if policy == "hash":
             return _FlowHashRouter(num_dips, dip_rank)
         if policy == "dns":
-            return _DnsRouter(
-                num_dips,
-                dip_rank,
-                seed=seed,
-                replica=replica,
-                num_clients=num_clients,
-            )
+            return _DnsRouter(num_dips, dip_rank, seed=seed, replica=replica)
         raise ConfigurationError(f"policy {policy!r} has no epoch router")
 
     if num_muxes <= 1:
@@ -654,6 +669,15 @@ def _mux_census(
 # ---------------------------------------------------------------------------
 
 
+def _board_width(payload: Mapping[str, Any]) -> int:
+    """Count-board slots per DIP: one per MUX when a MUX layer fronts a
+    count-based router (each MUX tracks its own opens), else one."""
+    num_muxes = int(payload["num_muxes"])
+    if num_muxes > 1 and payload["policy"] in _COUNT_POLICIES:
+        return num_muxes
+    return 1
+
+
 class EpochShardSim:
     """One shard's simulation: a full router replica plus owned stations.
 
@@ -670,9 +694,8 @@ class EpochShardSim:
         stations_meta = payload["stations"]
         num_dips = len(stations_meta)
         owned = set(payload["owned"])
-        self._track_mux = bool(payload["track_mux"])
-        mux_dim = self._num_muxes if self._track_mux else 1
-        self._mux_dim = mux_dim
+        mux_dim = self._mux_dim = _board_width(payload)
+        self._track_mux = mux_dim > 1
         self._servers = np.asarray(
             [servers for _, _, servers, _, _ in stations_meta], dtype=np.float64
         )
@@ -689,17 +712,16 @@ class EpochShardSim:
             dip_rank=payload["dip_rank"],
             seed=seed,
             num_muxes=self._num_muxes,
-            num_clients=payload["num_clients"],
             servers=self._servers,
             drain_rps=drain_rps,
         )
         if payload["weights"] is not None:
             self._router.set_weights(np.asarray(payload["weights"], dtype=np.float64))
-        self._stream = EpochArrivalStream(
-            seed, payload["rate_rps"], num_clients=payload["num_clients"]
-        )
+        self._stream = EpochArrivalStream(seed, payload["rate_rps"])
+        self._flows = EpochFlowStream(seed) if self._router.uses_flow else None
         self._base_rate = float(payload["rate_rps"])
         self._num_dips = num_dips
+        self._key_dtype = np.min_scalar_type(num_dips - 1)
         self._dip_ids = [dip_id for dip_id, *_ in stations_meta]
         self._base_mean = [
             servers / base_capacity_rps
@@ -730,15 +752,19 @@ class EpochShardSim:
 
     def advance_to(self, t: float) -> np.ndarray:
         """Route + simulate up to ``t``; return owned slot counts at ``t``."""
-        times, clients, ports = self._stream.take_until(t)
+        times = self._stream.take_until(t)
+        clients = ports = None
+        if self._flows is not None:
+            clients, ports = self._flows.take(times.size)
         if isinstance(self._router, _MuxEcmpRouter):
             dips, muxes = self._router.route_mux(times, clients, ports)
         else:
             dips = self._router.route(times, clients, ports)
             muxes = None
         # One stable sort groups the epoch's arrivals by station, each
-        # group still in arrival order.
-        order = dips.argsort(kind="stable")
+        # group still in arrival order; on the narrowest unsigned key numpy
+        # radix-sorts (16 bits or fewer), with the same permutation.
+        order = dips.astype(self._key_dtype).argsort(kind="stable")
         bounds = [0, *np.bincount(dips, minlength=self._num_dips).cumsum().tolist()]
         times = times[order]
         muxes = muxes[order] if self._track_mux else None
@@ -797,11 +823,12 @@ class EpochShardSim:
 
 
 def _run_epoch_inline(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Run every shard's work in one coalesced simulation (no processes).
+    """Run the shards owning ``payload["owned"]`` as one simulation, in-process.
 
-    One replica, all stations: the self-sync at each boundary reads the
-    very counts a process fan-out would have exchanged, so the records are
-    bit-identical to multiprocess mode by construction.
+    One replica, all those stations: the self-sync at each boundary reads
+    the very counts a process fan-out would have exchanged, so the records
+    are bit-identical to multiprocess mode by construction.  A one-boundary
+    schedule (an exact shard's) never syncs at all.
     """
     sim = EpochShardSim(payload)
     schedule = payload["schedule"]
@@ -860,12 +887,13 @@ def _epoch_worker(payload, barrier, counts_name, result_queue):  # pragma: no co
 
 
 def _run_epoch_processes(
-    payloads: list[dict[str, Any]], num_slots: int, run_tag: str
+    payloads: list[dict[str, Any]], run_tag: str
 ) -> list[dict[str, Any]]:
     """Fan the shards out as barrier-connected processes and collect results."""
     # Loaded here, not at import: an inline run (``workers=1``) forks nothing.
     from multiprocessing import get_context
 
+    num_slots = len(payloads[0]["stations"]) * _board_width(payloads[0])
     ctx = get_context()
     barrier = ctx.Barrier(len(payloads))
     result_queue = ctx.Queue()
@@ -987,187 +1015,21 @@ def _resolve_events(
     return resolved
 
 
-# ---------------------------------------------------------------------------
-# the runner
-# ---------------------------------------------------------------------------
-
-
-def run_request_epoch(
+def shard_schedule(
     spec: "ExperimentSpec",
-    plan: "ShardPlan",
+    dips: Mapping[DipId, Any],
+    index_of: Mapping[DipId, int],
     *,
-    workers: int | None = None,
-    pool: Any | None = None,
-    dips: Mapping[DipId, Any] | None = None,
-    observers: Sequence[Any] = (),
-) -> "RunResult":
-    """Execute ``spec`` under the epoch-synchronized sharding model.
-
-    ``workers`` bounds the process fan-out exactly as in the exact engine;
-    ``<= 1`` runs the coalesced inline simulation, which produces the same
-    bytes as the fan-out.  A ``pool`` argument is accepted for signature
-    parity but only its width is used — epoch shards need mid-task
-    barriers, so they run on dedicated processes, not the task pool.
-    Observers receive the timeline's events and windows after the fold
-    (the engine has no mid-run event loop to stream them from).
-    """
-    from repro.api.result import RunClock, RunResult
-    from repro.api.runners import pool_from_spec, replay_controller_weights
-    from repro.api.timeline import (
-        ObserverSet,
-        check_timeline_supported,
-        windows_from_collector,
-    )
-
-    if plan.mode != "epoch":
-        raise ConfigurationError(
-            f"plan mode is {plan.mode!r}, not 'epoch'"
-            + (f": {plan.fallback_reason}" if plan.fallback_reason else "")
-        )
-    sync_interval = plan.sync_interval_s or spec.sync_interval_s
-    clock = RunClock()
-    if dips is None:
-        dips = pool_from_spec(spec.pool, spec.seed)
-    dip_ids = list(dips)
-    if tuple(dip_ids) != tuple(d for s in plan.dip_slices for d in s):
-        raise ConfigurationError("shard plan does not cover the spec's pool")
-    timeline = spec.timeline
-    if not timeline.empty:
-        check_timeline_supported(
-            timeline,
-            spec.runner,
-            dips=dip_ids,
-            controller_enabled=spec.controller.enabled,
-        )
-    total_capacity = sum(d.capacity_rps for d in dips.values())
-    rate = spec.workload.load_fraction * total_capacity
-    warmup = spec.workload.warmup_s
-    if timeline.empty:
-        duration = spec.workload.num_requests / rate
-    else:
-        duration = timeline.duration_s()
-    horizon = warmup + duration
-
-    weights_map = replay_controller_weights(spec)
-    weights = (
-        [float(weights_map.get(d, 0.0)) for d in dip_ids]
-        if weights_map is not None
-        else None
-    )
-
-    index_of = {dip_id: i for i, dip_id in enumerate(dip_ids)}
-    rank_of = {dip_id: r for r, dip_id in enumerate(sorted(dip_ids))}
-    dip_rank = [rank_of[d] for d in dip_ids]
-    stations_meta = []
-    for dip_id in dip_ids:
-        dip = dips[dip_id]
-        model = dip.latency_model
-        stations_meta.append(
-            (
-                dip_id,
-                index_of[dip_id],
-                model.servers,
-                model.servers / model.capacity_rps,
-                dip.base_capacity_rps,
-            )
-        )
-
-    events = _resolve_events(spec, dips, index_of, warmup)
-    boundaries = epoch_schedule(horizon, sync_interval, [t for t, _ in events])
-    schedule: list[tuple[float, tuple]] = []
-    for t in boundaries:
-        at_boundary = tuple(e for te, e in events if abs(te - t) <= _EPS)
-        schedule.append((t, at_boundary))
-
-    policy_name = spec.policy.name
-    num_muxes = spec.policy.num_muxes
-    # Per-(dip, mux) counts are only worth exchanging when a MUX layer
-    # fronts a count-based inner router (each MUX tracks its own opens).
-    track_mux = num_muxes > 1 and policy_name in _COUNT_POLICIES
-    mux_dim = num_muxes if track_mux else 1
-    num_slots = len(dip_ids) * mux_dim
-
-    if workers is None:
-        workers = min(plan.shards, os.cpu_count() or 1)
-    if pool is not None:
-        workers = pool.max_workers
-    use_processes = workers > 1 and plan.shards > 1
-    run_tag = f"repro-{os.getpid()}-{os.urandom(4).hex()}"
-
-    base_payload = {
-        "seed": spec.seed,
-        "rate_rps": rate,
-        "num_clients": _NUM_CLIENTS,
-        "policy": policy_name,
-        "num_muxes": num_muxes,
-        "track_mux": track_mux,
-        "weights": weights,
-        "stations": stations_meta,
-        "dip_rank": dip_rank,
-        "queue_capacity": QUEUE_CAPACITY,
-        "measure_from": warmup,
-        "schedule": schedule,
-    }
-
-    if use_processes:
-        payloads = []
-        for shard_index, dip_slice in enumerate(plan.dip_slices):
-            payload = dict(base_payload)
-            payload["shard_index"] = shard_index
-            payload["owned"] = [index_of[d] for d in dip_slice]
-            payload["shm_name"] = f"{run_tag}-s{shard_index}"
-            payloads.append(payload)
-        shard_results = _run_epoch_processes(payloads, num_slots, run_tag)
-    else:
-        payload = dict(base_payload)
-        payload["shard_index"] = 0
-        payload["owned"] = list(range(len(dip_ids)))
-        shard_results = [_run_epoch_inline(payload)]
-
-    collector, counters = merge_shard_outcomes(shard_results)
-    for dip_id, (busy_seconds, servers) in counters["busy"].items():
-        collector.record_utilization(
-            {dip_id: min(1.0, busy_seconds / (servers * horizon))}
-        )
-
-    metrics = collector.headline(
-        submitted=counters["submitted"],
-        dropped=counters["dropped"],
-        duration_s=duration,
-    )
-    windows = ()
-    if not timeline.empty:
-        observer = ObserverSet(observers)
-        for event in timeline.ordered_events():
-            observer.on_event(event.time_s, event)
-        windows = windows_from_collector(
-            collector,
-            timeline,
-            observer,
-            duration_s=duration,
-            offset_s=warmup,
-        )
-        metrics["timeline_events"] = float(len(timeline.events))
-        for window in reversed(windows):
-            mean = window.metrics.get("mean_latency_ms")
-            if mean is not None and not math.isnan(mean):
-                metrics["final_latency_ms"] = mean
-                break
-    return RunResult(
-        spec=spec,
-        runner=spec.runner,
-        seed=spec.seed,
-        metrics={k: float(v) for k, v in metrics.items()},
-        dip_summaries=collector.summary_rows(),
-        windows=tuple(windows),
-        provenance=clock.provenance(
-            shards=plan.shards,
-            workers=max(1, workers),
-            shard_mode="epoch",
-            sync_interval_s=sync_interval,
-        ),
-        detail={"plan": plan, "collector": collector},
-    )
+    warmup_s: float,
+    horizon_s: float,
+    sync_interval_s: float,
+) -> list[tuple[float, tuple]]:
+    """An epoch plan's schedule: (boundary, events applied there) pairs."""
+    events = _resolve_events(spec, dips, index_of, warmup_s)
+    boundaries = epoch_schedule(horizon_s, sync_interval_s, [t for t, _ in events])
+    return [
+        (t, tuple(e for te, e in events if abs(te - t) <= _EPS)) for t in boundaries
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1199,6 +1061,7 @@ def staleness_crosscheck(
     """
     from repro.api.runners import runner_for
     from repro.parallel.planner import plan_shards
+    from repro.parallel.shard import run_request_sharded
 
     serial = runner_for(spec.runner).run(spec)
     rows: dict[float, dict[str, float]] = {}
@@ -1209,7 +1072,7 @@ def staleness_crosscheck(
             raise ConfigurationError(
                 f"spec does not epoch-shard: {plan.fallback_reason}"
             )
-        epoch = run_request_epoch(spec_i, plan, workers=workers)
+        epoch = run_request_sharded(spec_i, plan, workers=workers)
         rows[float(interval)] = {
             "mean_latency_ms": epoch.metrics["mean_latency_ms"],
             "p50_latency_ms": epoch.metrics["p50_latency_ms"],

@@ -1,31 +1,25 @@
 """The shard planner: decide *how* a request-level run can be sharded.
 
-A request-level simulation shards along the DIP axis.  The planner issues
-a three-way verdict (``ShardPlan.mode``):
+A request-level simulation shards along the DIP axis.  Every shard runs
+the same simulation (:class:`repro.parallel.epoch.EpochShardSim`): it
+replays the whole VIP-wide arrival stream through a router replica that
+makes every shard's routing decisions identical, and walks only its own
+DIPs' stations.  The planner issues a three-way verdict
+(``ShardPlan.mode``) on how those shards are dispatched:
 
-* ``"exact"`` — for policies whose routing law is independent of queue
-  state and flow contents, the VIP's Poisson arrival process decomposes
-  *exactly* into per-DIP sub-streams:
-
-  - ``rr`` — plain round robin sends request ``i`` to DIP ``i mod n``, so
-    DIP ``d``'s arrivals are the global stream sliced ``times[d::n]``
-    (Erlang-``n`` interarrivals, exactly the law the serial engine
-    produces);
-  - ``random`` / ``wrandom`` — each request draws its DIP i.i.d. from a
-    fixed categorical distribution, so per-DIP streams are independent
-    thinned Poisson processes (the classic thinning decomposition).
-
-  Disjoint DIP subsets evolve independently and the union of shards is
-  distributed exactly like the serial run
-  (:mod:`repro.parallel.shard`).
+* ``"exact"`` — ``rr``, ``random`` and ``wrandom`` with no timeline and
+  one MUX never read queue state or flow contents, so the shards never
+  exchange anything: each is an independent task
+  (:mod:`repro.parallel.shard`), dispatched on the worker pool with crash
+  retry, and the union of shards is distributed exactly like the serial
+  run (round robin's cyclic split gives DIP ``d`` the arrivals
+  ``d, d + n, ...``; the i.i.d. laws are independent thinnings).
 
 * ``"epoch"`` — stateful policies (lc/wlc/p2/hash/dns/wrr, MuxPool
-  dataplanes) and timeline runs shard *approximately* under the
-  epoch-synchronized engine (:mod:`repro.parallel.epoch`): every shard
-  replays the full routing stream against an identical router replica and
-  simulates only its own DIPs' queues, exchanging per-DIP connection
-  counts at ``sync_interval_s`` barriers.  Between barriers replicas
-  route on a bounded-stale view — quantified by
+  dataplanes) and timeline runs shard *approximately*: the shards run as
+  barrier-connected processes that exchange per-DIP connection counts at
+  ``sync_interval_s`` barriers (:mod:`repro.parallel.epoch`).  Between
+  barriers replicas route on a bounded-stale view — quantified by
   :func:`repro.parallel.epoch.staleness_crosscheck`.
 
 * ``"serial"`` — everything else falls back to the serial DES with a
@@ -35,7 +29,7 @@ a three-way verdict (``ShardPlan.mode``):
   condition                     why it cannot shard at all
   ============================  ================================================
   runner != "request"           fluid/fleet are analytic and already vectorized
-  non-Poisson arrivals          stream decomposition/replication assumes Poisson
+  non-Poisson arrivals          stream replication assumes Poisson
   non-exponential service       shard kernels draw exponential service times
   fleet-only timeline events    vip_onboard/offboard need the fleet substrate
   policy has no epoch router    an unregistered/novel policy cannot be replayed
@@ -47,95 +41,52 @@ a three-way verdict (``ShardPlan.mode``):
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.api.spec import ExperimentSpec
 from repro.exceptions import ConfigurationError
-from repro.lb import make_policy, policy_registry, policy_seed_kwargs
-from repro.lb.base import Policy
-from repro.lb.mux import MuxPool
+from repro.lb import policy_registry
 from repro.parallel.epoch import EPOCH_ROUTERS
 from repro.workloads import split_dip_ids
 
 logger = logging.getLogger("repro.parallel")
 
-#: Policies the planner can shard *exactly*, mapped to their routing law.
-SHARDABLE_POLICIES: dict[str, str] = {
-    "rr": "cyclic",
-    "random": "iid-uniform",
-    "wrandom": "iid-weighted",
-}
+#: Policies whose shards never exchange state (with no timeline, one MUX).
+SHARDABLE_POLICIES = frozenset({"rr", "random", "wrandom"})
 
 
-def policy_fallback_reason(policy: Policy | MuxPool | str) -> str | None:
-    """Why this policy cannot shard *exactly*, or ``None`` when it can.
+def policy_fallback_reason(name: str) -> str | None:
+    """Why registered policy ``name`` cannot shard at all, or ``None``.
 
-    Accepts a registry name, a live :class:`Policy`, or a
-    :class:`~repro.lb.mux.MuxPool` (which wraps per-MUX policy replicas and
-    is inherently shared dataplane state).  A non-``None`` reason no longer
-    means serial execution: policies with an epoch router
-    (:data:`repro.parallel.epoch.EPOCH_ROUTERS`) still shard approximately.
+    A policy shards when it has an epoch router
+    (:data:`repro.parallel.epoch.EPOCH_ROUTERS`) for every shard to replay
+    its picks with; a registered policy without one runs serially.
     """
-    if isinstance(policy, MuxPool):
-        return (
-            "MuxPool routing is shared dataplane state (per-MUX weight "
-            "staleness); shards cannot replicate it independently"
-        )
-    if isinstance(policy, str):
-        if policy not in policy_registry():
-            raise ConfigurationError(f"unknown policy {policy!r}")
-        if policy in SHARDABLE_POLICIES:
-            return None
-        # Instantiate a throwaway copy to read its routing declarations;
-        # the seed kwarg is derived from the constructor signature so new
-        # stochastic policies probe correctly without planner changes.
-        policy = make_policy(policy, ["_probe"], **policy_seed_kwargs(policy))
-    name = getattr(policy, "name", type(policy).__name__)
-    if name in SHARDABLE_POLICIES:
+    if name not in policy_registry():
+        raise ConfigurationError(f"unknown policy {name!r}")
+    if name in EPOCH_ROUTERS:
         return None
-    if getattr(policy, "uses_connection_counts", True):
-        return (
-            f"policy {name!r} routes on global connection counts; "
-            "shards would each see only their own queues"
-        )
-    if getattr(policy, "uses_flow", True):
-        return (
-            f"policy {name!r} inspects the flow 5-tuple; per-flow routing "
-            "state cannot be split along the DIP axis"
-        )
-    return (
-        f"policy {name!r} routes through one global deterministic sequence "
-        "(not an independent per-DIP thinning)"
-    )
+    return f"policy {name!r} has no epoch router, so shards cannot replay its picks"
 
 
 @dataclass(frozen=True)
 class ShardPlan:
     """The planner's verdict for one spec.
 
-    ``mode`` is ``"exact"`` (per-DIP stream decomposition), ``"epoch"``
+    ``mode`` is ``"exact"`` (independent shards), ``"epoch"``
     (bounded-staleness replica sharding at ``sync_interval_s`` barriers)
     or ``"serial"``.  Shardable plans carry the per-shard DIP id slices
     (contiguous, in pool order — merged metrics are therefore independent
-    of the shard count); exact plans also carry the routing law the
-    stream builder must reproduce.  Serial plans carry the
-    human-readable ``fallback_reason``.  ``shards`` is always the
-    *effective* count (clamped to the DIP count, with the clamp logged).
+    of the shard count).  Serial plans carry the human-readable
+    ``fallback_reason``.  ``shards`` is always the *effective* count
+    (clamped to the DIP count, with the clamp logged).
     """
 
     shards: int
-    shardable: bool
-    routing: str | None = None
+    mode: str
     dip_slices: tuple[tuple[str, ...], ...] = ()
     fallback_reason: str | None = None
-    mode: str = field(default="")
     sync_interval_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.mode:
-            # Callers building plans by hand predate the three-way verdict:
-            # infer the mode the old two-way fields imply.
-            object.__setattr__(self, "mode", "exact" if self.shardable else "serial")
 
     @property
     def num_dips(self) -> int:
@@ -145,7 +96,7 @@ class ShardPlan:
 def _serial(reason: str, *, log: bool = True) -> ShardPlan:
     if log:
         logger.info("sharding disabled: %s", reason)
-    return ShardPlan(shards=1, shardable=False, fallback_reason=reason)
+    return ShardPlan(shards=1, mode="serial", fallback_reason=reason)
 
 
 def spec_fallback_reason(spec: ExperimentSpec) -> str | None:
@@ -165,9 +116,8 @@ def spec_fallback_reason(spec: ExperimentSpec) -> str | None:
     if spec.workload.arrival.kind != "poisson":
         return (
             f"workload.arrival.kind {spec.workload.arrival.kind!r} is not "
-            "Poisson; both the exact per-DIP stream decomposition and the "
-            "epoch executor's replicated arrival streams assume Poisson "
-            "arrivals, so bursty/trace runs stay serial"
+            "Poisson; the shards' replicated arrival streams assume "
+            "Poisson arrivals, so bursty/trace runs stay serial"
         )
     if spec.workload.service.kind != "exponential":
         return (
@@ -199,10 +149,7 @@ def spec_fallback_reason(spec: ExperimentSpec) -> str | None:
             "retries are enabled; the retry loop re-routes requests "
             "across DIPs, which the per-shard stations cannot see"
         )
-    name = spec.policy.name
-    if name in SHARDABLE_POLICIES or name in EPOCH_ROUTERS:
-        return None
-    return policy_fallback_reason(name)
+    return policy_fallback_reason(spec.policy.name)
 
 
 def plan_shards(
@@ -243,19 +190,9 @@ def plan_shards(
         and spec.timeline.empty
         and spec.policy.num_muxes == 1
     )
-    if exact:
-        return ShardPlan(
-            shards=shards,
-            shardable=True,
-            routing=SHARDABLE_POLICIES[spec.policy.name],
-            dip_slices=split_dip_ids(dip_ids, shards),
-            mode="exact",
-        )
     return ShardPlan(
         shards=shards,
-        shardable=True,
-        routing=None,
+        mode="exact" if exact else "epoch",
         dip_slices=split_dip_ids(dip_ids, shards),
-        mode="epoch",
-        sync_interval_s=spec.sync_interval_s,
+        sync_interval_s=None if exact else spec.sync_interval_s,
     )

@@ -1,35 +1,41 @@
 """Execute a shard plan and fold the shards into one ``RunResult``.
 
-One worker task per shard: the worker deterministically regenerates the
-VIP-wide arrival stream from the run seed (see
-:mod:`repro.parallel.kernel`), keeps its own DIPs' sub-streams, runs the
-per-station kernel, and hands the arrival-ordered record columns back —
-either inline (``workers <= 1``, no processes at all) or through
-``multiprocessing.shared_memory`` so the parent merges raw numpy buffers
-instead of unpickling per-request rows.
+Every shard runs the one shard simulation,
+:class:`~repro.parallel.epoch.EpochShardSim`: it replays the VIP-wide
+arrival stream and routing from the run seed and walks its own DIPs'
+stations.  What differs is the dispatch:
+
+* an **exact** plan's shards never exchange state, so each is an
+  independent :class:`~repro.parallel.pool.WorkerPool` task
+  (:func:`run_shard_task`; a crashed worker's task is retried) that hands
+  its arrival-ordered record columns back through
+  ``multiprocessing.shared_memory`` — the parent merges raw numpy buffers
+  instead of unpickling per-request rows;
+* an **epoch** plan's shards meet at every barrier of the epoch schedule,
+  so they run as barrier-connected processes
+  (:func:`repro.parallel.epoch._run_epoch_processes`);
+* ``workers <= 1`` runs every shard as one coalesced simulation in this
+  process, with no processes and no shared memory at all.
 
 The merge is deterministic by construction: shard slices are contiguous in
 pool order and shards are folded in index order, so the merged columnar
 metrics (summaries, percentiles, ``window_rows``) are bit-identical across
-repeats for a fixed seed — and in fact independent of the shard count,
-because every per-DIP stream is keyed by the DIP's global pool index.
+repeats for a fixed seed — and independent of the shard count and of the
+dispatch, because every shard replays the same routing and every per-DIP
+service stream is keyed by the DIP's global pool index.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
-from repro.parallel.kernel import (
-    StationOutcome,
-    build_dip_arrival_streams,
-    service_seed,
-    simulate_station,
-)
+from repro.parallel.kernel import StationOutcome
 from repro.sim.trace import MetricsCollector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runners import us lazily)
@@ -76,42 +82,19 @@ def _unregister_shm(shm: shared_memory.SharedMemory) -> None:
 
 
 def run_shard_task(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Simulate one shard (module-level so process pools can pickle it).
+    """Simulate one exact shard (module-level so process pools can pickle it).
 
-    Returns per-DIP record columns plus counters; with ``use_shm`` the
-    columns live in one shared-memory segment (latency, timestamp and
-    completed regions, one block per DIP) and only the segment name plus
-    block offsets cross the process boundary.
+    The shard exchanges nothing with its siblings, so it is the inline
+    simulation of its own stations, advanced through its one-boundary
+    schedule.  Its per-DIP record columns go into one shared-memory segment
+    (latency, timestamp and completed regions, one block per DIP) and only
+    the segment name plus block offsets cross the process boundary.
     """
-    stations: list[tuple[str, int, int, float]] = payload["stations"]
-    seed = payload["seed"]
-    streams = build_dip_arrival_streams(
-        seed=seed,
-        rate_rps=payload["rate_rps"],
-        horizon_s=payload["horizon_s"],
-        num_dips=payload["num_dips"],
-        routing=payload["routing"],
-        probabilities=payload["probabilities"],
-        wanted={index for _, index, _, _ in stations},
-    )
-    blocks = []
-    for dip_id, index, servers, mean_service_s in stations:
-        arrivals = streams[index]
-        services = np.random.default_rng(
-            service_seed(seed, index)
-        ).standard_exponential(arrivals.size)
-        services *= mean_service_s
-        outcome = simulate_station(
-            arrivals,
-            services,
-            servers=servers,
-            queue_capacity=payload["queue_capacity"],
-            measure_from=payload["measure_from"],
-        )
-        blocks.append(station_block(dip_id, servers, outcome))
-    if not payload.get("use_shm"):
-        return {"blocks": blocks}
-    return publish_blocks(blocks, shm_name=payload.get("shm_name"))
+    # Imported here: epoch imports this module's segment helpers at load.
+    from repro.parallel.epoch import _run_epoch_inline
+
+    blocks = _run_epoch_inline(payload)["blocks"]
+    return publish_blocks(blocks, shm_name=payload["shm_name"])
 
 
 def station_block(dip_id: str, servers: int, outcome: StationOutcome) -> dict[str, Any]:
@@ -271,119 +254,192 @@ def run_request_sharded(
     workers: int | None = None,
     pool: "WorkerPool | None" = None,
     dips: Mapping[DipId, Any] | None = None,
+    observers: Sequence[Any] = (),
 ) -> "RunResult":
-    """Execute ``spec`` as ``plan.shards`` independent DIP shards.
+    """Execute ``spec`` as the ``plan.shards`` DIP shards of ``plan``.
 
     ``workers`` bounds the process fan-out (``None`` picks
-    ``min(shards, cpu_count)``; ``<= 1`` runs every shard in-process, which
-    still gets the kernel's per-request speedup).  A caller-provided
-    :class:`~repro.parallel.pool.WorkerPool` is reused warm and left open;
-    a caller-built ``dips`` pool skips rebuilding it from the spec.
+    ``min(shards, cpu_count)``; ``<= 1`` runs every shard as one coalesced
+    simulation in-process, which produces the same bytes as either
+    fan-out).  An exact plan's shards are tasks on ``pool``, a
+    caller-provided :class:`~repro.parallel.pool.WorkerPool` reused warm and
+    left open (one is built for the run otherwise); an epoch plan's shards
+    need mid-task barriers, so they run on dedicated processes and a
+    ``pool`` lends only its width.  A caller-built ``dips`` pool skips
+    rebuilding it from the spec.  Observers receive the timeline's events
+    and windows after the fold (there is no mid-run event loop to stream
+    them from).
     """
     from repro.api.result import RunClock, RunResult
-    from repro.api.runners import pool_from_spec, replay_controller_weights
+    from repro.api.runners import (
+        offered_rate_rps,
+        pool_from_spec,
+        replay_controller_weights,
+    )
+    from repro.api.timeline import (
+        ObserverSet,
+        check_timeline_supported,
+        windows_from_collector,
+    )
+    from repro.parallel.epoch import (
+        _run_epoch_inline,
+        _run_epoch_processes,
+        shard_schedule,
+    )
 
-    if plan.mode != "exact":
-        raise ConfigurationError(
-            f"plan mode is {plan.mode!r}, not 'exact'"
-            + (f": {plan.fallback_reason}" if plan.fallback_reason else "")
-        )
     clock = RunClock()
     if dips is None:
         dips = pool_from_spec(spec.pool, spec.seed)
     dip_ids = list(dips)
     if tuple(dip_ids) != tuple(d for s in plan.dip_slices for d in s):
         raise ConfigurationError("shard plan does not cover the spec's pool")
-    total_capacity = sum(d.capacity_rps for d in dips.values())
-    rate = spec.workload.load_fraction * total_capacity
-    duration = spec.workload.num_requests / rate
+    timeline = spec.timeline
+    if not timeline.empty:
+        check_timeline_supported(
+            timeline,
+            spec.runner,
+            dips=dip_ids,
+            controller_enabled=spec.controller.enabled,
+        )
+    rate = offered_rate_rps(spec, dips)
     warmup = spec.workload.warmup_s
+    if timeline.empty:
+        duration = spec.workload.num_requests / rate
+    else:
+        duration = timeline.duration_s()
     horizon = warmup + duration
 
-    weights = replay_controller_weights(spec)
-    if plan.routing == "iid-weighted" and weights is not None:
-        probabilities = [weights.get(d, 0.0) for d in dip_ids]
-    else:
-        probabilities = None
-
     index_of = {dip_id: i for i, dip_id in enumerate(dip_ids)}
+    if plan.mode == "exact":
+        sync_interval = None
+        schedule = [(horizon, ())]
+    else:
+        sync_interval = plan.sync_interval_s or spec.sync_interval_s
+        schedule = shard_schedule(
+            spec,
+            dips,
+            index_of,
+            warmup_s=warmup,
+            horizon_s=horizon,
+            sync_interval_s=sync_interval,
+        )
+    weights_map = replay_controller_weights(spec)
+    rank_of = {dip_id: r for r, dip_id in enumerate(sorted(dip_ids))}
+    stations = []
+    for dip_id in dip_ids:
+        dip = dips[dip_id]
+        model = dip.latency_model
+        stations.append(
+            (
+                dip_id,
+                index_of[dip_id],
+                model.servers,
+                model.servers / model.capacity_rps,
+                dip.base_capacity_rps,
+            )
+        )
+    base_payload = {
+        "seed": spec.seed,
+        "rate_rps": rate,
+        "policy": spec.policy.name,
+        "num_muxes": spec.policy.num_muxes,
+        "weights": (
+            [float(weights_map.get(d, 0.0)) for d in dip_ids]
+            if weights_map is not None
+            else None
+        ),
+        "stations": stations,
+        "dip_rank": [rank_of[d] for d in dip_ids],
+        "queue_capacity": QUEUE_CAPACITY,
+        "measure_from": warmup,
+        "schedule": schedule,
+        "owned": list(range(len(dip_ids))),
+    }
+
     if pool is not None:
         # A caller-provided pool defines the real fan-out; record its width.
         workers = pool.max_workers
     elif workers is None:
         workers = min(plan.shards, os.cpu_count() or 1)
-    use_processes = workers > 1 or pool is not None
     run_tag = f"repro-{os.getpid()}-{os.urandom(4).hex()}"
-    payloads = []
-    for shard_index, dip_slice in enumerate(plan.dip_slices):
-        stations = []
-        for dip_id in dip_slice:
-            model = dips[dip_id].latency_model
-            stations.append(
-                (
-                    dip_id,
-                    index_of[dip_id],
-                    model.servers,
-                    model.servers / model.capacity_rps,
-                )
-            )
-        payloads.append(
-            {
-                "stations": stations,
-                "seed": spec.seed,
-                "rate_rps": rate,
-                "horizon_s": horizon,
-                "measure_from": warmup,
-                "num_dips": len(dip_ids),
-                "routing": plan.routing,
-                "probabilities": probabilities,
-                "queue_capacity": QUEUE_CAPACITY,
-                "use_shm": use_processes,
-                "shm_name": f"{run_tag}-s{shard_index}",
-            }
-        )
-
-    if use_processes:
-        from repro.parallel.pool import WorkerPool
-
-        own_pool = pool is None
-        pool = pool or WorkerPool(max_workers=workers)
-        try:
-            shard_results = pool.map(run_shard_task, payloads)
-        except BaseException:
-            # A worker died mid-fan-out: the shards that *did* finish have
-            # already detached their segments from every resource tracker,
-            # so discard them by their parent-assigned names.
-            for payload in payloads:
-                _discard_shm(payload["shm_name"])
-            raise
-        finally:
-            if own_pool:
-                pool.close()
+    payloads = [
+        {
+            **base_payload,
+            "shard_index": shard_index,
+            "owned": [index_of[d] for d in dip_slice],
+            "shm_name": f"{run_tag}-s{shard_index}",
+        }
+        for shard_index, dip_slice in enumerate(plan.dip_slices)
+    ]
+    if plan.mode == "exact" and (workers > 1 or pool is not None):
+        shard_results = _map_on_pool(payloads, pool, workers)
+    elif plan.mode == "epoch" and workers > 1 and plan.shards > 1:
+        shard_results = _run_epoch_processes(payloads, run_tag)
     else:
-        shard_results = [run_shard_task(payload) for payload in payloads]
+        shard_results = [_run_epoch_inline(base_payload)]
 
     collector, counters = merge_shard_outcomes(shard_results)
     for dip_id, (busy_seconds, servers) in counters["busy"].items():
         collector.record_utilization(
             {dip_id: min(1.0, busy_seconds / (servers * horizon))}
         )
-
     metrics = collector.headline(
         submitted=counters["submitted"],
         dropped=counters["dropped"],
         duration_s=duration,
     )
+    windows = ()
+    if not timeline.empty:
+        observer = ObserverSet(observers)
+        for event in timeline.ordered_events():
+            observer.on_event(event.time_s, event)
+        windows = windows_from_collector(
+            collector,
+            timeline,
+            observer,
+            duration_s=duration,
+            offset_s=warmup,
+        )
+        metrics["timeline_events"] = float(len(timeline.events))
+        for window in reversed(windows):
+            mean = window.metrics.get("mean_latency_ms")
+            if mean is not None and not math.isnan(mean):
+                metrics["final_latency_ms"] = mean
+                break
     return RunResult(
         spec=spec,
         runner=spec.runner,
         seed=spec.seed,
         metrics={k: float(v) for k, v in metrics.items()},
         dip_summaries=collector.summary_rows(),
+        windows=tuple(windows),
         provenance=clock.provenance(
             shards=plan.shards,
             workers=max(1, workers),
-            shard_mode="exact",
+            shard_mode=plan.mode,
+            sync_interval_s=sync_interval,
         ),
         detail={"plan": plan, "collector": collector},
     )
+
+
+def _map_on_pool(
+    payloads: list[dict[str, Any]], pool: "WorkerPool | None", workers: int
+) -> list[dict[str, Any]]:
+    """Run independent shards as tasks on ``pool`` (or a pool of ``workers``)."""
+    from repro.parallel.pool import WorkerPool
+
+    own_pool = pool is None
+    pool = pool or WorkerPool(max_workers=workers)
+    try:
+        return pool.map(run_shard_task, payloads)
+    except BaseException:
+        # A worker died mid-fan-out: the shards that *did* finish have
+        # already detached their segments from every resource tracker, so
+        # discard them by their parent-assigned names.
+        for payload in payloads:
+            _discard_shm(payload["shm_name"])
+        raise
+    finally:
+        if own_pool:
+            pool.close()

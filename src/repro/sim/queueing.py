@@ -23,9 +23,9 @@ none of that: FCFS service order is arrival order, so a
 recursion — no event heap, no ``Request`` objects, no callbacks — and can
 be resumed where it stopped.  It is the one statement of the drop rule,
 the warm-up rule and the tie rule outside the event path:
-:meth:`DipStation.replay` (the serial replay in :mod:`repro.sim.cluster`),
-the exact-mode shards (:func:`simulate_station`) and the epoch shards of
-:mod:`repro.parallel` all drive it.
+:meth:`DipStation.replay` (the serial replay in :mod:`repro.sim.cluster`)
+and the shards of :mod:`repro.parallel` drive it, and
+:func:`simulate_station` runs it over an array of services.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ class StationWalk:
     replay path") has the proof.
 
     Service times come from an array aligned to the arrivals, passed to
-    :meth:`advance` (a drop skips its entry — how exact-mode shards draw
-    them), or else from ``buf``: unit draws that ``draw(SERVICE_BATCH)``
+    :meth:`advance` (a drop skips its entry — :func:`simulate_station`'s
+    input), or else from ``buf``: unit draws that ``draw(SERVICE_BATCH)``
     refills when a start finds it empty, popped one per start of service
     and scaled by ``mean`` — :class:`DipStation`'s own buffer, so a replay
     leaves it where the event loop would.  Nothing happens after ``until``
@@ -398,7 +398,7 @@ class DipStation:
         *,
         queue_capacity: int = 256,
         seed: int | None = None,
-        completion_sink: CompletionCallback | None = None,
+        completion_sink: CompletionCallback,
         service: "ServiceSpec | None" = None,
     ) -> None:
         if queue_capacity < 0:
@@ -417,8 +417,8 @@ class DipStation:
             from repro.workloads.arrivals import unit_service_sampler
 
             self._svc_draw = unit_service_sampler(service, self._rng)
-        #: waiting requests with their completion callbacks (FIFO).
-        self._waiting: Deque[tuple[Request, CompletionCallback]] = collections.deque()
+        #: waiting requests (FIFO).
+        self._waiting: Deque[Request] = collections.deque()
         self._busy_workers = 0
         self._last_change = scheduler.now
         self._workers = dip.vm_type.vcpus
@@ -437,10 +437,6 @@ class DipStation:
     @property
     def workers(self) -> int:
         return self._workers
-
-    def set_completion_sink(self, sink: CompletionCallback) -> None:
-        """Default completion callback for ``submit`` calls that omit one."""
-        self._sink = sink
 
     def _mean_service_time_s(self) -> float:
         """Current mean per-request service time (antagonist-aware).
@@ -511,35 +507,27 @@ class DipStation:
 
     # -- request lifecycle -----------------------------------------------------
 
-    def submit(
-        self, request: Request, on_complete: CompletionCallback | None = None
-    ) -> float | None:
+    def submit(self, request: Request) -> float | None:
         """Accept a request routed to this DIP.
 
-        ``on_complete`` defaults to the station's completion sink (set once
-        by the cluster), so the hot path passes no per-request callable.
-        The busy/idle accounting is inlined here and in the finish handlers:
+        Every outcome goes to the station's completion sink (set once by the
+        cluster), so the hot path passes no per-request callable.  The
+        busy/idle accounting is inlined here and in the finish handler:
         these two methods run once per simulated request each.
 
         Returns the scheduled completion time when service starts
         immediately, ``-1.0`` when the outcome was decided synchronously
-        (dead DIP, queue overflow — ``on_complete`` already ran), and
-        ``None`` when the request was queued.  The retry layer uses this
-        to skip timeout-wheel entries that can never expire.
+        (dead DIP, queue overflow — the sink already ran), and ``None``
+        when the request was queued.  The retry layer uses this to skip
+        timeout-wheel entries that can never expire.
         """
-        if on_complete is None:
-            on_complete = self._sink
-            if on_complete is None:
-                raise ConfigurationError(
-                    "submit() needs on_complete or a completion sink"
-                )
         stats = self.stats
         stats.arrivals += 1
         scheduler = self._scheduler
         if self.dip.failed:
             request.outcome = RequestOutcome.FAILED_DIP
             request.completion_time = scheduler._now
-            on_complete(request)
+            self._sink(request)
             return -1.0
         now = scheduler._now
         busy = self._busy_workers
@@ -568,24 +556,19 @@ class DipStation:
             seq = scheduler._next_seq
             scheduler._next_seq = seq + 1
             queue = scheduler._queue
-            if on_complete is self._sink:
-                _heappush(queue, (finish, seq, (self._finish_to_sink, request)))
-            else:
-                _heappush(
-                    queue, (finish, seq, (self._finish_to, (request, on_complete)))
-                )
+            _heappush(queue, (finish, seq, (self._finish, request)))
             pending = len(queue) - scheduler._cancelled
             if pending > scheduler._peak:
                 scheduler._peak = pending
             return finish
         elif len(self._waiting) < self._queue_capacity:
-            self._waiting.append((request, on_complete))
+            self._waiting.append(request)
             return None
         else:
             stats.drops += 1
             request.outcome = RequestOutcome.DROPPED
             request.completion_time = now
-            on_complete(request)
+            self._sink(request)
             return -1.0
 
     def fail_pending(self) -> None:
@@ -600,13 +583,13 @@ class DipStation:
         now = self._scheduler.now
         stats = self.stats
         while self._waiting:
-            request, on_complete = self._waiting.popleft()
+            request = self._waiting.popleft()
             stats.drops += 1
             request.outcome = RequestOutcome.FAILED_DIP
             request.completion_time = now
-            on_complete(request)
+            self._sink(request)
 
-    def _start_service(self, request: Request, on_complete: CompletionCallback) -> None:
+    def _start_service(self, request: Request) -> None:
         """Start serving ``request`` (dequeue path; submit inlines this)."""
         self._busy_workers += 1
         scheduler = self._scheduler
@@ -620,13 +603,10 @@ class DipStation:
             self._svc_mean = self._mean_service_time_s()
             self._svc_token = token
         delay = buf.pop() * self._svc_mean
-        if on_complete is self._sink:
-            scheduler.schedule(delay, (self._finish_to_sink, request))
-        else:
-            scheduler.schedule(delay, (self._finish_to, (request, on_complete)))
+        scheduler.schedule(delay, (self._finish, request))
 
-    def _finish_to_sink(self, request: Request) -> None:
-        """Service completion for a sink-routed request (the hot path).
+    def _finish(self, request: Request) -> None:
+        """Service completion (the hot path).
 
         Busy/idle accounting is inlined (this runs once per request).
         """
@@ -645,26 +625,4 @@ class DipStation:
         stats.completions += 1
         self._sink(request)
         if self._waiting and self._busy_workers < self._workers:
-            queued, callback = self._waiting.popleft()
-            self._start_service(queued, callback)
-
-    def _finish_to(self, item: tuple[Request, CompletionCallback]) -> None:
-        """Service completion for a request with an explicit callback."""
-        request, on_complete = item
-        now = self._scheduler._now
-        busy = self._busy_workers
-        stats = self.stats
-        elapsed = now - self._last_change
-        if elapsed > 0:
-            stats.busy_worker_seconds += busy * elapsed
-            if busy > 0:
-                stats.busy_time_s += elapsed
-            self._last_change = now
-        self._busy_workers = busy - 1
-        request.completion_time = now
-        request.outcome = _COMPLETED
-        stats.completions += 1
-        on_complete(request)
-        if self._waiting and self._busy_workers < self._workers:
-            queued, callback = self._waiting.popleft()
-            self._start_service(queued, callback)
+            self._start_service(self._waiting.popleft())

@@ -2,9 +2,9 @@
 
 Covers the sharding contract end to end:
 
-* the planner's three-way verdict — which policies shard exactly, which
-  shard approximately under the epoch engine, and the reason attached to
-  every serial fallback;
+* the planner's three-way verdict — which policies shard as independent
+  shards, which shard approximately under the epoch engine, and the reason
+  attached to every serial fallback;
 * statistical equivalence of exactly-sharded and serial runs (same
   M/M/c/K system, different but equally-valid random realizations);
 * the epoch engine's contract — bit-identical repeats for every
@@ -43,24 +43,26 @@ from repro.lb import (
     LeastConnection,
     MuxPool,
     WeightedRoundRobin,
+    policy_registry,
     policy_seed_kwargs,
 )
+from repro.lb import base as lb_base
+from repro.lb.round_robin import RoundRobin
 from repro.parallel import (
+    SHARDABLE_POLICIES,
     ShardPlan,
     WorkerPool,
     plan_shards,
     policy_fallback_reason,
-    run_request_epoch,
     run_request_sharded,
     staleness_crosscheck,
 )
-from repro.parallel.epoch import _SmoothWrrRouter
-from repro.parallel.kernel import (
-    arrival_seed,
-    build_dip_arrival_streams,
-    poisson_arrival_times,
-    simulate_station,
+from repro.parallel.epoch import (
+    EpochArrivalStream,
+    _SmoothWrrRouter,
+    make_epoch_router,
 )
+from repro.parallel.kernel import simulate_station
 from repro.sim.trace import MetricsCollector
 from repro.solver import SolveCache, build_problem, solve
 from repro.workloads import split_dip_ids
@@ -119,16 +121,16 @@ def dip_fail_timeline() -> TimelineSpec:
 class TestPlanner:
     def test_round_robin_plan_partitions_the_pool(self):
         plan = plan_shards(request_spec(num_dips=16), shards=4)
-        assert plan.shardable and plan.fallback_reason is None
+        assert plan.mode == "exact" and plan.fallback_reason is None
         assert plan.shards == 4
-        assert plan.routing == "cyclic"
+        assert plan.sync_interval_s is None  # exact shards never sync
         assert [len(s) for s in plan.dip_slices] == [4, 4, 4, 4]
         flat = [d for s in plan.dip_slices for d in s]
         assert len(set(flat)) == plan.num_dips == 16
 
     def test_weighted_random_uses_iid_thinning(self):
         plan = plan_shards(request_spec(policy="wrandom"), shards=2)
-        assert plan.shardable and plan.routing == "iid-weighted"
+        assert plan.mode == "exact"
 
     def test_shards_clamped_to_pool_size(self, caplog):
         with caplog.at_level(logging.INFO, logger="repro.parallel"):
@@ -139,17 +141,19 @@ class TestPlanner:
 
     def test_least_connection_plans_epoch_mode(self):
         plan = plan_shards(request_spec(policy="lc"), shards=4)
-        assert plan.shardable and plan.mode == "epoch"
+        assert plan.mode == "epoch"
         assert plan.fallback_reason is None
         assert plan.sync_interval_s == pytest.approx(0.25)  # spec default
 
     def test_mux_pool_cannot_shard_exactly(self):
+        # ECMP hashes the flow onto a MUX, so even a queue-blind inner
+        # policy is not one pick sequence per shard ...
         mux = MuxPool(lambda: LeastConnection(["d1", "d2"]), num_muxes=2)
-        reason = policy_fallback_reason(mux)
-        assert reason is not None and "MuxPool" in reason
+        assert mux.uses_flow
         # ... but a MUX-fronted spec still plans epoch mode.
-        plan = plan_shards(request_spec(policy="lc", num_muxes=2), shards=4)
-        assert plan.mode == "epoch"
+        for policy in ("lc", "rr"):
+            plan = plan_shards(request_spec(policy=policy, num_muxes=2), shards=4)
+            assert plan.mode == "epoch" and plan.fallback_reason is None
 
     @pytest.mark.parametrize(
         "policy, fragment",
@@ -162,22 +166,36 @@ class TestPlanner:
         ],
     )
     def test_stateful_policies_cannot_shard_exactly(self, policy, fragment):
-        reason = policy_fallback_reason(policy)
-        assert reason is not None
-        if fragment == "deterministic sequence":
-            assert "deterministic" in reason
+        # What the policy declares it reads is what rules out independent
+        # shards: connection counts, the flow, or one global sequence.
+        declared = policy_registry()[policy].factory
+        if fragment == "connection counts":
+            assert declared.uses_connection_counts
+        elif fragment == "flow 5-tuple":
+            assert declared.uses_flow
         else:
-            assert fragment in reason
-        # The exact-shard screen no longer means serial execution:
+            assert not (declared.uses_connection_counts or declared.uses_flow)
+        assert policy not in SHARDABLE_POLICIES
+        # ... and they still shard, by epochs:
+        assert policy_fallback_reason(policy) is None
         plan = plan_shards(request_spec(policy=policy), shards=4)
         assert plan.mode == "epoch"
+
+    def test_a_policy_without_an_epoch_router_plans_serial(self, monkeypatch):
+        monkeypatch.setattr(lb_base, "_REGISTRY", dict(lb_base._REGISTRY))
+        lb_base.register_policy("novel", RoundRobin, weighted=False)
+        plan = plan_shards(request_spec(policy="novel"), shards=4)
+        assert plan.mode == "serial"
+        assert plan.fallback_reason == (
+            "policy 'novel' has no epoch router, so shards cannot replay its picks"
+        )
 
     def test_timeline_specs_plan_epoch_mode(self):
         spec = request_spec(
             timeline=TimelineSpec(events=(), horizon_s=10.0)
         )
         plan = plan_shards(spec, shards=4)
-        assert plan.shardable and plan.mode == "epoch"
+        assert plan.mode == "epoch"
 
     def test_fleet_only_timeline_events_fall_back(self):
         spec = request_spec(
@@ -200,12 +218,12 @@ class TestPlanner:
     def test_non_request_runners_fall_back(self):
         spec = ExperimentSpec(name="fluid", runner="fluid")
         plan = plan_shards(spec, shards=4)
-        assert not plan.shardable and plan.mode == "serial"
+        assert plan.mode == "serial"
         assert "request" in plan.fallback_reason
 
     def test_single_shard_is_serial(self):
         plan = plan_shards(request_spec(), shards=1)
-        assert not plan.shardable
+        assert plan.mode == "serial"
 
     def test_split_dip_ids_is_balanced_and_complete(self):
         ids = [f"d{i}" for i in range(10)]
@@ -218,29 +236,25 @@ class TestPlanner:
 
 class TestKernel:
     def test_poisson_times_cover_the_horizon(self):
-        rng = np.random.default_rng(3)
-        times = poisson_arrival_times(rng, 1000.0, 5.0)
+        times = EpochArrivalStream(3, 1000.0).take_until(5.0)
         assert times[0] > 0 and times[-1] < 5.0
         assert np.all(np.diff(times) > 0)
         # Count is Poisson(5000): 6 sigma on either side.
         assert 4575 < times.size < 5425
 
     def test_streams_partition_the_global_stream(self):
-        streams = build_dip_arrival_streams(
-            seed=1, rate_rps=2000.0, horizon_s=4.0, num_dips=8, routing="cyclic"
-        )
-        counts = [streams[d].size for d in range(8)]
+        times = EpochArrivalStream(1, 2000.0).take_until(4.0)
+        router = make_epoch_router("rr", num_dips=8, dip_rank=range(8), seed=1)
+        picks = router.route(times, None, None)
+        streams = [times[picks == d] for d in range(8)]
+        counts = [stream.size for stream in streams]
         assert max(counts) - min(counts) <= 1  # cyclic split is exact
-        merged = np.sort(np.concatenate([streams[d] for d in range(8)]))
-        direct = poisson_arrival_times(
-            np.random.default_rng(arrival_seed(1)), 2000.0, 4.0
-        )
-        assert np.array_equal(merged, direct)
+        assert all(np.array_equal(streams[d], times[d::8]) for d in range(8))
 
     def test_station_matches_mm1_mean(self):
         # M/M/1 at rho=0.5: mean sojourn = 1 / (mu - lambda) = 2/mu.
         rng = np.random.default_rng(11)
-        arrivals = poisson_arrival_times(rng, 100.0, 400.0)
+        arrivals = rng.exponential(1.0 / 100.0, size=40_000).cumsum()
         services = np.random.default_rng(12).standard_exponential(
             arrivals.size
         ) * (1.0 / 200.0)
@@ -369,20 +383,11 @@ class TestShardedExecution:
         assert "request" in result.provenance.fallback_reason
         assert any("request" in r.message for r in caplog.records)
 
-    def test_engines_reject_mismatched_plans(self):
-        epoch_plan = plan_shards(request_spec(policy="lc"), shards=4)
-        with pytest.raises(ConfigurationError, match="not 'exact'"):
-            run_request_sharded(request_spec(policy="lc"), epoch_plan)
-        exact_plan = plan_shards(request_spec(), shards=4)
-        with pytest.raises(ConfigurationError, match="not 'epoch'"):
-            run_request_epoch(request_spec(), exact_plan)
-
     def test_plan_must_cover_the_pool(self):
         spec = request_spec(num_dips=8)
         bogus = ShardPlan(
             shards=2,
-            shardable=True,
-            routing="cyclic",
+            mode="exact",
             dip_slices=(("DIP-1",), ("DIP-2",)),
         )
         with pytest.raises(ConfigurationError, match="cover"):
