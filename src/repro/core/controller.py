@@ -32,7 +32,6 @@ from repro.core.dynamics import (
     DynamicsEventKind,
     Observation,
     rescale_all_curves,
-    rescale_curve_for_observation,
 )
 from repro.core.exploration import ExplorationState
 from repro.core.multistep import MultiStepOutcome, compute_weights_multistep
@@ -533,18 +532,22 @@ class KnapsackLBController:
         events = self.detector.detect(observations, self.curves, now=self.time)
         report.events.extend(events)
 
-        for event in events:
-            if event.kind in (
-                DynamicsEventKind.TRAFFIC_INCREASE,
-                DynamicsEventKind.TRAFFIC_DECREASE,
-            ):
-                self.curves = rescale_all_curves(self.curves, observations)
-            elif event.kind is DynamicsEventKind.CAPACITY_CHANGE:
-                for dip in event.dips:
-                    obs = next(o for o in observations if o.dip == dip)
-                    self.curves[dip] = rescale_curve_for_observation(
-                        self.curves[dip], obs
-                    )
+        # A traffic change rescales every observed DIP, a capacity change the
+        # DIP it names: one batched rescale either way.
+        traffic = any(
+            event.kind
+            in (DynamicsEventKind.TRAFFIC_INCREASE, DynamicsEventKind.TRAFFIC_DECREASE)
+            for event in events
+        )
+        drifted = {
+            dip
+            for event in events
+            if event.kind is DynamicsEventKind.CAPACITY_CHANGE
+            for dip in event.dips
+        }
+        rescaled = [obs for obs in observations if traffic or obs.dip in drifted]
+        if rescaled:
+            self.curves = rescale_all_curves(self.curves, rescaled)
 
         if report.events:
             outcome = self.compute_weights()

@@ -11,6 +11,10 @@ The curve also supports the §4.5 adaptations: *rescaling* the weight axis
 when aggregate traffic changes (the same latency is now reached at a
 different weight) and *inverting* the curve (weight for a target latency),
 which is what the rescaling computation needs.
+
+Both run on a *bank* of curves: :func:`predict_curves` and
+:func:`weights_for_latencies` take every DIP of a VIP in one array pass, and
+the single-curve methods are their one-row calls.
 """
 
 from __future__ import annotations
@@ -63,39 +67,11 @@ class WeightLatencyCurve:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def _raw(self, weights: np.ndarray | float) -> np.ndarray:
-        """The polynomial at the (scaled) weights, before corrections."""
-        return np.polyval(self.coefficients, weights / self.weight_scale)
-
     def predict_many(self, weights: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Estimated mean latency (ms) at each of ``weights``.
-
-        The one evaluation kernel: the polynomial over the whole grid, then
-        the monotone correction (max of the polynomial over ``[0, w]``) and
-        the idle-latency floor, each the same IEEE operation per element as
-        evaluating one weight at a time.
-        """
+        """Estimated mean latency (ms) at each of ``weights``: one row of
+        :func:`predict_curves`."""
         ws = np.asarray(weights, dtype=np.float64)
-        if (ws < 0).any():
-            raise ConfigurationError("weight must be >= 0")
-        values = self._raw(ws)
-        if self.enforce_monotone:
-            # The polynomial at weight 0 is its constant term.
-            values = np.maximum(self.coefficients[-1], values)
-            if self.degree == 2:
-                a, b, _ = self.coefficients
-                if a < 0 and abs(a) > 1e-15:
-                    # A concave fit peaks at its vertex; past it the
-                    # envelope holds the peak.
-                    vertex = -b / (2 * a) * self.weight_scale
-                    if vertex > 0.0:
-                        peak = np.maximum(values, self._raw(vertex))
-                        values = np.where(vertex < ws, peak, values)
-            elif self.degree > 2:
-                # No closed form: scan 64 points of [0, w] per weight.
-                scan = np.stack([np.linspace(0.0, w, 64) for w in ws], axis=-1)
-                values = np.maximum(values, self._raw(scan).max(axis=0))
-        return np.maximum(self.l0_ms, values)
+        return predict_curves((self,), ws.reshape(1, -1)).reshape(ws.shape)
 
     def predict(self, weight: float) -> float:
         """Estimated mean latency (ms) at ``weight``.
@@ -109,26 +85,9 @@ class WeightLatencyCurve:
     def weight_for_latency(
         self, latency_ms: float, *, upper: float | None = None, tol: float = 1e-6
     ) -> float:
-        """The smallest weight whose predicted latency reaches ``latency_ms``.
-
-        Solved by bisection over the monotone prediction; returns ``upper``
-        when even the largest weight stays below the target latency.
-        """
-        upper = upper if upper is not None else max(self.w_max, 1e-3) * 2.0
-        if latency_ms <= self.predict(0.0):
-            return 0.0
-        if self.predict(upper) < latency_ms:
-            return upper
-        lo, hi = 0.0, upper
-        for _ in range(200):
-            mid = (lo + hi) / 2.0
-            if self.predict(mid) >= latency_ms:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < tol:
-                break
-        return hi
+        """The smallest weight whose predicted latency reaches ``latency_ms``:
+        one row of :func:`weights_for_latencies`."""
+        return float(weights_for_latencies((self,), (latency_ms,), upper=upper, tol=tol)[0])
 
     def rescaled(self, delta: float) -> "WeightLatencyCurve":
         """Shift the curve along the weight axis by multiplying weights by δ.
@@ -156,19 +115,235 @@ class WeightLatencyCurve:
 
         This is the full §4.5 mechanism: find ``w2`` (the weight at which the
         current curve predicts the observed latency), compute
-        ``δ = w1 / w2`` and apply :meth:`rescaled`.
+        ``δ = w1 / w2`` and apply :meth:`rescaled`.  One row of
+        :func:`rescale_for_latency_shifts`.
         """
-        if weight <= 0:
-            raise ConfigurationError("weight must be positive")
-        w2 = self.weight_for_latency(observed_latency_ms)
+        return rescale_for_latency_shifts((self,), (weight,), (observed_latency_ms,))[0]
+
+
+# -- the curve-bank kernels ----------------------------------------------------------
+#
+# Row ``i`` of a bank is ``curves[i]``; every per-element operation is the one
+# a single curve's evaluation performs, so a bank of one row *is* that
+# evaluation and a bank of many rows costs one pass instead of one per curve.
+
+#: bisection levels a :func:`weights_for_latencies` kernel call resolves.
+_LEVELS = 4
+#: the width of a walk's bracket after each of those levels, in tree points.
+_SPANS = 1 << np.arange(_LEVELS - 1, -1, -1)
+#: per level, the tree points that are its mids and their brackets' two ends.
+_LEVEL_POINTS = [
+    (
+        (slice(None), slice(span // 2, None, span)),
+        (slice(None), slice(None, -1, span)),
+        (slice(None), slice(span, None, span)),
+    )
+    for span in (2 * _SPANS).tolist()
+]
+#: bit ``p - 1`` of a walk's pattern: whether tree point ``p``'s prediction
+#: reached the target.
+_PATTERN_BITS = 1 << np.arange((1 << _LEVELS) - 1)
+
+
+def _walks() -> np.ndarray:
+    """Per pattern, the left end of the bracket the walk down the tree ends
+    in: from ``[0, 2**_LEVELS]``, each level halves the bracket at its mid
+    and keeps the lower half where the mid reached the target."""
+    patterns = np.arange(1 << len(_PATTERN_BITS), dtype=np.int16)
+    left = np.zeros_like(patterns)
+    for span in _SPANS.tolist():
+        reached = (patterns >> (left + span - 1)) & 1
+        left += span * (1 - reached)
+    return left.astype(np.int8)
+
+
+#: every walk, by pattern (32 768 of them at four levels).
+_WALKS = _walks()
+#: the scan that bounds a degree > 2 polynomial over ``[0, w]``.
+_SCAN = np.arange(64.0)
+
+
+def _horner(columns: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """``np.polyval`` with a polynomial per row: ``columns`` are the
+    coefficients, highest degree first, each broadcast against ``x``.
+
+    Leading zero columns keep the accumulator at +0, the ``polyval`` start
+    value, so a zero-padded row takes the same operations as its own
+    polynomial.
+    """
+    y = np.zeros_like(x)
+    for column in columns:
+        y = y * x + column
+    return y
+
+
+class _Bank:
+    """Curves as arrays, a row each: every input of their evaluation that
+    does not depend on the query weights, down to where a concave envelope
+    peaks."""
+
+    def __init__(self, curves: Sequence[WeightLatencyCurve]) -> None:
+        width = max((len(c.coefficients) for c in curves), default=1)
+        # The coefficients, zero-padded in front to the widest curve, then
+        # the weight scale and l0.
+        table = np.array(
+            [
+                (0.0,) * (width - len(c.coefficients))
+                + c.coefficients
+                + (c.weight_scale, c.l0_ms)
+                for c in curves
+            ],
+            dtype=np.float64,
+        ).reshape(len(curves), width + 2)
+        self.columns = [table[:, j : j + 1] for j in range(width)]
+        self.scale, self.l0 = table[:, width : width + 1], table[:, width + 1 :]
+        self.monotone = np.array([c.enforce_monotone for c in curves], dtype=bool)[:, None]
+        #: per row, the weight past which the envelope holds ``peak``
+        #: (+inf: never); ``None`` when no row has one.
+        self.vertex = self.peak = None
+        if width >= 3 and (table[:, width - 3] < 0).any():
+            # A concave fit peaks at its vertex.
+            a, b, scale = table[:, width - 3], table[:, width - 2], table[:, width]
+            degree = np.array([c.degree for c in curves])
+            rows = np.flatnonzero(
+                self.monotone[:, 0] & (degree == 2) & (a < 0) & (np.abs(a) > 1e-15)
+            )
+            vertex = -b[rows] / (2 * a[rows]) * scale[rows]
+            rows, vertex = rows[vertex > 0.0], vertex[vertex > 0.0]
+            if len(rows):
+                self.vertex = np.full((len(curves), 1), np.inf)
+                self.peak = np.full((len(curves), 1), -np.inf)
+                self.vertex[rows, 0] = vertex
+                self.peak[rows, 0] = _horner(table[rows, :width].T, vertex / scale[rows])
+        #: rows bounded by a scan: monotone above degree 2.
+        self.scanned = [i for i, c in enumerate(curves) if c.enforce_monotone and c.degree > 2]
+
+    def predict(self, ws: np.ndarray) -> np.ndarray:
+        """Row ``i`` of ``ws`` (rows, k) through the envelope of curve ``i``."""
+        values = _horner(self.columns, ws / self.scale)
+        # The polynomial at weight 0 is its constant term.
+        values = np.where(self.monotone, np.maximum(self.columns[-1], values), values)
+        if self.vertex is not None:
+            values = np.where(self.vertex < ws, np.maximum(values, self.peak), values)
+        rows = self.scanned
+        if rows:
+            # No closed form: scan 64 points of [0, w] per weight, each
+            # ``np.linspace(0.0, w, 64)`` (whose step is w / 63 unless that
+            # underflows to 0).
+            w = ws[rows][..., None]
+            step = w / 63
+            scan = np.where(step == 0, _SCAN / 63 * w, _SCAN * step) + 0.0
+            scan[..., -1] = w[..., 0]
+            columns = [column[rows, :, None] for column in self.columns]
+            envelope = _horner(columns, scan / self.scale[rows, :, None])
+            values[rows] = np.maximum(values[rows], envelope.max(axis=-1))
+        return np.maximum(self.l0, values)
+
+
+def predict_curves(
+    curves: Sequence[WeightLatencyCurve], weights: Sequence[Sequence[float]] | np.ndarray
+) -> np.ndarray:
+    """Estimated mean latency (ms) of ``curves[i]`` at each of ``weights[i]``.
+
+    The one evaluation kernel, over a (curves, k) array: the polynomial, then
+    the monotone correction (max of the polynomial over ``[0, w]``: the
+    constant term, a concave parabola's vertex, or a 64-point scan above
+    degree 2) and the idle-latency floor — each the same IEEE operation per
+    element as evaluating one weight of one curve at a time.
+    """
+    ws = np.asarray(weights, dtype=np.float64)
+    if ws.ndim != 2 or len(ws) != len(curves):
+        raise ConfigurationError("weights must be one row per curve")
+    if ws.size and ws.min() < 0:
+        raise ConfigurationError("weight must be >= 0")
+    return _Bank(curves).predict(ws)
+
+
+def weights_for_latencies(
+    curves: Sequence[WeightLatencyCurve],
+    latencies_ms: Sequence[float] | np.ndarray,
+    *,
+    upper: float | Sequence[float] | np.ndarray | None = None,
+    tol: float = 1e-6,
+) -> np.ndarray:
+    """Per curve, the smallest weight whose predicted latency reaches its target.
+
+    Solved by bisection over the monotone prediction of ``[0, upper]``
+    (default ``2·max(w_max, 1e-3)`` per curve), stopping once the bracket is
+    under ``tol`` or after 200 halvings; 0 when the target is at or below the
+    prediction at weight 0, ``upper`` when even ``upper`` stays below it.
+
+    Each kernel call takes the next :data:`_LEVELS` levels of every curve's
+    bisection tree at once.  In order, a tree's nodes and its bracket's two
+    ends are one sorted row of ``2**_LEVELS + 1`` points, each node's mid the
+    ``(lo + hi) / 2`` of its own bracket; the walk down it then takes the very
+    halvings, and returns the very weight, of one bisection of that curve.
+    """
+    targets = np.asarray(latencies_ms, dtype=np.float64)[:, None]
+    if upper is None:
+        uppers = np.array([max(c.w_max, 1e-3) * 2.0 for c in curves])
+    else:
+        uppers = np.broadcast_to(np.asarray(upper, dtype=np.float64), targets.shape[:1])
+        if (uppers < 0).any():
+            raise ConfigurationError("weight must be >= 0")
+    bank = _Bank(curves)
+    points = np.empty((len(uppers), (1 << _LEVELS) + 1))
+    points[:, 0], points[:, -1] = 0.0, uppers
+    at = np.arange(len(uppers))
+    result, done, halvings = np.array(uppers), None, 0
+    while True:
+        for mid, lo, hi in _LEVEL_POINTS:
+            points[mid] = (points[lo] + points[hi]) / 2.0
+        values = bank.predict(points)
+        if done is None:
+            # The first bracket's ends: at or below the prediction at 0 the
+            # weight is 0, past the prediction at ``upper`` it is ``upper``.
+            idle = targets[:, 0] <= values[:, 0]
+            result[idle] = 0.0
+            done = idle | (values[:, -1] < targets[:, 0])
+            if done.all():
+                return result
+        # Where the mids reached the target decides each walk; the left end
+        # of its bracket after each level is the high bits of its last one.
+        left = _WALKS[(values[:, 1:-1] >= targets) @ _PATTERN_BITS]
+        lefts = left[:, None] & -_SPANS
+        lows, highs = points[at[:, None], lefts], points[at[:, None], lefts + _SPANS]
+        # Once under ``tol`` a bracket stays under it: the halves of a
+        # bracket are no wider than the bracket.
+        stop = highs - lows < tol
+        if halvings + _LEVELS >= 200:
+            stop[:, 199 - halvings :] = True
+        halvings += _LEVELS
+        first = stop[:, -1] & ~done
+        np.copyto(result, highs[at, stop.argmax(axis=1)], where=first)
+        done |= first
+        if done.all():
+            return result
+        points[:, 0], points[:, -1] = lows[:, -1], highs[:, -1]
+
+
+def rescale_for_latency_shifts(
+    curves: Sequence[WeightLatencyCurve],
+    weights: Sequence[float],
+    observed_latencies_ms: Sequence[float],
+) -> list[WeightLatencyCurve]:
+    """The §4.5 shift of every ``curves[i]`` to ``observed_latencies_ms[i]``
+    at ``weights[i]`` (see :meth:`WeightLatencyCurve.rescale_for_latency_shift`),
+    with one :func:`weights_for_latencies` over the bank."""
+    if any(weight <= 0 for weight in weights):
+        raise ConfigurationError("weight must be positive")
+    shifted: list[WeightLatencyCurve] = []
+    found = weights_for_latencies(curves, observed_latencies_ms).tolist()
+    for curve, weight, w2 in zip(curves, weights, found):
         if w2 <= 0:
             # The observed latency is at/below idle latency even at weight 0:
             # treat as "plenty of headroom" and stretch the curve outward.
-            w2 = min(self.w_max if self.w_max > 0 else weight, weight) / 2.0
+            w2 = min(curve.w_max if curve.w_max > 0 else weight, weight) / 2.0
             if w2 <= 0:
-                return self
-        delta = weight / w2
-        return self.rescaled(delta)
+                shifted.append(curve)
+                continue
+        shifted.append(curve.rescaled(weight / w2))
+    return shifted
 
 
 #: the compiled module behind ``scipy.optimize.nnls`` (SciPy ≥ 1.15).

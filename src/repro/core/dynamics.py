@@ -24,7 +24,11 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.core.config import DynamicsConfig
-from repro.core.curve import WeightLatencyCurve
+from repro.core.curve import (
+    WeightLatencyCurve,
+    predict_curves,
+    rescale_for_latency_shifts,
+)
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
 
@@ -83,16 +87,15 @@ class DynamicsDetector:
         direction*; otherwise each deviating DIP is reported as a capacity
         change.
         """
-        deviations: dict[DipId, float] = {}
-        for obs in observations:
-            curve = curves.get(obs.dip)
-            if curve is None:
-                continue
-            estimate = curve.predict(obs.weight)
-            deviations[obs.dip] = relative_deviation(obs.observed_latency_ms, estimate)
-
-        if not deviations:
+        observed = [obs for obs in observations if curves.get(obs.dip) is not None]
+        if not observed:
             return []
+        estimates = predict_curves(
+            [curves[obs.dip] for obs in observed], [(obs.weight,) for obs in observed]
+        )
+        deviations: dict[DipId, float] = {}
+        for obs, (estimate,) in zip(observed, estimates.tolist()):
+            deviations[obs.dip] = relative_deviation(obs.observed_latency_ms, estimate)
 
         threshold = self.config.capacity_change_threshold
         increased = [d for d, dev in deviations.items() if dev > threshold]
@@ -150,12 +153,23 @@ def rescale_all_curves(
     curves: Mapping[DipId, WeightLatencyCurve],
     observations: Sequence[Observation],
 ) -> dict[DipId, WeightLatencyCurve]:
-    """Shift every observed DIP's curve (used on traffic-change events)."""
-    by_dip = {obs.dip: obs for obs in observations}
+    """Shift every observed DIP's curve, as one batched §4.5 rescale.
+
+    A traffic change rescales every observed DIP, capacity changes the DIPs
+    they name; the last observation of a DIP counts.
+    """
+    by_dip = {obs.dip: obs for obs in observations if obs.dip in curves}
     updated: dict[DipId, WeightLatencyCurve] = dict(curves)
-    for dip, obs in by_dip.items():
-        if dip in updated:
-            updated[dip] = rescale_curve_for_observation(updated[dip], obs)
+    updated.update(
+        zip(
+            by_dip,
+            rescale_for_latency_shifts(
+                [curves[dip] for dip in by_dip],
+                [obs.weight for obs in by_dip.values()],
+                [obs.observed_latency_ms for obs in by_dip.values()],
+            ),
+        )
+    )
     return updated
 
 

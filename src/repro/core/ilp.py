@@ -12,13 +12,13 @@ scalability problem; the second half (multi-step refinement) lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.config import IlpConfig
-from repro.core.curve import WeightLatencyCurve
-from repro.core.types import DipId, VipId, WeightAssignment
+from repro.core.curve import WeightLatencyCurve, predict_curves
+from repro.core.types import DipId, VipId, WeightAssignment, left_to_right_sum
 from repro.exceptions import (
     ConfigurationError,
     DipOverloadError,
@@ -53,18 +53,27 @@ def candidate_grid(
     upper: float | None = None,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Uniform candidate weights in ``[lower, upper]`` and their latencies."""
-    weights, latencies = _candidate_arrays(curve, count, lower, upper)
-    return tuple(weights.tolist()), tuple(latencies.tolist())
+    weights, latencies = _candidate_arrays((curve,), count, [(lower, upper)])
+    return tuple(weights[0].tolist()), tuple(latencies[0].tolist())
 
 
 def _candidate_arrays(
-    curve: WeightLatencyCurve, count: int, lower: float, upper: float | None
+    curves: Sequence[WeightLatencyCurve],
+    count: int,
+    bounds: Sequence[tuple[float, float | None]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    if count < 2:  # rejected before the curve is read
+    """Per curve, ``count`` uniform weights in its ``(lower, upper)`` bounds
+    (upper ``None``: ``w_max``; below ``lower``: ``lower``) and their
+    latencies: one grid and one kernel call for the whole bank."""
+    if count < 2:  # rejected before a curve is read
         raise ConfigurationError("count must be >= 2")
-    upper = curve.w_max if upper is None else upper
-    weights = uniform_weight_grid(lower, max(upper, lower), count)
-    return weights, curve.predict_many(weights)
+    lowers = np.array([lower for lower, _ in bounds], dtype=np.float64)
+    uppers = np.array(
+        [c.w_max if upper is None else upper for c, (_, upper) in zip(curves, bounds)],
+        dtype=np.float64,
+    )
+    weights = uniform_weight_grid(lowers, np.where(lowers > uppers, lowers, uppers), count)
+    return weights, predict_curves(curves, weights)
 
 
 def build_assignment_problem(
@@ -88,46 +97,43 @@ def build_assignment_problem(
     # weight, scale every DIP's candidate range up proportionally: overload is
     # unavoidable, so it is spread according to capacity and the ILP still
     # returns an assignment (flagged as overloaded) instead of failing.
-    sum_w_max = sum(curve.w_max for curve in curves.values())
+    sum_w_max = left_to_right_sum(curve.w_max for curve in curves.values())
     stretch = 1.0
     if sum_w_max > 0 and sum_w_max < total_weight:
         stretch = (total_weight / sum_w_max) * 1.05
 
-    dips: list[DipCandidates] = []
-    for dip, curve in curves.items():
-        if windows and dip in windows:
-            lower, upper = windows[dip]
-        else:
-            lower, upper = 0.0, min(1.0, curve.w_max * stretch)
-        weights, latencies = _candidate_arrays(
-            curve, config.weights_per_dip, lower, upper
+    windows = windows or {}
+    bounds = [
+        windows[dip] if dip in windows else (0.0, min(1.0, curve.w_max * stretch))
+        for dip, curve in curves.items()
+    ]
+    weights, latencies = _candidate_arrays(
+        tuple(curves.values()), config.weights_per_dip, bounds
+    )
+    if config.objective == "request_weighted":
+        # Cost of a candidate is the latency contribution of the requests
+        # it attracts (weight × latency), so the ILP minimises the mean
+        # latency a request experiences.
+        costs = weights * latencies
+    else:
+        costs = latencies
+    dips = [
+        DipCandidates(
+            dip=dip,
+            weights=tuple(row),
+            latencies_ms=tuple(cost),
+            w_max=curve.w_max if curve.w_max > 0 else None,
         )
-        if config.objective == "request_weighted":
-            # Cost of a candidate is the latency contribution of the requests
-            # it attracts (weight × latency), so the ILP minimises the mean
-            # latency a request experiences.
-            costs = weights * latencies
-        else:
-            costs = latencies
-        dips.append(
-            DipCandidates(
-                dip=dip,
-                weights=tuple(weights.tolist()),
-                latencies_ms=tuple(costs.tolist()),
-                w_max=curve.w_max if curve.w_max > 0 else None,
-            )
-        )
+        for (dip, curve), row, cost in zip(curves.items(), weights.tolist(), costs.tolist())
+    ]
 
     if total_weight_tolerance is None:
         # Default tolerance: half of the coarsest candidate spacing, so a
         # solution always exists whenever the weight range can cover the
         # target, while staying close enough to renormalise afterwards.
-        spacings = []
-        for cand in dips:
-            span = max(cand.weights) - min(cand.weights)
-            if span > 0:
-                spacings.append(span / (len(cand.weights) - 1))
-        total_weight_tolerance = max(spacings) / 2.0 if spacings else 0.01
+        span = weights.max(axis=1) - weights.min(axis=1)
+        spacings = span[span > 0] / (config.weights_per_dip - 1)
+        total_weight_tolerance = float(spacings.max()) / 2.0 if len(spacings) else 0.01
         total_weight_tolerance = max(total_weight_tolerance, 1e-3)
 
     return AssignmentProblem(

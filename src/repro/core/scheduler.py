@@ -25,7 +25,7 @@ from typing import Collection, Mapping, Sequence
 from repro.core.config import IlpConfig, SchedulerConfig
 from repro.core.curve import WeightLatencyCurve
 from repro.core.ilp import build_assignment_problem, solve_assignment
-from repro.core.types import DipId, VipId
+from repro.core.types import DipId, VipId, left_to_right_sum
 from repro.exceptions import InfeasibleError, SchedulingError, SolverTimeoutError
 
 
@@ -76,7 +76,7 @@ class RoundPlan:
 
     @property
     def total_weight(self) -> float:
-        return sum(self.weights().values())
+        return left_to_right_sum(self.weights().values())
 
 
 class MeasurementScheduler:
@@ -168,7 +168,7 @@ class MeasurementScheduler:
         self._pending = list(deferred)
 
         remaining_dips = [d for d in all_dips if d not in admitted]
-        remaining_weight = max(0.0, 1.0 - sum(admitted.values()))
+        remaining_weight = max(0.0, 1.0 - left_to_right_sum(admitted.values()))
 
         filler, source = self._fill_remaining(remaining_dips, remaining_weight, curves)
         return RoundPlan(
@@ -202,7 +202,7 @@ class MeasurementScheduler:
                     self.vip, problem, config=self.ilp_config, normalize=False
                 )
                 filler = {d: 0.0 for d in remaining_dips}
-                total = sum(outcome.assignment.weights.values())
+                total = left_to_right_sum(outcome.assignment.weights.values())
                 if total > 0:
                     scale = remaining_weight / total
                     for dip, weight in outcome.assignment.weights.items():

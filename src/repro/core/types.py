@@ -26,6 +26,19 @@ VipId = str
 WEIGHT_SUM_TOLERANCE = 1e-6
 
 
+def left_to_right_sum(values: Iterable[float]) -> float:
+    """``values`` added one at a time, first to last, from 0.0.
+
+    What the builtin ``sum`` computed up to Python 3.11; from 3.12 on it is
+    compensated, so a band verdict or a golden that summed with it would
+    depend on the interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def validate_weight(weight: float, *, name: str = "weight") -> float:
     """Validate that ``weight`` lies in [0, 1] and return it as a float."""
     value = float(weight)
@@ -92,7 +105,7 @@ class WeightAssignment:
 
     @property
     def total_weight(self) -> float:
-        return float(sum(self.weights.values()))
+        return float(left_to_right_sum(self.weights.values()))
 
     def is_normalized(self, *, tolerance: float = 1e-3) -> bool:
         """Whether the weights sum to 1 within ``tolerance``."""
@@ -146,7 +159,7 @@ class DipRecord:
 
 def normalize_weights(weights: Mapping[DipId, float]) -> dict[DipId, float]:
     """Rescale ``weights`` so they sum to 1 (raises if the sum is zero)."""
-    total = float(sum(weights.values()))
+    total = float(left_to_right_sum(weights.values()))
     if total <= 0:
         raise ConfigurationError("cannot normalize weights that sum to zero")
     return {dip: float(w) / total for dip, w in weights.items()}

@@ -202,18 +202,22 @@ def build_problem(
     )
 
 
-def uniform_weight_grid(lower: float, upper: float, count: int) -> np.ndarray:
+def uniform_weight_grid(
+    lower: float | np.ndarray, upper: float | np.ndarray, count: int
+) -> np.ndarray:
     """``count`` weights spaced uniformly over ``[lower, upper]``, clipped to [0, 1].
 
     The one grid law: ``lower + i * step`` per element (all ``lower`` when
     the range is empty), shared by every builder of candidate weights.
+    Array bounds give one grid per element, along a new last axis.
     """
     if count < 2:
         raise ConfigurationError("count must be >= 2")
-    if upper < lower:
+    lower, upper = np.asarray(lower, dtype=np.float64), np.asarray(upper, dtype=np.float64)
+    if (upper < lower).any():
         raise ConfigurationError("upper must be >= lower")
     step = (upper - lower) / (count - 1)
-    return np.clip(lower + np.arange(count) * step, 0.0, 1.0)
+    return np.clip(lower[..., None] + np.arange(count) * step[..., None], 0.0, 1.0)
 
 
 def uniform_candidates(

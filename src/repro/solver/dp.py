@@ -9,7 +9,10 @@ branch-and-bound would be slow and HiGHS is unavailable.
 After DIP ``i`` only the band of sums that is reachable and can still end in
 the target window is kept (:func:`_bands`); every kept cell is computed from
 the same sources in the same order as over the full ``[0, hi]`` table, so the
-band changes the cost of a solve and nothing it returns.
+band changes the cost of a solve and nothing it returns.  A stage is one
+``np.minimum`` per candidate and no choice table is kept: the backtrack
+recomputes, for the few cells it visits, which candidate reached the minimum
+first.
 
 The imbalance constraint θ is not representable in this DP (it would require
 tracking the running min/max weight); when θ is finite the caller should use
@@ -164,12 +167,11 @@ def solve_dp(
     units = [[to_units(w) for w in cand.weights] for cand in dips]
     band_lo, band_hi = _bands(units, lo, hi)
 
-    # cost[u - band_lo[i]] = min latency to reach exactly u units with
+    # costs[i][u - band_lo[i]] = min latency to reach exactly u units with
     # dips[: i + 1]; before the first DIP only u = 0 is reached, at no cost.
     cost = np.zeros(1)
     prev_lo, prev_hi = 0, 0
-    # choice[i][u - band_lo[i]] = candidate index picked for dips[i] to reach u.
-    choice: list[np.ndarray] = []
+    costs: list[np.ndarray] = []
 
     for i, cand in enumerate(dips):
         if deadline is not None and time.perf_counter() > deadline:
@@ -180,20 +182,16 @@ def solve_dp(
             )
         low, high = band_lo[i], band_hi[i]
         new_cost = np.full(max(0, high - low + 1), np.inf)
-        new_choice = np.full(new_cost.size, -1, dtype=np.int32)
-        for j, step in enumerate(units[i]):
+        for step, latency in zip(units[i], cand.latencies_ms):
             # The cells u in the band whose source u - step the last band holds.
             first, last = max(low, prev_lo + step), min(high, prev_hi + step)
             if first > last:
                 continue
-            shifted = cost[first - step - prev_lo : last - step - prev_lo + 1]
-            shifted = shifted + cand.latencies_ms[j]
             cells = new_cost[first - low : last - low + 1]
-            better = shifted < cells
-            np.copyto(cells, shifted, where=better)
-            np.copyto(new_choice[first - low : last - low + 1], j, where=better)
+            shifted = cost[first - step - prev_lo : last - step - prev_lo + 1]
+            np.minimum(cells, shifted + latency, out=cells)
         cost, prev_lo, prev_hi = new_cost, low, high
-        choice.append(new_choice)
+        costs.append(cost)
 
     # The last band is the window [lo, hi] cut to the reachable sums.
     if not np.isfinite(cost).any():
@@ -205,19 +203,22 @@ def solve_dp(
         if cache is not None:
             cache.put(problem, token, result)
         return result
-    # Backtrack the choices from the first cheapest sum in the window.
+    # Backtrack from the first cheapest sum in the window.  Per DIP the pick
+    # is the first candidate whose source cell plus its latency is the cell's
+    # minimum: the one a strict ``<`` sweep over the candidates would have
+    # recorded, since every candidate after it can only tie.
     selection: dict[DipId, int] = {}
     reached = band_lo[-1] + int(np.argmin(cost))
     for i in range(len(dips) - 1, -1, -1):
-        j = int(choice[i][reached - band_lo[i]])
-        if j < 0:
-            return SolveResult(
-                status=SolveStatus.ERROR,
-                solve_time_s=time.perf_counter() - start,
-                backend=_BACKEND_NAME,
-            )
+        target = costs[i][reached - band_lo[i]]
+        before = costs[i - 1] if i else np.zeros(1)
+        low, high = (band_lo[i - 1], band_hi[i - 1]) if i else (0, 0)
+        for j, (step, latency) in enumerate(zip(units[i], dips[i].latencies_ms)):
+            source = reached - step
+            if low <= source <= high and before[source - low] + latency == target:
+                break
         selection[dips[i].dip] = j
-        reached -= units[i][j]
+        reached = source
 
     weights = problem.weights_of(selection)
     elapsed = time.perf_counter() - start

@@ -50,6 +50,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.core.types import left_to_right_sum
 from repro.exceptions import ConfigurationError
 from repro.solver.assignment import AssignmentProblem
 from repro.solver.dp import SolveCache
@@ -145,6 +146,20 @@ def _descend(
         total = moved.flat[move]
 
 
+def _cheapest_of_ties(w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Positions of one state per run of equal ``w``: the cheapest, the first
+    of equally cheap ones."""
+    starts = np.ones(len(w), dtype=bool)
+    starts[1:] = w[1:] != w[:-1]
+    if starts.all():
+        return np.flatnonzero(starts)
+    run = np.cumsum(starts) - 1
+    hits = np.flatnonzero(c == np.minimum.reduceat(c, np.flatnonzero(starts))[run])
+    first = np.ones(len(hits), dtype=bool)
+    first[1:] = run[hits[1:]] != run[hits[:-1]]
+    return hits[first]
+
+
 def _expand_core(
     W: np.ndarray,
     C: np.ndarray,
@@ -224,13 +239,14 @@ def _expand_core(
         keep = np.flatnonzero(
             (bound < best_cost * (1.0 - GAP / 2)) & (cw - shed_after[s] <= hi + slack)
         )
-        # DIPs with the same grid make exact weight ties structural, so the
-        # order inside a tie (cheapest first) decides how much dominance sees.
-        by_weight = keep[np.lexsort((cc[keep], -cw[keep]))]
-        first = np.ones(len(keep), dtype=bool)
+        # Heaviest first: ``w`` is kept heaviest first, so each column's block
+        # of ``cw`` is a descending run and the stable sort merges the runs.
+        # DIPs with the same grid make exact weight ties structural; of a tie
+        # either program can keep only the cheapest state (the first of
+        # equally cheap ones).
+        by_weight = keep[np.argsort(-cw[keep], kind="stable")]
+        keep = by_weight[_cheapest_of_ties(cw[by_weight], cc[by_weight])]
         if bucket is None:
-            first[1:] = np.diff(cw[by_weight]) != 0.0
-            keep = by_weight[first]
             if len(keep) > STATE_BUDGET:
                 cut = np.argpartition(bound[keep], STATE_BUDGET)
                 dropped = min(dropped, float(bound[keep[cut[STATE_BUDGET:]]].min()))
@@ -239,13 +255,14 @@ def _expand_core(
             # Over budget the buckets widen (and stay wide): the frontier is
             # thinned evenly and what that can cost is known, where dropping
             # the states with the worst bounds could cost anything.
+            first = np.ones(len(keep), dtype=bool)
             while True:
-                level = np.floor(cc[by_weight] / bucket) if bucket > 0.0 else cc[by_weight]
+                level = np.floor(cc[keep] / bucket) if bucket > 0.0 else cc[keep]
                 first[1:] = level[1:] < np.minimum.accumulate(level)[:-1]
                 if first.sum() <= STATE_BUDGET:
                     break
                 bucket = max(2.0 * bucket, GAP / 2 * best_cost / n)
-            keep = by_weight[first]
+            keep = keep[first]
             loss += bucket
         if not len(keep):
             break
@@ -290,7 +307,7 @@ def _search(
         return perm[rows, sel].tolist()
 
     def in_band(sel: np.ndarray) -> bool:
-        total = sum(cand.weights[j] for cand, j in zip(problem.dips, chosen(sel)))
+        total = left_to_right_sum(cand.weights[j] for cand, j in zip(problem.dips, chosen(sel)))
         return band_lo <= total <= band_hi
 
     def cost(sel: np.ndarray | None) -> float:

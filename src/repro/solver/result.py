@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.core.types import DipId
+from repro.core.types import DipId, left_to_right_sum
 
 
 class SolveStatus(enum.Enum):
@@ -51,4 +51,4 @@ class SolveResult:
 
     @property
     def total_weight(self) -> float:
-        return float(sum(self.weights.values()))
+        return float(left_to_right_sum(self.weights.values()))

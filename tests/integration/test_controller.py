@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.curve as curve_module
 from repro.core import KnapsackLBConfig, KnapsackLBController
 from repro.core.config import IlpConfig
 from repro.workloads import build_testbed_cluster, build_three_dip_pool
+from repro.workloads.generators import build_mixed_core_pool
 from repro.sim import FluidCluster
 
 
@@ -175,3 +177,44 @@ class TestControlLoop:
         cluster.recover_dip("DIP-29")
         controller.recover_dip("DIP-29")
         assert "DIP-29" not in controller.failed_dips
+
+
+class TestCurveKernelCallsPerTick:
+    """A control tick evaluates each VIP's curves as one bank: drift check,
+    §4.5 rescale and ILP grid each cost O(1) kernel calls, not O(DIPs)."""
+
+    @staticmethod
+    def tick(num_dips, perturb, monkeypatch):
+        dips = build_mixed_core_pool(num_dips, seed=5)
+        capacity = sum(dip.capacity_rps for dip in dips.values())
+        cluster = FluidCluster(dips=dips, total_rate_rps=0.6 * capacity, policy_name="wrr")
+        controller = KnapsackLBController("vip", cluster)
+        controller.converge(settle_steps=0)
+        perturb(cluster)
+        calls = []
+        predict = curve_module._Bank.predict
+
+        def counting(bank, weights):
+            calls.append(weights.shape)
+            return predict(bank, weights)
+
+        monkeypatch.setattr(curve_module._Bank, "predict", counting)
+        report = controller.control_step()
+        monkeypatch.undo()
+        rescaled = sum(len(event.dips) for event in report.events)
+        return len(calls), rescaled, report.reprogrammed
+
+    @pytest.mark.parametrize(
+        "perturb",
+        [
+            lambda cluster: cluster.scale_traffic(1.25),
+            lambda cluster: [cluster.set_capacity_ratio(d, 0.6) for d in ("DIP-1", "DIP-3")],
+        ],
+        ids=["traffic", "capacity"],
+    )
+    def test_no_more_calls_at_30_dips_than_at_7(self, perturb, monkeypatch):
+        small = self.tick(7, perturb, monkeypatch)
+        large = self.tick(30, perturb, monkeypatch)
+        assert small[2] and large[2]  # both ticks rescaled and re-solved
+        assert large[1] > small[1] >= 1
+        assert large[0] <= small[0]

@@ -182,8 +182,35 @@ def problems(draw):
     )
 
 
+def tied(weights, latencies, num_dips, total_weight, tolerance=0.0):
+    return AssignmentProblem(
+        dips=tuple(DipCandidates(f"d{d}", weights, latencies) for d in range(num_dips)),
+        total_weight=total_weight,
+        total_weight_tolerance=tolerance,
+    )
+
+
 class TestBandAgainstFullTable:
     @given(problems(), st.sampled_from([1e-3, 1e-2, 0.05]))
+    # Several candidates reach one cell at one cost, so the backtrack's
+    # recomputed pick must be the first of them: every split of 1.0 over
+    # two DIPs costs 2; 0.25 + 0.25 + 0.5 in any order costs 4; three
+    # permutations of 0.1 / 0.2 / 0.3 whose float sums tie or miss by an ulp.
+    @example(tied((0.0, 0.5, 1.0), (1.0, 1.0, 1.0), 2, 1.0), 1e-3)
+    @example(tied((0.25, 0.5), (1.0, 2.0), 3, 1.0), 1e-3)
+    @example(tied((0.25, 0.5), (1.0, 2.0), 4, 1.25, 0.25), 0.05)
+    @example(
+        AssignmentProblem(
+            dips=(
+                DipCandidates("a", (0.0, 0.2, 0.4), (0.1, 0.2, 0.3)),
+                DipCandidates("b", (0.0, 0.2, 0.4), (0.2, 0.3, 0.1)),
+                DipCandidates("c", (0.0, 0.2, 0.4), (0.3, 0.1, 0.2)),
+            ),
+            total_weight=0.6,
+            total_weight_tolerance=0.2,
+        ),
+        1e-2,
+    )
     def test_same_answer(self, problem, resolution):
         assert_same(problem, resolution=resolution)
 

@@ -10,7 +10,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends.latency_model import LatencyModel, erlang_c, scaled_model
-from repro.core.curve import WeightLatencyCurve, fit_curve
+from repro.core.curve import (
+    WeightLatencyCurve,
+    fit_curve,
+    predict_curves,
+    weights_for_latencies,
+)
 from repro.core.exploration import ExplorationState
 from repro.core.config import ExplorationConfig
 from repro.core.types import MeasurementPoint, normalize_weights
@@ -175,6 +180,187 @@ class TestPredictManyMatchesScalarReference:
         assert [curve.predict(w) for w in weights] == expected
         with pytest.raises(ConfigurationError):
             curve.predict_many([*weights, -0.1])
+
+
+@st.composite
+def bank_curves(draw):
+    """One curve of a bank: degree 0-3, envelope on or off, maybe rescaled."""
+    degree = draw(st.integers(min_value=0, max_value=3))
+    curve = WeightLatencyCurve(
+        coefficients=tuple(
+            draw(
+                st.lists(
+                    st.floats(min_value=-300.0, max_value=300.0),
+                    min_size=degree + 1,
+                    max_size=degree + 1,
+                )
+            )
+        ),
+        l0_ms=draw(st.floats(min_value=0.0, max_value=20.0)),
+        w_max=draw(st.floats(min_value=0.0, max_value=1.0)),
+        weight_scale=draw(st.floats(min_value=0.1, max_value=5.0)),
+        enforce_monotone=draw(st.booleans()),
+    )
+    if draw(st.booleans()):
+        curve = curve.rescaled(draw(st.floats(min_value=0.2, max_value=3.0)))
+    return curve
+
+
+def curve(coefficients, *, scale=1.0, monotone=True, l0=1.0, w_max=0.5):
+    return WeightLatencyCurve(
+        coefficients=coefficients,
+        l0_ms=l0,
+        w_max=w_max,
+        weight_scale=scale,
+        enforce_monotone=monotone,
+    )
+
+
+#: a bank mixing every case of the envelope: concave parabolas whose vertex
+#: (0.3; 0.6 once rescaled) lies inside (0, w) for some weights, on w for one
+#: and outside for others, one with a negative vertex, one without the
+#: envelope, a degree-3 scan, a line and a constant.
+MIXED_BANK = [
+    curve((-100.0, 60.0, 2.0)),
+    curve((-100.0, 60.0, 2.0)).rescaled(2.0),
+    curve((-100.0, -60.0, 2.0), l0=0.5),
+    curve((-100.0, 60.0, 2.0), monotone=False),
+    curve((5.0, -3.0, 0.5, 1.0), scale=0.7, l0=0.5),
+    curve((20.0, 2.0)),
+    curve((4.0,)),
+]
+
+
+@st.composite
+def banks(draw):
+    """Curves and a weight row for each, all rows one width (maybe zero)."""
+    curves = draw(st.lists(bank_curves(), min_size=1, max_size=8))
+    width = draw(st.integers(min_value=0, max_value=6))
+    row = st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=width, max_size=width)
+    weights = draw(st.lists(row, min_size=len(curves), max_size=len(curves)))
+    return curves, np.array(weights).reshape(len(curves), width)
+
+
+class TestPredictCurvesMatchesScalarReference:
+    """The bank kernel, row by row, against ``predict`` one weight at a time."""
+
+    @given(bank=banks())
+    @example(bank=(MIXED_BANK, np.tile([0.0, 0.1, 0.3, 0.6, 0.7, 1.2], (len(MIXED_BANK), 1))))
+    @example(bank=(MIXED_BANK, np.zeros((len(MIXED_BANK), 0))))
+    @settings(max_examples=150, deadline=None)
+    def test_every_row_equal_to_the_last_bit(self, bank):
+        curves, weights = bank
+        expected = [[scalar_predict(c, w) for w in row] for c, row in zip(curves, weights.tolist())]
+        got = predict_curves(curves, weights)
+        assert got.shape == weights.shape
+        assert got.tolist() == expected
+
+    def test_a_dense_row_through_the_scan(self):
+        # The cubic's envelope holds its interior peak (w ≈ 0.083) up to
+        # w ≈ 0.25, where the scan's points decide the last bit.
+        weights = np.linspace(0.05, 0.3, 200)
+        got = predict_curves(MIXED_BANK[4:5], weights[None, :])[0].tolist()
+        assert got == [scalar_predict(MIXED_BANK[4], w) for w in weights.tolist()]
+
+    def test_refusals(self):
+        with pytest.raises(ConfigurationError):
+            predict_curves(MIXED_BANK, [[0.1, -0.1]] * len(MIXED_BANK))
+        with pytest.raises(ConfigurationError):
+            predict_curves(MIXED_BANK, [[0.1]])  # not one row per curve
+
+
+def bisection_oracle(
+    curve: WeightLatencyCurve, latency_ms: float, *, upper: float | None = None, tol: float = 1e-6
+) -> float:
+    """``weight_for_latency`` as it was before the bank kernel, one curve at a
+    time over :func:`scalar_predict`."""
+    upper = upper if upper is not None else max(curve.w_max, 1e-3) * 2.0
+    if latency_ms <= scalar_predict(curve, 0.0):
+        return 0.0
+    if scalar_predict(curve, upper) < latency_ms:
+        return upper
+    lo, hi = 0.0, upper
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if scalar_predict(curve, mid) >= latency_ms:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < tol:
+            break
+    return hi
+
+
+class TestWeightsForLatenciesMatchesBisection:
+    """Four levels of every curve's bisection tree per kernel call, against
+    one bisection per curve: the same halvings, the same weight."""
+
+    @given(
+        curves=st.lists(bank_curves(), min_size=1, max_size=6),
+        data=st.data(),
+        upper=st.sampled_from(["default", "shared", "per-curve"]),
+        tol=st.sampled_from([1e-6, 1e-3, 0.1]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_same_weight_per_curve(self, curves, data, upper, tol):
+        latencies = data.draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1000.0),
+                min_size=len(curves),
+                max_size=len(curves),
+            )
+        )
+        if upper == "default":
+            uppers, kwargs = [None] * len(curves), {}
+        elif upper == "shared":
+            shared = data.draw(st.floats(min_value=0.0, max_value=3.0))
+            uppers, kwargs = [shared] * len(curves), {"upper": shared}
+        else:
+            uppers = data.draw(
+                st.lists(
+                    st.floats(min_value=0.0, max_value=3.0),
+                    min_size=len(curves),
+                    max_size=len(curves),
+                )
+            )
+            kwargs = {"upper": uppers}
+        expected = [
+            bisection_oracle(c, latency, upper=u, tol=tol)
+            for c, latency, u in zip(curves, latencies, uppers)
+        ]
+        assert weights_for_latencies(curves, latencies, tol=tol, **kwargs).tolist() == expected
+        assert [
+            c.weight_for_latency(latency, upper=u, tol=tol)
+            for c, latency, u in zip(curves, latencies, uppers)
+        ] == expected
+
+    def test_both_early_returns_and_the_walk_in_one_bank(self):
+        # At/below the prediction at 0, past the prediction at ``upper``, and
+        # in between, for every kind of row of the mixed bank.
+        latencies = [0.0, 1e6, 3.0, 4.0, 2.5, 5.0, 4.0]
+        got = weights_for_latencies(MIXED_BANK, latencies).tolist()
+        assert got == [bisection_oracle(c, x) for c, x in zip(MIXED_BANK, latencies)]
+        assert got[0] == 0.0 and got[1] == max(MIXED_BANK[1].w_max, 1e-3) * 2.0
+        assert 0.0 < got[5] < 1.0
+
+    def test_the_200_halving_cap(self):
+        # With no tolerance every bisection runs its 200 halvings: from
+        # [0, 1] the bracket stops shrinking at adjacent floats long before,
+        # from [0, 1e300] it is still 2**-200 of that wide when the cap ends it.
+        latencies = [3.0, 3.5, 2.5, 2.5, 1.2, 5.0, 4.0]
+        got = weights_for_latencies(MIXED_BANK, latencies, upper=1.0, tol=0.0).tolist()
+        assert got == [
+            bisection_oracle(c, x, upper=1.0, tol=0.0) for c, x in zip(MIXED_BANK, latencies)
+        ]
+        line = MIXED_BANK[5]
+        capped = weights_for_latencies([line], [5.0], upper=1e300, tol=0.0)[0]
+        assert capped == bisection_oracle(line, 5.0, upper=1e300, tol=0.0)
+        assert 1e300 * 2.0**-201 < capped <= 1e300 * 2.0**-200
+
+    def test_empty_bank_and_a_negative_upper(self):
+        assert weights_for_latencies([], []).shape == (0,)
+        with pytest.raises(ConfigurationError):
+            weights_for_latencies(MIXED_BANK[:1], [3.0], upper=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,30 @@ from repro.core.types import (
     MeasurementPoint,
     WeightAssignment,
     equal_weights,
+    left_to_right_sum,
     normalize_weights,
     validate_weight,
 )
 from repro.exceptions import ConfigurationError
+from repro.solver import SolveResult, SolveStatus
+
+
+class TestLeftToRightSum:
+    """Sums behind band verdicts and goldens: the builtin ``sum`` is
+    compensated from Python 3.12 on (and reads 1.0 here), these are not."""
+
+    TENTHS = {f"d{i}": 0.1 for i in range(10)}
+
+    def test_ten_tenths_on_every_python(self):
+        assert left_to_right_sum([0.1] * 10) == 0.9999999999999999
+        assert WeightAssignment("vip", self.TENTHS).total_weight == 0.9999999999999999
+        result = SolveResult(status=SolveStatus.OPTIMAL, weights=self.TENTHS)
+        assert result.total_weight == 0.9999999999999999
+        assert normalize_weights(self.TENTHS)["d0"] == 0.1 / 0.9999999999999999
+
+    def test_empty_and_generators(self):
+        assert left_to_right_sum([]) == 0.0
+        assert left_to_right_sum(w for w in (0.5, 0.25)) == 0.75
 
 
 class TestValidateWeight:
