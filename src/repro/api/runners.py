@@ -51,7 +51,7 @@ from repro.api.timeline import (
     windows_from_collector,
 )
 from repro.core import FleetController
-from repro.core.types import DipId, WeightAssignment
+from repro.core.types import DipId, WeightAssignment, left_to_right_sum
 from repro.exceptions import ConfigurationError
 from repro.lb import MuxPool, make_policy, policy_seed_kwargs
 from repro.sim import FluidCluster, RequestCluster
@@ -117,7 +117,7 @@ def expand_spec_chaos(spec: ExperimentSpec) -> ExperimentSpec:
 
 def offered_rate_rps(spec: ExperimentSpec, dips: Mapping[DipId, Any]) -> float:
     """The declared offered rate: ``load_fraction`` × the pool's capacity."""
-    return spec.workload.load_fraction * sum(
+    return spec.workload.load_fraction * left_to_right_sum(
         d.capacity_rps for d in dips.values()
     )
 

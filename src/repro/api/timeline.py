@@ -40,6 +40,7 @@ from repro.api.spec import (
     HealthCheckSpec,
     TimelineSpec,
 )
+from repro.core.types import left_to_right_sum
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -652,7 +653,7 @@ def _split_drained_offboards(
 
 
 def _share(rates: Mapping[str, float]) -> dict[str, float]:
-    total = sum(rates.values())
+    total = left_to_right_sum(rates.values())
     if total <= 0:
         return {}
     return {dip: rate / total for dip, rate in rates.items() if rate > 0}
@@ -705,10 +706,10 @@ def _live_mean_latency_ms(
         for dip, rate in rates.items()
         if rate > 0 and dip not in exclude and math.isfinite(latency[dip])
     ]
-    total = sum(rate for rate, _ in live)
+    total = left_to_right_sum(rate for rate, _ in live)
     if total <= 0:
         return float("nan")
-    return sum(rate * lat for rate, lat in live) / total
+    return left_to_right_sum(rate * lat for rate, lat in live) / total
 
 
 class _BlackholeMeter:
@@ -731,7 +732,7 @@ class _BlackholeMeter:
     def account(self, dt: float) -> None:
         """Call before each advance: rates are piecewise-constant over it."""
         self._offered += self._total_rate() * dt
-        self._lost += sum(
+        self._lost += left_to_right_sum(
             self._offered_rate(dip) for dip in self._blackholed
         ) * dt
 
@@ -842,7 +843,7 @@ def fleet_timeline_stepper(
     meter = _BlackholeMeter(
         blackholed,
         lambda dip: fleet.dips[dip].offered_rate_rps,
-        lambda: sum(vip.total_rate_rps for vip in fleet.vips.values()),
+        lambda: left_to_right_sum(vip.total_rate_rps for vip in fleet.vips.values()),
     )
 
     def snapshot() -> tuple[
@@ -854,7 +855,7 @@ def fleet_timeline_stepper(
                 state.total_rates_rps, state.mean_latency_ms, exclude=blackholed
             ),
             "max_utilization": max(state.utilization.values()),
-            "total_rate_rps": sum(state.total_rates_rps.values()),
+            "total_rate_rps": left_to_right_sum(state.total_rates_rps.values()),
             "num_vips": float(len(fleet.vips)),
         }
         if health is not None:

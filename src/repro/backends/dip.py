@@ -16,6 +16,7 @@ The DIP is intentionally opaque: it exposes no CPU counters to KnapsackLB
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,8 +114,10 @@ class DipServer:
     # -- load & utilization ------------------------------------------------
 
     def set_offered_rate(self, rate_rps: float) -> None:
-        if rate_rps < 0:
-            raise ConfigurationError("rate_rps must be >= 0")
+        if not 0.0 <= rate_rps < math.inf:
+            raise ConfigurationError(
+                f"rate_rps must be finite and >= 0, got {rate_rps!r}"
+            )
         self.offered_rate_rps = float(rate_rps)
 
     @property
@@ -161,6 +164,10 @@ class DipServer:
         mean = self.latency_model.mean_latency_ms(
             rate_rps, scv_correction=self.scv_correction
         )
+        return self._draw_latencies_ms(mean, served)
+
+    def _draw_latencies_ms(self, mean: float, served: int) -> np.ndarray:
+        """``served`` latencies around ``mean`` (counted as served)."""
         self._served_requests += served
         if self.jitter_fraction == 0:
             return np.full(served, mean)
@@ -190,7 +197,9 @@ class DipServer:
             raise DipFailureError(f"DIP {self.dip_id} is down")
         if num_requests < 1:
             raise ConfigurationError("num_requests must be >= 1")
-        drop_p = self.drop_probability
+        model = self.latency_model
+        rate = self.offered_rate_rps
+        drop_p = model.drop_probability(rate)
         drops = int(self._rng.binomial(num_requests, min(1.0, drop_p)))
         served = num_requests - drops
         self._dropped_requests += drops
@@ -202,10 +211,14 @@ class DipServer:
                 samples=0,
                 drop_fraction=1.0,
             )
-        latencies = self._sample_latencies_ms(self.offered_rate_rps, served)
+        latencies = self._draw_latencies_ms(
+            model.mean_latency_ms(rate, scv_correction=self.scv_correction), served
+        )
         return ProbeResult(
             dip=self.dip_id,
-            mean_latency_ms=float(latencies.mean()),
+            # ``latencies.mean()`` without numpy's wrapper: the same
+            # reduction divided by the count, bit for bit.
+            mean_latency_ms=float(np.add.reduce(latencies) / served),
             dropped=drops > 0,
             samples=served,
             drop_fraction=drops / num_requests,

@@ -29,7 +29,7 @@ from repro.core.curve import (
     predict_curves,
     rescale_for_latency_shifts,
 )
-from repro.core.types import DipId
+from repro.core.types import DipId, left_to_right_sum
 from repro.exceptions import ConfigurationError
 
 
@@ -106,7 +106,8 @@ class DynamicsDetector:
         quorum = self.config.traffic_change_quorum
 
         if total > 0 and len(increased) / total >= quorum:
-            magnitude = sum(deviations[d] for d in increased) / len(increased)
+            shift = left_to_right_sum(deviations[d] for d in increased)
+            magnitude = shift / len(increased)
             events.append(
                 DynamicsEvent(
                     kind=DynamicsEventKind.TRAFFIC_INCREASE,
@@ -117,7 +118,8 @@ class DynamicsDetector:
             )
             return events
         if total > 0 and len(decreased) / total >= quorum:
-            magnitude = sum(deviations[d] for d in decreased) / len(decreased)
+            shift = left_to_right_sum(deviations[d] for d in decreased)
+            magnitude = shift / len(decreased)
             events.append(
                 DynamicsEvent(
                     kind=DynamicsEventKind.TRAFFIC_DECREASE,

@@ -23,13 +23,15 @@ which is itself now a one-VIP fleet.
 
 from __future__ import annotations
 
+import math
+import operator
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from repro.backends.dip import DipServer
-from repro.core.types import DipId, VipId
+from repro.core.types import DipId, VipId, left_to_right_sum
 from repro.exceptions import ConfigurationError
 from repro.sim.fluid import (
     LOAD_DEPENDENT_POLICIES,
@@ -42,6 +44,19 @@ from repro.sim.fluid import (
     vector_utilization,
 )
 from repro.sim.vip import Vip
+
+
+class _StaticSplit(NamedTuple):
+    """A load-independent VIP's ``(index, rates)`` and what it was computed from."""
+
+    index_of: dict[DipId, int]
+    total_rate_rps: float
+    policy_name: str
+    healthy: tuple[DipId, ...]
+    weight_ids: list[DipId]
+    weight_values: list[float]
+    index: np.ndarray
+    rates: np.ndarray
 
 
 def _subset(pool: PoolArrays, index: np.ndarray) -> PoolArrays:
@@ -59,9 +74,10 @@ def _subset(pool: PoolArrays, index: np.ndarray) -> PoolArrays:
 class FleetState:
     """The whole fleet after one joint evaluation.
 
-    A lazy view: it keeps the evaluation's arrays (which :meth:`Fleet.apply`
-    builds afresh each time and never touches again, so the view stays that
-    of its own evaluation) and builds each dict — and the latency pass
+    A lazy view: it keeps the evaluation's arrays (nothing writes to them
+    once built — :meth:`Fleet.apply` may hand a kept pool or split to later
+    evaluations too, but builds each ``total`` afresh — so the view stays
+    that of its own evaluation) and builds each dict — and the latency pass
     behind ``mean_latency_ms`` — on first read.
     """
 
@@ -106,24 +122,23 @@ class FleetState:
     def vip_mean_latency_ms(self, vip: VipId) -> float:
         """Request-weighted mean latency experienced by one VIP's traffic."""
         rates = self.per_vip_rates.get(vip, {})
-        total = sum(rates.values())
+        total = left_to_right_sum(rates.values())
         if total <= 0:
             return float("nan")
+        latency = self.mean_latency_ms
         return (
-            sum(rate * self.mean_latency_ms[d] for d, rate in rates.items()) / total
+            left_to_right_sum(rate * latency[d] for d, rate in rates.items()) / total
         )
 
     def overall_mean_latency_ms(self) -> float:
         """Request-weighted mean latency across the whole fleet."""
-        total = sum(self.total_rates_rps.values())
+        rates = self.total_rates_rps
+        total = left_to_right_sum(rates.values())
         if total <= 0:
             return float("nan")
+        latency = self.mean_latency_ms
         return (
-            sum(
-                rate * self.mean_latency_ms[d]
-                for d, rate in self.total_rates_rps.items()
-            )
-            / total
+            left_to_right_sum(rate * latency[d] for d, rate in rates.items()) / total
         )
 
     def dip_summaries(self) -> dict[DipId, dict[str, float]]:
@@ -188,6 +203,12 @@ class Fleet:
         self.contention_iterations = contention_iterations
         self.contention_tolerance = contention_tolerance
         self._last_state: FleetState | None = None
+        # What apply() keeps between evaluations; see _current_pool and
+        # _static_split for what each was computed from.
+        self._pool: PoolArrays | None = None
+        self._pool_inputs: list[tuple] | None = None
+        self._index_of: dict[DipId, int] = {}
+        self._splits: dict[VipId, _StaticSplit] = {}
 
     # -- membership --------------------------------------------------------------
 
@@ -262,21 +283,31 @@ class Fleet:
 
     def set_weights(self, vip_id: VipId, weights: Mapping[DipId, float]) -> None:
         vip = self._vip(vip_id)
-        for dip in weights:
+        cleaned: dict[DipId, float] = {}
+        for dip, weight in weights.items():
             if dip not in vip.dips:
                 raise ConfigurationError(f"unknown DIP {dip!r}")
-        vip.weights.update({d: float(w) for d, w in weights.items()})
+            value = float(weight)
+            if not 0.0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"VIP {vip_id!r}: weight for DIP {dip!r} must be finite "
+                    f"and >= 0, got {weight!r}"
+                )
+            cleaned[dip] = value
+        vip.weights.update(cleaned)
         self.apply()
 
     def set_total_rate(self, vip_id: VipId, total_rate_rps: float) -> None:
-        if total_rate_rps < 0:
-            raise ConfigurationError("total_rate_rps must be >= 0")
+        if not 0.0 <= total_rate_rps < math.inf:
+            raise ConfigurationError(
+                f"total_rate_rps must be finite and >= 0, got {total_rate_rps!r}"
+            )
         self._vip(vip_id).total_rate_rps = float(total_rate_rps)
         self.apply()
 
     def scale_traffic(self, vip_id: VipId, factor: float) -> None:
-        if factor < 0:
-            raise ConfigurationError("factor must be >= 0")
+        if not 0.0 <= factor < math.inf:
+            raise ConfigurationError(f"factor must be finite and >= 0, got {factor!r}")
         vip = self._vip(vip_id)
         self.set_total_rate(vip_id, vip.total_rate_rps * factor)
 
@@ -307,44 +338,46 @@ class Fleet:
         against the background load of the other VIPs until the joint rates
         converge.  The rates reach the servers before this returns; the
         returned :class:`FleetState` builds the rest on first read.
+
+        The pool's arrays and each load-independent VIP's split are kept
+        between calls and reused while every input they were computed from
+        reads the same — checked here, on every call, against what the
+        servers and VIPs hold now, so a caller may still edit a DIP or a VIP
+        directly and then call ``apply()``.  ``total`` is re-accumulated
+        from the splits in VIP order on every call, and the fixed point
+        always runs, so the result is bit-identical to a full evaluation.
         """
-        pool = pool_arrays(self.dips)
-        n = pool.size
-        index_of = {dip: i for i, dip in enumerate(pool.ids)}
-        total = np.zeros(n)
+        pool, index_of = self._current_pool()
+        total = np.zeros(pool.size)
         contributions: dict[VipId, tuple[np.ndarray, np.ndarray]] = {}
-        reactive: list[VipId] = []
+        splits: dict[VipId, _StaticSplit] = {}
+        # (vip_id, vip, index, pool subset, weights): fixed for one evaluation.
+        reactive: list[tuple[VipId, Vip, np.ndarray, PoolArrays, np.ndarray]] = []
 
         for vip_id, vip in self.vips.items():
             healthy = vip.healthy_dip_ids()
             if not healthy:
                 raise ConfigurationError(f"VIP {vip_id!r}: no healthy DIPs")
-            index = np.array([index_of[d] for d in healthy], dtype=np.intp)
             if vip.policy_name in LOAD_DEPENDENT_POLICIES:
-                # Seed with an equal split; refined by the fixed point below.
-                rates = equal_split_array(len(healthy), vip.total_rate_rps)
-                reactive.append(vip_id)
-            else:
+                index = np.array([index_of[d] for d in healthy], dtype=np.intp)
                 weight_vec = np.array(
                     [vip.weights.get(d, 0.0) for d in healthy], dtype=np.float64
                 )
-                rates = static_split_array(
-                    vip.policy_name, len(healthy), vip.total_rate_rps, weight_vec
-                )
+                reactive.append((vip_id, vip, index, _subset(pool, index), weight_vec))
+                # Seed with an equal split; refined by the fixed point below.
+                rates = equal_split_array(len(healthy), vip.total_rate_rps)
+            else:
+                split = splits[vip_id] = self._static_split(vip_id, vip, healthy)
+                index, rates = split.index, split.rates
             contributions[vip_id] = (index, rates)
             total[index] += rates
+        self._splits = splits
 
         for _ in range(self.contention_iterations if reactive else 0):
             max_delta = 0.0
-            for vip_id in reactive:
-                vip = self.vips[vip_id]
-                index, old_rates = contributions[vip_id]
-                sub_pool = _subset(pool, index)
+            for vip_id, vip, index, sub_pool, weight_vec in reactive:
+                old_rates = contributions[vip_id][1]
                 background = total[index] - old_rates
-                weight_vec = np.array(
-                    [vip.weights.get(d, 0.0) for d in sub_pool.ids],
-                    dtype=np.float64,
-                )
                 new_rates = split_rates_array(
                     vip.policy_name,
                     sub_pool,
@@ -366,6 +399,66 @@ class Fleet:
             server.set_offered_rate(rate)
         self._last_state = FleetState(self.time, pool, total, contributions)
         return self._last_state
+
+    def _current_pool(self) -> tuple[PoolArrays, dict[DipId, int]]:
+        """The fleet's :class:`PoolArrays` and its id → position map.
+
+        Rebuilt only when a DIP's id, position, ``failed`` flag, antagonist
+        capacity factor (which fixes its latency model) or ``scv_correction``
+        differs from the last build.  Compared by value: equal values give
+        equal latencies (a correction of 0.0 and one of -0.0 both add a zero
+        wait).  The map, and so every kept split's index, survives a rebuild
+        that keeps the ids.
+        """
+        inputs = [
+            (dip, s.failed, s.antagonist.capacity_factor, s.scv_correction)
+            for dip, s in self.dips.items()
+        ]
+        if inputs != self._pool_inputs:
+            pool = pool_arrays(self.dips)
+            if self._pool is None or pool.ids != self._pool.ids:
+                self._index_of = {dip: i for i, dip in enumerate(pool.ids)}
+            self._pool, self._pool_inputs = pool, inputs
+        return self._pool, self._index_of
+
+    def _static_split(
+        self, vip_id: VipId, vip: Vip, healthy: tuple[DipId, ...]
+    ) -> _StaticSplit:
+        """A load-independent VIP's split, reused while its inputs hold.
+
+        The rate and each weight are compared by identity, not value: 0.0
+        and -0.0 are equal yet split to rates of different sign, and a
+        float a caller has not reassigned is the same object.
+        """
+        weights = vip.weights
+        kept = self._splits.get(vip_id)
+        if (
+            kept is not None
+            and kept.index_of is self._index_of
+            and kept.total_rate_rps is vip.total_rate_rps
+            and kept.policy_name == vip.policy_name
+            and kept.healthy == healthy
+            and kept.weight_ids == list(weights)
+            and all(map(operator.is_, weights.values(), kept.weight_values))
+        ):
+            return kept
+        index = np.array([self._index_of[d] for d in healthy], dtype=np.intp)
+        weight_vec = np.array(
+            [weights.get(d, 0.0) for d in healthy], dtype=np.float64
+        )
+        rates = static_split_array(
+            vip.policy_name, len(healthy), vip.total_rate_rps, weight_vec
+        )
+        return _StaticSplit(
+            self._index_of,
+            vip.total_rate_rps,
+            vip.policy_name,
+            healthy,
+            list(weights),
+            list(weights.values()),
+            index,
+            rates,
+        )
 
     def advance(self, duration_s: float) -> FleetState:
         """Advance shared simulated time (loads are steady in the fluid model)."""

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.backends.dip import DipServer
-from repro.core.types import DipId
+from repro.core.types import DipId, left_to_right_sum
 from repro.exceptions import ConfigurationError
 
 EQUAL_SPLIT_POLICIES = {"rr", "hash", "random"}
@@ -436,10 +436,10 @@ class FluidClusterState:
 
     def overall_mean_latency_ms(self) -> float:
         """Request-weighted mean latency across DIPs."""
-        total_rate = sum(self.rates_rps.values())
+        total_rate = left_to_right_sum(self.rates_rps.values())
         if total_rate <= 0:
             return float("nan")
-        return sum(
+        return left_to_right_sum(
             self.rates_rps[d] * self.mean_latency_ms[d] for d in self.rates_rps
         ) / total_rate
 

@@ -1,0 +1,345 @@
+"""``Fleet.apply`` keeps its pool and splits; a full evaluation is the oracle.
+
+``Fleet.apply`` keeps its ``PoolArrays`` and each load-independent VIP's
+``(index, rates)`` between calls and reuses them while the inputs they were
+computed from read the same.  ``reference_apply`` below is the evaluation it
+replaced, kept verbatim bar two lines: it reads ``fleet`` for ``self`` and
+returns its :class:`FleetState` instead of pushing the rates and storing
+it.  A hypothesis sequence of mutations — through the fleet's entry points
+and by direct edits to DIPs, VIPs and the fleet's DIP order followed by
+``apply()`` — must leave
+the fleet bit-identical to a fresh oracle evaluation after every step: the
+per-DIP totals, every VIP's contribution, each server's offered rate and
+the state's dicts.  A mutation the oracle refuses must be refused with the
+same message.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.backends import DipServer, custom_vm_type
+from repro.exceptions import ConfigurationError
+from repro.sim.fleet import Fleet, FleetState, _subset
+from repro.sim.fluid import (
+    LOAD_DEPENDENT_POLICIES,
+    equal_split_array,
+    pool_arrays,
+    split_rates_array,
+    static_split_array,
+)
+
+
+def reference_apply(self: Fleet) -> FleetState:
+    pool = pool_arrays(self.dips)
+    n = pool.size
+    index_of = {dip: i for i, dip in enumerate(pool.ids)}
+    total = np.zeros(n)
+    contributions: dict = {}
+    reactive: list = []
+
+    for vip_id, vip in self.vips.items():
+        healthy = vip.healthy_dip_ids()
+        if not healthy:
+            raise ConfigurationError(f"VIP {vip_id!r}: no healthy DIPs")
+        index = np.array([index_of[d] for d in healthy], dtype=np.intp)
+        if vip.policy_name in LOAD_DEPENDENT_POLICIES:
+            # Seed with an equal split; refined by the fixed point below.
+            rates = equal_split_array(len(healthy), vip.total_rate_rps)
+            reactive.append(vip_id)
+        else:
+            weight_vec = np.array(
+                [vip.weights.get(d, 0.0) for d in healthy], dtype=np.float64
+            )
+            rates = static_split_array(
+                vip.policy_name, len(healthy), vip.total_rate_rps, weight_vec
+            )
+        contributions[vip_id] = (index, rates)
+        total[index] += rates
+
+    for _ in range(self.contention_iterations if reactive else 0):
+        max_delta = 0.0
+        for vip_id in reactive:
+            vip = self.vips[vip_id]
+            index, old_rates = contributions[vip_id]
+            sub_pool = _subset(pool, index)
+            background = total[index] - old_rates
+            weight_vec = np.array(
+                [vip.weights.get(d, 0.0) for d in sub_pool.ids],
+                dtype=np.float64,
+            )
+            new_rates = split_rates_array(
+                vip.policy_name,
+                sub_pool,
+                vip.total_rate_rps,
+                weights=weight_vec,
+                background_rps=background,
+            )
+            total[index] += new_rates - old_rates
+            contributions[vip_id] = (index, new_rates)
+            delta = float(np.max(np.abs(new_rates - old_rates))) if len(index) else 0.0
+            max_delta = max(max_delta, delta)
+        scale = max(1.0, float(total.sum()))
+        if max_delta < self.contention_tolerance * scale:
+            break
+
+    return FleetState(self.time, pool, total, contributions)
+
+
+POLICIES = ("wrr", "rr", "lc", "wlc", "p2", "wrandom", "hash")
+#: weights at the edges a split must survive: zero, subnormal, tiny, large.
+EDGE_WEIGHTS = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e6)
+
+
+def make_fleet() -> Fleet:
+    """Seven DIPs of three shapes shared by a wrr, an rr, an lc, a wlc and a p2 VIP."""
+    fleet = Fleet()
+    shapes = [(1, 400.0), (2, 800.0), (4, 1500.0)]
+    for i in range(7):
+        cores, capacity = shapes[i % 3]
+        vm = custom_vm_type(f"vm-{cores}", vcpus=cores, capacity_rps=capacity)
+        fleet.add_dip(DipServer(f"d{i}", vm, seed=i, jitter_fraction=0.0))
+    members = {
+        "w": (["d0", "d1", "d2", "d3"], "wrr", 700.0),
+        "e": (["d2", "d3", "d4", "d5"], "rr", 500.0),
+        "l": (["d1", "d3", "d5"], "lc", 400.0),
+        "k": (["d0", "d4", "d6"], "wlc", 600.0),
+        "p": (["d5", "d6"], "p2", 300.0),
+    }
+    for vip_id, (dips, policy, rate) in members.items():
+        fleet.create_vip(
+            vip_id,
+            dip_ids=dips,
+            total_rate_rps=rate,
+            policy_name=policy,
+            weights={d: 1.0 + j for j, d in enumerate(dips)},
+        )
+    return fleet
+
+
+def _pick(items, selector: int):
+    items = sorted(items)
+    return items[selector % len(items)] if items else None
+
+
+def perform(fleet: Fleet, op: tuple, counter: list[int]) -> None:
+    """Apply one drawn operation; ``counter`` names created VIPs and DIPs."""
+    kind, selector, *args = op
+    vip_id = _pick(fleet.vips, selector)
+    dip = _pick(fleet.dips, selector)
+    if kind == "set_weights":
+        if vip_id is None:
+            return
+        members = list(fleet.vips[vip_id].dips)
+        fleet.set_weights(vip_id, dict(zip(members, args[0])))
+    elif kind == "set_total_rate":
+        if vip_id is not None:
+            fleet.set_total_rate(vip_id, args[0])
+    elif kind == "scale_traffic":
+        if vip_id is not None:
+            fleet.scale_traffic(vip_id, args[0])
+    elif kind == "fail_dip":
+        fleet.fail_dip(dip)
+    elif kind == "recover_dip":
+        fleet.recover_dip(dip)
+    elif kind == "set_capacity_ratio":
+        fleet.set_capacity_ratio(dip, args[0])
+    elif kind == "set_antagonist_copies":
+        fleet.set_antagonist_copies(dip, args[0])
+    elif kind == "advance":
+        fleet.advance(args[0])
+    elif kind == "create_vip":
+        mask, policy, rate = args
+        ids = sorted(fleet.dips)
+        members = [d for i, d in enumerate(ids) if mask >> i & 1] or ids[:1]
+        counter[0] += 1
+        fleet.create_vip(
+            f"v{counter[0]}", dip_ids=members, total_rate_rps=rate, policy_name=policy
+        )
+        fleet.apply()
+    elif kind == "remove_vip":
+        if vip_id is not None:
+            fleet.remove_vip(vip_id)
+    elif kind == "edit_dip":
+        server = fleet.dips[dip]
+        field, value = args
+        if field == "failed":
+            server.failed = not server.failed
+        elif field == "scv":
+            server.scv_correction = value
+        else:
+            server.antagonist.capacity_override = min(1.0, value / 3.0)
+        fleet.apply()
+    elif kind == "add_dip":
+        counter[0] += 1
+        vm = custom_vm_type("vm-2", vcpus=2, capacity_rps=800.0)
+        fleet.add_dip(
+            DipServer(f"x{counter[0]}", vm, seed=counter[0], jitter_fraction=0.0)
+        )
+        fleet.apply()
+    elif kind == "rotate_dips":
+        # A direct edit moving every DIP's position, and so every index.
+        items = list(fleet.dips.items())
+        shift = 1 + selector % (len(items) - 1)
+        fleet.dips = dict(items[shift:] + items[:shift])
+        fleet.apply()
+    elif kind == "edit_vip":
+        if vip_id is None:
+            return
+        vip = fleet.vips[vip_id]
+        field, value = args
+        if field == "policy":
+            vip.policy_name = POLICIES[int(value * 100) % len(POLICIES)]
+        elif field == "rate":
+            vip.total_rate_rps = value * 200.0
+        elif field == "weight":
+            vip.weights[_pick(vip.dips, int(value * 100))] = value
+        elif dip in vip.dips:
+            if len(vip.dips) > 1:
+                vip.remove_dip(dip)
+        else:
+            vip.add_dip(fleet.dips[dip])
+        fleet.apply()
+
+
+def bits(value):
+    """Floats by their bits (``float.hex``), through dicts."""
+    if isinstance(value, dict):
+        return {key: bits(item) for key, item in value.items()}
+    return float(value).hex()
+
+
+def assert_matches_oracle(fleet: Fleet, error: ConfigurationError | None) -> None:
+    try:
+        expected = reference_apply(fleet)
+    except ConfigurationError as refused:
+        assert error is not None and str(error) == str(refused)
+        return
+    assert error is None, error
+    state = fleet.state()
+    assert state.time == expected.time
+    assert state._total.tobytes() == expected._total.tobytes()
+    assert list(state._contributions) == list(expected._contributions)
+    for vip_id, (index, rates) in expected._contributions.items():
+        kept_index, kept_rates = state._contributions[vip_id]
+        assert kept_index.tobytes() == index.tobytes()
+        assert kept_rates.tobytes() == rates.tobytes()
+    pushed = {d: s.offered_rate_rps for d, s in fleet.dips.items()}
+    assert bits(pushed) == bits(expected.total_rates_rps)
+    for name in ("total_rates_rps", "utilization", "mean_latency_ms", "per_vip_rates"):
+        assert bits(getattr(state, name)) == bits(getattr(expected, name)), name
+
+
+rates = st.floats(0.0, 900.0)
+operations = st.one_of(
+    st.tuples(
+        st.just("set_weights"),
+        st.integers(0, 50),
+        st.lists(
+            st.one_of(st.floats(0.0, 10.0), st.sampled_from(EDGE_WEIGHTS)),
+            min_size=1,
+            max_size=5,
+        ),
+    ),
+    st.tuples(st.just("set_total_rate"), st.integers(0, 50), rates),
+    st.tuples(st.just("scale_traffic"), st.integers(0, 50), st.floats(0.0, 2.0)),
+    st.tuples(st.sampled_from(["fail_dip", "recover_dip"]), st.integers(0, 50)),
+    st.tuples(st.just("set_capacity_ratio"), st.integers(0, 50), st.floats(0.2, 1.0)),
+    st.tuples(st.just("set_antagonist_copies"), st.integers(0, 50), st.integers(0, 4)),
+    st.tuples(st.just("advance"), st.integers(0, 50), st.floats(0.0, 5.0)),
+    st.tuples(
+        st.just("create_vip"),
+        st.integers(0, 50),
+        st.integers(0, 127),
+        st.sampled_from(POLICIES),
+        rates,
+    ),
+    st.tuples(st.just("remove_vip"), st.integers(0, 50)),
+    st.tuples(st.sampled_from(["add_dip", "rotate_dips"]), st.integers(0, 50)),
+    st.tuples(
+        st.just("edit_dip"),
+        st.integers(0, 50),
+        st.sampled_from(["failed", "scv", "capacity"]),
+        st.floats(0.2, 3.0),
+    ),
+    st.tuples(
+        st.just("edit_vip"),
+        st.integers(0, 50),
+        st.sampled_from(["policy", "rate", "weight", "member"]),
+        st.floats(0.0, 3.0),
+    ),
+)
+
+
+class TestApplyMatchesFullEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(operations, min_size=1, max_size=14))
+    @example(
+        [
+            ("set_weights", 4, [5e-324, 5e-324, 1e-310, 0.0]),
+            ("set_weights", 4, [5e-324, 0.0, 0.0, 2.2250738585072014e-308]),
+            ("set_weights", 1, [0.0, 5e-324, 0.0, 0.0]),
+            ("edit_vip", 4, "rate", 0.0),
+            ("set_capacity_ratio", 1, 0.6),
+        ]
+    )
+    @example(
+        [
+            ("set_weights", 4, [0.0, 1.0, 1.0, 1.0]),
+            ("edit_vip", 4, "weight", 0.0),
+            ("fail_dip", 3),
+            ("edit_dip", 3, "failed", 1.0),
+            ("edit_vip", 0, "policy", 0.01),
+            ("remove_vip", 2),
+            ("create_vip", 0, 0b1010101, "wrr", 250.0),
+            ("edit_vip", 1, "member", 1.0),
+            ("rotate_dips", 2),
+            ("add_dip", 0),
+            ("edit_vip", 0, "member", 1.0),
+        ]
+    )
+    def test_every_step_equals_a_fresh_evaluation(self, ops):
+        fleet = make_fleet()
+        fleet.apply()
+        assert_matches_oracle(fleet, None)
+        counter = [0]
+        for op in ops:
+            error = None
+            try:
+                perform(fleet, op, counter)
+            except ConfigurationError as refused:
+                error = refused
+            assert_matches_oracle(fleet, error)
+
+    def test_signed_zero_rate_and_weight_are_not_aliased(self):
+        """-0.0 equals 0.0 but splits to -0.0 rates: the kept split must not serve it."""
+        fleet = make_fleet()
+        vip = fleet.vips["w"]
+        vip.weights["d0"] = 0.0
+        fleet.apply()
+        vip.weights["d0"] = -0.0
+        fleet.apply()
+        assert_matches_oracle(fleet, None)
+        assert np.signbit(fleet.state()._contributions["w"][1][0])
+        vip.weights["d0"] = 1.0
+        vip.total_rate_rps = 0.0
+        fleet.apply()
+        vip.total_rate_rps = -0.0
+        fleet.apply()
+        assert_matches_oracle(fleet, None)
+        assert np.signbit(fleet.state()._contributions["w"][1]).all()
+
+    def test_unchanged_inputs_reuse_the_kept_arrays(self):
+        fleet = make_fleet()
+        first = fleet.apply()
+        second = fleet.apply()
+        assert second._pool is first._pool
+        assert second._total is not first._total
+        assert second._contributions["w"][1] is first._contributions["w"][1]
+        assert second._contributions["l"][1] is not first._contributions["l"][1]
+        fleet.dips["d2"].antagonist.capacity_override = 0.5
+        third = fleet.apply()
+        assert third._pool is not second._pool
+        assert third._contributions["w"][1] is second._contributions["w"][1]

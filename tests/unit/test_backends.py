@@ -305,6 +305,15 @@ class TestDipServer:
         assert dip.latency_model.capacity_rps == pytest.approx(400.0)
 
 
+class TestOfferedRate:
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_rate_is_refused(self, small_dip, rate):
+        small_dip.set_offered_rate(100.0)
+        with pytest.raises(ConfigurationError, match="finite and >= 0"):
+            small_dip.set_offered_rate(rate)
+        assert small_dip.offered_rate_rps == 100.0
+
+
 def scalar_probe_batch(dip, num_requests):
     """The per-request loop ``serve_probe_batch`` replaced, kept as reference.
 
@@ -379,6 +388,33 @@ class TestProbeBatchMatchesScalarLoop:
             "all": served_total == 0 and result.mean_latency_ms == float("inf"),
         }[dropped]
         assert dip._rng.random() == twin._rng.random()
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.08])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 100])
+    def test_mean_is_numpy_mean_of_the_served_draws(self, small_vm, jitter, batch):
+        """Bit for bit ``latencies.mean()``, at every served count 1 … batch."""
+        # Half the requests dropped at 800 rps; a few at 396 rps.
+        rate_rps = 800.0 if batch < 100 else 396.0
+        dip = DipServer("d", small_vm, seed=31, jitter_fraction=jitter)
+        twin = DipServer("d", small_vm, seed=31, jitter_fraction=jitter)
+        for server in (dip, twin):
+            server.set_offered_rate(rate_rps)
+        served_counts = set()
+        for _ in range(400 if batch < 100 else 20):
+            result = dip.serve_probe_batch(batch)
+            drops = int(twin._rng.binomial(batch, min(1.0, twin.drop_probability)))
+            served = batch - drops
+            assert result.samples == served
+            if served == 0:
+                assert result.mean_latency_ms == float("inf")
+                continue
+            served_counts.add(served)
+            latencies = twin._sample_latencies_ms(rate_rps, served)
+            assert result.mean_latency_ms.hex() == float(latencies.mean()).hex()
+        if batch < 100:
+            assert served_counts == set(range(1, batch + 1))
+        else:
+            assert min(served_counts) < batch
 
     def test_single_request_is_the_batch_of_one(self, small_vm):
         dip = DipServer("d", small_vm, seed=7)

@@ -122,6 +122,40 @@ class TestFleet:
         )
 
 
+class TestFleetRefusesNonFiniteInputs:
+    """A NaN, infinite or negative weight, rate or factor never reaches a split."""
+
+    def make(self):
+        fleet = make_fleet(3)
+        fleet.create_vip("a", dip_ids=["d0", "d1", "d2"], total_rate_rps=300.0)
+        fleet.apply()
+        return fleet, {d: s.offered_rate_rps for d, s in fleet.dips.items()}
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -0.5])
+    def test_set_weights(self, weight):
+        fleet, before = self.make()
+        with pytest.raises(ConfigurationError, match=r"VIP 'a'.*DIP 'd1'.*finite"):
+            fleet.set_weights("a", {"d0": 0.5, "d1": weight})
+        assert fleet.vips["a"].weights == {"d0": 1 / 3, "d1": 1 / 3, "d2": 1 / 3}
+        assert {d: s.offered_rate_rps for d, s in fleet.dips.items()} == before
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_set_total_rate(self, rate):
+        fleet, before = self.make()
+        with pytest.raises(ConfigurationError, match="finite"):
+            fleet.set_total_rate("a", rate)
+        assert fleet.vips["a"].total_rate_rps == 300.0
+        assert {d: s.offered_rate_rps for d, s in fleet.dips.items()} == before
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 1e308])
+    def test_scale_traffic(self, factor):
+        fleet, before = self.make()
+        with pytest.raises(ConfigurationError, match="finite"):
+            fleet.scale_traffic("a", factor)
+        assert fleet.vips["a"].total_rate_rps == 300.0
+        assert {d: s.offered_rate_rps for d, s in fleet.dips.items()} == before
+
+
 def make_mixed_fleet():
     """Three overlapping VIPs: a weighted, an equal and a load-dependent split."""
     fleet = make_fleet(6)
