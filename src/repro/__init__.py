@@ -36,67 +36,36 @@ or, driving the controller by hand::
     print(assignment.weights)
 """
 
-from repro.core import (
-    KnapsackLBConfig,
-    KnapsackLBController,
-    WeightAssignment,
-    WeightLatencyCurve,
-    compute_weights,
-    compute_weights_multistep,
-    fit_curve,
-)
-from repro.exceptions import (
-    ConfigurationError,
-    CurveFitError,
-    DipFailureError,
-    DipOverloadError,
-    InfeasibleError,
-    MeasurementError,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-    SolverError,
-    SolverTimeoutError,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-# ``repro.api`` (spec, registry, runners, sweep, timeline) loads on first
-# attribute access, so ``import repro`` pays for the controller re-exports
-# above and no more.  Neither imports experiments, learn, service, parallel or
-# SciPy: those load in the runner, CLI verb, curve fit or solve that needs them.
-_LAZY_SUBMODULES = ("api",)
-
-
-def __getattr__(name: str):
-    if name in _LAZY_SUBMODULES:
-        import importlib
-
-        module = importlib.import_module(f"repro.{name}")
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "api",
-    "KnapsackLBConfig",
-    "KnapsackLBController",
-    "WeightAssignment",
-    "WeightLatencyCurve",
-    "compute_weights",
-    "compute_weights_multistep",
-    "fit_curve",
-    "ConfigurationError",
-    "CurveFitError",
-    "DipFailureError",
-    "DipOverloadError",
-    "InfeasibleError",
-    "MeasurementError",
-    "ReproError",
-    "SchedulingError",
-    "SimulationError",
-    "SolverError",
-    "SolverTimeoutError",
-    "__version__",
-]
+# Every name below (and ``repro.api``) loads on first access, so ``import
+# repro`` — which any ``import repro.<anything>`` runs first — costs nothing
+# beyond this file; a run imports the substrate it executes where it runs it.
+__getattr__, __dir__, _exports = lazy_exports(
+    __name__,
+    {
+        "repro.core.config": ("KnapsackLBConfig",),
+        "repro.core.controller": ("KnapsackLBController",),
+        "repro.core.types": ("WeightAssignment",),
+        "repro.core.curve": ("WeightLatencyCurve", "fit_curve"),
+        "repro.core.ilp": ("compute_weights",),
+        "repro.core.multistep": ("compute_weights_multistep",),
+        "repro.exceptions": (
+            "ConfigurationError",
+            "CurveFitError",
+            "DipFailureError",
+            "DipOverloadError",
+            "InfeasibleError",
+            "MeasurementError",
+            "ReproError",
+            "SchedulingError",
+            "SimulationError",
+            "SolverError",
+            "SolverTimeoutError",
+        ),
+    },
+    submodules=("api",),
+)
+__all__ = [*_exports, "__version__"]

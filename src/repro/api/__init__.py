@@ -20,78 +20,47 @@ execute on any of the three substrates by flipping ``spec.runner``, sweep
 over parameter axes with process parallelism (:class:`Sweep`), and compare
 across runs (:func:`compare`).  The ``python -m repro`` CLI exposes the
 same verbs (``list`` / ``show`` / ``run`` / ``sweep`` / ``compare``) from
-the shell.
+the shell.  Each name loads its module on first access; a runner imports
+the substrate it executes when it runs.
 """
 
-from repro.api.registry import get_spec, list_specs, register_spec
-from repro.api.result import Provenance, RunResult, RunWindow
-from repro.api.runners import (
-    AnalyticRunner,
-    RequestRunner,
-    Runner,
-    ScenarioRunner,
-    build_cluster,
-    execute,
-    runner_for,
-)
-from repro.api.spec import (
-    EVENT_KINDS,
-    RUNNER_KINDS,
-    ControllerSpec,
-    EventSpec,
-    ExperimentSpec,
-    FleetSpec,
-    PolicySpec,
-    PoolSpec,
-    TimelineSpec,
-    VmSpec,
-    WorkloadSpec,
-)
-from repro.api.sweep import ComparisonReport, Sweep, SweepAxis, compare
-from repro.api.timeline import (
-    BaseObserver,
-    Observer,
-    ObserverSet,
-    PrintingObserver,
-    WindowedMetricsObserver,
-)
+from repro._lazy import lazy_exports
 
-#: The canonical entry point: run a spec on the substrate it names.
-run = execute
-
-__all__ = [
-    "EVENT_KINDS",
-    "RUNNER_KINDS",
-    "ControllerSpec",
-    "EventSpec",
-    "ExperimentSpec",
-    "FleetSpec",
-    "PolicySpec",
-    "PoolSpec",
-    "TimelineSpec",
-    "VmSpec",
-    "WorkloadSpec",
-    "Provenance",
-    "RunResult",
-    "RunWindow",
-    "BaseObserver",
-    "Observer",
-    "ObserverSet",
-    "PrintingObserver",
-    "WindowedMetricsObserver",
-    "Runner",
-    "AnalyticRunner",
-    "RequestRunner",
-    "ScenarioRunner",
-    "build_cluster",
-    "execute",
-    "run",
-    "runner_for",
-    "ComparisonReport",
-    "Sweep",
-    "SweepAxis",
-    "compare",
-    "get_spec",
-    "list_specs",
-    "register_spec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.api.spec": (
+            "EVENT_KINDS",
+            "RUNNER_KINDS",
+            "ControllerSpec",
+            "EventSpec",
+            "ExperimentSpec",
+            "FleetSpec",
+            "PolicySpec",
+            "PoolSpec",
+            "TimelineSpec",
+            "VmSpec",
+            "WorkloadSpec",
+        ),
+        "repro.api.result": ("Provenance", "RunResult", "RunWindow"),
+        "repro.api.observers": (
+            "BaseObserver",
+            "Observer",
+            "ObserverSet",
+            "PrintingObserver",
+            "WindowedMetricsObserver",
+        ),
+        "repro.api.runners": (
+            "Runner",
+            "AnalyticRunner",
+            "RequestRunner",
+            "ScenarioRunner",
+            "build_cluster",
+            "execute",
+            "run",
+            "runner_for",
+        ),
+        "repro.api.sweep": ("ComparisonReport", "Sweep", "SweepAxis", "compare"),
+        "repro.api.registry": ("get_spec", "list_specs", "register_spec"),
+    },
+)

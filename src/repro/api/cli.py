@@ -320,7 +320,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api.runners import execute
-    from repro.api.timeline import PrintingObserver
+    from repro.api.observers import PrintingObserver
 
     spec = _resolve_spec(args)
     observers = (PrintingObserver(),) if args.watch else ()

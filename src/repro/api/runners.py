@@ -24,16 +24,22 @@ When the spec carries a non-empty :class:`~repro.api.spec.TimelineSpec`,
 every runner executes the timed phase after convergence through the shared
 application layer in :mod:`repro.api.timeline`: events fire at their
 declared times on each substrate's clock, callers can stream telemetry by
-passing :class:`~repro.api.timeline.Observer` hooks to :func:`execute`, and
+passing :class:`~repro.api.observers.Observer` hooks to :func:`execute`, and
 the built-in windowed recorder fills :attr:`RunResult.windows` with the
 run's time-series.
+
+A substrate is imported where it runs: the analytic runner loads the
+controller and the fleet, :func:`build_request_cluster` the request engine,
+and the timeline layer loads only for a spec that has a timeline — so a
+controller-off request run never imports the control plane.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Iterable, Mapping, Protocol
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Protocol
 
+from repro.api.observers import Observer, ObserverSet
 from repro.api.result import RunClock, RunResult, RunWindow, timeline_metrics
 from repro.api.spec import (
     ChaosSpec,
@@ -41,27 +47,14 @@ from repro.api.spec import (
     PoolSpec,
     expand_chaos_events,
 )
-from repro.api.timeline import (
-    Observer,
-    ObserverSet,
-    check_timeline_supported,
-    fleet_timeline_stepper,
-    schedule_request_progress,
-    schedule_request_timeline,
-    windows_from_collector,
-)
-from repro.core import FleetController
 from repro.core.types import DipId, WeightAssignment, left_to_right_sum
 from repro.exceptions import ConfigurationError
-from repro.lb import MuxPool, make_policy, policy_seed_kwargs
-from repro.sim import FluidCluster, RequestCluster
-from repro.sim.fleet import Fleet
-from repro.workloads import (
-    assess_divergence,
-    build_pool,
-    fleet_from_pool,
-    scv_correction,
-)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.fleet_controller import FleetController
+    from repro.sim.cluster import RequestCluster
+    from repro.sim.fleet import Fleet
+    from repro.sim.fluid import FluidCluster
 
 
 class Runner(Protocol):
@@ -75,6 +68,8 @@ class Runner(Protocol):
 
 
 def pool_from_spec(pool: PoolSpec, seed: int) -> dict[DipId, Any]:
+    from repro.workloads.generators import build_pool
+
     return build_pool(
         pool.kind,
         num_dips=pool.num_dips,
@@ -131,6 +126,8 @@ def _analytic_pool(spec: ExperimentSpec) -> dict[DipId, Any]:
     burstiness, which is the standard single-class approximation.  Stamped
     before anything evaluates the pool, so the first state already has it.
     """
+    from repro.workloads.divergence import scv_correction
+
     dips = pool_from_spec(spec.pool, spec.seed)
     corr = scv_correction(spec.workload, offered_rate_rps(spec, dips))
     if corr != 1.0:
@@ -146,6 +143,8 @@ def build_cluster(spec: ExperimentSpec) -> FluidCluster:
     spec-built system but drive perturbations (capacity squeezes, failures)
     by hand.
     """
+    from repro.sim.fluid import FluidCluster
+
     dips = _analytic_pool(spec)
     return FluidCluster(
         dips=dips,
@@ -208,6 +207,8 @@ def prepare_fleet(
         fleet = build_cluster(spec).fleet
         deferred_vips: tuple[str, ...] = ()
     else:
+        from repro.workloads.generators import fleet_from_pool
+
         fleet = fleet_from_pool(
             _analytic_pool(spec),
             num_vips=spec.fleet.num_vips,
@@ -217,6 +218,8 @@ def prepare_fleet(
         )
         deferred_vips = spec.fleet.deferred_vips
     if not spec.timeline.empty:
+        from repro.api.timeline import check_timeline_supported
+
         check_timeline_supported(
             spec.timeline,
             spec.runner,
@@ -253,6 +256,8 @@ def _converge(
     fleet: Fleet, spec: ExperimentSpec, deferred: Iterable[str] = ()
 ) -> tuple[FleetController, dict[str, WeightAssignment]]:
     """Onboard every non-deferred VIP and run the spec's convergence."""
+    from repro.core.fleet_controller import FleetController
+
     plane = FleetController(fleet, config=spec.controller.config)
     for vip_id in fleet.vips:
         if vip_id not in deferred:
@@ -290,6 +295,8 @@ class AnalyticRunner:
     def run(
         self, spec: ExperimentSpec, *, observers: Iterable[Observer] = ()
     ) -> RunResult:
+        from repro.workloads.divergence import assess_divergence
+
         clock = RunClock()
         spec = expand_spec_chaos(spec)
         fleet, plane, metrics, detail = prepare_fleet(spec)
@@ -300,6 +307,8 @@ class AnalyticRunner:
         )
         windows: tuple[RunWindow, ...] = ()
         if not spec.timeline.empty:
+            from repro.api.timeline import fleet_timeline_stepper
+
             # The timed phase starts from the converged steady state; events
             # fire between fixed-point rounds at their declared times.
             windows = fleet_timeline_stepper(
@@ -357,11 +366,18 @@ def build_request_cluster(spec: ExperimentSpec) -> RequestCluster:
     workload kinds, health and retry layers, and — with the controller
     enabled — the weights converged on the analytic twin.
     """
+    from repro.lb.base import make_policy, policy_seed_kwargs
+    from repro.sim.cluster import RequestCluster
+
     dips = pool_from_spec(spec.pool, spec.seed)
     if not spec.timeline.empty:
+        from repro.api.timeline import check_timeline_supported
+
         check_timeline_supported(spec.timeline, "request", dips=dips)
     policy_kwargs = policy_seed_kwargs(spec.policy.name, seed=spec.seed)
     if spec.policy.num_muxes > 1:
+        from repro.lb.mux import MuxPool
+
         dip_list = list(dips)
         policy: Any = MuxPool(
             lambda: make_policy(spec.policy.name, dip_list, **policy_kwargs),
@@ -407,6 +423,12 @@ class RequestRunner:
             # substrate.  Events fire on the engine clock (offset past
             # warm-up) via cancellable handles, and the window time-series
             # folds out of the columnar metrics after the run.
+            from repro.api.timeline import (
+                schedule_request_progress,
+                schedule_request_timeline,
+                windows_from_collector,
+            )
+
             timeline = spec.timeline
             warmup = spec.workload.warmup_s
             duration = timeline.duration_s()
@@ -452,13 +474,13 @@ class RequestRunner:
         # that *replayed analytically-derived weights* (controller enabled)
         # leaned on the fluid twin, so only then is the divergence warning
         # meaningful here.
-        divergence = (
-            assess_divergence(
+        divergence = None
+        if spec.controller.enabled:
+            from repro.workloads.divergence import assess_divergence
+
+            divergence = assess_divergence(
                 spec.workload, offered_rate_rps(spec, cluster.dips)
             )
-            if spec.controller.enabled
-            else None
-        )
         return _finish(
             spec,
             clock,
@@ -585,3 +607,7 @@ def execute(
             ),
         )
     return runner_for(spec.runner).run(spec, observers=observers)
+
+
+#: The canonical entry point (``api.run``): run a spec on the substrate it names.
+run = execute

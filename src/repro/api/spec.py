@@ -29,8 +29,8 @@ from repro.core.config import (
     dataclass_to_dict,
 )
 from repro.exceptions import ConfigurationError
-from repro.lb import policy_registry
-from repro.workloads import ARRIVAL_KINDS, POOL_KINDS, SERVICE_KINDS
+from repro.lb.base import policy_description, policy_names
+from repro.workloads.kinds import ARRIVAL_KINDS, POOL_KINDS, SERVICE_KINDS
 
 #: Substrates a spec can execute on; "scenario" delegates to the registry in
 #: :mod:`repro.experiments.scenarios`.
@@ -787,9 +787,9 @@ class PolicySpec:
     num_muxes: int = 1
 
     def __post_init__(self) -> None:
-        known = policy_registry()
+        known = policy_names()
         if self.name not in known:
-            names = ", ".join(sorted(known))
+            names = ", ".join(known)
             raise ConfigurationError(
                 f"policy.name must be one of: {names}; got {self.name!r}"
             )
@@ -939,7 +939,7 @@ class ExperimentSpec:
         if (
             self.controller.enabled
             and self.runner != "scenario"
-            and not policy_registry()[self.policy.name].weighted
+            and not policy_description(self.policy.name).weighted
         ):
             raise ConfigurationError(
                 f"policy.name {self.policy.name!r} cannot carry KnapsackLB "

@@ -1,4 +1,4 @@
-"""The timeline application layer and run-observation hooks.
+"""The timeline application layer.
 
 This module makes *time* a first-class citizen of the declarative API: a
 :class:`~repro.api.spec.TimelineSpec` declares what happens mid-run (DIP
@@ -17,22 +17,23 @@ three substrates:
   arrival surges rescale the streaming Poisson stream without breaking its
   sorted-order invariant (see :meth:`RequestCluster.scale_arrivals`).
 
-Runs become observable while they execute through the :class:`Observer`
-protocol: ``on_event`` fires as each timeline event is applied, ``on_round``
-after every telemetry window with headline metrics (the CLI's ``--watch``
-progress lines), and ``on_window`` with the completed
-:class:`~repro.api.result.RunWindow` row that also lands in the result's
-time-series.
+Both call the :class:`~repro.api.observers.Observer` hooks as events apply
+and windows complete (the observer classes live in
+:mod:`repro.api.observers` and are re-exported here).
 """
 
 from __future__ import annotations
 
-import logging
 import math
-import sys
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
+from repro.api.observers import (  # noqa: F401 - re-exported
+    BaseObserver,
+    Observer,
+    ObserverSet,
+    PrintingObserver,
+    WindowedMetricsObserver,
+)
 from repro.api.result import RunWindow
 from repro.api.spec import (
     FLEET_ONLY_EVENT_KINDS,
@@ -51,131 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.trace import MetricsCollector
 
 _EPS = 1e-9
-
-_LOG = logging.getLogger(__name__)
-
-
-# ---------------------------------------------------------------------------
-# observers
-# ---------------------------------------------------------------------------
-
-
-class Observer(Protocol):
-    """Streaming run telemetry: implement any subset of these hooks."""
-
-    def on_event(self, time_s: float, event: EventSpec) -> None:
-        """A timeline event was just applied at simulated ``time_s``."""
-        ...
-
-    def on_round(self, time_s: float, metrics: Mapping[str, float]) -> None:
-        """A telemetry window ended; ``metrics`` are its headline numbers."""
-        ...
-
-    def on_window(self, window: RunWindow) -> None:
-        """The completed time-series row for the window that just ended."""
-        ...
-
-
-class BaseObserver:
-    """No-op base so observers only override the hooks they care about."""
-
-    def on_event(self, time_s: float, event: EventSpec) -> None:
-        pass
-
-    def on_round(self, time_s: float, metrics: Mapping[str, float]) -> None:
-        pass
-
-    def on_window(self, window: RunWindow) -> None:
-        pass
-
-
-class ObserverSet(BaseObserver):
-    """Fan one stream of notifications out to several observers.
-
-    Observers are *isolated*: a hook that raises is logged (with its
-    traceback, on this module's logger) and the offending observer is
-    dropped from the set, so a crashing telemetry consumer can never abort
-    the run — or the live daemon's control loop — it is watching.
-    """
-
-    def __init__(self, observers: Iterable[Observer] = ()) -> None:
-        self.observers: tuple[Observer, ...] = tuple(observers)
-
-    def _dispatch(self, hook: str, *args: object) -> None:
-        dropped: list[Observer] = []
-        for observer in self.observers:
-            try:
-                getattr(observer, hook)(*args)
-            except Exception:
-                _LOG.exception(
-                    "observer %r raised in %s; dropping it from the set",
-                    observer,
-                    hook,
-                )
-                dropped.append(observer)
-        if dropped:
-            self.observers = tuple(
-                observer
-                for observer in self.observers
-                if all(observer is not gone for gone in dropped)
-            )
-
-    def on_event(self, time_s: float, event: EventSpec) -> None:
-        self._dispatch("on_event", time_s, event)
-
-    def on_round(self, time_s: float, metrics: Mapping[str, float]) -> None:
-        self._dispatch("on_round", time_s, metrics)
-
-    def on_window(self, window: RunWindow) -> None:
-        self._dispatch("on_window", window)
-
-
-class WindowedMetricsObserver(BaseObserver):
-    """The built-in telemetry recorder: collects the run's window rows.
-
-    Every runner attaches one of these; its ``windows`` become the
-    :attr:`RunResult.windows` time-series, so results carry the trajectory
-    (per-window latency, share, drops, applied events), not just end-of-run
-    aggregates.
-
-    ``maxlen`` turns both collections into ring buffers that keep only the
-    newest entries — the shape a long-running daemon needs, where the run
-    has no natural end and an unbounded list would leak.
-    """
-
-    def __init__(self, maxlen: int | None = None) -> None:
-        self.windows: "deque[RunWindow] | list[RunWindow]"
-        self.applied_events: (
-            "deque[tuple[float, EventSpec]] | list[tuple[float, EventSpec]]"
-        )
-        if maxlen is None:
-            self.windows = []
-            self.applied_events = []
-        else:
-            self.windows = deque(maxlen=maxlen)
-            self.applied_events = deque(maxlen=maxlen)
-
-    def on_event(self, time_s: float, event: EventSpec) -> None:
-        self.applied_events.append((time_s, event))
-
-    def on_window(self, window: RunWindow) -> None:
-        self.windows.append(window)
-
-
-class PrintingObserver(BaseObserver):
-    """Human-readable progress lines (the CLI's ``run --watch`` output)."""
-
-    def __init__(self, stream: TextIO | None = None) -> None:
-        self._stream = stream if stream is not None else sys.stderr
-
-    def on_event(self, time_s: float, event: EventSpec) -> None:
-        print(f"[t={time_s:7.1f}s] event   {event.label()}", file=self._stream)
-
-    def on_round(self, time_s: float, metrics: Mapping[str, float]) -> None:
-        rendered = "  ".join(
-            f"{key}={value:.4g}" for key, value in sorted(metrics.items())
-        )
-        print(f"[t={time_s:7.1f}s] window  {rendered}", file=self._stream)
 
 
 # ---------------------------------------------------------------------------
@@ -718,14 +594,18 @@ class _BlackholeMeter:
     Detection usually lands mid-window, so an end-of-window snapshot would
     read zero; integrating ``rate × dt`` over each advance sub-segment
     gives the window's true lost fraction — comparable to the request
-    engine's per-window drop fraction.
+    engine's per-window drop fraction.  The lost rate is summed in pool
+    order (``dip_index``), never in the set's string-hash order, so the
+    windows do not depend on the process's hash seed.
     """
 
     def __init__(self, blackholed: set, offered_rate: Callable[[str], float],
-                 total_rate: Callable[[], float]) -> None:
+                 total_rate: Callable[[], float],
+                 dip_index: Mapping[str, int]) -> None:
         self._blackholed = blackholed
         self._offered_rate = offered_rate
         self._total_rate = total_rate
+        self._dip_index = dip_index
         self._lost = 0.0
         self._offered = 0.0
 
@@ -733,7 +613,8 @@ class _BlackholeMeter:
         """Call before each advance: rates are piecewise-constant over it."""
         self._offered += self._total_rate() * dt
         self._lost += left_to_right_sum(
-            self._offered_rate(dip) for dip in self._blackholed
+            self._offered_rate(dip)
+            for dip in sorted(self._blackholed, key=self._dip_index.__getitem__)
         ) * dt
 
     def window_fraction(self) -> float:
@@ -840,10 +721,12 @@ def fleet_timeline_stepper(
             "steady_vips": float(len(plane.steady_vips())),
         }
 
+    dip_index = {dip: i for i, dip in enumerate(fleet.dips)}
     meter = _BlackholeMeter(
         blackholed,
         lambda dip: fleet.dips[dip].offered_rate_rps,
         lambda: left_to_right_sum(vip.total_rate_rps for vip in fleet.vips.values()),
+        dip_index,
     )
 
     def snapshot() -> tuple[
@@ -867,7 +750,7 @@ def fleet_timeline_stepper(
             timeline,
             health,
             seed=seed,
-            dip_index={dip: i for i, dip in enumerate(fleet.dips)},
+            dip_index=dip_index,
             blackholed=blackholed,
             fail=fleet.fail_dip,
             recover=recover,

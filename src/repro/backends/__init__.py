@@ -6,39 +6,26 @@ latency-vs-load shape, a noisy-neighbour antagonist, and the
 :class:`DipServer` that combines them.
 """
 
-from repro.backends.antagonist import Antagonist
-from repro.backends.dip import DipServer, ProbeResult
-from repro.backends.latency_model import LatencyModel, erlang_c, scaled_model
-from repro.backends.vm_types import (
-    D8A_V4,
-    DS1_V2,
-    DS2_V2,
-    DS3_V2,
-    DS4_V2,
-    F2S_V2,
-    F8S_V2,
-    VMType,
-    all_vm_types,
-    custom_vm_type,
-    get_vm_type,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Antagonist",
-    "DipServer",
-    "ProbeResult",
-    "LatencyModel",
-    "erlang_c",
-    "scaled_model",
-    "VMType",
-    "DS1_V2",
-    "DS2_V2",
-    "DS3_V2",
-    "DS4_V2",
-    "F2S_V2",
-    "F8S_V2",
-    "D8A_V4",
-    "all_vm_types",
-    "custom_vm_type",
-    "get_vm_type",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.backends.antagonist": ("Antagonist",),
+        "repro.backends.dip": ("DipServer", "ProbeResult"),
+        "repro.backends.latency_model": ("LatencyModel", "erlang_c", "scaled_model"),
+        "repro.backends.vm_types": (
+            "VMType",
+            "DS1_V2",
+            "DS2_V2",
+            "DS3_V2",
+            "DS4_V2",
+            "F2S_V2",
+            "F8S_V2",
+            "D8A_V4",
+            "all_vm_types",
+            "custom_vm_type",
+            "get_vm_type",
+        ),
+    },
+)

@@ -6,122 +6,76 @@ dynamics handling (§4.5), drain-time estimation (§4.7) and the controller
 that ties them together (§3.2, §5).
 """
 
-from repro.core.config import (
-    DEFAULT_CONFIG,
-    CurveConfig,
-    DynamicsConfig,
-    ExplorationConfig,
-    IlpConfig,
-    KnapsackLBConfig,
-    ProbeConfig,
-    SchedulerConfig,
-    dataclass_from_dict,
-    dataclass_to_dict,
-)
-from repro.core.controller import (
-    ControlStepReport,
-    Deployment,
-    ExplorationReport,
-    ExplorationRoundOutcome,
-    KnapsackLBController,
-)
-from repro.core.fleet_controller import (
-    FleetController,
-    FleetMeasurementReport,
-    FleetRound,
-    VipPhase,
-)
-from repro.core.curve import WeightLatencyCurve, fit_curve, fit_error
-from repro.core.drain import DrainEstimate, DrainTimeEstimator, analytic_drain_time_s
-from repro.core.dynamics import (
-    DynamicsDetector,
-    DynamicsEvent,
-    DynamicsEventKind,
-    Observation,
-    RefreshBudget,
-    rescale_all_curves,
-    rescale_curve_for_observation,
-)
-from repro.core.exploration import ExplorationState, ExplorationStep
-from repro.core.ilp import (
-    IlpOutcome,
-    build_assignment_problem,
-    candidate_grid,
-    compute_weights,
-    solve_assignment,
-)
-from repro.core.multistep import MultiStepOutcome, compute_weights_multistep
-from repro.core.scheduler import (
-    MeasurementPriority,
-    MeasurementRequest,
-    MeasurementScheduler,
-    RoundPlan,
-)
-from repro.core.types import (
-    DipId,
-    DipRecord,
-    LatencySample,
-    MeasurementPoint,
-    VipId,
-    WeightAssignment,
-    equal_weights,
-    normalize_weights,
-    validate_weight,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_CONFIG",
-    "CurveConfig",
-    "DynamicsConfig",
-    "ExplorationConfig",
-    "IlpConfig",
-    "KnapsackLBConfig",
-    "ProbeConfig",
-    "SchedulerConfig",
-    "dataclass_from_dict",
-    "dataclass_to_dict",
-    "ControlStepReport",
-    "Deployment",
-    "ExplorationReport",
-    "ExplorationRoundOutcome",
-    "KnapsackLBController",
-    "FleetController",
-    "FleetMeasurementReport",
-    "FleetRound",
-    "VipPhase",
-    "WeightLatencyCurve",
-    "fit_curve",
-    "fit_error",
-    "DrainEstimate",
-    "DrainTimeEstimator",
-    "analytic_drain_time_s",
-    "DynamicsDetector",
-    "DynamicsEvent",
-    "DynamicsEventKind",
-    "Observation",
-    "RefreshBudget",
-    "rescale_all_curves",
-    "rescale_curve_for_observation",
-    "ExplorationState",
-    "ExplorationStep",
-    "IlpOutcome",
-    "build_assignment_problem",
-    "candidate_grid",
-    "compute_weights",
-    "solve_assignment",
-    "MultiStepOutcome",
-    "compute_weights_multistep",
-    "MeasurementPriority",
-    "MeasurementRequest",
-    "MeasurementScheduler",
-    "RoundPlan",
-    "DipId",
-    "DipRecord",
-    "LatencySample",
-    "MeasurementPoint",
-    "VipId",
-    "WeightAssignment",
-    "equal_weights",
-    "normalize_weights",
-    "validate_weight",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.config": (
+            "DEFAULT_CONFIG",
+            "CurveConfig",
+            "DynamicsConfig",
+            "ExplorationConfig",
+            "IlpConfig",
+            "KnapsackLBConfig",
+            "ProbeConfig",
+            "SchedulerConfig",
+            "dataclass_from_dict",
+            "dataclass_to_dict",
+        ),
+        "repro.core.controller": (
+            "ControlStepReport",
+            "Deployment",
+            "ExplorationReport",
+            "ExplorationRoundOutcome",
+            "KnapsackLBController",
+        ),
+        "repro.core.fleet_controller": (
+            "FleetController",
+            "FleetMeasurementReport",
+            "FleetRound",
+            "VipPhase",
+        ),
+        "repro.core.curve": ("WeightLatencyCurve", "fit_curve", "fit_error"),
+        "repro.core.drain": (
+            "DrainEstimate",
+            "DrainTimeEstimator",
+            "analytic_drain_time_s",
+        ),
+        "repro.core.dynamics": (
+            "DynamicsDetector",
+            "DynamicsEvent",
+            "DynamicsEventKind",
+            "Observation",
+            "RefreshBudget",
+            "rescale_all_curves",
+            "rescale_curve_for_observation",
+        ),
+        "repro.core.exploration": ("ExplorationState", "ExplorationStep"),
+        "repro.core.ilp": (
+            "IlpOutcome",
+            "build_assignment_problem",
+            "candidate_grid",
+            "compute_weights",
+            "solve_assignment",
+        ),
+        "repro.core.multistep": ("MultiStepOutcome", "compute_weights_multistep"),
+        "repro.core.scheduler": (
+            "MeasurementPriority",
+            "MeasurementRequest",
+            "MeasurementScheduler",
+            "RoundPlan",
+        ),
+        "repro.core.types": (
+            "DipId",
+            "DipRecord",
+            "LatencySample",
+            "MeasurementPoint",
+            "VipId",
+            "WeightAssignment",
+            "equal_weights",
+            "normalize_weights",
+            "validate_weight",
+        ),
+    },
+)

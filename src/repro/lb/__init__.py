@@ -3,59 +3,39 @@
 Per-connection DIP-selection policies (round robin, least connection,
 random, power-of-two, 5-tuple hash, weighted DNS), facades that mimic the
 management interfaces of HAProxy / Nginx / Azure LB / Azure Traffic Manager,
-and a MUX pool for scaled-out dataplanes.
+and a MUX pool for scaled-out dataplanes.  A policy registers itself when
+its module loads; :func:`make_policy` imports only the module of the name it
+is asked for (:data:`~repro.lb.base.BUILTIN_POLICIES`).
 """
 
-from repro.lb.base import (
-    DipView,
-    FlowKey,
-    Policy,
-    PolicyDescription,
-    make_policy,
-    policy_registry,
-    policy_seed_kwargs,
-    register_policy,
-)
-from repro.lb.dns_lb import DnsWeightedPolicy, WeightedDnsResolver
-from repro.lb.facades import (
-    AzureLBSim,
-    AzureTrafficManagerSim,
-    HAProxySim,
-    NginxSim,
-    WeightedLBFacade,
-)
-from repro.lb.hash_lb import FiveTupleHash, stable_hash
-from repro.lb.least_connection import LeastConnection, WeightedLeastConnection
-from repro.lb.mux import MuxPool, WeightUpdate
-from repro.lb.power_of_two import PowerOfTwo
-from repro.lb.random_lb import RandomSelect, WeightedRandom
-from repro.lb.round_robin import RoundRobin, WeightedRoundRobin
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DipView",
-    "FlowKey",
-    "Policy",
-    "PolicyDescription",
-    "make_policy",
-    "policy_registry",
-    "policy_seed_kwargs",
-    "register_policy",
-    "DnsWeightedPolicy",
-    "WeightedDnsResolver",
-    "AzureLBSim",
-    "AzureTrafficManagerSim",
-    "HAProxySim",
-    "NginxSim",
-    "WeightedLBFacade",
-    "FiveTupleHash",
-    "stable_hash",
-    "LeastConnection",
-    "WeightedLeastConnection",
-    "MuxPool",
-    "WeightUpdate",
-    "PowerOfTwo",
-    "RandomSelect",
-    "WeightedRandom",
-    "RoundRobin",
-    "WeightedRoundRobin",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.lb.base": (
+            "DipView",
+            "FlowKey",
+            "Policy",
+            "PolicyDescription",
+            "make_policy",
+            "policy_registry",
+            "policy_seed_kwargs",
+            "register_policy",
+        ),
+        "repro.lb.dns_lb": ("DnsWeightedPolicy", "WeightedDnsResolver"),
+        "repro.lb.facades": (
+            "AzureLBSim",
+            "AzureTrafficManagerSim",
+            "HAProxySim",
+            "NginxSim",
+            "WeightedLBFacade",
+        ),
+        "repro.lb.hash_lb": ("FiveTupleHash", "stable_hash"),
+        "repro.lb.least_connection": ("LeastConnection", "WeightedLeastConnection"),
+        "repro.lb.mux": ("MuxPool", "WeightUpdate"),
+        "repro.lb.power_of_two": ("PowerOfTwo",),
+        "repro.lb.random_lb": ("RandomSelect", "WeightedRandom"),
+        "repro.lb.round_robin": ("RoundRobin", "WeightedRoundRobin"),
+    },
+)

@@ -12,6 +12,7 @@ KnapsackLB programs (§3.2 "Using weights to control traffic").
 from __future__ import annotations
 
 import abc
+import importlib
 import inspect
 import itertools
 from dataclasses import dataclass
@@ -280,6 +281,21 @@ class PolicyDescription:
 
 _REGISTRY: dict[str, PolicyDescription] = {}
 
+#: Built-in policy name -> the ``repro.lb`` module that registers it, so a
+#: name is known without importing any policy and resolves by importing its
+#: own module alone.
+BUILTIN_POLICIES: dict[str, str] = {
+    "rr": "round_robin",
+    "wrr": "round_robin",
+    "lc": "least_connection",
+    "wlc": "least_connection",
+    "random": "random_lb",
+    "wrandom": "random_lb",
+    "p2": "power_of_two",
+    "hash": "hash_lb",
+    "dns": "dns_lb",
+}
+
 
 def register_policy(name: str, factory: type, *, weighted: bool, summary: str = "") -> None:
     """Register a policy class under ``name`` for lookup by experiments."""
@@ -288,19 +304,33 @@ def register_policy(name: str, factory: type, *, weighted: bool, summary: str = 
     )
 
 
+def policy_names() -> list[str]:
+    """Every policy name a spec may use, sorted; imports no policy."""
+    return sorted(set(BUILTIN_POLICIES) | set(_REGISTRY))
+
+
+def policy_description(name: str) -> PolicyDescription:
+    """The registry entry of ``name``, importing only the module it lives in."""
+    if name not in _REGISTRY and name in BUILTIN_POLICIES:
+        importlib.import_module(f"repro.lb.{BUILTIN_POLICIES[name]}")
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown policy {name!r}; known: {policy_names()}"
+        ) from None
+
+
 def policy_registry() -> dict[str, PolicyDescription]:
+    """Every registered policy, the built-ins imported first."""
+    for module in dict.fromkeys(BUILTIN_POLICIES.values()):
+        importlib.import_module(f"repro.lb.{module}")
     return dict(_REGISTRY)
 
 
 def make_policy(name: str, dips: Sequence[DipId], **kwargs) -> Policy:
     """Instantiate a registered policy by name."""
-    try:
-        description = _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown policy {name!r}; known: {sorted(_REGISTRY)}"
-        ) from None
-    return description.factory(dips, **kwargs)
+    return policy_description(name).factory(dips, **kwargs)
 
 
 def policy_seed_kwargs(name: str, *, seed: int = 0) -> dict[str, int]:
@@ -311,13 +341,7 @@ def policy_seed_kwargs(name: str, *, seed: int = 0) -> dict[str, int]:
     correctly everywhere policies are instantiated from a spec (the
     request runner, the shard planner's throwaway probes).
     """
-    try:
-        description = _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown policy {name!r}; known: {sorted(_REGISTRY)}"
-        ) from None
-    parameters = inspect.signature(description.factory.__init__).parameters
+    parameters = inspect.signature(policy_description(name).factory.__init__).parameters
     if "seed" in parameters:
         return {"seed": int(seed)}
     return {}

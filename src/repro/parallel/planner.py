@@ -45,9 +45,9 @@ from dataclasses import dataclass
 
 from repro.api.spec import ExperimentSpec
 from repro.exceptions import ConfigurationError
-from repro.lb import policy_registry
+from repro.lb.base import policy_names
 from repro.parallel.epoch import EPOCH_ROUTERS
-from repro.workloads import split_dip_ids
+from repro.workloads.generators import split_dip_ids
 
 logger = logging.getLogger("repro.parallel")
 
@@ -62,7 +62,7 @@ def policy_fallback_reason(name: str) -> str | None:
     (:data:`repro.parallel.epoch.EPOCH_ROUTERS`) for every shard to replay
     its picks with; a registered policy without one runs serially.
     """
-    if name not in policy_registry():
+    if name not in policy_names():
         raise ConfigurationError(f"unknown policy {name!r}")
     if name in EPOCH_ROUTERS:
         return None

@@ -276,11 +276,6 @@ def run_request_sharded(
         pool_from_spec,
         replay_controller_weights,
     )
-    from repro.api.timeline import (
-        ObserverSet,
-        check_timeline_supported,
-        windows_from_collector,
-    )
     from repro.parallel.epoch import (
         _run_epoch_inline,
         _run_epoch_processes,
@@ -295,6 +290,8 @@ def run_request_sharded(
         raise ConfigurationError("shard plan does not cover the spec's pool")
     timeline = spec.timeline
     if not timeline.empty:
+        from repro.api.timeline import check_timeline_supported
+
         check_timeline_supported(
             timeline,
             spec.runner,
@@ -390,6 +387,9 @@ def run_request_sharded(
     )
     windows = ()
     if not timeline.empty:
+        from repro.api.observers import ObserverSet
+        from repro.api.timeline import windows_from_collector
+
         observer = ObserverSet(observers)
         for event in timeline.ordered_events():
             observer.on_event(event.time_s, event)

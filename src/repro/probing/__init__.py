@@ -1,12 +1,11 @@
 """KLM probing and the latency store (§3.2, §5)."""
 
-from repro.probing.klm import KLM, KLM_REQUESTS_PER_SECOND_PER_CORE, ProbeOutcome
-from repro.probing.latency_store import LatencyStore, StoreStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KLM",
-    "KLM_REQUESTS_PER_SECOND_PER_CORE",
-    "ProbeOutcome",
-    "LatencyStore",
-    "StoreStats",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.probing.klm": ("KLM", "KLM_REQUESTS_PER_SECOND_PER_CORE", "ProbeOutcome"),
+        "repro.probing.latency_store": ("LatencyStore", "StoreStats"),
+    },
+)

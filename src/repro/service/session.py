@@ -39,7 +39,7 @@ from repro.api.spec import (
     TimelineSpec,
     expand_chaos_events,
 )
-from repro.api.timeline import ObserverSet, WindowedMetricsObserver
+from repro.api.observers import ObserverSet, WindowedMetricsObserver
 from repro.core.config import dataclass_from_dict
 from repro.exceptions import ConfigurationError
 from repro.service.stepper import LiveSubstrate, build_live_substrate

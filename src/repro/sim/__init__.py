@@ -11,64 +11,37 @@ Two complementary simulators share the same DIP models:
   experiments.
 """
 
-from repro.sim.client import ClientPool, WorkloadGenerator
-from repro.sim.cluster import RequestCluster, RunResult
-from repro.sim.engine import EventHandle, EventScheduler
-from repro.sim.fleet import Fleet, FleetDeployment, FleetState
-from repro.sim.fluid import (
-    FluidCluster,
-    FluidClusterState,
-    PoolArrays,
-    equal_split,
-    least_connection_split,
-    pool_arrays,
-    power_of_two_split,
-    split_for_policy,
-    vector_mean_latency_ms,
-    vector_utilization,
-    weighted_split,
-)
-from repro.sim.queueing import DipStation, DipQueueStats
-from repro.sim.request import Request, RequestOutcome
-from repro.sim.trace import (
-    DipSummary,
-    MetricsCollector,
-    RequestRecord,
-    fraction_of_requests_improved,
-    max_latency_gain,
-)
-from repro.sim.vip import Vip, Vnet
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClientPool",
-    "WorkloadGenerator",
-    "RequestCluster",
-    "RunResult",
-    "EventHandle",
-    "EventScheduler",
-    "Fleet",
-    "FleetDeployment",
-    "FleetState",
-    "FluidCluster",
-    "FluidClusterState",
-    "PoolArrays",
-    "equal_split",
-    "least_connection_split",
-    "pool_arrays",
-    "power_of_two_split",
-    "split_for_policy",
-    "vector_mean_latency_ms",
-    "vector_utilization",
-    "weighted_split",
-    "DipStation",
-    "DipQueueStats",
-    "Request",
-    "RequestOutcome",
-    "DipSummary",
-    "MetricsCollector",
-    "RequestRecord",
-    "fraction_of_requests_improved",
-    "max_latency_gain",
-    "Vip",
-    "Vnet",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.client": ("ClientPool", "WorkloadGenerator"),
+        "repro.sim.cluster": ("RequestCluster", "RunResult"),
+        "repro.sim.engine": ("EventHandle", "EventScheduler"),
+        "repro.sim.fleet": ("Fleet", "FleetDeployment", "FleetState"),
+        "repro.sim.fluid": (
+            "FluidCluster",
+            "FluidClusterState",
+            "PoolArrays",
+            "equal_split",
+            "least_connection_split",
+            "pool_arrays",
+            "power_of_two_split",
+            "split_for_policy",
+            "vector_mean_latency_ms",
+            "vector_utilization",
+            "weighted_split",
+        ),
+        "repro.sim.queueing": ("DipStation", "DipQueueStats"),
+        "repro.sim.request": ("Request", "RequestOutcome"),
+        "repro.sim.trace": (
+            "DipSummary",
+            "MetricsCollector",
+            "RequestRecord",
+            "fraction_of_requests_improved",
+            "max_latency_gain",
+        ),
+        "repro.sim.vip": ("Vip", "Vnet"),
+    },
+)

@@ -40,6 +40,7 @@ force the event engine, drive ``begin`` / ``run_to`` / ``finish``.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
@@ -53,13 +54,12 @@ if TYPE_CHECKING:  # sim is below api in the layer map: type-only import
         RetryPolicy,
         ServiceSpec,
     )
+    from repro.lb.mux import MuxPool
 
 from repro.backends.dip import DipServer
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
 from repro.lb.base import FlowKey, Policy
-from repro.lb.dns_lb import DnsWeightedPolicy
-from repro.lb.mux import MuxPool
 from repro.sim.client import ClientPool, WorkloadGenerator
 from repro.sim.engine import EventScheduler
 from repro.sim.queueing import DipStation
@@ -76,6 +76,16 @@ _RETRY_BURST = 10
 
 #: how far past the horizon a batch run goes so in-flight requests complete.
 _DRAIN_S = 30.0
+
+
+def _is_instance(obj: object, module: str, name: str) -> bool:
+    """``isinstance(obj, module.name)`` without importing ``module``.
+
+    An instance of the class can only exist once its module is loaded, so a
+    cluster fronting a plain policy never imports the MUX or DNS layer.
+    """
+    loaded = sys.modules.get(module)
+    return loaded is not None and isinstance(obj, getattr(loaded, name))
 
 
 @dataclass
@@ -167,8 +177,12 @@ class RequestCluster:
         self._dropped = 0
 
         # Policy dispatch resolved once, not per request.
-        self._mux = isinstance(policy, MuxPool)
-        self._dns = policy if isinstance(policy, DnsWeightedPolicy) else None
+        self._mux = _is_instance(policy, "repro.lb.mux", "MuxPool")
+        self._dns = (
+            policy
+            if _is_instance(policy, "repro.lb.dns_lb", "DnsWeightedPolicy")
+            else None
+        )
         self._needs_flow = getattr(policy, "uses_flow", True)
         self._track_conns = getattr(policy, "uses_connection_counts", True)
         self._select = policy.select

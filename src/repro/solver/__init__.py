@@ -14,49 +14,47 @@ the same capability through interchangeable backends:
 * ``greedy`` — a fast marginal-cost heuristic with local search;
 * ``dp`` — a pseudo-polynomial dynamic program over a fixed weight grid.
 
-Use :func:`solve` to dispatch by backend name.  ``"auto"`` picks ``mckp``
-whenever θ is unset (every problem the controller builds by default); a
-finite θ couples the DIPs and is not a knapsack, so there ``auto`` picks
-scipy and falls back to branch-and-bound if SciPy is not installed.
+Use :func:`solve` to dispatch by backend name; it imports only the backend
+it dispatches to.  ``"auto"`` picks ``mckp`` whenever θ is unset (every
+problem the controller builds by default); a finite θ couples the DIPs and
+is not a knapsack, so there ``auto`` picks scipy and falls back to
+branch-and-bound if SciPy is not installed.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib.util
+from typing import TYPE_CHECKING
 
+from repro._lazy import lazy_exports
 from repro.core.config import SOLVER_BACKENDS
 from repro.exceptions import ConfigurationError
-from repro.solver.assignment import (
-    AssignmentProblem,
-    DipCandidates,
-    build_problem,
-    uniform_candidates,
-    uniform_weight_grid,
-)
-from repro.solver.branch_and_bound import solve_branch_and_bound
-from repro.solver.dp import SolveCache, solve_dp
-from repro.solver.greedy import solve_greedy
-from repro.solver.mckp import solve_mckp
-from repro.solver.result import SolveResult, SolveStatus
+from repro.solver.result import SolveStatus
 
-__all__ = [
-    "AssignmentProblem",
-    "DipCandidates",
-    "SolveCache",
-    "SolveResult",
-    "SolveStatus",
-    "available_backends",
-    "build_problem",
-    "solve",
-    "solve_branch_and_bound",
-    "solve_dp",
-    "solve_greedy",
-    "solve_mckp",
-    "solve_scipy",
-    "uniform_candidates",
-    "uniform_weight_grid",
-]
+if TYPE_CHECKING:
+    from repro.solver.assignment import AssignmentProblem
+    from repro.solver.dp import SolveCache
+    from repro.solver.result import SolveResult
+
+__getattr__, __dir__, _exports = lazy_exports(
+    __name__,
+    {
+        "repro.solver.assignment": (
+            "AssignmentProblem",
+            "DipCandidates",
+            "build_problem",
+            "uniform_candidates",
+            "uniform_weight_grid",
+        ),
+        "repro.solver.branch_and_bound": ("solve_branch_and_bound",),
+        "repro.solver.dp": ("SolveCache", "solve_dp"),
+        "repro.solver.greedy": ("solve_greedy",),
+        "repro.solver.mckp": ("solve_mckp",),
+        "repro.solver.result": ("SolveResult", "SolveStatus"),
+    },
+)
+__all__ = [*_exports, "available_backends", "solve", "solve_scipy"]
 
 
 @functools.cache
@@ -119,8 +117,12 @@ def solve(
             backend = "scipy" if _scipy_installed() else "branch_and_bound"
 
     if backend == "mckp":
+        from repro.solver.mckp import solve_mckp
+
         return solve_mckp(problem, time_limit_s=time_limit_s, cache=cache, **kwargs)
     if backend == "dp":
+        from repro.solver.dp import solve_dp
+
         return solve_dp(problem, time_limit_s=time_limit_s, cache=cache, **kwargs)
     # The token carries the time limit and every backend-specific parameter
     # so differently configured solves of the same problem never alias.
@@ -132,8 +134,12 @@ def solve(
     if backend == "scipy":
         result = solve_scipy(problem, time_limit_s=time_limit_s, **kwargs)
     elif backend == "branch_and_bound":
+        from repro.solver.branch_and_bound import solve_branch_and_bound
+
         result = solve_branch_and_bound(problem, time_limit_s=time_limit_s, **kwargs)
     elif backend == "greedy":
+        from repro.solver.greedy import solve_greedy
+
         result = solve_greedy(problem, time_limit_s=time_limit_s, **kwargs)
     else:
         raise ConfigurationError(

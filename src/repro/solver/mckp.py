@@ -294,7 +294,9 @@ def _search(
     band_hi = problem.total_weight + problem.total_weight_tolerance
     lo, hi = band_lo, band_hi
     cheapest = C == C.min(axis=1, keepdims=True)
-    if np.where(cheapest, W, np.inf).min(axis=1).sum() > hi:
+    # Reachability is judged by the left-to-right sum ``in_band`` accepts by,
+    # not numpy's pairwise ``sum``, which can round across a zero-width band.
+    if np.add.accumulate(np.where(cheapest, W, np.inf).min(axis=1))[-1] > hi:
         # The upper edge binds: the same problem with the weights negated.
         W, lo, hi = -W, -band_hi, -band_lo
     # Ascending weight, dearer first among equals; padding sorts last.
@@ -320,7 +322,7 @@ def _search(
     # (1) LP relaxation of ``sum(w) >= lo``: walk the hull edges by slope.
     pareto, edges = _hull_edges(W, C)
     base = pareto.argmax(axis=1)
-    lightest = W[rows, base].sum()
+    lightest = np.add.accumulate(W[rows, base])[-1]
     reach = lightest + edges.dw.cumsum()
     taken = 0 if lightest >= lo else int(np.searchsorted(reach, lo)) + 1
     if taken > len(reach):

@@ -1,71 +1,43 @@
 """Workload and scenario builders for the paper's experimental setups."""
 
-from repro.workloads.arrivals import (
-    ARRIVAL_KINDS,
-    SERVICE_KINDS,
-    ArrivalProcess,
-    FlashCrowd,
-    MarkovModulatedPoisson,
-    TraceReplay,
-    load_trace_timestamps,
-    make_arrival_process,
-    unit_service_sampler,
-)
-from repro.workloads.divergence import (
-    arrival_scv,
-    assess_divergence,
-    scv_correction,
-    service_scv,
-)
-from repro.workloads.generators import (
-    POOL_KINDS,
-    TABLE8_VIP_MIX,
-    TESTBED_COMPOSITION,
-    TestbedLayout,
-    build_graded_three_dip_pool,
-    build_heterogeneous_pair,
-    build_mixed_core_pool,
-    build_pool,
-    build_shared_dip_fleet,
-    build_testbed_cluster,
-    build_testbed_dips,
-    build_three_dip_pool,
-    build_uniform_pool,
-    fleet_from_pool,
-    split_dip_ids,
-    table8_total_dips,
-    table8_vip_counts,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARRIVAL_KINDS",
-    "ArrivalProcess",
-    "FlashCrowd",
-    "MarkovModulatedPoisson",
-    "POOL_KINDS",
-    "SERVICE_KINDS",
-    "TraceReplay",
-    "arrival_scv",
-    "assess_divergence",
-    "load_trace_timestamps",
-    "make_arrival_process",
-    "scv_correction",
-    "service_scv",
-    "unit_service_sampler",
-    "TABLE8_VIP_MIX",
-    "TESTBED_COMPOSITION",
-    "TestbedLayout",
-    "build_graded_three_dip_pool",
-    "build_heterogeneous_pair",
-    "build_mixed_core_pool",
-    "build_pool",
-    "build_shared_dip_fleet",
-    "build_testbed_cluster",
-    "build_testbed_dips",
-    "build_three_dip_pool",
-    "build_uniform_pool",
-    "fleet_from_pool",
-    "split_dip_ids",
-    "table8_total_dips",
-    "table8_vip_counts",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.kinds": ("ARRIVAL_KINDS", "POOL_KINDS", "SERVICE_KINDS"),
+        "repro.workloads.arrivals": (
+            "ArrivalProcess",
+            "FlashCrowd",
+            "MarkovModulatedPoisson",
+            "TraceReplay",
+            "load_trace_timestamps",
+            "make_arrival_process",
+            "unit_service_sampler",
+        ),
+        "repro.workloads.divergence": (
+            "arrival_scv",
+            "assess_divergence",
+            "scv_correction",
+            "service_scv",
+        ),
+        "repro.workloads.generators": (
+            "TABLE8_VIP_MIX",
+            "TESTBED_COMPOSITION",
+            "TestbedLayout",
+            "build_graded_three_dip_pool",
+            "build_heterogeneous_pair",
+            "build_mixed_core_pool",
+            "build_pool",
+            "build_shared_dip_fleet",
+            "build_testbed_cluster",
+            "build_testbed_dips",
+            "build_three_dip_pool",
+            "build_uniform_pool",
+            "fleet_from_pool",
+            "split_dip_ids",
+            "table8_total_dips",
+            "table8_vip_counts",
+        ),
+    },
+)

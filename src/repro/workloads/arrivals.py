@@ -34,25 +34,10 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.workloads.kinds import ARRIVAL_KINDS, SERVICE_KINDS
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec imports us)
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.spec import ArrivalSpec, ServiceSpec
-
-#: Registered arrival-process kinds -> one-line summary (``repro list``).
-ARRIVAL_KINDS: dict[str, str] = {
-    "poisson": "memoryless baseline; the only kind exact sharding accepts",
-    "mmpp": "Markov-modulated Poisson: a cyclic CTMC switches the intensity",
-    "flash_crowd": "shot-noise bursts: Poisson onsets, exponential decay",
-    "trace": "replay interarrival gaps from a CSV/JSONL trace file",
-}
-
-#: Registered service-time kinds -> one-line summary (``repro list``).
-SERVICE_KINDS: dict[str, str] = {
-    "exponential": "memoryless service; the M/M/c-exact baseline",
-    "lognormal": "lognormal service times with configurable SCV",
-    "pareto": "Pareto service times with configurable tail index",
-    "elephant": "hyperexponential mice/elephant flow-size mix",
-}
 
 #: Internal candidate-block size.  Fixed — never derived from the
 #: consumer's chunk size — so RNG consumption is chunk-invariant.

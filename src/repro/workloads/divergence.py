@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.workloads.arrivals import load_trace_timestamps
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.spec import ArrivalSpec, ServiceSpec, WorkloadSpec
@@ -102,6 +101,8 @@ def arrival_scv(arrival: "ArrivalSpec", rate_rps: float) -> float:
             / boost
         )
     if kind == "trace":
+        from repro.workloads.arrivals import load_trace_timestamps
+
         gaps = np.diff(
             load_trace_timestamps(
                 arrival.trace_path, time_column=arrival.trace_column

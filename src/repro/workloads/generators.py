@@ -13,24 +13,27 @@ The builders mirror the setups of the paper's evaluation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.backends import (
+from repro.backends.dip import DipServer
+from repro.backends.vm_types import (
     DS1_V2,
     DS2_V2,
     DS3_V2,
     F2S_V2,
     F8S_V2,
-    DipServer,
     VMType,
     custom_vm_type,
 )
-from repro.core.types import DipId
+from repro.core.types import DipId, left_to_right_sum
 from repro.exceptions import ConfigurationError
-from repro.sim.fleet import Fleet
-from repro.sim.fluid import FluidCluster
+from repro.workloads.kinds import POOL_KINDS
+
+if TYPE_CHECKING:  # the analytic substrates load in the functions that make one
+    from repro.sim.fleet import Fleet
+    from repro.sim.fluid import FluidCluster
 
 #: DIP counts per VM type in the paper's 30-DIP testbed (Table 3).
 TESTBED_COMPOSITION: tuple[tuple[VMType, int], ...] = (
@@ -71,7 +74,7 @@ class TestbedLayout:
 
     @property
     def total_capacity_rps(self) -> float:
-        return sum(s.capacity_rps for s in self.dips.values())
+        return left_to_right_sum(s.capacity_rps for s in self.dips.values())
 
 
 def build_testbed_dips(*, seed: int | None = 42) -> TestbedLayout:
@@ -97,6 +100,8 @@ def build_testbed_cluster(
     seed: int | None = 42,
 ) -> FluidCluster:
     """The 30-DIP testbed as a fluid cluster at ``load_fraction`` of capacity."""
+    from repro.sim.fluid import FluidCluster
+
     if not 0 < load_fraction < 1.5:
         raise ConfigurationError("load_fraction must be in (0, 1.5)")
     layout = build_testbed_dips(seed=seed)
@@ -212,17 +217,6 @@ def build_mixed_core_pool(
     return dips
 
 
-#: Pool shapes :func:`build_pool` can produce (the spec-facing vocabulary).
-POOL_KINDS: tuple[str, ...] = (
-    "uniform",
-    "testbed",
-    "three_dip",
-    "graded_three_dip",
-    "heterogeneous_pair",
-    "mixed_core",
-)
-
-
 def build_pool(
     kind: str = "uniform",
     *,
@@ -309,6 +303,8 @@ def fleet_from_pool(
     its capacity; ``rate_mix`` multiplies the per-VIP rates for heterogeneous
     traffic mixes.
     """
+    from repro.sim.fleet import Fleet
+
     num_dips = len(dips)
     if num_vips < 1 or num_dips < 1:
         raise ConfigurationError("num_vips and the pool size must be >= 1")
@@ -329,7 +325,7 @@ def fleet_from_pool(
     for vip_index in range(num_vips):
         start = (vip_index * stride) % num_dips
         members = [dip_ids[(start + j) % num_dips] for j in range(pool_size)]
-        pool_capacity = sum(fleet.dips[d].capacity_rps for d in members)
+        pool_capacity = left_to_right_sum(fleet.dips[d].capacity_rps for d in members)
         rate = load_fraction * pool_capacity / sharing
         if rate_mix is not None:
             rate *= rate_mix[vip_index]

@@ -27,6 +27,7 @@ import repro.core.ilp as ilp
 from repro import api
 from repro.core.config import IlpConfig
 from repro.core.ilp import build_assignment_problem
+from repro.core.types import left_to_right_sum
 from repro.experiments.ilp_scale import f_series_like_curve
 from repro.solver import (
     AssignmentProblem,
@@ -159,6 +160,28 @@ def test_rounding_never_moves_a_selection_across_a_band_edge(problem):
         assert result.status is SolveStatus.OPTIMAL
         assert result.lower_bound_ms <= inside
         assert result.objective_ms <= inside * (1 + GAP)
+
+
+def test_a_zero_width_band_at_the_left_to_right_sum_is_reachable():
+    # Ten 0.1s add up to 0.9999999999999999 left to right, the sum the band
+    # check accepts by; numpy's pairwise sum reads 1.0 and once made the
+    # reachability test call this problem infeasible.
+    total = left_to_right_sum([0.1] * 10)
+    problem = AssignmentProblem(
+        dips=tuple(
+            DipCandidates(dip=f"d{d}", weights=(0.1,), latencies_ms=(1.0,))
+            for d in range(10)
+        ),
+        total_weight=total,
+        total_weight_tolerance=0.0,
+    )
+    expected = {f"d{d}": 0.1 for d in range(10)}
+    result = solve_mckp(problem)
+    assert result.status is SolveStatus.OPTIMAL
+    assert result.weights == expected
+    assert_certified(problem, result)
+    for backend in ("dp", "greedy"):
+        assert solve(problem, backend=backend).weights == expected
 
 
 # -- (b) the instances a 100-DIP cold convergence builds --------------------------------

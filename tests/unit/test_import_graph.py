@@ -6,9 +6,12 @@ no ILP with HiGHS and forks no worker should pay for neither.  A curve fit
 loads one compiled SciPy module, ``scipy.optimize._slsqplib`` (the NNLS
 routine), and nothing else of SciPy; where that module cannot be loaded
 alone, the fit falls back to importing ``scipy.optimize`` with the same
-coefficients.  Each case runs in a fresh interpreter and reports
-``sorted(sys.modules)`` — what was loaded, not what ``-X importtime``
-happened to print.
+coefficients.  Inside ``repro`` the same rule holds per substrate: package
+exports resolve on first access, so a controller-off request run loads no
+control plane and a fleet run no request engine, and an observatory
+workload's warm-up loads every module its timed repetitions run.  Each case
+runs in a fresh interpreter and reports ``sorted(sys.modules)`` — what was
+loaded, not what ``-X importtime`` happened to print.
 """
 
 from __future__ import annotations
@@ -131,6 +134,79 @@ out = [solved.backend, solved.status.name, solved.objective_ms, solved.weights]
         )
         assert report["out"] == ["mckp", "OPTIMAL", OPTIMUM_MS, OPTIMUM_WEIGHTS]
         assert loaded(report, "scipy") == []
+
+
+_WORKLOAD_RUN = """
+import sys
+sys.path.insert(0, "benchmarks/observatory")
+from catalog import WORKLOAD_BY_NAME
+from repro import api
+
+workload = WORKLOAD_BY_NAME[{name!r}]
+spec = api.ExperimentSpec.from_file(workload.spec_path)
+api.run(spec.with_overrides(workload.warmup), shards=workload.shards, workers=workload.workers)
+"""
+
+
+def run_warmup(name: str, then: str = "") -> dict:
+    """The observatory's scaled-down warm-up of workload ``name``, then ``then``."""
+    return run_python(_WORKLOAD_RUN.format(name=name) + textwrap.dedent(then))
+
+
+class TestTheImportGraphFollowsTheRun:
+    """Each package resolves its exports on first access, and each runner
+    imports the substrate it executes, so a run loads only what it runs."""
+
+    def test_import_repro_loads_no_subpackage(self):
+        report = run_python("import repro")
+        assert loaded(report, "repro") == ["repro", "repro._lazy"]
+
+    def test_controller_off_rr_run_loads_no_control_plane(self):
+        report = run_warmup("req_serial_rr")
+        assert loaded(
+            report,
+            "repro.core.controller", "repro.core.fleet_controller", "repro.core.curve",
+            "repro.solver", "repro.probing", "repro.sim.fleet", "repro.sim.fluid",
+            "repro.api.timeline", "repro.api.sweep", "repro.workloads.arrivals",
+            "repro.workloads.divergence", "repro.lb.facades", "repro.lb.mux",
+        ) == []
+        assert "repro.sim.cluster" in report["modules"]
+
+    def test_dp_fleet_run_loads_no_request_engine(self):
+        report = run_warmup("fleet_dynamics")
+        assert loaded(
+            report,
+            "repro.sim.cluster", "repro.sim.queueing", "repro.sim.trace",
+            "repro.sim.engine", "repro.sim.client", "repro.solver.mckp",
+            "repro.solver.greedy", "repro.solver.branch_and_bound", "repro.lb.facades",
+        ) == []
+        assert "repro.solver.dp" in report["modules"]
+
+    def test_epoch_run_loads_no_control_plane(self):
+        report = run_warmup("req_epoch_lc")
+        assert loaded(
+            report,
+            "repro.core.controller", "repro.core.fleet_controller", "repro.solver",
+            "repro.probing", "repro.sim.fleet", "repro.sim.fluid",
+        ) == []
+        assert "repro.parallel.epoch" in report["modules"]
+
+    @pytest.mark.parametrize(
+        "workload",
+        ["ctl_cold_100", "fleet_dynamics", "req_serial_rr", "req_serial_klb_wrr", "req_epoch_lc"],
+    )
+    def test_no_import_lands_in_a_timed_repetition(self, workload):
+        # Set-up's warm-up must load everything a full repetition of the
+        # workload runs, or the first timed repetition pays for the import.
+        report = run_warmup(
+            workload,
+            """
+            before = set(sys.modules)
+            api.run(spec, shards=workload.shards, workers=workload.workers)
+            out = sorted(m for m in set(sys.modules) - before if m.startswith("repro"))
+            """,
+        )
+        assert report["out"] == []
 
 
 #: five measured points and a three-DIP ILP, shared by the cases that solve;

@@ -25,8 +25,13 @@ Covers the resilience layer end to end:
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
+import textwrap
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +56,7 @@ from repro.exceptions import ConfigurationError
 from repro.parallel import WorkerPool, plan_shards, run_request_sharded
 from repro.parallel.pool import _spec_for_error_row
 
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 def request_spec(
     *,
@@ -321,6 +327,56 @@ class TestDetectionDelay:
         assert result.metrics["predicted_peak_drop_fraction"] == pytest.approx(
             result.metrics["fluid_lost_fraction"], rel=0.05
         )
+
+    def test_simultaneous_blackholes_do_not_depend_on_the_hash_seed(self):
+        # Five DIPs fail at one instant on the analytic fleet; their lost
+        # rates are summed in pool order, so the windows are the same bytes
+        # whatever order the process's string hashing puts the set in (the
+        # set order read 0.4130434782608696 under one seed and
+        # 0.41304347826086957 under the other).
+        script = textwrap.dedent(
+            """
+            import json
+            from repro import api
+
+            failed = ["DIP-1", "DIP-3", "DIP-6", "DIP-9", "DIP-12"]
+            spec = api.ExperimentSpec.from_dict({
+                "name": "five-down",
+                "runner": "fleet",
+                "seed": 5,
+                "pool": {"kind": "mixed_core", "num_dips": 12},
+                "fleet": {"num_vips": 3},
+                "workload": {"load_fraction": 0.6137},
+                "controller": {"enabled": False},
+                "health": {"enabled": True},
+                "timeline": {
+                    "window_s": 1.0,
+                    "horizon_s": 6.0,
+                    "events": [
+                        {"time_s": 2.0, "kind": "dip_fail", "dip": dip}
+                        for dip in failed
+                    ],
+                },
+            })
+            windows = json.loads(api.run(spec).to_json())["windows"]
+            print(json.dumps(windows, sort_keys=True))
+            """
+        )
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(SRC), env.get("PYTHONPATH")])
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        drops = [w["metrics"]["drop_fraction"] for w in json.loads(outputs[0])]
+        assert max(drops) > 0.3
 
 
 # -- retry / timeout / backoff ----------------------------------------------------

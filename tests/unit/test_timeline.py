@@ -436,7 +436,7 @@ class TestObservers:
 
         recorder = WindowedMetricsObserver()
         observers = ObserverSet([Broken(), recorder])
-        with caplog.at_level(logging.ERROR, logger="repro.api.timeline"):
+        with caplog.at_level(logging.ERROR, logger="repro.api.observers"):
             result = api.execute(
                 timeline_spec(controller=api.ControllerSpec(enabled=False)),
                 observers=observers.observers,
@@ -452,7 +452,7 @@ class TestObservers:
 
         healthy = WindowedMetricsObserver()
         fanout = ObserverSet([Broken(), healthy])
-        with caplog.at_level(logging.ERROR, logger="repro.api.timeline"):
+        with caplog.at_level(logging.ERROR, logger="repro.api.observers"):
             fanout.on_round(1.0, {"x": 1.0})
         assert any("dropping it" in rec.message for rec in caplog.records)
         assert fanout.observers == (healthy,)
