@@ -71,6 +71,10 @@ class Provenance:
     #: when the analytic model is trustworthy or was not consulted.
     model_divergence: str | None = None
     station_path: str | None = None
+    #: which station-walk / smooth-WRR kernels a request run executed:
+    #: ``"compiled"`` or ``"python"`` (:data:`repro.kernels.PATH`); ``None``
+    #: for analytic runs and artifacts written before the field existed.
+    kernels: str | None = None
 
 
 class RunClock:
@@ -270,6 +274,7 @@ class RunResult:
                 failed_runs=int(prov.get("failed_runs", 0)),
                 model_divergence=optional("model_divergence"),
                 station_path=optional("station_path"),
+                kernels=optional("kernels"),
             ),
         )
 

@@ -163,6 +163,7 @@ def _finish(
     detail: Any = None,
     model_divergence: str | None = None,
     station_path: str | None = None,
+    kernels: str | None = None,
 ) -> RunResult:
     return RunResult(
         spec=spec,
@@ -175,7 +176,9 @@ def _finish(
         },
         windows=windows,
         provenance=clock.provenance(
-            model_divergence=model_divergence, station_path=station_path
+            model_divergence=model_divergence,
+            station_path=station_path,
+            kernels=kernels,
         ),
         detail=detail,
     )
@@ -407,6 +410,8 @@ class RequestRunner:
     def run(
         self, spec: ExperimentSpec, *, observers: Iterable[Observer] = ()
     ) -> RunResult:
+        from repro import kernels
+
         clock = RunClock()
         spec = expand_spec_chaos(spec)
         cluster = build_request_cluster(spec)
@@ -490,6 +495,7 @@ class RequestRunner:
             detail=run,
             model_divergence=divergence,
             station_path=run.station_path,
+            kernels=kernels.PATH,
         )
 
 

@@ -70,28 +70,22 @@ def smooth_wrr_weights(weights: np.ndarray) -> tuple[np.ndarray, float]:
     return w, float(w.cumsum()[-1])
 
 
-def smooth_wrr_step(current: np.ndarray, w: np.ndarray, total: float) -> int:
-    """One smooth-WRR pick over aligned arrays, advancing ``current`` in place.
-
-    Every candidate's score grows by its weight, the highest score wins —
-    the first of equal scores, so ties go in pool order — and the winner
-    pays the total back.  This is the only statement of the recurrence:
-    :class:`WeightedRoundRobin` and the epoch engine's ``_SmoothWrrRouter``
-    both pick through it.
-    """
-    current += w
-    best = current.argmax()
-    current[best] -= total
-    return best
-
-
 def smooth_wrr_picks(
     current: np.ndarray, w: np.ndarray, total: float, count: int
 ) -> np.ndarray:
-    """``count`` consecutive :func:`smooth_wrr_step` picks (candidate positions)."""
+    """``count`` consecutive smooth-WRR picks (candidate positions) over
+    aligned arrays, advancing ``current`` in place.
+
+    Every candidate's score grows by its weight, the highest score wins —
+    the first of equal scores, so ties go in pool order — and the winner
+    pays the total back.  The recurrence is :func:`repro.kernels.smooth_wrr`:
+    :class:`WeightedRoundRobin` and the epoch engine's ``_SmoothWrrRouter``
+    both pick through it.
+    """
+    from repro import kernels  # here: an analytic run imports this module, never picks
+
     picks = np.empty(count, dtype=np.int32)
-    for i in range(count):
-        picks[i] = smooth_wrr_step(current, w, total)
+    kernels.smooth_wrr(current, w, total, picks, count)
     return picks
 
 
@@ -127,7 +121,7 @@ class WeightedRoundRobin(Policy):
         """Every pool DIP's current smooth-WRR score."""
         scores = dict(self._current)
         if self._plan is not None:
-            ids, _, _, current = self._plan
+            ids, _, _, current, _ = self._plan
             scores.update(zip(ids, current.tolist()))
         return {dip: scores.get(dip, 0.0) for dip in self.dips}
 
@@ -141,21 +135,23 @@ class WeightedRoundRobin(Policy):
         self._current.clear()
 
     def _build_plan(self) -> tuple:
+        from repro import kernels  # as in smooth_wrr_picks
+
         ids, weights = self._candidate_weights()
         w, total = smooth_wrr_weights(weights)
         current = np.array([self._current.get(dip, 0.0) for dip in ids])
-        plan = self._plan = (ids, w, total, current)
+        plan = self._plan = (ids, w, total, current, kernels.smooth_wrr)
         return plan
 
     def select(self, flow: FlowKey) -> DipId:
         plan = self._plan
         if plan is None:
             plan = self._build_plan()
-        ids, w, total, current = plan
-        return ids[smooth_wrr_step(current, w, total)]
+        ids, w, total, current, pick = plan
+        return ids[pick(current, w, total, None, 1)]
 
     def select_many(self, count, flows=None) -> np.ndarray:
-        ids, w, total, current = self._plan or self._build_plan()
+        ids, w, total, current, _ = self._plan or self._build_plan()
         return self._positions(ids)[smooth_wrr_picks(current, w, total, count)]
 
 

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
 from repro.parallel.kernel import StationOutcome
@@ -418,6 +419,7 @@ def run_request_sharded(
             workers=max(1, workers),
             shard_mode=plan.mode,
             sync_interval_s=sync_interval,
+            kernels=kernels.PATH,
         ),
         detail={"plan": plan, "collector": collector},
     )

@@ -30,7 +30,6 @@ and the shards of :mod:`repro.parallel` drive it, and
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from array import array
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ import collections
 
 import numpy as np
 
+from repro import kernels
 from repro.backends.dip import DipServer
 from repro.exceptions import ConfigurationError
 from repro.sim.engine import EventScheduler
@@ -55,7 +55,8 @@ CompletionCallback = Callable[[Request], None]
 #: unit-exponential draws per vectorized RNG call.
 SERVICE_BATCH = 512
 
-#: arrivals :meth:`StationWalk.run` turns into Python floats at a time.
+#: arrivals :meth:`StationWalk.run` walks at a time (which bounds the Python
+#: floats in flight where :func:`repro.kernels.py_walk` runs).
 _WALK_SLICE = 65536
 
 _COMPLETED = RequestOutcome.COMPLETED
@@ -117,10 +118,11 @@ class StationWalk:
 
     Service times come from an array aligned to the arrivals, passed to
     :meth:`advance` (a drop skips its entry — :func:`simulate_station`'s
-    input), or else from ``buf``: unit draws that ``draw(SERVICE_BATCH)``
-    refills when a start finds it empty, popped one per start of service
-    and scaled by ``mean`` — :class:`DipStation`'s own buffer, so a replay
-    leaves it where the event loop would.  Nothing happens after ``until``
+    input), or else from unit draws that ``draw(SERVICE_BATCH)`` refills
+    when a start finds them spent, taken one per start of service and
+    scaled by ``mean`` — seeded from ``buf``, :class:`DipStation`'s own
+    buffer, and read back from :attr:`buf`, so a replay leaves it where
+    the event loop would.  Nothing happens after ``until``
     (every arrival is expected before it): a request that would start
     later takes no draw, and its departure reads ``inf``.
     """
@@ -129,11 +131,13 @@ class StationWalk:
         "servers",
         "queue_capacity",
         "mean",
-        "buf",
         "busy_seconds",
         "_draw",
         "_free",
-        "_starts",
+        "_ring",
+        "_pos",
+        "_units",
+        "_cursor",
         "_arrivals",
         "_departures",
     )
@@ -155,17 +159,27 @@ class StationWalk:
         self.queue_capacity = queue_capacity
         #: mean service time the buffered unit draws are scaled by.
         self.mean = mean
-        #: pre-drawn unit draws, reversed so pop() preserves draw order.
-        self.buf: list[float] = [] if buf is None else buf
         #: summed service time of everything admitted.
         self.busy_seconds = 0.0
         self._draw = draw
-        self._free = [0.0] * servers
-        # Padded with -inf so the drop test needs no length check.
-        self._starts = [-_INF] * queue_capacity
+        # A heap of worker-free times.
+        self._free = np.zeros(servers)
+        # The starts of the last ``queue_capacity`` admissions that waited,
+        # oldest at ``_pos``; -inf pads it, so the drop test needs no count.
+        self._ring = np.full(queue_capacity, -_INF)
+        self._pos = 0
+        # Unit draws in draw order, the next one at ``_cursor``.
+        self._units = np.array(buf[::-1] if buf else (), dtype=np.float64)
+        self._cursor = 0
         # One row per arrival so far: its time and its departure.
         self._arrivals = array("d")
         self._departures = array("d")
+
+    @property
+    def buf(self) -> list[float]:
+        """The unused unit draws, reversed so pop() preserves draw order
+        (:class:`DipStation`'s buffer)."""
+        return self._units[self._cursor :][::-1].tolist()
 
     def advance(
         self,
@@ -173,73 +187,55 @@ class StationWalk:
         services: np.ndarray | None = None,
         *,
         until: float = _INF,
-    ) -> list[float]:
-        """Admit ``arrivals`` (float64, sorted, none before an earlier call's)
-        and return each one's departure: NaN for a drop, ``inf`` past
-        ``until``."""
+    ) -> np.ndarray:
+        """Admit ``arrivals`` (sorted, none before an earlier call's) and
+        return each one's departure: NaN for a drop, ``inf`` past ``until``.
+
+        The loop is :func:`repro.kernels.walk`; in buffered mode it stops
+        when the unit draws run dry and resumes at that arrival after a
+        ``draw(SERVICE_BATCH)`` refill, so the draws are the event loop's.
+        """
+        arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
+        departures = np.empty(arrivals.size)
         aligned = services is not None
         if aligned:
-            buf, mean = services[::-1].tolist(), 1.0
+            draws = np.ascontiguousarray(services, dtype=np.float64)
+            cursor, scale = 0, 1.0
+            if draws.shape != arrivals.shape:
+                raise ConfigurationError("services must align with the arrivals")
         elif self._draw is None:
             raise ConfigurationError("a walk without a draw needs aligned services")
         else:
-            buf, mean = self.buf, self.mean
-        draw = self._draw
-        free = self._free
-        heapreplace = heapq.heapreplace
-        starts = self._starts
-        waiting = starts.append
-        lag = self.queue_capacity
-        gate, at = (starts, -lag) if lag else (free, 0)
-        busy = self.busy_seconds
-        arrived = arrivals.tolist()
-        departures: list[float] = []
-        depart = departures.append
-        for a in arrived:
-            if gate[at] > a:  # the station is full at ``a``
-                if aligned:
-                    buf.pop()
-                depart(_NAN)
-                continue
-            start = free[0]
-            if start > a:  # every worker is busy: it waits
-                waiting(start)
-                if start > until:
-                    if aligned:
-                        buf.pop()
-                    depart(_INF)
-                    continue
-            else:
-                start = a
-            if not buf:
-                buf = draw(SERVICE_BATCH)[::-1].tolist()
-            service = buf.pop() * mean
-            leaves = start + service
-            heapreplace(free, leaves)
-            busy += service
-            depart(leaves)
-        self.busy_seconds = busy
+            draws, cursor, scale = self._units, self._cursor, self.mean
+        done = 0
+        while True:
+            done, cursor, self._pos, self.busy_seconds = kernels.walk(
+                arrivals, departures, done, self._free, self._ring, self._pos,
+                draws, cursor, scale, aligned, until, self.busy_seconds,
+            )
+            if done == arrivals.size:
+                break
+            draws = np.ascontiguousarray(self._draw(SERVICE_BATCH), dtype=np.float64)
+            cursor = 0
         if not aligned:
-            self.buf = buf
-        # Of the waiting starts only the latest ``lag`` can matter again.
-        del starts[: len(starts) - lag]
+            self._units, self._cursor = draws, cursor
         self._arrivals.frombytes(arrivals.tobytes())
-        self._departures.fromlist(departures)
+        self._departures.frombytes(departures.tobytes())
         return departures
 
     def in_system(self, t: float) -> int:
         """Requests in the station at ``t``, no earlier than the last arrival.
 
-        The waiting ones are the admissions that start after ``t`` (a
-        bisect over the kept starts, so a barrier costs O(log K) at any
-        queue depth); while one waits every worker is busy, otherwise the
-        population is the number of workers that free after ``t``.
+        The waiting ones are the admissions that start after ``t`` (a count
+        over the ring of kept starts); while one waits every worker is busy,
+        otherwise the population is the number of workers that free after
+        ``t``.
         """
-        starts = self._starts
-        if starts and starts[-1] > t:
-            return len(starts) - bisect.bisect_right(starts, t) + self.servers
+        ring = self._ring
+        if ring.size and ring[self._pos - 1] > t:
+            return int(np.count_nonzero(ring > t)) + self.servers
         busy = 0
-        for leaves in self._free:
+        for leaves in self._free.tolist():
             if leaves > t:
                 busy += 1
         return busy
@@ -255,10 +251,11 @@ class StationWalk:
     ) -> StationOutcome:
         """Walk a whole sub-stream and report it (:meth:`outcome`).
 
-        The arrivals go in ``_WALK_SLICE`` at a time, so the Python floats
-        in flight stay a bounded few MB on a one-DIP, million-request run.
+        The arrivals go in ``_WALK_SLICE`` at a time, so what is in flight
+        (on the Python loops, Python floats) stays a bounded few MB on a
+        one-DIP, million-request run.
         """
-        arrivals = np.asarray(arrivals, dtype=np.float64)
+        arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
         for lo in range(0, arrivals.size, _WALK_SLICE):
             part = slice(lo, lo + _WALK_SLICE)
             self.advance(

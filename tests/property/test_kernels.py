@@ -1,0 +1,473 @@
+"""Differential tests: the compiled kernels against their Python loops.
+
+:mod:`repro.kernels` binds ``walk`` (the station walk) and ``smooth_wrr``
+(the smooth-WRR pick) to a C module built from ``src/repro/_kernels.c``;
+``py_walk`` / ``py_smooth_wrr`` beside the loader are the fallback and the
+oracle.  Every output array, every piece of walk state and every returned
+number must be the same bytes on both, however the stream is sliced,
+wherever the unit draws run dry, whatever the weights.  Without a compiler
+the Python loops run, and a run's artifact must not change.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import api, kernels
+from repro.backends import DipServer, custom_vm_type
+from repro.sim.engine import EventScheduler
+from repro.sim.queueing import SERVICE_BATCH, DipStation, StationWalk, simulate_station
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+WORKLOADS = REPO_ROOT / "benchmarks" / "observatory" / "workloads"
+_INF = float("inf")
+
+COMPILED = kernels._compiled()
+needs_compiled = pytest.mark.skipif(COMPILED is None, reason="no C compiler here")
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@contextlib.contextmanager
+def without_a_compiler(tmp_path):
+    """Load the kernels as on a machine with no compiler (and no cached
+    module): every kernel call runs the Python loops until the block ends."""
+    try:
+        with mock.patch.object(
+            kernels, "_cache_path", lambda: str(tmp_path / "absent.so")
+        ), mock.patch.object(kernels, "_compiler", lambda: None):
+            assert kernels.load() == "python"
+            yield
+    finally:
+        kernels.load()
+
+
+def on_python():
+    """The Python loops bound in place of whatever loaded."""
+    return mock.patch.multiple(
+        kernels, walk=kernels.py_walk, smooth_wrr=kernels.py_smooth_wrr
+    )
+
+
+# -- the walk ------------------------------------------------------------------------
+
+
+def walk_state(walk: StationWalk) -> tuple:
+    return (
+        walk._free.tobytes(),
+        walk._ring.tobytes(),
+        walk._pos,
+        walk._units[walk._cursor :].tobytes(),
+        np.float64(walk.busy_seconds).tobytes(),
+        walk._arrivals.tobytes(),
+        walk._departures.tobytes(),
+    )
+
+
+@st.composite
+def walk_cases(draw):
+    servers = draw(st.sampled_from([1, 2, 3, 8]))
+    size = draw(st.integers(1, 1500))
+    grid = draw(st.booleans())
+    seed = draw(st.integers(0, 2**16))
+    load = draw(st.floats(0.3, 1.6))
+    rng = np.random.default_rng(seed)
+    if grid:
+        # Gaps of 0, 1/8 or 1/4: ties between arrivals and departures.
+        arrivals = np.cumsum(rng.integers(0, 3, size)) / 8.0
+        mean = max(1, round(load * servers)) / 8.0
+    else:
+        mean = 0.01
+        arrivals = np.cumsum(rng.exponential(mean / (load * servers), size))
+    return {
+        "servers": servers,
+        "queue_capacity": draw(st.sampled_from([0, 1, 2, 7, 256])),
+        "arrivals": arrivals,
+        "mean": mean,
+        "grid": grid,
+        "aligned": draw(st.booleans()),
+        "seed": seed,
+        "until": draw(
+            st.sampled_from([_INF, float(arrivals[-1]), float(arrivals[size // 2])])
+        ),
+        "slices": draw(st.integers(1, 40)),
+        "factor": draw(st.sampled_from([0.5, 1.0, 3.0])),
+        "prefill": draw(st.integers(0, SERVICE_BATCH)),
+    }
+
+
+def unit_draw(seed: int, grid: bool):
+    rng = np.random.default_rng(seed)
+    if grid:
+        return lambda n: rng.integers(0, 5, n) / 2.0
+    return rng.standard_exponential
+
+
+def drive(case) -> tuple[list, tuple, object]:
+    """Feed a case's stream to a walk in slices; every departure column,
+    every barrier count, the end state and the outcome."""
+    arrivals, mean, until = case["arrivals"], case["mean"], case["until"]
+    parts = [p for p in np.array_split(np.arange(arrivals.size), case["slices"]) if p.size]
+    if case["aligned"]:
+        services = unit_draw(case["seed"], case["grid"])(arrivals.size) * mean
+        walk = StationWalk(case["servers"], case["queue_capacity"])
+    else:
+        services = None
+        draw = unit_draw(case["seed"], case["grid"])
+        # A part-used buffer, reversed as DipStation keeps it.
+        buf = draw(SERVICE_BATCH)[::-1].tolist()[: case["prefill"]]
+        walk = StationWalk(
+            case["servers"], case["queue_capacity"], draw=draw, mean=mean, buf=buf
+        )
+    seen = []
+    for number, part in enumerate(parts):
+        if number == len(parts) // 2:
+            walk.mean = mean * case["factor"]  # a capacity change between slices
+        departures = walk.advance(
+            arrivals[part], None if services is None else services[part], until=until
+        )
+        last = float(arrivals[part[-1]])
+        barriers = [walk.in_system(t) for t in (last, last + mean / 3, last + 2 * mean)]
+        seen.append((departures.tobytes(), barriers))
+    outcome = walk.outcome(measure_from=float(arrivals[arrivals.size // 3]), until=until,
+                           account=True)
+    return seen, walk_state(walk), outcome
+
+
+@needs_compiled
+@settings(max_examples=200, deadline=None)
+@given(walk_cases())
+def test_the_compiled_walk_is_the_python_walk(case):
+    assert kernels.PATH == "compiled"
+    compiled = drive(case)
+    with on_python():
+        python = drive(case)
+    assert compiled[0] == python[0]
+    assert compiled[1] == python[1]
+    ours, theirs = compiled[2], python[2]
+    for column in ("latency_ms", "completed", "timestamp"):
+        assert same_bytes(getattr(ours, column), getattr(theirs, column)), column
+    assert (ours.submitted, ours.dropped, ours.stats) == (
+        theirs.submitted, theirs.dropped, theirs.stats
+    )
+    assert np.float64(ours.busy_seconds).tobytes() == np.float64(theirs.busy_seconds).tobytes()
+
+
+@st.composite
+def raw_walk_calls(draw):
+    """One kernel call from an arbitrary reachable-looking state: a valid
+    heap, a sorted ring, a short unit buffer that may run dry mid-call."""
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    servers = draw(st.integers(1, 9))
+    lag = draw(st.sampled_from([0, 1, 3, 16]))
+    size = draw(st.integers(0, 200))
+    arrivals = np.cumsum(rng.exponential(0.3 / servers, size)) + 1.0
+    free = np.sort(rng.uniform(0.0, 2.0, servers))  # sorted is a heap
+    starts = np.sort(rng.uniform(0.0, 2.5, lag))
+    starts[: draw(st.integers(0, lag))] = -_INF
+    pos = draw(st.integers(0, max(0, lag - 1)))
+    ring = np.roll(starts, pos)  # oldest at ``pos``
+    aligned = draw(st.booleans())
+    if aligned:
+        draws = rng.exponential(0.5, size)
+        j = 0
+    else:
+        draws = rng.standard_exponential(draw(st.integers(0, 64)))
+        j = draw(st.integers(0, draws.size))
+    until = draw(st.sampled_from([_INF, float(arrivals[size // 2]) if size else 1.5]))
+    scale = 1.0 if aligned else draw(st.sampled_from([0.25, 0.1, 1.0 / 3.0]))
+    return arrivals, free, ring, pos, draws, j, scale, aligned, until
+
+
+@needs_compiled
+@settings(max_examples=300, deadline=None)
+@given(raw_walk_calls(), st.integers(0, 50))
+def test_one_kernel_call_is_the_python_loop(call, start):
+    arrivals, free, ring, pos, draws, j, scale, aligned, until = call
+    i = min(start, arrivals.size) if not aligned else 0
+    results = []
+    for walk in (COMPILED.walk, kernels.py_walk):
+        departures = np.full(arrivals.size, 7.0)
+        state = (free.copy(), ring.copy())
+        out = walk(arrivals, departures, i, state[0], state[1], pos, draws, j, scale,
+                   aligned, until, 0.125)
+        results.append((out, departures.tobytes(), state[0].tobytes(), state[1].tobytes()))
+    (ours, *ours_arrays), (theirs, *their_arrays) = results
+    assert ours[:3] == theirs[:3]
+    assert np.float64(ours[3]).tobytes() == np.float64(theirs[3]).tobytes()
+    assert ours_arrays == their_arrays
+    if not aligned and ours[0] < arrivals.size:
+        assert ours[1] == draws.size  # it stopped for a refill, nothing else
+
+
+@needs_compiled
+def test_the_compiled_walk_refuses_what_it_cannot_read():
+    walk, arrivals = COMPILED.walk, np.arange(3.0)
+    with pytest.raises(TypeError, match="float64"):
+        walk(arrivals.astype(np.float32), np.empty(3), 0, np.zeros(1), np.zeros(0),
+             0, np.ones(3), 0, 1.0, True, _INF, 0.0)
+    with pytest.raises(ValueError):  # services not aligned
+        walk(arrivals, np.empty(3), 0, np.zeros(1), np.zeros(0), 0, np.ones(2), 0,
+             1.0, True, _INF, 0.0)
+    with pytest.raises(ValueError):  # a ring position out of range
+        walk(arrivals, np.empty(3), 0, np.zeros(1), np.zeros(2), 2, np.ones(3), 0,
+             1.0, True, _INF, 0.0)
+
+
+def test_float32_strided_services_walk_as_their_float64_copy():
+    rng = np.random.default_rng(5)
+    arrivals = np.cumsum(rng.exponential(0.004, 3000))
+    wide = rng.exponential(0.01, 2 * arrivals.size).astype(np.float32)
+    services = wide[::2]  # float32 and not contiguous
+    assert not services.flags.c_contiguous
+    how = {"servers": 2, "queue_capacity": 4, "account": True}
+    ours = simulate_station(arrivals, services, **how)
+    theirs = simulate_station(arrivals, services.astype(np.float64), **how)
+    for column in ("latency_ms", "completed", "timestamp"):
+        assert same_bytes(getattr(ours, column), getattr(theirs, column))
+    assert ours.dropped == theirs.dropped > 0
+    assert (ours.busy_seconds, ours.stats) == (theirs.busy_seconds, theirs.stats)
+    walk = StationWalk(2, 4)
+    walk.advance(arrivals[::2].astype(np.float32), services[::2])
+    copy = StationWalk(2, 4)
+    copy.advance(
+        arrivals[::2].astype(np.float32).astype(np.float64),
+        services[::2].astype(np.float64),
+    )
+    assert walk_state(walk) == walk_state(copy)
+
+
+@pytest.mark.parametrize("queue_capacity", [0, 3, 256])
+@pytest.mark.parametrize("used", [0, 100, SERVICE_BATCH])
+def test_a_replay_hands_the_draw_buffer_back(queue_capacity, used):
+    vm = custom_vm_type("kernel-2core", vcpus=2, capacity_rps=800.0, idle_latency_ms=2.5)
+    rng = np.random.default_rng(queue_capacity + used)
+    arrivals = np.cumsum(rng.exponential(1.0 / 900.0, 4000))
+
+    def replayed():
+        station = DipStation(
+            DipServer("d", vm, seed=3, jitter_fraction=0.0),
+            EventScheduler(),
+            queue_capacity=queue_capacity,
+            seed=11,
+            completion_sink=lambda request: None,
+        )
+        # A buffer the event loop took ``used`` draws from before the replay
+        # (reversed: the next draw is the last entry).
+        buf = station._svc_draw(SERVICE_BATCH)[::-1].tolist()
+        station._svc_buf = buf[: len(buf) - used]
+        outcome = station.replay(arrivals, measure_from=0.5, until=float(arrivals[-1]))
+        return (
+            outcome.latency_ms.tobytes(),
+            outcome.timestamp.tobytes(),
+            outcome.stats,
+            station._svc_buf,
+            station._rng.bit_generator.state,
+        )
+
+    compiled = replayed()
+    with on_python():
+        python = replayed()
+    assert compiled == python
+    assert isinstance(compiled[3], list)
+
+
+# -- the smooth-WRR pick ---------------------------------------------------------------
+
+_TINY = float(np.nextafter(0.0, 1.0))  # the smallest subnormal
+
+
+@st.composite
+def wrr_cases(draw):
+    size = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["uniform", "ties", "zeros", "subnormal", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if kind == "uniform":
+        weights = rng.uniform(0.0, 2.0, size)
+    elif kind == "ties":
+        weights = rng.integers(1, 4, size) / 4.0
+    elif kind == "zeros":
+        weights = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.1, 1.0, size))
+    elif kind == "subnormal":
+        weights = rng.integers(0, 5, size) * _TINY
+    else:
+        weights = rng.choice([0.0, _TINY, 1e-300, 0.5, 1.0, 3.0], size)
+    # Healthy-set changes: each call picks over a subset, as the epoch
+    # router does between barriers.
+    subsets = [
+        np.flatnonzero(rng.random(size) < 0.7) for _ in range(draw(st.integers(1, 5)))
+    ]
+    counts = [draw(st.sampled_from([0, 1, 2, 17, 300])) for _ in subsets]
+    return weights, subsets, counts
+
+
+def run_wrr(smooth_wrr, weights, subsets, counts):
+    from repro.lb.round_robin import smooth_wrr_weights
+
+    scores = np.zeros(weights.size)
+    trail = []
+    for subset, count in zip(subsets, counts):
+        if not subset.size:
+            continue
+        w, total = smooth_wrr_weights(weights[subset])
+        current = scores[subset]
+        out = np.full(count, -1, dtype=np.int32)
+        last = smooth_wrr(current, w, total, out, count)
+        scores[subset] = current
+        single = smooth_wrr(current, w, total, None, 1)
+        trail.append((out.tobytes(), last, single, current.tobytes()))
+    return trail, scores.tobytes()
+
+
+@needs_compiled
+@settings(max_examples=300, deadline=None)
+@given(wrr_cases())
+def test_the_compiled_pick_is_the_python_pick(case):
+    weights, subsets, counts = case
+    assert run_wrr(COMPILED.smooth_wrr, *case) == run_wrr(kernels.py_smooth_wrr, *case)
+
+
+@needs_compiled
+def test_the_pick_agrees_on_nan_and_empty_scores():
+    for start in ([np.nan, 1.0, 2.0], [1.0, np.nan, 5.0, np.nan], [np.inf, -np.inf, 0.0]):
+        picks = []
+        for smooth_wrr in (COMPILED.smooth_wrr, kernels.py_smooth_wrr):
+            current = np.array(start)
+            out = np.empty(3, dtype=np.int32)
+            with np.errstate(invalid="ignore"):  # inf - inf
+                smooth_wrr(current, np.array([1.0, np.inf, 0.0, 1.0])[: current.size],
+                           1.0, out, 3)
+            picks.append((out.tobytes(), current.tobytes()))
+        assert picks[0] == picks[1]
+    for smooth_wrr in (COMPILED.smooth_wrr, kernels.py_smooth_wrr):
+        assert smooth_wrr(np.empty(0), np.empty(0), 0.0, None, 0) is None
+        with pytest.raises(ValueError):
+            smooth_wrr(np.empty(0), np.empty(0), 0.0, None, 1)
+
+
+def test_wrr_select_and_select_many_walk_one_sequence():
+    from repro.lb import make_policy
+
+    dips = [f"d{i}" for i in range(7)]
+    weights = dict(zip(dips, [0.3, 0.3, 0.0, 1.2, _TINY, 0.3, 2.0]))
+    one, many = make_policy("wrr", dips), make_policy("wrr", dips)
+    for policy in (one, many):
+        policy.set_weights(weights)
+    singles = [one.select(None) for _ in range(500)]
+    batch = [dips[i] for i in many.select_many(500)]
+    assert singles == batch
+    assert one.accumulators() == many.accumulators()
+
+
+# -- loading, building, falling back -------------------------------------------------------
+
+
+@needs_compiled
+def test_a_cache_hit_loads_neither_subprocess_nor_sysconfig():
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, json; from repro import kernels; "
+         "print(json.dumps([kernels.PATH, 'subprocess' in sys.modules, "
+         "'sysconfig' in sys.modules]))"],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["compiled", False, False]
+
+
+@needs_compiled
+def test_a_build_lands_in_its_cache_file_once(monkeypatch, tmp_path):
+    target = tmp_path / "pycache" / "_kernels.test.so"
+    monkeypatch.setattr(kernels, "_cache_path", lambda: str(target))
+    module = kernels._compiled()
+    assert module is not None and target.is_file()
+    assert sorted(p.name for p in target.parent.iterdir()) == [target.name]
+
+    def refuse(path):
+        raise AssertionError("a cached module must not be rebuilt")
+
+    monkeypatch.setattr(kernels, "_build", refuse)
+    assert kernels._compiled() is not None
+    assert kernels._cache_path().endswith(".so")
+
+
+def test_a_failing_build_falls_back(monkeypatch, tmp_path):
+    monkeypatch.setattr(kernels, "_cache_path", lambda: str(tmp_path / "k" / "absent.so"))
+    monkeypatch.setattr(kernels, "_compiler", lambda: [sys.executable, "-c", "exit(1)"])
+    assert kernels._compiled() is None
+    assert not (tmp_path / "k" / "absent.so").exists()
+    assert list((tmp_path / "k").iterdir()) == []  # the partial file is gone
+
+
+def test_an_install_without_the_source_imports_the_built_extension(monkeypatch, tmp_path):
+    monkeypatch.setattr(kernels, "_SOURCE", str(tmp_path / "_kernels.c"))
+    monkeypatch.delitem(sys.modules, "repro._kernels", raising=False)
+    assert kernels._compiled() is None  # nothing built under that name here
+    installed = type(sys)("repro._kernels")
+    monkeypatch.setitem(sys.modules, "repro._kernels", installed)
+    assert kernels._compiled() is installed
+
+
+def test_the_real_cache_key_names_source_and_interpreter():
+    import importlib.machinery
+
+    path = kernels._cache_path()
+    assert os.path.dirname(path).endswith(os.path.join("repro", "__pycache__"))
+    assert path.endswith(importlib.machinery.EXTENSION_SUFFIXES[0])
+
+
+def artifact(spec_file: str, overrides: dict, **how) -> tuple[dict, str]:
+    spec = api.ExperimentSpec.from_file(str(WORKLOADS / spec_file)).with_overrides(overrides)
+    data = api.run(spec, **how).to_dict()
+    return data, data.pop("provenance")["kernels"]
+
+
+RUNS = [
+    ("req_serial_rr.json", {"workload.num_requests": 20000}, {}),
+    ("req_serial_rr.json", {"workload.num_requests": 20000, "workload.load_fraction": 1.3}, {}),
+    ("req_epoch_lc.json", {"workload.num_requests": 20000}, {"shards": 2, "workers": 1}),
+    ("req_serial_rr.json",
+     {"workload.num_requests": 20000, "policy.name": "wrr", "pool.kind": "mixed_core"},
+     {"shards": 2, "workers": 1}),
+    ("req_serial_klb_wrr.json", {"workload.num_requests": 8000}, {}),
+]
+
+
+@pytest.mark.parametrize("spec_file, overrides, how", RUNS)
+def test_without_a_compiler_the_artifact_is_the_same(tmp_path, spec_file, overrides, how):
+    ours, path = artifact(spec_file, overrides, **how)
+    assert path == kernels.PATH
+    with without_a_compiler(tmp_path):
+        theirs, path = artifact(spec_file, overrides, **how)
+    assert path == "python"
+    assert kernels.PATH == ("python" if COMPILED is None else "compiled")
+    assert ours == theirs
+
+
+def test_the_provenance_names_the_kernels():
+    spec = api.ExperimentSpec.from_file(str(WORKLOADS / "req_serial_rr.json"))
+    result = api.run(spec.with_overrides({"workload.num_requests": 2000}))
+    assert result.provenance.kernels == kernels.PATH
+    restored = api.RunResult.from_dict(result.to_dict())
+    assert restored.provenance.kernels == kernels.PATH
+    fluid = api.run(spec.with_overrides({"runner": "fluid"}))
+    assert fluid.provenance.kernels is None
+    data = result.to_dict()
+    del data["provenance"]["kernels"]  # written before the field existed
+    assert api.RunResult.from_dict(data).provenance.kernels is None
