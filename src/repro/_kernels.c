@@ -1,15 +1,17 @@
 /*
- * The two scalar recurrences the request substrate spends its time in:
- * the FCFS station walk (StationWalk.advance) and the smooth-WRR argmax
- * loop (WeightedRoundRobin, the epoch engine's _SmoothWrrRouter).
+ * The scalar loops the request substrate spends its time in: the FCFS
+ * station walk (StationWalk.advance), the smooth-WRR argmax loop
+ * (WeightedRoundRobin, the epoch engine's _SmoothWrrRouter) and a replayed
+ * station's busy integrals (queueing._station_stats).
  *
- * Each is a transcription of the Python loop in repro/kernels.py, which
+ * Each is a transcription of the Python body in repro/kernels.py, which
  * runs where this module cannot be built and which the tests hold it to
- * byte for byte.  Both use only IEEE additions, one multiplication and
- * comparisons, in the Python loop's order; built with -ffp-contract=off
- * (no fused multiply-add) and without fast-math, every result is the bit
- * the Python loop computes.  Arrays come in through the buffer protocol:
- * C-contiguous float64 (int32 for picks), no numpy C API.
+ * byte for byte.  All use only IEEE additions, subtractions, one
+ * multiplication per term and comparisons, in the Python body's order;
+ * built with -ffp-contract=off (no fused multiply-add) and without
+ * fast-math, every result is the bit the Python body computes.  Arrays come
+ * in through the buffer protocol: C-contiguous float64 (int32 for picks,
+ * bool for admissions), no numpy C API.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -36,7 +38,7 @@ get_array(PyObject *obj, Py_buffer *view, int writable, Py_ssize_t itemsize,
     if (view->itemsize != itemsize || format == NULL || format[0] == '\0'
         || format[1] != '\0' || strchr(kinds, format[0]) == NULL) {
         PyErr_Format(PyExc_TypeError, "%s must be a C-contiguous %s array", name,
-                     itemsize == 8 ? "float64" : "int32");
+                     itemsize == 8 ? "float64" : itemsize == 4 ? "int32" : "bool");
         PyBuffer_Release(view);
         return -1;
     }
@@ -234,9 +236,86 @@ done:
     return result;
 }
 
+PyDoc_STRVAR(station_stats_doc,
+"station_stats(arrivals, admitted, departures, servers, until)\n"
+"-> (busy_time_s, busy_worker_seconds)\n\n"
+"A station's busy integrals from its events; see repro.kernels.station_stats.");
+
+static PyObject *
+station_stats(PyObject *module, PyObject *args)
+{
+    PyObject *arrivals_obj, *admitted_obj, *departures_obj;
+    Py_ssize_t servers;
+    double until;
+    if (!PyArg_ParseTuple(args, "OOOnd:station_stats", &arrivals_obj, &admitted_obj,
+                          &departures_obj, &servers, &until)) {
+        return NULL;
+    }
+    Py_buffer views[3];
+    int held = 0;
+    PyObject *result = NULL;
+    if (get_array(arrivals_obj, &views[0], 0, 8, "d", "arrivals") < 0) goto done;
+    held++;
+    if (get_array(admitted_obj, &views[1], 0, 1, "?", "admitted") < 0) goto done;
+    held++;
+    if (get_array(departures_obj, &views[2], 0, 8, "d", "departures") < 0) goto done;
+    held++;
+
+    const double *arrival = views[0].buf;
+    const unsigned char *admitted = views[1].buf;
+    const double *departure = views[2].buf;
+    Py_ssize_t n = views[0].len / 8;
+    Py_ssize_t m = views[2].len / 8;
+    if (views[1].len != n) {
+        PyErr_SetString(PyExc_ValueError, "station_stats: admitted must align with arrivals");
+        goto done;
+    }
+    /* One merge of three sorted runs — the departures, the arrivals and the
+     * close at ``until`` (none when it is infinite) — taking a departure
+     * before an arrival before the close at equal times, as a stable sort of
+     * their concatenation orders them.  At each event, ``elapsed`` since the
+     * last one is weighted by the population just before it; both sums run
+     * left to right from the first term (-0.0 is the identity of +), as
+     * cumsum adds. */
+    int open = until < INFINITY;
+    Py_ssize_t i = 0, k = 0;
+    long long holding = 0;
+    double last = 0.0, busy = -0.0, worker = -0.0;
+    while (i < n || k < m || open) {
+        double t;
+        int step;
+        if (k < m && (i == n || departure[k] <= arrival[i]) && (!open || departure[k] <= until)) {
+            t = departure[k++];
+            step = -1;
+        } else if (i < n && (!open || arrival[i] <= until)) {
+            t = arrival[i];
+            step = admitted[i++] != 0;
+        } else {
+            t = until;
+            step = 0;
+            open = 0;
+        }
+        double elapsed = t - last;
+        last = t;
+        worker += (double)(holding < servers ? holding : servers) * elapsed;
+        busy += elapsed * (holding > 0 ? 1.0 : 0.0);
+        holding += step;
+    }
+    if (n + m == 0 && !(until < INFINITY)) {
+        busy = worker = 0.0;  /* no event: nothing to integrate */
+    }
+    result = Py_BuildValue("dd", busy, worker);
+done:
+    while (held > 0) {
+        PyBuffer_Release(&views[--held]);
+    }
+    return result;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"walk", walk, METH_VARARGS, walk_doc},
     {"smooth_wrr", smooth_wrr, METH_VARARGS, smooth_wrr_doc},
+    {"station_stats", station_stats, METH_VARARGS, station_stats_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -247,7 +326,7 @@ static PyModuleDef_Slot kernel_slots[] = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._kernels",
-    .m_doc = "Compiled station walk and smooth-WRR pick (see repro.kernels).",
+    .m_doc = "Compiled station walk, smooth-WRR pick and station integrals (see repro.kernels).",
     .m_size = 0,
     .m_methods = kernel_methods,
     .m_slots = kernel_slots,

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 
 DipId = str
@@ -37,6 +39,17 @@ def left_to_right_sum(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+def stable_group_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``keys.argsort(kind="stable")`` for integer keys in ``[0, bound)``.
+
+    The permutation that groups equal keys, each group in its original
+    order.  On the narrowest unsigned type that holds ``bound - 1``, numpy
+    radix-sorts keys of 16 bits or fewer (timsort otherwise); the
+    permutation is the same either way.
+    """
+    return keys.astype(np.min_scalar_type(bound - 1)).argsort(kind="stable")
 
 
 def validate_weight(weight: float, *, name: str = "weight") -> float:

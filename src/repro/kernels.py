@@ -1,12 +1,14 @@
-"""The two scalar recurrences the request substrate spends its time in.
+"""The scalar loops the request substrate spends its time in.
 
-:func:`walk` is :meth:`repro.sim.queueing.StationWalk.advance`'s loop and
+:func:`walk` is :meth:`repro.sim.queueing.StationWalk.advance`'s loop,
 :func:`smooth_wrr` the argmax loop :class:`repro.lb.WeightedRoundRobin` and
-the epoch engine's ``_SmoothWrrRouter`` share.  Neither vectorizes — each
-step reads the state the previous one wrote — so both are compiled: the C
-module ``_kernels.c`` beside this file transcribes the Python loops below,
-which are the fallback where it cannot be built and the oracle the tests
-hold it to, byte for byte.
+the epoch engine's ``_SmoothWrrRouter`` share, and :func:`station_stats` the
+busy integrals a replayed station reports.  The first two do not vectorize —
+each step reads the state the previous one wrote — and the third costs numpy
+a sort and five passes for what one merge does, so all three are compiled:
+the C module ``_kernels.c`` beside this file transcribes the Python bodies
+below, which are the fallback where it cannot be built and the oracle the
+tests hold it to, byte for byte.
 
 Where the compiled module comes from:
 
@@ -18,7 +20,7 @@ Where the compiled module comes from:
   import finds it and loads it without ``subprocess`` or ``sysconfig``;
 - an installed package ships it as the ``repro._kernels`` extension
   (``pyproject.toml`` builds it with the same flags);
-- with no compiler, or a build that fails, the Python loops run.
+- with no compiler, or a build that fails, the Python bodies run.
 
 :data:`PATH` names the one that loaded (``"compiled"`` or ``"python"``); a
 request run records it as ``provenance.kernels``.
@@ -49,7 +51,7 @@ _NAN = float("nan")
 _INF = float("inf")
 
 
-# -- the Python loops (the fallback, and the oracle the tests read) ---------------
+# -- the Python bodies (the fallback, and the oracle the tests read) --------------
 
 
 def py_walk(
@@ -149,6 +151,45 @@ def py_smooth_wrr(
     return best
 
 
+def py_station_stats(
+    arrivals: np.ndarray,
+    admitted: np.ndarray,
+    departures: np.ndarray,
+    servers: int,
+    until: float,
+) -> tuple[float, float]:
+    """A station's ``(busy_time_s, busy_worker_seconds)`` from its events.
+
+    :class:`repro.sim.queueing.DipStation` integrates busy workers at every
+    arrival and departure in time order (a departure before an arrival of
+    the same instant), one ``+=`` per event, and the integral closes at
+    ``until`` (with none, at the last event); ``cumsum`` is that same
+    left-to-right sum, so both come out to the last bit.  ``arrivals`` and
+    ``departures`` (the completed ones) are each sorted, so the stable sort
+    is a merge of them; with no event at all both integrals are zero.
+    """
+    closing = [until] if until < _INF else []
+    times = np.concatenate([departures, arrivals, closing])
+    if not times.size:
+        return 0.0, 0.0
+    step = np.zeros(times.size, dtype=np.int8)
+    step[: departures.size] = -1
+    step[departures.size : departures.size + arrivals.size] = admitted
+    order = times.argsort(kind="stable")
+    times, step = times[order], step[order]
+    del order
+    holding = step.cumsum(dtype=np.int32)
+    holding -= step  # in the station just before each event
+    elapsed = np.diff(times, prepend=0.0)
+    del times
+    worker_seconds = np.minimum(holding, servers) * elapsed
+    elapsed *= holding > 0
+    return (
+        float(elapsed.cumsum(out=elapsed)[-1]),
+        float(worker_seconds.cumsum(out=worker_seconds)[-1]),
+    )
+
+
 # -- the compiled module ---------------------------------------------------------
 
 
@@ -230,24 +271,30 @@ def _compiled() -> ModuleType | None:
 
 
 def load() -> str:
-    """Bind :data:`walk` / :data:`smooth_wrr` to the compiled module, or to
-    the Python loops where it is unavailable; returns :data:`PATH`.
+    """Bind :data:`walk` / :data:`smooth_wrr` / :data:`station_stats` to the
+    compiled module, or to the Python bodies where it is unavailable;
+    returns :data:`PATH`.
 
     Runs once at import.  Callers look the kernels up on this module at
     call time, so a test that makes the build fail and calls this again
-    runs everything on the Python loops.
+    runs everything on the Python bodies.
     """
-    global walk, smooth_wrr, PATH
+    global walk, smooth_wrr, station_stats, PATH
     module = _compiled()
     if module is None:
-        walk, smooth_wrr, PATH = py_walk, py_smooth_wrr, "python"
+        walk, smooth_wrr, station_stats = py_walk, py_smooth_wrr, py_station_stats
+        PATH = "python"
     else:
-        walk, smooth_wrr, PATH = module.walk, module.smooth_wrr, "compiled"
+        walk, smooth_wrr, station_stats = (
+            module.walk, module.smooth_wrr, module.station_stats
+        )
+        PATH = "compiled"
     return PATH
 
 
 walk: Any
 smooth_wrr: Any
+station_stats: Any
 #: ``"compiled"`` or ``"python"``: which kernels :func:`load` bound.
 PATH: str
 load()

@@ -70,7 +70,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.types import DipId
+from repro.core.types import DipId, stable_group_order
 from repro.exceptions import ConfigurationError
 from repro.lb.base import pick_cdf
 from repro.lb.least_connection import least_connection_picks
@@ -721,7 +721,6 @@ class EpochShardSim:
         self._flows = EpochFlowStream(seed) if self._router.uses_flow else None
         self._base_rate = float(payload["rate_rps"])
         self._num_dips = num_dips
-        self._key_dtype = np.min_scalar_type(num_dips - 1)
         self._dip_ids = [dip_id for dip_id, *_ in stations_meta]
         self._base_mean = [
             servers / base_capacity_rps
@@ -762,9 +761,8 @@ class EpochShardSim:
             dips = self._router.route(times, clients, ports)
             muxes = None
         # One stable sort groups the epoch's arrivals by station, each
-        # group still in arrival order; on the narrowest unsigned key numpy
-        # radix-sorts (16 bits or fewer), with the same permutation.
-        order = dips.astype(self._key_dtype).argsort(kind="stable")
+        # group still in arrival order (a radix sort, on up to 65 536 DIPs).
+        order = stable_group_order(dips, self._num_dips)
         bounds = [0, *np.bincount(dips, minlength=self._num_dips).cumsum().tolist()]
         times = times[order]
         muxes = muxes[order] if self._track_mux else None

@@ -57,7 +57,7 @@ if TYPE_CHECKING:  # sim is below api in the layer map: type-only import
     from repro.lb.mux import MuxPool
 
 from repro.backends.dip import DipServer
-from repro.core.types import DipId
+from repro.core.types import DipId, stable_group_order
 from repro.exceptions import ConfigurationError
 from repro.lb.base import FlowKey, Policy
 from repro.sim.client import ClientPool, WorkloadGenerator
@@ -883,7 +883,7 @@ class RequestCluster:
         measured = arrivals - first
         sizes = np.bincount(picks, minlength=len(self.policy.dips))
         by_pick = np.split(
-            picks.argsort(kind="stable").astype(np.int32), sizes.cumsum()[:-1]
+            stable_group_order(picks, sizes.size).astype(np.int32), sizes.cumsum()[:-1]
         )
         del picks
         latency_ms = np.empty(measured, dtype=np.float64)

@@ -335,36 +335,20 @@ def _station_stats(
 ) -> DipQueueStats:
     """What :class:`DipStation` counts over a run, from the run's events.
 
-    The station integrates busy workers at every arrival and departure in
-    time order (a departure before an arrival of the same instant), one
-    ``+=`` per event; ``cumsum`` is that same left-to-right sum, so the
-    integrals come out to the last bit.  The arrivals are sorted already,
-    so the events are the departures, sorted in place, merged into them.
+    ``departures`` (the completed ones) are sorted in place; the busy
+    integrals are :func:`repro.kernels.station_stats`, one merge of them
+    with the sorted arrivals.
     """
     departures.sort()
-    # The integral closes at ``until``; with none, at the last departure.
-    closing = [until] if until < _INF else []
-    times = np.concatenate([departures, arrivals, closing])
-    step = np.zeros(times.size, dtype=np.int8)
-    step[: departures.size] = -1
-    step[departures.size : departures.size + arrivals.size] = admitted
-    # Two sorted runs: timsort merges them in one linear pass, and being
-    # stable it puts a departure before an arrival of the same instant.
-    order = times.argsort(kind="stable")
-    times, step = times[order], step[order]
-    del order
-    holding = step.cumsum(dtype=np.int32)
-    holding -= step  # in the station just before each event
-    elapsed = np.diff(times, prepend=0.0)
-    del times
-    worker_seconds = np.minimum(holding, servers) * elapsed
-    elapsed *= holding > 0
+    busy_time_s, busy_worker_seconds = kernels.station_stats(
+        arrivals, admitted, departures, servers, until
+    )
     return DipQueueStats(
         arrivals=arrivals.size,
         completions=departures.size,
         drops=arrivals.size - int(np.count_nonzero(admitted)),
-        busy_time_s=float(elapsed.cumsum(out=elapsed)[-1]),
-        busy_worker_seconds=float(worker_seconds.cumsum(out=worker_seconds)[-1]),
+        busy_time_s=busy_time_s,
+        busy_worker_seconds=busy_worker_seconds,
     )
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.types import DipId
+from repro.core.types import DipId, stable_group_order
 from repro.exceptions import ConfigurationError
 
 #: staged records per bulk conversion into the numpy columns.
@@ -309,7 +309,9 @@ class MetricsCollector:
         ``dip_index`` (int32) into ``dips``.  An event loop records a row
         when its ``timestamp`` comes up — equal stamps in arrival order, a
         row stamped ``inf`` never — and interns a DIP at its first record;
-        one stable sort reproduces both.  The collector must be empty and
+        one stable sort by timestamp reproduces the first, and a grouping of
+        the sorted rows by DIP (:func:`repro.core.types.stable_group_order`)
+        the second.  The collector must be empty and
         keeps the arrays it is given, so nothing is copied but one column
         at a time under the permutation.
         """
@@ -324,8 +326,14 @@ class MetricsCollector:
         for column in (latency_ms, dip_index, completed, timestamp):
             column[:count] = column[order]
         del order
-        seen, first = np.unique(dip_index[:count], return_index=True)
-        seen = seen[first.argsort()]
+        # Each DIP's first record heads its group, and the DIPs in the order
+        # of those first records are the interning order.
+        order = stable_group_order(dip_index[:count], len(dips))
+        grouped = dip_index[order]
+        heads = np.flatnonzero(np.diff(grouped, prepend=-1))
+        first = order[heads]
+        seen = grouped[heads][first.argsort()]
+        del order, grouped
         self._dip_ids = [dips[index] for index in seen.tolist()]
         self._dip_code = {dip: code for code, dip in enumerate(self._dip_ids)}
         code = np.empty(len(dips), dtype=np.int32)
@@ -494,17 +502,18 @@ class MetricsCollector:
     def summaries(self) -> dict[DipId, DipSummary]:
         """Every DIP's summary, from one grouping of the records by DIP.
 
-        A stable sort keeps each DIP's rows in record order, so each value
-        is the one :meth:`dip_summary` computes from its mask; a per-DIP
-        pass over all records would cost O(DIPs x records), as a per-window
-        one would in :meth:`window_rows`.
+        A stable grouping (:func:`repro.core.types.stable_group_order`, a
+        radix sort on the DIP codes) keeps each DIP's rows in record order,
+        so each value is the one :meth:`dip_summary` computes from its mask;
+        a per-DIP pass over all records would cost O(DIPs x records), as a
+        per-window one would in :meth:`window_rows`.
         """
         self._flush()
         n = self._n
         code, lat, done = self._code[:n], self._lat[:n], self._done[:n]
         # A shard merge appends DIP by DIP: already grouped, nothing to move.
         if (code[1:] < code[:-1]).any():
-            order = code.argsort(kind="stable")
+            order = stable_group_order(code, len(self._dip_ids))
             code, lat, done = code[order], lat[order], done[order]
         bounds = code.searchsorted(np.arange(len(self._dip_ids) + 1)).tolist()
         rows: dict[DipId, DipSummary] = {}
@@ -546,7 +555,9 @@ class MetricsCollector:
         # come from searchsorted boundaries instead of a full-array mask
         # per window (O(records · windows) would bite at 1M requests).
         index = np.floor((ts[in_range] - start_s) / window_s).astype(np.int64)
-        order = np.argsort(index, kind="stable")
+        # (A record just short of ``end_s`` may round into window
+        # ``num_windows``, which the boundaries below leave out.)
+        order = stable_group_order(index, num_windows + 1)
         index = index[order]
         lat = self._lat[:n][in_range][order]
         done = self._done[:n][in_range][order]

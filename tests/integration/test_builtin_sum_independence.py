@@ -1,4 +1,4 @@
-"""Fleet artifacts must not depend on which Python's builtin ``sum`` ran.
+"""Artifacts must not depend on which Python's builtin ``sum`` ran.
 
 From Python 3.12 on the builtin ``sum`` of floats is compensated; up to 3.11
 it adds left to right.  CI runs both, so every float sum that reaches an
@@ -6,14 +6,18 @@ artifact goes through ``core/types.py::left_to_right_sum``.  Here the
 builtin is shadowed by a Neumaier (compensated) sum — what 3.12 computes —
 and the cut-down golden runs of ``test_fleet_controller.py`` (the
 ``fleet_dynamics`` one and both one-VIP ones, plus a fleet whose DIP
-capacities do not sum exactly) must give the same artifact, byte for byte
-outside ``provenance``, as without it.
+capacities do not sum exactly) and cut-down request runs (a replayed ``rr``
+run, a KLB-over-``wrr`` replay, an epoch ``lc`` run on two shards and a
+windowed timeline run, the first and last over DIPs whose capacities do not
+sum exactly) must give the same artifact, byte for byte outside
+``provenance``, as without it.
 """
 
 from __future__ import annotations
 
 import builtins
 import json
+from pathlib import Path
 
 import pytest
 from test_fleet_controller import GOLDEN_SPEC, ONE_VIP_SPEC, WLC_SPEC
@@ -32,6 +36,38 @@ UNEVEN_FLEET_SPEC = {
     "pool": {"kind": "uniform", "num_dips": 9, "vm": {"capacity_rps": 333.3}},
     "workload": {"load_fraction": 0.6},
 }
+
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+WORKLOADS = REPO_ROOT / "benchmarks" / "observatory" / "workloads"
+
+
+def from_file(path: Path, overrides: dict) -> dict:
+    return ExperimentSpec.from_file(str(path)).with_overrides(overrides).to_dict()
+
+
+#: The uneven pool above on the request engine: a replayed round robin.
+UNEVEN_RR_SPEC = from_file(
+    WORKLOADS / "req_serial_rr.json",
+    {
+        "name": "uneven_rr",
+        "pool.num_dips": 9,
+        "pool.vm.capacity_rps": 333.3,
+        "workload.num_requests": 6000,
+    },
+)
+KLB_WRR_SPEC = from_file(
+    WORKLOADS / "req_serial_klb_wrr.json", {"workload.num_requests": 6000}
+)
+EPOCH_LC_SPEC = from_file(
+    WORKLOADS / "req_epoch_lc.json",
+    {"pool.num_dips": 16, "workload.num_requests": 12000},
+)
+#: A windowed request run (``MetricsCollector.window_rows``) on the uneven pool.
+WINDOWED_SPEC = from_file(
+    REPO_ROOT / "examples" / "specs" / "bursty_outage.json",
+    {"pool.num_dips": 9, "pool.vm.capacity_rps": 333.3, "timeline.horizon_s": 15.0},
+)
 
 
 def neumaier_sum(iterable, /, start=0):
@@ -54,10 +90,11 @@ def neumaier_sum(iterable, /, start=0):
     return total + compensation
 
 
-def artifact(spec: dict) -> str:
-    document = json.loads(run(ExperimentSpec.from_dict(spec)).to_json())
-    document.pop("provenance")
-    return json.dumps(document, sort_keys=True)
+def artifact(spec: dict, **how) -> tuple[str, dict]:
+    """The artifact outside ``provenance``, and the ``provenance``."""
+    document = json.loads(run(ExperimentSpec.from_dict(spec), **how).to_json())
+    provenance = document.pop("provenance")
+    return json.dumps(document, sort_keys=True), provenance
 
 
 def test_the_shadow_is_compensated():
@@ -73,6 +110,25 @@ def test_the_shadow_is_compensated():
     ids=["fleet_dynamics", "one_vip", "one_vip_wlc", "uneven_fleet"],
 )
 def test_artifact_is_the_same_under_a_compensated_builtin_sum(spec, monkeypatch):
-    plain = artifact(spec)
+    plain = artifact(spec)[0]
     monkeypatch.setattr(builtins, "sum", neumaier_sum)
-    assert artifact(spec) == plain
+    assert artifact(spec)[0] == plain
+
+
+@pytest.mark.parametrize(
+    "spec, how, path",
+    [
+        (UNEVEN_RR_SPEC, {}, ("replay", "serial")),
+        (KLB_WRR_SPEC, {}, ("replay", "serial")),
+        (EPOCH_LC_SPEC, {"shards": 2, "workers": 1}, (None, "epoch")),
+        (WINDOWED_SPEC, {}, ("events", "serial")),
+    ],
+    ids=["replayed_rr", "klb_wrr_replay", "epoch_lc_2_shards", "windowed_request"],
+)
+def test_request_artifact_is_the_same_under_a_compensated_builtin_sum(
+    spec, how, path, monkeypatch
+):
+    plain, provenance = artifact(spec, **how)
+    assert (provenance["station_path"], provenance["shard_mode"]) == path
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    assert artifact(spec, **how)[0] == plain

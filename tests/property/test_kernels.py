@@ -1,12 +1,14 @@
-"""Differential tests: the compiled kernels against their Python loops.
+"""Differential tests: the compiled kernels against their Python bodies.
 
-:mod:`repro.kernels` binds ``walk`` (the station walk) and ``smooth_wrr``
-(the smooth-WRR pick) to a C module built from ``src/repro/_kernels.c``;
-``py_walk`` / ``py_smooth_wrr`` beside the loader are the fallback and the
-oracle.  Every output array, every piece of walk state and every returned
-number must be the same bytes on both, however the stream is sliced,
-wherever the unit draws run dry, whatever the weights.  Without a compiler
-the Python loops run, and a run's artifact must not change.
+:mod:`repro.kernels` binds ``walk`` (the station walk), ``smooth_wrr`` (the
+smooth-WRR pick) and ``station_stats`` (a station's busy integrals) to a C
+module built from ``src/repro/_kernels.c``; ``py_walk`` / ``py_smooth_wrr``
+/ ``py_station_stats`` beside the loader are the fallback and the oracle.
+Every output array, every piece of walk state and every returned number
+must be the same bytes on both, however the stream is sliced, wherever the
+unit draws run dry, whatever the weights and wherever the events tie.
+Without a compiler the Python bodies run, and a run's artifact must not
+change.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_station_walk import heap_station_stats
 
 from repro import api, kernels
 from repro.backends import DipServer, custom_vm_type
@@ -57,9 +60,12 @@ def without_a_compiler(tmp_path):
 
 
 def on_python():
-    """The Python loops bound in place of whatever loaded."""
+    """The Python bodies bound in place of whatever loaded."""
     return mock.patch.multiple(
-        kernels, walk=kernels.py_walk, smooth_wrr=kernels.py_smooth_wrr
+        kernels,
+        walk=kernels.py_walk,
+        smooth_wrr=kernels.py_smooth_wrr,
+        station_stats=kernels.py_station_stats,
     )
 
 
@@ -285,6 +291,72 @@ def test_a_replay_hands_the_draw_buffer_back(queue_capacity, used):
         python = replayed()
     assert compiled == python
     assert isinstance(compiled[3], list)
+
+
+# -- the busy integrals --------------------------------------------------------------
+
+
+@st.composite
+def station_events(draw):
+    """A station's events as ``station_stats`` takes them: sorted arrivals,
+    which were admitted, the sorted completed departures, the servers and
+    the close."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    size = draw(st.integers(0, 400))
+    servers = draw(st.sampled_from([1, 2, 8]))
+    if draw(st.booleans()):
+        # A dyadic grid: departures land exactly on arrivals and on the close.
+        arrivals = np.sort(rng.integers(0, 80, size)) / 4.0
+        departures = arrivals + rng.integers(0, 8, size) / 4.0
+    else:
+        arrivals = np.sort(rng.uniform(0.0, 20.0, size))
+        departures = arrivals + rng.exponential(2.0 / servers, size)
+    admitted = rng.random(size) < draw(st.sampled_from([1.0, 0.9, 0.4]))  # drops
+    closes = [_INF, 10.0, 0.0]
+    if size:  # on the last arrival, and before it
+        closes += [float(arrivals[-1]), float(arrivals[size // 2])]
+    until = draw(st.sampled_from(closes))
+    departures = np.sort(departures[admitted & (departures <= until)])
+    return arrivals, admitted, departures, servers, until
+
+
+@needs_compiled
+@settings(max_examples=300, deadline=None)
+@given(station_events())
+def test_the_compiled_integrals_are_the_python_merge_and_the_sort(case):
+    arrivals, admitted, departures, servers, until = case
+    ours = np.array(COMPILED.station_stats(*case))
+    assert same_bytes(ours, kernels.py_station_stats(*case))
+    if arrivals.size or until < _INF:
+        oracle = heap_station_stats(
+            arrivals, departures.copy(), admitted, servers=servers, until=until
+        )
+        expected = [oracle.busy_time_s, oracle.busy_worker_seconds]
+    else:  # no event to integrate over (the sort's oracle cannot close it)
+        expected = [0.0, 0.0]
+    assert same_bytes(ours, expected)
+
+
+@pytest.mark.parametrize("until", [_INF, 0.0, 2.5])
+def test_an_empty_station_integrates_to_zero(until):
+    empty = (np.empty(0), np.empty(0, dtype=bool), np.empty(0), 2, until)
+    bodies = [kernels.py_station_stats]
+    if COMPILED is not None:
+        bodies.append(COMPILED.station_stats)
+    for station_stats in bodies:
+        assert same_bytes(np.array(station_stats(*empty)), np.zeros(2))
+
+
+@needs_compiled
+def test_the_compiled_integrals_refuse_what_they_cannot_read():
+    station_stats, arrivals = COMPILED.station_stats, np.arange(3.0)
+    admitted = np.ones(3, dtype=bool)
+    with pytest.raises(TypeError, match="float64"):
+        station_stats(arrivals.astype(np.float32), admitted, arrivals, 1, _INF)
+    with pytest.raises(TypeError, match="bool"):
+        station_stats(arrivals, admitted.view(np.uint8), arrivals, 1, _INF)
+    with pytest.raises(ValueError):  # admissions not aligned with the arrivals
+        station_stats(arrivals, admitted[:2], arrivals, 1, _INF)
 
 
 # -- the smooth-WRR pick ---------------------------------------------------------------

@@ -19,7 +19,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
@@ -354,8 +354,8 @@ def test_a_departure_at_an_arrival_instant_leaves_first(queue_capacity):
     grid=st.booleans(),
     until=st.sampled_from([_INF, 50.0]),
 )
+@example(seed=0, size=0, servers=2, grid=False, until=_INF)
 def test_station_stats_merge_is_the_sort(seed, size, servers, grid, until):
-    assume(size or until < _INF)  # nothing would close the integral
     rng = np.random.default_rng(seed)
     if grid:
         arrivals = np.sort(rng.integers(0, 160, size)) / 4.0
@@ -365,11 +365,24 @@ def test_station_stats_merge_is_the_sort(seed, size, servers, grid, until):
         departures = arrivals + rng.exponential(1.0, size)
     admitted = rng.random(size) < 0.9
     departures = departures[admitted & (departures <= until)]
-    expected = heap_station_stats(
-        arrivals, departures.copy(), admitted, servers=servers, until=until
-    )
+    if size or until < _INF:
+        expected = heap_station_stats(
+            arrivals, departures.copy(), admitted, servers=servers, until=until
+        )
+    else:  # no event: the sort has nothing to close, the station counted nothing
+        expected = DipQueueStats()
     merged = _station_stats(arrivals, departures, admitted, servers=servers, until=until)
     assert merged == expected
+
+
+def test_an_empty_station_with_no_close_counts_nothing():
+    outcome = simulate_station(
+        np.array([]), np.array([]), servers=2, queue_capacity=4, account=True
+    )
+    assert outcome.stats == DipQueueStats()
+    assert StationWalk(2, 4).outcome(account=True).stats == DipQueueStats()
+    closed = StationWalk(2, 4).outcome(until=3.0, account=True).stats
+    assert closed == DipQueueStats()
 
 
 def test_a_walk_without_a_draw_needs_aligned_services():

@@ -531,6 +531,22 @@ def test_window_rows_bucket_and_share():
     assert math.isnan(rows[2]["metrics"]["mean_latency_ms"])
 
 
+def test_window_rows_leave_out_a_record_that_rounds_past_the_last_window():
+    from repro.sim.trace import MetricsCollector
+
+    # 256 windows (the tolerance rounds 256.0000000005 down), and a record
+    # before ``end_s`` whose index reads 256: one past what a uint8 holds.
+    end_s = 256.0 + 5e-10
+    collector = MetricsCollector()
+    for timestamp in (0.5, 256.0000000001, 255.5):
+        collector.record_request("A", 10.0, True, timestamp)
+    rows = collector.window_rows(window_s=1.0, start_s=0.0, end_s=end_s)
+    requests = [row["metrics"]["requests"] for row in rows]
+    assert len(rows) == 256
+    assert requests[0] == requests[255] == 1.0
+    assert sum(requests) == 2.0
+
+
 class TestStepperWeightOverrides:
     """`TimelineStepper.set_weights`: validation, boundary application,
     and the provenance trail (the hook the learn env and the live
