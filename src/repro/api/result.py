@@ -71,9 +71,11 @@ class Provenance:
     #: when the analytic model is trustworthy or was not consulted.
     model_divergence: str | None = None
     station_path: str | None = None
-    #: which station-walk / smooth-WRR kernels a request run executed:
-    #: ``"compiled"`` or ``"python"`` (:data:`repro.kernels.PATH`); ``None``
-    #: for analytic runs and artifacts written before the field existed.
+    #: which kernels (:mod:`repro.kernels`) a request run, or a fluid or
+    #: fleet run whose controller ran, executed: ``"compiled"`` or
+    #: ``"python"`` (:data:`repro.kernels.PATH`); ``None`` for an analytic
+    #: run without the controller and artifacts written before the field
+    #: existed.
     kernels: str | None = None
 
 

@@ -334,6 +334,11 @@ class AnalyticRunner:
         metrics["max_utilization"] = max(state.utilization.values())
         metrics["num_vips"] = float(len(fleet.vips))
         metrics["shared_dips"] = float(len(fleet.shared_dip_ids()))
+        path = None
+        if plane is not None:
+            from repro import kernels  # loaded already: the controller's solver and rescale
+
+            path = kernels.PATH
         return _finish(
             spec,
             clock,
@@ -342,6 +347,7 @@ class AnalyticRunner:
             windows=windows,
             detail=detail,
             model_divergence=divergence,
+            kernels=path,
         )
 
 

@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.core.config import CurveConfig
 from repro.core.types import MeasurementPoint
 from repro.exceptions import ConfigurationError, CurveFitError
@@ -127,38 +128,6 @@ class WeightLatencyCurve:
 # a single curve's evaluation performs, so a bank of one row *is* that
 # evaluation and a bank of many rows costs one pass instead of one per curve.
 
-#: bisection levels a :func:`weights_for_latencies` kernel call resolves.
-_LEVELS = 4
-#: the width of a walk's bracket after each of those levels, in tree points.
-_SPANS = 1 << np.arange(_LEVELS - 1, -1, -1)
-#: per level, the tree points that are its mids and their brackets' two ends.
-_LEVEL_POINTS = [
-    (
-        (slice(None), slice(span // 2, None, span)),
-        (slice(None), slice(None, -1, span)),
-        (slice(None), slice(span, None, span)),
-    )
-    for span in (2 * _SPANS).tolist()
-]
-#: bit ``p - 1`` of a walk's pattern: whether tree point ``p``'s prediction
-#: reached the target.
-_PATTERN_BITS = 1 << np.arange((1 << _LEVELS) - 1)
-
-
-def _walks() -> np.ndarray:
-    """Per pattern, the left end of the bracket the walk down the tree ends
-    in: from ``[0, 2**_LEVELS]``, each level halves the bracket at its mid
-    and keeps the lower half where the mid reached the target."""
-    patterns = np.arange(1 << len(_PATTERN_BITS), dtype=np.int16)
-    left = np.zeros_like(patterns)
-    for span in _SPANS.tolist():
-        reached = (patterns >> (left + span - 1)) & 1
-        left += span * (1 - reached)
-    return left.astype(np.int8)
-
-
-#: every walk, by pattern (32 768 of them at four levels).
-_WALKS = _walks()
 #: the scan that bounds a degree > 2 polynomial over ``[0, w]``.
 _SCAN = np.arange(64.0)
 
@@ -195,6 +164,7 @@ class _Bank:
             ],
             dtype=np.float64,
         ).reshape(len(curves), width + 2)
+        self.table, self.width = table, width
         self.columns = [table[:, j : j + 1] for j in range(width)]
         self.scale, self.l0 = table[:, width : width + 1], table[:, width + 1 :]
         self.monotone = np.array([c.enforce_monotone for c in curves], dtype=bool)[:, None]
@@ -269,57 +239,74 @@ def weights_for_latencies(
     """Per curve, the smallest weight whose predicted latency reaches its target.
 
     Solved by bisection over the monotone prediction of ``[0, upper]``
-    (default ``2·max(w_max, 1e-3)`` per curve), stopping once the bracket is
-    under ``tol`` or after 200 halvings; 0 when the target is at or below the
-    prediction at weight 0, ``upper`` when even ``upper`` stays below it.
+    (default ``2·max(w_max, 1e-3)`` per curve; a scalar is every curve's),
+    stopping once the bracket is under ``tol`` or after 200 halvings; 0 when
+    the target is at or below the prediction at weight 0, ``upper`` when
+    even ``upper`` stays below it.  One target per curve, finite; a finite
+    ``upper >= 0`` and ``tol >= 0`` (at 0, every bisection runs its 200
+    halvings), else :class:`ConfigurationError`.
 
-    Each kernel call takes the next :data:`_LEVELS` levels of every curve's
-    bisection tree at once.  In order, a tree's nodes and its bracket's two
-    ends are one sorted row of ``2**_LEVELS + 1`` points, each node's mid the
-    ``(lo + hi) / 2`` of its own bracket; the walk down it then takes the very
-    halvings, and returns the very weight, of one bisection of that curve.
+    The bisections run in :func:`repro.kernels.bisect_bank`, one scalar loop
+    per curve over the bank's arrays; :func:`_bisect` is the same in numpy,
+    the fallback where the kernels are not compiled.
     """
-    targets = np.asarray(latencies_ms, dtype=np.float64)[:, None]
+    targets = np.array(latencies_ms, dtype=np.float64)
+    if targets.shape != (len(curves),):
+        raise ConfigurationError("need one target latency per curve")
+    if not np.isfinite(targets).all():
+        raise ConfigurationError("target latencies must be finite")
     if upper is None:
         uppers = np.array([max(c.w_max, 1e-3) * 2.0 for c in curves])
     else:
-        uppers = np.broadcast_to(np.asarray(upper, dtype=np.float64), targets.shape[:1])
-        if (uppers < 0).any():
-            raise ConfigurationError("weight must be >= 0")
+        uppers = np.array(upper, dtype=np.float64)
+        if uppers.ndim == 0:
+            uppers = np.full(len(curves), uppers)
+        if uppers.shape != (len(curves),):
+            raise ConfigurationError("upper must be one weight, or one per curve")
+        if not ((uppers >= 0) & (uppers < np.inf)).all():
+            raise ConfigurationError("upper must be finite and >= 0")
+    if not 0 <= tol < np.inf:
+        raise ConfigurationError("tol must be finite and >= 0")
     bank = _Bank(curves)
-    points = np.empty((len(uppers), (1 << _LEVELS) + 1))
-    points[:, 0], points[:, -1] = 0.0, uppers
-    at = np.arange(len(uppers))
-    result, done, halvings = np.array(uppers), None, 0
-    while True:
-        for mid, lo, hi in _LEVEL_POINTS:
-            points[mid] = (points[lo] + points[hi]) / 2.0
-        values = bank.predict(points)
-        if done is None:
-            # The first bracket's ends: at or below the prediction at 0 the
-            # weight is 0, past the prediction at ``upper`` it is ``upper``.
-            idle = targets[:, 0] <= values[:, 0]
-            result[idle] = 0.0
-            done = idle | (values[:, -1] < targets[:, 0])
-            if done.all():
-                return result
-        # Where the mids reached the target decides each walk; the left end
-        # of its bracket after each level is the high bits of its last one.
-        left = _WALKS[(values[:, 1:-1] >= targets) @ _PATTERN_BITS]
-        lefts = left[:, None] & -_SPANS
-        lows, highs = points[at[:, None], lefts], points[at[:, None], lefts + _SPANS]
-        # Once under ``tol`` a bracket stays under it: the halves of a
-        # bracket are no wider than the bracket.
-        stop = highs - lows < tol
-        if halvings + _LEVELS >= 200:
-            stop[:, 199 - halvings :] = True
-        halvings += _LEVELS
-        first = stop[:, -1] & ~done
-        np.copyto(result, highs[at, stop.argmax(axis=1)], where=first)
-        done |= first
-        if done.all():
-            return result
-        points[:, 0], points[:, -1] = lows[:, -1], highs[:, -1]
+    if kernels.PATH == "python":
+        return _bisect(bank, targets, uppers, tol)
+    absent = np.full(len(curves), np.inf)
+    vertex, peak = (absent, -absent) if bank.vertex is None else (bank.vertex, bank.peak)
+    scanned = np.zeros(len(curves), dtype=bool)
+    scanned[bank.scanned] = True
+    found = np.empty(len(curves))
+    kernels.bisect_bank(
+        bank.table, bank.width, bank.monotone, vertex, peak, scanned, targets, uppers,
+        tol, found,
+    )
+    return found
+
+
+def _bisect(bank: _Bank, targets: np.ndarray, uppers: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`weights_for_latencies`' bisections in lockstep: per halving,
+    one :meth:`_Bank.predict` of every curve's mid.
+
+    A curve's weight is its ``hi`` once its bracket is under ``tol``, or
+    after the 200th halving; answered curves ride along in the predictions.
+    """
+    ends = bank.predict(np.stack([np.zeros_like(uppers), uppers], axis=1))
+    # At or below the prediction at 0 the weight is 0, past the prediction
+    # at ``upper`` it is ``upper``.
+    idle = targets <= ends[:, 0]
+    found = np.where(idle, 0.0, uppers)
+    searching = ~idle & ~(ends[:, 1] < targets)
+    lo, hi = np.zeros_like(uppers), uppers.copy()
+    for _ in range(200):
+        if not searching.any():
+            return found
+        mid = (lo + hi) / 2.0
+        reached = bank.predict(mid[:, None])[:, 0] >= targets
+        hi, lo = np.where(reached, mid, hi), np.where(reached, lo, mid)
+        answered = searching & (hi - lo < tol)
+        found[answered] = hi[answered]
+        searching &= ~answered
+    found[searching] = hi[searching]
+    return found
 
 
 def rescale_for_latency_shifts(

@@ -1,14 +1,18 @@
-"""The scalar loops the request substrate spends its time in.
+"""The scalar loops the simulator and the control tick spend their time in.
 
 :func:`walk` is :meth:`repro.sim.queueing.StationWalk.advance`'s loop,
 :func:`smooth_wrr` the argmax loop :class:`repro.lb.WeightedRoundRobin` and
 the epoch engine's ``_SmoothWrrRouter`` share, and :func:`station_stats` the
 busy integrals a replayed station reports.  The first two do not vectorize —
 each step reads the state the previous one wrote — and the third costs numpy
-a sort and five passes for what one merge does, so all three are compiled:
-the C module ``_kernels.c`` beside this file transcribes the Python bodies
-below, which are the fallback where it cannot be built and the oracle the
-tests hold it to, byte for byte.
+a sort and five passes for what one merge does.  :func:`band_dp` is the
+``dp`` solver's band DP and :func:`bisect_bank` the §4.5 curve inversion
+(:func:`repro.core.curve.weights_for_latencies`): both are a few scalar
+operations per step, which numpy pays a call each for.  All five are
+compiled: the C module ``_kernels.c`` beside this file transcribes the
+Python bodies below (the inversion's is ``core/curve.py::_bisect``, as this
+module imports nothing of :mod:`repro.core`), which are the fallback where
+it cannot be built and the oracle the tests hold it to, byte for byte.
 
 Where the compiled module comes from:
 
@@ -23,7 +27,8 @@ Where the compiled module comes from:
 - with no compiler, or a build that fails, the Python bodies run.
 
 :data:`PATH` names the one that loaded (``"compiled"`` or ``"python"``); a
-request run records it as ``provenance.kernels``.
+request run, and a fluid or fleet run whose controller ran, records it as
+``provenance.kernels``.
 """
 
 from __future__ import annotations
@@ -190,6 +195,94 @@ def py_station_stats(
     )
 
 
+def _bands(units: list[list[int]], lo: int, hi: int) -> tuple[list[int], list[int]]:
+    """Per DIP ``i``, the unit sums ``[band_lo[i], band_hi[i]]`` the DP keeps.
+
+    Only candidates of at most ``hi`` units can ever be picked; with min and
+    max over those, a sum over ``dips[: i + 1]`` is reachable only inside
+    ``[Σmin≤i, Σmax≤i]`` and can still end in ``[lo, hi]`` only inside
+    ``[lo − Σmax>i, hi − Σmin>i]``.  A DIP with no such candidate empties
+    every band, as does a window out of reach.
+    """
+    fits = [[k for k in ks if k <= hi] for ks in units]
+    if not all(fits):
+        return [0] * len(units), [-1] * len(units)
+    mins, maxs = [min(ks) for ks in fits], [max(ks) for ks in fits]
+    before_min = before_max = 0
+    after_min, after_max = sum(mins), sum(maxs)
+    band_lo, band_hi = [], []
+    for least, most in zip(mins, maxs):
+        before_min, after_min = before_min + least, after_min - least
+        before_max, after_max = before_max + most, after_max - most
+        band_lo.append(max(before_min, lo - after_max, 0))
+        band_hi.append(min(before_max, hi - after_min))
+    return band_lo, band_hi
+
+
+def py_band_dp(
+    units: np.ndarray,
+    latencies: np.ndarray,
+    k: int,
+    lo: int,
+    hi: int,
+    selection: np.ndarray,
+) -> bool:
+    """The least-latency pick of one candidate per DIP whose units sum into
+    ``[lo, hi]``; whether there is one.
+
+    Row ``i`` of ``units`` (int64) and ``latencies`` (float64), ``k`` wide,
+    are DIP ``i``'s candidates: units ``>= 0`` and latencies finite and
+    ``>= 0`` (else :class:`ValueError`), a row padded past ``hi`` so the
+    pad never fits.  After DIP
+    ``i`` only the sums of :func:`_bands` are kept, each the least over the
+    candidates in order of its source cell plus the candidate's latency (one
+    ``np.minimum`` per candidate), so the DP costs the band, not ``[0, hi]``.
+    The answer is the first cheapest sum in the window, traced back per DIP
+    to the first candidate whose source cell plus its latency is the cell's
+    value — the one a strict ``<`` sweep over the candidates would have
+    recorded, since every later one can only tie; its index goes to
+    ``selection[i]``.
+    """
+    units = np.asarray(units).reshape(-1, k)
+    latencies = np.asarray(latencies).reshape(-1, k)
+    if (units < 0).any() or not ((latencies >= 0) & (latencies < _INF)).all():
+        raise ValueError("band_dp: units must be >= 0 and latencies finite and >= 0")
+    steps, lats = units.tolist(), latencies.tolist()
+    band_lo, band_hi = _bands(steps, lo, hi)
+    # costs[i][u - band_lo[i]] = min latency to reach exactly u units with
+    # DIPs 0..i; before the first DIP only u = 0 is reached, at no cost.
+    cost = np.zeros(1)
+    prev_lo, prev_hi = 0, 0
+    costs: list[np.ndarray] = []
+    for low, high, row, row_lats in zip(band_lo, band_hi, steps, lats):
+        new_cost = np.full(max(0, high - low + 1), np.inf)
+        for step, latency in zip(row, row_lats):
+            # The cells u in the band whose source u - step the last band holds.
+            first, last = max(low, prev_lo + step), min(high, prev_hi + step)
+            if first > last:
+                continue
+            cells = new_cost[first - low : last - low + 1]
+            shifted = cost[first - step - prev_lo : last - step - prev_lo + 1]
+            np.minimum(cells, shifted + latency, out=cells)
+        cost, prev_lo, prev_hi = new_cost, low, high
+        costs.append(cost)
+    # The last band is the window [lo, hi] cut to the reachable sums.
+    if not np.isfinite(cost).any():
+        return False
+    reached = band_lo[-1] + int(np.argmin(cost))
+    for i in range(len(steps) - 1, -1, -1):
+        target = costs[i][reached - band_lo[i]]
+        before = costs[i - 1] if i else np.zeros(1)
+        low, high = (band_lo[i - 1], band_hi[i - 1]) if i else (0, 0)
+        for j, (step, latency) in enumerate(zip(steps[i], lats[i])):
+            source = reached - step
+            if low <= source <= high and before[source - low] + latency == target:
+                break
+        selection[i] = j
+        reached = source
+    return True
+
+
 # -- the compiled module ---------------------------------------------------------
 
 
@@ -271,23 +364,27 @@ def _compiled() -> ModuleType | None:
 
 
 def load() -> str:
-    """Bind :data:`walk` / :data:`smooth_wrr` / :data:`station_stats` to the
-    compiled module, or to the Python bodies where it is unavailable;
-    returns :data:`PATH`.
+    """Bind :data:`walk` / :data:`smooth_wrr` / :data:`station_stats` /
+    :data:`band_dp` / :data:`bisect_bank` to the compiled module, or to the
+    Python bodies where it is unavailable (``bisect_bank`` to ``None``:
+    its body is :mod:`repro.core.curve`'s, which the caller picks by
+    :data:`PATH`); returns :data:`PATH`.
 
     Runs once at import.  Callers look the kernels up on this module at
     call time, so a test that makes the build fail and calls this again
     runs everything on the Python bodies.
     """
-    global walk, smooth_wrr, station_stats, PATH
+    global walk, smooth_wrr, station_stats, band_dp, bisect_bank, PATH
     module = _compiled()
     if module is None:
         walk, smooth_wrr, station_stats = py_walk, py_smooth_wrr, py_station_stats
+        band_dp, bisect_bank = py_band_dp, None
         PATH = "python"
     else:
         walk, smooth_wrr, station_stats = (
             module.walk, module.smooth_wrr, module.station_stats
         )
+        band_dp, bisect_bank = module.band_dp, module.bisect_bank
         PATH = "compiled"
     return PATH
 
@@ -295,6 +392,8 @@ def load() -> str:
 walk: Any
 smooth_wrr: Any
 station_stats: Any
+band_dp: Any
+bisect_bank: Any
 #: ``"compiled"`` or ``"python"``: which kernels :func:`load` bound.
 PATH: str
 load()

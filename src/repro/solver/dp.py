@@ -7,12 +7,14 @@ grid resolution* and is useful for moderate pool sizes where the exact
 branch-and-bound would be slow and HiGHS is unavailable.
 
 After DIP ``i`` only the band of sums that is reachable and can still end in
-the target window is kept (:func:`_bands`); every kept cell is computed from
-the same sources in the same order as over the full ``[0, hi]`` table, so the
-band changes the cost of a solve and nothing it returns.  A stage is one
-``np.minimum`` per candidate and no choice table is kept: the backtrack
-recomputes, for the few cells it visits, which candidate reached the minimum
-first.
+the target window is kept; every kept cell is computed from the same sources
+in the same order as over the full ``[0, hi]`` table, so the band changes the
+cost of a solve and nothing it returns.  No choice table is kept: the
+backtrack recomputes, for the few cells it visits, which candidate reached
+the minimum first.  The DP and the backtrack are one call,
+:func:`repro.kernels.band_dp` (compiled, with ``kernels.py_band_dp`` as its
+fallback); this module keeps the units, the cache, the time limit and the
+result.
 
 The imbalance constraint θ is not representable in this DP (it would require
 tracking the running min/max weight); when θ is finite the caller should use
@@ -28,6 +30,7 @@ from typing import Hashable
 
 import numpy as np
 
+from repro import kernels
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
 from repro.solver.assignment import AssignmentProblem
@@ -100,30 +103,6 @@ class SolveCache:
             self._store.popitem(last=False)
 
 
-def _bands(units: list[list[int]], lo: int, hi: int) -> tuple[list[int], list[int]]:
-    """Per DIP ``i``, the unit sums ``[band_lo[i], band_hi[i]]`` the DP keeps.
-
-    Only candidates of at most ``hi`` units can ever be picked; with min and
-    max over those, a sum over ``dips[: i + 1]`` is reachable only inside
-    ``[Σmin≤i, Σmax≤i]`` and can still end in ``[lo, hi]`` only inside
-    ``[lo − Σmax>i, hi − Σmin>i]``.  A DIP with no such candidate empties
-    every band, as does a window out of reach.
-    """
-    fits = [[k for k in ks if k <= hi] for ks in units]
-    if not all(fits):
-        return [0] * len(units), [-1] * len(units)
-    mins, maxs = [min(ks) for ks in fits], [max(ks) for ks in fits]
-    before_min = before_max = 0
-    after_min, after_max = sum(mins), sum(maxs)
-    band_lo, band_hi = [], []
-    for least, most in zip(mins, maxs):
-        before_min, after_min = before_min + least, after_min - least
-        before_max, after_max = before_max + most, after_max - most
-        band_lo.append(max(before_min, lo - after_max, 0))
-        band_hi.append(min(before_max, hi - after_min))
-    return band_lo, band_hi
-
-
 def solve_dp(
     problem: AssignmentProblem,
     *,
@@ -153,48 +132,30 @@ def solve_dp(
             return cached
 
     start = time.perf_counter()
-    deadline = start + time_limit_s if time_limit_s is not None else None
-
     dips = [cand.sorted_by_weight() for cand in problem.dips]
-
-    def to_units(w: float) -> int:
-        return int(round(w / resolution))
-
-    target_units = to_units(problem.total_weight)
-    tol_units = max(1, to_units(problem.total_weight_tolerance))
+    # A weight's units are ``round(w / resolution)``, an int (or the
+    # ValueError / OverflowError of a NaN / infinite quotient).
+    target_units = round(problem.total_weight / resolution)
+    tol_units = max(1, round(problem.total_weight_tolerance / resolution))
     lo = max(0, target_units - tol_units)
     hi = target_units + tol_units
-    units = [[to_units(w) for w in cand.weights] for cand in dips]
-    band_lo, band_hi = _bands(units, lo, hi)
+    # One row per DIP, padded past ``hi`` so the pad never fits.
+    k = max(cand.count for cand in dips)
+    units = np.array(
+        [[round(w / resolution) for w in cand.weights] + [hi + 1] * (k - cand.count)
+         for cand in dips],
+        dtype=np.int64,
+    )
+    latencies = np.array([[*cand.latencies_ms] + [0.0] * (k - cand.count) for cand in dips])
+    picks = np.empty(len(dips), dtype=np.int64)
 
-    # costs[i][u - band_lo[i]] = min latency to reach exactly u units with
-    # dips[: i + 1]; before the first DIP only u = 0 is reached, at no cost.
-    cost = np.zeros(1)
-    prev_lo, prev_hi = 0, 0
-    costs: list[np.ndarray] = []
-
-    for i, cand in enumerate(dips):
-        if deadline is not None and time.perf_counter() > deadline:
-            return SolveResult(
-                status=SolveStatus.TIMEOUT,
-                solve_time_s=time.perf_counter() - start,
-                backend=_BACKEND_NAME,
-            )
-        low, high = band_lo[i], band_hi[i]
-        new_cost = np.full(max(0, high - low + 1), np.inf)
-        for step, latency in zip(units[i], cand.latencies_ms):
-            # The cells u in the band whose source u - step the last band holds.
-            first, last = max(low, prev_lo + step), min(high, prev_hi + step)
-            if first > last:
-                continue
-            cells = new_cost[first - low : last - low + 1]
-            shifted = cost[first - step - prev_lo : last - step - prev_lo + 1]
-            np.minimum(cells, shifted + latency, out=cells)
-        cost, prev_lo, prev_hi = new_cost, low, high
-        costs.append(cost)
-
-    # The last band is the window [lo, hi] cut to the reachable sums.
-    if not np.isfinite(cost).any():
+    if time_limit_s is not None and time.perf_counter() > start + time_limit_s:
+        return SolveResult(
+            status=SolveStatus.TIMEOUT,
+            solve_time_s=time.perf_counter() - start,
+            backend=_BACKEND_NAME,
+        )
+    if not kernels.band_dp(units, latencies, k, lo, hi, picks):
         result = SolveResult(
             status=SolveStatus.INFEASIBLE,
             solve_time_s=time.perf_counter() - start,
@@ -203,22 +164,10 @@ def solve_dp(
         if cache is not None:
             cache.put(problem, token, result)
         return result
-    # Backtrack from the first cheapest sum in the window.  Per DIP the pick
-    # is the first candidate whose source cell plus its latency is the cell's
-    # minimum: the one a strict ``<`` sweep over the candidates would have
-    # recorded, since every candidate after it can only tie.
-    selection: dict[DipId, int] = {}
-    reached = band_lo[-1] + int(np.argmin(cost))
-    for i in range(len(dips) - 1, -1, -1):
-        target = costs[i][reached - band_lo[i]]
-        before = costs[i - 1] if i else np.zeros(1)
-        low, high = (band_lo[i - 1], band_hi[i - 1]) if i else (0, 0)
-        for j, (step, latency) in enumerate(zip(units[i], dips[i].latencies_ms)):
-            source = reached - step
-            if low <= source <= high and before[source - low] + latency == target:
-                break
-        selection[dips[i].dip] = j
-        reached = source
+    # Keyed last DIP first, the order the backtrack reaches them.
+    selection: dict[DipId, int] = {
+        cand.dip: pick for cand, pick in zip(dips[::-1], picks.tolist()[::-1])
+    }
 
     weights = problem.weights_of(selection)
     elapsed = time.perf_counter() - start

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro.core.curve as curve_module
+from repro import kernels
 from repro.core import KnapsackLBConfig, KnapsackLBController
 from repro.core.config import IlpConfig
 from repro.workloads import build_testbed_cluster, build_three_dip_pool
@@ -181,7 +182,8 @@ class TestControlLoop:
 
 class TestCurveKernelCallsPerTick:
     """A control tick evaluates each VIP's curves as one bank: drift check,
-    §4.5 rescale and ILP grid each cost O(1) kernel calls, not O(DIPs)."""
+    §4.5 rescale and ILP grid each cost O(1) kernel calls, not O(DIPs).
+    A call is a bank prediction or a compiled bank inversion."""
 
     @staticmethod
     def tick(num_dips, perturb, monkeypatch):
@@ -192,16 +194,23 @@ class TestCurveKernelCallsPerTick:
         controller.converge(settle_steps=0)
         perturb(cluster)
         calls = []
-        predict = curve_module._Bank.predict
+        predict, bisect_bank = curve_module._Bank.predict, kernels.bisect_bank
 
         def counting(bank, weights):
             calls.append(weights.shape)
             return predict(bank, weights)
 
+        def counting_bisect(*args):
+            calls.append("bisect_bank")
+            return bisect_bank(*args)
+
         monkeypatch.setattr(curve_module._Bank, "predict", counting)
+        monkeypatch.setattr(kernels, "bisect_bank", counting_bisect)
         report = controller.control_step()
         monkeypatch.undo()
         rescaled = sum(len(event.dips) for event in report.events)
+        if kernels.PATH == "compiled":
+            assert "bisect_bank" in calls  # the rescale ran in the kernel
         return len(calls), rescaled, report.reprogrammed
 
     @pytest.mark.parametrize(

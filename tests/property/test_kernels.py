@@ -1,14 +1,16 @@
 """Differential tests: the compiled kernels against their Python bodies.
 
 :mod:`repro.kernels` binds ``walk`` (the station walk), ``smooth_wrr`` (the
-smooth-WRR pick) and ``station_stats`` (a station's busy integrals) to a C
-module built from ``src/repro/_kernels.c``; ``py_walk`` / ``py_smooth_wrr``
-/ ``py_station_stats`` beside the loader are the fallback and the oracle.
-Every output array, every piece of walk state and every returned number
-must be the same bytes on both, however the stream is sliced, wherever the
-unit draws run dry, whatever the weights and wherever the events tie.
-Without a compiler the Python bodies run, and a run's artifact must not
-change.
+smooth-WRR pick), ``station_stats`` (a station's busy integrals),
+``band_dp`` (the ``dp`` solver's DP) and ``bisect_bank`` (the §4.5 curve
+inversion) to a C module built from ``src/repro/_kernels.c``; ``py_walk`` /
+``py_smooth_wrr`` / ``py_station_stats`` / ``py_band_dp`` beside the loader
+and ``repro.core.curve._bisect`` are the fallback and the oracle.  Every
+output array, every piece of walk state and every returned number must be
+the same bytes on both, however the stream is sliced, wherever the unit
+draws run dry, whatever the weights and wherever the events or the
+candidates tie.  Without a compiler the Python bodies run, and a run's
+artifact must not change.
 """
 
 from __future__ import annotations
@@ -23,12 +25,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_dp_band import full_table_dp, outcome, problems
+from test_properties import bisection_oracle
 from test_station_walk import heap_station_stats
 
 from repro import api, kernels
 from repro.backends import DipServer, custom_vm_type
+from repro.core.curve import WeightLatencyCurve, weights_for_latencies
+from repro.solver import AssignmentProblem, DipCandidates, solve_dp
 from repro.sim.engine import EventScheduler
 from repro.sim.queueing import SERVICE_BATCH, DipStation, StationWalk, simulate_station
 
@@ -66,6 +72,9 @@ def on_python():
         walk=kernels.py_walk,
         smooth_wrr=kernels.py_smooth_wrr,
         station_stats=kernels.py_station_stats,
+        band_dp=kernels.py_band_dp,
+        bisect_bank=None,
+        PATH="python",
     )
 
 
@@ -359,6 +368,220 @@ def test_the_compiled_integrals_refuse_what_they_cannot_read():
         station_stats(arrivals, admitted[:2], arrivals, 1, _INF)
 
 
+# -- the band DP -----------------------------------------------------------------------
+
+
+@st.composite
+def band_dp_calls(draw):
+    """One kernel call: DIPs of unequal candidate counts padded past ``hi``,
+    units on a small grid (duplicates, candidates past ``hi``, windows out of
+    reach), latencies from a few values (ties) or any finite ones."""
+    num_dips = draw(st.integers(1, 7))
+    hi = draw(st.integers(1, 60))
+    lo = draw(st.sampled_from([0, max(0, hi - 2), hi, draw(st.integers(0, hi))]))
+    counts = [draw(st.integers(1, 6)) for _ in range(num_dips)]
+    k = max(counts)
+    units = np.full((num_dips, k), hi + 1, dtype=np.int64)
+    latencies = np.zeros((num_dips, k))
+    values = draw(st.sampled_from([
+        st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+        st.floats(0.0, 1e4),
+        st.floats(0.0, 1e308),  # sums that overflow to inf
+    ]))
+    for i, count in enumerate(counts):
+        units[i, :count] = draw(st.lists(st.integers(0, hi + 5), min_size=count, max_size=count))
+        latencies[i, :count] = draw(st.lists(values, min_size=count, max_size=count))
+    return units, latencies, k, lo, hi
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
+def run_band_dp(band_dp, call):
+    units, latencies, k, lo, hi = call
+    selection = np.full(len(units), -1, dtype=np.int64)
+    return band_dp(units, latencies, k, lo, hi, selection), selection.tobytes()
+
+
+@needs_compiled
+@settings(max_examples=400, deadline=None)
+@given(band_dp_calls())
+# One DIP whose two candidates reach the window at one cost.
+@example((np.array([[3, 5]]), np.array([[1.0, 1.0]]), 2, 3, 5))
+def test_the_compiled_band_dp_is_the_python_band_dp(call):
+    with np.errstate(over="ignore"):  # latencies near 1e308 add up to inf
+        python = run_band_dp(kernels.py_band_dp, call)
+    assert run_band_dp(COMPILED.band_dp, call) == python
+
+
+@needs_compiled
+@settings(max_examples=200, deadline=None)
+@given(problems(), st.sampled_from([1e-3, 1e-2, 0.05]))
+def test_both_band_dps_solve_as_the_full_table(problem, resolution):
+    expected = outcome(full_table_dp(problem, resolution=resolution))
+    assert outcome(solve_dp(problem, resolution=resolution)) == expected
+    with on_python():
+        assert outcome(solve_dp(problem, resolution=resolution)) == expected
+
+
+def test_an_expired_time_limit_runs_no_dp(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the deadline is checked before the DP")
+
+    monkeypatch.setattr(kernels, "band_dp", refuse)
+    problem = AssignmentProblem(dips=(DipCandidates("a", (0.5, 1.0), (1.0, 2.0)),))
+    assert solve_dp(problem, time_limit_s=0.0).status.name == "TIMEOUT"
+
+
+@pytest.mark.parametrize("body", ["compiled", "python"])
+def test_the_band_dp_refuses_inputs_outside_its_domain(body):
+    if body == "compiled" and COMPILED is None:
+        pytest.skip("no C compiler here")
+    band_dp = COMPILED.band_dp if body == "compiled" else kernels.py_band_dp
+    units, latencies = np.array([[1, 2], [0, 3]]), np.array([[1.0, 2.0], [0.5, 0.5]])
+    selection = np.empty(2, dtype=np.int64)
+    for bad in (np.nan, np.inf, -1.0):
+        lats = latencies.copy()
+        lats[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            band_dp(units, lats, 2, 1, 4, selection)
+    with pytest.raises(ValueError, match="units must be >= 0"):
+        band_dp(units - 1, latencies, 2, 1, 4, selection)
+
+
+@needs_compiled
+def test_the_compiled_band_dp_refuses_what_it_cannot_read():
+    band_dp = COMPILED.band_dp
+    units, latencies = np.array([[1, 2], [0, 3]]), np.array([[1.0, 2.0], [0.5, 0.5]])
+    selection = np.empty(2, dtype=np.int64)
+    for args, match in (
+        ((units.astype(np.float64), latencies, 2, 1, 4, selection), "int64"),
+        ((units.astype(np.int32), latencies, 2, 1, 4, selection), "int64"),
+        ((units, latencies.astype(np.float32), 2, 1, 4, selection), "float64"),
+        ((units, latencies, 2, 1, 4, selection.astype(np.int32)), "int64"),
+    ):
+        with pytest.raises(TypeError, match=match):
+            band_dp(*args)
+    for args in (
+        (units, latencies, 3, 1, 4, selection),  # rows of 3 do not tile 4 units
+        (units, latencies, 0, 1, 4, selection),
+        (units, latencies[:, :1].copy(), 2, 1, 4, selection),
+        (units, latencies, 2, 1, 4, np.empty(3, dtype=np.int64)),
+        (units, latencies, 2, 5, 4, selection),  # an empty window
+        (units, latencies, 2, -1, 4, selection),
+        (units, latencies, 2, 1, 4, read_only(selection)),
+    ):
+        with pytest.raises(ValueError):
+            band_dp(*args)
+    with pytest.raises(MemoryError):  # a window no table could span
+        band_dp(units, latencies, 2, 1, 2**62, selection)
+
+
+# -- the curve inversion -------------------------------------------------------------------
+
+#: coefficients that tie, vanish with either sign, or are any size.
+_COEFFICIENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), st.floats(-300.0, 300.0)
+)
+
+
+@st.composite
+def inversion_curves(draw):
+    """One curve of degree 1-4 (the scanned rows above 2), a concave
+    parabola with its vertex inside the range, envelope on or off."""
+    monotone = draw(st.booleans())
+    if draw(st.integers(0, 3)) == 0:
+        # -a x^2 + b x + c peaks at b / 2a (times the scale).
+        a, b = draw(st.floats(1.0, 300.0)), draw(st.floats(0.0, 200.0))
+        coefficients = (-a, b, draw(_COEFFICIENTS))
+    else:
+        degree = draw(st.integers(1, 4))
+        coefficients = tuple(
+            draw(st.lists(_COEFFICIENTS, min_size=degree + 1, max_size=degree + 1))
+        )
+    return WeightLatencyCurve(
+        coefficients=coefficients,
+        l0_ms=draw(st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 20.0)),
+        w_max=draw(st.floats(0.0, 1.0)),
+        weight_scale=draw(st.sampled_from([1.0]) | st.floats(0.1, 5.0)),
+        enforce_monotone=monotone,
+    )
+
+
+@st.composite
+def inversion_cases(draw):
+    curves = draw(st.lists(inversion_curves(), min_size=1, max_size=6))
+    # At or below idle (0, l0), past any upper (1e6), or in between.
+    target = st.sampled_from([0.0, 1.0, 1e6]) | st.floats(-10.0, 1000.0)
+    targets = draw(st.lists(target, min_size=len(curves), max_size=len(curves)))
+    kind = draw(st.sampled_from(["default", "shared", "per-curve", "huge"]))
+    if kind == "default":
+        upper = None
+    elif kind == "shared":
+        upper = draw(st.sampled_from([0.0, -0.0]) | st.floats(0.0, 3.0))
+    elif kind == "per-curve":
+        upper = draw(st.lists(st.floats(0.0, 3.0), min_size=len(curves), max_size=len(curves)))
+    else:
+        upper = 1e300  # still 2**-200 of that wide when the cap ends it
+    # 0 and 1e-300 run every bisection to the 200-halving cap.
+    tol = draw(st.sampled_from([1e-6, 1e-3, 0.1, 0.0, 1e-300]))
+    return curves, targets, upper, tol
+
+
+@needs_compiled
+@settings(max_examples=300, deadline=None)
+@given(inversion_cases())
+# A bracket exactly ``tol`` wide ([0.375, 0.5]) does not stop the bisection.
+@example(([WeightLatencyCurve((10.0, 1.0), 1.0, 0.4)], [5.0], 1.0, 0.125))
+# A subnormal scale puts every weight but 0 at x = inf: NaN predictions.
+@example(([WeightLatencyCurve((1.0, -2.0, 1.0, 3.0), 1.0, 0.4, 1e-320)], [5.0], None, 1e-6))
+def test_the_compiled_inversion_is_the_lockstep_bisection(case):
+    curves, targets, upper, tol = case
+    with np.errstate(all="ignore"):  # a degree-4 row at 1e300 overflows
+        compiled = weights_for_latencies(curves, targets, upper=upper, tol=tol)
+        with on_python():
+            python = weights_for_latencies(curves, targets, upper=upper, tol=tol)
+        uppers = upper if isinstance(upper, list) else [upper] * len(curves)
+        expected = [
+            bisection_oracle(c, x, upper=u, tol=tol) for c, x, u in zip(curves, targets, uppers)
+        ]
+    assert same_bytes(compiled, python)
+    assert same_bytes(compiled, np.array(expected))
+
+
+def bank_call(rows=2, width=3):
+    """A valid ``bisect_bank`` argument list for ``rows`` curves."""
+    absent = np.full(rows, np.inf)
+    flags = np.zeros(rows, dtype=bool)
+    return [np.ones((rows, width + 2)), width, flags, absent, -absent, flags,
+            np.ones(rows), np.ones(rows), 1e-6, np.empty(rows)]
+
+
+@needs_compiled
+def test_the_compiled_inversion_refuses_what_it_cannot_read():
+    bisect_bank = COMPILED.bisect_bank
+    assert bisect_bank(*bank_call(rows=0)) is None
+    for at, bad, error, match in (
+        (0, np.ones((2, 5), dtype=np.float32), TypeError, "float64"),
+        (2, np.zeros(2, dtype=np.uint8), TypeError, "bool"),
+        (5, np.zeros(2, dtype=np.int8), TypeError, "bool"),
+        (6, np.ones(3), ValueError, "align"),  # one target too many
+        (3, np.full(1, np.inf), ValueError, "align"),
+        (0, np.ones((2, 4)), ValueError, "table"),
+        (1, 0, ValueError, "table"),
+        (1, 2**62, ValueError, "table"),
+        (9, np.empty(2)[::-1], ValueError, "contiguous"),
+        (9, read_only(np.empty(2)), ValueError, "read-only"),
+    ):
+        call = bank_call()
+        call[at] = bad
+        with pytest.raises(error, match=match):
+            bisect_bank(*call)
+
+
 # -- the smooth-WRR pick ---------------------------------------------------------------
 
 _TINY = float(np.nextafter(0.0, 1.0))  # the smallest subnormal
@@ -510,6 +733,16 @@ def artifact(spec_file: str, overrides: dict, **how) -> tuple[dict, str]:
     return data, data.pop("provenance")["kernels"]
 
 
+SHORT_TIMELINE = {
+    "window_s": 5.0,
+    "horizon_s": 20.0,
+    "events": [
+        {"time_s": 5.0, "kind": "capacity_ratio", "dip": "DIP-4", "value": 0.6},
+        {"time_s": 10.0, "kind": "dip_fail", "dip": "DIP-6"},
+        {"time_s": 15.0, "kind": "dip_recover", "dip": "DIP-6"},
+    ],
+}
+
 RUNS = [
     ("req_serial_rr.json", {"workload.num_requests": 20000}, {}),
     ("req_serial_rr.json", {"workload.num_requests": 20000, "workload.load_fraction": 1.3}, {}),
@@ -518,6 +751,9 @@ RUNS = [
      {"workload.num_requests": 20000, "policy.name": "wrr", "pool.kind": "mixed_core"},
      {"shards": 2, "workers": 1}),
     ("req_serial_klb_wrr.json", {"workload.num_requests": 8000}, {}),
+    # The control tick: band DPs and §4.5 rescales, on a fleet and on one VIP.
+    ("fleet_dynamics.json", {"fleet.num_vips": 2, "timeline": SHORT_TIMELINE}, {}),
+    ("fleet_dynamics.json", {"runner": "fluid", "timeline": SHORT_TIMELINE}, {}),
 ]
 
 
@@ -539,7 +775,10 @@ def test_the_provenance_names_the_kernels():
     restored = api.RunResult.from_dict(result.to_dict())
     assert restored.provenance.kernels == kernels.PATH
     fluid = api.run(spec.with_overrides({"runner": "fluid"}))
-    assert fluid.provenance.kernels is None
+    assert fluid.provenance.kernels is None  # no controller: no kernel ran
+    controlled = api.ExperimentSpec.from_file(str(WORKLOADS / "fleet_dynamics.json"))
+    fluid = api.run(controlled.with_overrides({"runner": "fluid", "timeline": SHORT_TIMELINE}))
+    assert fluid.provenance.kernels == kernels.PATH
     data = result.to_dict()
     del data["provenance"]["kernels"]  # written before the field existed
     assert api.RunResult.from_dict(data).provenance.kernels is None

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
 from repro.core.config import CurveConfig
-from repro.core.curve import WeightLatencyCurve, _nnls, fit_curve, fit_error
+from repro.core.curve import (
+    WeightLatencyCurve,
+    _nnls,
+    fit_curve,
+    fit_error,
+    rescale_for_latency_shifts,
+    weights_for_latencies,
+)
 from repro.core.types import MeasurementPoint
 from repro.exceptions import ConfigurationError, CurveFitError
 
@@ -180,6 +187,31 @@ class TestInversion:
     def test_latency_above_range_returns_upper(self, simple_curve):
         upper = 0.3
         assert simple_curve.weight_for_latency(10_000.0, upper=upper) == pytest.approx(upper)
+
+    def test_one_target_per_curve(self, simple_curve):
+        # One target for two curves used to be broadcast to both.
+        with pytest.raises(ConfigurationError, match="one target"):
+            weights_for_latencies([simple_curve, simple_curve], [5.0])
+
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_target_is_refused(self, simple_curve, target):
+        # A NaN target used to return ``upper``, so a NaN observation rescaled
+        # the curve by ``w / upper``.
+        with pytest.raises(ConfigurationError, match="finite"):
+            weights_for_latencies([simple_curve], [target])
+        with pytest.raises(ConfigurationError, match="finite"):
+            rescale_for_latency_shifts([simple_curve], [0.2], [target])
+
+    @pytest.mark.parametrize("upper", [float("nan"), float("inf"), [0.3, float("nan")]])
+    def test_a_non_finite_upper_is_refused(self, simple_curve, upper):
+        # ``upper=nan`` used to return NaN.
+        with pytest.raises(ConfigurationError, match="upper"):
+            weights_for_latencies([simple_curve, simple_curve], [5.0, 6.0], upper=upper)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
+    def test_tol_must_be_finite_and_not_negative(self, simple_curve, tol):
+        with pytest.raises(ConfigurationError, match="tol"):
+            weights_for_latencies([simple_curve], [5.0], tol=tol)
 
 
 class TestRescaling:
