@@ -6,13 +6,16 @@ the epoch engine's ``_SmoothWrrRouter`` share, and :func:`station_stats` the
 busy integrals a replayed station reports.  The first two do not vectorize —
 each step reads the state the previous one wrote — and the third costs numpy
 a sort and five passes for what one merge does.  :func:`band_dp` is the
-``dp`` solver's band DP and :func:`bisect_bank` the §4.5 curve inversion
-(:func:`repro.core.curve.weights_for_latencies`): both are a few scalar
-operations per step, which numpy pays a call each for.  All five are
-compiled: the C module ``_kernels.c`` beside this file transcribes the
-Python bodies below (the inversion's is ``core/curve.py::_bisect``, as this
-module imports nothing of :mod:`repro.core`), which are the fallback where
-it cannot be built and the oracle the tests hold it to, byte for byte.
+``dp`` solver's band DP, :func:`bisect_bank` the §4.5 curve inversion
+(:func:`repro.core.curve.weights_for_latencies`) and :func:`expand_core`
+the stage loop of the ``mckp`` solver's core DP: each is a few scalar
+operations per step, which numpy pays a call (or ≈20 a stage) for.  All six
+are compiled: the C module ``_kernels.c`` beside this file transcribes the
+Python bodies below (the inversion's is ``core/curve.py::_bisect`` and the
+core DP's the loop in ``solver/mckp.py::_expand_core``, as this module
+imports nothing of :mod:`repro.core` or :mod:`repro.solver`), which are the
+fallback where it cannot be built and the oracle the tests hold it to, byte
+for byte.
 
 Where the compiled module comes from:
 
@@ -365,26 +368,29 @@ def _compiled() -> ModuleType | None:
 
 def load() -> str:
     """Bind :data:`walk` / :data:`smooth_wrr` / :data:`station_stats` /
-    :data:`band_dp` / :data:`bisect_bank` to the compiled module, or to the
-    Python bodies where it is unavailable (``bisect_bank`` to ``None``:
-    its body is :mod:`repro.core.curve`'s, which the caller picks by
-    :data:`PATH`); returns :data:`PATH`.
+    :data:`band_dp` / :data:`bisect_bank` / :data:`expand_core` to the
+    compiled module, or to the Python bodies where it is unavailable
+    (``bisect_bank`` and ``expand_core`` to ``None``: their bodies are
+    :mod:`repro.core.curve`'s and :mod:`repro.solver.mckp`'s, which the
+    callers pick when the kernel is absent); returns :data:`PATH`.
 
     Runs once at import.  Callers look the kernels up on this module at
     call time, so a test that makes the build fail and calls this again
     runs everything on the Python bodies.
     """
-    global walk, smooth_wrr, station_stats, band_dp, bisect_bank, PATH
+    global walk, smooth_wrr, station_stats, band_dp, bisect_bank, expand_core, PATH
     module = _compiled()
     if module is None:
         walk, smooth_wrr, station_stats = py_walk, py_smooth_wrr, py_station_stats
-        band_dp, bisect_bank = py_band_dp, None
+        band_dp, bisect_bank, expand_core = py_band_dp, None, None
         PATH = "python"
     else:
         walk, smooth_wrr, station_stats = (
             module.walk, module.smooth_wrr, module.station_stats
         )
-        band_dp, bisect_bank = module.band_dp, module.bisect_bank
+        band_dp, bisect_bank, expand_core = (
+            module.band_dp, module.bisect_bank, module.expand_core
+        )
         PATH = "compiled"
     return PATH
 
@@ -394,6 +400,7 @@ smooth_wrr: Any
 station_stats: Any
 band_dp: Any
 bisect_bank: Any
+expand_core: Any
 #: ``"compiled"`` or ``"python"``: which kernels :func:`load` bound.
 PATH: str
 load()

@@ -4,7 +4,8 @@ The paper's prototype uses COIN-OR CBC through PuLP; this package provides
 the same capability through interchangeable backends:
 
 * ``mckp`` — the problem without θ is a multiple-choice knapsack; LP
-  relaxation by one sort plus an expanding-core dynamic program, numpy only,
+  relaxation by one sort plus an expanding-core dynamic program (numpy, with
+  the DP's stage loop compiled in :func:`repro.kernels.expand_core`),
   certified to a 1e-4 gap and bounded by a state budget instead of the clock
   (:mod:`repro.solver.mckp`);
 * ``scipy`` — :func:`scipy.optimize.milp` (HiGHS), the generic exact solver

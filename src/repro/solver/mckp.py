@@ -30,9 +30,14 @@ one-sided program widens its cost buckets — the frontier is thinned evenly and
 the bound pays for it, so a ``FEASIBLE`` answer still carries a proven gap
 (dropping the states with the worst bounds instead lost up to 1.9 % on
 tiny-target instances, widening at most 3e-4).  The band program has no such
-merging; it keeps the lowest bounds and remembers the best bound it dropped.
-``time_limit_s`` is a backstop read between stages; a result it cut is
-``FEASIBLE`` and is the one kind that is not cached.
+merging; it keeps the lowest bounds (a stable sort: ties by weight order) and
+remembers the best bound it dropped.  ``time_limit_s`` is a backstop read
+between stages; a result it cut is ``FEASIBLE`` and is the one kind that is
+not cached.
+
+The DP's stage loop runs in :func:`repro.kernels.expand_core` where the
+kernels are compiled; the numpy loop in :func:`_expand_core` is its fallback
+and the oracle the tests hold it to, byte for byte.
 
 The weight sum that is checked against the band is the left-to-right float sum
 in DIP order (:attr:`SolveResult.total_weight`); no selection leaves this
@@ -46,10 +51,11 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from repro import kernels
 from repro.core.types import left_to_right_sum
 from repro.exceptions import ConfigurationError
 from repro.solver.assignment import AssignmentProblem
@@ -74,6 +80,20 @@ class _Edges(NamedTuple):
     head: np.ndarray  # column of the heavier end
     dw: np.ndarray
     dc: np.ndarray
+
+
+class _Band(NamedTuple):
+    """The band check: a selection's weights as given (never negated), added
+    left to right in DIP order (:attr:`SolveResult.total_weight`), must lie
+    in ``[lo, hi]``."""
+
+    weights: np.ndarray  # columns as the solver's sorted table
+    lo: float
+    hi: float
+
+    def __call__(self, sel: np.ndarray) -> bool:
+        total = left_to_right_sum(self.weights[np.arange(len(sel)), sel].tolist())
+        return self.lo <= total <= self.hi
 
 
 def _hull_edges(W: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, _Edges]:
@@ -173,7 +193,7 @@ def _expand_core(
     usable: np.ndarray,
     incumbent: float,
     bucket: float | None,
-    accept: Callable[[np.ndarray], bool] | None,
+    accept: _Band | None,
 ) -> tuple[np.ndarray | None, float, int, bool]:
     """The dynamic program over (weight, cost) states, one DIP per stage.
 
@@ -181,12 +201,17 @@ def _expand_core(
     edges left of it, the rest right of it; ``usable`` marks the columns a
     stage tries.  ``bucket`` is the starting cost-bucket width of the
     one-sided program (heavier and no dearer wins); ``None`` selects the band
-    program, which merges equal weights only and whose incumbents must pass
-    ``accept``.
+    program, which merges equal weights only.  Incumbents must pass
+    ``accept`` where it is given.
 
     Returns the best selection found that beats ``incumbent`` (or ``None``),
     a lower bound on the program's optimum, the number of states kept and
     whether the clock cut the search.
+
+    The set-up is numpy; the stage loop runs in
+    :func:`repro.kernels.expand_core` where the kernels are compiled.  The
+    loop below is the same in numpy: the fallback, and the oracle the tests
+    hold the compiled one to, byte for byte.
     """
     n = len(base)
     rows = np.arange(n)
@@ -195,7 +220,6 @@ def _expand_core(
     stage_of = np.empty(n, dtype=np.intp)
     stage_of[order] = rows
     edge_stage = stage_of[edges.dip]
-    left = np.arange(len(edge_stage)) < taken
     # How much lighter the DIPs after each stage can still make a state.
     shed = -np.where(usable, dW, np.inf).min(axis=1)[order]
     shed_after = shed[::-1].cumsum()[::-1] - shed
@@ -205,6 +229,15 @@ def _expand_core(
     slack = 1e-12 * max(1.0, abs(lo))
     w = np.array([W[rows, base].sum()])
     c = np.array([C[rows, base].sum()])
+    if kernels.expand_core is not None:
+        found = np.empty(n, dtype=np.intp)
+        hit, lower, states, cut = kernels.expand_core(
+            dW, dC, usable, base, order, edge_stage, edges.dw, edges.dc, taken, shed_after,
+            w[0], c[0], lo, hi, slack, deadline, incumbent, bucket, accept, GAP, STATE_BUDGET,
+            found,
+        )
+        return (found if hit else None), lower, states, cut
+    left = np.arange(len(edge_stage)) < taken
     trail: list[tuple[np.ndarray, np.ndarray]] = []
     best: np.ndarray | None = None
     best_cost, dropped, states, loss = incumbent, np.inf, 0, 0.0
@@ -248,9 +281,11 @@ def _expand_core(
         keep = by_weight[_cheapest_of_ties(cw[by_weight], cc[by_weight])]
         if bucket is None:
             if len(keep) > STATE_BUDGET:
-                cut = np.argpartition(bound[keep], STATE_BUDGET)
-                dropped = min(dropped, float(bound[keep[cut[STATE_BUDGET:]]].min()))
-                keep = keep[cut[:STATE_BUDGET]]
+                # The lowest bounds (ties by weight order), put back heaviest
+                # first; the least bound among the rest is remembered.
+                cut = np.argsort(bound[keep], kind="stable")
+                dropped = min(dropped, float(bound[keep[cut[STATE_BUDGET]]]))
+                keep = keep[np.sort(cut[:STATE_BUDGET])]
         else:
             # Over budget the buckets widen (and stay wide): the frontier is
             # thinned evenly and what that can cost is known, where dropping
@@ -290,6 +325,7 @@ def _search(
     for d, cand in enumerate(problem.dips):
         W[d, : cand.count] = cand.weights
         C[d, : cand.count] = cand.latencies_ms
+    given = W
     band_lo = problem.total_weight - problem.total_weight_tolerance
     band_hi = problem.total_weight + problem.total_weight_tolerance
     lo, hi = band_lo, band_hi
@@ -304,13 +340,10 @@ def _search(
     W = np.take_along_axis(W, perm, axis=1)
     C = np.take_along_axis(C, perm, axis=1)
     W[~np.isfinite(C)] = 0.0
+    in_band = _Band(np.take_along_axis(given, perm, axis=1), band_lo, band_hi)
 
     def chosen(sel: np.ndarray) -> list[int]:
         return perm[rows, sel].tolist()
-
-    def in_band(sel: np.ndarray) -> bool:
-        total = left_to_right_sum(cand.weights[j] for cand, j in zip(problem.dips, chosen(sel)))
-        return band_lo <= total <= band_hi
 
     def cost(sel: np.ndarray | None) -> float:
         return np.inf if sel is None else float(C[rows, sel].sum())

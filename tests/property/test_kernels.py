@@ -2,10 +2,12 @@
 
 :mod:`repro.kernels` binds ``walk`` (the station walk), ``smooth_wrr`` (the
 smooth-WRR pick), ``station_stats`` (a station's busy integrals),
-``band_dp`` (the ``dp`` solver's DP) and ``bisect_bank`` (the §4.5 curve
-inversion) to a C module built from ``src/repro/_kernels.c``; ``py_walk`` /
-``py_smooth_wrr`` / ``py_station_stats`` / ``py_band_dp`` beside the loader
-and ``repro.core.curve._bisect`` are the fallback and the oracle.  Every
+``band_dp`` (the ``dp`` solver's DP), ``bisect_bank`` (the §4.5 curve
+inversion) and ``expand_core`` (the ``mckp`` solver's core DP) to a C module
+built from ``src/repro/_kernels.c``; ``py_walk`` / ``py_smooth_wrr`` /
+``py_station_stats`` / ``py_band_dp`` beside the loader,
+``repro.core.curve._bisect`` and the stage loop of
+``repro.solver.mckp._expand_core`` are the fallback and the oracle.  Every
 output array, every piece of walk state and every returned number must be
 the same bytes on both, however the stream is sliced, wherever the unit
 draws run dry, whatever the weights and wherever the events or the
@@ -18,8 +20,10 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -28,13 +32,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_dp_band import full_table_dp, outcome, problems
+from test_mckp import COLD_100, small_problems
+from test_mckp_merge import tie_heavy_problems
 from test_properties import bisection_oracle
 from test_station_walk import heap_station_stats
 
+import repro.core.ilp as ilp
+import repro.solver.mckp as mckp
 from repro import api, kernels
 from repro.backends import DipServer, custom_vm_type
 from repro.core.curve import WeightLatencyCurve, weights_for_latencies
-from repro.solver import AssignmentProblem, DipCandidates, solve_dp
+from repro.solver import AssignmentProblem, DipCandidates, SolveStatus, solve_dp, solve_mckp
 from repro.sim.engine import EventScheduler
 from repro.sim.queueing import SERVICE_BATCH, DipStation, StationWalk, simulate_station
 
@@ -74,6 +82,7 @@ def on_python():
         station_stats=kernels.py_station_stats,
         band_dp=kernels.py_band_dp,
         bisect_bank=None,
+        expand_core=None,
         PATH="python",
     )
 
@@ -480,6 +489,251 @@ def test_the_compiled_band_dp_refuses_what_it_cannot_read():
         band_dp(units, latencies, 2, 1, 2**62, selection)
 
 
+# -- the mckp core DP ------------------------------------------------------------------------
+
+
+def core_calls(problem: AssignmentProblem) -> list[tuple]:
+    """The arguments of every ``_expand_core`` call ``solve_mckp`` makes on
+    ``problem`` (on the Python bodies, so no compiled result feeds them)."""
+    calls: list[tuple] = []
+    body = mckp._expand_core
+
+    def recording(*args):
+        calls.append(args)
+        return body(*args)
+
+    with mock.patch.object(mckp, "_expand_core", recording), on_python():
+        solve_mckp(problem)
+    return calls
+
+
+def core_outcome(args: tuple) -> tuple:
+    best, lower, states, cut = mckp._expand_core(*args)
+    chosen = None if best is None else (best.dtype.str, best.tobytes())
+    return chosen, np.float64(lower).tobytes(), states, cut
+
+
+def assert_cores_agree(calls: list[tuple]) -> None:
+    for args in calls:
+        compiled = core_outcome(args)
+        with on_python():
+            assert core_outcome(args) == compiled
+
+
+def with_arg(args: tuple, at: int, value) -> tuple:
+    return args[:at] + (value,) + args[at + 1 :]
+
+
+def verdict(problem: AssignmentProblem) -> tuple:
+    result = solve_mckp(problem)
+    return result.status, result.selection, result.lower_bound_ms, result.nodes_explored
+
+
+class CountingBand(mckp._Band):
+    """A band check that counts the selections it turns down (the compiled
+    body reads the same three fields and never calls it)."""
+
+    rejected = 0
+
+    def __call__(self, sel):
+        inside = super().__call__(sel)
+        CountingBand.rejected += not inside
+        return inside
+
+
+class CountingSorts:
+    """numpy, with a count of ``np.sort`` calls: in ``mckp`` only the band
+    program's budget cut makes one."""
+
+    def __init__(self):
+        self.sorts = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sort(self, *args, **kwargs):
+        self.sorts += 1
+        return np.sort(*args, **kwargs)
+
+
+def past_the_budget(seed: int, tolerance: float) -> AssignmentProblem:
+    """Twelve DIPs of six random weights (no shared grid, so hardly any two
+    sums tie) and a narrow band the cheapest selection overshoots: the band
+    program keeps more than ``STATE_BUDGET`` distinct weights."""
+    rng = random.Random(seed)
+    dips = []
+    for d in range(12):
+        weights = sorted(rng.uniform(0.0, 2.0 / 12) for _ in range(6))
+        scale = rng.uniform(1.0, 5.0)
+        dips.append(
+            DipCandidates(f"d{d}", tuple(weights), tuple(scale / (0.01 + w) for w in weights))
+        )
+    return AssignmentProblem(dips=tuple(dips), total_weight=1.0, total_weight_tolerance=tolerance)
+
+
+@needs_compiled
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(tie_heavy_problems(), small_problems()),
+    st.sampled_from([mckp.STATE_BUDGET, 16, 3, 1]),
+)
+def test_the_compiled_core_is_the_python_core(problem, budget):
+    # A small budget makes the one-sided program widen its buckets and the
+    # band program cut at almost every stage.
+    with mock.patch.object(mckp, "STATE_BUDGET", budget):
+        calls = core_calls(problem)
+        assert_cores_agree(calls)
+        for args in calls:
+            if args[11] is not None:  # the one-sided program from bucket 0
+                assert_cores_agree([with_arg(args, 11, 0.0)])
+        compiled = verdict(problem)
+        with on_python():
+            assert verdict(problem) == compiled
+
+
+@needs_compiled
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("tolerance", [0.0, 1e-5])
+def test_the_band_programs_budget_cut(seed, tolerance):
+    problem = past_the_budget(seed, tolerance)
+    calls = core_calls(problem)
+    assert [args[11] is None for args in calls] == [False, True]
+    counting = CountingSorts()
+    with on_python(), mock.patch.object(mckp, "np", counting):
+        python = core_outcome(calls[1])
+    assert counting.sorts > 0  # the cut was reached
+    assert core_outcome(calls[1]) == python
+    assert_cores_agree(calls)
+    compiled = verdict(problem)
+    with on_python():
+        assert verdict(problem) == compiled
+    # A selection is found in the wider band, none in the zero-width one.
+    assert compiled[0] is (SolveStatus.OPTIMAL if tolerance else SolveStatus.TIMEOUT)
+
+
+@needs_compiled
+def test_a_band_check_that_turns_down_the_cheapest_states():
+    problem = past_the_budget(2, 1e-5)
+    args = core_calls(problem)[1]
+    band = args[12]
+    # The DP's band holds states whose exact sums fall outside a band a
+    # hair narrower: they are turned down, cheapest first, until one fits.
+    narrow = CountingBand(band.weights, band.lo + 2e-6, band.hi - 2e-6)
+    CountingBand.rejected = 0
+    with on_python():
+        python = core_outcome(with_arg(args, 12, narrow))
+    assert CountingBand.rejected > 0 and python[0] is not None
+    assert core_outcome(with_arg(args, 12, narrow)) == python
+
+
+@needs_compiled
+@pytest.mark.parametrize(
+    "problem",
+    [
+        # One DIP, the band between two candidates (infeasible) or around one.
+        AssignmentProblem(
+            dips=(DipCandidates("a", (0.25, 0.5, 1.0), (1.0, 2.0, 5.0)),), total_weight=0.4
+        ),
+        AssignmentProblem(
+            dips=(DipCandidates("a", (0.25, 0.5, 1.0), (1.0, 2.0, 5.0)),),
+            total_weight=0.45,
+            total_weight_tolerance=0.05,
+        ),
+        # Heavier is cheaper: the upper edge binds and the weights are negated.
+        AssignmentProblem(
+            dips=tuple(
+                DipCandidates(f"d{d}", (0.1, 0.3, 0.6, 0.9), (9.0 - d % 3, 5.0, 2.0 + 0.1 * d, 1.0))
+                for d in range(6)
+            ),
+            total_weight=1.55,
+            total_weight_tolerance=0.01,
+        ),
+    ],
+    ids=["one-dip-infeasible", "one-dip", "upper-edge"],
+)
+def test_hand_built_cores(problem):
+    calls = core_calls(problem)
+    assert calls
+    if problem.num_dips > 1:
+        assert all(args[6] < 0 for args in calls)  # lo: the negated band
+    assert_cores_agree(calls)
+    assert_cores_agree([with_arg(args, 11, 0.0) for args in calls if args[11] is not None])
+    compiled = verdict(problem)
+    with on_python():
+        assert verdict(problem) == compiled
+
+
+@needs_compiled
+def test_an_expired_deadline_runs_no_stage():
+    args = core_calls(past_the_budget(0, 1e-5))[0]
+    for deadline in (-np.inf, time.perf_counter() - 1.0):
+        expired = with_arg(args, 7, deadline)
+        assert core_outcome(expired) == (None, np.float64(-np.inf).tobytes(), 0, True)
+        with on_python():
+            assert core_outcome(expired) == (None, np.float64(-np.inf).tobytes(), 0, True)
+
+
+@pytest.fixture(scope="module")
+def cold_corpus() -> list[AssignmentProblem]:
+    """Every problem two 100-DIP cold convergences (seeds 17 and 33) solve."""
+    problems: list[AssignmentProblem] = []
+    original = ilp.solve
+
+    def recording(problem, **kwargs):
+        problems.append(problem)
+        return original(problem, **kwargs)
+
+    with mock.patch.object(ilp, "solve", recording):
+        for seed in (17, 33):
+            api.run(api.ExperimentSpec.from_dict({**COLD_100, "seed": seed}))
+    return problems
+
+
+@needs_compiled
+def test_the_cold_corpus_is_solved_alike(cold_corpus):
+    statuses = []
+    for problem in cold_corpus:
+        compiled = verdict(problem)
+        with on_python():
+            assert verdict(problem) == compiled
+        statuses.append(compiled[0])
+    # The budget widened the buckets of some one-sided programs.
+    assert SolveStatus.FEASIBLE in statuses
+
+
+@needs_compiled
+def test_the_compiled_core_refuses_what_it_cannot_read():
+    seen: list[tuple] = []
+
+    def recording(*args):
+        seen.append(args)
+        return COMPILED.expand_core(*args)
+
+    with mock.patch.object(kernels, "expand_core", recording):
+        mckp._expand_core(*core_calls(past_the_budget(0, 1e-5))[1])
+    call = seen[0]
+    dW, usable, base, order, taken, band = call[0], call[2], call[3], call[4], call[8], call[18]
+    n = len(base)
+    expand_core = COMPILED.expand_core
+    assert expand_core(*call)[2] > 0
+    for at, bad, error, match in (
+        (0, dW.astype(np.float32), TypeError, "float64"),
+        (2, usable.view(np.uint8), TypeError, "bool"),
+        (3, base.astype(np.int32), TypeError, "int64"),
+        (21, np.empty(n, dtype=np.int32), TypeError, "int64"),
+        (21, read_only(np.empty(n, dtype=np.intp)), ValueError, "read-only"),
+        (0, np.asfortranarray(dW), ValueError, "contiguous"),
+        (3, base[:-1].copy(), ValueError, "inconsistent"),  # one DIP short
+        (4, order + 1, ValueError, "inconsistent"),  # a stage past the last DIP
+        (8, len(call[6]) + 1, ValueError, "inconsistent"),  # more edges taken than exist
+        (20, 0, ValueError, "inconsistent"),  # no state may be kept
+        (18, (band.weights, band.lo), TypeError, "band"),
+        (18, band.weights, TypeError, "band"),
+    ):
+        with pytest.raises(error, match=match):
+            expand_core(*with_arg(call, at, bad))
+
+
 # -- the curve inversion -------------------------------------------------------------------
 
 #: coefficients that tie, vanish with either sign, or are any size.
@@ -754,6 +1008,8 @@ RUNS = [
     # The control tick: band DPs and §4.5 rescales, on a fleet and on one VIP.
     ("fleet_dynamics.json", {"fleet.num_vips": 2, "timeline": SHORT_TIMELINE}, {}),
     ("fleet_dynamics.json", {"runner": "fluid", "timeline": SHORT_TIMELINE}, {}),
+    # A cold convergence: the mckp core DP.
+    ("ctl_cold_100.json", {"pool.num_dips": 40}, {}),
 ]
 
 
