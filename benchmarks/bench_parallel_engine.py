@@ -7,8 +7,9 @@ parallel layer adds on top, on the same 64-DIP / 2M-request workload:
   (every shard in-process).  The per-DIP M/M/c/K recursion is the
   single-core win: it needs no event heap, no callbacks and no per-request
   objects, so even one shard on one core beats the serial DES;
-* **process fan-out** — 4 shards across 4 worker processes with the
-  shared-memory columnar merge.  This is the multi-core win; its speedup
+* **process fan-out** — 4 shards across 4 worker processes, each
+  sending its record columns back on a pipe for the columnar merge.  This
+  is the multi-core win; its speedup
   over ``workers=1`` is reported separately and the ≥2.5x floor is
   enforced only when the machine actually has ≥4 usable cores (CI does);
 * **sweep throughput** — a 6-point request-level sweep through the warm
@@ -252,7 +253,7 @@ def run_parallel_engine_bench(*, num_requests: int = NUM_REQUESTS) -> dict:
         and repeat.dip_summaries == results[4].dip_summaries
     )
 
-    # -- process fan-out: 4 shards across 4 workers (shared-memory merge) ---------
+    # -- process fan-out: 4 shards across 4 workers (columns back on pipes) -------
     plan4 = plan_shards(spec, shards=4)
     fanout_result, fanout_wall = _timed(
         lambda: run_request_sharded(spec, plan4, workers=4)
@@ -491,7 +492,7 @@ def _check(results: dict) -> None:
     # The serial replay is the event engine's run, to the last bit.
     assert results["serial_replay"]["metrics_identical_to_event_engine"]
     # Fixed seed + shard count must reproduce the merged metrics exactly,
-    # and the shared-memory process path must match the in-process path.
+    # and the process fan-out must match the in-process path.
     assert results["bit_identical_repeat"]
     assert results["process_fanout"]["metrics_identical_to_inline"]
     fanout = results["process_fanout"]

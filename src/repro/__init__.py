@@ -10,8 +10,8 @@ the latency store (:mod:`repro.probing`), an agent-based baseline
 (:mod:`repro.agents`), analysis helpers (:mod:`repro.analysis`), workload
 builders (:mod:`repro.workloads`), per-figure/table experiment drivers
 (:mod:`repro.experiments`) and the multi-core execution layer
-(:mod:`repro.parallel`: sharded request runs, shared-memory metric merges
-and the persistent worker pool behind sweeps).
+(:mod:`repro.parallel`: sharded request runs, their process fan-out and
+columnar merge, and the persistent worker pool behind sweeps).
 
 The declarative front door is :mod:`repro.api` (also on the command line as
 ``python -m repro``): describe a run as an :class:`~repro.api.ExperimentSpec`

@@ -565,7 +565,6 @@ def execute(
     observers: Iterable[Observer] = (),
     shards: int | None = None,
     workers: int | None = None,
-    pool: Any = None,
 ) -> RunResult:
     """Run ``spec`` on the substrate its ``runner`` field names.
 
@@ -576,17 +575,17 @@ def execute(
     ``shards > 1`` asks for a sharded request-level run.  Every shard runs
     the same simulation; the planner in :mod:`repro.parallel` issues a
     three-way verdict on how they run: queue-blind ``rr`` / ``random`` /
-    ``wrandom`` shards never exchange state and run as independent tasks
-    ("exact" mode, distributed exactly like the serial run); stateful
+    ``wrandom`` shards never exchange state and run straight to the
+    horizon ("exact" mode, distributed exactly like the serial run); stateful
     policies (``lc``/``wlc``/``p2``/…), Mux pools and request-legal
     timelines run epoch-synchronized ("epoch" mode), where shards exchange
     connection counts every ``spec.sync_interval_s`` seconds and route
     against a boundedly-stale global view; everything else falls back to
     the serial path with the reason logged under ``repro.parallel`` and
     recorded in ``provenance.fallback_reason``.  Shards fan across
-    ``workers`` processes (a :class:`~repro.parallel.pool.WorkerPool` via
-    ``pool`` is reused warm for exact plans, and borrowed as a width hint
-    for epoch plans).
+    ``min(workers, shards)`` processes, each simulating a contiguous group
+    of them; ``workers=1`` runs them all in this process, with the same
+    bytes.
     """
     spec = expand_spec_chaos(spec)
     if shards is not None and shards > 1:
@@ -607,7 +606,6 @@ def execute(
                 spec,
                 plan,
                 workers=workers,
-                pool=pool,
                 dips=dips,
                 observers=observers,
             )

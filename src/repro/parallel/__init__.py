@@ -7,18 +7,17 @@ Four pieces, composable but independently usable:
   serial with a reason;
 * :mod:`repro.parallel.epoch` is the shard simulation
   (:class:`~repro.parallel.epoch.EpochShardSim`): a full-stream router
-  replica with the shard's own stations, plus the barrier-synchronized
-  processes an epoch plan runs on, exchanging connection counts every
+  replica with the shard's own stations, plus the barrier-connected
+  processes a fanned-out plan runs on, exchanging connection counts every
   ``sync_interval_s`` (the bounded-staleness model, with
   :func:`staleness_crosscheck` quantifying the error against the serial
   engine);
-* :mod:`repro.parallel.shard` executes a plan — in-process, as independent
-  pool tasks, or as barrier-connected processes, with a shared-memory
-  columnar merge — and folds the shards back into one
-  :class:`~repro.api.result.RunResult`;
+* :mod:`repro.parallel.shard` executes a plan of either mode — in-process,
+  or as one process per contiguous group of shards — and folds the
+  shards' record blocks back into one :class:`~repro.api.result.RunResult`;
 * :mod:`repro.parallel.pool` keeps a warm worker-process pool alive across
-  sweeps and exact sharded runs so consecutive dispatches skip interpreter
-  start-up and spec re-parsing.
+  sweeps so consecutive dispatches skip interpreter start-up and spec
+  re-parsing.
 """
 
 from repro.parallel.epoch import EPOCH_ROUTERS, staleness_crosscheck

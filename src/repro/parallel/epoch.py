@@ -4,7 +4,7 @@
 request run executes (:mod:`repro.parallel.shard` dispatches it).  When
 routing is queue- and flow-independent (``rr`` / ``random`` / ``wrandom``
 with no timeline and one MUX) the shards never exchange state: each is
-advanced straight to the horizon as an independent task.  That rules out
+advanced straight to the horizon, with no barrier.  That rules out
 the policies the paper actually stresses — lc/wlc/p2/hash/dns/wrr, the
 MuxPool dataplane — and every timeline run.  This module shards those
 too, by trading exact serial equivalence for *bounded staleness*, the
@@ -23,19 +23,21 @@ behaviour real distributed load balancers exhibit:
 * **Epoch barriers.**  Time is cut into epochs of ``sync_interval_s``.
   At each boundary the shards exchange one compact snapshot — per-DIP
   in-system counts (per ``(dip, mux)`` when the MUX layer routes a
-  count-based policy) — through a single shared-memory float64 board, and
-  each replica resets its connection-count view to the true global
-  values.  Between barriers a replica's view is *last-synced counts plus
-  its own opens since the barrier* (closes go stale), which is precisely
-  the bounded-staleness window the paper's distributed MUXes have.
+  count-based policy) — through one anonymous float64 ``RawArray`` every
+  process maps, and each replica resets its connection-count view to the
+  true global values.  Between barriers a replica's view is *last-synced
+  counts plus its own opens since the barrier* (closes go stale), which is
+  precisely the bounded-staleness window the paper's distributed MUXes have.
   Timeline events (``dip_fail``/``arrival_scale``/...) are declared epoch
   boundaries too, so every epoch is internally shard-safe.
 
 Because replicas are identical and barrier inputs are identical, the
 merged result is **independent of the shard count** and bit-identical
-across repeats for a fixed ``(seed, sync_interval_s)`` — ``workers <= 1``
-runs one coalesced simulation through the same code path and produces the
-same bytes as the process fan-out.
+across repeats for a fixed ``(seed, sync_interval_s)``.  The fan-out
+(:func:`_run_epoch_processes`) runs one simulation per process, each over
+a contiguous group of shards, and each process sends its record blocks
+back on a pipe; ``workers <= 1`` runs one coalesced simulation through the
+same schedule loop (:func:`_run_schedule`) and produces the same bytes.
 
 The approximation error is quantified, not hand-waved:
 :func:`staleness_crosscheck` reruns a spec serially and at a ladder of
@@ -65,8 +67,8 @@ itself is the only per-request Python left.
 
 from __future__ import annotations
 
-from queue import Empty
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from threading import BrokenBarrierError
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -85,12 +87,7 @@ from repro.parallel.kernel import (
     router_seed,
     service_seed,
 )
-from repro.parallel.shard import (
-    _discard_shm,
-    open_segment,
-    publish_blocks,
-    station_block,
-)
+from repro.parallel.shard import station_block
 from repro.sim.queueing import StationWalk
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -130,9 +127,11 @@ _DNS_TTL_S = 30.0
 #: boundary coalescing tolerance — event times landing on a sync tick.
 _EPS = 1e-9
 
-#: a stuck barrier means a dead sibling; fail loudly instead of hanging.
+#: how long barrier-connected workers may stay silent before the run fails.
 _SYNC_TIMEOUT_S = 600.0
 
+#: restarts of a dead worker under a one-boundary (exact plan's) schedule.
+_RESTARTS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -820,130 +819,182 @@ class EpochShardSim:
         ]
 
 
-def _run_epoch_inline(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Run the shards owning ``payload["owned"]`` as one simulation, in-process.
+def _run_schedule(
+    sim: EpochShardSim,
+    schedule: Sequence[tuple[float, tuple]],
+    exchange: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> list[dict[str, Any]]:
+    """Drive ``sim`` through ``schedule``; its record blocks.
 
-    One replica, all those stations: the self-sync at each boundary reads
-    the very counts a process fan-out would have exchanged, so the records
-    are bit-identical to multiprocess mode by construction.  A one-boundary
-    schedule (an exact shard's) never syncs at all.
+    At every boundary but the horizon, ``exchange(owned_slots, counts)``
+    publishes the simulation's own counts and returns the global board it
+    syncs to.  A one-boundary schedule (an exact plan's) never exchanges.
     """
-    sim = EpochShardSim(payload)
-    schedule = payload["schedule"]
     last = len(schedule) - 1
-    board = np.zeros(sim.num_slots, dtype=np.float64)
     for i, (t, events) in enumerate(schedule):
         counts = sim.advance_to(t)
         if i == last:
             break
-        board[sim.owned_slots] = counts
-        sim.apply_sync(board, t)
+        sim.apply_sync(exchange(sim.owned_slots, counts), t)
         sim.apply_events(events, t)
-    return {"blocks": sim.finish()}
+    return sim.finish()
 
 
-def _epoch_worker(payload, barrier, counts_name, result_queue):  # pragma: no cover
-    """Process-mode shard body (covered via multiprocess integration tests).
+def _run_epoch_inline(payload: Mapping[str, Any]) -> list[dict[str, Any]]:
+    """Run the shards owning ``payload["owned"]`` as one simulation, in-process.
+
+    One replica, all those stations: the self-sync at each boundary reads
+    the very counts a process fan-out would have exchanged, so the records
+    are bit-identical to the fan-out by construction.
+    """
+    sim = EpochShardSim(payload)
+    board = np.zeros(sim.num_slots, dtype=np.float64)
+
+    def exchange(slots: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        board[slots] = counts
+        return board
+
+    return _run_schedule(sim, payload["schedule"], exchange)
+
+
+def _epoch_worker(payload, board, barrier, report):  # pragma: no cover
+    """One process of the fan-out: one shard group's simulation.
 
     Two barrier waits per epoch: write-own-slots → wait → read-all →
-    wait — the second keeps a fast shard from overwriting slots a slow
-    sibling has not read yet.  Any failure aborts the barrier so siblings
-    fail fast instead of hanging.
+    wait — the second keeps a fast group from overwriting slots a slow
+    sibling has not read yet.  Sends ``(blocks, error)`` on ``report``.
+    A failure aborts the barrier so the siblings stop waiting; a sibling
+    whose barrier broke sends neither blocks nor an error, since the group
+    that failed reports why.
     """
-    shard_index = payload["shard_index"]
-    counts_shm = None
+    shared = np.frombuffer(board, dtype=np.float64)
+
+    def exchange(slots: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        shared[slots] = counts
+        barrier.wait(timeout=_SYNC_TIMEOUT_S)
+        synced = shared.copy()
+        barrier.wait(timeout=_SYNC_TIMEOUT_S)
+        return synced
+
     try:
-        sim = EpochShardSim(payload)
-        counts_shm = open_segment(counts_name)
-        board = np.ndarray((sim.num_slots,), dtype=np.float64, buffer=counts_shm.buf)
-        schedule = payload["schedule"]
-        last = len(schedule) - 1
-        for i, (t, events) in enumerate(schedule):
-            counts = sim.advance_to(t)
-            if i == last:
-                break
-            board[sim.owned_slots] = counts
-            barrier.wait(timeout=_SYNC_TIMEOUT_S)
-            synced = board.copy()
-            barrier.wait(timeout=_SYNC_TIMEOUT_S)
-            sim.apply_sync(synced, t)
-            sim.apply_events(events, t)
-        blocks = sim.finish()
-        result = publish_blocks(blocks, shm_name=payload["shm_name"])
-        result_queue.put((shard_index, result))
+        blocks = _run_schedule(EpochShardSim(payload), payload["schedule"], exchange)
+        outcome = (blocks, None)
+    except BrokenBarrierError:
+        outcome = (None, None)
     except BaseException as exc:
-        try:
-            barrier.abort()
-        finally:
-            result_queue.put(
-                (shard_index, {"error": f"{type(exc).__name__}: {exc}"})
+        barrier.abort()
+        outcome = (None, f"{type(exc).__name__}: {exc}")
+    report.send(outcome)
+
+
+def _group_label(payloads: Sequence[Mapping[str, Any]], group: int) -> str:
+    """``shard group G of N (DIPs first..last)``, for error messages."""
+    payload = payloads[group]
+    owned = payload["owned"]
+    first, last = (payload["stations"][i][0] for i in (owned[0], owned[-1]))
+    return f"shard group {group} of {len(payloads)} (DIPs {first}..{last})"
+
+
+def _collect_reports(payloads, procs, readers, start) -> list[list[dict[str, Any]]]:
+    """Each group's record blocks, in group order; raise at the first failure.
+
+    A worker that dies unreported (a signal, the OOM killer, a native
+    crash) closes its pipe, so its reader reads EOF at once; a clean exit's
+    report is read first.  Under a one-boundary schedule (an exact plan's)
+    no worker waits for another, so there is no deadline, and a dead worker
+    is started again (``start(group)`` returns the new reader) up to
+    :data:`_RESTARTS` times: its fresh process sends the same report.  Any
+    other death fails the run; barrier-connected workers that stay silent
+    for :data:`_SYNC_TIMEOUT_S` are stuck.
+    """
+    from multiprocessing.connection import wait
+
+    one_pass = len(payloads[0]["schedule"]) == 1
+    blocks: list[Any] = [None] * len(readers)
+    restarts = [0] * len(readers)
+    pending = {reader: group for group, reader in enumerate(readers)}
+    while pending:
+        ready = wait(list(pending), timeout=None if one_pass else _SYNC_TIMEOUT_S)
+        if not ready:
+            raise ConfigurationError(
+                f"shard workers did not report back within {_SYNC_TIMEOUT_S:.0f} s"
             )
-    finally:
-        if counts_shm is not None:
-            del board
-            counts_shm.close()
+        for reader in ready:
+            group = pending.pop(reader)
+            try:
+                blocks[group], error = reader.recv()
+            except EOFError:
+                procs[group].join()
+                if one_pass and restarts[group] < _RESTARTS:
+                    restarts[group] += 1
+                    reader.close()
+                    pending[start(group)] = group
+                    continue
+                raise ConfigurationError(
+                    f"{_group_label(payloads, group)} died without reporting "
+                    f"(exit code {procs[group].exitcode})"
+                    + (f" after {restarts[group]} restarts" if restarts[group] else "")
+                ) from None
+            if error is not None:
+                raise ConfigurationError(
+                    f"{_group_label(payloads, group)} failed: {error}"
+                )
+    if None in blocks:
+        raise ConfigurationError(
+            f"{_group_label(payloads, blocks.index(None))}: the epoch barrier "
+            f"broke (a sibling did not reach it within {_SYNC_TIMEOUT_S:.0f} s)"
+        )
+    return blocks
 
 
 def _run_epoch_processes(
-    payloads: list[dict[str, Any]], run_tag: str
-) -> list[dict[str, Any]]:
-    """Fan the shards out as barrier-connected processes and collect results."""
+    payloads: Sequence[Mapping[str, Any]],
+) -> list[list[dict[str, Any]]]:
+    """Run each payload's simulation in its own barrier-connected process.
+
+    The count board is an anonymous ``RawArray`` every process maps; each
+    process sends its record blocks, numpy columns and all, back on its
+    own pipe.  Returns the blocks in payload order.
+    """
     # Loaded here, not at import: an inline run (``workers=1``) forks nothing.
     from multiprocessing import get_context
 
-    num_slots = len(payloads[0]["stations"]) * _board_width(payloads[0])
     ctx = get_context()
+    num_slots = len(payloads[0]["stations"]) * _board_width(payloads[0])
+    board = ctx.RawArray("d", num_slots)
     barrier = ctx.Barrier(len(payloads))
-    result_queue = ctx.Queue()
-    counts_shm = open_segment(f"{run_tag}-sync", create_bytes=max(1, num_slots * 8))
-    np.ndarray((num_slots,), dtype=np.float64, buffer=counts_shm.buf).fill(0.0)
-    procs = [
-        ctx.Process(
+    procs: list[Any] = [None] * len(payloads)
+    readers: list[Any] = [None] * len(payloads)
+
+    def start(group: int) -> Any:
+        reader, writer = ctx.Pipe(duplex=False)
+        proc = ctx.Process(
             target=_epoch_worker,
-            args=(payload, barrier, counts_shm.name, result_queue),
+            args=(payloads[group], board, barrier, writer),
             daemon=True,
         )
-        for payload in payloads
-    ]
-    results: dict[int, dict[str, Any]] = {}
+        proc.start()
+        # Closed before the next start, so no later child inherits it:
+        # once this worker exits, its pipe has no writer left.
+        writer.close()
+        procs[group], readers[group] = proc, reader
+        return reader
+
     try:
-        for proc in procs:
-            proc.start()
-        for _ in payloads:
-            try:
-                index, result = result_queue.get(timeout=_SYNC_TIMEOUT_S)
-            except Empty:
-                raise ConfigurationError(
-                    "epoch shard worker did not report back (timed out)"
-                ) from None
-            results[index] = result
+        for group in range(len(payloads)):
+            start(group)
+        return _collect_reports(payloads, procs, readers, start)
     except BaseException:
-        for payload in payloads:
-            _discard_shm(payload["shm_name"])
+        barrier.abort()
+        for proc in filter(None, procs):
+            if proc.is_alive():
+                proc.terminate()
         raise
     finally:
-        for proc in procs:
-            proc.join(timeout=30)
-        for proc in procs:
-            if proc.is_alive():  # pragma: no cover - crashed-worker cleanup
-                proc.terminate()
-                proc.join()
-        result_queue.close()
-        counts_shm.close()
-        try:
-            counts_shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - racing cleanup
-            pass
-    errors = [
-        f"shard {index}: {result['error']}"
-        for index, result in sorted(results.items())
-        if "error" in result
-    ]
-    if errors:
-        for payload in payloads:
-            _discard_shm(payload["shm_name"])
-        raise ConfigurationError(f"epoch shard worker failed: {errors[0]}")
-    return [results[i] for i in range(len(payloads))]
+        for proc in filter(None, procs):
+            proc.join()
+        for reader in filter(None, readers):
+            reader.close()
 
 
 # ---------------------------------------------------------------------------

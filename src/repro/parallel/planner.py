@@ -4,22 +4,24 @@ A request-level simulation shards along the DIP axis.  Every shard runs
 the same simulation (:class:`repro.parallel.epoch.EpochShardSim`): it
 replays the whole VIP-wide arrival stream through a router replica that
 makes every shard's routing decisions identical, and walks only its own
-DIPs' stations.  The planner issues a three-way verdict
-(``ShardPlan.mode``) on how those shards are dispatched:
+DIPs' stations.  Both shardable modes are dispatched the same way
+(:mod:`repro.parallel.shard`: one process per contiguous group of shards,
+or all of them in-process); the verdict (``ShardPlan.mode``) decides
+whether the shards ever meet:
 
 * ``"exact"`` — ``rr``, ``random`` and ``wrandom`` with no timeline and
   one MUX never read queue state or flow contents, so the shards never
-  exchange anything: each is an independent task
-  (:mod:`repro.parallel.shard`), dispatched on the worker pool with crash
-  retry, and the union of shards is distributed exactly like the serial
-  run (round robin's cyclic split gives DIP ``d`` the arrivals
-  ``d, d + n, ...``; the i.i.d. laws are independent thinnings).
+  exchange anything: each runs straight to the horizon with no barrier
+  (a fanned-out worker that dies is started again), and the union of
+  shards is distributed exactly like the serial run (round robin's cyclic
+  split gives DIP ``d`` the arrivals ``d, d + n, ...``; the i.i.d. laws
+  are independent thinnings).
 
 * ``"epoch"`` — stateful policies (lc/wlc/p2/hash/dns/wrr, MuxPool
-  dataplanes) and timeline runs shard *approximately*: the shards run as
-  barrier-connected processes that exchange per-DIP connection counts at
-  ``sync_interval_s`` barriers (:mod:`repro.parallel.epoch`).  Between
-  barriers replicas route on a bounded-stale view — quantified by
+  dataplanes) and timeline runs shard *approximately*: the shards
+  exchange per-DIP connection counts at ``sync_interval_s`` barriers
+  (:mod:`repro.parallel.epoch`).  Between barriers replicas route on a
+  bounded-stale view — quantified by
   :func:`repro.parallel.epoch.staleness_crosscheck`.
 
 * ``"serial"`` — everything else falls back to the serial DES with a

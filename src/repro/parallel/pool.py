@@ -1,4 +1,4 @@
-"""A persistent worker-process pool for sweeps and sharded runs.
+"""A persistent worker-process pool for sweeps.
 
 ``concurrent.futures.ProcessPoolExecutor`` is a good engine but a poor
 lifecycle: the previous sweep path spun up a cold pool per call and paid a
@@ -8,11 +8,10 @@ exactly once (workers cache the parsed tree by content key and apply only
 the per-task overrides), and dispatches in chunks so a thousand-spec sweep
 does not queue a thousand pickles.
 
-Scope note: the pool serves *independent* tasks (sweep points, exact
-shards).  Epoch-synchronized shards need mid-task barriers, which a
-futures executor cannot express, so :mod:`repro.parallel.epoch` fans out
-on dedicated ``multiprocessing.Process`` workers instead and only borrows
-a caller-provided pool's ``max_workers`` as its width hint.
+Scope note: the pool serves sweeps only.  A sharded run's processes meet
+at mid-task barriers, which a futures executor cannot express, so
+:mod:`repro.parallel.epoch` fans every sharded run out on dedicated
+``multiprocessing.Process`` workers instead.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ class WorkerPool:
 
     The underlying executor is created on first dispatch and survives until
     :meth:`close` (or the context manager exits), so consecutive
-    ``Sweep.run`` calls and sharded runs reuse warm interpreters.  With
+    ``Sweep.run`` calls reuse warm interpreters.  With
     ``max_workers=1`` nothing is ever forked — every dispatch runs inline,
     which keeps single-spec sweeps and tests process-free.
     """

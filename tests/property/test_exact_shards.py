@@ -4,12 +4,11 @@ An exact plan (``rr`` / ``random`` / ``wrandom``, no timeline, one MUX)
 runs every shard as :class:`~repro.parallel.epoch.EpochShardSim` advanced
 straight to the horizon, with no barrier.  So the same spec must give the
 same artifact, outside ``provenance``, three ways: inline (one coalesced
-simulation), as independent tasks on a two-worker ``WorkerPool``, and as an
-epoch plan whose one sync interval spans the whole run.  The stream the
-shards replay is drawn in whole chunks, so cutting it at any boundaries
-returns what one call to the horizon returns, and so do the flows drawn
-for those slices.
-"""
+simulation), fanned out over two worker processes, and as an epoch plan
+whose one sync interval spans the whole run.  The stream the shards
+replay is drawn in whole chunks, so cutting it at any boundaries returns
+what one call to the horizon returns, and so do the flows drawn for those
+slices."""
 
 from __future__ import annotations
 
@@ -28,14 +27,8 @@ from repro.api.spec import (
     PoolSpec,
     WorkloadSpec,
 )
-from repro.parallel import ShardPlan, WorkerPool, plan_shards, run_request_sharded
+from repro.parallel import ShardPlan, plan_shards, run_request_sharded
 from repro.parallel.epoch import EpochArrivalStream, EpochFlowStream
-
-
-@pytest.fixture(scope="module")
-def pool():
-    with WorkerPool(max_workers=2) as shared:
-        yield shared
 
 
 def artifact(result) -> str:
@@ -55,8 +48,8 @@ def artifact(result) -> str:
     warmup_s=st.sampled_from([0.0, 1.0]),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_inline_pool_and_one_epoch_runs_are_one_artifact(
-    pool, policy, controller, shards, warmup_s, seed
+def test_inline_fanned_and_one_epoch_runs_are_one_artifact(
+    policy, controller, shards, warmup_s, seed
 ):
     spec = ExperimentSpec(
         name="exact-shards",
@@ -72,7 +65,7 @@ def test_inline_pool_and_one_epoch_runs_are_one_artifact(
     plan = plan_shards(spec, shards=shards)
     assert plan.mode == "exact" and plan.sync_interval_s is None
     inline = execute(spec, shards=shards, workers=1)
-    pooled = run_request_sharded(spec, plan, pool=pool)
+    fanned = execute(spec, shards=shards, workers=2)
     one_epoch = run_request_sharded(
         spec,
         ShardPlan(
@@ -83,9 +76,9 @@ def test_inline_pool_and_one_epoch_runs_are_one_artifact(
         ),
         workers=2,
     )
-    assert inline.provenance.shard_mode == pooled.provenance.shard_mode == "exact"
+    assert inline.provenance.shard_mode == fanned.provenance.shard_mode == "exact"
     assert one_epoch.provenance.shard_mode == "epoch"
-    assert artifact(inline) == artifact(pooled) == artifact(one_epoch)
+    assert artifact(inline) == artifact(fanned) == artifact(one_epoch)
 
 
 @settings(max_examples=60, deadline=None)

@@ -87,6 +87,31 @@ class TestWhatAStartDoesNotLoad:
         assert submitted > 1500
         assert loaded(report, "scipy", "multiprocessing") == []
 
+    def test_sharded_runs_load_no_shared_memory(self):
+        # Both plan modes, inline and fanned out: the count board is an
+        # anonymous ``RawArray`` and the record columns come back on a
+        # pipe per process, so no named segment exists to create or clean up.
+        report = run_python(
+            f"""
+            from repro import api
+            spec = api.ExperimentSpec.from_file({RR_SPEC!r}).with_overrides(
+                {{"workload.num_requests": 4000}}
+            )
+            out = [
+                api.run(
+                    spec.with_overrides({{"policy.name": policy}}),
+                    shards=2,
+                    workers=workers,
+                ).provenance.shard_mode
+                for policy in ("rr", "lc")
+                for workers in (1, 2)
+            ]
+            """
+        )
+        assert report["out"] == ["exact", "exact", "epoch", "epoch"]
+        assert "multiprocessing" in report["modules"]  # the fan-out ran
+        assert loaded(report, "multiprocessing.shared_memory") == []
+
     def test_cli_validate_spec_file(self):
         report = run_python(
             f"""
@@ -378,3 +403,29 @@ class TestSpawnedWorkers:
             """
         )
         assert report["out"] == [True, "exact", 2, 1]
+
+    def test_spawn_epoch_fanout_equals_inline(self):
+        # The epoch barrier and the ``RawArray`` count board, pickled to
+        # children that import afresh.
+        report = run_python(
+            f"""
+            import multiprocessing
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method("spawn", force=True)
+                from repro import api
+
+                spec = api.ExperimentSpec.from_file({RR_SPEC!r}).with_overrides(
+                    {{"policy.name": "lc", "workload.num_requests": 20000}}
+                )
+                fanned = api.run(spec, shards=4, workers=2)
+                inline = api.run(spec, shards=4, workers=1)
+                out = [
+                    fanned.metrics_equal(inline),
+                    fanned.provenance.shard_mode,
+                    fanned.provenance.workers,
+                    inline.provenance.workers,
+                ]
+            """
+        )
+        assert report["out"] == [True, "epoch", 2, 1]

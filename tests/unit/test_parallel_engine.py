@@ -21,6 +21,8 @@ Covers the sharding contract end to end:
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -66,6 +68,11 @@ from repro.parallel.kernel import simulate_station
 from repro.sim.trace import MetricsCollector
 from repro.solver import SolveCache, build_problem, solve
 from repro.workloads import split_dip_ids
+
+
+#: ``(shards, workers)`` fan-outs held to the inline run: one process per
+#: shard, two shards per process, and one per shard again at four.
+FAN_OUTS = [(2, 2), (4, 2), (4, 4)]
 
 
 def request_spec(
@@ -341,13 +348,16 @@ class TestShardedExecution:
         assert np.array_equal(lats[0], lats[1])
         assert np.array_equal(lats[0], lats[2])
 
-    def test_worker_processes_match_inline_bitwise(self):
+    @pytest.mark.parametrize("shards, workers", FAN_OUTS)
+    def test_worker_processes_match_inline_bitwise(self, shards, workers):
         spec = request_spec(num_dips=8, num_requests=40_000)
-        inline = execute(spec, shards=4, workers=1)
-        multi = execute(spec, shards=4, workers=2)
+        inline = execute(spec, shards=shards, workers=1)
+        multi = execute(spec, shards=shards, workers=workers)
         assert inline.metrics == multi.metrics
         assert inline.dip_summaries == multi.dip_summaries
-        assert multi.provenance.shards == 4 and multi.provenance.workers == 2
+        assert multi.provenance.shard_mode == "exact"
+        assert multi.provenance.shards == shards
+        assert multi.provenance.workers == min(shards, workers)
 
     def test_controller_weights_drive_the_thinning(self):
         # A squeezed three-DIP pool: KnapsackLB shifts weight away from the
@@ -441,14 +451,56 @@ class TestEpochExecution:
         assert two.metrics == four.metrics
         assert summaries_equal(two.dip_summaries, four.dip_summaries)
 
-    def test_process_mode_matches_inline_bitwise(self):
-        spec = request_spec(policy="lc", num_dips=8, num_requests=8_000)
-        inline = execute(spec, shards=4, workers=1)
-        multi = execute(spec, shards=4, workers=2)
+    @pytest.mark.parametrize(
+        "shards, workers, variant",
+        [(*fan_out, "lc") for fan_out in FAN_OUTS]
+        + [(4, 2, "mux_pool"), (4, 2, "dip_fail")],
+    )
+    def test_process_mode_matches_inline_bitwise(self, shards, workers, variant):
+        spec = {
+            "lc": request_spec(policy="lc", num_dips=8, num_requests=8_000),
+            "mux_pool": request_spec(
+                policy="lc", num_muxes=4, num_dips=8, num_requests=8_000
+            ),
+            "dip_fail": request_spec(
+                policy="lc", num_dips=8, timeline=dip_fail_timeline()
+            ),
+        }[variant]
+        inline = execute(spec, shards=shards, workers=1)
+        multi = execute(spec, shards=shards, workers=workers)
         assert inline.metrics == multi.metrics
         assert summaries_equal(inline.dip_summaries, multi.dip_summaries)
+        assert inline.windows == multi.windows
         assert multi.provenance.shard_mode == "epoch"
-        assert multi.provenance.shards == 4 and multi.provenance.workers == 2
+        assert multi.provenance.shards == shards
+        assert multi.provenance.workers == min(shards, workers)
+
+    @pytest.mark.parametrize(
+        "policy, shards, workers, processes",
+        [("lc", 4, 2, 2), ("lc", 2, 4, 2), ("rr", 2, 4, 2), ("lc", 4, 1, 1)],
+    )
+    def test_provenance_records_the_processes_that_simulated(
+        self, monkeypatch, tmp_path, policy, shards, workers, processes
+    ):
+        # Every simulating process appends its PID as it builds its
+        # simulation; a forked worker inherits the patched constructor.
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("counts PIDs through a fork-inherited monkeypatch")
+        from repro.parallel.epoch import EpochShardSim
+
+        pids = tmp_path / "pids"
+        original = EpochShardSim.__init__
+
+        def counting_init(self, payload):
+            with open(pids, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            original(self, payload)
+
+        monkeypatch.setattr(EpochShardSim, "__init__", counting_init)
+        spec = request_spec(policy=policy, num_dips=8, num_requests=8_000)
+        result = execute(spec, shards=shards, workers=workers)
+        assert len(set(pids.read_text().split())) == processes
+        assert result.provenance.workers == processes
 
     @pytest.mark.parametrize("policy", ["lc", "wlc"])
     def test_sync_interval_to_zero_converges_to_serial(self, policy):
@@ -615,53 +667,6 @@ class TestColumnarMerge:
         assert rows_a == rows_b
         assert len(rows_a) == 5
         assert sum(r["metrics"]["requests"] for r in rows_a) == 1500
-
-
-class TestShmCleanup:
-    def test_failed_merge_unlinks_unconsumed_segments(self):
-        from multiprocessing import shared_memory
-
-        from repro.parallel.shard import merge_shard_outcomes
-
-        segment = shared_memory.SharedMemory(create=True, size=17)
-        name = segment.name
-        np.ndarray((1,), dtype=np.float64, buffer=segment.buf)[0] = 1.0
-        segment.close()
-        broken = {
-            "blocks": [
-                {
-                    "dip": "d1",
-                    "count": 2,  # ragged: only one latency supplied
-                    "latency_ms": np.array([1.0]),
-                    "completed": np.array([True, True]),
-                    "timestamp": np.array([0.1, 0.2]),
-                    "submitted": 2,
-                    "dropped": 0,
-                    "busy_seconds": 0.0,
-                    "servers": 1,
-                }
-            ]
-        }
-        healthy = {
-            "shm": name,
-            "total": 1,
-            "blocks": [
-                {
-                    "dip": "d2",
-                    "count": 1,
-                    "offset": 0,
-                    "submitted": 1,
-                    "dropped": 0,
-                    "busy_seconds": 0.0,
-                    "servers": 1,
-                }
-            ],
-        }
-        with pytest.raises(ConfigurationError):
-            merge_shard_outcomes([broken, healthy])
-        # The never-merged segment must not linger in /dev/shm.
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
 
 
 class TestWorkerPool:

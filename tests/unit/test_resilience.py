@@ -18,18 +18,23 @@ Covers the resilience layer end to end:
 * per-point sweep error capture (inline and pooled) with
   ``failed_runs`` provenance;
 * the fault-tolerant worker pool: crashed and hung workers are recycled
-  and their tasks re-dispatched (mid-sweep and mid-sharded-run), results
-  converge to the no-crash baseline, and the accounting lands in
-  provenance.
+  and their tasks re-dispatched mid-sweep, results converge to the
+  no-crash baseline, and the accounting lands in provenance;
+* the shard fan-out: an exact plan's worker that dies is started again
+  and the run converges to the no-crash baseline; a worker that raises,
+  or keeps dying, fails the run at once, naming the shard group, instead
+  of waiting out the barrier timeout.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import time
 from functools import partial
 from pathlib import Path
 
@@ -682,6 +687,26 @@ def _call_with_flag(flag_path: str, func, payload):
     return func(payload)
 
 
+def _inject_shard_failure(monkeypatch, failure) -> None:
+    """Call ``failure()`` wherever a shard group but the first simulates.
+
+    Patches the shard simulation in this process, so only forked workers
+    inherit it; skips under any other start method.
+    """
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("injects through a fork-inherited monkeypatch")
+    from repro.parallel.epoch import EpochShardSim
+
+    original = EpochShardSim.advance_to
+
+    def advance_to(self, t):
+        if 0 not in self._walks:  # every group but the first
+            failure()
+        return original(self, t)
+
+    monkeypatch.setattr(EpochShardSim, "advance_to", advance_to)
+
+
 class CrashOncePool(WorkerPool):
     """A WorkerPool whose first-ever task kills its worker process."""
 
@@ -748,16 +773,73 @@ class TestFaultTolerantPool:
         assert all(r.provenance.retries >= 1 for r in crashed)
         assert all(r.provenance.failed_runs == 0 for r in crashed)
 
-    def test_crash_mid_sharded_run_converges_to_the_baseline(self, tmp_path):
+    def test_crash_mid_sharded_run_converges_to_the_baseline(
+        self, monkeypatch, tmp_path
+    ):
+        """An exact plan's fan-out starts a worker that died once again."""
         spec = request_spec(num_dips=8, num_requests=40_000)
         plan = plan_shards(spec, shards=2)
         assert plan.mode == "exact"
-        with WorkerPool(max_workers=2) as pool:
-            baseline = run_request_sharded(spec, plan, pool=pool)
-        with CrashOncePool(
-            str(tmp_path / "shard-crash"), max_workers=2, retry_backoff_s=0.0
-        ) as pool:
-            crashed = run_request_sharded(spec, plan, pool=pool)
-            stats = pool.last_map_stats
-        assert stats["crashes"] >= 1 and stats["retries"] >= 1
+        baseline = run_request_sharded(spec, plan, workers=2)
+        flag = tmp_path / "shard-crash"
+
+        def crash_once() -> None:
+            if not flag.exists():
+                flag.touch()
+                os._exit(1)
+
+        _inject_shard_failure(monkeypatch, crash_once)
+        crashed = run_request_sharded(spec, plan, workers=2)
+        assert flag.exists()
         assert crashed.metrics == baseline.metrics
+        assert crashed.dip_summaries == baseline.dip_summaries
+
+
+class TestShardWorkerFailure:
+    """A sharded run's worker that fails or dies fails the run at once.
+
+    The parent sees a worker that exited without reporting as soon as its
+    pipe closes, aborts the barrier its siblings wait at, and names the
+    shard group.  An exact plan's dead worker is started again first (see
+    ``TestFaultTolerantPool``), so one that dies every time fails the run
+    after its restarts; a worker that raises is never restarted.  Both
+    failures are injected into the second group only.
+    """
+
+    inject = staticmethod(_inject_shard_failure)
+
+    @staticmethod
+    def raise_error() -> None:
+        raise RuntimeError("injected shard failure")
+
+    @staticmethod
+    def exit_hard() -> None:
+        os._exit(7)
+
+    @pytest.mark.parametrize("policy", ["lc", "rr"])
+    def test_a_worker_that_raises_fails_the_run(self, monkeypatch, policy):
+        self.inject(monkeypatch, self.raise_error)
+        spec = request_spec(num_dips=8, policy=policy)
+        start = time.monotonic()
+        with pytest.raises(
+            ConfigurationError,
+            match=r"shard group 1 of 2 \(DIPs DIP-5\.\.DIP-8\) failed: "
+            "RuntimeError: injected shard failure",
+        ):
+            execute(spec, shards=2, workers=2)
+        assert time.monotonic() - start < 60.0
+
+    @pytest.mark.parametrize(
+        ("policy", "suffix"), [("lc", "$"), ("rr", " after 2 restarts$")]
+    )
+    def test_a_worker_that_dies_fails_the_run(self, monkeypatch, policy, suffix):
+        self.inject(monkeypatch, self.exit_hard)
+        spec = request_spec(num_dips=8, policy=policy)
+        start = time.monotonic()
+        with pytest.raises(
+            ConfigurationError,
+            match=r"shard group 1 of 2 \(DIPs DIP-5\.\.DIP-8\) died without "
+            r"reporting \(exit code 7\)" + suffix,
+        ):
+            execute(spec, shards=2, workers=2)
+        assert time.monotonic() - start < 60.0
