@@ -86,7 +86,7 @@ PyDoc_STRVAR(walk_doc,
 "StationWalk.advance's loop from arrival ``i``; see repro.kernels.walk.");
 
 static PyObject *
-walk(PyObject *module, PyObject *args)
+walk(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *arrivals_obj, *departures_obj, *free_obj, *ring_obj, *draws_obj;
     Py_ssize_t i, pos, j;
@@ -171,7 +171,7 @@ PyDoc_STRVAR(smooth_wrr_doc,
 "``count`` smooth-WRR picks; see repro.kernels.smooth_wrr.");
 
 static PyObject *
-smooth_wrr(PyObject *module, PyObject *args)
+smooth_wrr(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *current_obj, *weights_obj, *out_obj;
     double total;
@@ -250,7 +250,7 @@ PyDoc_STRVAR(station_stats_doc,
 "A station's busy integrals from its events; see repro.kernels.station_stats.");
 
 static PyObject *
-station_stats(PyObject *module, PyObject *args)
+station_stats(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *arrivals_obj, *admitted_obj, *departures_obj;
     Py_ssize_t servers;
@@ -325,7 +325,7 @@ PyDoc_STRVAR(band_dp_doc,
 "The dp backend's band DP and backtrack; see repro.kernels.py_band_dp.");
 
 static PyObject *
-band_dp(PyObject *module, PyObject *args)
+band_dp(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *units_obj, *latencies_obj, *selection_obj;
     Py_ssize_t k, lo, hi;
@@ -557,7 +557,7 @@ PyDoc_STRVAR(bisect_bank_doc,
 "see repro.core.curve.weights_for_latencies.");
 
 static PyObject *
-bisect_bank(PyObject *module, PyObject *args)
+bisect_bank(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *objs[8];
     Py_ssize_t width;

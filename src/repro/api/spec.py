@@ -7,26 +7,39 @@ built in code, loaded from a plain dict, or parsed from a JSON/TOML file,
 and then executed on the analytic fluid model, the request-level engine or
 the multi-VIP fleet by flipping the single ``runner`` field.
 
-Validation happens eagerly in each dataclass's ``__post_init__`` with
-errors that name the bad field (``workload.load_fraction must be in (0,
-1.5)``); dict/file loading goes through
-:func:`repro.core.config.dataclass_from_dict`, whose unknown-key errors
-name the offending dotted path.
+Each field states its rule once, in its ``field(metadata=...)`` (written by
+:func:`~repro.core.config.checked`): an interval such as
+``within("(0, 1.5)")``, a choice set, or which ``kind`` values take it.
+Every class subclasses :class:`~repro.core.config.Validated`, whose
+``__post_init__`` runs the one walker over those declarations at
+construction, so errors name the bad field (``workload.load_fraction must
+be in (0, 1.5)``) and NaN fails every range; the rules over two fields
+(timeline alternation and horizon, the probe timeout, the runner) are the
+named checks below.  Dict/file loading goes through
+:func:`repro.core.config.dataclass_from_dict`, which names the offending
+dotted path.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro.core.config import (
+    ByKind,
     KnapsackLBConfig,
+    NonEmpty,
+    OneOf,
+    Rule,
+    Validated,
+    check_fields,
+    checked,
     dataclass_from_dict,
-    dataclass_to_dict,
+    read_spec_file,
+    within,
 )
 from repro.exceptions import ConfigurationError
 from repro.lb.base import policy_description, policy_names
@@ -51,10 +64,27 @@ EVENT_KINDS: tuple[str, ...] = (
 FLEET_ONLY_EVENT_KINDS: frozenset[str] = frozenset(
     {"vip_onboard", "vip_offboard"}
 )
-
-
+_EVENT_TIME = "{label} must be > 0 (events fire strictly inside the timed phase)"
+_EVENT_NEEDS = NonEmpty("event {kind!r} needs the {name} field")
+_EVENT_TAKES_NO = "event {kind!r} does not take a {name} field"
+#: The event kinds that take ``dip`` / ``vip`` / ``value``, with its rule.
+_DIP_NEEDS = dict.fromkeys(
+    ("dip_fail", "dip_recover", "capacity_ratio", "antagonist_phase"), _EVENT_NEEDS
+)
+_VIP_TAKES = {
+    **dict.fromkeys(sorted(FLEET_ONLY_EVENT_KINDS), _EVENT_NEEDS), "arrival_scale": None
+}
+_VALUE_TAKES = {
+    "capacity_ratio": within("(0, 1]", text="event {kind!r} needs value in (0, 1]"),
+    "arrival_scale": within("(0, inf)", text="event {kind!r} needs a positive value"),
+    "antagonist_phase": within(
+        "[0, inf)",
+        integer=True,
+        text="event {kind!r} needs a non-negative integer value (antagonist copies)",
+    ),
+}
 @dataclass(frozen=True)
-class EventSpec:
+class EventSpec(Validated):
     """One timed perturbation of a running experiment.
 
     ``time_s`` is measured from the start of the timeline phase (after the
@@ -81,86 +111,24 @@ class EventSpec:
     at ``time_s + drain_s``, so queued and in-flight requests finish).
     """
 
-    time_s: float
-    kind: str
-    dip: str | None = None
-    vip: str | None = None
-    value: float | None = None
-    drain_s: float = 0.0
+    _prefix = "event "
+    #: spec files, ``repro validate`` and the daemon's ``POST /events`` all
+    #: load events through :meth:`from_dict`, so they share its error text.
+    _root = "timeline.events"
 
-    def __post_init__(self) -> None:
-        if self.time_s <= 0:
-            raise ConfigurationError(
-                "event time_s must be > 0 (events fire strictly inside "
-                "the timed phase)"
-            )
-        if self.kind not in EVENT_KINDS:
-            kinds = ", ".join(EVENT_KINDS)
-            raise ConfigurationError(
-                f"event kind must be one of: {kinds}; got {self.kind!r}"
-            )
-        needs_dip = self.kind in (
-            "dip_fail",
-            "dip_recover",
-            "capacity_ratio",
-            "antagonist_phase",
-        )
-        if needs_dip and not self.dip:
-            raise ConfigurationError(f"event {self.kind!r} needs the dip field")
-        if not needs_dip and self.dip is not None:
-            raise ConfigurationError(
-                f"event {self.kind!r} does not take a dip field"
-            )
-        if self.kind in FLEET_ONLY_EVENT_KINDS and not self.vip:
-            raise ConfigurationError(f"event {self.kind!r} needs the vip field")
-        if self.vip is not None and self.kind not in (
-            "vip_onboard",
-            "vip_offboard",
-            "arrival_scale",
-        ):
-            raise ConfigurationError(
-                f"event {self.kind!r} does not take a vip field"
-            )
-        if self.kind == "capacity_ratio":
-            if self.value is None or not 0 < self.value <= 1:
-                raise ConfigurationError(
-                    "event 'capacity_ratio' needs value in (0, 1]"
-                )
-        elif self.kind == "arrival_scale":
-            if self.value is None or self.value <= 0:
-                raise ConfigurationError(
-                    "event 'arrival_scale' needs a positive value"
-                )
-        elif self.kind == "antagonist_phase":
-            if self.value is None or self.value < 0 or self.value != int(self.value):
-                raise ConfigurationError(
-                    "event 'antagonist_phase' needs a non-negative integer "
-                    "value (antagonist copies)"
-                )
-        elif self.value is not None:
-            raise ConfigurationError(
-                f"event {self.kind!r} does not take a value field"
-            )
-        if self.drain_s < 0:
-            raise ConfigurationError("event drain_s must be >= 0")
-        if self.drain_s > 0 and self.kind not in ("dip_fail", "vip_offboard"):
-            raise ConfigurationError(
-                f"event {self.kind!r} does not take a drain_s field "
-                "(only dip_fail and vip_offboard drain)"
-            )
-
-    @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], *, path: str = "timeline.events"
-    ) -> "EventSpec":
-        """Build one event from a plain mapping, naming any bad field.
-
-        The single JSON-ingestion path for events: spec files, the
-        ``repro validate`` CLI and the live daemon's ``POST /events`` body
-        all go through here, so a malformed event produces the *same*
-        dotted-path error text everywhere.
-        """
-        return dataclass_from_dict(cls, data, path=path)
+    time_s: float = checked(MISSING, within("(0, inf)", text=_EVENT_TIME))
+    kind: str = checked(MISSING, OneOf(EVENT_KINDS))
+    dip: str | None = checked(None, ByKind(_DIP_NEEDS, _EVENT_TAKES_NO))
+    vip: str | None = checked(None, ByKind(_VIP_TAKES, _EVENT_TAKES_NO))
+    value: float | None = checked(None, ByKind(_VALUE_TAKES, _EVENT_TAKES_NO))
+    drain_s: float = checked(
+        0.0,
+        within("[0, inf)"),
+        ByKind(
+            {"dip_fail": None, "vip_offboard": None},
+            _EVENT_TAKES_NO + " (only dip_fail and vip_offboard drain)",
+        ),
+    )
 
     def label(self) -> str:
         """Compact human-readable form (``t=30s dip_fail DIP-3``)."""
@@ -176,8 +144,11 @@ class EventSpec:
         return " ".join(parts)
 
 
+_PROBE_TIMEOUT = "health.probe_timeout_s must be in (0, probe_interval_s]"
+
+
 @dataclass(frozen=True)
-class HealthCheckSpec:
+class HealthCheckSpec(Validated):
     """Probe-based failure detection: the LB *learns* a DIP died.
 
     When disabled (the default) failure stays an oracle: ``dip_fail``
@@ -196,23 +167,18 @@ class HealthCheckSpec:
     detect at exactly the same instants per seed.
     """
 
+    _prefix = "health."
+
     enabled: bool = False
-    probe_interval_s: float = 1.0
-    probe_timeout_s: float = 0.2
-    unhealthy_threshold: int = 3
-    healthy_threshold: int = 2
+    probe_interval_s: float = checked(1.0, within("(0, inf)"))
+    probe_timeout_s: float = checked(0.2, within("(0, inf)", text=_PROBE_TIMEOUT))
+    unhealthy_threshold: int = checked(3, within("[1, inf)"))
+    healthy_threshold: int = checked(2, within("[1, inf)"))
 
     def __post_init__(self) -> None:
-        if self.probe_interval_s <= 0:
-            raise ConfigurationError("health.probe_interval_s must be positive")
-        if not 0 < self.probe_timeout_s <= self.probe_interval_s:
-            raise ConfigurationError(
-                "health.probe_timeout_s must be in (0, probe_interval_s]"
-            )
-        if self.unhealthy_threshold < 1:
-            raise ConfigurationError("health.unhealthy_threshold must be >= 1")
-        if self.healthy_threshold < 1:
-            raise ConfigurationError("health.healthy_threshold must be >= 1")
+        check_fields(self)
+        if not self.probe_timeout_s <= self.probe_interval_s:
+            raise ConfigurationError(_PROBE_TIMEOUT)
 
     def probe_phase_s(self, seed: int, dip_index: int) -> float:
         """First probe offset in ``[0, probe_interval_s)`` for one DIP.
@@ -248,7 +214,7 @@ class HealthCheckSpec:
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Validated):
     """Per-request timeout / retry / backoff on the request substrate.
 
     When enabled, a request that times out (no completion within
@@ -264,31 +230,19 @@ class RetryPolicy:
     columns.
     """
 
-    enabled: bool = False
-    request_timeout_s: float = 1.0
-    max_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_multiplier: float = 2.0
-    jitter_fraction: float = 0.5
-    retry_budget: float = 0.2
+    _prefix = "retry."
 
-    def __post_init__(self) -> None:
-        if self.request_timeout_s <= 0:
-            raise ConfigurationError("retry.request_timeout_s must be positive")
-        if self.max_retries < 0:
-            raise ConfigurationError("retry.max_retries must be >= 0")
-        if self.backoff_base_s < 0:
-            raise ConfigurationError("retry.backoff_base_s must be >= 0")
-        if self.backoff_multiplier < 1:
-            raise ConfigurationError("retry.backoff_multiplier must be >= 1")
-        if not 0 <= self.jitter_fraction <= 1:
-            raise ConfigurationError("retry.jitter_fraction must be in [0, 1]")
-        if self.retry_budget < 0:
-            raise ConfigurationError("retry.retry_budget must be >= 0")
+    enabled: bool = False
+    request_timeout_s: float = checked(1.0, within("(0, inf)"))
+    max_retries: int = checked(2, within("[0, inf)"))
+    backoff_base_s: float = checked(0.05, within("[0, inf)"))
+    backoff_multiplier: float = checked(2.0, within("[1, inf)"))
+    jitter_fraction: float = checked(0.5, within("[0, 1]"))
+    retry_budget: float = checked(0.2, within("[0, inf)"))
 
 
 @dataclass(frozen=True)
-class ChaosSpec:
+class ChaosSpec(Validated):
     """A seeded random failure schedule, expanded into ordinary events.
 
     Setting ``seed`` arms chaos: before a run executes, the generator
@@ -305,37 +259,19 @@ class ChaosSpec:
     artifact.  Requires an explicit ``timeline.horizon_s``.
     """
 
+    _prefix = "timeline.chaos."
+
     seed: int | None = None
-    failure_rate_per_min: float = 2.0
-    mean_outage_s: float = 15.0
-    flap_probability: float = 0.0
+    failure_rate_per_min: float = checked(2.0, within("(0, inf)"))
+    mean_outage_s: float = checked(15.0, within("(0, inf)"))
+    flap_probability: float = checked(0.0, within("[0, 1)"))
     #: DIPs per correlated failure domain; 0/1 fails DIPs independently.
-    rack_size: int = 0
-    max_concurrent_failures: int = 1
+    rack_size: int = checked(0, within("[0, inf)"))
+    max_concurrent_failures: int = checked(1, within("[1, inf)"))
 
     @property
     def enabled(self) -> bool:
         return self.seed is not None
-
-    def __post_init__(self) -> None:
-        if self.failure_rate_per_min <= 0:
-            raise ConfigurationError(
-                "timeline.chaos.failure_rate_per_min must be positive"
-            )
-        if self.mean_outage_s <= 0:
-            raise ConfigurationError(
-                "timeline.chaos.mean_outage_s must be positive"
-            )
-        if not 0 <= self.flap_probability < 1:
-            raise ConfigurationError(
-                "timeline.chaos.flap_probability must be in [0, 1)"
-            )
-        if self.rack_size < 0:
-            raise ConfigurationError("timeline.chaos.rack_size must be >= 0")
-        if self.max_concurrent_failures < 1:
-            raise ConfigurationError(
-                "timeline.chaos.max_concurrent_failures must be >= 1"
-            )
 
 
 #: flaps chained after one chaos outage are capped so schedules stay short.
@@ -407,8 +343,50 @@ def expand_chaos_events(
     return tuple(events)
 
 
+def _check_events(events: tuple[EventSpec, ...], horizon_s: float | None) -> None:
+    """Every event and drain ends inside the horizon, none is declared twice,
+    and each DIP alternates fail, recover, fail, ..."""
+    if horizon_s is not None:
+        late = [e for e in events if e.time_s >= horizon_s]
+        if late:
+            raise ConfigurationError(
+                f"timeline.horizon_s = {horizon_s:g} does not cover "
+                f"the event at t={late[0].time_s:g}s"
+            )
+        slow = [e for e in events if e.time_s + e.drain_s >= horizon_s]
+        if slow:
+            raise ConfigurationError(
+                f"timeline.horizon_s = {horizon_s:g} does not cover "
+                f"the drain ending at t={slow[0].time_s + slow[0].drain_s:g}s"
+            )
+    seen: set[tuple[float, str, str | None, str | None]] = set()
+    for event in events:
+        key = (event.time_s, event.kind, event.dip, event.vip)
+        if key in seen:
+            raise ConfigurationError(
+                f"timeline.events declares the duplicate event {event.label()!r}"
+            )
+        seen.add(key)
+    failed: set[str | None] = set()
+    for event in sorted(events, key=lambda e: e.time_s):
+        if event.kind == "dip_fail":
+            if event.dip in failed:
+                raise ConfigurationError(
+                    f"timeline.events: {event.label()!r} fails a DIP "
+                    "that an earlier event already failed"
+                )
+            failed.add(event.dip)
+        elif event.kind == "dip_recover":
+            if event.dip not in failed:
+                raise ConfigurationError(
+                    f"timeline.events: {event.label()!r} recovers a DIP "
+                    "that no earlier event failed"
+                )
+            failed.discard(event.dip)
+
+
 @dataclass(frozen=True)
-class TimelineSpec:
+class TimelineSpec(Validated):
     """The timed phase of an experiment: ordered events plus telemetry shape.
 
     Events apply in ``(time_s, declaration order)`` order on every substrate:
@@ -425,66 +403,21 @@ class TimelineSpec:
     #: windows simulated past the last event when horizon_s is omitted.
     TAIL_WINDOWS = 5
 
+    _prefix = "timeline."
+
     events: tuple[EventSpec, ...] = ()
-    window_s: float = 5.0
-    horizon_s: float | None = None
+    window_s: float = checked(5.0, within("(0, inf)"))
+    horizon_s: float | None = checked(None, within("(0, inf)", null=True))
     chaos: ChaosSpec = ChaosSpec()
 
     def __post_init__(self) -> None:
-        if self.window_s <= 0:
-            raise ConfigurationError("timeline.window_s must be positive")
         events = tuple(
-            event
-            if isinstance(event, EventSpec)
-            else EventSpec.from_dict(event)
-            for event in self.events
+            e if isinstance(e, EventSpec) else EventSpec.from_dict(e)
+            for e in self.events
         )
         object.__setattr__(self, "events", events)
-        if self.horizon_s is not None:
-            if self.horizon_s <= 0:
-                raise ConfigurationError(
-                    "timeline.horizon_s must be positive or null"
-                )
-            late = [e for e in events if e.time_s >= self.horizon_s]
-            if late:
-                raise ConfigurationError(
-                    f"timeline.horizon_s = {self.horizon_s:g} does not cover "
-                    f"the event at t={late[0].time_s:g}s"
-                )
-            slow = [
-                e for e in events if e.time_s + e.drain_s >= self.horizon_s
-            ]
-            if slow:
-                raise ConfigurationError(
-                    f"timeline.horizon_s = {self.horizon_s:g} does not cover "
-                    f"the drain ending at "
-                    f"t={slow[0].time_s + slow[0].drain_s:g}s"
-                )
-        seen: set[tuple[float, str, str | None, str | None]] = set()
-        for event in events:
-            key = (event.time_s, event.kind, event.dip, event.vip)
-            if key in seen:
-                raise ConfigurationError(
-                    f"timeline.events declares the duplicate event "
-                    f"{event.label()!r}"
-                )
-            seen.add(key)
-        failed: set[str] = set()
-        for event in sorted(events, key=lambda e: e.time_s):
-            if event.kind == "dip_fail":
-                if event.dip in failed:
-                    raise ConfigurationError(
-                        f"timeline.events: {event.label()!r} fails a DIP "
-                        "that an earlier event already failed"
-                    )
-                failed.add(event.dip)  # type: ignore[arg-type]
-            elif event.kind == "dip_recover":
-                if event.dip not in failed:
-                    raise ConfigurationError(
-                        f"timeline.events: {event.label()!r} recovers a DIP "
-                        "that no earlier event failed"
-                    )
-                failed.discard(event.dip)  # type: ignore[arg-type]
+        check_fields(self)
+        _check_events(events, self.horizon_s)
 
     @property
     def empty(self) -> bool:
@@ -509,50 +442,82 @@ class TimelineSpec:
 
 
 @dataclass(frozen=True)
-class VmSpec:
+class VmSpec(Validated):
     """The VM type used for ``uniform`` pools (and cores for ``three_dip``)."""
 
-    name: str = "api-2core"
-    vcpus: int = 2
-    capacity_rps: float = 800.0
-    #: ``None`` picks the M/M/c-consistent idle latency (vcpus/capacity).
-    idle_latency_ms: float | None = None
+    _prefix = "pool.vm."
 
-    def __post_init__(self) -> None:
-        if self.vcpus < 1:
-            raise ConfigurationError("pool.vm.vcpus must be >= 1")
-        if self.capacity_rps <= 0:
-            raise ConfigurationError("pool.vm.capacity_rps must be positive")
-        if self.idle_latency_ms is not None and self.idle_latency_ms <= 0:
-            raise ConfigurationError(
-                "pool.vm.idle_latency_ms must be positive or null"
-            )
+    name: str = "api-2core"
+    vcpus: int = checked(2, within("[1, inf)"))
+    capacity_rps: float = checked(800.0, within("(0, inf)"))
+    #: ``None`` picks the M/M/c-consistent idle latency (vcpus/capacity).
+    idle_latency_ms: float | None = checked(None, within("(0, inf)", null=True))
 
 
 @dataclass(frozen=True)
-class PoolSpec:
+class PoolSpec(Validated):
     """Which DIP pool to build (see :func:`repro.workloads.build_pool`)."""
 
-    kind: str = "uniform"
-    num_dips: int = 8
+    _prefix = "pool."
+
+    kind: str = checked("uniform", OneOf(POOL_KINDS))
+    num_dips: int = checked(8, within("[1, inf)"))
     vm: VmSpec = VmSpec()
     #: capacity squeeze of the low-capacity DIP for ``three_dip`` pools.
-    capacity_ratio: float = 1.0
+    capacity_ratio: float = checked(1.0, within("(0, 1]"))
 
-    def __post_init__(self) -> None:
-        if self.kind not in POOL_KINDS:
-            known = ", ".join(POOL_KINDS)
-            raise ConfigurationError(
-                f"pool.kind must be one of: {known}; got {self.kind!r}"
-            )
-        if self.num_dips < 1:
-            raise ConfigurationError("pool.num_dips must be >= 1")
-        if not 0 < self.capacity_ratio <= 1:
-            raise ConfigurationError("pool.capacity_ratio must be in (0, 1]")
+
+def _only(
+    kind: str, rule: Rule | None = None, what: str = "{label} only applies"
+) -> ByKind:
+    """A field only ``kind`` takes (with ``rule`` there); others keep its default."""
+    return ByKind({kind: rule}, f"{what} to kind '{kind}'; kind is {{kind!r}}")
+
+
+_MMPP_STATES = "workload.arrival.state_rates must be >= 0 with a positive maximum"
+_RATES_ONLY = "workload.arrival.state_rates/switch_rates only apply"
+_BURST = _only(
+    "flash_crowd", within("(0, inf)"), "workload.arrival.burst_* fields only apply"
+)
+_ELEPHANTS_ONLY = "workload.service.elephant_* fields only apply"
+#: what ``flash_crowd`` fills in for burst fields left at 0.
+_FLASH_CROWD_DEFAULTS = {
+    "burst_rate_per_s": 0.2, "burst_height": 5.0, "burst_decay_s": 2.0
+}
+
+
+def _fill_arrival_defaults(spec: "ArrivalSpec") -> None:
+    """Coerce the rates to floats; default-fill ``mmpp`` and ``flash_crowd``."""
+    state = tuple(float(r) for r in spec.state_rates)
+    switch = tuple(float(r) for r in spec.switch_rates)
+    if spec.kind == "mmpp":
+        state = state or (0.4, 3.4)
+        switch = switch or tuple(0.5 for _ in state)
+    object.__setattr__(spec, "state_rates", state)
+    object.__setattr__(spec, "switch_rates", switch)
+    if spec.kind == "flash_crowd":
+        for name, default in _FLASH_CROWD_DEFAULTS.items():
+            if getattr(spec, name) == 0:
+                object.__setattr__(spec, name, default)
+
+
+def _check_mmpp(state: tuple[float, ...], switch: tuple[float, ...]) -> None:
+    """At least two states, one switch rate each, and some state that emits."""
+    if len(state) < 2:
+        raise ConfigurationError(
+            "workload.arrival.state_rates needs at least two states for kind 'mmpp'"
+        )
+    if len(switch) != len(state):
+        raise ConfigurationError(
+            "workload.arrival.switch_rates must match state_rates "
+            f"({len(switch)} vs {len(state)})"
+        )
+    if max(state) <= 0:
+        raise ConfigurationError(_MMPP_STATES)
 
 
 @dataclass(frozen=True)
-class ArrivalSpec:
+class ArrivalSpec(Validated):
     """The arrival-process shape (see :mod:`repro.workloads.arrivals`).
 
     Fields apply per ``kind``; setting one for a kind that does not use
@@ -563,120 +528,43 @@ class ArrivalSpec:
     workload.
     """
 
-    kind: str = "poisson"
+    _prefix = "workload.arrival."
+
+    kind: str = checked("poisson", OneOf(tuple(sorted(ARRIVAL_KINDS))))
     #: mmpp: relative per-state intensities (normalized so the stationary
     #: mean matches the workload rate).
-    state_rates: tuple[float, ...] = ()
+    state_rates: tuple[float, ...] = checked(
+        (),
+        _only("mmpp", within("[0, inf)", each=True, text=_MMPP_STATES), _RATES_ONLY),
+    )
     #: mmpp: exit rate of each state (mean sojourn ``1/rate`` seconds).
-    switch_rates: tuple[float, ...] = ()
+    switch_rates: tuple[float, ...] = checked(
+        (), _only("mmpp", within("(0, inf)", each=True), _RATES_ONLY)
+    )
     #: flash_crowd: Poisson rate of burst onsets.
-    burst_rate_per_s: float = 0.0
+    burst_rate_per_s: float = checked(0.0, _BURST)
     #: flash_crowd: peak intensity boost per burst (x the base rate).
-    burst_height: float = 0.0
+    burst_height: float = checked(0.0, _BURST)
     #: flash_crowd: exponential decay constant of each burst (seconds).
-    burst_decay_s: float = 0.0
+    burst_decay_s: float = checked(0.0, _BURST)
     #: trace: CSV/JSONL file whose ``trace_column`` holds timestamps.
-    trace_path: str | None = None
-    trace_column: str = "timestamp"
+    trace_path: str | None = checked(
+        None, _only("trace", NonEmpty("{label} is required for kind 'trace'"))
+    )
+    trace_column: str = checked("timestamp", _only("trace"))
     #: trace: replay the trace's own mean rate instead of scaling to the
     #: spec's ``load_fraction`` rate.
-    preserve_rate: bool = False
+    preserve_rate: bool = checked(False, _only("trace"))
 
     def __post_init__(self) -> None:
-        if self.kind not in ARRIVAL_KINDS:
-            known = ", ".join(sorted(ARRIVAL_KINDS))
-            raise ConfigurationError(
-                f"workload.arrival.kind must be one of: {known}; "
-                f"got {self.kind!r}"
-            )
-        object.__setattr__(
-            self, "state_rates", tuple(float(r) for r in self.state_rates)
-        )
-        object.__setattr__(
-            self, "switch_rates", tuple(float(r) for r in self.switch_rates)
-        )
+        _fill_arrival_defaults(self)
+        check_fields(self)
         if self.kind == "mmpp":
-            if not self.state_rates:
-                object.__setattr__(self, "state_rates", (0.4, 3.4))
-            if not self.switch_rates:
-                object.__setattr__(
-                    self, "switch_rates", tuple(0.5 for _ in self.state_rates)
-                )
-            if len(self.state_rates) < 2:
-                raise ConfigurationError(
-                    "workload.arrival.state_rates needs at least two states "
-                    "for kind 'mmpp'"
-                )
-            if len(self.switch_rates) != len(self.state_rates):
-                raise ConfigurationError(
-                    "workload.arrival.switch_rates must match state_rates "
-                    f"({len(self.switch_rates)} vs {len(self.state_rates)})"
-                )
-            if any(r < 0 for r in self.state_rates) or max(
-                self.state_rates
-            ) <= 0:
-                raise ConfigurationError(
-                    "workload.arrival.state_rates must be >= 0 with a "
-                    "positive maximum"
-                )
-            if any(r <= 0 for r in self.switch_rates):
-                raise ConfigurationError(
-                    "workload.arrival.switch_rates must be positive"
-                )
-        elif self.state_rates or self.switch_rates:
-            raise ConfigurationError(
-                "workload.arrival.state_rates/switch_rates only apply to "
-                f"kind 'mmpp'; kind is {self.kind!r}"
-            )
-        if self.kind == "flash_crowd":
-            if self.burst_rate_per_s == 0:
-                object.__setattr__(self, "burst_rate_per_s", 0.2)
-            if self.burst_height == 0:
-                object.__setattr__(self, "burst_height", 5.0)
-            if self.burst_decay_s == 0:
-                object.__setattr__(self, "burst_decay_s", 2.0)
-            if self.burst_rate_per_s <= 0:
-                raise ConfigurationError(
-                    "workload.arrival.burst_rate_per_s must be positive"
-                )
-            if self.burst_height <= 0:
-                raise ConfigurationError(
-                    "workload.arrival.burst_height must be positive"
-                )
-            if self.burst_decay_s <= 0:
-                raise ConfigurationError(
-                    "workload.arrival.burst_decay_s must be positive"
-                )
-        elif self.burst_rate_per_s or self.burst_height or self.burst_decay_s:
-            raise ConfigurationError(
-                "workload.arrival.burst_* fields only apply to kind "
-                f"'flash_crowd'; kind is {self.kind!r}"
-            )
-        if self.kind == "trace":
-            if not self.trace_path:
-                raise ConfigurationError(
-                    "workload.arrival.trace_path is required for kind 'trace'"
-                )
-        else:
-            if self.trace_path is not None:
-                raise ConfigurationError(
-                    "workload.arrival.trace_path only applies to kind "
-                    f"'trace'; kind is {self.kind!r}"
-                )
-            if self.trace_column != "timestamp":
-                raise ConfigurationError(
-                    "workload.arrival.trace_column only applies to kind "
-                    f"'trace'; kind is {self.kind!r}"
-                )
-            if self.preserve_rate:
-                raise ConfigurationError(
-                    "workload.arrival.preserve_rate only applies to kind "
-                    f"'trace'; kind is {self.kind!r}"
-                )
+            _check_mmpp(self.state_rates, self.switch_rates)
 
 
 @dataclass(frozen=True)
-class ServiceSpec:
+class ServiceSpec(Validated):
     """The service-time shape drawn by every DIP station.
 
     All kinds are unit-mean (scaled by each DIP's mean service time at
@@ -686,95 +574,55 @@ class ServiceSpec:
     are built from.
     """
 
-    kind: str = "exponential"
+    _prefix = "workload.service."
+
+    kind: str = checked("exponential", OneOf(tuple(sorted(SERVICE_KINDS))))
     #: lognormal: squared coefficient of variation of service times.
-    scv: float = 1.0
+    scv: float = checked(1.0, _only("lognormal", within("(0, inf)")))
     #: pareto: tail index alpha (> 1 for a finite mean; <= 2 has
     #: infinite variance — the analytic twin is hopeless there).
-    tail_index: float = 2.5
+    tail_index: float = checked(
+        2.5,
+        _only(
+            "pareto",
+            within(
+                "(1, inf)",
+                text="{label} must be > 1 (a unit-mean Pareto needs a finite mean)",
+            ),
+        ),
+    )
     #: elephant: fraction of flows that are elephants.
-    elephant_fraction: float = 0.05
+    elephant_fraction: float = checked(
+        0.05, _only("elephant", within("(0, 1)"), _ELEPHANTS_ONLY)
+    )
     #: elephant: elephant service time as a multiple of a mouse's.
-    elephant_factor: float = 20.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in SERVICE_KINDS:
-            known = ", ".join(sorted(SERVICE_KINDS))
-            raise ConfigurationError(
-                f"workload.service.kind must be one of: {known}; "
-                f"got {self.kind!r}"
-            )
-        if self.kind == "lognormal":
-            if self.scv <= 0:
-                raise ConfigurationError(
-                    "workload.service.scv must be positive"
-                )
-        elif self.scv != 1.0:
-            raise ConfigurationError(
-                "workload.service.scv only applies to kind 'lognormal'; "
-                f"kind is {self.kind!r}"
-            )
-        if self.kind == "pareto":
-            if self.tail_index <= 1.0:
-                raise ConfigurationError(
-                    "workload.service.tail_index must be > 1 (a unit-mean "
-                    "Pareto needs a finite mean)"
-                )
-        elif self.tail_index != 2.5:
-            raise ConfigurationError(
-                "workload.service.tail_index only applies to kind 'pareto'; "
-                f"kind is {self.kind!r}"
-            )
-        if self.kind == "elephant":
-            if not 0 < self.elephant_fraction < 1:
-                raise ConfigurationError(
-                    "workload.service.elephant_fraction must be in (0, 1)"
-                )
-            if self.elephant_factor < 1:
-                raise ConfigurationError(
-                    "workload.service.elephant_factor must be >= 1"
-                )
-        elif self.elephant_fraction != 0.05 or self.elephant_factor != 20.0:
-            raise ConfigurationError(
-                "workload.service.elephant_* fields only apply to kind "
-                f"'elephant'; kind is {self.kind!r}"
-            )
+    elephant_factor: float = checked(
+        20.0, _only("elephant", within("[1, inf)"), _ELEPHANTS_ONLY)
+    )
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Validated):
     """The offered traffic, sized relative to the pool's total capacity."""
 
-    load_fraction: float = 0.6
+    _prefix = "workload."
+
+    load_fraction: float = checked(0.6, within("(0, 1.5)"))
     #: request budget for the request-level engine.
-    num_requests: int = 20_000
+    num_requests: int = checked(20_000, within("[1, inf)"))
     #: simulated warm-up before measurement starts (request engine only).
-    warmup_s: float = 1.0
+    warmup_s: float = checked(1.0, within("[0, inf)"))
     #: arrival-process shape (Poisson baseline by default).
     arrival: ArrivalSpec = ArrivalSpec()
     #: service-time shape (exponential baseline by default).
     service: ServiceSpec = ServiceSpec()
     #: how far Ca^2/Cs^2 may stray from the M/M/c value of 1 before runs
     #: carry a ``provenance.model_divergence`` warning.
-    divergence_tolerance: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0 < self.load_fraction < 1.5:
-            raise ConfigurationError(
-                "workload.load_fraction must be in (0, 1.5)"
-            )
-        if self.num_requests < 1:
-            raise ConfigurationError("workload.num_requests must be >= 1")
-        if self.warmup_s < 0:
-            raise ConfigurationError("workload.warmup_s must be >= 0")
-        if self.divergence_tolerance < 0:
-            raise ConfigurationError(
-                "workload.divergence_tolerance must be >= 0"
-            )
+    divergence_tolerance: float = checked(0.5, within("[0, inf)"))
 
 
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(Validated):
     """The LB policy requests are split by (names from the lb registry).
 
     ``num_muxes > 1`` fronts the policy with the
@@ -783,22 +631,14 @@ class PolicySpec:
     policy replica (the paper's scaled-out dataplane).
     """
 
-    name: str = "wrr"
-    num_muxes: int = 1
+    _prefix = "policy."
 
-    def __post_init__(self) -> None:
-        known = policy_names()
-        if self.name not in known:
-            names = ", ".join(known)
-            raise ConfigurationError(
-                f"policy.name must be one of: {names}; got {self.name!r}"
-            )
-        if self.num_muxes < 1:
-            raise ConfigurationError("policy.num_muxes must be >= 1")
+    name: str = checked("wrr", OneOf(policy_names))
+    num_muxes: int = checked(1, within("[1, inf)"))
 
 
 @dataclass(frozen=True)
-class ControllerSpec:
+class ControllerSpec(Validated):
     """Whether (and how) the KnapsackLB controller drives the run.
 
     When enabled, the fluid and fleet runners converge the controller before
@@ -806,22 +646,18 @@ class ControllerSpec:
     of the same pool and replays them through the request-level engine.
     """
 
+    _prefix = "controller."
+
     enabled: bool = True
     #: settle control steps after programming weights (fluid/fleet).
-    settle_steps: int = 3
+    settle_steps: int = checked(3, within("[0, inf)"))
     #: extra §4.5 control ticks after convergence.
-    control_steps: int = 0
+    control_steps: int = checked(0, within("[0, inf)"))
     config: KnapsackLBConfig = KnapsackLBConfig()
-
-    def __post_init__(self) -> None:
-        if self.settle_steps < 0:
-            raise ConfigurationError("controller.settle_steps must be >= 0")
-        if self.control_steps < 0:
-            raise ConfigurationError("controller.control_steps must be >= 0")
 
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(Validated):
     """Multi-VIP shape used only by the fleet runner.
 
     The pool's DIPs are shared by ``num_vips`` overlapping VIPs (see
@@ -829,34 +665,88 @@ class FleetSpec:
     ``fleet`` section still runs on the fleet substrate with these defaults.
     """
 
-    num_vips: int = 4
+    _prefix = "fleet."
+
+    num_vips: int = checked(4, within("[1, inf)"))
     #: DIPs per VIP window; ``None`` derives it from the sharing ratio.
-    pool_size: int | None = None
+    pool_size: int | None = checked(None, within("[1, inf)", null=True))
     #: VIPs that start *outside* the control plane (traffic flows at the
     #: builder's capacity-proportional weights) until a ``vip_onboard``
     #: event — declared in the timeline or injected live through the
     #: ``repro serve`` daemon — brings them under KnapsackLB control.
-    deferred_vips: tuple[str, ...] = ()
+    deferred_vips: tuple[str, ...] = checked(
+        (), NonEmpty("{label} must be a list of VIP names", each=True)
+    )
 
     def __post_init__(self) -> None:
-        if self.num_vips < 1:
-            raise ConfigurationError("fleet.num_vips must be >= 1")
-        if self.pool_size is not None and self.pool_size < 1:
-            raise ConfigurationError("fleet.pool_size must be >= 1 or null")
         object.__setattr__(self, "deferred_vips", tuple(self.deferred_vips))
-        for vip in self.deferred_vips:
-            if not vip or not isinstance(vip, str):
-                raise ConfigurationError(
-                    "fleet.deferred_vips must be a list of VIP names"
-                )
+        check_fields(self)
+
+
+def _check_runner(spec: "ExperimentSpec") -> None:
+    """The sections a runner cannot honour: scenario bridges, retries off the
+    request engine, rescaled pinned traces, unbounded chaos, unweighted
+    policies under the controller."""
+    bridged, timeline = spec.runner == "scenario", spec.timeline
+    if bridged and not spec.scenario:
+        raise ConfigurationError("runner 'scenario' needs the scenario field set")
+    if spec.scenario is not None and not bridged:
+        raise ConfigurationError(
+            f"scenario {spec.scenario!r} requires runner 'scenario', "
+            f"got {spec.runner!r}"
+        )
+    # chaos-only timelines are allowed: the bridging ScenarioRunner hands
+    # timeline.chaos.seed to scenarios that accept one.
+    if bridged and (timeline.events or timeline.horizon_s is not None):
+        raise ConfigurationError(
+            "runner 'scenario' cannot carry timeline events; scenarios "
+            "build their own timed specs (use runner fluid/request/fleet)"
+        )
+    if bridged and (spec.health.enabled or spec.retry.enabled):
+        raise ConfigurationError(
+            "runner 'scenario' cannot carry health/retry sections; "
+            "scenarios configure resilience through their own params"
+        )
+    if spec.retry.enabled and spec.runner != "request":
+        raise ConfigurationError(
+            "retry.enabled needs runner 'request': retries act on "
+            "individual requests, which only the request engine models"
+        )
+    arrival = spec.workload.arrival
+    if arrival.kind == "trace" and arrival.preserve_rate and any(
+        event.kind == "arrival_scale" for event in timeline.events
+    ):
+        raise ConfigurationError(
+            "timeline 'arrival_scale' events cannot rescale a trace "
+            "workload with workload.arrival.preserve_rate = true: the "
+            "replay clock is pinned to the trace; set "
+            "workload.arrival.preserve_rate = false to allow scaling"
+        )
+    if timeline.chaos.enabled and not bridged and timeline.horizon_s is None:
+        raise ConfigurationError(
+            "timeline.chaos needs an explicit timeline.horizon_s: the "
+            "generated failure schedule fills a fixed timed phase"
+        )
+    if (
+        spec.controller.enabled
+        and not bridged
+        and not policy_description(spec.policy.name).weighted
+    ):
+        raise ConfigurationError(
+            f"policy.name {spec.policy.name!r} cannot carry KnapsackLB "
+            "weights; pick a weighted policy (wrr, wrandom, wlc, dns) "
+            "or set controller.enabled = false"
+        )
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Validated):
     """The single declarative description of one experiment run."""
 
-    name: str
-    runner: str = "fluid"
+    _root = "spec"
+
+    name: str = checked(MISSING, NonEmpty())
+    runner: str = checked("fluid", OneOf(RUNNER_KINDS))
     pool: PoolSpec = PoolSpec()
     workload: WorkloadSpec = WorkloadSpec()
     policy: PolicySpec = PolicySpec()
@@ -868,132 +758,23 @@ class ExperimentSpec:
     seed: int = 0
     #: epoch length for epoch-synchronized sharded runs (seconds between
     #: cross-shard state barriers; smaller = less staleness, more syncs).
-    sync_interval_s: float = 0.25
+    sync_interval_s: float = checked(0.25, within("(0, inf)"))
     #: registered scenario to delegate to (runner == "scenario" only).
     scenario: str | None = None
     #: parameter overrides for the scenario's runner.
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("name must be a non-empty string")
-        if self.sync_interval_s <= 0:
-            raise ConfigurationError("sync_interval_s must be positive")
-        if self.runner not in RUNNER_KINDS:
-            kinds = ", ".join(RUNNER_KINDS)
-            raise ConfigurationError(
-                f"runner must be one of: {kinds}; got {self.runner!r}"
-            )
-        if self.runner == "scenario" and not self.scenario:
-            raise ConfigurationError(
-                "runner 'scenario' needs the scenario field set"
-            )
-        if self.scenario is not None and self.runner != "scenario":
-            raise ConfigurationError(
-                f"scenario {self.scenario!r} requires runner 'scenario', "
-                f"got {self.runner!r}"
-            )
-        if self.runner == "scenario" and (
-            self.timeline.events or self.timeline.horizon_s is not None
-        ):
-            # chaos-only timelines are allowed: the bridging ScenarioRunner
-            # hands timeline.chaos.seed to scenarios that accept one.
-            raise ConfigurationError(
-                "runner 'scenario' cannot carry timeline events; scenarios "
-                "build their own timed specs (use runner fluid/request/fleet)"
-            )
-        if self.runner == "scenario" and (
-            self.health.enabled or self.retry.enabled
-        ):
-            raise ConfigurationError(
-                "runner 'scenario' cannot carry health/retry sections; "
-                "scenarios configure resilience through their own params"
-            )
-        if self.retry.enabled and self.runner != "request":
-            raise ConfigurationError(
-                "retry.enabled needs runner 'request': retries act on "
-                "individual requests, which only the request engine models"
-            )
-        if (
-            self.workload.arrival.kind == "trace"
-            and self.workload.arrival.preserve_rate
-            and any(
-                event.kind == "arrival_scale" for event in self.timeline.events
-            )
-        ):
-            raise ConfigurationError(
-                "timeline 'arrival_scale' events cannot rescale a trace "
-                "workload with workload.arrival.preserve_rate = true: the "
-                "replay clock is pinned to the trace; set "
-                "workload.arrival.preserve_rate = false to allow scaling"
-            )
-        if (
-            self.timeline.chaos.enabled
-            and self.runner != "scenario"
-            and self.timeline.horizon_s is None
-        ):
-            raise ConfigurationError(
-                "timeline.chaos needs an explicit timeline.horizon_s: the "
-                "generated failure schedule fills a fixed timed phase"
-            )
-        if (
-            self.controller.enabled
-            and self.runner != "scenario"
-            and not policy_description(self.policy.name).weighted
-        ):
-            raise ConfigurationError(
-                f"policy.name {self.policy.name!r} cannot carry KnapsackLB "
-                "weights; pick a weighted policy (wrr, wrandom, wlc, dns) "
-                "or set controller.enabled = false"
-            )
+        check_fields(self)
+        _check_runner(self)
         # ``params`` is the one mutable field on this frozen tree: copy it so
         # derived specs never share (and callers can never mutate) state.
         object.__setattr__(self, "params", dict(self.params))
 
-    # -- construction ----------------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        """Build a spec from a plain mapping, naming any bad field."""
-        return dataclass_from_dict(cls, data, path="spec")
-
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentSpec":
         """Load a spec from a ``.json`` or ``.toml`` file."""
-        path = Path(path)
-        if not path.exists():
-            raise ConfigurationError(f"spec file {str(path)!r} does not exist")
-        text = path.read_text(encoding="utf-8")
-        suffix = path.suffix.lower()
-        if suffix == ".toml":
-            import tomllib
-
-            try:
-                data = tomllib.loads(text)
-            except tomllib.TOMLDecodeError as error:
-                raise ConfigurationError(
-                    f"spec file {str(path)!r} is not valid TOML: {error}"
-                ) from None
-        elif suffix == ".json":
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as error:
-                raise ConfigurationError(
-                    f"spec file {str(path)!r} is not valid JSON: {error}"
-                ) from None
-        else:
-            raise ConfigurationError(
-                f"spec file {str(path)!r} must end in .json or .toml"
-            )
-        return cls.from_dict(data)
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclass_to_dict(self)
-
-    def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return cls.from_dict(read_spec_file(path, "spec"))
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)
@@ -1038,7 +819,7 @@ def _override(node: Any, parts: list[str], value: Any, raw_path: str) -> Any:
         )
     if len(parts) == 1:
         current = getattr(node, head)
-        if dataclass_is_node(current) and isinstance(value, Mapping):
+        if is_dataclass(current) and isinstance(value, Mapping):
             value = dataclass_from_dict(type(current), value, path=head)
         elif isinstance(current, tuple) and isinstance(value, list):
             value = tuple(value)
@@ -1046,6 +827,3 @@ def _override(node: Any, parts: list[str], value: Any, raw_path: str) -> Any:
     child = _override(getattr(node, head), parts[1:], value, raw_path)
     return replace(node, **{head: child})
 
-
-def dataclass_is_node(obj: Any) -> bool:
-    return hasattr(obj, "__dataclass_fields__") and not isinstance(obj, type)

@@ -149,9 +149,6 @@ class LatencyModel:
         span = 1.0 - self.drop_utilization
         return 0.05 * (util - self.drop_utilization) / span
 
-    def has_drops(self, rate_rps: float) -> bool:
-        return self.drop_probability(rate_rps) > 0.0
-
     def ping_latency_ms(self, rate_rps: float) -> float:
         """ICMP/TCP-SYN ping latency: handled by the OS, load-independent."""
         base = 0.3

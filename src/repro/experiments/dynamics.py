@@ -25,11 +25,6 @@ class DynamicsScenario:
     detection_time_s: float
     max_utilization_after: float
 
-    def weight_delta(self, dips) -> float:
-        return sum(
-            self.weights_after.get(d, 0.0) - self.weights_before.get(d, 0.0) for d in dips
-        )
-
 
 @dataclass(frozen=True)
 class DynamicsStudy:

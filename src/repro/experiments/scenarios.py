@@ -49,7 +49,6 @@ from repro.core import FleetController, KnapsackLBController
 from repro.exceptions import ConfigurationError
 from repro.lb import make_policy, policy_registry, policy_seed_kwargs
 from repro.sim import FluidCluster, RequestCluster
-from repro.sim.fleet import Fleet
 from repro.workloads import (
     build_pool,
     build_shared_dip_fleet,
@@ -1147,16 +1146,4 @@ def run_chaos_under_burst(
         },
         windows=results["bursty"].windows,
         detail={"results": results},
-    )
-
-
-def fleet_for_scenario(name: str, **overrides: Any) -> Fleet:
-    """Convenience: build (without running) the fleet a scenario would use."""
-    spec = get_scenario(name)
-    params = {**spec.defaults, **overrides}
-    return build_shared_dip_fleet(
-        num_vips=int(params.get("num_vips", 8)),
-        num_dips=int(params.get("num_dips", 32)),
-        load_fraction=float(params.get("load_fraction", 0.55)),
-        seed=params.get("seed"),
     )

@@ -29,6 +29,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
+from repro.core.config import OneOf, Validated, checked, within
 from repro.exceptions import ConfigurationError
 
 #: SeedSequence stream tags, one per agent kind (never reuse).
@@ -56,47 +57,31 @@ def _set_rng_state(rng: np.random.Generator, state: Mapping[str, Any]) -> None:
 
 
 @dataclass(frozen=True)
-class AgentSpec:
+class AgentSpec(Validated):
     """Declarative description of one agent (validated eagerly)."""
 
     #: registered agent kind (see :func:`agent_registry`).
-    name: str = "bandit"
+    name: str = checked(
+        "bandit",
+        OneOf(
+            lambda: sorted(_AGENTS), "unknown agent {value!r}; known agents: {choices}"
+        ),
+    )
     #: bandit exploration rate at episode 0 and its per-episode decay.
-    epsilon: float = 0.3
-    epsilon_decay: float = 0.1
+    epsilon: float = checked(0.3, within("[0, 1]"))
+    epsilon_decay: float = checked(0.1, within("[0, inf)"))
     #: policy-gradient step size.
-    learning_rate: float = 0.05
+    learning_rate: float = checked(0.05, within("(0, inf)"))
     #: arm count for the discrete agents (0 = auto: 2 * num_dips + 1).
-    num_arms: int = 0
+    num_arms: int = checked(
+        0, within("[2, inf)", also=(0,), text="{label} must be 0 (auto) or >= 2")
+    )
     #: relative spread of the perturbed arms around the uniform split.
-    spread: float = 0.5
+    spread: float = checked(0.5, within("(0, 1)"))
     #: reward normalization inside the policy-gradient update.
-    reward_scale: float = 0.01
+    reward_scale: float = checked(0.01, within("(0, inf)"))
     #: running-baseline update rate for the advantage estimate.
-    baseline_rate: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.name not in _AGENTS:
-            known = ", ".join(sorted(_AGENTS))
-            raise ConfigurationError(
-                f"unknown agent {self.name!r}; known agents: {known}"
-            )
-        if not 0 <= self.epsilon <= 1:
-            raise ConfigurationError("epsilon must be in [0, 1]")
-        if self.epsilon_decay < 0:
-            raise ConfigurationError("epsilon_decay must be >= 0")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if self.num_arms < 0 or self.num_arms == 1:
-            raise ConfigurationError(
-                "num_arms must be 0 (auto) or >= 2"
-            )
-        if not 0 < self.spread < 1:
-            raise ConfigurationError("spread must be in (0, 1)")
-        if self.reward_scale <= 0:
-            raise ConfigurationError("reward_scale must be positive")
-        if not 0 < self.baseline_rate <= 1:
-            raise ConfigurationError("baseline_rate must be in (0, 1]")
+    baseline_rate: float = checked(0.2, within("(0, 1]"))
 
 
 # ---------------------------------------------------------------------------

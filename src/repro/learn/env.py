@@ -59,6 +59,7 @@ from repro.api.timeline import (
     schedule_request_timeline,
     window_from_row,
 )
+from repro.core.config import NonEmpty, OneOf, Validated, checked, within
 from repro.exceptions import ConfigurationError
 from repro.lb import policy_registry
 
@@ -80,31 +81,38 @@ class EnvScenario:
     build: Any  # () -> ExperimentSpec
 
 
-def _outage_spec() -> ExperimentSpec:
-    """The dip_outage_recovery shape: one DIP dies at 20s, returns at 60s."""
+def _episode(
+    name: str, load: float, events: tuple[EventSpec, ...], tail: float, seed: int
+) -> ExperimentSpec:
+    """A fluid episode on 8 uniform DIPs, controller off, in 5 s windows that
+    run ``tail`` windows past the last event."""
     window_s = 5.0
-    recover_at = 60.0
     return ExperimentSpec(
-        name="dip_outage_recovery",
+        name=name,
         runner="fluid",
         pool=PoolSpec(kind="uniform", num_dips=8),
-        workload=WorkloadSpec(load_fraction=0.6),
+        workload=WorkloadSpec(load_fraction=load),
         controller=ControllerSpec(enabled=False),
         timeline=TimelineSpec(
-            events=(
-                EventSpec(time_s=20.0, kind="dip_fail", dip="DIP-1"),
-                EventSpec(time_s=recover_at, kind="dip_recover", dip="DIP-1"),
-            ),
+            events=events,
             window_s=window_s,
-            horizon_s=recover_at + 6 * window_s,
+            horizon_s=events[-1].time_s + tail * window_s,
         ),
-        seed=29,
+        seed=seed,
     )
+
+
+def _outage_spec() -> ExperimentSpec:
+    """The dip_outage_recovery shape: one DIP dies at 20s, returns at 60s."""
+    events = (
+        EventSpec(time_s=20.0, kind="dip_fail", dip="DIP-1"),
+        EventSpec(time_s=60.0, kind="dip_recover", dip="DIP-1"),
+    )
+    return _episode("dip_outage_recovery", 0.6, events, 6, seed=29)
 
 
 def _surge_spec() -> ExperimentSpec:
     """The diurnal_surge shape: offered rate ramps to 1.8x and back down."""
-    window_s = 5.0
     peak_scale, ramp_steps, step_s = 1.8, 3, 15.0
     factors = [
         1.0 + (peak_scale - 1.0) * step / ramp_steps
@@ -115,43 +123,18 @@ def _surge_spec() -> ExperimentSpec:
         EventSpec(time_s=(index + 1) * step_s, kind="arrival_scale", value=factor)
         for index, factor in enumerate(ramp)
     )
-    return ExperimentSpec(
-        name="diurnal_surge",
-        runner="fluid",
-        pool=PoolSpec(kind="uniform", num_dips=8),
-        workload=WorkloadSpec(load_fraction=0.45),
-        controller=ControllerSpec(enabled=False),
-        timeline=TimelineSpec(
-            events=events,
-            window_s=window_s,
-            horizon_s=events[-1].time_s + 3 * window_s,
-        ),
-        seed=31,
-    )
+    return _episode("diurnal_surge", 0.45, events, 3, seed=31)
 
 
 def _antagonist_spec() -> ExperimentSpec:
     """Antagonist phases: noisy neighbors squeeze two DIPs in turn."""
-    window_s = 5.0
     events = (
         EventSpec(time_s=15.0, kind="antagonist_phase", dip="DIP-0", value=2),
         EventSpec(time_s=30.0, kind="antagonist_phase", dip="DIP-1", value=3),
         EventSpec(time_s=45.0, kind="antagonist_phase", dip="DIP-0", value=0),
         EventSpec(time_s=60.0, kind="antagonist_phase", dip="DIP-1", value=0),
     )
-    return ExperimentSpec(
-        name="antagonist_phases",
-        runner="fluid",
-        pool=PoolSpec(kind="uniform", num_dips=8),
-        workload=WorkloadSpec(load_fraction=0.5),
-        controller=ControllerSpec(enabled=False),
-        timeline=TimelineSpec(
-            events=events,
-            window_s=window_s,
-            horizon_s=events[-1].time_s + 3 * window_s,
-        ),
-        seed=37,
-    )
+    return _episode("antagonist_phases", 0.5, events, 3, seed=37)
 
 
 #: Built-in episode shapes, mirroring the registered scenarios' timelines
@@ -189,59 +172,28 @@ def env_scenario_registry() -> dict[str, EnvScenario]:
 
 
 @dataclass(frozen=True)
-class EnvSpec:
+class EnvSpec(Validated):
     """Declarative description of one learning environment."""
 
     #: named episode shape (see :data:`ENV_SCENARIOS`) or a registered
     #: spec name / spec file with a non-empty timeline.
-    scenario: str = "dip_outage_recovery"
+    scenario: str = checked("dip_outage_recovery", NonEmpty())
     #: substrate the episodes execute on ("fluid" or "request").
-    substrate: str = "fluid"
+    substrate: str = checked("fluid", OneOf(SUBSTRATES))
     #: "weights" takes a weight vector per step; "ops" takes a discrete
     #: reweight op (no-op / boost DIP i / shed DIP i).
-    action_mode: str = "weights"
+    action_mode: str = checked("weights", OneOf(ACTION_MODES))
     #: multiplicative step of one "ops" boost/shed.
-    op_step: float = 0.25
+    op_step: float = checked(0.25, within("(0, inf)"))
     #: reward penalty per unit drop fraction, in milliseconds (also the
     #: cap on the latency term, so rewards stay bounded).
-    drop_penalty_ms: float = 500.0
+    drop_penalty_ms: float = checked(500.0, within("[0, inf)"))
     #: latency normalization for the observation vector.
-    latency_scale_ms: float = 25.0
+    latency_scale_ms: float = checked(25.0, within("(0, inf)"))
     #: optional overrides on the episode shape's pool/workload.
-    num_dips: int | None = None
-    load_fraction: float | None = None
-    capacity_rps: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.scenario or not isinstance(self.scenario, str):
-            raise ConfigurationError("scenario must be a non-empty string")
-        if self.substrate not in SUBSTRATES:
-            choices = ", ".join(SUBSTRATES)
-            raise ConfigurationError(
-                f"substrate must be one of: {choices}; got {self.substrate!r}"
-            )
-        if self.action_mode not in ACTION_MODES:
-            choices = ", ".join(ACTION_MODES)
-            raise ConfigurationError(
-                f"action_mode must be one of: {choices}; "
-                f"got {self.action_mode!r}"
-            )
-        if self.op_step <= 0:
-            raise ConfigurationError("op_step must be positive")
-        if self.drop_penalty_ms < 0:
-            raise ConfigurationError("drop_penalty_ms must be >= 0")
-        if self.latency_scale_ms <= 0:
-            raise ConfigurationError("latency_scale_ms must be positive")
-        if self.num_dips is not None and self.num_dips < 2:
-            raise ConfigurationError("num_dips must be >= 2 or null")
-        if self.load_fraction is not None and not (
-            0 < self.load_fraction < 1
-        ):
-            raise ConfigurationError(
-                "load_fraction must be in (0, 1) or null"
-            )
-        if self.capacity_rps is not None and self.capacity_rps <= 0:
-            raise ConfigurationError("capacity_rps must be positive or null")
+    num_dips: int | None = checked(None, within("[2, inf)", null=True))
+    load_fraction: float | None = checked(None, within("(0, 1)", null=True))
+    capacity_rps: float | None = checked(None, within("(0, inf)", null=True))
 
 
 def episode_spec(env: EnvSpec, seed: int) -> ExperimentSpec:

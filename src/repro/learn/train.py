@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro import __version__
 from repro.api.result import RunWindow, timeline_metrics
-from repro.core.config import dataclass_from_dict, dataclass_to_dict
+from repro.core.config import NonEmpty, Validated, checked, read_spec_file, within
 from repro.exceptions import ConfigurationError
 from repro.learn.agents import Agent, AgentSpec, make_agent
 from repro.learn.env import EnvSpec, LoadBalanceEnv
@@ -53,79 +53,29 @@ def episode_seed(base_seed: int, stream: int, episode: int) -> int:
 
 
 @dataclass(frozen=True)
-class LearnSpec:
+class LearnSpec(Validated):
     """The single declarative description of one training run."""
 
-    name: str
+    _root = "learn"
+
+    name: str = checked(MISSING, NonEmpty())
     env: EnvSpec = EnvSpec()
     agent: AgentSpec = AgentSpec()
     #: training episode budget.
-    episodes: int = 30
-    seed: int = 0
+    episodes: int = checked(30, within("[1, inf)"))
+    seed: int = checked(0, within("[0, inf)"))
     #: run ``eval_episodes`` greedy episodes every N training episodes
     #: (0 = no periodic evals; the schedule depends only on the episode
     #: index so resumed runs checkpoint identically).
-    eval_every: int = 0
-    eval_episodes: int = 3
+    eval_every: int = checked(0, within("[0, inf)"))
+    eval_episodes: int = checked(3, within("[1, inf)"))
     #: write the checkpoint every N episodes (0 = only at the end).
-    checkpoint_every: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ConfigurationError("name must be a non-empty string")
-        if self.episodes < 1:
-            raise ConfigurationError("episodes must be >= 1")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
-        if self.eval_every < 0:
-            raise ConfigurationError("eval_every must be >= 0")
-        if self.eval_episodes < 1:
-            raise ConfigurationError("eval_episodes must be >= 1")
-        if self.checkpoint_every < 0:
-            raise ConfigurationError("checkpoint_every must be >= 0")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LearnSpec":
-        """Build a learn spec from a plain mapping, naming any bad field."""
-        return dataclass_from_dict(cls, data, path="learn")
+    checkpoint_every: int = checked(0, within("[0, inf)"))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LearnSpec":
         """Load a learn spec from a ``.json`` or ``.toml`` file."""
-        path = Path(path)
-        if not path.exists():
-            raise ConfigurationError(
-                f"learn spec file {str(path)!r} does not exist"
-            )
-        text = path.read_text(encoding="utf-8")
-        suffix = path.suffix.lower()
-        if suffix == ".toml":
-            import tomllib
-
-            try:
-                data = tomllib.loads(text)
-            except tomllib.TOMLDecodeError as error:
-                raise ConfigurationError(
-                    f"learn spec file {str(path)!r} is not valid TOML: {error}"
-                ) from None
-        elif suffix == ".json":
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as error:
-                raise ConfigurationError(
-                    f"learn spec file {str(path)!r} is not valid JSON: {error}"
-                ) from None
-        else:
-            raise ConfigurationError(
-                f"learn spec file {str(path)!r} must end in .json or .toml"
-            )
-        return cls.from_dict(data)
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclass_to_dict(self)
-
-    def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return cls.from_dict(read_spec_file(path, "learn spec"))
 
 
 # ---------------------------------------------------------------------------

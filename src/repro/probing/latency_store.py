@@ -10,7 +10,6 @@ with optional retention limits, plus the read patterns the controller needs
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.core.types import DipId, LatencySample, VipId
 from repro.exceptions import ConfigurationError
@@ -46,10 +45,6 @@ class LatencyStore:
         if len(samples) > self._max_samples_per_dip:
             del samples[: len(samples) - self._max_samples_per_dip]
             self.stats.evictions += 1
-
-    def write_many(self, vip: VipId, samples: Iterable[LatencySample]) -> None:
-        for sample in samples:
-            self.write(vip, sample)
 
     # -- reads --------------------------------------------------------------------
 

@@ -58,11 +58,5 @@ class Request:
         return (self.completion_time - self.arrival_time) * 1000.0
 
     @property
-    def queueing_ms(self) -> float | None:
-        if self.start_service_time is None:
-            return None
-        return (self.start_service_time - self.arrival_time) * 1000.0
-
-    @property
     def completed(self) -> bool:
         return self.outcome is RequestOutcome.COMPLETED

@@ -15,8 +15,11 @@ from repro.api import (
     VmSpec,
     WorkloadSpec,
 )
+from repro.api.spec import EventSpec
 from repro.core.config import KnapsackLBConfig
 from repro.exceptions import ConfigurationError
+
+NAN, INF = float("nan"), float("inf")
 
 
 def sample_spec(**kwargs) -> ExperimentSpec:
@@ -167,6 +170,77 @@ class TestOverrides:
         out = spec.with_overrides({"load_fraction": 0.5})
         assert out.params["load_fraction"] == 0.5
         assert out.params["seed"] == 7
+
+
+class TestNonFiniteValues:
+    """NaN is inside no declared range, so it fails each field's own rule.
+
+    An ``x <= 0`` check is false for NaN; these fields used to let it through
+    (and ``health.probe_interval_s`` blamed it on ``probe_timeout_s``).
+    """
+
+    @pytest.mark.parametrize(
+        ("document", "message"),
+        [
+            (
+                {"retry": {"request_timeout_s": NAN}},
+                "spec.retry: retry.request_timeout_s must be positive",
+            ),
+            ({"sync_interval_s": NAN}, "spec.sync_interval_s must be positive"),
+            (
+                {"workload": {"warmup_s": NAN}},
+                "spec.workload: workload.warmup_s must be >= 0",
+            ),
+            (
+                {"controller": {"config": {"ilp": {"time_limit_s": NAN}}}},
+                "spec.controller.config.ilp.time_limit_s must be positive",
+            ),
+            (
+                {"health": {"probe_interval_s": NAN}},
+                "spec.health: health.probe_interval_s must be positive",
+            ),
+        ],
+        ids=["request_timeout_s", "sync_interval_s", "warmup_s", "time_limit_s",
+             "probe_interval_s"],
+    )
+    def test_nan_spec_field_is_rejected(self, document, message):
+        with pytest.raises(ConfigurationError) as error:
+            ExperimentSpec.from_dict({"name": "nan", **document})
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize(
+        ("event", "message"),
+        [
+            (
+                {"time_s": NAN, "kind": "dip_fail", "dip": "DIP-0"},
+                "event time_s must be > 0 (events fire strictly inside the "
+                "timed phase)",
+            ),
+            (
+                {"time_s": 1.0, "kind": "dip_fail", "dip": "DIP-0", "drain_s": NAN},
+                "event drain_s must be >= 0",
+            ),
+            (
+                {"time_s": 1.0, "kind": "arrival_scale", "value": NAN},
+                "event 'arrival_scale' needs a positive value",
+            ),
+            (
+                {"time_s": 1.0, "kind": "antagonist_phase", "dip": "D0", "value": NAN},
+                "event 'antagonist_phase' needs a non-negative integer value "
+                "(antagonist copies)",
+            ),
+            (
+                {"time_s": 1.0, "kind": "antagonist_phase", "dip": "D0", "value": INF},
+                "event 'antagonist_phase' needs a non-negative integer value "
+                "(antagonist copies)",
+            ),
+        ],
+        ids=["time_s", "drain_s", "arrival_scale", "antagonist_nan", "antagonist_inf"],
+    )
+    def test_non_finite_event_field_is_rejected(self, event, message):
+        with pytest.raises(ConfigurationError) as error:
+            EventSpec.from_dict(event)
+        assert str(error.value) == f"timeline.events: {message}"
 
 
 def _as_toml(data: dict, prefix: str = "") -> str:

@@ -23,12 +23,14 @@ from repro.service import LiveSession, SessionConflict, mixture_percentile
 from repro.service.http import (
     WS_OP_TEXT,
     HttpProtocolError,
+    HttpRequest,
     read_request,
     response,
     websocket_accept,
     ws_read_frame,
     ws_text_frame,
 )
+from repro.service.server import ServiceServer
 from repro.service.session import LiveSession as _LiveSession  # noqa: F401
 
 
@@ -281,6 +283,24 @@ class TestLiveSessionMutations:
             session.submit_chaos({"chaos": {"seed": 1}})
         with pytest.raises(ConfigurationError, match="seed"):
             session.submit_chaos({"horizon_s": 10.0, "chaos": {}})
+
+
+class TestEventValidationOverHttp:
+    """``POST /events`` answers a body the validator rejects with 422."""
+
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    def test_non_finite_antagonist_value_is_422(self, value):
+        server = ServiceServer(LiveSession(fluid_spec()))
+        body = (
+            '{"kind": "antagonist_phase", "dip": "DIP-LC", "value": %s}' % value
+        ).encode()
+        raw = server._dispatch(HttpRequest("POST", "/events", body=body))
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 422 "), head
+        assert json.loads(payload)["error"] == (
+            "timeline.events: event 'antagonist_phase' needs a non-negative "
+            "integer value (antagonist copies)"
+        )
 
 
 class TestVipWindows:
