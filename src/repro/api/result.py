@@ -7,9 +7,8 @@ round-trips through JSON, so a saved artifact can be reloaded, diffed
 against a later run (``metrics_equal``), or re-executed from its embedded
 spec to check reproducibility.
 
-Timing lives in ``provenance`` — never in ``metrics`` for the fluid and
-request runners — so re-running a saved spec with the same seed reproduces
-the metrics dict bit-for-bit.
+Timing lives in ``provenance`` — never in ``metrics`` — so re-running a
+saved spec with the same seed reproduces the metrics dict bit-for-bit.
 """
 
 from __future__ import annotations
@@ -77,6 +76,10 @@ class Provenance:
     #: run without the controller and artifacts written before the field
     #: existed.
     kernels: str | None = None
+    #: host wall-clock figures a scenario measures besides ``wall_clock_s``
+    #: (e.g. a request run's ``wall_s`` and ``requests_per_s``); ``None``
+    #: when it measures none.
+    timings: dict[str, float] | None = None
 
 
 class RunClock:
@@ -277,6 +280,11 @@ class RunResult:
                 model_divergence=optional("model_divergence"),
                 station_path=optional("station_path"),
                 kernels=optional("kernels"),
+                timings=(
+                    {k: float(v) for k, v in prov["timings"].items()}
+                    if prov.get("timings") is not None
+                    else None
+                ),
             ),
         )
 

@@ -164,6 +164,7 @@ def _finish(
     model_divergence: str | None = None,
     station_path: str | None = None,
     kernels: str | None = None,
+    timings: dict[str, float] | None = None,
 ) -> RunResult:
     return RunResult(
         spec=spec,
@@ -179,6 +180,7 @@ def _finish(
             model_divergence=model_divergence,
             station_path=station_path,
             kernels=kernels,
+            timings=timings,
         ),
         detail=detail,
     )
@@ -537,6 +539,7 @@ class ScenarioRunner:
             dip_summaries={},
             windows=getattr(outcome, "windows", ()) or (),
             detail=outcome,
+            timings=outcome.timings or None,
         )
 
 

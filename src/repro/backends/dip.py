@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.backends.antagonist import Antagonist
+from repro.backends.antagonist import Antagonist, PoolWrites
 from repro.backends.latency_model import LatencyModel, scaled_model
 from repro.backends.vm_types import VMType
 from repro.exceptions import ConfigurationError, DipFailureError
@@ -69,6 +70,11 @@ class DipServer:
     #: workload spec so analytic latencies track non-Poisson traffic.
     scv_correction: float = 1.0
 
+    def __setattr__(self, name: str, value: object) -> None:
+        object.__setattr__(self, name, value)
+        if name in PoolWrites.DIP_FIELDS:
+            PoolWrites.count += 1
+
     def __post_init__(self) -> None:
         if self.jitter_fraction < 0:
             raise ConfigurationError("jitter_fraction must be >= 0")
@@ -80,8 +86,9 @@ class DipServer:
         )
         #: the scaled model of the capacity factor last seen below 1.0.
         self._scaled: tuple[float, LatencyModel] | None = None
-        self._served_requests = 0
-        self._dropped_requests = 0
+        #: requests served and dropped so far (a list: counting them is no
+        #: attribute write).
+        self._requests = [0, 0]
 
     # -- capacity ---------------------------------------------------------
 
@@ -164,11 +171,7 @@ class DipServer:
         mean = self.latency_model.mean_latency_ms(
             rate_rps, scv_correction=self.scv_correction
         )
-        return self._draw_latencies_ms(mean, served)
-
-    def _draw_latencies_ms(self, mean: float, served: int) -> np.ndarray:
-        """``served`` latencies around ``mean`` (counted as served)."""
-        self._served_requests += served
+        self._requests[0] += served
         if self.jitter_fraction == 0:
             return np.full(served, mean)
         draws = self._rng.normal(mean, mean * self.jitter_fraction, size=served)
@@ -187,40 +190,16 @@ class DipServer:
         return float(max(0.05, self._rng.normal(base, base * 0.05)))
 
     def serve_probe_batch(self, num_requests: int) -> ProbeResult:
-        """Serve a KLM probe batch and report the averaged latency.
-
-        Probe traffic is tiny compared to client traffic, so it does not
-        perturb the offered rate; drops reflect the DIP's current overload
-        state.
-        """
+        """Serve a KLM probe batch and report the averaged latency: a
+        :func:`serve_probe_round` of this DIP alone."""
         if self.failed:
             raise DipFailureError(f"DIP {self.dip_id} is down")
-        if num_requests < 1:
-            raise ConfigurationError("num_requests must be >= 1")
-        model = self.latency_model
-        rate = self.offered_rate_rps
-        drop_p = model.drop_probability(rate)
-        drops = int(self._rng.binomial(num_requests, min(1.0, drop_p)))
-        served = num_requests - drops
-        self._dropped_requests += drops
-        if served == 0:
-            return ProbeResult(
-                dip=self.dip_id,
-                mean_latency_ms=float("inf"),
-                dropped=True,
-                samples=0,
-                drop_fraction=1.0,
-            )
-        latencies = self._draw_latencies_ms(
-            model.mean_latency_ms(rate, scv_correction=self.scv_correction), served
-        )
+        (mean,), (drops,) = serve_probe_round((self,), num_requests)
         return ProbeResult(
             dip=self.dip_id,
-            # ``latencies.mean()`` without numpy's wrapper: the same
-            # reduction divided by the count, bit for bit.
-            mean_latency_ms=float(np.add.reduce(latencies) / served),
+            mean_latency_ms=mean,
             dropped=drops > 0,
-            samples=served,
+            samples=num_requests - drops,
             drop_fraction=drops / num_requests,
         )
 
@@ -228,11 +207,11 @@ class DipServer:
 
     @property
     def served_requests(self) -> int:
-        return self._served_requests
+        return self._requests[0]
 
     @property
     def dropped_requests(self) -> int:
-        return self._dropped_requests
+        return self._requests[1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -240,3 +219,67 @@ class DipServer:
             f"capacity={self.capacity_rps:.0f} rps, "
             f"util={self.cpu_utilization:.0%})"
         )
+
+
+def serve_probe_round(
+    servers: Sequence[DipServer], num_requests: int
+) -> tuple[list[float | None], list[int]]:
+    """One KLM probe batch of ``num_requests`` on each of ``servers``: per
+    server, the batch's mean latency (``None``: down; ``inf``: every request
+    dropped) and its drop count.  Probe traffic is too small to perturb the
+    offered rate; drops reflect each DIP's current overload.
+
+    Each DIP draws from its own generator what a lone batch would: its drops
+    (no draw at a drop probability of 0), then a standard normal per served
+    request.  ``max(mean / 4, mean + sd * z)`` and the row means are then
+    one array pass, bit for bit the per-DIP ``normal`` draws and reductions.
+    """
+    if num_requests < 1:
+        raise ConfigurationError("num_requests must be >= 1")
+    size = len(servers)
+    loc, scale = [0.0] * size, [0.0] * size
+    z = np.zeros((size, num_requests))
+    means: list[float | None] = [None] * size
+    drop_counts: list[int] = [0] * size
+    served_rows: list[tuple[int, int]] = []
+    for i, server in enumerate(servers):
+        if server.failed:
+            continue
+        model = server.latency_model
+        rate = server.offered_rate_rps
+        drop_p = model.drop_probability(rate)
+        drops = int(server._rng.binomial(num_requests, min(1.0, drop_p))) if drop_p else 0
+        served = num_requests - drops
+        counted = server._requests
+        counted[1] += drops
+        drop_counts[i] = drops
+        means[i] = math.inf
+        if not served:
+            continue
+        counted[0] += served
+        mean = loc[i] = model.mean_latency_ms(rate, scv_correction=server.scv_correction)
+        if server.jitter_fraction:
+            scale[i] = mean * server.jitter_fraction
+            server._rng.standard_normal(out=z[i, :served])
+        served_rows.append((i, served))
+    # z -> mean + sd * z, floored at mean / 4, in place.
+    mean_col = np.array(loc)[:, None]
+    z *= np.array(scale)[:, None]
+    z += mean_col
+    latencies = np.maximum(z, mean_col * 0.25, out=z)
+    # A full row's sum is the row-wise reduce; a partly dropped one its own.
+    full = (np.add.reduce(latencies, axis=1) / num_requests).tolist()
+    for i, served in served_rows:
+        if served == num_requests:
+            means[i] = full[i]
+        else:
+            means[i] = float(np.add.reduce(latencies[i, :served]) / served)
+    return means, drop_counts
+
+
+def push_offered_rates(servers: Iterable[DipServer], rates: Iterable[float]) -> None:
+    """Set each server's offered rate, every rate already checked finite
+    and >= 0 (what :meth:`DipServer.set_offered_rate` checks one by one).
+    The rate is no pool input, so the write goes past the write hook."""
+    for server, rate in zip(servers, rates):
+        server.__dict__["offered_rate_rps"] = rate

@@ -175,14 +175,7 @@ class KnapsackLBController:
 
     def _probe(self, dips: Sequence[DipId]) -> dict[DipId, tuple[float | None, bool]]:
         """Probe ``dips`` once; returns {dip: (latency_ms or None, dropped)}."""
-        results: dict[DipId, tuple[float | None, bool]] = {}
-        for dip in dips:
-            outcome = self.klm.probe_dip(dip, now=self.time)
-            if outcome.failed:
-                results[dip] = (None, False)
-            else:
-                results[dip] = (outcome.latency_ms, outcome.dropped)
-        return results
+        return self.klm.probe_round(dips, now=self.time)
 
     # ------------------------------------------------------- bootstrap (l0)
 

@@ -27,7 +27,6 @@ from repro.exceptions import (
 )
 from repro.solver import (
     AssignmentProblem,
-    DipCandidates,
     SolveCache,
     SolveResult,
     SolveStatus,
@@ -117,27 +116,21 @@ def build_assignment_problem(
         costs = weights * latencies
     else:
         costs = latencies
-    dips = [
-        DipCandidates(
-            dip=dip,
-            weights=tuple(row),
-            latencies_ms=tuple(cost),
-            w_max=curve.w_max if curve.w_max > 0 else None,
-        )
-        for (dip, curve), row, cost in zip(curves.items(), weights.tolist(), costs.tolist())
-    ]
 
     if total_weight_tolerance is None:
         # Default tolerance: half of the coarsest candidate spacing, so a
         # solution always exists whenever the weight range can cover the
         # target, while staying close enough to renormalise afterwards.
-        span = weights.max(axis=1) - weights.min(axis=1)
-        spacings = span[span > 0] / (config.weights_per_dip - 1)
-        total_weight_tolerance = float(spacings.max()) / 2.0 if len(spacings) else 0.01
-        total_weight_tolerance = max(total_weight_tolerance, 1e-3)
+        # (A row ascends, so its span is its last weight less its first.)
+        spans = [s for s in (weights[:, -1] - weights[:, 0]).tolist() if s > 0]
+        spacing = max(spans) / (config.weights_per_dip - 1) / 2.0 if spans else 0.01
+        total_weight_tolerance = max(spacing, 1e-3)
 
-    return AssignmentProblem(
-        dips=tuple(dips),
+    return AssignmentProblem.from_table(
+        tuple(curves),
+        weights,
+        costs,
+        tuple(curve.w_max if curve.w_max > 0 else None for curve in curves.values()),
         total_weight=total_weight,
         total_weight_tolerance=total_weight_tolerance,
         theta=config.theta,
@@ -198,12 +191,7 @@ def solve_assignment(
         solve_time_s=result.solve_time_s,
     )
     if normalize and assignment.total_weight > 0:
-        assignment = WeightAssignment(
-            vip=vip,
-            weights=assignment.normalized().weights,
-            objective_ms=result.objective_ms,
-            solve_time_s=result.solve_time_s,
-        )
+        assignment = assignment.normalized()
     return IlpOutcome(assignment=assignment, solver_result=result, problem=problem)
 
 

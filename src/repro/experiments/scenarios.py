@@ -98,6 +98,9 @@ class ScenarioResult:
     #: windowed time-series when the scenario ran a timeline.
     windows: tuple[RunWindow, ...] = ()
     detail: Any = None
+    #: host wall-clock figures; they go to ``provenance.timings``, as they
+    #: differ run to run.
+    timings: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -313,7 +316,6 @@ def run_multi_vip_shared_dips(
             "final_max_utilization": result.windows[-1].metrics[
                 "max_utilization"
             ],
-            "converge_wall_s": result.provenance.wall_clock_s,
         },
         windows=result.windows,
         detail={
@@ -606,7 +608,6 @@ def run_request_vs_fluid_crosscheck(
         },
         metrics={
             "requests_submitted": float(result.requests_submitted),
-            "requests_per_s": result.requests_submitted / wall_s,
             "fluid_mean_latency_ms": fluid_mean_ms,
             "request_mean_latency_ms": request_mean_ms,
             "mean_rel_delta": abs(request_mean_ms - fluid_mean_ms)
@@ -618,9 +619,9 @@ def run_request_vs_fluid_crosscheck(
             "max_share_deviation": max_share_deviation,
             "drop_fraction": result.drop_fraction,
             "peak_scheduled_events": float(cluster.scheduler.peak_pending_events),
-            "wall_s": wall_s,
         },
         detail={"fluid_state": fluid_state, "run_result": result},
+        timings={"wall_s": wall_s, "requests_per_s": result.requests_submitted / wall_s},
     )
 
 

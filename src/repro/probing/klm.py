@@ -13,13 +13,13 @@ requests against the admin-provided URL.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from repro.backends.dip import DipServer
+from repro.backends.dip import DipServer, serve_probe_round
 from repro.core.config import ProbeConfig
-from repro.core.types import DipId, LatencySample, VipId
-from repro.exceptions import DipFailureError
+from repro.core.types import DipId, VipId
 from repro.probing.latency_store import LatencyStore
 
 #: Measured KLM probing throughput on a 1-core DS1v2 VM (§6.7).
@@ -35,6 +35,16 @@ class ProbeOutcome:
     dropped: bool
     failed: bool
     timestamp: float
+
+
+def _outcomes(
+    results: Mapping[DipId, tuple[float | None, bool]], now: float
+) -> dict[DipId, ProbeOutcome]:
+    """A probe round's ``(latency_ms, dropped)`` per DIP as outcomes."""
+    return {
+        dip: ProbeOutcome(dip, latency, dropped, latency is None and not dropped, now)
+        for dip, (latency, dropped) in results.items()
+    }
 
 
 @dataclass
@@ -61,43 +71,45 @@ class KLM:
     #: consecutive failed probes per DIP (controller reads this for §4.5).
     consecutive_failures: dict[DipId, int] = field(default_factory=dict)
 
+    def probe_round(
+        self, dip_ids: Sequence[DipId], *, now: float
+    ) -> dict[DipId, tuple[float | None, bool]]:
+        """Send one probe batch to each of ``dip_ids``; record the samples.
+
+        The one probe implementation: the batches are one
+        :func:`serve_probe_round` and the store takes the round in one
+        write.  Returns ``(latency_ms, dropped)`` per DIP.  The latency is
+        ``None`` when the DIP is down (not dropped; this counts towards its
+        consecutive failures, any answer resets them) and when every
+        request was dropped (a drop signal with no sample).
+        """
+        means, drop_counts = serve_probe_round(
+            [self.dips[dip] for dip in dip_ids], self.config.requests_per_probe
+        )
+        failures = self.consecutive_failures
+        results: dict[DipId, tuple[float | None, bool]] = {}
+        samples: list[tuple[DipId, float, bool]] = []
+        for dip, mean, drops in zip(dip_ids, means, drop_counts):
+            if mean is None:
+                failures[dip] = failures.get(dip, 0) + 1
+                results[dip] = (None, False)
+                continue
+            failures[dip] = 0
+            if mean == math.inf:
+                results[dip] = (None, True)
+            else:
+                results[dip] = (mean, drops > 0)
+                samples.append((dip, mean, drops > 0))
+        self.store.write_round(self.vip, samples, timestamp=now)
+        return results
+
     def probe_dip(self, dip_id: DipId, *, now: float) -> ProbeOutcome:
         """Send one probe batch to a single DIP and record the sample."""
-        server = self.dips[dip_id]
-        try:
-            result = server.serve_probe_batch(self.config.requests_per_probe)
-        except DipFailureError:
-            self.consecutive_failures[dip_id] = (
-                self.consecutive_failures.get(dip_id, 0) + 1
-            )
-            return ProbeOutcome(
-                dip=dip_id, latency_ms=None, dropped=False, failed=True, timestamp=now
-            )
-
-        self.consecutive_failures[dip_id] = 0
-        latency = result.mean_latency_ms
-        dropped = result.dropped
-        if latency == float("inf"):
-            # Every request in the batch was dropped: treat as a drop signal
-            # with no usable latency.
-            outcome = ProbeOutcome(
-                dip=dip_id, latency_ms=None, dropped=True, failed=False, timestamp=now
-            )
-            return outcome
-        sample = LatencySample(
-            dip=dip_id,
-            latency_ms=latency,
-            timestamp=now,
-            dropped=dropped,
-        )
-        self.store.write(self.vip, sample)
-        return ProbeOutcome(
-            dip=dip_id, latency_ms=latency, dropped=dropped, failed=False, timestamp=now
-        )
+        return _outcomes(self.probe_round((dip_id,), now=now), now)[dip_id]
 
     def probe_all(self, *, now: float) -> dict[DipId, ProbeOutcome]:
         """Probe every DIP once (one probe round)."""
-        return {dip_id: self.probe_dip(dip_id, now=now) for dip_id in self.dips}
+        return _outcomes(self.probe_round(tuple(self.dips), now=now), now)
 
     def failures(self, threshold: int) -> tuple[DipId, ...]:
         """DIPs whose probes failed at least ``threshold`` consecutive times."""

@@ -10,6 +10,7 @@ with optional retention limits, plus the read patterns the controller needs
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.core.types import DipId, LatencySample, VipId
 from repro.exceptions import ConfigurationError
@@ -25,22 +26,42 @@ class StoreStats:
 
 
 class LatencyStore:
-    """An in-memory, Redis-like store of latency samples keyed by VIP."""
+    """An in-memory, Redis-like store of latency samples keyed by VIP.
+
+    Samples are kept as ``(latency, time, weight, dropped)`` tuples, so a
+    KLM round lands without building one object per DIP; a read builds
+    the :class:`LatencySample`.
+    """
 
     def __init__(self, *, max_samples_per_dip: int = 1000) -> None:
         if max_samples_per_dip < 1:
             raise ConfigurationError("max_samples_per_dip must be >= 1")
         self._max_samples_per_dip = max_samples_per_dip
-        self._data: dict[VipId, dict[DipId, list[LatencySample]]] = {}
+        self._data: dict[VipId, dict[DipId, list[tuple]]] = {}
         self.stats = StoreStats()
 
     # -- writes ------------------------------------------------------------------
 
     def write(self, vip: VipId, sample: LatencySample) -> None:
         """Append one sample for ``(vip, sample.dip)``."""
+        entry = (sample.latency_ms, sample.timestamp, sample.weight, sample.dropped)
+        self._append(self._data.setdefault(vip, {}), sample.dip, entry)
+
+    def write_round(
+        self,
+        vip: VipId,
+        samples: Iterable[tuple[DipId, float, bool]],
+        *,
+        timestamp: float,
+    ) -> None:
+        """Append one probe round's ``(dip, latency_ms, dropped)`` samples."""
         per_vip = self._data.setdefault(vip, {})
-        samples = per_vip.setdefault(sample.dip, [])
-        samples.append(sample)
+        for dip, latency, dropped in samples:
+            self._append(per_vip, dip, (latency, timestamp, 0.0, dropped))
+
+    def _append(self, per_vip: dict[DipId, list], dip: DipId, entry: tuple) -> None:
+        samples = per_vip.setdefault(dip, [])
+        samples.append(entry)
         self.stats.writes += 1
         if len(samples) > self._max_samples_per_dip:
             del samples[: len(samples) - self._max_samples_per_dip]
@@ -66,12 +87,13 @@ class LatencyStore:
         self.stats.reads += 1
         per_vip = self._data.get(vip, {})
         if dip is not None:
-            pools = [per_vip.get(dip, [])]
+            pools = [(dip, per_vip.get(dip, []))]
         else:
-            pools = list(per_vip.values())
+            pools = list(per_vip.items())
         result: list[LatencySample] = []
-        for pool in pools:
-            for sample in pool:
+        for owner, pool in pools:
+            for entry in pool:
+                sample = LatencySample(owner, *entry)
                 if since is None or sample.timestamp >= since:
                     result.append(sample)
         result.sort(key=lambda s: s.timestamp)
@@ -81,12 +103,12 @@ class LatencyStore:
         """The most recent sample for ``(vip, dip)``, if any."""
         self.stats.reads += 1
         samples = self._data.get(vip, {}).get(dip, [])
-        return samples[-1] if samples else None
+        return LatencySample(dip, *samples[-1]) if samples else None
 
     def latest_per_dip(self, vip: VipId) -> dict[DipId, LatencySample]:
         self.stats.reads += 1
         per_vip = self._data.get(vip, {})
-        return {dip: samples[-1] for dip, samples in per_vip.items() if samples}
+        return {dip: LatencySample(dip, *s[-1]) for dip, s in per_vip.items() if s}
 
     # -- maintenance -----------------------------------------------------------------
 

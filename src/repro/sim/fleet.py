@@ -30,7 +30,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from repro.backends.dip import DipServer
+from repro.backends.antagonist import PoolWrites
+from repro.backends.dip import DipServer, push_offered_rates
 from repro.core.types import DipId, VipId, left_to_right_sum
 from repro.exceptions import ConfigurationError
 from repro.sim.fluid import (
@@ -46,17 +47,41 @@ from repro.sim.fluid import (
 from repro.sim.vip import Vip
 
 
-class _StaticSplit(NamedTuple):
-    """A load-independent VIP's ``(index, rates)`` and what it was computed from."""
+def _read(vip: Vip) -> tuple[tuple, tuple]:
+    """What a VIP's split is computed from: the ids of its DIPs and
+    weights, and the objects its rate, policy, servers and weights are."""
+    return (
+        (tuple(vip.dips), tuple(vip.weights)),
+        (vip.total_rate_rps, vip.policy_name, *vip.dips.values(), *vip.weights.values()),
+    )
 
-    index_of: dict[DipId, int]
-    total_rate_rps: float
-    policy_name: str
+
+def _same(read: tuple[tuple, tuple], kept: tuple[tuple, tuple] | None) -> bool:
+    """Whether two reads agree: equal ids, and the very same objects.  By
+    identity, since 0.0 and -0.0 are equal yet split to rates of different
+    sign, and a value no one has rebound is the same object."""
+    return (
+        kept is not None
+        and read[0] == kept[0]
+        and all(map(operator.is_, read[1], kept[1]))
+    )
+
+
+class _Kept(NamedTuple):
+    """One VIP's evaluation inputs, the :func:`_read` they were computed
+    from, and the fleet's ``index_of`` (and, for a load-dependent VIP, its
+    ``pool``) they index."""
+
+    read: tuple[tuple, tuple]
     healthy: tuple[DipId, ...]
-    weight_ids: list[DipId]
-    weight_values: list[float]
+    index_of: dict[DipId, int]
+    pool: PoolArrays | None
     index: np.ndarray
+    #: the split, or a load-dependent VIP's equal-split seed.
     rates: np.ndarray
+    #: a load-dependent VIP's pool subset and weights.
+    sub_pool: PoolArrays | None
+    weights: np.ndarray | None
 
 
 def _subset(pool: PoolArrays, index: np.ndarray) -> PoolArrays:
@@ -203,12 +228,13 @@ class Fleet:
         self.contention_iterations = contention_iterations
         self.contention_tolerance = contention_tolerance
         self._last_state: FleetState | None = None
-        # What apply() keeps between evaluations; see _current_pool and
-        # _static_split for what each was computed from.
+        # What apply() keeps between evaluations; see apply and _inputs.
         self._pool: PoolArrays | None = None
-        self._pool_inputs: list[tuple] | None = None
         self._index_of: dict[DipId, int] = {}
-        self._splits: dict[VipId, _StaticSplit] = {}
+        self._kept: dict[VipId, _Kept] = {}
+        #: ((PoolWrites.count, DIP ids), servers) at the last evaluation
+        #: that finished.
+        self._seen: tuple[tuple, tuple] | None = None
 
     # -- membership --------------------------------------------------------------
 
@@ -339,50 +365,57 @@ class Fleet:
         converge.  The rates reach the servers before this returns; the
         returned :class:`FleetState` builds the rest on first read.
 
-        The pool's arrays and each load-independent VIP's split are kept
-        between calls and reused while every input they were computed from
-        reads the same — checked here, on every call, against what the
-        servers and VIPs hold now, so a caller may still edit a DIP or a VIP
-        directly and then call ``apply()``.  ``total`` is re-accumulated
-        from the splits in VIP order on every call, and the fixed point
+        What an evaluation is computed from is kept between calls.  The
+        pool's arrays (and the id → position map, while the ids hold) are
+        rebuilt only after a write to some DIP's pool inputs (counted by
+        :class:`~repro.backends.antagonist.PoolWrites`) or when ``dips``
+        no longer holds the same servers under the same ids.  Each VIP's
+        split (or, load-dependent, its index, pool subset and weights) is
+        reused while its :func:`_read` is the same and, after a pool
+        rebuild, its healthy DIPs, their positions and the pool are.  So a
+        caller may still edit a DIP, an antagonist, a VIP or any of their
+        dicts directly and then call ``apply()``.  ``total`` is
+        re-accumulated from the splits on every call and the fixed point
         always runs, so the result is bit-identical to a full evaluation.
         """
-        pool, index_of = self._current_pool()
-        total = np.zeros(pool.size)
-        contributions: dict[VipId, tuple[np.ndarray, np.ndarray]] = {}
-        splits: dict[VipId, _StaticSplit] = {}
-        # (vip_id, vip, index, pool subset, weights): fixed for one evaluation.
-        reactive: list[tuple[VipId, Vip, np.ndarray, PoolArrays, np.ndarray]] = []
-
+        seen = ((PoolWrites.count, tuple(self.dips)), tuple(self.dips.values()))
+        recheck = not _same(seen, self._seen)
+        if recheck:
+            pool = pool_arrays(self.dips)
+            if self._pool is None or pool.ids != self._pool.ids:
+                self._index_of = {dip: i for i, dip in enumerate(pool.ids)}
+            self._pool = pool
+        pool, index_of = self._pool, self._index_of
+        kept: dict[VipId, _Kept] = {}
         for vip_id, vip in self.vips.items():
-            healthy = vip.healthy_dip_ids()
-            if not healthy:
-                raise ConfigurationError(f"VIP {vip_id!r}: no healthy DIPs")
-            if vip.policy_name in LOAD_DEPENDENT_POLICIES:
-                index = np.array([index_of[d] for d in healthy], dtype=np.intp)
-                weight_vec = np.array(
-                    [vip.weights.get(d, 0.0) for d in healthy], dtype=np.float64
-                )
-                reactive.append((vip_id, vip, index, _subset(pool, index), weight_vec))
-                # Seed with an equal split; refined by the fixed point below.
-                rates = equal_split_array(len(healthy), vip.total_rate_rps)
-            else:
-                split = splits[vip_id] = self._static_split(vip_id, vip, healthy)
-                index, rates = split.index, split.rates
-            contributions[vip_id] = (index, rates)
-            total[index] += rates
-        self._splits = splits
+            read = _read(vip)
+            k = self._kept.get(vip_id)
+            if recheck or k is None or not _same(read, k.read):
+                k = self._inputs(vip_id, vip, read, pool, index_of, k)
+            kept[vip_id] = k
+        self._kept = kept
+        contributions = {vip_id: (k.index, k.rates) for vip_id, k in kept.items()}
+        # Per DIP, 0.0 plus each VIP's rate in VIP order: one bincount.
+        total = np.zeros(pool.size)
+        if kept:
+            index = np.concatenate([k.index for k in kept.values()])
+            rates = np.concatenate([k.rates for k in kept.values()])
+            total = np.bincount(index, weights=rates, minlength=pool.size)
+        reactive = [
+            (vip_id, self.vips[vip_id], k) for vip_id, k in kept.items() if k.sub_pool is not None
+        ]
 
         for _ in range(self.contention_iterations if reactive else 0):
             max_delta = 0.0
-            for vip_id, vip, index, sub_pool, weight_vec in reactive:
+            for vip_id, vip, k in reactive:
+                index = k.index
                 old_rates = contributions[vip_id][1]
                 background = total[index] - old_rates
                 new_rates = split_rates_array(
                     vip.policy_name,
-                    sub_pool,
+                    k.sub_pool,
                     vip.total_rate_rps,
-                    weights=weight_vec,
+                    weights=k.weights,
                     background_rps=background,
                 )
                 total[index] += new_rates - old_rates
@@ -395,70 +428,47 @@ class Fleet:
 
         # KLM reads the servers directly, so the rates are pushed eagerly;
         # everything else about the evaluation waits in the lazy state.
-        for server, rate in zip(self.dips.values(), total.tolist()):
-            server.set_offered_rate(rate)
+        rates = total.tolist()
+        if ((total >= 0.0) & (total < math.inf)).all():
+            push_offered_rates(self.dips.values(), rates)
+        else:
+            for server, rate in zip(self.dips.values(), rates):
+                server.set_offered_rate(rate)  # refuses the first bad rate
+        self._seen = seen
         self._last_state = FleetState(self.time, pool, total, contributions)
         return self._last_state
 
-    def _current_pool(self) -> tuple[PoolArrays, dict[DipId, int]]:
-        """The fleet's :class:`PoolArrays` and its id → position map.
-
-        Rebuilt only when a DIP's id, position, ``failed`` flag, antagonist
-        capacity factor (which fixes its latency model) or ``scv_correction``
-        differs from the last build.  Compared by value: equal values give
-        equal latencies (a correction of 0.0 and one of -0.0 both add a zero
-        wait).  The map, and so every kept split's index, survives a rebuild
-        that keeps the ids.
-        """
-        inputs = [
-            (dip, s.failed, s.antagonist.capacity_factor, s.scv_correction)
-            for dip, s in self.dips.items()
-        ]
-        if inputs != self._pool_inputs:
-            pool = pool_arrays(self.dips)
-            if self._pool is None or pool.ids != self._pool.ids:
-                self._index_of = {dip: i for i, dip in enumerate(pool.ids)}
-            self._pool, self._pool_inputs = pool, inputs
-        return self._pool, self._index_of
-
-    def _static_split(
-        self, vip_id: VipId, vip: Vip, healthy: tuple[DipId, ...]
-    ) -> _StaticSplit:
-        """A load-independent VIP's split, reused while its inputs hold.
-
-        The rate and each weight are compared by identity, not value: 0.0
-        and -0.0 are equal yet split to rates of different sign, and a
-        float a caller has not reassigned is the same object.
-        """
-        weights = vip.weights
-        kept = self._splits.get(vip_id)
+    def _inputs(
+        self,
+        vip_id: VipId,
+        vip: Vip,
+        read: tuple[tuple, tuple],
+        pool: PoolArrays,
+        index_of: dict[DipId, int],
+        kept: _Kept | None,
+    ) -> _Kept:
+        """A VIP's evaluation inputs: ``kept`` while they still hold."""
+        healthy = vip.healthy_dip_ids()
         if (
             kept is not None
-            and kept.index_of is self._index_of
-            and kept.total_rate_rps is vip.total_rate_rps
-            and kept.policy_name == vip.policy_name
+            and _same(read, kept.read)
             and kept.healthy == healthy
-            and kept.weight_ids == list(weights)
-            and all(map(operator.is_, weights.values(), kept.weight_values))
+            and kept.index_of is index_of
+            and (kept.pool is None or kept.pool is pool)
         ):
             return kept
-        index = np.array([self._index_of[d] for d in healthy], dtype=np.intp)
-        weight_vec = np.array(
-            [weights.get(d, 0.0) for d in healthy], dtype=np.float64
-        )
-        rates = static_split_array(
-            vip.policy_name, len(healthy), vip.total_rate_rps, weight_vec
-        )
-        return _StaticSplit(
-            self._index_of,
-            vip.total_rate_rps,
-            vip.policy_name,
-            healthy,
-            list(weights),
-            list(weights.values()),
-            index,
-            rates,
-        )
+        if not healthy:
+            raise ConfigurationError(f"VIP {vip_id!r}: no healthy DIPs")
+        index = np.array([index_of[d] for d in healthy], dtype=np.intp)
+        weights = np.array([vip.weights.get(d, 0.0) for d in healthy], dtype=np.float64)
+        if vip.policy_name in LOAD_DEPENDENT_POLICIES:
+            # Seeded with an equal split; refined by the fixed point.
+            rates = equal_split_array(len(healthy), vip.total_rate_rps)
+            return _Kept(
+                read, healthy, index_of, pool, index, rates, _subset(pool, index), weights
+            )
+        rates = static_split_array(vip.policy_name, len(healthy), vip.total_rate_rps, weights)
+        return _Kept(read, healthy, index_of, None, index, rates, None, None)
 
     def advance(self, duration_s: float) -> FleetState:
         """Advance shared simulated time (loads are steady in the fluid model)."""
@@ -489,7 +499,7 @@ class Fleet:
 
     @property
     def total_capacity_rps(self) -> float:
-        return sum(s.capacity_rps for s in self.dips.values() if not s.failed)
+        return left_to_right_sum(s.capacity_rps for s in self.dips.values() if not s.failed)
 
     def healthy_dip_ids(self) -> tuple[DipId, ...]:
         return tuple(d for d, s in self.dips.items() if not s.failed)

@@ -552,7 +552,7 @@ class FluidCluster:
 
     @property
     def total_capacity_rps(self) -> float:
-        return sum(s.capacity_rps for s in self.dips.values() if not s.failed)
+        return left_to_right_sum(s.capacity_rps for s in self.dips.values() if not s.failed)
 
     def healthy_dip_ids(self) -> tuple[DipId, ...]:
         return tuple(d for d, s in self.dips.items() if not s.failed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from repro.backends.dip import DipServer
-from repro.core.types import DipId, VipId
+from repro.core.types import DipId, VipId, left_to_right_sum
 from repro.exceptions import ConfigurationError
 
 
@@ -67,7 +67,7 @@ class Vip:
 
     @property
     def total_capacity_rps(self) -> float:
-        return sum(d.capacity_rps for d in self.dips.values() if not d.failed)
+        return left_to_right_sum(d.capacity_rps for d in self.dips.values() if not d.failed)
 
     def __len__(self) -> int:
         return len(self.dips)

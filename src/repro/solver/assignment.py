@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.types import DipId
+from repro.core.types import DipId, left_to_right_sum
 from repro.exceptions import ConfigurationError
 
 
@@ -74,7 +74,7 @@ class DipCandidates:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssignmentProblem:
     """One instance of the Fig. 7 ILP.
 
@@ -94,6 +94,14 @@ class AssignmentProblem:
         Maximum allowed spread ``ymax - ymin`` between chosen weights
         (constraint (c)); ``None`` disables the constraint (θ = ∞, as used
         in the paper's evaluation).
+
+    The canonical form is the candidate table: ``ids``, the read-only
+    (n, k) arrays ``weights`` and ``costs`` (row ``i`` is DIP ``ids[i]``;
+    a DIP with fewer candidates is padded with ``inf`` in both) and
+    ``w_max``.  ``dp`` and ``mckp`` read the table; a problem built by
+    :meth:`from_table` derives ``dips`` on first read, for the backends
+    that walk candidates per DIP.  Problems are equal when their tables
+    and bands are.
     """
 
     dips: tuple[DipCandidates, ...]
@@ -104,28 +112,108 @@ class AssignmentProblem:
     def __post_init__(self) -> None:
         if not self.dips:
             raise ConfigurationError("AssignmentProblem needs at least one DIP")
-        seen: set[DipId] = set()
-        for cand in self.dips:
-            if cand.dip in seen:
-                raise ConfigurationError(f"duplicate DIP id {cand.dip!r}")
-            seen.add(cand.dip)
+        weights = np.full((len(self.dips), max(cand.count for cand in self.dips)), math.inf)
+        costs = weights.copy()
+        for row, cand in enumerate(self.dips):
+            weights[row, : cand.count] = cand.weights
+            costs[row, : cand.count] = cand.latencies_ms
+        ids = tuple(cand.dip for cand in self.dips)
+        self._set_table(ids, weights, costs, tuple(cand.w_max for cand in self.dips))
+
+    @classmethod
+    def from_table(
+        cls,
+        ids: tuple[DipId, ...],
+        weights: np.ndarray,
+        costs: np.ndarray,
+        w_max: tuple[float | None, ...],
+        *,
+        total_weight: float = 1.0,
+        total_weight_tolerance: float = 0.01,
+        theta: float | None = None,
+    ) -> "AssignmentProblem":
+        """The problem over ``k`` candidates per DIP: row ``i`` of the float64
+        (n, k) arrays ``weights`` and ``costs`` for DIP ``ids[i]``.  Checked
+        as a whole, with the rules and messages of :class:`DipCandidates`
+        (the first DIP in order that breaks one) and of the problem."""
+        in_range = weights.min() >= 0 and weights.max() <= 1
+        if not (in_range and costs.min() >= 0 and costs.max() < math.inf):
+            ok = (weights >= 0) & (weights <= 1) & (costs >= 0) & (costs < math.inf)
+            row = int((~ok).any(axis=1).argmax())
+            for w in weights[row].tolist():
+                if not 0 <= w <= 1:
+                    raise ConfigurationError(
+                        f"DIP {ids[row]}: candidate weight {w} outside [0, 1]"
+                    )
+            lat = costs[row, ~ok[row]].tolist()[0]
+            raise ConfigurationError(f"DIP {ids[row]}: latency {lat} is not finite and >= 0")
+        problem = object.__new__(cls)
+        object.__setattr__(problem, "total_weight", total_weight)
+        object.__setattr__(problem, "total_weight_tolerance", total_weight_tolerance)
+        object.__setattr__(problem, "theta", theta)
+        problem._set_table(ids, weights, costs, w_max)
+        return problem
+
+    def _set_table(self, ids: tuple, weights: np.ndarray, costs: np.ndarray, w_max: tuple) -> None:
+        if not ids:
+            raise ConfigurationError("AssignmentProblem needs at least one DIP")
+        if len(set(ids)) != len(ids):
+            seen: set[DipId] = set()
+            duplicate = next(d for d in ids if d in seen or seen.add(d))
+            raise ConfigurationError(f"duplicate DIP id {duplicate!r}")
         if not 0 < self.total_weight < math.inf:
             raise ConfigurationError("total_weight must be positive and finite")
         if not 0 <= self.total_weight_tolerance < math.inf:
             raise ConfigurationError("total_weight_tolerance must be finite and >= 0")
         if self.theta is not None and not 0 <= self.theta < math.inf:
             raise ConfigurationError("theta must be finite and >= 0, or None")
+        weights.flags.writeable = costs.flags.writeable = False
+        for name, value in (
+            ("ids", ids),
+            ("weights", weights),
+            ("costs", costs),
+            ("w_max", w_max),
+            # The rows as lists, for reading a selection back.
+            ("_rows", (weights.tolist(), costs.tolist())),
+            # What equality and hash read (``+ 0.0`` folds -0.0 into 0.0).
+            (
+                "_key",
+                (ids, (weights + 0.0).tobytes(), (costs + 0.0).tobytes(), w_max)
+                + (self.total_weight, self.total_weight_tolerance, self.theta),
+            ),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name: str):
+        # Only ``dips`` of a problem built by ``from_table`` is ever missing.
+        if name != "dips" or "weights" not in self.__dict__:
+            raise AttributeError(name)
+        rows = zip(self.ids, self.weights.tolist(), self.costs.tolist(), self.w_max)
+        dips = tuple(
+            DipCandidates(dip=dip, weights=tuple(w), latencies_ms=tuple(c), w_max=top)
+            for dip, w, c, top in rows
+        )
+        object.__setattr__(self, "dips", dips)
+        return dips
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AssignmentProblem):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @property
     def num_dips(self) -> int:
-        return len(self.dips)
+        return len(self.ids)
 
     @property
     def num_variables(self) -> int:
-        return sum(c.count for c in self.dips)
+        return int(np.isfinite(self.weights).sum())
 
     def dip_ids(self) -> tuple[DipId, ...]:
-        return tuple(c.dip for c in self.dips)
+        return self.ids
 
     def candidates_for(self, dip: DipId) -> DipCandidates:
         for cand in self.dips:
@@ -135,9 +223,8 @@ class AssignmentProblem:
 
     def weight_bounds(self) -> tuple[float, float]:
         """Smallest and largest achievable total weight."""
-        low = sum(c.min_weight() for c in self.dips)
-        high = sum(c.max_weight() for c in self.dips)
-        return low, high
+        rows = [[w for w in row if w < math.inf] for row in self._rows[0]]
+        return left_to_right_sum(map(min, rows)), left_to_right_sum(map(max, rows))
 
     def is_sum_feasible(self) -> bool:
         """Whether the target sum lies within the achievable range."""
@@ -150,26 +237,20 @@ class AssignmentProblem:
 
     def objective_of(self, selection: Mapping[DipId, int]) -> float:
         """Total latency of a selection (candidate index per DIP)."""
-        total = 0.0
-        for cand in self.dips:
-            idx = selection[cand.dip]
-            total += cand.latencies_ms[idx]
-        return total
+        return left_to_right_sum(
+            row[selection[dip]] for dip, row in zip(self.ids, self._rows[1])
+        )
 
     def weights_of(self, selection: Mapping[DipId, int]) -> dict[DipId, float]:
-        return {
-            cand.dip: cand.weights[selection[cand.dip]] for cand in self.dips
-        }
+        return {dip: row[selection[dip]] for dip, row in zip(self.ids, self._rows[0])}
 
     def overloaded_dips(self, weights: Mapping[DipId, float]) -> tuple[DipId, ...]:
         """DIPs whose assigned weight exceeds their known safe maximum."""
-        overloaded: list[DipId] = []
-        for cand in self.dips:
-            if cand.w_max is None:
-                continue
-            if weights.get(cand.dip, 0.0) > cand.w_max + 1e-12:
-                overloaded.append(cand.dip)
-        return tuple(overloaded)
+        return tuple(
+            dip
+            for dip, top in zip(self.ids, self.w_max)
+            if top is not None and weights.get(dip, 0.0) > top + 1e-12
+        )
 
 
 def build_problem(
@@ -217,7 +298,8 @@ def uniform_weight_grid(
     if (upper < lower).any():
         raise ConfigurationError("upper must be >= lower")
     step = (upper - lower) / (count - 1)
-    return np.clip(lower[..., None] + np.arange(count) * step[..., None], 0.0, 1.0)
+    # ``np.clip(grid, 0.0, 1.0)``, element for element, without its wrapper.
+    return np.minimum(1.0, np.maximum(0.0, lower[..., None] + np.arange(count) * step[..., None]))
 
 
 def uniform_candidates(

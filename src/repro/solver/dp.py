@@ -132,22 +132,31 @@ def solve_dp(
             return cached
 
     start = time.perf_counter()
-    dips = [cand.sorted_by_weight() for cand in problem.dips]
+    weights, latencies = problem.weights, problem.costs
+    n, k = weights.shape
+    # Rows ascending by weight (stable; the inf pad sorts last).  A pick is
+    # an index into its sorted row, as in greedy and branch-and-bound.
+    if (weights[:, 1:] < weights[:, :-1]).any():
+        order = np.argsort(weights, axis=1, kind="stable")
+        weights = np.take_along_axis(weights, order, axis=1)
+        latencies = np.take_along_axis(latencies, order, axis=1)
     # A weight's units are ``round(w / resolution)``, an int (or the
     # ValueError / OverflowError of a NaN / infinite quotient).
     target_units = round(problem.total_weight / resolution)
     tol_units = max(1, round(problem.total_weight_tolerance / resolution))
     lo = max(0, target_units - tol_units)
     hi = target_units + tol_units
-    # One row per DIP, padded past ``hi`` so the pad never fits.
-    k = max(cand.count for cand in dips)
-    units = np.array(
-        [[round(w / resolution) for w in cand.weights] + [hi + 1] * (k - cand.count)
-         for cand in dips],
-        dtype=np.int64,
-    )
-    latencies = np.array([[*cand.latencies_ms] + [0.0] * (k - cand.count) for cand in dips])
-    picks = np.empty(len(dips), dtype=np.int64)
+    quotient = weights / resolution
+    units = np.rint(quotient)
+    if not (units < 2.0**63).all():
+        pad = np.isinf(weights)
+        # An infinite quotient or one past int64 raises as ``round`` and
+        # int64 do; the pad is set past ``hi`` so it never fits.
+        np.array([round(q) for q in quotient[~pad].tolist()], dtype=np.int64)
+        units[pad] = hi + 1
+        latencies = np.where(pad, 0.0, latencies)
+    units = units.astype(np.int64)
+    picks = np.empty(n, dtype=np.int64)
 
     if time_limit_s is not None and time.perf_counter() > start + time_limit_s:
         return SolveResult(
@@ -165,9 +174,7 @@ def solve_dp(
             cache.put(problem, token, result)
         return result
     # Keyed last DIP first, the order the backtrack reaches them.
-    selection: dict[DipId, int] = {
-        cand.dip: pick for cand, pick in zip(dips[::-1], picks.tolist()[::-1])
-    }
+    selection: dict[DipId, int] = dict(zip(problem.ids[::-1], picks.tolist()[::-1]))
 
     weights = problem.weights_of(selection)
     elapsed = time.perf_counter() - start

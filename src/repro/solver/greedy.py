@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core.types import DipId
+from repro.core.types import DipId, left_to_right_sum
 from repro.solver.assignment import AssignmentProblem
 from repro.solver.result import SolveResult, SolveStatus
 
@@ -37,7 +37,7 @@ def solve_greedy(
     # Start at the smallest candidate weight of every DIP.
     selection: dict[DipId, int] = {cand.dip: 0 for cand in dips}
     index_of = {cand.dip: i for i, cand in enumerate(dips)}
-    total = sum(cand.weights[0] for cand in dips)
+    total = left_to_right_sum(cand.weights[0] for cand in dips)
 
     def imbalance_ok(sel: dict[DipId, int]) -> bool:
         if theta is None:

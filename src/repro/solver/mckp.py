@@ -318,13 +318,9 @@ def _search(
     kept and whether the outcome is settled: the clock did not cut the search
     and, where no selection was found, no state was dropped either.
     """
-    n, k = problem.num_dips, max(cand.count for cand in problem.dips)
+    W, C = problem.weights, problem.costs  # a DIP's padding is inf in both
+    n = len(W)
     rows = np.arange(n)
-    W = np.full((n, k), np.inf)
-    C = np.full((n, k), np.inf)
-    for d, cand in enumerate(problem.dips):
-        W[d, : cand.count] = cand.weights
-        C[d, : cand.count] = cand.latencies_ms
     given = W
     band_lo = problem.total_weight - problem.total_weight_tolerance
     band_hi = problem.total_weight + problem.total_weight_tolerance

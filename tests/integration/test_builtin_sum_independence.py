@@ -132,3 +132,36 @@ def test_request_artifact_is_the_same_under_a_compensated_builtin_sum(
     assert (provenance["station_path"], provenance["shard_mode"]) == path
     monkeypatch.setattr(builtins, "sum", neumaier_sum)
     assert artifact(spec, **how)[0] == plain
+
+
+def test_control_path_sums_add_left_to_right(monkeypatch):
+    """Four sums of the control path, each on values a compensated sum adds
+    differently: the weight band, greedy's starting total (here the whole
+    answer: at zero tolerance only the left-to-right total 1.0 is in band)
+    and the fleet's and a VIP's pool capacity."""
+    from repro.backends import DipServer, custom_vm_type
+    from repro.core.types import left_to_right_sum
+    from repro.sim.fleet import Fleet
+    from repro.solver import AssignmentProblem, DipCandidates, solve_greedy
+
+    tiny = (1.0, 1e-16, 1e-16)
+    assert left_to_right_sum(tiny) == 1.0 != neumaier_sum(tiny)
+    problem = AssignmentProblem(
+        dips=tuple(
+            DipCandidates(dip=f"d{i}", weights=(w, 1.0), latencies_ms=(1.0, 9.0))
+            for i, w in enumerate(tiny)
+        ),
+        total_weight=1.0,
+        total_weight_tolerance=0.0,
+    )
+    vm = custom_vm_type("uneven", vcpus=1, capacity_rps=333.3)
+    fleet = Fleet({f"d{i}": DipServer(f"d{i}", vm, seed=i) for i in range(6)})
+    vip = fleet.create_vip("v", dip_ids=list(fleet.dips), total_rate_rps=100.0)
+    capacities = [333.3] * 6
+    assert left_to_right_sum(capacities) == 1999.8 != neumaier_sum(capacities)
+
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    assert problem.weight_bounds() == (1.0, 3.0)
+    greedy = solve_greedy(problem)
+    assert greedy.status.has_solution and greedy.weights == dict(zip(("d0", "d1", "d2"), tiny))
+    assert fleet.total_capacity_rps == vip.total_capacity_rps == 1999.8
