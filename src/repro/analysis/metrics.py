@@ -7,7 +7,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.types import DipId
+from repro.core.types import DipId, grouped_quantiles
 from repro.exceptions import ConfigurationError
 
 
@@ -29,13 +29,16 @@ class LatencyStats:
         if values.size == 0:
             nan = float("nan")
             return cls(0, nan, nan, nan, nan, nan, nan)
+        p50, p90, p95, p99 = grouped_quantiles(
+            values, [0, values.size], np.true_divide([50, 90, 95, 99], 100)
+        )[0].tolist()
         return cls(
             count=int(values.size),
             mean_ms=float(values.mean()),
-            p50_ms=float(np.percentile(values, 50)),
-            p90_ms=float(np.percentile(values, 90)),
-            p95_ms=float(np.percentile(values, 95)),
-            p99_ms=float(np.percentile(values, 99)),
+            p50_ms=p50,
+            p90_ms=p90,
+            p95_ms=p95,
+            p99_ms=p99,
             max_ms=float(values.max()),
         )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +50,73 @@ def stable_group_order(keys: np.ndarray, bound: int) -> np.ndarray:
     permutation is the same either way.
     """
     return keys.astype(np.min_scalar_type(bound - 1)).argsort(kind="stable")
+
+
+def grouped_quantiles(
+    values: np.ndarray, bounds: Sequence[int] | np.ndarray, q: np.ndarray
+) -> np.ndarray:
+    """``numpy.quantile(values[bounds[g]:bounds[g + 1]], q)`` for every group ``g``.
+
+    Hyndman & Fan's method 7 (numpy's ``linear``), bit for bit: the virtual
+    index ``(n - 1) * q``, its floor and the next index (both the last one
+    from ``n - 1`` on) and numpy's two-sided ``_lerp``.  Returns a
+    ``(groups, len(q))`` float64 array, NaN rows for empty groups.  A
+    percentile ``p`` is the quantile ``np.true_divide(p, 100)``, which is
+    what ``numpy.percentile`` passes on.
+
+    Each group is sorted in place on one copy of ``values`` (numpy's sort
+    beat its partition at every size measured, one group of 100k values
+    included: 0.75 against 1.6 ms on a 2-vCPU x86 host) and every pick is
+    one fancy index.  Values that compare equal differ in bits only as
+    ``±0.0`` or NaN payloads, and there what ``numpy.quantile`` returns
+    depends on how its partition left them: a group that holds a NaN, or a
+    ``-0.0`` where a pick lands on zero, is done as ``numpy.quantile`` does
+    it, one partition of the group in input order around the same indices.
+    Nothing here imports ``numpy.ma``, which the first ``numpy.quantile``
+    in a process does (through ``np.unique``).
+    """
+    q = np.asarray(q, dtype=np.float64).reshape(-1)
+    if not (q.min() >= 0 and q.max() <= 1):  # NaN fails both
+        raise ValueError("Quantiles must be in the range [0, 1]")
+    bounds = np.asarray(bounds, dtype=np.intp)
+    sizes = np.diff(bounds)
+    count = (sizes - 1).astype(np.float64)[:, None]
+    virtual = count * q
+    # numpy's ``_get_indexes``: from ``n - 1`` on both picks are index -1
+    # (the maximum), and gamma is measured from that -1.
+    last = virtual >= count
+    lower = np.where(last, -1.0, np.floor(virtual))
+    gamma = virtual - lower
+    lo = lower.astype(np.intp)
+    hi = np.where(last, -1, lo + 1)
+    result = np.full(gamma.shape, np.nan)
+    if not values.size:
+        return result
+    start, end = bounds[:-1, None], bounds[1:, None]
+    work = values.copy()
+    edges = bounds.tolist()
+    for s, e in zip(edges, edges[1:]):
+        work[s:e].sort()
+    a = work[np.where(lo < 0, end + lo, start + lo)]
+    b = work[np.where(hi < 0, end + hi, start + hi)]
+    exact = ((a == 0) | (b == 0)).any(axis=1) | np.isnan(work[bounds[1:] - 1])
+    nans: dict[int, float] = {}
+    for g in np.flatnonzero(exact & (sizes > 0)).tolist():
+        group = values[edges[g] : edges[g + 1]]
+        if not (np.isnan(group).any() or np.signbit(group[group == 0]).any()):
+            continue
+        part = group.copy()
+        part.partition(sorted({0, -1, *lo[g].tolist(), *hi[g].tolist()}))
+        a[g], b[g] = part[lo[g]], part[hi[g]]
+        if np.isnan(part[-1]):
+            nans[g] = part[-1]
+    diff = b - a
+    np.add(a, diff * gamma, out=result)
+    np.subtract(b, diff * (1 - gamma), out=result, where=gamma >= 0.5)
+    result[sizes == 0] = np.nan
+    for g, nan in nans.items():  # numpy returns the group's last value
+        result[g] = nan
+    return result
 
 
 def validate_weight(weight: float, *, name: str = "weight") -> float:

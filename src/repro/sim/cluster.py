@@ -29,10 +29,11 @@ cannot read queue state — a policy declaring ``replayable`` (``rr``,
 ``wrr``, ``random``, ``wrandom``, ``hash``), no retry layer, no probing, no
 MUX pool, no failed DIP, nothing scheduled, clock at 0 — takes the *replay
 path* instead: the same arrival batches, the policy's own picks
-(``select_many``), then each DIP's sub-stream through its station's
-:meth:`~repro.sim.queueing.DipStation.replay` (one
-:class:`~repro.sim.queueing.StationWalk`), every generator consumed as the
-event loop consumes it.  The result is the event run's to the last bit
+(``select_many``), then every DIP's sub-stream through
+:func:`~repro.sim.queueing.replay_stations` (one
+:class:`~repro.sim.queueing.StationWalk` per station, every departure in
+one column), every generator consumed as the event loop consumes it.  The
+result is the event run's to the last bit
 (``tests/property/test_request_replay.py``) at about a third of the cost;
 ``RunResult.station_path`` says which path ran.  There is no switch: to
 force the event engine, drive ``begin`` / ``run_to`` / ``finish``.
@@ -62,7 +63,7 @@ from repro.exceptions import ConfigurationError
 from repro.lb.base import FlowKey, Policy
 from repro.sim.client import ClientPool, WorkloadGenerator
 from repro.sim.engine import EventScheduler
-from repro.sim.queueing import DipStation
+from repro.sim.queueing import DipStation, replay_stations
 from repro.sim.request import Request, RequestOutcome
 from repro.sim.trace import MetricsCollector
 
@@ -877,31 +878,35 @@ class RequestCluster:
         del batches
         picks = self.policy.select_many(arrivals, flows)
 
-        # Each station's sub-stream through the recursion, rows written back
-        # at their arrival positions so equal timestamps keep arrival order.
-        first = int(times.searchsorted(warmup_s, side="left"))
-        measured = arrivals - first
-        sizes = np.bincount(picks, minlength=len(self.policy.dips))
-        by_pick = np.split(
-            stable_group_order(picks, sizes.size).astype(np.int32), sizes.cumsum()[:-1]
+        # Every station's sub-stream through the recursion into one departure
+        # column (grouped by station), scattered back to arrival order, which
+        # rows with equal timestamps keep; the records are whole-column passes.
+        stations = tuple(self._stations.values())
+        order = stable_group_order(picks, len(stations))
+        departure = np.empty(arrivals)
+        departure[order] = replay_stations(
+            stations,
+            times[order],
+            np.bincount(picks, minlength=len(stations)).tolist(),
+            until=until,
         )
-        del picks
-        latency_ms = np.empty(measured, dtype=np.float64)
-        station_index = np.empty(measured, dtype=np.int32)
-        completed = np.empty(measured, dtype=bool)
-        timestamp = np.empty(measured, dtype=np.float64)
-        for index, station in enumerate(self._stations.values()):
-            mine = by_pick[index]
-            outcome = station.replay(times[mine], measure_from=warmup_s, until=until)
-            rows = mine[mine.size - outcome.submitted :] - first
-            latency_ms[rows] = outcome.latency_ms
-            station_index[rows] = index
-            completed[rows] = outcome.completed
-            timestamp[rows] = outcome.timestamp
-            self._dropped += outcome.dropped
-        del by_pick, times
-        # The completion sink stamps a drop with its zero sojourn, not NaN.
-        latency_ms[~completed] = 0.0
+        del order
+        first = int(times.searchsorted(warmup_s, side="left"))
+        arrival, departure = times[first:], departure[first:]
+        station_index = picks[first:].astype(np.int32)
+        del picks, times
+        dropped = np.isnan(departure)
+        completed = departure <= until
+        measured = arrival.size
+        # A drop is stamped at its arrival with its zero sojourn (the
+        # completion sink's record), a request in flight at ``until`` never.
+        timestamp = np.where(completed, departure, _INF)
+        timestamp[dropped] = arrival[dropped]
+        departure -= arrival
+        departure *= 1000.0
+        latency_ms = np.where(completed, departure, 0.0)
+        del arrival, departure
+        self._dropped += int(np.count_nonzero(dropped))
         self.metrics.adopt_run(
             tuple(self._stations), latency_ms, station_index, completed, timestamp
         )

@@ -21,19 +21,20 @@ picks never read queue state, or read it only at epoch barriers) needs
 none of that: FCFS service order is arrival order, so a
 :class:`StationWalk` takes the sub-stream through the Kiefer-Wolfowitz
 recursion — no event heap, no ``Request`` objects, no callbacks — and can
-be resumed where it stopped.  It is the one statement of the drop rule,
-the warm-up rule and the tie rule outside the event path:
-:meth:`DipStation.replay` (the serial replay in :mod:`repro.sim.cluster`)
-and the shards of :mod:`repro.parallel` drive it, and
+be resumed where it stopped.  It is the one statement of the drop rule
+and the tie rule outside the event path: :func:`replay_stations` (the
+serial replay in :mod:`repro.sim.cluster`, every station's departures in
+one column) and the shards of :mod:`repro.parallel` drive it, and
 :func:`simulate_station` runs it over an array of services.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque
+from typing import TYPE_CHECKING, Callable, Deque, Sequence
 
 import collections
 
@@ -55,7 +56,7 @@ CompletionCallback = Callable[[Request], None]
 #: unit-exponential draws per vectorized RNG call.
 SERVICE_BATCH = 512
 
-#: arrivals :meth:`StationWalk.run` walks at a time (which bounds the Python
+#: arrivals :meth:`StationWalk.fill` walks at a time (which bounds the Python
 #: floats in flight where :func:`repro.kernels.py_walk` runs).
 _WALK_SLICE = 65536
 
@@ -191,37 +192,59 @@ class StationWalk:
         """Admit ``arrivals`` (sorted, none before an earlier call's) and
         return each one's departure: NaN for a drop, ``inf`` past ``until``.
 
-        The loop is :func:`repro.kernels.walk`; in buffered mode it stops
-        when the unit draws run dry and resumes at that arrival after a
-        ``draw(SERVICE_BATCH)`` refill, so the draws are the event loop's.
+        :meth:`fill`, keeping the rows for :meth:`outcome`.
         """
         arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
         departures = np.empty(arrivals.size)
+        self.fill(arrivals, departures, services, until=until)
+        self._arrivals.frombytes(arrivals.tobytes())
+        self._departures.frombytes(departures.tobytes())
+        return departures
+
+    def fill(
+        self,
+        arrivals: np.ndarray,
+        departures: np.ndarray,
+        services: np.ndarray | None = None,
+        *,
+        until: float = _INF,
+    ) -> None:
+        """Admit ``arrivals`` (contiguous float64, sorted, none before an
+        earlier call's) and write each one's departure into ``departures``,
+        keeping no row.
+
+        The loop is :func:`repro.kernels.walk`, ``_WALK_SLICE`` arrivals at
+        a time; in buffered mode it stops when
+        the unit draws run dry and resumes at that arrival after a
+        ``draw(SERVICE_BATCH)`` refill, so the draws are the event loop's.
+        """
         aligned = services is not None
         if aligned:
-            draws = np.ascontiguousarray(services, dtype=np.float64)
-            cursor, scale = 0, 1.0
-            if draws.shape != arrivals.shape:
+            services = np.ascontiguousarray(services, dtype=np.float64)
+            scale = 1.0
+            if services.shape != arrivals.shape:
                 raise ConfigurationError("services must align with the arrivals")
         elif self._draw is None:
             raise ConfigurationError("a walk without a draw needs aligned services")
         else:
             draws, cursor, scale = self._units, self._cursor, self.mean
-        done = 0
-        while True:
-            done, cursor, self._pos, self.busy_seconds = kernels.walk(
-                arrivals, departures, done, self._free, self._ring, self._pos,
-                draws, cursor, scale, aligned, until, self.busy_seconds,
-            )
-            if done == arrivals.size:
-                break
-            draws = np.ascontiguousarray(self._draw(SERVICE_BATCH), dtype=np.float64)
-            cursor = 0
+        for lo in range(0, arrivals.size, _WALK_SLICE):
+            part = slice(lo, lo + _WALK_SLICE)
+            came, left = arrivals[part], departures[part]
+            if aligned:
+                draws, cursor = services[part], 0
+            done = 0
+            while True:
+                done, cursor, self._pos, self.busy_seconds = kernels.walk(
+                    came, left, done, self._free, self._ring, self._pos,
+                    draws, cursor, scale, aligned, until, self.busy_seconds,
+                )
+                if done == came.size:
+                    break
+                draws = np.ascontiguousarray(self._draw(SERVICE_BATCH), dtype=np.float64)
+                cursor = 0
         if not aligned:
             self._units, self._cursor = draws, cursor
-        self._arrivals.frombytes(arrivals.tobytes())
-        self._departures.frombytes(departures.tobytes())
-        return departures
 
     def in_system(self, t: float) -> int:
         """Requests in the station at ``t``, no earlier than the last arrival.
@@ -249,20 +272,8 @@ class StationWalk:
         until: float = _INF,
         account: bool = False,
     ) -> StationOutcome:
-        """Walk a whole sub-stream and report it (:meth:`outcome`).
-
-        The arrivals go in ``_WALK_SLICE`` at a time, so what is in flight
-        (on the Python loops, Python floats) stays a bounded few MB on a
-        one-DIP, million-request run.
-        """
-        arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
-        for lo in range(0, arrivals.size, _WALK_SLICE):
-            part = slice(lo, lo + _WALK_SLICE)
-            self.advance(
-                arrivals[part],
-                None if services is None else services[part],
-                until=until,
-            )
+        """Walk a whole sub-stream and report it (:meth:`outcome`)."""
+        self.advance(arrivals, services, until=until)
         return self.outcome(measure_from=measure_from, until=until, account=account)
 
     def outcome(
@@ -350,6 +361,57 @@ def _station_stats(
         busy_time_s=busy_time_s,
         busy_worker_seconds=busy_worker_seconds,
     )
+
+
+def replay_stations(
+    stations: Sequence["DipStation"],
+    arrivals: np.ndarray,
+    sizes: Sequence[int],
+    *,
+    until: float,
+) -> np.ndarray:
+    """Serve each station its run of ``arrivals`` at once, for a run in
+    which nothing changes a station between its first arrival and ``until``.
+
+    ``arrivals`` holds the stations' sub-streams back to back (each sorted,
+    ``sizes[k]`` of them for ``stations[k]``); returns the departure of each
+    (NaN for a drop, ``inf`` past ``until``) in the same order.  Per
+    station, only the walk (:meth:`StationWalk.fill`, popping its
+    ``_svc_buf`` one draw per start of service, scaled by the
+    antagonist-aware mean, and refilling it from its own generator as
+    ``submit`` does) and :func:`_station_stats` run on their own; the
+    masks they read are passes over the whole column.
+    Leaves the generators, the draw buffers and the counters where
+    submitting the same arrivals through an event loop run to ``until``
+    leaves them; a line still waiting at ``until`` (nothing will serve it)
+    is counted in ``stats``, not rebuilt.
+    """
+    departures = np.empty(arrivals.size)
+    edges = [0, *itertools.accumulate(sizes)]
+    for station, lo, hi in zip(stations, edges, edges[1:]):
+        walk = StationWalk(
+            station._workers,
+            station._queue_capacity,
+            draw=station._svc_draw,
+            mean=station._mean_service_time_s(),
+            buf=station._svc_buf,
+        )
+        walk.fill(arrivals[lo:hi], departures[lo:hi], until=until)
+        station._svc_buf = walk.buf
+    admitted = ~np.isnan(departures)
+    completed = departures <= until
+    finished = departures[completed]
+    done = 0
+    for station, lo, hi in zip(stations, edges, edges[1:]):
+        mine = finished[done : done + np.count_nonzero(completed[lo:hi])]
+        done += mine.size
+        stats = station.stats = _station_stats(
+            arrivals[lo:hi], mine, admitted[lo:hi], servers=station._workers, until=until
+        )
+        held = stats.arrivals - stats.drops - stats.completions  # at ``until``
+        station._busy_workers = min(station._workers, held)
+        station._last_change = until
+    return departures
 
 
 class DipStation:
@@ -452,39 +514,6 @@ class DipStation:
     @property
     def active_requests(self) -> int:
         return self._busy_workers + len(self._waiting)
-
-    # -- replay ----------------------------------------------------------------
-
-    def replay(
-        self, arrivals: np.ndarray, *, measure_from: float, until: float
-    ) -> StationOutcome:
-        """Serve a whole run's arrivals at once, for a run in which nothing
-        changes the station between its first arrival and ``until``.
-
-        Leaves the generator, the draw buffer and the counters where
-        submitting the same arrivals through an event loop run to ``until``
-        leaves them — the walk pops this station's ``_svc_buf`` one draw per
-        start of service, scaled by the antagonist-aware mean, as
-        ``submit`` does; the records come back as columns instead of
-        through the completion sink, and a line still waiting at ``until``
-        (nothing will serve it) is counted in ``stats``, not rebuilt.
-        """
-        walk = StationWalk(
-            self._workers,
-            self._queue_capacity,
-            draw=self._svc_draw,
-            mean=self._mean_service_time_s(),
-            buf=self._svc_buf,
-        )
-        outcome = walk.run(
-            arrivals, measure_from=measure_from, until=until, account=True
-        )
-        self._svc_buf = walk.buf
-        stats = self.stats = outcome.stats
-        held = stats.arrivals - stats.drops - stats.completions  # at ``until``
-        self._busy_workers = min(self._workers, held)
-        self._last_change = until
-        return outcome
 
     # -- request lifecycle -----------------------------------------------------
 

@@ -24,13 +24,24 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.types import DipId, stable_group_order
+from repro.core.types import DipId, grouped_quantiles, stable_group_order
 from repro.exceptions import ConfigurationError
 
 #: staged records per bulk conversion into the numpy columns.
 _CHUNK = 8192
 
 _NAN = float("nan")
+
+#: the quantiles a DIP summary and a headline (or window) row report, as
+#: ``numpy.percentile`` derives them from 50 / 90 / 99 and 50 / 99.
+_SUMMARY_Q = np.true_divide([50, 90, 99], 100)
+_HEADLINE_Q = np.true_divide([50, 99], 100)
+
+
+def _quantiles(values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``numpy.quantile(values, q)`` (:func:`repro.core.types.grouped_quantiles`
+    on one group; NaN for no values)."""
+    return grouped_quantiles(values, [0, values.size], q)[0]
 
 
 @dataclass
@@ -88,6 +99,7 @@ class MetricsCollector:
         "_p_over",
         "_extended",
         "_utilization",
+        "_by_code",
     )
 
     def __init__(self) -> None:
@@ -118,6 +130,9 @@ class MetricsCollector:
         self._p_over: list[tuple] = []
         self._extended = False
         self._utilization: dict[DipId, float] = {}
+        #: from :meth:`adopt_run`: the rows grouped by DIP code, each group in
+        #: record order, while no record has been added since.
+        self._by_code: np.ndarray | None = None
 
     # -- ingestion -------------------------------------------------------------
 
@@ -313,7 +328,8 @@ class MetricsCollector:
         the sorted rows by DIP (:func:`repro.core.types.stable_group_order`)
         the second.  The collector must be empty and
         keeps the arrays it is given, so nothing is copied but one column
-        at a time under the permutation.
+        at a time under the permutation.  That grouping, its blocks put in
+        interning order, is kept for :meth:`summaries`.
         """
         if self.total_requests or self._extended:
             raise ConfigurationError(
@@ -322,17 +338,31 @@ class MetricsCollector:
         count = timestamp.size - int(np.count_nonzero(timestamp == np.inf))
         if not count:
             return
-        order = timestamp.argsort(kind="stable")[:count].astype(np.int32)
-        for column in (latency_ms, dip_index, completed, timestamp):
+        # The stable order, from numpy's faster unstable sort: each run of
+        # equal stamps (rare; ``inf`` ones are cut) goes back to row order.
+        order = timestamp.argsort()[:count]
+        stamps = timestamp[order]
+        tied = stamps[1:] == stamps[:-1]
+        if tied.any():
+            runs = np.flatnonzero(np.append(tied, False) | np.insert(tied, 0, False))
+            order[runs] = order[runs][np.lexsort((order[runs], stamps[runs]))]
+        for column in (latency_ms, dip_index, completed):
             column[:count] = column[order]
-        del order
+        timestamp[:count] = stamps
+        del order, stamps
         # Each DIP's first record heads its group, and the DIPs in the order
         # of those first records are the interning order.
         order = stable_group_order(dip_index[:count], len(dips))
         grouped = dip_index[order]
         heads = np.flatnonzero(np.diff(grouped, prepend=-1))
         first = order[heads]
-        seen = grouped[heads][first.argsort()]
+        rank = first.argsort()
+        seen = grouped[heads][rank]
+        ends = np.append(heads[1:], count).tolist()
+        heads = heads.tolist()
+        self._by_code = np.concatenate(
+            [order[heads[k] : ends[k]] for k in rank.tolist()], dtype=np.int32
+        )
         del order, grouped
         self._dip_ids = [dips[index] for index in seen.tolist()]
         self._dip_code = {dip: code for code, dip in enumerate(self._dip_ids)}
@@ -400,8 +430,11 @@ class MetricsCollector:
     def percentile_latency_ms(
         self, percentile: float, *, dips: Iterable[DipId] | None = None
     ) -> float:
+        q = np.true_divide(percentile, 100)
+        if not 0 <= q <= 1:
+            raise ValueError("Percentiles must be in the range [0, 100]")
         values = self.latencies_ms(dips=dips)
-        return float(np.percentile(values, percentile)) if values.size else float("nan")
+        return float(_quantiles(values, q)[0])
 
     def drop_fraction(self, *, dips: Iterable[DipId] | None = None) -> float:
         self._flush()
@@ -452,14 +485,11 @@ class MetricsCollector:
         """The whole-run metrics every request runner reports.
 
         Latency over completed requests from one masked copy and one
-        partition; the counters are the runner's own (warm-up excluded).
+        sort; the counters are the runner's own (warm-up excluded).
         """
         values = self.latencies_ms()
-        if values.size:
-            mean = float(values.mean())
-            p50, p99 = (float(v) for v in np.percentile(values, [50, 99]))
-        else:
-            mean = p50 = p99 = _NAN
+        mean = float(values.mean()) if values.size else _NAN
+        p50, p99 = _quantiles(values, _HEADLINE_Q).tolist()
         return {
             "mean_latency_ms": mean,
             "p50_latency_ms": p50,
@@ -470,23 +500,18 @@ class MetricsCollector:
         }
 
     def _summarise(
-        self, dip: DipId, latency_ms: np.ndarray, completed: np.ndarray
+        self, dip: DipId, requests: int, latencies: np.ndarray, quantiles: list[float]
     ) -> DipSummary:
-        """Fold one DIP's records (its rows of two columns, record order)."""
-        requests = completed.size
-        latencies = latency_ms[completed]
-        if latencies.size:
-            p50, p90, p99 = np.percentile(latencies, [50, 90, 99])
-            mean = float(latencies.mean())
-        else:
-            mean = p50 = p90 = p99 = _NAN
+        """One DIP's row: its record count, the latencies of its completed
+        records (record order) and their :data:`_SUMMARY_Q` quantiles."""
+        p50, p90, p99 = quantiles
         return DipSummary(
             dip=dip,
             requests=requests,
-            mean_latency_ms=mean,
-            p50_latency_ms=float(p50),
-            p90_latency_ms=float(p90),
-            p99_latency_ms=float(p99),
+            mean_latency_ms=float(latencies.mean()) if latencies.size else _NAN,
+            p50_latency_ms=p50,
+            p90_latency_ms=p90,
+            p99_latency_ms=p99,
             cpu_utilization=self._utilization.get(dip, _NAN),
             drop_fraction=(
                 (requests - latencies.size) / requests if requests else 0.0
@@ -497,30 +522,51 @@ class MetricsCollector:
         self._flush()
         n = self._n
         rows = self._code[:n] == self._dip_code.get(dip, -1)
-        return self._summarise(dip, self._lat[:n][rows], self._done[:n][rows])
+        latencies = self._lat[:n][rows & self._done[:n]]
+        return self._summarise(
+            dip,
+            int(np.count_nonzero(rows)),
+            latencies,
+            _quantiles(latencies, _SUMMARY_Q).tolist(),
+        )
 
     def summaries(self) -> dict[DipId, DipSummary]:
         """Every DIP's summary, from one grouping of the records by DIP.
 
         A stable grouping (:func:`repro.core.types.stable_group_order`, a
-        radix sort on the DIP codes) keeps each DIP's rows in record order,
-        so each value is the one :meth:`dip_summary` computes from its mask;
-        a per-DIP pass over all records would cost O(DIPs x records), as a
-        per-window one would in :meth:`window_rows`.
+        radix sort on the DIP codes, or the one :meth:`adopt_run` kept)
+        keeps each DIP's rows in record order, so each value is the one
+        :meth:`dip_summary` computes from its mask, and every DIP's
+        percentiles come from one :func:`repro.core.types.grouped_quantiles`
+        call; a per-DIP pass over all records would cost O(DIPs x records),
+        as a per-window one would in :meth:`window_rows`.
         """
         self._flush()
         n = self._n
+        width = len(self._dip_ids)
         code, lat, done = self._code[:n], self._lat[:n], self._done[:n]
-        # A shard merge appends DIP by DIP: already grouped, nothing to move.
-        if (code[1:] < code[:-1]).any():
-            order = stable_group_order(code, len(self._dip_ids))
-            code, lat, done = code[order], lat[order], done[order]
-        bounds = code.searchsorted(np.arange(len(self._dip_ids) + 1)).tolist()
+        sizes = np.bincount(code, minlength=width)
+        kept_sizes = np.bincount(code[done], minlength=width)
+        order = self._by_code
+        if order is None or order.size != n:
+            # A shard merge appends DIP by DIP: already grouped, nothing to move.
+            order = (
+                stable_group_order(code, width) if (code[1:] < code[:-1]).any() else None
+            )
+        if order is not None:
+            lat, done = lat[order], done[order]
+        kept = lat[done]
+        edges = np.concatenate(([0], kept_sizes.cumsum())).tolist()
+        quantiles = grouped_quantiles(kept, edges, _SUMMARY_Q).tolist()
+        sizes = sizes.tolist()
         rows: dict[DipId, DipSummary] = {}
         for dip in sorted(set(self._dip_ids) | set(self._utilization)):
             at = self._dip_code.get(dip)
-            span = slice(0, 0) if at is None else slice(bounds[at], bounds[at + 1])
-            rows[dip] = self._summarise(dip, lat[span], done[span])
+            if at is None:
+                rows[dip] = self._summarise(dip, 0, kept[:0], [_NAN] * 3)
+            else:
+                latencies = kept[edges[at] : edges[at + 1]]
+                rows[dip] = self._summarise(dip, sizes[at], latencies, quantiles[at])
         return rows
 
     def summary_rows(self) -> dict[DipId, dict[str, float]]:
@@ -568,19 +614,19 @@ class MetricsCollector:
             tmo = self._tmo[:n][in_range][order]
             gup = self._gup[:n][in_range][order]
         bounds = np.searchsorted(index, np.arange(num_windows + 1))
+        # Every window's completed latencies, still grouped by window, and
+        # their percentiles in one call.
+        kept = lat[done]
+        kept_bounds = np.searchsorted(index[done], np.arange(num_windows + 1))
+        percentiles = grouped_quantiles(kept, kept_bounds, _HEADLINE_Q).tolist()
         rows: list[dict] = []
         for w in range(num_windows):
             window = slice(bounds[w], bounds[w + 1])
             total = int(bounds[w + 1] - bounds[w])
             window_done = done[window]
-            completed_lat = lat[window][window_done]
-            if completed_lat.size:
-                mean = float(completed_lat.mean())
-                p50, p99 = (
-                    float(v) for v in np.percentile(completed_lat, [50, 99])
-                )
-            else:
-                mean = p50 = p99 = _NAN
+            completed_lat = kept[kept_bounds[w] : kept_bounds[w + 1]]
+            mean = float(completed_lat.mean()) if completed_lat.size else _NAN
+            p50, p99 = percentiles[w]
             drops = total - int(window_done.sum())
             share: dict[DipId, float] = {}
             dip_metrics: dict[DipId, dict[str, float]] = {}
@@ -655,12 +701,11 @@ class MetricsCollector:
 
     def latency_cdf(self, *, points: int = 100) -> tuple[np.ndarray, np.ndarray]:
         """(latency, cumulative fraction) pairs for CDF plotting/reporting."""
-        values = np.sort(self.latencies_ms())
+        values = self.latencies_ms()
         if values.size == 0:
             return np.array([]), np.array([])
         fractions = np.linspace(0, 1, points)
-        latencies = np.quantile(values, fractions)
-        return latencies, fractions
+        return _quantiles(values, fractions), fractions
 
 
 def fraction_of_requests_improved(
@@ -673,13 +718,13 @@ def fraction_of_requests_improved(
     and report the fraction of quantiles where the improved system is
     strictly faster.
     """
-    base = np.sort(baseline.latencies_ms())
-    new = np.sort(improved.latencies_ms())
+    base = baseline.latencies_ms()
+    new = improved.latencies_ms()
     if base.size == 0 or new.size == 0:
         return 0.0
     quantiles = np.linspace(0.01, 0.99, 99)
-    base_q = np.quantile(base, quantiles)
-    new_q = np.quantile(new, quantiles)
+    base_q = _quantiles(base, quantiles)
+    new_q = _quantiles(new, quantiles)
     return float(np.mean(new_q < base_q))
 
 
@@ -687,12 +732,12 @@ def max_latency_gain(
     baseline: MetricsCollector, improved: MetricsCollector
 ) -> float:
     """Maximum relative latency reduction across quantiles (paper's "up to X %")."""
-    base = np.sort(baseline.latencies_ms())
-    new = np.sort(improved.latencies_ms())
+    base = baseline.latencies_ms()
+    new = improved.latencies_ms()
     if base.size == 0 or new.size == 0:
         return 0.0
     quantiles = np.linspace(0.05, 0.99, 95)
-    base_q = np.quantile(base, quantiles)
-    new_q = np.quantile(new, quantiles)
+    base_q = _quantiles(base, quantiles)
+    new_q = _quantiles(new, quantiles)
     gains = (base_q - new_q) / np.maximum(base_q, 1e-9)
     return float(np.max(gains))

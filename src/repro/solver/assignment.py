@@ -61,11 +61,16 @@ class DipCandidates:
     def max_weight(self) -> float:
         return max(self.weights)
 
+    def weight_order(self) -> list[int]:
+        """Candidate positions by ascending weight (stable): position ``j``
+        of :meth:`sorted_by_weight` is candidate ``weight_order()[j]``."""
+        return sorted(range(self.count), key=self.weights.__getitem__)
+
     def sorted_by_weight(self) -> "DipCandidates":
         """The candidates sorted by ascending weight (``self`` when they already are)."""
         if all(a <= b for a, b in zip(self.weights, self.weights[1:])):
             return self
-        order = sorted(range(self.count), key=lambda i: self.weights[i])
+        order = self.weight_order()
         return DipCandidates(
             dip=self.dip,
             weights=tuple(self.weights[i] for i in order),
@@ -243,6 +248,12 @@ class AssignmentProblem:
 
     def weights_of(self, selection: Mapping[DipId, int]) -> dict[DipId, float]:
         return {dip: row[selection[dip]] for dip, row in zip(self.ids, self._rows[0])}
+
+    def unsorted(self, selection: Mapping[DipId, int]) -> dict[DipId, int]:
+        """``selection``, made over :meth:`DipCandidates.sorted_by_weight`
+        rows, as candidate indices into this problem's own rows."""
+        orders = {cand.dip: cand.weight_order() for cand in self.dips}
+        return {dip: orders[dip][j] for dip, j in selection.items()}
 
     def overloaded_dips(self, weights: Mapping[DipId, float]) -> tuple[DipId, ...]:
         """DIPs whose assigned weight exceeds their known safe maximum."""

@@ -154,13 +154,14 @@ def solve_branch_and_bound(
             nodes_explored=state.nodes,
         )
 
-    weights = problem.weights_of(state.best_selection)
+    selection = problem.unsorted(state.best_selection)
+    weights = problem.weights_of(selection)
     status = SolveStatus.FEASIBLE if state.timed_out else SolveStatus.OPTIMAL
     return SolveResult(
         status=status,
         objective_ms=state.best_cost,
         weights=weights,
-        selection=state.best_selection,
+        selection=selection,
         solve_time_s=elapsed,
         backend=_BACKEND_NAME,
         overloaded_dips=problem.overloaded_dips(weights),

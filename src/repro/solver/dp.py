@@ -135,7 +135,8 @@ def solve_dp(
     weights, latencies = problem.weights, problem.costs
     n, k = weights.shape
     # Rows ascending by weight (stable; the inf pad sorts last).  A pick is
-    # an index into its sorted row, as in greedy and branch-and-bound.
+    # an index into its sorted row until it is mapped back through ``order``.
+    order = None
     if (weights[:, 1:] < weights[:, :-1]).any():
         order = np.argsort(weights, axis=1, kind="stable")
         weights = np.take_along_axis(weights, order, axis=1)
@@ -173,6 +174,8 @@ def solve_dp(
         if cache is not None:
             cache.put(problem, token, result)
         return result
+    if order is not None:
+        picks = order[np.arange(n), picks]
     # Keyed last DIP first, the order the backtrack reaches them.
     selection: dict[DipId, int] = dict(zip(problem.ids[::-1], picks.tolist()[::-1]))
 

@@ -133,6 +133,7 @@ def solve_greedy(
             backend=_BACKEND_NAME,
         )
 
+    selection = problem.unsorted(selection)
     weights = problem.weights_of(selection)
     return SolveResult(
         status=SolveStatus.FEASIBLE,

@@ -3,7 +3,9 @@
 ``solve_dp`` keeps, after each DIP, only the unit sums that are reachable
 and can still end in the target window.  :func:`full_table_dp` is the solver
 it replaced — every layer filled over ``[0, target + tolerance]`` — kept
-verbatim as the oracle (renamed, with its cache hooks dropped).  Status,
+verbatim as the oracle (renamed, with its cache hooks dropped, and a pick
+mapped back from the weight-sorted row to the given one, as every backend
+now reports it).  Status,
 selection, weights and objective must be identical, because every cell the
 band keeps reads the same sources with the same float add and the same
 first-candidate tie rule.
@@ -101,7 +103,9 @@ def full_table_dp(
     best_offset = int(np.argmin(window))
     best_units = lo + best_offset
 
-    # Backtrack the choices.
+    # Backtrack the choices (``j`` indexes the sorted row; the selection
+    # holds its position in the given row).
+    orders = [cand.weight_order() for cand in problem.dips]
     selection: dict[DipId, int] = {}
     units = best_units
     for i in range(n - 1, -1, -1):
@@ -113,7 +117,7 @@ def full_table_dp(
                 backend=_BACKEND_NAME,
             )
         cand = dips[i]
-        selection[cand.dip] = j
+        selection[cand.dip] = orders[i][j]
         units -= to_units(cand.weights[j])
 
     weights = problem.weights_of(selection)

@@ -216,6 +216,24 @@ class TestTheImportGraphFollowsTheRun:
         ) == []
         assert "repro.parallel.epoch" in report["modules"]
 
+    @pytest.mark.parametrize("workload", ["req_serial_rr", "req_serial_klb_wrr", "req_epoch_lc"])
+    def test_a_request_run_loads_no_masked_arrays(self, workload):
+        # Its quantiles are ``grouped_quantiles``'; the first ``np.percentile``
+        # in a process imports ``numpy.ma`` (15-20 ms) through ``np.unique``.
+        assert loaded(run_warmup(workload), "numpy.ma") == []
+
+    def test_a_windowed_request_timeline_loads_no_masked_arrays(self):
+        report = run_python(
+            """
+            from repro import api
+            spec = api.ExperimentSpec.from_file("examples/specs/bursty_outage.json")
+            result = api.run(spec.with_overrides({"timeline.horizon_s": 15.0}))
+            out = [len(result.windows), result.provenance.station_path]
+            """
+        )
+        assert report["out"] == [3, "events"]
+        assert loaded(report, "numpy.ma") == []
+
     @pytest.mark.parametrize(
         "workload",
         ["ctl_cold_100", "fleet_dynamics", "req_serial_rr", "req_serial_klb_wrr", "req_epoch_lc"],

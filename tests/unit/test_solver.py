@@ -326,19 +326,25 @@ class TestMckp:
         with pytest.raises(ConfigurationError):
             solve_mckp(two_dip_problem(theta=0.1))
 
-    def test_selection_indexes_the_unsorted_candidates(self):
+    @pytest.mark.parametrize(
+        "backend",
+        [solve_mckp, solve_dp, solve_greedy, solve_branch_and_bound],
+        ids=["mckp", "dp", "greedy", "branch_and_bound"],
+    )
+    def test_selection_indexes_the_unsorted_candidates(self, backend):
         problem = AssignmentProblem(
             dips=(
                 DipCandidates(dip="a", weights=(0.8, 0.2, 0.6), latencies_ms=(8.0, 1.0, 4.0)),
-                DipCandidates(dip="b", weights=(0.4, 0.2), latencies_ms=(6.0, 2.0)),
+                DipCandidates(dip="b", weights=(0.4, 0.2), latencies_ms=(6.0, 2.5)),
             ),
             total_weight=1.0,
             total_weight_tolerance=0.0,
         )
-        result = solve_mckp(problem)
-        assert result.selection in ({"a": 0, "b": 1}, {"a": 2, "b": 0})
+        # The one optimum is 0.6 + 0.4: positions 1 and 1 of the sorted rows.
+        result = backend(problem)
+        assert result.selection == {"a": 2, "b": 0}
         assert result.weights == problem.weights_of(result.selection)
-        assert result.objective_ms == 10.0
+        assert result.objective_ms == problem.objective_of(result.selection) == 10.0
 
     def test_upper_edge_binding_is_the_mirrored_problem(self):
         # Heavier is cheaper here, so the band's upper edge is the constraint.
