@@ -19,7 +19,11 @@ import numpy as np
 from _harness import save_json, save_report
 
 from repro.backends import DipServer, custom_vm_type
-from repro.sim.fluid import least_connection_split, power_of_two_split
+from repro.sim.fluid import (
+    least_connection_split_array,
+    pool_arrays,
+    power_of_two_split_array,
+)
 from repro.workloads import build_shared_dip_fleet
 
 TABLE8_LARGEST_VIP_DIPS = 1000
@@ -36,6 +40,21 @@ def build_heterogeneous_pool(num_dips: int, *, seed: int = 0):
         vm = custom_vm_type(f"vm-{index}", vcpus=cores, capacity_rps=capacity)
         dips[f"d{index}"] = DipServer(f"d{index}", vm, seed=index)
     return dips
+
+
+# --- the vectorized splits, as a run takes them, returned as dicts -------------
+
+
+def least_connection_split(dips, total_rate_rps):
+    pool = pool_arrays(dips)
+    rates = least_connection_split_array(pool, total_rate_rps)
+    return {dip: float(r) for dip, r in zip(pool.ids, rates)}
+
+
+def power_of_two_split(dips, total_rate_rps):
+    pool = pool_arrays(dips)
+    rates = power_of_two_split_array(pool, total_rate_rps)
+    return {dip: float(r) for dip, r in zip(pool.ids, rates)}
 
 
 # --- the seed's per-DIP reference loops (preserved for comparison) -------------

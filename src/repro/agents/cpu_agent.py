@@ -96,7 +96,3 @@ class CpuAgentBalancer:
     def iterations_to_converge(self) -> int:
         """Iterations executed by the last :meth:`run` call."""
         return len(self.history)
-
-    @property
-    def converged(self) -> bool:
-        return bool(self.history) and self.history[-1].spread <= self.tolerance

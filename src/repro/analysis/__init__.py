@@ -1,13 +1,5 @@
-"""Analysis and reporting helpers."""
+"""Report formatting shared by experiments and benchmarks."""
 
-from repro.analysis.metrics import (
-    LatencyStats,
-    group_mean,
-    relative_gain,
-    utilization_spread,
-    weighted_mean,
-    weights_ratio,
-)
 from repro.analysis.reporting import (
     format_run_comparison,
     format_series,
@@ -16,12 +8,6 @@ from repro.analysis.reporting import (
 )
 
 __all__ = [
-    "LatencyStats",
-    "group_mean",
-    "relative_gain",
-    "utilization_spread",
-    "weighted_mean",
-    "weights_ratio",
     "format_run_comparison",
     "format_series",
     "format_table",

@@ -225,14 +225,6 @@ class ComparisonReport:
     def baseline(self) -> str:
         return self.names[0]
 
-    def delta_percent(self, metric: str) -> tuple[float, ...]:
-        """Per-run change vs the first run, in percent."""
-        values = self.metrics[metric]
-        base = values[0]
-        if base == 0 or base != base:
-            return tuple(float("nan") for _ in values)
-        return tuple((v - base) / abs(base) * 100.0 for v in values)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "names": list(self.names),

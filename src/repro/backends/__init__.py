@@ -23,9 +23,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "F2S_V2",
             "F8S_V2",
             "D8A_V4",
-            "all_vm_types",
             "custom_vm_type",
-            "get_vm_type",
         ),
     },
 )

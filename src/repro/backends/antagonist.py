@@ -92,14 +92,3 @@ class Antagonist:
         self.capacity_override = None
         self.history.append((at_time, 1.0))
         return 1.0
-
-    def copies_for_ratio(self, ratio: float) -> int:
-        """Smallest number of copies achieving a capacity factor <= ratio."""
-        if not 0 < ratio <= 1:
-            raise ConfigurationError("ratio must be in (0, 1]")
-        copies = 0
-        factor = 1.0
-        while factor > ratio and copies < 1000:
-            copies += 1
-            factor *= 1.0 - self.per_copy_loss
-        return copies

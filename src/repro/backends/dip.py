@@ -115,9 +115,6 @@ class DipServer:
         """Pin the DIP's capacity to ``ratio`` of its base value."""
         self.antagonist.set_capacity_ratio(ratio, at_time=at_time)
 
-    def reset_capacity(self, *, at_time: float = 0.0) -> None:
-        self.antagonist.clear(at_time=at_time)
-
     # -- load & utilization ------------------------------------------------
 
     def set_offered_rate(self, rate_rps: float) -> None:
@@ -159,35 +156,6 @@ class DipServer:
         self.failed = False
 
     # -- request serving ----------------------------------------------------
-
-    def _sample_latencies_ms(self, rate_rps: float, served: int) -> np.ndarray:
-        """Latencies of ``served`` requests at ``rate_rps``: one mean, one draw.
-
-        A vector draw fills from the same stream the scalar calls consume,
-        so a batch of n and n single requests see the same latencies.
-        """
-        if self.failed:
-            raise DipFailureError(f"DIP {self.dip_id} is down")
-        mean = self.latency_model.mean_latency_ms(
-            rate_rps, scv_correction=self.scv_correction
-        )
-        self._requests[0] += served
-        if self.jitter_fraction == 0:
-            return np.full(served, mean)
-        draws = self._rng.normal(mean, mean * self.jitter_fraction, size=served)
-        return np.maximum(mean * 0.25, draws)
-
-    def sample_request_latency_ms(self, *, rate_rps: float | None = None) -> float:
-        """Latency of one application request at the (or a given) load."""
-        rate = self.offered_rate_rps if rate_rps is None else rate_rps
-        return float(self._sample_latencies_ms(rate, 1)[0])
-
-    def sample_ping_latency_ms(self) -> float:
-        """ICMP / TCP-SYN latency; load independent (handled by the OS)."""
-        if self.failed:
-            raise DipFailureError(f"DIP {self.dip_id} is down")
-        base = self.latency_model.ping_latency_ms(self.offered_rate_rps)
-        return float(max(0.05, self._rng.normal(base, base * 0.05)))
 
     def serve_probe_batch(self, num_requests: int) -> ProbeResult:
         """Serve a KLM probe batch and report the averaged latency: a

@@ -157,32 +157,6 @@ class LatencyModel:
         util = min(self.utilization(rate_rps), 2.0)
         return base * (1.0 + 0.02 * max(0.0, util - 1.0))
 
-    def latency_at_utilization(self, utilization: float) -> float:
-        """Convenience: latency at a target utilization level."""
-        if utilization < 0:
-            raise ConfigurationError("utilization must be >= 0")
-        return self.mean_latency_ms(utilization * self.capacity_rps)
-
-    def max_rate_for_latency(self, latency_ms: float, *, tol: float = 1e-6) -> float:
-        """Largest request rate whose mean latency stays below ``latency_ms``.
-
-        Solved by bisection on the monotone ``mean_latency_ms``.
-        """
-        if latency_ms <= self.idle_latency_ms:
-            return 0.0
-        lo, hi = 0.0, self.capacity_rps * 2.0
-        if self.mean_latency_ms(hi) <= latency_ms:
-            return hi
-        for _ in range(200):
-            mid = (lo + hi) / 2.0
-            if self.mean_latency_ms(mid) <= latency_ms:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < tol:
-                break
-        return lo
-
 
 def scaled_model(model: LatencyModel, capacity_factor: float) -> LatencyModel:
     """A copy of ``model`` with capacity scaled by ``capacity_factor``.

@@ -80,21 +80,6 @@ F8S_V2 = _vm("F8sv2", "F", 8, _ds_capacity(8) * _F_SERIES_SPEEDUP, 270.0)
 F2S_V2 = _vm("F2sv2", "F", 2, _ds_capacity(2) * _F_SERIES_SPEEDUP, 68.0)
 D8A_V4 = _vm("D8av4", "D", 8, _ds_capacity(8), 280.0)
 
-_CATALOGUE: dict[str, VMType] = {
-    vm.name: vm
-    for vm in (DS1_V2, DS2_V2, DS3_V2, DS4_V2, F8S_V2, F2S_V2, D8A_V4)
-}
-
-
-def get_vm_type(name: str) -> VMType:
-    """Look up a VM type by name (raises ``KeyError`` for unknown names)."""
-    return _CATALOGUE[name]
-
-
-def all_vm_types() -> tuple[VMType, ...]:
-    return tuple(_CATALOGUE.values())
-
-
 def custom_vm_type(
     name: str,
     *,

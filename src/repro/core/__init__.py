@@ -2,8 +2,10 @@
 
 Curve fitting (§4.2), adaptive weight exploration (§4.3), the Fig. 7 ILP
 (§3.3) with multi-step refinement (§4.4), measurement scheduling (§4.6),
-dynamics handling (§4.5), drain-time estimation (§4.7) and the controller
-that ties them together (§3.2, §5).
+dynamics handling (§4.5) and the controller that ties them together (§3.2,
+§5).  Drain-time estimation (§4.7) is not modelled: the controller measures
+on the fluid substrate, where new weights hold at once, so no measurement
+waits for old connections to drain.
 """
 
 from repro._lazy import lazy_exports
@@ -36,20 +38,13 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "FleetRound",
             "VipPhase",
         ),
-        "repro.core.curve": ("WeightLatencyCurve", "fit_curve", "fit_error"),
-        "repro.core.drain": (
-            "DrainEstimate",
-            "DrainTimeEstimator",
-            "analytic_drain_time_s",
-        ),
+        "repro.core.curve": ("WeightLatencyCurve", "fit_curve"),
         "repro.core.dynamics": (
             "DynamicsDetector",
             "DynamicsEvent",
             "DynamicsEventKind",
             "Observation",
-            "RefreshBudget",
             "rescale_all_curves",
-            "rescale_curve_for_observation",
         ),
         "repro.core.exploration": ("ExplorationState", "ExplorationStep"),
         "repro.core.ilp": (
@@ -68,7 +63,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.core.types": (
             "DipId",
-            "DipRecord",
             "LatencySample",
             "MeasurementPoint",
             "VipId",

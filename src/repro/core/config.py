@@ -10,8 +10,7 @@ Default values follow the paper's prototype (§4, §5):
 * polynomial regression of degree 2;
 * the ILP is fed 10 candidate weights per DIP per step and the multi-step
   refinement uses a ±10 %·w_max window;
-* capacity-change detection threshold is ±20 % of the estimated latency;
-* at most 5 % of total capacity may be under curve refresh at a time.
+* capacity-change detection threshold is ±20 % of the estimated latency.
 """
 
 from __future__ import annotations
@@ -432,9 +431,11 @@ class DynamicsConfig(Validated):
     traffic_change_quorum: float = checked(0.80, within("(0, 1]"))
     #: consecutive failed probe batches before a DIP is declared failed.
     failure_probe_threshold: int = checked(3, within("[1, inf)"))
-    #: fraction of total capacity allowed to be under refresh simultaneously.
+    #: fraction of total capacity allowed to be under refresh simultaneously
+    #: (§4.5's refresh budget).  Nothing reads it: no budget is enforced.
     max_refresh_fraction: float = checked(0.05, within("(0, 1]"))
-    #: how often (seconds) the drain time is re-estimated (§4.7).
+    #: how often (seconds) the drain time is re-estimated (§4.7).  Nothing
+    #: reads it: §4.7's drain-time estimation is not modelled.
     drain_recalibration_interval_s: float = 120.0 * 60.0
 
 
@@ -446,7 +447,8 @@ class ProbeConfig(Validated):
     interval_s: float = checked(5.0, within("(0, inf)"))
     #: number of requests averaged per probe batch.
     requests_per_probe: int = checked(100, within("[1, inf)"))
-    #: probe timeout, seconds; a timed-out probe counts as a failure.
+    #: probe timeout, seconds.  Nothing reads it: no probe times out; a probe
+    #: fails only on a DIP that is down.
     timeout_s: float = checked(2.0, within("(0, inf)"))
 
 
@@ -457,7 +459,8 @@ class SchedulerConfig(Validated):
     #: duration of one scheduling round, seconds (10 s in the paper §6.1).
     round_duration_s: float = checked(10.0, within("(0, inf)"))
     #: latency above this multiple of the idle latency marks a DIP as
-    #: over-utilized (priority class (a) in §4.6).
+    #: over-utilized (priority class (a) in §4.6).  Nothing reads it: class
+    #: (a) is never populated (``begin_exploration`` is passed no DIPs).
     overutilized_latency_multiplier: float = checked(3.0, within("(1, inf)"))
 
 

@@ -83,13 +83,6 @@ class WeightLatencyCurve:
 
     # -- inversion and rescaling (§4.5) -------------------------------------------
 
-    def weight_for_latency(
-        self, latency_ms: float, *, upper: float | None = None, tol: float = 1e-6
-    ) -> float:
-        """The smallest weight whose predicted latency reaches ``latency_ms``:
-        one row of :func:`weights_for_latencies`."""
-        return float(weights_for_latencies((self,), (latency_ms,), upper=upper, tol=tol)[0])
-
     def rescaled(self, delta: float) -> "WeightLatencyCurve":
         """Shift the curve along the weight axis by multiplying weights by δ.
 
@@ -108,18 +101,6 @@ class WeightLatencyCurve:
             fit_points=self.fit_points,
             enforce_monotone=self.enforce_monotone,
         )
-
-    def rescale_for_latency_shift(
-        self, weight: float, observed_latency_ms: float
-    ) -> "WeightLatencyCurve":
-        """Rescale so the curve predicts ``observed_latency_ms`` at ``weight``.
-
-        This is the full §4.5 mechanism: find ``w2`` (the weight at which the
-        current curve predicts the observed latency), compute
-        ``δ = w1 / w2`` and apply :meth:`rescaled`.  One row of
-        :func:`rescale_for_latency_shifts`.
-        """
-        return rescale_for_latency_shifts((self,), (weight,), (observed_latency_ms,))[0]
 
 
 # -- the curve-bank kernels ----------------------------------------------------------
@@ -315,8 +296,11 @@ def rescale_for_latency_shifts(
     observed_latencies_ms: Sequence[float],
 ) -> list[WeightLatencyCurve]:
     """The §4.5 shift of every ``curves[i]`` to ``observed_latencies_ms[i]``
-    at ``weights[i]`` (see :meth:`WeightLatencyCurve.rescale_for_latency_shift`),
-    with one :func:`weights_for_latencies` over the bank."""
+    at ``weights[i]``, with one :func:`weights_for_latencies` over the bank.
+
+    This is the full §4.5 mechanism: find ``w2``, the weight at which the
+    current curve predicts the observed latency, compute ``δ = w1 / w2`` and
+    apply :meth:`WeightLatencyCurve.rescaled`."""
     if any(weight <= 0 for weight in weights):
         raise ConfigurationError("weight must be positive")
     shifted: list[WeightLatencyCurve] = []
@@ -451,14 +435,3 @@ def fit_curve(
         fit_points=tuple(usable),
         enforce_monotone=config.enforce_monotone,
     )
-
-
-def fit_error(curve: WeightLatencyCurve, points: Sequence[MeasurementPoint]) -> float:
-    """Root-mean-square error of the curve against (non-dropped) points."""
-    usable = [p for p in points if not p.dropped]
-    if not usable:
-        return 0.0
-    errors = curve.predict_many([p.weight for p in usable]) - np.array(
-        [p.latency_ms for p in usable]
-    )
-    return float(np.sqrt(np.mean(np.square(errors))))

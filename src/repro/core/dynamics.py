@@ -13,14 +13,15 @@ Three kinds of drift can make a learned weight-latency curve stale:
 * **Failure** — KLM probes to a DIP repeatedly fail.  Reaction: drop the
   DIP and re-run the ILP without it.
 
-This module also implements the refresh-budget rule: at most 5 % of total
-capacity may be under curve refresh at any time.
+The paper's refresh budget (at most 5 % of total capacity under curve
+refresh at any time) is not enforced: nothing reads
+``DynamicsConfig.max_refresh_fraction``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.core.config import DynamicsConfig
@@ -142,15 +143,6 @@ class DynamicsDetector:
         return events
 
 
-def rescale_curve_for_observation(
-    curve: WeightLatencyCurve, observation: Observation
-) -> WeightLatencyCurve:
-    """Apply the §4.5 curve shift so it matches the observed latency."""
-    return curve.rescale_for_latency_shift(
-        observation.weight, observation.observed_latency_ms
-    )
-
-
 def rescale_all_curves(
     curves: Mapping[DipId, WeightLatencyCurve],
     observations: Sequence[Observation],
@@ -173,46 +165,3 @@ def rescale_all_curves(
         )
     )
     return updated
-
-
-@dataclass
-class RefreshBudget:
-    """Tracks how much capacity is currently under curve refresh (§4.5).
-
-    At most ``max_refresh_fraction`` of the VIP's total capacity may be in
-    refresh at any time; the budget is expressed in capacity units
-    (requests/second) so large DIPs consume more of it.
-    """
-
-    total_capacity: float
-    max_refresh_fraction: float = 0.05
-    in_refresh: dict[DipId, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.total_capacity <= 0:
-            raise ConfigurationError("total_capacity must be positive")
-        if not 0 < self.max_refresh_fraction <= 1:
-            raise ConfigurationError("max_refresh_fraction must be in (0, 1]")
-
-    @property
-    def budget(self) -> float:
-        return self.total_capacity * self.max_refresh_fraction
-
-    @property
-    def used(self) -> float:
-        return sum(self.in_refresh.values())
-
-    def can_start(self, dip: DipId, capacity: float) -> bool:
-        if dip in self.in_refresh:
-            return True
-        return self.used + capacity <= self.budget + 1e-9
-
-    def start(self, dip: DipId, capacity: float) -> None:
-        if not self.can_start(dip, capacity):
-            raise ConfigurationError(
-                f"refresh budget exceeded: {self.used + capacity:.1f} > {self.budget:.1f}"
-            )
-        self.in_refresh[dip] = capacity
-
-    def finish(self, dip: DipId) -> None:
-        self.in_refresh.pop(dip, None)

@@ -57,9 +57,6 @@ class FleetRound:
     #: DIPs measured this round, per VIP, at their scheduled weights.
     measured: Mapping[VipId, Mapping[DipId, float]]
 
-    def measured_dips(self) -> tuple[DipId, ...]:
-        return tuple(d for per_vip in self.measured.values() for d in per_vip)
-
 
 @dataclass
 class FleetMeasurementReport:

@@ -121,10 +121,6 @@ class MeasurementScheduler:
             sorted(self._pending, key=lambda r: (r.priority, r.sequence))
         )
 
-    @property
-    def has_pending(self) -> bool:
-        return bool(self._pending)
-
     # -- building a round ---------------------------------------------------------
 
     def plan_round(

@@ -14,7 +14,7 @@ The paper's terminology is kept throughout the code base:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -187,10 +187,6 @@ class WeightAssignment:
     def total_weight(self) -> float:
         return float(left_to_right_sum(self.weights.values()))
 
-    def is_normalized(self, *, tolerance: float = 1e-3) -> bool:
-        """Whether the weights sum to 1 within ``tolerance``."""
-        return abs(self.total_weight - 1.0) <= tolerance
-
     def weight_for(self, dip: DipId) -> float:
         return float(self.weights.get(dip, 0.0))
 
@@ -206,35 +202,6 @@ class WeightAssignment:
             objective_ms=self.objective_ms,
             solve_time_s=self.solve_time_s,
         )
-
-    def imbalance(self) -> float:
-        """``ymax - ymin`` across DIPs, the quantity bounded by θ (Fig. 7c)."""
-        if not self.weights:
-            return 0.0
-        values = list(self.weights.values())
-        return max(values) - min(values)
-
-
-@dataclass
-class DipRecord:
-    """Mutable bookkeeping the controller keeps per DIP."""
-
-    dip: DipId
-    vip: VipId
-    #: latest weight programmed on the dataplane for this DIP.
-    current_weight: float = 0.0
-    #: maximum weight observed without packet drop (w_max in Algorithm 1).
-    w_max: float = 0.0
-    #: whether exploration finished and the DIP is ready for the ILP.
-    exploration_done: bool = False
-    #: whether the DIP is currently considered failed (§4.5).
-    failed: bool = False
-    #: measurement points collected so far.
-    points: list[MeasurementPoint] = field(default_factory=list)
-
-    def usable_points(self) -> list[MeasurementPoint]:
-        """Points without packet drop — the only ones used for regression."""
-        return [p for p in self.points if not p.dropped]
 
 
 def normalize_weights(weights: Mapping[DipId, float]) -> dict[DipId, float]:

@@ -60,7 +60,7 @@ class KLM:
     store:
         The latency store samples are written to.
     config:
-        Probe interval / batch size / timeout.
+        Probe interval and batch size.
     """
 
     vip: VipId
@@ -107,10 +107,6 @@ class KLM:
         """Send one probe batch to a single DIP and record the sample."""
         return _outcomes(self.probe_round((dip_id,), now=now), now)[dip_id]
 
-    def probe_all(self, *, now: float) -> dict[DipId, ProbeOutcome]:
-        """Probe every DIP once (one probe round)."""
-        return _outcomes(self.probe_round(tuple(self.dips), now=now), now)
-
     def failures(self, threshold: int) -> tuple[DipId, ...]:
         """DIPs whose probes failed at least ``threshold`` consecutive times."""
         return tuple(
@@ -118,18 +114,3 @@ class KLM:
             for dip, count in self.consecutive_failures.items()
             if count >= threshold
         )
-
-    # -- capacity planning (§6.7) ---------------------------------------------------
-
-    def probe_rate_rps(self) -> float:
-        """Probe requests per second this KLM issues."""
-        return len(self.dips) * self.config.requests_per_probe / self.config.interval_s
-
-    def cores_required(self) -> float:
-        """KLM cores needed to sustain the probe rate (4 500 req/s per core)."""
-        return self.probe_rate_rps() / KLM_REQUESTS_PER_SECOND_PER_CORE
-
-    def max_dips_per_core(self) -> int:
-        """How many DIPs one KLM core can probe at the configured cadence."""
-        per_dip_rate = self.config.requests_per_probe / self.config.interval_s
-        return int(KLM_REQUESTS_PER_SECOND_PER_CORE // per_dip_rate)

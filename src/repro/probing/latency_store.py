@@ -99,17 +99,6 @@ class LatencyStore:
         result.sort(key=lambda s: s.timestamp)
         return result
 
-    def latest(self, vip: VipId, dip: DipId) -> LatencySample | None:
-        """The most recent sample for ``(vip, dip)``, if any."""
-        self.stats.reads += 1
-        samples = self._data.get(vip, {}).get(dip, [])
-        return LatencySample(dip, *samples[-1]) if samples else None
-
-    def latest_per_dip(self, vip: VipId) -> dict[DipId, LatencySample]:
-        self.stats.reads += 1
-        per_vip = self._data.get(vip, {})
-        return {dip: LatencySample(dip, *s[-1]) for dip, s in per_vip.items() if s}
-
     # -- maintenance -----------------------------------------------------------------
 
     def clear(self, vip: VipId | None = None) -> None:
@@ -117,12 +106,3 @@ class LatencyStore:
             self._data.clear()
         else:
             self._data.pop(vip, None)
-
-    def sample_count(self, vip: VipId | None = None) -> int:
-        if vip is not None:
-            return sum(len(s) for s in self._data.get(vip, {}).values())
-        return sum(
-            len(samples)
-            for per_vip in self._data.values()
-            for samples in per_vip.values()
-        )

@@ -24,14 +24,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "FluidCluster",
             "FluidClusterState",
             "PoolArrays",
-            "equal_split",
-            "least_connection_split",
             "pool_arrays",
-            "power_of_two_split",
-            "split_for_policy",
             "vector_mean_latency_ms",
             "vector_utilization",
-            "weighted_split",
         ),
         "repro.sim.queueing": ("DipStation", "DipQueueStats"),
         "repro.sim.request": ("Request", "RequestOutcome"),
@@ -42,6 +37,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "fraction_of_requests_improved",
             "max_latency_gain",
         ),
-        "repro.sim.vip": ("Vip", "Vnet"),
+        "repro.sim.vip": ("Vip",),
     },
 )

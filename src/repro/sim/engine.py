@@ -229,33 +229,3 @@ class EventScheduler:
         if end_time > self._now:
             self._now = end_time
         return executed
-
-    def run_all(self, *, max_events: int = 10_000_000) -> int:
-        """Run until no events remain (bounded by ``max_events``)."""
-        executed = 0
-        queue = self._queue
-        pop = heapq.heappop
-        try:
-            while queue:
-                time, _, payload = pop(queue)
-                cls = payload.__class__
-                if cls is EventHandle and payload.cancelled:
-                    self._cancelled -= 1
-                    continue
-                if time > self._now:
-                    self._now = time
-                if cls is tuple:
-                    payload[0](payload[1])
-                elif cls is EventHandle:
-                    payload.popped = True
-                    payload.callback()
-                else:
-                    payload()
-                executed += 1
-                if executed >= max_events:
-                    raise SimulationError(
-                        f"run_all exceeded {max_events} events; runaway simulation?"
-                    )
-        finally:
-            self._processed += executed
-        return executed

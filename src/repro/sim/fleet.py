@@ -275,22 +275,6 @@ class Fleet:
         self._last_state = None
         return vip
 
-    def add_vip(self, vip: Vip) -> Vip:
-        """Register an existing :class:`Vip`; its DIPs join the fleet."""
-        if vip.vip_id in self.vips:
-            raise ConfigurationError(f"VIP {vip.vip_id!r} already in fleet")
-        for dip_id, server in vip.dips.items():
-            existing = self.dips.get(dip_id)
-            if existing is None:
-                self.dips[dip_id] = server
-            elif existing is not server:
-                raise ConfigurationError(
-                    f"DIP {dip_id!r} of VIP {vip.vip_id!r} conflicts with the fleet's"
-                )
-        self.vips[vip.vip_id] = vip
-        self._last_state = None
-        return vip
-
     def remove_vip(self, vip_id: VipId) -> Vip:
         try:
             vip = self.vips.pop(vip_id)

@@ -8,8 +8,7 @@ Table 8) studies; the request-level simulator in :mod:`repro.sim.cluster`
 cross-checks the resulting latency distributions.
 
 All policy splits and latency evaluations operate on numpy arrays covering
-the whole pool in one shot (:class:`PoolArrays`); the dict-based public
-functions are thin wrappers over the vectorized kernels.  This is what lets
+the whole pool in one shot (:class:`PoolArrays`).  This is what lets
 :class:`repro.sim.fleet.Fleet` evaluate thousands of DIPs shared by many
 VIPs per control interval.
 
@@ -30,7 +29,7 @@ Fluid interpretations of the policies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -327,97 +326,6 @@ def split_rates_array(
             pool, total_rate_rps, background_rps=background_rps
         )
     raise ConfigurationError(f"no fluid model for policy {policy_name!r}")
-
-
-# ---------------------------------------------------------------------------
-# dict-based wrappers (the original public API)
-# ---------------------------------------------------------------------------
-
-
-def equal_split(dips: Sequence[DipId], total_rate_rps: float) -> dict[DipId, float]:
-    """Equal division of the arrival rate across DIPs."""
-    if not dips:
-        return {}
-    share = total_rate_rps / len(dips)
-    return {dip: share for dip in dips}
-
-
-def weighted_split(
-    weights: Mapping[DipId, float], total_rate_rps: float
-) -> dict[DipId, float]:
-    """Division proportional to (non-negative) weights."""
-    ids = list(weights)
-    rates = weighted_split_array(
-        np.array([weights[d] for d in ids], dtype=np.float64), total_rate_rps
-    )
-    return {dip: float(r) for dip, r in zip(ids, rates)}
-
-
-def least_connection_split(
-    dips: Mapping[DipId, DipServer],
-    total_rate_rps: float,
-    *,
-    weights: Mapping[DipId, float] | None = None,
-    iterations: int = 200,
-    damping: float = 0.5,
-) -> dict[DipId, float]:
-    """The fluid equilibrium of (weighted) least-connection selection."""
-    if not dips:
-        return {}
-    pool = pool_arrays(dips)
-    weight_vec = (
-        None
-        if weights is None
-        else np.array([weights.get(d, 1.0) for d in pool.ids])
-    )
-    rates = least_connection_split_array(
-        pool,
-        total_rate_rps,
-        weights=weight_vec,
-        iterations=iterations,
-        damping=damping,
-    )
-    return {dip: float(r) for dip, r in zip(pool.ids, rates)}
-
-
-def power_of_two_split(
-    dips: Mapping[DipId, DipServer],
-    total_rate_rps: float,
-    *,
-    iterations: int = 100,
-    damping: float = 0.5,
-) -> dict[DipId, float]:
-    """Fluid approximation of power-of-two-choices on CPU utilization."""
-    if not dips:
-        return {}
-    pool = pool_arrays(dips)
-    rates = power_of_two_split_array(
-        pool, total_rate_rps, iterations=iterations, damping=damping
-    )
-    return {dip: float(r) for dip, r in zip(pool.ids, rates)}
-
-
-def split_for_policy(
-    policy_name: str,
-    dips: Mapping[DipId, DipServer],
-    total_rate_rps: float,
-    *,
-    weights: Mapping[DipId, float] | None = None,
-) -> dict[DipId, float]:
-    """Dispatch to the fluid split of the named policy."""
-    healthy = {d: s for d, s in dips.items() if not s.failed}
-    if not healthy:
-        raise ConfigurationError("no healthy DIPs")
-    pool = pool_arrays(healthy)
-    weight_vec = (
-        None
-        if weights is None
-        else np.array([weights.get(d, 0.0) for d in pool.ids], dtype=np.float64)
-    )
-    rates = split_rates_array(
-        policy_name, pool, total_rate_rps, weights=weight_vec
-    )
-    return {dip: float(r) for dip, r in zip(pool.ids, rates)}
 
 
 # ---------------------------------------------------------------------------

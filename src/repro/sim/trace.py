@@ -697,16 +697,6 @@ class MetricsCollector:
             )
         return rows
 
-    # -- comparisons ------------------------------------------------------------
-
-    def latency_cdf(self, *, points: int = 100) -> tuple[np.ndarray, np.ndarray]:
-        """(latency, cumulative fraction) pairs for CDF plotting/reporting."""
-        values = self.latencies_ms()
-        if values.size == 0:
-            return np.array([]), np.array([])
-        fractions = np.linspace(0, 1, points)
-        return _quantiles(values, fractions), fractions
-
 
 def fraction_of_requests_improved(
     baseline: MetricsCollector, improved: MetricsCollector

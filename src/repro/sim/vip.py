@@ -1,18 +1,16 @@
-"""VIPs and VNETs — the service-facing side of the load balancer.
+"""VIPs — the service-facing side of the load balancer.
 
 A :class:`Vip` is one externally-visible virtual IP fronting a pool of
-DIPs; a :class:`Vnet` is the customer virtual network that contains the
-DIPs (KLM instances are deployed per VNET, §3.2).  A VIP carries its own
-traffic description (aggregate rate, LB policy, programmed weights), so a
-:class:`repro.sim.fleet.Fleet` can evaluate many VIPs contending for a
-shared DIP fleet; in the single-VIP experiments the same container simply
-holds the whole pool.
+DIPs.  A VIP carries its own traffic description (aggregate rate, LB
+policy, programmed weights), so a :class:`repro.sim.fleet.Fleet` can
+evaluate many VIPs contending for a shared DIP fleet; in the single-VIP
+experiments the same container simply holds the whole pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from repro.backends.dip import DipServer
 from repro.core.types import DipId, VipId, left_to_right_sum
@@ -74,33 +72,3 @@ class Vip:
 
     def __iter__(self) -> Iterator[DipServer]:
         return iter(self.dips.values())
-
-
-@dataclass
-class Vnet:
-    """A customer virtual network holding one or more VIPs.
-
-    The paper assumes one VIP per VNET (§3.2); that remains the default via
-    the ``vip`` accessor, but a VNET may carry several VIPs whose pools all
-    live in the same network (the Table 8 fleet mixes both shapes).
-    """
-
-    vnet_id: str
-    vip: Vip
-    extra_vips: list[Vip] = field(default_factory=list)
-
-    @property
-    def vips(self) -> tuple[Vip, ...]:
-        return (self.vip, *self.extra_vips)
-
-    def add_vip(self, vip: Vip) -> None:
-        if vip.vip_id in {v.vip_id for v in self.vips}:
-            raise ConfigurationError(f"VIP {vip.vip_id!r} already in VNET {self.vnet_id!r}")
-        self.extra_vips.append(vip)
-
-    @property
-    def dips(self) -> Mapping[DipId, DipServer]:
-        merged: dict[DipId, DipServer] = {}
-        for vip in self.vips:
-            merged.update(vip.dips)
-        return merged

@@ -44,8 +44,6 @@ __getattr__, __dir__, _exports = lazy_exports(
         "repro.solver.assignment": (
             "AssignmentProblem",
             "DipCandidates",
-            "build_problem",
-            "uniform_candidates",
             "uniform_weight_grid",
         ),
         "repro.solver.branch_and_bound": ("solve_branch_and_bound",),

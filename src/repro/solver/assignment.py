@@ -220,26 +220,6 @@ class AssignmentProblem:
     def dip_ids(self) -> tuple[DipId, ...]:
         return self.ids
 
-    def candidates_for(self, dip: DipId) -> DipCandidates:
-        for cand in self.dips:
-            if cand.dip == dip:
-                return cand
-        raise KeyError(dip)
-
-    def weight_bounds(self) -> tuple[float, float]:
-        """Smallest and largest achievable total weight."""
-        rows = [[w for w in row if w < math.inf] for row in self._rows[0]]
-        return left_to_right_sum(map(min, rows)), left_to_right_sum(map(max, rows))
-
-    def is_sum_feasible(self) -> bool:
-        """Whether the target sum lies within the achievable range."""
-        low, high = self.weight_bounds()
-        return (
-            low - self.total_weight_tolerance
-            <= self.total_weight
-            <= high + self.total_weight_tolerance
-        )
-
     def objective_of(self, selection: Mapping[DipId, int]) -> float:
         """Total latency of a selection (candidate index per DIP)."""
         return left_to_right_sum(
@@ -264,36 +244,6 @@ class AssignmentProblem:
         )
 
 
-def build_problem(
-    latency_table: Mapping[DipId, Mapping[float, float]],
-    *,
-    total_weight: float = 1.0,
-    total_weight_tolerance: float = 0.01,
-    theta: float | None = None,
-    w_max: Mapping[DipId, float] | None = None,
-) -> AssignmentProblem:
-    """Convenience constructor from ``{dip: {weight: latency_ms}}``."""
-    w_max = w_max or {}
-    dips = []
-    for dip, table in latency_table.items():
-        weights = tuple(sorted(table))
-        latencies = tuple(float(table[w]) for w in weights)
-        dips.append(
-            DipCandidates(
-                dip=dip,
-                weights=weights,
-                latencies_ms=latencies,
-                w_max=w_max.get(dip),
-            )
-        )
-    return AssignmentProblem(
-        dips=tuple(dips),
-        total_weight=total_weight,
-        total_weight_tolerance=total_weight_tolerance,
-        theta=theta,
-    )
-
-
 def uniform_weight_grid(
     lower: float | np.ndarray, upper: float | np.ndarray, count: int
 ) -> np.ndarray:
@@ -311,26 +261,3 @@ def uniform_weight_grid(
     step = (upper - lower) / (count - 1)
     # ``np.clip(grid, 0.0, 1.0)``, element for element, without its wrapper.
     return np.minimum(1.0, np.maximum(0.0, lower[..., None] + np.arange(count) * step[..., None]))
-
-
-def uniform_candidates(
-    dip: DipId,
-    latency_fn,
-    *,
-    count: int,
-    upper: float,
-    lower: float = 0.0,
-    w_max: float | None = None,
-) -> DipCandidates:
-    """Candidate weights spaced uniformly in ``[lower, upper]``.
-
-    ``latency_fn`` maps a weight to the estimated latency (typically the
-    fitted weight-latency curve's ``predict``).
-    """
-    weights = uniform_weight_grid(lower, upper, count).tolist()
-    return DipCandidates(
-        dip=dip,
-        weights=tuple(weights),
-        latencies_ms=tuple(max(0.0, float(latency_fn(w))) for w in weights),
-        w_max=w_max,
-    )

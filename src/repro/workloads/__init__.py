@@ -36,7 +36,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "build_uniform_pool",
             "fleet_from_pool",
             "split_dip_ids",
-            "table8_total_dips",
             "table8_vip_counts",
         ),
     },

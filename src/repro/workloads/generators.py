@@ -60,18 +60,6 @@ class TestbedLayout:
 
     dips: dict[DipId, DipServer]
 
-    def by_type(self) -> dict[str, list[DipId]]:
-        groups: dict[str, list[DipId]] = {}
-        for dip_id, server in self.dips.items():
-            groups.setdefault(server.vm_type.name, []).append(dip_id)
-        return groups
-
-    def by_core_count(self) -> dict[int, list[DipId]]:
-        groups: dict[int, list[DipId]] = {}
-        for dip_id, server in self.dips.items():
-            groups.setdefault(server.vm_type.vcpus, []).append(dip_id)
-        return groups
-
     @property
     def total_capacity_rps(self) -> float:
         return left_to_right_sum(s.capacity_rps for s in self.dips.values())
@@ -376,7 +364,3 @@ def build_shared_dip_fleet(
 def table8_vip_counts() -> dict[int, int]:
     """{DIPs-per-VIP: number of VIPs} of the Table 8 datacenter workload."""
     return {size: count for size, count in TABLE8_VIP_MIX}
-
-
-def table8_total_dips() -> int:
-    return sum(size * count for size, count in TABLE8_VIP_MIX)

@@ -135,10 +135,10 @@ def test_request_artifact_is_the_same_under_a_compensated_builtin_sum(
 
 
 def test_control_path_sums_add_left_to_right(monkeypatch):
-    """Four sums of the control path, each on values a compensated sum adds
-    differently: the weight band, greedy's starting total (here the whole
-    answer: at zero tolerance only the left-to-right total 1.0 is in band)
-    and the fleet's and a VIP's pool capacity."""
+    """Three sums of the control path, each on values a compensated sum adds
+    differently: greedy's starting total (here the whole answer: at zero
+    tolerance only the left-to-right total 1.0 is in band) and the fleet's
+    and a VIP's pool capacity."""
     from repro.backends import DipServer, custom_vm_type
     from repro.core.types import left_to_right_sum
     from repro.sim.fleet import Fleet
@@ -161,7 +161,6 @@ def test_control_path_sums_add_left_to_right(monkeypatch):
     assert left_to_right_sum(capacities) == 1999.8 != neumaier_sum(capacities)
 
     monkeypatch.setattr(builtins, "sum", neumaier_sum)
-    assert problem.weight_bounds() == (1.0, 3.0)
     greedy = solve_greedy(problem)
     assert greedy.status.has_solution and greedy.weights == dict(zip(("d0", "d1", "d2"), tiny))
     assert fleet.total_capacity_rps == vip.total_capacity_rps == 1999.8

@@ -78,7 +78,7 @@ class TestMultiVipSharedDips:
         plane = shared_dip_result.detail["plane"]
         assert plane.round_log
         for entry in plane.round_log:
-            measured = entry.measured_dips()
+            measured = [d for per_vip in entry.measured.values() for d in per_vip]
             assert len(measured) == len(set(measured))
 
     def test_squeeze_arrives_as_timeline_event(self, shared_dip_result):

@@ -85,7 +85,6 @@ def test_every_backend_solves_the_table_as_the_candidates(table):
     handmade = from_candidates(ids, weights, costs, w_max, **band)
     assert built == handmade and hash(built) == hash(handmade)
     assert built.dips == handmade.dips
-    assert built.weight_bounds() == handmade.weight_bounds()
     cache = SolveCache()
     for backend in available_backends():
         if band["theta"] is not None and backend in ("dp", "mckp"):

@@ -2,8 +2,10 @@
 
 Every split policy must conserve the total arrival rate (what goes into a
 VIP comes out across its DIPs) and never assign a negative rate, for any
-pool composition, weighting and load level.  The vectorized kernels must
-also agree with the scalar per-DIP latency model they replaced.
+pool composition, weighting and load level.  The splits are taken the way a
+run takes them: a one-VIP fleet (:class:`FluidCluster`) applying its policy.
+The vectorized kernels must also agree with the scalar per-DIP latency model
+they replaced.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from hypothesis import strategies as st
 
 from repro.backends import DipServer, custom_vm_type
 from repro.sim.fluid import (
+    FluidCluster,
     pool_arrays,
-    split_for_policy,
     vector_mean_latency_ms,
     vector_utilization,
 )
@@ -40,6 +42,14 @@ def pools(draw, min_dips=1, max_dips=8):
     return dips, weights
 
 
+def fluid_rates(policy, dips, total, weights=None):
+    """Each DIP's rate once a one-VIP fleet has applied ``policy``."""
+    cluster = FluidCluster(
+        dips=dips, total_rate_rps=total, policy_name=policy, weights=dict(weights or {})
+    )
+    return cluster.state().rates_rps
+
+
 def _one_dip_pool(weight: float):
     vm = custom_vm_type("vm-0", vcpus=1, capacity_rps=50.0)
     return {"d0": DipServer("d0", vm, seed=0, jitter_fraction=0.0)}, {"d0": weight}
@@ -58,7 +68,7 @@ class TestSplitInvariants:
     def test_splits_conserve_rate_and_stay_nonnegative(self, pool, policy, load):
         dips, weights = pool
         total = load * sum(d.capacity_rps for d in dips.values())
-        rates = split_for_policy(policy, dips, total, weights=weights)
+        rates = fluid_rates(policy, dips, total, weights)
         assert set(rates) == set(dips)
         assert all(rate >= 0.0 for rate in rates.values())
         assert sum(rates.values()) == pytest.approx(total, rel=1e-6, abs=1e-6)
@@ -70,8 +80,8 @@ class TestSplitInvariants:
         total = 0.5 * sum(d.capacity_rps for d in dips.values())
         failed = next(iter(dips))
         dips[failed].fail()
-        rates = split_for_policy(policy, dips, total, weights=weights)
-        assert failed not in rates
+        rates = fluid_rates(policy, dips, total, weights)
+        assert rates.pop(failed) == 0.0
         assert sum(rates.values()) == pytest.approx(total, rel=1e-6, abs=1e-6)
 
     @given(pool=pools(), load=st.floats(min_value=0.0, max_value=1.5))
@@ -79,7 +89,7 @@ class TestSplitInvariants:
     def test_equal_policies_split_equally(self, pool, load):
         dips, _ = pool
         total = load * sum(d.capacity_rps for d in dips.values())
-        rates = split_for_policy("rr", dips, total)
+        rates = fluid_rates("rr", dips, total)
         share = total / len(dips)
         assert all(rate == pytest.approx(share) for rate in rates.values())
 

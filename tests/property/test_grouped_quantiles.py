@@ -1,9 +1,9 @@
 """``grouped_quantiles`` is ``np.quantile`` / ``np.percentile`` per group, bit for bit.
 
 Every quantile a run reports — the per-DIP p50 / p90 / p99, the headline and
-window p50 / p99, the CDF and comparison grids, ``LatencyStats`` — comes
-from :func:`repro.core.types.grouped_quantiles`: one sort per group on a
-copy and numpy's ``linear`` interpolation (Hyndman & Fan's method 7).  The
+window p50 / p99 and the comparison grids — comes from
+:func:`repro.core.types.grouped_quantiles`: one sort per group on a copy and
+numpy's ``linear`` interpolation (Hyndman & Fan's method 7).  The
 oracle is numpy itself, called on each group alone, and results are
 compared as their int64 bit patterns, so a ``-0.0`` for ``0.0`` or one ulp
 of a different rounding fails.  The draws cover groups of one, two and
@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.metrics import LatencyStats
 from repro.core.types import grouped_quantiles
 from repro.sim.trace import (
     MetricsCollector,
@@ -177,14 +176,6 @@ def test_the_collector_folds_are_numpys(seed, size):
         got = [window["metrics"]["p50_latency_ms"], window["metrics"]["p99_latency_ms"]]
         expected = np.percentile(rows, [50, 99]) if rows else [np.nan] * 2
         assert bits(got) == bits(expected)
-    fractions = np.linspace(0, 1, 100)
-    latency, cumulative = metrics.latency_cdf()
-    assert bits(latency) == bits(np.quantile(np.sort(completed), fractions))
-    assert bits(cumulative) == bits(fractions)
-    stats = LatencyStats.from_samples(completed.tolist())
-    assert bits([stats.p50_ms, stats.p90_ms, stats.p95_ms, stats.p99_ms]) == bits(
-        [np.percentile(completed, p) for p in (50, 90, 95, 99)]
-    )
 
 
 def test_the_comparisons_read_the_same_quantiles():

@@ -3,8 +3,8 @@
 A round serves every DIP's batch in one :func:`serve_probe_round`: each DIP
 draws its drops and one standard normal per served request from its own
 generator, then the latencies and their means are one array pass, and the
-store takes the round in one write.  ``probe_all`` and ``probe_dip`` read
-their outcomes off a round.  :func:`reference_probe_dip` below is
+store takes the round in one write.  ``probe_dip`` reads its outcome off a
+one-DIP round.  :func:`reference_probe_dip` below is
 the per-DIP ``KLM.probe_dip`` / ``DipServer.serve_probe_batch`` it
 replaced, kept verbatim bar the request counters (now a list on the
 server).  For failed, fully dropped, partly dropped, zero-jitter and
@@ -172,7 +172,7 @@ def test_round_equals_the_per_dip_loop(shapes, requests, seed, rounds):
         now = 5.0 * tick
         want = {dip: reference_probe_dip(oracle, dip, now=now) for dip in oracle.dips}
         if tick % 2:
-            got = klm.probe_all(now=now)
+            got = {dip: klm.probe_dip(dip, now=now) for dip in klm.dips}
             assert bits(got) == bits(want)
             assert got == want
         else:

@@ -108,7 +108,7 @@ class TestCurveProperties:
     @settings(max_examples=40, deadline=None)
     def test_inverse_is_consistent(self, points, latency):
         curve = fit_curve(points)
-        weight = curve.weight_for_latency(latency, upper=1.0)
+        weight = weights_for_latencies([curve], [latency], upper=1.0)[0]
         assert 0.0 <= weight <= 1.0
         if 0.0 < weight < 1.0:
             # At the returned weight the curve has just reached the latency.
@@ -272,7 +272,7 @@ class TestPredictCurvesMatchesScalarReference:
 def bisection_oracle(
     curve: WeightLatencyCurve, latency_ms: float, *, upper: float | None = None, tol: float = 1e-6
 ) -> float:
-    """``weight_for_latency`` as it was before the bank kernel, one curve at a
+    """A curve's inversion as it was before the bank kernel, one curve at a
     time over :func:`scalar_predict`."""
     upper = upper if upper is not None else max(curve.w_max, 1e-3) * 2.0
     if latency_ms <= scalar_predict(curve, 0.0):
@@ -329,10 +329,6 @@ class TestWeightsForLatenciesMatchesBisection:
             for c, latency, u in zip(curves, latencies, uppers)
         ]
         assert weights_for_latencies(curves, latencies, tol=tol, **kwargs).tolist() == expected
-        assert [
-            c.weight_for_latency(latency, upper=u, tol=tol)
-            for c, latency, u in zip(curves, latencies, uppers)
-        ] == expected
 
     def test_both_early_returns_and_the_walk_in_one_bank(self):
         # At/below the prediction at 0, past the prediction at ``upper``, and

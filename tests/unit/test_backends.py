@@ -6,33 +6,25 @@ import numpy as np
 import pytest
 
 from repro.backends import (
+    D8A_V4,
     DS1_V2,
     DS2_V2,
     DS3_V2,
     DS4_V2,
+    F2S_V2,
     F8S_V2,
     Antagonist,
     DipServer,
     LatencyModel,
-    all_vm_types,
     custom_vm_type,
     erlang_c,
-    get_vm_type,
     scaled_model,
 )
+from repro.backends.dip import serve_probe_round
 from repro.exceptions import ConfigurationError, DipFailureError
 
 
 class TestVmTypes:
-    def test_catalogue_lookup(self):
-        assert get_vm_type("DS1v2") is DS1_V2
-        with pytest.raises(KeyError):
-            get_vm_type("unknown")
-
-    def test_catalogue_complete(self):
-        names = {vm.name for vm in all_vm_types()}
-        assert {"DS1v2", "DS2v2", "DS3v2", "F8sv2"}.issubset(names)
-
     def test_capacity_grows_with_cores(self):
         assert DS1_V2.base_capacity_rps < DS2_V2.base_capacity_rps < DS3_V2.base_capacity_rps
 
@@ -52,7 +44,7 @@ class TestVmTypes:
 
     def test_idle_latency_consistent_with_capacity(self):
         """service-time × capacity == vcpus (M/M/c consistency)."""
-        for vm in all_vm_types():
+        for vm in (DS1_V2, DS2_V2, DS3_V2, DS4_V2, F8S_V2, F2S_V2, D8A_V4):
             implied_cores = vm.idle_latency_ms / 1000.0 * vm.base_capacity_rps
             assert implied_cores == pytest.approx(vm.vcpus, rel=1e-6)
 
@@ -134,16 +126,6 @@ class TestLatencyModel:
         loaded_ping = model.ping_latency_ms(0.9 * 800)
         assert loaded_ping == pytest.approx(idle_ping, rel=0.05)
 
-    def test_max_rate_for_latency_inverse(self, model):
-        target = model.mean_latency_ms(600.0)
-        recovered = model.max_rate_for_latency(target)
-        assert recovered == pytest.approx(600.0, rel=0.02)
-
-    def test_latency_at_utilization(self, model):
-        assert model.latency_at_utilization(0.5) == pytest.approx(
-            model.mean_latency_ms(400.0)
-        )
-
     def test_scaled_model_shrinks_capacity(self, model):
         scaled = scaled_model(model, 0.6)
         assert scaled.capacity_rps == pytest.approx(480.0)
@@ -156,6 +138,49 @@ class TestLatencyModel:
     def test_scaled_model_invalid_factor(self, model):
         with pytest.raises(ConfigurationError):
             scaled_model(model, 0.0)
+
+    def test_latency_plateau_is_idle_plus_a_full_queue_drain(self, model):
+        """At and past saturation the queue stays full: 64 requests at 800 rps."""
+        plateau = 2.5 + 64 / 800.0 * 1000.0
+        assert model.mean_latency_ms(800.0) == pytest.approx(plateau)
+        assert model.mean_latency_ms(4000.0) == pytest.approx(plateau)
+
+    def test_mean_latency_inverts_by_bisection(self, model):
+        """Strictly rising below saturation, so a latency names one rate."""
+        target = model.mean_latency_ms(600.0)
+        low, high = 0.0, 0.999 * 800.0
+        for _ in range(60):
+            mid = (low + high) / 2
+            low, high = (mid, high) if model.mean_latency_ms(mid) < target else (low, mid)
+        assert low == pytest.approx(600.0, rel=0.02)
+
+    @pytest.mark.parametrize("factor", [0.9, 0.75, 0.6])
+    def test_latency_at_equal_utilization_scales_with_service_time(self, model, factor):
+        """An antagonist stretches every request by ``1 / factor``: at equal
+        utilization, the queueing wait and the plateau stretch with it."""
+        scaled = scaled_model(model, factor)
+        for utilization in (0.1, 0.5, 0.9, 1.2):
+            rate = utilization * model.capacity_rps
+            assert scaled.utilization(rate * factor) == pytest.approx(utilization)
+            assert scaled.mean_latency_ms(rate * factor) == pytest.approx(
+                model.mean_latency_ms(rate) / factor, rel=1e-9
+            )
+
+    def test_scv_correction_scales_only_the_wait(self, model):
+        wait = model.mean_latency_ms(600.0) - 2.5
+        corrected = model.mean_latency_ms(600.0, scv_correction=2.0) - 2.5
+        assert corrected == pytest.approx(2.0 * wait)
+        assert model.mean_latency_ms(0.0, scv_correction=2.0) == 2.5
+
+    def test_drop_ramp_between_threshold_and_capacity(self, model):
+        assert model.drop_probability(0.975 * 800) == pytest.approx(0.025)
+        # At capacity the structural loss is 0; the 1 % floor stands in.
+        assert model.drop_probability(800.0) == pytest.approx(0.01)
+        assert model.drop_probability(1600.0) == pytest.approx(0.5)
+
+    def test_ping_latency_rise_is_capped_at_twice_capacity(self, model):
+        assert model.ping_latency_ms(1600.0) == pytest.approx(0.3 * 1.02)
+        assert model.ping_latency_ms(8000.0) == model.ping_latency_ms(1600.0)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -190,11 +215,13 @@ class TestAntagonist:
         antagonist.clear(at_time=20.0)
         assert antagonist.history == [(10.0, 0.75), (20.0, 1.0)]
 
-    def test_copies_for_ratio(self):
+    def test_set_copies_replaces_an_override(self):
         antagonist = Antagonist(per_copy_loss=0.1)
-        copies = antagonist.copies_for_ratio(0.75)
-        assert (1 - 0.1) ** copies <= 0.75
-        assert (1 - 0.1) ** (copies - 1) > 0.75
+        antagonist.set_capacity_ratio(0.6)
+        assert antagonist.set_copies(3, at_time=5.0) == pytest.approx(0.9**3)
+        assert antagonist.capacity_override is None
+        assert antagonist.capacity_factor == pytest.approx(0.729)
+        assert antagonist.history[-1] == (5.0, pytest.approx(0.729))
 
     def test_invalid_ratio(self):
         with pytest.raises(ConfigurationError):
@@ -216,7 +243,7 @@ class TestDipServer:
     def test_capacity_ratio_reduces_capacity(self, dip):
         dip.set_capacity_ratio(0.6)
         assert dip.capacity_rps == pytest.approx(240.0)
-        dip.reset_capacity()
+        dip.antagonist.clear()
         assert dip.capacity_rps == pytest.approx(400.0)
 
     def test_cpu_utilization_tracks_offered_rate(self, dip):
@@ -232,24 +259,6 @@ class TestDipServer:
         low = dip.mean_latency_ms
         dip.set_offered_rate(380.0)
         assert dip.mean_latency_ms > low
-
-    def test_request_sampling_no_jitter_equals_mean(self, dip):
-        dip.set_offered_rate(200.0)
-        assert dip.sample_request_latency_ms() == pytest.approx(dip.mean_latency_ms)
-
-    def test_request_sampling_with_jitter_varies(self, small_vm):
-        dip = DipServer("d2", small_vm, seed=5, jitter_fraction=0.2)
-        dip.set_offered_rate(200.0)
-        samples = {round(dip.sample_request_latency_ms(), 6) for _ in range(10)}
-        assert len(samples) > 1
-
-    def test_ping_latency_independent_of_load(self, dip):
-        dip.set_offered_rate(0.0)
-        idle = dip.sample_ping_latency_ms()
-        dip.set_offered_rate(390.0)
-        loaded = dip.sample_ping_latency_ms()
-        assert loaded == pytest.approx(idle, rel=0.3)
-        assert loaded < dip.mean_latency_ms
 
     def test_probe_batch_reports_mean(self, dip):
         dip.set_offered_rate(200.0)
@@ -268,8 +277,6 @@ class TestDipServer:
         dip.fail()
         with pytest.raises(DipFailureError):
             dip.serve_probe_batch(10)
-        with pytest.raises(DipFailureError):
-            dip.sample_request_latency_ms()
         dip.recover()
         dip.serve_probe_batch(10)
 
@@ -290,9 +297,55 @@ class TestDipServer:
         """Regression: the zero-jitter path returned before counting."""
         dip.set_offered_rate(200.0)
         dip.serve_probe_batch(40)
-        dip.sample_request_latency_ms()
+        dip.serve_probe_batch(1)
         assert dip.served_requests == 41
         assert dip.dropped_requests == 0
+
+    def test_ping_latency_ignores_load_and_antagonist(self, dip):
+        idle = dip.latency_model.ping_latency_ms(0.0)
+        dip.set_capacity_ratio(0.6)
+        dip.set_offered_rate(390.0)
+        loaded = dip.latency_model.ping_latency_ms(dip.offered_rate_rps)
+        assert loaded == pytest.approx(idle, rel=0.02)
+        assert loaded < dip.idle_latency_ms < dip.mean_latency_ms
+
+    def test_zero_jitter_batch_mean_is_the_model_mean(self, small_vm):
+        dip = DipServer("d", small_vm, seed=5, jitter_fraction=0.0, scv_correction=1.7)
+        dip.set_offered_rate(300.0)
+        result = dip.serve_probe_batch(25)
+        assert result.mean_latency_ms == pytest.approx(dip.mean_latency_ms, rel=1e-12)
+        assert dip.mean_latency_ms > dip.latency_model.mean_latency_ms(300.0)
+
+    def test_jitter_spreads_batch_means_around_the_model_mean(self, small_vm):
+        dip = DipServer("d", small_vm, seed=5, jitter_fraction=0.2)
+        dip.set_offered_rate(200.0)
+        means = [dip.serve_probe_batch(20).mean_latency_ms for _ in range(30)]
+        assert len(set(means)) == len(means)
+        assert np.mean(means) == pytest.approx(dip.mean_latency_ms, rel=0.03)
+
+    def test_probe_round_is_each_server_on_its_own(self, small_vm):
+        """One round over several DIPs draws what each DIP's lone batch
+        draws; a down DIP reads ``None`` and costs the others nothing."""
+
+        def pool():
+            servers = [
+                DipServer("a", small_vm, seed=3, jitter_fraction=0.0),
+                DipServer("b", small_vm, seed=4, jitter_fraction=0.1),
+                DipServer("c", small_vm, seed=5, jitter_fraction=0.1),
+                DipServer("d", small_vm, seed=6, jitter_fraction=0.1),
+            ]
+            for server, rate in zip(servers, (100.0, 250.0, 396.0, 0.0)):
+                server.set_offered_rate(rate)
+            servers[3].fail()
+            return servers
+
+        servers, twins = pool(), pool()
+        for _ in range(3):
+            means, drops = serve_probe_round(servers, 40)
+            assert means[3] is None and drops[3] == 0
+            for twin, mean, dropped in zip(twins[:3], means, drops):
+                result = twin.serve_probe_batch(40)
+                assert (result.mean_latency_ms, result.drop_fraction) == (mean, dropped / 40)
 
     def test_scaled_model_kept_per_capacity_factor(self, dip):
         dip.set_capacity_ratio(0.6)
@@ -301,7 +354,7 @@ class TestDipServer:
         assert model == scaled_model(LatencyModel(1, 400.0, 2.5), 0.6)
         dip.set_capacity_ratio(0.75)
         assert dip.latency_model.capacity_rps == pytest.approx(300.0)
-        dip.reset_capacity()
+        dip.antagonist.clear()
         assert dip.latency_model.capacity_rps == pytest.approx(400.0)
 
 
@@ -409,18 +462,14 @@ class TestProbeBatchMatchesScalarLoop:
                 assert result.mean_latency_ms == float("inf")
                 continue
             served_counts.add(served)
-            latencies = twin._sample_latencies_ms(rate_rps, served)
+            mean = twin.latency_model.mean_latency_ms(rate_rps)
+            latencies = (
+                np.full(served, mean)
+                if jitter == 0
+                else np.maximum(mean * 0.25, twin._rng.normal(mean, mean * jitter, size=served))
+            )
             assert result.mean_latency_ms.hex() == float(latencies.mean()).hex()
         if batch < 100:
             assert served_counts == set(range(1, batch + 1))
         else:
             assert min(served_counts) < batch
-
-    def test_single_request_is_the_batch_of_one(self, small_vm):
-        dip = DipServer("d", small_vm, seed=7)
-        twin = DipServer("d", small_vm, seed=7)
-        for server in (dip, twin):
-            server.set_offered_rate(250.0)
-        singles = [dip.sample_request_latency_ms() for _ in range(20)]
-        assert twin._sample_latencies_ms(250.0, 20).tolist() == singles
-        assert dip.sample_request_latency_ms(rate_rps=100.0) < min(singles)

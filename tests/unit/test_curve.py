@@ -13,7 +13,6 @@ from repro.core.curve import (
     WeightLatencyCurve,
     _nnls,
     fit_curve,
-    fit_error,
     rescale_for_latency_shifts,
     weights_for_latencies,
 )
@@ -53,6 +52,25 @@ class TestFitCurve:
         curve = fit_curve(points)
         # The outlier dropped point must not bend the fit.
         assert curve.predict(0.1) == pytest.approx(100 * 0.01 + 5 * 0.1 + 2, rel=0.05)
+
+    def test_exact_fit_passes_through_its_points(self):
+        points = quad_points(100.0, 5.0, 2.0, [0.0, 0.05, 0.1, 0.15, 0.2])
+        curve = fit_curve(points)
+        predicted = curve.predict_many([p.weight for p in points])
+        assert np.abs(predicted - [p.latency_ms for p in points]).max() < 0.2
+
+    def test_kept_outlier_bends_the_fit(self):
+        """The twin of the dropped-point test: counted, the outlier moves it."""
+        points = quad_points(100.0, 5.0, 2.0, [0.0, 0.05, 0.1, 0.15])
+        points.append(MeasurementPoint(weight=0.5, latency_ms=1000.0))
+        curve = fit_curve(points)
+        assert abs(curve.predict(0.1) - (100 * 0.01 + 5 * 0.1 + 2)) > 0.05 * 3.5
+
+    def test_fit_points_are_the_usable_points(self):
+        points = quad_points(100.0, 5.0, 2.0, [0.0, 0.05, 0.1, 0.15])
+        dropped = MeasurementPoint(weight=0.2, latency_ms=9.0, dropped=True)
+        curve = fit_curve([*points[:2], dropped, *points[2:]])
+        assert curve.fit_points == tuple(points)
 
     def test_dropped_only_raises(self):
         points = [
@@ -178,15 +196,16 @@ class TestInversion:
     def test_round_trip(self, simple_curve):
         weight = 0.12
         latency = simple_curve.predict(weight)
-        recovered = simple_curve.weight_for_latency(latency)
+        recovered = weights_for_latencies([simple_curve], [latency])[0]
         assert simple_curve.predict(recovered) == pytest.approx(latency, rel=1e-3)
 
     def test_latency_below_idle_maps_to_zero(self, simple_curve):
-        assert simple_curve.weight_for_latency(0.1) == 0.0
+        assert weights_for_latencies([simple_curve], [0.1])[0] == 0.0
 
     def test_latency_above_range_returns_upper(self, simple_curve):
         upper = 0.3
-        assert simple_curve.weight_for_latency(10_000.0, upper=upper) == pytest.approx(upper)
+        recovered = weights_for_latencies([simple_curve], [10_000.0], upper=upper)[0]
+        assert recovered == pytest.approx(upper)
 
     def test_one_target_per_curve(self, simple_curve):
         # One target for two curves used to be broadcast to both.
@@ -233,42 +252,28 @@ class TestRescaling:
         # capacity effectively dropped; the new curve must predict the observed
         # latency at 0.10.
         observed = simple_curve.predict(0.15)
-        adjusted = simple_curve.rescale_for_latency_shift(0.10, observed)
+        adjusted = rescale_for_latency_shifts([simple_curve], [0.10], [observed])[0]
         assert adjusted.predict(0.10) == pytest.approx(observed, rel=0.02)
 
     def test_rescale_traffic_decrease_direction(self, simple_curve):
         # Observed latency at weight 0.15 matches what the curve predicted at
         # 0.10: there is more headroom, so predictions at a given weight drop.
         observed = simple_curve.predict(0.10)
-        adjusted = simple_curve.rescale_for_latency_shift(0.15, observed)
+        adjusted = rescale_for_latency_shifts([simple_curve], [0.15], [observed])[0]
         assert adjusted.predict(0.15) <= simple_curve.predict(0.15) + 1e-9
 
     def test_rescale_requires_positive_weight(self, simple_curve):
         with pytest.raises(ConfigurationError):
-            simple_curve.rescale_for_latency_shift(0.0, 5.0)
+            rescale_for_latency_shifts([simple_curve], [0.0], [5.0])[0]
 
     def test_paper_example_delta(self):
         """The §4.5 worked example: 5 ms at w=0.5, now 7 ms; w(7ms)=0.625 → δ=0.8."""
         # Linear curve: latency = 5 + 16*(w - 0.5) → 7 ms at 0.625.
         curve = WeightLatencyCurve(coefficients=(16.0, -3.0), l0_ms=1.0, w_max=1.0)
         assert curve.predict(0.5) == pytest.approx(5.0)
-        assert curve.weight_for_latency(7.0) == pytest.approx(0.625, rel=1e-3)
-        adjusted = curve.rescale_for_latency_shift(0.5, 7.0)
+        assert weights_for_latencies([curve], [7.0])[0] == pytest.approx(0.625, rel=1e-3)
+        adjusted = rescale_for_latency_shifts([curve], [0.5], [7.0])[0]
         assert adjusted.weight_scale == pytest.approx(0.8, rel=1e-3)
-
-
-class TestFitError:
-    def test_zero_for_exact_fit(self):
-        points = quad_points(100.0, 5.0, 2.0, [0.0, 0.05, 0.1, 0.15, 0.2])
-        curve = fit_curve(points)
-        assert fit_error(curve, points) < 0.2
-
-    def test_positive_for_mismatched_points(self, simple_curve):
-        bad = [MeasurementPoint(weight=0.1, latency_ms=100.0)]
-        assert fit_error(simple_curve, bad) > 10
-
-    def test_empty_points(self, simple_curve):
-        assert fit_error(simple_curve, []) == 0.0
 
 
 class TestValidation:

@@ -10,10 +10,8 @@ from repro.core.dynamics import (
     DynamicsDetector,
     DynamicsEventKind,
     Observation,
-    RefreshBudget,
     relative_deviation,
     rescale_all_curves,
-    rescale_curve_for_observation,
 )
 from repro.exceptions import ConfigurationError
 
@@ -120,7 +118,7 @@ class TestRescaling:
     def test_capacity_loss_shrinks_weights(self):
         curve = linear_curve()
         obs = Observation(dip="d", weight=0.2, observed_latency_ms=curve.predict(0.2) * 1.5)
-        adjusted = rescale_curve_for_observation(curve, obs)
+        adjusted = rescale_all_curves({"d": curve}, [obs])["d"]
         # After the shift the curve predicts the observed latency at w=0.2.
         assert adjusted.predict(0.2) == pytest.approx(obs.observed_latency_ms, rel=0.05)
         assert adjusted.w_max < curve.w_max
@@ -136,37 +134,3 @@ class TestRescaling:
     def test_rescale_all_preserves_keys(self, curves):
         updated = rescale_all_curves(curves, observations_at(curves, 0.2, 1.4))
         assert set(updated) == set(curves)
-
-
-class TestRefreshBudget:
-    def test_budget_is_fraction_of_capacity(self):
-        budget = RefreshBudget(total_capacity=1000.0, max_refresh_fraction=0.05)
-        assert budget.budget == pytest.approx(50.0)
-
-    def test_start_within_budget(self):
-        budget = RefreshBudget(total_capacity=1000.0)
-        assert budget.can_start("a", 30.0)
-        budget.start("a", 30.0)
-        assert budget.used == pytest.approx(30.0)
-
-    def test_exceeding_budget_rejected(self):
-        budget = RefreshBudget(total_capacity=1000.0)
-        budget.start("a", 40.0)
-        assert not budget.can_start("b", 20.0)
-        with pytest.raises(ConfigurationError):
-            budget.start("b", 20.0)
-
-    def test_finish_releases_budget(self):
-        budget = RefreshBudget(total_capacity=1000.0)
-        budget.start("a", 40.0)
-        budget.finish("a")
-        assert budget.can_start("b", 50.0)
-
-    def test_restart_same_dip_allowed(self):
-        budget = RefreshBudget(total_capacity=1000.0)
-        budget.start("a", 40.0)
-        assert budget.can_start("a", 40.0)
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ConfigurationError):
-            RefreshBudget(total_capacity=0.0)

@@ -389,7 +389,7 @@ class TestFleetController:
         assert report.interleaved_rounds > 0
         assert set(report.reports) == set(fleet.vips)
         for entry in plane.round_log:
-            measured = entry.measured_dips()
+            measured = [d for per_vip in entry.measured.values() for d in per_vip]
             assert len(measured) == len(set(measured))  # no DIP twice/round
 
     def test_all_vips_reach_steady_state_with_assignments(self):

@@ -90,7 +90,7 @@ class TestBuildProblem:
         problem = build_assignment_problem(
             heterogeneous_curves, windows={"huge-1": (0.3, 0.4)}
         )
-        cand = problem.candidates_for("huge-1")
+        (cand,) = [c for c in problem.dips if c.dip == "huge-1"]
         assert min(cand.weights) == pytest.approx(0.3)
         assert max(cand.weights) == pytest.approx(0.4)
 

@@ -16,6 +16,7 @@ loaded, not what ``-X importtime`` happened to print.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -26,6 +27,10 @@ from pathlib import Path
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+PACKAGES = sorted(
+    ".".join(path.parent.relative_to(REPO_ROOT / "src").parts)
+    for path in (REPO_ROOT / "src" / "repro").rglob("__init__.py")
+)
 RR_SPEC = "benchmarks/observatory/workloads/req_serial_rr.json"
 
 #: appended to every script: the last stdout line is the report.
@@ -181,6 +186,15 @@ def run_warmup(name: str, then: str = "") -> dict:
 class TestTheImportGraphFollowsTheRun:
     """Each package resolves its exports on first access, and each runner
     imports the substrate it executes, so a run loads only what it runs."""
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_every_export_resolves(self, package):
+        """A name left in ``__all__`` after its definition went fails here,
+        not only when someone first accesses it."""
+        module = importlib.import_module(package)
+        assert module.__all__
+        for name in module.__all__:
+            getattr(module, name)
 
     def test_import_repro_loads_no_subpackage(self):
         report = run_python("import repro")

@@ -66,7 +66,7 @@ from repro.parallel.epoch import (
 )
 from repro.parallel.kernel import simulate_station
 from repro.sim.trace import MetricsCollector
-from repro.solver import SolveCache, build_problem, solve
+from repro.solver import AssignmentProblem, DipCandidates, SolveCache, solve
 from repro.workloads import split_dip_ids
 
 
@@ -724,11 +724,12 @@ class TestWorkerPool:
 
 class TestSolveCache:
     def problem(self, bump: float = 0.0):
-        return build_problem(
-            {
-                "d1": {0.2: 5.0 + bump, 0.5: 8.0, 0.8: 12.0},
-                "d2": {0.2: 4.0, 0.5: 7.0, 0.8: 13.0},
-            },
+        weights = (0.2, 0.5, 0.8)
+        return AssignmentProblem(
+            dips=(
+                DipCandidates(dip="d1", weights=weights, latencies_ms=(5.0 + bump, 8.0, 12.0)),
+                DipCandidates(dip="d2", weights=weights, latencies_ms=(4.0, 7.0, 13.0)),
+            ),
             total_weight=1.0,
             total_weight_tolerance=0.11,
         )

@@ -21,12 +21,11 @@ class TestLatencyStore:
         store = LatencyStore()
         store.write("vip", LatencySample(dip="d1", latency_ms=3.0, timestamp=1.0))
         store.write("vip", LatencySample(dip="d1", latency_ms=4.0, timestamp=2.0))
-        latest = store.latest("vip", "d1")
-        assert latest is not None
+        latest = store.samples("vip", "d1")[-1]
         assert latest.latency_ms == pytest.approx(4.0)
 
     def test_latest_missing(self):
-        assert LatencyStore().latest("vip", "d1") is None
+        assert LatencyStore().samples("vip", "d1") == []
 
     def test_samples_filtered_by_dip_and_time(self):
         store = LatencyStore()
@@ -43,18 +42,20 @@ class TestLatencyStore:
         samples = store.samples("vip")
         assert [s.timestamp for s in samples] == [1.0, 5.0]
 
-    def test_latest_per_dip(self):
+    def test_samples_per_dip(self):
         store = LatencyStore()
         store.write("vip", LatencySample(dip="d1", latency_ms=3.0, timestamp=1.0))
         store.write("vip", LatencySample(dip="d2", latency_ms=5.0, timestamp=2.0))
-        latest = store.latest_per_dip("vip")
-        assert set(latest) == {"d1", "d2"}
+        store.write("vip", LatencySample(dip="d1", latency_ms=4.0, timestamp=3.0))
+        assert store.dips("vip") == ("d1", "d2")
+        assert [s.latency_ms for s in store.samples("vip", "d1")] == [3.0, 4.0]
+        assert [s.dip for s in store.samples("vip")] == ["d1", "d2", "d1"]
 
     def test_retention_limit(self):
         store = LatencyStore(max_samples_per_dip=5)
         for index in range(20):
             store.write("vip", LatencySample(dip="d1", latency_ms=1.0, timestamp=index))
-        assert store.sample_count("vip") == 5
+        assert len(store.samples("vip")) == 5
         assert store.stats.evictions > 0
 
     def test_vips_and_dips(self):
@@ -68,12 +69,12 @@ class TestLatencyStore:
         store = LatencyStore()
         store.write("vip", LatencySample(dip="d1", latency_ms=1.0, timestamp=0.0))
         store.clear("vip")
-        assert store.sample_count() == 0
+        assert store.vips() == ()
 
     def test_stats_counters(self):
         store = LatencyStore()
         store.write("vip", LatencySample(dip="d1", latency_ms=1.0, timestamp=0.0))
-        store.latest("vip", "d1")
+        store.samples("vip", "d1")
         assert store.stats.writes == 1
         assert store.stats.reads == 1
 
@@ -102,7 +103,7 @@ class TestKLM:
         outcome = klm.probe_dip("d1", now=10.0)
         assert not outcome.failed
         assert outcome.latency_ms == pytest.approx(dip.mean_latency_ms, rel=0.05)
-        assert store.latest("vip-1", "d1") is not None
+        assert len(store.samples("vip-1", "d1")) == 1
 
     def test_probe_latency_reflects_load(self):
         dip = make_dip()
@@ -113,12 +114,19 @@ class TestKLM:
         heavy = klm.probe_dip("d1", now=5.0).latency_ms
         assert heavy > light
 
-    def test_probe_all(self):
+    def test_probe_round(self):
         dips = {f"d{i}": make_dip(f"d{i}", seed=i) for i in range(3)}
         klm, store = self.make_klm(dips)
-        outcomes = klm.probe_all(now=0.0)
+        outcomes = klm.probe_round(tuple(dips), now=0.0)
         assert set(outcomes) == set(dips)
-        assert store.sample_count("vip-1") == 3
+        assert len(store.samples("vip-1")) == 3
+
+    def test_probe_batch_size_is_the_config(self):
+        dips = {f"d{i}": make_dip(f"d{i}", seed=i) for i in range(3)}
+        klm, _ = self.make_klm(dips, requests_per_probe=100)
+        klm.probe_round(("d0", "d2"), now=0.0)
+        klm.probe_round(("d0",), now=5.0)
+        assert [dip.served_requests for dip in dips.values()] == [200, 0, 100]
 
     def test_failed_dip_recorded(self):
         dip = make_dip()
@@ -126,7 +134,7 @@ class TestKLM:
         klm, store = self.make_klm({"d1": dip})
         outcome = klm.probe_dip("d1", now=0.0)
         assert outcome.failed
-        assert store.sample_count("vip-1") == 0
+        assert store.samples("vip-1") == []
         assert klm.consecutive_failures["d1"] == 1
 
     def test_failure_counter_resets_on_success(self):
@@ -153,13 +161,6 @@ class TestKLM:
         klm, _ = self.make_klm({"d1": dip})
         outcome = klm.probe_dip("d1", now=0.0)
         assert outcome.dropped
-
-    def test_probe_rate_and_cores(self):
-        dips = {f"d{i}": make_dip(f"d{i}", seed=i) for i in range(225)}
-        klm, _ = self.make_klm(dips, interval_s=5.0, requests_per_probe=100)
-        assert klm.probe_rate_rps() == pytest.approx(225 * 20.0)
-        assert klm.cores_required() == pytest.approx(1.0, rel=0.01)
-        assert klm.max_dips_per_core() == 225
 
     def test_constant_matches_paper(self):
         assert KLM_REQUESTS_PER_SECOND_PER_CORE == pytest.approx(4500.0)

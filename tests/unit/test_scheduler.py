@@ -48,7 +48,7 @@ class TestQueueing:
     def test_cancel(self, scheduler):
         scheduler.submit("a", 0.2)
         scheduler.cancel("a")
-        assert not scheduler.has_pending
+        assert scheduler.pending == ()
 
     def test_priority_ordering(self, scheduler):
         scheduler.submit("refresh", 0.1, priority=MeasurementPriority.REFRESH)
@@ -85,7 +85,7 @@ class TestPlanRound:
         scheduler.submit("b", 0.7)
         scheduler.plan_round(["a", "b"])
         scheduler.plan_round(["a", "b"])
-        assert not scheduler.has_pending
+        assert scheduler.pending == ()
 
     def test_higher_priority_scheduled_first_on_conflict(self, scheduler):
         scheduler.submit("cold", 0.8, priority=MeasurementPriority.NORMAL)
@@ -97,7 +97,7 @@ class TestPlanRound:
         scheduler.submit("gone", 0.4)
         plan = scheduler.plan_round(["a", "b"])
         assert plan.measured == {}
-        assert not scheduler.has_pending
+        assert scheduler.pending == ()
 
     def test_weights_sum_to_one_with_filler(self, scheduler):
         scheduler.submit("a", 0.25)

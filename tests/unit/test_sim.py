@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.backends import DipServer, custom_vm_type
@@ -14,15 +15,18 @@ from repro.sim import (
     RequestCluster,
     Vip,
     WorkloadGenerator,
-    equal_split,
     fraction_of_requests_improved,
-    least_connection_split,
     max_latency_gain,
-    power_of_two_split,
-    split_for_policy,
-    weighted_split,
 )
 from repro.sim.client import ClientPool
+from repro.sim.fluid import (
+    equal_split_array,
+    least_connection_split_array,
+    pool_arrays,
+    power_of_two_split_array,
+    split_rates_array,
+    weighted_split_array,
+)
 
 
 def make_dips(capacities, seed=0, cores=1):
@@ -82,16 +86,6 @@ class TestEventScheduler:
         scheduler.run_until(5.0)
         assert seen == ["first", "second"]
 
-    def test_run_all_guards_against_runaway(self):
-        scheduler = EventScheduler()
-
-        def rearm():
-            scheduler.schedule(0.001, rearm)
-
-        scheduler.schedule(0.001, rearm)
-        with pytest.raises(SimulationError):
-            scheduler.run_all(max_events=100)
-
     def test_processed_counter(self):
         scheduler = EventScheduler()
         scheduler.schedule(0.5, lambda: None)
@@ -132,6 +126,18 @@ class TestEventScheduler:
         assert scheduler.now == 5.0  # the only pending event was cancelled
 
 
+    def test_max_events_stops_a_self_rearming_event(self):
+        scheduler = EventScheduler()
+
+        def rearm():
+            scheduler.schedule(0.001, rearm)
+
+        scheduler.schedule(0.001, rearm)
+        assert scheduler.run_until(10.0, max_events=100) == 100
+        assert scheduler.pending_events == 1
+        assert scheduler.now == pytest.approx(0.1)
+
+
 class TestWorkloadGenerator:
     def test_interarrival_mean_matches_rate(self):
         generator = WorkloadGenerator(rate_rps=100.0, seed=1)
@@ -155,15 +161,15 @@ class TestWorkloadGenerator:
 
 class TestFluidSplits:
     def test_equal_split(self):
-        assert equal_split(["a", "b"], 100.0) == {"a": 50.0, "b": 50.0}
+        assert equal_split_array(2, 100.0).tolist() == [50.0, 50.0]
 
     def test_weighted_split(self):
-        rates = weighted_split({"a": 0.75, "b": 0.25}, 100.0)
-        assert rates["a"] == pytest.approx(75.0)
+        rates = weighted_split_array(np.array([0.75, 0.25]), 100.0)
+        assert rates[0] == pytest.approx(75.0)
 
     def test_weighted_split_zero_weights_falls_back_to_equal(self):
-        rates = weighted_split({"a": 0.0, "b": 0.0}, 100.0)
-        assert rates["a"] == pytest.approx(50.0)
+        rates = weighted_split_array(np.array([0.0, 0.0]), 100.0)
+        assert rates[0] == pytest.approx(50.0)
 
     def test_least_connection_shifts_traffic_from_slow_dip(self):
         """The fluid LC equilibrium sends less traffic to the slower DIP.
@@ -174,36 +180,36 @@ class TestFluidSplits:
         """
         dips = make_dips([400.0, 400.0])
         dips["d1"].set_capacity_ratio(0.6)
-        rates = least_connection_split(dips, 0.7 * (400 + 240))
-        assert rates["d1"] < rates["d0"]
-        assert sum(rates.values()) == pytest.approx(0.7 * 640, rel=1e-6)
+        rates = least_connection_split_array(pool_arrays(dips), 0.7 * (400 + 240))
+        assert rates[1] < rates[0]
+        assert rates.sum() == pytest.approx(0.7 * 640, rel=1e-6)
 
     def test_least_connection_conserves_traffic(self):
         dips = make_dips([400.0, 800.0, 1200.0])
-        rates = least_connection_split(dips, 1000.0)
-        assert sum(rates.values()) == pytest.approx(1000.0, rel=1e-6)
+        rates = least_connection_split_array(pool_arrays(dips), 1000.0)
+        assert rates.sum() == pytest.approx(1000.0, rel=1e-6)
 
     def test_power_of_two_conserves_traffic(self):
         dips = make_dips([400.0, 800.0])
-        rates = power_of_two_split(dips, 600.0)
-        assert sum(rates.values()) == pytest.approx(600.0, rel=1e-6)
+        rates = power_of_two_split_array(pool_arrays(dips), 600.0)
+        assert rates.sum() == pytest.approx(600.0, rel=1e-6)
 
     def test_power_of_two_favours_big_dip(self):
         dips = make_dips([400.0, 1200.0])
-        rates = power_of_two_split(dips, 800.0)
-        assert rates["d1"] > rates["d0"]
+        rates = power_of_two_split_array(pool_arrays(dips), 800.0)
+        assert rates[1] > rates[0]
 
     def test_split_for_policy_dispatch(self):
-        dips = make_dips([400.0, 400.0])
+        pool = pool_arrays(make_dips([400.0, 400.0]))
         for policy in ("rr", "hash", "random"):
-            rates = split_for_policy(policy, dips, 100.0)
-            assert rates["d0"] == pytest.approx(50.0)
-        rates = split_for_policy("wrr", dips, 100.0, weights={"d0": 0.9, "d1": 0.1})
-        assert rates["d0"] == pytest.approx(90.0)
+            rates = split_rates_array(policy, pool, 100.0)
+            assert rates[0] == pytest.approx(50.0)
+        rates = split_rates_array("wrr", pool, 100.0, weights=np.array([0.9, 0.1]))
+        assert rates[0] == pytest.approx(90.0)
 
     def test_split_unknown_policy(self):
         with pytest.raises(ConfigurationError):
-            split_for_policy("bogus", make_dips([400.0]), 100.0)
+            split_rates_array("bogus", pool_arrays(make_dips([400.0])), 100.0)
 
 
 class TestFluidCluster:
@@ -350,6 +356,14 @@ class TestMetricsCollector:
         metrics.record_request("b", 9.0)
         assert metrics.mean_latency_ms(dips=["a"]) == pytest.approx(1.0)
 
+    def test_percentiles_rise_with_the_quantile(self):
+        metrics = MetricsCollector()
+        for latency in range(100, 0, -1):
+            metrics.record_request("a", float(latency))
+        levels = [metrics.percentile_latency_ms(q) for q in (0, 10, 50, 90, 99, 100)]
+        assert levels == sorted(levels)
+        assert (levels[0], levels[-1]) == (1.0, 100.0)
+
     def test_drop_fraction(self):
         metrics = MetricsCollector()
         metrics.record_request("a", 1.0)
@@ -370,14 +384,6 @@ class TestMetricsCollector:
         summary = metrics.dip_summary("a")
         assert summary.requests == 1
         assert summary.cpu_utilization == pytest.approx(0.4)
-
-    def test_cdf(self):
-        metrics = MetricsCollector()
-        for latency in range(1, 101):
-            metrics.record_request("a", float(latency))
-        latencies, fractions = metrics.latency_cdf(points=11)
-        assert latencies[0] <= latencies[-1]
-        assert fractions[-1] == pytest.approx(1.0)
 
     def test_comparison_helpers(self):
         slow, fast = MetricsCollector(), MetricsCollector()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -11,14 +12,12 @@ from repro.solver import (
     SolveCache,
     SolveStatus,
     available_backends,
-    build_problem,
     solve,
     solve_branch_and_bound,
     solve_dp,
     solve_greedy,
     solve_mckp,
     solve_scipy,
-    uniform_candidates,
     uniform_weight_grid,
 )
 
@@ -115,19 +114,27 @@ class TestAssignmentProblem:
         with pytest.raises(ConfigurationError, match="theta must"):
             two_dip_problem(theta=theta)
 
-    def test_weight_bounds(self):
-        problem = two_dip_problem()
-        assert problem.weight_bounds() == (pytest.approx(0.4), pytest.approx(1.6))
-
-    def test_is_sum_feasible(self):
-        assert two_dip_problem().is_sum_feasible()
-
-    def test_sum_infeasible_when_target_too_high(self):
+    def test_short_rows_are_padded_with_inf(self):
+        """The padding of a short row is neither a variable nor a candidate."""
         problem = AssignmentProblem(
-            dips=(DipCandidates(dip="a", weights=(0.1, 0.2), latencies_ms=(1.0, 2.0)),),
-            total_weight=1.0,
+            dips=(
+                DipCandidates(dip="a", weights=(0.1, 0.2, 0.3), latencies_ms=(1.0, 2.0, 3.0)),
+                DipCandidates(dip="b", weights=(0.25, 0.5), latencies_ms=(1.0, 4.0)),
+            )
         )
-        assert not problem.is_sum_feasible()
+        assert problem.weights[1].tolist() == [0.25, 0.5, INF]
+        assert problem.num_variables == 5
+        assert [cand.count for cand in problem.dips] == [3, 2]
+
+    def test_from_table_is_the_candidate_built_problem(self):
+        built = two_dip_problem()
+        table = AssignmentProblem.from_table(
+            built.dip_ids(), np.array(built.weights), np.array(built.costs), built.w_max
+        )
+        assert table == built and hash(table) == hash(built)
+        assert table.dips == built.dips
+        assert table.dip_ids() == ("a", "b")
+        assert (table.dips[1].max_weight(), table.dips[1].w_max) == (0.8, 0.6)
 
     def test_objective_and_weights_of(self):
         problem = two_dip_problem()
@@ -139,29 +146,6 @@ class TestAssignmentProblem:
         problem = two_dip_problem()
         assert problem.overloaded_dips({"a": 0.9, "b": 0.5}) == ("a",)
         assert problem.overloaded_dips({"a": 0.8, "b": 0.6}) == ()
-
-    def test_candidates_for(self):
-        problem = two_dip_problem()
-        assert problem.candidates_for("b").dip == "b"
-        with pytest.raises(KeyError):
-            problem.candidates_for("missing")
-
-    def test_build_problem_helper(self):
-        problem = build_problem(
-            {"a": {0.1: 1.0, 0.2: 2.0}, "b": {0.1: 3.0, 0.2: 4.0}},
-            w_max={"a": 0.2},
-        )
-        assert problem.num_dips == 2
-        assert problem.candidates_for("a").w_max == pytest.approx(0.2)
-
-    def test_uniform_candidates(self):
-        cand = uniform_candidates("a", lambda w: 10 * w, count=5, upper=0.4)
-        assert cand.weights == pytest.approx((0.0, 0.1, 0.2, 0.3, 0.4))
-        assert cand.latencies_ms[-1] == pytest.approx(4.0)
-
-    def test_uniform_candidates_degenerate_range(self):
-        cand = uniform_candidates("a", lambda w: 1.0, count=3, upper=0.0)
-        assert cand.weights == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize(
         "lower, upper, count",
@@ -176,6 +160,14 @@ class TestAssignmentProblem:
             weights = [lower + i * step for i in range(count)]
         clipped = [min(max(w, 0.0), 1.0) for w in weights]
         assert uniform_weight_grid(lower, upper, count).tolist() == clipped
+
+    def test_weight_grid_per_element_of_array_bounds(self):
+        lower, upper = np.array([0.0, 0.1, 0.3]), np.array([0.4, 0.1, 0.9])
+        grids = uniform_weight_grid(lower, upper, 5)
+        assert grids.shape == (3, 5)
+        for row, lo, hi in zip(grids, lower, upper):
+            assert row.tolist() == uniform_weight_grid(lo, hi, 5).tolist()
+        assert grids[0] == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
 
     def test_weight_grid_validation(self):
         with pytest.raises(ConfigurationError):

@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro.core.types import (
-    DipRecord,
     LatencySample,
     MeasurementPoint,
     WeightAssignment,
@@ -103,17 +102,19 @@ class TestWeightAssignment:
     def test_total_weight(self):
         a = WeightAssignment(vip="v", weights={"a": 0.4, "b": 0.6})
         assert a.total_weight == pytest.approx(1.0)
-        assert a.is_normalized()
-
-    def test_not_normalized(self):
-        a = WeightAssignment(vip="v", weights={"a": 0.4, "b": 0.4})
-        assert not a.is_normalized()
 
     def test_normalized_rescales(self):
         a = WeightAssignment(vip="v", weights={"a": 0.4, "b": 0.4})
         n = a.normalized()
         assert n.total_weight == pytest.approx(1.0)
         assert n.weights["a"] == pytest.approx(0.5)
+
+    def test_normalized_is_a_copy_with_the_same_vip(self):
+        a = WeightAssignment(vip="v", weights={"a": 0.6, "b": 0.2}, objective_ms=3.0)
+        n = a.normalized()
+        assert a.total_weight == pytest.approx(0.8)
+        assert n is not a and n.vip == "v" and n.objective_ms == 3.0
+        assert n.weights == {"a": pytest.approx(0.75), "b": pytest.approx(0.25)}
 
     def test_normalized_all_zero_raises(self):
         a = WeightAssignment(vip="v", weights={"a": 0.0, "b": 0.0})
@@ -123,14 +124,6 @@ class TestWeightAssignment:
     def test_weight_for_missing_dip_is_zero(self):
         a = WeightAssignment(vip="v", weights={"a": 1.0})
         assert a.weight_for("missing") == 0.0
-
-    def test_imbalance(self):
-        a = WeightAssignment(vip="v", weights={"a": 0.7, "b": 0.2, "c": 0.1})
-        assert a.imbalance() == pytest.approx(0.6)
-
-    def test_imbalance_empty(self):
-        a = WeightAssignment(vip="v", weights={})
-        assert a.imbalance() == 0.0
 
     def test_rejects_invalid_weight(self):
         with pytest.raises(ConfigurationError):
@@ -162,19 +155,3 @@ class TestEqualWeights:
     def test_sums_to_one(self):
         result = equal_weights([f"d{i}" for i in range(7)])
         assert sum(result.values()) == pytest.approx(1.0)
-
-
-class TestDipRecord:
-    def test_usable_points_filters_drops(self):
-        record = DipRecord(dip="d", vip="v")
-        record.points.append(MeasurementPoint(weight=0.1, latency_ms=2.0))
-        record.points.append(MeasurementPoint(weight=0.2, latency_ms=9.0, dropped=True))
-        usable = record.usable_points()
-        assert len(usable) == 1
-        assert usable[0].weight == pytest.approx(0.1)
-
-    def test_defaults(self):
-        record = DipRecord(dip="d", vip="v")
-        assert record.current_weight == 0.0
-        assert not record.exploration_done
-        assert not record.failed
