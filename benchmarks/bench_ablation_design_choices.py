@@ -8,7 +8,7 @@ from _harness import run_once, save_report
 
 from repro.analysis import format_table
 from repro.core.config import CurveConfig, ExplorationConfig, IlpConfig, KnapsackLBConfig
-from repro.core.controller import KnapsackLBController
+from repro.core.fleet_controller import FleetController
 from repro.core.ilp import build_assignment_problem
 from repro.experiments.ilp_scale import f_series_like_curve
 from repro.solver import available_backends, solve
@@ -66,8 +66,9 @@ def _curve_degree_study(degrees=(1, 2, 3)):
     for degree in degrees:
         cluster = build_testbed_cluster(load_fraction=0.70, seed=42)
         config = KnapsackLBConfig(curve=CurveConfig(degree=degree))
-        controller = KnapsackLBController("ablate-degree", cluster, config=config)
-        controller.converge()
+        plane = FleetController(cluster.fleet, config=config)
+        plane.onboard_vip("vip")
+        plane.converge_all()
         state = cluster.state()
         utils = state.utilization.values()
         rows.append(
@@ -96,8 +97,9 @@ def _probe_budget_study(budgets=(4, 10, 25)):
     for budget in budgets:
         cluster = build_testbed_cluster(load_fraction=0.70, seed=42)
         config = KnapsackLBConfig(exploration=ExplorationConfig(max_iterations=budget))
-        controller = KnapsackLBController("ablate-budget", cluster, config=config)
-        controller.converge()
+        plane = FleetController(cluster.fleet, config=config)
+        controller = plane.onboard_vip("vip")
+        plane.converge_all()
         measurements = [e.measurements for e in controller.explorations.values()]
         state = cluster.state()
         rows.append(

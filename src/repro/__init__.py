@@ -25,14 +25,15 @@ Quickstart::
     result = api.run(api.get_spec("testbed_klb"))
     print(result.metrics["mean_latency_ms"])
 
-or, driving the controller by hand::
+or, driving the control plane by hand (a single VIP is a one-VIP fleet)::
 
-    from repro import KnapsackLBController
+    from repro.core import FleetController
     from repro.workloads import build_testbed_cluster
 
     cluster = build_testbed_cluster(load_fraction=0.7, seed=7)
-    controller = KnapsackLBController("vip-1", cluster)
-    assignment = controller.converge()
+    plane = FleetController(cluster.fleet)
+    plane.onboard_vip("vip")
+    assignment = plane.converge_all()["vip"]
     print(assignment.weights)
 """
 

@@ -246,7 +246,7 @@ def prepare_fleet(
     detail: Any = None
     plane: FleetController | None = None
     if spec.controller.enabled:
-        plane, assignments = _converge(fleet, spec, deferred)
+        plane, assignments = _converged_plane(fleet, spec, deferred)
         metrics["vips_with_assignment"] = float(len(assignments))
         metrics["measurement_rounds"] = float(len(plane.round_log))
         detail = {"assignments": assignments, "plane": plane}
@@ -257,7 +257,7 @@ def prepare_fleet(
     return fleet, plane, metrics, detail
 
 
-def _converge(
+def _converged_plane(
     fleet: Fleet, spec: ExperimentSpec, deferred: Iterable[str] = ()
 ) -> tuple[FleetController, dict[str, WeightAssignment]]:
     """Onboard every non-deferred VIP and run the spec's convergence."""
@@ -365,7 +365,7 @@ def replay_controller_weights(spec: ExperimentSpec) -> dict[DipId, float] | None
     """
     if not spec.controller.enabled:
         return None
-    plane, _ = _converge(build_cluster(spec).fleet, spec)
+    plane, _ = _converged_plane(build_cluster(spec).fleet, spec)
     return dict(plane.controllers["vip"].current_weights)
 
 

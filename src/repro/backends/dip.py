@@ -86,9 +86,6 @@ class DipServer:
         )
         #: the scaled model of the capacity factor last seen below 1.0.
         self._scaled: tuple[float, LatencyModel] | None = None
-        #: requests served and dropped so far (a list: counting them is no
-        #: attribute write).
-        self._requests = [0, 0]
 
     # -- capacity ---------------------------------------------------------
 
@@ -171,16 +168,6 @@ class DipServer:
             drop_fraction=drops / num_requests,
         )
 
-    # -- accounting ---------------------------------------------------------
-
-    @property
-    def served_requests(self) -> int:
-        return self._requests[0]
-
-    @property
-    def dropped_requests(self) -> int:
-        return self._requests[1]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DipServer({self.dip_id!r}, type={self.vm_type.name}, "
@@ -218,13 +205,10 @@ def serve_probe_round(
         drop_p = model.drop_probability(rate)
         drops = int(server._rng.binomial(num_requests, min(1.0, drop_p))) if drop_p else 0
         served = num_requests - drops
-        counted = server._requests
-        counted[1] += drops
         drop_counts[i] = drops
         means[i] = math.inf
         if not served:
             continue
-        counted[0] += served
         mean = loc[i] = model.mean_latency_ms(rate, scv_correction=server.scv_correction)
         if server.jitter_fraction:
             scale[i] = mean * server.jitter_fraction

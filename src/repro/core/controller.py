@@ -21,7 +21,7 @@ of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence
+from typing import Iterator, Mapping, Protocol, Sequence
 
 from repro.backends.dip import DipServer
 from repro.core.config import KnapsackLBConfig
@@ -53,15 +53,15 @@ from repro.solver import SolveCache
 class Deployment(Protocol):
     """What the controller needs from the system under control.
 
-    :class:`repro.sim.fluid.FluidCluster` satisfies this protocol; a wrapper
-    around a request-level cluster or a real LB controller would too.
+    :class:`repro.sim.fleet.FleetDeployment` satisfies this protocol; a
+    wrapper around a request-level cluster or a real LB controller would
+    too.  The clock is not the deployment's: the ``FleetController``
+    advances it.
     """
 
     dips: dict[DipId, DipServer]
 
     def set_weights(self, weights: Mapping[DipId, float]) -> None: ...
-
-    def advance(self, duration_s: float) -> object: ...
 
     def healthy_dip_ids(self) -> tuple[DipId, ...]: ...
 
@@ -105,7 +105,12 @@ class ControlStepReport:
 
 
 class KnapsackLBController:
-    """Per-VIP weight computation and reaction to dynamics."""
+    """Per-VIP weight computation and reaction to dynamics.
+
+    A state machine with no loop and no clock of its own:
+    :class:`~repro.core.fleet_controller.FleetController` drives every
+    phase, advances the shared clock and sets :attr:`time`.
+    """
 
     def __init__(
         self,
@@ -148,6 +153,7 @@ class KnapsackLBController:
         self.current_weights: dict[DipId, float] = {}
         self.last_assignment: WeightAssignment | None = None
         self.ilp_history: list[MultiStepOutcome] = []
+        #: the ``FleetController``'s clock, stamped on probes and reports.
         self.time: float = 0.0
 
     # ------------------------------------------------------------------ helpers
@@ -169,23 +175,21 @@ class KnapsackLBController:
         self.deployment.set_weights(full)
         self.current_weights = {d: w for d, w in full.items() if w > 0}
 
-    def _advance(self, duration_s: float) -> None:
-        self.deployment.advance(duration_s)
-        self.time += duration_s
-
     def _probe(self, dips: Sequence[DipId]) -> dict[DipId, tuple[float | None, bool]]:
         """Probe ``dips`` once; returns {dip: (latency_ms or None, dropped)}."""
         return self.klm.probe_round(dips, now=self.time)
 
     # ------------------------------------------------------- bootstrap (l0)
 
-    def bootstrap_idle_latencies(self, *, batch_fraction: float = 0.2) -> dict[DipId, float]:
+    def bootstrap_idle_latencies(self, *, batch_fraction: float = 0.2) -> Iterator[float]:
         """Measure every DIP's idle latency ``l0`` by zero-weighting it.
 
         DIPs are processed in batches: the batch gets weight 0 (so it stops
         receiving client traffic), the rest of the pool shares the full
-        weight, the controller waits for old connections to drain and then
-        probes the batch.
+        weight, old connections drain and then the batch is probed.  After
+        programming each batch this generator yields the drain time; the
+        ``FleetController`` advances the clock by it and resumes the
+        generator, which probes the batch.
         """
         if not 0 < batch_fraction <= 1:
             raise ConfigurationError("batch_fraction must be in (0, 1]")
@@ -203,11 +207,10 @@ class KnapsackLBController:
                 # A single-DIP pool cannot be zero-weighted; probe as-is.
                 weights = equal_weights(batch)
             self._program(weights)
-            self._advance(settle_s)
+            yield settle_s
             for dip, (latency, _) in self._probe(batch).items():
                 if latency is not None:
                     self.l0_ms[dip] = latency
-        return dict(self.l0_ms)
 
     # ------------------------------------------------------- measurement phase
 
@@ -219,15 +222,12 @@ class KnapsackLBController:
     ) -> None:
         """Initialise the measurement phase (stepwise API).
 
-        After this, :meth:`exploration_round` runs one scheduler round at a
-        time — a fleet driver can interleave rounds from many VIPs — and
+        Needs the idle latencies of :meth:`bootstrap_idle_latencies`.  After
+        this, :meth:`exploration_round` runs one scheduler round at a time —
+        the ``FleetController`` interleaves rounds from many VIPs — and
         :meth:`finish_exploration` fits any stragglers and builds the report.
-        :meth:`run_exploration` drives the whole loop for single-VIP use.
         """
         dips = self._healthy_dips()
-        if not self.l0_ms:
-            self.bootstrap_idle_latencies()
-
         initial = 1.0 / len(dips)
         for dip in dips:
             l0 = self.l0_ms.get(dip)
@@ -257,19 +257,14 @@ class KnapsackLBController:
                 return False
         return True
 
-    def exploration_round(
-        self,
-        *,
-        advance: bool = True,
-        exclude: Sequence[DipId] = (),
-    ) -> ExplorationRoundOutcome:
+    def exploration_round(self, *, exclude: Sequence[DipId] = ()) -> ExplorationRoundOutcome:
         """Run one measurement round: propose, schedule, program, probe.
 
         ``exclude`` names DIPs a fleet driver has already measured in the
         current fleet-wide round (a shared DIP cannot serve two measurement
-        weights at once); their requests stay queued.  With ``advance=False``
-        the deployment clock is left untouched so the driver can advance a
-        shared fleet exactly once per interleaved round.
+        weights at once); their requests stay queued.  The probes are taken
+        as the round is programmed; the ``FleetController`` then advances
+        the shared clock once per interleaved round.
         """
         pending = [d for d, e in self.explorations.items() if not e.done]
         if not pending:
@@ -300,8 +295,6 @@ class KnapsackLBController:
             return ExplorationRoundOutcome(done=self._exploration_finished())
 
         self._program(plan.weights())
-        if advance:
-            self._advance(self.config.scheduler.round_duration_s)
         self._explore_rounds += 1
 
         # KLM probes every DIP each interval (§5); use every sample.  Probes
@@ -369,24 +362,6 @@ class KnapsackLBController:
             w_max={d: e.effective_w_max() for d, e in self.explorations.items()},
         )
 
-    def run_exploration(
-        self,
-        *,
-        max_iterations: int | None = None,
-        overutilized: Sequence[DipId] = (),
-    ) -> ExplorationReport:
-        """Run the measurement phase until every DIP's exploration finishes.
-
-        Returns per-DIP weight histories (Fig. 9) and the iteration/round
-        counts reported in §6.1.
-        """
-        self.begin_exploration(
-            max_iterations=max_iterations, overutilized=overutilized
-        )
-        while not self.exploration_round().done:
-            pass
-        return self.finish_exploration()
-
     def _fit_dip_curve(self, dip: DipId) -> WeightLatencyCurve:
         state = self.explorations[dip]
         try:
@@ -441,39 +416,17 @@ class KnapsackLBController:
             raise ConfigurationError("no assignment to program")
         self._program(normalize_weights(dict(assignment.weights)))
 
-    def converge(self, *, settle_steps: int = 3) -> WeightAssignment:
-        """Bootstrap + explore + solve + program, in one call (quickstart API).
-
-        ``settle_steps`` extra control ticks are run after the first
-        programming so the §4.5 curve-rescaling feedback can absorb any
-        extrapolation error of the freshly fitted curves before the
-        controller is handed over to its steady-state loop.
-        """
-        if not self.l0_ms:
-            self.bootstrap_idle_latencies()
-        if not self.curves:
-            self.run_exploration()
-        outcome = self.compute_weights()
-        self.program_assignment(outcome.assignment)
-        for _ in range(max(0, settle_steps)):
-            report = self.control_step()
-            if not report.events:
-                break
-        assert self.last_assignment is not None
-        return self.last_assignment
-
     # ------------------------------------------------------------ steady state
 
-    def control_step(self, *, advance: bool = True) -> ControlStepReport:
+    def control_step(self) -> ControlStepReport:
         """One steady-state tick: probe, detect dynamics, react.
 
-        Mirrors the 5-second control loop of §5: KLM probes all DIPs, the
-        controller checks for failures and for latency drift against the
-        fitted curves, rescales curves and recomputes/programs weights when
-        something changed.
+        Mirrors the 5-second control loop of §5, whose clock the
+        ``FleetController`` advances before the tick: KLM probes all DIPs,
+        the controller checks for failures and for latency drift against
+        the fitted curves, rescales curves and recomputes/programs weights
+        when something changed.
         """
-        if advance:
-            self._advance(self.config.control_interval_s)
         report = ControlStepReport(time=self.time)
 
         # Probe every DIP the controller still believes is alive; a DIP that

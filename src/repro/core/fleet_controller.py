@@ -18,6 +18,11 @@ manages thousands of VIPs:
 * VIPs can be onboarded while the rest of the fleet is live (staggered
   onboarding), and steady-state VIPs keep reacting to failures, capacity
   and traffic changes every control tick.
+
+It is the one convergence loop and the only owner of the clock — a single
+VIP converges as a one-VIP fleet (``FleetController(cluster.fleet)``,
+``onboard_vip("vip")``, :meth:`FleetController.converge_all`); the per-VIP
+controllers have no loop and no clock of their own.
 """
 
 from __future__ import annotations
@@ -133,6 +138,10 @@ class FleetController:
     def start_measurement(self, vip_id: VipId) -> None:
         """Bootstrap ``l0`` and open the VIP's measurement phase."""
         controller = self._controller(vip_id)
+        if not controller.l0_ms:
+            for settle_s in controller.bootstrap_idle_latencies():
+                self.fleet.advance(settle_s)
+                self._sync_clocks()
         controller.begin_exploration()
         self.phases[vip_id] = VipPhase.MEASURING
         self._sync_clocks()
@@ -193,9 +202,7 @@ class FleetController:
             measured_by_vip: dict[VipId, dict[DipId, float]] = {}
             for vip_id in ordered:
                 controller = self.controllers[vip_id]
-                outcome = controller.exploration_round(
-                    advance=False, exclude=claimed
-                )
+                outcome = controller.exploration_round(exclude=claimed)
                 if outcome.measured:
                     claimed.update(outcome.measured)
                     measured_by_vip[vip_id] = dict(outcome.measured)
@@ -219,7 +226,7 @@ class FleetController:
 
             if steady_control:
                 for vip_id in self.steady_vips():
-                    self.controllers[vip_id].control_step(advance=False)
+                    self.controllers[vip_id].control_step()
 
         return FleetMeasurementReport(
             rounds=rounds,
@@ -257,7 +264,7 @@ class FleetController:
         )
         self._sync_clocks()
         return {
-            vip_id: self.controllers[vip_id].control_step(advance=False)
+            vip_id: self.controllers[vip_id].control_step()
             for vip_id in self.steady_vips()
         }
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import KnapsackLBController
 from repro.core.types import DipId
+from repro.experiments.klb_testbed import _converge_vip
 from repro.workloads import build_testbed_cluster
 
 #: The DIP indices the paper plots in Figs. 15-17.
@@ -35,17 +35,17 @@ class DynamicsStudy:
 
 def _converged_controller(load_fraction: float, seed: int):
     cluster = build_testbed_cluster(load_fraction=load_fraction, seed=seed)
-    controller = KnapsackLBController("vip-dyn", cluster)
-    controller.converge()
-    return cluster, controller
+    plane = _converge_vip(cluster)
+    return cluster, plane, plane.controllers["vip"]
 
 
-def _run_steps(controller, steps: int) -> tuple[list[str], float]:
+def _run_steps(plane, steps: int) -> tuple[list[str], float]:
+    controller = plane.controllers["vip"]
     events: list[str] = []
     start = controller.time
     detection_time = float("nan")
     for _ in range(steps):
-        report = controller.control_step()
+        report = plane.control_step()["vip"]
         for event in report.events:
             events.append(event.kind.value)
         if report.reprogrammed and detection_time != detection_time:
@@ -63,11 +63,11 @@ def run_dynamics_study(
     """Reproduce the three §6.3 scenarios on the 30-DIP testbed."""
 
     # --- Fig. 15: fail DIP-25 and DIP-26 -----------------------------------
-    cluster, controller = _converged_controller(load_fraction, seed)
+    cluster, plane, controller = _converged_controller(load_fraction, seed)
     before = dict(controller.last_assignment.weights)
     cluster.fail_dip("DIP-25")
     cluster.fail_dip("DIP-26")
-    events, detection = _run_steps(controller, settle_steps)
+    events, detection = _run_steps(plane, settle_steps)
     failure = DynamicsScenario(
         name="failure",
         weights_before=before,
@@ -78,11 +78,11 @@ def run_dynamics_study(
     )
 
     # --- Fig. 16: reduce capacity of DIP-25..28 -----------------------------
-    cluster, controller = _converged_controller(load_fraction, seed)
+    cluster, plane, controller = _converged_controller(load_fraction, seed)
     before = dict(controller.last_assignment.weights)
     for dip in ("DIP-25", "DIP-26", "DIP-27", "DIP-28"):
         cluster.set_capacity_ratio(dip, 0.75)
-    events, detection = _run_steps(controller, settle_steps)
+    events, detection = _run_steps(plane, settle_steps)
     capacity = DynamicsScenario(
         name="capacity",
         weights_before=before,
@@ -93,10 +93,10 @@ def run_dynamics_study(
     )
 
     # --- Fig. 17: +10 % traffic ----------------------------------------------
-    cluster, controller = _converged_controller(load_fraction, seed)
+    cluster, plane, controller = _converged_controller(load_fraction, seed)
     before = dict(controller.last_assignment.weights)
     cluster.scale_traffic(1.0 + traffic_increase)
-    events, detection = _run_steps(controller, settle_steps)
+    events, detection = _run_steps(plane, settle_steps)
     traffic = DynamicsScenario(
         name="traffic",
         weights_before=before,

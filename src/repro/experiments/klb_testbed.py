@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core import KnapsackLBController
+from repro.core import FleetController, KnapsackLBController
 from repro.core.types import DipId
 from repro.lb import (
     FiveTupleHash,
@@ -44,6 +44,15 @@ class ExplorationStudy:
     weight_ratio_by_cores: dict[str, float]
 
 
+def _converge_vip(cluster: FluidCluster) -> FleetController:
+    """Converge ``cluster``'s one VIP (``"vip"``) through the fleet control
+    plane; its controller is ``plane.controllers["vip"]``."""
+    plane = FleetController(cluster.fleet)
+    plane.onboard_vip("vip")
+    plane.converge_all()
+    return plane
+
+
 def compute_testbed_weights(
     *, load_fraction: float = 0.70, seed: int = 42
 ) -> tuple[dict[DipId, float], float, KnapsackLBController, FluidCluster]:
@@ -51,9 +60,8 @@ def compute_testbed_weights(
     layout = build_testbed_dips(seed=seed)
     rate = layout.total_capacity_rps * load_fraction
     cluster = FluidCluster(dips=dict(layout.dips), total_rate_rps=rate, policy_name="wrr")
-    controller = KnapsackLBController("vip-testbed", cluster)
-    assignment = controller.converge()
-    return dict(assignment.weights), rate, controller, cluster
+    controller = _converge_vip(cluster).controllers["vip"]
+    return dict(controller.last_assignment.weights), rate, controller, cluster
 
 
 def run_exploration_study(

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 from repro.agents import CpuAgentBalancer
 from repro.backends import DipServer, custom_vm_type
-from repro.core import KnapsackLBController
 from repro.core.types import DipId
+from repro.experiments.klb_testbed import _converge_vip
 from repro.lb import AzureTrafficManagerSim, NginxSim
 from repro.sim import FluidCluster, RequestCluster
 
@@ -103,8 +103,7 @@ def run_agent_baseline(
     balancer.run()
 
     klb_cluster = FluidCluster(dips=pool(), total_rate_rps=rate, policy_name="wrr")
-    controller = KnapsackLBController("vip-agent", klb_cluster)
-    controller.converge()
+    controller = _converge_vip(klb_cluster).controllers["vip"]
     utils = klb_cluster.state().utilization
     return AgentBaselineResult(
         agent_iterations=balancer.iterations_to_converge,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.api.result import RunWindow
-from repro.api.runners import execute
+from repro.api.runners import _single_vip_gain, execute
 from repro.api.spec import (
     ArrivalSpec,
     ChaosSpec,
@@ -45,8 +45,9 @@ from repro.api.spec import (
 )
 from repro.analysis.reporting import format_table
 from repro.backends import custom_vm_type
-from repro.core import FleetController, KnapsackLBController
+from repro.core import FleetController
 from repro.exceptions import ConfigurationError
+from repro.experiments.klb_testbed import _converge_vip
 from repro.lb import make_policy, policy_registry, policy_seed_kwargs
 from repro.sim import FluidCluster, RequestCluster
 from repro.workloads import (
@@ -180,19 +181,16 @@ def run_scenario(name: str, **overrides: Any) -> ScenarioResult:
 )
 def run_single_vip_testbed(*, load_fraction: float, seed: int) -> ScenarioResult:
     cluster = build_testbed_cluster(load_fraction=load_fraction, seed=seed)
-    controller = KnapsackLBController("vip-1", cluster)
-    assignment = controller.converge()
+    assignment = _converge_vip(cluster).controllers["vip"].last_assignment
     klb_latency = cluster.state().overall_mean_latency_ms()
-    cluster.set_weights({d: 1 / len(cluster.dips) for d in cluster.dips})
-    equal_latency = cluster.state().overall_mean_latency_ms()
-    cluster.set_weights(dict(assignment.weights))
+    gain = _single_vip_gain(cluster.fleet, assignment)
     return ScenarioResult(
         name="single_vip_testbed",
         params={"load_fraction": load_fraction, "seed": seed},
         metrics={
             "mean_latency_ms": klb_latency,
-            "equal_split_latency_ms": equal_latency,
-            "latency_gain": equal_latency / klb_latency,
+            "equal_split_latency_ms": gain["equal_split_latency_ms"],
+            "latency_gain": gain["latency_gain"],
             "max_utilization": max(cluster.state().utilization.values()),
         },
         detail=assignment,
@@ -514,10 +512,10 @@ def run_datacenter_scale_fluid(
             "evaluations": evaluations,
             "seed": seed,
         },
-        metrics={
+        metrics={"max_utilization": max(state.utilization.values())},
+        timings={
             "apply_ms": per_apply_ms,
             "dip_evaluations_per_s": num_dips / (per_apply_ms / 1000.0),
-            "max_utilization": max(state.utilization.values()),
         },
     )
 

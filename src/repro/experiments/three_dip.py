@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core import KnapsackLBController
 from repro.core.types import DipId
+from repro.experiments.klb_testbed import _converge_vip
 from repro.lb import LeastConnection, MuxPool, RoundRobin, WeightedRoundRobin
 from repro.sim import FluidCluster, MetricsCollector, RequestCluster, max_latency_gain
 from repro.workloads import build_graded_three_dip_pool
@@ -50,8 +50,7 @@ def run_three_dip_comparison(
         total_rate_rps=rate,
         policy_name="wrr",
     )
-    controller = KnapsackLBController("vip-fig14", fluid)
-    klb_weights = dict(controller.converge().weights)
+    klb_weights = dict(_converge_vip(fluid).controllers["vip"].last_assignment.weights)
 
     def evaluate(name: str, factory) -> ThreeDipRun:
         dips = build_graded_three_dip_pool(ratios, seed=seed)

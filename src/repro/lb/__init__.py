@@ -33,7 +33,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.lb.hash_lb": ("FiveTupleHash", "stable_hash"),
         "repro.lb.least_connection": ("LeastConnection", "WeightedLeastConnection"),
-        "repro.lb.mux": ("MuxPool", "WeightUpdate"),
+        "repro.lb.mux": ("MuxPool",),
         "repro.lb.power_of_two": ("PowerOfTwo",),
         "repro.lb.random_lb": ("RandomSelect", "WeightedRandom"),
         "repro.lb.round_robin": ("RoundRobin", "WeightedRoundRobin"),

@@ -7,27 +7,17 @@ weights through the LB controller, which then pushes them to every MUX.
 
 :class:`MuxPool` reproduces that structure: ``num_muxes`` policy instances
 of the same type, a hash-based ECMP spread of flows onto MUXes, and a
-``program_weights`` call that propagates weights to all instances (with an
-optional per-MUX propagation delay the simulator can honour).
+``program_weights`` call that propagates weights to all instances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
 from repro.lb.base import FlowKey, Policy
 from repro.lb.hash_lb import stable_hash
-
-
-@dataclass(frozen=True)
-class WeightUpdate:
-    """A weight push recorded by the LB controller (for observability)."""
-
-    time: float
-    weights: dict[DipId, float]
 
 
 class MuxPool:
@@ -49,7 +39,6 @@ class MuxPool:
         for mux in self._muxes[1:]:
             if mux.dips != first.dips:
                 raise ConfigurationError("all MUXes must front the same DIP set")
-        self._updates: list[WeightUpdate] = []
 
     @property
     def num_muxes(self) -> int:
@@ -85,13 +74,10 @@ class MuxPool:
     def on_connection_close(self, flow: FlowKey, dip: DipId) -> None:
         self.mux_for(flow).on_connection_close(dip)
 
-    def program_weights(
-        self, weights: Mapping[DipId, float], *, at_time: float = 0.0
-    ) -> None:
+    def program_weights(self, weights: Mapping[DipId, float]) -> None:
         """Push new weights to every MUX (what the LB controller does)."""
         for mux in self._muxes:
             mux.set_weights(weights)
-        self._updates.append(WeightUpdate(time=at_time, weights=dict(weights)))
 
     def observe_utilization(self, utilization: Mapping[DipId, float]) -> None:
         for mux in self._muxes:
@@ -100,7 +86,3 @@ class MuxPool:
     def set_healthy(self, dip: DipId, healthy: bool) -> None:
         for mux in self._muxes:
             mux.set_healthy(dip, healthy)
-
-    @property
-    def weight_updates(self) -> Sequence[WeightUpdate]:
-        return tuple(self._updates)

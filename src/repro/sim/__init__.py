@@ -22,7 +22,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.sim.fleet": ("Fleet", "FleetDeployment", "FleetState"),
         "repro.sim.fluid": (
             "FluidCluster",
-            "FluidClusterState",
             "PoolArrays",
             "pool_arrays",
             "vector_mean_latency_ms",

@@ -250,7 +250,7 @@ class RequestCluster:
 
     def set_weights(self, weights: Mapping[DipId, float]) -> None:
         if self._mux:
-            self.policy.program_weights(weights, at_time=self.scheduler.now)
+            self.policy.program_weights(weights)
         else:
             self.policy.set_weights(weights)
 

@@ -15,10 +15,10 @@ the background load the other VIPs put on its DIPs until the joint rates
 stabilise.
 
 Per-VIP :class:`FleetDeployment` views satisfy the controller's
-``Deployment`` protocol, so a :class:`repro.core.KnapsackLBController` (or
-the multi-VIP :class:`repro.core.fleet_controller.FleetController`) drives
-a fleet exactly like a single-VIP :class:`~repro.sim.fluid.FluidCluster` —
-which is itself now a one-VIP fleet.
+``Deployment`` protocol: the :class:`repro.core.fleet_controller.FleetController`
+drives every VIP's :class:`repro.core.KnapsackLBController` through one, a
+single-VIP :class:`~repro.sim.fluid.FluidCluster` (itself a one-VIP fleet)
+included.
 """
 
 from __future__ import annotations
@@ -156,14 +156,19 @@ class FleetState:
         )
 
     def overall_mean_latency_ms(self) -> float:
-        """Request-weighted mean latency across the whole fleet."""
+        """Request-weighted mean latency across the whole fleet.
+
+        A DIP without traffic adds nothing: its term is skipped, so a failed
+        DIP's rate 0 never meets its infinite latency (0 × inf is NaN).
+        """
         rates = self.total_rates_rps
         total = left_to_right_sum(rates.values())
         if total <= 0:
             return float("nan")
         latency = self.mean_latency_ms
         return (
-            left_to_right_sum(rate * latency[d] for d, rate in rates.items()) / total
+            left_to_right_sum(rate * latency[d] for d, rate in rates.items() if rate)
+            / total
         )
 
     def dip_summaries(self) -> dict[DipId, dict[str, float]]:
@@ -186,9 +191,10 @@ class FleetState:
 class FleetDeployment:
     """One VIP's view of a shared fleet (satisfies ``Deployment``).
 
-    The controller programs weights and advances time through this view; it
-    only ever sees its own VIP's DIPs, while the underlying rates include
-    whatever the other tenants put on the shared servers.
+    The controller programs weights through this view; it only ever sees
+    its own VIP's DIPs, while the underlying rates include whatever the
+    other tenants put on the shared servers.  The fleet's clock is the
+    :class:`~repro.core.fleet_controller.FleetController`'s to advance.
     """
 
     def __init__(self, fleet: "Fleet", vip_id: VipId) -> None:
@@ -201,9 +207,6 @@ class FleetDeployment:
 
     def set_weights(self, weights: Mapping[DipId, float]) -> None:
         self._fleet.set_weights(self.vip_id, weights)
-
-    def advance(self, duration_s: float) -> FleetState:
-        return self._fleet.advance(duration_s)
 
     def healthy_dip_ids(self) -> tuple[DipId, ...]:
         return self._fleet.vips[self.vip_id].healthy_dip_ids()

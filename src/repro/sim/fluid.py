@@ -29,13 +29,16 @@ Fluid interpretations of the policies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from repro.backends.dip import DipServer
 from repro.core.types import DipId, left_to_right_sum
 from repro.exceptions import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.sim.fleet import FleetState
 
 EQUAL_SPLIT_POLICIES = {"rr", "hash", "random"}
 WEIGHTED_SPLIT_POLICIES = {"wrr", "wrandom", "dns"}
@@ -334,52 +337,21 @@ def split_rates_array(
 
 
 @dataclass
-class FluidClusterState:
-    """A snapshot of the fluid cluster after applying a split."""
-
-    time: float
-    rates_rps: dict[DipId, float]
-    utilization: dict[DipId, float]
-    mean_latency_ms: dict[DipId, float]
-
-    def overall_mean_latency_ms(self) -> float:
-        """Request-weighted mean latency across DIPs."""
-        total_rate = left_to_right_sum(self.rates_rps.values())
-        if total_rate <= 0:
-            return float("nan")
-        return left_to_right_sum(
-            self.rates_rps[d] * self.mean_latency_ms[d] for d in self.rates_rps
-        ) / total_rate
-
-    def dip_summaries(self) -> dict[DipId, dict[str, float]]:
-        """Per-DIP {rate, utilization, latency} rows (result-artifact shape)."""
-        return {
-            dip: {
-                "rate_rps": self.rates_rps[dip],
-                "utilization": self.utilization[dip],
-                "mean_latency_ms": self.mean_latency_ms[dip],
-            }
-            for dip in sorted(self.rates_rps)
-        }
-
-
-@dataclass
 class FluidCluster:
     """A VIP's DIP pool driven by aggregate request rates.
 
-    The KnapsackLB controller interacts with this cluster exactly as it
-    would with a real deployment: it programs weights on the (simulated) LB
-    and reads latencies through KLM probes; it never touches the DIPs.
-
     Internally this is a one-VIP :class:`repro.sim.fleet.Fleet` — the
-    multi-VIP substrate with a single tenant.
+    multi-VIP substrate with a single tenant.  A
+    :class:`~repro.core.fleet_controller.FleetController` over ``fleet``
+    drives it exactly as it would a real deployment: it programs weights on
+    the (simulated) LB and reads latencies through KLM probes; it never
+    touches the DIPs.
     """
 
     dips: dict[DipId, DipServer]
     total_rate_rps: float
     policy_name: str = "wrr"
     weights: dict[DipId, float] = field(default_factory=dict)
-    time: float = 0.0
 
     def __post_init__(self) -> None:
         from repro.sim.fleet import Fleet  # deferred; fleet imports this module
@@ -392,8 +364,8 @@ class FluidCluster:
             share = 1.0 / len(self.dips)
             self.weights = {d: share for d in self.dips}
         #: the one-VIP fleet behind this façade (the VIP is named ``"vip"``);
-        #: the spec runners and the timeline stepper drive it directly.
-        self.fleet = Fleet(dips=self.dips, start_time=self.time)
+        #: a ``FleetController`` over it converges the VIP and owns its clock.
+        self.fleet = Fleet(dips=self.dips)
         self._vip = self.fleet.create_vip(
             "vip",
             dip_ids=list(self.dips),
@@ -431,32 +403,15 @@ class FluidCluster:
     def set_antagonist_copies(self, dip: DipId, copies: int) -> None:
         self.fleet.set_antagonist_copies(dip, copies)
 
-    # -- dynamics ----------------------------------------------------------------
-
-    def apply(self) -> FluidClusterState:
-        """Recompute the per-DIP rates from the current weights and traffic."""
-        self.fleet.apply()
-        return self.state()
-
-    def advance(self, duration_s: float) -> FluidClusterState:
-        """Advance simulated time (loads are steady in the fluid model)."""
-        self.fleet.advance(duration_s)
-        self.time = self.fleet.time
-        return self.state()
-
     # -- observation ---------------------------------------------------------------
 
-    def state(self) -> FluidClusterState:
-        rates = {d: s.offered_rate_rps for d, s in self.dips.items()}
-        return FluidClusterState(
-            time=self.time,
-            rates_rps=rates,
-            utilization={d: s.cpu_utilization for d, s in self.dips.items()},
-            mean_latency_ms={
-                d: (float("inf") if s.failed else s.mean_latency_ms)
-                for d, s in self.dips.items()
-            },
-        )
+    def apply(self) -> FleetState:
+        """Recompute the per-DIP rates from the current weights and traffic."""
+        return self.fleet.apply()
+
+    def state(self) -> FleetState:
+        """The last evaluation (see :meth:`repro.sim.fleet.Fleet.state`)."""
+        return self.fleet.state()
 
     @property
     def total_capacity_rps(self) -> float:

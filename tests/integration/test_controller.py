@@ -1,25 +1,40 @@
-"""Integration tests: the KnapsackLB controller end to end on fluid clusters."""
+"""Integration tests: the KnapsackLB controller end to end on fluid clusters.
+
+A single VIP converges as a one-VIP fleet: a ``FleetController`` over the
+cluster's fleet drives it and advances the clock.
+"""
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
 import repro.core.curve as curve_module
 from repro import kernels
-from repro.core import KnapsackLBConfig, KnapsackLBController
+from repro.api import get_spec, run
+from repro.core import FleetController, KnapsackLBConfig
 from repro.core.config import IlpConfig
+from repro.experiments import run_scenario
 from repro.workloads import build_testbed_cluster, build_three_dip_pool
 from repro.workloads.generators import build_mixed_core_pool
 from repro.sim import FluidCluster
+
+
+def converged(cluster, *, config=None, settle_steps=3):
+    """The control plane and controller of ``cluster``'s converged VIP."""
+    plane = FleetController(cluster.fleet, config=config)
+    controller = plane.onboard_vip("vip")
+    plane.converge_all(settle_steps=settle_steps)
+    return plane, controller
 
 
 @pytest.fixture(scope="module")
 def converged_testbed():
     """A converged controller on the 30-DIP testbed (shared across tests)."""
     cluster = build_testbed_cluster(load_fraction=0.70, seed=7)
-    controller = KnapsackLBController("vip-1", cluster)
-    assignment = controller.converge()
-    return cluster, controller, assignment
+    _, controller = converged(cluster)
+    return cluster, controller, controller.last_assignment
 
 
 class TestConvergence:
@@ -88,8 +103,7 @@ class TestControllerOnSmallPool:
         dips = build_three_dip_pool(capacity_ratio=0.6, cores=1, seed=5)
         total_capacity = sum(d.capacity_rps for d in dips.values())
         cluster = FluidCluster(dips=dips, total_rate_rps=total_capacity * 0.75, policy_name="wrr")
-        controller = KnapsackLBController("vip-3dip", cluster)
-        controller.converge()
+        _, controller = converged(cluster)
         utils = cluster.state().utilization
         assert max(utils.values()) - min(utils.values()) <= 0.25
         # The low-capacity DIP receives the smallest weight.
@@ -101,8 +115,8 @@ class TestControllerOnSmallPool:
         total_capacity = sum(d.capacity_rps for d in dips.values())
         cluster = FluidCluster(dips=dips, total_rate_rps=total_capacity * 0.6, policy_name="wrr")
         config = KnapsackLBConfig(ilp=IlpConfig(theta=0.15))
-        controller = KnapsackLBController("vip", cluster, config=config)
-        assignment = controller.converge(settle_steps=0)
+        _, controller = converged(cluster, config=config, settle_steps=0)
+        assignment = controller.last_assignment
         values = list(assignment.weights.values())
         # Normalisation can stretch the spread slightly beyond theta.
         assert max(values) - min(values) <= 0.15 * 1.5 + 1e-9
@@ -111,15 +125,13 @@ class TestControllerOnSmallPool:
 class TestControlLoop:
     def make_converged(self, load=0.7):
         cluster = build_testbed_cluster(load_fraction=load, seed=11)
-        controller = KnapsackLBController("vip-dyn", cluster)
-        controller.converge()
-        return cluster, controller
+        return (cluster, *converged(cluster))
 
     def test_steady_state_remains_stable(self):
         """After convergence the control loop must not oscillate or overload."""
-        cluster, controller = self.make_converged()
+        cluster, plane, controller = self.make_converged()
         for _ in range(4):
-            report = controller.control_step()
+            report = plane.control_step()["vip"]
             # Residual curve-calibration events are tolerable, but they must
             # stay few and must never push a DIP into overload.
             assert len(report.events) <= 3
@@ -128,11 +140,11 @@ class TestControlLoop:
 
     def test_failure_detected_and_weights_recomputed(self):
         """Fig. 15: failed DIPs are removed and their weight redistributed."""
-        cluster, controller = self.make_converged()
+        cluster, plane, controller = self.make_converged()
         before = dict(controller.last_assignment.weights)
         cluster.fail_dip("DIP-25")
         cluster.fail_dip("DIP-26")
-        report = controller.control_step()
+        report = plane.control_step()["vip"]
         assert set(report.failed_dips) == {"DIP-25", "DIP-26"}
         assert report.reprogrammed
         after = controller.last_assignment.weights
@@ -150,11 +162,11 @@ class TestControlLoop:
 
     def test_capacity_change_rescales_and_reprograms(self):
         """Fig. 16: capacity loss on DIP-25..28 shrinks their weights."""
-        cluster, controller = self.make_converged()
+        cluster, plane, controller = self.make_converged()
         before = dict(controller.last_assignment.weights)
         for dip in ("DIP-25", "DIP-26", "DIP-27", "DIP-28"):
             cluster.set_capacity_ratio(dip, 0.75)
-        report = controller.control_step()
+        report = plane.control_step()["vip"]
         assert report.reprogrammed
         after = controller.last_assignment.weights
         for dip in ("DIP-25", "DIP-26", "DIP-27", "DIP-28"):
@@ -163,17 +175,17 @@ class TestControlLoop:
 
     def test_traffic_increase_detected(self):
         """Fig. 17: +10 % traffic is detected as a cluster-wide event."""
-        cluster, controller = self.make_converged(load=0.7)
+        cluster, plane, controller = self.make_converged(load=0.7)
         cluster.scale_traffic(1.25)
-        report = controller.control_step()
+        report = plane.control_step()["vip"]
         kinds = {event.kind.value for event in report.events}
         assert "traffic_increase" in kinds or "capacity_change" in kinds
         assert report.reprogrammed
 
     def test_recover_dip_allows_reexploration(self):
-        cluster, controller = self.make_converged()
+        cluster, plane, controller = self.make_converged()
         cluster.fail_dip("DIP-29")
-        controller.control_step()
+        plane.control_step()
         assert "DIP-29" in controller.failed_dips
         cluster.recover_dip("DIP-29")
         controller.recover_dip("DIP-29")
@@ -190,8 +202,7 @@ class TestCurveKernelCallsPerTick:
         dips = build_mixed_core_pool(num_dips, seed=5)
         capacity = sum(dip.capacity_rps for dip in dips.values())
         cluster = FluidCluster(dips=dips, total_rate_rps=0.6 * capacity, policy_name="wrr")
-        controller = KnapsackLBController("vip", cluster)
-        controller.converge(settle_steps=0)
+        plane, _ = converged(cluster, settle_steps=0)
         perturb(cluster)
         calls = []
         predict, bisect_bank = curve_module._Bank.predict, kernels.bisect_bank
@@ -206,7 +217,7 @@ class TestCurveKernelCallsPerTick:
 
         monkeypatch.setattr(curve_module._Bank, "predict", counting)
         monkeypatch.setattr(kernels, "bisect_bank", counting_bisect)
-        report = controller.control_step()
+        report = plane.control_step()["vip"]
         monkeypatch.undo()
         rescaled = sum(len(event.dips) for event in report.events)
         if kernels.PATH == "compiled":
@@ -227,3 +238,43 @@ class TestCurveKernelCallsPerTick:
         assert small[2] and large[2]  # both ticks rescaled and re-solved
         assert large[1] > small[1] >= 1
         assert large[0] <= small[0]
+
+
+#: (policy, seed, load) -> (sha-1 of the converged weights as
+#: ``dip=float.hex`` pairs sorted by DIP and joined by ``;``, the clock at
+#: convergence), recorded on the Table 3 testbed while a single VIP still
+#: converged through its own controller loop (``KnapsackLBController.converge``,
+#: since removed).  The fleet path must land on the same bits.
+CONVERGED_TESTBED = {
+    ("wrr", 7, 0.7): ("7a63659ae18eafd7321018dc503fc28e7d9a242e", 145.0),
+    ("wrr", 7, 0.95): ("e16cd1cd260a5a3b19fe27de29b25b8f0e68c6e1", 150.0),
+    ("wrr", 11, 0.7): ("6e8aacff754830315db856ec0d1c4bdfb860db51", 150.0),
+    ("wrr", 11, 0.95): ("436a60ca7d6d2f03d8fde376dd0d698a752c9eda", 150.0),
+    ("wlc", 7, 0.7): ("98e07e2bdb68243ec8aacd29df1bc2f3cd2112e8", 300.0),
+    ("wlc", 7, 0.95): ("c6e277a84f4045380bf0ef5232972f2c89100965", 220.0),
+    ("wlc", 11, 0.7): ("28cde3884aa5f1800d6a8bd56bfc7f8e8ab928f1", 330.0),
+    ("wlc", 11, 0.95): ("e8d55f1151629d4d25a615b7353e8131e7e8d730", 240.0),
+}
+
+
+class TestOneConvergencePath:
+    @pytest.mark.parametrize("policy, seed, load", sorted(CONVERGED_TESTBED))
+    def test_fleet_path_reproduces_the_single_vip_loop(self, policy, seed, load):
+        cluster = build_testbed_cluster(load_fraction=load, policy_name=policy, seed=seed)
+        _, controller = converged(cluster)
+        weights = ";".join(
+            f"{dip}={weight.hex()}"
+            for dip, weight in sorted(controller.last_assignment.weights.items())
+        )
+        digest = hashlib.sha1(weights.encode()).hexdigest()
+        assert (digest, controller.time) == CONVERGED_TESTBED[policy, seed, load]
+
+    def test_the_testbed_scenario_is_the_testbed_spec(self):
+        """``single_vip_testbed`` and ``testbed_klb`` are one convergence; the
+        scenario reads its mean before the equal-split excursion, the spec
+        after, an ulp of weight apart."""
+        scenario = run_scenario("single_vip_testbed").metrics
+        spec = run(get_spec("testbed_klb")).metrics
+        for key in scenario.keys() & spec.keys():
+            assert spec[key] == pytest.approx(scenario[key], rel=1e-12, abs=0.0), key
+        assert {"mean_latency_ms", "latency_gain", "max_utilization"} <= scenario.keys()

@@ -9,7 +9,7 @@ import pytest
 
 from repro.api.runners import execute
 from repro.api.spec import ExperimentSpec
-from repro.core import KnapsackLBController
+from repro.core import FleetController
 from repro.lb import (
     AzureTrafficManagerSim,
     HAProxySim,
@@ -29,8 +29,9 @@ def compute_klb_weights(dips, load_fraction=0.75, seed=3):
     fluid = FluidCluster(
         dips=dips, total_rate_rps=total_capacity * load_fraction, policy_name="wrr"
     )
-    controller = KnapsackLBController("vip-e2e", fluid)
-    assignment = controller.converge()
+    plane = FleetController(fluid.fleet)
+    plane.onboard_vip("vip")
+    assignment = plane.converge_all()["vip"]
     return dict(assignment.weights), total_capacity * load_fraction
 
 

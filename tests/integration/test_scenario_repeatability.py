@@ -5,8 +5,9 @@ in ``metrics`` made two runs of the same commit differ, and ``repro
 compare`` reported timing noise as a change.  ``multi_vip_shared_dips``
 copied ``provenance.wall_clock_s`` into ``converge_wall_s`` and
 ``request_vs_fluid_crosscheck`` timed its request run as ``wall_s`` and
-``requests_per_s``; the copy is gone and the request run's figures are
-``provenance.timings``.
+``requests_per_s``, ``datacenter_scale_fluid`` its joint evaluations as
+``apply_ms`` and ``dip_evaluations_per_s``; the copy is gone and the timed
+figures are ``provenance.timings``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.api import get_spec, run
 
 #: Scaled-down parameters of each scenario.
 SCALED = {
+    "datacenter_scale_fluid": {"num_vips": 2, "num_dips": 20, "evaluations": 2},
     "multi_vip_shared_dips": {
         "num_vips": 2,
         "num_dips": 6,
@@ -26,6 +28,12 @@ SCALED = {
         "control_steps": 1,
     },
     "request_vs_fluid_crosscheck": {"num_dips": 4, "num_requests": 4000},
+}
+
+#: The wall-clock figures each scenario times, all in ``provenance.timings``.
+TIMED = {
+    "datacenter_scale_fluid": {"apply_ms", "dip_evaluations_per_s"},
+    "request_vs_fluid_crosscheck": {"wall_s", "requests_per_s"},
 }
 
 
@@ -40,10 +48,10 @@ def test_two_runs_equal_outside_provenance(name):
     first, _ = artifact(name)
     second, provenance = artifact(name)
     assert first == second
-    timed = {"converge_wall_s", "wall_s", "requests_per_s"}
+    timed = {"converge_wall_s", *(key for keys in TIMED.values() for key in keys)}
     assert not timed & set(first["metrics"])
-    if name == "request_vs_fluid_crosscheck":
-        assert set(provenance["timings"]) == {"wall_s", "requests_per_s"}
-        assert provenance["timings"]["wall_s"] > 0
+    if name in TIMED:
+        assert set(provenance["timings"]) == TIMED[name]
+        assert all(value > 0 for value in provenance["timings"].values())
     else:
         assert provenance["timings"] is None

@@ -47,7 +47,7 @@ def fluid_rates(policy, dips, total, weights=None):
     cluster = FluidCluster(
         dips=dips, total_rate_rps=total, policy_name=policy, weights=dict(weights or {})
     )
-    return cluster.state().rates_rps
+    return cluster.state().total_rates_rps
 
 
 def _one_dip_pool(weight: float):

@@ -29,7 +29,6 @@ from repro.probing.klm import ProbeOutcome
 
 
 def reference_draw(self: DipServer, mean: float, served: int) -> np.ndarray:
-    self._requests[0] += served
     if self.jitter_fraction == 0:
         return np.full(served, mean)
     draws = self._rng.normal(mean, mean * self.jitter_fraction, size=served)
@@ -46,7 +45,6 @@ def reference_serve_probe_batch(self: DipServer, num_requests: int) -> ProbeResu
     drop_p = model.drop_probability(rate)
     drops = int(self._rng.binomial(num_requests, min(1.0, drop_p)))
     served = num_requests - drops
-    self._requests[1] += drops
     if served == 0:
         return ProbeResult(
             dip=self.dip_id,
@@ -128,7 +126,6 @@ def state(klm: KLM) -> tuple:
     return (
         [s for dip in klm.dips for s in klm.store.samples("v", dip)],
         dict(klm.consecutive_failures),
-        [(s.served_requests, s.dropped_requests) for s in klm.dips.values()],
         [s._rng.bit_generator.state for s in klm.dips.values()],
         (klm.store.stats.writes, klm.store.stats.evictions),
     )
@@ -190,4 +187,3 @@ def test_one_batch_equals_the_reference(shape, requests, seed):
     twin = make_klm([shape], requests, seed).dips["d0"]
     assert server.serve_probe_batch(requests) == reference_serve_probe_batch(twin, requests)
     assert server._rng.bit_generator.state == twin._rng.bit_generator.state
-    assert server._requests == twin._requests

@@ -293,14 +293,6 @@ class TestDipServer:
         with pytest.raises(ConfigurationError):
             dip.serve_probe_batch(0)
 
-    def test_zero_jitter_dip_counts_served_requests(self, dip):
-        """Regression: the zero-jitter path returned before counting."""
-        dip.set_offered_rate(200.0)
-        dip.serve_probe_batch(40)
-        dip.serve_probe_batch(1)
-        assert dip.served_requests == 41
-        assert dip.dropped_requests == 0
-
     def test_ping_latency_ignores_load_and_antagonist(self, dip):
         idle = dip.latency_model.ping_latency_ms(0.0)
         dip.set_capacity_ratio(0.6)
@@ -371,14 +363,14 @@ def scalar_probe_batch(dip, num_requests):
     """The per-request loop ``serve_probe_batch`` replaced, kept as reference.
 
     One Erlang-C mean and one scalar ``rng.normal`` per served request, on
-    the DIP's own RNG; counts every served request.  Returns the
-    ``ProbeResult`` fields plus the served and dropped counts.
+    the DIP's own RNG.  Returns the ``ProbeResult`` fields plus the dropped
+    count.
     """
     rng = dip._rng
     drops = int(rng.binomial(num_requests, min(1.0, dip.drop_probability)))
     served = num_requests - drops
     if served == 0:
-        return (float("inf"), True, 0, 1.0), served, drops
+        return (float("inf"), True, 0, 1.0), drops
     latencies = []
     for _ in range(served):
         mean = dip.latency_model.mean_latency_ms(
@@ -390,7 +382,7 @@ def scalar_probe_batch(dip, num_requests):
             sample = rng.normal(mean, mean * dip.jitter_fraction)
             latencies.append(float(max(mean * 0.25, sample)))
     fields = (float(np.mean(latencies)), drops > 0, served, drops / num_requests)
-    return fields, served, drops
+    return fields, drops
 
 
 class TestProbeBatchMatchesScalarLoop:
@@ -421,24 +413,21 @@ class TestProbeBatchMatchesScalarLoop:
             return dip
 
         dip, twin = build(), build()
-        served_total = dropped_total = 0
+        dropped_total = 0
         for _ in range(3):
             result = dip.serve_probe_batch(batch)
-            expected, served, drops = scalar_probe_batch(twin, batch)
+            expected, drops = scalar_probe_batch(twin, batch)
             assert (
                 result.mean_latency_ms,
                 result.dropped,
                 result.samples,
                 result.drop_fraction,
             ) == expected
-            served_total += served
             dropped_total += drops
-        assert dip.served_requests == served_total
-        assert dip.dropped_requests == dropped_total
         assert {
             "none": dropped_total == 0,
             "some": 0 < dropped_total < 3 * batch,
-            "all": served_total == 0 and result.mean_latency_ms == float("inf"),
+            "all": dropped_total == 3 * batch and result.mean_latency_ms == float("inf"),
         }[dropped]
         assert dip._rng.random() == twin._rng.random()
 

@@ -21,7 +21,7 @@ from repro.sim.fluid import (
     vector_utilization,
     weighted_split_array,
 )
-from repro.workloads import build_shared_dip_fleet
+from repro.workloads import build_shared_dip_fleet, build_testbed_cluster
 
 
 def make_fleet(num_dips=6, capacity=400.0, cores=1):
@@ -101,8 +101,6 @@ class TestFleet:
         view.set_weights({"d0": 0.7, "d1": 0.3})
         state = fleet.state()
         assert state.per_vip_rates["a"]["d0"] == pytest.approx(70.0)
-        view.advance(5.0)
-        assert fleet.time == pytest.approx(5.0)
         with pytest.raises(ConfigurationError):
             view.set_weights({"d3": 1.0})  # not this VIP's DIP
 
@@ -284,18 +282,22 @@ class TestFluidClusterIsOneVipFleet:
         dips = {f"d{i}": DipServer(f"d{i}", vm, seed=i) for i in range(3)}
         cluster = FluidCluster(dips=dips, total_rate_rps=600.0, policy_name="rr")
         state = cluster.state()
-        for rate in state.rates_rps.values():
+        for rate in state.total_rates_rps.values():
             assert rate == pytest.approx(200.0)
         cluster.set_weights({"d0": 0.5, "d1": 0.25, "d2": 0.25})
         cluster.policy_name = "rr"  # weights ignored under rr
         assert cluster.total_capacity_rps == pytest.approx(1200.0)
 
-    def test_cluster_time_tracks_fleet_advance(self):
-        vm = custom_vm_type("vm", vcpus=1, capacity_rps=400.0)
-        dips = {"d0": DipServer("d0", vm, seed=0)}
-        cluster = FluidCluster(dips=dips, total_rate_rps=100.0)
-        cluster.advance(7.5)
-        assert cluster.time == pytest.approx(7.5)
+    def test_a_failed_dip_leaves_the_overall_mean_finite(self):
+        """A failed DIP's rate 0 and latency inf add nothing (0 × inf was NaN)."""
+        cluster = build_testbed_cluster(load_fraction=0.7, seed=1)
+        cluster.fail_dip("DIP-3")
+        state = cluster.state()
+        assert state.total_rates_rps["DIP-3"] == 0.0
+        assert state.mean_latency_ms["DIP-3"] == float("inf")
+        overall = state.overall_mean_latency_ms()
+        assert np.isfinite(overall)
+        assert overall == pytest.approx(state.vip_mean_latency_ms("vip"), rel=1e-12, abs=0.0)
 
 
 class TestInterleavedRoundPacking:

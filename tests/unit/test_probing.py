@@ -122,11 +122,18 @@ class TestKLM:
         assert len(store.samples("vip-1")) == 3
 
     def test_probe_batch_size_is_the_config(self):
-        dips = {f"d{i}": make_dip(f"d{i}", seed=i) for i in range(3)}
-        klm, _ = self.make_klm(dips, requests_per_probe=100)
+        """A round probes the DIPs it names, one batch of the configured
+        size each: one sample per batch, one draw per served request."""
+        vm = custom_vm_type("probe-vm", vcpus=1, capacity_rps=400.0)
+        dips = {f"d{i}": DipServer(f"d{i}", vm, seed=i) for i in range(3)}
+        twins = {f"d{i}": DipServer(f"d{i}", vm, seed=i) for i in range(3)}
+        klm, store = self.make_klm(dips, requests_per_probe=100)
         klm.probe_round(("d0", "d2"), now=0.0)
         klm.probe_round(("d0",), now=5.0)
-        assert [dip.served_requests for dip in dips.values()] == [200, 0, 100]
+        assert [len(store.samples("vip-1", dip)) for dip in dips] == [2, 0, 1]
+        for dip, batches in zip(twins, (2, 0, 1)):
+            twins[dip]._rng.standard_normal(100 * batches)
+            assert dips[dip]._rng.bit_generator.state == twins[dip]._rng.bit_generator.state
 
     def test_failed_dip_recorded(self):
         dip = make_dip()

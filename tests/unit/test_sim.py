@@ -250,12 +250,6 @@ class TestFluidCluster:
         after = cluster.state().mean_latency_ms["d0"]
         assert after > before
 
-    def test_advance_accumulates_time(self):
-        cluster = FluidCluster(dips=make_dips([400.0]), total_rate_rps=100.0)
-        cluster.advance(5.0)
-        cluster.advance(2.5)
-        assert cluster.time == pytest.approx(7.5)
-
     def test_unknown_dip_weight_rejected(self):
         cluster = FluidCluster(dips=make_dips([400.0]), total_rate_rps=100.0)
         with pytest.raises(ConfigurationError):

@@ -86,8 +86,6 @@ _MEMBERSHIP = "pool membership: the inverse of add_dip, pinned by the policy tes
 ALLOWLIST: dict[str, str] = {
     "repro.sim.trace:MetricsCollector.dip_summary": _ORACLE + " (grouped summaries())",
     "repro.backends.dip:DipServer.serve_probe_batch": _ORACLE + " (KLM.probe_round)",
-    "repro.backends.dip:DipServer.served_requests": "test observer: the request counters",
-    "repro.backends.dip:DipServer.dropped_requests": "test observer: the request counters",
     "repro.core.ilp:candidate_grid": "the observatory's self-test traces it as an inner span",
     "repro.experiments.scenarios:run_scenario": "documented twin of `repro run <scenario>`",
     "repro.lb.facades:WeightedLBFacade.set_server_weight": _FACADE,
@@ -102,7 +100,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.lb.dns_lb:WeightedDnsResolver.remove_dip": _MEMBERSHIP,
     "repro.sim.vip:Vip.remove_dip": _MEMBERSHIP,
     "repro.lb.dns_lb:DnsWeightedPolicy.resolver": "test observer: the resolver's table",
-    "repro.lb.mux:MuxPool.weight_updates": "test observer: the log of weight pushes",
 }
 
 _ARTIFACTS = "; removing it changes every artifact's spec and old-artifact loading (ROADMAP 8)"
