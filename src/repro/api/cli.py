@@ -3,12 +3,10 @@
 Seven verbs over the declarative API, all round-tripping through files:
 
 * ``list`` — registered specs (scenario bridges + built-ins), policies,
-  and the learner registry (agents, episode shapes, named learn specs);
+  and the workload arrival / service kinds;
 * ``show NAME|FILE`` — the fully-resolved spec as JSON;
 * ``validate NAME|FILE`` — eager-validate a spec (timeline included) and
   exit non-zero with the dotted-path error, without running anything;
-  learn-spec documents (``env``/``agent`` sections) are detected and
-  validated as :class:`~repro.learn.LearnSpec` the same way;
 * ``run NAME|FILE [--set path=value ...] [--runner R] [--watch]
   [--shards N] [--workers N] [--sync-interval S] [-o out.json]`` —
   ``--shards`` fans a request-level run across the parallel layer
@@ -27,13 +25,7 @@ Seven verbs over the declarative API, all round-tripping through files:
   session bit-for-bit per seed (see :mod:`repro.service`);
 * ``compare a.json b.json [--windows] [--window-metric M]`` — align saved
   result artifacts; ``--windows`` adds the window-by-window trajectory
-  table;
-* ``learn train NAME|FILE [--checkpoint ck.json] [--resume]`` /
-  ``learn eval --checkpoint ck.json`` / ``learn compare [--scenario S]``
-  — train a weight-learning agent on the gym-style environment, evaluate
-  a saved checkpoint, or run learned agents head-to-head against the
-  KnapsackLB controller and the static baselines (see
-  :mod:`repro.learn`).
+  table.
 
 ``--set`` values are parsed as JSON first (so ``--set seed=3`` is an int
 and ``--set policy.name=lc`` a string); dotted paths address nested spec
@@ -53,8 +45,8 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.exceptions import ReproError
 
-# Each verb imports what it runs inside its handler, so ``validate FILE`` never
-# loads the learn harness and only ``serve`` loads the daemon; parsing the
+# Each verb imports what it runs inside its handler, so ``validate`` loads
+# only the spec layer and only ``serve`` loads the daemon; parsing the
 # command line needs none of it.
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.result import RunResult
@@ -113,11 +105,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     from repro.analysis import format_table
     from repro.api.registry import list_specs
     from repro.lb import policy_registry
-    from repro.learn import (
-        agent_registry,
-        env_scenario_registry,
-        learn_spec_registry,
-    )
     from repro.workloads import ARRIVAL_KINDS, SERVICE_KINDS
 
     rows = [[name, summary] for name, summary in list_specs()]
@@ -132,42 +119,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
             ["policy", "weighted", "summary"],
             policy_rows,
             title="LB policies",
-        )
-    )
-    agent_rows = [
-        [name, "yes" if desc.trainable else "no", desc.summary]
-        for name, desc in sorted(agent_registry().items())
-    ]
-    print()
-    print(
-        format_table(
-            ["agent", "trainable", "summary"],
-            agent_rows,
-            title="Learning agents (learn train/compare)",
-        )
-    )
-    scenario_rows = [
-        [name, scenario.summary]
-        for name, scenario in sorted(env_scenario_registry().items())
-    ]
-    print()
-    print(
-        format_table(
-            ["episode shape", "summary"],
-            scenario_rows,
-            title="Learning episode shapes (env.scenario)",
-        )
-    )
-    learn_rows = [
-        [name, summary]
-        for name, summary in sorted(learn_spec_registry().items())
-    ]
-    print()
-    print(
-        format_table(
-            ["learn spec", "summary"],
-            learn_rows,
-            title="Named learn specs (learn train NAME)",
         )
     )
     arrival_rows = [
@@ -200,110 +151,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Top-level keys that identify a learn-spec document vs an experiment spec.
-_LEARN_DOC_KEYS = frozenset(
-    {"env", "agent", "episodes", "eval_every", "eval_episodes", "checkpoint_every"}
-)
-_SPEC_DOC_KEYS = frozenset(
-    {
-        "runner",
-        "pool",
-        "workload",
-        "policy",
-        "controller",
-        "fleet",
-        "timeline",
-        "health",
-        "retry",
-        "scenario",
-        "params",
-        "sync_interval_s",
-    }
-)
-
-
-def _learn_document(ref: str) -> dict[str, Any] | None:
-    """The raw learn-spec mapping ``ref`` names, or ``None`` if it is not one.
-
-    A registered learn-spec name resolves directly; a ``.json``/``.toml``
-    file counts as a learn document when its top-level keys include a
-    learn-only section (``env``/``agent``/...) and no experiment-spec
-    section — ambiguous or unparsable files fall through to the ordinary
-    spec path so its errors surface unchanged.
-    """
-    path = Path(ref)
-    suffix = path.suffix.lower()
-    if suffix not in (".json", ".toml") or not path.exists():
-        # Not a file: only now is the learn harness worth importing, to ask
-        # whether ``ref`` is one of its registered names.
-        from repro.learn import get_learn_spec, learn_spec_registry
-
-        if ref in learn_spec_registry():
-            return get_learn_spec(ref).to_dict()
-        return None
-    try:
-        if suffix == ".toml":
-            import tomllib
-
-            data = tomllib.loads(path.read_text(encoding="utf-8"))
-        else:
-            data = json.loads(path.read_text(encoding="utf-8"))
-    except Exception:
-        return None
-    if not isinstance(data, dict):
-        return None
-    keys = set(data)
-    if keys & _LEARN_DOC_KEYS and not keys & _SPEC_DOC_KEYS:
-        return data
-    return None
-
-
-def _apply_doc_overrides(
-    data: dict[str, Any], overrides: dict[str, Any]
-) -> dict[str, Any]:
-    """Apply ``--set`` dotted paths onto a raw document mapping."""
-    for dotted, value in overrides.items():
-        node = data
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            child = node.setdefault(part, {})
-            if not isinstance(child, dict):
-                raise ReproError(
-                    f"--set path {dotted!r} crosses the non-section "
-                    f"field {part!r}"
-                )
-            node = child
-        node[parts[-1]] = value
-    return data
-
-
-def _resolve_learn_spec(args: argparse.Namespace) -> "Any":
-    from repro.learn import LearnSpec, get_learn_spec
-
-    spec = get_learn_spec(args.spec)
-    overrides = _parse_overrides(args.set or [])
-    if overrides:
-        spec = LearnSpec.from_dict(
-            _apply_doc_overrides(spec.to_dict(), overrides)
-        )
-    return spec
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
-    document = _learn_document(args.spec)
-    if document is not None:
-        from repro.learn import LearnSpec
-
-        overrides = _parse_overrides(args.set or [])
-        if overrides:
-            document = _apply_doc_overrides(document, overrides)
-        spec = LearnSpec.from_dict(document)  # dotted-path errors as learn.*
-        print(
-            f"learn spec {spec.name!r} is valid: agent={spec.agent.name}, "
-            f"scenario={spec.env.scenario} [{spec.env.substrate}], "
-            f"{spec.episodes} episode(s)"
-        )
-        return 0
     spec = _resolve_spec(args)  # raises ReproError with the dotted path
     timeline = spec.timeline
     shape = (
@@ -456,157 +304,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             encoding="utf-8",
         )
         print(f"\ncomparison written to {args.output}")
-    return 0
-
-
-def _cmd_learn_train(args: argparse.Namespace) -> int:
-    from repro.analysis import format_table
-    from repro.learn import train
-
-    spec = _resolve_learn_spec(args)
-    progress = None
-    if args.watch:
-
-        def progress(message: str) -> None:
-            print(message, file=sys.stderr)
-
-    result = train(
-        spec,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-        progress=progress,
-    )
-    history_rows = [
-        [
-            row["episode"],
-            row["seed"],
-            f"{row['return']:.2f}",
-            f"{row['mean_latency_ms']:.2f}"
-            if row["mean_latency_ms"] == row["mean_latency_ms"]
-            else "-",
-        ]
-        for row in result.history
-    ]
-    print(
-        format_table(
-            ["episode", "seed", "return", "mean_latency_ms"],
-            history_rows,
-            title=(
-                f"{spec.name}: {spec.agent.name} on {spec.env.scenario} "
-                f"[{spec.env.substrate}]"
-            ),
-        )
-    )
-    if result.evals:
-        eval_rows = [
-            [row["at_episode"], f"{row['mean_return']:.2f}", row["episodes"]]
-            for row in result.evals
-        ]
-        print()
-        print(
-            format_table(
-                ["after episode", "mean_return", "eval episodes"],
-                eval_rows,
-                title="Greedy evals",
-            )
-        )
-    if result.checkpoint_path is not None:
-        print(f"checkpoint written to {result.checkpoint_path}", file=sys.stderr)
-    if args.output:
-        Path(args.output).write_text(
-            json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"training result written to {args.output}", file=sys.stderr)
-    return 0
-
-
-def _cmd_learn_eval(args: argparse.Namespace) -> int:
-    from repro.analysis import format_table
-    from repro.learn import evaluate_checkpoint
-
-    report = evaluate_checkpoint(
-        args.checkpoint, episodes=args.episodes, seed=args.seed
-    )
-    rows = [
-        [
-            row["episode"],
-            row["seed"],
-            f"{row['return']:.2f}",
-            f"{row['mean_latency_ms']:.2f}"
-            if "mean_latency_ms" in row
-            else "-",
-        ]
-        for row in report["episodes"]
-    ]
-    print(
-        format_table(
-            ["episode", "seed", "return", "mean_latency_ms"],
-            rows,
-            title=(
-                f"{report['agent']} checkpoint "
-                f"(trained {report['trained_episodes']} episode(s))"
-            ),
-        )
-    )
-    print(f"\nmean_return: {report['mean_return']:.2f}")
-    if args.output:
-        Path(args.output).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"evaluation written to {args.output}", file=sys.stderr)
-    return 0
-
-
-def _cmd_learn_compare(args: argparse.Namespace) -> int:
-    from repro.learn import DEFAULT_CONTENDERS, EnvSpec, compare_learners
-
-    env_overrides = _parse_overrides(args.set or [])
-    env_document = {"scenario": args.scenario, "substrate": args.substrate}
-    if env_overrides:
-        env_document = _apply_doc_overrides(env_document, env_overrides)
-    from repro.core.config import dataclass_from_dict
-
-    env_spec = dataclass_from_dict(EnvSpec, env_document, path="env")
-    contenders = (
-        tuple(name.strip() for name in args.agents.split(",") if name.strip())
-        if args.agents
-        else DEFAULT_CONTENDERS
-    )
-    checkpoints = {}
-    for raw in args.checkpoint or []:
-        name, eq, path = raw.partition("=")
-        if not eq or not name or not path:
-            raise ReproError(
-                f"--checkpoint expects agent=path, got {raw!r} "
-                "(e.g. --checkpoint bandit=ck.json)"
-            )
-        checkpoints[name] = path
-    comparison = compare_learners(
-        env_spec,
-        contenders=contenders,
-        train_episodes=args.train_episodes,
-        eval_episodes=args.eval_episodes,
-        seed=args.seed,
-        checkpoints=checkpoints,
-        progress=lambda message: print(message, file=sys.stderr),
-    )
-    print(comparison.render())
-    if args.output:
-        out_dir = Path(args.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for result in comparison.results:
-            result.save(out_dir / f"{result.spec.name}.json")
-        (out_dir / "comparison.json").write_text(
-            json.dumps(comparison.report.to_dict(), indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
-        print(
-            f"\n{len(comparison.results)} results written to {out_dir}/",
-            file=sys.stderr,
-        )
     return 0
 
 
@@ -763,126 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument("-o", "--output", help="write the comparison JSON here")
     cmp_parser.set_defaults(handler=_cmd_compare)
 
-    learn = commands.add_parser(
-        "learn",
-        help="train, evaluate, and compare weight-learning agents",
-    )
-    learn_commands = learn.add_subparsers(dest="learn_command", required=True)
-
-    learn_train = learn_commands.add_parser(
-        "train",
-        help="run (or resume) a training loop from a learn spec",
-    )
-    learn_train.add_argument(
-        "spec", help="registered learn spec name or .json/.toml file"
-    )
-    learn_train.add_argument(
-        "--set",
-        action="append",
-        metavar="PATH=VALUE",
-        help="override a learn spec field by dotted path (repeatable, "
-        "e.g. --set episodes=10 --set agent.epsilon=0.2)",
-    )
-    learn_train.add_argument(
-        "--checkpoint",
-        metavar="FILE",
-        help="write the resumable training checkpoint here (cadence from "
-        "checkpoint_every; always written at the end)",
-    )
-    learn_train.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from --checkpoint if it exists (bit-identical to an "
-        "uninterrupted run)",
-    )
-    learn_train.add_argument(
-        "--watch",
-        action="store_true",
-        help="stream per-episode progress to stderr",
-    )
-    learn_train.add_argument(
-        "-o", "--output", help="write the training result JSON here"
-    )
-    learn_train.set_defaults(handler=_cmd_learn_train)
-
-    learn_eval = learn_commands.add_parser(
-        "eval",
-        help="greedy-evaluate a saved checkpoint on the shared eval seeds",
-    )
-    learn_eval.add_argument(
-        "--checkpoint", required=True, metavar="FILE", help="checkpoint to load"
-    )
-    learn_eval.add_argument(
-        "--episodes",
-        type=int,
-        default=3,
-        help="greedy eval episodes (default 3)",
-    )
-    learn_eval.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="eval seed stream base (default: the checkpoint's learn seed)",
-    )
-    learn_eval.add_argument(
-        "-o", "--output", help="write the evaluation JSON here"
-    )
-    learn_eval.set_defaults(handler=_cmd_learn_eval)
-
-    learn_compare = learn_commands.add_parser(
-        "compare",
-        help="run learned agents head-to-head vs the KnapsackLB controller "
-        "and static baselines",
-    )
-    learn_compare.add_argument(
-        "--scenario",
-        default="dip_outage_recovery",
-        help="episode shape: a learn env scenario or any registered spec "
-        "with a timeline (default dip_outage_recovery)",
-    )
-    learn_compare.add_argument(
-        "--substrate",
-        choices=("fluid", "request"),
-        default="fluid",
-        help="simulation substrate the episodes run on (default fluid)",
-    )
-    learn_compare.add_argument(
-        "--set",
-        action="append",
-        metavar="PATH=VALUE",
-        help="override an env spec field by dotted path (repeatable, "
-        "e.g. --set num_dips=4 --set drop_penalty_ms=250)",
-    )
-    learn_compare.add_argument(
-        "--agents",
-        metavar="A,B,...",
-        help="comma-separated contenders (agents and/or knapsack_ilp; "
-        "default knapsack_ilp,uniform,random,bandit,reinforce)",
-    )
-    learn_compare.add_argument(
-        "--train-episodes",
-        type=int,
-        default=20,
-        help="inline training budget per trainable agent (default 20)",
-    )
-    learn_compare.add_argument(
-        "--eval-episodes",
-        type=int,
-        default=3,
-        help="greedy eval episodes per contender (default 3)",
-    )
-    learn_compare.add_argument("--seed", type=int, default=0, help="base seed")
-    learn_compare.add_argument(
-        "--checkpoint",
-        action="append",
-        metavar="AGENT=FILE",
-        help="use a trained checkpoint for this agent instead of training "
-        "inline (repeatable)",
-    )
-    learn_compare.add_argument(
-        "-o", "--output", help="directory for result artifacts"
-    )
-    learn_compare.set_defaults(handler=_cmd_learn_compare)
     return parser
 
 

@@ -115,9 +115,9 @@ class RunWindow:
     dip_share: dict[str, float] = field(default_factory=dict)
     events: tuple[str, ...] = ()
     #: per-DIP columns for the window (latency, utilization, in-system
-    #: population where the substrate provides them) — the rows learned
-    #: policies observe without recomputing them from aggregates.  Old
-    #: artifacts without this field load as empty rows.
+    #: population where the substrate provides them), so a per-DIP
+    #: trajectory needs no recomputing from aggregates.  Old artifacts
+    #: without this field load as empty rows.
     dip_metrics: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:

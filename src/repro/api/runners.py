@@ -192,9 +192,9 @@ def prepare_fleet(
     """Build and converge the fleet a spec describes.
 
     Returns ``(fleet, plane, setup_metrics, detail)`` — everything that
-    happens *before* the timed phase, shared by :class:`AnalyticRunner`, the
-    live ``repro serve`` daemon and the learn env, so a replayed session
-    starts from the identical converged state.
+    happens *before* the timed phase, shared by :class:`AnalyticRunner` and
+    the live ``repro serve`` daemon, so a replayed session starts from the
+    identical converged state.
 
     This is the one place ``runner="fluid"`` is interpreted: it is the fleet
     with a single VIP named ``vip`` over every DIP, equal initial weights
@@ -372,10 +372,11 @@ def replay_controller_weights(spec: ExperimentSpec) -> dict[DipId, float] | None
 def build_request_cluster(spec: ExperimentSpec) -> RequestCluster:
     """The request-level cluster a spec describes, weights programmed.
 
-    Shared by :class:`RequestRunner` and the learn env's request backend:
-    pool, timeline check, policy (behind a MUX pool when ``num_muxes > 1``),
-    workload kinds, health and retry layers, and — with the controller
-    enabled — the weights converged on the analytic twin.
+    What :class:`RequestRunner` runs, and what the replay tests drive on the
+    event engine as their oracle: pool, timeline check, policy (behind a MUX
+    pool when ``num_muxes > 1``), workload kinds, health and retry layers,
+    and — with the controller enabled — the weights converged on the
+    analytic twin.
     """
     from repro.lb.base import make_policy, policy_seed_kwargs
     from repro.sim.cluster import RequestCluster

@@ -460,7 +460,7 @@ class SchedulerConfig(Validated):
     round_duration_s: float = checked(10.0, within("(0, inf)"))
     #: latency above this multiple of the idle latency marks a DIP as
     #: over-utilized (priority class (a) in §4.6).  Nothing reads it: class
-    #: (a) is never populated (``begin_exploration`` is passed no DIPs).
+    #: (a) is never populated (no run marks a DIP over-utilized).
     overutilized_latency_multiplier: float = checked(3.0, within("(1, inf)"))
 
 

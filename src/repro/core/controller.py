@@ -35,7 +35,7 @@ from repro.core.dynamics import (
 )
 from repro.core.exploration import ExplorationState
 from repro.core.multistep import MultiStepOutcome, compute_weights_multistep
-from repro.core.scheduler import MeasurementPriority, MeasurementScheduler
+from repro.core.scheduler import MeasurementScheduler
 from repro.core.types import (
     DipId,
     MeasurementPoint,
@@ -141,8 +141,6 @@ class KnapsackLBController:
 
         self.l0_ms: dict[DipId, float] = {}
         self.explorations: dict[DipId, ExplorationState] = {}
-        self._explore_overutilized: set[DipId] = set()
-        self._explore_limit: int = self.config.exploration.max_iterations
         self._explore_history: dict[DipId, list[float]] = {}
         self._explore_proposals: dict[DipId, int] = {}
         self._explore_rounds: int = 0
@@ -214,12 +212,7 @@ class KnapsackLBController:
 
     # ------------------------------------------------------- measurement phase
 
-    def begin_exploration(
-        self,
-        *,
-        max_iterations: int | None = None,
-        overutilized: Sequence[DipId] = (),
-    ) -> None:
+    def begin_exploration(self) -> None:
         """Initialise the measurement phase (stepwise API).
 
         Needs the idle latencies of :meth:`bootstrap_idle_latencies`.  After
@@ -239,8 +232,6 @@ class KnapsackLBController:
                 initial_weight=initial,
                 config=self.config.exploration,
             )
-        self._explore_overutilized = set(overutilized)
-        self._explore_limit = max_iterations or self.config.exploration.max_iterations
         self._explore_history = {d: [] for d in dips}
         self._explore_proposals = {d: 0 for d in dips}
         self._explore_rounds = 0
@@ -248,12 +239,13 @@ class KnapsackLBController:
     def _exploration_finished(self) -> bool:
         """Every DIP is either converged or out of proposal budget."""
         queued = {r.dip for r in self.scheduler.pending}
+        limit = self.config.exploration.max_iterations
         for dip, state in self.explorations.items():
             if state.done:
                 continue
             if dip in queued:
                 return False
-            if self._explore_proposals.get(dip, 0) < self._explore_limit:
+            if self._explore_proposals.get(dip, 0) < limit:
                 return False
         return True
 
@@ -274,18 +266,14 @@ class KnapsackLBController:
         # Queue the next measurement weight for every DIP whose previous
         # request was consumed, while it still has proposal budget.
         queued = {r.dip for r in self.scheduler.pending}
+        limit = self.config.exploration.max_iterations
         for dip in pending:
             if dip in queued:
                 continue
-            if self._explore_proposals.get(dip, 0) >= self._explore_limit:
+            if self._explore_proposals.get(dip, 0) >= limit:
                 continue
             weight = self.explorations[dip].propose()
-            priority = (
-                MeasurementPriority.OVERUTILIZED
-                if dip in self._explore_overutilized
-                else MeasurementPriority.NORMAL
-            )
-            self.scheduler.submit(dip, weight, priority=priority)
+            self.scheduler.submit(dip, weight)
             self._explore_history.setdefault(dip, []).append(weight)
             self._explore_proposals[dip] = self._explore_proposals.get(dip, 0) + 1
 

@@ -39,10 +39,6 @@ class MultiStepOutcome:
     def total_solve_time_s(self) -> float:
         return sum(s.solver_result.solve_time_s for s in self.steps)
 
-    @property
-    def num_steps(self) -> int:
-        return len(self.steps)
-
 
 def refine_windows(
     coarse: WeightAssignment,

@@ -36,7 +36,8 @@ one column), every generator consumed as the event loop consumes it.  The
 result is the event run's to the last bit
 (``tests/property/test_request_replay.py``) at about a third of the cost;
 ``RunResult.station_path`` says which path ran.  There is no switch: to
-force the event engine, drive ``begin`` / ``run_to`` / ``finish``.
+force the event engine, drive ``begin`` / ``run_to`` / ``finish``, as the
+replay tests and the request-engine benchmarks do.
 """
 
 from __future__ import annotations
@@ -750,11 +751,12 @@ class RequestCluster:
     #
     # A run is three steps: :meth:`begin` arms it, :meth:`run_to` advances
     # the engine, :meth:`finish` folds the outcome.  :meth:`run` is the batch
-    # form (one ``run_to`` past the end); a windowed driver calls ``run_to``
-    # once per window instead.  Segmenting does not perturb the run: the
-    # pending arrival stays at the tail of the sorted stream between calls
-    # and heap events keep their times and sequence numbers, so the segments
-    # replay the continuous run's exact event sequence.
+    # form (one ``run_to`` past the end); only the tests call ``run_to`` in
+    # segments (``test_request_engine.py`` holds them to the continuous
+    # run).  Segmenting does not perturb the run: the pending arrival stays
+    # at the tail of the sorted stream between calls and heap events keep
+    # their times and sequence numbers, so the segments replay the
+    # continuous run's exact event sequence.
 
     def begin(self, *, duration_s: float, warmup_s: float = 0.0) -> None:
         """Arm a run measuring ``duration_s`` after ``warmup_s`` of warm-up.

@@ -14,7 +14,7 @@ import repro.core.curve as curve_module
 from repro import kernels
 from repro.api import get_spec, run
 from repro.core import FleetController, KnapsackLBConfig
-from repro.core.config import IlpConfig
+from repro.core.config import ExplorationConfig, IlpConfig
 from repro.experiments import run_scenario
 from repro.workloads import build_testbed_cluster, build_three_dip_pool
 from repro.workloads.generators import build_mixed_core_pool
@@ -120,6 +120,37 @@ class TestControllerOnSmallPool:
         values = list(assignment.weights.values())
         # Normalisation can stretch the spread slightly beyond theta.
         assert max(values) - min(values) <= 0.15 * 1.5 + 1e-9
+
+
+class TestExplorationBudget:
+    """``exploration.max_iterations`` caps the weights each DIP is proposed."""
+
+    @staticmethod
+    def measure(max_iterations):
+        dips = build_three_dip_pool(capacity_ratio=0.6, cores=1, seed=5)
+        total_capacity = sum(d.capacity_rps for d in dips.values())
+        cluster = FluidCluster(dips=dips, total_rate_rps=total_capacity * 0.75, policy_name="wrr")
+        config = KnapsackLBConfig(
+            exploration=ExplorationConfig(alpha=0.2, max_iterations=max_iterations)
+        )
+        plane = FleetController(cluster.fleet, config=config)
+        plane.onboard_vip("vip")
+        return plane.run_measurement_phase().reports["vip"]
+
+    @pytest.mark.parametrize("max_iterations", [2, 3, 4, 5, 6])
+    def test_the_budget_ends_the_walk(self, max_iterations):
+        report = self.measure(max_iterations)
+        history = report.weight_history
+        assert set(history) == {"DIP-LC", "DIP-HC-1", "DIP-HC-2"}
+        assert all(1 <= len(weights) <= max_iterations for weights in history.values())
+        # Uncapped, DIP-LC's walk takes 8 proposals: the budget stops it.
+        assert len(history["DIP-LC"]) == report.iterations == max_iterations
+
+    def test_a_budget_the_walk_never_reaches_changes_nothing(self):
+        needed, generous = self.measure(9), self.measure(25)
+        assert needed.iterations == generous.iterations == 8
+        assert needed.weight_history == generous.weight_history
+        assert needed.w_max == generous.w_max
 
 
 class TestControlLoop:

@@ -60,9 +60,6 @@ from repro.core.config import (
     rule_failure,
 )
 from repro.lb.base import policy_description
-from repro.learn.agents import AgentSpec
-from repro.learn.env import EnvSpec
-from repro.learn.train import LearnSpec
 
 #: every spec class a file, a CLI flag or a request body is loaded into.
 SPEC_CLASSES: tuple[type[Validated], ...] = (
@@ -87,9 +84,6 @@ SPEC_CLASSES: tuple[type[Validated], ...] = (
     DynamicsConfig,
     ProbeConfig,
     SchedulerConfig,
-    LearnSpec,
-    EnvSpec,
-    AgentSpec,
 )
 
 _INF = math.inf

@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.api import RunResult
+from repro.api import ExperimentSpec, RunResult
 from repro.api.cli import main
+from repro.api.registry import get_spec, list_specs
+from repro.lb import policy_registry
+from repro.workloads import ARRIVAL_KINDS, SERVICE_KINDS
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+#: every name ``repro list`` offers, then every committed example spec file.
+SPEC_REFS = [name for name, _ in list_specs()] + sorted(
+    str(path) for path in (REPO_ROOT / "examples" / "specs").glob("*.json")
+)
+SPEC_IDS = [Path(ref).name for ref in SPEC_REFS]
 
 
 def run_cli(capsys, *argv: str) -> str:
@@ -23,6 +34,52 @@ class TestList:
         assert "multi_vip_shared_dips" in out
         assert "testbed_klb" in out
         assert "fluid_uniform_pool" in out
+        assert "LB policies" in out
+        assert "wrr" in out
+
+    def test_prints_exactly_the_four_registries(self, capsys):
+        out = run_cli(capsys, "list")
+        titles = [
+            line for line in out.splitlines() if line and not line.startswith("|")
+        ]
+        assert titles == [
+            "Registered specs",
+            "LB policies",
+            "Workload arrival kinds (workload.arrival.kind)",
+            "Service-time kinds (workload.service.kind)",
+        ]
+        rows = {line.split("|")[1].strip() for line in out.splitlines() if line.startswith("|")}
+        assert {name for name, _ in list_specs()} <= rows
+        assert set(policy_registry()) <= rows
+        assert set(ARRIVAL_KINDS) <= rows
+        assert set(SERVICE_KINDS) <= rows
+
+
+def test_learn_is_not_a_verb(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["learn", "train"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'learn'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ref", SPEC_REFS, ids=SPEC_IDS)
+class TestEveryListedSpec:
+    """``show`` over every registered name and example file."""
+
+    def test_show_is_a_fixed_point_through_a_file(self, capsys, tmp_path, ref):
+        shown = run_cli(capsys, "show", ref)
+        assert ExperimentSpec.from_dict(json.loads(shown)) == get_spec(ref)
+        path = tmp_path / "shown.json"
+        path.write_text(shown)
+        assert run_cli(capsys, "show", str(path)) == shown
+        assert run_cli(capsys, "validate", str(path)) == run_cli(capsys, "validate", ref)
+
+    def test_set_seed_moves_the_seed_alone(self, capsys, ref):
+        shown = json.loads(run_cli(capsys, "show", ref))
+        moved = json.loads(run_cli(capsys, "show", ref, "--set", "seed=4242"))
+        assert moved.pop("seed") == 4242
+        shown.pop("seed")
+        assert moved == shown
 
 
 class TestShow:
@@ -166,10 +223,17 @@ class TestValidate:
         assert code == 2
         assert complaint in capsys.readouterr().err
 
-    def test_validate_never_runs_anything(self, capsys):
-        # The biggest registered scenario validates in well under a run.
-        out = run_cli(capsys, "validate", "multi_vip_shared_dips")
-        assert "no timeline" in out
+    @pytest.mark.parametrize("ref", SPEC_REFS, ids=SPEC_IDS)
+    def test_validate_never_runs_anything(self, capsys, ref):
+        # Every listed spec, the biggest registered scenario included,
+        # validates in well under a run and names its runner and timeline.
+        spec = get_spec(ref)
+        out = run_cli(capsys, "validate", ref)
+        assert out.startswith(f"spec {spec.name!r} is valid: runner={spec.runner}, ")
+        if spec.timeline.empty:
+            assert out.endswith(", no timeline\n")
+        else:
+            assert f", {len(spec.timeline.events)} timeline event(s) over " in out
 
 
 class TestRunWatch:

@@ -157,13 +157,13 @@ class TestSolveAssignment:
 class TestMultiStep:
     def test_single_step_for_small_pool(self, heterogeneous_curves):
         outcome = compute_weights_multistep("vip", heterogeneous_curves)
-        assert outcome.num_steps == 1
+        assert len(outcome.steps) == 1
 
     def test_force_multistep_runs_two_steps(self, heterogeneous_curves):
         outcome = compute_weights_multistep(
             "vip", heterogeneous_curves, force_multistep=True
         )
-        assert outcome.num_steps == 2
+        assert len(outcome.steps) == 2
 
     def test_refined_objective_not_worse(self, heterogeneous_curves):
         single = compute_weights_multistep(
@@ -188,7 +188,7 @@ class TestMultiStep:
     def test_auto_threshold_uses_config(self, heterogeneous_curves):
         config = IlpConfig(multistep_min_dips=3)
         outcome = compute_weights_multistep("vip", heterogeneous_curves, config=config)
-        assert outcome.num_steps == 2
+        assert len(outcome.steps) == 2
 
     def test_total_solve_time_aggregates(self, heterogeneous_curves):
         outcome = compute_weights_multistep(

@@ -26,12 +26,22 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.registry import get_spec, list_specs
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 PACKAGES = sorted(
     ".".join(path.parent.relative_to(REPO_ROOT / "src").parts)
     for path in (REPO_ROOT / "src" / "repro").rglob("__init__.py")
 )
 RR_SPEC = "benchmarks/observatory/workloads/req_serial_rr.json"
+#: registered spec names by where they resolve: the spec registry itself, or
+#: a scenario bridged in from ``repro.experiments``.
+BUILTIN_SPECS = sorted(
+    name for name, _ in list_specs() if get_spec(name).runner != "scenario"
+)
+SCENARIO_SPECS = sorted(
+    name for name, _ in list_specs() if get_spec(name).runner == "scenario"
+)
 
 #: appended to every script: the last stdout line is the report.
 _REPORT = """
@@ -128,8 +138,43 @@ class TestWhatAStartDoesNotLoad:
         # Checking a spec file needs no solver, no worker machinery, and none
         # of the registries a *name* would have to be looked up in.
         assert loaded(
-            report, "scipy", "multiprocessing", "repro.learn", "repro.service",
+            report, "scipy", "multiprocessing", "repro.service",
             "repro.parallel", "repro.experiments",
+        ) == []
+
+    @pytest.mark.parametrize("name", BUILTIN_SPECS)
+    def test_cli_validate_builtin_name(self, name):
+        report = run_python(
+            f"""
+            from repro.api.cli import main
+            out = main(["validate", {name!r}])
+            """
+        )
+        assert report["out"] == 0
+        # A built-in name resolves in the spec registry alone: validating it
+        # runs nothing, so no runner, scenario or worker module is loaded.
+        assert loaded(
+            report, "repro.api.runners", "repro.api.timeline",
+            "repro.experiments", "repro.parallel", "repro.service", "scipy",
+            "multiprocessing",
+        ) == []
+
+    @pytest.mark.parametrize("name", SCENARIO_SPECS)
+    def test_cli_validate_scenario_name(self, name):
+        report = run_python(
+            f"""
+            from repro.api.cli import main
+            out = main(["validate", {name!r}])
+            """
+        )
+        assert report["out"] == 0
+        # A scenario name is looked up in ``repro.experiments`` (that is
+        # where scenarios register), but validating one still runs nothing:
+        # no timeline engine, solver, worker machinery or daemon.
+        assert loaded(report, "repro.experiments.scenarios")
+        assert loaded(
+            report, "repro.api.timeline", "repro.parallel", "repro.service",
+            "scipy", "multiprocessing",
         ) == []
 
     def test_cli_list(self):
@@ -140,7 +185,6 @@ class TestWhatAStartDoesNotLoad:
             """
         )
         assert report["out"] == 0
-        # ``repro.learn`` is loaded: the verb prints its three registries.
         assert loaded(
             report, "scipy", "multiprocessing", "repro.service", "repro.parallel"
         ) == []

@@ -14,9 +14,11 @@ import math
 import numpy as np
 import pytest
 
+from repro.api.spec import HealthCheckSpec, RetryPolicy
 from repro.backends import DipServer, custom_vm_type
 from repro.exceptions import ConfigurationError
-from repro.lb import FiveTupleHash, LeastConnection, RoundRobin
+from repro.lb import FiveTupleHash, LeastConnection, RoundRobin, policy_registry
+from repro.lb.base import make_policy, policy_seed_kwargs
 from repro.sim import EventScheduler, MetricsCollector, RequestCluster, WorkloadGenerator
 
 
@@ -193,6 +195,72 @@ class TestDeterminism:
         assert (
             first.metrics.mean_latency_ms() != second.metrics.mean_latency_ms()
         )
+
+
+#: how a run meets its DIP failure: the resilience layer it carries (each
+#: changes what ``begin`` arms: the retrying arrival handler, per-DIP probe
+#: cycles) and the failure's drain (a drain schedules the kill itself).
+RESILIENCE = {
+    "oracle": ({}, 0.0),
+    "drain": ({}, 1.0),
+    "retry": ({"retry": RetryPolicy(enabled=True, request_timeout_s=0.02)}, 0.0),
+    "health": (
+        {
+            "health": HealthCheckSpec(
+                enabled=True, probe_interval_s=0.5, probe_timeout_s=0.1
+            )
+        },
+        0.0,
+    ),
+}
+
+
+class TestSegmentedRuns:
+    """A run advanced by ``run_to`` in pieces is the continuous run, for
+    every policy and resilience layer, through a failure and a recovery."""
+
+    @staticmethod
+    def cluster(policy, resilience):
+        layers, drain_s = RESILIENCE[resilience]
+        dips = make_dips([400.0, 400.0, 300.0], cores=2)
+        cluster = RequestCluster(
+            dips,
+            make_policy(policy, list(dips), **policy_seed_kwargs(policy, seed=11)),
+            rate_rps=650.0,
+            seed=11,
+            **layers,
+        )
+        cluster.set_weights({"d0": 0.4, "d1": 0.4, "d2": 0.2})
+        # Scheduled work makes run() take the event engine, as run_to does.
+        cluster.scheduler.schedule_at(
+            2.0, lambda: cluster.fail_dip("d2", drain_s=drain_s)
+        )
+        cluster.scheduler.schedule_at(4.0, lambda: cluster.recover_dip("d2"))
+        return cluster
+
+    @pytest.mark.parametrize("resilience", sorted(RESILIENCE))
+    @pytest.mark.parametrize("policy", sorted(policy_registry()))
+    def test_segments_replay_the_continuous_run(self, policy, resilience):
+        whole = self.cluster(policy, resilience).run(duration_s=6.0, warmup_s=0.5)
+        cluster = self.cluster(policy, resilience)
+        cluster.begin(duration_s=6.0, warmup_s=0.5)
+        # Stops at the warm-up end, on the failure instant (twice), between
+        # events, at the horizon and past the 30 s completion drain.
+        for stop in (0.5, 2.0, 2.0, 3.3, 4.0, 6.5, 36.5):
+            cluster.run_to(stop)
+        parts = cluster.finish()
+        assert parts.station_path == whole.station_path == "events"
+        assert parts.requests_submitted == whole.requests_submitted > 3000
+        assert parts.requests_completed == whole.requests_completed
+        assert parts.requests_dropped == whole.requests_dropped
+        assert np.array_equal(parts.metrics.latencies_ms(), whole.metrics.latencies_ms())
+        assert parts.metrics.summaries() == whole.metrics.summaries()
+        assert parts.metrics.retry_summary() == whole.metrics.retry_summary()
+        if resilience == "retry":
+            assert whole.metrics.retry_summary()["retried_fraction"] > 0
+        if resilience == "health":
+            # Queued work is lost while the probes have not yet noticed.
+            assert whole.requests_dropped > 0
 
 
 class TestAnalyticAgreement:

@@ -303,6 +303,94 @@ class TestEventValidationOverHttp:
         )
 
 
+#: ``POST /weights`` bodies the daemon refuses, each with its 422 text.
+BAD_WEIGHT_BODIES = [
+    ("not-an-object", '[{"DIP-LC": 1.0}]',
+     "weights body must be a JSON object with a 'weights' field (and optional 'vip')"),
+    ("unknown-field", '{"weights": {"DIP-LC": 1.0}, "vips": "x"}',
+     "unknown field 'vips' for a weights body; valid fields: vip, weights"),
+    ("no-weights", '{"vip": "vip"}',
+     "weights must be a non-empty {dip: weight} mapping"),
+    ("empty-weights", '{"weights": {}}',
+     "weights must be a non-empty {dip: weight} mapping"),
+    ("list-weights", '{"weights": [1.0, 2.0]}',
+     "weights must be a non-empty {dip: weight} mapping"),
+    ("unknown-vip", '{"weights": {"DIP-LC": 1.0}, "vip": "vip-9"}',
+     "set_weights names unknown VIP 'vip-9'; VIPs: vip"),
+    ("unknown-dip", '{"weights": {"DIP-404": 1.0}}',
+     "set_weights names unknown DIP 'DIP-404' for VIP 'vip'; DIPs: DIP-HC-1, DIP-HC-2, DIP-LC"),
+    ("negative", '{"weights": {"DIP-LC": -1.0}}',
+     "weight for DIP 'DIP-LC' must be finite and >= 0"),
+    ("nan", '{"weights": {"DIP-LC": NaN}}',
+     "weight for DIP 'DIP-LC' must be finite and >= 0"),
+    ("infinite", '{"weights": {"DIP-LC": Infinity}}',
+     "weight for DIP 'DIP-LC' must be finite and >= 0"),
+    ("text", '{"weights": {"DIP-LC": "heavy"}}',
+     "weight for DIP 'DIP-LC' must be a number"),
+    ("null", '{"weights": {"DIP-LC": null}}',
+     "weight for DIP 'DIP-LC' must be a number"),
+    ("all-zero", '{"weights": {"DIP-LC": 0.0, "DIP-HC-1": 0}}',
+     "weights must sum to a positive value"),
+]
+
+
+class TestWeightValidationOverHttp:
+    """``POST /weights`` answers a body it cannot apply with 422 and the
+    validation text, and a refused body leaves the session untouched."""
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [case[1:] for case in BAD_WEIGHT_BODIES],
+        ids=[case[0] for case in BAD_WEIGHT_BODIES],
+    )
+    def test_bad_body_is_422_and_changes_nothing(self, body, message):
+        session = LiveSession(fluid_spec())
+        session.tick()
+        server = ServiceServer(session)
+        journal = list(session.journal)
+        raw = server._dispatch(HttpRequest("POST", "/weights", body=body.encode()))
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 422 "), head
+        assert json.loads(payload)["error"] == message
+        assert session.journal == journal
+        window = session.tick()
+        assert not any("set_weights" in label for label in window.events)
+        assert session.stepper.weight_overrides == []
+        assert session.export()["spec"]["name"] == "svc-fluid"
+
+    def test_good_body_is_200_with_its_boundary_and_label(self):
+        session = LiveSession(fluid_spec())
+        session.tick()
+        server = ServiceServer(session)
+        body = b'{"weights": {"DIP-LC": 3, "DIP-HC-1": 1}, "vip": "vip"}'
+        raw = server._dispatch(HttpRequest("POST", "/weights", body=body))
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 "), head
+        assert json.loads(payload) == {
+            "scheduled_time_s": 1.0,
+            "label": "t=1s set_weights vip (2 dips)",
+        }
+        assert session.tick().events == ("t=1s set_weights vip (2 dips)",)
+        assert session.stepper.weight_overrides == [
+            (1.0, "vip", {"DIP-LC": 3.0, "DIP-HC-1": 1.0})
+        ]
+
+    def test_a_multi_vip_fleet_needs_the_vip_named(self):
+        server = ServiceServer(LiveSession(fleet_spec()))
+        body = b'{"weights": {"DIP-0": 1.0}}'
+        raw = server._dispatch(HttpRequest("POST", "/weights", body=body))
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 422 "), head
+        assert json.loads(payload)["error"].startswith(
+            "set_weights needs an explicit vip on a multi-VIP substrate; VIPs: "
+        )
+
+    def test_get_is_not_allowed(self):
+        server = ServiceServer(LiveSession(fluid_spec()))
+        raw = server._dispatch(HttpRequest("GET", "/weights"))
+        assert raw.startswith(b"HTTP/1.1 405 "), raw[:40]
+
+
 class TestVipWindows:
     """Satellite: windowed per-VIP telemetry across onboard/offboard."""
 

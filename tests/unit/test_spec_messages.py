@@ -1,9 +1,9 @@
 """The validation messages spec loading speaks, pinned one raise at a time.
 
 One invalid document per rule of the file-loaded spec classes (the
-experiment spec tree, the controller config and the learn spec), each with
-the exact ``str(error)`` its loader raises.  ``repro validate`` prints these
-texts and the live daemon answers ``POST /events`` with them as 422 bodies,
+experiment spec tree and the controller config), each with the exact
+``str(error)`` its loader raises.  ``repro validate`` prints these texts
+and the live daemon answers ``POST /events`` with them as 422 bodies,
 so they are a contract: a change to how the rules are stated must leave
 every one byte-identical.
 """
@@ -16,7 +16,6 @@ import pytest
 
 from repro.api.spec import EventSpec, ExperimentSpec
 from repro.exceptions import ConfigurationError
-from repro.learn.train import LearnSpec
 from repro.service import LiveSession
 from repro.service.http import HttpRequest
 from repro.service.server import ServiceServer
@@ -24,7 +23,6 @@ from repro.service.server import ServiceServer
 LOADERS = {
     "spec": ExperimentSpec.from_dict,
     "event": EventSpec.from_dict,
-    "learn": LearnSpec.from_dict,
 }
 
 
@@ -38,10 +36,6 @@ def sp(**kw):
 
 def cfg(section, **kw):
     return sp(controller={"config": {section: kw} if section else kw})
-
-
-def ln(**kw):
-    return ("learn", {"name": "l", **kw})
 
 
 CASES = [
@@ -271,52 +265,6 @@ CASES = [
      "spec.pool must be a mapping, got int"),
     ("from_dict.event_unknown", sp(timeline={"events": [{"time_s": 1.0, "kind": "dip_fail", "dip": "d"}, {"kindz": 1}]}),
      "unknown field 'spec.timeline.events[1].kindz' for EventSpec; valid fields: dip, drain_s, kind, time_s, value, vip"),
-    ("agent.name", ln(agent={"name": "bogus"}),
-     "learn.agent: unknown agent 'bogus'; known agents: bandit, random, reinforce, uniform"),
-    ("agent.epsilon", ln(agent={"epsilon": 1.5}),
-     "learn.agent.epsilon must be in [0, 1]"),
-    ("agent.epsilon_decay", ln(agent={"epsilon_decay": -1.0}),
-     "learn.agent.epsilon_decay must be >= 0"),
-    ("agent.learning_rate", ln(agent={"learning_rate": 0.0}),
-     "learn.agent.learning_rate must be positive"),
-    ("agent.num_arms", ln(agent={"num_arms": 1}),
-     "learn.agent.num_arms must be 0 (auto) or >= 2"),
-    ("agent.spread", ln(agent={"spread": 1.0}),
-     "learn.agent.spread must be in (0, 1)"),
-    ("agent.reward_scale", ln(agent={"reward_scale": 0.0}),
-     "learn.agent.reward_scale must be positive"),
-    ("agent.baseline_rate", ln(agent={"baseline_rate": 0.0}),
-     "learn.agent.baseline_rate must be in (0, 1]"),
-    ("env.scenario", ln(env={"scenario": ""}),
-     "learn.env.scenario must be a non-empty string"),
-    ("env.substrate", ln(env={"substrate": "fleet"}),
-     "learn.env.substrate must be one of: fluid, request; got 'fleet'"),
-    ("env.action_mode", ln(env={"action_mode": "bogus"}),
-     "learn.env.action_mode must be one of: weights, ops; got 'bogus'"),
-    ("env.op_step", ln(env={"op_step": 0.0}),
-     "learn.env.op_step must be positive"),
-    ("env.drop_penalty_ms", ln(env={"drop_penalty_ms": -1.0}),
-     "learn.env.drop_penalty_ms must be >= 0"),
-    ("env.latency_scale_ms", ln(env={"latency_scale_ms": 0.0}),
-     "learn.env.latency_scale_ms must be positive"),
-    ("env.num_dips", ln(env={"num_dips": 1}),
-     "learn.env.num_dips must be >= 2 or null"),
-    ("env.load_fraction", ln(env={"load_fraction": 1.0}),
-     "learn.env.load_fraction must be in (0, 1) or null"),
-    ("env.capacity_rps", ln(env={"capacity_rps": 0.0}),
-     "learn.env.capacity_rps must be positive or null"),
-    ("learn.name", ("learn", {"name": ""}),
-     "learn.name must be a non-empty string"),
-    ("learn.episodes", ln(episodes=0),
-     "learn.episodes must be >= 1"),
-    ("learn.seed", ln(seed=-1),
-     "learn.seed must be >= 0"),
-    ("learn.eval_every", ln(eval_every=-1),
-     "learn.eval_every must be >= 0"),
-    ("learn.eval_episodes", ln(eval_episodes=0),
-     "learn.eval_episodes must be >= 1"),
-    ("learn.checkpoint_every", ln(checkpoint_every=-1),
-     "learn.checkpoint_every must be >= 0"),
 ]
 
 

@@ -32,6 +32,7 @@ from repro.api.timeline import (
     check_timeline_supported,
 )
 from repro.exceptions import ConfigurationError
+from repro.lb import policy_registry
 
 
 def timeline_spec(runner: str = "fluid", **overrides) -> api.ExperimentSpec:
@@ -326,6 +327,90 @@ class TestRequestSubstrate:
         assert "timeline_events" not in result.metrics
 
 
+#: request-substrate variants a window-by-window drive must not perturb:
+#: every policy, every non-Poisson arrival and non-exponential service
+#: kind, a MUX pool, and each resilience layer.
+REQUEST_VARIANTS = {
+    **{
+        f"policy-{name}": {"policy.name": name}
+        for name in sorted(policy_registry())
+    },
+    **{
+        f"arrival-{kind}": {"workload.arrival.kind": kind}
+        for kind in ("flash_crowd", "mmpp")
+    },
+    **{
+        f"service-{kind}": {"workload.service.kind": kind}
+        for kind in ("elephant", "lognormal", "pareto")
+    },
+    "muxes-2": {"policy.num_muxes": 2},
+    "health": {"health.enabled": True},
+    "retry": {"retry.enabled": True, "retry.request_timeout_s": 0.05},
+}
+
+
+class TestRequestWindowsCloseAtTheirBoundary:
+    """A request run driven one window at a time: each window's row, folded
+    as soon as the engine reaches its end, is the batch run's window, and
+    the segmented run's outcome is the batch run's."""
+
+    @pytest.mark.parametrize("variant", sorted(REQUEST_VARIANTS))
+    def test_windows_fold_live_and_match_the_batch_runner(self, variant):
+        from repro.api.runners import build_request_cluster
+        from repro.api.timeline import schedule_request_timeline, window_from_row
+
+        spec = api.ExperimentSpec.from_dict(
+            {
+                "name": "windowed",
+                "runner": "request",
+                "seed": 5,
+                "pool": {"num_dips": 4, "vm": {"capacity_rps": 200.0}},
+                "controller": {"enabled": False},
+                "timeline": {
+                    "window_s": 5.0,
+                    "horizon_s": 20.0,
+                    "events": [
+                        {"time_s": 5.0, "kind": "dip_fail", "dip": "DIP-1"},
+                        {"time_s": 7.5, "kind": "arrival_scale", "value": 1.3},
+                        {"time_s": 12.5, "kind": "dip_recover", "dip": "DIP-1"},
+                    ],
+                },
+            }
+        ).with_overrides(REQUEST_VARIANTS[variant])
+        batch = api.execute(spec)
+
+        cluster = build_request_cluster(spec)
+        timeline, warmup = spec.timeline, spec.workload.warmup_s
+        events = timeline.ordered_events()
+        handles = schedule_request_timeline(
+            cluster, timeline, BaseObserver(), offset_s=warmup
+        )
+        cluster.begin(duration_s=timeline.duration_s(), warmup_s=warmup)
+        cluster.run_to(warmup)
+        live = []
+        for index in range(4):
+            start, end = warmup + 5.0 * index, warmup + 5.0 * (index + 1)
+            cluster.run_to(end)
+            (row,) = cluster.metrics.window_rows(
+                window_s=timeline.window_s, start_s=start, end_s=end
+            )
+            live.append(window_from_row(row, events, offset_s=warmup).to_dict())
+        cluster.run_to(warmup + timeline.duration_s() + 30.0)
+        for handle in handles:
+            handle.cancel()
+        run = cluster.finish()
+
+        assert json.dumps(live) == json.dumps([w.to_dict() for w in batch.windows])
+        assert [w["events"] for w in live] == [
+            [],
+            ["t=5s dip_fail DIP-1", "t=7.5s arrival_scale 1.3"],
+            ["t=12.5s dip_recover DIP-1"],
+            [],
+        ]
+        assert json.dumps(run.metrics.summary_rows()) == json.dumps(batch.dip_summaries)
+        assert run.requests_submitted == batch.metrics["requests_submitted"]
+
+
 class TestFleetSubstrate:
     def test_vip_onboard_and_offboard_via_timeline(self):
         spec = api.ExperimentSpec(
@@ -549,8 +634,8 @@ def test_window_rows_leave_out_a_record_that_rounds_past_the_last_window():
 
 class TestStepperWeightOverrides:
     """`TimelineStepper.set_weights`: validation, boundary application,
-    and the provenance trail (the hook the learn env and the live
-    service's ``POST /weights`` both drive)."""
+    and the provenance trail (the hook the live service's ``POST /weights``
+    drives)."""
 
     def stepper(self):
         from repro.api.runners import build_cluster
@@ -641,3 +726,112 @@ class TestStepperWeightOverrides:
         )
         with pytest.raises(ConfigurationError, match="weight overrides"):
             stepper.set_weights(None, {"DIP-1": 1.0})
+
+
+#: the DIPs each VIP of a three-VIP, six-DIP fleet spans (pool_size 4).
+FLEET_SCOPES = {
+    "VIP-1": ("DIP-1", "DIP-2", "DIP-3", "DIP-4"),
+    "VIP-2": ("DIP-3", "DIP-4", "DIP-5", "DIP-6"),
+    "VIP-3": ("DIP-5", "DIP-6", "DIP-1", "DIP-2"),
+}
+
+
+class TestFleetWeightOverrides:
+    """`set_weights` on a controller-off fleet whose VIPs share DIPs: what
+    an override reaches, how long it holds, and what it is invariant to."""
+
+    @staticmethod
+    def stepper():
+        from repro.api.runners import prepare_fleet
+        from repro.api.timeline import fleet_timeline_stepper
+
+        spec = api.ExperimentSpec.from_dict(
+            {
+                "name": "fleet-overrides",
+                "runner": "fleet",
+                "pool": {"num_dips": 6},
+                "fleet": {"num_vips": 3},
+                "controller": {"enabled": False},
+                "timeline": {"window_s": 5.0, "horizon_s": 20.0},
+                "seed": 3,
+            }
+        )
+        fleet, _, _, _ = prepare_fleet(spec)
+        return fleet_timeline_stepper(
+            fleet, spec.timeline, BaseObserver(), seed=spec.seed
+        )
+
+    def test_the_scopes_are_the_fleet_layout(self):
+        stepper = self.stepper()
+        for vip, dips in FLEET_SCOPES.items():
+            assert "set_weights" in stepper.set_weights(vip, {dip: 1.0 for dip in dips})
+        outside = next(iter(set(FLEET_SCOPES["VIP-2"]) - set(FLEET_SCOPES["VIP-1"])))
+        with pytest.raises(ConfigurationError, match="unknown DIP"):
+            stepper.set_weights("VIP-1", {outside: 1.0})
+        with pytest.raises(ConfigurationError, match="explicit vip"):
+            stepper.set_weights(None, {"DIP-1": 1.0})
+
+    @pytest.mark.parametrize("vip", sorted(FLEET_SCOPES))
+    def test_an_override_moves_only_its_own_vips_dips(self, vip):
+        base = self.stepper().run()
+        stepper = self.stepper()
+        first, *rest = FLEET_SCOPES[vip]
+        stepper.set_weights(vip, {first: 1.0} | {dip: 0.0 for dip in rest})
+        moved = stepper.run()
+        for before, after in zip(base, moved):
+            assert after.dip_share[first] > before.dip_share[first]
+            for dip in rest:
+                assert after.dip_share[dip] < before.dip_share[dip]
+            for dip in set(before.dip_share) - set(FLEET_SCOPES[vip]):
+                assert after.dip_share[dip] == before.dip_share[dip]
+
+    def test_an_override_holds_until_the_next_one(self):
+        stepper = self.stepper()
+        first = stepper.set_weights("VIP-1", {"DIP-1": 3.0, "DIP-2": 1.0, "DIP-3": 1.0, "DIP-4": 1.0})
+        held = [stepper.step(), stepper.step()]
+        second = stepper.set_weights("VIP-1", {"DIP-1": 1.0, "DIP-2": 1.0, "DIP-3": 1.0, "DIP-4": 1.0})
+        restored = [stepper.step(), stepper.step()]
+        base = self.stepper().run()
+        assert [w.events for w in held + restored] == [(first,), (), (second,), ()]
+        assert held[0].dip_share == held[1].dip_share != base[0].dip_share
+        assert [w.to_dict() for w in restored] == [
+            dict(w.to_dict(), events=list(w.events) + ([second] if i == 0 else []))
+            for i, w in enumerate(base[2:])
+        ]
+
+    def test_the_later_of_two_queued_overrides_wins(self):
+        stepper = self.stepper()
+        labels = [
+            stepper.set_weights("VIP-2", {"DIP-5": 1.0, "DIP-3": 0.0, "DIP-4": 0.0, "DIP-6": 0.0}),
+            stepper.set_weights("VIP-2", {"DIP-6": 1.0, "DIP-3": 0.0, "DIP-4": 0.0, "DIP-5": 0.0}),
+        ]
+        only_last = self.stepper()
+        only_last.set_weights("VIP-2", {"DIP-6": 1.0, "DIP-3": 0.0, "DIP-4": 0.0, "DIP-5": 0.0})
+        window, expected = stepper.step(), only_last.step()
+        assert window.events == tuple(labels)
+        assert window.dip_share == expected.dip_share
+        assert window.metrics == expected.metrics
+        assert [vip for _, vip, _ in stepper.weight_overrides] == ["VIP-2", "VIP-2"]
+
+    @pytest.mark.parametrize("scale", [1e-3, 7.0, 1e6])
+    def test_an_override_is_read_as_proportions(self, scale):
+        shape = {"DIP-1": 1.0, "DIP-2": 3.0, "DIP-3": 0.5, "DIP-4": 1.0}
+        plain, scaled = self.stepper(), self.stepper()
+        plain.set_weights("VIP-1", shape)
+        scaled.set_weights("VIP-1", {dip: scale * w for dip, w in shape.items()})
+        for a, b in zip(plain.run(), scaled.run()):
+            assert b.dip_share == pytest.approx(a.dip_share, rel=1e-12)
+            assert b.metrics == pytest.approx(a.metrics, rel=1e-12)
+
+    @pytest.mark.parametrize("dip", sorted(FLEET_SCOPES["VIP-1"]))
+    def test_a_dip_weighted_zero_by_every_vip_gets_no_traffic(self, dip):
+        stepper = self.stepper()
+        for vip, dips in FLEET_SCOPES.items():
+            if dip in dips:
+                stepper.set_weights(vip, {d: float(d != dip) for d in dips})
+        for window in stepper.run():
+            # A share row lists only the DIPs that carry traffic.
+            assert dip not in window.dip_share
+            assert len(window.dip_share) == 5
+            assert sum(window.dip_share.values()) == pytest.approx(1.0)
+
