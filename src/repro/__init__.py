@@ -56,10 +56,8 @@ __getattr__, __dir__, _exports = lazy_exports(
         "repro.exceptions": (
             "ConfigurationError",
             "CurveFitError",
-            "DipFailureError",
             "DipOverloadError",
             "InfeasibleError",
-            "MeasurementError",
             "ReproError",
             "SchedulingError",
             "SimulationError",

@@ -7,14 +7,14 @@
  * (core/curve.py::weights_for_latencies) and the stage loop of the mckp
  * backend's expanding-core DP (solver/mckp.py::_expand_core).
  *
- * Each is a transcription of a Python body -- in repro/kernels.py, or for
- * the inversion in repro/core/curve.py and for the core DP in
- * repro/solver/mckp.py -- which runs where this module cannot be built and
- * which the tests hold it to byte for byte.  All use only IEEE additions,
- * subtractions, multiplications, divisions, floors and comparisons, in the
- * Python body's order; built with -ffp-contract=off (no
- * fused multiply-add) and without fast-math, every result is the bit the
- * Python body computes.  Arrays come in through the buffer protocol:
+ * These are the only implementations a run uses; repro/kernels.py builds
+ * and loads this module, and a run cannot start without it.  Each is a
+ * transcription of a Python body in tests/oracles/kernels.py, under the
+ * same name and signature, which the tests hold it to byte for byte.  All
+ * use only IEEE additions, subtractions, multiplications, divisions, floors
+ * and comparisons, in the Python body's order; built with -ffp-contract=off
+ * (no fused multiply-add) and without fast-math, every result is the bit
+ * the Python body computes.  Arrays come in through the buffer protocol:
  * C-contiguous float64 (int32 for picks, int64 for units and selections,
  * bool for flags), no numpy C API.
  */
@@ -322,7 +322,7 @@ done:
 
 PyDoc_STRVAR(band_dp_doc,
 "band_dp(units, latencies, k, lo, hi, selection) -> bool\n\n"
-"The dp backend's band DP and backtrack; see repro.kernels.py_band_dp.");
+"The dp backend's band DP and backtrack; see tests/oracles/kernels.py::band_dp.");
 
 static PyObject *
 band_dp(PyObject *Py_UNUSED(module), PyObject *args)

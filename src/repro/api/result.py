@@ -70,12 +70,6 @@ class Provenance:
     #: when the analytic model is trustworthy or was not consulted.
     model_divergence: str | None = None
     station_path: str | None = None
-    #: which kernels (:mod:`repro.kernels`) a request run, or a fluid or
-    #: fleet run whose controller ran, executed: ``"compiled"`` or
-    #: ``"python"`` (:data:`repro.kernels.PATH`); ``None`` for an analytic
-    #: run without the controller and artifacts written before the field
-    #: existed.
-    kernels: str | None = None
     #: host wall-clock figures a scenario measures besides ``wall_clock_s``
     #: (e.g. a request run's ``wall_s`` and ``requests_per_s``); ``None``
     #: when it measures none.
@@ -279,7 +273,6 @@ class RunResult:
                 failed_runs=int(prov.get("failed_runs", 0)),
                 model_divergence=optional("model_divergence"),
                 station_path=optional("station_path"),
-                kernels=optional("kernels"),
                 timings=(
                     {k: float(v) for k, v in prov["timings"].items()}
                     if prov.get("timings") is not None

@@ -163,7 +163,6 @@ def _finish(
     detail: Any = None,
     model_divergence: str | None = None,
     station_path: str | None = None,
-    kernels: str | None = None,
     timings: dict[str, float] | None = None,
 ) -> RunResult:
     return RunResult(
@@ -179,7 +178,6 @@ def _finish(
         provenance=clock.provenance(
             model_divergence=model_divergence,
             station_path=station_path,
-            kernels=kernels,
             timings=timings,
         ),
         detail=detail,
@@ -336,11 +334,6 @@ class AnalyticRunner:
         metrics["max_utilization"] = max(state.utilization.values())
         metrics["num_vips"] = float(len(fleet.vips))
         metrics["shared_dips"] = float(len(fleet.shared_dip_ids()))
-        path = None
-        if plane is not None:
-            from repro import kernels  # loaded already: the controller's solver and rescale
-
-            path = kernels.PATH
         return _finish(
             spec,
             clock,
@@ -349,7 +342,6 @@ class AnalyticRunner:
             windows=windows,
             detail=detail,
             model_divergence=divergence,
-            kernels=path,
         )
 
 
@@ -419,8 +411,6 @@ class RequestRunner:
     def run(
         self, spec: ExperimentSpec, *, observers: Iterable[Observer] = ()
     ) -> RunResult:
-        from repro import kernels
-
         clock = RunClock()
         spec = expand_spec_chaos(spec)
         cluster = build_request_cluster(spec)
@@ -504,7 +494,6 @@ class RequestRunner:
             detail=run,
             model_divergence=divergence,
             station_path=run.station_path,
-            kernels=kernels.PATH,
         )
 
 

@@ -12,7 +12,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.backends.antagonist": ("Antagonist",),
-        "repro.backends.dip": ("DipServer", "ProbeResult"),
+        "repro.backends.dip": ("DipServer",),
         "repro.backends.latency_model": ("LatencyModel", "erlang_c", "scaled_model"),
         "repro.backends.vm_types": (
             "VMType",

@@ -25,18 +25,7 @@ import numpy as np
 from repro.backends.antagonist import Antagonist, PoolWrites
 from repro.backends.latency_model import LatencyModel, scaled_model
 from repro.backends.vm_types import VMType
-from repro.exceptions import ConfigurationError, DipFailureError
-
-
-@dataclass
-class ProbeResult:
-    """Outcome of one KLM probe batch against a DIP."""
-
-    dip: str
-    mean_latency_ms: float
-    dropped: bool
-    samples: int
-    drop_fraction: float = 0.0
+from repro.exceptions import ConfigurationError
 
 
 @dataclass
@@ -151,22 +140,6 @@ class DipServer:
 
     def recover(self) -> None:
         self.failed = False
-
-    # -- request serving ----------------------------------------------------
-
-    def serve_probe_batch(self, num_requests: int) -> ProbeResult:
-        """Serve a KLM probe batch and report the averaged latency: a
-        :func:`serve_probe_round` of this DIP alone."""
-        if self.failed:
-            raise DipFailureError(f"DIP {self.dip_id} is down")
-        (mean,), (drops,) = serve_probe_round((self,), num_requests)
-        return ProbeResult(
-            dip=self.dip_id,
-            mean_latency_ms=mean,
-            dropped=drops > 0,
-            samples=num_requests - drops,
-            drop_fraction=drops / num_requests,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -479,5 +479,17 @@ class KnapsackLBConfig(Validated):
     #: how often the controller recomputes weights per VIP, seconds.
     control_interval_s: float = checked(5.0, within("(0, inf)"))
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+        # An exploration ends with the idle point plus one per iteration, and
+        # the curve is fitted then: a smaller budget can never give a fit.
+        budget, needed = self.exploration.max_iterations, self.curve.min_points
+        if budget + 1 < needed:
+            raise ConfigurationError(
+                f"exploration.max_iterations ({budget}) must be at least "
+                f"curve.min_points - 1 ({needed - 1}): an exploration measures "
+                "the idle point and one point per iteration"
+            )
+
 
 DEFAULT_CONFIG = KnapsackLBConfig()

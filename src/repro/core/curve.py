@@ -228,8 +228,7 @@ def weights_for_latencies(
     halvings), else :class:`ConfigurationError`.
 
     The bisections run in :func:`repro.kernels.bisect_bank`, one scalar loop
-    per curve over the bank's arrays; :func:`_bisect` is the same in numpy,
-    the fallback where the kernels are not compiled.
+    per curve over the bank's arrays.
     """
     targets = np.array(latencies_ms, dtype=np.float64)
     if targets.shape != (len(curves),):
@@ -249,8 +248,6 @@ def weights_for_latencies(
     if not 0 <= tol < np.inf:
         raise ConfigurationError("tol must be finite and >= 0")
     bank = _Bank(curves)
-    if kernels.PATH == "python":
-        return _bisect(bank, targets, uppers, tol)
     absent = np.full(len(curves), np.inf)
     vertex, peak = (absent, -absent) if bank.vertex is None else (bank.vertex, bank.peak)
     scanned = np.zeros(len(curves), dtype=bool)
@@ -260,33 +257,6 @@ def weights_for_latencies(
         bank.table, bank.width, bank.monotone, vertex, peak, scanned, targets, uppers,
         tol, found,
     )
-    return found
-
-
-def _bisect(bank: _Bank, targets: np.ndarray, uppers: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`weights_for_latencies`' bisections in lockstep: per halving,
-    one :meth:`_Bank.predict` of every curve's mid.
-
-    A curve's weight is its ``hi`` once its bracket is under ``tol``, or
-    after the 200th halving; answered curves ride along in the predictions.
-    """
-    ends = bank.predict(np.stack([np.zeros_like(uppers), uppers], axis=1))
-    # At or below the prediction at 0 the weight is 0, past the prediction
-    # at ``upper`` it is ``upper``.
-    idle = targets <= ends[:, 0]
-    found = np.where(idle, 0.0, uppers)
-    searching = ~idle & ~(ends[:, 1] < targets)
-    lo, hi = np.zeros_like(uppers), uppers.copy()
-    for _ in range(200):
-        if not searching.any():
-            return found
-        mid = (lo + hi) / 2.0
-        reached = bank.predict(mid[:, None])[:, 0] >= targets
-        hi, lo = np.where(reached, mid, hi), np.where(reached, lo, mid)
-        answered = searching & (hi - lo < tol)
-        found[answered] = hi[answered]
-        searching &= ~answered
-    found[searching] = hi[searching]
     return found
 
 

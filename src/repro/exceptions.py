@@ -47,14 +47,6 @@ class DipOverloadError(ReproError):
         self.overloaded_dips = overloaded_dips
 
 
-class MeasurementError(ReproError):
-    """A latency measurement (KLM probe) could not be completed."""
-
-
-class DipFailureError(MeasurementError):
-    """Probes to a DIP repeatedly failed; the DIP is considered down."""
-
-
 class CurveFitError(ReproError):
     """Weight-latency curve fitting failed (e.g. too few valid points)."""
 

@@ -135,8 +135,8 @@ class Policy(abc.ABC):
         # the healthy tuple, the candidate views, and ``_plan`` — whatever
         # a weight-programmed policy derives from the candidates and their
         # weights (ids, effective weights, a total or a CDF).  All three
-        # are built lazily and dropped together by the four calls that can
-        # change them: add_dip, remove_dip, set_healthy, set_weights.
+        # are built lazily and dropped together by the three calls that can
+        # change them: add_dip, set_healthy, set_weights.
         self._healthy_cache: tuple[DipId, ...] | None = None
         self._candidates_cache: list[DipView] | None = None
         self._plan: Any = None
@@ -169,13 +169,6 @@ class Policy(abc.ABC):
         if weight < 0:
             raise ConfigurationError(f"negative weight for {dip!r}")
         self._views[dip] = DipView(dip=dip, weight=float(weight))
-        self._drop_plan()
-
-    def remove_dip(self, dip: DipId) -> None:
-        self._require(dip)
-        if len(self._views) == 1:
-            raise ConfigurationError("a policy needs at least one DIP")
-        del self._views[dip]
         self._drop_plan()
 
     def set_healthy(self, dip: DipId, healthy: bool) -> None:

@@ -50,7 +50,7 @@ class WeightedDnsResolver:
         self._rng = np.random.default_rng(seed)
         #: healthy DIPs and the CDF over their effective weights; built by
         #: ``resolve``, dropped by ``set_weights`` / ``set_healthy`` /
-        #: ``add_dip`` / ``remove_dip``.
+        #: ``add_dip``.
         self._plan: tuple[list[DipId], np.ndarray] | None = None
         if weights:
             self.set_weights(weights)
@@ -70,13 +70,6 @@ class WeightedDnsResolver:
     def add_dip(self, dip: DipId, *, weight: float = 1.0) -> None:
         self._weights[dip] = float(weight)
         self._healthy[dip] = True
-        self._plan = None
-
-    def remove_dip(self, dip: DipId) -> None:
-        self._require(dip)
-        if len(self._weights) == 1:
-            raise ConfigurationError("resolver needs at least one DIP")
-        del self._weights[dip], self._healthy[dip]
         self._plan = None
 
     def _require(self, dip: DipId) -> None:
@@ -125,10 +118,6 @@ class DnsWeightedPolicy(Policy):
         self._cache_ttl_s = cache_ttl_s
         self._now = 0.0
 
-    @property
-    def resolver(self) -> WeightedDnsResolver:
-        return self._resolver
-
     def advance_time(self, now: float) -> None:
         self._now = max(self._now, float(now))
 
@@ -142,12 +131,6 @@ class DnsWeightedPolicy(Policy):
     def add_dip(self, dip: DipId, *, weight: float = 1.0) -> None:
         super().add_dip(dip, weight=weight)
         self._resolver.add_dip(dip, weight=weight)
-
-    def remove_dip(self, dip: DipId) -> None:
-        super().remove_dip(dip)
-        self._resolver.remove_dip(dip)
-        # A client must not ride a live TTL entry to a DIP that is gone.
-        self._cache = {c: e for c, e in self._cache.items() if e.dip != dip}
 
     def select(self, flow: FlowKey) -> DipId:
         client = flow.src_ip

@@ -59,10 +59,6 @@ class WeightedLBFacade:
     def supports_weights(self) -> bool:
         return self.policy.supports_weights
 
-    def set_server_weight(self, dip: DipId, weight: float) -> None:
-        """Program a single server weight (e.g. ``set weight backend/dip``)."""
-        self.policy.set_weights({dip: weight})
-
     def set_weights(self, weights: Mapping[DipId, float]) -> None:
         """Program all server weights at once (what KnapsackLB calls)."""
         if not self.supports_weights:
@@ -74,13 +70,6 @@ class WeightedLBFacade:
 
     def weights(self) -> dict[DipId, float]:
         return self.policy.weights()
-
-    def disable_server(self, dip: DipId) -> None:
-        """Mark a DIP down (health-check failure)."""
-        self.policy.set_healthy(dip, False)
-
-    def enable_server(self, dip: DipId) -> None:
-        self.policy.set_healthy(dip, True)
 
 
 class HAProxySim(WeightedLBFacade):
@@ -133,12 +122,6 @@ class AzureLBSim:
             "AzureTrafficManagerSim (DNS) as the programmable layer"
         )
 
-    def disable_server(self, dip: DipId) -> None:
-        self.policy.set_healthy(dip, False)
-
-    def enable_server(self, dip: DipId) -> None:
-        self.policy.set_healthy(dip, True)
-
 
 class AzureTrafficManagerSim:
     """Azure Traffic Manager: weighted DNS answers with client-side caching."""
@@ -165,9 +148,3 @@ class AzureTrafficManagerSim:
 
     def weights(self) -> dict[DipId, float]:
         return self.policy.weights()
-
-    def disable_server(self, dip: DipId) -> None:
-        self.policy.set_healthy(dip, False)
-
-    def enable_server(self, dip: DipId) -> None:
-        self.policy.set_healthy(dip, True)

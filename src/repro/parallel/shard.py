@@ -30,7 +30,6 @@ import math
 import os
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro import kernels
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
 from repro.parallel.kernel import StationOutcome
@@ -242,7 +241,6 @@ def run_request_sharded(
             workers=processes,
             shard_mode=plan.mode,
             sync_interval_s=sync_interval,
-            kernels=kernels.PATH,
         ),
         detail={"plan": plan, "collector": collector},
     )

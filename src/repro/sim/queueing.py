@@ -56,10 +56,6 @@ CompletionCallback = Callable[[Request], None]
 #: unit-exponential draws per vectorized RNG call.
 SERVICE_BATCH = 512
 
-#: arrivals :meth:`StationWalk.fill` walks at a time (which bounds the Python
-#: floats in flight where :func:`repro.kernels.py_walk` runs).
-_WALK_SLICE = 65536
-
 _COMPLETED = RequestOutcome.COMPLETED
 
 _NAN = float("nan")
@@ -213,36 +209,31 @@ class StationWalk:
         earlier call's) and write each one's departure into ``departures``,
         keeping no row.
 
-        The loop is :func:`repro.kernels.walk`, ``_WALK_SLICE`` arrivals at
-        a time; in buffered mode it stops when
-        the unit draws run dry and resumes at that arrival after a
-        ``draw(SERVICE_BATCH)`` refill, so the draws are the event loop's.
+        The loop is :func:`repro.kernels.walk`, over the whole stream; in
+        buffered mode it stops when the unit draws run dry and resumes at
+        that arrival after a ``draw(SERVICE_BATCH)`` refill, so the draws are
+        the event loop's.
         """
         aligned = services is not None
         if aligned:
             services = np.ascontiguousarray(services, dtype=np.float64)
-            scale = 1.0
             if services.shape != arrivals.shape:
                 raise ConfigurationError("services must align with the arrivals")
+            draws, cursor, scale = services, 0, 1.0
         elif self._draw is None:
             raise ConfigurationError("a walk without a draw needs aligned services")
         else:
             draws, cursor, scale = self._units, self._cursor, self.mean
-        for lo in range(0, arrivals.size, _WALK_SLICE):
-            part = slice(lo, lo + _WALK_SLICE)
-            came, left = arrivals[part], departures[part]
-            if aligned:
-                draws, cursor = services[part], 0
-            done = 0
-            while True:
-                done, cursor, self._pos, self.busy_seconds = kernels.walk(
-                    came, left, done, self._free, self._ring, self._pos,
-                    draws, cursor, scale, aligned, until, self.busy_seconds,
-                )
-                if done == came.size:
-                    break
-                draws = np.ascontiguousarray(self._draw(SERVICE_BATCH), dtype=np.float64)
-                cursor = 0
+        done = 0
+        while True:
+            done, cursor, self._pos, self.busy_seconds = kernels.walk(
+                arrivals, departures, done, self._free, self._ring, self._pos,
+                draws, cursor, scale, aligned, until, self.busy_seconds,
+            )
+            if done == arrivals.size:
+                break
+            draws = np.ascontiguousarray(self._draw(SERVICE_BATCH), dtype=np.float64)
+            cursor = 0
         if not aligned:
             self._units, self._cursor = draws, cursor
 

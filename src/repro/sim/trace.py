@@ -518,28 +518,17 @@ class MetricsCollector:
             ),
         )
 
-    def dip_summary(self, dip: DipId) -> DipSummary:
-        self._flush()
-        n = self._n
-        rows = self._code[:n] == self._dip_code.get(dip, -1)
-        latencies = self._lat[:n][rows & self._done[:n]]
-        return self._summarise(
-            dip,
-            int(np.count_nonzero(rows)),
-            latencies,
-            _quantiles(latencies, _SUMMARY_Q).tolist(),
-        )
-
     def summaries(self) -> dict[DipId, DipSummary]:
         """Every DIP's summary, from one grouping of the records by DIP.
 
         A stable grouping (:func:`repro.core.types.stable_group_order`, a
         radix sort on the DIP codes, or the one :meth:`adopt_run` kept)
-        keeps each DIP's rows in record order, so each value is the one
-        :meth:`dip_summary` computes from its mask, and every DIP's
-        percentiles come from one :func:`repro.core.types.grouped_quantiles`
-        call; a per-DIP pass over all records would cost O(DIPs x records),
-        as a per-window one would in :meth:`window_rows`.
+        keeps each DIP's rows in record order, so each value is the one a
+        mask over all records selects (``tests/oracles/trace.py``), and
+        every DIP's percentiles come from one
+        :func:`repro.core.types.grouped_quantiles` call; a per-DIP pass over
+        all records would cost O(DIPs x records), as a per-window one would
+        in :meth:`window_rows`.
         """
         self._flush()
         n = self._n

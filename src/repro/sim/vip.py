@@ -46,14 +46,6 @@ class Vip:
         self.dips[dip.dip_id] = dip
         self.weights.setdefault(dip.dip_id, 0.0)
 
-    def remove_dip(self, dip_id: DipId) -> DipServer:
-        try:
-            server = self.dips.pop(dip_id)
-        except KeyError:
-            raise ConfigurationError(f"DIP {dip_id!r} not in VIP {self.vip_id!r}") from None
-        self.weights.pop(dip_id, None)
-        return server
-
     def dip(self, dip_id: DipId) -> DipServer:
         return self.dips[dip_id]
 

@@ -11,10 +11,9 @@ the target window is kept; every kept cell is computed from the same sources
 in the same order as over the full ``[0, hi]`` table, so the band changes the
 cost of a solve and nothing it returns.  No choice table is kept: the
 backtrack recomputes, for the few cells it visits, which candidate reached
-the minimum first.  The DP and the backtrack are one call,
-:func:`repro.kernels.band_dp` (compiled, with ``kernels.py_band_dp`` as its
-fallback); this module keeps the units, the cache, the time limit and the
-result.
+the minimum first.  The DP and the backtrack are one compiled call,
+:func:`repro.kernels.band_dp`; this module keeps the units, the cache, the
+time limit and the result.
 
 The imbalance constraint θ is not representable in this DP (it would require
 tracking the running min/max weight); when θ is finite the caller should use

@@ -35,9 +35,7 @@ remembers the best bound it dropped.  ``time_limit_s`` is a backstop read
 between stages; a result it cut is ``FEASIBLE`` and is the one kind that is
 not cached.
 
-The DP's stage loop runs in :func:`repro.kernels.expand_core` where the
-kernels are compiled; the numpy loop in :func:`_expand_core` is its fallback
-and the oracle the tests hold it to, byte for byte.
+The DP's stage loop runs in :func:`repro.kernels.expand_core`, compiled.
 
 The weight sum that is checked against the band is the left-to-right float sum
 in DIP order (:attr:`SolveResult.total_weight`); no selection leaves this
@@ -166,20 +164,6 @@ def _descend(
         total = moved.flat[move]
 
 
-def _cheapest_of_ties(w: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Positions of one state per run of equal ``w``: the cheapest, the first
-    of equally cheap ones."""
-    starts = np.ones(len(w), dtype=bool)
-    starts[1:] = w[1:] != w[:-1]
-    if starts.all():
-        return np.flatnonzero(starts)
-    run = np.cumsum(starts) - 1
-    hits = np.flatnonzero(c == np.minimum.reduceat(c, np.flatnonzero(starts))[run])
-    first = np.ones(len(hits), dtype=bool)
-    first[1:] = run[hits[1:]] != run[hits[:-1]]
-    return hits[first]
-
-
 def _expand_core(
     W: np.ndarray,
     C: np.ndarray,
@@ -209,9 +193,7 @@ def _expand_core(
     whether the clock cut the search.
 
     The set-up is numpy; the stage loop runs in
-    :func:`repro.kernels.expand_core` where the kernels are compiled.  The
-    loop below is the same in numpy: the fallback, and the oracle the tests
-    hold the compiled one to, byte for byte.
+    :func:`repro.kernels.expand_core`.
     """
     n = len(base)
     rows = np.arange(n)
@@ -227,86 +209,13 @@ def _expand_core(
     # Rounding in the running sums must not hide a selection: states are
     # tested with this slack, and ``accept`` (the exact sum) decides.
     slack = 1e-12 * max(1.0, abs(lo))
-    w = np.array([W[rows, base].sum()])
-    c = np.array([C[rows, base].sum()])
-    if kernels.expand_core is not None:
-        found = np.empty(n, dtype=np.intp)
-        hit, lower, states, cut = kernels.expand_core(
-            dW, dC, usable, base, order, edge_stage, edges.dw, edges.dc, taken, shed_after,
-            w[0], c[0], lo, hi, slack, deadline, incumbent, bucket, accept, GAP, STATE_BUDGET,
-            found,
-        )
-        return (found if hit else None), lower, states, cut
-    left = np.arange(len(edge_stage)) < taken
-    trail: list[tuple[np.ndarray, np.ndarray]] = []
-    best: np.ndarray | None = None
-    best_cost, dropped, states, loss = incumbent, np.inf, 0, 0.0
-    for s, d in enumerate(order.tolist()):
-        if deadline is not None and time.perf_counter() > deadline:
-            return best, -np.inf, states, True
-        cols = np.flatnonzero(usable[d])
-        cw = (dW[d, cols, None] + w).ravel()
-        cc = (dC[d, cols, None] + c).ravel()
-        # LP completion by the DIPs still outside the core: climb their right
-        # edges when the state is short of ``lo``, shed along their left
-        # edges (steepest first) when it is past it.
-        outside = edge_stage > s
-        up, down = outside & ~left, np.flatnonzero(outside & left)[::-1]
-        xs = np.concatenate((-edges.dw[down].cumsum()[::-1], [0.0], edges.dw[up].cumsum()))
-        ys = np.concatenate((-edges.dc[down].cumsum()[::-1], [0.0], edges.dc[up].cumsum()))
-        bound = cc + np.interp(lo - cw, xs, ys, right=np.inf)
-
-        done = np.flatnonzero((cw >= lo - slack) & (cw <= hi + slack) & (cc < best_cost))
-        for i in done[np.argsort(cc[done], kind="stable")].tolist():
-            sel = base.copy()
-            sel[d] = cols[i // len(w)]
-            p = i % len(w)
-            for t in range(s - 1, -1, -1):
-                parents, items = trail[t]
-                sel[order[t]] = items[p]
-                p = parents[p]
-            if accept is None or accept(sel):
-                best, best_cost = sel, float(cc[i])
-                break
-
-        keep = np.flatnonzero(
-            (bound < best_cost * (1.0 - GAP / 2)) & (cw - shed_after[s] <= hi + slack)
-        )
-        # Heaviest first: ``w`` is kept heaviest first, so each column's block
-        # of ``cw`` is a descending run and the stable sort merges the runs.
-        # DIPs with the same grid make exact weight ties structural; of a tie
-        # either program can keep only the cheapest state (the first of
-        # equally cheap ones).
-        by_weight = keep[np.argsort(-cw[keep], kind="stable")]
-        keep = by_weight[_cheapest_of_ties(cw[by_weight], cc[by_weight])]
-        if bucket is None:
-            if len(keep) > STATE_BUDGET:
-                # The lowest bounds (ties by weight order), put back heaviest
-                # first; the least bound among the rest is remembered.
-                cut = np.argsort(bound[keep], kind="stable")
-                dropped = min(dropped, float(bound[keep[cut[STATE_BUDGET]]]))
-                keep = keep[np.sort(cut[:STATE_BUDGET])]
-        else:
-            # Over budget the buckets widen (and stay wide): the frontier is
-            # thinned evenly and what that can cost is known, where dropping
-            # the states with the worst bounds could cost anything.
-            first = np.ones(len(keep), dtype=bool)
-            while True:
-                level = np.floor(cc[keep] / bucket) if bucket > 0.0 else cc[keep]
-                first[1:] = level[1:] < np.minimum.accumulate(level)[:-1]
-                if first.sum() <= STATE_BUDGET:
-                    break
-                bucket = max(2.0 * bucket, GAP / 2 * best_cost / n)
-            keep = keep[first]
-            loss += bucket
-        if not len(keep):
-            break
-        trail.append((keep % len(w), cols[keep // len(w)]))
-        w, c = cw[keep], cc[keep]
-        states += len(keep)
-
-    lower = min(best_cost * (1.0 - GAP / 2), dropped) - loss
-    return best, lower, states, False
+    found = np.empty(n, dtype=np.intp)
+    hit, lower, states, cut = kernels.expand_core(
+        dW, dC, usable, base, order, edge_stage, edges.dw, edges.dc, taken, shed_after,
+        W[rows, base].sum(), C[rows, base].sum(), lo, hi, slack, deadline, incumbent,
+        bucket, accept, GAP, STATE_BUDGET, found,
+    )
+    return (found if hit else None), lower, states, cut
 
 
 def _search(

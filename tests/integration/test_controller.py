@@ -14,7 +14,7 @@ import repro.core.curve as curve_module
 from repro import kernels
 from repro.api import get_spec, run
 from repro.core import FleetController, KnapsackLBConfig
-from repro.core.config import ExplorationConfig, IlpConfig
+from repro.core.config import CurveConfig, ExplorationConfig, IlpConfig
 from repro.experiments import run_scenario
 from repro.workloads import build_testbed_cluster, build_three_dip_pool
 from repro.workloads.generators import build_mixed_core_pool
@@ -146,6 +146,18 @@ class TestExplorationBudget:
         # Uncapped, DIP-LC's walk takes 8 proposals: the budget stops it.
         assert len(history["DIP-LC"]) == report.iterations == max_iterations
 
+    def test_the_smallest_budget_the_config_accepts_fits_every_curve(self):
+        smallest = CurveConfig().min_points - 1
+        dips = build_three_dip_pool(capacity_ratio=0.6, cores=1, seed=5)
+        total_capacity = sum(d.capacity_rps for d in dips.values())
+        cluster = FluidCluster(dips=dips, total_rate_rps=total_capacity * 0.75, policy_name="wrr")
+        config = KnapsackLBConfig(exploration=ExplorationConfig(alpha=0.2, max_iterations=smallest))
+        plane = FleetController(cluster.fleet, config=config)
+        controller = plane.onboard_vip("vip")
+        plane.converge_all()
+        assert set(controller.curves) == {"DIP-LC", "DIP-HC-1", "DIP-HC-2"}
+        assert controller.last_assignment is not None
+
     def test_a_budget_the_walk_never_reaches_changes_nothing(self):
         needed, generous = self.measure(9), self.measure(25)
         assert needed.iterations == generous.iterations == 8
@@ -251,8 +263,7 @@ class TestCurveKernelCallsPerTick:
         report = plane.control_step()["vip"]
         monkeypatch.undo()
         rescaled = sum(len(event.dips) for event in report.events)
-        if kernels.PATH == "compiled":
-            assert "bisect_bank" in calls  # the rescale ran in the kernel
+        assert "bisect_bank" in calls  # the rescale ran in the kernel
         return len(calls), rescaled, report.reprogrammed
 
     @pytest.mark.parametrize(

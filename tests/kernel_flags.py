@@ -7,10 +7,9 @@ Load it with ``-p tests.kernel_flags`` from the repository root::
 
 ``--kernel-cflags`` is appended to :data:`repro.kernels.CFLAGS` before the
 session starts and :func:`repro.kernels.load` rebuilds the module (its cache
-key includes the flags).  A build that fails would silently leave the
-Python bodies bound, so the session stops unless ``kernels.PATH`` is
-``"compiled"``.  For the sanitizer build, preload the runtimes the
-interpreter was not linked with::
+key includes the flags).  A build that fails raises :class:`ImportError`,
+which stops the session as a usage error.  For the sanitizer build, preload
+the runtimes the interpreter was not linked with::
 
     export LD_PRELOAD="$(gcc -print-file-name=libasan.so) \\
         $(gcc -print-file-name=libubsan.so)"
@@ -40,8 +39,9 @@ def pytest_configure(config: pytest.Config) -> None:
     from repro import kernels
 
     kernels.CFLAGS = (*kernels.CFLAGS, *flags)
-    if kernels.load() != "compiled":
+    try:
+        kernels.load()
+    except ImportError as error:
         raise pytest.UsageError(
-            f"repro's kernels did not build with {' '.join(kernels.CFLAGS)}; "
-            "the run would test the Python bodies instead"
-        )
+            f"repro's kernels did not build with {' '.join(kernels.CFLAGS)}: {error}"
+        ) from error

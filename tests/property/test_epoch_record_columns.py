@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.trace import dip_summary
 
 from repro.parallel.epoch import _mux_census
 from repro.parallel.kernel import service_seed
@@ -64,7 +65,7 @@ def assert_fold_matches(collector: MetricsCollector, expected_dips: set[str]) ->
     records = collector.records
     for dip, row in summaries.items():
         assert same_bits(row, masked_summary(collector, dip, records)), dip
-        assert same_bits(row, collector.dip_summary(dip)), dip
+        assert same_bits(row, dip_summary(collector, dip)), dip
     assert repr(collector.summary_rows()) == repr(
         {dip: row.to_row() for dip, row in summaries.items()}
     )

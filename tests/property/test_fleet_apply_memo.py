@@ -198,7 +198,8 @@ def perform(fleet: Fleet, op: tuple, counter: list[int]) -> None:
             vip.weights[_pick(vip.dips, int(value * 100))] = value
         elif dip in vip.dips:
             if len(vip.dips) > 1:
-                vip.remove_dip(dip)
+                del vip.dips[dip]
+                vip.weights.pop(dip, None)
         else:
             vip.add_dip(fleet.dips[dip])
         fleet.apply()

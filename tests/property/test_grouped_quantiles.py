@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.trace import dip_summary
 
 from repro.core.types import grouped_quantiles
 from repro.sim.trace import (
@@ -164,7 +165,7 @@ def test_the_collector_folds_are_numpys(seed, size):
         expected = np.percentile(mine, [50, 90, 99]) if mine.size else [np.nan] * 3
         got = [row.p50_latency_ms, row.p90_latency_ms, row.p99_latency_ms]
         assert bits(got) == bits(expected)
-        assert repr(row) == repr(metrics.dip_summary(dip))
+        assert repr(row) == repr(dip_summary(metrics, dip))
     windows = metrics.window_rows(window_s=0.37, start_s=0.0, end_s=size * 0.01)
     for w, window in enumerate(windows):
         # The collector's own bucketing of a timestamp into a window.

@@ -4,20 +4,17 @@
 smooth-WRR pick), ``station_stats`` (a station's busy integrals),
 ``band_dp`` (the ``dp`` solver's DP), ``bisect_bank`` (the §4.5 curve
 inversion) and ``expand_core`` (the ``mckp`` solver's core DP) to a C module
-built from ``src/repro/_kernels.c``; ``py_walk`` / ``py_smooth_wrr`` /
-``py_station_stats`` / ``py_band_dp`` beside the loader,
-``repro.core.curve._bisect`` and the stage loop of
-``repro.solver.mckp._expand_core`` are the fallback and the oracle.  Every
-output array, every piece of walk state and every returned number must be
-the same bytes on both, however the stream is sliced, wherever the unit
-draws run dry, whatever the weights and wherever the events or the
-candidates tie.  Without a compiler the Python bodies run, and a run's
-artifact must not change.
+built from ``src/repro/_kernels.c``, or fails to import.  The functions of
+the same names in ``tests/oracles/kernels.py`` are the oracle, bound in the
+kernels' place by :func:`oracles.bound`.  Every output array, every piece
+of walk state and every returned number must be the same bytes on both,
+however the stream is sliced, wherever the unit draws run dry, whatever the
+weights and wherever the events or the candidates tie; and a run's artifact
+must not change with every oracle bound.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import random
@@ -31,6 +28,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import KERNELS, bound
+from oracles import kernels as reference
 from test_dp_band import full_table_dp, outcome, problems
 from test_mckp import COLD_100, small_problems
 from test_mckp_merge import tie_heavy_problems
@@ -57,40 +56,11 @@ WORKLOADS = REPO_ROOT / "benchmarks" / "observatory" / "workloads"
 _INF = float("inf")
 
 COMPILED = kernels._compiled()
-needs_compiled = pytest.mark.skipif(COMPILED is None, reason="no C compiler here")
 
 
 def same_bytes(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-@contextlib.contextmanager
-def without_a_compiler(tmp_path):
-    """Load the kernels as on a machine with no compiler (and no cached
-    module): every kernel call runs the Python loops until the block ends."""
-    try:
-        with mock.patch.object(
-            kernels, "_cache_path", lambda: str(tmp_path / "absent.so")
-        ), mock.patch.object(kernels, "_compiler", lambda: None):
-            assert kernels.load() == "python"
-            yield
-    finally:
-        kernels.load()
-
-
-def on_python():
-    """The Python bodies bound in place of whatever loaded."""
-    return mock.patch.multiple(
-        kernels,
-        walk=kernels.py_walk,
-        smooth_wrr=kernels.py_smooth_wrr,
-        station_stats=kernels.py_station_stats,
-        band_dp=kernels.py_band_dp,
-        bisect_bank=None,
-        expand_core=None,
-        PATH="python",
-    )
 
 
 # -- the walk ------------------------------------------------------------------------
@@ -178,13 +148,11 @@ def drive(case) -> tuple[list, tuple, object]:
     return seen, walk_state(walk), outcome
 
 
-@needs_compiled
 @settings(max_examples=200, deadline=None)
 @given(walk_cases())
 def test_the_compiled_walk_is_the_python_walk(case):
-    assert kernels.PATH == "compiled"
     compiled = drive(case)
-    with on_python():
+    with bound():
         python = drive(case)
     assert compiled[0] == python[0]
     assert compiled[1] == python[1]
@@ -224,14 +192,13 @@ def raw_walk_calls(draw):
     return arrivals, free, ring, pos, draws, j, scale, aligned, until
 
 
-@needs_compiled
 @settings(max_examples=300, deadline=None)
 @given(raw_walk_calls(), st.integers(0, 50))
 def test_one_kernel_call_is_the_python_loop(call, start):
     arrivals, free, ring, pos, draws, j, scale, aligned, until = call
     i = min(start, arrivals.size) if not aligned else 0
     results = []
-    for walk in (COMPILED.walk, kernels.py_walk):
+    for walk in (COMPILED.walk, reference.walk):
         departures = np.full(arrivals.size, 7.0)
         state = (free.copy(), ring.copy())
         out = walk(arrivals, departures, i, state[0], state[1], pos, draws, j, scale,
@@ -245,7 +212,6 @@ def test_one_kernel_call_is_the_python_loop(call, start):
         assert ours[1] == draws.size  # it stopped for a refill, nothing else
 
 
-@needs_compiled
 def test_the_compiled_walk_refuses_what_it_cannot_read():
     walk, arrivals = COMPILED.walk, np.arange(3.0)
     with pytest.raises(TypeError, match="float64"):
@@ -312,7 +278,7 @@ def test_a_replay_hands_the_draw_buffer_back(queue_capacity, used):
         )
 
     compiled = replayed()
-    with on_python():
+    with bound():
         python = replayed()
     assert compiled == python
     assert isinstance(compiled[2], list)
@@ -345,13 +311,12 @@ def station_events(draw):
     return arrivals, admitted, departures, servers, until
 
 
-@needs_compiled
 @settings(max_examples=300, deadline=None)
 @given(station_events())
 def test_the_compiled_integrals_are_the_python_merge_and_the_sort(case):
     arrivals, admitted, departures, servers, until = case
     ours = np.array(COMPILED.station_stats(*case))
-    assert same_bytes(ours, kernels.py_station_stats(*case))
+    assert same_bytes(ours, reference.station_stats(*case))
     if arrivals.size or until < _INF:
         oracle = heap_station_stats(
             arrivals, departures.copy(), admitted, servers=servers, until=until
@@ -365,14 +330,10 @@ def test_the_compiled_integrals_are_the_python_merge_and_the_sort(case):
 @pytest.mark.parametrize("until", [_INF, 0.0, 2.5])
 def test_an_empty_station_integrates_to_zero(until):
     empty = (np.empty(0), np.empty(0, dtype=bool), np.empty(0), 2, until)
-    bodies = [kernels.py_station_stats]
-    if COMPILED is not None:
-        bodies.append(COMPILED.station_stats)
-    for station_stats in bodies:
+    for station_stats in (reference.station_stats, COMPILED.station_stats):
         assert same_bytes(np.array(station_stats(*empty)), np.zeros(2))
 
 
-@needs_compiled
 def test_the_compiled_integrals_refuse_what_they_cannot_read():
     station_stats, arrivals = COMPILED.station_stats, np.arange(3.0)
     admitted = np.ones(3, dtype=bool)
@@ -422,24 +383,22 @@ def run_band_dp(band_dp, call):
     return band_dp(units, latencies, k, lo, hi, selection), selection.tobytes()
 
 
-@needs_compiled
 @settings(max_examples=400, deadline=None)
 @given(band_dp_calls())
 # One DIP whose two candidates reach the window at one cost.
 @example((np.array([[3, 5]]), np.array([[1.0, 1.0]]), 2, 3, 5))
 def test_the_compiled_band_dp_is_the_python_band_dp(call):
     with np.errstate(over="ignore"):  # latencies near 1e308 add up to inf
-        python = run_band_dp(kernels.py_band_dp, call)
+        python = run_band_dp(reference.band_dp, call)
     assert run_band_dp(COMPILED.band_dp, call) == python
 
 
-@needs_compiled
 @settings(max_examples=200, deadline=None)
 @given(problems(), st.sampled_from([1e-3, 1e-2, 0.05]))
 def test_both_band_dps_solve_as_the_full_table(problem, resolution):
     expected = outcome(full_table_dp(problem, resolution=resolution))
     assert outcome(solve_dp(problem, resolution=resolution)) == expected
-    with on_python():
+    with bound():
         assert outcome(solve_dp(problem, resolution=resolution)) == expected
 
 
@@ -454,9 +413,7 @@ def test_an_expired_time_limit_runs_no_dp(monkeypatch):
 
 @pytest.mark.parametrize("body", ["compiled", "python"])
 def test_the_band_dp_refuses_inputs_outside_its_domain(body):
-    if body == "compiled" and COMPILED is None:
-        pytest.skip("no C compiler here")
-    band_dp = COMPILED.band_dp if body == "compiled" else kernels.py_band_dp
+    band_dp = COMPILED.band_dp if body == "compiled" else reference.band_dp
     units, latencies = np.array([[1, 2], [0, 3]]), np.array([[1.0, 2.0], [0.5, 0.5]])
     selection = np.empty(2, dtype=np.int64)
     for bad in (np.nan, np.inf, -1.0):
@@ -468,7 +425,6 @@ def test_the_band_dp_refuses_inputs_outside_its_domain(body):
         band_dp(units - 1, latencies, 2, 1, 4, selection)
 
 
-@needs_compiled
 def test_the_compiled_band_dp_refuses_what_it_cannot_read():
     band_dp = COMPILED.band_dp
     units, latencies = np.array([[1, 2], [0, 3]]), np.array([[1.0, 2.0], [0.5, 0.5]])
@@ -501,7 +457,7 @@ def test_the_compiled_band_dp_refuses_what_it_cannot_read():
 
 def core_calls(problem: AssignmentProblem) -> list[tuple]:
     """The arguments of every ``_expand_core`` call ``solve_mckp`` makes on
-    ``problem`` (on the Python bodies, so no compiled result feeds them)."""
+    ``problem`` (on the oracles, so no compiled result feeds them)."""
     calls: list[tuple] = []
     body = mckp._expand_core
 
@@ -509,7 +465,7 @@ def core_calls(problem: AssignmentProblem) -> list[tuple]:
         calls.append(args)
         return body(*args)
 
-    with mock.patch.object(mckp, "_expand_core", recording), on_python():
+    with mock.patch.object(mckp, "_expand_core", recording), bound():
         solve_mckp(problem)
     return calls
 
@@ -523,7 +479,7 @@ def core_outcome(args: tuple) -> tuple:
 def assert_cores_agree(calls: list[tuple]) -> None:
     for args in calls:
         compiled = core_outcome(args)
-        with on_python():
+        with bound():
             assert core_outcome(args) == compiled
 
 
@@ -549,8 +505,8 @@ class CountingBand(mckp._Band):
 
 
 class CountingSorts:
-    """numpy, with a count of ``np.sort`` calls: in ``mckp`` only the band
-    program's budget cut makes one."""
+    """numpy, with a count of ``np.sort`` calls: in the core DP's oracle only
+    the band program's budget cut makes one."""
 
     def __init__(self):
         self.sorts = 0
@@ -578,7 +534,6 @@ def past_the_budget(seed: int, tolerance: float) -> AssignmentProblem:
     return AssignmentProblem(dips=tuple(dips), total_weight=1.0, total_weight_tolerance=tolerance)
 
 
-@needs_compiled
 @settings(max_examples=120, deadline=None)
 @given(
     st.one_of(tie_heavy_problems(), small_problems()),
@@ -594,11 +549,10 @@ def test_the_compiled_core_is_the_python_core(problem, budget):
             if args[11] is not None:  # the one-sided program from bucket 0
                 assert_cores_agree([with_arg(args, 11, 0.0)])
         compiled = verdict(problem)
-        with on_python():
+        with bound():
             assert verdict(problem) == compiled
 
 
-@needs_compiled
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("tolerance", [0.0, 1e-5])
 def test_the_band_programs_budget_cut(seed, tolerance):
@@ -606,19 +560,18 @@ def test_the_band_programs_budget_cut(seed, tolerance):
     calls = core_calls(problem)
     assert [args[11] is None for args in calls] == [False, True]
     counting = CountingSorts()
-    with on_python(), mock.patch.object(mckp, "np", counting):
+    with bound(), mock.patch.object(reference, "np", counting):
         python = core_outcome(calls[1])
     assert counting.sorts > 0  # the cut was reached
     assert core_outcome(calls[1]) == python
     assert_cores_agree(calls)
     compiled = verdict(problem)
-    with on_python():
+    with bound():
         assert verdict(problem) == compiled
     # A selection is found in the wider band, none in the zero-width one.
     assert compiled[0] is (SolveStatus.OPTIMAL if tolerance else SolveStatus.TIMEOUT)
 
 
-@needs_compiled
 def test_a_band_check_that_turns_down_the_cheapest_states():
     problem = past_the_budget(2, 1e-5)
     args = core_calls(problem)[1]
@@ -627,13 +580,12 @@ def test_a_band_check_that_turns_down_the_cheapest_states():
     # hair narrower: they are turned down, cheapest first, until one fits.
     narrow = CountingBand(band.weights, band.lo + 2e-6, band.hi - 2e-6)
     CountingBand.rejected = 0
-    with on_python():
+    with bound():
         python = core_outcome(with_arg(args, 12, narrow))
     assert CountingBand.rejected > 0 and python[0] is not None
     assert core_outcome(with_arg(args, 12, narrow)) == python
 
 
-@needs_compiled
 @pytest.mark.parametrize(
     "problem",
     [
@@ -666,17 +618,16 @@ def test_hand_built_cores(problem):
     assert_cores_agree(calls)
     assert_cores_agree([with_arg(args, 11, 0.0) for args in calls if args[11] is not None])
     compiled = verdict(problem)
-    with on_python():
+    with bound():
         assert verdict(problem) == compiled
 
 
-@needs_compiled
 def test_an_expired_deadline_runs_no_stage():
     args = core_calls(past_the_budget(0, 1e-5))[0]
     for deadline in (-np.inf, time.perf_counter() - 1.0):
         expired = with_arg(args, 7, deadline)
         assert core_outcome(expired) == (None, np.float64(-np.inf).tobytes(), 0, True)
-        with on_python():
+        with bound():
             assert core_outcome(expired) == (None, np.float64(-np.inf).tobytes(), 0, True)
 
 
@@ -696,19 +647,17 @@ def cold_corpus() -> list[AssignmentProblem]:
     return problems
 
 
-@needs_compiled
 def test_the_cold_corpus_is_solved_alike(cold_corpus):
     statuses = []
     for problem in cold_corpus:
         compiled = verdict(problem)
-        with on_python():
+        with bound():
             assert verdict(problem) == compiled
         statuses.append(compiled[0])
     # The budget widened the buckets of some one-sided programs.
     assert SolveStatus.FEASIBLE in statuses
 
 
-@needs_compiled
 def test_the_compiled_core_refuses_what_it_cannot_read():
     seen: list[tuple] = []
 
@@ -792,7 +741,6 @@ def inversion_cases(draw):
     return curves, targets, upper, tol
 
 
-@needs_compiled
 @settings(max_examples=300, deadline=None)
 @given(inversion_cases())
 # A bracket exactly ``tol`` wide ([0.375, 0.5]) does not stop the bisection.
@@ -803,7 +751,7 @@ def test_the_compiled_inversion_is_the_lockstep_bisection(case):
     curves, targets, upper, tol = case
     with np.errstate(all="ignore"):  # a degree-4 row at 1e300 overflows
         compiled = weights_for_latencies(curves, targets, upper=upper, tol=tol)
-        with on_python():
+        with bound():
             python = weights_for_latencies(curves, targets, upper=upper, tol=tol)
         uppers = upper if isinstance(upper, list) else [upper] * len(curves)
         expected = [
@@ -821,7 +769,6 @@ def bank_call(rows=2, width=3):
             np.ones(rows), np.ones(rows), 1e-6, np.empty(rows)]
 
 
-@needs_compiled
 def test_the_compiled_inversion_refuses_what_it_cannot_read():
     bisect_bank = COMPILED.bisect_bank
     assert bisect_bank(*bank_call(rows=0)) is None
@@ -890,19 +837,17 @@ def run_wrr(smooth_wrr, weights, subsets, counts):
     return trail, scores.tobytes()
 
 
-@needs_compiled
 @settings(max_examples=300, deadline=None)
 @given(wrr_cases())
 def test_the_compiled_pick_is_the_python_pick(case):
     weights, subsets, counts = case
-    assert run_wrr(COMPILED.smooth_wrr, *case) == run_wrr(kernels.py_smooth_wrr, *case)
+    assert run_wrr(COMPILED.smooth_wrr, *case) == run_wrr(reference.smooth_wrr, *case)
 
 
-@needs_compiled
 def test_the_pick_agrees_on_nan_and_empty_scores():
     for start in ([np.nan, 1.0, 2.0], [1.0, np.nan, 5.0, np.nan], [np.inf, -np.inf, 0.0]):
         picks = []
-        for smooth_wrr in (COMPILED.smooth_wrr, kernels.py_smooth_wrr):
+        for smooth_wrr in (COMPILED.smooth_wrr, reference.smooth_wrr):
             current = np.array(start)
             out = np.empty(3, dtype=np.int32)
             with np.errstate(invalid="ignore"):  # inf - inf
@@ -910,7 +855,7 @@ def test_the_pick_agrees_on_nan_and_empty_scores():
                            1.0, out, 3)
             picks.append((out.tobytes(), current.tobytes()))
         assert picks[0] == picks[1]
-    for smooth_wrr in (COMPILED.smooth_wrr, kernels.py_smooth_wrr):
+    for smooth_wrr in (COMPILED.smooth_wrr, reference.smooth_wrr):
         assert smooth_wrr(np.empty(0), np.empty(0), 0.0, None, 0) is None
         with pytest.raises(ValueError):
             smooth_wrr(np.empty(0), np.empty(0), 0.0, None, 1)
@@ -930,51 +875,71 @@ def test_wrr_select_and_select_many_walk_one_sequence():
     assert one.accumulators() == many.accumulators()
 
 
-# -- loading, building, falling back -------------------------------------------------------
+# -- loading and building ----------------------------------------------------------------
 
 
-@needs_compiled
 def test_a_cache_hit_loads_neither_subprocess_nor_sysconfig():
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, json; from repro import kernels; "
-         "print(json.dumps([kernels.PATH, 'subprocess' in sys.modules, "
+         "print(json.dumps([type(kernels.walk).__name__, 'subprocess' in sys.modules, "
          "'sysconfig' in sys.modules]))"],
         cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == ["compiled", False, False]
+    assert json.loads(done.stdout) == ["builtin_function_or_method", False, False]
 
 
-@needs_compiled
 def test_a_build_lands_in_its_cache_file_once(monkeypatch, tmp_path):
     target = tmp_path / "pycache" / "_kernels.test.so"
     monkeypatch.setattr(kernels, "_cache_path", lambda: str(target))
-    module = kernels._compiled()
-    assert module is not None and target.is_file()
+    assert kernels._compiled().walk is not None
     assert sorted(p.name for p in target.parent.iterdir()) == [target.name]
 
     def refuse(path):
         raise AssertionError("a cached module must not be rebuilt")
 
     monkeypatch.setattr(kernels, "_build", refuse)
-    assert kernels._compiled() is not None
+    assert kernels._compiled().walk is not None
     assert kernels._cache_path().endswith(".so")
 
 
-def test_a_failing_build_falls_back(monkeypatch, tmp_path):
+def test_a_failing_build_raises(monkeypatch, tmp_path):
+    compiled_walk = kernels.walk
     monkeypatch.setattr(kernels, "_cache_path", lambda: str(tmp_path / "k" / "absent.so"))
     monkeypatch.setattr(kernels, "_compiler", lambda: [sys.executable, "-c", "exit(1)"])
-    assert kernels._compiled() is None
+    with pytest.raises(ImportError, match="_kernels.c failed") as raised:
+        kernels.load()
+    assert f"{sys.executable} -c exit(1)" in str(raised.value)  # the command it tried
     assert not (tmp_path / "k" / "absent.so").exists()
     assert list((tmp_path / "k").iterdir()) == []  # the partial file is gone
+    assert kernels.walk is compiled_walk  # nothing was bound
+
+
+@pytest.mark.parametrize(
+    "config_var, which, match",
+    [
+        (None, lambda name: None, r"_kernels\.c: the compiler .* is not on PATH"),
+        (lambda name: None, None, r"_kernels\.c: this interpreter names no compiler"),
+    ],
+    ids=["not-on-path", "no-ldshared"],
+)
+def test_a_missing_compiler_raises(monkeypatch, tmp_path, config_var, which, match):
+    monkeypatch.setattr(kernels, "_cache_path", lambda: str(tmp_path / "absent.so"))
+    if which is not None:
+        monkeypatch.setattr("shutil.which", which)
+    if config_var is not None:
+        monkeypatch.setattr("sysconfig.get_config_var", config_var)
+    with pytest.raises(ImportError, match=match):
+        kernels.load()
 
 
 def test_an_install_without_the_source_imports_the_built_extension(monkeypatch, tmp_path):
     monkeypatch.setattr(kernels, "_SOURCE", str(tmp_path / "_kernels.c"))
     monkeypatch.delitem(sys.modules, "repro._kernels", raising=False)
-    assert kernels._compiled() is None  # nothing built under that name here
+    with pytest.raises(ImportError, match="not installed"):
+        kernels._compiled()  # nothing built under that name here
     installed = type(sys)("repro._kernels")
     monkeypatch.setitem(sys.modules, "repro._kernels", installed)
     assert kernels._compiled() is installed
@@ -988,10 +953,11 @@ def test_the_real_cache_key_names_source_and_interpreter():
     assert path.endswith(importlib.machinery.EXTENSION_SUFFIXES[0])
 
 
-def artifact(spec_file: str, overrides: dict, **how) -> tuple[dict, str]:
+def artifact(spec_file: str, overrides: dict, **how) -> dict:
     spec = api.ExperimentSpec.from_file(str(WORKLOADS / spec_file)).with_overrides(overrides)
     data = api.run(spec, **how).to_dict()
-    return data, data.pop("provenance")["kernels"]
+    del data["provenance"]
+    return data
 
 
 SHORT_TIMELINE = {
@@ -1004,44 +970,55 @@ SHORT_TIMELINE = {
     ],
 }
 
+#: (spec file, overrides, run options, the kernels the run calls).
 RUNS = [
-    ("req_serial_rr.json", {"workload.num_requests": 20000}, {}),
-    ("req_serial_rr.json", {"workload.num_requests": 20000, "workload.load_fraction": 1.3}, {}),
-    ("req_epoch_lc.json", {"workload.num_requests": 20000}, {"shards": 2, "workers": 1}),
+    ("req_serial_rr.json", {"workload.num_requests": 20000}, {}, {"walk", "station_stats"}),
+    ("req_serial_rr.json", {"workload.num_requests": 20000, "workload.load_fraction": 1.3},
+     {}, {"walk", "station_stats"}),
+    ("req_epoch_lc.json", {"workload.num_requests": 20000}, {"shards": 2, "workers": 1},
+     {"walk"}),
     ("req_serial_rr.json",
      {"workload.num_requests": 20000, "policy.name": "wrr", "pool.kind": "mixed_core"},
-     {"shards": 2, "workers": 1}),
-    ("req_serial_klb_wrr.json", {"workload.num_requests": 8000}, {}),
+     {"shards": 2, "workers": 1}, {"walk", "smooth_wrr"}),
+    ("req_serial_klb_wrr.json", {"workload.num_requests": 8000}, {},
+     {"walk", "smooth_wrr", "station_stats", "band_dp", "bisect_bank"}),
     # The control tick: band DPs and §4.5 rescales, on a fleet and on one VIP.
-    ("fleet_dynamics.json", {"fleet.num_vips": 2, "timeline": SHORT_TIMELINE}, {}),
-    ("fleet_dynamics.json", {"runner": "fluid", "timeline": SHORT_TIMELINE}, {}),
+    ("fleet_dynamics.json", {"fleet.num_vips": 2, "timeline": SHORT_TIMELINE}, {},
+     {"band_dp", "bisect_bank"}),
+    ("fleet_dynamics.json", {"runner": "fluid", "timeline": SHORT_TIMELINE}, {},
+     {"band_dp", "bisect_bank"}),
     # A cold convergence: the mckp core DP.
-    ("ctl_cold_100.json", {"pool.num_dips": 40}, {}),
+    ("ctl_cold_100.json", {"pool.num_dips": 40}, {}, {"expand_core"}),
 ]
 
 
-@pytest.mark.parametrize("spec_file, overrides, how", RUNS)
-def test_without_a_compiler_the_artifact_is_the_same(tmp_path, spec_file, overrides, how):
-    ours, path = artifact(spec_file, overrides, **how)
-    assert path == kernels.PATH
-    with without_a_compiler(tmp_path):
-        theirs, path = artifact(spec_file, overrides, **how)
-    assert path == "python"
-    assert kernels.PATH == ("python" if COMPILED is None else "compiled")
+@pytest.mark.parametrize("spec_file, overrides, how, called", RUNS)
+def test_on_the_oracles_the_artifact_is_the_same(spec_file, overrides, how, called):
+    ours = artifact(spec_file, overrides, **how)
+    seen = set()
+
+    def counted(name, body):
+        def call(*args):
+            seen.add(name)
+            return body(*args)
+
+        return call
+
+    with mock.patch.multiple(kernels, **{n: counted(n, b) for n, b in KERNELS.items()}):
+        theirs = artifact(spec_file, overrides, **how)
+    assert seen == called  # the oracles ran in the compiled kernels' place
     assert ours == theirs
 
 
-def test_the_provenance_names_the_kernels():
+def test_all_six_oracles_run_in_the_artifact_comparison():
+    assert set().union(*(run[3] for run in RUNS)) == set(KERNELS)
+
+
+def test_an_artifact_that_names_the_kernels_still_loads():
     spec = api.ExperimentSpec.from_file(str(WORKLOADS / "req_serial_rr.json"))
-    result = api.run(spec.with_overrides({"workload.num_requests": 2000}))
-    assert result.provenance.kernels == kernels.PATH
-    restored = api.RunResult.from_dict(result.to_dict())
-    assert restored.provenance.kernels == kernels.PATH
-    fluid = api.run(spec.with_overrides({"runner": "fluid"}))
-    assert fluid.provenance.kernels is None  # no controller: no kernel ran
-    controlled = api.ExperimentSpec.from_file(str(WORKLOADS / "fleet_dynamics.json"))
-    fluid = api.run(controlled.with_overrides({"runner": "fluid", "timeline": SHORT_TIMELINE}))
-    assert fluid.provenance.kernels == kernels.PATH
-    data = result.to_dict()
-    del data["provenance"]["kernels"]  # written before the field existed
-    assert api.RunResult.from_dict(data).provenance.kernels is None
+    data = api.run(spec.with_overrides({"workload.num_requests": 2000})).to_dict()
+    assert "kernels" not in data["provenance"]
+    # Written when the provenance still said which kernels ran.
+    old = json.loads(json.dumps(data))
+    old["provenance"]["kernels"] = "compiled"
+    assert api.RunResult.from_dict(old).to_dict() == data

@@ -18,12 +18,12 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles.probes import DipFailureError, ProbeResult, serve_probe_batch
 
 from repro.backends import DipServer, custom_vm_type
-from repro.backends.dip import ProbeResult
 from repro.core.config import ProbeConfig
 from repro.core.types import LatencySample
-from repro.exceptions import ConfigurationError, DipFailureError
+from repro.exceptions import ConfigurationError
 from repro.probing import KLM, LatencyStore
 from repro.probing.klm import ProbeOutcome
 
@@ -185,5 +185,5 @@ def test_one_batch_equals_the_reference(shape, requests, seed):
     shape = (*shape[:4], False)
     server = make_klm([shape], requests, seed).dips["d0"]
     twin = make_klm([shape], requests, seed).dips["d0"]
-    assert server.serve_probe_batch(requests) == reference_serve_probe_batch(twin, requests)
+    assert serve_probe_batch(server, requests) == reference_serve_probe_batch(twin, requests)
     assert server._rng.bit_generator.state == twin._rng.bit_generator.state

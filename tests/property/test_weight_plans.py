@@ -44,10 +44,6 @@ class Reference:
         self.healthy[dip] = True
         self.current[dip] = 0.0
 
-    def remove_dip(self, dip):
-        for state in (self.weight, self.healthy, self.current):
-            del state[dip]
-
     def _candidates(self):
         candidates = [dip for dip, ok in self.healthy.items() if ok]
         if not candidates:
@@ -99,12 +95,11 @@ ALL_ZERO = st.tuples(
 REWEIGH = st.tuples(st.just("reweigh"), st.integers(0, 2**16), st.booleans())
 SET_HEALTHY = st.tuples(st.just("set_healthy"), POSITION, st.booleans())
 ADD_DIP = st.tuples(st.just("add_dip"), WEIGHT)
-REMOVE_DIP = st.tuples(st.just("remove_dip"), POSITION)
 
 POOL_SIZE = st.integers(1, MAX_DIPS)
 POOL_COMMANDS = st.lists(
     st.one_of(
-        PICKS, PICKS, SET_WEIGHTS, ALL_ZERO, REWEIGH, SET_HEALTHY, ADD_DIP, REMOVE_DIP
+        PICKS, PICKS, SET_WEIGHTS, ALL_ZERO, REWEIGH, SET_HEALTHY, ADD_DIP
     ),
     max_size=25,
 )
@@ -125,8 +120,6 @@ def drive(commands, num_dips, subject, pick, reference, reference_pick, check=No
     """Apply ``commands`` to ``subject`` and ``reference`` alike; every pick
     (or refusal to pick) must agree, and ``check`` must hold after each command."""
     dips = pool(num_dips)
-    # add_dip brings the most recently removed DIP back before any new name.
-    spare = [f"DIP-{num_dips + 1 + i}" for i in range(len(commands))]
     for kind, *args in commands:
         if kind == "pick":
             for _ in range(args[0]):
@@ -145,16 +138,11 @@ def drive(commands, num_dips, subject, pick, reference, reference_pick, check=No
             dip = dips[args[0] % len(dips)]
             subject.set_healthy(dip, args[1])
             reference.set_healthy(dip, args[1])
-        elif kind == "add_dip":
-            dip = spare.pop(0)
+        else:  # add_dip
+            dip = f"DIP-{len(dips) + 1}"
             dips.append(dip)
             subject.add_dip(dip, weight=args[0])
             reference.add_dip(dip, args[0])
-        elif len(dips) > 1:  # remove_dip; the last DIP stays
-            dip = dips.pop(args[0] % len(dips))
-            spare.insert(0, dip)
-            subject.remove_dip(dip)
-            reference.remove_dip(dip)
         if check is not None:
             check()
 

@@ -148,6 +148,13 @@ def _ilp(kw: dict[str, Any]) -> None:
         kw["theta"] = None  # these backends cannot express a finite theta
 
 
+def _config(kw: dict[str, Any]) -> None:
+    # An exploration budget that can give the curve its points.
+    needed = kw["curve"].min_points - 1
+    if kw["exploration"].max_iterations < needed:
+        kw["exploration"] = dataclasses.replace(kw["exploration"], max_iterations=needed)
+
+
 def _arrival(kw: dict[str, Any]) -> None:
     if kw["kind"] == "mmpp":  # two or more states, a switch rate each, one emits
         n = max(2, len(kw["state_rates"]))
@@ -181,6 +188,7 @@ def _experiment(kw: dict[str, Any]) -> None:
 _CROSS_FIELD = {
     HealthCheckSpec: _health,
     IlpConfig: _ilp,
+    KnapsackLBConfig: _config,
     ArrivalSpec: _arrival,
     TimelineSpec: _timeline,
     ExperimentSpec: _experiment,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.probes import DipFailureError, serve_probe_batch
 
 from repro.backends import (
     D8A_V4,
@@ -21,7 +22,7 @@ from repro.backends import (
     scaled_model,
 )
 from repro.backends.dip import serve_probe_round
-from repro.exceptions import ConfigurationError, DipFailureError
+from repro.exceptions import ConfigurationError
 
 
 class TestVmTypes:
@@ -262,23 +263,23 @@ class TestDipServer:
 
     def test_probe_batch_reports_mean(self, dip):
         dip.set_offered_rate(200.0)
-        result = dip.serve_probe_batch(50)
+        result = serve_probe_batch(dip, 50)
         assert result.samples == 50
         assert result.mean_latency_ms == pytest.approx(dip.mean_latency_ms, rel=0.05)
         assert not result.dropped
 
     def test_probe_batch_drops_when_overloaded(self, dip):
         dip.set_offered_rate(1200.0)
-        result = dip.serve_probe_batch(200)
+        result = serve_probe_batch(dip, 200)
         assert result.dropped
         assert result.drop_fraction > 0
 
     def test_failed_dip_raises(self, dip):
         dip.fail()
         with pytest.raises(DipFailureError):
-            dip.serve_probe_batch(10)
+            serve_probe_batch(dip, 10)
         dip.recover()
-        dip.serve_probe_batch(10)
+        serve_probe_batch(dip, 10)
 
     def test_failed_dip_zero_utilization(self, dip):
         dip.set_offered_rate(200.0)
@@ -291,7 +292,7 @@ class TestDipServer:
 
     def test_probe_batch_validates_count(self, dip):
         with pytest.raises(ConfigurationError):
-            dip.serve_probe_batch(0)
+            serve_probe_batch(dip, 0)
 
     def test_ping_latency_ignores_load_and_antagonist(self, dip):
         idle = dip.latency_model.ping_latency_ms(0.0)
@@ -304,14 +305,14 @@ class TestDipServer:
     def test_zero_jitter_batch_mean_is_the_model_mean(self, small_vm):
         dip = DipServer("d", small_vm, seed=5, jitter_fraction=0.0, scv_correction=1.7)
         dip.set_offered_rate(300.0)
-        result = dip.serve_probe_batch(25)
+        result = serve_probe_batch(dip, 25)
         assert result.mean_latency_ms == pytest.approx(dip.mean_latency_ms, rel=1e-12)
         assert dip.mean_latency_ms > dip.latency_model.mean_latency_ms(300.0)
 
     def test_jitter_spreads_batch_means_around_the_model_mean(self, small_vm):
         dip = DipServer("d", small_vm, seed=5, jitter_fraction=0.2)
         dip.set_offered_rate(200.0)
-        means = [dip.serve_probe_batch(20).mean_latency_ms for _ in range(30)]
+        means = [serve_probe_batch(dip, 20).mean_latency_ms for _ in range(30)]
         assert len(set(means)) == len(means)
         assert np.mean(means) == pytest.approx(dip.mean_latency_ms, rel=0.03)
 
@@ -336,7 +337,7 @@ class TestDipServer:
             means, drops = serve_probe_round(servers, 40)
             assert means[3] is None and drops[3] == 0
             for twin, mean, dropped in zip(twins[:3], means, drops):
-                result = twin.serve_probe_batch(40)
+                result = serve_probe_batch(twin, 40)
                 assert (result.mean_latency_ms, result.drop_fraction) == (mean, dropped / 40)
 
     def test_scaled_model_kept_per_capacity_factor(self, dip):
@@ -415,7 +416,7 @@ class TestProbeBatchMatchesScalarLoop:
         dip, twin = build(), build()
         dropped_total = 0
         for _ in range(3):
-            result = dip.serve_probe_batch(batch)
+            result = serve_probe_batch(dip, batch)
             expected, drops = scalar_probe_batch(twin, batch)
             assert (
                 result.mean_latency_ms,
@@ -443,7 +444,7 @@ class TestProbeBatchMatchesScalarLoop:
             server.set_offered_rate(rate_rps)
         served_counts = set()
         for _ in range(400 if batch < 100 else 20):
-            result = dip.serve_probe_batch(batch)
+            result = serve_probe_batch(dip, batch)
             drops = int(twin._rng.binomial(batch, min(1.0, twin.drop_probability)))
             served = batch - drops
             assert result.samples == served

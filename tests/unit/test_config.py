@@ -57,6 +57,14 @@ class TestCurveConfig:
         with pytest.raises(ConfigurationError):
             CurveConfig(min_points=1)
 
+    @pytest.mark.parametrize("min_points", [3, 4, 6])
+    def test_the_exploration_budget_must_reach_the_fit_points(self, min_points):
+        curve = CurveConfig(min_points=min_points)
+        # The idle point plus one per iteration.
+        KnapsackLBConfig(exploration=ExplorationConfig(max_iterations=min_points - 1), curve=curve)
+        with pytest.raises(ConfigurationError, match=f"curve.min_points - 1 \\({min_points - 1}\\)"):
+            KnapsackLBConfig(exploration=ExplorationConfig(max_iterations=min_points - 2), curve=curve)
+
 
 class TestIlpConfig:
     def test_defaults_match_paper(self):

@@ -99,7 +99,6 @@ class TestEveryRegisteredPolicy:
         edits = [
             lambda: policy.set_weights({"zz": 1.0}),
             lambda: policy.set_healthy("zz", False),
-            lambda: policy.remove_dip("zz"),
         ]
         for edit in edits:
             with pytest.raises(ConfigurationError, match="unknown DIP 'zz'"):
@@ -107,10 +106,6 @@ class TestEveryRegisteredPolicy:
         with pytest.raises(ConfigurationError, match="already present"):
             policy.add_dip("a")
         assert policy.dips == ("a", "b") and policy.healthy_dips == ("a", "b")
-        policy.remove_dip("a")
-        with pytest.raises(ConfigurationError, match="at least one DIP"):
-            policy.remove_dip("b")
-        assert policy.select(flows(1)[0]) == "b"
 
     def test_only_queue_blind_policies_declare_themselves_replayable(self):
         replayable = {
@@ -130,12 +125,10 @@ class TestBasePolicy:
         with pytest.raises(ConfigurationError):
             RoundRobin(["a", "a"])
 
-    def test_add_remove_dip(self):
+    def test_add_dip(self):
         policy = RoundRobin(DIPS)
         policy.add_dip("d")
         assert "d" in policy.dips
-        policy.remove_dip("d")
-        assert "d" not in policy.dips
 
     def test_add_existing_dip_rejected(self):
         policy = RoundRobin(DIPS)
@@ -193,16 +186,6 @@ class TestBasePolicy:
             resolver.set_healthy("zz", True)
         # no phantom DIP was planted: resolutions stay inside the pool
         assert {resolver.resolve() for _ in range(50)} <= set(DIPS)
-
-    def test_resolver_keeps_its_pool_on_a_bad_removal(self):
-        resolver = WeightedDnsResolver(["a", "b"], seed=1)
-        with pytest.raises(ConfigurationError, match="unknown DIP 'zz'"):
-            resolver.remove_dip("zz")
-        resolver.remove_dip("a")
-        with pytest.raises(ConfigurationError, match="at least one DIP"):
-            resolver.remove_dip("b")
-        assert resolver.weights() == {"b": 1.0}
-        assert resolver.resolve() == "b"
 
     def test_weight_rule(self):
         """Negatives clip to zero; nothing positive left means uniform."""
@@ -282,13 +265,6 @@ class TestWeightedRoundRobin:
         policy.set_weights({"b": 0.4})
         assert policy.accumulators() == {"a": 0.0, "b": 0.0, "c": 0.0}
 
-    def test_removed_dip_comes_back_with_a_zero_score(self):
-        policy = WeightedRoundRobin(DIPS, weights={"a": 0.5, "b": 0.3, "c": 0.2})
-        selection_counts(policy, 3)
-        assert policy.accumulators()["a"] != 0.0
-        policy.remove_dip("a")
-        policy.add_dip("a", weight=0.5)
-        assert policy.accumulators()["a"] == 0.0
 
 
 class TestLeastConnection:
@@ -401,20 +377,10 @@ class TestDns:
         policy = make_policy("dns", ["a", "b"], cache_ttl_s=0.0, seed=1)
         policy.add_dip("c")
         policy.set_weights({"a": 0.2, "b": 0.3, "c": 0.5})
-        counts = collections.Counter(policy.resolver.resolve() for _ in range(1000))
+        counts = selection_counts(policy, 1000)  # a TTL of 0: one resolution each
         assert counts["c"] / 1000 == pytest.approx(0.5, abs=0.05)
         assert counts["b"] / 1000 == pytest.approx(0.3, abs=0.05)
 
-    def test_removed_dip_is_never_resolved_again(self):
-        policy = DnsWeightedPolicy(DIPS, cache_ttl_s=100.0, seed=4)
-        policy.set_weights({"a": 0.0, "b": 0.0, "c": 1.0})
-        flow = FlowKey(src_ip="10.9.9.9", src_port=1, dst_ip="vip", dst_port=80)
-        assert policy.select(flow) == "c"  # now a live TTL entry
-        policy.remove_dip("c")
-        assert policy.select(flow) in ("a", "b")
-        assert "c" not in policy.resolver.weights()
-        assert "c" not in {policy.resolver.resolve() for _ in range(1000)}
-        assert "c" not in selection_counts(policy, 1000)
 
 
 class TestFacades:
@@ -437,11 +403,6 @@ class TestFacades:
         with pytest.raises(ConfigurationError):
             lb.set_weights({"a": 0.5})
 
-    def test_haproxy_set_single_server_weight(self):
-        lb = HAProxySim(DIPS, algorithm="weighted-roundrobin")
-        lb.set_server_weight("b", 0.9)
-        assert lb.weights()["b"] == pytest.approx(0.9)
-
     def test_nginx_default_weighted(self):
         lb = NginxSim(DIPS)
         assert lb.supports_weights
@@ -457,13 +418,6 @@ class TestFacades:
         tm.set_weights({"a": 0.2, "b": 0.3, "c": 0.5})
         counts = selection_counts(tm.policy, 4000)
         assert counts["c"] > counts["a"]
-
-    def test_disable_enable_server(self):
-        lb = HAProxySim(DIPS, algorithm="roundrobin")
-        lb.disable_server("a")
-        assert "a" not in selection_counts(lb.policy, 300)
-        lb.enable_server("a")
-        assert "a" in selection_counts(lb.policy, 300)
 
 
 class TestMuxPool:

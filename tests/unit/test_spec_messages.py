@@ -223,6 +223,9 @@ CASES = [
      "spec.controller.config.curve.degree must be >= 1"),
     ("curve.min_points", cfg("curve", min_points=1),
      "spec.controller.config.curve.min_points must be >= 2"),
+    ("exploration.max_iterations.curve.min_points",
+     cfg(None, exploration={"max_iterations": 1}),
+     "spec.controller.config: exploration.max_iterations (1) must be at least curve.min_points - 1 (2): an exploration measures the idle point and one point per iteration"),
     ("ilp.weights_per_dip", cfg("ilp", weights_per_dip=1),
      "spec.controller.config.ilp.weights_per_dip must be >= 2"),
     ("ilp.objective", cfg("ilp", objective="bogus"),

@@ -78,28 +78,10 @@ _ATTRIBUTE_STRING_CALLS = frozenset({"getattr", "hasattr"})
 
 _SPAN = re.compile(r"^[A-Za-z_][\w.]*:[A-Za-z_][\w.]*$")
 
-_ORACLE = "test oracle: the reference a live path is held to in the tests"
-_FACADE = "management API of the vendor-LB facades, which an example and Table 5 use"
-_MEMBERSHIP = "pool membership: the inverse of add_dip, pinned by the policy tests"
-
 #: Definitions kept outside the live band, each with the reason it stays.
 ALLOWLIST: dict[str, str] = {
-    "repro.sim.trace:MetricsCollector.dip_summary": _ORACLE + " (grouped summaries())",
-    "repro.backends.dip:DipServer.serve_probe_batch": _ORACLE + " (KLM.probe_round)",
     "repro.core.ilp:candidate_grid": "the observatory's self-test traces it as an inner span",
     "repro.experiments.scenarios:run_scenario": "documented twin of `repro run <scenario>`",
-    "repro.lb.facades:WeightedLBFacade.set_server_weight": _FACADE,
-    "repro.lb.facades:WeightedLBFacade.disable_server": _FACADE,
-    "repro.lb.facades:WeightedLBFacade.enable_server": _FACADE,
-    "repro.lb.facades:AzureLBSim.disable_server": _FACADE,
-    "repro.lb.facades:AzureLBSim.enable_server": _FACADE,
-    "repro.lb.facades:AzureTrafficManagerSim.disable_server": _FACADE,
-    "repro.lb.facades:AzureTrafficManagerSim.enable_server": _FACADE,
-    "repro.lb.base:Policy.remove_dip": _MEMBERSHIP,
-    "repro.lb.dns_lb:DnsWeightedPolicy.remove_dip": _MEMBERSHIP,
-    "repro.lb.dns_lb:WeightedDnsResolver.remove_dip": _MEMBERSHIP,
-    "repro.sim.vip:Vip.remove_dip": _MEMBERSHIP,
-    "repro.lb.dns_lb:DnsWeightedPolicy.resolver": "test observer: the resolver's table",
 }
 
 _ARTIFACTS = "; removing it changes every artifact's spec and old-artifact loading (ROADMAP 8)"
