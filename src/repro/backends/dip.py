@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,7 +68,6 @@ class DipServer:
     def __post_init__(self) -> None:
         if self.jitter_fraction < 0:
             raise ConfigurationError("jitter_fraction must be >= 0")
-        self._rng = np.random.default_rng(self.seed)
         self._base_model = LatencyModel(
             servers=self.vm_type.vcpus,
             capacity_rps=self.vm_type.base_capacity_rps,
@@ -75,6 +75,12 @@ class DipServer:
         )
         #: the scaled model of the capacity factor last seen below 1.0.
         self._scaled: tuple[float, LatencyModel] | None = None
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        """The DIP's private generator, seeded with ``seed``.  Only probe
+        rounds draw from it, so it is built on their first draw."""
+        return np.random.default_rng(self.seed)
 
     # -- capacity ---------------------------------------------------------
 

@@ -18,11 +18,12 @@ to hold the C to it byte for byte.
 Where the compiled module comes from:
 
 - a source checkout (``_kernels.c`` is here) builds it on first import into
-  ``__pycache__/``, named by the sha-256 of the source and flags and by the
-  interpreter's extension suffix, with ``sysconfig``'s compiler and
+  ``__pycache__/``, named by a sha-256 digest of the source, one of the flags
+  and the interpreter's extension suffix, with ``sysconfig``'s compiler and
   :data:`CFLAGS`; the file is written aside and moved into place with
-  :func:`os.replace`, so concurrent first imports race harmlessly.  A later
-  import finds it and loads it without ``subprocess`` or ``sysconfig``;
+  :func:`os.replace`, so concurrent first imports race harmlessly, and then
+  the builds of any other source beside it are removed.  A later import
+  finds it and loads it without ``subprocess`` or ``sysconfig``;
 - an installed package ships it as the ``repro._kernels`` extension
   (``pyproject.toml`` builds it with the same flags).
 
@@ -51,12 +52,34 @@ _NAME = "repro._kernels"
 
 
 def _cache_path() -> str:
-    """Where a source checkout keeps the module built from this source."""
+    """Where a source checkout keeps the module built from this source with
+    :data:`CFLAGS`: ``_kernels.<source digest>.<flags digest><suffix>``."""
     with open(_SOURCE, "rb") as handle:
-        digest = hashlib.sha256(handle.read())
-    digest.update(" ".join(CFLAGS).encode())
-    name = f"_kernels.{digest.hexdigest()[:16]}{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+        source = hashlib.sha256(handle.read()).hexdigest()[:16]
+    flags = hashlib.sha256(" ".join(CFLAGS).encode()).hexdigest()[:8]
+    name = f"_kernels.{source}.{flags}{importlib.machinery.EXTENSION_SUFFIXES[0]}"
     return os.path.join(_HERE, "__pycache__", name)
+
+
+def _prune(target: str) -> None:
+    """Remove, best-effort, the builds beside ``target`` whose source digest
+    is not ``target``'s: those of an older ``_kernels.c``.  Builds of this
+    source under other flags stay, and so do files being written."""
+    import re
+
+    directory, name = os.path.split(target)
+    source = name.split(".")[1]
+    try:
+        entries = os.listdir(directory)
+    except OSError:
+        return
+    for entry in entries:
+        build = re.fullmatch(r"_kernels\.([0-9a-f]{16})\..*(?<!\.tmp)", entry)
+        if build is not None and build.group(1) != source:
+            try:
+                os.unlink(os.path.join(directory, entry))
+            except OSError:
+                pass
 
 
 def _compiler() -> list[str]:
@@ -103,6 +126,7 @@ def _build(target: str) -> None:
                 f"{' '.join(command)}\n{output}"
             )
         os.replace(partial, target)
+        _prune(target)
     except subprocess.TimeoutExpired:
         raise ImportError(f"building {_SOURCE} timed out: {' '.join(command)}") from None
     finally:

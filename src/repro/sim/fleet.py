@@ -12,7 +12,8 @@ latency — and therefore everything KLM probes observe — reflects cross-VIP
 contention.  Load-dependent policies (least-connection, power-of-two) are
 resolved by an outer fixed point: each VIP's split is recomputed against
 the background load the other VIPs put on its DIPs until the joint rates
-stabilise.
+stabilise.  While every VIP is load-independent, a weight, rate or clock
+write re-evaluates only the written VIP's DIPs, to the same bits.
 
 Per-VIP :class:`FleetDeployment` views satisfy the controller's
 ``Deployment`` protocol: the :class:`repro.core.fleet_controller.FleetController`
@@ -35,7 +36,9 @@ from repro.backends.dip import DipServer, push_offered_rates
 from repro.core.types import DipId, VipId, left_to_right_sum
 from repro.exceptions import ConfigurationError
 from repro.sim.fluid import (
+    EQUAL_SPLIT_POLICIES,
     LOAD_DEPENDENT_POLICIES,
+    WEIGHTED_SPLIT_POLICIES,
     PoolArrays,
     equal_split_array,
     pool_arrays,
@@ -45,6 +48,8 @@ from repro.sim.fluid import (
     vector_utilization,
 )
 from repro.sim.vip import Vip
+
+_STATIC_POLICIES = EQUAL_SPLIT_POLICIES | WEIGHTED_SPLIT_POLICIES
 
 
 def _read(vip: Vip) -> tuple[tuple, tuple]:
@@ -84,6 +89,51 @@ class _Kept(NamedTuple):
     weights: np.ndarray | None
 
 
+class _Sums:
+    """The per-DIP contributor map of an all-static fleet's last full
+    evaluation: every VIP's split stacked in VIP order (``rates``,
+    ``index``) and each VIP's ``span`` of it.  A write to one VIP stores its
+    new split in its span and re-sums only its DIPs from :meth:`rows`, each
+    DIP 0.0 plus its contributors' rates in VIP order — the sum the
+    evaluation's ``np.bincount`` formed."""
+
+    def __init__(
+        self, index: np.ndarray, rates: np.ndarray, span: dict[VipId, slice], size: int
+    ) -> None:
+        self.index = index
+        self.rates = rates
+        self.span = span
+        self.size = size
+        self._rows: dict[VipId, tuple[np.ndarray, np.ndarray, list[DipServer]]] = {}
+
+    @cached_property
+    def _groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Positions in ``rates`` grouped by DIP (VIP order within a group),
+        and each DIP's group start and length."""
+        order = np.argsort(self.index, kind="stable")
+        count = np.bincount(self.index, minlength=self.size)
+        return order, np.cumsum(count) - count, count
+
+    def rows(
+        self, vip_id: VipId, index: np.ndarray, servers: tuple[DipServer, ...]
+    ) -> tuple[np.ndarray, np.ndarray, list[DipServer]]:
+        """For a VIP over pool positions ``index``: each contribution to its
+        DIPs, as (row in ``index``, position in ``rates``), and its DIPs'
+        servers (of the pool's ``servers``)."""
+        rows = self._rows.get(vip_id)
+        if rows is None:
+            order, start, count = self._groups
+            count = count[index]
+            row = np.repeat(np.arange(len(index)), count)
+            skip = np.repeat(start[index] - (np.cumsum(count) - count), count)
+            rows = self._rows[vip_id] = (
+                row,
+                order[skip + np.arange(len(row))],
+                [servers[i] for i in index.tolist()],
+            )
+        return rows
+
+
 def _subset(pool: PoolArrays, index: np.ndarray) -> PoolArrays:
     return PoolArrays(
         ids=tuple(pool.ids[i] for i in index),
@@ -100,8 +150,8 @@ class FleetState:
     """The whole fleet after one joint evaluation.
 
     A lazy view: it keeps the evaluation's arrays (nothing writes to them
-    once built — :meth:`Fleet.apply` may hand a kept pool or split to later
-    evaluations too, but builds each ``total`` afresh — so the view stays
+    once built — later evaluations may hand on a kept pool, split or
+    ``total``, but build or copy any array they change — so the view stays
     that of its own evaluation) and builds each dict — and the latency pass
     behind ``mean_latency_ms`` — on first read.
     """
@@ -213,7 +263,16 @@ class FleetDeployment:
 
 
 class Fleet:
-    """A pool of DIP servers shared by any number of VIPs."""
+    """A pool of DIP servers shared by any number of VIPs.
+
+    Every entry point leaves the servers' offered rates and :meth:`state`
+    current.  The membership and DIP writers run the full evaluation,
+    :meth:`apply`; ``set_weights``, ``set_total_rate`` / ``scale_traffic``
+    and ``advance`` evaluate incrementally, at the cost of the written VIP's
+    DIPs (see :meth:`_evaluate`).  They take every other VIP as the last
+    evaluation left it, so a caller that edits a DIP, a VIP or their dicts
+    directly calls :meth:`apply` afterwards.
+    """
 
     def __init__(
         self,
@@ -238,6 +297,8 @@ class Fleet:
         #: ((PoolWrites.count, DIP ids), servers) at the last evaluation
         #: that finished.
         self._seen: tuple[tuple, tuple] | None = None
+        #: how the last evaluation summed, while a write may re-sum one VIP.
+        self._sums: _Sums | None = None
 
     # -- membership --------------------------------------------------------------
 
@@ -245,7 +306,7 @@ class Fleet:
         if server.dip_id in self.dips:
             raise ConfigurationError(f"DIP {server.dip_id!r} already in fleet")
         self.dips[server.dip_id] = server
-        self._last_state = None
+        self._last_state = self._sums = None
 
     def create_vip(
         self,
@@ -275,7 +336,7 @@ class Fleet:
             weights=dict(weights) if weights else {},
         )
         self.vips[vip_id] = vip
-        self._last_state = None
+        self._last_state = self._sums = None
         return vip
 
     def remove_vip(self, vip_id: VipId) -> Vip:
@@ -308,7 +369,7 @@ class Fleet:
                 )
             cleaned[dip] = value
         vip.weights.update(cleaned)
-        self.apply()
+        self._evaluate(vip_id)
 
     def set_total_rate(self, vip_id: VipId, total_rate_rps: float) -> None:
         if not 0.0 <= total_rate_rps < math.inf:
@@ -316,7 +377,7 @@ class Fleet:
                 f"total_rate_rps must be finite and >= 0, got {total_rate_rps!r}"
             )
         self._vip(vip_id).total_rate_rps = float(total_rate_rps)
-        self.apply()
+        self._evaluate(vip_id)
 
     def scale_traffic(self, vip_id: VipId, factor: float) -> None:
         if not 0.0 <= factor < math.inf:
@@ -352,6 +413,11 @@ class Fleet:
         converge.  The rates reach the servers before this returns; the
         returned :class:`FleetState` builds the rest on first read.
 
+        This is the full evaluation: it re-reads every DIP and VIP, so a
+        caller that edits a DIP, an antagonist, a VIP or any of their dicts
+        directly calls it afterwards.  The fleet's own weight, rate and clock
+        writers evaluate incrementally instead (see :meth:`_evaluate`).
+
         What an evaluation is computed from is kept between calls.  The
         pool's arrays (and the id → position map, while the ids hold) are
         rebuilt only after a write to some DIP's pool inputs (counted by
@@ -359,13 +425,13 @@ class Fleet:
         no longer holds the same servers under the same ids.  Each VIP's
         split (or, load-dependent, its index, pool subset and weights) is
         reused while its :func:`_read` is the same and, after a pool
-        rebuild, its healthy DIPs, their positions and the pool are.  So a
-        caller may still edit a DIP, an antagonist, a VIP or any of their
-        dicts directly and then call ``apply()``.  ``total`` is
-        re-accumulated from the splits on every call and the fixed point
-        always runs, so the result is bit-identical to a full evaluation.
+        rebuild, its healthy DIPs, their positions and the pool are.
+        ``total`` is re-accumulated from the splits on every call and the
+        fixed point always runs, so the result is bit-identical to a full
+        evaluation without the memo.
         """
-        seen = ((PoolWrites.count, tuple(self.dips)), tuple(self.dips.values()))
+        self._sums = None
+        seen = self._seen_now()
         recheck = not _same(seen, self._seen)
         if recheck:
             pool = pool_arrays(self.dips)
@@ -378,16 +444,16 @@ class Fleet:
             read = _read(vip)
             k = self._kept.get(vip_id)
             if recheck or k is None or not _same(read, k.read):
-                k = self._inputs(vip_id, vip, read, pool, index_of, k)
+                k = self._inputs(vip_id, vip, read, vip.healthy_dip_ids(), pool, index_of, k)
             kept[vip_id] = k
         self._kept = kept
         contributions = {vip_id: (k.index, k.rates) for vip_id, k in kept.items()}
         # Per DIP, 0.0 plus each VIP's rate in VIP order: one bincount.
         total = np.zeros(pool.size)
         if kept:
-            index = np.concatenate([k.index for k in kept.values()])
-            rates = np.concatenate([k.rates for k in kept.values()])
-            total = np.bincount(index, weights=rates, minlength=pool.size)
+            stacked_index = np.concatenate([k.index for k in kept.values()])
+            stacked = np.concatenate([k.rates for k in kept.values()])
+            total = np.bincount(stacked_index, weights=stacked, minlength=pool.size)
         reactive = [
             (vip_id, self.vips[vip_id], k) for vip_id, k in kept.items() if k.sub_pool is not None
         ]
@@ -417,25 +483,33 @@ class Fleet:
         # everything else about the evaluation waits in the lazy state.
         rates = total.tolist()
         if ((total >= 0.0) & (total < math.inf)).all():
-            push_offered_rates(self.dips.values(), rates)
+            push_offered_rates(seen[1], rates)
         else:
-            for server, rate in zip(self.dips.values(), rates):
+            for server, rate in zip(seen[1], rates):
                 server.set_offered_rate(rate)  # refuses the first bad rate
         self._seen = seen
+        if kept and not reactive:
+            ends = np.cumsum([len(k.index) for k in kept.values()]).tolist()
+            span = {v: slice(e - len(k.index), e) for (v, k), e in zip(kept.items(), ends)}
+            self._sums = _Sums(stacked_index, stacked, span, pool.size)
         self._last_state = FleetState(self.time, pool, total, contributions)
         return self._last_state
+
+    def _seen_now(self) -> tuple[tuple, tuple]:
+        """What the pool's arrays are read from, as ``_seen`` keeps it."""
+        return (PoolWrites.count, tuple(self.dips)), tuple(self.dips.values())
 
     def _inputs(
         self,
         vip_id: VipId,
         vip: Vip,
         read: tuple[tuple, tuple],
+        healthy: tuple[DipId, ...],
         pool: PoolArrays,
         index_of: dict[DipId, int],
         kept: _Kept | None,
     ) -> _Kept:
         """A VIP's evaluation inputs: ``kept`` while they still hold."""
-        healthy = vip.healthy_dip_ids()
         if (
             kept is not None
             and _same(read, kept.read)
@@ -457,22 +531,76 @@ class Fleet:
         rates = static_split_array(vip.policy_name, len(healthy), vip.total_rate_rps, weights)
         return _Kept(read, healthy, index_of, None, index, rates, None, None)
 
+    def _evaluate(self, vip_id: VipId | None) -> None:
+        """Evaluate after the fleet's own write to ``vip_id``'s weights or
+        rate, or (``None``) to its clock alone.
+
+        The state of the last evaluation stands for every other VIP, so a
+        write costs the written VIP's DIPs, not the fleet: its split is
+        recomputed, each of its DIPs' totals re-summed as 0.0 plus every
+        contributor's rate in VIP order (what :meth:`apply` sums), and only
+        those rates pushed; a clock write re-dates the last state's arrays.
+        Where that is not provably :meth:`apply`'s result — no all-static
+        evaluation since the last raise or membership change (so never
+        with an lc/wlc/p2 VIP: the fixed point's stop test sums the whole
+        fleet), a pool input or ``dips`` moved, the written VIP's healthy
+        set or policy changed, or a total is not finite — :meth:`apply`
+        runs instead.
+        """
+        sums, last = self._sums, self._last_state
+        seen = self._seen_now()
+        if sums is None or not _same(seen, self._seen):
+            self.apply()
+            return
+        if vip_id is None:
+            self._last_state = FleetState(self.time, last._pool, last._total, last._contributions)
+            return
+        vip = self.vips[vip_id]
+        kept = self._kept.get(vip_id)
+        healthy = vip.healthy_dip_ids()
+        if (
+            kept is None
+            or healthy != kept.healthy
+            or vip.policy_name not in _STATIC_POLICIES
+        ):
+            self.apply()
+            return
+        kept = self._inputs(vip_id, vip, _read(vip), healthy, self._pool, self._index_of, kept)
+        index = kept.index
+        row, position, servers = sums.rows(vip_id, index, seen[1])
+        sums.rates[sums.span[vip_id]] = kept.rates
+        fresh = np.bincount(row, weights=sums.rates[position], minlength=len(index))
+        if not ((fresh >= 0.0) & (fresh < math.inf)).all():
+            self.apply()  # refuses as a full evaluation does
+            return
+        self._kept[vip_id] = kept
+        push_offered_rates(servers, fresh.tolist())
+        total = last._total.copy()
+        total[index] = fresh
+        contributions = dict(last._contributions)
+        contributions[vip_id] = (index, kept.rates)
+        self._last_state = FleetState(self.time, last._pool, total, contributions)
+
     def advance(self, duration_s: float) -> FleetState:
         """Advance shared simulated time (loads are steady in the fluid model)."""
         if duration_s < 0:
             raise ConfigurationError("duration_s must be >= 0")
         self.time += duration_s
-        return self.apply()
+        self._evaluate(None)
+        return self._last_state
 
     # -- observation ---------------------------------------------------------------
 
     def state(self) -> FleetState:
         """The state of the last joint evaluation (no re-evaluation).
 
-        Every mutating entry point (``set_weights``, ``set_total_rate``,
-        ``fail_dip``, ``advance``, …) re-runs :meth:`apply`, so the cached
-        state is current unless DIPs were mutated directly — call
-        :meth:`apply` after doing that.
+        Every mutating entry point leaves it current: ``fail_dip``,
+        ``recover_dip``, ``set_capacity_ratio``, ``set_antagonist_copies``
+        and ``remove_vip`` run :meth:`apply`; ``set_weights``,
+        ``set_total_rate`` / ``scale_traffic`` and ``advance`` update it
+        incrementally.  After a direct edit of a DIP, an antagonist, a VIP
+        or their dicts, call :meth:`apply`: the incremental writers do not
+        re-read the VIPs they did not write.
         """
         if self._last_state is None or self._last_state.time != self.time:
             return self.apply()

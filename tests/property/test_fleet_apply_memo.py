@@ -12,11 +12,16 @@ the fleet bit-identical to a fresh oracle evaluation after every step: the
 per-DIP totals, every VIP's contribution, each server's offered rate and
 the state's dicts.  A mutation the oracle refuses must be refused with the
 same message.
+
+The fleet's weight, rate and clock writers re-sum only the written VIP's
+DIPs, and only while every VIP is load-independent; ``make_static_fleet``
+is such a fleet, so the same sequences reach that path too.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -93,21 +98,33 @@ POLICIES = ("wrr", "rr", "lc", "wlc", "p2", "wrandom", "hash")
 EDGE_WEIGHTS = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e6)
 
 
-def make_fleet() -> Fleet:
-    """Seven DIPs of three shapes shared by a wrr, an rr, an lc, a wlc and a p2 VIP."""
+#: a wrr, an rr, an lc, a wlc and a p2 VIP: (DIPs, policy, rate) by id.
+MIXED_VIPS = {
+    "w": (["d0", "d1", "d2", "d3"], "wrr", 700.0),
+    "e": (["d2", "d3", "d4", "d5"], "rr", 500.0),
+    "l": (["d1", "d3", "d5"], "lc", 400.0),
+    "k": (["d0", "d4", "d6"], "wlc", 600.0),
+    "p": (["d5", "d6"], "p2", 300.0),
+}
+#: two wrr, an rr, a wrandom and a hash VIP, most DIPs serving two or three.
+STATIC_VIPS = {
+    "w": (["d0", "d1", "d2", "d3"], "wrr", 700.0),
+    "e": (["d2", "d3", "d4", "d5"], "rr", 500.0),
+    "r": (["d1", "d3", "d5", "d6"], "wrandom", 400.0),
+    "h": (["d0", "d4", "d6"], "hash", 600.0),
+    "v": (["d3", "d6"], "wrr", 300.0),
+}
+STATIC_POLICIES = ("wrr", "rr", "wrandom", "hash")
+
+
+def make_fleet(members: dict = MIXED_VIPS) -> Fleet:
+    """Seven DIPs of three shapes shared by ``members``."""
     fleet = Fleet()
     shapes = [(1, 400.0), (2, 800.0), (4, 1500.0)]
     for i in range(7):
         cores, capacity = shapes[i % 3]
         vm = custom_vm_type(f"vm-{cores}", vcpus=cores, capacity_rps=capacity)
         fleet.add_dip(DipServer(f"d{i}", vm, seed=i, jitter_fraction=0.0))
-    members = {
-        "w": (["d0", "d1", "d2", "d3"], "wrr", 700.0),
-        "e": (["d2", "d3", "d4", "d5"], "rr", 500.0),
-        "l": (["d1", "d3", "d5"], "lc", 400.0),
-        "k": (["d0", "d4", "d6"], "wlc", 600.0),
-        "p": (["d5", "d6"], "p2", 300.0),
-    }
     for vip_id, (dips, policy, rate) in members.items():
         fleet.create_vip(
             vip_id,
@@ -117,6 +134,11 @@ def make_fleet() -> Fleet:
             weights={d: 1.0 + j for j, d in enumerate(dips)},
         )
     return fleet
+
+
+def make_static_fleet() -> Fleet:
+    """A fleet of load-independent VIPs only: writes take the incremental path."""
+    return make_fleet(STATIC_VIPS)
 
 
 def _pick(items, selector: int):
@@ -192,6 +214,8 @@ def perform(fleet: Fleet, op: tuple, counter: list[int]) -> None:
         field, value = args
         if field == "policy":
             vip.policy_name = POLICIES[int(value * 100) % len(POLICIES)]
+        elif field == "static_policy":
+            vip.policy_name = STATIC_POLICIES[int(value * 100) % len(STATIC_POLICIES)]
         elif field == "rate":
             vip.total_rate_rps = value * 200.0
         elif field == "weight":
@@ -272,6 +296,27 @@ operations = st.one_of(
         st.floats(0.0, 3.0),
     ),
 )
+#: the same, but a VIP's policy edit keeps it load-independent.
+static_operations = st.one_of(
+    operations,
+    st.tuples(
+        st.just("edit_vip"), st.integers(0, 50), st.just("static_policy"), st.floats(0.0, 3.0)
+    ),
+).filter(lambda op: op[:3:2] != ("edit_vip", "policy"))
+
+
+def run_and_check(fleet: Fleet, ops) -> None:
+    """Perform ``ops`` on ``fleet``, holding it to the oracle after each."""
+    fleet.apply()
+    assert_matches_oracle(fleet, None)
+    counter = [0]
+    for op in ops:
+        error = None
+        try:
+            perform(fleet, op, counter)
+        except ConfigurationError as refused:
+            error = refused
+        assert_matches_oracle(fleet, error)
 
 
 class TestApplyMatchesFullEvaluation:
@@ -301,18 +346,66 @@ class TestApplyMatchesFullEvaluation:
             ("edit_vip", 0, "member", 1.0),
         ]
     )
+    @example(
+        [
+            # Removing k, l and p leaves e and w: all static from here on.
+            ("remove_vip", 1),
+            ("remove_vip", 1),
+            ("remove_vip", 1),
+            ("set_weights", 1, [0.0, 2.0, 1.0, 5e-324]),
+            ("advance", 0, 2.0),
+            ("set_total_rate", 0, 120.0),
+            ("scale_traffic", 1, 0.5),
+        ]
+    )
     def test_every_step_equals_a_fresh_evaluation(self, ops):
-        fleet = make_fleet()
-        fleet.apply()
-        assert_matches_oracle(fleet, None)
-        counter = [0]
-        for op in ops:
-            error = None
-            try:
-                perform(fleet, op, counter)
-            except ConfigurationError as refused:
-                error = refused
-            assert_matches_oracle(fleet, error)
+        run_and_check(make_fleet(), ops)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(static_operations, min_size=1, max_size=14))
+    @example(
+        [
+            ("set_weights", 4, [-0.0, 1.0, -0.0, 2.0]),
+            ("set_total_rate", 4, -0.0),
+            ("set_weights", 2, [-0.0, -0.0, -0.0, -0.0]),
+            ("advance", 0, 1.0),
+            ("set_total_rate", 4, 5.0),
+            ("scale_traffic", 2, -0.0),
+        ]
+    )
+    @example(
+        [
+            # v fronts d3 and d6: failing both is refused, and so is every
+            # write until d6 is back.
+            ("fail_dip", 3),
+            ("fail_dip", 6),
+            ("set_weights", 4, [1.0, 2.0, 3.0, 4.0]),
+            ("advance", 0, 1.0),
+            ("set_total_rate", 3, 250.0),
+            ("recover_dip", 6),
+            ("set_weights", 4, [4.0, 3.0, 2.0, 1.0]),
+            ("set_total_rate", 3, 250.0),
+        ]
+    )
+    @example(
+        [
+            ("edit_vip", 4, "weight", 0.5),
+            ("set_weights", 4, [1.0, 2.0]),
+            ("edit_dip", 2, "capacity", 1.5),
+            ("set_total_rate", 4, 300.0),
+            ("edit_vip", 0, "member", 1.0),
+            ("set_weights", 0, [3.0, 1.0, 2.0, 1.0, 1.0]),
+            ("edit_dip", 3, "failed", 1.0),
+            ("set_weights", 3, [2.0, 1.0]),
+            ("rotate_dips", 3),
+            ("set_total_rate", 1, 80.0),
+            ("edit_vip", 2, "static_policy", 0.01),
+            ("advance", 0, 0.5),
+            ("set_weights", 2, [1.0, 0.0, 1.0, 0.0]),
+        ]
+    )
+    def test_every_step_of_a_static_fleet_equals_a_fresh_evaluation(self, ops):
+        run_and_check(make_static_fleet(), ops)
 
     def test_signed_zero_rate_and_weight_are_not_aliased(self):
         """-0.0 equals 0.0 but splits to -0.0 rates: the kept split must not serve it."""
@@ -344,3 +437,53 @@ class TestApplyMatchesFullEvaluation:
         third = fleet.apply()
         assert third._pool is not second._pool
         assert third._contributions["w"][1] is second._contributions["w"][1]
+
+    def test_a_write_sees_direct_edits_of_the_vip_it_writes(self):
+        """The written VIP is re-read whole: a member, weight or policy edited
+        on it directly reaches the result without an ``apply()``."""
+        fleet = make_static_fleet()
+        fleet.apply()
+        vip = fleet.vips["e"]
+        del vip.dips["d4"]  # its healthy set changes: a full evaluation
+        fleet.set_weights("e", {"d2": 3.0})
+        assert_matches_oracle(fleet, None)
+        vip.policy_name = "lc"  # no longer load-independent: a full evaluation
+        fleet.set_total_rate("e", 450.0)
+        assert_matches_oracle(fleet, None)
+        vip.policy_name = "wrr"
+        fleet.apply()
+        vip.weights["d5"] = 7.0
+        fleet.set_total_rate("e", 350.0)
+        assert_matches_oracle(fleet, None)
+
+    def test_a_write_leaves_a_held_state_as_it_was(self):
+        fleet = make_static_fleet()
+        held = fleet.apply()
+        total = held._total.tobytes()
+        contributions = dict(held._contributions)
+        fleet.set_weights("w", {"d0": 9.0})
+        fleet.set_total_rate("v", 50.0)
+        fleet.advance(1.0)
+        assert held._total.tobytes() == total
+        assert held._contributions == contributions
+        assert fleet.state()._total.tobytes() != total
+
+    def test_a_full_evaluation_after_a_write_reuses_its_split(self):
+        fleet = make_static_fleet()
+        fleet.apply()
+        fleet.set_weights("w", {"d0": 9.0})
+        written = fleet.state()._contributions["w"][1]
+        assert fleet.apply()._contributions["w"][1] is written
+
+    def test_a_write_to_a_total_past_float_range_is_refused_as_apply_refuses(self):
+        fleet, twin = make_static_fleet(), make_static_fleet()
+        for each in (fleet, twin):
+            each.set_weights("w", {"d0": 1e6})
+        with np.errstate(over="ignore"), pytest.raises(ConfigurationError) as refused:
+            fleet.set_total_rate("w", 1.7e308)  # d0's share overflows to inf
+        twin.vips["w"].total_rate_rps = 1.7e308
+        with np.errstate(over="ignore"), pytest.raises(ConfigurationError) as full:
+            twin.apply()
+        assert str(refused.value) == str(full.value)
+        fleet.set_total_rate("w", 700.0)
+        assert_matches_oracle(fleet, None)

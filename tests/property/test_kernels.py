@@ -905,6 +905,35 @@ def test_a_build_lands_in_its_cache_file_once(monkeypatch, tmp_path):
     assert kernels._cache_path().endswith(".so")
 
 
+def test_a_build_removes_the_builds_of_older_sources(monkeypatch, tmp_path):
+    import importlib.machinery
+
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    current = os.path.basename(kernels._cache_path())
+    source, flags = current.split(".")[1:3]
+    cache = tmp_path / "pycache"
+    cache.mkdir()
+    stale = [
+        f"_kernels.{'0' * 16}.{flags}{suffix}",  # an older source, these flags
+        f"_kernels.{'1' * 16}.{'2' * 8}{suffix}",  # an older source, other flags
+        f"_kernels.{'3' * 16}{suffix}",  # named by one digest of source and flags
+    ]
+    kept = [
+        f"_kernels.{source}.{'4' * 8}{suffix}",  # this source under other flags
+        f"_kernels.{'5' * 16}.tmp",  # a build being written
+        "_kernels.abcdefgh.tmp",
+        "unrelated.so",
+    ]
+    for name in stale + kept:
+        (cache / name).write_bytes(b"")
+    (cache / f"_kernels.{'6' * 16}{suffix}").mkdir()  # cannot be unlinked: skipped
+    monkeypatch.setattr(kernels, "_cache_path", lambda: str(cache / current))
+    assert kernels._compiled().walk is not None
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [current, *kept, f"_kernels.{'6' * 16}{suffix}"]
+    )
+
+
 def test_a_failing_build_raises(monkeypatch, tmp_path):
     compiled_walk = kernels.walk
     monkeypatch.setattr(kernels, "_cache_path", lambda: str(tmp_path / "k" / "absent.so"))

@@ -350,6 +350,18 @@ class TestDipServer:
         dip.antagonist.clear()
         assert dip.latency_model.capacity_rps == pytest.approx(400.0)
 
+    def test_the_generator_is_built_on_first_draw_from_the_seed(self, dip):
+        import pickle
+
+        assert "_rng" not in vars(dip)  # a server that never probes builds none
+        unprobed = pickle.loads(pickle.dumps(dip))
+        expected = np.random.default_rng(5).random(4)
+        assert dip._rng.random(2).tolist() == expected[:2].tolist()
+        # Pickled before its first draw, a server draws the seed's stream.
+        assert unprobed._rng.random(4).tolist() == expected.tolist()
+        # Pickled after, it goes on where it stopped.
+        assert pickle.loads(pickle.dumps(dip))._rng.random(2).tolist() == expected[2:].tolist()
+
 
 class TestOfferedRate:
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
