@@ -3,9 +3,11 @@
  * the FCFS station walk (StationWalk.advance), the smooth-WRR argmax loop
  * (WeightedRoundRobin, the epoch engine's _SmoothWrrRouter), a replayed
  * station's busy integrals (queueing._station_stats), the dp backend's band
- * DP (solver/dp.py), the section 4.5 curve inversion
- * (core/curve.py::weights_for_latencies) and the stage loop of the mckp
- * backend's expanding-core DP (solver/mckp.py::_expand_core).
+ * DP (solver/dp.py), the curve law (core/curve.py::predict_curves) and its
+ * section 4.5 inversion (core/curve.py::weights_for_latencies), the stage
+ * loop of the mckp backend's expanding-core DP (solver/mckp.py::_expand_core)
+ * and a KLM probe round (backends/dip.py::serve_probe_round) with the
+ * M/M/c/K law it evaluates (backends/latency_model.py).
  *
  * These are the only implementations a run uses; repro/kernels.py builds
  * and loads this module, and a run cannot start without it.  Each is a
@@ -16,7 +18,10 @@
  * (no fused multiply-add) and without fast-math, every result is the bit
  * the Python body computes.  Arrays come in through the buffer protocol:
  * C-contiguous float64 (int32 for picks, int64 for units and selections,
- * bool for flags), no numpy C API.
+ * bool for flags), no numpy array C API.  The probe round draws from each
+ * DIP's numpy Generator through numpy's C random library (distributions.h,
+ * linked from libnpyrandom.a): the routines Generator.binomial and
+ * Generator.standard_normal run, on the generator's own bit generator.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -25,6 +30,8 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+#include "numpy/random/distributions.h"
 
 /* A C-contiguous buffer of one-character ``kinds`` items of ``itemsize``. */
 static int
@@ -519,7 +526,7 @@ horner(const double *coefficients, Py_ssize_t width, double x)
     return y;
 }
 
-/* _Bank.predict for one weight of one row: the polynomial at w / scale,
+/* The curve law for one weight of one bank row: the polynomial at w / scale,
  * the monotone envelope (the constant term; past a concave vertex, its
  * peak; above degree 2 the max of a 64-point scan of [0, w]) and the l0
  * floor. */
@@ -622,6 +629,67 @@ bisect_bank(PyObject *Py_UNUSED(module), PyObject *args)
         }
 #undef PREDICT
         out[r] = hi;
+    }
+    result = Py_NewRef(Py_None);
+done:
+    while (held > 0) {
+        PyBuffer_Release(&views[--held]);
+    }
+    return result;
+}
+
+PyDoc_STRVAR(predict_bank_doc,
+"predict_bank(table, width, monotone, vertex, peak, scanned, ws, out)\n\n"
+"Row i of ws through the envelope of the bank's curve i, written to out;\n"
+"see repro.core.curve.predict_curves.");
+
+static PyObject *
+predict_bank(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *objs[7];
+    Py_ssize_t width;
+    if (!PyArg_ParseTuple(args, "OnOOOOOO:predict_bank", &objs[0], &width, &objs[1], &objs[2],
+                          &objs[3], &objs[4], &objs[5], &objs[6])) {
+        return NULL;
+    }
+    static const char *names[7] = {"table", "monotone", "vertex", "peak", "scanned", "ws", "out"};
+    static const char *kinds[7] = {"d", "?", "d", "d", "?", "d", "d"};
+    Py_buffer views[7];
+    int held = 0;
+    PyObject *result = NULL;
+    for (; held < 7; held++) {
+        int flag = kinds[held][0] == '?';
+        if (get_array(objs[held], &views[held], held == 6, flag ? 1 : 8, kinds[held],
+                      names[held]) < 0) {
+            goto done;
+        }
+    }
+    Py_ssize_t rows = views[1].len;
+    if (views[2].len / 8 != rows || views[3].len / 8 != rows || views[4].len != rows) {
+        PyErr_SetString(PyExc_ValueError, "predict_bank: the rows do not align");
+        goto done;
+    }
+    Py_ssize_t cells = views[0].len / 8;
+    if (width < 1 || (rows ? cells % rows || cells / rows - 2 != width : cells != 0)) {
+        PyErr_SetString(PyExc_ValueError, "predict_bank: table is not rows x (width + 2)");
+        goto done;
+    }
+    Py_ssize_t weights = views[5].len / 8;
+    if (views[6].len != views[5].len || (rows ? weights % rows : weights != 0)) {
+        PyErr_SetString(PyExc_ValueError, "predict_bank: ws and out are not rows x k");
+        goto done;
+    }
+    Py_ssize_t k = rows ? weights / rows : 0;
+    const double *table = views[0].buf;
+    const unsigned char *monotone = views[1].buf, *scanned = views[4].buf;
+    const double *vertex = views[2].buf, *peak = views[3].buf;
+    const double *ws = views[5].buf;
+    double *out = views[6].buf;
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        const double *row = table + r * (width + 2);
+        for (Py_ssize_t c = r * k; c < (r + 1) * k; c++) {
+            out[c] = bank_predict(row, width, monotone[r], vertex[r], peak[r], scanned[r], ws[c]);
+        }
     }
     result = Py_NewRef(Py_None);
 done:
@@ -1523,6 +1591,300 @@ done:
     return result;
 }
 
+/* The M/M/c/K latency law of repro.backends.latency_model.LatencyModel, in
+ * its Python operation order. */
+
+/* Erlang C at offered load ``load`` >= 0 on ``servers`` workers: 1 at or
+ * past saturation, 0 at no load, else the Erlang-B recursion turned into
+ * the probability that an arrival queues. */
+static double
+law_erlang_c(double servers, double load)
+{
+    if (load >= servers) {
+        return 1.0;
+    }
+    if (load == 0) {
+        return 0.0;
+    }
+    double inv_b = 1.0;
+    for (double k = 1.0; k <= servers; k += 1.0) {
+        inv_b = 1.0 + inv_b * k / load;
+    }
+    double erlang_b = 1.0 / inv_b;
+    double rho = load / servers;
+    return erlang_b / (1.0 - rho + rho * erlang_b);
+}
+
+/* Mean latency at ``rate`` >= 0: idle at 0, the Erlang-C wait (scaled by
+ * ``scv``, bounded by draining a full queue) below 0.999 of capacity, the
+ * full-queue plateau from there. */
+static double
+law_mean_ms(double servers, double capacity, double idle, double max_queue, double rate,
+            double scv)
+{
+    if (rate == 0) {
+        return idle;
+    }
+    double mu = capacity / servers;
+    double offered = rate / mu;
+    double max_wait_ms = max_queue / capacity * 1000.0;
+    if (rate < capacity * 0.999) {
+        double pq = law_erlang_c(servers, offered);
+        double wait_s = pq / (servers * mu - rate);
+        double wait_ms = wait_s * 1000.0 * scv;
+        /* Python's min(wait_ms, max_wait_ms) */
+        return idle + (max_wait_ms < wait_ms ? max_wait_ms : wait_ms);
+    }
+    return idle + max_wait_ms;
+}
+
+/* Drop probability at ``rate`` >= 0: 0 up to ``drop_at`` utilization, the
+ * structural loss (or 0.01) past capacity, a linear ramp between. */
+static double
+law_drop(double capacity, double drop_at, double rate)
+{
+    double util = rate / capacity;
+    if (util <= drop_at) {
+        return 0.0;
+    }
+    if (util >= 1.0) {
+        double loss = 1.0 - capacity / rate;
+        return loss > 0.0 ? loss : 0.01;  /* max(0.0, loss) or 0.01 */
+    }
+    double span = 1.0 - drop_at;
+    return 0.05 * (util - drop_at) / span;
+}
+
+PyDoc_STRVAR(erlang_c_doc,
+"erlang_c(servers, offered_load) -> float\n\n"
+"The Erlang-C queueing probability; see repro.backends.latency_model.erlang_c.");
+
+static PyObject *
+erlang_c(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    double servers, load;
+    if (!PyArg_ParseTuple(args, "dd:erlang_c", &servers, &load)) {
+        return NULL;
+    }
+    return PyFloat_FromDouble(law_erlang_c(servers, load));
+}
+
+PyDoc_STRVAR(mean_latency_doc,
+"mean_latency(servers, capacity_rps, idle_latency_ms, max_queue, rate_rps, scv_correction)\n"
+"-> float\n\n"
+"LatencyModel.mean_latency_ms at rate_rps >= 0.");
+
+static PyObject *
+mean_latency(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    double servers, capacity, idle, max_queue, rate, scv;
+    if (!PyArg_ParseTuple(args, "dddddd:mean_latency", &servers, &capacity, &idle, &max_queue,
+                          &rate, &scv)) {
+        return NULL;
+    }
+    return PyFloat_FromDouble(law_mean_ms(servers, capacity, idle, max_queue, rate, scv));
+}
+
+PyDoc_STRVAR(drop_probability_doc,
+"drop_probability(capacity_rps, drop_utilization, rate_rps) -> float\n\n"
+"LatencyModel.drop_probability at rate_rps >= 0.");
+
+static PyObject *
+drop_probability(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    double capacity, drop_at, rate;
+    if (!PyArg_ParseTuple(args, "ddd:drop_probability", &capacity, &drop_at, &rate)) {
+        return NULL;
+    }
+    return PyFloat_FromDouble(law_drop(capacity, drop_at, rate));
+}
+
+/* numpy's pairwise sum of ``n`` contiguous doubles (DOUBLE_pairwise_sum):
+ * in order below 8, eight running sums up to 128, else two halves split at
+ * a multiple of 8. */
+static double
+pairwise_sum(const double *a, Py_ssize_t n)
+{
+    if (n < 8) {
+        double sum = -0.0;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            sum += a[i];
+        }
+        return sum;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++) {
+            r[j] = a[j];
+        }
+        Py_ssize_t i = 8;
+        for (; i < n - (n % 8); i += 8) {
+            for (int j = 0; j < 8; j++) {
+                r[j] += a[i + j];
+            }
+        }
+        double sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) {
+            sum += a[i];
+        }
+        return sum;
+    }
+    Py_ssize_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* The columns of a probe_round parameter row. */
+enum { SERVERS, CAPACITY, IDLE, MAX_QUEUE, DROP_AT, RATE, SCV, JITTER, COLUMNS };
+
+/* A Generator's bit generator: its C state through the ``capsule`` of its
+ * ``bit_generator``, which ``*owner`` holds a reference to (NULL on error). */
+static bitgen_t *
+bit_generator(PyObject *generator, PyObject **owner)
+{
+    *owner = PyObject_GetAttrString(generator, "bit_generator");
+    if (*owner == NULL) {
+        return NULL;
+    }
+    PyObject *capsule = PyObject_GetAttrString(*owner, "capsule");
+    bitgen_t *state = capsule == NULL ? NULL : PyCapsule_GetPointer(capsule, "BitGenerator");
+    Py_XDECREF(capsule);
+    if (state == NULL) {
+        Py_CLEAR(*owner);
+    }
+    return state;
+}
+
+/* One live DIP's batch of ``n`` requests: its drops, drawn from
+ * ``generator`` (none at a drop probability of 0), then per served request
+ * ``max(mean / 4, mean + sd * z)`` with z a standard normal of
+ * ``generator`` (0 at no jitter), in ``latency``.  Sets ``*dropped`` and
+ * ``*mean``, the served requests' mean (inf: every one dropped); -1 with an
+ * error set where the generator has no bit generator to draw from. */
+static int
+probe_batch(const double *row, PyObject *generator, Py_ssize_t n, double *latency,
+            int64_t *dropped, double *mean)
+{
+    PyObject *owner = NULL;
+    bitgen_t *state = NULL;
+    double drop_p = law_drop(row[CAPACITY], row[DROP_AT], row[RATE]);
+    *dropped = 0;
+    if (drop_p != 0) {
+        if ((state = bit_generator(generator, &owner)) == NULL) {
+            return -1;
+        }
+        binomial_t binomial;
+        memset(&binomial, 0, sizeof binomial);
+        *dropped = random_binomial(state, drop_p < 1.0 ? drop_p : 1.0, n, &binomial);
+    }
+    Py_ssize_t served = n - (Py_ssize_t)*dropped;
+    if (served == 0) {
+        Py_XDECREF(owner);
+        *mean = INFINITY;
+        return 0;
+    }
+    double at = law_mean_ms(row[SERVERS], row[CAPACITY], row[IDLE], row[MAX_QUEUE], row[RATE],
+                            row[SCV]);
+    double jitter = row[JITTER], scale = 0.0;
+    if (jitter != 0) {
+        if (state == NULL && (state = bit_generator(generator, &owner)) == NULL) {
+            return -1;
+        }
+        scale = at * jitter;
+        random_standard_normal_fill(state, served, latency);
+    }
+    Py_XDECREF(owner);
+    double least = at * 0.25;
+    for (Py_ssize_t i = 0; i < served; i++) {
+        double z = jitter != 0 ? latency[i] : 0.0;
+        latency[i] = np_maximum(z * scale + at, least);
+    }
+    /* numpy's row mean: the reduction starts from 0.0 */
+    *mean = (0.0 + pairwise_sum(latency, served)) / (double)served;
+    return 0;
+}
+
+PyDoc_STRVAR(probe_round_doc,
+"probe_round(params, generators, num_requests) -> (means, drop_counts)\n\n"
+"One KLM probe batch of num_requests on each DIP; see repro.kernels.probe_round.");
+
+static PyObject *
+probe_round(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *params, *generators;
+    Py_ssize_t n;
+    if (!PyArg_ParseTuple(args, "OOn:probe_round", &params, &generators, &n)) {
+        return NULL;
+    }
+    if (n < 1) {
+        PyErr_SetString(PyExc_ValueError, "probe_round: num_requests must be >= 1");
+        return NULL;
+    }
+    Py_buffer view;
+    if (get_array(params, &view, 0, 8, "d", "params") < 0) {
+        return NULL;
+    }
+    PyObject *result = NULL, *means = NULL, *drops = NULL;
+    double *latency = NULL;
+    PyObject *live = PySequence_Fast(generators, "probe_round: generators must be a sequence");
+    if (live == NULL) {
+        goto done;
+    }
+    Py_ssize_t rows = PySequence_Fast_GET_SIZE(live);
+    if (view.len / 8 / COLUMNS != rows || view.len / 8 % COLUMNS) {
+        PyErr_SetString(PyExc_ValueError,
+                        "probe_round: params is not one row of 8 per generator");
+        goto done;
+    }
+    latency = PyMem_New(double, n);
+    means = PyList_New(rows);
+    drops = PyList_New(rows);
+    if (latency == NULL || means == NULL || drops == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    const double *table = view.buf;
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        PyObject *generator = PySequence_Fast_GET_ITEM(live, r);
+        const double *row = table + r * COLUMNS;
+        PyObject *mean = NULL;
+        int64_t dropped = 0;
+        if (generator == Py_None) {
+            mean = Py_NewRef(Py_None);  /* down: no answer, no drops */
+        } else {
+            if (!(row[SERVERS] >= 1 && row[SERVERS] <= INT_MAX
+                  && row[SERVERS] == floor(row[SERVERS]) && row[CAPACITY] > 0
+                  && row[IDLE] > 0 && row[MAX_QUEUE] >= 1 && row[DROP_AT] > 0
+                  && row[DROP_AT] <= 1 && row[RATE] >= 0)) {
+                PyErr_Format(PyExc_ValueError,
+                             "probe_round: row %zd is outside the latency model's domain", r);
+                goto done;
+            }
+            double value;
+            if (probe_batch(row, generator, n, latency, &dropped, &value) < 0) {
+                goto done;
+            }
+            mean = PyFloat_FromDouble(value);
+        }
+        PyObject *count = PyLong_FromLongLong(dropped);
+        if (mean == NULL || count == NULL) {
+            Py_XDECREF(mean);
+            Py_XDECREF(count);
+            goto done;
+        }
+        PyList_SET_ITEM(means, r, mean);
+        PyList_SET_ITEM(drops, r, count);
+    }
+    result = PyTuple_Pack(2, means, drops);
+done:
+    Py_XDECREF(means);
+    Py_XDECREF(drops);
+    Py_XDECREF(live);
+    PyMem_Free(latency);
+    PyBuffer_Release(&view);
+    return result;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"walk", walk, METH_VARARGS, walk_doc},
     {"smooth_wrr", smooth_wrr, METH_VARARGS, smooth_wrr_doc},
@@ -1530,6 +1892,11 @@ static PyMethodDef kernel_methods[] = {
     {"band_dp", band_dp, METH_VARARGS, band_dp_doc},
     {"bisect_bank", bisect_bank, METH_VARARGS, bisect_bank_doc},
     {"expand_core", expand_core, METH_VARARGS, expand_core_doc},
+    {"probe_round", probe_round, METH_VARARGS, probe_round_doc},
+    {"predict_bank", predict_bank, METH_VARARGS, predict_bank_doc},
+    {"erlang_c", erlang_c, METH_VARARGS, erlang_c_doc},
+    {"mean_latency", mean_latency, METH_VARARGS, mean_latency_doc},
+    {"drop_probability", drop_probability, METH_VARARGS, drop_probability_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1550,7 +1917,7 @@ static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._kernels",
     .m_doc = "Compiled station walk, smooth-WRR pick, station integrals, band DP, curve "
-              "inversion and mckp core DP (see repro.kernels).",
+              "law and its inversion, mckp core DP and KLM probe round (see repro.kernels).",
     .m_size = sizeof(CoreScratch),
     .m_methods = kernel_methods,
     .m_slots = kernel_slots,

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.backends.antagonist import Antagonist, PoolWrites
 from repro.backends.latency_model import LatencyModel, scaled_model
 from repro.backends.vm_types import VMType
@@ -79,7 +80,10 @@ class DipServer:
     @cached_property
     def _rng(self) -> np.random.Generator:
         """The DIP's private generator, seeded with ``seed``.  Only probe
-        rounds draw from it, so it is built on their first draw."""
+        rounds draw from it, so it is built on the first round that finds
+        the DIP up.  :func:`repro.kernels.probe_round` draws through its
+        bit generator's capsule without taking the bit generator's
+        ``lock``: nothing in ``repro`` starts a thread that shares one."""
         return np.random.default_rng(self.seed)
 
     # -- capacity ---------------------------------------------------------
@@ -155,6 +159,10 @@ class DipServer:
         )
 
 
+#: a failed DIP's row: the kernel reads nothing of it.
+_DOWN = (0.0,) * 8
+
+
 def serve_probe_round(
     servers: Sequence[DipServer], num_requests: int
 ) -> tuple[list[float | None], list[int]]:
@@ -165,47 +173,31 @@ def serve_probe_round(
 
     Each DIP draws from its own generator what a lone batch would: its drops
     (no draw at a drop probability of 0), then a standard normal per served
-    request.  ``max(mean / 4, mean + sd * z)`` and the row means are then
-    one array pass, bit for bit the per-DIP ``normal`` draws and reductions.
+    request, floored at ``max(mean / 4, mean + sd * z)`` and averaged.  The
+    round is one :func:`repro.kernels.probe_round` over a row per DIP: its
+    model's :attr:`~repro.backends.latency_model.LatencyModel.law`, offered
+    rate, workload correction and jitter.
     """
     if num_requests < 1:
         raise ConfigurationError("num_requests must be >= 1")
-    size = len(servers)
-    loc, scale = [0.0] * size, [0.0] * size
-    z = np.zeros((size, num_requests))
-    means: list[float | None] = [None] * size
-    drop_counts: list[int] = [0] * size
-    served_rows: list[tuple[int, int]] = []
-    for i, server in enumerate(servers):
+    rows: list[tuple[float, ...]] = []
+    generators: list[np.random.Generator | None] = []
+    for server in servers:
         if server.failed:
+            rows.append(_DOWN)
+            generators.append(None)
             continue
-        model = server.latency_model
-        rate = server.offered_rate_rps
-        drop_p = model.drop_probability(rate)
-        drops = int(server._rng.binomial(num_requests, min(1.0, drop_p))) if drop_p else 0
-        served = num_requests - drops
-        drop_counts[i] = drops
-        means[i] = math.inf
-        if not served:
-            continue
-        mean = loc[i] = model.mean_latency_ms(rate, scv_correction=server.scv_correction)
-        if server.jitter_fraction:
-            scale[i] = mean * server.jitter_fraction
-            server._rng.standard_normal(out=z[i, :served])
-        served_rows.append((i, served))
-    # z -> mean + sd * z, floored at mean / 4, in place.
-    mean_col = np.array(loc)[:, None]
-    z *= np.array(scale)[:, None]
-    z += mean_col
-    latencies = np.maximum(z, mean_col * 0.25, out=z)
-    # A full row's sum is the row-wise reduce; a partly dropped one its own.
-    full = (np.add.reduce(latencies, axis=1) / num_requests).tolist()
-    for i, served in served_rows:
-        if served == num_requests:
-            means[i] = full[i]
-        else:
-            means[i] = float(np.add.reduce(latencies[i, :served]) / served)
-    return means, drop_counts
+        rows.append(
+            (
+                *server.latency_model.law,
+                server.offered_rate_rps,
+                server.scv_correction,
+                server.jitter_fraction,
+            )
+        )
+        generators.append(server._rng)
+    params = np.array(rows, dtype=np.float64).reshape(len(rows), len(_DOWN))
+    return kernels.probe_round(params, generators, num_requests)
 
 
 def push_offered_rates(servers: Iterable[DipServer], rates: Iterable[float]) -> None:

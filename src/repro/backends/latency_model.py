@@ -15,13 +15,18 @@ where ``Wq`` is the Erlang-C mean waiting time.  Past saturation we keep the
 latency finite but large (bounded by the queue capacity) and report drops.
 
 The model is deterministic given the offered load; the simulator adds
-stochastic jitter on top when sampling individual requests.
+stochastic jitter on top when sampling individual requests.  Its arithmetic
+is written once, in the compiled kernels (:mod:`repro.kernels`), which a KLM
+probe round evaluates per DIP; the methods here check their arguments and
+call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
+from repro import kernels
 from repro.exceptions import ConfigurationError
 
 
@@ -35,17 +40,8 @@ def erlang_c(servers: int, offered_load: float) -> float:
         raise ConfigurationError("servers must be >= 1")
     if offered_load < 0:
         raise ConfigurationError("offered_load must be >= 0")
-    if offered_load >= servers:
-        return 1.0
-    if offered_load == 0:
-        return 0.0
     # Iterative Erlang-B, then convert to Erlang-C; numerically stable.
-    inv_b = 1.0
-    for k in range(1, servers + 1):
-        inv_b = 1.0 + inv_b * k / offered_load
-    erlang_b = 1.0 / inv_b
-    rho = offered_load / servers
-    return erlang_b / (1.0 - rho + rho * erlang_b)
+    return kernels.erlang_c(servers, offered_load)
 
 
 @dataclass(frozen=True)
@@ -86,10 +82,18 @@ class LatencyModel:
         if not 0 < self.drop_utilization <= 1:
             raise ConfigurationError("drop_utilization must be in (0, 1]")
 
-    @property
-    def service_rate_per_server(self) -> float:
-        """μ of one worker, requests/second."""
-        return self.capacity_rps / self.servers
+    @cached_property
+    def law(self) -> tuple[int, float, float, int, float]:
+        """The model's columns of a :func:`repro.kernels.probe_round` row:
+        ``(servers, capacity_rps, idle_latency_ms, max_queue,
+        drop_utilization)``."""
+        return (
+            self.servers,
+            self.capacity_rps,
+            self.idle_latency_ms,
+            self.max_queue,
+            self.drop_utilization,
+        )
 
     def utilization(self, rate_rps: float) -> float:
         """CPU utilization (0..1, may exceed 1 nominally) at ``rate_rps``."""
@@ -111,28 +115,17 @@ class LatencyModel:
         """
         if rate_rps < 0:
             raise ConfigurationError("rate_rps must be >= 0")
-        if rate_rps == 0:
-            return self.idle_latency_ms
-
-        mu = self.service_rate_per_server  # per-server rate, req/s
-        offered = rate_rps / mu  # Erlangs
-        service_time_ms = self.idle_latency_ms
-
-        saturation = self.capacity_rps * 0.999
-        if rate_rps < saturation:
-            pq = erlang_c(self.servers, offered)
-            # Mean wait in queue (seconds) for M/M/c, converted to ms.
-            wait_s = pq / (self.servers * mu - rate_rps)
-            wait_ms = wait_s * 1000.0 * scv_correction
-            # Bound by the finite queue: cannot wait longer than draining a
-            # full queue.
-            max_wait_ms = self.max_queue / self.capacity_rps * 1000.0
-            return service_time_ms + min(wait_ms, max_wait_ms)
-
-        # At or past saturation the queue stays full: latency plateaus at
-        # service time + time to drain the full queue.
-        max_wait_ms = self.max_queue / self.capacity_rps * 1000.0
-        return service_time_ms + max_wait_ms
+        # Below 0.999 of capacity, the Erlang-C wait bounded by the time to
+        # drain a full queue; at or past it the queue stays full and the
+        # latency plateaus at service time plus that drain time.
+        return kernels.mean_latency(
+            self.servers,
+            self.capacity_rps,
+            self.idle_latency_ms,
+            self.max_queue,
+            rate_rps,
+            scv_correction,
+        )
 
     def drop_probability(self, rate_rps: float) -> float:
         """Fraction of requests dropped at offered ``rate_rps``.
@@ -140,14 +133,9 @@ class LatencyModel:
         Zero below ``drop_utilization``; above it, grows linearly with the
         excess and past capacity equals the structural loss ``1 - cap/rate``.
         """
-        util = self.utilization(rate_rps)
-        if util <= self.drop_utilization:
-            return 0.0
-        if util >= 1.0:
-            return max(0.0, 1.0 - self.capacity_rps / rate_rps) or 0.01
-        # Between drop_utilization and 1.0: small but growing loss.
-        span = 1.0 - self.drop_utilization
-        return 0.05 * (util - self.drop_utilization) / span
+        if rate_rps < 0:
+            raise ConfigurationError("rate_rps must be >= 0")
+        return kernels.drop_probability(self.capacity_rps, self.drop_utilization, rate_rps)
 
     def ping_latency_ms(self, rate_rps: float) -> float:
         """ICMP/TCP-SYN ping latency: handled by the OS, load-independent."""

@@ -22,10 +22,11 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +34,20 @@ from repro import kernels
 from repro.core.config import CurveConfig
 from repro.core.types import MeasurementPoint
 from repro.exceptions import ConfigurationError, CurveFitError
+
+
+class _Row(NamedTuple):
+    """What a curve contributes to a bank (:func:`_bank`): every input of
+    its evaluation that does not depend on the query weights."""
+
+    #: the coefficients, highest degree first, then the weight scale and l0.
+    cells: tuple[float, ...]
+    monotone: bool
+    #: the weight past which the envelope holds ``peak`` (+inf: never).
+    vertex: float
+    peak: float
+    #: bounded by a scan of ``[0, w]``: monotone above degree 2.
+    scanned: bool
 
 
 @dataclass(frozen=True)
@@ -67,6 +82,30 @@ class WeightLatencyCurve:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
+
+    @functools.cached_property
+    def bank_row(self) -> _Row:
+        """This curve's row of a bank, computed once: down to where a
+        concave envelope peaks."""
+        coefficients = tuple(float(c) for c in self.coefficients)
+        scale, monotone = float(self.weight_scale), self.enforce_monotone
+        vertex, peak = math.inf, -math.inf
+        a = coefficients[0]
+        if monotone and self.degree == 2 and a < 0 and abs(a) > 1e-15:
+            # A concave fit peaks at its vertex.
+            at = -coefficients[1] / (2 * a) * scale
+            if at > 0.0:
+                x, value = at / scale, 0.0
+                for c in coefficients:
+                    value = value * x + c
+                vertex, peak = at, value
+        return _Row(
+            (*coefficients, scale, float(self.l0_ms)),
+            monotone,
+            vertex,
+            peak,
+            monotone and self.degree > 2,
+        )
 
     def predict_many(self, weights: Sequence[float] | np.ndarray) -> np.ndarray:
         """Estimated mean latency (ms) at each of ``weights``: one row of
@@ -107,88 +146,29 @@ class WeightLatencyCurve:
 #
 # Row ``i`` of a bank is ``curves[i]``; every per-element operation is the one
 # a single curve's evaluation performs, so a bank of one row *is* that
-# evaluation and a bank of many rows costs one pass instead of one per curve.
-
-#: the scan that bounds a degree > 2 polynomial over ``[0, w]``.
-_SCAN = np.arange(64.0)
+# evaluation and a bank of many rows costs one kernel call instead of one per
+# curve.
 
 
-def _horner(columns: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """``np.polyval`` with a polynomial per row: ``columns`` are the
-    coefficients, highest degree first, each broadcast against ``x``.
-
-    Leading zero columns keep the accumulator at +0, the ``polyval`` start
-    value, so a zero-padded row takes the same operations as its own
-    polynomial.
-    """
-    y = np.zeros_like(x)
-    for column in columns:
-        y = y * x + column
-    return y
-
-
-class _Bank:
-    """Curves as arrays, a row each: every input of their evaluation that
-    does not depend on the query weights, down to where a concave envelope
-    peaks."""
-
-    def __init__(self, curves: Sequence[WeightLatencyCurve]) -> None:
-        width = max((len(c.coefficients) for c in curves), default=1)
-        # The coefficients, zero-padded in front to the widest curve, then
-        # the weight scale and l0.
-        table = np.array(
-            [
-                (0.0,) * (width - len(c.coefficients))
-                + c.coefficients
-                + (c.weight_scale, c.l0_ms)
-                for c in curves
-            ],
-            dtype=np.float64,
-        ).reshape(len(curves), width + 2)
-        self.table, self.width = table, width
-        self.columns = [table[:, j : j + 1] for j in range(width)]
-        self.scale, self.l0 = table[:, width : width + 1], table[:, width + 1 :]
-        self.monotone = np.array([c.enforce_monotone for c in curves], dtype=bool)[:, None]
-        #: per row, the weight past which the envelope holds ``peak``
-        #: (+inf: never); ``None`` when no row has one.
-        self.vertex = self.peak = None
-        if width >= 3 and (table[:, width - 3] < 0).any():
-            # A concave fit peaks at its vertex.
-            a, b, scale = table[:, width - 3], table[:, width - 2], table[:, width]
-            degree = np.array([c.degree for c in curves])
-            rows = np.flatnonzero(
-                self.monotone[:, 0] & (degree == 2) & (a < 0) & (np.abs(a) > 1e-15)
-            )
-            vertex = -b[rows] / (2 * a[rows]) * scale[rows]
-            rows, vertex = rows[vertex > 0.0], vertex[vertex > 0.0]
-            if len(rows):
-                self.vertex = np.full((len(curves), 1), np.inf)
-                self.peak = np.full((len(curves), 1), -np.inf)
-                self.vertex[rows, 0] = vertex
-                self.peak[rows, 0] = _horner(table[rows, :width].T, vertex / scale[rows])
-        #: rows bounded by a scan: monotone above degree 2.
-        self.scanned = [i for i, c in enumerate(curves) if c.enforce_monotone and c.degree > 2]
-
-    def predict(self, ws: np.ndarray) -> np.ndarray:
-        """Row ``i`` of ``ws`` (rows, k) through the envelope of curve ``i``."""
-        values = _horner(self.columns, ws / self.scale)
-        # The polynomial at weight 0 is its constant term.
-        values = np.where(self.monotone, np.maximum(self.columns[-1], values), values)
-        if self.vertex is not None:
-            values = np.where(self.vertex < ws, np.maximum(values, self.peak), values)
-        rows = self.scanned
-        if rows:
-            # No closed form: scan 64 points of [0, w] per weight, each
-            # ``np.linspace(0.0, w, 64)`` (whose step is w / 63 unless that
-            # underflows to 0).
-            w = ws[rows][..., None]
-            step = w / 63
-            scan = np.where(step == 0, _SCAN / 63 * w, _SCAN * step) + 0.0
-            scan[..., -1] = w[..., 0]
-            columns = [column[rows, :, None] for column in self.columns]
-            envelope = _horner(columns, scan / self.scale[rows, :, None])
-            values[rows] = np.maximum(values[rows], envelope.max(axis=-1))
-        return np.maximum(self.l0, values)
+def _bank(curves: Sequence[WeightLatencyCurve]) -> tuple:
+    """Curves as the bank arguments of :func:`repro.kernels.predict_bank`
+    and :func:`repro.kernels.bisect_bank`, a row each: the coefficients,
+    zero-padded in front to the widest curve, then the weight scale and l0
+    (``table``), its ``width``, and the ``monotone``, ``vertex``, ``peak``
+    and ``scanned`` columns of the rows' envelopes."""
+    rows = [c.bank_row for c in curves]
+    width = max((len(r.cells) for r in rows), default=3) - 2
+    table = np.array(
+        [(0.0,) * (width + 2 - len(r.cells)) + r.cells for r in rows], dtype=np.float64
+    ).reshape(len(rows), width + 2)
+    return (
+        table,
+        width,
+        np.array([r.monotone for r in rows], dtype=bool),
+        np.array([r.vertex for r in rows], dtype=np.float64),
+        np.array([r.peak for r in rows], dtype=np.float64),
+        np.array([r.scanned for r in rows], dtype=bool),
+    )
 
 
 def predict_curves(
@@ -207,7 +187,10 @@ def predict_curves(
         raise ConfigurationError("weights must be one row per curve")
     if ws.size and ws.min() < 0:
         raise ConfigurationError("weight must be >= 0")
-    return _Bank(curves).predict(ws)
+    ws = np.ascontiguousarray(ws)
+    out = np.empty_like(ws)
+    kernels.predict_bank(*_bank(curves), ws, out)
+    return out
 
 
 def weights_for_latencies(
@@ -247,16 +230,8 @@ def weights_for_latencies(
             raise ConfigurationError("upper must be finite and >= 0")
     if not 0 <= tol < np.inf:
         raise ConfigurationError("tol must be finite and >= 0")
-    bank = _Bank(curves)
-    absent = np.full(len(curves), np.inf)
-    vertex, peak = (absent, -absent) if bank.vertex is None else (bank.vertex, bank.peak)
-    scanned = np.zeros(len(curves), dtype=bool)
-    scanned[bank.scanned] = True
     found = np.empty(len(curves))
-    kernels.bisect_bank(
-        bank.table, bank.width, bank.monotone, vertex, peak, scanned, targets, uppers,
-        tol, found,
-    )
+    kernels.bisect_bank(*_bank(curves), targets, uppers, tol, found)
     return found
 
 

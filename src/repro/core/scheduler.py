@@ -93,7 +93,8 @@ class MeasurementScheduler:
         self.config = config or SchedulerConfig()
         self.ilp_config = ilp_config or IlpConfig()
         self._sequence = itertools.count()
-        self._pending: list[MeasurementRequest] = []
+        #: the queued request of each DIP (one at most), oldest first.
+        self._pending: dict[DipId, MeasurementRequest] = {}
 
     # -- queueing ------------------------------------------------------------------
 
@@ -105,20 +106,20 @@ class MeasurementScheduler:
         priority: MeasurementPriority = MeasurementPriority.NORMAL,
     ) -> MeasurementRequest:
         """Queue a measurement request (replacing any older one for the DIP)."""
-        self._pending = [r for r in self._pending if r.dip != dip]
         request = MeasurementRequest(
             dip=dip, weight=weight, priority=priority, sequence=next(self._sequence)
         )
-        self._pending.append(request)
+        self._pending.pop(dip, None)
+        self._pending[dip] = request
         return request
 
     def cancel(self, dip: DipId) -> None:
-        self._pending = [r for r in self._pending if r.dip != dip]
+        self._pending.pop(dip, None)
 
     @property
     def pending(self) -> tuple[MeasurementRequest, ...]:
         return tuple(
-            sorted(self._pending, key=lambda r: (r.priority, r.sequence))
+            sorted(self._pending.values(), key=lambda r: (r.priority, r.sequence))
         )
 
     # -- building a round ---------------------------------------------------------
@@ -161,7 +162,7 @@ class MeasurementScheduler:
                 deferred.append(request)
 
         # Requests admitted this round are consumed; deferred ones stay queued.
-        self._pending = list(deferred)
+        self._pending = {request.dip: request for request in deferred}
 
         remaining_dips = [d for d in all_dips if d not in admitted]
         remaining_weight = max(0.0, 1.0 - left_to_right_sum(admitted.values()))

@@ -6,30 +6,42 @@ the epoch engine's ``_SmoothWrrRouter`` share, and :func:`station_stats` the
 busy integrals a replayed station reports.  The first two do not vectorize —
 each step reads the state the previous one wrote — and the third costs numpy
 a sort and five passes for what one merge does.  :func:`band_dp` is the
-``dp`` solver's band DP, :func:`bisect_bank` the §4.5 curve inversion
-(:func:`repro.core.curve.weights_for_latencies`) and :func:`expand_core`
-the stage loop of the ``mckp`` solver's core DP: each is a few scalar
-operations per step, which numpy pays a call (or ≈20 a stage) for.  All six
-are compiled from the C module ``_kernels.c`` beside this file, the only
-implementation a run uses; ``tests/oracles/kernels.py`` keeps a Python body
-of each, under the kernel's name and signature, which the tests bind here
-to hold the C to it byte for byte.
+``dp`` solver's band DP, :func:`expand_core` the stage loop of the ``mckp``
+solver's core DP, :func:`predict_bank` the curve law every weight → latency
+evaluation runs (:func:`repro.core.curve.predict_curves`) and
+:func:`bisect_bank` its §4.5 inversion
+(:func:`repro.core.curve.weights_for_latencies`): each is a few scalar
+operations per step, which numpy pays a call (or ≈20 a stage) for.
+:func:`probe_round` is a KLM probe round
+(:func:`repro.backends.dip.serve_probe_round`): per DIP the M/M/c/K law,
+the drop and jitter draws from the DIP's own generator through numpy's C
+random library, and the batch mean.  All eight are compiled from the C
+module ``_kernels.c`` beside this file, the only implementation a run uses;
+``tests/oracles/kernels.py`` keeps a Python body of each, under the kernel's
+name and signature, which the tests bind here to hold the C to it byte for
+byte.  The module also exports the scalar law the probe round evaluates,
+:func:`erlang_c`, :func:`mean_latency` and :func:`drop_probability`, which
+:class:`repro.backends.latency_model.LatencyModel` calls, so that the law is
+written once.
 
 Where the compiled module comes from:
 
 - a source checkout (``_kernels.c`` is here) builds it on first import into
   ``__pycache__/``, named by a sha-256 digest of the source, one of the flags
-  and the interpreter's extension suffix, with ``sysconfig``'s compiler and
-  :data:`CFLAGS`; the file is written aside and moved into place with
+  and numpy's version (numpy's random library is linked in statically, so a
+  numpy upgrade rebuilds), and the interpreter's extension suffix, with
+  ``sysconfig``'s compiler, :data:`CFLAGS`, numpy's headers and its
+  ``libnpyrandom.a``; the file is written aside and moved into place with
   :func:`os.replace`, so concurrent first imports race harmlessly, and then
   the builds of any other source beside it are removed.  A later import
   finds it and loads it without ``subprocess`` or ``sysconfig``;
 - an installed package ships it as the ``repro._kernels`` extension
-  (``pyproject.toml`` builds it with the same flags).
+  (``setup.py`` builds it with the same flags against the same library).
 
-A C compiler (or the installed extension) is required: where neither is
-there, or the build fails, importing this module raises :class:`ImportError`
-naming ``_kernels.c`` and the command it tried.
+A C compiler and numpy's ``libnpyrandom.a`` (which numpy wheels ship) are
+required, or the installed extension: where they are missing, or the build
+fails, importing this module raises :class:`ImportError` naming what is
+missing and the command it tried.
 """
 
 from __future__ import annotations
@@ -42,6 +54,8 @@ import os
 from types import ModuleType
 from typing import Any
 
+import numpy
+
 #: compile flags of the kernels: no fused multiply-add, no fast-math, so the
 #: C arithmetic is the reference bodies' IEEE arithmetic.
 CFLAGS = ("-O2", "-ffp-contract=off")
@@ -53,10 +67,12 @@ _NAME = "repro._kernels"
 
 def _cache_path() -> str:
     """Where a source checkout keeps the module built from this source with
-    :data:`CFLAGS`: ``_kernels.<source digest>.<flags digest><suffix>``."""
+    :data:`CFLAGS` against this numpy: ``_kernels.<source digest>.<flags and
+    numpy version digest><suffix>``."""
     with open(_SOURCE, "rb") as handle:
         source = hashlib.sha256(handle.read()).hexdigest()[:16]
-    flags = hashlib.sha256(" ".join(CFLAGS).encode()).hexdigest()[:8]
+    build = f"{' '.join(CFLAGS)} numpy {numpy.__version__}"
+    flags = hashlib.sha256(build.encode()).hexdigest()[:8]
     name = f"_kernels.{source}.{flags}{importlib.machinery.EXTENSION_SUFFIXES[0]}"
     return os.path.join(_HERE, "__pycache__", name)
 
@@ -101,22 +117,36 @@ def _compiler() -> list[str]:
             f"{ldshared!r} is not on PATH; install a C compiler or the built package"
         )
     ccshared = shlex.split(sysconfig.get_config_var("CCSHARED") or "")
-    return [*command, *ccshared, "-I", sysconfig.get_paths()["include"]]
+    include = sysconfig.get_paths()["include"]
+    return [*command, *ccshared, "-I", include, "-I", numpy.get_include()]
+
+
+def _npyrandom() -> str:
+    """numpy's static C random library, which the probe round draws through."""
+    return os.path.join(os.path.dirname(numpy.__file__), "random", "lib", "libnpyrandom.a")
 
 
 def _build(target: str) -> None:
     """Compile :data:`_SOURCE` to ``target``, or raise :class:`ImportError`
     with the command and what it printed."""
     compiler = _compiler()
+    library = _npyrandom()
     import subprocess
     import tempfile
+
+    if not os.path.isfile(library):
+        raise ImportError(
+            f"cannot build {_SOURCE}: numpy's random library {library} is missing "
+            f"(the build runs {' '.join([*compiler, *CFLAGS, _SOURCE, library])}); "
+            "install a numpy wheel, which ships it, or the built package"
+        )
 
     os.makedirs(os.path.dirname(target), exist_ok=True)
     handle, partial = tempfile.mkstemp(
         prefix="_kernels.", suffix=".tmp", dir=os.path.dirname(target)
     )
     os.close(handle)
-    command = [*compiler, *CFLAGS, _SOURCE, "-o", partial]
+    command = [*compiler, *CFLAGS, _SOURCE, library, "-lm", "-o", partial]
     try:
         done = subprocess.run(command, capture_output=True, check=False, timeout=300)
         if done.returncode != 0:
@@ -159,18 +189,24 @@ def _compiled() -> ModuleType:
 
 def load() -> None:
     """Bind :data:`walk` / :data:`smooth_wrr` / :data:`station_stats` /
-    :data:`band_dp` / :data:`bisect_bank` / :data:`expand_core` to the
-    compiled module, or raise :class:`ImportError` where it cannot be built
-    or loaded.
+    :data:`band_dp` / :data:`bisect_bank` / :data:`expand_core` /
+    :data:`probe_round` / :data:`predict_bank` and the law (:data:`erlang_c`
+    / :data:`mean_latency` / :data:`drop_probability`) to the compiled
+    module, or raise :class:`ImportError` where it cannot be built or
+    loaded.
 
     Runs once at import.  Callers look the kernels up on this module at
     call time, so a test that binds other bodies here runs every caller on
     them.
     """
     global walk, smooth_wrr, station_stats, band_dp, bisect_bank, expand_core
+    global probe_round, predict_bank, erlang_c, mean_latency, drop_probability
     module = _compiled()
     walk, smooth_wrr, station_stats = module.walk, module.smooth_wrr, module.station_stats
     band_dp, bisect_bank, expand_core = module.band_dp, module.bisect_bank, module.expand_core
+    probe_round, predict_bank = module.probe_round, module.predict_bank
+    erlang_c, mean_latency = module.erlang_c, module.mean_latency
+    drop_probability = module.drop_probability
 
 
 walk: Any
@@ -179,4 +215,9 @@ station_stats: Any
 band_dp: Any
 bisect_bank: Any
 expand_core: Any
+probe_round: Any
+predict_bank: Any
+erlang_c: Any
+mean_latency: Any
+drop_probability: Any
 load()

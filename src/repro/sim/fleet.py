@@ -24,10 +24,11 @@ included.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -72,6 +73,61 @@ def _same(read: tuple[tuple, tuple], kept: tuple[tuple, tuple] | None) -> bool:
     )
 
 
+#: versions of :class:`FleetDips`, unique in the process.
+_VERSIONS = itertools.count(1)
+
+
+class FleetDips(dict):
+    """:attr:`Fleet.dips`: a dict whose every write takes a new
+    :attr:`version`, unique in the process, so an evaluation sees that the
+    fleet still holds the same servers under the same ids, in the same
+    order, without a pass over them."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.version = next(_VERSIONS)
+
+    def __reduce__(self) -> tuple:
+        # A copy is a new mapping, with a version of its own.
+        return FleetDips, (dict(self),)
+
+    def __setitem__(self, key: DipId, value: DipServer) -> None:
+        super().__setitem__(key, value)
+        self.version = next(_VERSIONS)
+
+    def __delitem__(self, key: DipId) -> None:
+        super().__delitem__(key)
+        self.version = next(_VERSIONS)
+
+    def __ior__(self, other: Any) -> "FleetDips":
+        super().__ior__(other)
+        self.version = next(_VERSIONS)
+        return self
+
+    def pop(self, *args: Any) -> Any:
+        value = super().pop(*args)
+        self.version = next(_VERSIONS)
+        return value
+
+    def popitem(self) -> tuple[DipId, DipServer]:
+        item = super().popitem()
+        self.version = next(_VERSIONS)
+        return item
+
+    def clear(self) -> None:
+        super().clear()
+        self.version = next(_VERSIONS)
+
+    def update(self, *args: Any, **kwargs: Any) -> None:
+        super().update(*args, **kwargs)
+        self.version = next(_VERSIONS)
+
+    def setdefault(self, key: DipId, default: Any = None) -> Any:
+        value = super().setdefault(key, default)
+        self.version = next(_VERSIONS)
+        return value
+
+
 class _Kept(NamedTuple):
     """One VIP's evaluation inputs, the :func:`_read` they were computed
     from, and the fleet's ``index_of`` (and, for a load-dependent VIP, its
@@ -98,12 +154,18 @@ class _Sums:
     evaluation's ``np.bincount`` formed."""
 
     def __init__(
-        self, index: np.ndarray, rates: np.ndarray, span: dict[VipId, slice], size: int
+        self,
+        index: np.ndarray,
+        rates: np.ndarray,
+        span: dict[VipId, slice],
+        servers: tuple[DipServer, ...],
     ) -> None:
         self.index = index
         self.rates = rates
         self.span = span
-        self.size = size
+        #: the pool's servers, by position.
+        self.servers = servers
+        self.size = len(servers)
         self._rows: dict[VipId, tuple[np.ndarray, np.ndarray, list[DipServer]]] = {}
 
     @cached_property
@@ -115,11 +177,11 @@ class _Sums:
         return order, np.cumsum(count) - count, count
 
     def rows(
-        self, vip_id: VipId, index: np.ndarray, servers: tuple[DipServer, ...]
+        self, vip_id: VipId, index: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, list[DipServer]]:
         """For a VIP over pool positions ``index``: each contribution to its
         DIPs, as (row in ``index``, position in ``rates``), and its DIPs'
-        servers (of the pool's ``servers``)."""
+        servers."""
         rows = self._rows.get(vip_id)
         if rows is None:
             order, start, count = self._groups
@@ -129,7 +191,7 @@ class _Sums:
             rows = self._rows[vip_id] = (
                 row,
                 order[skip + np.arange(len(row))],
-                [servers[i] for i in index.tolist()],
+                [self.servers[i] for i in index.tolist()],
             )
         return rows
 
@@ -284,7 +346,7 @@ class Fleet:
     ) -> None:
         if contention_iterations < 1:
             raise ConfigurationError("contention_iterations must be >= 1")
-        self.dips: dict[DipId, DipServer] = dict(dips) if dips else {}
+        self.dips = dips or {}
         self.vips: dict[VipId, Vip] = {}
         self.time = float(start_time)
         self.contention_iterations = contention_iterations
@@ -294,13 +356,23 @@ class Fleet:
         self._pool: PoolArrays | None = None
         self._index_of: dict[DipId, int] = {}
         self._kept: dict[VipId, _Kept] = {}
-        #: ((PoolWrites.count, DIP ids), servers) at the last evaluation
-        #: that finished.
-        self._seen: tuple[tuple, tuple] | None = None
+        #: (PoolWrites.count, dips.version) at the last evaluation that
+        #: finished.
+        self._seen: tuple[int, int] | None = None
         #: how the last evaluation summed, while a write may re-sum one VIP.
         self._sums: _Sums | None = None
 
     # -- membership --------------------------------------------------------------
+
+    @property
+    def dips(self) -> FleetDips:
+        """The fleet's servers by id.  Edit it in place or assign a mapping
+        (which is copied); either way the next :meth:`apply` sees it."""
+        return self._dips
+
+    @dips.setter
+    def dips(self, dips: Mapping[DipId, DipServer]) -> None:
+        self._dips = FleetDips(dips)
 
     def add_dip(self, server: DipServer) -> None:
         if server.dip_id in self.dips:
@@ -432,7 +504,7 @@ class Fleet:
         """
         self._sums = None
         seen = self._seen_now()
-        recheck = not _same(seen, self._seen)
+        recheck = seen != self._seen
         if recheck:
             pool = pool_arrays(self.dips)
             if self._pool is None or pool.ids != self._pool.ids:
@@ -482,22 +554,24 @@ class Fleet:
         # KLM reads the servers directly, so the rates are pushed eagerly;
         # everything else about the evaluation waits in the lazy state.
         rates = total.tolist()
+        servers = tuple(self._dips.values())
         if ((total >= 0.0) & (total < math.inf)).all():
-            push_offered_rates(seen[1], rates)
+            push_offered_rates(servers, rates)
         else:
-            for server, rate in zip(seen[1], rates):
+            for server, rate in zip(servers, rates):
                 server.set_offered_rate(rate)  # refuses the first bad rate
         self._seen = seen
         if kept and not reactive:
             ends = np.cumsum([len(k.index) for k in kept.values()]).tolist()
             span = {v: slice(e - len(k.index), e) for (v, k), e in zip(kept.items(), ends)}
-            self._sums = _Sums(stacked_index, stacked, span, pool.size)
+            self._sums = _Sums(stacked_index, stacked, span, servers)
         self._last_state = FleetState(self.time, pool, total, contributions)
         return self._last_state
 
-    def _seen_now(self) -> tuple[tuple, tuple]:
-        """What the pool's arrays are read from, as ``_seen`` keeps it."""
-        return (PoolWrites.count, tuple(self.dips)), tuple(self.dips.values())
+    def _seen_now(self) -> tuple[int, int]:
+        """What the pool's arrays are read from, as ``_seen`` keeps it: the
+        pool-input writes so far and which servers ``dips`` holds."""
+        return PoolWrites.count, self._dips.version
 
     def _inputs(
         self,
@@ -548,8 +622,7 @@ class Fleet:
         runs instead.
         """
         sums, last = self._sums, self._last_state
-        seen = self._seen_now()
-        if sums is None or not _same(seen, self._seen):
+        if sums is None or self._seen_now() != self._seen:
             self.apply()
             return
         if vip_id is None:
@@ -567,7 +640,7 @@ class Fleet:
             return
         kept = self._inputs(vip_id, vip, _read(vip), healthy, self._pool, self._index_of, kept)
         index = kept.index
-        row, position, servers = sums.rows(vip_id, index, seen[1])
+        row, position, servers = sums.rows(vip_id, index)
         sums.rates[sums.span[vip_id]] = kept.rates
         fresh = np.bincount(row, weights=sums.rates[position], minlength=len(index))
         if not ((fresh >= 0.0) & (fresh < math.inf)).all():

@@ -18,7 +18,16 @@ from oracles import kernels
 #: kernel name -> its reference body.
 KERNELS = {
     name: getattr(kernels, name)
-    for name in ("walk", "smooth_wrr", "station_stats", "band_dp", "bisect_bank", "expand_core")
+    for name in (
+        "walk",
+        "smooth_wrr",
+        "station_stats",
+        "band_dp",
+        "predict_bank",
+        "bisect_bank",
+        "expand_core",
+        "probe_round",
+    )
 }
 
 

@@ -3,21 +3,23 @@
 ``src/repro/_kernels.c`` transcribes each of these; the tests hold the two
 to the same bytes.  Every function here has its kernel's name and call
 signature: ``walk``, ``smooth_wrr``, ``station_stats``, ``band_dp``,
+``predict_bank`` (the curve law, one numpy pass over a bank),
 ``bisect_bank`` (the §4.5 inversion's lockstep bisection over
-``repro.core.curve._Bank.predict``) and ``expand_core`` (the stage loop of
-the ``mckp`` solver's core DP).
+``predict_bank``), ``expand_core`` (the stage loop of the ``mckp`` solver's
+core DP) and ``probe_round`` (a KLM probe round: the per-DIP draws, then
+the latencies and their means as one array pass), and the scalar M/M/c/K
+law the probe round evaluates: ``erlang_c``, ``mean_latency`` and
+``drop_probability``.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import time
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-
-from repro.core.curve import _Bank
 
 _NAN = float("nan")
 _INF = float("inf")
@@ -247,6 +249,60 @@ def band_dp(
     return True
 
 
+#: the scan that bounds a degree > 2 polynomial over ``[0, w]``.
+_SCAN = np.arange(64.0)
+
+
+def _horner(columns: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """``np.polyval`` with a polynomial per row: ``columns`` are the
+    coefficients, highest degree first, each broadcast against ``x``.
+
+    Leading zero columns keep the accumulator at +0, the ``polyval`` start
+    value, so a zero-padded row takes the same operations as its own
+    polynomial.
+    """
+    y = np.zeros_like(x)
+    for column in columns:
+        y = y * x + column
+    return y
+
+
+def predict_bank(
+    table: np.ndarray,
+    width: int,
+    monotone: np.ndarray,
+    vertex: np.ndarray,
+    peak: np.ndarray,
+    scanned: np.ndarray,
+    ws: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Row ``i`` of ``ws`` (rows, k) through the envelope of the bank's
+    curve ``i``, written to ``out``: the polynomial at ``w / scale``, the
+    monotone correction (the constant term; past a concave vertex, its
+    peak; on a scanned row the max of a 64-point scan of ``[0, w]``) and
+    the l0 floor (:func:`repro.core.curve.predict_curves`)."""
+    columns = [table[:, j : j + 1] for j in range(width)]
+    scale, l0 = table[:, width : width + 1], table[:, width + 1 :]
+    vertex, peak = vertex.reshape(-1, 1), peak.reshape(-1, 1)
+    values = _horner(columns, ws / scale)
+    # The polynomial at weight 0 is its constant term.
+    values = np.where(monotone.reshape(-1, 1), np.maximum(columns[-1], values), values)
+    values = np.where(vertex < ws, np.maximum(values, peak), values)
+    rows = np.flatnonzero(scanned).tolist()
+    if rows:
+        # No closed form: scan 64 points of [0, w] per weight, each
+        # ``np.linspace(0.0, w, 64)`` (whose step is w / 63 unless that
+        # underflows to 0).
+        w = ws[rows][..., None]
+        step = w / 63
+        scan = np.where(step == 0, _SCAN / 63 * w, _SCAN * step) + 0.0
+        scan[..., -1] = w[..., 0]
+        envelope = _horner([column[rows, :, None] for column in columns], scan / scale[rows, :, None])
+        values[rows] = np.maximum(values[rows], envelope.max(axis=-1))
+    out[:] = np.maximum(l0, values)
+
+
 def bisect_bank(
     table: np.ndarray,
     width: int,
@@ -260,24 +316,20 @@ def bisect_bank(
     found: np.ndarray,
 ) -> None:
     """:func:`repro.core.curve.weights_for_latencies`' bisections in
-    lockstep, written to ``found``: per halving, one bank prediction of
-    every curve's mid.
+    lockstep, written to ``found``: per halving, one :func:`predict_bank`
+    of every curve's mid.
 
-    The bank is the one the arguments describe (``vertex`` +inf and
-    ``peak`` -inf on a row without a concave peak select nothing).  A
-    curve's weight is its ``hi`` once its bracket is under ``tol``, or after
-    the 200th halving; answered curves ride along in the predictions.
+    A curve's weight is its ``hi`` once its bracket is under ``tol``, or
+    after the 200th halving; answered curves ride along in the predictions.
     """
-    bank = SimpleNamespace(
-        columns=[table[:, j : j + 1] for j in range(width)],
-        scale=table[:, width : width + 1],
-        l0=table[:, width + 1 :],
-        monotone=monotone.reshape(-1, 1),
-        vertex=vertex.reshape(-1, 1),
-        peak=peak.reshape(-1, 1),
-        scanned=np.flatnonzero(scanned).tolist(),
-    )
-    ends = _Bank.predict(bank, np.stack([np.zeros_like(uppers), uppers], axis=1))
+    bank = (table, width, monotone, vertex, peak, scanned)
+
+    def predict(ws: np.ndarray) -> np.ndarray:
+        out = np.empty_like(ws)
+        predict_bank(*bank, ws, out)
+        return out
+
+    ends = predict(np.stack([np.zeros_like(uppers), uppers], axis=1))
     # At or below the prediction at 0 the weight is 0, past the prediction
     # at ``upper`` it is ``upper``.
     idle = targets <= ends[:, 0]
@@ -288,7 +340,7 @@ def bisect_bank(
         if not searching.any():
             return
         mid = (lo + hi) / 2.0
-        reached = _Bank.predict(bank, mid[:, None])[:, 0] >= targets
+        reached = predict(mid[:, None])[:, 0] >= targets
         hi, lo = np.where(reached, mid, hi), np.where(reached, lo, mid)
         answered = searching & (hi - lo < tol)
         found[answered] = hi[answered]
@@ -421,3 +473,118 @@ def expand_core(
         found[:] = best
     lower = min(best_cost * (1.0 - gap / 2), dropped) - loss
     return best is not None, lower, states, False
+
+
+# -- the M/M/c/K law and the probe round ---------------------------------------------
+
+
+def erlang_c(servers: int, offered_load: float) -> float:
+    """Erlang-C probability that an arriving request must queue, at
+    ``offered_load`` >= 0 Erlangs on ``servers`` workers."""
+    if offered_load >= servers:
+        return 1.0
+    if offered_load == 0:
+        return 0.0
+    # Iterative Erlang-B, then convert to Erlang-C; numerically stable.
+    inv_b = 1.0
+    for k in range(1, int(servers) + 1):
+        inv_b = 1.0 + inv_b * k / offered_load
+    erlang_b = 1.0 / inv_b
+    rho = offered_load / servers
+    return erlang_b / (1.0 - rho + rho * erlang_b)
+
+
+def mean_latency(
+    servers: int,
+    capacity_rps: float,
+    idle_latency_ms: float,
+    max_queue: int,
+    rate_rps: float,
+    scv_correction: float,
+) -> float:
+    """``LatencyModel.mean_latency_ms`` at ``rate_rps`` >= 0."""
+    if rate_rps == 0:
+        return idle_latency_ms
+
+    mu = capacity_rps / servers  # per-server rate, req/s
+    offered = rate_rps / mu  # Erlangs
+    service_time_ms = idle_latency_ms
+
+    saturation = capacity_rps * 0.999
+    if rate_rps < saturation:
+        pq = erlang_c(servers, offered)
+        # Mean wait in queue (seconds) for M/M/c, converted to ms.
+        wait_s = pq / (servers * mu - rate_rps)
+        wait_ms = wait_s * 1000.0 * scv_correction
+        # Bound by the finite queue: cannot wait longer than draining a
+        # full queue.
+        max_wait_ms = max_queue / capacity_rps * 1000.0
+        return service_time_ms + min(wait_ms, max_wait_ms)
+
+    # At or past saturation the queue stays full: latency plateaus at
+    # service time + time to drain the full queue.
+    max_wait_ms = max_queue / capacity_rps * 1000.0
+    return service_time_ms + max_wait_ms
+
+
+def drop_probability(capacity_rps: float, drop_utilization: float, rate_rps: float) -> float:
+    """``LatencyModel.drop_probability`` at ``rate_rps`` >= 0."""
+    util = rate_rps / capacity_rps
+    if util <= drop_utilization:
+        return 0.0
+    if util >= 1.0:
+        return max(0.0, 1.0 - capacity_rps / rate_rps) or 0.01
+    # Between drop_utilization and 1.0: small but growing loss.
+    span = 1.0 - drop_utilization
+    return 0.05 * (util - drop_utilization) / span
+
+
+def probe_round(
+    params: np.ndarray, generators: list, num_requests: int
+) -> tuple[list[float | None], list[int]]:
+    """One probe batch of ``num_requests`` per row of ``params``
+    (``servers, capacity_rps, idle_latency_ms, max_queue,
+    drop_utilization, rate_rps, scv_correction, jitter_fraction``): its mean
+    latency (``None`` where the generator is ``None``: down; ``inf``: every
+    request dropped) and its drop count.
+
+    Each DIP draws from its own generator its drops (no draw at a drop
+    probability of 0), then a standard normal per served request.
+    ``max(mean / 4, mean + sd * z)`` and the row means are then one array
+    pass, bit for bit the per-DIP ``normal`` draws and reductions.
+    """
+    size = len(generators)
+    loc, scale = [0.0] * size, [0.0] * size
+    z = np.zeros((size, num_requests))
+    means: list[float | None] = [None] * size
+    drop_counts: list[int] = [0] * size
+    served_rows: list[tuple[int, int]] = []
+    for i, (row, rng) in enumerate(zip(params.tolist(), generators)):
+        if rng is None:
+            continue
+        servers, capacity, idle, max_queue, drop_utilization, rate, scv, jitter = row
+        drop_p = drop_probability(capacity, drop_utilization, rate)
+        drops = int(rng.binomial(num_requests, min(1.0, drop_p))) if drop_p else 0
+        served = num_requests - drops
+        drop_counts[i] = drops
+        means[i] = math.inf
+        if not served:
+            continue
+        mean = loc[i] = mean_latency(servers, capacity, idle, max_queue, rate, scv)
+        if jitter:
+            scale[i] = mean * jitter
+            rng.standard_normal(out=z[i, :served])
+        served_rows.append((i, served))
+    # z -> mean + sd * z, floored at mean / 4, in place.
+    mean_col = np.array(loc)[:, None]
+    z *= np.array(scale)[:, None]
+    z += mean_col
+    latencies = np.maximum(z, mean_col * 0.25, out=z)
+    # A full row's sum is the row-wise reduce; a partly dropped one its own.
+    full = (np.add.reduce(latencies, axis=1) / num_requests).tolist()
+    for i, served in served_rows:
+        if served == num_requests:
+            means[i] = full[i]
+        else:
+            means[i] = float(np.add.reduce(latencies[i, :served]) / served)
+    return means, drop_counts

@@ -6,8 +6,8 @@ computed from read the same.  ``reference_apply`` below is the evaluation it
 replaced, kept verbatim bar two lines: it reads ``fleet`` for ``self`` and
 returns its :class:`FleetState` instead of pushing the rates and storing
 it.  A hypothesis sequence of mutations — through the fleet's entry points
-and by direct edits to DIPs, VIPs and the fleet's DIP order followed by
-``apply()`` — must leave
+and by direct edits to DIPs, VIPs and the fleet's DIP order (through
+every mutator of ``fleet.dips``) followed by ``apply()`` — must leave
 the fleet bit-identical to a fresh oracle evaluation after every step: the
 per-DIP totals, every VIP's contribution, each server's offered rate and
 the state's dicts.  A mutation the oracle refuses must be refused with the
@@ -207,6 +207,32 @@ def perform(fleet: Fleet, op: tuple, counter: list[int]) -> None:
         shift = 1 + selector % (len(items) - 1)
         fleet.dips = dict(items[shift:] + items[:shift])
         fleet.apply()
+    elif kind == "edit_dips":
+        # A direct edit of ``fleet.dips`` through each of its mutators: a DIP
+        # moves to the end, the order reverses, or a server is replaced.
+        dips, how = fleet.dips, args[0]
+        if how == "pop":
+            dips[dip] = dips.pop(dip)
+        elif how == "del":
+            server = dips[dip]
+            del dips[dip]
+            dips.setdefault(dip, server)
+        elif how == "popitem":
+            items = [dips.popitem() for _ in range(len(dips))]
+            dips.update(items)
+        elif how == "clear":
+            items = list(dips.items())
+            dips.clear()
+            dips |= dict(items[::-1])
+        else:
+            counter[0] += 1
+            vm = custom_vm_type("vm-4", vcpus=4, capacity_rps=1500.0)
+            replacement = DipServer(dip, vm, seed=counter[0], jitter_fraction=0.0)
+            dips[dip] = replacement
+            for vip in fleet.vips.values():
+                if dip in vip.dips:
+                    vip.dips[dip] = replacement
+        fleet.apply()
     elif kind == "edit_vip":
         if vip_id is None:
             return
@@ -283,6 +309,11 @@ operations = st.one_of(
     ),
     st.tuples(st.just("remove_vip"), st.integers(0, 50)),
     st.tuples(st.sampled_from(["add_dip", "rotate_dips"]), st.integers(0, 50)),
+    st.tuples(
+        st.just("edit_dips"),
+        st.integers(0, 50),
+        st.sampled_from(["pop", "del", "popitem", "clear", "replace"]),
+    ),
     st.tuples(
         st.just("edit_dip"),
         st.integers(0, 50),

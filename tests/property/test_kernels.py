@@ -40,7 +40,7 @@ import repro.core.ilp as ilp
 import repro.solver.mckp as mckp
 from repro import api, kernels
 from repro.backends import DipServer, custom_vm_type
-from repro.core.curve import WeightLatencyCurve, weights_for_latencies
+from repro.core.curve import WeightLatencyCurve, _bank, predict_curves, weights_for_latencies
 from repro.solver import AssignmentProblem, DipCandidates, SolveStatus, solve_dp, solve_mckp
 from repro.sim.engine import EventScheduler
 from repro.sim.queueing import (
@@ -790,6 +790,79 @@ def test_the_compiled_inversion_refuses_what_it_cannot_read():
             bisect_bank(*call)
 
 
+# -- the curve law ---------------------------------------------------------------------
+
+#: query weights: 0, ones whose scan step w / 63 underflows to 0 (the
+#: subnormal 1e-322 is 20 steps of the least one), and any size.
+_WEIGHTS = st.sampled_from([0.0, 1e-322, 5e-324, 1.0]) | st.floats(0.0, 3.0)
+
+
+@st.composite
+def bank_cases(draw):
+    """A bank of 1-6 curves (mixed widths, concave vertices, envelope on
+    or off) and 0-5 query weights per curve."""
+    curves = draw(st.lists(inversion_curves(), min_size=1, max_size=6))
+    k = draw(st.integers(0, 5))
+    ws = draw(st.lists(_WEIGHTS, min_size=len(curves) * k, max_size=len(curves) * k))
+    return curves, np.array(ws, dtype=np.float64).reshape(len(curves), k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bank_cases())
+@example(([WeightLatencyCurve((-40.0, 30.0, 2.0), 1.0, 0.5)], np.array([[0.0, 0.3, 0.375, 0.9]])))
+@example(([WeightLatencyCurve((1.0, -2.0, 1.0, 3.0), 1.0, 0.4)], np.array([[1e-322, 5e-324]])))
+def test_the_compiled_curve_law_is_the_numpy_envelope(case):
+    curves, ws = case
+    with np.errstate(all="ignore"):
+        compiled = predict_curves(curves, ws)
+        python = np.empty_like(ws)
+        reference.predict_bank(*_bank(curves), ws, python)
+        with bound():
+            bound_run = predict_curves(curves, ws)
+    assert same_bytes(compiled, python)
+    assert same_bytes(compiled, bound_run)
+
+
+def test_a_curve_row_is_computed_once():
+    curve = WeightLatencyCurve((-40.0, 30.0, 2.0), 1.0, 0.5)
+    row = curve.bank_row
+    assert row.vertex == 30.0 / 80.0 and row.peak == 2.0 + 30.0 * 0.375 - 40.0 * 0.375**2
+    predict_curves([curve, curve], np.ones((2, 3)))
+    assert curve.bank_row is row
+
+
+def predict_call(rows=2, width=3, k=2):
+    """A valid ``predict_bank`` argument list for ``rows`` curves."""
+    absent = np.full(rows, np.inf)
+    flags = np.zeros(rows, dtype=bool)
+    return [np.ones((rows, width + 2)), width, flags, absent, -absent, flags,
+            np.ones((rows, k)), np.empty((rows, k))]
+
+
+def test_the_compiled_curve_law_refuses_what_it_cannot_read():
+    predict_bank = COMPILED.predict_bank
+    assert predict_bank(*predict_call(rows=0)) is None
+    assert predict_bank(*predict_call(k=0)) is None
+    for at, bad, error, match in (
+        (0, np.ones((2, 5), dtype=np.float32), TypeError, "float64"),
+        (2, np.zeros(2, dtype=np.uint8), TypeError, "bool"),
+        (5, np.zeros(2, dtype=np.int8), TypeError, "bool"),
+        (3, np.full(3, np.inf), ValueError, "align"),
+        (5, np.zeros(1, dtype=bool), ValueError, "align"),
+        (0, np.ones((2, 4)), ValueError, "table"),
+        (1, 0, ValueError, "table"),
+        (1, 2**62, ValueError, "table"),
+        (6, np.ones(3), ValueError, "rows x k"),
+        (7, np.empty(3), ValueError, "rows x k"),
+        (7, np.empty(4)[::-1], ValueError, "contiguous"),
+        (7, read_only(np.empty(4)), ValueError, "read-only"),
+    ):
+        call = predict_call()
+        call[at] = bad
+        with pytest.raises(error, match=match):
+            predict_bank(*call)
+
+
 # -- the smooth-WRR pick ---------------------------------------------------------------
 
 _TINY = float(np.nextafter(0.0, 1.0))  # the smallest subnormal
@@ -964,6 +1037,24 @@ def test_a_missing_compiler_raises(monkeypatch, tmp_path, config_var, which, mat
         kernels.load()
 
 
+def test_the_cache_name_changes_with_numpys_version(monkeypatch):
+    built = os.path.basename(kernels._cache_path())
+    monkeypatch.setattr(kernels.numpy, "__version__", "0.0.0")
+    other = os.path.basename(kernels._cache_path())
+    assert other != built  # the random library is linked in: a new numpy rebuilds
+    assert other.split(".")[1] == built.split(".")[1]  # the same source
+
+
+def test_a_missing_random_library_raises(monkeypatch, tmp_path):
+    monkeypatch.setattr(kernels, "_cache_path", lambda: str(tmp_path / "absent.so"))
+    monkeypatch.setattr(kernels, "_npyrandom", lambda: str(tmp_path / "libnpyrandom.a"))
+    with pytest.raises(ImportError, match=r"libnpyrandom\.a is missing") as raised:
+        kernels.load()
+    assert "_kernels.c" in str(raised.value)
+    assert f"{tmp_path / 'libnpyrandom.a'}" in str(raised.value)  # in the command
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_an_install_without_the_source_imports_the_built_extension(monkeypatch, tmp_path):
     monkeypatch.setattr(kernels, "_SOURCE", str(tmp_path / "_kernels.c"))
     monkeypatch.delitem(sys.modules, "repro._kernels", raising=False)
@@ -999,6 +1090,9 @@ SHORT_TIMELINE = {
     ],
 }
 
+#: what every controller run calls: KLM probe rounds and curve predictions.
+CONTROL = ("probe_round", "predict_bank")
+
 #: (spec file, overrides, run options, the kernels the run calls).
 RUNS = [
     ("req_serial_rr.json", {"workload.num_requests": 20000}, {}, {"walk", "station_stats"}),
@@ -1010,14 +1104,14 @@ RUNS = [
      {"workload.num_requests": 20000, "policy.name": "wrr", "pool.kind": "mixed_core"},
      {"shards": 2, "workers": 1}, {"walk", "smooth_wrr"}),
     ("req_serial_klb_wrr.json", {"workload.num_requests": 8000}, {},
-     {"walk", "smooth_wrr", "station_stats", "band_dp", "bisect_bank"}),
+     {"walk", "smooth_wrr", "station_stats", *CONTROL, "band_dp", "bisect_bank"}),
     # The control tick: band DPs and §4.5 rescales, on a fleet and on one VIP.
     ("fleet_dynamics.json", {"fleet.num_vips": 2, "timeline": SHORT_TIMELINE}, {},
-     {"band_dp", "bisect_bank"}),
+     {*CONTROL, "band_dp", "bisect_bank"}),
     ("fleet_dynamics.json", {"runner": "fluid", "timeline": SHORT_TIMELINE}, {},
-     {"band_dp", "bisect_bank"}),
+     {*CONTROL, "band_dp", "bisect_bank"}),
     # A cold convergence: the mckp core DP.
-    ("ctl_cold_100.json", {"pool.num_dips": 40}, {}, {"expand_core"}),
+    ("ctl_cold_100.json", {"pool.num_dips": 40}, {}, {*CONTROL, "expand_core"}),
 ]
 
 
@@ -1039,7 +1133,7 @@ def test_on_the_oracles_the_artifact_is_the_same(spec_file, overrides, how, call
     assert ours == theirs
 
 
-def test_all_six_oracles_run_in_the_artifact_comparison():
+def test_all_eight_oracles_run_in_the_artifact_comparison():
     assert set().union(*(run[3] for run in RUNS)) == set(KERNELS)
 
 

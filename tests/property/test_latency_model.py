@@ -1,11 +1,13 @@
 """The M/M/c/K latency model: the scalar and the vector mean, and drops.
 
-A probe round keeps the scalar ``LatencyModel.mean_latency_ms`` per DIP
-(seven scalar calls cost less than one vector pass at a VIP's size), while
-``Fleet`` state reads ``vector_mean_latency_ms``; the two must be one model,
-element for element and bit for bit, below and past the 0.99·capacity
-switch, at rate 0, with a workload correction and on antagonist-scaled
-models.
+A probe round evaluates the scalar law per DIP in the compiled kernels
+(which ``LatencyModel.mean_latency_ms`` / ``drop_probability`` and
+``erlang_c`` call too), while ``Fleet`` state reads
+``vector_mean_latency_ms``; the two must be one model, element for element
+and bit for bit, below and past the 0.99·capacity switch, at rate 0, with a
+workload correction and on antagonist-scaled models.  The compiled law is
+held to its Python body in ``tests/oracles/kernels.py`` bit for bit at the
+edges of every branch.
 
 ``drop_probability`` is pinned, not fixed: it is not monotone at capacity
 (strict xfail below), so Algorithm 1's drop signal weakens just past it.
@@ -17,9 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import kernels as reference
 
 from repro.backends import DipServer, custom_vm_type
-from repro.backends.latency_model import LatencyModel
+from repro.backends.latency_model import LatencyModel, erlang_c
+from repro.exceptions import ConfigurationError
 from repro.sim.fluid import pool_arrays, vector_mean_latency_ms
 
 servers = st.integers(1, 16)
@@ -83,3 +87,62 @@ def test_drop_probability_is_monotone_in_load(cores, drop_utilization, loads):
     )
     low, high = sorted(loads)
     assert model.drop_probability(low * 1000.0) <= model.drop_probability(high * 1000.0)
+
+
+def edges(rate: float) -> list[float]:
+    """``rate`` and the floats either side of it."""
+    return [float(np.nextafter(rate, 0.0)), rate, float(np.nextafter(rate, np.inf))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.sampled_from([1000.0, 800.0, 400.0]) | st.floats(50.0, 20_000.0),
+    st.sampled_from([0.95, 0.5, 1.0]) | st.floats(0.05, 1.0),
+    st.sampled_from(["zero", "drop", "saturation", "capacity", "any"]),
+    st.floats(0.0, 3.0),
+    st.sampled_from([1.0, 2.5, 0.0]) | st.floats(0.0, 8.0),
+)
+@example(4, 1000.0, 0.95, "drop", 0.0, 1.0)  # utilization exactly drop_utilization
+@example(4, 1000.0, 0.95, "capacity", 0.0, 1.0)  # exactly 1.0: the ``or 0.01`` loss
+@example(64, 1000.0, 0.95, "saturation", 0.0, 2.5)
+def test_the_compiled_law_is_the_python_law(cores, capacity, drop_at, edge, load, correction):
+    model = LatencyModel(
+        servers=cores, capacity_rps=capacity, idle_latency_ms=cores * 1000.0 / capacity,
+        drop_utilization=drop_at,
+    )
+    rates = {
+        "zero": [0.0],
+        "drop": edges(drop_at * capacity),
+        "saturation": edges(capacity * 0.999),
+        "capacity": edges(capacity),
+        "any": [load * capacity],
+    }[edge]
+    for rate in rates:
+        mean = reference.mean_latency(
+            cores, capacity, model.idle_latency_ms, model.max_queue, rate, correction
+        )
+        drop = reference.drop_probability(capacity, drop_at, rate)
+        assert model.mean_latency_ms(rate, scv_correction=correction).hex() == float(mean).hex()
+        assert model.drop_probability(rate).hex() == drop.hex()
+        offered = rate / (capacity / cores)  # the Erlangs the mean queues at
+        assert erlang_c(cores, offered).hex() == reference.erlang_c(cores, offered).hex()
+
+
+def test_the_edges_the_law_is_drawn_at():
+    model = LatencyModel(servers=4, capacity_rps=1000.0, idle_latency_ms=4.0)
+    assert 950.0 / 1000.0 == model.drop_utilization  # exactly at the drop threshold
+    assert model.drop_probability(950.0) == 0.0
+    assert model.drop_probability(1000.0) == 0.01  # exactly 1.0: the ``or 0.01`` loss
+    assert model.mean_latency_ms(0.0) == 4.0
+
+
+def test_the_law_keeps_its_checks():
+    model = LatencyModel(servers=2, capacity_rps=800.0, idle_latency_ms=2.5)
+    for call in (model.mean_latency_ms, model.drop_probability):
+        with pytest.raises(ConfigurationError, match="rate_rps must be >= 0"):
+            call(-1.0)
+    with pytest.raises(ConfigurationError, match="servers must be >= 1"):
+        erlang_c(0, 1.0)
+    with pytest.raises(ConfigurationError, match="offered_load must be >= 0"):
+        erlang_c(2, -1.0)

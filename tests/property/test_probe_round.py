@@ -1,9 +1,13 @@
 """``KLM.probe_round`` against the per-DIP probe loop it replaced.
 
-A round serves every DIP's batch in one :func:`serve_probe_round`: each DIP
-draws its drops and one standard normal per served request from its own
-generator, then the latencies and their means are one array pass, and the
-store takes the round in one write.  ``probe_dip`` reads its outcome off a
+A round serves every DIP's batch in one :func:`serve_probe_round`: one call
+of the compiled :func:`repro.kernels.probe_round`, in which each DIP draws
+its drops and one standard normal per served request from its own generator
+(through numpy's C random library) and takes the mean of its latencies, and
+the store takes the round in one write.  The kernel is held to its numpy
+body in ``tests/oracles/kernels.py`` (the per-DIP draws, then one array
+pass): the same means to the bit, the same drops and every generator left
+in the same state.  ``probe_dip`` reads its outcome off a
 one-DIP round.  :func:`reference_probe_dip` below is
 the per-DIP ``KLM.probe_dip`` / ``DipServer.serve_probe_batch`` it
 replaced, kept verbatim bar the request counters (now a list on the
@@ -16,11 +20,15 @@ generator's state must be identical.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import bound
 from oracles.probes import DipFailureError, ProbeResult, serve_probe_batch
 
+from repro import kernels
 from repro.backends import DipServer, custom_vm_type
+from repro.backends.dip import serve_probe_round
 from repro.core.config import ProbeConfig
 from repro.core.types import LatencySample
 from repro.exceptions import ConfigurationError
@@ -187,3 +195,73 @@ def test_one_batch_equals_the_reference(shape, requests, seed):
     twin = make_klm([shape], requests, seed).dips["d0"]
     assert serve_probe_batch(server, requests) == reference_serve_probe_batch(twin, requests)
     assert server._rng.bit_generator.state == twin._rng.bit_generator.state
+
+
+#: batch sizes around numpy's pairwise-sum blocks: under 8 requests summed in
+#: order, up to 128 in eight running sums, past that split in halves.
+batch_sizes = st.one_of(
+    st.integers(1, 300), st.sampled_from([7, 8, 9, 127, 128, 129, 136, 256, 257, 300])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(dip_shapes, min_size=1, max_size=9), batch_sizes, st.integers(0, 10_000))
+@example(
+    [
+        (2, 800.0, 1.2, 0.08, False),  # about 1 in 6 dropped: partial rows
+        (1, 400.0, 1e300, 0.08, False),  # every request dropped
+        (4, 1000.0, 0.5, 0.0, False),  # no jitter
+        (8, 3200.0, 0.5, 0.08, True),  # down
+        (2, 800.0, 0.97, 0.3, False),
+    ],
+    300,
+    17,
+)
+@example([(2, 800.0, 1.2, 0.08, False)] * 4, 100, 3)
+@example([(2, 800.0, 1.3, 0.08, False)] * 4, 7, 5)
+def test_the_compiled_round_is_the_numpy_round(shapes, requests, seed):
+    servers = list(make_klm(shapes, requests, seed).dips.values())
+    twins = list(make_klm(shapes, requests, seed).dips.values())
+    means, drops = serve_probe_round(servers, requests)
+    with bound():
+        want_means, want_drops = serve_probe_round(twins, requests)
+    assert [None if m is None else m.hex() for m in means] == [
+        None if m is None else m.hex() for m in want_means
+    ]
+    assert drops == want_drops
+    assert all(type(d) is int for d in drops)
+    assert [s._rng.bit_generator.state for s in servers] == [
+        s._rng.bit_generator.state for s in twins
+    ]
+
+
+def test_a_down_dip_builds_no_generator():
+    (server,) = make_klm([(2, 800.0, 0.5, 0.08, True)], 10, 1).dips.values()
+    assert serve_probe_round([server], 10) == ([None], [0])
+    assert "_rng" not in server.__dict__
+
+
+def round_call(rows=2):
+    """A valid ``probe_round`` argument list for ``rows`` live DIPs."""
+    row = [2.0, 800.0, 2.5, 64.0, 0.95, 400.0, 1.0, 0.08]
+    return [np.array([row] * rows), [np.random.default_rng(i) for i in range(rows)], 10]
+
+
+def test_the_compiled_round_refuses_what_it_cannot_read():
+    probe_round = kernels._compiled().probe_round
+    assert probe_round(*round_call(rows=0)) == ([], [])
+    outside = np.array([[2.0, 800.0, 2.5, 64.0, 0.95, -1.0, 1.0, 0.08]] * 2)
+    for at, bad, error, match in (
+        (0, np.ones((2, 8), dtype=np.float32), TypeError, "float64"),
+        (0, np.ones((2, 7)), ValueError, "one row of 8"),
+        (0, np.ones((3, 8)), ValueError, "one row of 8"),
+        (0, np.ones((2, 16))[:, ::2], ValueError, "contiguous"),
+        (0, outside, ValueError, "row 0 is outside"),
+        (1, 3, TypeError, "sequence"),
+        (1, [object(), object()], AttributeError, "bit_generator"),
+        (2, 0, ValueError, "num_requests"),
+    ):
+        call = round_call()
+        call[at] = bad
+        with pytest.raises(error, match=match):
+            probe_round(*call)

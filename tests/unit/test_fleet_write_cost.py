@@ -2,9 +2,10 @@
 
 On a 128-VIP windowed fleet, ``set_weights`` on one VIP reads that VIP alone
 and writes the offered rate of its DIPs alone; an ``advance`` that follows
-no write reads no VIP and writes no rate.  A rate write is seen by object
-identity: every push stores a fresh float, so a server whose stored rate is
-the very same object was not written.  That the results are the full
+no write reads no VIP and writes no rate; and none of them makes a pass
+over ``fleet.dips``.  A rate write is seen by object identity: every push
+stores a fresh float, so a server whose stored rate is the very same object
+was not written.  That the results are the full
 evaluation's is ``test_fleet_apply_memo.py``'s to hold.
 """
 
@@ -14,7 +15,7 @@ import pytest
 
 import repro.sim.fleet as fleet_module
 from repro.backends import DipServer, custom_vm_type
-from repro.sim.fleet import Fleet
+from repro.sim.fleet import Fleet, FleetDips
 from repro.workloads import fleet_from_pool
 
 
@@ -86,3 +87,42 @@ def test_an_advance_after_no_write_reads_nothing_and_pushes_nothing(fleet, reads
     assert advanced.time == fleet.time == 5.0
     assert advanced._total is state._total
     assert fleet.state() is advanced
+
+
+def test_no_write_makes_a_pass_over_the_fleets_dips(fleet, monkeypatch):
+    passes = []
+    for name in ("__iter__", "keys", "values", "items"):
+
+        def counted(self, *args, _name=name, _body=getattr(dict, name)):
+            passes.append(_name)
+            return _body(self, *args)
+
+        monkeypatch.setattr(FleetDips, name, counted)
+    fleet.set_weights("VIP-37", {dip: 2.0 for dip in fleet.vips["VIP-37"].dips})
+    fleet.scale_traffic("VIP-90", 1.5)
+    fleet.advance(5.0)
+    assert passes == []
+    fleet.apply()  # the full evaluation reads every DIP
+    assert passes
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda dips: dips.__setitem__("a", 3),
+        lambda dips: dips.__delitem__("a"),
+        lambda dips: dips.pop("a"),
+        lambda dips: dips.popitem(),
+        lambda dips: dips.clear(),
+        lambda dips: dips.update(c=3),
+        lambda dips: dips.setdefault("c", 3),
+        lambda dips: dips.__ior__({"c": 3}),
+    ],
+    ids=["setitem", "delitem", "pop", "popitem", "clear", "update", "setdefault", "ior"],
+)
+def test_every_edit_of_the_fleets_dips_takes_a_new_version(edit):
+    dips = FleetDips(a=1, b=2)
+    before = dips.version
+    edit(dips)
+    assert dips.version != before
+    assert FleetDips(dips).version != dips.version  # a copy is another mapping

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.curve import WeightLatencyCurve
 from repro.core.scheduler import (
@@ -60,6 +62,76 @@ class TestQueueing:
         scheduler.submit("first", 0.1)
         scheduler.submit("second", 0.1)
         assert [r.dip for r in scheduler.pending] == ["first", "second"]
+
+
+    def test_resubmit_replaces_in_place_of_a_new_request(self, scheduler):
+        for dip in ("a", "b", "c"):
+            scheduler.submit(dip, 0.2)
+        scheduler.submit("hot", 0.2, priority=MeasurementPriority.OVERUTILIZED)
+        scheduler.submit("b", 0.5)  # replaces b's request, queued as the newest
+        assert [(r.dip, r.weight) for r in scheduler.pending] == [
+            ("hot", 0.2), ("a", 0.2), ("c", 0.2), ("b", 0.5)
+        ]
+        plan = scheduler.plan_round(["a", "b", "c", "hot"])
+        assert list(plan.measured) == ["hot", "a", "c"]
+        assert [(r.dip, r.weight) for r in plan.deferred] == [("b", 0.5)]
+
+
+class ListQueue:
+    """The pending list a submit or cancel used to rebuild: every request
+    but the DIP's, then (on submit) its new one appended."""
+
+    def __init__(self) -> None:
+        self.requests: list[tuple[str, float, int, int]] = []
+        self.sequence = 0
+
+    def submit(self, dip: str, weight: float, priority: int) -> None:
+        self.requests = [r for r in self.requests if r[0] != dip]
+        self.requests.append((dip, weight, priority, self.sequence))
+        self.sequence += 1
+
+    def cancel(self, dip: str) -> None:
+        self.requests = [r for r in self.requests if r[0] != dip]
+
+    def pending(self) -> list[tuple[str, float]]:
+        return [(r[0], r[1]) for r in sorted(self.requests, key=lambda r: (r[2], r[3]))]
+
+
+_DIPS = ["a", "b", "c", "d", "e"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["submit", "cancel", "plan"]),
+            st.sampled_from(_DIPS),
+            st.sampled_from([0.1, 0.3, 0.6, 1.0]),
+            st.sampled_from(list(MeasurementPriority)),
+        ),
+        max_size=30,
+    )
+)
+def test_the_queue_orders_rounds_as_the_list_did(operations):
+    scheduler, reference = MeasurementScheduler("vip-1"), ListQueue()
+    for kind, dip, weight, priority in operations:
+        if kind == "submit":
+            scheduler.submit(dip, weight, priority=priority)
+            reference.submit(dip, weight, priority)
+        elif kind == "cancel":
+            scheduler.cancel(dip)
+            reference.cancel(dip)
+        else:
+            # A round admits in pending order and keeps the rest queued.
+            expected, budget, admitted = reference.pending(), 1.0, []
+            for name, w in expected:
+                if w <= budget + 1e-9:
+                    admitted.append(name)
+                    budget -= min(w, budget)
+            plan = scheduler.plan_round(_DIPS)
+            assert list(plan.measured) == admitted
+            reference.requests = [r for r in reference.requests if r[0] not in admitted]
+        assert [(r.dip, r.weight) for r in scheduler.pending] == reference.pending()
 
 
 class TestPlanRound:
