@@ -19,11 +19,9 @@ import numpy as np
 from _harness import save_json, save_report
 
 from repro.backends import DipServer, custom_vm_type
-from repro.sim.fluid import (
-    least_connection_split_array,
-    pool_arrays,
-    power_of_two_split_array,
-)
+from repro.lb.least_connection import least_connection_split_array
+from repro.lb.power_of_two import power_of_two_split_array
+from repro.sim.fluid import pool_arrays
 from repro.workloads import build_shared_dip_fleet
 
 TABLE8_LARGEST_VIP_DIPS = 1000
@@ -47,13 +45,13 @@ def build_heterogeneous_pool(num_dips: int, *, seed: int = 0):
 
 def least_connection_split(dips, total_rate_rps):
     pool = pool_arrays(dips)
-    rates = least_connection_split_array(pool, total_rate_rps)
+    rates = least_connection_split_array(pool.law, total_rate_rps)
     return {dip: float(r) for dip, r in zip(pool.ids, rates)}
 
 
 def power_of_two_split(dips, total_rate_rps):
     pool = pool_arrays(dips)
-    rates = power_of_two_split_array(pool, total_rate_rps)
+    rates = power_of_two_split_array(pool.law, total_rate_rps)
     return {dip: float(r) for dip, r in zip(pool.ids, rates)}
 
 

@@ -7,7 +7,8 @@
  * section 4.5 inversion (core/curve.py::weights_for_latencies), the stage
  * loop of the mckp backend's expanding-core DP (solver/mckp.py::_expand_core)
  * and a KLM probe round (backends/dip.py::serve_probe_round) with the
- * M/M/c/K law it evaluates (backends/latency_model.py).
+ * M/M/c/K law it evaluates (backends/latency_model.py), which the fluid
+ * fleet also evaluates over whole pools (mean_latencies).
  *
  * These are the only implementations a run uses; repro/kernels.py builds
  * and loads this module, and a run cannot start without it.  Each is a
@@ -1591,6 +1592,35 @@ done:
     return result;
 }
 
+/* The columns of a DIP's law row: LatencyModel.law, then the workload
+ * correction.  A probe_round row appends the offered rate and the jitter.
+ * A down DIP's law row is zeros (servers 0).  repro.kernels exports
+ * CAPACITY, LAW and COLUMNS. */
+enum { SERVERS, CAPACITY, IDLE, MAX_QUEUE, DROP_AT, SCV, LAW, RATE = LAW, JITTER, COLUMNS };
+
+/* Whether a law row is in LatencyModel's domain. */
+static int
+in_domain(const double *row)
+{
+    return row[SERVERS] >= 1 && row[SERVERS] <= INT_MAX && row[SERVERS] == floor(row[SERVERS])
+           && row[CAPACITY] > 0 && row[IDLE] > 0 && row[MAX_QUEUE] >= 1 && row[DROP_AT] > 0
+           && row[DROP_AT] <= 1;
+}
+
+/* Raise repro.exceptions.ConfigurationError(message): a value the caller
+ * passed on from its own input. */
+static void
+configuration_error(const char *message)
+{
+    PyObject *exceptions = PyImport_ImportModule("repro.exceptions");
+    PyObject *type = exceptions ? PyObject_GetAttrString(exceptions, "ConfigurationError") : NULL;
+    Py_XDECREF(exceptions);
+    if (type != NULL) {
+        PyErr_SetString(type, message);
+        Py_DECREF(type);
+    }
+}
+
 /* The M/M/c/K latency law of repro.backends.latency_model.LatencyModel, in
  * its Python operation order. */
 
@@ -1699,6 +1729,61 @@ drop_probability(PyObject *Py_UNUSED(module), PyObject *args)
     return PyFloat_FromDouble(law_drop(capacity, drop_at, rate));
 }
 
+PyDoc_STRVAR(mean_latencies_doc,
+"mean_latencies(law, rates, out)\n\n"
+"Each DIP's mean latency at its rate, into out; see repro.kernels.mean_latencies.");
+
+static PyObject *
+mean_latencies(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *objs[3];
+    if (!PyArg_ParseTuple(args, "OOO:mean_latencies", &objs[0], &objs[1], &objs[2])) {
+        return NULL;
+    }
+    static const char *names[3] = {"law", "rates", "out"};
+    Py_buffer views[3];
+    int held = 0;
+    PyObject *result = NULL;
+    for (; held < 3; held++) {
+        if (get_array(objs[held], &views[held], held == 2, 8, "d", names[held]) < 0) {
+            goto done;
+        }
+    }
+    Py_ssize_t rows = views[1].len / 8;
+    if (views[0].ndim != 2 || views[0].shape[0] != rows || views[0].shape[1] != LAW
+        || views[2].len / 8 != rows) {
+        PyErr_SetString(PyExc_ValueError,
+                        "mean_latencies: law is not one row of 6 per rate and out entry");
+        goto done;
+    }
+    const double *law = views[0].buf, *rates = views[1].buf;
+    double *out = views[2].buf;
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        const double *row = law + r * LAW;
+        if (!(rates[r] >= 0)) {
+            configuration_error("rates must be >= 0");
+            goto done;
+        }
+        if (row[SERVERS] == 0) {
+            out[r] = INFINITY;  /* down */
+            continue;
+        }
+        if (!in_domain(row)) {
+            PyErr_Format(PyExc_ValueError,
+                         "mean_latencies: row %zd is outside the latency model's domain", r);
+            goto done;
+        }
+        out[r] = law_mean_ms(row[SERVERS], row[CAPACITY], row[IDLE], row[MAX_QUEUE], rates[r],
+                             row[SCV]);
+    }
+    result = Py_NewRef(Py_None);
+done:
+    while (held > 0) {
+        PyBuffer_Release(&views[--held]);
+    }
+    return result;
+}
+
 /* numpy's pairwise sum of ``n`` contiguous doubles (DOUBLE_pairwise_sum):
  * in order below 8, eight running sums up to 128, else two halves split at
  * a multiple of 8. */
@@ -1733,9 +1818,6 @@ pairwise_sum(const double *a, Py_ssize_t n)
     half -= half % 8;
     return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
 }
-
-/* The columns of a probe_round parameter row. */
-enum { SERVERS, CAPACITY, IDLE, MAX_QUEUE, DROP_AT, RATE, SCV, JITTER, COLUMNS };
 
 /* A Generator's bit generator: its C state through the ``capsule`` of its
  * ``bit_generator``, which ``*owner`` holds a reference to (NULL on error). */
@@ -1852,10 +1934,7 @@ probe_round(PyObject *Py_UNUSED(module), PyObject *args)
         if (generator == Py_None) {
             mean = Py_NewRef(Py_None);  /* down: no answer, no drops */
         } else {
-            if (!(row[SERVERS] >= 1 && row[SERVERS] <= INT_MAX
-                  && row[SERVERS] == floor(row[SERVERS]) && row[CAPACITY] > 0
-                  && row[IDLE] > 0 && row[MAX_QUEUE] >= 1 && row[DROP_AT] > 0
-                  && row[DROP_AT] <= 1 && row[RATE] >= 0)) {
+            if (!(in_domain(row) && row[RATE] >= 0)) {
                 PyErr_Format(PyExc_ValueError,
                              "probe_round: row %zd is outside the latency model's domain", r);
                 goto done;
@@ -1897,10 +1976,20 @@ static PyMethodDef kernel_methods[] = {
     {"erlang_c", erlang_c, METH_VARARGS, erlang_c_doc},
     {"mean_latency", mean_latency, METH_VARARGS, mean_latency_doc},
     {"drop_probability", drop_probability, METH_VARARGS, drop_probability_doc},
+    {"mean_latencies", mean_latencies, METH_VARARGS, mean_latencies_doc},
     {NULL, NULL, 0, NULL},
 };
 
+/* The law row's columns, for Python to build and read rows by. */
+static int
+exec_kernels(PyObject *module)
+{
+    return PyModule_AddIntMacro(module, CAPACITY) || PyModule_AddIntMacro(module, LAW)
+           || PyModule_AddIntMacro(module, COLUMNS) ? -1 : 0;
+}
+
 static PyModuleDef_Slot kernel_slots[] = {
+    {Py_mod_exec, exec_kernels},
     {0, NULL},
 };
 

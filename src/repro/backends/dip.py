@@ -142,6 +142,15 @@ class DipServer:
     def idle_latency_ms(self) -> float:
         return self.latency_model.idle_latency_ms
 
+    @property
+    def law(self) -> tuple[float, ...]:
+        """The DIP's law row (:data:`repro.kernels.LAW` columns): its
+        model's :attr:`~repro.backends.latency_model.LatencyModel.law` and
+        its workload correction; a down DIP's row is zeros."""
+        if self.failed:
+            return _DOWN
+        return (*self.latency_model.law, self.scv_correction)
+
     # -- failures ----------------------------------------------------------
 
     def fail(self) -> None:
@@ -159,8 +168,8 @@ class DipServer:
         )
 
 
-#: a failed DIP's row: the kernel reads nothing of it.
-_DOWN = (0.0,) * 8
+#: a down DIP's law row.
+_DOWN = (0.0,) * kernels.LAW
 
 
 def serve_probe_round(
@@ -175,28 +184,14 @@ def serve_probe_round(
     (no draw at a drop probability of 0), then a standard normal per served
     request, floored at ``max(mean / 4, mean + sd * z)`` and averaged.  The
     round is one :func:`repro.kernels.probe_round` over a row per DIP: its
-    model's :attr:`~repro.backends.latency_model.LatencyModel.law`, offered
-    rate, workload correction and jitter.
+    :attr:`~DipServer.law`, offered rate and jitter, and its generator
+    (``None`` for a down DIP, whose row the kernel does not read).
     """
     if num_requests < 1:
         raise ConfigurationError("num_requests must be >= 1")
-    rows: list[tuple[float, ...]] = []
-    generators: list[np.random.Generator | None] = []
-    for server in servers:
-        if server.failed:
-            rows.append(_DOWN)
-            generators.append(None)
-            continue
-        rows.append(
-            (
-                *server.latency_model.law,
-                server.offered_rate_rps,
-                server.scv_correction,
-                server.jitter_fraction,
-            )
-        )
-        generators.append(server._rng)
-    params = np.array(rows, dtype=np.float64).reshape(len(rows), len(_DOWN))
+    rows = [(*s.law, s.offered_rate_rps, s.jitter_fraction) for s in servers]
+    generators = [None if s.failed else s._rng for s in servers]
+    params = np.array(rows, dtype=np.float64).reshape(len(rows), kernels.COLUMNS)
     return kernels.probe_round(params, generators, num_requests)
 
 

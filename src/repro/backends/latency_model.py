@@ -84,9 +84,9 @@ class LatencyModel:
 
     @cached_property
     def law(self) -> tuple[int, float, float, int, float]:
-        """The model's columns of a :func:`repro.kernels.probe_round` row:
-        ``(servers, capacity_rps, idle_latency_ms, max_queue,
-        drop_utilization)``."""
+        """The model's columns of a law row (:mod:`repro.kernels`), in the
+        kernels' column order: ``(servers, capacity_rps, idle_latency_ms,
+        max_queue, drop_utilization)``."""
         return (
             self.servers,
             self.capacity_rps,

@@ -580,10 +580,7 @@ def run_request_vs_fluid_crosscheck(
     fluid_mean_ms = fluid_state.overall_mean_latency_ms()
     fluid_p99_est_ms = fluid_mean_ms * math.log(100.0)
 
-    policy_kwargs = (
-        {"seed": seed} if policy_name in {"random", "wrandom", "p2"} else {}
-    )
-    policy = make_policy(policy_name, list(dips), **policy_kwargs)
+    policy = make_policy(policy_name, list(dips), **policy_seed_kwargs(policy_name, seed=seed))
     cluster = RequestCluster(dips, policy, rate_rps=rate, seed=seed)
     started = time.perf_counter()
     result = cluster.run(num_requests=num_requests, warmup_s=warmup_s)

@@ -21,8 +21,12 @@ module ``_kernels.c`` beside this file, the only implementation a run uses;
 name and signature, which the tests bind here to hold the C to it byte for
 byte.  The module also exports the scalar law the probe round evaluates,
 :func:`erlang_c`, :func:`mean_latency` and :func:`drop_probability`, which
-:class:`repro.backends.latency_model.LatencyModel` calls, so that the law is
-written once.
+:class:`repro.backends.latency_model.LatencyModel` calls, and
+:func:`mean_latencies`, the mean over a matrix of law rows that the fluid
+fleet evaluates, so that the law is written once.  A law row is
+``LatencyModel.law`` (servers, :data:`CAPACITY`, ...) and the workload
+correction, :data:`LAW` columns (zeros: a down DIP, ``inf``); a probe row
+appends the offered rate and the jitter, :data:`COLUMNS` in all.
 
 Where the compiled module comes from:
 
@@ -190,8 +194,9 @@ def _compiled() -> ModuleType:
 def load() -> None:
     """Bind :data:`walk` / :data:`smooth_wrr` / :data:`station_stats` /
     :data:`band_dp` / :data:`bisect_bank` / :data:`expand_core` /
-    :data:`probe_round` / :data:`predict_bank` and the law (:data:`erlang_c`
-    / :data:`mean_latency` / :data:`drop_probability`) to the compiled
+    :data:`probe_round` / :data:`predict_bank`, the law (:data:`erlang_c`
+    / :data:`mean_latency` / :data:`drop_probability` /
+    :data:`mean_latencies`) and the law row's columns to the compiled
     module, or raise :class:`ImportError` where it cannot be built or
     loaded.
 
@@ -201,12 +206,14 @@ def load() -> None:
     """
     global walk, smooth_wrr, station_stats, band_dp, bisect_bank, expand_core
     global probe_round, predict_bank, erlang_c, mean_latency, drop_probability
+    global mean_latencies, CAPACITY, LAW, COLUMNS
     module = _compiled()
     walk, smooth_wrr, station_stats = module.walk, module.smooth_wrr, module.station_stats
     band_dp, bisect_bank, expand_core = module.band_dp, module.bisect_bank, module.expand_core
     probe_round, predict_bank = module.probe_round, module.predict_bank
     erlang_c, mean_latency = module.erlang_c, module.mean_latency
-    drop_probability = module.drop_probability
+    drop_probability, mean_latencies = module.drop_probability, module.mean_latencies
+    CAPACITY, LAW, COLUMNS = module.CAPACITY, module.LAW, module.COLUMNS
 
 
 walk: Any
@@ -220,4 +227,8 @@ predict_bank: Any
 erlang_c: Any
 mean_latency: Any
 drop_probability: Any
+mean_latencies: Any
+CAPACITY: int
+LAW: int
+COLUMNS: int
 load()

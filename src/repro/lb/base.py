@@ -16,7 +16,7 @@ import importlib
 import inspect
 import itertools
 from dataclasses import dataclass
-from typing import Any, Container, Iterable, Mapping, Sequence
+from typing import Any, Callable, Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -98,6 +98,27 @@ def validated_weights(
     return checked
 
 
+@dataclass(frozen=True)
+class FluidSplit:
+    """How the fluid model (:class:`repro.sim.fleet.Fleet`) divides a VIP's
+    rate over its healthy DIPs.
+
+    Without a ``fixed_point`` the split is load-independent: equal, or in
+    proportion to the programmed weights when ``weighted``.  Otherwise it
+    is the policy's equilibrium, ``fixed_point(law, total_rate_rps,
+    background_rps=)`` over the DIPs' law rows (see :mod:`repro.kernels`)
+    and the load other VIPs put on them, passed ``weights=`` too when
+    ``weighted``.
+    """
+
+    weighted: bool = False
+    fixed_point: Callable[..., np.ndarray] | None = None
+
+
+EQUAL_SPLIT = FluidSplit()
+WEIGHTED_SPLIT = FluidSplit(weighted=True)
+
+
 class Policy(abc.ABC):
     """A DIP-selection policy running on a MUX."""
 
@@ -120,6 +141,8 @@ class Policy(abc.ABC):
     #: (:meth:`select_many`) and replay each DIP's sub-stream instead of
     #: simulating events; a policy that does not say so stays event-driven.
     replayable: bool = False
+    #: the policy's split in the fluid model; ``None``: it has none.
+    fluid_split: FluidSplit | None = None
 
     def __init__(self, dips: Iterable[DipId]) -> None:
         dip_list = list(dips)
@@ -326,8 +349,9 @@ def make_policy(name: str, dips: Sequence[DipId], **kwargs) -> Policy:
     return policy_description(name).factory(dips, **kwargs)
 
 
-def policy_seed_kwargs(name: str, *, seed: int = 0) -> dict[str, int]:
-    """``{"seed": seed}`` when ``name``'s constructor accepts one, else ``{}``.
+def policy_seed_kwargs(name: str, *, seed: int | None = 0) -> dict[str, int | None]:
+    """``{"seed": seed}`` when ``name``'s constructor accepts one, else ``{}``
+    (``None`` seeds from the OS, as the constructor does).
 
     Derived from the registered factory's signature rather than a
     hard-coded name list, so newly registered stochastic policies seed
@@ -336,5 +360,5 @@ def policy_seed_kwargs(name: str, *, seed: int = 0) -> dict[str, int]:
     """
     parameters = inspect.signature(policy_description(name).factory.__init__).parameters
     if "seed" in parameters:
-        return {"seed": int(seed)}
+        return {"seed": None if seed is None else int(seed)}
     return {}

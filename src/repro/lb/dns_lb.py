@@ -18,6 +18,7 @@ import numpy as np
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
 from repro.lb.base import (
+    WEIGHTED_SPLIT,
     FlowKey,
     Policy,
     pick_cdf,
@@ -102,6 +103,7 @@ class DnsWeightedPolicy(Policy):
     name = "dns"
     supports_weights = True
     uses_connection_counts = False
+    fluid_split = WEIGHTED_SPLIT
 
     def __init__(
         self,

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
-from repro.lb.base import Policy, make_policy
+from repro.lb.base import Policy, make_policy, policy_seed_kwargs
 from repro.lb.dns_lb import DnsWeightedPolicy
 from repro.lb.hash_lb import FiveTupleHash
 
@@ -50,10 +50,9 @@ class WeightedLBFacade:
             )
         self.algorithm = algorithm
         policy_name = self.algorithms[algorithm]
-        kwargs = {}
-        if policy_name in ("random", "wrandom", "p2", "dns"):
-            kwargs["seed"] = seed
-        self.policy: Policy = make_policy(policy_name, self._dips, **kwargs)
+        self.policy: Policy = make_policy(
+            policy_name, self._dips, **policy_seed_kwargs(policy_name, seed=seed)
+        )
 
     @property
     def supports_weights(self) -> bool:

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
-from repro.lb.base import FlowKey, Policy, register_policy
+from repro.lb.base import EQUAL_SPLIT, FlowKey, Policy, register_policy
 
 
 def stable_hash(flow: FlowKey, *, salt: str = "") -> int:
@@ -30,6 +30,7 @@ class FiveTupleHash(Policy):
     supports_weights = False
     uses_connection_counts = False
     replayable = True
+    fluid_split = EQUAL_SPLIT
 
     def __init__(self, dips: Iterable[DipId], *, salt: str = "") -> None:
         super().__init__(dips)

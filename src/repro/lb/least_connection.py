@@ -13,6 +13,9 @@ DIP's count, so a whole burst of picks is a closed-form function of the
 counts it starts from: :func:`least_connection_picks` is the one statement
 of that, and ``select`` on live counts is its ``n = 1`` case
 (``tests/property/test_least_connection_kernel.py`` holds the two together).
+
+In the fluid model the policy's split is the equilibrium it settles to,
+:func:`least_connection_split_array`.
 """
 
 from __future__ import annotations
@@ -21,11 +24,15 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from repro import kernels
 from repro.core.types import DipId
-from repro.lb.base import FlowKey, Policy, register_policy
+from repro.lb.base import FlowKey, FluidSplit, Policy, register_policy
 
 #: the weight a DIP programmed to zero (or below) is scored with.
 _ZERO_WEIGHT = 1e-9
+#: the fluid fixed point's iteration cap and damping.
+_ITERATIONS = 200
+_DAMPING = 0.5
 
 
 def least_connection_picks(
@@ -76,12 +83,51 @@ def least_connection_picks(
     return picks, counts + np.bincount(picks, minlength=size)
 
 
+def least_connection_split_array(
+    law: np.ndarray,
+    total_rate_rps: float,
+    *,
+    weights: np.ndarray | None = None,
+    background_rps: np.ndarray | float = 0.0,
+) -> np.ndarray:
+    """The fluid equilibrium of (weighted) least-connection selection over
+    DIPs of law rows ``law`` (:mod:`repro.kernels`).
+
+    At equilibrium the number of concurrent connections per unit weight is
+    equal across DIPs: ``λ_d · T_d(λ_d) / weight_d = const``.  We iterate
+    ``λ_d ∝ weight_d / T_d(λ_d)`` with damping until the split stabilises.
+    This is exactly why LCA still overloads slow DIPs (§2.1): equal
+    *concurrency* is not equal *utilization*.  ``background_rps`` is load
+    the DIPs carry from *other* VIPs of a shared fleet; it shifts the
+    latencies but is not part of the split itself.
+    """
+    n = len(law)
+    if n == 0:
+        return np.zeros(0)
+    weight_vec = np.ones(n)
+    if weights is not None:
+        weight_vec = np.maximum(_ZERO_WEIGHT, np.asarray(weights, dtype=np.float64))
+    rates = np.full(n, total_rate_rps / n)
+    latencies = np.empty(n)
+    for _ in range(_ITERATIONS):
+        kernels.mean_latencies(law, rates + background_rps, latencies)
+        target = weight_vec / np.maximum(latencies, 1e-9)
+        target = target / target.sum() * total_rate_rps
+        new_rates = _DAMPING * target + (1 - _DAMPING) * rates
+        if np.max(np.abs(new_rates - rates)) < 1e-6 * max(1.0, total_rate_rps):
+            rates = new_rates
+            break
+        rates = new_rates
+    return rates
+
+
 class LeastConnection(Policy):
     """Pick the healthy DIP with the fewest active connections."""
 
     name = "lc"
     supports_weights = False
     uses_flow = False
+    fluid_split = FluidSplit(fixed_point=least_connection_split_array)
 
     def select(self, flow: FlowKey) -> DipId:
         candidates = self._candidates()
@@ -100,6 +146,7 @@ class WeightedLeastConnection(Policy):
     name = "wlc"
     supports_weights = True
     uses_flow = False
+    fluid_split = FluidSplit(weighted=True, fixed_point=least_connection_split_array)
 
     def __init__(
         self,

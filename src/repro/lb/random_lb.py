@@ -8,7 +8,14 @@ import numpy as np
 
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
-from repro.lb.base import FlowKey, Policy, pick_cdf, register_policy
+from repro.lb.base import (
+    EQUAL_SPLIT,
+    WEIGHTED_SPLIT,
+    FlowKey,
+    Policy,
+    pick_cdf,
+    register_policy,
+)
 
 
 class RandomSelect(Policy):
@@ -19,6 +26,7 @@ class RandomSelect(Policy):
     uses_flow = False
     uses_connection_counts = False
     replayable = True
+    fluid_split = EQUAL_SPLIT
 
     def __init__(self, dips: Iterable[DipId], *, seed: int | None = None) -> None:
         super().__init__(dips)
@@ -39,6 +47,7 @@ class WeightedRandom(Policy):
     uses_flow = False
     uses_connection_counts = False
     replayable = True
+    fluid_split = WEIGHTED_SPLIT
 
     def __init__(
         self,

@@ -15,7 +15,14 @@ import numpy as np
 
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
-from repro.lb.base import FlowKey, Policy, effective_weights, register_policy
+from repro.lb.base import (
+    EQUAL_SPLIT,
+    WEIGHTED_SPLIT,
+    FlowKey,
+    Policy,
+    effective_weights,
+    register_policy,
+)
 
 
 def round_robin_picks(cursor: int, count: int, candidates: int) -> np.ndarray:
@@ -36,6 +43,7 @@ class RoundRobin(Policy):
     uses_flow = False
     uses_connection_counts = False
     replayable = True
+    fluid_split = EQUAL_SPLIT
 
     def __init__(self, dips: Iterable[DipId]) -> None:
         super().__init__(dips)
@@ -103,6 +111,7 @@ class WeightedRoundRobin(Policy):
     uses_flow = False
     uses_connection_counts = False
     replayable = True
+    fluid_split = WEIGHTED_SPLIT
 
     def __init__(
         self,

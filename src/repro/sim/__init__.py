@@ -20,13 +20,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.sim.cluster": ("RequestCluster", "RunResult"),
         "repro.sim.engine": ("EventHandle", "EventScheduler"),
         "repro.sim.fleet": ("Fleet", "FleetDeployment", "FleetState"),
-        "repro.sim.fluid": (
-            "FluidCluster",
-            "PoolArrays",
-            "pool_arrays",
-            "vector_mean_latency_ms",
-            "vector_utilization",
-        ),
+        "repro.sim.fluid": ("FluidCluster", "PoolArrays", "pool_arrays"),
         "repro.sim.queueing": ("DipStation", "DipQueueStats"),
         "repro.sim.request": ("Request", "RequestOutcome"),
         "repro.sim.trace": (

@@ -9,10 +9,11 @@ subsets, and a joint, numpy-vectorized evaluation that maps every VIP's
 
 DIPs shared by several VIPs carry the *sum* of the per-VIP rates, so their
 latency — and therefore everything KLM probes observe — reflects cross-VIP
-contention.  Load-dependent policies (least-connection, power-of-two) are
-resolved by an outer fixed point: each VIP's split is recomputed against
-the background load the other VIPs put on its DIPs until the joint rates
-stabilise.  While every VIP is load-independent, a weight, rate or clock
+contention.  Each VIP splits as its policy's :mod:`repro.lb` class declares
+(:class:`~repro.lb.base.FluidSplit`); load-dependent policies
+(least-connection, power-of-two) are resolved by an outer fixed point:
+each VIP's split is recomputed against the background load the other VIPs
+put on its DIPs until the joint rates stabilise.  While every VIP is load-independent, a weight, rate or clock
 write re-evaluates only the written VIP's DIPs, to the same bits.
 
 Per-VIP :class:`FleetDeployment` views satisfy the controller's
@@ -27,30 +28,29 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import cached_property
-from typing import Any, Iterable, Mapping, NamedTuple
+from functools import cached_property, partial
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from repro import kernels
 from repro.backends.antagonist import PoolWrites
 from repro.backends.dip import DipServer, push_offered_rates
 from repro.core.types import DipId, VipId, left_to_right_sum
 from repro.exceptions import ConfigurationError
-from repro.sim.fluid import (
-    EQUAL_SPLIT_POLICIES,
-    LOAD_DEPENDENT_POLICIES,
-    WEIGHTED_SPLIT_POLICIES,
-    PoolArrays,
-    equal_split_array,
-    pool_arrays,
-    split_rates_array,
-    static_split_array,
-    vector_mean_latency_ms,
-    vector_utilization,
-)
+from repro.lb.base import FluidSplit, policy_description
+from repro.sim.fluid import PoolArrays, equal_split_array, pool_arrays, weighted_split_array
 from repro.sim.vip import Vip
 
-_STATIC_POLICIES = EQUAL_SPLIT_POLICIES | WEIGHTED_SPLIT_POLICIES
+
+def _fluid_split(policy_name: str) -> FluidSplit | None:
+    """The fluid split ``policy_name``'s class declares; ``None`` for a
+    name without one, or without a class."""
+    try:
+        factory = policy_description(policy_name).factory
+    except ConfigurationError:
+        return None
+    return getattr(factory, "fluid_split", None)
 
 
 def _read(vip: Vip) -> tuple[tuple, tuple]:
@@ -140,9 +140,10 @@ class _Kept(NamedTuple):
     index: np.ndarray
     #: the split, or a load-dependent VIP's equal-split seed.
     rates: np.ndarray
-    #: a load-dependent VIP's pool subset and weights.
-    sub_pool: PoolArrays | None
-    weights: np.ndarray | None
+    #: a load-dependent VIP's law rows and its fixed point (its weights
+    #: bound), as ``fixed_point(law, total_rate_rps, background_rps=)``.
+    law: np.ndarray | None
+    fixed_point: Callable[..., np.ndarray] | None
 
 
 class _Sums:
@@ -196,18 +197,6 @@ class _Sums:
         return rows
 
 
-def _subset(pool: PoolArrays, index: np.ndarray) -> PoolArrays:
-    return PoolArrays(
-        ids=tuple(pool.ids[i] for i in index),
-        servers=pool.servers[index],
-        capacity_rps=pool.capacity_rps[index],
-        idle_latency_ms=pool.idle_latency_ms[index],
-        max_queue=pool.max_queue[index],
-        drop_utilization=pool.drop_utilization[index],
-        failed=pool.failed[index],
-    )
-
-
 class FleetState:
     """The whole fleet after one joint evaluation.
 
@@ -237,15 +226,19 @@ class FleetState:
 
     @cached_property
     def utilization(self) -> dict[DipId, float]:
+        """CPU utilization per DIP, at most 1; 0 on a failed DIP."""
         pool = self._pool
-        utilization = np.minimum(1.0, vector_utilization(pool, self._total))
-        return dict(zip(pool.ids, np.where(pool.failed, 0.0, utilization).tolist()))
+        capacity = pool.law[:, kernels.CAPACITY]  # 0: down
+        utilization = np.divide(self._total, capacity, out=np.zeros(pool.size), where=capacity > 0)
+        return dict(zip(pool.ids, np.minimum(1.0, utilization).tolist()))
 
     @cached_property
     def mean_latency_ms(self) -> dict[DipId, float]:
+        """Mean latency per DIP; ``inf`` on a failed DIP."""
         pool = self._pool
-        latency = vector_mean_latency_ms(pool, self._total)
-        return dict(zip(pool.ids, np.where(pool.failed, np.inf, latency).tolist()))
+        latency = np.empty(pool.size)
+        kernels.mean_latencies(pool.law, self._total, latency)
+        return dict(zip(pool.ids, latency.tolist()))
 
     @cached_property
     def per_vip_rates(self) -> dict[VipId, dict[DipId, float]]:
@@ -495,7 +488,7 @@ class Fleet:
         rebuilt only after a write to some DIP's pool inputs (counted by
         :class:`~repro.backends.antagonist.PoolWrites`) or when ``dips``
         no longer holds the same servers under the same ids.  Each VIP's
-        split (or, load-dependent, its index, pool subset and weights) is
+        split (or, load-dependent, its index, law rows and fixed point) is
         reused while its :func:`_read` is the same and, after a pool
         rebuild, its healthy DIPs, their positions and the pool are.
         ``total`` is re-accumulated from the splits on every call and the
@@ -527,7 +520,7 @@ class Fleet:
             stacked = np.concatenate([k.rates for k in kept.values()])
             total = np.bincount(stacked_index, weights=stacked, minlength=pool.size)
         reactive = [
-            (vip_id, self.vips[vip_id], k) for vip_id, k in kept.items() if k.sub_pool is not None
+            (vip_id, self.vips[vip_id], k) for vip_id, k in kept.items() if k.law is not None
         ]
 
         for _ in range(self.contention_iterations if reactive else 0):
@@ -536,13 +529,7 @@ class Fleet:
                 index = k.index
                 old_rates = contributions[vip_id][1]
                 background = total[index] - old_rates
-                new_rates = split_rates_array(
-                    vip.policy_name,
-                    k.sub_pool,
-                    vip.total_rate_rps,
-                    weights=k.weights,
-                    background_rps=background,
-                )
+                new_rates = k.fixed_point(k.law, vip.total_rate_rps, background_rps=background)
                 total[index] += new_rates - old_rates
                 contributions[vip_id] = (index, new_rates)
                 delta = float(np.max(np.abs(new_rates - old_rates))) if len(index) else 0.0
@@ -594,16 +581,22 @@ class Fleet:
             return kept
         if not healthy:
             raise ConfigurationError(f"VIP {vip_id!r}: no healthy DIPs")
+        split = _fluid_split(vip.policy_name)
+        if split is None:
+            raise ConfigurationError(f"no fluid model for policy {vip.policy_name!r}")
         index = np.array([index_of[d] for d in healthy], dtype=np.intp)
-        weights = np.array([vip.weights.get(d, 0.0) for d in healthy], dtype=np.float64)
-        if vip.policy_name in LOAD_DEPENDENT_POLICIES:
-            # Seeded with an equal split; refined by the fixed point.
-            rates = equal_split_array(len(healthy), vip.total_rate_rps)
-            return _Kept(
-                read, healthy, index_of, pool, index, rates, _subset(pool, index), weights
-            )
-        rates = static_split_array(vip.policy_name, len(healthy), vip.total_rate_rps, weights)
-        return _Kept(read, healthy, index_of, None, index, rates, None, None)
+        fixed_point = split.fixed_point
+        if split.weighted:
+            weights = np.array([vip.weights.get(d, 0.0) for d in healthy], dtype=np.float64)
+            if fixed_point is None:
+                rates = weighted_split_array(weights, vip.total_rate_rps)
+                return _Kept(read, healthy, index_of, None, index, rates, None, None)
+            fixed_point = partial(fixed_point, weights=weights)
+        # Equal, or a load-dependent VIP's seed (refined by the fixed point).
+        rates = equal_split_array(len(healthy), vip.total_rate_rps)
+        if fixed_point is None:
+            return _Kept(read, healthy, index_of, None, index, rates, None, None)
+        return _Kept(read, healthy, index_of, pool, index, rates, pool.law[index], fixed_point)
 
     def _evaluate(self, vip_id: VipId | None) -> None:
         """Evaluate after the fleet's own write to ``vip_id``'s weights or
@@ -618,8 +611,8 @@ class Fleet:
         evaluation since the last raise or membership change (so never
         with an lc/wlc/p2 VIP: the fixed point's stop test sums the whole
         fleet), a pool input or ``dips`` moved, the written VIP's healthy
-        set or policy changed, or a total is not finite — :meth:`apply`
-        runs instead.
+        set changed or its policy's split is not load-independent, or a
+        total is not finite — :meth:`apply` runs instead.
         """
         sums, last = self._sums, self._last_state
         if sums is None or self._seen_now() != self._seen:
@@ -631,10 +624,12 @@ class Fleet:
         vip = self.vips[vip_id]
         kept = self._kept.get(vip_id)
         healthy = vip.healthy_dip_ids()
+        split = _fluid_split(vip.policy_name)
         if (
             kept is None
             or healthy != kept.healthy
-            or vip.policy_name not in _STATIC_POLICIES
+            or split is None
+            or split.fixed_point is not None
         ):
             self.apply()
             return

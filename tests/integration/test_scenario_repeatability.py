@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.api import get_spec, run
+from repro.lb import policy_registry, policy_seed_kwargs
 
 #: Scaled-down parameters of each scenario.
 SCALED = {
@@ -37,8 +38,8 @@ TIMED = {
 }
 
 
-def artifact(name: str) -> tuple[dict, dict]:
-    spec = get_spec(name).with_overrides(SCALED[name])
+def artifact(name: str, **overrides) -> tuple[dict, dict]:
+    spec = get_spec(name).with_overrides({**SCALED[name], **overrides})
     document = json.loads(run(spec).to_json())
     return document, document.pop("provenance")
 
@@ -55,3 +56,16 @@ def test_two_runs_equal_outside_provenance(name):
         assert all(value > 0 for value in provenance["timings"].values())
     else:
         assert provenance["timings"] is None
+
+
+#: policies whose picks draw from a seeded generator.
+SEEDED = sorted(name for name in policy_registry() if policy_seed_kwargs(name))
+
+
+@pytest.mark.parametrize("policy", SEEDED)
+def test_the_crosscheck_seeds_every_stochastic_policy(policy):
+    # ``dns`` was left out of a hand-written list and drew from OS entropy.
+    assert "dns" in SEEDED
+    first, _ = artifact("request_vs_fluid_crosscheck", policy_name=policy)
+    second, _ = artifact("request_vs_fluid_crosscheck", policy_name=policy)
+    assert first == second

@@ -9,7 +9,8 @@ signature: ``walk``, ``smooth_wrr``, ``station_stats``, ``band_dp``,
 core DP) and ``probe_round`` (a KLM probe round: the per-DIP draws, then
 the latencies and their means as one array pass), and the scalar M/M/c/K
 law the probe round evaluates: ``erlang_c``, ``mean_latency`` and
-``drop_probability``.
+``drop_probability``, with ``mean_latencies``, the mean over a matrix of
+law rows.
 """
 
 from __future__ import annotations
@@ -527,6 +528,22 @@ def mean_latency(
     return service_time_ms + max_wait_ms
 
 
+def mean_latencies(law: np.ndarray, rates: np.ndarray, out: np.ndarray) -> None:
+    """Each law row's ``mean_latency`` at its rate in ``rates``, into
+    ``out``; ``inf`` for a down row (servers 0).  A negative (or NaN) rate
+    is refused, a down row's too."""
+    from repro.exceptions import ConfigurationError
+
+    for i, (row, rate) in enumerate(zip(law.tolist(), rates.tolist())):
+        servers, capacity, idle, max_queue, _drop_utilization, scv = row
+        if not rate >= 0:
+            raise ConfigurationError("rates must be >= 0")
+        if servers == 0:
+            out[i] = _INF
+        else:
+            out[i] = mean_latency(servers, capacity, idle, max_queue, rate, scv)
+
+
 def drop_probability(capacity_rps: float, drop_utilization: float, rate_rps: float) -> float:
     """``LatencyModel.drop_probability`` at ``rate_rps`` >= 0."""
     util = rate_rps / capacity_rps
@@ -544,7 +561,7 @@ def probe_round(
 ) -> tuple[list[float | None], list[int]]:
     """One probe batch of ``num_requests`` per row of ``params``
     (``servers, capacity_rps, idle_latency_ms, max_queue,
-    drop_utilization, rate_rps, scv_correction, jitter_fraction``): its mean
+    drop_utilization, scv_correction, rate_rps, jitter_fraction``): its mean
     latency (``None`` where the generator is ``None``: down; ``inf``: every
     request dropped) and its drop count.
 
@@ -562,7 +579,7 @@ def probe_round(
     for i, (row, rng) in enumerate(zip(params.tolist(), generators)):
         if rng is None:
             continue
-        servers, capacity, idle, max_queue, drop_utilization, rate, scv, jitter = row
+        servers, capacity, idle, max_queue, drop_utilization, scv, rate, jitter = row
         drop_p = drop_probability(capacity, drop_utilization, rate)
         drops = int(rng.binomial(num_requests, min(1.0, drop_p))) if drop_p else 0
         served = num_requests - drops

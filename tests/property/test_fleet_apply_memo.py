@@ -3,9 +3,10 @@
 ``Fleet.apply`` keeps its ``PoolArrays`` and each load-independent VIP's
 ``(index, rates)`` between calls and reuses them while the inputs they were
 computed from read the same.  ``reference_apply`` below is the evaluation it
-replaced, kept verbatim bar two lines: it reads ``fleet`` for ``self`` and
+replaced, kept verbatim bar two lines — it reads ``fleet`` for ``self`` and
 returns its :class:`FleetState` instead of pushing the rates and storing
-it.  A hypothesis sequence of mutations — through the fleet's entry points
+it — and bar the split: each VIP takes the one its policy's ``lb`` class
+declares (``fluid_split``), a fixed point over the pool's law rows.  A hypothesis sequence of mutations — through the fleet's entry points
 and by direct edits to DIPs, VIPs and the fleet's DIP order (through
 every mutator of ``fleet.dips``) followed by ``apply()`` — must leave
 the fleet bit-identical to a fresh oracle evaluation after every step: the
@@ -27,14 +28,16 @@ from hypothesis import strategies as st
 
 from repro.backends import DipServer, custom_vm_type
 from repro.exceptions import ConfigurationError
-from repro.sim.fleet import Fleet, FleetState, _subset
-from repro.sim.fluid import (
-    LOAD_DEPENDENT_POLICIES,
-    equal_split_array,
-    pool_arrays,
-    split_rates_array,
-    static_split_array,
-)
+from repro.lb.base import policy_description
+from repro.sim.fleet import Fleet, FleetState
+from repro.sim.fluid import equal_split_array, pool_arrays, weighted_split_array
+
+
+def fluid_split(policy_name: str):
+    split = getattr(policy_description(policy_name).factory, "fluid_split", None)
+    if split is None:
+        raise ConfigurationError(f"no fluid model for policy {policy_name!r}")
+    return split
 
 
 def reference_apply(self: Fleet) -> FleetState:
@@ -50,17 +53,18 @@ def reference_apply(self: Fleet) -> FleetState:
         if not healthy:
             raise ConfigurationError(f"VIP {vip_id!r}: no healthy DIPs")
         index = np.array([index_of[d] for d in healthy], dtype=np.intp)
-        if vip.policy_name in LOAD_DEPENDENT_POLICIES:
+        split = fluid_split(vip.policy_name)
+        if split.fixed_point is not None:
             # Seed with an equal split; refined by the fixed point below.
             rates = equal_split_array(len(healthy), vip.total_rate_rps)
             reactive.append(vip_id)
-        else:
+        elif split.weighted:
             weight_vec = np.array(
                 [vip.weights.get(d, 0.0) for d in healthy], dtype=np.float64
             )
-            rates = static_split_array(
-                vip.policy_name, len(healthy), vip.total_rate_rps, weight_vec
-            )
+            rates = weighted_split_array(weight_vec, vip.total_rate_rps)
+        else:
+            rates = equal_split_array(len(healthy), vip.total_rate_rps)
         contributions[vip_id] = (index, rates)
         total[index] += rates
 
@@ -69,18 +73,16 @@ def reference_apply(self: Fleet) -> FleetState:
         for vip_id in reactive:
             vip = self.vips[vip_id]
             index, old_rates = contributions[vip_id]
-            sub_pool = _subset(pool, index)
+            split = fluid_split(vip.policy_name)
             background = total[index] - old_rates
-            weight_vec = np.array(
-                [vip.weights.get(d, 0.0) for d in sub_pool.ids],
-                dtype=np.float64,
-            )
-            new_rates = split_rates_array(
-                vip.policy_name,
-                sub_pool,
-                vip.total_rate_rps,
-                weights=weight_vec,
-                background_rps=background,
+            weights = {}
+            if split.weighted:
+                weights["weights"] = np.array(
+                    [vip.weights.get(pool.ids[i], 0.0) for i in index],
+                    dtype=np.float64,
+                )
+            new_rates = split.fixed_point(
+                pool.law[index], vip.total_rate_rps, background_rps=background, **weights
             )
             total[index] += new_rates - old_rates
             contributions[vip_id] = (index, new_rates)

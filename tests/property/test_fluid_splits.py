@@ -4,24 +4,17 @@ Every split policy must conserve the total arrival rate (what goes into a
 VIP comes out across its DIPs) and never assign a negative rate, for any
 pool composition, weighting and load level.  The splits are taken the way a
 run takes them: a one-VIP fleet (:class:`FluidCluster`) applying its policy.
-The vectorized kernels must also agree with the scalar per-DIP latency model
-they replaced.
+The fleet's state must also agree with the scalar per-DIP latency model.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import DipServer, custom_vm_type
-from repro.sim.fluid import (
-    FluidCluster,
-    pool_arrays,
-    vector_mean_latency_ms,
-    vector_utilization,
-)
+from repro.sim.fluid import FluidCluster
 
 ALL_POLICIES = ("rr", "hash", "random", "wrr", "wrandom", "dns", "lc", "wlc", "p2")
 
@@ -99,20 +92,16 @@ class TestVectorizedKernelEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_vector_latency_matches_scalar_model(self, pool, load):
         dips, _ = pool
-        arrays = pool_arrays(dips)
-        rates = np.array([load * s.capacity_rps for s in dips.values()])
-        vectorized = vector_mean_latency_ms(arrays, rates)
-        for index, server in enumerate(dips.values()):
-            scalar = server.latency_model.mean_latency_ms(float(rates[index]))
-            assert vectorized[index] == pytest.approx(scalar, rel=1e-12)
+        total = load * sum(s.capacity_rps for s in dips.values())
+        vectorized = FluidCluster(dips, total, policy_name="rr").state().mean_latency_ms
+        for dip, server in dips.items():
+            assert vectorized[dip].hex() == server.mean_latency_ms.hex()
 
     @given(pool=pools(), load=st.floats(min_value=0.0, max_value=2.0))
     @settings(max_examples=40, deadline=None)
     def test_vector_utilization_matches_scalar_model(self, pool, load):
         dips, _ = pool
-        arrays = pool_arrays(dips)
-        rates = np.array([load * s.capacity_rps for s in dips.values()])
-        vectorized = vector_utilization(arrays, rates)
-        for index, server in enumerate(dips.values()):
-            scalar = server.latency_model.utilization(float(rates[index]))
-            assert vectorized[index] == pytest.approx(scalar, rel=1e-12)
+        total = load * sum(s.capacity_rps for s in dips.values())
+        vectorized = FluidCluster(dips, total, policy_name="rr").state().utilization
+        for dip, server in dips.items():
+            assert vectorized[dip].hex() == server.cpu_utilization.hex()

@@ -1,13 +1,15 @@
 """The M/M/c/K latency model: the scalar and the vector mean, and drops.
 
-A probe round evaluates the scalar law per DIP in the compiled kernels
-(which ``LatencyModel.mean_latency_ms`` / ``drop_probability`` and
-``erlang_c`` call too), while ``Fleet`` state reads
-``vector_mean_latency_ms``; the two must be one model, element for element
-and bit for bit, below and past the 0.99·capacity switch, at rate 0, with a
-workload correction and on antagonist-scaled models.  The compiled law is
-held to its Python body in ``tests/oracles/kernels.py`` bit for bit at the
-edges of every branch.
+The law is written once, in the compiled kernels.  A probe round evaluates
+it per DIP (``LatencyModel.mean_latency_ms`` / ``drop_probability`` and
+``erlang_c`` call it too); ``Fleet`` state and the least-connection fixed
+point evaluate whole pools of law rows in one ``kernels.mean_latencies``
+call.  Both are held to the Python bodies in ``tests/oracles/kernels.py``
+bit for bit at the edges of every branch: rate 0, both sides of the
+0.999·capacity switch, past capacity, 1 to 64 servers, a workload
+correction, near-zero load (where the Erlang-B recursion's 1/B overflows)
+and down DIPs; and the pool rows ``pool_arrays`` builds give the scalar
+model's means on antagonist-scaled models.
 
 ``drop_probability`` is pinned, not fixed: it is not monotone at capacity
 (strict xfail below), so Algorithm 1's drop signal weakens just past it.
@@ -21,16 +23,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import kernels as reference
 
+from repro import kernels
 from repro.backends import DipServer, custom_vm_type
 from repro.backends.latency_model import LatencyModel, erlang_c
 from repro.exceptions import ConfigurationError
-from repro.sim.fluid import pool_arrays, vector_mean_latency_ms
+from repro.sim import FluidCluster
+from repro.sim.fluid import pool_arrays
 
-servers = st.integers(1, 16)
+servers = st.integers(1, 64)
 capacities = st.floats(50.0, 20_000.0)
-#: load as a fraction of capacity: 0, across the 0.999 switch, and past 1.
+#: load as a fraction of capacity: 0, near 0 (1/B overflows), across the
+#: 0.999 switch, and past 1.
 loads = st.one_of(
     st.just(0.0),
+    st.floats(5e-324, 1e-250),
     st.floats(0.0, 0.998),
     st.floats(0.9985, 0.9995),
     st.sampled_from([0.999, np.nextafter(0.999, 0.0), np.nextafter(0.999, 1.0)]),
@@ -58,12 +64,88 @@ def test_scalar_and_vector_means_are_one_model(dips):
             server.set_capacity_ratio(factor)
         fleet[server.dip_id] = server
         rates.append(load * server.capacity_rps)
-    vector = vector_mean_latency_ms(pool_arrays(fleet), np.array(rates)).tolist()
+    vector = np.empty(len(rates))
+    kernels.mean_latencies(pool_arrays(fleet).law, np.array(rates), vector)
     scalar = [
         server.latency_model.mean_latency_ms(rate, scv_correction=server.scv_correction)
         for server, rate in zip(fleet.values(), rates)
     ]
     assert [float(v).hex() for v in vector] == [float(v).hex() for v in scalar]
+
+
+def law_rows(dips: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Law rows and rates of ``(servers, capacity, load, correction,
+    down)`` tuples: a down DIP's row is zeros."""
+    rows, rates = [], []
+    for cores, capacity, load, correction, down in dips:
+        model = LatencyModel(
+            servers=cores, capacity_rps=capacity, idle_latency_ms=cores * 1000.0 / capacity
+        )
+        rows.append((0.0,) * kernels.LAW if down else (*model.law, correction))
+        rates.append(load * capacity)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), kernels.LAW), np.array(rates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(servers, capacities, loads, corrections, st.booleans()), max_size=12
+    )
+)
+@example([(64, 1000.0, 1e-300, 1.0, False), (64, 1000.0, 5e-324, 2.5, False)])
+@example([(c, 1000.0, 0.999, 1.0, c % 2 == 0) for c in range(1, 9)])
+@example([(4, 1000.0, float(np.nextafter(0.999, 0.0)), 3.0, False), (4, 1000.0, 2.0, 1.0, True)])
+def test_the_compiled_vector_law_is_the_python_law(dips):
+    law, rates = law_rows(dips)
+    ours, theirs = np.empty(len(dips)), np.empty(len(dips))
+    kernels.mean_latencies(law, rates, ours)
+    reference.mean_latencies(law, rates, theirs)
+    assert [v.hex() for v in ours.tolist()] == [v.hex() for v in theirs.tolist()]
+    assert all(v == np.inf for v, (*_, down) in zip(ours.tolist(), dips) if down)
+
+
+def test_the_compiled_vector_law_refuses_what_it_cannot_read():
+    mean_latencies = kernels._compiled().mean_latencies
+    law, rates = law_rows([(2, 800.0, 0.5, 1.0, False), (2, 800.0, 0.0, 1.0, True)])
+    assert mean_latencies(law[:0], rates[:0], np.empty(0)) is None
+    read_only = np.empty(2)
+    read_only.flags.writeable = False
+    outside = law.copy()
+    outside[0, 0] = 2.5  # servers
+    for at, bad, error, match in (
+        (0, law.astype(np.float32), TypeError, "float64"),
+        (0, law.reshape(-1), ValueError, "one row of 6"),
+        (0, np.ones((2, 5)), ValueError, "one row of 6"),
+        (0, np.ones((3, 6)), ValueError, "one row of 6"),
+        (1, np.ones(3), ValueError, "one row of 6"),
+        (2, np.empty(3), ValueError, "one row of 6"),
+        (0, np.ones((2, 12))[:, ::2], ValueError, "contiguous"),
+        (1, np.ones(4)[::2], ValueError, "contiguous"),
+        (2, np.empty(4)[::2], ValueError, "contiguous"),
+        (2, read_only, ValueError, "read-only"),
+        (0, outside, ValueError, "row 0 is outside"),
+    ):
+        call = [law, rates, np.empty(2)]
+        call[at] = bad
+        with pytest.raises(error, match=match):
+            mean_latencies(*call)
+
+
+def test_a_negative_rate_is_a_configuration_error():
+    law, rates = law_rows([(2, 800.0, 0.5, 1.0, False), (2, 800.0, 0.0, 1.0, True)])
+    for body in (kernels.mean_latencies, reference.mean_latencies):
+        for bad in (-1.0, float("nan")):
+            for at in (0, 1):  # a down DIP's rate is checked too
+                call = rates.copy()
+                call[at] = bad
+                with pytest.raises(ConfigurationError, match="rates must be >= 0"):
+                    body(law, call, np.empty(2))
+    # What the fleet's lc fixed point meets after a direct edit of a rate.
+    vm = custom_vm_type("vm", vcpus=2, capacity_rps=800.0)
+    cluster = FluidCluster({"d": DipServer("d", vm, seed=0)}, 100.0, policy_name="lc")
+    cluster.fleet.vips["vip"].total_rate_rps = -5.0
+    with pytest.raises(ConfigurationError, match="rates must be >= 0"):
+        cluster.apply()
 
 
 @pytest.mark.xfail(

@@ -243,14 +243,14 @@ def test_a_down_dip_builds_no_generator():
 
 def round_call(rows=2):
     """A valid ``probe_round`` argument list for ``rows`` live DIPs."""
-    row = [2.0, 800.0, 2.5, 64.0, 0.95, 400.0, 1.0, 0.08]
+    row = [2.0, 800.0, 2.5, 64.0, 0.95, 1.0, 400.0, 0.08]
     return [np.array([row] * rows), [np.random.default_rng(i) for i in range(rows)], 10]
 
 
 def test_the_compiled_round_refuses_what_it_cannot_read():
     probe_round = kernels._compiled().probe_round
     assert probe_round(*round_call(rows=0)) == ([], [])
-    outside = np.array([[2.0, 800.0, 2.5, 64.0, 0.95, -1.0, 1.0, 0.08]] * 2)
+    outside = np.array([[2.0, 800.0, 2.5, 64.0, 0.95, 1.0, -1.0, 0.08]] * 2)
     for at, bad, error, match in (
         (0, np.ones((2, 8), dtype=np.float32), TypeError, "float64"),
         (0, np.ones((2, 7)), ValueError, "one row of 8"),

@@ -15,12 +15,8 @@ from repro.core import FleetController, VipPhase
 from repro.core.scheduler import MeasurementPriority, MeasurementScheduler
 from repro.exceptions import ConfigurationError
 from repro.sim import Fleet, FluidCluster
-from repro.sim.fluid import (
-    pool_arrays,
-    vector_mean_latency_ms,
-    vector_utilization,
-    weighted_split_array,
-)
+from repro.lb.least_connection import least_connection_split_array
+from repro.sim.fluid import pool_arrays, weighted_split_array
 from repro.workloads import build_shared_dip_fleet, build_testbed_cluster
 
 
@@ -184,12 +180,10 @@ def eager_snapshot(fleet):
     """The snapshot every ``apply`` used to build, recomputed on the spot.
 
     Reference for the lazy :class:`FleetState`: the per-DIP dicts of the
-    former ``Fleet._state_from``, from the rates the servers hold now.
+    former ``Fleet._state_from``, from the rates the servers hold now and
+    each server's scalar law.
     """
-    pool = pool_arrays(fleet.dips)
-    total = np.array([s.offered_rate_rps for s in fleet.dips.values()])
-    latency = vector_mean_latency_ms(pool, total)
-    utilization = np.minimum(1.0, vector_utilization(pool, total))
+    servers = fleet.dips
     per_vip = {}
     for vip_id, vip in fleet.vips.items():
         healthy = vip.healthy_dip_ids()
@@ -204,14 +198,10 @@ def eager_snapshot(fleet):
         per_vip[vip_id] = {d: float(r) for d, r in zip(healthy, rates)}
     return {
         "time": fleet.time,
-        "total_rates_rps": {d: float(r) for d, r in zip(pool.ids, total)},
-        "utilization": {
-            d: (0.0 if failed else float(u))
-            for d, u, failed in zip(pool.ids, utilization, pool.failed)
-        },
+        "total_rates_rps": {d: s.offered_rate_rps for d, s in servers.items()},
+        "utilization": {d: s.cpu_utilization for d, s in servers.items()},
         "mean_latency_ms": {
-            d: (float("inf") if failed else float(ms))
-            for d, ms, failed in zip(pool.ids, latency, pool.failed)
+            d: (float("inf") if s.failed else s.mean_latency_ms) for d, s in servers.items()
         },
         "per_vip_rates": per_vip,
     }
@@ -274,6 +264,45 @@ class TestLazyFleetState:
         rows = state.dip_summaries()
         assert rows["d3"]["vips"] == 3.0
         assert rows["d0"]["rate_rps"] == state.total_rates_rps["d0"]
+
+
+def corrected_dips(scv: float) -> dict:
+    """Three unlike DIPs serving a workload of correction ``scv``."""
+    dips = {}
+    for i, (cores, capacity) in enumerate([(1, 800.0), (4, 2000.0), (8, 3000.0)]):
+        vm = custom_vm_type(f"vm{i}", vcpus=cores, capacity_rps=capacity)
+        dips[f"d{i}"] = DipServer(f"d{i}", vm, seed=i, scv_correction=scv)
+    return dips
+
+
+class TestTheFixedPointSeesTheWorkloadCorrection:
+    """An lc / wlc VIP's fixed point runs on its DIPs' law rows, workload
+    correction included, as the state that reports their latency does."""
+
+    WEIGHTS = {"d0": 1.0, "d1": 2.0, "d2": 3.0}
+
+    def split(self, policy: str, scv: float) -> list[str]:
+        cluster = FluidCluster(
+            corrected_dips(scv), 4080.0, policy_name=policy, weights=self.WEIGHTS
+        )
+        return [rate.hex() for rate in cluster.state().per_vip_rates["vip"].values()]
+
+    @pytest.mark.parametrize("policy", ["lc", "wlc"])
+    def test_the_split_is_the_whole_pool_fixed_point(self, policy):
+        weights = np.array(list(self.WEIGHTS.values())) if policy == "wlc" else None
+        law = pool_arrays(corrected_dips(3.0)).law
+        direct = least_connection_split_array(law, 4080.0, weights=weights)
+        assert self.split(policy, 3.0) == [rate.hex() for rate in direct.tolist()]
+        assert self.split(policy, 3.0) != self.split(policy, 1.0)
+
+    def test_the_lc_split_is_pinned(self):
+        # {438.0, 1621.2, 2020.7} rps; dropping the correction gave the
+        # scv = 1 split {503.8, 1712.0, 1864.2}.
+        assert self.split("lc", 3.0) == [
+            "0x1.b605e522337e4p+8",
+            "0x1.954f12558bb79p+10",
+            "0x1.f92f7461e768dp+10",
+        ]
 
 
 class TestFluidClusterIsOneVipFleet:

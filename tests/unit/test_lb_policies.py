@@ -7,6 +7,7 @@ import collections
 import numpy as np
 import pytest
 
+from repro.backends import DipServer, custom_vm_type
 from repro.exceptions import ConfigurationError
 from repro.lb import (
     AzureLBSim,
@@ -29,9 +30,16 @@ from repro.lb import (
     policy_registry,
     stable_hash,
 )
-from repro.lb.base import effective_weights
+from repro.lb import base as lb_base
+from repro.lb.base import FluidSplit, effective_weights
+from repro.sim import Fleet
 
 DIPS = ["a", "b", "c"]
+
+
+def make_fluid_dips(n: int) -> dict:
+    vm = custom_vm_type("vm", vcpus=2, capacity_rps=400.0)
+    return {f"d{i}": DipServer(f"d{i}", vm, seed=i) for i in range(n)}
 
 
 def flows(n: int):
@@ -106,6 +114,29 @@ class TestEveryRegisteredPolicy:
         with pytest.raises(ConfigurationError, match="already present"):
             policy.add_dip("a")
         assert policy.dips == ("a", "b") and policy.healthy_dips == ("a", "b")
+
+    @pytest.mark.parametrize("name", sorted(policy_registry()))
+    def test_every_policy_declares_a_fluid_split(self, name):
+        entry = policy_registry()[name]
+        split = entry.factory.fluid_split
+        assert isinstance(split, FluidSplit)
+        assert split.weighted == entry.weighted  # it reads the weights it takes
+        fixed_point = {"lc", "wlc", "p2"}
+        assert (split.fixed_point is not None) == (name in fixed_point)
+
+    def test_a_policy_without_a_fluid_split_is_refused_by_the_fleet(self, monkeypatch):
+        # A copy with every built-in loaded, so nothing registers into it.
+        monkeypatch.setattr(lb_base, "_REGISTRY", lb_base.policy_registry())
+
+        class Novel(RoundRobin):
+            name = "novel"
+            fluid_split = None
+
+        lb_base.register_policy("novel", Novel, weighted=False)
+        fleet = Fleet(make_fluid_dips(2))
+        fleet.create_vip("v", dip_ids=["d0", "d1"], total_rate_rps=100.0, policy_name="novel")
+        with pytest.raises(ConfigurationError, match="no fluid model for policy 'novel'"):
+            fleet.apply()
 
     def test_only_queue_blind_policies_declare_themselves_replayable(self):
         replayable = {

@@ -19,14 +19,9 @@ from repro.sim import (
     max_latency_gain,
 )
 from repro.sim.client import ClientPool
-from repro.sim.fluid import (
-    equal_split_array,
-    least_connection_split_array,
-    pool_arrays,
-    power_of_two_split_array,
-    split_rates_array,
-    weighted_split_array,
-)
+from repro.lb.least_connection import least_connection_split_array
+from repro.lb.power_of_two import power_of_two_split_array
+from repro.sim.fluid import equal_split_array, pool_arrays, weighted_split_array
 
 
 def make_dips(capacities, seed=0, cores=1):
@@ -180,36 +175,37 @@ class TestFluidSplits:
         """
         dips = make_dips([400.0, 400.0])
         dips["d1"].set_capacity_ratio(0.6)
-        rates = least_connection_split_array(pool_arrays(dips), 0.7 * (400 + 240))
+        rates = least_connection_split_array(pool_arrays(dips).law, 0.7 * (400 + 240))
         assert rates[1] < rates[0]
         assert rates.sum() == pytest.approx(0.7 * 640, rel=1e-6)
 
     def test_least_connection_conserves_traffic(self):
         dips = make_dips([400.0, 800.0, 1200.0])
-        rates = least_connection_split_array(pool_arrays(dips), 1000.0)
+        rates = least_connection_split_array(pool_arrays(dips).law, 1000.0)
         assert rates.sum() == pytest.approx(1000.0, rel=1e-6)
 
     def test_power_of_two_conserves_traffic(self):
         dips = make_dips([400.0, 800.0])
-        rates = power_of_two_split_array(pool_arrays(dips), 600.0)
+        rates = power_of_two_split_array(pool_arrays(dips).law, 600.0)
         assert rates.sum() == pytest.approx(600.0, rel=1e-6)
 
     def test_power_of_two_favours_big_dip(self):
         dips = make_dips([400.0, 1200.0])
-        rates = power_of_two_split_array(pool_arrays(dips), 800.0)
+        rates = power_of_two_split_array(pool_arrays(dips).law, 800.0)
         assert rates[1] > rates[0]
 
     def test_split_for_policy_dispatch(self):
-        pool = pool_arrays(make_dips([400.0, 400.0]))
         for policy in ("rr", "hash", "random"):
-            rates = split_rates_array(policy, pool, 100.0)
-            assert rates[0] == pytest.approx(50.0)
-        rates = split_rates_array("wrr", pool, 100.0, weights=np.array([0.9, 0.1]))
-        assert rates[0] == pytest.approx(90.0)
+            cluster = FluidCluster(make_dips([400.0, 400.0]), 100.0, policy_name=policy)
+            assert cluster.state().total_rates_rps["d0"] == pytest.approx(50.0)
+        cluster = FluidCluster(
+            make_dips([400.0, 400.0]), 100.0, weights={"d0": 0.9, "d1": 0.1}
+        )
+        assert cluster.state().total_rates_rps["d0"] == pytest.approx(90.0)
 
     def test_split_unknown_policy(self):
-        with pytest.raises(ConfigurationError):
-            split_rates_array("bogus", pool_arrays(make_dips([400.0])), 100.0)
+        with pytest.raises(ConfigurationError, match="no fluid model for policy 'bogus'"):
+            FluidCluster(make_dips([400.0]), 100.0, policy_name="bogus")
 
 
 class TestFluidCluster:

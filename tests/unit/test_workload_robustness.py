@@ -35,7 +35,7 @@ from repro.api.spec import (
 from repro.backends import DipServer, custom_vm_type
 from repro.backends.latency_model import LatencyModel
 from repro.exceptions import ConfigurationError
-from repro.sim.fluid import pool_arrays, vector_mean_latency_ms
+from repro.sim.fluid import FluidCluster
 from repro.workloads.divergence import (
     MAX_CORRECTION,
     arrival_scv,
@@ -186,11 +186,11 @@ class TestDivergenceModel:
             f"d{i}": DipServer(f"d{i}", vm, jitter_fraction=0.0)
             for i in range(3)
         }
-        rates = np.array([600.0, 600.0, 600.0])
-        base = vector_mean_latency_ms(pool_arrays(dips), rates)
+        cluster = FluidCluster(dips, 1800.0, policy_name="rr")
+        base = np.array(list(cluster.state().mean_latency_ms.values()))
         for dip in dips.values():
             dip.scv_correction = 3.0
-        corrected = vector_mean_latency_ms(pool_arrays(dips), rates)
+        corrected = np.array(list(cluster.apply().mean_latency_ms.values()))
         assert (corrected > base).all()
 
 
