@@ -16,22 +16,6 @@ from dataclasses import dataclass, field
 from repro.exceptions import ConfigurationError
 
 
-class PoolWrites:
-    """Writes, in this process, to the fields a fleet's per-DIP arrays
-    (``sim.fluid.pool_arrays``) are built from, counted by write hooks on
-    ``DipServer`` and ``Antagonist`` so that reads cost nothing: a fleet
-    that saw the same count need not re-read them.  A field that
-    ``pool_arrays`` starts to read must be added here
-    (``tests/property/test_fleet_apply_edits.py`` derives them)."""
-
-    count = 0
-    #: the ``DipServer`` fields ``pool_arrays`` reads (``antagonist``
-    #: through its latency model).
-    DIP_FIELDS = frozenset({"failed", "scv_correction", "antagonist"})
-    #: the ``Antagonist`` fields its capacity factor is computed from.
-    ANTAGONIST_FIELDS = frozenset({"per_copy_loss", "copies", "capacity_override"})
-
-
 @dataclass
 class Antagonist:
     """A configurable capacity-stealing co-located workload.
@@ -48,11 +32,6 @@ class Antagonist:
     capacity_override: float | None = None
     #: history of (time, factor) changes, for traceability in experiments.
     history: list[tuple[float, float]] = field(default_factory=list)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        object.__setattr__(self, name, value)
-        if name in PoolWrites.ANTAGONIST_FIELDS:
-            PoolWrites.count += 1
 
     def __post_init__(self) -> None:
         if not 0 < self.per_copy_loss < 1:

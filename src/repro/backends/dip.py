@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro import kernels
-from repro.backends.antagonist import Antagonist, PoolWrites
+from repro.backends.antagonist import Antagonist
 from repro.backends.latency_model import LatencyModel, scaled_model
 from repro.backends.vm_types import VMType
 from repro.exceptions import ConfigurationError
@@ -60,11 +60,6 @@ class DipServer:
     #: 1.0 is the exact M/M/c baseline.  Runners stamp this from the
     #: workload spec so analytic latencies track non-Poisson traffic.
     scv_correction: float = 1.0
-
-    def __setattr__(self, name: str, value: object) -> None:
-        object.__setattr__(self, name, value)
-        if name in PoolWrites.DIP_FIELDS:
-            PoolWrites.count += 1
 
     def __post_init__(self) -> None:
         if self.jitter_fraction < 0:
@@ -197,7 +192,6 @@ def serve_probe_round(
 
 def push_offered_rates(servers: Iterable[DipServer], rates: Iterable[float]) -> None:
     """Set each server's offered rate, every rate already checked finite
-    and >= 0 (what :meth:`DipServer.set_offered_rate` checks one by one).
-    The rate is no pool input, so the write goes past the write hook."""
+    and >= 0 (what :meth:`DipServer.set_offered_rate` checks one by one)."""
     for server, rate in zip(servers, rates):
-        server.__dict__["offered_rate_rps"] = rate
+        server.offered_rate_rps = rate

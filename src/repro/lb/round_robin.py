@@ -13,6 +13,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from repro import kernels
 from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
 from repro.lb.base import (
@@ -90,8 +91,6 @@ def smooth_wrr_picks(
     :class:`WeightedRoundRobin` and the epoch engine's ``_SmoothWrrRouter``
     both pick through it.
     """
-    from repro import kernels  # here: an analytic run imports this module, never picks
-
     picks = np.empty(count, dtype=np.int32)
     kernels.smooth_wrr(current, w, total, picks, count)
     return picks
@@ -144,8 +143,6 @@ class WeightedRoundRobin(Policy):
         self._current.clear()
 
     def _build_plan(self) -> tuple:
-        from repro import kernels  # as in smooth_wrr_picks
-
         ids, weights = self._candidate_weights()
         w, total = smooth_wrr_weights(weights)
         current = np.array([self._current.get(dip, 0.0) for dip in ids])

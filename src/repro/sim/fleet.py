@@ -25,16 +25,13 @@ included.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from functools import cached_property, partial
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from repro import kernels
-from repro.backends.antagonist import PoolWrites
 from repro.backends.dip import DipServer, push_offered_rates
 from repro.core.types import DipId, VipId, left_to_right_sum
 from repro.exceptions import ConfigurationError
@@ -53,90 +50,18 @@ def _fluid_split(policy_name: str) -> FluidSplit | None:
     return getattr(factory, "fluid_split", None)
 
 
-def _read(vip: Vip) -> tuple[tuple, tuple]:
-    """What a VIP's split is computed from: the ids of its DIPs and
-    weights, and the objects its rate, policy, servers and weights are."""
-    return (
-        (tuple(vip.dips), tuple(vip.weights)),
-        (vip.total_rate_rps, vip.policy_name, *vip.dips.values(), *vip.weights.values()),
-    )
-
-
-def _same(read: tuple[tuple, tuple], kept: tuple[tuple, tuple] | None) -> bool:
-    """Whether two reads agree: equal ids, and the very same objects.  By
-    identity, since 0.0 and -0.0 are equal yet split to rates of different
-    sign, and a value no one has rebound is the same object."""
-    return (
-        kept is not None
-        and read[0] == kept[0]
-        and all(map(operator.is_, read[1], kept[1]))
-    )
-
-
-#: versions of :class:`FleetDips`, unique in the process.
-_VERSIONS = itertools.count(1)
-
-
-class FleetDips(dict):
-    """:attr:`Fleet.dips`: a dict whose every write takes a new
-    :attr:`version`, unique in the process, so an evaluation sees that the
-    fleet still holds the same servers under the same ids, in the same
-    order, without a pass over them."""
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.version = next(_VERSIONS)
-
-    def __reduce__(self) -> tuple:
-        # A copy is a new mapping, with a version of its own.
-        return FleetDips, (dict(self),)
-
-    def __setitem__(self, key: DipId, value: DipServer) -> None:
-        super().__setitem__(key, value)
-        self.version = next(_VERSIONS)
-
-    def __delitem__(self, key: DipId) -> None:
-        super().__delitem__(key)
-        self.version = next(_VERSIONS)
-
-    def __ior__(self, other: Any) -> "FleetDips":
-        super().__ior__(other)
-        self.version = next(_VERSIONS)
-        return self
-
-    def pop(self, *args: Any) -> Any:
-        value = super().pop(*args)
-        self.version = next(_VERSIONS)
-        return value
-
-    def popitem(self) -> tuple[DipId, DipServer]:
-        item = super().popitem()
-        self.version = next(_VERSIONS)
-        return item
-
-    def clear(self) -> None:
-        super().clear()
-        self.version = next(_VERSIONS)
-
-    def update(self, *args: Any, **kwargs: Any) -> None:
-        super().update(*args, **kwargs)
-        self.version = next(_VERSIONS)
-
-    def setdefault(self, key: DipId, default: Any = None) -> Any:
-        value = super().setdefault(key, default)
-        self.version = next(_VERSIONS)
-        return value
+#: rounds of the load-dependent VIPs' outer fixed point, at most, and the
+#: largest change of one VIP's rates, relative to the fleet's total rate
+#: (at least 1), at which it stops.
+_CONTENTION_ITERATIONS = 12
+_CONTENTION_TOLERANCE = 1e-6
 
 
 class _Kept(NamedTuple):
-    """One VIP's evaluation inputs, the :func:`_read` they were computed
-    from, and the fleet's ``index_of`` (and, for a load-dependent VIP, its
-    ``pool``) they index."""
+    """One VIP's evaluation inputs: its healthy DIPs and their positions in
+    the pool."""
 
-    read: tuple[tuple, tuple]
     healthy: tuple[DipId, ...]
-    index_of: dict[DipId, int]
-    pool: PoolArrays | None
     index: np.ndarray
     #: the split, or a load-dependent VIP's equal-split seed.
     rates: np.ndarray
@@ -201,10 +126,10 @@ class FleetState:
     """The whole fleet after one joint evaluation.
 
     A lazy view: it keeps the evaluation's arrays (nothing writes to them
-    once built — later evaluations may hand on a kept pool, split or
-    ``total``, but build or copy any array they change — so the view stays
-    that of its own evaluation) and builds each dict — and the latency pass
-    behind ``mean_latency_ms`` — on first read.
+    once built — an incremental write hands the last state's pool, the
+    other VIPs' splits or ``total`` on, but copies any array it changes —
+    so the view stays that of its own evaluation) and builds each dict —
+    and the latency pass behind ``mean_latency_ms`` — on first read.
     """
 
     def __init__(
@@ -324,9 +249,13 @@ class Fleet:
     current.  The membership and DIP writers run the full evaluation,
     :meth:`apply`; ``set_weights``, ``set_total_rate`` / ``scale_traffic``
     and ``advance`` evaluate incrementally, at the cost of the written VIP's
-    DIPs (see :meth:`_evaluate`).  They take every other VIP as the last
-    evaluation left it, so a caller that edits a DIP, a VIP or their dicts
-    directly calls :meth:`apply` afterwards.
+    DIPs (see :meth:`_evaluate`).
+
+    The fleet's writers are the only ones an evaluation follows.  A caller
+    that edits a DIP, an antagonist, a VIP or their dicts directly (``dips``
+    and ``vips`` included) calls :meth:`apply` afterwards: until then the
+    incremental writers take every DIP, and every VIP they do not write, as
+    the last evaluation left them.
     """
 
     def __init__(
@@ -334,38 +263,18 @@ class Fleet:
         dips: Mapping[DipId, DipServer] | None = None,
         *,
         start_time: float = 0.0,
-        contention_iterations: int = 12,
-        contention_tolerance: float = 1e-6,
     ) -> None:
-        if contention_iterations < 1:
-            raise ConfigurationError("contention_iterations must be >= 1")
-        self.dips = dips or {}
+        self.dips: dict[DipId, DipServer] = dict(dips or {})
         self.vips: dict[VipId, Vip] = {}
         self.time = float(start_time)
-        self.contention_iterations = contention_iterations
-        self.contention_tolerance = contention_tolerance
         self._last_state: FleetState | None = None
-        # What apply() keeps between evaluations; see apply and _inputs.
-        self._pool: PoolArrays | None = None
+        #: the last full evaluation's id → pool position map and VIP inputs.
         self._index_of: dict[DipId, int] = {}
         self._kept: dict[VipId, _Kept] = {}
-        #: (PoolWrites.count, dips.version) at the last evaluation that
-        #: finished.
-        self._seen: tuple[int, int] | None = None
         #: how the last evaluation summed, while a write may re-sum one VIP.
         self._sums: _Sums | None = None
 
     # -- membership --------------------------------------------------------------
-
-    @property
-    def dips(self) -> FleetDips:
-        """The fleet's servers by id.  Edit it in place or assign a mapping
-        (which is copied); either way the next :meth:`apply` sees it."""
-        return self._dips
-
-    @dips.setter
-    def dips(self, dips: Mapping[DipId, DipServer]) -> None:
-        self._dips = FleetDips(dips)
 
     def add_dip(self, server: DipServer) -> None:
         if server.dip_id in self.dips:
@@ -478,40 +387,18 @@ class Fleet:
         converge.  The rates reach the servers before this returns; the
         returned :class:`FleetState` builds the rest on first read.
 
-        This is the full evaluation: it re-reads every DIP and VIP, so a
-        caller that edits a DIP, an antagonist, a VIP or any of their dicts
-        directly calls it afterwards.  The fleet's own weight, rate and clock
-        writers evaluate incrementally instead (see :meth:`_evaluate`).
-
-        What an evaluation is computed from is kept between calls.  The
-        pool's arrays (and the id → position map, while the ids hold) are
-        rebuilt only after a write to some DIP's pool inputs (counted by
-        :class:`~repro.backends.antagonist.PoolWrites`) or when ``dips``
-        no longer holds the same servers under the same ids.  Each VIP's
-        split (or, load-dependent, its index, law rows and fixed point) is
-        reused while its :func:`_read` is the same and, after a pool
-        rebuild, its healthy DIPs, their positions and the pool are.
-        ``total`` is re-accumulated from the splits on every call and the
-        fixed point always runs, so the result is bit-identical to a full
-        evaluation without the memo.
+        This is the full evaluation: it re-reads every DIP and VIP, so it is
+        what a caller runs after a direct edit (see :class:`Fleet`).  The
+        fleet's own weight, rate and clock writers evaluate incrementally
+        instead (see :meth:`_evaluate`).
         """
         self._sums = None
-        seen = self._seen_now()
-        recheck = seen != self._seen
-        if recheck:
-            pool = pool_arrays(self.dips)
-            if self._pool is None or pool.ids != self._pool.ids:
-                self._index_of = {dip: i for i, dip in enumerate(pool.ids)}
-            self._pool = pool
-        pool, index_of = self._pool, self._index_of
-        kept: dict[VipId, _Kept] = {}
-        for vip_id, vip in self.vips.items():
-            read = _read(vip)
-            k = self._kept.get(vip_id)
-            if recheck or k is None or not _same(read, k.read):
-                k = self._inputs(vip_id, vip, read, vip.healthy_dip_ids(), pool, index_of, k)
-            kept[vip_id] = k
-        self._kept = kept
+        pool = pool_arrays(self.dips)
+        self._index_of = index_of = {dip: i for i, dip in enumerate(pool.ids)}
+        kept = self._kept = {
+            vip_id: self._inputs(vip_id, vip, vip.healthy_dip_ids(), pool, index_of)
+            for vip_id, vip in self.vips.items()
+        }
         contributions = {vip_id: (k.index, k.rates) for vip_id, k in kept.items()}
         # Per DIP, 0.0 plus each VIP's rate in VIP order: one bincount.
         total = np.zeros(pool.size)
@@ -523,7 +410,7 @@ class Fleet:
             (vip_id, self.vips[vip_id], k) for vip_id, k in kept.items() if k.law is not None
         ]
 
-        for _ in range(self.contention_iterations if reactive else 0):
+        for _ in range(_CONTENTION_ITERATIONS if reactive else 0):
             max_delta = 0.0
             for vip_id, vip, k in reactive:
                 index = k.index
@@ -535,19 +422,18 @@ class Fleet:
                 delta = float(np.max(np.abs(new_rates - old_rates))) if len(index) else 0.0
                 max_delta = max(max_delta, delta)
             scale = max(1.0, float(total.sum()))
-            if max_delta < self.contention_tolerance * scale:
+            if max_delta < _CONTENTION_TOLERANCE * scale:
                 break
 
         # KLM reads the servers directly, so the rates are pushed eagerly;
         # everything else about the evaluation waits in the lazy state.
         rates = total.tolist()
-        servers = tuple(self._dips.values())
+        servers = tuple(self.dips.values())
         if ((total >= 0.0) & (total < math.inf)).all():
             push_offered_rates(servers, rates)
         else:
             for server, rate in zip(servers, rates):
                 server.set_offered_rate(rate)  # refuses the first bad rate
-        self._seen = seen
         if kept and not reactive:
             ends = np.cumsum([len(k.index) for k in kept.values()]).tolist()
             span = {v: slice(e - len(k.index), e) for (v, k), e in zip(kept.items(), ends)}
@@ -555,30 +441,16 @@ class Fleet:
         self._last_state = FleetState(self.time, pool, total, contributions)
         return self._last_state
 
-    def _seen_now(self) -> tuple[int, int]:
-        """What the pool's arrays are read from, as ``_seen`` keeps it: the
-        pool-input writes so far and which servers ``dips`` holds."""
-        return PoolWrites.count, self._dips.version
-
     def _inputs(
         self,
         vip_id: VipId,
         vip: Vip,
-        read: tuple[tuple, tuple],
         healthy: tuple[DipId, ...],
         pool: PoolArrays,
         index_of: dict[DipId, int],
-        kept: _Kept | None,
     ) -> _Kept:
-        """A VIP's evaluation inputs: ``kept`` while they still hold."""
-        if (
-            kept is not None
-            and _same(read, kept.read)
-            and kept.healthy == healthy
-            and kept.index_of is index_of
-            and (kept.pool is None or kept.pool is pool)
-        ):
-            return kept
+        """A VIP's evaluation inputs over ``pool``, whose positions
+        ``index_of`` maps."""
         if not healthy:
             raise ConfigurationError(f"VIP {vip_id!r}: no healthy DIPs")
         split = _fluid_split(vip.policy_name)
@@ -590,13 +462,13 @@ class Fleet:
             weights = np.array([vip.weights.get(d, 0.0) for d in healthy], dtype=np.float64)
             if fixed_point is None:
                 rates = weighted_split_array(weights, vip.total_rate_rps)
-                return _Kept(read, healthy, index_of, None, index, rates, None, None)
+                return _Kept(healthy, index, rates, None, None)
             fixed_point = partial(fixed_point, weights=weights)
         # Equal, or a load-dependent VIP's seed (refined by the fixed point).
         rates = equal_split_array(len(healthy), vip.total_rate_rps)
         if fixed_point is None:
-            return _Kept(read, healthy, index_of, None, index, rates, None, None)
-        return _Kept(read, healthy, index_of, pool, index, rates, pool.law[index], fixed_point)
+            return _Kept(healthy, index, rates, None, None)
+        return _Kept(healthy, index, rates, pool.law[index], fixed_point)
 
     def _evaluate(self, vip_id: VipId | None) -> None:
         """Evaluate after the fleet's own write to ``vip_id``'s weights or
@@ -610,12 +482,12 @@ class Fleet:
         Where that is not provably :meth:`apply`'s result — no all-static
         evaluation since the last raise or membership change (so never
         with an lc/wlc/p2 VIP: the fixed point's stop test sums the whole
-        fleet), a pool input or ``dips`` moved, the written VIP's healthy
-        set changed or its policy's split is not load-independent, or a
-        total is not finite — :meth:`apply` runs instead.
+        fleet), the written VIP's healthy set changed or its policy's split
+        is not load-independent, or a total is not finite — :meth:`apply`
+        runs instead.
         """
         sums, last = self._sums, self._last_state
-        if sums is None or self._seen_now() != self._seen:
+        if sums is None:
             self.apply()
             return
         if vip_id is None:
@@ -633,7 +505,7 @@ class Fleet:
         ):
             self.apply()
             return
-        kept = self._inputs(vip_id, vip, _read(vip), healthy, self._pool, self._index_of, kept)
+        kept = self._inputs(vip_id, vip, healthy, last._pool, self._index_of)
         index = kept.index
         row, position, servers = sums.rows(vip_id, index)
         sums.rates[sums.span[vip_id]] = kept.rates
@@ -641,7 +513,6 @@ class Fleet:
         if not ((fresh >= 0.0) & (fresh < math.inf)).all():
             self.apply()  # refuses as a full evaluation does
             return
-        self._kept[vip_id] = kept
         push_offered_rates(servers, fresh.tolist())
         total = last._total.copy()
         total[index] = fresh
@@ -666,9 +537,8 @@ class Fleet:
         ``recover_dip``, ``set_capacity_ratio``, ``set_antagonist_copies``
         and ``remove_vip`` run :meth:`apply`; ``set_weights``,
         ``set_total_rate`` / ``scale_traffic`` and ``advance`` update it
-        incrementally.  After a direct edit of a DIP, an antagonist, a VIP
-        or their dicts, call :meth:`apply`: the incremental writers do not
-        re-read the VIPs they did not write.
+        incrementally.  After a direct edit, call :meth:`apply` (see
+        :class:`Fleet`).
         """
         if self._last_state is None or self._last_state.time != self.time:
             return self.apply()

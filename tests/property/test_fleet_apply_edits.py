@@ -8,15 +8,19 @@ delete-plus-add that keeps the pool's size, and a dict a caller still
 holds after handing it to a VIP.  Each must leave the fleet equal to a
 fresh evaluation.
 
-The pool's arrays are rebuilt only after a write that
-:class:`~repro.backends.antagonist.PoolWrites` counts, so the fields
-``pool_arrays`` reads must be the hooked ones; the last test derives them.
+The fleet's writers are the only ones its incremental path follows, so no
+module outside ``backends/`` may store a field ``pool_arrays`` reads on a
+server that a fleet holds; the last test derives those fields and scans
+``src/repro`` for stores of them.
 """
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
+import repro
 from repro.backends import Antagonist, DipServer, custom_vm_type
-from repro.backends.antagonist import PoolWrites
 from repro.sim.fluid import pool_arrays
 from test_fleet_apply_memo import assert_matches_oracle, make_fleet
 
@@ -72,18 +76,21 @@ def test_a_dict_the_caller_still_holds_edits_the_vip():
     assert_matches_oracle(fleet, None)
 
 
-def test_the_hooked_fields_are_the_ones_pool_arrays_reads():
-    """Record every instance attribute ``pool_arrays`` reads off a server
-    and its antagonist: bar the model built once from ``vm_type`` and the
-    cache keyed on the capacity factor, each must be one whose write
-    ``PoolWrites`` counts, and each hooked field must be read."""
-    read: dict[type, set[str]] = {DipServer: set(), Antagonist: set()}
-    originals = {cls: cls.__getattribute__ for cls in read}
+#: the one store of a pool field outside ``backends/``: a runner stamps
+#: the workload's correction on a pool before any fleet holds it.
+BEFORE_ANY_FLEET = {("api/runners.py", "_analytic_pool", "scv_correction")}
+
+
+def fields_pool_arrays_reads() -> set[str]:
+    """Every instance attribute ``pool_arrays`` reads off a server and its
+    antagonist."""
+    read: set[str] = set()
+    originals = {cls: cls.__getattribute__ for cls in (DipServer, Antagonist)}
 
     def recording(cls):
         def getattribute(self, name):
             if name in object.__getattribute__(self, "__dict__"):
-                read[cls].add(name)
+                read.add(name)
             return originals[cls](self, name)
 
         return getattribute
@@ -91,17 +98,48 @@ def test_the_hooked_fields_are_the_ones_pool_arrays_reads():
     dips = {"a": server("a", 500.0), "b": server("b", 800.0)}
     dips["b"].antagonist.set_capacity_ratio(0.5)
     try:
-        for cls in read:
+        for cls in originals:
             cls.__getattribute__ = recording(cls)
         pool_arrays(dips)
     finally:
         for cls, original in originals.items():
             cls.__getattribute__ = original
-    assert read[DipServer] - {"_base_model", "_scaled"} == PoolWrites.DIP_FIELDS
-    assert read[Antagonist] == PoolWrites.ANTAGONIST_FIELDS
-    before = PoolWrites.count
-    for name in sorted(PoolWrites.DIP_FIELDS):
-        setattr(dips["a"], name, getattr(dips["a"], name))
-    for name in sorted(PoolWrites.ANTAGONIST_FIELDS):
-        setattr(dips["a"].antagonist, name, getattr(dips["a"].antagonist, name))
-    assert PoolWrites.count == before + len(PoolWrites.DIP_FIELDS | PoolWrites.ANTAGONIST_FIELDS)
+    return read
+
+
+def stores(source: str, names: set[str]) -> list[tuple[str | None, str]]:
+    """(enclosing function, attribute) of each store of an attribute in
+    ``names`` in ``source``."""
+    found: list[tuple[str | None, str]] = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and node.attr in names
+        ):
+            found.append((function, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_no_module_outside_backends_stores_a_field_pool_arrays_reads():
+    names = fields_pool_arrays_reads()
+    assert {"failed", "scv_correction", "antagonist", "capacity_override"} <= names
+    assert stores("def f(dip):\n    dip.failed = True\n", names) == [("f", "failed")]
+    assert stores("a.antagonist.capacity_override = 0.5", names) == [
+        (None, "capacity_override")
+    ]
+    root = Path(repro.__file__).parent
+    found = {
+        (path.relative_to(root).as_posix(), function, name)
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root).parts[0] != "backends"
+        for function, name in stores(path.read_text(), names)
+    }
+    assert found == BEFORE_ANY_FLEET

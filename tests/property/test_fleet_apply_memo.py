@@ -1,18 +1,17 @@
-"""``Fleet.apply`` keeps its pool and splits; a full evaluation is the oracle.
+"""Every fleet write leaves the fleet as a written-out full evaluation would.
 
-``Fleet.apply`` keeps its ``PoolArrays`` and each load-independent VIP's
-``(index, rates)`` between calls and reuses them while the inputs they were
-computed from read the same.  ``reference_apply`` below is the evaluation it
-replaced, kept verbatim bar two lines — it reads ``fleet`` for ``self`` and
-returns its :class:`FleetState` instead of pushing the rates and storing
-it — and bar the split: each VIP takes the one its policy's ``lb`` class
-declares (``fluid_split``), a fixed point over the pool's law rows.  A hypothesis sequence of mutations — through the fleet's entry points
-and by direct edits to DIPs, VIPs and the fleet's DIP order (through
-every mutator of ``fleet.dips``) followed by ``apply()`` — must leave
-the fleet bit-identical to a fresh oracle evaluation after every step: the
-per-DIP totals, every VIP's contribution, each server's offered rate and
-the state's dicts.  A mutation the oracle refuses must be refused with the
-same message.
+``reference_apply`` below is the fleet's joint evaluation written out in
+one piece, bar two lines — it reads ``fleet`` for ``self`` and returns its
+:class:`FleetState` instead of pushing the rates and storing it — and bar
+the split: each VIP takes the one its policy's ``lb`` class declares
+(``fluid_split``), a fixed point over the pool's law rows.  A hypothesis
+sequence of mutations — through the fleet's entry points, and by direct
+edits to DIPs, VIPs and the fleet's DIP order (through every mutator of
+``fleet.dips``) each followed by ``apply()`` — must leave the fleet
+bit-identical to a fresh oracle evaluation after every step: the per-DIP
+totals, every VIP's contribution, each server's offered rate and the
+state's dicts.  A mutation the oracle refuses must be refused with the same
+message.
 
 The fleet's weight, rate and clock writers re-sum only the written VIP's
 DIPs, and only while every VIP is load-independent; ``make_static_fleet``
@@ -29,7 +28,12 @@ from hypothesis import strategies as st
 from repro.backends import DipServer, custom_vm_type
 from repro.exceptions import ConfigurationError
 from repro.lb.base import policy_description
-from repro.sim.fleet import Fleet, FleetState
+from repro.sim.fleet import (
+    _CONTENTION_ITERATIONS,
+    _CONTENTION_TOLERANCE,
+    Fleet,
+    FleetState,
+)
 from repro.sim.fluid import equal_split_array, pool_arrays, weighted_split_array
 
 
@@ -68,7 +72,7 @@ def reference_apply(self: Fleet) -> FleetState:
         contributions[vip_id] = (index, rates)
         total[index] += rates
 
-    for _ in range(self.contention_iterations if reactive else 0):
+    for _ in range(_CONTENTION_ITERATIONS if reactive else 0):
         max_delta = 0.0
         for vip_id in reactive:
             vip = self.vips[vip_id]
@@ -89,7 +93,7 @@ def reference_apply(self: Fleet) -> FleetState:
             delta = float(np.max(np.abs(new_rates - old_rates))) if len(index) else 0.0
             max_delta = max(max_delta, delta)
         scale = max(1.0, float(total.sum()))
-        if max_delta < self.contention_tolerance * scale:
+        if max_delta < _CONTENTION_TOLERANCE * scale:
             break
 
     return FleetState(self.time, pool, total, contributions)
@@ -441,7 +445,8 @@ class TestApplyMatchesFullEvaluation:
         run_and_check(make_static_fleet(), ops)
 
     def test_signed_zero_rate_and_weight_are_not_aliased(self):
-        """-0.0 equals 0.0 but splits to -0.0 rates: the kept split must not serve it."""
+        """-0.0 equals 0.0 but splits to -0.0 rates: an evaluation after 0.0
+        must not serve it 0.0's split."""
         fleet = make_fleet()
         vip = fleet.vips["w"]
         vip.weights["d0"] = 0.0
@@ -457,19 +462,6 @@ class TestApplyMatchesFullEvaluation:
         fleet.apply()
         assert_matches_oracle(fleet, None)
         assert np.signbit(fleet.state()._contributions["w"][1]).all()
-
-    def test_unchanged_inputs_reuse_the_kept_arrays(self):
-        fleet = make_fleet()
-        first = fleet.apply()
-        second = fleet.apply()
-        assert second._pool is first._pool
-        assert second._total is not first._total
-        assert second._contributions["w"][1] is first._contributions["w"][1]
-        assert second._contributions["l"][1] is not first._contributions["l"][1]
-        fleet.dips["d2"].antagonist.capacity_override = 0.5
-        third = fleet.apply()
-        assert third._pool is not second._pool
-        assert third._contributions["w"][1] is second._contributions["w"][1]
 
     def test_a_write_sees_direct_edits_of_the_vip_it_writes(self):
         """The written VIP is re-read whole: a member, weight or policy edited
@@ -500,13 +492,6 @@ class TestApplyMatchesFullEvaluation:
         assert held._total.tobytes() == total
         assert held._contributions == contributions
         assert fleet.state()._total.tobytes() != total
-
-    def test_a_full_evaluation_after_a_write_reuses_its_split(self):
-        fleet = make_static_fleet()
-        fleet.apply()
-        fleet.set_weights("w", {"d0": 9.0})
-        written = fleet.state()._contributions["w"][1]
-        assert fleet.apply()._contributions["w"][1] is written
 
     def test_a_write_to_a_total_past_float_range_is_refused_as_apply_refuses(self):
         fleet, twin = make_static_fleet(), make_static_fleet()
