@@ -5,8 +5,9 @@ edits through the fleet's entry points and direct ones.  The edits here
 change *which* objects the fleet and its VIPs hold rather than a field of
 one: a server swapped into ``fleet.dips`` under an id it already had, a
 delete-plus-add that keeps the pool's size, and a dict a caller still
-holds after handing it to a VIP.  Each must leave the fleet equal to a
-fresh evaluation.
+holds after handing it to a VIP, and an edit through each mutator of
+``fleet.dips``.  Each, followed by ``apply()``, must leave the fleet equal
+to a fresh evaluation.
 
 The fleet's writers are the only ones its incremental path follows, so no
 module outside ``backends/`` may store a field ``pool_arrays`` reads on a
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.backends import Antagonist, DipServer, custom_vm_type
@@ -57,6 +60,75 @@ def test_a_delete_and_add_of_one_size_is_seen():
     fleet.apply()
     assert_matches_oracle(fleet, None)
     assert newcomer.offered_rate_rps > 0.0
+
+
+def _move_to_end(fleet, dip_id: str) -> None:
+    server = fleet.dips[dip_id]
+    del fleet.dips[dip_id]
+    fleet.dips[dip_id] = server
+
+
+def _reverse(fleet, dip_id: str) -> None:
+    items = [fleet.dips.popitem() for _ in range(len(fleet.dips))]
+    fleet.dips.update(items)
+
+
+def _clear_and_refill_reversed(fleet, dip_id: str) -> None:
+    items = list(fleet.dips.items())
+    fleet.dips.clear()
+    fleet.dips.update(items[::-1])
+
+
+def _replace(fleet, dip_id: str) -> None:
+    replacement = server(dip_id, 3000.0, seed=7)
+    fleet.dips[dip_id] = replacement
+    for vip in fleet.vips.values():
+        if dip_id in vip.dips:
+            vip.dips[dip_id] = replacement
+
+
+def _join(fleet, newcomer: DipServer) -> None:
+    """``newcomer`` is already in ``fleet.dips``: VIP ``w`` takes it too."""
+    fleet.vips["w"].add_dip(newcomer)
+    fleet.vips["w"].weights[newcomer.dip_id] = 2.0
+
+
+#: one direct edit of ``fleet.dips`` through each of its mutators; each
+#: moves a DIP's position, replaces a server or adds one a VIP serves.
+DIPS_EDITS = {
+    "setitem": _replace,
+    "delitem": _move_to_end,
+    "pop": lambda fleet, dip_id: fleet.dips.__setitem__(dip_id, fleet.dips.pop(dip_id)),
+    "popitem": _reverse,
+    "clear": _clear_and_refill_reversed,
+    "update": lambda fleet, dip_id: _join(
+        fleet, fleet.dips.update(x=server("x", 900.0)) or fleet.dips["x"]
+    ),
+    "setdefault": lambda fleet, dip_id: _join(
+        fleet, fleet.dips.setdefault("x", server("x", 900.0))
+    ),
+    "ior": lambda fleet, dip_id: _join(
+        fleet, fleet.dips.__ior__({"x": server("x", 900.0)})["x"]
+    ),
+}
+
+
+@pytest.mark.parametrize("how", list(DIPS_EDITS))
+def test_every_mutator_of_the_fleets_dips_is_seen_by_apply(how):
+    """``apply()`` after a direct edit of ``fleet.dips`` through any of its
+    mutators evaluates the edited pool: its ids in the dict's new order and
+    each server's current law, equal to a fresh evaluation."""
+    fleet = make_fleet()
+    before = fleet.apply()
+    DIPS_EDITS[how](fleet, "d1")
+    after = fleet.apply()
+    assert after._pool.ids == tuple(fleet.dips)
+    assert (after._pool.ids, after._pool.law.tobytes()) != (
+        before._pool.ids,
+        before._pool.law.tobytes(),
+    )
+    assert_matches_oracle(fleet, None)
+    assert all(s.offered_rate_rps > 0.0 for d, s in fleet.dips.items() if d in ("d1", "x"))
 
 
 def test_a_dict_the_caller_still_holds_edits_the_vip():

@@ -463,6 +463,43 @@ class TestApplyMatchesFullEvaluation:
         assert_matches_oracle(fleet, None)
         assert np.signbit(fleet.state()._contributions["w"][1]).all()
 
+    def test_an_apply_with_nothing_changed_repeats_the_last_evaluation(self):
+        """Each ``apply()`` is a fresh evaluation: with no edit between two
+        calls the second stores new arrays holding the first's bits."""
+        fleet = make_fleet()
+        first = fleet.apply()
+        second = fleet.apply()
+        assert fleet.state() is second
+        assert second._total is not first._total
+        assert second._pool.ids == first._pool.ids
+        assert second._pool.law.tobytes() == first._pool.law.tobytes()
+        assert second._total.tobytes() == first._total.tobytes()
+        for vip_id, (index, rates) in first._contributions.items():
+            assert second._contributions[vip_id][0].tobytes() == index.tobytes()
+            assert second._contributions[vip_id][1].tobytes() == rates.tobytes()
+        assert_matches_oracle(fleet, None)
+
+    def test_an_antagonist_edit_followed_by_apply_rebuilds_the_pool(self):
+        fleet = make_fleet()
+        before = fleet.apply()
+        fleet.dips["d2"].antagonist.capacity_override = 0.5
+        after = fleet.apply()
+        assert after._pool.law[2].tobytes() != before._pool.law[2].tobytes()
+        assert after.utilization["d2"] != before.utilization["d2"]
+        assert_matches_oracle(fleet, None)
+
+    def test_a_full_evaluation_after_a_write_repeats_its_split(self):
+        """The incremental split of a weight write is the one a full
+        evaluation computes, to the bit."""
+        fleet = make_static_fleet()
+        fleet.apply()
+        fleet.set_weights("w", {"d0": 9.0})
+        written = fleet.state()
+        full = fleet.apply()
+        assert full is not written
+        assert full._contributions["w"][1].tobytes() == written._contributions["w"][1].tobytes()
+        assert full._total.tobytes() == written._total.tobytes()
+
     def test_a_write_sees_direct_edits_of_the_vip_it_writes(self):
         """The written VIP is re-read whole: a member, weight or policy edited
         on it directly reaches the result without an ``apply()``."""
