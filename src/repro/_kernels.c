@@ -6,7 +6,7 @@
  * DP (solver/dp.py), the curve law (core/curve.py::predict_curves) and its
  * section 4.5 inversion (core/curve.py::weights_for_latencies), the stage
  * loop of the mckp backend's expanding-core DP (solver/mckp.py::_expand_core)
- * and a KLM probe round (backends/dip.py::serve_probe_round) with the
+ * and a KLM probe round (sim/fleet.py::Fleet.probe_round) with the
  * M/M/c/K law it evaluates (backends/latency_model.py), which the fluid
  * fleet also evaluates over whole pools (mean_latencies).
  *

@@ -53,8 +53,9 @@ class CpuAgentBalancer:
             raise ConfigurationError("max_iterations must be >= 1")
 
     def _observe_utilization(self) -> dict[DipId, float]:
-        """Read the agents' CPU reports (direct DIP access — the non-goal)."""
-        return {d: s.cpu_utilization for d, s in self.cluster.dips.items() if not s.failed}
+        """Read the agents' CPU reports (the cluster's state: the non-goal)."""
+        utilization = self.cluster.state().utilization
+        return {d: utilization[d] for d in self.cluster.healthy_dip_ids()}
 
     def run(
         self, initial_weights: Mapping[DipId, float] | None = None

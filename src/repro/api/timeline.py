@@ -724,7 +724,7 @@ def fleet_timeline_stepper(
     dip_index = {dip: i for i, dip in enumerate(fleet.dips)}
     meter = _BlackholeMeter(
         blackholed,
-        lambda dip: fleet.dips[dip].offered_rate_rps,
+        lambda dip: fleet.state().total_rates_rps[dip],
         lambda: left_to_right_sum(vip.total_rate_rps for vip in fleet.vips.values()),
         dip_index,
     )

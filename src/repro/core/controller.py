@@ -63,6 +63,13 @@ class Deployment(Protocol):
 
     def set_weights(self, weights: Mapping[DipId, float]) -> None: ...
 
+    def probe_round(
+        self, dip_ids: Sequence[DipId], num_requests: int
+    ) -> tuple[list[float | None], list[int]]:
+        """Serve a KLM probe batch of ``num_requests`` on each of
+        ``dip_ids``: per DIP, the batch's mean latency (``None``: down;
+        ``inf``: every request dropped) and its drop count."""
+
     def healthy_dip_ids(self) -> tuple[DipId, ...]: ...
 
 
@@ -130,7 +137,7 @@ class KnapsackLBController:
         self.solve_cache = solve_cache
         self.klm = KLM(
             vip=vip,
-            dips=deployment.dips,
+            deployment=deployment,
             store=self.store,
             config=self.config.probe,
         )

@@ -40,16 +40,16 @@ def run_weight_sweep(
     base_rate = capacity_rps * base_rate_fraction
 
     points: list[WeightSweepPoint] = []
+    model = dip.latency_model
     for multiplier in range(1, steps + 1):
         rate = base_rate * multiplier
-        dip.set_offered_rate(rate)
         points.append(
             WeightSweepPoint(
                 multiplier=multiplier,
-                cpu_utilization=dip.cpu_utilization * 100.0,
-                app_latency_ms=dip.mean_latency_ms,
-                ping_latency_ms=dip.latency_model.ping_latency_ms(rate),
-                tcp_latency_ms=dip.latency_model.ping_latency_ms(rate) * 1.1,
+                cpu_utilization=min(1.0, model.utilization(rate)) * 100.0,
+                app_latency_ms=model.mean_latency_ms(rate, scv_correction=dip.scv_correction),
+                ping_latency_ms=model.ping_latency_ms(rate),
+                tcp_latency_ms=model.ping_latency_ms(rate) * 1.1,
             )
         )
     return points

@@ -13,7 +13,7 @@ evaluation runs (:func:`repro.core.curve.predict_curves`) and
 (:func:`repro.core.curve.weights_for_latencies`): each is a few scalar
 operations per step, which numpy pays a call (or ≈20 a stage) for.
 :func:`probe_round` is a KLM probe round
-(:func:`repro.backends.dip.serve_probe_round`): per DIP the M/M/c/K law,
+(:meth:`repro.sim.fleet.Fleet.probe_round`): per DIP the M/M/c/K law,
 the drop and jitter draws from the DIP's own generator through numpy's C
 random library, and the batch mean.  All eight are compiled from the C
 module ``_kernels.c`` beside this file, the only implementation a run uses;

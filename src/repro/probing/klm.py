@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.backends.dip import DipServer, serve_probe_round
 from repro.core.config import ProbeConfig
 from repro.core.types import DipId, VipId
 from repro.probing.latency_store import LatencyStore
+
+if TYPE_CHECKING:
+    from repro.core.controller import Deployment
 
 #: Measured KLM probing throughput on a 1-core DS1v2 VM (§6.7).
 KLM_REQUESTS_PER_SECOND_PER_CORE = 4500.0
@@ -55,8 +57,9 @@ class KLM:
     ----------
     vip:
         The VIP whose DIPs this KLM measures (one VIP per VNET, §3.2).
-    dips:
-        The DIP servers, addressed directly by id (standing in for their IPs).
+    deployment:
+        What serves the probes, sent to each DIP directly by id (standing in
+        for its IP): KLM sees a batch's latencies and drops, nothing else.
     store:
         The latency store samples are written to.
     config:
@@ -64,7 +67,7 @@ class KLM:
     """
 
     vip: VipId
-    dips: Mapping[DipId, DipServer]
+    deployment: Deployment
     store: LatencyStore
     config: ProbeConfig = field(default_factory=ProbeConfig)
     probe_url: str = "/"
@@ -76,15 +79,15 @@ class KLM:
     ) -> dict[DipId, tuple[float | None, bool]]:
         """Send one probe batch to each of ``dip_ids``; record the samples.
 
-        The one probe implementation: the batches are one
-        :func:`serve_probe_round` and the store takes the round in one
-        write.  Returns ``(latency_ms, dropped)`` per DIP.  The latency is
+        The one probe implementation: the deployment serves the batches as
+        one round (``Deployment.probe_round``) and the store takes the round
+        in one write.  Returns ``(latency_ms, dropped)`` per DIP.  The latency is
         ``None`` when the DIP is down (not dropped; this counts towards its
         consecutive failures, any answer resets them) and when every
         request was dropped (a drop signal with no sample).
         """
-        means, drop_counts = serve_probe_round(
-            [self.dips[dip] for dip in dip_ids], self.config.requests_per_probe
+        means, drop_counts = self.deployment.probe_round(
+            dip_ids, self.config.requests_per_probe
         )
         failures = self.consecutive_failures
         results: dict[DipId, tuple[float | None, bool]] = {}

@@ -13,8 +13,11 @@ contention.  Each VIP splits as its policy's :mod:`repro.lb` class declares
 (:class:`~repro.lb.base.FluidSplit`); load-dependent policies
 (least-connection, power-of-two) are resolved by an outer fixed point:
 each VIP's split is recomputed against the background load the other VIPs
-put on its DIPs until the joint rates stabilise.  While every VIP is load-independent, a weight, rate or clock
-write re-evaluates only the written VIP's DIPs, to the same bits.
+put on its DIPs until the joint rates stabilise.  While every VIP is
+load-independent, a weight or rate write recomputes only the written VIP's
+split and re-sums the last evaluation's splits, to the same bits.  The
+evaluation is the only record of a DIP's load, and KLM's probes are served
+from it (:meth:`Fleet.probe_round`): a DIP exposes nothing (§3.2).
 
 Per-VIP :class:`FleetDeployment` views satisfy the controller's
 ``Deployment`` protocol: the :class:`repro.core.fleet_controller.FleetController`
@@ -27,12 +30,12 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, partial
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro import kernels
-from repro.backends.dip import DipServer, push_offered_rates
+from repro.backends.dip import DipServer
 from repro.core.types import DipId, VipId, left_to_right_sum
 from repro.exceptions import ConfigurationError
 from repro.lb.base import FluidSplit, policy_description
@@ -57,6 +60,15 @@ _CONTENTION_ITERATIONS = 12
 _CONTENTION_TOLERANCE = 1e-6
 
 
+def _checked(total: np.ndarray) -> np.ndarray:
+    """Per-DIP totals, refused at the first that is not finite and >= 0."""
+    bad = ~((total >= 0.0) & (total < math.inf))
+    if bad.any():
+        rate = total[bad.argmax()].item()
+        raise ConfigurationError(f"rate_rps must be finite and >= 0, got {rate!r}")
+    return total
+
+
 class _Kept(NamedTuple):
     """One VIP's evaluation inputs: its healthy DIPs and their positions in
     the pool."""
@@ -71,65 +83,16 @@ class _Kept(NamedTuple):
     fixed_point: Callable[..., np.ndarray] | None
 
 
-class _Sums:
-    """The per-DIP contributor map of an all-static fleet's last full
-    evaluation: every VIP's split stacked in VIP order (``rates``,
-    ``index``) and each VIP's ``span`` of it.  A write to one VIP stores its
-    new split in its span and re-sums only its DIPs from :meth:`rows`, each
-    DIP 0.0 plus its contributors' rates in VIP order — the sum the
-    evaluation's ``np.bincount`` formed."""
-
-    def __init__(
-        self,
-        index: np.ndarray,
-        rates: np.ndarray,
-        span: dict[VipId, slice],
-        servers: tuple[DipServer, ...],
-    ) -> None:
-        self.index = index
-        self.rates = rates
-        self.span = span
-        #: the pool's servers, by position.
-        self.servers = servers
-        self.size = len(servers)
-        self._rows: dict[VipId, tuple[np.ndarray, np.ndarray, list[DipServer]]] = {}
-
-    @cached_property
-    def _groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Positions in ``rates`` grouped by DIP (VIP order within a group),
-        and each DIP's group start and length."""
-        order = np.argsort(self.index, kind="stable")
-        count = np.bincount(self.index, minlength=self.size)
-        return order, np.cumsum(count) - count, count
-
-    def rows(
-        self, vip_id: VipId, index: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, list[DipServer]]:
-        """For a VIP over pool positions ``index``: each contribution to its
-        DIPs, as (row in ``index``, position in ``rates``), and its DIPs'
-        servers."""
-        rows = self._rows.get(vip_id)
-        if rows is None:
-            order, start, count = self._groups
-            count = count[index]
-            row = np.repeat(np.arange(len(index)), count)
-            skip = np.repeat(start[index] - (np.cumsum(count) - count), count)
-            rows = self._rows[vip_id] = (
-                row,
-                order[skip + np.arange(len(row))],
-                [self.servers[i] for i in index.tolist()],
-            )
-        return rows
-
-
 class FleetState:
-    """The whole fleet after one joint evaluation.
+    """The whole fleet after one joint evaluation: each DIP's law row and
+    total rate — the only record of its load — and each VIP's split.
 
     A lazy view: it keeps the evaluation's arrays (nothing writes to them
-    once built — an incremental write hands the last state's pool, the
-    other VIPs' splits or ``total`` on, but copies any array it changes —
-    so the view stays that of its own evaluation) and builds each dict —
-    and the latency pass behind ``mean_latency_ms`` — on first read.
+    once built — a weight or rate write hands the last state's pool and the
+    other VIPs' splits on with a fresh ``total``, and ``advance`` hands all
+    of them on — so the view stays that of its own evaluation) and builds
+    each dict — and the latency pass behind ``mean_latency_ms`` — on first
+    read.
     """
 
     def __init__(
@@ -238,6 +201,11 @@ class FleetDeployment:
     def set_weights(self, weights: Mapping[DipId, float]) -> None:
         self._fleet.set_weights(self.vip_id, weights)
 
+    def probe_round(
+        self, dip_ids: Sequence[DipId], num_requests: int
+    ) -> tuple[list[float | None], list[int]]:
+        return self._fleet.probe_round(dip_ids, num_requests)
+
     def healthy_dip_ids(self) -> tuple[DipId, ...]:
         return self._fleet.vips[self.vip_id].healthy_dip_ids()
 
@@ -245,11 +213,12 @@ class FleetDeployment:
 class Fleet:
     """A pool of DIP servers shared by any number of VIPs.
 
-    Every entry point leaves the servers' offered rates and :meth:`state`
-    current.  The membership and DIP writers run the full evaluation,
-    :meth:`apply`; ``set_weights``, ``set_total_rate`` / ``scale_traffic``
-    and ``advance`` evaluate incrementally, at the cost of the written VIP's
-    DIPs (see :meth:`_evaluate`).
+    Every entry point leaves :meth:`state` current, and nothing writes a
+    DIP's load to its server: the state is its only record, which
+    :meth:`probe_round` serves KLM's probes from.  The membership and DIP
+    writers run the full evaluation, :meth:`apply`; ``set_weights`` and
+    ``set_total_rate`` / ``scale_traffic`` recompute the written VIP's split
+    alone (see :meth:`_evaluate`), and ``advance`` re-dates the last state.
 
     The fleet's writers are the only ones an evaluation follows.  A caller
     that edits a DIP, an antagonist, a VIP or their dicts directly (``dips``
@@ -271,8 +240,10 @@ class Fleet:
         #: the last full evaluation's id → pool position map and VIP inputs.
         self._index_of: dict[DipId, int] = {}
         self._kept: dict[VipId, _Kept] = {}
-        #: how the last evaluation summed, while a write may re-sum one VIP.
-        self._sums: _Sums | None = None
+        #: while every VIP is load-independent, the last evaluation's splits
+        #: stacked in VIP order as (pool positions, rates), and each VIP's
+        #: span of them: what a weight or rate write re-sums.
+        self._stacked: tuple[np.ndarray, np.ndarray, dict[VipId, slice]] | None = None
 
     # -- membership --------------------------------------------------------------
 
@@ -280,7 +251,7 @@ class Fleet:
         if server.dip_id in self.dips:
             raise ConfigurationError(f"DIP {server.dip_id!r} already in fleet")
         self.dips[server.dip_id] = server
-        self._last_state = self._sums = None
+        self._last_state = self._stacked = None
 
     def create_vip(
         self,
@@ -310,7 +281,7 @@ class Fleet:
             weights=dict(weights) if weights else {},
         )
         self.vips[vip_id] = vip
-        self._last_state = self._sums = None
+        self._last_state = self._stacked = None
         return vip
 
     def remove_vip(self, vip_id: VipId) -> Vip:
@@ -384,15 +355,17 @@ class Fleet:
         Load-independent policies (equal/weighted splits) are evaluated in a
         single vectorized pass; load-dependent ones (lc/wlc/p2) then iterate
         against the background load of the other VIPs until the joint rates
-        converge.  The rates reach the servers before this returns; the
-        returned :class:`FleetState` builds the rest on first read.
+        converge.  The returned :class:`FleetState` builds the rest on first
+        read.  A total that is not finite and >= 0 is refused, and a refused
+        evaluation leaves no state: :meth:`state` and ``advance`` run this
+        again.
 
         This is the full evaluation: it re-reads every DIP and VIP, so it is
         what a caller runs after a direct edit (see :class:`Fleet`).  The
-        fleet's own weight, rate and clock writers evaluate incrementally
-        instead (see :meth:`_evaluate`).
+        fleet's own weight and rate writers evaluate incrementally instead
+        (see :meth:`_evaluate`).
         """
-        self._sums = None
+        self._last_state = self._stacked = None
         pool = pool_arrays(self.dips)
         self._index_of = index_of = {dip: i for i, dip in enumerate(pool.ids)}
         kept = self._kept = {
@@ -425,19 +398,11 @@ class Fleet:
             if max_delta < _CONTENTION_TOLERANCE * scale:
                 break
 
-        # KLM reads the servers directly, so the rates are pushed eagerly;
-        # everything else about the evaluation waits in the lazy state.
-        rates = total.tolist()
-        servers = tuple(self.dips.values())
-        if ((total >= 0.0) & (total < math.inf)).all():
-            push_offered_rates(servers, rates)
-        else:
-            for server, rate in zip(servers, rates):
-                server.set_offered_rate(rate)  # refuses the first bad rate
+        _checked(total)
         if kept and not reactive:
             ends = np.cumsum([len(k.index) for k in kept.values()]).tolist()
             span = {v: slice(e - len(k.index), e) for (v, k), e in zip(kept.items(), ends)}
-            self._sums = _Sums(stacked_index, stacked, span, servers)
+            self._stacked = (stacked_index, stacked, span)
         self._last_state = FleetState(self.time, pool, total, contributions)
         return self._last_state
 
@@ -470,63 +435,73 @@ class Fleet:
             return _Kept(healthy, index, rates, None, None)
         return _Kept(healthy, index, rates, pool.law[index], fixed_point)
 
-    def _evaluate(self, vip_id: VipId | None) -> None:
+    def _evaluate(self, vip_id: VipId) -> None:
         """Evaluate after the fleet's own write to ``vip_id``'s weights or
-        rate, or (``None``) to its clock alone.
-
-        The state of the last evaluation stands for every other VIP, so a
-        write costs the written VIP's DIPs, not the fleet: its split is
-        recomputed, each of its DIPs' totals re-summed as 0.0 plus every
-        contributor's rate in VIP order (what :meth:`apply` sums), and only
-        those rates pushed; a clock write re-dates the last state's arrays.
-        Where that is not provably :meth:`apply`'s result — no all-static
-        evaluation since the last raise or membership change (so never
-        with an lc/wlc/p2 VIP: the fixed point's stop test sums the whole
-        fleet), the written VIP's healthy set changed or its policy's split
-        is not load-independent, or a total is not finite — :meth:`apply`
-        runs instead.
+        rate: its new split replaces its span of the stacked splits, which
+        :meth:`apply`'s own bincount re-sums, so the totals are its bits.  A
+        total that is not finite and >= 0 is refused with the stacked
+        splits and the last state left as they were.  Where the
+        stacked splits are not :meth:`apply`'s — no all-static evaluation
+        since the last raise or membership change (so never with an
+        lc/wlc/p2 VIP: the fixed point's stop test sums the whole fleet),
+        the written VIP's healthy set changed or its policy's split is not
+        load-independent — :meth:`apply` runs instead.
         """
-        sums, last = self._sums, self._last_state
-        if sums is None:
-            self.apply()
-            return
-        if vip_id is None:
-            self._last_state = FleetState(self.time, last._pool, last._total, last._contributions)
-            return
+        stacked, last = self._stacked, self._last_state
         vip = self.vips[vip_id]
-        kept = self._kept.get(vip_id)
         healthy = vip.healthy_dip_ids()
         split = _fluid_split(vip.policy_name)
         if (
-            kept is None
-            or healthy != kept.healthy
+            stacked is None
+            or healthy != self._kept[vip_id].healthy
             or split is None
             or split.fixed_point is not None
         ):
             self.apply()
             return
         kept = self._inputs(vip_id, vip, healthy, last._pool, self._index_of)
-        index = kept.index
-        row, position, servers = sums.rows(vip_id, index)
-        sums.rates[sums.span[vip_id]] = kept.rates
-        fresh = np.bincount(row, weights=sums.rates[position], minlength=len(index))
-        if not ((fresh >= 0.0) & (fresh < math.inf)).all():
-            self.apply()  # refuses as a full evaluation does
-            return
-        push_offered_rates(servers, fresh.tolist())
-        total = last._total.copy()
-        total[index] = fresh
+        index, rates, span = stacked
+        rates = rates.copy()
+        rates[span[vip_id]] = kept.rates
+        total = _checked(np.bincount(index, weights=rates, minlength=last._pool.size))
+        self._stacked = (index, rates, span)
         contributions = dict(last._contributions)
-        contributions[vip_id] = (index, kept.rates)
+        contributions[vip_id] = (kept.index, kept.rates)
         self._last_state = FleetState(self.time, last._pool, total, contributions)
 
     def advance(self, duration_s: float) -> FleetState:
-        """Advance shared simulated time (loads are steady in the fluid model)."""
+        """Advance shared simulated time: loads are steady in the fluid
+        model, so the last state is re-dated (no evaluation reads the clock)."""
         if duration_s < 0:
             raise ConfigurationError("duration_s must be >= 0")
         self.time += duration_s
-        self._evaluate(None)
+        last = self._last_state
+        if last is None:
+            return self.apply()
+        self._last_state = FleetState(self.time, last._pool, last._total, last._contributions)
         return self._last_state
+
+    def probe_round(
+        self, dip_ids: Sequence[DipId], num_requests: int
+    ) -> tuple[list[float | None], list[int]]:
+        """``Deployment.probe_round`` at :meth:`state`'s load (probe traffic
+        is too small to perturb it): one :func:`repro.kernels.probe_round`
+        over each DIP's law row and total rate, its jitter and its generator
+        (``None`` for a down DIP, whose row the kernel does not read).  Each
+        DIP draws what a lone batch would: its drops (none at a drop
+        probability of 0), then a normal per served request, floored at a
+        quarter of the mean, averaged."""
+        if num_requests < 1:
+            raise ConfigurationError("num_requests must be >= 1")
+        state = self.state()
+        index = [self._index_of[dip] for dip in dip_ids]
+        servers = [self.dips[dip] for dip in dip_ids]
+        params = np.empty((len(index), kernels.COLUMNS))
+        params[:, : kernels.LAW] = state._pool.law[index]
+        params[:, kernels.LAW] = state._total[index]
+        params[:, kernels.LAW + 1] = [server.jitter_fraction for server in servers]
+        generators = [None if server.failed else server._rng for server in servers]
+        return kernels.probe_round(params, generators, num_requests)
 
     # -- observation ---------------------------------------------------------------
 
@@ -535,9 +510,11 @@ class Fleet:
 
         Every mutating entry point leaves it current: ``fail_dip``,
         ``recover_dip``, ``set_capacity_ratio``, ``set_antagonist_copies``
-        and ``remove_vip`` run :meth:`apply`; ``set_weights``,
-        ``set_total_rate`` / ``scale_traffic`` and ``advance`` update it
-        incrementally.  After a direct edit, call :meth:`apply` (see
+        and ``remove_vip`` run :meth:`apply`; ``set_weights`` and
+        ``set_total_rate`` / ``scale_traffic`` update it incrementally, and
+        ``advance`` re-dates it.  Where there is none (no evaluation yet, a
+        membership change, or a refused :meth:`apply`), this runs
+        :meth:`apply`.  After a direct edit, call :meth:`apply` (see
         :class:`Fleet`).
         """
         if self._last_state is None or self._last_state.time != self.time:

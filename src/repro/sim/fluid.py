@@ -27,7 +27,7 @@ import numpy as np
 
 from repro import kernels
 from repro.backends.dip import DipServer
-from repro.core.types import DipId, left_to_right_sum
+from repro.core.types import DipId
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:
@@ -145,9 +145,8 @@ class FluidCluster:
         self.total_rate_rps = self._vip.total_rate_rps
 
     def scale_traffic(self, factor: float) -> None:
-        if factor < 0:
-            raise ConfigurationError("factor must be >= 0")
-        self.set_total_rate(self.total_rate_rps * factor)
+        self.fleet.scale_traffic("vip", factor)
+        self.total_rate_rps = self._vip.total_rate_rps
 
     def fail_dip(self, dip: DipId) -> None:
         self.fleet.fail_dip(dip)
@@ -173,7 +172,7 @@ class FluidCluster:
 
     @property
     def total_capacity_rps(self) -> float:
-        return left_to_right_sum(s.capacity_rps for s in self.dips.values() if not s.failed)
+        return self.fleet.total_capacity_rps
 
     def healthy_dip_ids(self) -> tuple[DipId, ...]:
-        return tuple(d for d, s in self.dips.items() if not s.failed)
+        return self.fleet.healthy_dip_ids()

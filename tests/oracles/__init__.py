@@ -4,7 +4,7 @@
 :mod:`repro.kernels`, each under its kernel's name and call signature, so a
 test binds it at the ``repro.kernels.<name>`` seam (:func:`bound`) and every
 caller in ``src/`` runs it unchanged.  :mod:`oracles.probes` and
-:mod:`oracles.trace` are the per-DIP reference forms of ``KLM.probe_round``
+:mod:`oracles.trace` are the per-DIP reference forms of ``Fleet.probe_round``
 and ``MetricsCollector.summaries``.
 """
 

@@ -33,6 +33,14 @@ def server(dip_id: str, capacity: float, *, seed: int = 0) -> DipServer:
     return DipServer(dip_id, vm, seed=seed, jitter_fraction=0.0)
 
 
+def serves(fleet, server: DipServer) -> bool:
+    """``server`` carries load in the fleet's state and answers its probes
+    from its own generator."""
+    loaded = fleet.state().total_rates_rps[server.dip_id] > 0.0
+    (mean,), _ = fleet.probe_round([server.dip_id], 4)
+    return loaded and mean is not None and "_rng" in vars(server)
+
+
 def test_a_server_swapped_in_under_its_id_is_seen():
     fleet = make_fleet()
     replacement = server("d1", 3000.0)  # built before the evaluation it must change
@@ -43,7 +51,7 @@ def test_a_server_swapped_in_under_its_id_is_seen():
             vip.dips["d1"] = replacement
     fleet.apply()
     assert_matches_oracle(fleet, None)
-    assert replacement.offered_rate_rps > 0.0
+    assert serves(fleet, replacement)
 
 
 def test_a_delete_and_add_of_one_size_is_seen():
@@ -59,7 +67,7 @@ def test_a_delete_and_add_of_one_size_is_seen():
     fleet.dips["d9"] = newcomer
     fleet.apply()
     assert_matches_oracle(fleet, None)
-    assert newcomer.offered_rate_rps > 0.0
+    assert serves(fleet, newcomer)
 
 
 def _move_to_end(fleet, dip_id: str) -> None:
@@ -128,7 +136,7 @@ def test_every_mutator_of_the_fleets_dips_is_seen_by_apply(how):
         before._pool.law.tobytes(),
     )
     assert_matches_oracle(fleet, None)
-    assert all(s.offered_rate_rps > 0.0 for d, s in fleet.dips.items() if d in ("d1", "x"))
+    assert all(serves(fleet, s) for d, s in fleet.dips.items() if d in ("d1", "x"))
 
 
 def test_a_dict_the_caller_still_holds_edits_the_vip():

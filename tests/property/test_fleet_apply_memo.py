@@ -2,20 +2,20 @@
 
 ``reference_apply`` below is the fleet's joint evaluation written out in
 one piece, bar two lines — it reads ``fleet`` for ``self`` and returns its
-:class:`FleetState` instead of pushing the rates and storing it — and bar
+:class:`FleetState` instead of storing it — and bar
 the split: each VIP takes the one its policy's ``lb`` class declares
 (``fluid_split``), a fixed point over the pool's law rows.  A hypothesis
 sequence of mutations — through the fleet's entry points, and by direct
 edits to DIPs, VIPs and the fleet's DIP order (through every mutator of
 ``fleet.dips``) each followed by ``apply()`` — must leave the fleet
 bit-identical to a fresh oracle evaluation after every step: the per-DIP
-totals, every VIP's contribution, each server's offered rate and the
+totals, every VIP's contribution, the law rows a probe round reads and the
 state's dicts.  A mutation the oracle refuses must be refused with the same
 message.
 
-The fleet's weight, rate and clock writers re-sum only the written VIP's
-DIPs, and only while every VIP is load-independent; ``make_static_fleet``
-is such a fleet, so the same sequences reach that path too.
+The fleet's weight and rate writers recompute only the written VIP's split,
+and only while every VIP is load-independent; ``make_static_fleet`` is such
+a fleet, so the same sequences reach that path too.
 """
 
 from __future__ import annotations
@@ -283,8 +283,9 @@ def assert_matches_oracle(fleet: Fleet, error: ConfigurationError | None) -> Non
         kept_index, kept_rates = state._contributions[vip_id]
         assert kept_index.tobytes() == index.tobytes()
         assert kept_rates.tobytes() == rates.tobytes()
-    pushed = {d: s.offered_rate_rps for d, s in fleet.dips.items()}
-    assert bits(pushed) == bits(expected.total_rates_rps)
+    # What a probe round reads beside the totals: the pool's ids and law rows.
+    assert state._pool.ids == expected._pool.ids
+    assert state._pool.law.tobytes() == expected._pool.law.tobytes()
     for name in ("total_rates_rps", "utilization", "mean_latency_ms", "per_vip_rates"):
         assert bits(getattr(state, name)) == bits(getattr(expected, name)), name
 

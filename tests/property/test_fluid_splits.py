@@ -93,15 +93,19 @@ class TestVectorizedKernelEquivalence:
     def test_vector_latency_matches_scalar_model(self, pool, load):
         dips, _ = pool
         total = load * sum(s.capacity_rps for s in dips.values())
-        vectorized = FluidCluster(dips, total, policy_name="rr").state().mean_latency_ms
+        state = FluidCluster(dips, total, policy_name="rr").state()
         for dip, server in dips.items():
-            assert vectorized[dip].hex() == server.mean_latency_ms.hex()
+            scalar = server.latency_model.mean_latency_ms(
+                state.total_rates_rps[dip], scv_correction=server.scv_correction
+            )
+            assert state.mean_latency_ms[dip].hex() == scalar.hex()
 
     @given(pool=pools(), load=st.floats(min_value=0.0, max_value=2.0))
     @settings(max_examples=40, deadline=None)
     def test_vector_utilization_matches_scalar_model(self, pool, load):
         dips, _ = pool
         total = load * sum(s.capacity_rps for s in dips.values())
-        vectorized = FluidCluster(dips, total, policy_name="rr").state().utilization
+        state = FluidCluster(dips, total, policy_name="rr").state()
         for dip, server in dips.items():
-            assert vectorized[dip].hex() == server.cpu_utilization.hex()
+            scalar = min(1.0, server.latency_model.utilization(state.total_rates_rps[dip]))
+            assert state.utilization[dip].hex() == scalar.hex()

@@ -38,7 +38,7 @@ class TestCpuAgentBalancer:
         balancer = CpuAgentBalancer(cluster, tolerance=0.02)
         balancer.run()
         assert balancer.history[-1].spread <= balancer.tolerance
-        utils = [s.cpu_utilization for s in cluster.dips.values()]
+        utils = list(cluster.state().utilization.values())
         assert max(utils) - min(utils) <= 0.03
 
     def test_needs_multiple_iterations(self):

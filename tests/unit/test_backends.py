@@ -21,8 +21,15 @@ from repro.backends import (
     erlang_c,
     scaled_model,
 )
-from repro.backends.dip import serve_probe_round
 from repro.exceptions import ConfigurationError
+from repro.sim.fleet import Fleet, FleetState
+from repro.sim.fluid import FluidCluster
+
+
+def offered(rate: float, *dips: DipServer) -> FleetState:
+    """The state of a fleet whose one VIP offers ``rate`` to ``dips``, in
+    equal shares."""
+    return FluidCluster({d.dip_id: d for d in dips}, rate, policy_name="rr").state()
 
 
 class TestVmTypes:
@@ -247,97 +254,96 @@ class TestDipServer:
         dip.antagonist.clear()
         assert dip.capacity_rps == pytest.approx(400.0)
 
-    def test_cpu_utilization_tracks_offered_rate(self, dip):
-        dip.set_offered_rate(200.0)
-        assert dip.cpu_utilization == pytest.approx(0.5)
+    def test_utilization_tracks_the_offered_rate(self, dip):
+        assert offered(200.0, dip).utilization["d1"] == pytest.approx(0.5)
 
-    def test_cpu_utilization_saturates_at_one(self, dip):
-        dip.set_offered_rate(800.0)
-        assert dip.cpu_utilization == 1.0
+    def test_utilization_saturates_at_one(self, dip):
+        assert offered(800.0, dip).utilization["d1"] == 1.0
 
     def test_mean_latency_increases_with_load(self, dip):
-        dip.set_offered_rate(100.0)
-        low = dip.mean_latency_ms
-        dip.set_offered_rate(380.0)
-        assert dip.mean_latency_ms > low
+        low = offered(100.0, dip).mean_latency_ms["d1"]
+        assert offered(380.0, dip).mean_latency_ms["d1"] > low
 
     def test_probe_batch_reports_mean(self, dip):
-        dip.set_offered_rate(200.0)
-        result = serve_probe_batch(dip, 50)
+        result = serve_probe_batch(dip, 200.0, 50)
         assert result.samples == 50
-        assert result.mean_latency_ms == pytest.approx(dip.mean_latency_ms, rel=0.05)
+        assert result.mean_latency_ms == pytest.approx(
+            dip.latency_model.mean_latency_ms(200.0), rel=0.05
+        )
         assert not result.dropped
 
     def test_probe_batch_drops_when_overloaded(self, dip):
-        dip.set_offered_rate(1200.0)
-        result = serve_probe_batch(dip, 200)
+        result = serve_probe_batch(dip, 1200.0, 200)
         assert result.dropped
         assert result.drop_fraction > 0
 
     def test_failed_dip_raises(self, dip):
         dip.fail()
         with pytest.raises(DipFailureError):
-            serve_probe_batch(dip, 10)
+            serve_probe_batch(dip, 0.0, 10)
         dip.recover()
-        serve_probe_batch(dip, 10)
+        serve_probe_batch(dip, 0.0, 10)
 
-    def test_failed_dip_zero_utilization(self, dip):
-        dip.set_offered_rate(200.0)
+    def test_failed_dip_zero_utilization(self, dip, small_vm):
         dip.fail()
-        assert dip.cpu_utilization == 0.0
+        other = DipServer("d2", small_vm, seed=6)
+        assert offered(200.0, dip, other).utilization["d1"] == 0.0
 
     def test_negative_rate_rejected(self, dip):
         with pytest.raises(ConfigurationError):
-            dip.set_offered_rate(-1.0)
+            dip.latency_model.utilization(-1.0)
 
     def test_probe_batch_validates_count(self, dip):
-        with pytest.raises(ConfigurationError):
-            serve_probe_batch(dip, 0)
+        fleet = FluidCluster({"d1": dip}, 100.0).fleet
+        with pytest.raises(ConfigurationError, match="num_requests must be >= 1"):
+            fleet.probe_round(["d1"], 0)
 
     def test_ping_latency_ignores_load_and_antagonist(self, dip):
         idle = dip.latency_model.ping_latency_ms(0.0)
         dip.set_capacity_ratio(0.6)
-        dip.set_offered_rate(390.0)
-        loaded = dip.latency_model.ping_latency_ms(dip.offered_rate_rps)
+        loaded = dip.latency_model.ping_latency_ms(390.0)
         assert loaded == pytest.approx(idle, rel=0.02)
-        assert loaded < dip.idle_latency_ms < dip.mean_latency_ms
+        assert loaded < dip.idle_latency_ms < dip.latency_model.mean_latency_ms(390.0)
 
     def test_zero_jitter_batch_mean_is_the_model_mean(self, small_vm):
         dip = DipServer("d", small_vm, seed=5, jitter_fraction=0.0, scv_correction=1.7)
-        dip.set_offered_rate(300.0)
-        result = serve_probe_batch(dip, 25)
-        assert result.mean_latency_ms == pytest.approx(dip.mean_latency_ms, rel=1e-12)
-        assert dip.mean_latency_ms > dip.latency_model.mean_latency_ms(300.0)
+        result = serve_probe_batch(dip, 300.0, 25)
+        corrected = dip.latency_model.mean_latency_ms(300.0, scv_correction=1.7)
+        assert result.mean_latency_ms == pytest.approx(corrected, rel=1e-12)
+        assert corrected > dip.latency_model.mean_latency_ms(300.0)
 
     def test_jitter_spreads_batch_means_around_the_model_mean(self, small_vm):
         dip = DipServer("d", small_vm, seed=5, jitter_fraction=0.2)
-        dip.set_offered_rate(200.0)
-        means = [serve_probe_batch(dip, 20).mean_latency_ms for _ in range(30)]
+        means = [serve_probe_batch(dip, 200.0, 20).mean_latency_ms for _ in range(30)]
         assert len(set(means)) == len(means)
-        assert np.mean(means) == pytest.approx(dip.mean_latency_ms, rel=0.03)
+        assert np.mean(means) == pytest.approx(
+            dip.latency_model.mean_latency_ms(200.0), rel=0.03
+        )
 
     def test_probe_round_is_each_server_on_its_own(self, small_vm):
-        """One round over several DIPs draws what each DIP's lone batch
-        draws; a down DIP reads ``None`` and costs the others nothing."""
+        """One fleet round over several DIPs draws what each DIP's lone
+        batch draws at its rate; a down DIP reads ``None`` and costs the
+        others nothing."""
+        rates = {"a": 100.0, "b": 250.0, "c": 396.0}
 
         def pool():
-            servers = [
+            return [
                 DipServer("a", small_vm, seed=3, jitter_fraction=0.0),
                 DipServer("b", small_vm, seed=4, jitter_fraction=0.1),
                 DipServer("c", small_vm, seed=5, jitter_fraction=0.1),
                 DipServer("d", small_vm, seed=6, jitter_fraction=0.1),
             ]
-            for server, rate in zip(servers, (100.0, 250.0, 396.0, 0.0)):
-                server.set_offered_rate(rate)
-            servers[3].fail()
-            return servers
 
-        servers, twins = pool(), pool()
+        fleet, twins = Fleet({s.dip_id: s for s in pool()}), pool()
+        for dip, rate in rates.items():
+            fleet.create_vip(dip, dip_ids=[dip], total_rate_rps=rate)
+        fleet.create_vip("down", dip_ids=["d", "a"], total_rate_rps=0.0)
+        fleet.fail_dip("d")
         for _ in range(3):
-            means, drops = serve_probe_round(servers, 40)
+            means, drops = fleet.probe_round(("a", "b", "c", "d"), 40)
             assert means[3] is None and drops[3] == 0
             for twin, mean, dropped in zip(twins[:3], means, drops):
-                result = serve_probe_batch(twin, 40)
+                result = serve_probe_batch(twin, rates[twin.dip_id], 40)
                 assert (result.mean_latency_ms, result.drop_fraction) == (mean, dropped / 40)
 
     def test_scaled_model_kept_per_capacity_factor(self, dip):
@@ -366,13 +372,13 @@ class TestDipServer:
 class TestOfferedRate:
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
     def test_non_finite_or_negative_rate_is_refused(self, small_dip, rate):
-        small_dip.set_offered_rate(100.0)
+        cluster = FluidCluster({small_dip.dip_id: small_dip}, 100.0)
         with pytest.raises(ConfigurationError, match="finite and >= 0"):
-            small_dip.set_offered_rate(rate)
-        assert small_dip.offered_rate_rps == 100.0
+            cluster.set_total_rate(rate)
+        assert cluster.state().total_rates_rps == {small_dip.dip_id: 100.0}
 
 
-def scalar_probe_batch(dip, num_requests):
+def scalar_probe_batch(dip, rate_rps, num_requests):
     """The per-request loop ``serve_probe_batch`` replaced, kept as reference.
 
     One Erlang-C mean and one scalar ``rng.normal`` per served request, on
@@ -380,15 +386,14 @@ def scalar_probe_batch(dip, num_requests):
     count.
     """
     rng = dip._rng
-    drops = int(rng.binomial(num_requests, min(1.0, dip.drop_probability)))
+    drop_p = dip.latency_model.drop_probability(rate_rps)
+    drops = int(rng.binomial(num_requests, min(1.0, drop_p)))
     served = num_requests - drops
     if served == 0:
         return (float("inf"), True, 0, 1.0), drops
     latencies = []
     for _ in range(served):
-        mean = dip.latency_model.mean_latency_ms(
-            dip.offered_rate_rps, scv_correction=dip.scv_correction
-        )
+        mean = dip.latency_model.mean_latency_ms(rate_rps, scv_correction=dip.scv_correction)
         if dip.jitter_fraction == 0:
             latencies.append(mean)
         else:
@@ -422,14 +427,13 @@ class TestProbeBatchMatchesScalarLoop:
             )
             if capacity_ratio is not None:
                 dip.set_capacity_ratio(capacity_ratio)
-            dip.set_offered_rate(rate_rps)
             return dip
 
         dip, twin = build(), build()
         dropped_total = 0
         for _ in range(3):
-            result = serve_probe_batch(dip, batch)
-            expected, drops = scalar_probe_batch(twin, batch)
+            result = serve_probe_batch(dip, rate_rps, batch)
+            expected, drops = scalar_probe_batch(twin, rate_rps, batch)
             assert (
                 result.mean_latency_ms,
                 result.dropped,
@@ -452,12 +456,11 @@ class TestProbeBatchMatchesScalarLoop:
         rate_rps = 800.0 if batch < 100 else 396.0
         dip = DipServer("d", small_vm, seed=31, jitter_fraction=jitter)
         twin = DipServer("d", small_vm, seed=31, jitter_fraction=jitter)
-        for server in (dip, twin):
-            server.set_offered_rate(rate_rps)
+        drop_p = twin.latency_model.drop_probability(rate_rps)
         served_counts = set()
         for _ in range(400 if batch < 100 else 20):
-            result = serve_probe_batch(dip, batch)
-            drops = int(twin._rng.binomial(batch, min(1.0, twin.drop_probability)))
+            result = serve_probe_batch(dip, rate_rps, batch)
+            drops = int(twin._rng.binomial(batch, min(1.0, drop_p)))
             served = batch - drops
             assert result.samples == served
             if served == 0:

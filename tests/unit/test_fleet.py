@@ -7,8 +7,12 @@ the FleetController lifecycle.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
+from oracles.probes import serve_probe_round
 
 from repro.backends import DipServer, custom_vm_type
 from repro.core import FleetController, VipPhase
@@ -122,8 +126,7 @@ class TestFleetRefusesNonFiniteInputs:
     def make(self):
         fleet = make_fleet(3)
         fleet.create_vip("a", dip_ids=["d0", "d1", "d2"], total_rate_rps=300.0)
-        fleet.apply()
-        return fleet, {d: s.offered_rate_rps for d, s in fleet.dips.items()}
+        return fleet, dict(fleet.apply().total_rates_rps)
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -0.5])
     def test_set_weights(self, weight):
@@ -131,7 +134,7 @@ class TestFleetRefusesNonFiniteInputs:
         with pytest.raises(ConfigurationError, match=r"VIP 'a'.*DIP 'd1'.*finite"):
             fleet.set_weights("a", {"d0": 0.5, "d1": weight})
         assert fleet.vips["a"].weights == {"d0": 1 / 3, "d1": 1 / 3, "d2": 1 / 3}
-        assert {d: s.offered_rate_rps for d, s in fleet.dips.items()} == before
+        assert fleet.state().total_rates_rps == before
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
     def test_set_total_rate(self, rate):
@@ -139,7 +142,7 @@ class TestFleetRefusesNonFiniteInputs:
         with pytest.raises(ConfigurationError, match="finite"):
             fleet.set_total_rate("a", rate)
         assert fleet.vips["a"].total_rate_rps == 300.0
-        assert {d: s.offered_rate_rps for d, s in fleet.dips.items()} == before
+        assert fleet.state().total_rates_rps == before
 
     @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 1e308])
     def test_scale_traffic(self, factor):
@@ -147,7 +150,63 @@ class TestFleetRefusesNonFiniteInputs:
         with pytest.raises(ConfigurationError, match="finite"):
             fleet.scale_traffic("a", factor)
         assert fleet.vips["a"].total_rate_rps == 300.0
-        assert {d: s.offered_rate_rps for d, s in fleet.dips.items()} == before
+        assert fleet.state().total_rates_rps == before
+
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda fleet: fleet.set_weights("a", {"d0": 0.0, "d1": 1.0}),
+            lambda fleet: fleet.set_total_rate("a", 1.4e308),
+        ],
+        ids=["weights", "rate"],
+    )
+    def test_an_overflowing_total_leaves_the_state(self, write):
+        """Finite rates whose sum on a shared DIP overflows: the write is
+        refused as the full evaluation refuses it, and the last state and
+        the stacked splits stay bit for bit as they were."""
+        fleet = make_fleet(3)
+        fleet.create_vip("a", dip_ids=["d0", "d1"], total_rate_rps=1e308,
+                         weights={"d0": 0.25, "d1": 0.75})
+        fleet.create_vip("b", dip_ids=["d1", "d2"], total_rate_rps=1.79e308, policy_name="rr")
+        before = fleet.apply()
+        total, stacked = before._total.tobytes(), fleet._stacked[1].tobytes()
+        rates, per_vip = dict(before.total_rates_rps), dict(before.per_vip_rates)
+        with pytest.raises(ConfigurationError, match=r"^rate_rps must be finite and >= 0, got inf$"):
+            write(fleet)
+        after = fleet.state()
+        assert after is before and after.time == 0.0
+        assert (after._total.tobytes(), fleet._stacked[1].tobytes()) == (total, stacked)
+        assert after.total_rates_rps == rates and after.per_vip_rates == per_vip
+
+
+def test_no_fleet_entry_point_stores_an_attribute_on_a_server(monkeypatch):
+    """The evaluation is the only record of a DIP's load: every entry point
+    of the fleet, the probe round included, leaves a server's attributes to
+    the server's own methods (its health, and the scaled latency model it
+    keeps), and a server has no rate field."""
+    fleet, newcomer = make_mixed_fleet(), make_fleet(7).dips["d6"]
+    stores: list[tuple[str, str]] = []
+    original = DipServer.__setattr__
+
+    def recording(self, name, value):
+        stores.append((name, sys._getframe(1).f_code.co_qualname))
+        original(self, name, value)
+
+    monkeypatch.setattr(DipServer, "__setattr__", recording)
+    for mutate in MUTATORS:
+        mutate(fleet)
+    fleet.scale_traffic("e", 1.5)
+    fleet.set_antagonist_copies("d4", 2)
+    fleet.probe_round(list(fleet.dips), 10)
+    fleet.add_dip(newcomer)
+    fleet.create_vip("n", dip_ids=["d5", "d6"], total_rate_rps=100.0)
+    fleet.state()
+    fleet.remove_vip("w")
+    fleet.view("n").probe_round(["d6"], 5)
+    assert {name for name, _ in stores} == {"failed", "_scaled"}
+    assert {caller.split(".")[0] for _, caller in stores} == {"DipServer"}
+    assert not {"offered_rate_rps", "rate_rps"} & {f.name for f in dataclasses.fields(DipServer)}
 
 
 def make_mixed_fleet():
@@ -180,10 +239,12 @@ def eager_snapshot(fleet):
     """The snapshot every ``apply`` used to build, recomputed on the spot.
 
     Reference for the lazy :class:`FleetState`: the per-DIP dicts of the
-    former ``Fleet._state_from``, from the rates the servers hold now and
-    each server's scalar law.
+    former ``Fleet._state_from``, from the evaluation's rates read now and
+    each server's scalar law at its rate.
     """
     servers = fleet.dips
+    state = fleet.state()
+    totals = dict(zip(state._pool.ids, state._total.tolist()))
     per_vip = {}
     for vip_id, vip in fleet.vips.items():
         healthy = vip.healthy_dip_ids()
@@ -198,10 +259,16 @@ def eager_snapshot(fleet):
         per_vip[vip_id] = {d: float(r) for d, r in zip(healthy, rates)}
     return {
         "time": fleet.time,
-        "total_rates_rps": {d: s.offered_rate_rps for d, s in servers.items()},
-        "utilization": {d: s.cpu_utilization for d, s in servers.items()},
+        "total_rates_rps": totals,
+        "utilization": {
+            d: 0.0 if s.failed else min(1.0, s.latency_model.utilization(totals[d]))
+            for d, s in servers.items()
+        },
         "mean_latency_ms": {
-            d: (float("inf") if s.failed else s.mean_latency_ms) for d, s in servers.items()
+            d: float("inf")
+            if s.failed
+            else s.latency_model.mean_latency_ms(totals[d], scv_correction=s.scv_correction)
+            for d, s in servers.items()
         },
         "per_vip_rates": per_vip,
     }
@@ -243,13 +310,15 @@ class TestLazyFleetState:
         assert after.utilization["d3"] > 0.0
         assert after.mean_latency_ms["d3"] < float("inf")
 
-    def test_rates_reach_the_servers_without_state_being_read(self):
+    def test_probes_see_every_write_without_state_being_read(self):
         quiet, read = make_mixed_fleet(), make_mixed_fleet()
         for mutate in MUTATORS:
             mutate(quiet)
             mutate(read)
-            pushed = {d: s.offered_rate_rps for d, s in quiet.dips.items()}
-            assert pushed == read.state().total_rates_rps
+            ids = list(quiet.dips)
+            rates = read.state().total_rates_rps
+            pairs = [(read.dips[d], rates[d]) for d in ids]
+            assert quiet.probe_round(ids, 20) == serve_probe_round(pairs, 20)
             assert quiet.time == read.time
 
     def test_derived_means_read_the_lazy_fields(self):

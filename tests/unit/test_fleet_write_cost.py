@@ -1,17 +1,16 @@
 """A fleet write costs what it changed, counted rather than timed.
 
 On a 128-VIP windowed fleet, ``set_weights`` on one VIP computes that VIP's
-inputs alone (one ``Fleet._inputs`` call) and writes the offered rate of
-its DIPs alone; an ``advance`` that follows no write computes no VIP's
-inputs and writes no rate; and none of them makes a pass over
-``fleet.dips``.  A rate write is seen by object identity: every push
-stores a fresh float, so a server whose stored rate is the very same object
-was not written.  That the results are the full evaluation's is
+inputs alone (one ``Fleet._inputs`` call) and changes the totals of its
+DIPs alone; an ``advance`` that follows no write computes no VIP's inputs
+and hands the last state's arrays on; and none of them makes a pass over
+``fleet.dips``.  That the results are the full evaluation's is
 ``test_fleet_apply_memo.py``'s to hold.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.backends import DipServer, custom_vm_type
@@ -47,38 +46,34 @@ def inputs(monkeypatch) -> list[str]:
     return calls
 
 
-def stored_rates(fleet: Fleet) -> dict[str, float]:
-    return {dip: server.__dict__["offered_rate_rps"] for dip, server in fleet.dips.items()}
+def changed(fleet: Fleet, write) -> set[str]:
+    """The DIPs whose total ``write`` changes, by bits."""
+    before = fleet.state()._total.view(np.int64).copy()
+    write(fleet)
+    state = fleet.state()
+    moved = np.flatnonzero(state._total.view(np.int64) != before)
+    return {state._pool.ids[i] for i in moved.tolist()}
 
 
-def written(before: dict[str, float], after: dict[str, float]) -> set[str]:
-    return {dip for dip, rate in after.items() if rate is not before[dip]}
-
-
-def test_a_weight_write_reads_and_pushes_one_vip(fleet, inputs):
+def test_a_weight_write_reads_and_changes_one_vip(fleet, inputs):
     vip = fleet.vips["VIP-37"]
-    before = stored_rates(fleet)
-    fleet.set_weights("VIP-37", {dip: 1.0 + i for i, dip in enumerate(vip.dips)})
+    weights = {dip: 1.0 + i for i, dip in enumerate(vip.dips)}
+    assert changed(fleet, lambda fleet: fleet.set_weights("VIP-37", weights)) == set(vip.dips)
     assert inputs == ["VIP-37"]
-    assert written(before, stored_rates(fleet)) == set(vip.dips)
 
 
-def test_a_rate_write_reads_and_pushes_one_vip(fleet, inputs):
+def test_a_rate_write_reads_and_changes_one_vip(fleet, inputs):
     vip = fleet.vips["VIP-90"]
-    before = stored_rates(fleet)
-    fleet.scale_traffic("VIP-90", 1.5)
+    assert changed(fleet, lambda fleet: fleet.scale_traffic("VIP-90", 1.5)) == set(vip.dips)
     assert inputs == ["VIP-90"]
-    assert written(before, stored_rates(fleet)) == set(vip.dips)
 
 
-def test_an_advance_after_no_write_reads_nothing_and_pushes_nothing(fleet, inputs):
+def test_an_advance_after_no_write_reads_nothing_and_changes_nothing(fleet, inputs):
     fleet.set_weights("VIP-5", {dip: 2.0 for dip in fleet.vips["VIP-5"].dips})
     state = fleet.state()
-    before = stored_rates(fleet)
     inputs.clear()
     advanced = fleet.advance(5.0)
     assert inputs == []
-    assert written(before, stored_rates(fleet)) == set()
     assert advanced.time == fleet.time == 5.0
     assert advanced._total is state._total
     assert fleet.state() is advanced

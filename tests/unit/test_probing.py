@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from oracles.probes import ServerDeployment
 
 from repro.backends import DipServer, custom_vm_type
 from repro.core.config import ProbeConfig
 from repro.core.types import LatencySample
 from repro.exceptions import ConfigurationError
 from repro.probing import KLM, KLM_REQUESTS_PER_SECOND_PER_CORE, LatencyStore
+from repro.sim.fluid import FluidCluster
 
 
 def make_dip(name="d1", capacity=400.0, seed=1):
@@ -84,12 +86,16 @@ class TestLatencyStore:
 
 
 class TestKLM:
-    def make_klm(self, dips, **probe_kwargs):
+    def make_klm(self, dips, rates=None, deployment=None, **probe_kwargs):
+        """A KLM probing ``dips`` offered ``rates`` (0 by default), or
+        ``deployment``'s DIPs."""
         store = LatencyStore()
+        if deployment is None:
+            deployment = ServerDeployment(dips, {dip: 0.0 for dip in dips} | (rates or {}))
         return (
             KLM(
                 vip="vip-1",
-                dips=dips,
+                deployment=deployment,
                 store=store,
                 config=ProbeConfig(**probe_kwargs) if probe_kwargs else ProbeConfig(),
             ),
@@ -98,19 +104,20 @@ class TestKLM:
 
     def test_probe_writes_sample(self):
         dip = make_dip()
-        dip.set_offered_rate(200.0)
-        klm, store = self.make_klm({"d1": dip})
+        klm, store = self.make_klm({"d1": dip}, {"d1": 200.0})
         outcome = klm.probe_dip("d1", now=10.0)
         assert not outcome.failed
-        assert outcome.latency_ms == pytest.approx(dip.mean_latency_ms, rel=0.05)
+        assert outcome.latency_ms == pytest.approx(
+            dip.latency_model.mean_latency_ms(200.0), rel=0.05
+        )
         assert len(store.samples("vip-1", "d1")) == 1
 
     def test_probe_latency_reflects_load(self):
-        dip = make_dip()
-        klm, _ = self.make_klm({"d1": dip})
-        dip.set_offered_rate(50.0)
+        """Through a fleet's view, a probe sees the fleet's last write."""
+        cluster = FluidCluster({"d1": make_dip()}, 50.0)
+        klm, _ = self.make_klm({}, deployment=cluster.fleet.view("vip"))
         light = klm.probe_dip("d1", now=0.0).latency_ms
-        dip.set_offered_rate(380.0)
+        cluster.set_total_rate(380.0)
         heavy = klm.probe_dip("d1", now=5.0).latency_ms
         assert heavy > light
 
@@ -164,8 +171,7 @@ class TestKLM:
 
     def test_overloaded_probe_marks_drop(self):
         dip = make_dip()
-        dip.set_offered_rate(1500.0)
-        klm, _ = self.make_klm({"d1": dip})
+        klm, _ = self.make_klm({"d1": dip}, {"d1": 1500.0})
         outcome = klm.probe_dip("d1", now=0.0)
         assert outcome.dropped
 

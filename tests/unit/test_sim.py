@@ -213,8 +213,9 @@ class TestFluidCluster:
         dips = make_dips([400.0, 400.0])
         cluster = FluidCluster(dips=dips, total_rate_rps=400.0, policy_name="wrr")
         cluster.set_weights({"d0": 0.75, "d1": 0.25})
-        assert dips["d0"].offered_rate_rps == pytest.approx(300.0)
-        assert dips["d1"].offered_rate_rps == pytest.approx(100.0)
+        rates = cluster.state().total_rates_rps
+        assert rates["d0"] == pytest.approx(300.0)
+        assert rates["d1"] == pytest.approx(100.0)
 
     def test_state_reports_latency_and_util(self):
         dips = make_dips([400.0, 400.0])
@@ -227,16 +228,35 @@ class TestFluidCluster:
         dips = make_dips([400.0, 400.0])
         cluster = FluidCluster(dips=dips, total_rate_rps=400.0)
         cluster.fail_dip("d0")
-        assert dips["d0"].offered_rate_rps == 0.0
-        assert dips["d1"].offered_rate_rps == pytest.approx(400.0)
+        assert cluster.state().total_rates_rps["d0"] == 0.0
+        assert cluster.state().total_rates_rps["d1"] == pytest.approx(400.0)
         cluster.recover_dip("d0")
-        assert dips["d0"].offered_rate_rps > 0
+        assert cluster.state().total_rates_rps["d0"] > 0
 
     def test_traffic_scaling(self):
         dips = make_dips([400.0, 400.0])
         cluster = FluidCluster(dips=dips, total_rate_rps=400.0)
         cluster.scale_traffic(1.5)
         assert cluster.total_rate_rps == pytest.approx(600.0)
+        assert cluster.state().total_rates_rps == {"d0": 300.0, "d1": 300.0}
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -1.0])
+    def test_traffic_scaling_refusal_names_the_factor(self, factor):
+        """The cluster's scaling is the fleet's: a refused factor is named
+        as such, and leaves the rate as it was."""
+        cluster = FluidCluster(dips=make_dips([400.0, 400.0]), total_rate_rps=400.0)
+        with pytest.raises(ConfigurationError, match=r"^factor must be finite and >= 0"):
+            cluster.scale_traffic(factor)
+        assert cluster.total_rate_rps == 400.0
+        assert cluster.state().total_rates_rps == {"d0": 200.0, "d1": 200.0}
+
+    def test_capacity_and_health_are_the_fleets(self):
+        dips = make_dips([400.0, 800.0])
+        cluster = FluidCluster(dips=dips, total_rate_rps=400.0)
+        cluster.set_capacity_ratio("d1", 0.5)
+        cluster.fail_dip("d0")
+        assert cluster.healthy_dip_ids() == cluster.fleet.healthy_dip_ids() == ("d1",)
+        assert cluster.total_capacity_rps == cluster.fleet.total_capacity_rps == 400.0
 
     def test_capacity_change_updates_latency(self):
         dips = make_dips([400.0, 400.0])
