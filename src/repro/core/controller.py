@@ -25,7 +25,7 @@ from typing import Iterator, Mapping, Protocol, Sequence
 
 from repro.backends.dip import DipServer
 from repro.core.config import KnapsackLBConfig
-from repro.core.curve import WeightLatencyCurve, fit_curve
+from repro.core.curve import CurveBank, WeightLatencyCurve, fit_curve
 from repro.core.dynamics import (
     DynamicsDetector,
     DynamicsEvent,
@@ -132,8 +132,8 @@ class KnapsackLBController:
         self.deployment = deployment
         self.config = config or KnapsackLBConfig()
         self.store = store or LatencyStore()
-        #: warm-start memo for ILP solves; the fleet control plane shares
-        #: one cache across its VIPs so unchanged problems skip re-solving.
+        #: the memo of solved problems the fleet control plane shares
+        #: across its VIPs (see ``FleetController.solve_cache``).
         self.solve_cache = solve_cache
         self.klm = KLM(
             vip=vip,
@@ -151,7 +151,9 @@ class KnapsackLBController:
         self._explore_history: dict[DipId, list[float]] = {}
         self._explore_proposals: dict[DipId, int] = {}
         self._explore_rounds: int = 0
-        self.curves: dict[DipId, WeightLatencyCurve] = {}
+        #: the fitted curves with their bank: a fit or a restore stacks the
+        #: curve's row, every other change derives the next bank from the last.
+        self.curves: CurveBank = CurveBank()
         #: curves of failed DIPs, kept so a recovery can restore them.
         self.retired_curves: dict[DipId, WeightLatencyCurve] = {}
         self.failed_dips: set[DipId] = set()
@@ -284,7 +286,7 @@ class KnapsackLBController:
             self._explore_history.setdefault(dip, []).append(weight)
             self._explore_proposals[dip] = self._explore_proposals.get(dip, 0) + 1
 
-        curves_done = {d: c for d, c in self.curves.items() if d not in pending}
+        curves_done = self.curves.take([d for d in self.curves if d not in pending])
         plan = self.scheduler.plan_round(list(dips), curves_done, exclude=exclude)
         if not plan.measured:
             return ExplorationRoundOutcome(done=self._exploration_finished())
@@ -325,10 +327,12 @@ class KnapsackLBController:
                 )
 
         # Fit curves for DIPs that just finished.
+        finished = {}
         for dip in plan.measured:
             state = self.explorations.get(dip)
             if state is not None and state.done and dip not in self.curves:
-                self._fit_dip_curve(dip)
+                finished[dip] = self._fitted_curve(dip)
+        self.curves = self.curves.with_curves(finished)
 
         return ExplorationRoundOutcome(
             measured=dict(plan.measured),
@@ -338,12 +342,14 @@ class KnapsackLBController:
 
     def finish_exploration(self) -> ExplorationReport:
         """Fit stragglers and summarise the measurement phase."""
+        stragglers = {}
         for dip in self.explorations:
             if dip not in self.curves:
                 try:
-                    self._fit_dip_curve(dip)
+                    stragglers[dip] = self._fitted_curve(dip)
                 except CurveFitError:
                     continue
+        self.curves = self.curves.with_curves(stragglers)
         return ExplorationReport(
             iterations=max(self._explore_proposals.values(), default=0),
             rounds=self._explore_rounds,
@@ -357,7 +363,8 @@ class KnapsackLBController:
             w_max={d: e.effective_w_max() for d, e in self.explorations.items()},
         )
 
-    def _fit_dip_curve(self, dip: DipId) -> WeightLatencyCurve:
+    def _fitted_curve(self, dip: DipId) -> WeightLatencyCurve:
+        """``dip``'s curve fitted from its exploration (the caller keeps it)."""
         state = self.explorations[dip]
         try:
             curve = fit_curve(
@@ -380,7 +387,6 @@ class KnapsackLBController:
                 l0_ms=self.l0_ms.get(dip),
                 w_max=state.effective_w_max(),
             )
-        self.curves[dip] = curve
         return curve
 
     # ------------------------------------------------------------ weight computation
@@ -388,7 +394,7 @@ class KnapsackLBController:
     def compute_weights(self, *, force_multistep: bool | None = None) -> MultiStepOutcome:
         """Run the (multi-step) ILP over the healthy DIPs' curves."""
         healthy = self._healthy_dips()
-        curves = {d: c for d, c in self.curves.items() if d in healthy}
+        curves = self.curves.take([d for d in self.curves if d in healthy])
         if not curves:
             raise ConfigurationError(
                 f"VIP {self.vip}: no fitted curves; run the measurement phase first"
@@ -445,9 +451,11 @@ class KnapsackLBController:
         if newly_failed:
             for dip in newly_failed:
                 self.failed_dips.add(dip)
-                curve = self.curves.pop(dip, None)
-                if curve is not None:
-                    self.retired_curves[dip] = curve
+                if dip in self.curves:
+                    self.retired_curves[dip] = self.curves[dip]
+            self.curves = self.curves.take(
+                [d for d in self.curves if d not in newly_failed]
+            )
             report.failed_dips = tuple(newly_failed)
             report.events.append(
                 DynamicsEvent(
@@ -519,7 +527,7 @@ class KnapsackLBController:
         curve = self.retired_curves.pop(dip, None)
         if curve is None:
             return False
-        self.curves[dip] = curve
+        self.curves = self.curves.with_curves({dip: curve})
         return True
 
     # ------------------------------------------------------------ reporting

@@ -14,7 +14,9 @@ which is what the rescaling computation needs.
 
 Both run on a *bank* of curves: :func:`predict_curves` and
 :func:`weights_for_latencies` take every DIP of a VIP in one array pass, and
-the single-curve methods are their one-row calls.
+the single-curve methods are their one-row calls.  A :class:`CurveBank` keeps
+a VIP's curve set with its stacked bank, so a control tick's drift check,
+§4.5 rescale and ILP grid read the same arrays instead of re-stacking rows.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro import kernels
 from repro.core.config import CurveConfig
-from repro.core.types import MeasurementPoint
+from repro.core.types import DipId, MeasurementPoint
 from repro.exceptions import ConfigurationError, CurveFitError
 
 
@@ -48,6 +50,9 @@ class _Row(NamedTuple):
     peak: float
     #: bounded by a scan of ``[0, w]``: monotone above degree 2.
     scanned: bool
+    #: where a concave monotone parabola peaks before the weight scale
+    #: (``vertex`` is ``axis · scale`` when positive); nan: no such vertex.
+    axis: float
 
 
 @dataclass(frozen=True)
@@ -89,22 +94,16 @@ class WeightLatencyCurve:
         concave envelope peaks."""
         coefficients = tuple(float(c) for c in self.coefficients)
         scale, monotone = float(self.weight_scale), self.enforce_monotone
-        vertex, peak = math.inf, -math.inf
-        a = coefficients[0]
+        axis, a = math.nan, coefficients[0]
         if monotone and self.degree == 2 and a < 0 and abs(a) > 1e-15:
             # A concave fit peaks at its vertex.
-            at = -coefficients[1] / (2 * a) * scale
-            if at > 0.0:
-                x, value = at / scale, 0.0
-                for c in coefficients:
-                    value = value * x + c
-                vertex, peak = at, value
+            axis = -coefficients[1] / (2 * a)
         return _Row(
             (*coefficients, scale, float(self.l0_ms)),
             monotone,
-            vertex,
-            peak,
+            *_vertex(axis, scale, coefficients),
             monotone and self.degree > 2,
+            axis,
         )
 
     def predict_many(self, weights: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -156,7 +155,10 @@ def _bank(curves: Sequence[WeightLatencyCurve]) -> tuple:
     zero-padded in front to the widest curve, then the weight scale and l0
     (``table``), its ``width``, and the ``monotone``, ``vertex``, ``peak``
     and ``scanned`` columns of the rows' envelopes."""
-    rows = [c.bank_row for c in curves]
+    return _stack([c.bank_row for c in curves])
+
+
+def _stack(rows: Sequence[_Row]) -> tuple:
     width = max((len(r.cells) for r in rows), default=3) - 2
     table = np.array(
         [(0.0,) * (width + 2 - len(r.cells)) + r.cells for r in rows], dtype=np.float64
@@ -171,8 +173,220 @@ def _bank(curves: Sequence[WeightLatencyCurve]) -> tuple:
     )
 
 
+def _vertex(axis: float, scale: float, coefficients: Sequence[float]) -> tuple[float, float]:
+    """Where a row's envelope stops rising, ``axis · scale`` when that is
+    positive, and the polynomial there; else ``(inf, -inf)``."""
+    at = axis * scale
+    if not at > 0.0:
+        return math.inf, -math.inf
+    x, value = at / scale, 0.0
+    for c in coefficients:
+        value = value * x + c
+    return at, value
+
+
+class CurveBank(Mapping[DipId, WeightLatencyCurve]):
+    """A VIP's curve set, DIP → curve in row order, kept with its bank.
+
+    ``arrays`` is what :func:`_bank` makes of the curves — ``table``,
+    ``width``, ``monotone``, ``vertex``, ``peak``, ``scanned`` — and
+    ``w_max`` their safe maxima.  Only the constructor and
+    :meth:`with_curves` (fits, a restore) read a curve's
+    :attr:`~WeightLatencyCurve.bank_row`.  A row slice (:meth:`take`) and a
+    §4.5 rescale (:meth:`shifted`) derive the new bank from this one's
+    columns, so every bank's ``arrays`` equal ``_bank`` of its curves byte
+    for byte; a rescaled curve object is made from its row when it is first
+    read.  A bank is never changed in place.
+    """
+
+    __slots__ = ("ids", "arrays", "w_max", "_axis", "_widths", "_base", "_curves", "_position")
+
+    def __init__(self, curves: Mapping[DipId, WeightLatencyCurve] | None = None) -> None:
+        curves = curves or {}
+        rows = [c.bank_row for c in curves.values()]
+        self._fill(
+            tuple(curves),
+            _stack(rows),
+            np.array([c.w_max for c in curves.values()], dtype=np.float64),
+            tuple(r.axis for r in rows),
+            tuple(len(r.cells) - 2 for r in rows),
+            tuple(curves.values()),
+            list(curves.values()),
+        )
+
+    @classmethod
+    def of(cls, curves: Mapping[DipId, WeightLatencyCurve]) -> "CurveBank":
+        """``curves`` itself when it is a bank, else the bank built from it."""
+        return curves if isinstance(curves, CurveBank) else cls(curves)
+
+    def _fill(self, ids, arrays, w_max, axis, widths, base, curves, position=None) -> "CurveBank":
+        self.ids, self.arrays, self.w_max = ids, arrays, w_max
+        self._axis, self._widths = axis, widths
+        #: per row, a curve with the row's coefficients, l0 and fit points,
+        #: and the row's curve where it has been made (else None).
+        self._base, self._curves = base, curves
+        self._position = position or {dip: row for row, dip in enumerate(ids)}
+        return self
+
+    # -- the mapping ----------------------------------------------------------------
+
+    def __getitem__(self, dip: DipId) -> WeightLatencyCurve:
+        row = self._position[dip]
+        curve = self._curves[row]
+        if curve is None:
+            # The rescaled() chain's fields: its products are the columns'.
+            base = self._base[row]
+            curve = self._curves[row] = WeightLatencyCurve(
+                coefficients=base.coefficients,
+                l0_ms=base.l0_ms,
+                w_max=self.w_max[row].item(),
+                weight_scale=self.arrays[0][row, self.arrays[1]].item(),
+                fit_points=base.fit_points,
+                enforce_monotone=base.enforce_monotone,
+            )
+        return curve
+
+    def __contains__(self, dip: object) -> bool:
+        return dip in self._position
+
+    def __iter__(self) -> Iterator[DipId]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rows(self, ids: Iterable[DipId]) -> list[int]:
+        """The rows of ``ids``."""
+        return [self._position[dip] for dip in ids]
+
+    # -- derived banks --------------------------------------------------------------
+
+    def with_curves(self, curves: Mapping[DipId, WeightLatencyCurve]) -> "CurveBank":
+        """This bank with ``curves`` (fits, restores): new DIPs' rows, read
+        from their :attr:`~WeightLatencyCurve.bank_row`, go after the others;
+        a DIP the bank holds keeps its row, and the bank is restacked."""
+        if not curves:
+            return self
+        if any(dip in self._position for dip in curves):
+            return CurveBank({**self, **curves})
+        added = CurveBank(curves)
+        (table, width, *columns), (more, own, *new) = self.arrays, added.arrays
+        wide = max(width, own)
+        cells = np.zeros((len(self) + len(added), wide + 2))
+        cells[: len(self), wide - width :] = table
+        cells[len(self) :, wide - own :] = more
+        return object.__new__(CurveBank)._fill(
+            self.ids + added.ids,
+            (cells, wide, *(np.concatenate(pair) for pair in zip(columns, new))),
+            np.concatenate((self.w_max, added.w_max)),
+            self._axis + added._axis,
+            self._widths + added._widths,
+            self._base + added._base,
+            self._curves + added._curves,
+        )
+
+    def take(self, ids: Sequence[DipId]) -> "CurveBank":
+        """The bank of ``ids``' curves, in that order: a row slice."""
+        ids = tuple(ids)
+        if ids == self.ids:
+            return self
+        if len(set(ids)) != len(ids):
+            raise ConfigurationError("a bank holds each DIP once")
+        picked = self.rows(ids)
+        rows = np.array(picked, dtype=np.intp)
+        table, width, monotone, vertex, peak, scanned = self.arrays
+        widths = tuple(self._widths[row] for row in picked)
+        narrow = max(widths, default=1)
+        return object.__new__(CurveBank)._fill(
+            ids,
+            (
+                np.ascontiguousarray(table[rows, width - narrow :]),
+                narrow,
+                monotone[rows],
+                vertex[rows],
+                peak[rows],
+                scanned[rows],
+            ),
+            self.w_max[rows],
+            tuple(self._axis[row] for row in picked),
+            widths,
+            tuple(self._base[row] for row in picked),
+            [self._curves[row] for row in picked],
+        )
+
+    def shifted(
+        self,
+        ids: Sequence[DipId],
+        weights: Sequence[float],
+        observed_latencies_ms: Sequence[float],
+    ) -> "CurveBank":
+        """The §4.5 shift of each ``ids[i]``'s curve to ``observed_latencies_ms[i]``
+        at ``weights[i]``: one :func:`weights_for_latencies` over the bank
+        finds ``w2``, and the curve is :meth:`WeightLatencyCurve.rescaled` by
+        ``δ = w1 / w2``.  An observation at or below the curve's weight-0
+        prediction (``w2 = 0``) means headroom: ``w2`` becomes half of
+        ``min(w_max or w1, w1)``, and the curve is kept when that is 0.
+
+        The new bank is this one's columns with the scale and ``w_max`` of
+        each shifted row times δ and its ``vertex`` and ``peak`` by
+        :attr:`~WeightLatencyCurve.bank_row`'s own law — the bits of the
+        rescaled curves' rows — and refuses what ``rescaled`` refuses.
+        """
+        ids = tuple(ids)
+        if any(weight <= 0 for weight in weights):
+            raise ConfigurationError("weight must be positive")
+        if len(weights) != len(ids) or len(set(ids)) != len(ids):
+            raise ConfigurationError("need one weight per curve, each curve once")
+        observed = np.array(observed_latencies_ms, dtype=np.float64)
+        if observed.shape != (len(ids),):
+            raise ConfigurationError("need one target latency per curve")
+        # One inversion over the whole bank; a row not shifted aims at 0.
+        rows = np.array(self.rows(ids), dtype=np.intp)
+        targets = np.zeros(len(self))
+        targets[rows] = observed
+        found = weights_for_latencies(self, targets)[rows].tolist()
+        table, width, monotone, vertex, peak, scanned = self.arrays
+        cells, tops = table.tolist(), self.w_max.tolist()
+        vertices, peaks, curves = vertex.tolist(), peak.tolist(), list(self._curves)
+        for row, weight, w2 in zip(rows.tolist(), weights, found):
+            if w2 <= 0:
+                # The observed latency is at/below idle latency even at
+                # weight 0: treat as "plenty of headroom" and stretch the
+                # curve outward.
+                w2 = min(tops[row] if tops[row] > 0 else weight, weight) / 2.0
+                if w2 <= 0:
+                    continue
+            delta = weight / w2
+            if delta <= 0:
+                raise ConfigurationError("delta must be positive")
+            scale = cells[row][width] * delta
+            if scale <= 0:
+                raise ConfigurationError("weight_scale must be positive")
+            cells[row][width], tops[row], curves[row] = scale, tops[row] * delta, None
+            coefficients = cells[row][width - self._widths[row] : width]
+            vertices[row], peaks[row] = _vertex(self._axis[row], scale, coefficients)
+        return object.__new__(CurveBank)._fill(
+            self.ids,
+            (
+                np.array(cells, dtype=np.float64).reshape(table.shape),
+                width,
+                monotone,
+                np.array(vertices, dtype=np.float64),
+                np.array(peaks, dtype=np.float64),
+                scanned,
+            ),
+            np.array(tops, dtype=np.float64),
+            self._axis,
+            self._widths,
+            self._base,
+            curves,
+            self._position,
+        )
+
+
 def predict_curves(
-    curves: Sequence[WeightLatencyCurve], weights: Sequence[Sequence[float]] | np.ndarray
+    curves: Sequence[WeightLatencyCurve] | CurveBank,
+    weights: Sequence[Sequence[float]] | np.ndarray,
 ) -> np.ndarray:
     """Estimated mean latency (ms) of ``curves[i]`` at each of ``weights[i]``.
 
@@ -180,8 +394,10 @@ def predict_curves(
     the monotone correction (max of the polynomial over ``[0, w]``: the
     constant term, a concave parabola's vertex, or a 64-point scan above
     degree 2) and the idle-latency floor — each the same IEEE operation per
-    element as evaluating one weight of one curve at a time.
+    element as evaluating one weight of one curve at a time.  A
+    :class:`CurveBank` is read as it is kept.
     """
+    arrays = curves.arrays if isinstance(curves, CurveBank) else _bank(curves)
     ws = np.asarray(weights, dtype=np.float64)
     if ws.ndim != 2 or len(ws) != len(curves):
         raise ConfigurationError("weights must be one row per curve")
@@ -189,12 +405,12 @@ def predict_curves(
         raise ConfigurationError("weight must be >= 0")
     ws = np.ascontiguousarray(ws)
     out = np.empty_like(ws)
-    kernels.predict_bank(*_bank(curves), ws, out)
+    kernels.predict_bank(*arrays, ws, out)
     return out
 
 
 def weights_for_latencies(
-    curves: Sequence[WeightLatencyCurve],
+    curves: Sequence[WeightLatencyCurve] | CurveBank,
     latencies_ms: Sequence[float] | np.ndarray,
     *,
     upper: float | Sequence[float] | np.ndarray | None = None,
@@ -211,55 +427,29 @@ def weights_for_latencies(
     halvings), else :class:`ConfigurationError`.
 
     The bisections run in :func:`repro.kernels.bisect_bank`, one scalar loop
-    per curve over the bank's arrays.
+    per curve over the bank's arrays (a :class:`CurveBank`'s as it is kept).
     """
+    bank = curves if isinstance(curves, CurveBank) else CurveBank(dict(enumerate(curves)))
     targets = np.array(latencies_ms, dtype=np.float64)
-    if targets.shape != (len(curves),):
+    if targets.shape != (len(bank),):
         raise ConfigurationError("need one target latency per curve")
     if not np.isfinite(targets).all():
         raise ConfigurationError("target latencies must be finite")
     if upper is None:
-        uppers = np.array([max(c.w_max, 1e-3) * 2.0 for c in curves])
+        uppers = np.maximum(bank.w_max, 1e-3) * 2.0
     else:
         uppers = np.array(upper, dtype=np.float64)
         if uppers.ndim == 0:
-            uppers = np.full(len(curves), uppers)
-        if uppers.shape != (len(curves),):
+            uppers = np.full(len(bank), uppers)
+        if uppers.shape != (len(bank),):
             raise ConfigurationError("upper must be one weight, or one per curve")
         if not ((uppers >= 0) & (uppers < np.inf)).all():
             raise ConfigurationError("upper must be finite and >= 0")
     if not 0 <= tol < np.inf:
         raise ConfigurationError("tol must be finite and >= 0")
-    found = np.empty(len(curves))
-    kernels.bisect_bank(*_bank(curves), targets, uppers, tol, found)
+    found = np.empty(len(bank))
+    kernels.bisect_bank(*bank.arrays, targets, uppers, tol, found)
     return found
-
-
-def rescale_for_latency_shifts(
-    curves: Sequence[WeightLatencyCurve],
-    weights: Sequence[float],
-    observed_latencies_ms: Sequence[float],
-) -> list[WeightLatencyCurve]:
-    """The §4.5 shift of every ``curves[i]`` to ``observed_latencies_ms[i]``
-    at ``weights[i]``, with one :func:`weights_for_latencies` over the bank.
-
-    This is the full §4.5 mechanism: find ``w2``, the weight at which the
-    current curve predicts the observed latency, compute ``δ = w1 / w2`` and
-    apply :meth:`WeightLatencyCurve.rescaled`."""
-    if any(weight <= 0 for weight in weights):
-        raise ConfigurationError("weight must be positive")
-    shifted: list[WeightLatencyCurve] = []
-    found = weights_for_latencies(curves, observed_latencies_ms).tolist()
-    for curve, weight, w2 in zip(curves, weights, found):
-        if w2 <= 0:
-            # The observed latency is at/below idle latency even at weight 0:
-            # treat as "plenty of headroom" and stretch the curve outward.
-            w2 = min(curve.w_max if curve.w_max > 0 else weight, weight) / 2.0
-            if w2 <= 0:
-                shifted.append(curve)
-                continue
-        shifted.append(curve.rescaled(weight / w2))
-    return shifted
 
 
 #: the compiled module behind ``scipy.optimize.nnls`` (SciPy ≥ 1.15).

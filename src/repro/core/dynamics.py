@@ -21,15 +21,12 @@ refresh at any time) is not enforced: nothing reads
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.config import DynamicsConfig
-from repro.core.curve import (
-    WeightLatencyCurve,
-    predict_curves,
-    rescale_for_latency_shifts,
-)
+from repro.core.curve import CurveBank, WeightLatencyCurve, predict_curves
 from repro.core.types import DipId, left_to_right_sum
 from repro.exceptions import ConfigurationError
 
@@ -41,8 +38,7 @@ class DynamicsEventKind(enum.Enum):
     DIP_FAILURE = "dip_failure"
 
 
-@dataclass(frozen=True)
-class DynamicsEvent:
+class DynamicsEvent(NamedTuple):
     """One detected change, with enough context to react."""
 
     kind: DynamicsEventKind
@@ -52,8 +48,7 @@ class DynamicsEvent:
     time: float = 0.0
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """One steady-state latency observation for a DIP at its current weight."""
 
     dip: DipId
@@ -86,17 +81,23 @@ class DynamicsDetector:
         A traffic change is reported when at least ``traffic_change_quorum``
         of the observed DIPs deviate beyond the threshold *in the same
         direction*; otherwise each deviating DIP is reported as a capacity
-        change.
+        change.  The last observation of a DIP counts; the estimates are one
+        prediction over the bank (a :class:`CurveBank` is read as kept).
         """
-        observed = [obs for obs in observations if curves.get(obs.dip) is not None]
-        if not observed:
+        bank = CurveBank.of(curves)
+        by_dip = {obs.dip: obs for obs in observations if obs.dip in bank}
+        if not by_dip:
             return []
-        estimates = predict_curves(
-            [curves[obs.dip] for obs in observed], [(obs.weight,) for obs in observed]
-        )
-        deviations: dict[DipId, float] = {}
-        for obs, (estimate,) in zip(observed, estimates.tolist()):
-            deviations[obs.dip] = relative_deviation(obs.observed_latency_ms, estimate)
+        # One bank pass: each observed row at its weight (the others at 0).
+        rows = bank.rows(by_dip)
+        column = [0.0] * len(bank)
+        for row, obs in zip(rows, by_dip.values()):
+            column[row] = obs.weight
+        estimates = predict_curves(bank, np.array(column).reshape(-1, 1)).ravel().tolist()
+        deviations = {
+            dip: relative_deviation(obs.observed_latency_ms, estimates[row])
+            for (dip, obs), row in zip(by_dip.items(), rows)
+        }
 
         threshold = self.config.capacity_change_threshold
         increased = [d for d, dev in deviations.items() if dev > threshold]
@@ -146,22 +147,19 @@ class DynamicsDetector:
 def rescale_all_curves(
     curves: Mapping[DipId, WeightLatencyCurve],
     observations: Sequence[Observation],
-) -> dict[DipId, WeightLatencyCurve]:
-    """Shift every observed DIP's curve, as one batched §4.5 rescale.
+) -> CurveBank:
+    """Shift every observed DIP's curve, as one batched §4.5 rescale
+    (:meth:`CurveBank.shifted`); the other curves stay as they are.
 
     A traffic change rescales every observed DIP, capacity changes the DIPs
     they name; the last observation of a DIP counts.
     """
-    by_dip = {obs.dip: obs for obs in observations if obs.dip in curves}
-    updated: dict[DipId, WeightLatencyCurve] = dict(curves)
-    updated.update(
-        zip(
-            by_dip,
-            rescale_for_latency_shifts(
-                [curves[dip] for dip in by_dip],
-                [obs.weight for obs in by_dip.values()],
-                [obs.observed_latency_ms for obs in by_dip.values()],
-            ),
-        )
+    bank = CurveBank.of(curves)
+    by_dip = {obs.dip: obs for obs in observations}
+    # In row order: when every DIP is observed, the rows are the whole bank.
+    shifted = [by_dip[dip] for dip in bank if dip in by_dip]
+    return bank.shifted(
+        [obs.dip for obs in shifted],
+        [obs.weight for obs in shifted],
+        [obs.observed_latency_ms for obs in shifted],
     )
-    return updated

@@ -12,12 +12,13 @@ scalability problem; the second half (multi-step refinement) lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
+from repro import kernels
 from repro.core.config import IlpConfig
-from repro.core.curve import WeightLatencyCurve, predict_curves
+from repro.core.curve import CurveBank, WeightLatencyCurve
 from repro.core.types import DipId, VipId, WeightAssignment, left_to_right_sum
 from repro.exceptions import (
     ConfigurationError,
@@ -52,27 +53,34 @@ def candidate_grid(
     upper: float | None = None,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Uniform candidate weights in ``[lower, upper]`` and their latencies."""
-    weights, latencies = _candidate_arrays((curve,), count, [(lower, upper)])
+    if count < 2:  # rejected before the curve is read
+        raise ConfigurationError("count must be >= 2")
+    upper = curve.w_max if upper is None else upper
+    weights, latencies = _candidate_arrays(
+        CurveBank({None: curve}),
+        count,
+        np.array([lower], dtype=np.float64),
+        np.array([_above(lower, upper)], dtype=np.float64),
+    )
     return tuple(weights[0].tolist()), tuple(latencies[0].tolist())
 
 
+def _above(lower: float, upper: float) -> float:
+    """``upper``, or ``lower`` where that is larger: a range's top."""
+    return lower if lower > upper else upper
+
+
 def _candidate_arrays(
-    curves: Sequence[WeightLatencyCurve],
-    count: int,
-    bounds: Sequence[tuple[float, float | None]],
+    bank: CurveBank, count: int, lowers: np.ndarray, uppers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per curve, ``count`` uniform weights in its ``(lower, upper)`` bounds
-    (upper ``None``: ``w_max``; below ``lower``: ``lower``) and their
-    latencies: one grid and one kernel call for the whole bank."""
-    if count < 2:  # rejected before a curve is read
-        raise ConfigurationError("count must be >= 2")
-    lowers = np.array([lower for lower, _ in bounds], dtype=np.float64)
-    uppers = np.array(
-        [c.w_max if upper is None else upper for c, (_, upper) in zip(curves, bounds)],
-        dtype=np.float64,
-    )
-    weights = uniform_weight_grid(lowers, np.where(lowers > uppers, lowers, uppers), count)
-    return weights, predict_curves(curves, weights)
+    """Per row of ``bank``, ``count`` uniform weights in ``[lowers, uppers]``
+    and their latencies: one grid and one kernel call for the whole bank (a
+    fresh grid of weights in [0, 1] needs none of the checks of
+    :func:`~repro.core.curve.predict_curves`)."""
+    weights = uniform_weight_grid(lowers, uppers, count)
+    latencies = np.empty_like(weights)
+    kernels.predict_bank(*bank.arrays, weights, latencies)
+    return weights, latencies
 
 
 def build_assignment_problem(
@@ -83,31 +91,36 @@ def build_assignment_problem(
     total_weight_tolerance: float | None = None,
     windows: Mapping[DipId, tuple[float, float]] | None = None,
 ) -> AssignmentProblem:
-    """Build the ILP input from fitted curves.
+    """Build the ILP input from fitted curves (a :class:`CurveBank` is read
+    as it is kept; other mappings are stacked into one first).
 
     ``windows`` optionally restricts the candidate range per DIP (used by
     the multi-step refinement); otherwise candidates span ``[0, w_max]``.
     """
     config = config or IlpConfig()
-    if not curves:
+    bank = CurveBank.of(curves)
+    if not bank:
         raise ConfigurationError("need at least one curve")
 
     # When the estimated safe capacity (sum of w_max) cannot cover the target
     # weight, scale every DIP's candidate range up proportionally: overload is
     # unavoidable, so it is spread according to capacity and the ILP still
     # returns an assignment (flagged as overloaded) instead of failing.
-    sum_w_max = left_to_right_sum(curve.w_max for curve in curves.values())
+    w_max = bank.w_max.tolist()
+    sum_w_max = left_to_right_sum(w_max)
     stretch = 1.0
     if sum_w_max > 0 and sum_w_max < total_weight:
         stretch = (total_weight / sum_w_max) * 1.05
 
-    windows = windows or {}
-    bounds = [
-        windows[dip] if dip in windows else (0.0, min(1.0, curve.w_max * stretch))
-        for dip, curve in curves.items()
-    ]
+    # Per DIP ``[0, min(1, w_max · stretch)]``, or its window.
+    lowers = [0.0] * len(bank)
+    uppers = [min(1.0, top * stretch) for top in w_max]
+    for dip, (lower, upper) in (windows or {}).items():
+        if dip in bank:
+            (row,) = bank.rows((dip,))
+            lowers[row], uppers[row] = lower, _above(lower, upper)
     weights, latencies = _candidate_arrays(
-        tuple(curves.values()), config.weights_per_dip, bounds
+        bank, config.weights_per_dip, np.array(lowers), np.array(uppers)
     )
     if config.objective == "request_weighted":
         # Cost of a candidate is the latency contribution of the requests
@@ -127,10 +140,10 @@ def build_assignment_problem(
         total_weight_tolerance = max(spacing, 1e-3)
 
     return AssignmentProblem.from_table(
-        tuple(curves),
+        bank.ids,
         weights,
         costs,
-        tuple(curve.w_max if curve.w_max > 0 else None for curve in curves.values()),
+        tuple(top if top > 0 else None for top in w_max),
         total_weight=total_weight,
         total_weight_tolerance=total_weight_tolerance,
         theta=config.theta,
@@ -148,8 +161,10 @@ def solve_assignment(
 ) -> IlpOutcome:
     """Solve one ILP step and wrap the result.
 
-    ``cache`` warm-starts the solver on problems seen before (unchanged
-    curves between control rounds produce identical candidate grids).
+    ``cache`` returns the stored result of a problem solved before.  Control
+    rounds do not repeat one: a re-solve follows a §4.5 rescale (or a change
+    of the DIP set), which moves the candidate grid (0 hits in 577
+    ``fleet_dynamics`` solves; see ``FleetController.solve_cache``).
 
     Raises
     ------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.config import IlpConfig
-from repro.core.curve import WeightLatencyCurve
+from repro.core.curve import CurveBank, WeightLatencyCurve
 from repro.core.ilp import IlpOutcome, build_assignment_problem, solve_assignment
 from repro.core.types import DipId, VipId, WeightAssignment
 from repro.exceptions import InfeasibleError
@@ -72,10 +72,12 @@ def compute_weights_multistep(
 
     ``force_multistep`` overrides the pool-size heuristic: ``True`` always
     refines, ``False`` never does, ``None`` follows the config threshold.
-    ``cache`` memoizes both steps' solves across calls, so a controller
-    whose curves did not change between control rounds skips re-solving.
+    ``cache`` memoizes both steps' solves across calls; a controller
+    re-solves after a §4.5 rescale (or a change of the DIP set), which moves
+    the grid, so it is not hit (see ``FleetController.solve_cache``).
     """
     config = config or IlpConfig()
+    curves = CurveBank.of(curves)
 
     coarse_problem = build_assignment_problem(
         curves, config=config, total_weight=total_weight

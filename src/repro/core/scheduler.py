@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
 from repro.core.config import IlpConfig, SchedulerConfig
-from repro.core.curve import WeightLatencyCurve
+from repro.core.curve import CurveBank, WeightLatencyCurve
 from repro.core.ilp import build_assignment_problem, solve_assignment
 from repro.core.types import DipId, VipId, left_to_right_sum
 from repro.exceptions import InfeasibleError, SchedulingError, SolverTimeoutError
@@ -187,7 +187,8 @@ class MeasurementScheduler:
         if remaining_weight <= 0:
             return {dip: 0.0 for dip in remaining_dips}, "none"
 
-        explored = {d: curves[d] for d in remaining_dips if d in curves}
+        curves = CurveBank.of(curves)
+        explored = curves.take([d for d in remaining_dips if d in curves])
         if explored:
             try:
                 problem = build_assignment_problem(

@@ -313,16 +313,29 @@ class Fleet:
                     f"and >= 0, got {weight!r}"
                 )
             cleaned[dip] = value
+        previous = dict(vip.weights)
         vip.weights.update(cleaned)
-        self._evaluate(vip_id)
+        try:
+            self._evaluate(vip_id)
+        except ConfigurationError:
+            # A refused write leaves the VIP as it was.
+            vip.weights.clear()
+            vip.weights.update(previous)
+            raise
 
     def set_total_rate(self, vip_id: VipId, total_rate_rps: float) -> None:
         if not 0.0 <= total_rate_rps < math.inf:
             raise ConfigurationError(
                 f"total_rate_rps must be finite and >= 0, got {total_rate_rps!r}"
             )
-        self._vip(vip_id).total_rate_rps = float(total_rate_rps)
-        self._evaluate(vip_id)
+        vip = self._vip(vip_id)
+        previous, vip.total_rate_rps = vip.total_rate_rps, float(total_rate_rps)
+        try:
+            self._evaluate(vip_id)
+        except ConfigurationError:
+            # A refused write leaves the VIP as it was.
+            vip.total_rate_rps = previous
+            raise
 
     def scale_traffic(self, vip_id: VipId, factor: float) -> None:
         if not 0.0 <= factor < math.inf:

@@ -11,9 +11,11 @@ import hashlib
 import pytest
 
 from repro import kernels
+from repro.core import curve
 from repro.api import get_spec, run
 from repro.core import FleetController, KnapsackLBConfig
 from repro.core.config import CurveConfig, ExplorationConfig, IlpConfig
+from repro.core.curve import WeightLatencyCurve
 from repro.experiments import run_scenario
 from repro.workloads import build_testbed_cluster, build_three_dip_pool
 from repro.workloads.generators import build_mixed_core_pool
@@ -237,7 +239,9 @@ class TestControlLoop:
 class TestCurveKernelCallsPerTick:
     """A control tick evaluates each VIP's curves as one bank: drift check,
     §4.5 rescale and ILP grid each cost O(1) kernel calls, not O(DIPs).
-    A call is a compiled bank prediction or bank inversion."""
+    A call is a compiled bank prediction or bank inversion.  The bank is
+    kept with the VIP's curves: a tick that fits no curve stacks none (no
+    ``bank_row`` read, no ``_bank`` / ``_stack`` call)."""
 
     @staticmethod
     def tick(num_dips, perturb, monkeypatch):
@@ -246,7 +250,7 @@ class TestCurveKernelCallsPerTick:
         cluster = FluidCluster(dips=dips, total_rate_rps=0.6 * capacity, policy_name="wrr")
         plane, _ = converged(cluster, settle_steps=0)
         perturb(cluster)
-        calls = []
+        calls, stacked = [], []
         predict_bank, bisect_bank = kernels.predict_bank, kernels.bisect_bank
 
         def counting(*args):
@@ -257,12 +261,28 @@ class TestCurveKernelCallsPerTick:
             calls.append("bisect_bank")
             return bisect_bank(*args)
 
+        def stacking(name, build):
+            def counted(*args):
+                stacked.append(name)
+                return build(*args)
+
+            return counted
+
+        row = WeightLatencyCurve.bank_row
         monkeypatch.setattr(kernels, "predict_bank", counting)
         monkeypatch.setattr(kernels, "bisect_bank", counting_bisect)
+        monkeypatch.setattr(curve, "_bank", stacking("_bank", curve._bank))
+        monkeypatch.setattr(curve, "_stack", stacking("_stack", curve._stack))
+        monkeypatch.setattr(
+            WeightLatencyCurve,
+            "bank_row",
+            property(stacking("bank_row", lambda c: row.__get__(c, WeightLatencyCurve))),
+        )
         report = plane.control_step()["vip"]
         monkeypatch.undo()
         rescaled = sum(len(event.dips) for event in report.events)
         assert "bisect_bank" in calls  # the rescale ran in the kernel
+        assert stacked == []  # ... on the kept bank
         return len(calls), rescaled, report.reprogrammed
 
     @pytest.mark.parametrize(

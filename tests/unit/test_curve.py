@@ -10,14 +10,19 @@ from scipy.optimize import nnls as scipy_nnls
 
 from repro.core.config import CurveConfig
 from repro.core.curve import (
+    CurveBank,
     WeightLatencyCurve,
     _nnls,
     fit_curve,
-    rescale_for_latency_shifts,
     weights_for_latencies,
 )
 from repro.core.types import MeasurementPoint
 from repro.exceptions import ConfigurationError, CurveFitError
+
+
+def shifted(curve: WeightLatencyCurve, weight: float, observed: float) -> WeightLatencyCurve:
+    """The §4.5 shift of one curve to ``observed`` at ``weight``."""
+    return CurveBank({"d": curve}).shifted(("d",), (weight,), (observed,))["d"]
 
 
 def quad_points(a: float, b: float, c: float, weights):
@@ -219,7 +224,7 @@ class TestInversion:
         with pytest.raises(ConfigurationError, match="finite"):
             weights_for_latencies([simple_curve], [target])
         with pytest.raises(ConfigurationError, match="finite"):
-            rescale_for_latency_shifts([simple_curve], [0.2], [target])
+            shifted(simple_curve, 0.2, target)
 
     @pytest.mark.parametrize("upper", [float("nan"), float("inf"), [0.3, float("nan")]])
     def test_a_non_finite_upper_is_refused(self, simple_curve, upper):
@@ -252,19 +257,19 @@ class TestRescaling:
         # capacity effectively dropped; the new curve must predict the observed
         # latency at 0.10.
         observed = simple_curve.predict(0.15)
-        adjusted = rescale_for_latency_shifts([simple_curve], [0.10], [observed])[0]
+        adjusted = shifted(simple_curve, 0.10, observed)
         assert adjusted.predict(0.10) == pytest.approx(observed, rel=0.02)
 
     def test_rescale_traffic_decrease_direction(self, simple_curve):
         # Observed latency at weight 0.15 matches what the curve predicted at
         # 0.10: there is more headroom, so predictions at a given weight drop.
         observed = simple_curve.predict(0.10)
-        adjusted = rescale_for_latency_shifts([simple_curve], [0.15], [observed])[0]
+        adjusted = shifted(simple_curve, 0.15, observed)
         assert adjusted.predict(0.15) <= simple_curve.predict(0.15) + 1e-9
 
     def test_rescale_requires_positive_weight(self, simple_curve):
         with pytest.raises(ConfigurationError):
-            rescale_for_latency_shifts([simple_curve], [0.0], [5.0])[0]
+            shifted(simple_curve, 0.0, 5.0)
 
     def test_paper_example_delta(self):
         """The §4.5 worked example: 5 ms at w=0.5, now 7 ms; w(7ms)=0.625 → δ=0.8."""
@@ -272,7 +277,7 @@ class TestRescaling:
         curve = WeightLatencyCurve(coefficients=(16.0, -3.0), l0_ms=1.0, w_max=1.0)
         assert curve.predict(0.5) == pytest.approx(5.0)
         assert weights_for_latencies([curve], [7.0])[0] == pytest.approx(0.625, rel=1e-3)
-        adjusted = rescale_for_latency_shifts([curve], [0.5], [7.0])[0]
+        adjusted = shifted(curve, 0.5, 7.0)
         assert adjusted.weight_scale == pytest.approx(0.8, rel=1e-3)
 
 

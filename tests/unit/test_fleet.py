@@ -163,8 +163,9 @@ class TestFleetRefusesNonFiniteInputs:
     )
     def test_an_overflowing_total_leaves_the_state(self, write):
         """Finite rates whose sum on a shared DIP overflows: the write is
-        refused as the full evaluation refuses it, and the last state and
-        the stacked splits stay bit for bit as they were."""
+        refused as the full evaluation refuses it, and the last state, the
+        stacked splits and the written VIP's rate and weights stay bit for
+        bit as they were."""
         fleet = make_fleet(3)
         fleet.create_vip("a", dip_ids=["d0", "d1"], total_rate_rps=1e308,
                          weights={"d0": 0.25, "d1": 0.75})
@@ -172,12 +173,33 @@ class TestFleetRefusesNonFiniteInputs:
         before = fleet.apply()
         total, stacked = before._total.tobytes(), fleet._stacked[1].tobytes()
         rates, per_vip = dict(before.total_rates_rps), dict(before.per_vip_rates)
+        vip = fleet.vips["a"]
+        weights, rate = vip.weights, (vip.total_rate_rps.hex(), list(vip.weights.items()))
         with pytest.raises(ConfigurationError, match=r"^rate_rps must be finite and >= 0, got inf$"):
             write(fleet)
         after = fleet.state()
         assert after is before and after.time == 0.0
         assert (after._total.tobytes(), fleet._stacked[1].tobytes()) == (total, stacked)
         assert after.total_rates_rps == rates and after.per_vip_rates == per_vip
+        assert vip.weights is weights
+        assert (vip.total_rate_rps.hex(), list(vip.weights.items())) == rate
+
+    def test_a_write_after_a_refused_one_is_the_full_evaluation(self):
+        """Two VIPs sharing a DIP: a refused rate write, then an accepted one
+        to the other VIP, gives the state a full ``apply()`` gives."""
+        fleet = make_fleet(3)
+        fleet.create_vip("a", dip_ids=["d0", "d1"], total_rate_rps=1e308,
+                         weights={"d0": 0.25, "d1": 0.75})
+        fleet.create_vip("b", dip_ids=["d1", "d2"], total_rate_rps=1.79e308, policy_name="rr")
+        fleet.apply()
+        with pytest.raises(ConfigurationError, match=r"^rate_rps must be finite and >= 0, got inf$"):
+            fleet.set_total_rate("a", 1.4e308)
+        fleet.set_total_rate("b", 1.0)
+        written = fleet.state()
+        full = fleet.apply()
+        assert fleet.vips["a"].total_rate_rps == 1e308
+        assert written._total.tobytes() == full._total.tobytes()
+        assert written.per_vip_rates == full.per_vip_rates
 
 
 def test_no_fleet_entry_point_stores_an_attribute_on_a_server(monkeypatch):
