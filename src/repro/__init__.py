@@ -5,8 +5,8 @@ Balancing* (Gandhi & Narayana).  The package contains the KnapsackLB
 controller itself (:mod:`repro.core`), plus every substrate the paper's
 evaluation depends on: a MILP solver layer (:mod:`repro.solver`), DIP/VM
 models (:mod:`repro.backends`), layer-4 load-balancer policies and facades
-(:mod:`repro.lb`), cluster simulators (:mod:`repro.sim`), KLM probing and
-the latency store (:mod:`repro.probing`), an agent-based baseline
+(:mod:`repro.lb`), cluster simulators (:mod:`repro.sim`), KLM probing
+(:mod:`repro.probing`), an agent-based baseline
 (:mod:`repro.agents`), analysis helpers (:mod:`repro.analysis`), workload
 builders (:mod:`repro.workloads`), per-figure/table experiment drivers
 (:mod:`repro.experiments`) and the multi-core execution layer

@@ -63,7 +63,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.core.types": (
             "DipId",
-            "LatencySample",
             "MeasurementPoint",
             "VipId",
             "WeightAssignment",

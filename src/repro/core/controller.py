@@ -12,10 +12,13 @@ The controller is the only stateful component of KnapsackLB.  Per VIP it:
    traffic/capacity changes and failures (§4.5), rescales curves and
    recomputes weights when needed.
 
-The controller talks to the deployment only through two narrow interfaces:
-the weight-programming call of the LB (``set_weights``) and the latency
-store filled by KLMs.  It never reads DIP counters — the agent-less design
-of the paper.
+The controller talks to the deployment through two narrow interfaces: the
+weight-programming call of the LB (``set_weights``) and the probe rounds its
+KLM returns (the paper's KLMs write them to a Redis latency store the
+controller reads; here the controller takes each round as it is served).
+Its one direct read of the deployment is ``dips[d].failed``, which confirms
+a DIP whose probe failed this tick is down.  It never reads DIP counters —
+the agent-less design of the paper.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from repro.core.types import (
 )
 from repro.exceptions import ConfigurationError, CurveFitError
 from repro.probing.klm import KLM
-from repro.probing.latency_store import LatencyStore
 from repro.solver import SolveCache
 
 
@@ -79,8 +81,6 @@ class ExplorationReport:
 
     iterations: int
     rounds: int
-    elapsed_s: float
-    measurements_per_dip: dict[DipId, int]
     weight_history: dict[DipId, list[float]]
     w_max: dict[DipId, float]
 
@@ -96,7 +96,6 @@ class ExplorationRoundOutcome:
     """
 
     measured: dict[DipId, float] = field(default_factory=dict)
-    programmed: dict[DipId, float] = field(default_factory=dict)
     done: bool = False
 
 
@@ -124,23 +123,16 @@ class KnapsackLBController:
         vip: VipId,
         deployment: Deployment,
         *,
-        store: LatencyStore | None = None,
         config: KnapsackLBConfig | None = None,
         solve_cache: SolveCache | None = None,
     ) -> None:
         self.vip = vip
         self.deployment = deployment
         self.config = config or KnapsackLBConfig()
-        self.store = store or LatencyStore()
         #: the memo of solved problems the fleet control plane shares
         #: across its VIPs (see ``FleetController.solve_cache``).
         self.solve_cache = solve_cache
-        self.klm = KLM(
-            vip=vip,
-            deployment=deployment,
-            store=self.store,
-            config=self.config.probe,
-        )
+        self.klm = KLM(deployment, self.config.probe)
         self.scheduler = MeasurementScheduler(
             vip, config=self.config.scheduler, ilp_config=self.config.ilp
         )
@@ -159,8 +151,9 @@ class KnapsackLBController:
         self.failed_dips: set[DipId] = set()
         self.current_weights: dict[DipId, float] = {}
         self.last_assignment: WeightAssignment | None = None
-        self.ilp_history: list[MultiStepOutcome] = []
-        #: the ``FleetController``'s clock, stamped on probes and reports.
+        #: ILP runs so far (:meth:`compute_weights` calls).
+        self.ilp_runs = 0
+        #: the ``FleetController``'s clock, stamped on reports and events.
         self.time: float = 0.0
 
     # ------------------------------------------------------------------ helpers
@@ -184,7 +177,7 @@ class KnapsackLBController:
 
     def _probe(self, dips: Sequence[DipId]) -> dict[DipId, tuple[float | None, bool]]:
         """Probe ``dips`` once; returns {dip: (latency_ms or None, dropped)}."""
-        return self.klm.probe_round(dips, now=self.time)
+        return self.klm.probe_round(dips)
 
     # ------------------------------------------------------- bootstrap (l0)
 
@@ -335,9 +328,7 @@ class KnapsackLBController:
         self.curves = self.curves.with_curves(finished)
 
         return ExplorationRoundOutcome(
-            measured=dict(plan.measured),
-            programmed=round_weights,
-            done=self._exploration_finished(),
+            measured=dict(plan.measured), done=self._exploration_finished()
         )
 
     def finish_exploration(self) -> ExplorationReport:
@@ -353,10 +344,6 @@ class KnapsackLBController:
         return ExplorationReport(
             iterations=max(self._explore_proposals.values(), default=0),
             rounds=self._explore_rounds,
-            elapsed_s=self._explore_rounds * self.config.scheduler.round_duration_s,
-            measurements_per_dip={
-                d: e.measurements for d, e in self.explorations.items()
-            },
             weight_history={
                 d: list(w) for d, w in self._explore_history.items()
             },
@@ -406,7 +393,7 @@ class KnapsackLBController:
             force_multistep=force_multistep,
             cache=self.solve_cache,
         )
-        self.ilp_history.append(outcome)
+        self.ilp_runs += 1
         self.last_assignment = outcome.assignment
         return outcome
 

@@ -10,8 +10,8 @@ manages thousands of VIPs:
   :class:`~repro.sim.fleet.FleetDeployment` view, so weight programming and
   probing stay VIP-scoped while the underlying DIPs carry the sum of all
   tenants' traffic;
-* all KLM samples land in one shared :class:`LatencyStore`, keyed by VIP —
-  the in-process equivalent of the paper's single Redis;
+* each VIP's controller reads its own KLM's probe rounds as they are
+  served (the paper's KLMs write to one shared Redis the controller reads);
 * measurement rounds from different VIPs interleave: each fleet round asks
   every measuring VIP's scheduler for a plan, excluding DIPs another VIP is
   already measuring this round, then advances the shared clock exactly once;
@@ -40,7 +40,6 @@ from repro.core.controller import (
 from repro.core.multistep import MultiStepOutcome
 from repro.core.types import DipId, VipId, WeightAssignment
 from repro.exceptions import ConfigurationError
-from repro.probing.latency_store import LatencyStore
 from repro.sim.fleet import Fleet
 from repro.solver import SolveCache
 
@@ -68,7 +67,6 @@ class FleetMeasurementReport:
     """Summary of an interleaved fleet-wide measurement phase."""
 
     rounds: int
-    elapsed_s: float
     #: rounds in which at least two VIPs measured concurrently.
     interleaved_rounds: int
     reports: dict[VipId, ExplorationReport]
@@ -83,12 +81,10 @@ class FleetController:
         fleet: Fleet,
         *,
         config: KnapsackLBConfig | None = None,
-        store: LatencyStore | None = None,
         solve_cache: SolveCache | None = None,
     ) -> None:
         self.fleet = fleet
         self.config = config or KnapsackLBConfig()
-        self.store = store or LatencyStore()
         #: one memo of solved problems shared by every VIP's ILP.  It has
         #: not been hit: 0 hits against 577 misses over three
         #: ``fleet_dynamics`` seeds, and none on ``ctl_cold_100`` or
@@ -125,7 +121,6 @@ class FleetController:
         controller = KnapsackLBController(
             vip_id,
             self.fleet.view(vip_id),
-            store=self.store,
             config=config or self.config,
             solve_cache=self.solve_cache,
         )
@@ -153,8 +148,7 @@ class FleetController:
         The inverse of staggered onboarding — the tenant's traffic leaves
         the shared DIPs (the joint evaluation re-runs immediately), and the
         remaining VIPs' §4.5 detectors see the contention drop on their next
-        control tick.  Its KLM samples stay in the shared store for
-        post-hoc analysis.
+        control tick.
         """
         self._controller(vip_id)  # raises if never onboarded
         del self.controllers[vip_id]
@@ -231,7 +225,6 @@ class FleetController:
 
         return FleetMeasurementReport(
             rounds=rounds,
-            elapsed_s=rounds * round_duration,
             interleaved_rounds=interleaved,
             reports=reports,
             round_log=self.round_log[-rounds:] if rounds else [],

@@ -128,30 +128,6 @@ def validate_weight(weight: float, *, name: str = "weight") -> float:
 
 
 @dataclass(frozen=True)
-class LatencySample:
-    """A single averaged latency measurement reported by a KLM.
-
-    Mirrors the ``<DIP, latency, time>`` tuples stored in the latency store
-    (§5).  ``latency_ms`` is the average over the KLM's probe batch;
-    ``dropped`` records whether probe requests were dropped/failed, which the
-    exploration algorithm uses as a capacity signal (Algorithm 1).
-    """
-
-    dip: DipId
-    latency_ms: float
-    timestamp: float
-    weight: float = 0.0
-    dropped: bool = False
-
-    def __post_init__(self) -> None:
-        if self.latency_ms < 0:
-            raise ConfigurationError(
-                f"latency_ms must be non-negative, got {self.latency_ms}"
-            )
-        validate_weight(self.weight)
-
-
-@dataclass(frozen=True)
 class MeasurementPoint:
     """A (weight, latency) observation used to fit a weight-latency curve."""
 

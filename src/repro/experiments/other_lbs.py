@@ -108,6 +108,6 @@ def run_agent_baseline(
     return AgentBaselineResult(
         agent_iterations=balancer.iterations_to_converge,
         agent_final_spread=balancer.history[-1].spread,
-        klb_ilp_runs=len(controller.ilp_history),
+        klb_ilp_runs=controller.ilp_runs,
         klb_utilization_spread=max(utils.values()) - min(utils.values()),
     )

@@ -1,4 +1,4 @@
-"""KLM probing and the latency store (§3.2, §5)."""
+"""KLM probing (§3.2, §5)."""
 
 from repro._lazy import lazy_exports
 
@@ -6,6 +6,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.probing.klm": ("KLM", "KLM_REQUESTS_PER_SECOND_PER_CORE", "ProbeOutcome"),
-        "repro.probing.latency_store": ("LatencyStore", "StoreStats"),
     },
 )

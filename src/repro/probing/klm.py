@@ -2,13 +2,16 @@
 
 One KLM instance runs inside each customer VNET.  Every probe interval it
 sends a batch of application requests *directly to each DIP's IP*
-(bypassing the MUXes so MUX queueing cannot pollute the measurement),
-averages the response latency over the batch, and writes a
-``<DIP, latency, time>`` sample to the latency store.  Failed probes are
-recorded as failures so the controller can detect DIP failures (§4.5).
+(bypassing the MUXes so MUX queueing cannot pollute the measurement) and
+averages the response latency over the batch.  The paper's KLMs write these
+``<DIP, latency, time>`` samples to a Redis latency store for the
+controller to read; here the controller takes the round :meth:`KLM.probe_round`
+returns, and §6.7's store footprint is modelled analytically
+(``experiments/overheads.py``).  Failed probes are counted per DIP so the
+controller can detect DIP failures (§4.5).
 
 KLM is agent-less from the DIP's perspective: it only issues ordinary
-requests against the admin-provided URL.
+application requests.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.config import ProbeConfig
-from repro.core.types import DipId, VipId
-from repro.probing.latency_store import LatencyStore
+from repro.core.types import DipId
 
 if TYPE_CHECKING:
     from repro.core.controller import Deployment
@@ -51,47 +53,39 @@ def _outcomes(
 
 @dataclass
 class KLM:
-    """A per-VNET latency prober.
+    """A per-VNET latency prober (one VIP per VNET, §3.2).
 
     Parameters
     ----------
-    vip:
-        The VIP whose DIPs this KLM measures (one VIP per VNET, §3.2).
     deployment:
         What serves the probes, sent to each DIP directly by id (standing in
         for its IP): KLM sees a batch's latencies and drops, nothing else.
-    store:
-        The latency store samples are written to.
     config:
         Probe interval and batch size.
     """
 
-    vip: VipId
     deployment: Deployment
-    store: LatencyStore
     config: ProbeConfig = field(default_factory=ProbeConfig)
-    probe_url: str = "/"
     #: consecutive failed probes per DIP (controller reads this for §4.5).
     consecutive_failures: dict[DipId, int] = field(default_factory=dict)
 
     def probe_round(
-        self, dip_ids: Sequence[DipId], *, now: float
+        self, dip_ids: Sequence[DipId]
     ) -> dict[DipId, tuple[float | None, bool]]:
-        """Send one probe batch to each of ``dip_ids``; record the samples.
+        """Send one probe batch to each of ``dip_ids``.
 
         The one probe implementation: the deployment serves the batches as
-        one round (``Deployment.probe_round``) and the store takes the round
-        in one write.  Returns ``(latency_ms, dropped)`` per DIP.  The latency is
-        ``None`` when the DIP is down (not dropped; this counts towards its
-        consecutive failures, any answer resets them) and when every
-        request was dropped (a drop signal with no sample).
+        one round (``Deployment.probe_round``).  Returns ``(latency_ms,
+        dropped)`` per DIP.  The latency is ``None`` when the DIP is down
+        (not dropped; this counts towards its consecutive failures, any
+        answer resets them) and when every request was dropped (a drop
+        signal with no sample).
         """
         means, drop_counts = self.deployment.probe_round(
             dip_ids, self.config.requests_per_probe
         )
         failures = self.consecutive_failures
         results: dict[DipId, tuple[float | None, bool]] = {}
-        samples: list[tuple[DipId, float, bool]] = []
         for dip, mean, drops in zip(dip_ids, means, drop_counts):
             if mean is None:
                 failures[dip] = failures.get(dip, 0) + 1
@@ -102,13 +96,11 @@ class KLM:
                 results[dip] = (None, True)
             else:
                 results[dip] = (mean, drops > 0)
-                samples.append((dip, mean, drops > 0))
-        self.store.write_round(self.vip, samples, timestamp=now)
         return results
 
     def probe_dip(self, dip_id: DipId, *, now: float) -> ProbeOutcome:
-        """Send one probe batch to a single DIP and record the sample."""
-        return _outcomes(self.probe_round((dip_id,), now=now), now)[dip_id]
+        """Send one probe batch to a single DIP, stamped ``now``."""
+        return _outcomes(self.probe_round((dip_id,)), now)[dip_id]
 
     def failures(self, threshold: int) -> tuple[DipId, ...]:
         """DIPs whose probes failed at least ``threshold`` consecutive times."""

@@ -26,7 +26,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.sim.trace": (
             "DipSummary",
             "MetricsCollector",
-            "RequestRecord",
             "fraction_of_requests_improved",
             "max_latency_gain",
         ),

@@ -261,7 +261,6 @@ class Fleet:
         total_rate_rps: float,
         policy_name: str = "wrr",
         weights: Mapping[DipId, float] | None = None,
-        probe_url: str = "/",
     ) -> Vip:
         """Register a VIP fronting a subset of the fleet's DIPs."""
         if vip_id in self.vips:
@@ -275,7 +274,6 @@ class Fleet:
         vip = Vip(
             vip_id=vip_id,
             dips={d: self.dips[d] for d in members},
-            probe_url=probe_url,
             total_rate_rps=float(total_rate_rps),
             policy_name=policy_name,
             weights=dict(weights) if weights else {},

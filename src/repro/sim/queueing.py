@@ -544,7 +544,6 @@ class DipStation:
             # are never negative and never cancelled, so the engine's
             # schedule() checks are skipped (same tuple layout).
             self._busy_workers = busy + 1
-            request.start_service_time = now
             buf = self._svc_buf
             if not buf:
                 buf = self._svc_draw(SERVICE_BATCH)[::-1].tolist()
@@ -593,8 +592,6 @@ class DipStation:
     def _start_service(self, request: Request) -> None:
         """Start serving ``request`` (dequeue path; submit inlines this)."""
         self._busy_workers += 1
-        scheduler = self._scheduler
-        request.start_service_time = scheduler._now
         buf = self._svc_buf
         if not buf:
             buf = self._svc_draw(SERVICE_BATCH)[::-1].tolist()
@@ -604,7 +601,7 @@ class DipStation:
             self._svc_mean = self._mean_service_time_s()
             self._svc_token = token
         delay = buf.pop() * self._svc_mean
-        scheduler.schedule(delay, (self._finish, request))
+        self._scheduler.schedule(delay, (self._finish, request))
 
     def _finish(self, request: Request) -> None:
         """Service completion (the hot path).

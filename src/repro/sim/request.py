@@ -33,7 +33,6 @@ class Request:
     flow: FlowKey | None
     arrival_time: float
     dip: DipId | None = None
-    start_service_time: float | None = None
     completion_time: float | None = None
     outcome: RequestOutcome | None = None
     # -- resilience fields (only touched on the retry path) --

@@ -7,14 +7,12 @@ module gathers those from either simulator and renders simple summaries.
 Storage is columnar: per-request fields land in chunk-grown numpy append
 buffers (latency, DIP code, completed flag, timestamp) with DIP ids
 interned to integer codes, so a million-request run costs four staged
-appends per request instead of a ``RequestRecord`` allocation, and every
-aggregate (``latencies_ms``, ``request_share``, ``drop_fraction``,
-``summaries``) is a vectorized single pass.  Ingestion goes through small
-Python-list staging buffers that are bulk-converted into the numpy columns
-every ``_CHUNK`` records (one vectorized assignment per chunk — scalar
-numpy ``__setitem__`` per request would cost 2x the append).  ``records``
-survives as a lazy compatibility view that materialises ``RequestRecord``
-objects on demand.
+appends per request instead of an object allocation, and every aggregate
+(``latencies_ms``, ``request_share``, ``drop_fraction``, ``summaries``) is a
+vectorized single pass.  Ingestion goes through small Python-list staging
+buffers that are bulk-converted into the numpy columns every ``_CHUNK``
+records (one vectorized assignment per chunk — scalar numpy
+``__setitem__`` per request would cost 2x the append).
 """
 
 from __future__ import annotations
@@ -42,16 +40,6 @@ def _quantiles(values: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``numpy.quantile(values, q)`` (:func:`repro.core.types.grouped_quantiles`
     on one group; NaN for no values)."""
     return grouped_quantiles(values, [0, values.size], q)[0]
-
-
-@dataclass
-class RequestRecord:
-    """One completed (or dropped) request as seen by the metrics collector."""
-
-    dip: DipId
-    latency_ms: float
-    completed: bool
-    timestamp: float = 0.0
 
 
 @dataclass
@@ -374,23 +362,6 @@ class MetricsCollector:
         self._n = count
 
     # -- access ---------------------------------------------------------------
-
-    @property
-    def records(self) -> tuple[RequestRecord, ...]:
-        """Per-request records, materialised lazily from the columns."""
-        self._flush()
-        ids = self._dip_ids
-        n = self._n
-        lat, code, done, ts = self._lat, self._code, self._done, self._ts
-        return tuple(
-            RequestRecord(
-                dip=ids[code[i]],
-                latency_ms=float(lat[i]),
-                completed=bool(done[i]),
-                timestamp=float(ts[i]),
-            )
-            for i in range(n)
-        )
 
     @property
     def total_requests(self) -> int:

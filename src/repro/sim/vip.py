@@ -23,8 +23,6 @@ class Vip:
 
     vip_id: VipId
     dips: dict[DipId, DipServer] = field(default_factory=dict)
-    #: application URL the admin configures for KLM probing (§3.2).
-    probe_url: str = "/"
     #: aggregate client request rate arriving at this VIP.
     total_rate_rps: float = 0.0
     #: fluid LB policy splitting the VIP's traffic across its DIPs.

@@ -5,7 +5,8 @@
 test binds it at the ``repro.kernels.<name>`` seam (:func:`bound`) and every
 caller in ``src/`` runs it unchanged.  :mod:`oracles.probes` and
 :mod:`oracles.trace` are the per-DIP reference forms of ``Fleet.probe_round``
-and ``MetricsCollector.summaries``.
+and ``MetricsCollector.summaries``; :mod:`oracles.trace` also reads a
+collector's columns back row by row.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles.trace import dip_summary
+from oracles.trace import dip_summary, records
 
 from repro.parallel.epoch import _mux_census
 from repro.parallel.kernel import service_seed
@@ -26,10 +26,10 @@ from repro.sim.trace import DipSummary, MetricsCollector
 DIPS = [f"DIP-{i + 1}" for i in range(12)]  # "DIP-10" sorts before "DIP-2"
 
 
-def masked_summary(collector: MetricsCollector, dip: str, records) -> DipSummary:
+def masked_summary(collector: MetricsCollector, dip: str, rows) -> DipSummary:
     """One DIP's summary from masks over every record."""
     latencies = collector.latencies_ms(dips=[dip])
-    requests = sum(1 for record in records if record.dip == dip)
+    requests = sum(1 for record in rows if record.dip == dip)
     if latencies.size:
         p50, p90, p99 = np.percentile(latencies, [50, 90, 99])
         mean = float(latencies.mean())
@@ -62,9 +62,9 @@ def rows_for(rng: np.random.Generator, count: int):
 def assert_fold_matches(collector: MetricsCollector, expected_dips: set[str]) -> None:
     summaries = collector.summaries()
     assert list(summaries) == sorted(expected_dips)
-    records = collector.records
+    rows = records(collector)
     for dip, row in summaries.items():
-        assert same_bits(row, masked_summary(collector, dip, records)), dip
+        assert same_bits(row, masked_summary(collector, dip, rows)), dip
         assert same_bits(row, dip_summary(collector, dip)), dip
     assert repr(collector.summary_rows()) == repr(
         {dip: row.to_row() for dip, row in summaries.items()}
@@ -128,7 +128,7 @@ def test_summaries_after_adopt_run(seed):
     rng.shuffle(stamps)
     stamps[rng.random(stamps.size) < 0.01] = np.inf  # still in a station: no row
     collector.adopt_run(DIPS, latency, index, completed, stamps)
-    recorded = {record.dip for record in collector.records}
+    recorded = {record.dip for record in records(collector)}
     assert_fold_matches(collector, recorded)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles.trace import dip_summary
+from oracles.trace import dip_summary, records
 
 from repro.core.types import grouped_quantiles
 from repro.sim.trace import (
@@ -171,7 +171,7 @@ def test_the_collector_folds_are_numpys(seed, size):
         # The collector's own bucketing of a timestamp into a window.
         rows = [
             r.latency_ms
-            for r in metrics.records
+            for r in records(metrics)
             if r.completed and np.floor(r.timestamp / 0.37) == w
         ]
         got = [window["metrics"]["p50_latency_ms"], window["metrics"]["p99_latency_ms"]]

@@ -4,8 +4,8 @@ A round serves every DIP's batch in one ``Deployment.probe_round``; a
 fleet's is one call of the compiled :func:`repro.kernels.probe_round` over
 its last evaluation's law rows and rates, in which each DIP draws its drops
 and one standard normal per served request from its own generator (through
-numpy's C random library) and takes the mean of its latencies, and the
-store takes the round in one write.  The kernel is held to its numpy body in
+numpy's C random library) and takes the mean of its latencies.  The
+kernel is held to its numpy body in
 ``tests/oracles/kernels.py`` (the per-DIP draws, then one array pass): the
 same means to the bit, the same drops and every generator left in the same
 state.  ``probe_dip`` reads its outcome off a one-DIP round.
@@ -15,8 +15,8 @@ state.  ``probe_dip`` reads its outcome off a one-DIP round.
 request counters (now a list on the server) and the rate, which the
 deployment names instead of the server.  For failed, fully dropped, partly
 dropped, zero-jitter and jittered DIPs alike, over several rounds, the
-outcomes, the stored samples, the consecutive-failure counts, the served /
-dropped counters and every generator's state must be identical.  A fleet's
+outcomes, the consecutive-failure counts, the served / dropped counters and
+every generator's state must be identical.  A fleet's
 round must equal the per-server round (``oracles.probes``) at the rates a
 full evaluation of the same fleet gives, after every write.
 """
@@ -39,9 +39,8 @@ from oracles.probes import (
 from repro import kernels
 from repro.backends import DipServer, custom_vm_type
 from repro.core.config import ProbeConfig
-from repro.core.types import LatencySample
 from repro.exceptions import ConfigurationError
-from repro.probing import KLM, LatencyStore
+from repro.probing import KLM
 from repro.probing.klm import ProbeOutcome
 from repro.sim.fleet import Fleet
 
@@ -100,13 +99,6 @@ def reference_probe_dip(self: KLM, dip_id: str, *, now: float) -> ProbeOutcome:
             dip=dip_id, latency_ms=None, dropped=True, failed=False, timestamp=now
         )
         return outcome
-    sample = LatencySample(
-        dip=dip_id,
-        latency_ms=latency,
-        timestamp=now,
-        dropped=dropped,
-    )
-    self.store.write(self.vip, sample)
     return ProbeOutcome(
         dip=dip_id, latency_ms=latency, dropped=dropped, failed=False, timestamp=now
     )
@@ -132,9 +124,7 @@ def make_klm(shapes, requests: int, seed: int) -> KLM:
         server.failed = failed
         dips[server.dip_id] = server
     return KLM(
-        vip="v",
         deployment=ServerDeployment(dips, rates),
-        store=LatencyStore(max_samples_per_dip=3),
         config=ProbeConfig(requests_per_probe=requests),
     )
 
@@ -148,10 +138,8 @@ def pairs(klm: KLM) -> list[tuple[DipServer, float]]:
 def state(klm: KLM) -> tuple:
     servers = klm.deployment.servers
     return (
-        [s for dip in servers for s in klm.store.samples("v", dip)],
         dict(klm.consecutive_failures),
         [s._rng.bit_generator.state for s in servers.values()],
-        (klm.store.stats.writes, klm.store.stats.evictions),
     )
 
 
@@ -198,7 +186,7 @@ def test_round_equals_the_per_dip_loop(shapes, requests, seed, rounds):
             assert bits(got) == bits(want)
             assert got == want
         else:
-            got = klm.probe_round(dips, now=now)
+            got = klm.probe_round(dips)
             assert got == as_round(want)
             assert list(got) == list(want)
         assert state(klm) == state(oracle)

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles.trace import records
 
 from repro.api.spec import HealthCheckSpec, RetryPolicy
 from repro.backends import DipServer, custom_vm_type
@@ -330,18 +331,18 @@ class TestStreamingArrivals:
 
 
 class TestColumnarMetrics:
-    def test_records_lazy_view_round_trips(self):
+    def test_recorded_rows_round_trip(self):
         metrics = MetricsCollector()
         metrics.record_request("a", 1.5, completed=True, timestamp=0.1)
         metrics.record_request("b", None, completed=False, timestamp=0.2)
-        records = metrics.records
-        assert len(records) == 2
-        assert records[0].dip == "a"
-        assert records[0].latency_ms == pytest.approx(1.5)
-        assert records[1].dip == "b"
-        assert math.isnan(records[1].latency_ms)
-        assert not records[1].completed
-        assert records[1].timestamp == pytest.approx(0.2)
+        rows = records(metrics)
+        assert len(rows) == 2
+        assert rows[0].dip == "a"
+        assert rows[0].latency_ms == pytest.approx(1.5)
+        assert rows[1].dip == "b"
+        assert math.isnan(rows[1].latency_ms)
+        assert not rows[1].completed
+        assert rows[1].timestamp == pytest.approx(0.2)
 
     def test_queries_see_staged_records(self):
         """Aggregates must include records still in the staging buffers."""

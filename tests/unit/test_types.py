@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro.core.types import (
-    LatencySample,
     MeasurementPoint,
     WeightAssignment,
     equal_weights,
@@ -62,26 +61,6 @@ class TestValidateWeight:
     def test_message_mentions_name(self):
         with pytest.raises(ConfigurationError, match="my_weight"):
             validate_weight(2.0, name="my_weight")
-
-
-class TestLatencySample:
-    def test_valid_sample(self):
-        sample = LatencySample(dip="d1", latency_ms=3.2, timestamp=10.0, weight=0.1)
-        assert sample.dip == "d1"
-        assert not sample.dropped
-
-    def test_rejects_negative_latency(self):
-        with pytest.raises(ConfigurationError):
-            LatencySample(dip="d1", latency_ms=-1.0, timestamp=0.0)
-
-    def test_rejects_bad_weight(self):
-        with pytest.raises(ConfigurationError):
-            LatencySample(dip="d1", latency_ms=1.0, timestamp=0.0, weight=1.5)
-
-    def test_is_frozen(self):
-        sample = LatencySample(dip="d1", latency_ms=3.2, timestamp=10.0)
-        with pytest.raises(AttributeError):
-            sample.latency_ms = 5.0  # type: ignore[misc]
 
 
 class TestMeasurementPoint:
