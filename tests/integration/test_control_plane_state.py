@@ -3,9 +3,10 @@
 ``repro serve`` steps a converged fleet window after window with no end
 (``LiveSession.tick`` extends the horizon one window at a time), so any
 container the control plane appends to on a tick grows without bound.
-Both tests here start from ``fleet_dynamics`` (eight overlapping VIPs on
-the Table 3 testbed) converged by ``prepare_fleet``, with its timeline's
-events removed, and step it the way a live session does.
+The fleet tests here start from ``fleet_dynamics`` (eight overlapping
+VIPs on the Table 3 testbed) converged by ``prepare_fleet``, with its
+timeline's events removed, and step it the way a live session does; one
+more ticks a single VIP that reprograms on every tick.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.api.observers import ObserverSet
 from repro.api.runners import prepare_fleet
 from repro.api.timeline import TimelineStepper, fleet_timeline_stepper
 from repro.core.fleet_controller import FleetController
+from repro.workloads import build_testbed_cluster
 
 WORKLOAD = (
     Path(__file__).resolve().parents[2]
@@ -63,24 +65,52 @@ def containers(plane: FleetController) -> dict[str, object]:
     }
 
 
-def test_a_static_fleet_keeps_no_more_state_as_it_ticks():
-    """After 50 windows and after 100 more, every container has the same
-    length, bar a map keyed by DIP (``current_weights`` holds the DIPs
-    whose weight is > 0, which come and go as ticks reprogram): that one
-    stays keyed by the fleet's DIPs."""
-    plane, stepper = quiet_fleet(17)
-    serve(stepper, 50)
-    before = {name: len(value) for name, value in containers(plane).items()}
-    serve(stepper, 100)
+def grown(plane: FleetController, before: dict[str, int]) -> dict[str, tuple[int, int]]:
+    """The containers whose length moved from ``before``, bar a map keyed
+    by DIP (``current_weights`` holds the DIPs whose weight is > 0, which
+    come and go as ticks reprogram) that stays keyed by the fleet's DIPs."""
     after = containers(plane)
     assert set(after) == set(before)
-    grown = {
+    return {
         name: (before[name], len(value))
         for name, value in after.items()
         if len(value) != before[name]
         and not (isinstance(value, (dict, set)) and set(value) <= set(plane.fleet.dips))
     }
-    assert not grown
+
+
+@pytest.mark.parametrize("seed", [17, 1026, 2035])
+def test_a_static_fleet_keeps_no_more_state_as_it_ticks(seed):
+    """After 50 windows and after 100 more, every container has the same
+    length."""
+    plane, stepper = quiet_fleet(seed)
+    serve(stepper, 50)
+    before = {name: len(value) for name, value in containers(plane).items()}
+    serve(stepper, 100)
+    assert not grown(plane, before)
+
+
+def test_a_reprogrammed_vip_keeps_no_more_state_as_it_ticks():
+    """One VIP on the 30-DIP testbed whose traffic swings ±10 % every tick,
+    so that every tick detects a change and reprograms: the same holds from
+    tick 50 to tick 150."""
+    cluster = build_testbed_cluster(load_fraction=0.6, seed=11)
+    plane = FleetController(cluster.fleet)
+    plane.onboard_vip("vip")
+    plane.converge_all()
+
+    def swing(ticks: int) -> int:
+        reprogrammed = 0
+        for _ in range(ticks):
+            cluster.scale_traffic(1.1 if cluster.total_rate_rps < rate else 1 / 1.1)
+            reprogrammed += plane.control_step()["vip"].reprogrammed
+        return reprogrammed
+
+    rate = cluster.total_rate_rps
+    swing(50)
+    before = {name: len(value) for name, value in containers(plane).items()}
+    assert swing(100) == 100
+    assert not grown(plane, before)
 
 
 @pytest.mark.xfail(

@@ -16,6 +16,7 @@ from repro.api import get_spec, run
 from repro.core import FleetController, KnapsackLBConfig
 from repro.core.config import CurveConfig, ExplorationConfig, IlpConfig
 from repro.core.curve import WeightLatencyCurve
+from repro.exceptions import ConfigurationError
 from repro.experiments import run_scenario
 from repro.workloads import build_testbed_cluster, build_three_dip_pool
 from repro.workloads.generators import build_mixed_core_pool
@@ -234,6 +235,43 @@ class TestControlLoop:
         cluster.recover_dip("DIP-29")
         controller.recover_dip("DIP-29")
         assert "DIP-29" not in controller.failed_dips
+
+
+class TestIlpRuns:
+    """``ilp_runs`` counts the VIP's ILP computations (§6.4): one per
+    :meth:`compute_weights` that solves, kept as one integer however long
+    the VIP runs."""
+
+    @staticmethod
+    def small_pool() -> FluidCluster:
+        dips = build_three_dip_pool(seed=5)
+        total_capacity = sum(d.capacity_rps for d in dips.values())
+        return FluidCluster(dips=dips, total_rate_rps=total_capacity * 0.7, policy_name="wrr")
+
+    def test_each_computation_is_one_run(self):
+        _, controller = converged(self.small_pool())
+        runs = controller.ilp_runs
+        assert runs >= 1
+        controller.compute_weights()
+        controller.compute_weights(force_multistep=True)
+        assert controller.ilp_runs == runs + 2
+
+    def test_only_reprogramming_ticks_run_the_ilp(self):
+        cluster = build_testbed_cluster(load_fraction=0.7, seed=11)
+        plane, controller = converged(cluster)
+        runs = controller.ilp_runs
+        reports = [plane.control_step()["vip"] for _ in range(3)]
+        cluster.fail_dip("DIP-25")
+        reports.append(plane.control_step()["vip"])
+        assert reports[-1].reprogrammed
+        assert controller.ilp_runs == runs + sum(r.reprogrammed for r in reports)
+
+    def test_a_computation_with_no_curves_is_no_run(self):
+        plane = FleetController(self.small_pool().fleet)
+        controller = plane.onboard_vip("vip")
+        with pytest.raises(ConfigurationError, match="no fitted curves"):
+            controller.compute_weights()
+        assert controller.ilp_runs == 0
 
 
 class TestCurveKernelCallsPerTick:

@@ -9,7 +9,9 @@ import pytest
 from repro.agents import CpuAgentBalancer
 from repro.analysis import format_series, format_table, format_weights
 from repro.backends import DipServer, custom_vm_type
+from repro.core.controller import KnapsackLBController
 from repro.exceptions import ConfigurationError
+from repro.experiments.other_lbs import run_agent_baseline
 from repro.sim import FluidCluster
 from repro.workloads import (
     TABLE8_VIP_MIX,
@@ -73,6 +75,21 @@ class TestCpuAgentBalancer:
             CpuAgentBalancer(cluster, tolerance=0.0)
         with pytest.raises(ConfigurationError):
             CpuAgentBalancer(cluster, gain=0.0)
+
+    def test_baseline_reports_the_klb_ilp_computations(self, monkeypatch):
+        """§6.4's KnapsackLB column counts the controller's ILP
+        computations: one per ``compute_weights`` call."""
+        calls = []
+        compute = KnapsackLBController.compute_weights
+
+        def counted(self, **kwargs):
+            calls.append(self.vip)
+            return compute(self, **kwargs)
+
+        monkeypatch.setattr(KnapsackLBController, "compute_weights", counted)
+        result = run_agent_baseline()
+        assert calls
+        assert result.klb_ilp_runs == len(calls)
 
 
 class TestAnalysis:

@@ -99,5 +99,66 @@ class TestKLM:
         outcome = klm.probe_dip("d1", now=0.0)
         assert outcome.dropped
 
+    def test_round_answers_in_the_order_named(self):
+        dips = {f"d{i}": make_dip(f"d{i}", seed=i) for i in range(3)}
+        klm = self.make_klm(dips)
+        assert list(klm.probe_round(("d2", "d0", "d1"))) == ["d2", "d0", "d1"]
+
+    def test_empty_round_draws_nothing(self):
+        dip = make_dip()
+        before = dip._rng.bit_generator.state
+        klm = self.make_klm({"d1": dip})
+        assert klm.probe_round(()) == {}
+        assert klm.consecutive_failures == {}
+        assert dip._rng.bit_generator.state == before
+
+    def test_fully_dropped_batch_is_a_drop_without_latency(self):
+        """Every request dropped: a drop signal with no sample, and still an
+        answer, so the DIP's failure count resets."""
+        dip = make_dip()
+        klm = self.make_klm({"d1": dip}, {"d1": 1e9})
+        klm.consecutive_failures["d1"] = 2
+        assert klm.probe_round(("d1",)) == {"d1": (None, True)}
+        assert klm.consecutive_failures["d1"] == 0
+        outcome = klm.probe_dip("d1", now=3.0)
+        assert outcome.dropped
+        assert not outcome.failed
+        assert outcome.latency_ms is None
+
+    def test_failures_count_per_dip_in_one_round(self):
+        dips = {"up": make_dip("up", seed=1), "down": make_dip("down", seed=2)}
+        dips["down"].fail()
+        klm = self.make_klm(dips)
+        for _ in range(2):
+            results = klm.probe_round(("up", "down"))
+        assert results["down"] == (None, False)
+        assert results["up"][0] is not None
+        assert klm.consecutive_failures == {"up": 0, "down": 2}
+
+    def test_probe_dip_is_a_one_dip_round(self):
+        klm = self.make_klm({"d1": make_dip(seed=3)}, {"d1": 300.0})
+        twin = self.make_klm({"d1": make_dip(seed=3)}, {"d1": 300.0})
+        for now in (0.0, 5.0):
+            outcome = klm.probe_dip("d1", now=now)
+            latency, dropped = twin.probe_round(("d1",))["d1"]
+            assert (outcome.latency_ms, outcome.dropped) == (latency, dropped)
+            assert not outcome.failed
+            assert outcome.timestamp == now
+
+    def test_rounds_keep_one_count_per_probed_dip(self):
+        """A KLM's only record across rounds is one failure count per DIP
+        it has probed: fifty rounds keep no more than one."""
+        dips = {f"d{i}": make_dip(f"d{i}", seed=i) for i in range(3)}
+        klm = self.make_klm(dips)
+        for _ in range(50):
+            klm.probe_round(("d0", "d1"))
+        assert klm.consecutive_failures == {"d0": 0, "d1": 0}
+        kept = [
+            name
+            for name, value in vars(klm).items()
+            if isinstance(value, (list, dict, set, tuple))
+        ]
+        assert kept == ["consecutive_failures"]
+
     def test_constant_matches_paper(self):
         assert KLM_REQUESTS_PER_SECOND_PER_CORE == pytest.approx(4500.0)

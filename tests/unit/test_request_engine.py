@@ -344,6 +344,21 @@ class TestColumnarMetrics:
         assert not rows[1].completed
         assert rows[1].timestamp == pytest.approx(0.2)
 
+    def test_recorded_rows_span_committed_chunks_and_staging(self):
+        """Rows read back in record order across a chunk flush, a query's
+        flush and the staging lists."""
+        metrics = MetricsCollector()
+        rows = [
+            ("a" if i % 3 else "b", float(i % 11), i % 4 != 0, i * 1e-3)
+            for i in range(9_000)
+        ]
+        for index, (dip, latency, done, ts) in enumerate(rows):
+            metrics.record_request(dip, latency, completed=done, timestamp=ts)
+            if index == 4_000:
+                assert metrics.total_requests == 4_001
+        got = [(r.dip, r.latency_ms, r.completed, r.timestamp) for r in records(metrics)]
+        assert got == rows
+
     def test_queries_see_staged_records(self):
         """Aggregates must include records still in the staging buffers."""
         metrics = MetricsCollector()

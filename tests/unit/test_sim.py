@@ -19,6 +19,8 @@ from repro.sim import (
     max_latency_gain,
 )
 from repro.sim.client import ClientPool
+from repro.sim.queueing import DipStation
+from repro.sim.request import Request, RequestOutcome
 from repro.lb.least_connection import least_connection_split_array
 from repro.lb.power_of_two import power_of_two_split_array
 from repro.sim.fluid import equal_split_array, pool_arrays, weighted_split_array
@@ -350,6 +352,26 @@ class TestRequestCluster:
         cluster = RequestCluster(dips, policy, rate_rps=100.0, seed=3)
         result = cluster.run(num_requests=200)
         assert result.requests_dropped > 0
+
+
+class TestDipStation:
+    def test_a_request_of_four_fields_is_served_in_order(self):
+        """A request built from its first four fields (id, flow, arrival,
+        DIP), as a benchmark probe builds it, is served whole: one worker
+        takes the first and queues the second, and both complete in order."""
+        dips = make_dips([400.0])
+        scheduler = EventScheduler()
+        done = []
+        station = DipStation(dips["d0"], scheduler, seed=3, completion_sink=done.append)
+        first, second = Request(1, None, 0.0, "d0"), Request(2, None, 0.0, "d0")
+        finish = station.submit(first)
+        assert finish > 0.0
+        assert station.submit(second) is None
+        scheduler.run_until(1.0)
+        assert [r.request_id for r in done] == [1, 2]
+        assert all(r.outcome is RequestOutcome.COMPLETED for r in done)
+        assert first.completion_time == finish < second.completion_time
+        assert not hasattr(first, "__dict__")
 
 
 class TestMetricsCollector:
