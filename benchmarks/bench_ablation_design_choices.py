@@ -64,12 +64,12 @@ def test_ablation_solver_backends(benchmark):
 def _curve_degree_study(degrees=(1, 2, 3)):
     rows = []
     for degree in degrees:
-        cluster = build_testbed_cluster(load_fraction=0.70, seed=42)
+        fleet = build_testbed_cluster(load_fraction=0.70, seed=42)
         config = KnapsackLBConfig(curve=CurveConfig(degree=degree))
-        plane = FleetController(cluster.fleet, config=config)
+        plane = FleetController(fleet, config=config)
         plane.onboard_vip("vip")
         plane.converge_all()
-        state = cluster.state()
+        state = fleet.state()
         utils = state.utilization.values()
         rows.append(
             [
@@ -95,13 +95,13 @@ def test_ablation_curve_degree(benchmark):
 def _probe_budget_study(budgets=(4, 10, 25)):
     rows = []
     for budget in budgets:
-        cluster = build_testbed_cluster(load_fraction=0.70, seed=42)
+        fleet = build_testbed_cluster(load_fraction=0.70, seed=42)
         config = KnapsackLBConfig(exploration=ExplorationConfig(max_iterations=budget))
-        plane = FleetController(cluster.fleet, config=config)
+        plane = FleetController(fleet, config=config)
         controller = plane.onboard_vip("vip")
         plane.converge_all()
         measurements = [e.measurements for e in controller.explorations.values()]
-        state = cluster.state()
+        state = fleet.state()
         rows.append(
             [
                 budget,

@@ -30,8 +30,8 @@ or, driving the control plane by hand (a single VIP is a one-VIP fleet)::
     from repro.core import FleetController
     from repro.workloads import build_testbed_cluster
 
-    cluster = build_testbed_cluster(load_fraction=0.7, seed=7)
-    plane = FleetController(cluster.fleet)
+    fleet = build_testbed_cluster(load_fraction=0.7, seed=7)
+    plane = FleetController(fleet)
     plane.onboard_vip("vip")
     assignment = plane.converge_all()["vip"]
     print(assignment.weights)
@@ -56,7 +56,6 @@ __getattr__, __dir__, _exports = lazy_exports(
         "repro.exceptions": (
             "ConfigurationError",
             "CurveFitError",
-            "DipOverloadError",
             "InfeasibleError",
             "ReproError",
             "SchedulingError",

@@ -19,7 +19,7 @@ from typing import Mapping
 
 from repro.core.types import DipId, normalize_weights
 from repro.exceptions import ConfigurationError
-from repro.sim.fluid import FluidCluster
+from repro.sim.fleet import Fleet
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,10 @@ class AgentIteration:
 
 @dataclass
 class CpuAgentBalancer:
-    """Iterative CPU-equalising weight computation using per-DIP agents."""
+    """Iterative CPU-equalising weight computation using per-DIP agents,
+    on a one-VIP fleet (its VIP ``"vip"``)."""
 
-    cluster: FluidCluster
+    fleet: Fleet
     #: stop when the max-min utilization spread falls below this value.
     tolerance: float = 0.02
     #: damping of the multiplicative update (1.0 = undamped).
@@ -53,15 +54,15 @@ class CpuAgentBalancer:
             raise ConfigurationError("max_iterations must be >= 1")
 
     def _observe_utilization(self) -> dict[DipId, float]:
-        """Read the agents' CPU reports (the cluster's state: the non-goal)."""
-        utilization = self.cluster.state().utilization
-        return {d: utilization[d] for d in self.cluster.healthy_dip_ids()}
+        """Read the agents' CPU reports (the fleet's state: the non-goal)."""
+        utilization = self.fleet.state().utilization
+        return {d: utilization[d] for d in self.fleet.healthy_dip_ids()}
 
     def run(
         self, initial_weights: Mapping[DipId, float] | None = None
     ) -> list[AgentIteration]:
         """Iterate until utilization is uniform (or the iteration limit)."""
-        healthy = self.cluster.healthy_dip_ids()
+        healthy = self.fleet.healthy_dip_ids()
         if initial_weights is None:
             weights = {d: 1.0 / len(healthy) for d in healthy}
         else:
@@ -69,7 +70,7 @@ class CpuAgentBalancer:
 
         self.history.clear()
         for index in range(1, self.max_iterations + 1):
-            self.cluster.set_weights(weights)
+            self.fleet.set_weights("vip", weights)
             utilization = self._observe_utilization()
             values = [utilization[d] for d in healthy]
             spread = max(values) - min(values)

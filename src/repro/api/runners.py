@@ -54,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.fleet_controller import FleetController
     from repro.sim.cluster import RequestCluster
     from repro.sim.fleet import Fleet
-    from repro.sim.fluid import FluidCluster
 
 
 class Runner(Protocol):
@@ -136,21 +135,19 @@ def _analytic_pool(spec: ExperimentSpec) -> dict[DipId, Any]:
     return dips
 
 
-def build_cluster(spec: ExperimentSpec) -> FluidCluster:
-    """The fluid cluster a spec describes (without running anything).
+def build_cluster(spec: ExperimentSpec) -> Fleet:
+    """The one-VIP fleet a fluid spec describes (without running anything):
+    one VIP named ``vip`` over every pool DIP, at equal weights and the
+    declared rate, evaluated.
 
     Exposed for interactive use — examples and notebooks that want the
     spec-built system but drive perturbations (capacity squeezes, failures)
     by hand.
     """
-    from repro.sim.fluid import FluidCluster
+    from repro.sim.fleet import one_vip_fleet
 
     dips = _analytic_pool(spec)
-    return FluidCluster(
-        dips=dips,
-        total_rate_rps=offered_rate_rps(spec, dips),
-        policy_name=spec.policy.name,
-    )
+    return one_vip_fleet(dips, offered_rate_rps(spec, dips), spec.policy.name)
 
 
 def _finish(
@@ -196,7 +193,7 @@ def prepare_fleet(
 
     This is the one place ``runner="fluid"`` is interpreted: it is the fleet
     with a single VIP named ``vip`` over every DIP, equal initial weights
-    and the declared rate (what :class:`FluidCluster` builds), reporting the
+    and the declared rate (what :func:`build_cluster` builds), reporting the
     single-VIP headline metrics on top of the fleet ones; the ``fleet``
     section of the spec does not apply to it.  ``runner="fleet"`` windows
     the *same* pool across ``fleet.num_vips`` VIPs — so a testbed or
@@ -207,7 +204,7 @@ def prepare_fleet(
     """
     single_vip = spec.runner == "fluid"
     if single_vip:
-        fleet = build_cluster(spec).fleet
+        fleet = build_cluster(spec)
         deferred_vips: tuple[str, ...] = ()
     else:
         from repro.workloads.generators import fleet_from_pool
@@ -357,7 +354,7 @@ def replay_controller_weights(spec: ExperimentSpec) -> dict[DipId, float] | None
     """
     if not spec.controller.enabled:
         return None
-    plane, _ = _converged_plane(build_cluster(spec).fleet, spec)
+    plane, _ = _converged_plane(build_cluster(spec), spec)
     return dict(plane.controllers["vip"].current_weights)
 
 

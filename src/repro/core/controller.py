@@ -51,6 +51,10 @@ from repro.exceptions import ConfigurationError, CurveFitError
 from repro.probing.klm import KLM
 from repro.solver import SolveCache
 
+#: the share of a VIP's healthy DIPs that one ``l0`` bootstrap batch
+#: zero-weights.
+_BOOTSTRAP_BATCH_FRACTION = 0.2
+
 
 class Deployment(Protocol):
     """What the controller needs from the system under control.
@@ -181,20 +185,19 @@ class KnapsackLBController:
 
     # ------------------------------------------------------- bootstrap (l0)
 
-    def bootstrap_idle_latencies(self, *, batch_fraction: float = 0.2) -> Iterator[float]:
+    def bootstrap_idle_latencies(self) -> Iterator[float]:
         """Measure every DIP's idle latency ``l0`` by zero-weighting it.
 
-        DIPs are processed in batches: the batch gets weight 0 (so it stops
-        receiving client traffic), the rest of the pool shares the full
+        DIPs are processed in batches of :data:`_BOOTSTRAP_BATCH_FRACTION`
+        of the healthy pool (at least one): the batch gets weight 0 (so it
+        stops receiving client traffic), the rest of the pool shares the full
         weight, old connections drain and then the batch is probed.  After
         programming each batch this generator yields the drain time; the
         ``FleetController`` advances the clock by it and resumes the
         generator, which probes the batch.
         """
-        if not 0 < batch_fraction <= 1:
-            raise ConfigurationError("batch_fraction must be in (0, 1]")
         dips = list(self._healthy_dips())
-        batch_size = max(1, int(len(dips) * batch_fraction))
+        batch_size = max(1, int(len(dips) * _BOOTSTRAP_BATCH_FRACTION))
         settle_s = self.config.probe.interval_s
 
         for start in range(0, len(dips), batch_size):

@@ -20,7 +20,7 @@ manages thousands of VIPs:
   and traffic changes every control tick.
 
 It is the one convergence loop and the only owner of the clock — a single
-VIP converges as a one-VIP fleet (``FleetController(cluster.fleet)``,
+VIP converges as a one-VIP fleet (``FleetController(one_vip_fleet(...))``,
 ``onboard_vip("vip")``, :meth:`FleetController.converge_all`); the per-VIP
 controllers have no loop and no clock of their own.
 """
@@ -42,6 +42,9 @@ from repro.core.types import DipId, VipId, WeightAssignment
 from repro.exceptions import ConfigurationError
 from repro.sim.fleet import Fleet
 from repro.solver import SolveCache
+
+#: the most rounds one :meth:`FleetController.run_measurement_phase` runs.
+_MAX_MEASUREMENT_ROUNDS = 100_000
 
 
 class VipPhase(enum.Enum):
@@ -104,15 +107,13 @@ class FleetController:
         vip_id: VipId,
         *,
         config: KnapsackLBConfig | None = None,
-        start_measurement: bool = True,
     ) -> KnapsackLBController:
         """Attach a controller to a fleet VIP (which may join a live fleet).
 
-        Bootstraps the VIP's idle latencies and, unless
-        ``start_measurement=False``, opens its measurement phase so the next
-        :meth:`run_measurement_phase` picks it up.  Other VIPs' traffic keeps
-        flowing throughout — their DIPs simply see the onboarding VIP's
-        measurement weights as additional load.
+        Bootstraps the VIP's idle latencies and opens its measurement phase
+        so the next :meth:`run_measurement_phase` picks it up.  Other VIPs'
+        traffic keeps flowing throughout — their DIPs simply see the
+        onboarding VIP's measurement weights as additional load.
         """
         if vip_id in self.controllers:
             raise ConfigurationError(f"VIP {vip_id!r} already onboarded")
@@ -127,8 +128,7 @@ class FleetController:
         controller.time = self.fleet.time
         self.controllers[vip_id] = controller
         self.phases[vip_id] = VipPhase.ONBOARDED
-        if start_measurement:
-            self.start_measurement(vip_id)
+        self.start_measurement(vip_id)
         return controller
 
     def start_measurement(self, vip_id: VipId) -> None:
@@ -168,10 +168,7 @@ class FleetController:
     # ------------------------------------------------- interleaved measurement
 
     def run_measurement_phase(
-        self,
-        *,
-        max_rounds: int = 100_000,
-        steady_control: bool = False,
+        self, *, steady_control: bool = False
     ) -> FleetMeasurementReport:
         """Drive every measuring VIP to convergence, one shared round at a time.
 
@@ -181,14 +178,15 @@ class FleetController:
         measurement weights at once — and then advances the shared clock by
         one round duration.  With ``steady_control=True`` the already-steady
         VIPs run their §4.5 control tick after each round, so dynamics and
-        measurement genuinely coexist (staggered onboarding).
+        measurement genuinely coexist (staggered onboarding).  It stops
+        after :data:`_MAX_MEASUREMENT_ROUNDS` rounds at most.
         """
         round_duration = self.config.scheduler.round_duration_s
         reports: dict[VipId, ExplorationReport] = {}
         rounds = 0
         interleaved = 0
 
-        while self.measuring_vips() and rounds < max_rounds:
+        while self.measuring_vips() and rounds < _MAX_MEASUREMENT_ROUNDS:
             measuring = list(self.measuring_vips())
             offset = rounds % len(measuring)
             ordered = measuring[offset:] + measuring[:offset]

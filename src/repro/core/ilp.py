@@ -22,7 +22,6 @@ from repro.core.curve import CurveBank, WeightLatencyCurve
 from repro.core.types import DipId, VipId, WeightAssignment, left_to_right_sum
 from repro.exceptions import (
     ConfigurationError,
-    DipOverloadError,
     InfeasibleError,
     SolverTimeoutError,
 )
@@ -156,7 +155,6 @@ def solve_assignment(
     *,
     config: IlpConfig | None = None,
     normalize: bool = True,
-    raise_on_overload: bool = False,
     cache: SolveCache | None = None,
 ) -> IlpOutcome:
     """Solve one ILP step and wrap the result.
@@ -172,9 +170,6 @@ def solve_assignment(
         If no feasible weight assignment exists for the candidate grid.
     SolverTimeoutError
         If the solver hit its time limit without a solution.
-    DipOverloadError
-        If ``raise_on_overload`` and the solution pushes a DIP past w_max
-        (the paper's "DO" outcome in Fig. 8).
     """
     config = config or IlpConfig()
     result = solve(
@@ -193,12 +188,6 @@ def solve_assignment(
         raise InfeasibleError(
             f"ILP for VIP {vip} is infeasible for the given candidate weights"
         )
-    if raise_on_overload and result.is_overloaded:
-        raise DipOverloadError(
-            f"ILP for VIP {vip} overloads DIPs {result.overloaded_dips}",
-            overloaded_dips=result.overloaded_dips,
-        )
-
     assignment = WeightAssignment(
         vip=vip,
         weights=dict(result.weights),

@@ -35,18 +35,6 @@ class SolverTimeoutError(SolverError):
         self.elapsed = elapsed
 
 
-class DipOverloadError(ReproError):
-    """A computed weight assignment would overload at least one DIP.
-
-    The paper reports such cases as "DO" in Fig. 8: with a coarse weight
-    grid, every feasible assignment pushes some DIP past its capacity.
-    """
-
-    def __init__(self, message: str, overloaded_dips: tuple[str, ...] = ()) -> None:
-        super().__init__(message)
-        self.overloaded_dips = overloaded_dips
-
-
 class CurveFitError(ReproError):
     """Weight-latency curve fitting failed (e.g. too few valid points)."""
 

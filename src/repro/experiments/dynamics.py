@@ -34,9 +34,9 @@ class DynamicsStudy:
 
 
 def _converged_controller(load_fraction: float, seed: int):
-    cluster = build_testbed_cluster(load_fraction=load_fraction, seed=seed)
-    plane = _converge_vip(cluster)
-    return cluster, plane, plane.controllers["vip"]
+    fleet = build_testbed_cluster(load_fraction=load_fraction, seed=seed)
+    plane = _converge_vip(fleet)
+    return fleet, plane, plane.controllers["vip"]
 
 
 def _run_steps(plane, steps: int) -> tuple[list[str], float]:
@@ -63,10 +63,10 @@ def run_dynamics_study(
     """Reproduce the three §6.3 scenarios on the 30-DIP testbed."""
 
     # --- Fig. 15: fail DIP-25 and DIP-26 -----------------------------------
-    cluster, plane, controller = _converged_controller(load_fraction, seed)
+    fleet, plane, controller = _converged_controller(load_fraction, seed)
     before = dict(controller.last_assignment.weights)
-    cluster.fail_dip("DIP-25")
-    cluster.fail_dip("DIP-26")
+    fleet.fail_dip("DIP-25")
+    fleet.fail_dip("DIP-26")
     events, detection = _run_steps(plane, settle_steps)
     failure = DynamicsScenario(
         name="failure",
@@ -74,14 +74,14 @@ def run_dynamics_study(
         weights_after=dict(controller.last_assignment.weights),
         events=tuple(events),
         detection_time_s=detection,
-        max_utilization_after=max(cluster.state().utilization.values()),
+        max_utilization_after=max(fleet.state().utilization.values()),
     )
 
     # --- Fig. 16: reduce capacity of DIP-25..28 -----------------------------
-    cluster, plane, controller = _converged_controller(load_fraction, seed)
+    fleet, plane, controller = _converged_controller(load_fraction, seed)
     before = dict(controller.last_assignment.weights)
     for dip in ("DIP-25", "DIP-26", "DIP-27", "DIP-28"):
-        cluster.set_capacity_ratio(dip, 0.75)
+        fleet.set_capacity_ratio(dip, 0.75)
     events, detection = _run_steps(plane, settle_steps)
     capacity = DynamicsScenario(
         name="capacity",
@@ -89,13 +89,13 @@ def run_dynamics_study(
         weights_after=dict(controller.last_assignment.weights),
         events=tuple(events),
         detection_time_s=detection,
-        max_utilization_after=max(cluster.state().utilization.values()),
+        max_utilization_after=max(fleet.state().utilization.values()),
     )
 
     # --- Fig. 17: +10 % traffic ----------------------------------------------
-    cluster, plane, controller = _converged_controller(load_fraction, seed)
+    fleet, plane, controller = _converged_controller(load_fraction, seed)
     before = dict(controller.last_assignment.weights)
-    cluster.scale_traffic(1.0 + traffic_increase)
+    fleet.scale_traffic("vip", 1.0 + traffic_increase)
     events, detection = _run_steps(plane, settle_steps)
     traffic = DynamicsScenario(
         name="traffic",
@@ -103,7 +103,7 @@ def run_dynamics_study(
         weights_after=dict(controller.last_assignment.weights),
         events=tuple(events),
         detection_time_s=detection,
-        max_utilization_after=max(cluster.state().utilization.values()),
+        max_utilization_after=max(fleet.state().utilization.values()),
     )
 
     return DynamicsStudy(failure=failure, capacity=capacity, traffic=traffic)

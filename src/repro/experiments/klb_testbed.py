@@ -23,8 +23,8 @@ from repro.lb import (
     WeightedLeastConnection,
     WeightedRoundRobin,
 )
-from repro.sim import FluidCluster, MetricsCollector, RequestCluster, max_latency_gain, fraction_of_requests_improved
-from repro.workloads import build_testbed_dips
+from repro.sim import Fleet, MetricsCollector, RequestCluster, max_latency_gain, fraction_of_requests_improved
+from repro.workloads import build_testbed_cluster, build_testbed_dips
 
 CORE_GROUPS = {"1-core": 1, "2-core": 2, "4-core": 4, "8-core": 8}
 
@@ -44,10 +44,10 @@ class ExplorationStudy:
     weight_ratio_by_cores: dict[str, float]
 
 
-def _converge_vip(cluster: FluidCluster) -> FleetController:
-    """Converge ``cluster``'s one VIP (``"vip"``) through the fleet control
+def _converge_vip(fleet: Fleet) -> FleetController:
+    """Converge a one-VIP fleet's VIP (``"vip"``) through the fleet control
     plane; its controller is ``plane.controllers["vip"]``."""
-    plane = FleetController(cluster.fleet)
+    plane = FleetController(fleet)
     plane.onboard_vip("vip")
     plane.converge_all()
     return plane
@@ -55,20 +55,19 @@ def _converge_vip(cluster: FluidCluster) -> FleetController:
 
 def compute_testbed_weights(
     *, load_fraction: float = 0.70, seed: int = 42
-) -> tuple[dict[DipId, float], float, KnapsackLBController, FluidCluster]:
+) -> tuple[dict[DipId, float], float, KnapsackLBController, Fleet]:
     """Run the controller on the fluid testbed; returns (weights, rate, ...)."""
-    layout = build_testbed_dips(seed=seed)
-    rate = layout.total_capacity_rps * load_fraction
-    cluster = FluidCluster(dips=dict(layout.dips), total_rate_rps=rate, policy_name="wrr")
-    controller = _converge_vip(cluster).controllers["vip"]
-    return dict(controller.last_assignment.weights), rate, controller, cluster
+    fleet = build_testbed_cluster(load_fraction=load_fraction, seed=seed)
+    controller = _converge_vip(fleet).controllers["vip"]
+    rate = fleet.vips["vip"].total_rate_rps
+    return dict(controller.last_assignment.weights), rate, controller, fleet
 
 
 def run_exploration_study(
     *, load_fraction: float = 0.70, seed: int = 42, sample_dips: tuple[str, ...] = ("DIP-1", "DIP-17", "DIP-25", "DIP-29")
 ) -> ExplorationStudy:
     """Figs. 9-11: exploration weights, fitted curves and ILP weights."""
-    weights, _, controller, cluster = compute_testbed_weights(
+    weights, _, controller, fleet = compute_testbed_weights(
         load_fraction=load_fraction, seed=seed
     )
 
@@ -84,7 +83,7 @@ def run_exploration_study(
         curve_samples[dip] = [(w, curve.predict(w)) for w in grid]
 
     groups = {
-        name: [d for d, s in cluster.dips.items() if s.vm_type.vcpus == cores]
+        name: [d for d, s in fleet.dips.items() if s.vm_type.vcpus == cores]
         for name, cores in CORE_GROUPS.items()
     }
     mean_weight = {

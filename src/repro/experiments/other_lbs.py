@@ -9,7 +9,7 @@ from repro.backends import DipServer, custom_vm_type
 from repro.core.types import DipId
 from repro.experiments.klb_testbed import _converge_vip
 from repro.lb import AzureTrafficManagerSim, NginxSim
-from repro.sim import FluidCluster, RequestCluster
+from repro.sim import RequestCluster, one_vip_fleet
 
 TABLE5_WEIGHTS = {"DIP-1": 0.2, "DIP-2": 0.3, "DIP-3": 0.5}
 
@@ -98,13 +98,12 @@ def run_agent_baseline(
 
     rate = sum(d.capacity_rps for d in pool().values()) * load_fraction
 
-    agent_cluster = FluidCluster(dips=pool(), total_rate_rps=rate, policy_name="wrr")
-    balancer = CpuAgentBalancer(agent_cluster, tolerance=0.02)
+    balancer = CpuAgentBalancer(one_vip_fleet(pool(), rate), tolerance=0.02)
     balancer.run()
 
-    klb_cluster = FluidCluster(dips=pool(), total_rate_rps=rate, policy_name="wrr")
-    controller = _converge_vip(klb_cluster).controllers["vip"]
-    utils = klb_cluster.state().utilization
+    klb_fleet = one_vip_fleet(pool(), rate)
+    controller = _converge_vip(klb_fleet).controllers["vip"]
+    utils = klb_fleet.state().utilization
     return AgentBaselineResult(
         agent_iterations=balancer.iterations_to_converge,
         agent_final_spread=balancer.history[-1].spread,

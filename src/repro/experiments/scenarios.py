@@ -49,7 +49,7 @@ from repro.core import FleetController
 from repro.exceptions import ConfigurationError
 from repro.experiments.klb_testbed import _converge_vip
 from repro.lb import make_policy, policy_registry, policy_seed_kwargs
-from repro.sim import FluidCluster, RequestCluster
+from repro.sim import RequestCluster, one_vip_fleet
 from repro.workloads import (
     build_pool,
     build_shared_dip_fleet,
@@ -180,10 +180,10 @@ def run_scenario(name: str, **overrides: Any) -> ScenarioResult:
     seed=7,
 )
 def run_single_vip_testbed(*, load_fraction: float, seed: int) -> ScenarioResult:
-    cluster = build_testbed_cluster(load_fraction=load_fraction, seed=seed)
-    assignment = _converge_vip(cluster).controllers["vip"].last_assignment
-    klb_latency = cluster.state().overall_mean_latency_ms()
-    gain = _single_vip_gain(cluster.fleet, assignment)
+    fleet = build_testbed_cluster(load_fraction=load_fraction, seed=seed)
+    assignment = _converge_vip(fleet).controllers["vip"].last_assignment
+    klb_latency = fleet.state().overall_mean_latency_ms()
+    gain = _single_vip_gain(fleet, assignment)
     return ScenarioResult(
         name="single_vip_testbed",
         params={"load_fraction": load_fraction, "seed": seed},
@@ -191,7 +191,7 @@ def run_single_vip_testbed(*, load_fraction: float, seed: int) -> ScenarioResult
             "mean_latency_ms": klb_latency,
             "equal_split_latency_ms": gain["equal_split_latency_ms"],
             "latency_gain": gain["latency_gain"],
-            "max_utilization": max(cluster.state().utilization.values()),
+            "max_utilization": max(fleet.state().utilization.values()),
         },
         detail=assignment,
     )
@@ -571,12 +571,7 @@ def run_request_vs_fluid_crosscheck(
     total_capacity = sum(d.capacity_rps for d in dips.values())
     rate = load_fraction * total_capacity
 
-    fluid = FluidCluster(
-        dips=pool(),
-        total_rate_rps=rate,
-        policy_name=policy_name,
-    )
-    fluid_state = fluid.state()
+    fluid_state = one_vip_fleet(pool(), rate, policy_name).state()
     fluid_mean_ms = fluid_state.overall_mean_latency_ms()
     fluid_p99_est_ms = fluid_mean_ms * math.log(100.0)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from repro.core.types import DipId
 from repro.experiments.klb_testbed import _converge_vip
 from repro.lb import LeastConnection, MuxPool, RoundRobin, WeightedRoundRobin
-from repro.sim import FluidCluster, MetricsCollector, RequestCluster, max_latency_gain
+from repro.sim import MetricsCollector, RequestCluster, max_latency_gain, one_vip_fleet
 from repro.workloads import build_graded_three_dip_pool
 
 
@@ -45,11 +45,7 @@ def run_three_dip_comparison(
     pool = build_graded_three_dip_pool(ratios, seed=seed)
     rate = sum(d.capacity_rps for d in pool.values()) * load_fraction
 
-    fluid = FluidCluster(
-        dips=build_graded_three_dip_pool(ratios, seed=seed),
-        total_rate_rps=rate,
-        policy_name="wrr",
-    )
+    fluid = one_vip_fleet(build_graded_three_dip_pool(ratios, seed=seed), rate)
     klb_weights = dict(_converge_vip(fluid).controllers["vip"].last_assignment.weights)
 
     def evaluate(name: str, factory) -> ThreeDipRun:

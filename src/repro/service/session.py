@@ -46,7 +46,7 @@ from repro.service.stepper import LiveSubstrate, build_live_substrate
 
 #: window rows kept for the /vip/{name}/stats endpoint (the session also
 #: keeps the complete series separately — export needs every window).
-DEFAULT_STATS_WINDOWS = 256
+_STATS_WINDOWS = 256
 
 
 class SessionConflict(Exception):
@@ -58,12 +58,7 @@ class SessionConflict(Exception):
 class LiveSession:
     """One live experiment: substrate + journal + bounded telemetry."""
 
-    def __init__(
-        self,
-        spec: ExperimentSpec,
-        *,
-        stats_windows: int = DEFAULT_STATS_WINDOWS,
-    ) -> None:
+    def __init__(self, spec: ExperimentSpec) -> None:
         #: the boot spec with chaos pre-expanded into plain events (so the
         #: live schedule and any export see an ordinary timeline).
         self.spec = expand_spec_chaos(spec)
@@ -86,7 +81,7 @@ class LiveSession:
             )
         )
         #: per-window per-VIP stats ring for the REST stats endpoint.
-        self._vip_history: "deque[dict[str, Any]]" = deque(maxlen=stats_windows)
+        self._vip_history: "deque[dict[str, Any]]" = deque(maxlen=_STATS_WINDOWS)
         #: operator mutations in arrival order (journal; exported verbatim).
         self.journal: list[dict[str, Any]] = []
         #: live weight overrides applied so far; a non-zero count blocks

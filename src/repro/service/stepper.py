@@ -2,7 +2,8 @@
 
 The daemon drives the same analytic substrate the batch runner executes — a
 :class:`~repro.sim.fleet.Fleet`, whose one-VIP case (the VIP is named
-``vip``) is what ``runner="fluid"`` means — through the shared
+``vip``, built by :func:`~repro.api.runners.build_cluster`) is what
+``runner="fluid"`` means — through the shared
 :class:`~repro.api.timeline.TimelineStepper`.  This module is the glue: it
 converges the fleet exactly the way the batch runner would
 (:func:`~repro.api.runners.prepare_fleet`), wraps it in a stepper with an

@@ -2,9 +2,10 @@
 
 Two complementary simulators share the same DIP models:
 
-* :class:`FluidCluster` — rate-based; maps weights/policies to per-DIP
+* :class:`Fleet` — rate-based; maps every VIP's weights/policy to per-DIP
   arrival rates and analytic latencies.  Fast enough for the KnapsackLB
-  control loop and thousand-DIP studies.
+  control loop and thousand-DIP studies; a single-VIP system is a one-VIP
+  fleet (:func:`~repro.sim.fleet.one_vip_fleet`).
 * :class:`RequestCluster` — request-level discrete-event simulation with
   per-connection LB decisions and M/M/c/K queueing, producing latency
   distributions and CPU-utilization traces for the policy-comparison
@@ -19,8 +20,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.sim.client": ("ClientPool", "WorkloadGenerator"),
         "repro.sim.cluster": ("RequestCluster", "RunResult"),
         "repro.sim.engine": ("EventHandle", "EventScheduler"),
-        "repro.sim.fleet": ("Fleet", "FleetDeployment", "FleetState"),
-        "repro.sim.fluid": ("FluidCluster", "PoolArrays", "pool_arrays"),
+        "repro.sim.fleet": ("Fleet", "FleetDeployment", "FleetState", "one_vip_fleet"),
+        "repro.sim.fluid": ("PoolArrays", "pool_arrays"),
         "repro.sim.queueing": ("DipStation", "DipQueueStats"),
         "repro.sim.request": ("Request", "RequestOutcome"),
         "repro.sim.trace": (

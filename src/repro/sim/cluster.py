@@ -79,6 +79,9 @@ _RETRY_BURST = 10
 #: how far past the horizon a batch run goes so in-flight requests complete.
 _DRAIN_S = 30.0
 
+#: the period of the utilization snapshots CPU-aware policies observe.
+_OBSERVATION_INTERVAL_S = 0.25
+
 
 def _is_instance(obj: object, module: str, name: str) -> bool:
     """``isinstance(obj, module.name)`` without importing ``module``.
@@ -121,7 +124,6 @@ class RequestCluster:
         rate_rps: float,
         seed: int | None = None,
         queue_capacity: int = 256,
-        utilization_observation_interval_s: float = 0.25,
         clients: ClientPool | None = None,
         health: "HealthCheckSpec | None" = None,
         retry: "RetryPolicy | None" = None,
@@ -169,7 +171,6 @@ class RequestCluster:
             )
             for index, (dip_id, server) in enumerate(self.dips.items())
         }
-        self._observation_interval = utilization_observation_interval_s
         #: a cluster runs once: arrivals restart at clock 0, the scheduler
         #: and the collector do not.
         self._begun = False
@@ -360,7 +361,7 @@ class RequestCluster:
         }
         # MuxPool and Policy share the observe_utilization signature.
         self.policy.observe_utilization(snapshot)
-        next_time = self.scheduler.now + self._observation_interval
+        next_time = self.scheduler.now + _OBSERVATION_INTERVAL_S
         if next_time < self._total_duration:
             self.scheduler.schedule_at(next_time, self._observe_utilization)
 
@@ -782,10 +783,8 @@ class RequestCluster:
 
         # Periodic utilization observations for CPU-aware policies
         # (self-rescheduling — also streamed rather than pre-scheduled).
-        if self._observation_interval < total_duration:
-            self.scheduler.schedule_at(
-                self._observation_interval, self._observe_utilization
-            )
+        if _OBSERVATION_INTERVAL_S < total_duration:
+            self.scheduler.schedule_at(_OBSERVATION_INTERVAL_S, self._observe_utilization)
 
         # Probe cycles (self-rescheduling, one per DIP on its seeded phase).
         if self._health is not None:

@@ -62,8 +62,8 @@ class EventScheduler:
 
     __slots__ = ("_now", "_queue", "_next_seq", "_processed", "_cancelled", "_peak")
 
-    def __init__(self, *, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[tuple] = []
         self._next_seq = 0
         self._processed = 0

@@ -21,9 +21,8 @@ from it (:meth:`Fleet.probe_round`): a DIP exposes nothing (§3.2).
 
 Per-VIP :class:`FleetDeployment` views satisfy the controller's
 ``Deployment`` protocol: the :class:`repro.core.fleet_controller.FleetController`
-drives every VIP's :class:`repro.core.KnapsackLBController` through one, a
-single-VIP :class:`~repro.sim.fluid.FluidCluster` (itself a one-VIP fleet)
-included.
+drives every VIP's :class:`repro.core.KnapsackLBController` through one.  A
+single-VIP system is a one-VIP fleet (:func:`one_vip_fleet`).
 """
 
 from __future__ import annotations
@@ -227,15 +226,10 @@ class Fleet:
     the last evaluation left them.
     """
 
-    def __init__(
-        self,
-        dips: Mapping[DipId, DipServer] | None = None,
-        *,
-        start_time: float = 0.0,
-    ) -> None:
+    def __init__(self, dips: Mapping[DipId, DipServer] | None = None) -> None:
         self.dips: dict[DipId, DipServer] = dict(dips or {})
         self.vips: dict[VipId, Vip] = {}
-        self.time = float(start_time)
+        self.time = 0.0
         self._last_state: FleetState | None = None
         #: the last full evaluation's id → pool position map and VIP inputs.
         self._index_of: dict[DipId, int] = {}
@@ -555,3 +549,17 @@ class Fleet:
 
     def __len__(self) -> int:
         return len(self.dips)
+
+
+def one_vip_fleet(
+    dips: Mapping[DipId, DipServer], total_rate_rps: float, policy_name: str = "wrr"
+) -> Fleet:
+    """A single-VIP system: one VIP named ``"vip"`` over every DIP of
+    ``dips`` in their order, at equal weights and ``total_rate_rps``,
+    evaluated."""
+    fleet = Fleet(dips)
+    fleet.create_vip(
+        "vip", dip_ids=list(dips), total_rate_rps=total_rate_rps, policy_name=policy_name
+    )
+    fleet.apply()
+    return fleet

@@ -1,4 +1,5 @@
-"""Fluid (rate-based) cluster model, vectorized over whole DIP pools.
+"""The fluid (rate-based) model's pool arrays and splits, vectorized over
+whole DIP pools.
 
 The fluid model maps an aggregate VIP request rate and an LB policy to
 per-DIP arrival rates, then uses each DIP's analytic latency model to derive
@@ -20,18 +21,14 @@ the pool's law rows (least connection, power of two).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from repro import kernels
 from repro.backends.dip import DipServer
 from repro.core.types import DipId
-from repro.exceptions import ConfigurationError
-
-if TYPE_CHECKING:
-    from repro.sim.fleet import FleetState
 
 
 @dataclass(frozen=True)
@@ -87,92 +84,3 @@ def weighted_split_array(weights: np.ndarray, total_rate_rps: float) -> np.ndarr
         # roundings per-seed artifacts depend on.
         return total_rate_rps * (positive / total)
     return total_rate_rps * positive / total
-
-
-# ---------------------------------------------------------------------------
-# single-VIP cluster (a one-VIP fleet)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FluidCluster:
-    """A VIP's DIP pool driven by aggregate request rates.
-
-    Internally this is a one-VIP :class:`repro.sim.fleet.Fleet` — the
-    multi-VIP substrate with a single tenant.  A
-    :class:`~repro.core.fleet_controller.FleetController` over ``fleet``
-    drives it exactly as it would a real deployment: it programs weights on
-    the (simulated) LB and reads latencies through KLM probes; it never
-    touches the DIPs.
-    """
-
-    dips: dict[DipId, DipServer]
-    total_rate_rps: float
-    policy_name: str = "wrr"
-    weights: dict[DipId, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        from repro.sim.fleet import Fleet  # deferred; fleet imports this module
-
-        if self.total_rate_rps < 0:
-            raise ConfigurationError("total_rate_rps must be >= 0")
-        if not self.dips:
-            raise ConfigurationError("cluster needs at least one DIP")
-        if not self.weights:
-            share = 1.0 / len(self.dips)
-            self.weights = {d: share for d in self.dips}
-        #: the one-VIP fleet behind this façade (the VIP is named ``"vip"``);
-        #: a ``FleetController`` over it converges the VIP and owns its clock.
-        self.fleet = Fleet(dips=self.dips)
-        self._vip = self.fleet.create_vip(
-            "vip",
-            dip_ids=list(self.dips),
-            total_rate_rps=self.total_rate_rps,
-            policy_name=self.policy_name,
-            weights=self.weights,
-        )
-        # Share the weight dict so fleet-side updates stay visible here.
-        self.weights = self._vip.weights
-        self.apply()
-
-    # -- control interface (what KnapsackLB programs) ---------------------------
-
-    def set_weights(self, weights: Mapping[DipId, float]) -> None:
-        self.fleet.set_weights("vip", weights)
-
-    def set_total_rate(self, total_rate_rps: float) -> None:
-        self.fleet.set_total_rate("vip", total_rate_rps)
-        self.total_rate_rps = self._vip.total_rate_rps
-
-    def scale_traffic(self, factor: float) -> None:
-        self.fleet.scale_traffic("vip", factor)
-        self.total_rate_rps = self._vip.total_rate_rps
-
-    def fail_dip(self, dip: DipId) -> None:
-        self.fleet.fail_dip(dip)
-
-    def recover_dip(self, dip: DipId) -> None:
-        self.fleet.recover_dip(dip)
-
-    def set_capacity_ratio(self, dip: DipId, ratio: float) -> None:
-        self.fleet.set_capacity_ratio(dip, ratio)
-
-    def set_antagonist_copies(self, dip: DipId, copies: int) -> None:
-        self.fleet.set_antagonist_copies(dip, copies)
-
-    # -- observation ---------------------------------------------------------------
-
-    def apply(self) -> FleetState:
-        """Recompute the per-DIP rates from the current weights and traffic."""
-        return self.fleet.apply()
-
-    def state(self) -> FleetState:
-        """The last evaluation (see :meth:`repro.sim.fleet.Fleet.state`)."""
-        return self.fleet.state()
-
-    @property
-    def total_capacity_rps(self) -> float:
-        return self.fleet.total_capacity_rps
-
-    def healthy_dip_ids(self) -> tuple[DipId, ...]:
-        return self.fleet.healthy_dip_ids()

@@ -33,7 +33,6 @@ from repro.workloads.kinds import POOL_KINDS
 
 if TYPE_CHECKING:  # the analytic substrates load in the functions that make one
     from repro.sim.fleet import Fleet
-    from repro.sim.fluid import FluidCluster
 
 #: DIP counts per VM type in the paper's 30-DIP testbed (Table 3).
 TESTBED_COMPOSITION: tuple[tuple[VMType, int], ...] = (
@@ -86,19 +85,16 @@ def build_testbed_cluster(
     load_fraction: float = 0.70,
     policy_name: str = "wrr",
     seed: int | None = 42,
-) -> FluidCluster:
-    """The 30-DIP testbed as a fluid cluster at ``load_fraction`` of capacity."""
-    from repro.sim.fluid import FluidCluster
+) -> Fleet:
+    """The 30-DIP testbed as a one-VIP fleet (VIP ``"vip"``) at
+    ``load_fraction`` of capacity."""
+    from repro.sim.fleet import one_vip_fleet
 
     if not 0 < load_fraction < 1.5:
         raise ConfigurationError("load_fraction must be in (0, 1.5)")
     layout = build_testbed_dips(seed=seed)
     total_rate = layout.total_capacity_rps * load_fraction
-    return FluidCluster(
-        dips=dict(layout.dips),
-        total_rate_rps=total_rate,
-        policy_name=policy_name,
-    )
+    return one_vip_fleet(layout.dips, total_rate, policy_name)
 
 
 def build_three_dip_pool(

@@ -9,8 +9,7 @@ from repro.backends import DS1_V2, DS2_V2, DS3_V2, F8S_V2, DipServer, custom_vm_
 from repro.core.config import KnapsackLBConfig
 from repro.core.curve import WeightLatencyCurve, fit_curve
 from repro.core.types import MeasurementPoint
-from repro.sim.fluid import FluidCluster
-from repro.workloads import build_testbed_cluster, build_testbed_dips
+from repro.workloads import build_testbed_dips
 
 
 # Hypothesis profiles.  ``ci`` (the default) derandomizes the search, so
@@ -37,25 +36,6 @@ def two_core_vm():
 def small_dip(small_vm):
     """A single deterministic 1-core DIP."""
     return DipServer("dip-a", small_vm, seed=1, jitter_fraction=0.0)
-
-
-@pytest.fixture
-def three_dip_cluster(small_vm):
-    """Three 1-core DIPs (one at 60 % capacity) behind a weighted LB."""
-    dips = {
-        "hc1": DipServer("hc1", small_vm, seed=11, jitter_fraction=0.0),
-        "hc2": DipServer("hc2", small_vm, seed=12, jitter_fraction=0.0),
-        "lc": DipServer("lc", small_vm, seed=13, jitter_fraction=0.0),
-    }
-    dips["lc"].set_capacity_ratio(0.6)
-    total_capacity = sum(d.capacity_rps for d in dips.values())
-    return FluidCluster(dips=dips, total_rate_rps=total_capacity * 0.7, policy_name="wrr")
-
-
-@pytest.fixture
-def testbed_cluster():
-    """The paper's 30-DIP testbed at 70 % load (fluid model)."""
-    return build_testbed_cluster(load_fraction=0.70, seed=42)
 
 
 @pytest.fixture

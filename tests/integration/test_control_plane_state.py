@@ -94,19 +94,19 @@ def test_a_reprogrammed_vip_keeps_no_more_state_as_it_ticks():
     """One VIP on the 30-DIP testbed whose traffic swings ±10 % every tick,
     so that every tick detects a change and reprograms: the same holds from
     tick 50 to tick 150."""
-    cluster = build_testbed_cluster(load_fraction=0.6, seed=11)
-    plane = FleetController(cluster.fleet)
+    fleet = build_testbed_cluster(load_fraction=0.6, seed=11)
+    plane = FleetController(fleet)
     plane.onboard_vip("vip")
     plane.converge_all()
 
     def swing(ticks: int) -> int:
         reprogrammed = 0
         for _ in range(ticks):
-            cluster.scale_traffic(1.1 if cluster.total_rate_rps < rate else 1 / 1.1)
+            fleet.scale_traffic("vip", 1.1 if fleet.vips["vip"].total_rate_rps < rate else 1 / 1.1)
             reprogrammed += plane.control_step()["vip"].reprogrammed
         return reprogrammed
 
-    rate = cluster.total_rate_rps
+    rate = fleet.vips["vip"].total_rate_rps
     swing(50)
     before = {name: len(value) for name, value in containers(plane).items()}
     assert swing(100) == 100

@@ -1,7 +1,7 @@
-"""Integration tests: the KnapsackLB controller end to end on fluid clusters.
+"""Integration tests: the KnapsackLB controller end to end on one-VIP fleets.
 
-A single VIP converges as a one-VIP fleet: a ``FleetController`` over the
-cluster's fleet drives it and advances the clock.
+A single VIP converges as a one-VIP fleet: a ``FleetController`` over it
+drives the VIP and advances the clock.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from repro.exceptions import ConfigurationError
 from repro.experiments import run_scenario
 from repro.workloads import build_testbed_cluster, build_three_dip_pool
 from repro.workloads.generators import build_mixed_core_pool
-from repro.sim import FluidCluster
+from repro.sim.fleet import Fleet, one_vip_fleet
 
 
-def converged(cluster, *, config=None, settle_steps=3):
-    """The control plane and controller of ``cluster``'s converged VIP."""
-    plane = FleetController(cluster.fleet, config=config)
+def converged(fleet, *, config=None, settle_steps=3):
+    """The control plane and controller of a one-VIP ``fleet``'s converged VIP."""
+    plane = FleetController(fleet, config=config)
     controller = plane.onboard_vip("vip")
     plane.converge_all(settle_steps=settle_steps)
     return plane, controller
@@ -34,9 +34,9 @@ def converged(cluster, *, config=None, settle_steps=3):
 @pytest.fixture(scope="module")
 def converged_testbed():
     """A converged controller on the 30-DIP testbed (shared across tests)."""
-    cluster = build_testbed_cluster(load_fraction=0.70, seed=7)
-    _, controller = converged(cluster)
-    return cluster, controller, controller.last_assignment
+    fleet = build_testbed_cluster(load_fraction=0.70, seed=7)
+    _, controller = converged(fleet)
+    return fleet, controller, controller.last_assignment
 
 
 class TestConvergence:
@@ -46,10 +46,10 @@ class TestConvergence:
 
     def test_weights_scale_with_capacity(self, converged_testbed):
         """Fig. 11: larger DIPs get larger weights (roughly 1:2:4:10)."""
-        cluster, _, assignment = converged_testbed
+        fleet, _, assignment = converged_testbed
         mean_by_core: dict[int, float] = {}
         for cores in (1, 2, 4, 8):
-            dips = [d for d, s in cluster.dips.items() if s.vm_type.vcpus == cores]
+            dips = [d for d, s in fleet.dips.items() if s.vm_type.vcpus == cores]
             mean_by_core[cores] = sum(assignment.weights.get(d, 0.0) for d in dips) / len(dips)
         assert mean_by_core[1] < mean_by_core[2] < mean_by_core[4] < mean_by_core[8]
         ratio_2 = mean_by_core[2] / mean_by_core[1]
@@ -58,26 +58,26 @@ class TestConvergence:
         assert 7.0 <= ratio_8 <= 13.0
 
     def test_no_dip_overloaded(self, converged_testbed):
-        cluster, _, _ = converged_testbed
-        assert all(util <= 1.0 for util in cluster.state().utilization.values())
+        fleet, _, _ = converged_testbed
+        assert all(util <= 1.0 for util in fleet.state().utilization.values())
 
     def test_utilization_roughly_uniform_across_types(self, converged_testbed):
         """Fig. 12(a): KnapsackLB equalises CPU utilization across DIP types."""
-        cluster, _, _ = converged_testbed
-        utils = cluster.state().utilization
+        fleet, _, _ = converged_testbed
+        utils = fleet.state().utilization
         type_means = []
         for cores in (1, 2, 4, 8):
-            dips = [d for d, s in cluster.dips.items() if s.vm_type.vcpus == cores]
+            dips = [d for d, s in fleet.dips.items() if s.vm_type.vcpus == cores]
             type_means.append(sum(utils[d] for d in dips) / len(dips))
         assert max(type_means) - min(type_means) <= 0.25
         assert max(utils.values()) <= 1.0
 
     def test_latency_beats_equal_split(self, converged_testbed):
-        cluster, _, assignment = converged_testbed
-        klb_latency = cluster.state().overall_mean_latency_ms()
-        cluster.set_weights({d: 1 / len(cluster.dips) for d in cluster.dips})
-        rr_latency = cluster.state().overall_mean_latency_ms()
-        cluster.set_weights(dict(assignment.weights))  # restore
+        fleet, _, assignment = converged_testbed
+        klb_latency = fleet.state().overall_mean_latency_ms()
+        fleet.set_weights("vip", {d: 1 / len(fleet.dips) for d in fleet.dips})
+        rr_latency = fleet.state().overall_mean_latency_ms()
+        fleet.set_weights("vip", dict(assignment.weights))  # restore
         assert klb_latency < rr_latency
 
     def test_exploration_took_few_iterations(self, converged_testbed):
@@ -89,13 +89,13 @@ class TestConvergence:
         assert sum(measurements) / len(measurements) <= 15
 
     def test_every_dip_has_curve(self, converged_testbed):
-        cluster, controller, _ = converged_testbed
-        assert set(controller.curves) == set(cluster.dips)
+        fleet, controller, _ = converged_testbed
+        assert set(controller.curves) == set(fleet.dips)
 
     def test_status_reports_all_dips(self, converged_testbed):
-        cluster, controller, _ = converged_testbed
+        fleet, controller, _ = converged_testbed
         status = controller.status()
-        assert set(status) == set(cluster.dips)
+        assert set(status) == set(fleet.dips)
         assert all(entry["has_curve"] for entry in status.values())
 
 
@@ -104,9 +104,9 @@ class TestControllerOnSmallPool:
         """Fig. 14: on the 1×/0.8×/0.6× pool KLB equalises utilization."""
         dips = build_three_dip_pool(capacity_ratio=0.6, cores=1, seed=5)
         total_capacity = sum(d.capacity_rps for d in dips.values())
-        cluster = FluidCluster(dips=dips, total_rate_rps=total_capacity * 0.75, policy_name="wrr")
-        _, controller = converged(cluster)
-        utils = cluster.state().utilization
+        fleet = one_vip_fleet(dips, total_capacity * 0.75)
+        _, controller = converged(fleet)
+        utils = fleet.state().utilization
         assert max(utils.values()) - min(utils.values()) <= 0.25
         # The low-capacity DIP receives the smallest weight.
         weights = controller.last_assignment.weights
@@ -115,9 +115,9 @@ class TestControllerOnSmallPool:
     def test_theta_constraint_respected(self):
         dips = build_three_dip_pool(capacity_ratio=0.6, cores=1, seed=5)
         total_capacity = sum(d.capacity_rps for d in dips.values())
-        cluster = FluidCluster(dips=dips, total_rate_rps=total_capacity * 0.6, policy_name="wrr")
+        fleet = one_vip_fleet(dips, total_capacity * 0.6)
         config = KnapsackLBConfig(ilp=IlpConfig(theta=0.15))
-        _, controller = converged(cluster, config=config, settle_steps=0)
+        _, controller = converged(fleet, config=config, settle_steps=0)
         assignment = controller.last_assignment
         values = list(assignment.weights.values())
         # Normalisation can stretch the spread slightly beyond theta.
@@ -131,11 +131,11 @@ class TestExplorationBudget:
     def measure(max_iterations):
         dips = build_three_dip_pool(capacity_ratio=0.6, cores=1, seed=5)
         total_capacity = sum(d.capacity_rps for d in dips.values())
-        cluster = FluidCluster(dips=dips, total_rate_rps=total_capacity * 0.75, policy_name="wrr")
+        fleet = one_vip_fleet(dips, total_capacity * 0.75)
         config = KnapsackLBConfig(
             exploration=ExplorationConfig(alpha=0.2, max_iterations=max_iterations)
         )
-        plane = FleetController(cluster.fleet, config=config)
+        plane = FleetController(fleet, config=config)
         plane.onboard_vip("vip")
         return plane.run_measurement_phase().reports["vip"]
 
@@ -152,9 +152,9 @@ class TestExplorationBudget:
         smallest = CurveConfig().min_points - 1
         dips = build_three_dip_pool(capacity_ratio=0.6, cores=1, seed=5)
         total_capacity = sum(d.capacity_rps for d in dips.values())
-        cluster = FluidCluster(dips=dips, total_rate_rps=total_capacity * 0.75, policy_name="wrr")
+        fleet = one_vip_fleet(dips, total_capacity * 0.75)
         config = KnapsackLBConfig(exploration=ExplorationConfig(alpha=0.2, max_iterations=smallest))
-        plane = FleetController(cluster.fleet, config=config)
+        plane = FleetController(fleet, config=config)
         controller = plane.onboard_vip("vip")
         plane.converge_all()
         assert set(controller.curves) == {"DIP-LC", "DIP-HC-1", "DIP-HC-2"}
@@ -169,26 +169,26 @@ class TestExplorationBudget:
 
 class TestControlLoop:
     def make_converged(self, load=0.7):
-        cluster = build_testbed_cluster(load_fraction=load, seed=11)
-        return (cluster, *converged(cluster))
+        fleet = build_testbed_cluster(load_fraction=load, seed=11)
+        return (fleet, *converged(fleet))
 
     def test_steady_state_remains_stable(self):
         """After convergence the control loop must not oscillate or overload."""
-        cluster, plane, controller = self.make_converged()
+        fleet, plane, controller = self.make_converged()
         for _ in range(4):
             report = plane.control_step()["vip"]
             # Residual curve-calibration events are tolerable, but they must
             # stay few and must never push a DIP into overload.
             assert len(report.events) <= 3
             assert not report.failed_dips
-            assert max(cluster.state().utilization.values()) <= 1.0
+            assert max(fleet.state().utilization.values()) <= 1.0
 
     def test_failure_detected_and_weights_recomputed(self):
         """Fig. 15: failed DIPs are removed and their weight redistributed."""
-        cluster, plane, controller = self.make_converged()
+        fleet, plane, controller = self.make_converged()
         before = dict(controller.last_assignment.weights)
-        cluster.fail_dip("DIP-25")
-        cluster.fail_dip("DIP-26")
+        fleet.fail_dip("DIP-25")
+        fleet.fail_dip("DIP-26")
         report = plane.control_step()["vip"]
         assert set(report.failed_dips) == {"DIP-25", "DIP-26"}
         assert report.reprogrammed
@@ -203,36 +203,36 @@ class TestControlLoop:
         assert sum(gains.values()) > 0.05  # the failed DIPs' weight moved
         spread = max(gains.values()) - min(g for d, g in gains.items() if d not in ("DIP-25", "DIP-26"))
         assert spread > 1e-4  # not an equal split
-        assert max(cluster.state().utilization.values()) <= 1.0
+        assert max(fleet.state().utilization.values()) <= 1.0
 
     def test_capacity_change_rescales_and_reprograms(self):
         """Fig. 16: capacity loss on DIP-25..28 shrinks their weights."""
-        cluster, plane, controller = self.make_converged()
+        fleet, plane, controller = self.make_converged()
         before = dict(controller.last_assignment.weights)
         for dip in ("DIP-25", "DIP-26", "DIP-27", "DIP-28"):
-            cluster.set_capacity_ratio(dip, 0.75)
+            fleet.set_capacity_ratio(dip, 0.75)
         report = plane.control_step()["vip"]
         assert report.reprogrammed
         after = controller.last_assignment.weights
         for dip in ("DIP-25", "DIP-26", "DIP-27", "DIP-28"):
             assert after[dip] < before[dip]
-        assert max(cluster.state().utilization.values()) <= 1.0
+        assert max(fleet.state().utilization.values()) <= 1.0
 
     def test_traffic_increase_detected(self):
         """Fig. 17: +10 % traffic is detected as a cluster-wide event."""
-        cluster, plane, controller = self.make_converged(load=0.7)
-        cluster.scale_traffic(1.25)
+        fleet, plane, controller = self.make_converged(load=0.7)
+        fleet.scale_traffic("vip", 1.25)
         report = plane.control_step()["vip"]
         kinds = {event.kind.value for event in report.events}
         assert "traffic_increase" in kinds or "capacity_change" in kinds
         assert report.reprogrammed
 
     def test_recover_dip_allows_reexploration(self):
-        cluster, plane, controller = self.make_converged()
-        cluster.fail_dip("DIP-29")
+        fleet, plane, controller = self.make_converged()
+        fleet.fail_dip("DIP-29")
         plane.control_step()
         assert "DIP-29" in controller.failed_dips
-        cluster.recover_dip("DIP-29")
+        fleet.recover_dip("DIP-29")
         controller.recover_dip("DIP-29")
         assert "DIP-29" not in controller.failed_dips
 
@@ -243,10 +243,10 @@ class TestIlpRuns:
     the VIP runs."""
 
     @staticmethod
-    def small_pool() -> FluidCluster:
+    def small_pool() -> Fleet:
         dips = build_three_dip_pool(seed=5)
         total_capacity = sum(d.capacity_rps for d in dips.values())
-        return FluidCluster(dips=dips, total_rate_rps=total_capacity * 0.7, policy_name="wrr")
+        return one_vip_fleet(dips, total_capacity * 0.7)
 
     def test_each_computation_is_one_run(self):
         _, controller = converged(self.small_pool())
@@ -257,17 +257,17 @@ class TestIlpRuns:
         assert controller.ilp_runs == runs + 2
 
     def test_only_reprogramming_ticks_run_the_ilp(self):
-        cluster = build_testbed_cluster(load_fraction=0.7, seed=11)
-        plane, controller = converged(cluster)
+        fleet = build_testbed_cluster(load_fraction=0.7, seed=11)
+        plane, controller = converged(fleet)
         runs = controller.ilp_runs
         reports = [plane.control_step()["vip"] for _ in range(3)]
-        cluster.fail_dip("DIP-25")
+        fleet.fail_dip("DIP-25")
         reports.append(plane.control_step()["vip"])
         assert reports[-1].reprogrammed
         assert controller.ilp_runs == runs + sum(r.reprogrammed for r in reports)
 
     def test_a_computation_with_no_curves_is_no_run(self):
-        plane = FleetController(self.small_pool().fleet)
+        plane = FleetController(self.small_pool())
         controller = plane.onboard_vip("vip")
         with pytest.raises(ConfigurationError, match="no fitted curves"):
             controller.compute_weights()
@@ -285,9 +285,9 @@ class TestCurveKernelCallsPerTick:
     def tick(num_dips, perturb, monkeypatch):
         dips = build_mixed_core_pool(num_dips, seed=5)
         capacity = sum(dip.capacity_rps for dip in dips.values())
-        cluster = FluidCluster(dips=dips, total_rate_rps=0.6 * capacity, policy_name="wrr")
-        plane, _ = converged(cluster, settle_steps=0)
-        perturb(cluster)
+        fleet = one_vip_fleet(dips, 0.6 * capacity)
+        plane, _ = converged(fleet, settle_steps=0)
+        perturb(fleet)
         calls, stacked = [], []
         predict_bank, bisect_bank = kernels.predict_bank, kernels.bisect_bank
 
@@ -326,8 +326,8 @@ class TestCurveKernelCallsPerTick:
     @pytest.mark.parametrize(
         "perturb",
         [
-            lambda cluster: cluster.scale_traffic(1.25),
-            lambda cluster: [cluster.set_capacity_ratio(d, 0.6) for d in ("DIP-1", "DIP-3")],
+            lambda fleet: fleet.scale_traffic("vip", 1.25),
+            lambda fleet: [fleet.set_capacity_ratio(d, 0.6) for d in ("DIP-1", "DIP-3")],
         ],
         ids=["traffic", "capacity"],
     )
@@ -359,8 +359,8 @@ CONVERGED_TESTBED = {
 class TestOneConvergencePath:
     @pytest.mark.parametrize("policy, seed, load", sorted(CONVERGED_TESTBED))
     def test_fleet_path_reproduces_the_single_vip_loop(self, policy, seed, load):
-        cluster = build_testbed_cluster(load_fraction=load, policy_name=policy, seed=seed)
-        _, controller = converged(cluster)
+        fleet = build_testbed_cluster(load_fraction=load, policy_name=policy, seed=seed)
+        _, controller = converged(fleet)
         weights = ";".join(
             f"{dip}={weight.hex()}"
             for dip, weight in sorted(controller.last_assignment.weights.items())

@@ -19,17 +19,15 @@ from repro.lb import (
     RoundRobin,
     WeightedRoundRobin,
 )
-from repro.sim import FluidCluster, RequestCluster
+from repro.sim import RequestCluster
+from repro.sim.fleet import one_vip_fleet
 from repro.workloads import build_three_dip_pool
 
 
 def compute_klb_weights(dips, load_fraction=0.75, seed=3):
     """Run the controller against a fluid twin of the pool and return weights."""
     total_capacity = sum(d.capacity_rps for d in dips.values())
-    fluid = FluidCluster(
-        dips=dips, total_rate_rps=total_capacity * load_fraction, policy_name="wrr"
-    )
-    plane = FleetController(fluid.fleet)
+    plane = FleetController(one_vip_fleet(dips, total_capacity * load_fraction))
     plane.onboard_vip("vip")
     assignment = plane.converge_all()["vip"]
     return dict(assignment.weights), total_capacity * load_fraction

@@ -3,7 +3,7 @@
 Every split policy must conserve the total arrival rate (what goes into a
 VIP comes out across its DIPs) and never assign a negative rate, for any
 pool composition, weighting and load level.  The splits are taken the way a
-run takes them: a one-VIP fleet (:class:`FluidCluster`) applying its policy.
+run takes them: a one-VIP fleet (:func:`one_vip_fleet`) applying its policy.
 The fleet's state must also agree with the scalar per-DIP latency model.
 """
 
@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import DipServer, custom_vm_type
-from repro.sim.fluid import FluidCluster
+from repro.sim.fleet import one_vip_fleet
 
 ALL_POLICIES = ("rr", "hash", "random", "wrr", "wrandom", "dns", "lc", "wlc", "p2")
 
@@ -37,10 +37,10 @@ def pools(draw, min_dips=1, max_dips=8):
 
 def fluid_rates(policy, dips, total, weights=None):
     """Each DIP's rate once a one-VIP fleet has applied ``policy``."""
-    cluster = FluidCluster(
-        dips=dips, total_rate_rps=total, policy_name=policy, weights=dict(weights or {})
-    )
-    return cluster.state().total_rates_rps
+    fleet = one_vip_fleet(dips, total, policy)
+    if weights:
+        fleet.set_weights("vip", weights)
+    return fleet.state().total_rates_rps
 
 
 def _one_dip_pool(weight: float):
@@ -93,7 +93,7 @@ class TestVectorizedKernelEquivalence:
     def test_vector_latency_matches_scalar_model(self, pool, load):
         dips, _ = pool
         total = load * sum(s.capacity_rps for s in dips.values())
-        state = FluidCluster(dips, total, policy_name="rr").state()
+        state = one_vip_fleet(dips, total, "rr").state()
         for dip, server in dips.items():
             scalar = server.latency_model.mean_latency_ms(
                 state.total_rates_rps[dip], scv_correction=server.scv_correction
@@ -105,7 +105,7 @@ class TestVectorizedKernelEquivalence:
     def test_vector_utilization_matches_scalar_model(self, pool, load):
         dips, _ = pool
         total = load * sum(s.capacity_rps for s in dips.values())
-        state = FluidCluster(dips, total, policy_name="rr").state()
+        state = one_vip_fleet(dips, total, "rr").state()
         for dip, server in dips.items():
             scalar = min(1.0, server.latency_model.utilization(state.total_rates_rps[dip]))
             assert state.utilization[dip].hex() == scalar.hex()

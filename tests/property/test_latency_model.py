@@ -27,7 +27,7 @@ from repro import kernels
 from repro.backends import DipServer, custom_vm_type
 from repro.backends.latency_model import LatencyModel, erlang_c
 from repro.exceptions import ConfigurationError
-from repro.sim import FluidCluster
+from repro.sim.fleet import one_vip_fleet
 from repro.sim.fluid import pool_arrays
 
 servers = st.integers(1, 64)
@@ -142,10 +142,10 @@ def test_a_negative_rate_is_a_configuration_error():
                     body(law, call, np.empty(2))
     # What the fleet's lc fixed point meets after a direct edit of a rate.
     vm = custom_vm_type("vm", vcpus=2, capacity_rps=800.0)
-    cluster = FluidCluster({"d": DipServer("d", vm, seed=0)}, 100.0, policy_name="lc")
-    cluster.fleet.vips["vip"].total_rate_rps = -5.0
+    fleet = one_vip_fleet({"d": DipServer("d", vm, seed=0)}, 100.0, "lc")
+    fleet.vips["vip"].total_rate_rps = -5.0
     with pytest.raises(ConfigurationError, match="rates must be >= 0"):
-        cluster.apply()
+        fleet.apply()
 
 
 @pytest.mark.xfail(

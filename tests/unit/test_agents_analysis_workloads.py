@@ -12,7 +12,7 @@ from repro.backends import DipServer, custom_vm_type
 from repro.core.controller import KnapsackLBController
 from repro.exceptions import ConfigurationError
 from repro.experiments.other_lbs import run_agent_baseline
-from repro.sim import FluidCluster
+from repro.sim.fleet import one_vip_fleet
 from repro.workloads import (
     TABLE8_VIP_MIX,
     build_graded_three_dip_pool,
@@ -25,56 +25,56 @@ from repro.workloads import (
 )
 
 
-def small_cluster(capacities=(400.0, 300.0), rate_fraction=0.7):
+def small_fleet(capacities=(400.0, 300.0), rate_fraction=0.7):
     dips = {}
     for index, capacity in enumerate(capacities):
         vm = custom_vm_type(f"vm{index}", vcpus=1, capacity_rps=capacity)
         dips[f"d{index}"] = DipServer(f"d{index}", vm, seed=index, jitter_fraction=0.0)
     total = sum(capacities)
-    return FluidCluster(dips=dips, total_rate_rps=total * rate_fraction, policy_name="wrr")
+    return one_vip_fleet(dips, total * rate_fraction)
 
 
 class TestCpuAgentBalancer:
     def test_converges_to_uniform_utilization(self):
-        cluster = small_cluster((400.0, 300.0, 200.0))
-        balancer = CpuAgentBalancer(cluster, tolerance=0.02)
+        fleet = small_fleet((400.0, 300.0, 200.0))
+        balancer = CpuAgentBalancer(fleet, tolerance=0.02)
         balancer.run()
         assert balancer.history[-1].spread <= balancer.tolerance
-        utils = list(cluster.state().utilization.values())
+        utils = list(fleet.state().utilization.values())
         assert max(utils) - min(utils) <= 0.03
 
     def test_needs_multiple_iterations(self):
         """§6.4: the CPU-feedback loop converges over several iterations."""
-        cluster = small_cluster((400.0, 400.0, 400.0, 300.0))
-        balancer = CpuAgentBalancer(cluster, tolerance=0.01)
+        fleet = small_fleet((400.0, 400.0, 400.0, 300.0))
+        balancer = CpuAgentBalancer(fleet, tolerance=0.01)
         balancer.run()
         assert balancer.iterations_to_converge >= 2
 
     def test_spread_monotonically_non_increasing(self):
-        cluster = small_cluster((400.0, 250.0))
-        balancer = CpuAgentBalancer(cluster)
+        fleet = small_fleet((400.0, 250.0))
+        balancer = CpuAgentBalancer(fleet)
         history = balancer.run()
         spreads = [h.spread for h in history]
         assert spreads[-1] <= spreads[0]
 
     def test_weights_stay_normalised(self):
-        cluster = small_cluster((400.0, 250.0))
-        balancer = CpuAgentBalancer(cluster)
+        fleet = small_fleet((400.0, 250.0))
+        balancer = CpuAgentBalancer(fleet)
         for step in balancer.run():
             assert sum(step.weights.values()) == pytest.approx(1.0)
 
     def test_respects_initial_weights(self):
-        cluster = small_cluster((400.0, 400.0))
-        balancer = CpuAgentBalancer(cluster, max_iterations=1)
+        fleet = small_fleet((400.0, 400.0))
+        balancer = CpuAgentBalancer(fleet, max_iterations=1)
         history = balancer.run(initial_weights={"d0": 0.9, "d1": 0.1})
         assert history[0].weights["d0"] == pytest.approx(0.9)
 
     def test_invalid_config(self):
-        cluster = small_cluster()
+        fleet = small_fleet()
         with pytest.raises(ConfigurationError):
-            CpuAgentBalancer(cluster, tolerance=0.0)
+            CpuAgentBalancer(fleet, tolerance=0.0)
         with pytest.raises(ConfigurationError):
-            CpuAgentBalancer(cluster, gain=0.0)
+            CpuAgentBalancer(fleet, gain=0.0)
 
     def test_baseline_reports_the_klb_ilp_computations(self, monkeypatch):
         """§6.4's KnapsackLB column counts the controller's ILP
@@ -121,8 +121,8 @@ class TestWorkloads:
         assert {server.vm_type.vcpus for server in dips} == {1, 2, 4, 8}
 
     def test_testbed_cluster_load_fraction(self):
-        cluster = build_testbed_cluster(load_fraction=0.7)
-        assert cluster.total_rate_rps == pytest.approx(cluster.total_capacity_rps * 0.7)
+        fleet = build_testbed_cluster(load_fraction=0.7)
+        assert fleet.vips["vip"].total_rate_rps == pytest.approx(fleet.total_capacity_rps * 0.7)
 
     def test_testbed_cluster_invalid_load(self):
         with pytest.raises(ConfigurationError):

@@ -19,7 +19,10 @@ from repro.api import (
     run,
     runner_for,
 )
+from repro.api import runners
+from repro.api.runners import build_cluster
 from repro.exceptions import ConfigurationError
+from repro.sim.fleet import one_vip_fleet
 
 
 def small_spec(**kwargs) -> ExperimentSpec:
@@ -109,6 +112,58 @@ class TestRunnersShareOneSpec:
     def test_unknown_runner_kind(self):
         with pytest.raises(ConfigurationError, match="unknown runner"):
             runner_for("quantum")
+
+
+class TestBuildCluster:
+    """``build_cluster`` is the one-VIP fleet a fluid run converges: one VIP,
+    ``"vip"``, over every pool DIP in pool order, at equal weights and the
+    declared rate, its state current."""
+
+    def test_it_is_the_fleet_prepare_fleet_converges(self, monkeypatch):
+        spec = small_spec(controller=ControllerSpec(enabled=True, settle_steps=0))
+        built = []
+
+        def spy(spec):
+            built.append(build_cluster(spec))
+            return built[-1]
+
+        monkeypatch.setattr(runners, "build_cluster", spy)
+        fleet, plane, _, _ = runners.prepare_fleet(spec)
+        assert built == [fleet]
+        assert plane.fleet is fleet and list(plane.controllers) == ["vip"]
+
+    def test_one_vip_over_the_pool_at_equal_weights_and_the_declared_rate(
+        self, monkeypatch
+    ):
+        spec = small_spec()
+        fleet = build_cluster(spec)
+        dips = runners.pool_from_spec(spec.pool, spec.seed)
+        (vip,) = fleet.vips.values()
+        assert vip.vip_id == "vip"
+        assert list(vip.dips) == list(fleet.dips) == list(dips)
+        assert vip.weights == {d: 1.0 / len(dips) for d in dips}
+        assert vip.total_rate_rps == runners.offered_rate_rps(spec, dips)
+        assert vip.policy_name == spec.policy.name
+        # The state is current: reading it runs no evaluation.
+        monkeypatch.setattr(fleet, "apply", lambda: pytest.fail("state() re-evaluated"))
+        rates = fleet.state().total_rates_rps
+        assert rates == pytest.approx({d: vip.total_rate_rps / len(dips) for d in dips})
+
+    @pytest.mark.parametrize(
+        "num_dips, rate, policy, message",
+        [
+            (2, -1.0, "wrr", "total_rate_rps must be >= 0"),
+            (0, 1.0, "wrr", "needs at least one DIP"),
+            (2, 1.0, "bogus", "no fluid model for policy 'bogus'"),
+        ],
+    )
+    def test_what_it_refuses(self, num_dips, rate, policy, message):
+        # The spec layer refuses these before a build; the builder's own
+        # refusals are the fleet's.
+        dips = runners.pool_from_spec(small_spec().pool, 9)
+        dips = dict(list(dips.items())[:num_dips])
+        with pytest.raises(ConfigurationError, match=message):
+            one_vip_fleet(dips, rate, policy)
 
 
 class TestScenarioBridge:

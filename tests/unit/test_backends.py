@@ -22,14 +22,13 @@ from repro.backends import (
     scaled_model,
 )
 from repro.exceptions import ConfigurationError
-from repro.sim.fleet import Fleet, FleetState
-from repro.sim.fluid import FluidCluster
+from repro.sim.fleet import Fleet, FleetState, one_vip_fleet
 
 
 def offered(rate: float, *dips: DipServer) -> FleetState:
     """The state of a fleet whose one VIP offers ``rate`` to ``dips``, in
     equal shares."""
-    return FluidCluster({d.dip_id: d for d in dips}, rate, policy_name="rr").state()
+    return one_vip_fleet({d.dip_id: d for d in dips}, rate, "rr").state()
 
 
 class TestVmTypes:
@@ -294,7 +293,7 @@ class TestDipServer:
             dip.latency_model.utilization(-1.0)
 
     def test_probe_batch_validates_count(self, dip):
-        fleet = FluidCluster({"d1": dip}, 100.0).fleet
+        fleet = one_vip_fleet({"d1": dip}, 100.0)
         with pytest.raises(ConfigurationError, match="num_requests must be >= 1"):
             fleet.probe_round(["d1"], 0)
 
@@ -372,10 +371,10 @@ class TestDipServer:
 class TestOfferedRate:
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
     def test_non_finite_or_negative_rate_is_refused(self, small_dip, rate):
-        cluster = FluidCluster({small_dip.dip_id: small_dip}, 100.0)
+        fleet = one_vip_fleet({small_dip.dip_id: small_dip}, 100.0)
         with pytest.raises(ConfigurationError, match="finite and >= 0"):
-            cluster.set_total_rate(rate)
-        assert cluster.state().total_rates_rps == {small_dip.dip_id: 100.0}
+            fleet.set_total_rate("vip", rate)
+        assert fleet.state().total_rates_rps == {small_dip.dip_id: 100.0}
 
 
 def scalar_probe_batch(dip, rate_rps, num_requests):

@@ -18,7 +18,8 @@ from repro.backends import DipServer, custom_vm_type
 from repro.core import FleetController, VipPhase
 from repro.core.scheduler import MeasurementPriority, MeasurementScheduler
 from repro.exceptions import ConfigurationError
-from repro.sim import Fleet, FluidCluster
+from repro.sim import Fleet
+from repro.sim.fleet import one_vip_fleet
 from repro.lb.least_connection import least_connection_split_array
 from repro.sim.fluid import pool_arrays, weighted_split_array
 from repro.workloads import build_shared_dip_fleet, build_testbed_cluster
@@ -373,10 +374,9 @@ class TestTheFixedPointSeesTheWorkloadCorrection:
     WEIGHTS = {"d0": 1.0, "d1": 2.0, "d2": 3.0}
 
     def split(self, policy: str, scv: float) -> list[str]:
-        cluster = FluidCluster(
-            corrected_dips(scv), 4080.0, policy_name=policy, weights=self.WEIGHTS
-        )
-        return [rate.hex() for rate in cluster.state().per_vip_rates["vip"].values()]
+        fleet = one_vip_fleet(corrected_dips(scv), 4080.0, policy)
+        fleet.set_weights("vip", self.WEIGHTS)
+        return [rate.hex() for rate in fleet.state().per_vip_rates["vip"].values()]
 
     @pytest.mark.parametrize("policy", ["lc", "wlc"])
     def test_the_split_is_the_whole_pool_fixed_point(self, policy):
@@ -396,23 +396,23 @@ class TestTheFixedPointSeesTheWorkloadCorrection:
         ]
 
 
-class TestFluidClusterIsOneVipFleet:
-    def test_single_vip_cluster_behaviour_unchanged(self):
+class TestOneVipFleet:
+    def test_single_vip_behaviour(self):
         vm = custom_vm_type("vm", vcpus=1, capacity_rps=400.0)
         dips = {f"d{i}": DipServer(f"d{i}", vm, seed=i) for i in range(3)}
-        cluster = FluidCluster(dips=dips, total_rate_rps=600.0, policy_name="rr")
-        state = cluster.state()
-        for rate in state.total_rates_rps.values():
+        fleet = one_vip_fleet(dips, 600.0, "rr")
+        for rate in fleet.state().total_rates_rps.values():
             assert rate == pytest.approx(200.0)
-        cluster.set_weights({"d0": 0.5, "d1": 0.25, "d2": 0.25})
-        cluster.policy_name = "rr"  # weights ignored under rr
-        assert cluster.total_capacity_rps == pytest.approx(1200.0)
+        fleet.set_weights("vip", {"d0": 0.5, "d1": 0.25, "d2": 0.25})
+        # Weights are ignored under rr.
+        assert all(r == pytest.approx(200.0) for r in fleet.state().total_rates_rps.values())
+        assert fleet.total_capacity_rps == pytest.approx(1200.0)
 
     def test_a_failed_dip_leaves_the_overall_mean_finite(self):
         """A failed DIP's rate 0 and latency inf add nothing (0 × inf was NaN)."""
-        cluster = build_testbed_cluster(load_fraction=0.7, seed=1)
-        cluster.fail_dip("DIP-3")
-        state = cluster.state()
+        fleet = build_testbed_cluster(load_fraction=0.7, seed=1)
+        fleet.fail_dip("DIP-3")
+        state = fleet.state()
         assert state.total_rates_rps["DIP-3"] == 0.0
         assert state.mean_latency_ms["DIP-3"] == float("inf")
         overall = state.overall_mean_latency_ms()

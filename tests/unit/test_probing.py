@@ -8,7 +8,7 @@ from oracles.probes import ServerDeployment
 from repro.backends import DipServer, custom_vm_type
 from repro.core.config import ProbeConfig
 from repro.probing import KLM, KLM_REQUESTS_PER_SECOND_PER_CORE
-from repro.sim.fluid import FluidCluster
+from repro.sim.fleet import one_vip_fleet
 
 
 def make_dip(name="d1", capacity=400.0, seed=1):
@@ -39,10 +39,10 @@ class TestKLM:
 
     def test_probe_latency_reflects_load(self):
         """Through a fleet's view, a probe sees the fleet's last write."""
-        cluster = FluidCluster({"d1": make_dip()}, 50.0)
-        klm = self.make_klm({}, deployment=cluster.fleet.view("vip"))
+        fleet = one_vip_fleet({"d1": make_dip()}, 50.0)
+        klm = self.make_klm({}, deployment=fleet.view("vip"))
         light = klm.probe_dip("d1", now=0.0).latency_ms
-        cluster.set_total_rate(380.0)
+        fleet.set_total_rate("vip", 380.0)
         heavy = klm.probe_dip("d1", now=5.0).latency_ms
         assert heavy > light
 

@@ -10,7 +10,6 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.lb import LeastConnection, RoundRobin, WeightedRoundRobin
 from repro.sim import (
     EventScheduler,
-    FluidCluster,
     MetricsCollector,
     RequestCluster,
     Vip,
@@ -23,6 +22,7 @@ from repro.sim.queueing import DipStation
 from repro.sim.request import Request, RequestOutcome
 from repro.lb.least_connection import least_connection_split_array
 from repro.lb.power_of_two import power_of_two_split_array
+from repro.sim.fleet import one_vip_fleet
 from repro.sim.fluid import equal_split_array, pool_arrays, weighted_split_array
 
 
@@ -198,86 +198,71 @@ class TestFluidSplits:
 
     def test_split_for_policy_dispatch(self):
         for policy in ("rr", "hash", "random"):
-            cluster = FluidCluster(make_dips([400.0, 400.0]), 100.0, policy_name=policy)
-            assert cluster.state().total_rates_rps["d0"] == pytest.approx(50.0)
-        cluster = FluidCluster(
-            make_dips([400.0, 400.0]), 100.0, weights={"d0": 0.9, "d1": 0.1}
-        )
-        assert cluster.state().total_rates_rps["d0"] == pytest.approx(90.0)
+            fleet = one_vip_fleet(make_dips([400.0, 400.0]), 100.0, policy)
+            assert fleet.state().total_rates_rps["d0"] == pytest.approx(50.0)
+        fleet = one_vip_fleet(make_dips([400.0, 400.0]), 100.0)
+        fleet.set_weights("vip", {"d0": 0.9, "d1": 0.1})
+        assert fleet.state().total_rates_rps["d0"] == pytest.approx(90.0)
 
     def test_split_unknown_policy(self):
         with pytest.raises(ConfigurationError, match="no fluid model for policy 'bogus'"):
-            FluidCluster(make_dips([400.0]), 100.0, policy_name="bogus")
+            one_vip_fleet(make_dips([400.0]), 100.0, "bogus")
 
 
-class TestFluidCluster:
+class TestOneVipFleet:
+    """A single-VIP system: one VIP, ``"vip"``, over the whole pool."""
+
     def test_weights_drive_rates(self):
-        dips = make_dips([400.0, 400.0])
-        cluster = FluidCluster(dips=dips, total_rate_rps=400.0, policy_name="wrr")
-        cluster.set_weights({"d0": 0.75, "d1": 0.25})
-        rates = cluster.state().total_rates_rps
+        fleet = one_vip_fleet(make_dips([400.0, 400.0]), 400.0)
+        fleet.set_weights("vip", {"d0": 0.75, "d1": 0.25})
+        rates = fleet.state().total_rates_rps
         assert rates["d0"] == pytest.approx(300.0)
         assert rates["d1"] == pytest.approx(100.0)
 
     def test_state_reports_latency_and_util(self):
-        dips = make_dips([400.0, 400.0])
-        cluster = FluidCluster(dips=dips, total_rate_rps=400.0)
-        state = cluster.state()
+        state = one_vip_fleet(make_dips([400.0, 400.0]), 400.0).state()
         assert set(state.mean_latency_ms) == {"d0", "d1"}
         assert state.overall_mean_latency_ms() > 0
 
     def test_failed_dip_gets_no_traffic(self):
-        dips = make_dips([400.0, 400.0])
-        cluster = FluidCluster(dips=dips, total_rate_rps=400.0)
-        cluster.fail_dip("d0")
-        assert cluster.state().total_rates_rps["d0"] == 0.0
-        assert cluster.state().total_rates_rps["d1"] == pytest.approx(400.0)
-        cluster.recover_dip("d0")
-        assert cluster.state().total_rates_rps["d0"] > 0
+        fleet = one_vip_fleet(make_dips([400.0, 400.0]), 400.0)
+        fleet.fail_dip("d0")
+        assert fleet.state().total_rates_rps["d0"] == 0.0
+        assert fleet.state().total_rates_rps["d1"] == pytest.approx(400.0)
+        fleet.recover_dip("d0")
+        assert fleet.state().total_rates_rps["d0"] > 0
 
     def test_traffic_scaling(self):
-        dips = make_dips([400.0, 400.0])
-        cluster = FluidCluster(dips=dips, total_rate_rps=400.0)
-        cluster.scale_traffic(1.5)
-        assert cluster.total_rate_rps == pytest.approx(600.0)
-        assert cluster.state().total_rates_rps == {"d0": 300.0, "d1": 300.0}
+        fleet = one_vip_fleet(make_dips([400.0, 400.0]), 400.0)
+        fleet.scale_traffic("vip", 1.5)
+        assert fleet.vips["vip"].total_rate_rps == pytest.approx(600.0)
+        assert fleet.state().total_rates_rps == {"d0": 300.0, "d1": 300.0}
 
     @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -1.0])
     def test_traffic_scaling_refusal_names_the_factor(self, factor):
-        """The cluster's scaling is the fleet's: a refused factor is named
-        as such, and leaves the rate as it was."""
-        cluster = FluidCluster(dips=make_dips([400.0, 400.0]), total_rate_rps=400.0)
+        """A refused factor is named as such, and leaves the rate as it was."""
+        fleet = one_vip_fleet(make_dips([400.0, 400.0]), 400.0)
         with pytest.raises(ConfigurationError, match=r"^factor must be finite and >= 0"):
-            cluster.scale_traffic(factor)
-        assert cluster.total_rate_rps == 400.0
-        assert cluster.state().total_rates_rps == {"d0": 200.0, "d1": 200.0}
-
-    def test_capacity_and_health_are_the_fleets(self):
-        dips = make_dips([400.0, 800.0])
-        cluster = FluidCluster(dips=dips, total_rate_rps=400.0)
-        cluster.set_capacity_ratio("d1", 0.5)
-        cluster.fail_dip("d0")
-        assert cluster.healthy_dip_ids() == cluster.fleet.healthy_dip_ids() == ("d1",)
-        assert cluster.total_capacity_rps == cluster.fleet.total_capacity_rps == 400.0
+            fleet.scale_traffic("vip", factor)
+        assert fleet.vips["vip"].total_rate_rps == 400.0
+        assert fleet.state().total_rates_rps == {"d0": 200.0, "d1": 200.0}
 
     def test_capacity_change_updates_latency(self):
-        dips = make_dips([400.0, 400.0])
-        cluster = FluidCluster(dips=dips, total_rate_rps=560.0)
-        before = cluster.state().mean_latency_ms["d0"]
-        cluster.set_capacity_ratio("d0", 0.6)
-        after = cluster.state().mean_latency_ms["d0"]
+        fleet = one_vip_fleet(make_dips([400.0, 400.0]), 560.0)
+        before = fleet.state().mean_latency_ms["d0"]
+        fleet.set_capacity_ratio("d0", 0.6)
+        after = fleet.state().mean_latency_ms["d0"]
         assert after > before
 
     def test_unknown_dip_weight_rejected(self):
-        cluster = FluidCluster(dips=make_dips([400.0]), total_rate_rps=100.0)
+        fleet = one_vip_fleet(make_dips([400.0]), 100.0)
         with pytest.raises(ConfigurationError):
-            cluster.set_weights({"ghost": 0.5})
+            fleet.set_weights("vip", {"ghost": 0.5})
 
     def test_overall_latency_request_weighted(self):
-        dips = make_dips([400.0, 400.0])
-        cluster = FluidCluster(dips=dips, total_rate_rps=500.0, policy_name="wrr")
-        cluster.set_weights({"d0": 0.9, "d1": 0.1})
-        state = cluster.state()
+        fleet = one_vip_fleet(make_dips([400.0, 400.0]), 500.0)
+        fleet.set_weights("vip", {"d0": 0.9, "d1": 0.1})
+        state = fleet.state()
         # d0 is much hotter; the request-weighted mean must lean toward d0.
         assert state.overall_mean_latency_ms() > (
             0.5 * state.mean_latency_ms["d0"] + 0.5 * state.mean_latency_ms["d1"]

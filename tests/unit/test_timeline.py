@@ -243,17 +243,17 @@ class TestStaleCapacityRegression:
             ),
             controller=api.ControllerSpec(enabled=False),
         )
-        cluster = api.build_cluster(spec)
-        per_dip_rate = cluster.total_rate_rps / len(cluster.dips)
-        before = cluster.state().utilization["DIP-1"]
+        fleet = api.build_cluster(spec)
+        per_dip_rate = fleet.vips["vip"].total_rate_rps / len(fleet.dips)
+        before = fleet.state().utilization["DIP-1"]
         assert before == pytest.approx(
-            per_dip_rate / cluster.dips["DIP-1"].capacity_rps
+            per_dip_rate / fleet.dips["DIP-1"].capacity_rps
         )
         result = api.execute(spec)
         squeezed = result.windows[-1]
         # Same rate over half the capacity: utilization doubles.  A stale
         # PoolArrays would keep reporting the pre-squeeze value.
-        base_capacity = cluster.dips["DIP-1"].base_capacity_rps
+        base_capacity = fleet.dips["DIP-1"].base_capacity_rps
         expected = min(1.0, per_dip_rate / (0.5 * base_capacity))
         assert result.dip_summaries["DIP-1"]["utilization"] == pytest.approx(
             expected
@@ -642,9 +642,9 @@ class TestStepperWeightOverrides:
         from repro.api.timeline import fleet_timeline_stepper
 
         spec = timeline_spec()
-        cluster = build_cluster(spec)
-        return cluster, fleet_timeline_stepper(
-            cluster.fleet, spec.timeline, BaseObserver(), seed=spec.seed
+        fleet = build_cluster(spec)
+        return fleet, fleet_timeline_stepper(
+            fleet, spec.timeline, BaseObserver(), seed=spec.seed
         )
 
     def test_vip_may_be_omitted_on_a_one_vip_fleet(self):
@@ -670,11 +670,11 @@ class TestStepperWeightOverrides:
         assert stepper.weight_overrides[0][1] == vip
 
     def test_override_applies_at_the_next_window_boundary(self):
-        cluster, stepper = self.stepper()
+        fleet, stepper = self.stepper()
         stepper.step()  # clock -> 5.0
-        target = next(iter(cluster.dips))
+        target = next(iter(fleet.dips))
         label = stepper.set_weights(
-            None, {d: 1.0 for d in cluster.dips} | {target: 50.0}
+            None, {d: 1.0 for d in fleet.dips} | {target: 50.0}
         )
         assert "set_weights" in label
         window = stepper.step()
@@ -683,15 +683,15 @@ class TestStepperWeightOverrides:
         assert stepper.weight_overrides[0][0] == 5.0  # applied at the boundary
 
     def test_queued_overrides_do_not_apply_early(self):
-        cluster, stepper = self.stepper()
-        stepper.set_weights(None, {next(iter(cluster.dips)): 2.0})
+        fleet, stepper = self.stepper()
+        stepper.set_weights(None, {next(iter(fleet.dips)): 2.0})
         assert stepper.weight_overrides == []  # queued, not yet applied
         stepper.step()
         assert len(stepper.weight_overrides) == 1
 
     def test_explicit_vip_must_match_the_scope(self):
-        cluster, stepper = self.stepper()
-        first = next(iter(cluster.dips))
+        fleet, stepper = self.stepper()
+        first = next(iter(fleet.dips))
         assert "set_weights" in stepper.set_weights("vip", {first: 1.0})
         with pytest.raises(ConfigurationError, match="unknown VIP"):
             stepper.set_weights("vip-9", {first: 1.0})

@@ -35,7 +35,7 @@ from repro.api.spec import (
 from repro.backends import DipServer, custom_vm_type
 from repro.backends.latency_model import LatencyModel
 from repro.exceptions import ConfigurationError
-from repro.sim.fluid import FluidCluster
+from repro.sim.fleet import one_vip_fleet
 from repro.workloads.divergence import (
     MAX_CORRECTION,
     arrival_scv,
@@ -186,11 +186,11 @@ class TestDivergenceModel:
             f"d{i}": DipServer(f"d{i}", vm, jitter_fraction=0.0)
             for i in range(3)
         }
-        cluster = FluidCluster(dips, 1800.0, policy_name="rr")
-        base = np.array(list(cluster.state().mean_latency_ms.values()))
+        fleet = one_vip_fleet(dips, 1800.0, "rr")
+        base = np.array(list(fleet.state().mean_latency_ms.values()))
         for dip in dips.values():
             dip.scv_correction = 3.0
-        corrected = np.array(list(cluster.apply().mean_latency_ms.values()))
+        corrected = np.array(list(fleet.apply().mean_latency_ms.values()))
         assert (corrected > base).all()
 
 
